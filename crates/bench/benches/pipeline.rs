@@ -246,18 +246,16 @@ fn bench_learn_stage(c: &mut Criterion) {
     group.finish();
 }
 
-/// The packed example-major learning arena against the hash-map SGD
-/// oracle it replaces, priced two ways. The `hospital_train` pair runs
-/// one full `learn::train` call (arena gather plus every epoch) on the
-/// compiled hospital model — divide by `LearnConfig::epochs` for the
-/// per-epoch cost; the one-time gather is amortised across the epochs,
-/// and the packed arm must beat the naive arm on the committed
-/// `BENCH_*.json` snapshot. The `stream_replay_16` pair drives a full
-/// 16-batch `StreamSession` ingest (per-batch replay retraining
-/// included) with the kernel on vs off — everything outside the learn
-/// path is identical, so the spread prices the kernel inside the
-/// incremental engine. All arms are bit-for-bit output-identical; the
-/// delta is pure wall-clock.
+/// The learning kernel (packed arena + dense minibatch accumulator),
+/// priced two ways. `hospital_train` runs one full `learn::train` call
+/// (arena gather plus every epoch) on the compiled hospital model —
+/// divide by `LearnConfig::epochs` for the per-epoch cost; the one-time
+/// gather is amortised across the epochs. `stream_replay_16` drives a
+/// full 16-batch `StreamSession` ingest (per-batch replay retraining
+/// included), pricing the kernel inside the incremental engine. The
+/// labels keep their `packed` suffix so `bench_diff` lines them up with
+/// earlier `BENCH_*.json` snapshots; the hash-map arms they used to be
+/// paired with are gone with the oracle (now test-only).
 fn bench_learn_kernel(c: &mut Criterion) {
     use holoclean::stream::StreamSession;
     let mut group = c.benchmark_group("learn_kernel");
@@ -282,16 +280,16 @@ fn bench_learn_kernel(c: &mut Criterion) {
         config: &config,
     })
     .unwrap();
-    for (label, packed) in [("packed", true), ("naive", false)] {
-        let mut learn = config.learn;
-        learn.packed = packed;
-        group.bench_function(BenchmarkId::new("hospital_train", label), |b| {
-            b.iter(|| {
-                let mut w = model.weights.clone();
-                black_box(holo_factor::learn::train(&model.graph, &mut w, &learn))
-            })
-        });
-    }
+    group.bench_function(BenchmarkId::new("hospital_train", "packed"), |b| {
+        b.iter(|| {
+            let mut w = model.weights.clone();
+            black_box(holo_factor::learn::train(
+                &model.graph,
+                &mut w,
+                &config.learn,
+            ))
+        })
+    });
     let rows: Vec<Vec<String>> = gen
         .dirty
         .tuples()
@@ -304,26 +302,22 @@ fn bench_learn_kernel(c: &mut Criterion) {
         })
         .collect();
     let batches = 16usize;
-    for (label, packed) in [("packed", true), ("naive", false)] {
-        let mut config = HoloConfig::default()
-            .with_threads(1)
-            .with_packed_learn(packed);
-        config.tau = gen.kind.paper_tau();
-        group.bench_function(BenchmarkId::new("stream_replay_16", label), |b| {
-            b.iter(|| {
-                let mut session = StreamSession::new(
-                    gen.dirty.schema().clone(),
-                    &gen.constraints_text,
-                    config.clone(),
-                )
-                .unwrap();
-                for chunk in rows.chunks(rows.len().div_ceil(batches)) {
-                    black_box(session.push_batch(chunk).unwrap());
-                }
-                black_box(session.report().repairs.len())
-            })
-        });
-    }
+    let mut config = HoloConfig::default().with_threads(1);
+    config.tau = gen.kind.paper_tau();
+    group.bench_function(BenchmarkId::new("stream_replay_16", "packed"), |b| {
+        b.iter(|| {
+            let mut session = StreamSession::new(
+                gen.dirty.schema().clone(),
+                &gen.constraints_text,
+                config.clone(),
+            )
+            .unwrap();
+            for chunk in rows.chunks(rows.len().div_ceil(batches)) {
+                black_box(session.push_batch(chunk).unwrap());
+            }
+            black_box(session.report().repairs.len())
+        })
+    });
     group.finish();
 }
 

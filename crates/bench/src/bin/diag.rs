@@ -11,9 +11,14 @@
 //!
 //! The `--json` learn object carries `examples`, `epochs`, `minibatches`,
 //! `final_log_likelihood`, `grad_norm` (final minibatch), `grad_norm_mean`
-//! (mean over the final epoch — the stable number to watch), and the
-//! packed-arena kernel counters `packed_examples`, `packed_entries`,
-//! `packed_bytes`, `packed_epochs` (all zero under `--naive-learn`).
+//! (mean over the final epoch — the stable number to watch),
+//! `non_finite_minibatches` (non-zero = SGD diverged; the one-shot
+//! pipeline fails with `HoloError::LearnDiverged` before diag prints,
+//! streamed runs report it here), `parallel_minibatches` (how many
+//! minibatch folds were dispatched to worker threads rather than run
+//! inline — "did a second core ever engage in learn"), and the
+//! packed-arena counters `packed_examples`, `packed_entries`,
+//! `packed_bytes`, `packed_epochs`.
 //!
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
 //! (dense/CSR pair split, cell and byte footprint, build/extend/retract
@@ -53,6 +58,8 @@ fn print_json(dataset: &str, out: &HoloOutcome, gate_hists: Option<&([u64; 4], [
             o.field_num("final_log_likelihood", ls.final_log_likelihood);
             o.field_num("grad_norm", ls.grad_norm);
             o.field_num("grad_norm_mean", ls.grad_norm_mean);
+            o.field_u64("non_finite_minibatches", ls.non_finite_minibatches as u64);
+            o.field_u64("parallel_minibatches", ls.parallel_minibatches as u64);
             o.field_u64("packed_examples", ls.packed_examples as u64);
             o.field_u64("packed_entries", ls.packed_entries as u64);
             o.field_u64("packed_bytes", ls.packed_bytes as u64);
@@ -254,7 +261,6 @@ fn main() {
         .with_threads(args.threads)
         .with_chromatic_gibbs(args.chromatic)
         .with_score_cache(!args.no_score_cache)
-        .with_packed_learn(!args.naive_learn)
         .with_naive_stats(args.naive_stats)
         .with_cor_strength(args.cor_strength);
     let max_domain = config.max_domain;
@@ -448,12 +454,16 @@ fn main() {
                 ls.grad_norm,
                 ls.grad_norm_mean
             );
-            if ls.packed_epochs > 0 {
-                println!(
-                    "  packed arena: {} example(s), {} entr(ies), {} byte(s), {} epoch(s) served",
-                    ls.packed_examples, ls.packed_entries, ls.packed_bytes, ls.packed_epochs
-                );
-            }
+            println!(
+                "  minibatch folds: {} dispatched to workers, {} inline; {} non-finite (diverged)",
+                ls.parallel_minibatches,
+                ls.minibatches - ls.parallel_minibatches,
+                ls.non_finite_minibatches
+            );
+            println!(
+                "  packed arena: {} example(s), {} entr(ies), {} byte(s), {} epoch(s) served",
+                ls.packed_examples, ls.packed_entries, ls.packed_bytes, ls.packed_epochs
+            );
         }
         None => println!("learning: skipped (no evidence)"),
     }

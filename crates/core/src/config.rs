@@ -347,25 +347,6 @@ impl HoloConfig {
         self
     }
 
-    /// Toggles the packed example-major learning kernel (builder style;
-    /// on by default via [`LearnConfig::packed`]). Every learning site —
-    /// the one-shot `LearnStage`, feedback retrains, and streaming
-    /// replay/report retrains — reads this through `self.learn`, so one
-    /// knob covers them all. A pure *wall-clock* knob like
-    /// [`HoloConfig::score_cache`]: weights, repairs, and posteriors are
-    /// byte-identical on or off, at every thread count (the naive path
-    /// is kept as the equivalence oracle; `--naive-learn` on the bench
-    /// binaries flips this off).
-    pub fn with_packed_learn(mut self, packed: bool) -> Self {
-        self.learn.packed = packed;
-        self
-    }
-
-    /// Whether training routes through the packed arena kernel.
-    pub fn packed_learn(&self) -> bool {
-        self.learn.packed
-    }
-
     /// Sets the per-component exact-inference ceiling (builder style);
     /// `0` disables exact enumeration so every clique-coupled component
     /// samples. See the field docs for the determinism contract.
@@ -483,13 +464,6 @@ mod tests {
         let c = HoloConfig::default();
         assert!(c.score_cache);
         assert!(!c.with_score_cache(false).score_cache);
-    }
-
-    #[test]
-    fn packed_learn_defaults_on_and_toggles() {
-        let c = HoloConfig::default();
-        assert!(c.packed_learn());
-        assert!(!c.with_packed_learn(false).packed_learn());
     }
 
     #[test]

@@ -30,6 +30,16 @@ pub enum HoloError {
         /// Name of the cell's attribute.
         attr: String,
     },
+    /// Weight learning diverged: some minibatch gradients were non-finite
+    /// (typically a learning rate large enough to overflow the weights),
+    /// so there is no usable model to infer with. See
+    /// `holo_factor::LearnStats::non_finite_minibatches`.
+    LearnDiverged {
+        /// Minibatches whose gradient norm was NaN or infinite.
+        non_finite_minibatches: usize,
+        /// Minibatches executed in total.
+        minibatches: usize,
+    },
 }
 
 impl fmt::Display for HoloError {
@@ -45,6 +55,14 @@ impl fmt::Display for HoloError {
                 "compile error: pruning removed the observed value of cell {cell} \
                  (attribute {attr:?}) from its own domain — the pruning \
                  configuration is inconsistent"
+            ),
+            HoloError::LearnDiverged {
+                non_finite_minibatches,
+                minibatches,
+            } => write!(
+                f,
+                "learning diverged: {non_finite_minibatches} of {minibatches} minibatch \
+                 gradients were non-finite — lower the learning rate"
             ),
         }
     }
@@ -88,5 +106,16 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("City"), "{msg}");
         assert!(msg.contains("pruning"), "{msg}");
+    }
+
+    #[test]
+    fn learn_diverged_reports_the_counts_and_the_remedy() {
+        let msg = HoloError::LearnDiverged {
+            non_finite_minibatches: 3,
+            minibatches: 10,
+        }
+        .to_string();
+        assert!(msg.contains("3 of 10"), "{msg}");
+        assert!(msg.contains("learning rate"), "{msg}");
     }
 }

@@ -399,7 +399,12 @@ impl Stage for CompileStage {
 /// across [`HoloConfig::threads`] in fixed-size example shards merged in
 /// shard order, so the learned weights are bit-for-bit identical at every
 /// thread count. Skipped (weights stay at their priors) when compilation
-/// produced no evidence.
+/// produced no evidence. A training run whose gradients went non-finite
+/// (a diverging [`LearnConfig::learning_rate`]) fails the stage with
+/// [`HoloError::LearnDiverged`] instead of handing poisoned weights to
+/// inference.
+///
+/// [`LearnConfig::learning_rate`]: holo_factor::LearnConfig::learning_rate
 pub struct LearnStage;
 
 impl Stage for LearnStage {
@@ -410,8 +415,6 @@ impl Stage for LearnStage {
     fn run(&self, cx: &PipelineContext, data: &mut StageData) -> Result<(), HoloError> {
         let model = data.require_model("Learn")?;
         let mut weights = model.weights.clone();
-        // `config.learn.packed` (HoloConfig::with_packed_learn) selects
-        // the packed-arena kernel here and at every other learn site.
         data.learn_stats = if model.stats.evidence_vars > 0 {
             Some(learn::train_with_threads(
                 &model.graph,
@@ -422,6 +425,14 @@ impl Stage for LearnStage {
         } else {
             None
         };
+        if let Some(stats) = &data.learn_stats {
+            if stats.non_finite_minibatches > 0 {
+                return Err(HoloError::LearnDiverged {
+                    non_finite_minibatches: stats.non_finite_minibatches,
+                    minibatches: stats.minibatches,
+                });
+            }
+        }
         data.weights = Some(weights);
         Ok(())
     }

@@ -665,9 +665,9 @@ impl StreamSession {
             let recent = self
                 .fresh_examples
                 .min(self.config.stream.replay_window.max(1));
-            // Replay rides `config.learn.packed` like every learn site:
-            // the arena is rebuilt per call, so batch-patched design
-            // matrices never serve a stale pack.
+            // Like every learn site, replay rebuilds the packed arena
+            // per call, so batch-patched design matrices never serve a
+            // stale pack.
             let stats = learn::train_replay(
                 &self.graph,
                 &mut w,

@@ -19,57 +19,58 @@
 //! of the evidence set is cut into minibatches of
 //! [`LearnConfig::minibatch`] examples, every example's sparse gradient is
 //! computed against the weights frozen at minibatch start, and the summed
-//! gradient is applied once per minibatch. Inside a minibatch the examples
-//! are folded in **fixed-size shards** ([`holo_parallel::sharded_fold`]):
-//! each shard accumulates its examples' gradients in example order into a
-//! sparse accumulator, shards run on up to `threads` workers, and the
-//! shard accumulators merge strictly in shard order. Because the shard
-//! boundaries depend only on the shard size — never on the thread count —
-//! every floating-point addition happens in the same order at every
-//! thread count, so `threads = N` is **bit-for-bit identical** to
-//! `threads = 1`. The gradient is summed (not averaged) over the
-//! minibatch, so one epoch applies the same total step mass as classic
-//! per-example SGD at the same learning rate.
+//! gradient is applied once per minibatch, in weight-id order. Inside a
+//! minibatch the examples are folded in **fixed-size shards**: each shard
+//! sums its examples' gradients per weight in example order, shards run
+//! on up to `threads` workers, and the shard subtotals are added strictly
+//! in shard order. Because the shard boundaries depend only on the shard
+//! size — never on the thread count — every floating-point addition
+//! happens in the same order at every thread count, so `threads = N` is
+//! **bit-for-bit identical** to `threads = 1`. The gradient is summed (not
+//! averaged) over the minibatch, so one epoch applies the same total step
+//! mass as classic per-example SGD at the same learning rate.
 //!
-//! ## The packed kernel and the naive oracle
+//! ## The kernel
 //!
-//! With [`LearnConfig::packed`] set (the default), every training entry
-//! point first gathers its eligible examples into a
-//! [`crate::packed::PackedArena`] — an example-major copy
-//! of the design rows with per-example local weight dictionaries — and
-//! the epochs then stream packed memory linearly with dense-slot
-//! gradient accumulation instead of hash maps (see [`crate::packed`]
-//! for the layout and the addition-order invariants). The arena lives
-//! for exactly one training call, like the inference-side `ScoreCache`,
-//! so patched design matrices can never serve a stale pack. With the
-//! knob off, the pre-arena path below runs unchanged; it is kept as the
-//! bit-for-bit **oracle** (`minibatch_gradient_naive`) that the packed
-//! kernel is property-tested against and the `learn_kernel` criterion
-//! group prices it against. Both paths produce identical weights,
-//! stats, and RNG consumption — the knob trades wall-clock only.
+//! Every training entry point gathers its eligible examples into a
+//! [`crate::packed::PackedArena`] — an example-major copy of the design
+//! rows with per-example local weight dictionaries — and
+//! `packed::run_epochs` streams it: per-shard dense subtotals, one dense
+//! per-call minibatch accumulator with a touched-bitmap, updates applied
+//! off the bitmap in id order. No hashing, no sorting, no per-shard
+//! allocation; see [`crate::packed`] for the layout, the addition-order
+//! invariants and the guard that decides when a minibatch is worth
+//! dispatching to worker threads (none of the default-config workloads'
+//! minibatches is — [`LearnStats::parallel_minibatches`] says how many
+//! were). Arena, accumulator and scratches live for exactly one training
+//! call, like the inference-side `ScoreCache`, so patched design matrices
+//! can never serve a stale pack.
+//!
+//! The pre-arena trainer — CSR rows walked per example, gradients in
+//! hash maps — survives only as the test-only `oracle` module: the
+//! bit-for-bit reference (weights, stats and RNG consumption) that this
+//! module's tests and the crate proptests pin the kernel against.
+//!
+//! ## Divergence
+//!
+//! A learning rate large enough to overflow the weights makes every later
+//! gradient non-finite. The epoch loop checks each minibatch's gradient
+//! norm *before* applying it: a non-finite gradient is never applied, the
+//! first one freezes the weights for the rest of the call (so no NaN is
+//! ever written into them), and every such minibatch is counted in
+//! [`LearnStats::non_finite_minibatches`]. The frozen weights are not a
+//! usable model — they may already hold the overflowed `±∞` values that
+//! made the gradient non-finite — so callers that can fail (`LearnStage`)
+//! turn a non-zero count into a typed error instead of handing them to
+//! inference.
 
 use crate::graph::{FactorGraph, VarId};
-use crate::math::softmax_in_place;
 use crate::packed::{self, EpochOutcome, PackedArena};
-use crate::weights::{WeightId, Weights};
-use holo_dataset::FxHashMap;
+use crate::weights::Weights;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-
-/// Examples per gradient shard — the fixed parallel work unit inside a
-/// minibatch. Independent of the thread count by design (that is what
-/// makes the merge order, and hence the result, thread-count invariant);
-/// small enough that the default minibatch spans 16 shards. Shared with
-/// the packed kernel so both paths cut identical shard boundaries.
-pub(crate) const GRAD_SHARD_EXAMPLES: usize = 8;
-
-/// Below this many examples a minibatch's gradient folds inline: spawning
-/// scoped threads costs ~10µs each, which would rival the gradient work
-/// of a handful of examples. Purely a wall-clock guard — the shard
-/// boundaries (and hence the result) are identical either way.
-pub(crate) const MIN_PARALLEL_EXAMPLES: usize = 64;
 
 /// SGD hyper-parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -88,12 +89,6 @@ pub struct LearnConfig {
     /// frozen at minibatch start and applied once per minibatch. `0` is
     /// treated as `1` (classic per-example SGD, fully sequential).
     pub minibatch: usize,
-    /// Route epochs through the packed example-major arena
-    /// ([`crate::packed`]) instead of the hash-map gradient path. On by
-    /// default; a pure wall-clock knob — weights, stats, and RNG
-    /// consumption are bit-for-bit identical either way (the naive path
-    /// is kept as the equivalence oracle and bench baseline).
-    pub packed: bool,
 }
 
 impl Default for LearnConfig {
@@ -105,7 +100,6 @@ impl Default for LearnConfig {
             l2: 1e-4,
             seed: 0x1ea2,
             minibatch: 128,
-            packed: true,
         }
     }
 }
@@ -129,14 +123,23 @@ pub struct LearnStats {
     /// stable convergence signal `diag` reports (near zero when the
     /// model has stopped moving).
     pub grad_norm_mean: f64,
-    /// Examples gathered into the packed arena (0 on the naive path).
+    /// Minibatches whose gradient norm was non-finite (NaN or ±∞) — SGD
+    /// diverged. From the first one on no update is applied; non-zero
+    /// means the run failed and the weights are not a usable model (see
+    /// the module docs).
+    pub non_finite_minibatches: usize,
+    /// Minibatches whose gradient fold was dispatched to worker threads;
+    /// the other `minibatches − parallel_minibatches` ran inline because
+    /// the thread budget was 1 or their work sat under the dispatch guard
+    /// (see [`crate::packed`]). Wall-clock only — never changes a result.
+    pub parallel_minibatches: usize,
+    /// Examples gathered into the packed arena.
     pub packed_examples: usize,
-    /// Feature entries gathered into the packed arena (0 on the naive
-    /// path).
+    /// Feature entries gathered into the packed arena.
     pub packed_entries: usize,
-    /// Resident bytes of the packed arena (0 on the naive path).
+    /// Resident bytes of the packed arena.
     pub packed_bytes: usize,
-    /// Epochs served from the packed arena (0 on the naive path).
+    /// Epochs served from the packed arena.
     pub packed_epochs: usize,
 }
 
@@ -151,6 +154,8 @@ impl LearnStats {
             minibatches: 0,
             grad_norm: 0.0,
             grad_norm_mean: 0.0,
+            non_finite_minibatches: 0,
+            parallel_minibatches: 0,
             packed_examples: 0,
             packed_entries: 0,
             packed_bytes: 0,
@@ -168,6 +173,27 @@ impl LearnStats {
         self.minibatches = out.minibatches;
         self.grad_norm = out.grad_norm;
         self.grad_norm_mean = out.grad_norm_mean;
+        self.non_finite_minibatches = out.non_finite_minibatches;
+        self.parallel_minibatches = out.parallel_minibatches;
+    }
+
+    /// Everything the kernel and the test-only oracle both compute —
+    /// counts exactly, floats by bit pattern — for bitwise comparisons.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> ([usize; 4], [u64; 3]) {
+        (
+            [
+                self.examples,
+                self.epochs,
+                self.minibatches,
+                self.non_finite_minibatches,
+            ],
+            [
+                self.final_log_likelihood.to_bits(),
+                self.grad_norm.to_bits(),
+                self.grad_norm_mean.to_bits(),
+            ],
+        )
     }
 }
 
@@ -221,126 +247,57 @@ pub fn train_examples(
     threads: usize,
     examples: &[VarId],
 ) -> LearnStats {
-    let mut examples: Vec<VarId> = examples
-        .iter()
-        .copied()
-        .filter(|&v| eligible_example(graph, v))
-        .collect();
+    let examples = eligible_examples(graph, examples);
     let mut rng = StdRng::seed_from_u64(config.seed);
     run_epochs(
         graph,
         weights,
         config,
         threads,
-        &mut examples,
+        &examples,
         &mut rng,
         config.epochs,
     )
 }
 
-/// An example carries gradient signal only if it is evidence (it has an
-/// observed target) with more than one candidate. Non-evidence ids in a
-/// caller's window are dropped here — the gradient loops downstream
-/// assert the invariant instead of panicking on it.
-fn eligible_example(graph: &FactorGraph, v: VarId) -> bool {
-    let var = graph.var(v);
-    var.evidence.is_some() && var.arity() > 1
+/// The entries of `examples` that carry gradient signal, in order: an
+/// example must be evidence (it has an observed target) with more than
+/// one candidate. Non-evidence ids in a caller's window are dropped here
+/// — the gradient loops downstream assert the invariant instead of
+/// panicking on it.
+fn eligible_examples(graph: &FactorGraph, examples: &[VarId]) -> Vec<VarId> {
+    examples
+        .iter()
+        .copied()
+        .filter(|&v| {
+            let var = graph.var(v);
+            var.evidence.is_some() && var.arity() > 1
+        })
+        .collect()
 }
 
-/// The shared epoch driver: dispatches the (already filtered) example
-/// list to the packed kernel or the naive oracle on
-/// [`LearnConfig::packed`]. Both paths consume identical RNG draws (one
-/// length-`examples` shuffle per epoch) and produce bit-for-bit
-/// identical weights and stats; the packed path additionally fills the
-/// arena counters.
+/// The shared epoch driver: packs the (already filtered) example list
+/// into a per-call arena and runs the dense-accumulator kernel over it,
+/// consuming one length-`examples` shuffle per epoch from `rng`.
 fn run_epochs(
     graph: &FactorGraph,
     weights: &mut Weights,
     config: &LearnConfig,
     threads: usize,
-    examples: &mut [VarId],
+    examples: &[VarId],
     rng: &mut StdRng,
     epochs: usize,
 ) -> LearnStats {
     let mut stats = LearnStats::empty(examples.len(), epochs);
-    if config.packed {
-        let arena = PackedArena::pack(graph, graph.design(), weights, examples);
-        stats.packed_examples = arena.examples();
-        stats.packed_entries = arena.packed_entries();
-        stats.packed_bytes = arena.bytes();
-        stats.packed_epochs = epochs;
-        stats.absorb(packed::run_epochs(
-            &arena, weights, config, threads, rng, epochs,
-        ));
-    } else {
-        stats.absorb(run_epochs_naive(
-            graph, weights, config, threads, examples, rng, epochs,
-        ));
-    }
+    let arena = PackedArena::pack(graph, graph.design(), weights, examples);
+    stats.packed_examples = arena.examples();
+    stats.packed_entries = arena.packed_entries();
+    stats.packed_bytes = arena.bytes();
+    stats.packed_epochs = epochs;
+    stats.absorb(packed::run_epochs(
+        &arena, weights, config, threads, rng, epochs,
+    ));
     stats
-}
-
-/// The pre-arena epoch loop — the `_naive` oracle the packed kernel is
-/// verified against (and the `learn_kernel` bench baseline). Walks the
-/// CSR design matrix per example and accumulates gradients in hash
-/// maps; production calls route through the packed kernel instead.
-fn run_epochs_naive(
-    graph: &FactorGraph,
-    weights: &mut Weights,
-    config: &LearnConfig,
-    threads: usize,
-    examples: &mut [VarId],
-    rng: &mut StdRng,
-    epochs: usize,
-) -> EpochOutcome {
-    let design = graph.design();
-    let batch = config.minibatch.max(1);
-    let mut lr = config.learning_rate;
-    let mut keys: Vec<WeightId> = Vec::new();
-    let mut out = EpochOutcome {
-        ll_sum: 0.0,
-        minibatches: 0,
-        grad_norm: 0.0,
-        grad_norm_mean: 0.0,
-    };
-    for _epoch in 0..epochs {
-        examples.shuffle(rng);
-        let mut ll_sum = 0.0;
-        let mut norm_sum = 0.0;
-        let mut epoch_minibatches = 0usize;
-        for minibatch in examples.chunks(batch) {
-            let Some((grad, ll)) =
-                minibatch_gradient_naive(graph, design, weights, config, threads, minibatch)
-            else {
-                continue;
-            };
-            ll_sum += ll;
-            out.minibatches += 1;
-            epoch_minibatches += 1;
-            // Apply once per minibatch, in weight-id order. The order is
-            // cosmetic for determinism (each weight is touched exactly
-            // once) but makes the update sequence easy to reason about.
-            keys.clear();
-            keys.extend(grad.keys().copied());
-            keys.sort_unstable();
-            let mut norm_sq = 0.0;
-            for &w in &keys {
-                let g = grad[&w];
-                norm_sq += g * g;
-                weights.update(w, lr * g);
-            }
-            out.grad_norm = norm_sq.sqrt();
-            norm_sum += out.grad_norm;
-        }
-        out.ll_sum = ll_sum;
-        out.grad_norm_mean = if epoch_minibatches == 0 {
-            0.0
-        } else {
-            norm_sum / epoch_minibatches as f64
-        };
-        lr *= config.decay;
-    }
-    out
 }
 
 /// Warm-start replay training — the incremental-learning path of the
@@ -370,11 +327,25 @@ pub fn train_replay(
     recent: usize,
     epochs: usize,
 ) -> LearnStats {
-    let eligible: Vec<VarId> = examples
-        .iter()
-        .copied()
-        .filter(|&v| eligible_example(graph, v))
-        .collect();
+    let (window, mut rng) = replay_window(graph, config, examples, recent);
+    if window.is_empty() {
+        return LearnStats::empty(0, epochs);
+    }
+    run_epochs(graph, weights, config, threads, &window, &mut rng, epochs)
+}
+
+/// The replay window of [`train_replay`] — the last `recent` eligible
+/// examples followed by an equally-sized seeded sample of the older ones
+/// — plus the RNG the sample was drawn from: the epoch loop continues on
+/// it, so the replay trajectory is one deterministic stream per (seed,
+/// eligible count).
+fn replay_window(
+    graph: &FactorGraph,
+    config: &LearnConfig,
+    examples: &[VarId],
+    recent: usize,
+) -> (Vec<VarId>, StdRng) {
+    let eligible = eligible_examples(graph, examples);
     let recent_n = recent.min(eligible.len());
     let (older, fresh) = eligible.split_at(eligible.len() - recent_n);
     // Deterministic replay sample of the old evidence: seed mixes the
@@ -389,88 +360,192 @@ pub fn train_replay(
     sampled.truncate(recent_n);
     let mut window: Vec<VarId> = fresh.to_vec();
     window.extend(sampled);
-    if window.is_empty() {
-        return LearnStats::empty(0, epochs);
-    }
-    // The epoch loop continues on the sampling RNG — the replay
-    // trajectory is one deterministic stream per (seed, window size).
-    run_epochs(
-        graph,
-        weights,
-        config,
-        threads,
-        &mut window,
-        &mut rng,
-        epochs,
-    )
+    (window, rng)
 }
 
-/// Sparse summed gradient of one minibatch (plus its log-likelihood sum),
-/// computed against the frozen `weights` — the hash-map oracle path.
-/// Examples fold in fixed-size shards merged in shard order, so the
-/// accumulation order — and the floating-point result — is independent
-/// of the thread count.
-fn minibatch_gradient_naive(
-    graph: &FactorGraph,
-    design: &crate::design::DesignMatrix,
-    weights: &Weights,
-    config: &LearnConfig,
-    threads: usize,
-    minibatch: &[VarId],
-) -> Option<(FxHashMap<WeightId, f64>, f64)> {
-    let threads = if minibatch.len() < MIN_PARALLEL_EXAMPLES {
-        1
-    } else {
-        threads
-    };
-    holo_parallel::sharded_fold(
-        threads,
-        minibatch,
-        GRAD_SHARD_EXAMPLES,
-        |shard| {
-            let mut grad: FxHashMap<WeightId, f64> = FxHashMap::default();
-            let mut ll = 0.0;
-            let mut scores: Vec<f64> = Vec::new();
-            for &v in shard {
-                let Some(target) = graph.var(v).evidence else {
-                    // `eligible_example` filters these out of every
-                    // window before the epoch loop; assert the invariant
-                    // instead of panicking in release builds.
-                    debug_assert!(
-                        false,
-                        "non-evidence variable {v:?} reached the gradient loop"
-                    );
+/// The pre-arena trainer, kept as the **test-only reference** the packed
+/// kernel is pinned against bit for bit: it walks the CSR design matrix
+/// per example, accumulates gradients in hash maps, merges shard maps in
+/// shard order and applies the update in sorted id order. Same entry
+/// points, same RNG consumption, same divergence rule as the production
+/// path; it fills no arena counters and never reports a dispatch.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{eligible_examples, replay_window, LearnConfig, LearnStats};
+    use crate::design::DesignMatrix;
+    use crate::graph::{FactorGraph, VarId};
+    use crate::math::softmax_in_place;
+    use crate::packed::{EpochOutcome, GRAD_SHARD_EXAMPLES};
+    use crate::weights::{WeightId, Weights};
+    use holo_dataset::FxHashMap;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    /// Reference [`super::train_examples`].
+    pub(crate) fn train_examples(
+        graph: &FactorGraph,
+        weights: &mut Weights,
+        config: &LearnConfig,
+        threads: usize,
+        examples: &[VarId],
+    ) -> LearnStats {
+        let mut examples = eligible_examples(graph, examples);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut stats = LearnStats::empty(examples.len(), config.epochs);
+        stats.absorb(run_epochs(
+            graph,
+            weights,
+            config,
+            threads,
+            &mut examples,
+            &mut rng,
+            config.epochs,
+        ));
+        stats
+    }
+
+    /// Reference [`super::train_replay`]. An empty window runs zero
+    /// minibatches, which absorbs to the same all-zero stats the
+    /// production path returns early with.
+    pub(crate) fn train_replay(
+        graph: &FactorGraph,
+        weights: &mut Weights,
+        config: &LearnConfig,
+        threads: usize,
+        examples: &[VarId],
+        recent: usize,
+        epochs: usize,
+    ) -> LearnStats {
+        let (mut window, mut rng) = replay_window(graph, config, examples, recent);
+        let mut stats = LearnStats::empty(window.len(), epochs);
+        stats.absorb(run_epochs(
+            graph,
+            weights,
+            config,
+            threads,
+            &mut window,
+            &mut rng,
+            epochs,
+        ));
+        stats
+    }
+
+    fn run_epochs(
+        graph: &FactorGraph,
+        weights: &mut Weights,
+        config: &LearnConfig,
+        threads: usize,
+        examples: &mut [VarId],
+        rng: &mut StdRng,
+        epochs: usize,
+    ) -> EpochOutcome {
+        let design = graph.design();
+        let batch = config.minibatch.max(1);
+        let mut lr = config.learning_rate;
+        let mut keys: Vec<WeightId> = Vec::new();
+        let mut out = EpochOutcome::default();
+        for _epoch in 0..epochs {
+            examples.shuffle(rng);
+            let mut ll_sum = 0.0;
+            let mut norm_sum = 0.0;
+            let mut epoch_minibatches = 0usize;
+            for minibatch in examples.chunks(batch) {
+                let Some((grad, ll)) =
+                    minibatch_gradient(graph, design, weights, config, threads, minibatch)
+                else {
                     continue;
                 };
-                design.score_var_into(v, weights, &mut scores);
-                softmax_in_place(&mut scores);
-                ll += scores[target].max(1e-300).ln();
-                // Gradient of log P(target): x_f · (1[k = target] − p_k),
-                // with L2 shrinkage toward zero per feature occurrence.
-                // The variable's candidates are its contiguous CSR rows.
-                let rows = design.var_range(v);
-                for (k, (r, &p_k)) in rows.zip(scores.iter()).enumerate() {
-                    let residual = f64::from(u8::from(k == target)) - p_k;
-                    if residual == 0.0 {
-                        continue;
-                    }
-                    for &(w, x) in design.row(r) {
-                        if weights.is_fixed(w) {
-                            continue;
-                        }
-                        *grad.entry(w).or_insert(0.0) += x * residual - config.l2 * weights.get(w);
+                ll_sum += ll;
+                out.minibatches += 1;
+                epoch_minibatches += 1;
+                // Norm and update both walk the weights in id order.
+                keys.clear();
+                keys.extend(grad.keys().copied());
+                keys.sort_unstable();
+                let mut norm_sq = 0.0;
+                for &w in &keys {
+                    norm_sq += grad[&w] * grad[&w];
+                }
+                out.grad_norm = norm_sq.sqrt();
+                norm_sum += out.grad_norm;
+                if !norm_sq.is_finite() {
+                    out.non_finite_minibatches += 1;
+                }
+                if out.non_finite_minibatches == 0 {
+                    for &w in &keys {
+                        weights.update(w, lr * grad[&w]);
                     }
                 }
             }
-            (grad, ll)
-        },
-        |(mut acc, acc_ll), (grad, ll)| {
-            for (w, g) in grad {
-                *acc.entry(w).or_insert(0.0) += g;
-            }
-            (acc, acc_ll + ll)
-        },
-    )
+            out.ll_sum = ll_sum;
+            out.grad_norm_mean = if epoch_minibatches == 0 {
+                0.0
+            } else {
+                norm_sum / epoch_minibatches as f64
+            };
+            lr *= config.decay;
+        }
+        out
+    }
+
+    /// Sparse summed gradient of one minibatch (plus its log-likelihood
+    /// sum), computed against the frozen `weights`. Examples fold in
+    /// fixed-size shards merged in shard order, so the accumulation
+    /// order — and the floating-point result — is independent of the
+    /// thread count.
+    fn minibatch_gradient(
+        graph: &FactorGraph,
+        design: &DesignMatrix,
+        weights: &Weights,
+        config: &LearnConfig,
+        threads: usize,
+        minibatch: &[VarId],
+    ) -> Option<(FxHashMap<WeightId, f64>, f64)> {
+        holo_parallel::sharded_fold(
+            threads,
+            minibatch,
+            GRAD_SHARD_EXAMPLES,
+            |shard| {
+                let mut grad: FxHashMap<WeightId, f64> = FxHashMap::default();
+                let mut ll = 0.0;
+                let mut scores: Vec<f64> = Vec::new();
+                for &v in shard {
+                    let target = graph
+                        .var(v)
+                        .evidence
+                        .expect("eligible examples are evidence");
+                    design.score_var_into(v, weights, &mut scores);
+                    softmax_in_place(&mut scores);
+                    ll += scores[target].max(1e-300).ln();
+                    // Gradient of log P(target): x_f · (1[k = target] − p_k),
+                    // with L2 shrinkage toward zero per feature occurrence.
+                    // The variable's candidates are its contiguous CSR rows.
+                    let rows = design.var_range(v);
+                    for (k, (r, &p_k)) in rows.zip(scores.iter()).enumerate() {
+                        let residual = f64::from(u8::from(k == target)) - p_k;
+                        if residual == 0.0 {
+                            continue;
+                        }
+                        for &(w, x) in design.row(r) {
+                            if weights.is_fixed(w) {
+                                continue;
+                            }
+                            *grad.entry(w).or_insert(0.0) +=
+                                x * residual - config.l2 * weights.get(w);
+                        }
+                    }
+                }
+                (grad, ll)
+            },
+            |(mut acc, acc_ll), (grad, ll)| {
+                for (w, g) in grad {
+                    *acc.entry(w).or_insert(0.0) += g;
+                }
+                (acc, acc_ll + ll)
+            },
+        )
+    }
 }
 
 #[cfg(test)]
@@ -542,7 +617,6 @@ mod tests {
                 l2: 0.0,
                 seed: 1,
                 minibatch: 32,
-                ..LearnConfig::default()
             },
         );
         let logit = w.get(f);
@@ -596,21 +670,26 @@ mod tests {
                 g.add_feature(v, k, w, 0.1 + ((i * 7 + k) % 5) as f64 * 0.3);
             }
         }
+        type Trainer = fn(&FactorGraph, &mut Weights, &LearnConfig, usize, &[VarId]) -> LearnStats;
+        let trainers: [(&str, Trainer); 2] = [
+            ("kernel", train_examples),
+            ("oracle", oracle::train_examples),
+        ];
+        let order = g.evidence_vars();
         for minibatch in [1, 7, 32, 64, 150, 400] {
-            for packed in [true, false] {
+            for (name, trainer) in trainers {
                 let cfg = LearnConfig {
                     minibatch,
-                    packed,
                     ..LearnConfig::default()
                 };
                 let mut reference = reg.build_weights();
-                let ref_stats = train_with_threads(&g, &mut reference, &cfg, 1);
+                let ref_stats = trainer(&g, &mut reference, &cfg, 1, &order);
                 for threads in [2, 4] {
                     let mut w = reg.build_weights();
-                    let stats = train_with_threads(&g, &mut w, &cfg, threads);
+                    let stats = trainer(&g, &mut w, &cfg, threads, &order);
                     assert_eq!(
                         w, reference,
-                        "minibatch = {minibatch}, threads = {threads}, packed = {packed}"
+                        "minibatch = {minibatch}, threads = {threads}, {name}"
                     );
                     assert_eq!(stats.minibatches, ref_stats.minibatches);
                     assert_eq!(stats.grad_norm.to_bits(), ref_stats.grad_norm.to_bits());
@@ -628,9 +707,8 @@ mod tests {
     }
 
     /// The headline equivalence of the packed kernel: for every
-    /// minibatch size, the packed trainer's weights and stats are
-    /// bit-for-bit the naive oracle's, and only the packed path reports
-    /// arena counters.
+    /// minibatch size, the trainer's weights and stats are bit-for-bit
+    /// the hash-map oracle's, and only the kernel reports arena counters.
     #[test]
     fn packed_trainer_is_bitwise_the_naive_oracle() {
         let mut reg: FeatureRegistry<(u8, usize)> = FeatureRegistry::new();
@@ -644,39 +722,128 @@ mod tests {
             }
             g.add_feature(v, i % 3, prior, 1.0);
         }
+        let order = g.evidence_vars();
         for minibatch in [1, 8, 33, 128] {
-            let naive_cfg = LearnConfig {
+            let cfg = LearnConfig {
                 minibatch,
-                packed: false,
                 ..LearnConfig::default()
-            };
-            let packed_cfg = LearnConfig {
-                packed: true,
-                ..naive_cfg
             };
             let mut w_naive = reg.build_weights();
             let mut w_packed = reg.build_weights();
-            let s_naive = train_with_threads(&g, &mut w_naive, &naive_cfg, 2);
-            let s_packed = train_with_threads(&g, &mut w_packed, &packed_cfg, 2);
+            let s_naive = oracle::train_examples(&g, &mut w_naive, &cfg, 2, &order);
+            let s_packed = train_with_threads(&g, &mut w_packed, &cfg, 2);
             assert_eq!(w_packed, w_naive, "minibatch = {minibatch}");
-            assert_eq!(s_packed.minibatches, s_naive.minibatches);
-            assert_eq!(s_packed.grad_norm.to_bits(), s_naive.grad_norm.to_bits());
-            assert_eq!(
-                s_packed.grad_norm_mean.to_bits(),
-                s_naive.grad_norm_mean.to_bits()
-            );
-            assert_eq!(
-                s_packed.final_log_likelihood.to_bits(),
-                s_naive.final_log_likelihood.to_bits()
-            );
+            assert_eq!(s_packed.bits(), s_naive.bits(), "train");
             assert_eq!(s_packed.packed_examples, 90);
             assert!(s_packed.packed_entries > 0);
             assert!(s_packed.packed_bytes > 0);
-            assert_eq!(s_packed.packed_epochs, packed_cfg.epochs);
+            assert_eq!(s_packed.packed_epochs, cfg.epochs);
             assert_eq!(s_naive.packed_examples, 0);
             assert_eq!(s_naive.packed_bytes, 0);
             assert_eq!(s_naive.packed_epochs, 0);
         }
+    }
+
+    /// A model whose default-size minibatch holds enough packed entries
+    /// to clear the dispatch guard: `examples` three-candidate variables,
+    /// `per_row` tied features per candidate row.
+    fn wide_model(examples: usize, per_row: usize) -> (FactorGraph, Weights) {
+        let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
+        let mut g = FactorGraph::new();
+        for i in 0..examples {
+            let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2), sym(3)], i % 3));
+            for k in 0..3usize {
+                for f in 0..per_row {
+                    let w = reg.learnable((i * 7 + k * 31 + f * 3) % 501);
+                    g.add_feature(v, k, w, 0.05 + ((i + k + f) % 7) as f64 * 0.11);
+                }
+            }
+        }
+        let w = reg.build_weights();
+        (g, w)
+    }
+
+    /// Work above the guard is dispatched to workers — and the dispatch
+    /// changes nothing: weights and stats equal the inline run and the
+    /// oracle bit for bit. Work below it never leaves the caller's
+    /// thread, whatever the budget.
+    #[test]
+    fn threaded_dispatch_is_forced_by_work_and_equals_inline() {
+        use crate::packed::ENTRIES_PER_WORK_UNIT;
+        let guard_entries = holo_parallel::MIN_PARALLEL_WORK * ENTRIES_PER_WORK_UNIT;
+        // 3 rows × 60 entries per example; the minibatch is sized to
+        // hold a bit more than the guard.
+        let per_example = 3 * 60;
+        let minibatch = guard_entries / per_example + 40;
+        let (g, w0) = wide_model(2 * minibatch + 5, 60);
+        let cfg = LearnConfig {
+            epochs: 2,
+            minibatch,
+            ..LearnConfig::default()
+        };
+        let mut w_inline = w0.clone();
+        let s_inline = train_with_threads(&g, &mut w_inline, &cfg, 1);
+        assert_eq!(s_inline.parallel_minibatches, 0, "budget of one is inline");
+        let mut w_oracle = w0.clone();
+        let s_oracle = oracle::train_examples(&g, &mut w_oracle, &cfg, 1, &g.evidence_vars());
+        assert_eq!(w_inline, w_oracle);
+        assert_eq!(s_inline.bits(), s_oracle.bits(), "inline vs oracle");
+        for threads in [2, 4] {
+            let mut w = w0.clone();
+            let s = train_with_threads(&g, &mut w, &cfg, threads);
+            // Two full minibatches per epoch clear the guard; the
+            // five-example tail does not.
+            assert_eq!(s.minibatches, 6);
+            assert_eq!(s.parallel_minibatches, 4, "threads = {threads}");
+            assert_eq!(w, w_inline, "threads = {threads}");
+            assert_eq!(s.bits(), s_inline.bits(), "threaded vs inline");
+        }
+        // Same model, default minibatch: far under the guard, so even a
+        // large budget (or `0` = all cores) never dispatches.
+        let small = LearnConfig {
+            epochs: 1,
+            ..LearnConfig::default()
+        };
+        for threads in [0, 8] {
+            let mut w = w0.clone();
+            let s = train_with_threads(&g, &mut w, &small, threads);
+            assert!(s.minibatches > 0);
+            assert_eq!(s.parallel_minibatches, 0, "threads = {threads}");
+        }
+    }
+
+    /// Regression (robustness): a learning rate that overflows the
+    /// weights used to poison them silently. Now a non-finite minibatch
+    /// gradient is never applied, it freezes the weights for the rest
+    /// of the call, and every such minibatch is counted.
+    #[test]
+    fn diverging_learning_rate_is_counted_and_never_applied() {
+        let (g, w0) = wide_model(64, 4);
+        let cfg = LearnConfig {
+            epochs: 3,
+            learning_rate: 1e308,
+            minibatch: 8,
+            ..LearnConfig::default()
+        };
+        for threads in [1, 2] {
+            let mut w = w0.clone();
+            let stats = train_with_threads(&g, &mut w, &cfg, threads);
+            assert_eq!(stats.minibatches, 24, "every minibatch still counted");
+            assert!(stats.non_finite_minibatches > 0, "divergence surfaced");
+            assert!(
+                (0..w.len()).all(|i| !w.get(WeightId(i as u32)).is_nan()),
+                "no NaN ever reaches the weights"
+            );
+            let mut w_oracle = w0.clone();
+            let s_oracle =
+                oracle::train_examples(&g, &mut w_oracle, &cfg, threads, &g.evidence_vars());
+            assert_eq!(w, w_oracle, "oracle applies the same rule");
+            assert_eq!(stats.bits(), s_oracle.bits(), "diverged");
+        }
+        // A sane rate on the same model never trips the counter.
+        let mut w = w0.clone();
+        let ok = train(&g, &mut w, &LearnConfig::default());
+        assert_eq!(ok.non_finite_minibatches, 0);
     }
 
     /// Regression: a non-evidence `VarId` slipping into an explicit
@@ -695,24 +862,19 @@ mod tests {
         let q = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         g.add_feature(q, 0, reg.learnable(0), 1.0);
         window.insert(4, q);
-        for packed in [true, false] {
-            let cfg = LearnConfig {
-                packed,
-                ..LearnConfig::default()
-            };
-            let mut w = reg.build_weights();
-            let stats = train_examples(&g, &mut w, &cfg, 1, &window);
-            assert_eq!(stats.examples, 12, "query var dropped, packed = {packed}");
-            let mut w_clean = reg.build_weights();
-            let clean: Vec<VarId> = window.iter().copied().filter(|&v| v != q).collect();
-            let stats_clean = train_examples(&g, &mut w_clean, &cfg, 1, &clean);
-            assert_eq!(w, w_clean, "filtered window trains identically");
-            assert_eq!(stats.minibatches, stats_clean.minibatches);
-            // Replay windows get the same treatment.
-            let mut w_replay = w.clone();
-            let s = train_replay(&g, &mut w_replay, &cfg, 1, &window, 4, 1);
-            assert_eq!(s.examples, 8, "4 fresh + 4 replayed, query excluded");
-        }
+        let cfg = LearnConfig::default();
+        let mut w = reg.build_weights();
+        let stats = train_examples(&g, &mut w, &cfg, 1, &window);
+        assert_eq!(stats.examples, 12, "query var dropped");
+        let mut w_clean = reg.build_weights();
+        let clean: Vec<VarId> = window.iter().copied().filter(|&v| v != q).collect();
+        let stats_clean = train_examples(&g, &mut w_clean, &cfg, 1, &clean);
+        assert_eq!(w, w_clean, "filtered window trains identically");
+        assert_eq!(stats.minibatches, stats_clean.minibatches);
+        // Replay windows get the same treatment.
+        let mut w_replay = w.clone();
+        let s = train_replay(&g, &mut w_replay, &cfg, 1, &window, 4, 1);
+        assert_eq!(s.examples, 8, "4 fresh + 4 replayed, query excluded");
     }
 
     /// `grad_norm_mean` averages the final epoch's minibatch norms: with

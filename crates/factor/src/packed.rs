@@ -1,17 +1,17 @@
-//! The packed example-major training arena — the hash-free SGD substrate.
+//! The packed example-major training arena and its dense-accumulator
+//! SGD kernel — the hash-free, sort-free substrate of [`crate::learn`].
 //!
-//! [`crate::learn`]'s gradient loop is the tax every streaming read pays
-//! (`StreamSession::report` and `FeedbackSession::retrain` both re-run a
-//! canonical retrain), and on the CSR [`DesignMatrix`] it walks two
-//! levels of offset indirection per row and pays a hash-map `entry` per
-//! feature occurrence, per candidate, per example, per epoch — then
-//! rehashes whole maps again at every shard merge. [`PackedArena`] moves
-//! that work out of the epochs: **one gather pass per training call**
-//! copies each example's candidate rows into contiguous example-major
-//! buffers, and every epoch after that streams packed memory linearly
-//! with no hashing anywhere.
+//! Weight learning is the tax every read pays (`LearnStage`,
+//! `FeedbackSession::retrain`, stream replay and `StreamSession::report`
+//! all run it), so the epoch loop does no bookkeeping beyond the gradient
+//! arithmetic itself: **one gather pass per training call** copies each
+//! example's candidate rows into contiguous example-major buffers
+//! ([`PackedArena`]), every epoch streams that memory linearly, and the
+//! minibatch gradient is summed in one dense per-call accumulator that is
+//! read back in weight-id order through a bitmap — no hashing, no sorting
+//! and no per-shard allocation anywhere on the epoch path.
 //!
-//! ## Layout
+//! ## Arena layout
 //!
 //! Per example, in example order:
 //!
@@ -24,42 +24,120 @@
 //!   example's distinct [`WeightId`]s mapped to small dense slots,
 //!   assigned in **entry encounter order**.
 //!
-//! Epochs score through a packed clone of the blocked 4-accumulator
-//! kernel (gathering each example's few weight values into a dense
-//! `wvals` buffer first), feed the fused
-//! [`crate::math::softmax_in_place`], and accumulate
-//! gradients into a small dense per-shard slot array addressed through a
-//! generation-stamped shard dictionary — no `FxHashMap` on any epoch
-//! path. Shard results leave as **sorted `(WeightId, f64)` runs** merged
-//! two-pointer in shard order.
+//! ## One minibatch
+//!
+//! 1. The minibatch is cut into fixed shards of
+//!    `GRAD_SHARD_EXAMPLES` examples. A worker folds its contiguous run
+//!    of shards through one `GradScratch`: each example is scored through
+//!    a packed clone of the blocked 4-accumulator kernel (gathering its
+//!    few weight values into a dense `wvals` buffer first) and the fused
+//!    [`crate::math::softmax_in_place`], and gradient increments add into
+//!    a **per-shard subtotal** per weight. A generation stamp (`tick`,
+//!    bumped per shard) makes the first touch of a weight inside a shard
+//!    open a fresh `+0.0` subtotal at the end of the scratch's
+//!    `touched`/`grad` arrays, so those arrays end up holding the worker's
+//!    shard runs back to back, in shard order.
+//! 2. The runs are folded into the `GradAccumulator` — `sum: Vec<f64>`
+//!    of `weight_count` plus a `u64` touched-bitmap — scratch by scratch
+//!    in worker order, which is shard order: `sum[w] += subtotal`, bit
+//!    set.
+//! 3. `GradAccumulator::drain_sorted` walks the bitmap's set bits in
+//!    ascending word/bit order, emitting `(WeightId, gradient)` into a
+//!    reused buffer and zeroing what it read. The epoch loop takes the
+//!    gradient norm over that buffer, and — unless the norm is non-finite
+//!    (see [`crate::learn::LearnStats::non_finite_minibatches`]) —
+//!    applies the updates in the same order.
 //!
 //! ## Invariants
 //!
-//! * **Addition order** — bit-for-bit the naive oracle
-//!   ([`crate::learn`] with `packed = false`) at every thread count: the
+//! * **Shard-order addition** — bit-for-bit the hash-map reference
+//!   trainer (`learn::oracle`, test-only) at every thread count. The
 //!   packed kernel reproduces the blocked kernel's fixed lane split per
-//!   row, the shard accumulator adds gradient increments per weight in
-//!   the exact entry-visit order the hash accumulator does, and the
-//!   sorted-run merge adds shard subtotals per weight in the exact shard
-//!   order the hash merge does. (A per-shard subtotal can never be
-//!   `-0.0` — it starts at `+0.0` and round-to-nearest never produces
-//!   `-0.0` from a `+0.0` start — so the hash path's `0.0 + g` insert is
-//!   bitwise `g` and the run merge may copy it.)
-//! * **Arena lifetime** — the arena is rebuilt per training call and
-//!   never stored in the graph (the [`crate::cache::ScoreCache`]
-//!   discipline), so a design matrix patched between calls can never
-//!   serve a stale pack. It also snapshots `weights.is_fixed` per slot,
-//!   which is safe for the same reason: fixedness never changes inside a
-//!   training call.
+//!   row; a shard subtotal adds gradient increments per weight in the
+//!   exact entry-visit order the reference's per-shard hash accumulator
+//!   does; and the accumulator adds shard subtotals per weight in shard
+//!   order starting from `+0.0` — literally the reference's
+//!   `*acc.entry(w).or_insert(0.0) += g` merge. Shard boundaries depend
+//!   only on `GRAD_SHARD_EXAMPLES`, never on the worker count, so the
+//!   sequence is the same whether one worker or eight produced the runs.
+//! * **First touch is a copy** — a shard subtotal is never `-0.0` (it
+//!   starts at `+0.0`, and round-to-nearest never yields `-0.0` from a
+//!   sum with a `+0.0` term or from an exact cancellation), so the first
+//!   `+0.0 + subtotal` into a clean accumulator slot is bitwise
+//!   `subtotal`. That is what makes this kernel equal to its predecessor,
+//!   which merged sorted per-shard runs and *copied* one-sided entries;
+//!   learned weights did not move by a bit when the sort was deleted.
+//! * **Bitmap order ≡ id order** — bit `i & 63` of word `i >> 6` stands
+//!   for weight `i`, so ascending words × ascending `trailing_zeros` is
+//!   ascending weight id: `norm_sq` sums and weights update in exactly
+//!   the sorted order the reference applies, with no sort.
+//! * **Clean between minibatches** — `drain_sorted` zeroes every slot and
+//!   word it visits, so each minibatch starts from an all-`+0.0`,
+//!   all-clear accumulator without an `O(weight_count)` reset.
+//! * **Lifetime = one training call** — arena, accumulator and scratches
+//!   are built per call and never stored in the graph (the
+//!   [`crate::cache::ScoreCache`] discipline), so a design matrix patched
+//!   between calls can never serve a stale pack. The arena also snapshots
+//!   `weights.is_fixed` per slot, safe for the same reason: fixedness
+//!   never changes inside a training call.
+//!
+//! ## When a minibatch is dispatched to worker threads
+//!
+//! `std::thread::scope` workers are spawned per dispatch (there is no
+//! pool), so a minibatch goes to workers only when its gradient work
+//! dwarfs the dispatch. The work is sized in **packed entries** — the
+//! kernel's cost is linear in them — and clamped through
+//! [`holo_parallel::sized_threads`] at `ENTRIES_PER_WORK_UNIT` entries
+//! per work unit. Measured on the 2-core reference container, medians:
+//!
+//! * the inline kernel costs **15–19 ns per packed entry** all-in (score,
+//!   softmax, gradient, accumulate, apply; hospital at 996 rows: 211 305
+//!   entries × 10 epochs in ~40 ms), so the default 128-example minibatch
+//!   (~45 entries per example, ~5 750 entries) is **~100 µs** of work;
+//! * an *empty* two-worker [`holo_parallel::sharded_fold_scratch`]
+//!   dispatch costs 59 / 85 / 125 µs (p10 / p50 / p90) — already the
+//!   whole default minibatch, which is why the example-count guard this
+//!   replaces (740 spawns per training call) made two threads slower
+//!   than one;
+//! * a *loaded* dispatch costs more than the spawn, because the second
+//!   core wakes late and both run slower side by side. Gradient fold of
+//!   one minibatch, inline → two workers: 34 560 entries 522 → 794 µs
+//!   (a loss), 92 160 entries 1 150 → 1 193 µs (**break-even**), 211 860
+//!   entries 3 546 → 2 462 µs (1.44×).
+//!
+//! The guard therefore dispatches from `MIN_PARALLEL_WORK ×
+//! ENTRIES_PER_WORK_UNIT` = **131 072 entries** (~2 ms of work, past
+//! break-even), which no minibatch of the default configuration reaches
+//! on any benchmark workload. Per-worker scratches (two
+//! `weight_count`-wide arrays each) are built the first time a minibatch
+//! actually dispatches, never for the thread budget alone, and are
+//! cache-line aligned: their `Vec` headers sit side by side in one
+//! allocation and are written on every push, and the false sharing cost
+//! the two-worker fold its entire gain before the alignment (3.1 ms
+//! either way at 211 860 entries). Purely a wall-clock guard: shard
+//! boundaries, and hence every result bit, are the same either way.
 
 use crate::design::DesignMatrix;
 use crate::graph::{FactorGraph, VarId};
-use crate::learn::{LearnConfig, GRAD_SHARD_EXAMPLES, MIN_PARALLEL_EXAMPLES};
+use crate::learn::LearnConfig;
 use crate::math::softmax_in_place;
 use crate::weights::{WeightId, Weights};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use std::ops::Range;
+
+/// Examples per gradient shard — the fixed parallel work unit inside a
+/// minibatch. Independent of the thread count by design (that is what
+/// makes the addition order, and hence the result, thread-count
+/// invariant); small enough that the default minibatch spans 16 shards.
+/// The test-only reference trainer cuts the same boundaries.
+pub(crate) const GRAD_SHARD_EXAMPLES: usize = 8;
+
+/// Packed entries per [`holo_parallel::sized_threads`] work unit: a
+/// minibatch is dispatched to worker threads only from
+/// `MIN_PARALLEL_WORK × 32` = 131 072 packed entries. See the module
+/// docs for the measurement behind the constant.
+pub(crate) const ENTRIES_PER_WORK_UNIT: usize = 32;
 
 /// The example-major gather of a training call's eligible examples (see
 /// the module docs for layout and invariants). Build with
@@ -214,10 +292,18 @@ impl PackedArena {
     fn row(&self, r: usize) -> &[(u32, f64)] {
         &self.entries[self.row_entries[r] as usize..self.row_entries[r + 1] as usize]
     }
+
+    /// Packed entries of example `i` across all its candidate rows — the
+    /// unit the dispatch guard sizes a minibatch's work in.
+    #[inline]
+    fn example_entries(&self, i: usize) -> usize {
+        let rows = self.row_range(i);
+        (self.row_entries[rows.end] - self.row_entries[rows.start]) as usize
+    }
 }
 
-/// What one packed (or naive) epoch loop reports back to `learn`'s
-/// stats assembly.
+/// What one epoch loop reports back to `learn`'s stats assembly.
+#[derive(Default)]
 pub(crate) struct EpochOutcome {
     /// `Σ log P(target)` of the final epoch, divided by the example
     /// count by the caller.
@@ -225,12 +311,19 @@ pub(crate) struct EpochOutcome {
     pub minibatches: usize,
     pub grad_norm: f64,
     pub grad_norm_mean: f64,
+    pub non_finite_minibatches: usize,
+    pub parallel_minibatches: usize,
 }
 
-/// Per-worker reusable scratch of the packed gradient fold. Reset
-/// per shard via the generation stamp (`tick`), so a shard's result
-/// never depends on which worker's scratch folds it — the contract
-/// [`holo_parallel::sharded_fold_scratch`] requires.
+/// Per-worker reusable scratch of the packed gradient fold. `touched` /
+/// `grad` collect one minibatch's shard runs back to back (cleared by
+/// [`GradScratch::begin_minibatch`]); the generation stamp (`tick`,
+/// bumped per shard) opens a fresh subtotal for the first touch of a
+/// weight inside each shard, so a shard's run never depends on which
+/// worker's scratch folds it or on what earlier shards left behind.
+/// Aligned so that two workers' scratches never share a cache line (the
+/// `Vec` lengths in here are written on every push; see the module docs).
+#[repr(align(128))]
 struct GradScratch {
     /// Gathered weight values of the current example's dictionary.
     wvals: Vec<f64>,
@@ -238,11 +331,12 @@ struct GradScratch {
     scores: Vec<f64>,
     /// Generation stamp per global weight id (shard dictionary).
     stamp: Vec<u64>,
-    /// Shard-local dense slot per stamped weight id.
+    /// Index into `grad` of the current shard's subtotal per stamped id.
     slot_of: Vec<u32>,
-    /// Accumulated gradient per shard slot.
+    /// Shard subtotals, one per `(shard, touched weight)`, shard runs
+    /// back to back in shard order.
     grad: Vec<f64>,
-    /// Global id per shard slot, in first-touch order.
+    /// Global id per `grad` entry, in first-touch order within a shard.
     touched: Vec<WeightId>,
     /// Current shard generation.
     tick: u64,
@@ -258,6 +352,56 @@ impl GradScratch {
             grad: Vec::new(),
             touched: Vec::new(),
             tick: 0,
+        }
+    }
+
+    /// Drops the previous minibatch's shard runs.
+    fn begin_minibatch(&mut self) {
+        self.grad.clear();
+        self.touched.clear();
+    }
+}
+
+/// The dense per-training-call minibatch gradient accumulator: one `f64`
+/// per weight plus a touched-bitmap (bit `i & 63` of word `i >> 6` =
+/// weight `i`). All-`+0.0` and all-clear between minibatches. See the
+/// module docs for why adding into it reproduces the reference merge and
+/// why draining it needs no sort.
+struct GradAccumulator {
+    sum: Vec<f64>,
+    touched: Vec<u64>,
+}
+
+impl GradAccumulator {
+    fn new(weight_count: usize) -> Self {
+        GradAccumulator {
+            sum: vec![0.0; weight_count],
+            touched: vec![0u64; weight_count.div_ceil(64)],
+        }
+    }
+
+    /// Adds a sequence of `(weight, shard subtotal)` pairs in the order
+    /// given — call with shard runs in shard order.
+    fn add_runs(&mut self, ids: &[WeightId], subtotals: &[f64]) {
+        for (&w, &g) in ids.iter().zip(subtotals) {
+            let i = w.index();
+            self.touched[i >> 6] |= 1u64 << (i & 63);
+            self.sum[i] += g;
+        }
+    }
+
+    /// Moves the accumulated gradient into `out` (cleared first) as
+    /// `(WeightId, sum)` in ascending id order, leaving the accumulator
+    /// clean for the next minibatch.
+    fn drain_sorted(&mut self, out: &mut Vec<(WeightId, f64)>) {
+        out.clear();
+        for (wi, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = (wi << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.push((WeightId(i as u32), std::mem::take(&mut self.sum[i])));
+            }
         }
     }
 }
@@ -284,20 +428,19 @@ fn score_packed(entries: &[(u32, f64)], wvals: &[f64]) -> f64 {
     ((a0 + a1) + (a2 + a3)) + tail
 }
 
-/// One shard's gradient: a sorted `(WeightId, f64)` run plus the
-/// shard's log-likelihood sum. Increments accumulate per weight in
-/// entry-visit order across the whole shard — the hash accumulator's
-/// exact addition sequence.
+/// Folds one shard: appends its run of per-weight subtotals to the
+/// scratch's `touched`/`grad` arrays and returns the shard's
+/// log-likelihood sum. Increments accumulate per weight in entry-visit
+/// order across the whole shard — the reference hash accumulator's exact
+/// addition sequence.
 fn shard_gradient(
     arena: &PackedArena,
     weights: &Weights,
     l2: f64,
     scratch: &mut GradScratch,
     shard: &[u32],
-) -> (Vec<(WeightId, f64)>, f64) {
+) -> f64 {
     scratch.tick += 1;
-    scratch.grad.clear();
-    scratch.touched.clear();
     let mut ll = 0.0;
     for &ei in shard {
         let ei = ei as usize;
@@ -339,54 +482,32 @@ fn shard_gradient(
             }
         }
     }
-    let mut run: Vec<(WeightId, f64)> = scratch
-        .touched
-        .iter()
-        .copied()
-        .zip(scratch.grad.iter().copied())
-        .collect();
-    run.sort_unstable_by_key(|&(w, _)| w);
-    (run, ll)
+    ll
 }
 
-/// Two-pointer merge of sorted gradient runs, applied strictly in shard
-/// order — per weight, this adds shard subtotals in the exact sequence
-/// the hash merge does (see the module docs for the `-0.0` argument
-/// that makes copying a one-sided subtotal exact).
-#[allow(clippy::type_complexity)]
-fn merge_runs(
-    (a, a_ll): (Vec<(WeightId, f64)>, f64),
-    (b, b_ll): (Vec<(WeightId, f64)>, f64),
-) -> (Vec<(WeightId, f64)>, f64) {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((a[i].0, a[i].1 + b[j].1));
-                i += 1;
-                j += 1;
-            }
-        }
+/// Workers a minibatch's gradient fold may use: `1` (inline) unless the
+/// thread budget allows more *and* the minibatch's packed entries clear
+/// the dispatch guard (module docs). Never more than its shard count.
+fn minibatch_workers(arena: &PackedArena, budget: usize, minibatch: &[u32]) -> usize {
+    if budget <= 1 {
+        return 1;
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    (out, a_ll + b_ll)
+    let entries: usize = minibatch
+        .iter()
+        .map(|&ei| arena.example_entries(ei as usize))
+        .sum();
+    let shards = minibatch.len().div_ceil(GRAD_SHARD_EXAMPLES);
+    holo_parallel::sized_threads(budget, entries / ENTRIES_PER_WORK_UNIT).min(shards)
 }
 
 /// The packed epoch loop: seed-fixed shuffles over arena indices (same
-/// RNG draws as the naive loop's `VarId` shuffle — the stub's
+/// RNG draws as the reference loop's `VarId` shuffle — the stub's
 /// `shuffle` depends only on slice length), minibatch chunks folded in
-/// fixed shards through per-worker scratch, sorted-run merge, and the
-/// same sorted-order weight application as the oracle.
+/// fixed shards through per-worker scratch, shard runs summed in the
+/// dense accumulator, and the gradient applied in weight-id order off
+/// its bitmap. A minibatch whose gradient norm is non-finite is counted
+/// and **not** applied, and no later minibatch is applied either (see
+/// "Divergence" in [`crate::learn`]).
 pub(crate) fn run_epochs(
     arena: &PackedArena,
     weights: &mut Weights,
@@ -396,50 +517,62 @@ pub(crate) fn run_epochs(
     epochs: usize,
 ) -> EpochOutcome {
     let batch = config.minibatch.max(1);
+    let budget = holo_parallel::effective_threads(threads);
     let mut order: Vec<u32> = (0..arena.examples() as u32).collect();
-    let worker_budget = holo_parallel::effective_threads(threads).max(1);
-    let mut scratches: Vec<GradScratch> = (0..worker_budget)
-        .map(|_| GradScratch::new(arena))
-        .collect();
+    let mut scratches = vec![GradScratch::new(arena)];
+    let mut acc = GradAccumulator::new(arena.weight_count);
+    let mut grad: Vec<(WeightId, f64)> = Vec::new();
     let mut lr = config.learning_rate;
-    let mut out = EpochOutcome {
-        ll_sum: 0.0,
-        minibatches: 0,
-        grad_norm: 0.0,
-        grad_norm_mean: 0.0,
-    };
+    let mut out = EpochOutcome::default();
     for _epoch in 0..epochs {
         order.shuffle(rng);
         let mut ll_sum = 0.0;
         let mut norm_sum = 0.0;
         let mut epoch_minibatches = 0usize;
         for minibatch in order.chunks(batch) {
-            let threads = if minibatch.len() < MIN_PARALLEL_EXAMPLES {
-                1
-            } else {
-                threads
-            };
+            let workers = minibatch_workers(arena, budget, minibatch);
+            if workers > 1 {
+                out.parallel_minibatches += 1;
+                if scratches.len() < workers {
+                    scratches.resize_with(workers, || GradScratch::new(arena));
+                }
+            }
+            let scratches = &mut scratches[..workers];
+            scratches.iter_mut().for_each(GradScratch::begin_minibatch);
             let frozen: &Weights = weights;
-            let Some((run, ll)) = holo_parallel::sharded_fold_scratch(
-                threads,
+            let Some(ll) = holo_parallel::sharded_fold_scratch(
+                workers,
                 minibatch,
                 GRAD_SHARD_EXAMPLES,
-                &mut scratches,
+                scratches,
                 |scratch, shard| shard_gradient(arena, frozen, config.l2, scratch, shard),
-                merge_runs,
+                |a, b| a + b,
             ) else {
                 continue;
             };
+            // Scratch `w` folded the `w`-th contiguous run of shards, so
+            // scratch order is shard order.
+            for scratch in scratches.iter() {
+                acc.add_runs(&scratch.touched, &scratch.grad);
+            }
+            acc.drain_sorted(&mut grad);
             ll_sum += ll;
             out.minibatches += 1;
             epoch_minibatches += 1;
             let mut norm_sq = 0.0;
-            for &(w, g) in &run {
+            for &(_, g) in &grad {
                 norm_sq += g * g;
-                weights.update(w, lr * g);
             }
             out.grad_norm = norm_sq.sqrt();
             norm_sum += out.grad_norm;
+            if !norm_sq.is_finite() {
+                out.non_finite_minibatches += 1;
+            }
+            if out.non_finite_minibatches == 0 {
+                for &(w, g) in &grad {
+                    weights.update(w, lr * g);
+                }
+            }
         }
         out.ll_sum = ll_sum;
         out.grad_norm_mean = if epoch_minibatches == 0 {
@@ -528,25 +661,102 @@ mod tests {
         }
     }
 
+    /// A weight touched in shards 0 and 3 only: the first touch lands as
+    /// a bitwise copy, the second adds to it — per weight exactly what
+    /// the hash merge (and the sorted-run merge this accumulator
+    /// replaced, which copied one-sided entries) produces.
     #[test]
-    fn sorted_run_merge_matches_hash_merge() {
-        let a = vec![(WeightId(0), 1.5), (WeightId(3), -0.25), (WeightId(7), 2.0)];
-        let b = vec![
-            (WeightId(1), 0.5),
-            (WeightId(3), 0.125),
-            (WeightId(9), -1.0),
+    fn accumulator_matches_hash_merge_for_a_weight_in_shards_0_and_3() {
+        let shards: [Vec<(WeightId, f64)>; 4] = [
+            vec![(WeightId(7), 2.0), (WeightId(0), 1.5), (WeightId(3), 0.1)],
+            vec![(WeightId(1), 0.5), (WeightId(7), 0.125)],
+            vec![(WeightId(9), -1.0), (WeightId(1), 1e-17)],
+            vec![(WeightId(3), 0.2), (WeightId(64), -0.75)],
         ];
-        let (merged, ll) = merge_runs((a.clone(), 1.0), (b.clone(), 2.0));
-        assert_eq!(ll, 3.0);
+        let mut acc = GradAccumulator::new(70);
+        for run in &shards {
+            let (ids, gs): (Vec<WeightId>, Vec<f64>) = run.iter().copied().unzip();
+            acc.add_runs(&ids, &gs);
+        }
+        let mut drained = Vec::new();
+        acc.drain_sorted(&mut drained);
+
         let mut expected: Vec<(WeightId, f64)> = Vec::new();
-        for &(w, g) in a.iter().chain(&b) {
+        for &(w, g) in shards.iter().flatten() {
             match expected.iter_mut().find(|(ew, _)| *ew == w) {
                 Some((_, eg)) => *eg += g,
                 None => expected.push((w, g)),
             }
         }
         expected.sort_unstable_by_key(|&(w, _)| w);
-        assert_eq!(merged, expected);
+        let bits = |run: &[(WeightId, f64)]| -> Vec<(WeightId, u64)> {
+            run.iter().map(|&(w, g)| (w, g.to_bits())).collect()
+        };
+        assert_eq!(bits(&drained), bits(&expected));
+        // Shard 0 then shard 3, nothing in between; one-sided entries
+        // are copies.
+        assert_eq!(drained[2], (WeightId(3), 0.1 + 0.2));
+        assert_eq!(drained[0], (WeightId(0), 1.5));
+        assert_eq!(drained[5], (WeightId(64), -0.75));
+    }
+
+    /// Draining walks the bitmap in ascending word/bit order — which is
+    /// ascending weight id, across word edges — visits exactly the
+    /// touched ids, and leaves bitmap and sums clean, so the next
+    /// minibatch starts from `+0.0` everywhere.
+    #[test]
+    fn drain_visits_touched_ids_ascending_and_leaves_the_accumulator_clean() {
+        for weight_count in [1usize, 63, 64, 65, 129, 200] {
+            let mut acc = GradAccumulator::new(weight_count);
+            // Every third id plus both sides of each word edge, fed in
+            // descending order with a repeat.
+            let mut ids: Vec<u32> = (0..weight_count as u32)
+                .filter(|i| i % 3 == 0 || i % 64 == 63 || i % 64 == 0)
+                .collect();
+            ids.reverse();
+            let touched: Vec<WeightId> = ids.iter().map(|&i| WeightId(i)).collect();
+            let gs: Vec<f64> = ids.iter().map(|&i| f64::from(i) + 0.5).collect();
+            acc.add_runs(&touched, &gs);
+            acc.add_runs(&touched[..1], &[1.0]);
+
+            let mut drained = vec![(WeightId(999), f64::NAN)];
+            acc.drain_sorted(&mut drained);
+            let mut expected: Vec<(WeightId, f64)> = touched.iter().copied().zip(gs).collect();
+            expected[0].1 += 1.0;
+            expected.reverse();
+            assert_eq!(drained, expected, "weight_count = {weight_count}");
+            assert!(drained.windows(2).all(|p| p[0].0 < p[1].0), "ascending ids");
+
+            assert!(acc.touched.iter().all(|&word| word == 0), "bitmap clean");
+            assert!(
+                acc.sum.iter().all(|g| g.to_bits() == 0.0f64.to_bits()),
+                "sums back to +0.0"
+            );
+            acc.drain_sorted(&mut drained);
+            assert!(drained.is_empty(), "nothing left to visit");
+        }
+    }
+
+    /// The dispatch guard sizes a minibatch by its packed entries: under
+    /// the guard, or with a budget of one, the fold stays inline (and no
+    /// worker scratch is ever built for it); over it, workers are capped
+    /// by the budget and by the shard count.
+    #[test]
+    fn minibatch_workers_follow_the_entry_guard() {
+        let (g, w, vars) = tied_model();
+        let arena = PackedArena::pack(&g, g.design(), &w, &vars);
+        let all: Vec<u32> = (0..arena.examples() as u32).collect();
+        let entries: usize = all.iter().map(|&i| arena.example_entries(i as usize)).sum();
+        assert_eq!(entries, arena.packed_entries());
+        assert!(entries < holo_parallel::MIN_PARALLEL_WORK * ENTRIES_PER_WORK_UNIT);
+        assert_eq!(minibatch_workers(&arena, 8, &all), 1, "tiny minibatch");
+        // The same nine examples repeated until the guard is cleared.
+        let reps = holo_parallel::MIN_PARALLEL_WORK * ENTRIES_PER_WORK_UNIT / entries + 1;
+        let big: Vec<u32> = all.iter().copied().cycle().take(reps * all.len()).collect();
+        assert_eq!(minibatch_workers(&arena, 1, &big), 1, "budget of one");
+        assert_eq!(minibatch_workers(&arena, 4, &big), 4);
+        let shards = big.len().div_ceil(GRAD_SHARD_EXAMPLES);
+        assert_eq!(minibatch_workers(&arena, 10 * shards, &big), shards);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::gibbs::{conditional_scores_into, GibbsConfig, GibbsSampler};
 use crate::graph::{
     CliqueFactor, CmpOp, EqOnlyContext, FactorGraph, FactorOperand, FactorPredicate, Variable,
 };
-use crate::learn::{self, LearnConfig};
+use crate::learn::{self, oracle, LearnConfig};
 use crate::marginals::Marginals;
 use crate::weights::{FeatureRegistry, WeightId, Weights};
 use holo_dataset::Sym;
@@ -294,11 +294,18 @@ proptest! {
 }
 
 /// One evidence variable of a random training model: `(arity, target,
-/// per-candidate sparse features)`. Feature keys < 8 intern as tied
-/// learnable weights, keys ≥ 8 as fixed weights — so the packed arena's
-/// fixedness snapshot and the tied-slot dictionary both get exercised.
-/// Arity-1 variables exercise the eligibility filter.
+/// per-candidate sparse features)`. Feature keys are reduced modulo the
+/// model's weight count; arity-1 variables exercise the eligibility
+/// filter.
 type EvidenceVar = (usize, usize, Vec<Vec<(usize, f64)>>);
+
+/// Weight-store widths on and around the accumulator bitmap's `u64`
+/// word edges.
+const WEIGHT_COUNTS: [usize; 7] = [1, 2, 63, 64, 65, 129, 200];
+
+/// Minibatch sizes: per-example SGD, one that straddles shard
+/// boundaries, the default, and one larger than any generated model.
+const MINIBATCHES: [usize; 4] = [1, 7, 128, 1000];
 
 fn evidence_model() -> impl Strategy<Value = Vec<EvidenceVar>> {
     proptest::collection::vec(
@@ -307,17 +314,33 @@ fn evidence_model() -> impl Strategy<Value = Vec<EvidenceVar>> {
                 Just(arity),
                 0..arity,
                 proptest::collection::vec(
-                    proptest::collection::vec((0usize..10, -1.5f64..1.5), 0..4),
+                    proptest::collection::vec((0usize..400, -1.5f64..1.5), 0..6),
                     arity,
                 ),
             )
         }),
-        1..12,
+        1..40,
     )
 }
 
-fn build_evidence(model: &[EvidenceVar]) -> (FactorGraph, Weights, Vec<crate::graph::VarId>) {
+/// Builds the model over exactly `weight_count` weights, all registered
+/// up front (so the store is that wide whatever the features reference);
+/// every fifth weight is fixed, which exercises the arena's fixedness
+/// snapshot next to the tied-slot dictionary.
+fn build_evidence(
+    model: &[EvidenceVar],
+    weight_count: usize,
+) -> (FactorGraph, Weights, Vec<crate::graph::VarId>) {
     let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
+    let ids: Vec<WeightId> = (0..weight_count)
+        .map(|key| {
+            if key % 5 == 4 {
+                reg.fixed(key, 0.75)
+            } else {
+                reg.learnable(key)
+            }
+        })
+        .collect();
     let mut graph = FactorGraph::new();
     let mut order = Vec::new();
     for &(arity, target, ref per_candidate) in model {
@@ -325,12 +348,7 @@ fn build_evidence(model: &[EvidenceVar]) -> (FactorGraph, Weights, Vec<crate::gr
         let v = graph.add_variable(Variable::evidence(domain, target));
         for (k, features) in per_candidate.iter().enumerate() {
             for &(key, x) in features {
-                let wid = if key >= 8 {
-                    reg.fixed(key, 0.75)
-                } else {
-                    reg.learnable(key)
-                };
-                graph.add_feature(v, k, wid, x);
+                graph.add_feature(v, k, ids[key % weight_count], x);
             }
         }
         order.push(v);
@@ -345,47 +363,47 @@ fn weight_bits(w: &Weights) -> Vec<u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The packed trainer is bit-for-bit the naive hash-map oracle —
-    /// weights and `LearnStats.minibatches` — across random evidence
-    /// graphs, minibatch sizes, full training and replay windows, and
-    /// threads {1, 4}.
+    /// The dense-accumulator trainer is bit-for-bit the hash-map oracle
+    /// — weights and every `LearnStats` float — across random evidence
+    /// graphs, weight counts on the bitmap's word edges, fixed weights,
+    /// minibatch sizes, full training and replay windows, and threads
+    /// {1, 2, 4}.
     #[test]
     fn packed_trainer_bitwise_equals_naive(model in evidence_model(),
-                                           minibatch in 1usize..40,
+                                           weight_count in 0usize..WEIGHT_COUNTS.len(),
+                                           minibatch in 0usize..MINIBATCHES.len(),
                                            recent in 0usize..12,
                                            replay_epochs in 1usize..3) {
-        let (graph, weights, order) = build_evidence(&model);
-        let naive_cfg = LearnConfig {
+        let weight_count = WEIGHT_COUNTS[weight_count];
+        let (graph, weights, order) = build_evidence(&model, weight_count);
+        prop_assert_eq!(weights.len(), weight_count);
+        let cfg = LearnConfig {
             epochs: 3,
-            minibatch,
-            packed: false,
+            minibatch: MINIBATCHES[minibatch],
             ..LearnConfig::default()
         };
-        let packed_cfg = LearnConfig { packed: true, ..naive_cfg };
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 4] {
             let mut w_naive = weights.clone();
             let mut w_packed = weights.clone();
-            let s_naive = learn::train_examples(&graph, &mut w_naive, &naive_cfg, threads, &order);
-            let s_packed =
-                learn::train_examples(&graph, &mut w_packed, &packed_cfg, threads, &order);
+            let s_naive = oracle::train_examples(&graph, &mut w_naive, &cfg, threads, &order);
+            let s_packed = learn::train_examples(&graph, &mut w_packed, &cfg, threads, &order);
             prop_assert_eq!(
                 weight_bits(&w_packed),
                 weight_bits(&w_naive),
                 "train_examples, threads = {}",
                 threads
             );
-            prop_assert_eq!(s_packed.minibatches, s_naive.minibatches);
-            prop_assert_eq!(s_packed.examples, s_naive.examples);
+            prop_assert_eq!(s_packed.bits(), s_naive.bits());
 
             let mut r_naive = w_naive.clone();
             let mut r_packed = w_naive.clone();
-            let s2_naive = learn::train_replay(
-                &graph, &mut r_naive, &naive_cfg, threads, &order, recent, replay_epochs,
+            let s2_naive = oracle::train_replay(
+                &graph, &mut r_naive, &cfg, threads, &order, recent, replay_epochs,
             );
             let s2_packed = learn::train_replay(
-                &graph, &mut r_packed, &packed_cfg, threads, &order, recent, replay_epochs,
+                &graph, &mut r_packed, &cfg, threads, &order, recent, replay_epochs,
             );
             prop_assert_eq!(
                 weight_bits(&r_packed),
@@ -394,7 +412,7 @@ proptest! {
                 threads,
                 recent
             );
-            prop_assert_eq!(s2_packed.minibatches, s2_naive.minibatches);
+            prop_assert_eq!(s2_packed.bits(), s2_naive.bits());
         }
     }
 }

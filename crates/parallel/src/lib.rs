@@ -278,6 +278,14 @@ where
 /// at fold entry, e.g. with a generation stamp). With that, the result
 /// is bit-for-bit identical at every thread count, including the inline
 /// `threads = 1` path that reuses `scratches[0]` for every shard.
+///
+/// Run placement is part of the contract: worker `w` draws
+/// `scratches[w]` and folds the `w`-th contiguous run of shards, in shard
+/// order. A fold may therefore *append* per-shard output to its scratch
+/// instead of returning it, and the caller reads the scratches back in
+/// slice order to get all output in shard order with no per-shard
+/// allocation (the SGD kernel's gradient runs do this). Scratches past
+/// the worker count are not touched.
 pub fn sharded_fold_scratch<T: Sync, S: Send, A: Send, F, M>(
     threads: usize,
     items: &[T],
@@ -633,6 +641,34 @@ mod tests {
             sharded_fold_scratch(4, &items, 8, &mut scratches, |_, s| s.len(), |a, b| a + b),
             None
         );
+    }
+
+    /// Run placement: scratch `w` receives the `w`-th contiguous run of
+    /// shards in order, so output appended to the scratches reads back in
+    /// shard order; surplus scratches stay untouched.
+    #[test]
+    fn sharded_fold_scratch_appends_read_back_in_shard_order() {
+        let items: Vec<usize> = (0..100).collect();
+        for threads in [1usize, 2, 3, 7] {
+            let mut scratches: Vec<Vec<usize>> = vec![Vec::new(); 5];
+            let total = sharded_fold_scratch(
+                threads,
+                &items,
+                9,
+                &mut scratches,
+                |seen, shard| {
+                    seen.extend_from_slice(shard);
+                    shard.len()
+                },
+                |a, b| a + b,
+            );
+            assert_eq!(total, Some(items.len()));
+            let workers = threads.min(5);
+            assert!(scratches[..workers].iter().all(|s| !s.is_empty()));
+            assert!(scratches[workers..].iter().all(Vec::is_empty));
+            let read_back: Vec<usize> = scratches.concat();
+            assert_eq!(read_back, items, "threads = {threads}");
+        }
     }
 
     #[test]

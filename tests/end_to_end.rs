@@ -9,7 +9,7 @@ use holoclean_repro::holo_datagen::{
     flights, food, hospital, physicians, FlightsConfig, FoodConfig, HospitalConfig,
     PhysiciansConfig,
 };
-use holoclean_repro::holoclean::{evaluate, HoloClean, HoloConfig, RepairQuality};
+use holoclean_repro::holoclean::{evaluate, HoloClean, HoloConfig, HoloError, RepairQuality};
 
 fn run_holoclean(
     gen: &holoclean_repro::holo_datagen::GeneratedDataset,
@@ -182,4 +182,33 @@ fn repaired_dataset_reduces_violations() {
         after < before / 2,
         "repairs must resolve most violations: {before} -> {after}"
     );
+}
+
+/// Robustness: SGD that diverges (a learning rate large enough to
+/// overflow the weights) surfaces as a typed error from the one-shot
+/// session — never as repairs computed from a poisoned model.
+#[test]
+fn diverging_learning_rate_is_a_typed_error_not_nan_repairs() {
+    let gen = hospital(HospitalConfig {
+        rows: 200,
+        ..HospitalConfig::default()
+    });
+    let mut config = HoloConfig::default();
+    config.learn.learning_rate = 1e308;
+    let result = HoloClean::new(gen.dirty.clone())
+        .with_constraint_text(&gen.constraints_text)
+        .unwrap()
+        .with_config(config)
+        .run();
+    match result {
+        Err(HoloError::LearnDiverged {
+            non_finite_minibatches,
+            minibatches,
+        }) => {
+            assert!(non_finite_minibatches > 0);
+            assert!(non_finite_minibatches <= minibatches);
+        }
+        Err(other) => panic!("expected LearnDiverged, got {other}"),
+        Ok(_) => panic!("a diverged run must not produce a report"),
+    }
 }
