@@ -246,18 +246,15 @@ fn bench_learn_stage(c: &mut Criterion) {
     group.finish();
 }
 
-/// The learning kernel (packed arena + dense minibatch accumulator),
-/// priced two ways. `hospital_train` runs one full `learn::train` call
-/// (arena gather plus every epoch) on the compiled hospital model —
-/// divide by `LearnConfig::epochs` for the per-epoch cost; the one-time
-/// gather is amortised across the epochs. `stream_replay_16` drives a
-/// full 16-batch `StreamSession` ingest (per-batch replay retraining
-/// included), pricing the kernel inside the incremental engine. The
-/// labels keep their `packed` suffix so `bench_diff` lines them up with
-/// earlier `BENCH_*.json` snapshots; the hash-map arms they used to be
-/// paired with are gone with the oracle (now test-only).
+/// The learning kernel (packed arena + dense minibatch accumulator):
+/// `hospital_train` runs one full `learn::train` call (arena gather plus
+/// every epoch) on the compiled hospital model — divide by
+/// `LearnConfig::epochs` for the per-epoch cost; the one-time gather is
+/// amortised across the epochs. The label keeps its `packed` suffix so
+/// `bench_diff` lines it up with earlier `BENCH_*.json` snapshots; the
+/// hash-map arm it used to be paired with is gone with the oracle (now
+/// test-only).
 fn bench_learn_kernel(c: &mut Criterion) {
-    use holoclean::stream::StreamSession;
     let mut group = c.benchmark_group("learn_kernel");
     group.sample_size(10);
     let mut gen = build(DatasetKind::Hospital, small_scale());
@@ -288,34 +285,6 @@ fn bench_learn_kernel(c: &mut Criterion) {
                 &mut w,
                 &config.learn,
             ))
-        })
-    });
-    let rows: Vec<Vec<String>> = gen
-        .dirty
-        .tuples()
-        .map(|t| {
-            gen.dirty
-                .schema()
-                .attrs()
-                .map(|a| gen.dirty.cell_str(t, a).to_string())
-                .collect()
-        })
-        .collect();
-    let batches = 16usize;
-    let mut config = HoloConfig::default().with_threads(1);
-    config.tau = gen.kind.paper_tau();
-    group.bench_function(BenchmarkId::new("stream_replay_16", "packed"), |b| {
-        b.iter(|| {
-            let mut session = StreamSession::new(
-                gen.dirty.schema().clone(),
-                &gen.constraints_text,
-                config.clone(),
-            )
-            .unwrap();
-            for chunk in rows.chunks(rows.len().div_ceil(batches)) {
-                black_box(session.push_batch(chunk).unwrap());
-            }
-            black_box(session.report().repairs.len())
         })
     });
     group.finish();
@@ -703,12 +672,10 @@ fn bench_end_to_end_parallelism(c: &mut Criterion) {
     group.finish();
 }
 
-/// Streaming ingestion: per-batch cost of the incremental engine, patched
-/// path vs the `invalidate_design` full-recompute path
-/// (`StreamConfig::force_full_rebuild` recompiles every cell and rebuilds
-/// the design matrix and component index from scratch each batch — the
-/// behaviour the in-place patching replaces). Also prices the one-shot
-/// pipeline over the same rows as the amortisation baseline.
+/// Streaming ingestion: hospital through a `StreamSession` in 8 batches
+/// plus one read (pushes maintain statistics and violations; the read
+/// compiles, learns and infers once), against the one-shot pipeline over
+/// the same rows — the spread is what the per-batch maintenance costs.
 fn bench_stream_ingest(c: &mut Criterion) {
     use holoclean::stream::StreamSession;
     let mut group = c.benchmark_group("stream_ingest");
@@ -728,29 +695,23 @@ fn bench_stream_ingest(c: &mut Criterion) {
     let batches = 8usize;
     let mut config = HoloConfig::default().with_threads(1);
     config.tau = gen.kind.paper_tau();
-    for (label, full_rebuild) in [("patched", false), ("full_rebuild", true)] {
-        let mut config = config.clone();
-        config.stream.force_full_rebuild = full_rebuild;
-        config.stream.refine_each_batch = false; // isolate maintenance cost
-        group.bench_function(BenchmarkId::new("per_batch", label), |b| {
-            b.iter(|| {
-                let mut session = StreamSession::new(
-                    gen.dirty.schema().clone(),
-                    &gen.constraints_text,
-                    config.clone(),
-                )
-                .unwrap();
-                for chunk in rows.chunks(rows.len().div_ceil(batches)) {
-                    black_box(session.push_batch(chunk).unwrap());
-                }
-                black_box(session.report().repairs.len())
-            })
-        });
-    }
+    group.bench_function(BenchmarkId::new("per_batch", "streamed"), |b| {
+        b.iter(|| {
+            let mut session = StreamSession::new(
+                gen.dirty.schema().clone(),
+                &gen.constraints_text,
+                config.clone(),
+            )
+            .unwrap();
+            for chunk in rows.chunks(rows.len().div_ceil(batches)) {
+                black_box(session.push_batch(chunk).unwrap());
+            }
+            black_box(session.report().repairs.len())
+        })
+    });
     group.bench_function(BenchmarkId::new("per_batch", "one_shot_baseline"), |b| {
         b.iter(|| {
-            let mut config = config.clone();
-            config.tau = gen.kind.paper_tau();
+            let config = config.clone();
             let outcome = HoloClean::new(gen.dirty.clone())
                 .with_constraint_text(&gen.constraints_text)
                 .unwrap()
@@ -766,11 +727,8 @@ fn bench_stream_ingest(c: &mut Criterion) {
 /// Full-CRUD streaming: per-feed cost when every batch is corrupted on
 /// entry (a mangled first row plus a decoy row) and healed with
 /// `push_updates`/`push_deletes` before the next batch, ending in one
-/// exact read. `scheduled` compacts every second mutation batch
-/// (`compact_every = 2`); `lazy` (`compact_every = 0`) defers every
-/// compaction to the final exact read. The spread prices what the
-/// schedule buys: smaller retired/pinned carry-over per tick versus one
-/// big deferred rebuild.
+/// read. The live table ends equal to the plain rows, so the one-shot
+/// reference is `stream_ingest/per_batch/one_shot_baseline`.
 fn bench_stream_crud(c: &mut Criterion) {
     use holo_dataset::TupleId;
     use holoclean::stream::StreamSession;
@@ -792,35 +750,30 @@ fn bench_stream_crud(c: &mut Criterion) {
     let batches = 8usize;
     let mut config = HoloConfig::default().with_threads(1);
     config.tau = gen.kind.paper_tau();
-    config.stream.refine_each_batch = false; // isolate maintenance cost
-    for (label, compact_every) in [("lazy", 0usize), ("scheduled", 2usize)] {
-        let mut config = config.clone();
-        config.stream.compact_every = compact_every;
-        group.bench_function(BenchmarkId::new("per_feed", label), |b| {
-            b.iter(|| {
-                let mut session = StreamSession::new(
-                    gen.dirty.schema().clone(),
-                    &gen.constraints_text,
-                    config.clone(),
-                )
-                .unwrap();
-                for chunk in rows.chunks(rows.len().div_ceil(batches)) {
-                    let base = session.dataset().tuple_count() as u32;
-                    let mut staged = chunk.to_vec();
-                    staged[0][0].push_str("~typo");
-                    staged.push((0..arity).map(|a| format!("~decoy{a}")).collect());
-                    session.push_batch(&staged).unwrap();
-                    session
-                        .push_deletes(&[TupleId(base + chunk.len() as u32)])
-                        .unwrap();
-                    session
-                        .push_updates(&[(TupleId(base), chunk[0].clone())])
-                        .unwrap();
-                }
-                black_box(session.report().repairs.len())
-            })
-        });
-    }
+    group.bench_function(BenchmarkId::new("per_feed", "streamed"), |b| {
+        b.iter(|| {
+            let mut session = StreamSession::new(
+                gen.dirty.schema().clone(),
+                &gen.constraints_text,
+                config.clone(),
+            )
+            .unwrap();
+            for chunk in rows.chunks(rows.len().div_ceil(batches)) {
+                let base = session.dataset().tuple_count() as u32;
+                let mut staged = chunk.to_vec();
+                staged[0][0].push_str("~typo");
+                staged.push((0..arity).map(|a| format!("~decoy{a}")).collect());
+                session.push_batch(&staged).unwrap();
+                session
+                    .push_deletes(&[TupleId(base + chunk.len() as u32)])
+                    .unwrap();
+                session
+                    .push_updates(&[(TupleId(base), chunk[0].clone())])
+                    .unwrap();
+            }
+            black_box(session.report().repairs.len())
+        })
+    });
     group.finish();
 }
 

@@ -3,18 +3,19 @@
 //! tune the reproduction; kept because it is genuinely useful for anyone
 //! adapting the system to new data.
 //!
-//! `--stream K` runs the incremental engine (`StreamSession`, K batches)
+//! `--stream K` feeds the dataset through `StreamSession` in K batches
 //! instead of the one-shot pipeline and additionally reports the ingest
-//! counters; `--json` emits the machine-readable form either way (via the
-//! shared `holo_bench::json` writer). Unknown flags abort with a usage
-//! line (exit 2).
+//! counters (batches, tuples, delta violations, rows updated/deleted,
+//! model builds) and the live/tombstoned row split; `--json` emits the
+//! machine-readable form either way (via the shared `holo_bench::json`
+//! writer). Unknown flags abort with a usage line (exit 2).
 //!
 //! The `--json` learn object carries `examples`, `epochs`, `minibatches`,
 //! `final_log_likelihood`, `grad_norm` (final minibatch), `grad_norm_mean`
 //! (mean over the final epoch — the stable number to watch),
-//! `non_finite_minibatches` (non-zero = SGD diverged; the one-shot
-//! pipeline fails with `HoloError::LearnDiverged` before diag prints,
-//! streamed runs report it here), `parallel_minibatches` (how many
+//! `non_finite_minibatches` (always 0 in a printed run: a diverging SGD
+//! fails one-shot and streamed runs alike with `HoloError::LearnDiverged`
+//! before diag prints), `parallel_minibatches` (how many
 //! minibatch folds were dispatched to worker threads rather than run
 //! inline — "did a second core ever engage in learn"), and the
 //! packed-arena counters `packed_examples`, `packed_entries`,
@@ -134,8 +135,6 @@ fn print_json(dataset: &str, out: &HoloOutcome, gate_hists: Option<&([u64; 4], [
     }
     let r = t.retire;
     let mut retire = JsonObj::new();
-    retire.field_u64("cliques_retired", r.cliques_retired);
-    retire.field_u64("vars_renumbered", r.vars_renumbered);
     retire.field_u64("compactions", r.compactions);
     retire.field_u64("live_rows", r.live_rows);
     retire.field_u64("dead_rows", r.dead_rows);
@@ -163,17 +162,14 @@ fn ingest_json(i: &IngestStats) -> String {
     o.field_u64("rows_deleted", i.rows_deleted);
     o.field_u64("rows_updated", i.rows_updated);
     o.field_u64("delta_violations", i.delta_violations);
-    o.field_u64("affected_tuples", i.affected_tuples);
     o.field_u64("cells_recomputed", i.cells_recomputed);
-    o.field_u64("cells_reused", i.cells_reused);
     o.field_u64("vars_added", i.vars_added);
     o.field_u64("vars_retired", i.vars_retired);
-    o.field_u64("replay_minibatches", i.replay_minibatches);
     o.field_u64("canonical_retrains", i.canonical_retrains);
     o.finish()
 }
 
-/// Runs the dataset through the incremental engine in `batches` batches,
+/// Runs the dataset through a `StreamSession` in `batches` batches,
 /// shaping the outcome like the one-shot runner's so the reporting is
 /// shared. The session's report speaks one-shot coordinates (live tuple
 /// ranks, dense first-appearance symbols) rather than the session's
@@ -190,11 +186,12 @@ fn run_streamed(
     Dataset,
 ) {
     config.tau = gen.kind.paper_tau();
+    let fail = |e: holoclean::HoloError| -> ! {
+        eprintln!("diag --stream: {e}");
+        std::process::exit(2)
+    };
     let mut session = StreamSession::new(gen.dirty.schema().clone(), &gen.constraints_text, config)
-        .unwrap_or_else(|e| {
-            eprintln!("diag --stream: {e}");
-            std::process::exit(2)
-        });
+        .unwrap_or_else(|e| fail(e));
     let rows: Vec<Vec<String>> = gen
         .dirty
         .tuples()
@@ -207,12 +204,10 @@ fn run_streamed(
         })
         .collect();
     for chunk in rows.chunks(rows.len().div_ceil(batches.max(1))) {
-        session.push_batch(chunk).unwrap_or_else(|e| {
-            eprintln!("diag --stream: {e}");
-            std::process::exit(2)
-        });
+        session.push_batch(chunk).unwrap_or_else(|e| fail(e));
     }
-    let report = session.report();
+    let report = session.try_report().unwrap_or_else(|e| fail(e));
+    let model = session.model().expect("the read above built it");
     let mut dense = Dataset::new(gen.dirty.schema().clone());
     {
         let src = session.dataset();
@@ -231,14 +226,17 @@ fn run_streamed(
         quality,
         timings: session.timings(),
         report,
-        model: session.compile_stats().clone(),
-        learn_stats: session.learn_stats().cloned(),
+        model: model.compiled.stats.clone(),
+        learn_stats: model.learn_stats.clone(),
         violations: session.violations(),
         noisy_cells: session.noisy_cells(),
     };
-    let registry = session.registry().clone();
-    let weights = session.weights().clone();
-    (outcome, registry, weights, dense)
+    (
+        outcome,
+        model.compiled.registry.clone(),
+        model.weights.clone(),
+        dense,
+    )
 }
 
 fn main() {
@@ -410,18 +408,16 @@ fn main() {
     let ingest = out.timings.ingest;
     if ingest.batches > 0 {
         println!(
-            "ingest: {} batch(es), {} tuple(s), {} delta violation(s), {} affected tuple(s)",
-            ingest.batches, ingest.tuples, ingest.delta_violations, ingest.affected_tuples
+            "ingest: {} batch(es), {} tuple(s), {} delta violation(s)",
+            ingest.batches, ingest.tuples, ingest.delta_violations
         );
         println!(
-            "  delta compile: {} cell(s) recomputed, {} reused; {} var(s) added, {} retired; \
-             {} replay minibatch(es), {} canonical retrain(s)",
+            "  reads: {} model build(s) / canonical retrain(s); {} cell(s) compiled, \
+             {} var(s) built, {} discarded",
+            ingest.canonical_retrains,
             ingest.cells_recomputed,
-            ingest.cells_reused,
             ingest.vars_added,
-            ingest.vars_retired,
-            ingest.replay_minibatches,
-            ingest.canonical_retrains
+            ingest.vars_retired
         );
         if ingest.rows_deleted > 0 || ingest.rows_updated > 0 {
             println!(
@@ -431,15 +427,10 @@ fn main() {
         }
     }
     let retire = out.timings.retire;
-    if retire.compactions > 0 || retire.cliques_retired > 0 || retire.dead_rows > 0 {
+    if ingest.batches > 0 {
         println!(
-            "retirement: {} clique(s) retired, {} var(s) renumbered over {} compaction(s); \
-             {} live / {} tombstoned row(s)",
-            retire.cliques_retired,
-            retire.vars_renumbered,
-            retire.compactions,
-            retire.live_rows,
-            retire.dead_rows
+            "  table: {} live / {} tombstoned row(s); {} model(s) discarded and rebuilt",
+            retire.live_rows, retire.dead_rows, retire.compactions
         );
     }
     match &out.learn_stats {

@@ -8,20 +8,19 @@
 //! the view that diffs exact-vs-Gibbs routing changes which move
 //! probability mass without flipping any repair.
 //!
-//! With `--stream K`, the dataset is ingested in K batches through the
-//! incremental `StreamSession` instead of the one-shot pipeline. The
-//! streaming engine's equivalence contract says the output is
-//! **byte-identical** either way — CI runs both and diffs them. Adding
-//! `--crud` corrupts every batch on entry (a mangled first row plus a
-//! decoy row) and heals it with `push_updates`/`push_deletes`, so the
-//! live table — and therefore the dump — still matches one-shot byte
-//! for byte, now exercising tombstones, retraction and compaction.
+//! With `--stream K`, the dataset is ingested in K batches through a
+//! `StreamSession` instead of the one-shot pipeline. The session's
+//! equivalence contract says the output is **byte-identical** either way
+//! — CI runs both and diffs them. Adding `--crud` corrupts every batch on
+//! entry (a mangled first row plus a decoy row) and heals it with
+//! `push_updates`/`push_deletes`, so the live table — and therefore the
+//! dump — still matches one-shot byte for byte, now exercising
+//! tombstones, retraction and the live-coordinate remap.
 //!
 //! With `--dc-factors`, the denial constraints ground as clique factors
 //! (the partitioned DC-factor variant) so the dump exercises the exact
-//! and Gibbs engines — streamed DC grounding rides clique retirement
-//! plus compaction, so `--dc-factors --stream` is a supported pair;
-//! with `--no-score-cache`, the frozen-weight score cache is disabled.
+//! and Gibbs engines; `--dc-factors --stream` is a supported pair. With
+//! `--no-score-cache`, the frozen-weight score cache is disabled.
 //! The cache is a pure wall-clock knob, so CI diffs the dump with it on
 //! vs off — byte-identical output is the contract. `--naive-stats`
 //! routes co-occurrence statistics through the hash-map oracle instead
@@ -124,7 +123,8 @@ fn main() {
             dense.push_row(&row);
         }
         let quality = evaluate(&report, &dense, &gen.clean);
-        let norm = session.weights().learnable_norm();
+        let model = session.model().expect("the read above built it");
+        let norm = model.weights.learnable_norm();
         (
             report,
             quality,

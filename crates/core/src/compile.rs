@@ -312,11 +312,10 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
 /// Canonical evidence selection: per attribute, the clean non-null cells
 /// of the *whole* dataset, downsampled to
 /// [`HoloConfig::max_evidence_per_attr`] by a seeded shuffle (then
-/// re-sorted). Shared verbatim by the one-shot compiler and the
-/// streaming engine's per-batch recompile — membership must be a
-/// function of `(dataset, noisy set, seed)` only, never of arrival
-/// order, or the streaming-equals-batch byte equivalence breaks.
-pub(crate) fn select_evidence_cells(
+/// re-sorted). Membership is a function of `(live table, noisy set,
+/// seed)` only, never of arrival order — the streaming-equals-batch byte
+/// equivalence rests on it.
+fn select_evidence_cells(
     ds: &Dataset,
     noisy: &FxHashSet<CellRef>,
     config: &HoloConfig,
@@ -340,17 +339,15 @@ pub(crate) fn select_evidence_cells(
 }
 
 /// The full per-cell featurization sequence — every signal of §4.2 in
-/// its canonical order. Shared verbatim by the one-shot compiler and the
-/// streaming engine (which passes an empty match lookup and no source
-/// featurizer): the collect order *is* the per-row feature order in the
-/// design matrix, so the two paths must never diverge.
+/// its canonical order: the collect order *is* the per-row feature order
+/// in the design matrix.
 ///
 /// Partitioning (Alg. 3) restricts the *factor grounding* of Algorithm 1
 /// only; the relaxed features of §5.2 always count against all partners
 /// — dropping out-of-component partners would silence the violations a
 /// bad repair would create with clean tuples.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn collect_cell_features(
+fn collect_cell_features(
     buf: &mut FeatureBuffer,
     ds: &Dataset,
     stats: &CooccurStats,
@@ -447,7 +444,7 @@ const GROUND_BLOCK_PAIRS: usize = 4096;
 /// pair list in fixed blocks (cliques append in pair order) — so the
 /// grounded graph is identical at every thread count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn ground_dc_factors(
+fn ground_dc_factors(
     graph: &mut FactorGraph,
     registry: &mut FeatureRegistry<FeatureKey>,
     ds: &Dataset,

@@ -85,52 +85,6 @@ pub struct SourceConfig {
     pub source_attr: String,
 }
 
-/// Knobs of the streaming ingestion engine
-/// ([`crate::stream::StreamSession`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StreamConfig {
-    /// Run a warm-start replay training pass after every ingested batch,
-    /// so interim posteriors served between batches reflect the new
-    /// evidence without paying a full retrain. Batch-equivalent reads
-    /// ([`crate::stream::StreamSession::report`]) always run the canonical
-    /// from-scratch retrain regardless — this knob only trades interim
-    /// freshness against per-batch wall-clock.
-    pub refine_each_batch: bool,
-    /// Replay window: the newest `replay_window` evidence examples (plus
-    /// an equally-sized seeded sample of older ones) make up each replay
-    /// pass.
-    pub replay_window: usize,
-    /// Epochs per replay pass.
-    pub replay_epochs: usize,
-    /// Diagnostics/bench escape hatch: recompute every cell and force a
-    /// full design-matrix + component-index rebuild on every batch instead
-    /// of patching in place. Output is identical (that is the point of the
-    /// equivalence contract); the `stream_ingest` bench uses it to price
-    /// the patch path against the rebuild it replaces.
-    pub force_full_rebuild: bool,
-    /// Scheduled compaction period, measured in ingested mutation batches
-    /// (`push_batch` / `push_updates` / `push_deletes` each count one).
-    /// Every `compact_every` batches the session runs
-    /// [`crate::stream::StreamSession::compact`]: tombstoned rows and
-    /// retired/pinned variables are renumbered away and all three cached
-    /// structures (design matrix, component index, coloring) pay their one
-    /// amortised full rebuild. `0` disables the schedule — compaction then
-    /// only happens lazily when an exact read requires it.
-    pub compact_every: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            refine_each_batch: true,
-            replay_window: 256,
-            replay_epochs: 2,
-            force_full_rebuild: false,
-            compact_every: 0,
-        }
-    }
-}
-
 /// Full pipeline configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HoloConfig {
@@ -228,18 +182,6 @@ pub struct HoloConfig {
     /// thread count. The cache is built per inference pass and never
     /// stored in the graph, so feedback retrains can't read stale scores.
     pub score_cache: bool,
-    /// Route [`crate::feedback::FeedbackSession::retrain`] through the
-    /// streaming warm-start replay trainer instead of the canonical
-    /// from-scratch retrain: replay passes start from the current weights
-    /// and prioritise the freshly pinned cells, trading bit-exact
-    /// batch-equivalence for O(replay window) updates per retrain. Off by
-    /// default — the default retrain stays bit-for-bit the one-shot
-    /// pipeline's training.
-    pub feedback_replay: bool,
-    /// Streaming-ingestion knobs (only read by
-    /// [`crate::stream::StreamSession`]; the one-shot pipeline ignores
-    /// them).
-    pub stream: StreamConfig,
     /// Statistics-engine oracle switch: when set, `CooccurStats` stores
     /// its counts in the original nested hash-map tables instead of the
     /// dense per-attribute-pair count blocks. Both backends answer every
@@ -296,8 +238,6 @@ impl Default for HoloConfig {
             exact_component_limit: 4096,
             chromatic_gibbs: false,
             score_cache: true,
-            feedback_replay: false,
-            stream: StreamConfig::default(),
             naive_stats: false,
             cor_strength: None,
             seed: 0x401c,
@@ -381,19 +321,6 @@ impl HoloConfig {
     /// scans all partner attributes. A *model* knob — see the field docs.
     pub fn with_cor_strength(mut self, cor_strength: Option<f64>) -> Self {
         self.cor_strength = cor_strength;
-        self
-    }
-
-    /// Routes feedback retraining through the warm-start replay trainer
-    /// (builder style). See the field docs for the trade.
-    pub fn with_feedback_replay(mut self, replay: bool) -> Self {
-        self.feedback_replay = replay;
-        self
-    }
-
-    /// Sets the streaming-ingestion knobs (builder style).
-    pub fn with_stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = stream;
         self
     }
 

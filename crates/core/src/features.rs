@@ -99,9 +99,6 @@ enum FeatureEntry {
 /// per cell. Applying buffers **in variable order** keeps the registry
 /// interning sequence deterministic, so weight ids (and therefore every
 /// downstream number) are independent of the thread count.
-/// Buffers compare by content (`PartialEq`) and clone cheaply: the
-/// streaming engine caches one buffer per cell and re-grounds a variable
-/// only when its recomputed buffer differs from the cached one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FeatureBuffer {
     entries: Vec<FeatureEntry>,
@@ -145,8 +142,7 @@ impl FeatureBuffer {
     /// [`FeatureBuffer::apply`] would have grounded entry by entry) — the
     /// form [`holo_factor::FactorGraph::add_variable_with_features`]
     /// consumes to append a finished variable to a live design matrix
-    /// with a single splice. Borrows the buffer: the streaming engine
-    /// keeps it cached per cell after grounding.
+    /// with a single splice.
     pub fn to_rows(
         &self,
         registry: &mut FeatureRegistry<FeatureKey>,

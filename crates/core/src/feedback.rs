@@ -43,14 +43,10 @@
 
 use crate::compile::CompiledModel;
 use crate::config::HoloConfig;
-use crate::context::DatasetContext;
-use crate::pipeline::StageTimings;
+use crate::pipeline::{infer_marginals, StageTimings};
 use crate::repair::RepairReport;
 use holo_dataset::{CellRef, Dataset, FxHashMap, Sym};
-use holo_factor::{
-    infer_partitioned, learn, ComponentStats, DesignStats, Marginals, PartitionStats,
-    PartitionedConfig, Weights,
-};
+use holo_factor::{learn, ComponentStats, DesignStats, Marginals, PartitionStats, Weights};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -81,10 +77,6 @@ pub struct FeedbackSession {
     config: HoloConfig,
     /// Cells already pinned by the user.
     labelled: FxHashMap<CellRef, Sym>,
-    /// Variables pinned since the last retrain, in label order — the
-    /// "recent" tail of a replay-mode retrain
-    /// ([`HoloConfig::feedback_replay`]).
-    fresh_pins: Vec<holo_factor::VarId>,
     marginals: Marginals,
     /// Learn/infer wall-clock accumulated over retrain rounds, plus the
     /// session-relative design-matrix counters.
@@ -114,7 +106,7 @@ impl FeedbackSession {
         let component_baseline = model.graph.component_stats();
         let mut timings = StageTimings::default();
         let t0 = Instant::now();
-        let (marginals, partition) = infer(&model, &weights, &config, ds);
+        let (marginals, partition) = infer_marginals(&model, &weights, ds, &config);
         timings.infer += t0.elapsed();
         timings.partition = partition;
         FeedbackSession {
@@ -122,7 +114,6 @@ impl FeedbackSession {
             weights,
             config,
             labelled: FxHashMap::default(),
-            fresh_pins: Vec::new(),
             marginals,
             timings,
             design_baseline,
@@ -185,9 +176,7 @@ impl FeedbackSession {
             let pinned = self.model.graph.var(var);
             let k = pinned.evidence.expect("pin_evidence just fixed this var");
             self.marginals.pin(var, k, pinned.arity());
-            if self.labelled.insert(label.cell, sym).is_none() {
-                self.fresh_pins.push(var);
-            }
+            self.labelled.insert(label.cell, sym);
         }
         self.timings.design = self.design_stats();
         self.timings.components = self.component_stats();
@@ -198,53 +187,17 @@ impl FeedbackSession {
     /// inference for the remaining query cells. Both phases read the
     /// patched design matrix — no rebuild happens here — and bill their
     /// wall-clock to [`FeedbackSession::timings`].
-    ///
-    /// With [`HoloConfig::feedback_replay`] set, the SGD pass is the
-    /// streaming warm-start replay trainer instead of the canonical
-    /// from-scratch retrain: the window is the freshly pinned cells (the
-    /// "recent" tail) plus a seeded sample of older evidence, for
-    /// O(replay window) work per round. Off (the default), this method is
-    /// bit-for-bit the historical full retrain.
     pub fn retrain(&mut self, ds: &Dataset) -> learn::LearnStats {
         let t0 = Instant::now();
-        let stats = if self.config.feedback_replay {
-            // Evidence examples in ascending id order, with this round's
-            // pins moved to the tail — `train_replay` treats the last
-            // `recent` entries as the fresh window.
-            let graph = &self.model.graph;
-            let mut examples: Vec<holo_factor::VarId> = graph
-                .var_ids()
-                .filter(|&v| graph.var(v).evidence.is_some() && !self.fresh_pins.contains(&v))
-                .collect();
-            examples.extend_from_slice(&self.fresh_pins);
-            let recent = self
-                .fresh_pins
-                .len()
-                .min(self.config.stream.replay_window.max(1));
-            // Both retrain flavors gather a fresh packed arena per call,
-            // so the matrices patched by this session's pins can never
-            // serve a stale pack.
-            learn::train_replay(
-                graph,
-                &mut self.weights,
-                &self.config.learn,
-                self.config.threads,
-                &examples,
-                recent,
-                self.config.stream.replay_epochs.max(1),
-            )
-        } else {
-            learn::train_with_threads(
-                &self.model.graph,
-                &mut self.weights,
-                &self.config.learn,
-                self.config.threads,
-            )
-        };
-        self.fresh_pins.clear();
+        let stats = learn::train_with_threads(
+            &self.model.graph,
+            &mut self.weights,
+            &self.config.learn,
+            self.config.threads,
+        );
         self.timings.learn += t0.elapsed();
         let t1 = Instant::now();
-        let (marginals, partition) = infer(&self.model, &self.weights, &self.config, ds);
+        let (marginals, partition) = infer_marginals(&self.model, &self.weights, ds, &self.config);
         self.marginals = marginals;
         self.timings.infer += t1.elapsed();
         self.timings.design = self.design_stats();
@@ -303,31 +256,6 @@ impl FeedbackSession {
     pub fn timings(&self) -> StageTimings {
         self.timings
     }
-}
-
-/// Partitioned hybrid inference over the session's model — the same
-/// engine the pipeline's Infer stage runs, so a retrain round reuses the
-/// patched component index (never rebuilding it) and independent
-/// components of the graph re-infer concurrently.
-fn infer(
-    model: &CompiledModel,
-    weights: &Weights,
-    config: &HoloConfig,
-    ds: &Dataset,
-) -> (Marginals, PartitionStats) {
-    let ctx = DatasetContext::new(ds);
-    infer_partitioned(
-        &model.graph,
-        weights,
-        &ctx,
-        &PartitionedConfig {
-            gibbs: config.gibbs,
-            exact_limit: config.exact_component_limit,
-            chromatic: config.chromatic_gibbs,
-            score_cache: config.score_cache,
-        },
-        config.threads,
-    )
 }
 
 #[cfg(test)]
@@ -559,54 +487,6 @@ mod tests {
                 .expect("label among candidates");
             assert_eq!(p, 1.0, "pinned {value} at probability 1, got {sym:?}={p}");
         }
-    }
-
-    /// The warm-start replay retrain (`feedback_replay = true`) keeps the
-    /// session contracts: labelled cells repair correctly after the
-    /// O(window) retrain, and the design matrix is still never rebuilt.
-    #[test]
-    fn replay_retrain_propagates_labels_without_rebuilds() {
-        let (dirty, clean) = ambiguous_dataset();
-        let (outcome, model, weights) = HoloClean::new(dirty.clone())
-            .with_constraint_text("FD: Key -> Value")
-            .unwrap()
-            .run_full()
-            .unwrap();
-        let config = HoloConfig::default().with_feedback_replay(true);
-        let mut ds = outcome.dataset;
-        let mut session = FeedbackSession::new(model, weights, config, &ds);
-        for _ in 0..2 {
-            let requests = session.requests(&ds, 4);
-            if requests.is_empty() {
-                break;
-            }
-            let labels: Vec<Label> = requests
-                .iter()
-                .map(|r| Label {
-                    cell: r.cell,
-                    value: clean.cell_str(r.cell.tuple, r.cell.attr).to_string(),
-                })
-                .collect();
-            session.apply_labels(&mut ds, &labels);
-            let stats = session.retrain(&ds);
-            assert!(stats.examples > 0, "replay window never empty here");
-            let report = session.report(&ds);
-            for label in &labels {
-                let truth = clean.cell_str(label.cell.tuple, label.cell.attr);
-                assert!(
-                    report
-                        .posteriors
-                        .iter()
-                        .find(|p| p.cell == label.cell)
-                        .and_then(|p| p.candidates.iter().find(|(s, _)| ds.value_str(*s) == truth))
-                        .is_some_and(|&(_, p)| p == 1.0),
-                    "labelled cell {label:?} pinned at probability 1"
-                );
-            }
-        }
-        assert!(session.labelled_count() > 0);
-        let stats = session.design_stats();
-        assert_eq!(stats.full_builds, 0, "replay retrain never rebuilds");
     }
 
     /// The acceptance criterion of the incremental path: a multi-round

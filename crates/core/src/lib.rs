@@ -64,7 +64,7 @@ pub mod report;
 pub mod session;
 pub mod stream;
 
-pub use config::{HoloConfig, ModelVariant, StreamConfig};
+pub use config::{HoloConfig, ModelVariant};
 pub use domain::{
     prune_domains, prune_domains_gated, prune_domains_with_threads, CellDomains, PruneGate,
 };
@@ -75,4 +75,4 @@ pub use pipeline::{Pipeline, PipelineContext, Stage, StageData, StageKind, Stage
 pub use repair::{Repair, RepairReport};
 pub use report::{confidence_buckets, ConfidenceBucket};
 pub use session::{HoloClean, RepairOutcome};
-pub use stream::{BatchReport, IngestStats, StreamSession};
+pub use stream::{BatchReport, IngestStats, RetireStats, StreamModel, StreamSession};

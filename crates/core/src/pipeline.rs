@@ -185,13 +185,13 @@ pub struct StageTimings {
     /// (late-clique merges, appended singletons).
     pub components: ComponentStats,
     /// Streaming-ingestion counters (zero for one-shot pipeline runs;
-    /// filled by [`crate::stream::StreamSession`], which bills its delta
-    /// stages to the four slots above and its batch bookkeeping here).
+    /// filled by [`crate::stream::StreamSession`], which bills its pushes
+    /// to Detect, its reads to the other three slots, and its batch
+    /// bookkeeping here).
     pub ingest: crate::stream::IngestStats,
-    /// Retirement/compaction counters (zero for one-shot runs): cliques
-    /// retired in place, variables renumbered by compaction, compaction
-    /// ticks, and the live-vs-tombstoned row split of the backing table.
-    pub retire: holo_factor::RetireStats,
+    /// Model turnover of a streaming session and the live-vs-tombstoned
+    /// row split of its backing table (zero for one-shot runs).
+    pub retire: crate::stream::RetireStats,
     /// Statistics-engine gauges and counters: dense vs CSR pair blocks,
     /// dense cells and approximate bytes, plus build/extend/retract and
     /// correlation-recompute counts (all-zero storage gauges under
@@ -277,12 +277,6 @@ impl PipelineContext {
             extra_detectors: Vec::new(),
             config,
         }
-    }
-
-    /// The value-semantics adapter (ordering + similarity over interned
-    /// symbols) clique factors evaluate against during inference.
-    pub fn value_context(&self) -> DatasetContext<'_> {
-        DatasetContext::new(&self.ds)
     }
 }
 
@@ -414,28 +408,36 @@ impl Stage for LearnStage {
 
     fn run(&self, cx: &PipelineContext, data: &mut StageData) -> Result<(), HoloError> {
         let model = data.require_model("Learn")?;
-        let mut weights = model.weights.clone();
-        data.learn_stats = if model.stats.evidence_vars > 0 {
-            Some(learn::train_with_threads(
-                &model.graph,
-                &mut weights,
-                &cx.config.learn,
-                cx.config.threads,
-            ))
-        } else {
-            None
-        };
-        if let Some(stats) = &data.learn_stats {
-            if stats.non_finite_minibatches > 0 {
-                return Err(HoloError::LearnDiverged {
-                    non_finite_minibatches: stats.non_finite_minibatches,
-                    minibatches: stats.minibatches,
-                });
-            }
-        }
+        let (weights, stats) = learn_weights(model, &cx.config)?;
+        data.learn_stats = stats;
         data.weights = Some(weights);
         Ok(())
     }
+}
+
+/// Trains `model`'s weights from its priors — the body of [`LearnStage`],
+/// shared with [`crate::stream::StreamSession`] so a streamed read learns
+/// through the same code as a one-shot run. Returns the learned weights
+/// and the diagnostics (`None` when the model has no evidence and the
+/// weights stay at their priors); non-finite gradients are
+/// [`HoloError::LearnDiverged`].
+pub(crate) fn learn_weights(
+    model: &CompiledModel,
+    config: &HoloConfig,
+) -> Result<(Weights, Option<LearnStats>), HoloError> {
+    let mut weights = model.weights.clone();
+    if model.stats.evidence_vars == 0 {
+        return Ok((weights, None));
+    }
+    let stats =
+        learn::train_with_threads(&model.graph, &mut weights, &config.learn, config.threads);
+    if stats.non_finite_minibatches > 0 {
+        return Err(HoloError::LearnDiverged {
+            non_finite_minibatches: stats.non_finite_minibatches,
+            minibatches: stats.minibatches,
+        });
+    }
+    Ok((weights, Some(stats)))
 }
 
 /// Marginal inference, partitioned: the grounded graph decomposes into
@@ -461,23 +463,34 @@ impl Stage for InferStage {
         let weights = data.weights.as_ref().ok_or_else(|| {
             HoloError::Pipeline("Infer stage ran before Learn produced weights".into())
         })?;
-        let ctx = cx.value_context();
-        let (marginals, partition) = infer_partitioned(
-            &model.graph,
-            weights,
-            &ctx,
-            &PartitionedConfig {
-                gibbs: cx.config.gibbs,
-                exact_limit: cx.config.exact_component_limit,
-                chromatic: cx.config.chromatic_gibbs,
-                score_cache: cx.config.score_cache,
-            },
-            cx.config.threads,
-        );
+        let (marginals, partition) = infer_marginals(model, weights, &cx.ds, &cx.config);
         data.partition_stats = Some(partition);
         data.marginals = Some(marginals);
         Ok(())
     }
+}
+
+/// Partitioned inference over `model` under `weights` — the body of
+/// [`InferStage`], shared with [`crate::stream::StreamSession`] and
+/// [`crate::feedback::FeedbackSession`].
+pub(crate) fn infer_marginals(
+    model: &CompiledModel,
+    weights: &Weights,
+    ds: &Dataset,
+    config: &HoloConfig,
+) -> (Marginals, PartitionStats) {
+    infer_partitioned(
+        &model.graph,
+        weights,
+        &DatasetContext::new(ds),
+        &PartitionedConfig {
+            gibbs: config.gibbs,
+            exact_limit: config.exact_component_limit,
+            chromatic: config.chromatic_gibbs,
+            score_cache: config.score_cache,
+        },
+        config.threads,
+    )
 }
 
 /// An ordered list of stages plus the driver loop.

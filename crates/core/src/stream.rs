@@ -1,168 +1,112 @@
-//! Streaming ingestion: the one-shot pipeline as an **incremental
-//! engine** with batch-equivalent repairs.
+//! Streaming ingestion: a session that absorbs inserts, updates and
+//! deletes cheaply and answers reads **batch-equivalently**.
 //!
-//! The paper specifies HoloClean as compile-then-infer over a frozen
-//! dataset; a production service ingests tuples continuously. PClean
-//! (arXiv 2007.11838) and the PUD framework (arXiv 1801.06750) both argue
-//! the resolution: keep **one** probabilistic model alive and *condition
-//! it on growing evidence*, recomputing only the part of the model a new
-//! record touches. [`StreamSession`] is that engine, built on the
-//! incremental substrates of the earlier refactors — the in-place
-//! [`holo_factor::DesignMatrix`] patching, the in-place
-//! [`holo_factor::ComponentIndex`] maintenance, and partitioned
-//! inference.
+//! The paper compiles its model over a frozen table; a service sees the
+//! table move. What PClean (arXiv 2007.11838) and PUD (arXiv 1801.06750)
+//! carry forward as evidence grows is *sufficient statistics*, never
+//! grounded factors, and [`StreamSession`] does the same: a mutation
+//! updates the table, its statistics and its violations; a read compiles
+//! the model from them through the one-shot compiler.
 //!
-//! ## Per-batch dataflow ([`StreamSession::push_batch`])
+//! ## Maintained per mutation
 //!
-//! 1. **Append** — rows join the dataset with stable `TupleId`s;
-//!    co-occurrence statistics fold in the batch incrementally
-//!    (`CooccurStats::extend_with_threads`, `O(batch · |A|²)`).
-//! 2. **Delta detect** — a persistent blocking index
-//!    ([`holo_constraints::DeltaViolationIndex`]) is probed with *only
-//!    the new tuples, in both join directions*; the per-batch violations
-//!    union to exactly the one-shot violation set.
-//! 3. **Delta compile** — an *affected set* of old tuples is derived from
-//!    value postings (same-column sharing moves co-occurrence counts;
-//!    join-key postings over stored values **and** domain candidates move
-//!    relaxed-DC partner counts). Domains and features are recomputed
-//!    only for cells of affected tuples (plus the batch itself); every
-//!    other cell reuses its cached compile verbatim. Changes funnel
-//!    through the [`holo_factor::FactorGraph`] mutators, so the design
-//!    matrix and component index **patch in place** — after the first
-//!    batch their `full_builds` counters stay at 1 for the life of the
-//!    stream (test-pinned).
-//! 4. **Warm-start learning** — when
-//!    [`crate::config::StreamConfig::refine_each_batch`] is on, SGD
-//!    resumes from the
-//!    current weights over a replay window biased to the new evidence
-//!    ([`holo_factor::learn::train_replay`]) so interim posteriors stay
-//!    fresh at `O(window)` per batch.
-//! 5. **Re-inference** — restricted to the query-bearing components via
-//!    [`holo_factor::infer_partitioned`], on demand.
+//! Everything here is exact and costs `O(batch)`, not `O(table)`:
+//!
+//! * the **dataset**, with stable `TupleId`s — deletes tombstone, updates
+//!   rewrite in place, nothing renumbers;
+//! * the **co-occurrence statistics**, by signed deltas
+//!   (`CooccurStats::extend_with_threads` / `retract_with_threads` /
+//!   `absorb_rows_with_threads`);
+//! * the **violations**: a persistent blocking index
+//!   ([`holo_constraints::DeltaViolationIndex`]) is probed with only the
+//!   rows a batch touched, in both join directions, and retraction drops
+//!   the violations of removed rows — so the live violation set, and the
+//!   noisy-cell set derived from it, always equal a one-shot scan of the
+//!   live table.
+//!
+//! Every batch is validated before the first of these is touched, so a
+//! rejected batch ([`HoloError::Stream`]) leaves the session as it was.
+//!
+//! ## Built per read
+//!
+//! [`StreamSession::try_report`] hands the live table, the maintained
+//! statistics and the live violations to [`crate::compile::compile`] —
+//! the function [`crate::pipeline::CompileStage`] calls, here with an
+//! empty match lookup — then learns from the priors and infers through
+//! the code of [`crate::pipeline::LearnStage`] and
+//! [`crate::pipeline::InferStage`]. There is one compiler; the session
+//! owns no second route to a model.
+//!
+//! **Why nothing of a model is kept across a mutation.** Algorithm 2
+//! prunes a cell's domain by `Pr[v | v']` over the *whole* table, and the
+//! relaxed DC features count partners over the whole table. A new row
+//! that shares one value with an old row moves that old row's
+//! conditional probabilities, hence its domain and its features; evidence
+//! sampling is a seeded draw over all clean cells, so membership shifts
+//! too. Measured on insert-only feeds of hospital (996 rows) and
+//! physicians (4 000 rows) at 4, 16 and 64 batches, a per-cell compile
+//! cache reused **0 cells**: every batch's affected set was the whole
+//! table. SGD's endpoint depends on its whole trajectory, so learning
+//! restarts from the priors regardless.
+//!
+//! **Staleness rule.** The session holds at most one [`StreamModel`], the
+//! model of the current live table. A successful mutation discards it; a
+//! read builds it if absent and otherwise serves it as is, so repeated
+//! reads of an unchanged session cost a report extraction each.
+//! [`IngestStats::canonical_retrains`] counts the builds.
 //!
 //! ## The equivalence contract
 //!
-//! [`StreamSession::report`] is **batch-equivalent**: feeding a dataset
-//! in any number of batches, at any thread count, produces repairs and
-//! posteriors *byte-identical* to the one-shot [`crate::HoloClean`] run
-//! over the final dataset. Three mechanisms carry the guarantee:
-//!
-//! * the affected-set recomputation is a sound over-approximation, so a
-//!   cell's cached domain/features are reused only when a fresh compile
-//!   would reproduce them exactly;
-//! * everything order-sensitive is order-canonical: evidence is
-//!   re-selected per batch by replaying the compiler's seeded sampling
-//!   over the full dataset, SGD visits examples through
-//!   [`holo_factor::learn::train_examples`] in the canonical
-//!   (attribute-major, cell-sorted) order rather than graph insertion
-//!   order, and domain ties break on value *strings* (interning order
-//!   differs between the streaming and one-shot loaders);
-//! * batch-equivalent reads run a **canonical retrain** — full SGD from
-//!   the priors over the canonical example order — because an SGD
-//!   endpoint is a function of its whole trajectory, so no warm-started
-//!   shortcut can be bitwise-faithful. The model is never recompiled for
-//!   it: the retrain reads the patched design matrix.
-//!
-//! Retired variables (a cell whose domain changed, an evidence cell that
-//! fell out of the replay sample) are *pinned* in place — pinning keeps
-//! the design matrix and component index valid without a rebuild — and
-//! excluded from the canonical example and query lists, so they are
-//! invisible to learning, inference, and reports.
-//!
-//! ## Retraction: updates, deletes, and compaction
-//!
-//! Growth is not the only mutation: [`StreamSession::push_updates`]
-//! rewrites live rows in place and [`StreamSession::push_deletes`]
-//! tombstones them (`TupleId`s are stable — deletion never renumbers).
-//! Every incrementally-maintained layer folds the retraction *out*:
-//! co-occurrence statistics via
-//! [`holo_dataset::CooccurStats::retract_with_threads`], the blocking
-//! index via [`holo_constraints::DeltaViolationIndex::retract`] (so
-//! delta detection stays union-equal to a one-shot scan of the live
-//! table), and the factor graph via **clique retirement**
-//! ([`holo_factor::FactorGraph::retire_clique`]) and evidence pinning —
-//! all in-place patches, so between compaction ticks every
-//! `full_builds` counter stays frozen.
-//!
-//! What patching cannot do is *renumber*: tombstoned rows, pinned
-//! variables and retired cliques keep their slots. The amortised cure is
-//! [`StreamSession::compact`] — scheduled every
-//! [`crate::config::StreamConfig::compact_every`] mutation batches, or
-//! run lazily before an exact read that needs it — which rebuilds the
-//! graph, the feature registry and all three cached structures from the
-//! live table only, carrying the cumulative counters across the swap.
-//! Any retraction (and, under a clique-grounding variant, any push at
-//! all) marks the session dirty, so the next batch-equivalent read
-//! compacts first: exactness comes from the canonical rebuild,
-//! incrementality from how rarely it runs. Insert-only streams of the
-//! relaxed model never compact — their patch-path pin
-//! (`full_builds == 1` for the life of the stream) still holds.
-//!
-//! Reports are issued in **live coordinates**: repairs and posteriors
-//! remap each physical `TupleId` to its rank among live tuples, so the
-//! output is byte-identical to a one-shot run over the final live table
-//! (the remap is the identity for insert-only streams).
-//!
-//! ## Scope
-//!
-//! The streaming engine serves every model variant. The **relaxed §5.2
-//! model** ([`crate::ModelVariant::DcFeats`], the default and the
-//! paper's own recommendation at scale) streams on the pure patch path.
-//! The DC-clique variants stream through retirement plus compaction:
-//! between ticks, stale cliques are retired in place (components never
-//! re-split, colors never lower) and newly-implied cliques wait for the
-//! next compaction, which re-grounds Algorithm 1 over the live table —
-//! so interim reports are best-effort while exact reads stay
-//! byte-equivalent. Source-reliability features and external
-//! dictionaries remain out of scope ([`StreamSession::new`] rejects
-//! them).
+//! A read is byte-identical — repairs and posteriors — to a one-shot
+//! [`crate::HoloClean`] run over the final live table, for any batch
+//! split, any interleaving of inserts, updates and deletes, any model
+//! variant and any thread count. It holds by construction: same compiler,
+//! same inputs. What differs is coordinates — the session's `TupleId`s
+//! have tombstone gaps and its value pool interned transient values — so
+//! reports are issued in **live coordinates**: each physical `TupleId`
+//! maps to its rank among live tuples and each symbol to its row-major
+//! first-appearance rank over the live table, which is what a fresh
+//! loader assigns. Source-reliability features and external dictionaries
+//! need the one-shot path ([`StreamSession::new`] rejects the former;
+//! there is no way to attach the latter).
 
-use crate::compile::{
-    build_components, collect_cell_features, ground_dc_factors, select_evidence_cells, CompileStats,
-};
+use crate::compile::{compile, CompileInput, CompiledModel};
 use crate::config::HoloConfig;
-use crate::context::DatasetContext;
-use crate::domain::CellDomains;
 use crate::error::HoloError;
-use crate::features::{DcFeaturizer, FeatureBuffer, FeatureKey, MatchLookup};
-use crate::pipeline::{StageKind, StageTimings};
+use crate::features::MatchLookup;
+use crate::pipeline::{infer_marginals, learn_weights, StageKind, StageTimings};
 use crate::repair::RepairReport;
 use holo_constraints::{parse_constraints, ConstraintSet, DeltaViolationIndex, Violation};
 use holo_dataset::{
     AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Schema, Sym, TupleId,
 };
-use holo_factor::{
-    infer_partitioned, learn, FactorGraph, FeatureRegistry, LearnStats, Marginals, PartitionStats,
-    PartitionedConfig, VarId, Variable, Weights,
-};
+use holo_factor::{DesignStats, LearnStats, Marginals, Weights};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Cumulative streaming counters, riding in [`StageTimings::ingest`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestStats {
-    /// Batches ingested.
+    /// Mutation batches accepted (pushes, updates and deletes).
     pub batches: u64,
-    /// Tuples ingested.
+    /// Tuples appended.
     pub tuples: u64,
-    /// Violations found by delta detection (== one-shot total, by the
-    /// delta-index contract).
+    /// Violations found by delta detection.
     pub delta_violations: u64,
-    /// Old tuples pulled into recompilation by the affected-set analysis.
-    pub affected_tuples: u64,
-    /// Cells whose domain/features were recomputed.
+    /// Noisy and evidence cells compiled, summed over model builds.
     pub cells_recomputed: u64,
-    /// Cells that reused their cached compile verbatim.
+    /// Always 0: no compile state outlives a mutation (see the module
+    /// docs). Kept because the benchmark reads the field.
     pub cells_reused: u64,
-    /// Variables appended to the live graph (patching the design matrix
-    /// and component index in place).
+    /// Variables of the models built, summed over builds.
     pub vars_added: u64,
-    /// Variables retired (pinned out of the model, or dropped from the
-    /// evidence sample).
+    /// Variables of the models a mutation discarded.
     pub vars_retired: u64,
-    /// Minibatches executed by warm-start replay passes.
+    /// Always 0: there is no warm-start replay. Kept because the
+    /// benchmark reads the field.
     pub replay_minibatches: u64,
-    /// Canonical from-priors retrains executed for batch-equivalent reads.
+    /// Models built. Each build trains from the priors, so this is also
+    /// the number of canonical retrains.
     pub canonical_retrains: u64,
     /// Rows tombstoned by [`StreamSession::push_deletes`].
     pub rows_deleted: u64,
@@ -170,7 +114,21 @@ pub struct IngestStats {
     pub rows_updated: u64,
 }
 
-/// What one [`StreamSession::push_batch`] call did.
+/// Model turnover and table liveness of a session, riding in
+/// [`StageTimings::retire`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RetireStats {
+    /// Models discarded by a mutation and rebuilt by a later read. The
+    /// session's first build is not one, so after any read
+    /// `design_stats().full_builds == 1 + compactions`.
+    pub compactions: u64,
+    /// Live rows of the backing table.
+    pub live_rows: u64,
+    /// Tombstoned rows of the backing table.
+    pub dead_rows: u64,
+}
+
+/// What one mutation batch did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// Rows appended.
@@ -181,32 +139,23 @@ pub struct BatchReport {
     pub updated: usize,
     /// Violations the batch introduced.
     pub new_violations: usize,
-    /// Old tuples whose cells needed recompilation.
-    pub affected_tuples: usize,
-    /// Cells recomputed (batch cells + affected-tuple cells).
-    pub cells_recomputed: usize,
-    /// Cells served from the compile cache.
-    pub cells_reused: usize,
-    /// Variables appended to the live graph.
-    pub vars_added: usize,
-    /// Variables retired.
-    pub vars_retired: usize,
 }
 
-/// Cached compile state of one live cell.
-struct CellState {
-    /// The live variable, if the cell has ≥ 2 candidates.
-    var: Option<VarId>,
-    /// Query (noisy) vs evidence role.
-    query: bool,
-    /// Pruned candidate domain (Algorithm 2 order).
-    domain: Vec<Sym>,
-    /// Collected features (empty for var-less singleton cells).
-    features: FeatureBuffer,
+/// The model of a session's current live table, as the last read built
+/// it.
+pub struct StreamModel {
+    /// The one-shot compiler's output over the live table.
+    pub compiled: CompiledModel,
+    /// The weights learned from `compiled.weights`.
+    pub weights: Weights,
+    /// Learning diagnostics (`None` when the model has no evidence).
+    pub learn_stats: Option<LearnStats>,
+    /// Posteriors of the query variables.
+    pub marginals: Marginals,
 }
 
-/// The incremental repair engine. See the module docs for the dataflow
-/// and the equivalence contract.
+/// The streaming repair session. See the module docs for what a mutation
+/// maintains, what a read builds, and the equivalence contract.
 ///
 /// ```
 /// use holo_dataset::Schema;
@@ -233,52 +182,15 @@ pub struct StreamSession {
     config: HoloConfig,
     /// Persistent violation blocking index (forward + backward).
     delta_index: DeltaViolationIndex,
-    /// Incrementally-maintained co-occurrence statistics.
+    /// Co-occurrence statistics of the live table.
     stats: CooccurStats,
-    /// `(attr, stored value) → tuples`, for the affected-set analysis.
-    postings: FxHashMap<(AttrId, Sym), Vec<TupleId>>,
-    /// `(join-key attr, domain candidate) → tuples`: cells on join-key
-    /// attributes depend on partner buckets of *every* candidate, not
-    /// just the stored value.
-    cand_postings: FxHashMap<(AttrId, Sym), FxHashSet<TupleId>>,
-    /// Attributes participating in some cross-tuple equality predicate,
-    /// as `(t1-side, t2-side)` pairs.
-    eq_pairs: Vec<(AttrId, AttrId)>,
-    /// Some two-tuple constraint has no equality join key: its relaxed
-    /// features couple every tuple to every tuple, so every batch
-    /// invalidates everything.
-    global_coupling: bool,
-    /// Violations alive over the live table — retraction `retain`s them
-    /// out, so the set stays union-equal to a one-shot scan.
+    /// Violations over the live table.
     live_violations: Vec<Violation>,
+    /// The cells of `live_violations`.
     noisy: FxHashSet<CellRef>,
-    /// An exact read can only be served after a compaction: set by any
-    /// retraction (stale registry keys would skew the weight vector) and
-    /// by every push under a clique-grounding variant.
-    needs_compact: bool,
-    /// Mutation batches since the last compaction, driving the
-    /// [`crate::config::StreamConfig::compact_every`] schedule.
-    batches_since_compact: usize,
-    graph: FactorGraph,
-    registry: FeatureRegistry<FeatureKey>,
-    cell_states: FxHashMap<CellRef, CellState>,
-    /// Live query cells/vars, sorted by cell — the report order.
-    query_cells: Vec<CellRef>,
-    query_vars: Vec<VarId>,
-    /// Live evidence vars in canonical (attribute-major, cell-sorted
-    /// selection) order — the SGD example order.
-    examples: Vec<VarId>,
-    /// Evidence vars split as (reused, fresh-this-batch) for replay.
-    replay_order: Vec<VarId>,
-    fresh_examples: usize,
-    weights: Weights,
-    /// Whether `weights` came from a canonical retrain of the current
-    /// model (vs a warm replay or a stale batch).
-    weights_exact: bool,
-    marginals: Option<Marginals>,
-    compile_stats: CompileStats,
-    learn_stats: Option<LearnStats>,
-    partition_stats: Option<PartitionStats>,
+    /// The model of the current live table; `None` until the first read
+    /// and after every mutation.
+    model: Option<StreamModel>,
     timings: StageTimings,
 }
 
@@ -288,11 +200,7 @@ impl StreamSession {
     /// feed rows with [`StreamSession::push_batch`].
     pub fn new(schema: Schema, text: &str, config: HoloConfig) -> Result<Self, HoloError> {
         let mut ds = Dataset::new(schema);
-        let parsed = parse_constraints(text, &mut ds)?;
-        let mut constraints = ConstraintSet::new();
-        for (_, c) in parsed.iter() {
-            constraints.push(c.clone());
-        }
+        let constraints = parse_constraints(text, &mut ds)?;
         Self::with_constraints(ds, constraints, config)
     }
 
@@ -314,32 +222,6 @@ impl StreamSession {
                 "source-reliability features are not supported by the streaming engine".into(),
             ));
         }
-        let mut eq_pairs: Vec<(AttrId, AttrId)> = Vec::new();
-        let mut global_coupling = false;
-        for (_, c) in constraints.iter() {
-            if !c.two_tuple {
-                continue;
-            }
-            let mut found = false;
-            for p in &c.predicates {
-                if !p.is_cross_tuple_eq() {
-                    continue;
-                }
-                found = true;
-                let rhs_attr = match p.rhs {
-                    holo_constraints::Operand::Cell(_, a) => a,
-                    holo_constraints::Operand::Const(_) => continue,
-                };
-                let pair = match p.lhs_tuple {
-                    holo_constraints::TupleVar::T1 => (p.lhs_attr, rhs_attr),
-                    holo_constraints::TupleVar::T2 => (rhs_attr, p.lhs_attr),
-                };
-                if !eq_pairs.contains(&pair) {
-                    eq_pairs.push(pair);
-                }
-            }
-            global_coupling |= !found;
-        }
         let delta_index = DeltaViolationIndex::new(&constraints);
         let stats = CooccurStats::build_with_opts(&ds, 1, config.naive_stats);
         Ok(StreamSession {
@@ -348,36 +230,17 @@ impl StreamSession {
             config,
             delta_index,
             stats,
-            postings: FxHashMap::default(),
-            cand_postings: FxHashMap::default(),
-            eq_pairs,
-            global_coupling,
             live_violations: Vec::new(),
             noisy: FxHashSet::default(),
-            needs_compact: false,
-            batches_since_compact: 0,
-            graph: FactorGraph::new(),
-            registry: FeatureRegistry::new(),
-            cell_states: FxHashMap::default(),
-            query_cells: Vec::new(),
-            query_vars: Vec::new(),
-            examples: Vec::new(),
-            replay_order: Vec::new(),
-            fresh_examples: 0,
-            weights: Weights::zeros(0),
-            weights_exact: false,
-            marginals: None,
-            compile_stats: CompileStats::default(),
-            learn_stats: None,
-            partition_stats: None,
+            model: None,
             timings: StageTimings::default(),
         })
     }
 
-    /// Ingests one batch of raw rows: append → delta detect → delta
-    /// compile → (optional) warm-start replay. Returns what the batch
-    /// cost; batch-equivalent repairs are read with
-    /// [`StreamSession::report`].
+    /// Appends one batch of raw rows: the statistics absorb them and the
+    /// blocking index is probed with them, so the violation and noisy
+    /// sets stay equal to a one-shot scan. A row of the wrong arity
+    /// rejects the whole batch before anything changes.
     pub fn push_batch<S: AsRef<str>>(&mut self, rows: &[Vec<S>]) -> Result<BatchReport, HoloError> {
         let arity = self.ds.schema().len();
         for (i, row) in rows.iter().enumerate() {
@@ -389,12 +252,6 @@ impl StreamSession {
             }
         }
         let threads = self.config.threads;
-        let mut report = BatchReport {
-            appended: rows.len(),
-            ..BatchReport::default()
-        };
-
-        // ---- Append + incremental statistics + delta detection ----
         let t_detect = Instant::now();
         let from = self.ds.append_rows(rows);
         self.stats.extend_with_threads(&self.ds, from, threads);
@@ -404,120 +261,46 @@ impl StreamSession {
         for v in &new_violations {
             self.noisy.extend(v.cells.iter().copied());
         }
-        report.new_violations = new_violations.len();
-        self.timings.record(StageKind::Detect, t_detect.elapsed());
-
-        // ---- Delta compile ----
-        let t_compile = Instant::now();
-        if self.config.stream.force_full_rebuild {
-            self.graph.invalidate_design();
-            self.graph.invalidate_components();
-        }
-        let affected = self.affected_tuples(from, &new_violations);
-        report.affected_tuples = affected.len();
-        // New tuples join the postings only now, so the affected-set scan
-        // above saw exactly the pre-batch state.
-        for t in from.index()..self.ds.tuple_count() {
-            let t = TupleId(t as u32);
-            for attr in self.ds.schema().attrs() {
-                let v = self.ds.cell(t, attr);
-                if !v.is_null() {
-                    self.postings.entry((attr, v)).or_default().push(t);
-                }
-            }
-        }
+        let report = BatchReport {
+            appended: rows.len(),
+            new_violations: new_violations.len(),
+            ..BatchReport::default()
+        };
         self.live_violations.extend(new_violations);
-        self.recompile(&affected, from, &mut report, false)?;
-        self.timings.record(StageKind::Compile, t_compile.elapsed());
-
-        self.invalidate_and_replay();
-
-        let ingest = &mut self.timings.ingest;
-        ingest.batches += 1;
-        ingest.tuples += rows.len() as u64;
-        ingest.delta_violations += report.new_violations as u64;
-        self.accumulate(&report);
-        self.finish_mutation()?;
+        self.timings.record(StageKind::Detect, t_detect.elapsed());
+        self.mark_stale(&report);
         Ok(report)
     }
 
-    /// Tombstones live rows. Statistics, the blocking index, the live
-    /// violation store and the value postings all fold the rows *out*;
-    /// query variables of the dead cells are pinned in place and their
-    /// clique factors retired; cells the rows conditioned are recompiled.
-    /// `TupleId`s are stable — nothing is renumbered until
-    /// [`StreamSession::compact`] — and the session is marked dirty, so
-    /// the next exact read compacts first.
+    /// Tombstones live rows: statistics, the blocking index and the live
+    /// violations fold the rows out. `TupleId`s are stable — nothing is
+    /// renumbered. A row that is out of range, already dead, or named
+    /// twice rejects the whole batch before anything changes.
     pub fn push_deletes(&mut self, rows: &[TupleId]) -> Result<BatchReport, HoloError> {
         self.validate_live(rows)?;
         let threads = self.config.threads;
-        let mut report = BatchReport {
-            deleted: rows.len(),
-            ..BatchReport::default()
-        };
-
-        // ---- Retract statistics, index postings, and violations ----
         let t_detect = Instant::now();
         self.stats.retract_with_threads(&self.ds, rows, threads);
         self.delta_index.retract(&self.ds, rows);
-        let old_values = self.row_values(rows);
-        self.remove_postings(rows);
-        let dead: FxHashSet<TupleId> = rows.iter().copied().collect();
-        let dropped_cells = self.retain_violations(&dead);
+        self.drop_violations_of(rows);
         self.rebuild_noisy();
         self.ds.delete_rows(rows);
         self.timings.record(StageKind::Detect, t_detect.elapsed());
-
-        // ---- Patch the model: retire, pin, recompile the blast radius ----
-        let t_compile = Instant::now();
-        if self.config.stream.force_full_rebuild {
-            self.graph.invalidate_design();
-            self.graph.invalidate_components();
-        }
-        self.retire_cliques_touching(rows);
-        // Pin the dead cells' query variables to their observed value:
-        // the design matrix stays valid in place, inference skips them,
-        // and compaction renumbers them away.
-        for &t in rows {
-            for attr in self.ds.schema().attrs() {
-                let cell = CellRef { tuple: t, attr };
-                if let Some(st) = self.cell_states.get(&cell) {
-                    if let (Some(v), true) = (st.var, st.query) {
-                        let var = self.graph.var(v);
-                        let value = var.domain[var.init.unwrap_or(0)];
-                        self.graph.pin_evidence(v, value);
-                    }
-                }
-            }
-        }
-        let mut affected = self.affected_for_mutation(&old_values, &dropped_cells, &dead);
-        for t in &dead {
-            affected.remove(t);
-        }
-        report.affected_tuples = affected.len();
-        let from = TupleId(self.ds.tuple_count() as u32);
-        self.recompile(&affected, from, &mut report, false)?;
-        self.timings.record(StageKind::Compile, t_compile.elapsed());
-
-        self.invalidate_and_replay();
-        self.needs_compact = true;
-
-        let ingest = &mut self.timings.ingest;
-        ingest.batches += 1;
-        ingest.rows_deleted += rows.len() as u64;
-        self.accumulate(&report);
-        self.finish_mutation()?;
+        let report = BatchReport {
+            deleted: rows.len(),
+            ..BatchReport::default()
+        };
+        self.mark_stale(&report);
         Ok(report)
     }
 
-    /// Rewrites live rows in place (same `TupleId`, new values):
-    /// retraction of the old values and absorption of the new ones flow
-    /// through the same incremental layers as
-    /// [`StreamSession::push_deletes`] / [`StreamSession::push_batch`],
-    /// and the blocking index is re-probed with the rewritten rows in
-    /// both join directions so the live violation set stays union-equal
-    /// to a one-shot scan. Marks the session dirty for the next exact
-    /// read.
+    /// Rewrites live rows in place (same `TupleId`, new values): the old
+    /// values are retracted and the new ones absorbed through the same
+    /// layers as [`StreamSession::push_deletes`] /
+    /// [`StreamSession::push_batch`], and the blocking index is re-probed
+    /// with the rewritten rows in both join directions. A row that is not
+    /// live, is named twice, or has the wrong arity rejects the whole
+    /// batch before anything changes.
     pub fn push_updates<S: AsRef<str>>(
         &mut self,
         updates: &[(TupleId, Vec<S>)],
@@ -535,19 +318,10 @@ impl StreamSession {
             }
         }
         let threads = self.config.threads;
-        let mut report = BatchReport {
-            updated: rows.len(),
-            ..BatchReport::default()
-        };
-
-        // ---- Retract the old values, absorb the new, re-probe ----
         let t_detect = Instant::now();
         self.stats.retract_with_threads(&self.ds, &rows, threads);
         self.delta_index.retract(&self.ds, &rows);
-        let mut values = self.row_values(&rows);
-        self.remove_postings(&rows);
-        let touched: FxHashSet<TupleId> = rows.iter().copied().collect();
-        let dropped_cells = self.retain_violations(&touched);
+        self.drop_violations_of(&rows);
         self.ds.update_rows(updates);
         self.stats
             .absorb_rows_with_threads(&self.ds, &rows, threads);
@@ -555,132 +329,31 @@ impl StreamSession {
         let new_violations =
             self.delta_index
                 .probe_rows(&self.ds, &self.constraints, &rows, threads);
-        report.new_violations = new_violations.len();
-        values.extend(self.row_values(&rows));
-        self.add_postings(&rows);
-        self.timings.record(StageKind::Detect, t_detect.elapsed());
-
-        // ---- Patch the model ----
-        let t_compile = Instant::now();
-        if self.config.stream.force_full_rebuild {
-            self.graph.invalidate_design();
-            self.graph.invalidate_components();
-        }
-        self.retire_cliques_touching(&rows);
-        let mut affected =
-            self.affected_for_mutation(&values, &dropped_cells, &FxHashSet::default());
-        for v in &new_violations {
-            for cell in &v.cells {
-                affected.insert(cell.tuple);
-            }
-        }
-        affected.extend(rows.iter().copied());
+        let report = BatchReport {
+            updated: rows.len(),
+            new_violations: new_violations.len(),
+            ..BatchReport::default()
+        };
         self.live_violations.extend(new_violations);
         self.rebuild_noisy();
-        report.affected_tuples = affected.len();
-        let from = TupleId(self.ds.tuple_count() as u32);
-        self.recompile(&affected, from, &mut report, false)?;
-        self.timings.record(StageKind::Compile, t_compile.elapsed());
-
-        self.invalidate_and_replay();
-        self.needs_compact = true;
-
-        let ingest = &mut self.timings.ingest;
-        ingest.batches += 1;
-        ingest.rows_updated += rows.len() as u64;
-        ingest.delta_violations += report.new_violations as u64;
-        self.accumulate(&report);
-        self.finish_mutation()?;
+        self.timings.record(StageKind::Detect, t_detect.elapsed());
+        self.mark_stale(&report);
         Ok(report)
     }
 
-    /// The one amortised full rebuild: swaps in a fresh graph and
-    /// registry (carrying the cumulative counters across the swap) and
-    /// recompiles every live cell in the one-shot compiler's canonical
-    /// order, so tombstoned rows, pinned variables and retired cliques
-    /// are renumbered away and — under a clique-grounding variant —
-    /// Algorithm 1 is re-grounded over the live table. Runs on the
-    /// [`crate::config::StreamConfig::compact_every`] schedule and lazily
-    /// before exact reads that need it; calling it by hand is harmless.
-    pub fn compact(&mut self) -> Result<(), HoloError> {
-        let t_compile = Instant::now();
-        let old_graph = std::mem::replace(&mut self.graph, FactorGraph::new());
-        self.graph.carry_counters_from(&old_graph);
-        drop(old_graph);
-        self.registry = FeatureRegistry::new();
-        self.cell_states.clear();
-        self.cand_postings.clear();
-        let mut report = BatchReport::default();
-        self.recompile(&FxHashSet::default(), TupleId(0), &mut report, true)?;
-        self.graph.note_compaction(report.vars_added as u64);
-        // Warm weights are keyed by the retired registry; start the new
-        // model from its priors (the next exact read retrains anyway).
-        self.weights = self.registry.build_weights();
-        self.weights_exact = false;
-        self.marginals = None;
-        self.partition_stats = None;
-        self.needs_compact = false;
-        self.batches_since_compact = 0;
-        self.timings.record(StageKind::Compile, t_compile.elapsed());
-        Ok(())
-    }
-
-    /// Post-mutation bookkeeping shared by the three push paths: variants
-    /// that ground DC cliques can only be served exactly from a canonical
-    /// rebuild (Algorithm 1 re-grounding), and the scheduled compaction
-    /// ticks over every kind of mutation batch.
-    fn finish_mutation(&mut self) -> Result<(), HoloError> {
-        if self.config.variant.uses_dc_factors() {
-            self.needs_compact = true;
-        }
-        self.batches_since_compact += 1;
-        let every = self.config.stream.compact_every;
-        if every > 0 && self.batches_since_compact >= every {
-            self.compact()?;
-        }
-        Ok(())
-    }
-
-    /// Folds one batch's costs into the cumulative ingest counters.
-    fn accumulate(&mut self, report: &BatchReport) {
+    /// The end of every accepted mutation: the model of the previous
+    /// table is discarded whole (see the module docs for why no part of
+    /// it survives) and the batch is counted.
+    fn mark_stale(&mut self, report: &BatchReport) {
         let ingest = &mut self.timings.ingest;
-        ingest.affected_tuples += report.affected_tuples as u64;
-        ingest.cells_recomputed += report.cells_recomputed as u64;
-        ingest.cells_reused += report.cells_reused as u64;
-        ingest.vars_added += report.vars_added as u64;
-        ingest.vars_retired += report.vars_retired as u64;
-    }
-
-    /// Invalidates exact-read state after a mutation and, when
-    /// [`crate::config::StreamConfig::refine_each_batch`] is on, runs the
-    /// warm-start replay pass that keeps interim posteriors fresh.
-    fn invalidate_and_replay(&mut self) {
-        self.marginals = None;
-        self.partition_stats = None;
-        self.weights_exact = false;
-        if self.config.stream.refine_each_batch {
-            let t_learn = Instant::now();
-            let mut w = self.registry.build_weights();
-            w.adopt_learned(&self.weights);
-            let recent = self
-                .fresh_examples
-                .min(self.config.stream.replay_window.max(1));
-            // Like every learn site, replay rebuilds the packed arena
-            // per call, so batch-patched design matrices never serve a
-            // stale pack.
-            let stats = learn::train_replay(
-                &self.graph,
-                &mut w,
-                &self.config.learn,
-                self.config.threads,
-                &self.replay_order,
-                recent,
-                self.config.stream.replay_epochs,
-            );
-            self.timings.ingest.replay_minibatches += stats.minibatches as u64;
-            self.weights = w;
-            self.timings.record(StageKind::Learn, t_learn.elapsed());
+        if let Some(model) = self.model.take() {
+            ingest.vars_retired += model.compiled.graph.var_count() as u64;
         }
+        ingest.batches += 1;
+        ingest.tuples += report.appended as u64;
+        ingest.rows_deleted += report.deleted as u64;
+        ingest.rows_updated += report.updated as u64;
+        ingest.delta_violations += report.new_violations as u64;
     }
 
     /// Rejects mutation batches naming rows that are out of range, dead,
@@ -704,64 +377,14 @@ impl StreamSession {
         Ok(())
     }
 
-    /// The `(attr, value)` pairs currently stored in `rows`.
-    fn row_values(&self, rows: &[TupleId]) -> Vec<(AttrId, Sym)> {
-        let mut vals = Vec::with_capacity(rows.len() * self.ds.schema().len());
-        for &t in rows {
-            for attr in self.ds.schema().attrs() {
-                vals.push((attr, self.ds.cell(t, attr)));
-            }
-        }
-        vals
+    /// Drops the violations with an endpoint in `rows`.
+    fn drop_violations_of(&mut self, rows: &[TupleId]) {
+        let rows: FxHashSet<TupleId> = rows.iter().copied().collect();
+        self.live_violations
+            .retain(|v| !rows.contains(&v.t1) && !rows.contains(&v.t2));
     }
 
-    /// Removes `rows` from the value postings of their current values.
-    fn remove_postings(&mut self, rows: &[TupleId]) {
-        for &t in rows {
-            for attr in self.ds.schema().attrs() {
-                let v = self.ds.cell(t, attr);
-                if v.is_null() {
-                    continue;
-                }
-                if let Some(bucket) = self.postings.get_mut(&(attr, v)) {
-                    if let Some(pos) = bucket.iter().position(|&x| x == t) {
-                        bucket.swap_remove(pos);
-                    }
-                    if bucket.is_empty() {
-                        self.postings.remove(&(attr, v));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Adds `rows` to the value postings of their current values.
-    fn add_postings(&mut self, rows: &[TupleId]) {
-        for &t in rows {
-            for attr in self.ds.schema().attrs() {
-                let v = self.ds.cell(t, attr);
-                if !v.is_null() {
-                    self.postings.entry((attr, v)).or_default().push(t);
-                }
-            }
-        }
-    }
-
-    /// Drops violations with an endpoint in `rows`, returning the cells
-    /// of the dropped violations (their roles may flip back to clean).
-    fn retain_violations(&mut self, rows: &FxHashSet<TupleId>) -> Vec<CellRef> {
-        let mut dropped: Vec<CellRef> = Vec::new();
-        self.live_violations.retain(|v| {
-            let keep = !rows.contains(&v.t1) && !rows.contains(&v.t2);
-            if !keep {
-                dropped.extend(v.cells.iter().copied());
-            }
-            keep
-        });
-        dropped
-    }
-
-    /// Recomputes the noisy-cell set from the live violation store.
+    /// Recomputes the noisy-cell set from the live violations.
     fn rebuild_noisy(&mut self) {
         self.noisy.clear();
         for v in &self.live_violations {
@@ -769,489 +392,90 @@ impl StreamSession {
         }
     }
 
-    /// Retires every clique factor adjacent to a variable of `rows` —
-    /// the in-place disable whose zeroed score keeps the design matrix,
-    /// component index and coloring valid until compaction renumbers.
-    fn retire_cliques_touching(&mut self, rows: &[TupleId]) {
-        if !self.graph.has_cliques() {
-            return;
-        }
-        let mut to_retire: Vec<u32> = Vec::new();
-        for &t in rows {
-            for attr in self.ds.schema().attrs() {
-                let cell = CellRef { tuple: t, attr };
-                if let Some(st) = self.cell_states.get(&cell) {
-                    if let Some(v) = st.var {
-                        to_retire.extend(self.graph.cliques_of(v).iter().copied());
-                    }
-                }
-            }
-        }
-        to_retire.sort_unstable();
-        to_retire.dedup();
-        for idx in to_retire {
-            self.graph.retire_clique(idx);
-        }
-    }
+    /// Compiles, trains and infers the model of the current live table —
+    /// the one-shot Compile, Learn and Infer stages over the maintained
+    /// statistics and violations.
+    fn build_model(&mut self) -> Result<StreamModel, HoloError> {
+        let t_compile = Instant::now();
+        let compiled = compile(&CompileInput {
+            ds: &self.ds,
+            constraints: &self.constraints,
+            noisy: &self.noisy,
+            violations: &self.live_violations,
+            stats: &self.stats,
+            matches: &MatchLookup::default(),
+            config: &self.config,
+        })?;
+        self.timings.record(StageKind::Compile, t_compile.elapsed());
 
-    /// Live tuples a fresh compile could score differently after a
-    /// retraction whose rows held `values` (old values, plus — for
-    /// updates — the new ones): the same posting/candidate-bucket hits as
-    /// the insert path's [`StreamSession::affected_tuples`], plus the
-    /// partner cells of violations the mutation removed.
-    fn affected_for_mutation(
-        &self,
-        values: &[(AttrId, Sym)],
-        dropped_cells: &[CellRef],
-        exclude: &FxHashSet<TupleId>,
-    ) -> FxHashSet<TupleId> {
-        let mut affected: FxHashSet<TupleId> = FxHashSet::default();
-        if self.config.stream.force_full_rebuild || self.global_coupling {
-            affected.extend(self.ds.tuples().filter(|t| !exclude.contains(t)));
-            return affected;
-        }
-        for cell in dropped_cells {
-            affected.insert(cell.tuple);
-        }
-        let hit = |key: (AttrId, Sym), affected: &mut FxHashSet<TupleId>| {
-            if let Some(ts) = self.postings.get(&key) {
-                affected.extend(ts.iter().copied());
-            }
-            if let Some(ts) = self.cand_postings.get(&key) {
-                affected.extend(ts.iter().copied());
-            }
-        };
-        for &(attr, v) in values {
-            if v.is_null() {
-                continue;
-            }
-            hit((attr, v), &mut affected);
-            for &(a1, a2) in &self.eq_pairs {
-                if a2 == attr {
-                    hit((a1, v), &mut affected);
-                }
-                if a1 == attr {
-                    hit((a2, v), &mut affected);
-                }
-            }
-        }
-        affected
-    }
+        let t_learn = Instant::now();
+        let (weights, learn_stats) = learn_weights(&compiled, &self.config)?;
+        self.timings.record(StageKind::Learn, t_learn.elapsed());
 
-    /// Old tuples whose cells a fresh compile could score differently
-    /// after this batch — a sound over-approximation (see module docs).
-    fn affected_tuples(&self, from: TupleId, new_violations: &[Violation]) -> FxHashSet<TupleId> {
-        let mut affected: FxHashSet<TupleId> = FxHashSet::default();
-        if self.config.stream.force_full_rebuild || self.global_coupling {
-            affected.extend((0..from.index()).map(|t| TupleId(t as u32)));
-            return affected;
-        }
-        // Violations re-flag cells of old partner tuples (role changes).
-        for v in new_violations {
-            for cell in &v.cells {
-                if cell.tuple < from {
-                    affected.insert(cell.tuple);
-                }
-            }
-        }
-        let hit = |key: (AttrId, Sym), affected: &mut FxHashSet<TupleId>| {
-            if let Some(ts) = self.postings.get(&key) {
-                affected.extend(ts.iter().copied());
-            }
-            if let Some(ts) = self.cand_postings.get(&key) {
-                affected.extend(ts.iter().copied());
-            }
-        };
-        for t in from.index()..self.ds.tuple_count() {
-            let t = TupleId(t as u32);
-            for attr in self.ds.schema().attrs() {
-                let v = self.ds.cell(t, attr);
-                if v.is_null() {
-                    continue;
-                }
-                // Same-column sharing moves frequency and co-occurrence
-                // counts of every tuple holding `v` at `attr`.
-                hit((attr, v), &mut affected);
-                // Join-key sharing moves relaxed-DC partner counts: the
-                // new tuple enters the partner bucket of any tuple whose
-                // opposite-side key (stored or candidate) matches.
-                for &(a1, a2) in &self.eq_pairs {
-                    if a2 == attr {
-                        hit((a1, v), &mut affected);
-                    }
-                    if a1 == attr {
-                        hit((a2, v), &mut affected);
-                    }
-                }
-            }
-        }
-        affected
-    }
+        let t_infer = Instant::now();
+        let (marginals, partition) = infer_marginals(&compiled, &weights, &self.ds, &self.config);
+        self.timings.partition = partition;
+        self.timings.record(StageKind::Infer, t_infer.elapsed());
 
-    /// Rebuilds the canonical model spec for the current dataset —
-    /// recomputing only cells in or conflicting with the batch — and
-    /// patches the live graph to match it.
-    fn recompile(
-        &mut self,
-        affected: &FxHashSet<TupleId>,
-        from: TupleId,
-        report: &mut BatchReport,
-        ground_cliques: bool,
-    ) -> Result<(), HoloError> {
-        let threads = self.config.threads;
-        let config = &self.config;
-        let ds = &self.ds;
-        let stats = &self.stats;
-        let dc_featurizer = config
-            .variant
-            .uses_dc_features()
-            .then(|| DcFeaturizer::new(ds, &self.constraints, config));
-
-        // ---- Canonical membership ----
-        let mut noisy_cells: Vec<CellRef> = self.noisy.iter().copied().collect();
-        noisy_cells.sort_unstable();
-        // Evidence selection runs the one-shot compiler's *own* seeded
-        // sampling (shared helper) over the full dataset — membership is
-        // a function of (dataset, noisy set, seed), not of arrival order.
-        let selected = select_evidence_cells(ds, &self.noisy, config);
-
-        // ---- Recompute the cells a fresh compile could change ----
-        let needs_recompute =
-            |cell: &CellRef, query: bool, states: &FxHashMap<CellRef, CellState>| {
-                cell.tuple >= from
-                    || affected.contains(&cell.tuple)
-                    || match states.get(cell) {
-                        Some(st) => st.query != query,
-                        None => true,
-                    }
-            };
-        let evidence_tau = config.tau.min(config.evidence_tau_cap);
-        let mut work: Vec<(CellRef, bool)> = Vec::new();
-        for &cell in &noisy_cells {
-            if needs_recompute(&cell, true, &self.cell_states) {
-                work.push((cell, true));
-            }
-        }
-        for &cell in &selected {
-            if needs_recompute(&cell, false, &self.cell_states) {
-                work.push((cell, false));
-            }
-        }
-        // No dictionaries and no source features in streaming sessions:
-        // the shared featurizer sees an empty lookup (grounds nothing),
-        // exactly what the one-shot compiler produces without them.
-        let no_matches = MatchLookup::default();
-        // Correlation gate, recomputed lazily at this batch boundary (the
-        // mutation that scheduled this recompile reset the cached view).
-        let gate = config
-            .cor_strength
-            .map(|min_corr| crate::domain::PruneGate {
-                corr: stats.correlations(),
-                min_corr,
-            });
-        let computed: Vec<(Vec<Sym>, FeatureBuffer)> =
-            holo_parallel::parallel_map(threads, &work, |_, &(cell, query)| {
-                let tau = if query { config.tau } else { evidence_tau };
-                let domain = crate::domain::prune_cell_gated(
-                    ds,
-                    cell,
-                    stats,
-                    tau,
-                    config.max_domain,
-                    config.min_cond_support,
-                    gate,
-                );
-                let mut buf = FeatureBuffer::default();
-                if domain.len() >= 2 {
-                    collect_cell_features(
-                        &mut buf,
-                        ds,
-                        stats,
-                        &no_matches,
-                        config,
-                        dc_featurizer.as_ref(),
-                        None,
-                        cell,
-                        &domain,
-                    );
-                }
-                (domain, buf)
-            });
-        report.cells_recomputed = work.len();
-        let mut fresh: FxHashMap<CellRef, (Vec<Sym>, FeatureBuffer)> =
-            work.iter().map(|&(cell, _)| cell).zip(computed).collect();
-
-        // ---- Diff against the live graph, in canonical order ----
-        let mut cstats = CompileStats::default();
-        self.query_cells.clear();
-        self.query_vars.clear();
-        self.examples.clear();
-        let mut reused_examples: Vec<VarId> = Vec::new();
-        let mut fresh_examples: Vec<VarId> = Vec::new();
-        let mut live: FxHashSet<CellRef> = FxHashSet::with_capacity_and_hasher(
-            noisy_cells.len() + selected.len(),
-            Default::default(),
-        );
-
-        for &cell in &noisy_cells {
-            live.insert(cell);
-            let (var, _) = self.sync_cell(cell, true, fresh.remove(&cell), report)?;
-            match var {
-                Some(v) => {
-                    self.query_cells.push(cell);
-                    self.query_vars.push(v);
-                    cstats.total_candidates += self.graph.var(v).arity();
-                }
-                None => cstats.singleton_noisy_cells += 1,
-            }
-        }
-        for &cell in &selected {
-            live.insert(cell);
-            let (var, was_fresh) = self.sync_cell(cell, false, fresh.remove(&cell), report)?;
-            if let Some(v) = var {
-                self.examples.push(v);
-                if was_fresh {
-                    fresh_examples.push(v);
-                } else {
-                    reused_examples.push(v);
-                }
-            }
-        }
-        report.cells_reused = live.len() - report.cells_recomputed;
-
-        // Drop states of cells that left the membership (evidence cells
-        // the reshuffled sample no longer selects). Their variables stay
-        // in the graph as inert evidence — removal would force a matrix
-        // rebuild — but nothing reads them again unless the sample
-        // re-selects the cell, which recompiles it afresh.
-        self.cell_states.retain(|cell, st| {
-            let keep = live.contains(cell);
-            if !keep && st.var.is_some() {
-                report.vars_retired += 1;
-            }
-            keep
-        });
-
-        // Replay order: surviving examples first, this batch's new
-        // evidence last — `train_replay` biases its window to the tail.
-        self.fresh_examples = fresh_examples.len();
-        self.replay_order = reused_examples;
-        self.replay_order.append(&mut fresh_examples);
-
-        cstats.query_vars = self.query_vars.len();
-        cstats.evidence_vars = self.examples.len();
-        cstats.factors = self
-            .cell_states
-            .values()
-            .filter(|st| st.var.is_some())
-            .map(|st| st.features.len())
-            .sum();
-
-        // A compaction pass grounds DC clique factors over the rebuilt
-        // variables through the one-shot compiler's own Algorithm 1 entry
-        // point, fed the same domains in the same order — the compacted
-        // graph *is* the one-shot graph.
-        if ground_cliques && self.config.variant.uses_dc_factors() {
-            let mut domains = CellDomains::default();
-            let mut cell_vars: FxHashMap<CellRef, VarId> = FxHashMap::default();
-            for &cell in &noisy_cells {
-                let st = &self.cell_states[&cell];
-                domains.insert(cell, st.domain.clone());
-                if let (Some(v), true) = (st.var, st.query) {
-                    cell_vars.insert(cell, v);
-                }
-            }
-            let components = self.config.variant.uses_partitioning().then(|| {
-                build_components(
-                    &self.constraints,
-                    &self.live_violations,
-                    self.ds.tuple_count(),
-                )
-            });
-            ground_dc_factors(
-                &mut self.graph,
-                &mut self.registry,
-                &self.ds,
-                &self.constraints,
-                &domains,
-                &cell_vars,
-                &self.config,
-                components.as_deref(),
-                &mut cstats,
-            );
-            cstats.factors = self.graph.factor_count();
-        }
-        self.compile_stats = cstats;
-
-        // The first batch's forced builds — later batches find the caches
-        // present and these calls are free reads.
-        let _ = self.graph.design();
-        let _ = self.graph.components();
-        Ok(())
-    }
-
-    /// Brings one cell's live variable in line with its canonical compile
-    /// state, reusing the cache when nothing changed. Returns the live
-    /// variable (if the cell carries one) and whether it was (re)created.
-    fn sync_cell(
-        &mut self,
-        cell: CellRef,
-        query: bool,
-        fresh: Option<(Vec<Sym>, FeatureBuffer)>,
-        report: &mut BatchReport,
-    ) -> Result<(Option<VarId>, bool), HoloError> {
-        if let Some((domain, features)) = fresh {
-            if let Some(st) = self.cell_states.get(&cell) {
-                if st.query == query && st.domain == domain && st.features == features {
-                    // Conservatively recomputed, but nothing changed.
-                    return Ok((st.var, false));
-                }
-                // The cell's model changed: retire the old variable. A
-                // query variable is pinned to its observed value so
-                // inference skips it; an evidence variable is simply no
-                // longer listed as an example.
-                if let Some(v) = st.var {
-                    if st.query {
-                        let var = self.graph.var(v);
-                        let k = var.init.unwrap_or(0);
-                        let value = var.domain[k];
-                        self.graph.pin_evidence(v, value);
-                    }
-                    report.vars_retired += 1;
-                }
-            }
-            let var = if domain.len() >= 2 {
-                let init_pos = domain.iter().position(|&d| d == self.ds.cell_ref(cell));
-                let variable = if query {
-                    Variable::query(domain.clone(), init_pos)
-                } else {
-                    let observed = init_pos.ok_or_else(|| HoloError::PrunedInitialValue {
-                        cell,
-                        attr: self.ds.schema().attr_name(cell.attr).to_string(),
-                    })?;
-                    Variable::evidence(domain.clone(), observed)
-                };
-                let rows = features.to_rows(&mut self.registry, domain.len());
-                let v = self.graph.add_variable_with_features(variable, rows);
-                report.vars_added += 1;
-                // Candidate postings: cells on join-key attributes depend
-                // on partner buckets of every candidate value.
-                for &(a1, a2) in &self.eq_pairs {
-                    if cell.attr == a1 || cell.attr == a2 {
-                        for &d in &domain {
-                            if !d.is_null() {
-                                self.cand_postings
-                                    .entry((cell.attr, d))
-                                    .or_default()
-                                    .insert(cell.tuple);
-                            }
-                        }
-                    }
-                }
-                Some(v)
-            } else {
-                None
-            };
-            self.cell_states.insert(
-                cell,
-                CellState {
-                    var,
-                    query,
-                    domain,
-                    features,
-                },
-            );
-            Ok((var, true))
-        } else {
-            // Untouched by the batch: serve the cache.
-            let st = self
-                .cell_states
-                .get(&cell)
-                .expect("cells outside the recompute set keep a cached state");
-            debug_assert_eq!(st.query, query);
-            Ok((st.var, false))
-        }
-    }
-
-    /// Canonical retrain + re-inference, if anything is stale. This is
-    /// the batch-equivalence workhorse: full SGD from the priors over the
-    /// canonical example order (reading the *patched* design matrix — the
-    /// model is never recompiled), then partitioned inference over the
-    /// dirty components.
-    fn ensure_exact(&mut self) {
-        if self.needs_compact {
-            // A retraction or clique-grounding push happened since the
-            // last compaction: only the canonical rebuild restores the
-            // exact-read contract. Cannot fail — it recompiles live
-            // cells, whose observed values the pruner keeps.
-            self.compact()
-                .expect("compaction recompiles live cells only");
-        }
-        let threads = self.config.threads;
-        if !self.weights_exact {
-            let t_learn = Instant::now();
-            let mut w = self.registry.build_weights();
-            let stats = learn::train_examples(
-                &self.graph,
-                &mut w,
-                &self.config.learn,
-                threads,
-                &self.examples,
-            );
-            self.learn_stats = (!self.examples.is_empty()).then_some(stats);
-            self.weights = w;
-            self.weights_exact = true;
-            self.timings.ingest.canonical_retrains += 1;
-            self.timings.record(StageKind::Learn, t_learn.elapsed());
-            self.marginals = None;
-        }
-        if self.marginals.is_none() {
-            let t_infer = Instant::now();
-            let ctx = DatasetContext::new(&self.ds);
-            let (marginals, partition) = infer_partitioned(
-                &self.graph,
-                &self.weights,
-                &ctx,
-                &PartitionedConfig {
-                    gibbs: self.config.gibbs,
-                    exact_limit: self.config.exact_component_limit,
-                    chromatic: self.config.chromatic_gibbs,
-                    score_cache: self.config.score_cache,
-                },
-                threads,
-            );
-            self.partition_stats = Some(partition);
-            self.timings.partition = partition;
-            self.marginals = Some(marginals);
-            self.timings.record(StageKind::Infer, t_infer.elapsed());
-        }
+        let shape = &compiled.stats;
+        let ingest = &mut self.timings.ingest;
+        ingest.canonical_retrains += 1;
+        ingest.cells_recomputed +=
+            (shape.query_vars + shape.singleton_noisy_cells + shape.evidence_vars) as u64;
+        ingest.vars_added += compiled.graph.var_count() as u64;
+        Ok(StreamModel {
+            compiled,
+            weights,
+            learn_stats,
+            marginals,
+        })
     }
 
     /// Batch-equivalent repairs and posteriors: byte-identical to a
-    /// one-shot [`crate::HoloClean`] run over everything pushed so far,
-    /// at any batch split and any thread count.
-    pub fn report(&mut self) -> RepairReport {
-        self.ensure_exact();
+    /// one-shot [`crate::HoloClean`] run over the live table, at any
+    /// batch split and any thread count. Builds the model if a mutation
+    /// (or nothing yet) left the session without one; an unchanged
+    /// session serves the model it has.
+    ///
+    /// Fails like the one-shot pipeline does:
+    /// [`HoloError::PrunedInitialValue`] from the compiler and
+    /// [`HoloError::LearnDiverged`] when SGD produced non-finite
+    /// gradients. A failed read caches nothing; the session stays
+    /// consistent and the next read tries again.
+    pub fn try_report(&mut self) -> Result<RepairReport, HoloError> {
+        let model = match self.model.take() {
+            Some(model) => model,
+            None => self.build_model()?,
+        };
         let mut report = RepairReport::from_marginals(
             &self.ds,
-            &self.query_cells,
-            &self.query_vars,
-            &self.graph,
-            self.marginals.as_ref().expect("ensure_exact filled it"),
+            &model.compiled.query_cells,
+            &model.compiled.query_vars,
+            &model.compiled.graph,
+            &model.marginals,
         );
+        self.model = Some(model);
         self.remap_to_live(&mut report);
-        report
+        Ok(report)
     }
 
-    /// Rewrites report coordinates from physical (stable) ids to the
-    /// dense ids a one-shot run over the live table would use: tuple ids
-    /// become live ranks (monotone; the identity while nothing was ever
-    /// deleted), and symbols are renumbered to row-major first-appearance
-    /// order over the live table — the order a fresh interner assigns.
-    /// The session pool drifts from that order whenever an update interns
-    /// a transient value or a constraint constant interned before data,
-    /// so the report always speaks one-shot coordinates, not the
-    /// session's physical ones.
+    /// [`StreamSession::try_report`] for callers that treat a failed read
+    /// as a bug.
+    ///
+    /// # Panics
+    /// Panics if the model build fails — with default pruning that takes
+    /// a diverging [`holo_factor::LearnConfig::learning_rate`].
+    pub fn report(&mut self) -> RepairReport {
+        self.try_report()
+            .expect("StreamSession::report: the model build failed; try_report returns the error")
+    }
+
+    /// Rewrites report coordinates from physical ids to the dense ids a
+    /// one-shot run over the live table would use: tuple ids become live
+    /// ranks (the identity while nothing was ever deleted) and symbols
+    /// row-major first-appearance ranks — the session pool drifts from
+    /// that order whenever an update interns a transient value or a
+    /// constraint constant was interned before data.
     fn remap_to_live(&self, report: &mut RepairReport) {
         let mut rank = 0u32;
         let ranks: Vec<u32> = (0..self.ds.tuple_count())
@@ -1272,6 +496,8 @@ impl StreamSession {
                 dense.entry(s).or_insert(next);
             }
         }
+        // Candidates come from the statistics of live rows only, so every
+        // reported symbol occurs in the live table.
         let remap = |s: Sym| *dense.get(&s).expect("report symbol not in the live table");
         for r in &mut report.repairs {
             r.cell.tuple = TupleId(ranks[r.cell.tuple.index()]);
@@ -1286,99 +512,25 @@ impl StreamSession {
         }
     }
 
-    /// Interim repairs under the current (warm-started) weights — cheap,
-    /// fresh after every batch when
-    /// [`crate::config::StreamConfig::refine_each_batch`] is on, but
-    /// *not* the batch-equivalent read.
-    pub fn interim_report(&self) -> RepairReport {
-        let ctx = DatasetContext::new(&self.ds);
-        let mut weights = self.registry.build_weights();
-        weights.adopt_learned(&self.weights);
-        let (marginals, _) = infer_partitioned(
-            &self.graph,
-            &weights,
-            &ctx,
-            &PartitionedConfig {
-                gibbs: self.config.gibbs,
-                exact_limit: self.config.exact_component_limit,
-                chromatic: self.config.chromatic_gibbs,
-                score_cache: self.config.score_cache,
-            },
-            self.config.threads,
-        );
-        let mut report = RepairReport::from_marginals(
-            &self.ds,
-            &self.query_cells,
-            &self.query_vars,
-            &self.graph,
-            &marginals,
-        );
-        self.remap_to_live(&mut report);
-        report
-    }
-
-    /// The dataset as ingested so far.
+    /// The backing table, tombstones included.
     pub fn dataset(&self) -> &Dataset {
         &self.ds
     }
 
-    /// Current weights (canonical after [`StreamSession::report`],
-    /// warm-started between batches).
-    pub fn weights(&self) -> &Weights {
-        &self.weights
+    /// The model of the current live table, if the last read built one
+    /// and no mutation has discarded it since.
+    pub fn model(&self) -> Option<&StreamModel> {
+        self.model.as_ref()
     }
 
-    /// The feature registry (introspection: mapping learned weights back
-    /// to their structured keys, e.g. per-constraint DC weights).
-    pub fn registry(&self) -> &FeatureRegistry<FeatureKey> {
-        &self.registry
-    }
-
-    /// Violations alive over the live table (== the one-shot count).
+    /// Violations over the live table (== the one-shot count).
     pub fn violations(&self) -> usize {
         self.live_violations.len()
     }
 
-    /// Cumulative retirement/compaction counters (cliques retired in
-    /// place, variables renumbered away, compaction ticks) plus the
-    /// live-vs-tombstoned row split of the backing table.
-    pub fn retire_stats(&self) -> holo_factor::RetireStats {
-        let mut r = self.graph.retire_stats();
-        r.live_rows = self.ds.live_count() as u64;
-        r.dead_rows = self.ds.dead_count() as u64;
-        r
-    }
-
-    /// Noisy cells detected so far.
+    /// Noisy cells of the live table (== the one-shot count).
     pub fn noisy_cells(&self) -> usize {
         self.noisy.len()
-    }
-
-    /// Shape of the live model (live variables only; retired ones are
-    /// excluded).
-    pub fn compile_stats(&self) -> &CompileStats {
-        &self.compile_stats
-    }
-
-    /// Learning diagnostics of the last canonical retrain.
-    pub fn learn_stats(&self) -> Option<&LearnStats> {
-        self.learn_stats.as_ref()
-    }
-
-    /// Routing split of the last inference pass.
-    pub fn partition_stats(&self) -> Option<PartitionStats> {
-        self.partition_stats
-    }
-
-    /// Cumulative stage timings and ingest counters. Design-matrix and
-    /// component-index counters are snapshotted from the live graph.
-    pub fn timings(&self) -> StageTimings {
-        let mut t = self.timings;
-        t.design = self.graph.design_stats();
-        t.components = self.graph.component_stats();
-        t.retire = self.retire_stats();
-        t.stats = self.stats.stats_stats();
-        t
     }
 
     /// Cumulative ingest counters.
@@ -1386,25 +538,36 @@ impl StreamSession {
         self.timings.ingest
     }
 
-    /// Whether the live graph's patched design matrix and component index
-    /// are bit-for-bit equal to fresh compiles of the current adjacency —
-    /// the patch-path invariant, exposed for tests and diagnostics
-    /// (`O(model)`; don't call it per batch in production).
-    pub fn verify_patch_equivalence(&self) -> bool {
-        self.graph.design() == &self.graph.compile_design()
-            && self.graph.components() == &self.graph.compile_components()
+    /// Design-matrix work over the session's life: `full_builds` counts
+    /// the models built (each compiles its matrix once) and the patch
+    /// counters stay 0 — a built model is never mutated.
+    pub fn design_stats(&self) -> DesignStats {
+        DesignStats {
+            full_builds: self.timings.ingest.canonical_retrains,
+            ..DesignStats::default()
+        }
     }
 
-    /// Design-matrix build/patch counters of the live graph — pinned at
-    /// one full build for the life of a (non-`force_full_rebuild`)
-    /// stream.
-    pub fn design_stats(&self) -> holo_factor::DesignStats {
-        self.graph.design_stats()
+    /// Model turnover and the live-vs-tombstoned row split.
+    pub fn retire_stats(&self) -> RetireStats {
+        RetireStats {
+            compactions: self.timings.ingest.canonical_retrains.saturating_sub(1),
+            live_rows: self.ds.live_count() as u64,
+            dead_rows: self.ds.dead_count() as u64,
+        }
     }
 
-    /// Component-index build/patch counters of the live graph.
-    pub fn component_stats(&self) -> holo_factor::ComponentStats {
-        self.graph.component_stats()
+    /// Cumulative stage timings (pushes bill Detect; reads bill Compile,
+    /// Learn and Infer) with every counter block filled in.
+    pub fn timings(&self) -> StageTimings {
+        let mut t = self.timings;
+        t.design = self.design_stats();
+        t.retire = self.retire_stats();
+        t.stats = self.stats.stats_stats();
+        if let Some(model) = &self.model {
+            t.components = model.compiled.graph.component_stats();
+        }
+        t
     }
 }
 
@@ -1414,39 +577,49 @@ mod tests {
     use crate::config::ModelVariant;
     use crate::HoloClean;
 
+    const SCHEMA: [&str; 3] = ["Zip", "City", "State"];
+
+    fn row(zip: &str, city: &str) -> Vec<String> {
+        vec![zip.to_string(), city.to_string(), "IL".to_string()]
+    }
+
     fn zip_city_rows() -> Vec<Vec<String>> {
-        let mut rows = Vec::new();
-        for _ in 0..8 {
-            rows.push(vec!["60608".into(), "Chicago".into(), "IL".into()]);
-        }
-        rows.push(vec!["60608".into(), "Cicago".into(), "IL".into()]);
-        for _ in 0..5 {
-            rows.push(vec!["60609".into(), "Evanston".into(), "IL".into()]);
-        }
+        let mut rows = vec![row("60608", "Chicago"); 8];
+        rows.push(row("60608", "Cicago"));
+        rows.extend(vec![row("60609", "Evanston"); 5]);
         rows
     }
 
-    fn one_shot(rows: &[Vec<String>], threads: usize) -> RepairReport {
-        let mut ds = Dataset::new(Schema::new(vec!["Zip", "City", "State"]));
+    fn one_shot_with(rows: &[Vec<String>], config: HoloConfig) -> HoloClean {
+        let mut ds = Dataset::new(Schema::new(SCHEMA.to_vec()));
         for row in rows {
             ds.push_row(row);
         }
         HoloClean::new(ds)
             .with_constraint_text("FD: Zip -> City")
             .unwrap()
-            .with_config(HoloConfig::default().with_threads(threads))
+            .with_config(config)
+    }
+
+    fn one_shot(rows: &[Vec<String>], threads: usize) -> RepairReport {
+        one_shot_with(rows, HoloConfig::default().with_threads(threads))
             .run()
             .unwrap()
             .report
     }
 
+    fn open(config: HoloConfig) -> StreamSession {
+        StreamSession::new(Schema::new(SCHEMA.to_vec()), "FD: Zip -> City", config).unwrap()
+    }
+
+    /// Asserts a batch was rejected with the typed stream error.
+    fn rejected(result: Result<BatchReport, HoloError>, why: &str) {
+        let err = result.expect_err(why);
+        assert!(matches!(err, HoloError::Stream(_)), "{why}: {err}");
+    }
+
     fn streamed(rows: &[Vec<String>], batches: usize, threads: usize) -> StreamSession {
-        let mut session = StreamSession::new(
-            Schema::new(vec!["Zip", "City", "State"]),
-            "FD: Zip -> City",
-            HoloConfig::default().with_threads(threads),
-        )
-        .unwrap();
+        let mut session = open(HoloConfig::default().with_threads(threads));
         for chunk in rows.chunks(rows.len().div_ceil(batches)) {
             session.push_batch(chunk).unwrap();
         }
@@ -1471,78 +644,62 @@ mod tests {
     }
 
     #[test]
-    fn incrementality_is_pinned_after_the_first_batch() {
+    fn reads_are_cached_until_the_next_mutation() {
         let rows = zip_city_rows();
         let mut session = streamed(&rows, 4, 1);
-        let _ = session.report();
-        assert_eq!(session.design_stats().full_builds, 1);
-        assert_eq!(session.component_stats().full_builds, 1);
+        // Pushes build nothing.
+        assert!(session.model().is_none());
+        assert_eq!(session.design_stats().full_builds, 0);
+        let first = session.report();
         let stats = session.ingest_stats();
         assert_eq!(stats.batches, 4);
         assert_eq!(stats.tuples as usize, rows.len());
-        assert!(stats.vars_added > 0);
         assert_eq!(stats.canonical_retrains, 1);
-        // More data arrives after a report: still no rebuild.
-        session
-            .push_batch(&[vec!["60609".to_string(), "Evanstn".into(), "IL".into()]])
-            .unwrap();
-        let _ = session.report();
+        assert!(stats.vars_added > 0 && stats.cells_recomputed > 0);
+        assert_eq!((stats.cells_reused, stats.replay_minibatches), (0, 0));
+        // An unchanged session serves the model it has.
+        assert_eq!(session.report(), first);
+        assert_eq!(session.ingest_stats(), stats);
         assert_eq!(session.design_stats().full_builds, 1);
-        assert_eq!(session.component_stats().full_builds, 1);
+        assert_eq!(session.retire_stats().compactions, 0);
+        // A mutation discards it; the next read builds the next one.
+        session.push_batch(&[row("60609", "Evanstn")]).unwrap();
+        assert!(session.model().is_none());
+        assert_eq!(session.ingest_stats().vars_retired, stats.vars_added);
+        let mut grown = rows.clone();
+        grown.push(row("60609", "Evanstn"));
+        assert_eq!(session.report(), one_shot(&grown, 1));
+        assert_eq!(session.design_stats().full_builds, 2);
+        assert_eq!(session.retire_stats().compactions, 1);
+        assert_eq!(session.timings().ingest, session.ingest_stats());
     }
 
     #[test]
     fn late_evidence_can_flip_an_earlier_repair() {
         // First batches: "Cicago" is the 60608 majority, so the lone
-        // "Chicago" looks wrong. Later batches flip the majority — the
-        // affected-set recompute must revisit the old cells.
-        let mut session = StreamSession::new(
-            Schema::new(vec!["Zip", "City"]),
-            "FD: Zip -> City",
-            HoloConfig::default().with_threads(1),
-        )
-        .unwrap();
-        let early: Vec<Vec<String>> = vec![
-            vec!["60608".into(), "Cicago".into()],
-            vec!["60608".into(), "Cicago".into()],
-            vec!["60608".into(), "Chicago".into()],
+        // "Chicago" looks wrong. Later batches flip the majority.
+        let mut session = open(HoloConfig::default().with_threads(1));
+        let mut rows = vec![
+            row("60608", "Cicago"),
+            row("60608", "Cicago"),
+            row("60608", "Chicago"),
         ];
-        session.push_batch(&early).unwrap();
-        let late: Vec<Vec<String>> = (0..6)
-            .map(|_| vec!["60608".to_string(), "Chicago".to_string()])
-            .collect();
+        session.push_batch(&rows).unwrap();
+        let late = vec![row("60608", "Chicago"); 6];
         session.push_batch(&late).unwrap();
+        rows.extend(late);
         let report = session.report();
-        // One-shot over the union agrees byte for byte.
-        let mut ds = Dataset::new(Schema::new(vec!["Zip", "City"]));
-        for row in early.iter().chain(&late) {
-            ds.push_row(row);
-        }
-        let reference = HoloClean::new(ds)
-            .with_constraint_text("FD: Zip -> City")
-            .unwrap()
-            .run()
-            .unwrap()
-            .report;
-        assert_eq!(report, reference);
+        assert_eq!(report, one_shot(&rows, 1));
         assert!(report.repairs.iter().any(|r| r.new_value == "Chicago"));
     }
 
     #[test]
     fn unsupported_configs_and_bad_batches_are_typed_errors() {
-        let schema = Schema::new(vec!["Zip", "City"]);
-        // DC-factor variants are no longer rejected — retirement plus
-        // compaction made them streamable.
         for variant in [ModelVariant::DcFactors, ModelVariant::DcFeatsDcFactors] {
-            StreamSession::new(
-                schema.clone(),
-                "FD: Zip -> City",
-                HoloConfig::default().with_variant(variant),
-            )
-            .expect("DC-factor variants stream via compaction");
+            open(HoloConfig::default().with_variant(variant)); // DC factors stream
         }
         let err = StreamSession::new(
-            schema.clone(),
+            Schema::new(SCHEMA.to_vec()),
             "FD: Zip -> City",
             HoloConfig::default().with_source("a", "b"),
         )
@@ -1550,62 +707,80 @@ mod tests {
         .expect_err("source features are rejected");
         assert!(matches!(err, HoloError::Stream(_)));
 
-        let mut session =
-            StreamSession::new(schema, "FD: Zip -> City", HoloConfig::default()).unwrap();
-        let err = session
-            .push_batch(&[vec!["only-one".to_string()]])
-            .expect_err("arity mismatch is rejected");
-        assert!(matches!(err, HoloError::Stream(_)), "{err}");
+        let mut session = open(HoloConfig::default());
+        rejected(
+            session.push_batch(&[vec!["only-one".to_string()]]),
+            "arity mismatch",
+        );
         assert_eq!(session.dataset().tuple_count(), 0, "nothing was appended");
     }
 
     #[test]
     fn bad_mutation_batches_are_typed_errors() {
-        let mut session = StreamSession::new(
-            Schema::new(vec!["Zip", "City"]),
-            "FD: Zip -> City",
-            HoloConfig::default(),
-        )
-        .unwrap();
-        session
-            .push_batch(&[vec!["60608".to_string(), "Chicago".to_string()]])
-            .unwrap();
+        let mut session = open(HoloConfig::default());
+        session.push_batch(&[row("60608", "Chicago")]).unwrap();
 
-        let err = session
-            .push_deletes(&[TupleId(7)])
-            .expect_err("out-of-range delete is rejected");
-        assert!(matches!(err, HoloError::Stream(_)), "{err}");
-        let err = session
-            .push_deletes(&[TupleId(0), TupleId(0)])
-            .expect_err("repeated row in one batch is rejected");
-        assert!(matches!(err, HoloError::Stream(_)), "{err}");
-        let err = session
-            .push_updates(&[(TupleId(0), vec!["only-one".to_string()])])
-            .expect_err("update arity mismatch is rejected");
-        assert!(matches!(err, HoloError::Stream(_)), "{err}");
+        rejected(session.push_deletes(&[TupleId(7)]), "out-of-range delete");
+        rejected(
+            session.push_deletes(&[TupleId(0), TupleId(0)]),
+            "repeated row in one batch",
+        );
+        let short = vec!["only-one".to_string()];
+        rejected(
+            session.push_updates(&[(TupleId(0), short)]),
+            "update arity mismatch",
+        );
 
         session.push_deletes(&[TupleId(0)]).unwrap();
-        let err = session
-            .push_updates(&[(TupleId(0), vec!["a".to_string(), "b".to_string()])])
-            .expect_err("update of a tombstoned row is rejected");
-        assert!(matches!(err, HoloError::Stream(_)), "{err}");
-        let err = session
-            .push_deletes(&[TupleId(0)])
-            .expect_err("double delete is rejected");
-        assert!(matches!(err, HoloError::Stream(_)), "{err}");
+        rejected(
+            session.push_updates(&[(TupleId(0), row("a", "b"))]),
+            "update of a tombstoned row",
+        );
+        rejected(session.push_deletes(&[TupleId(0)]), "double delete");
+    }
+
+    /// Batch atomicity: validation precedes every mutation, so a rejected
+    /// call leaves the session equal to a twin that never saw it.
+    #[test]
+    fn rejected_batches_leave_the_session_untouched() {
+        let rows = zip_city_rows();
+        let mut twin = streamed(&rows, 2, 1);
+        twin.push_deletes(&[TupleId(3)]).unwrap();
+        let mut session = streamed(&rows, 2, 1);
+        session.push_deletes(&[TupleId(3)]).unwrap();
+
+        let short = vec!["60608".to_string()];
+        let bad_push = [row("60608", "Cicago"), short.clone()];
+        rejected(session.push_batch(&bad_push), "later row is short");
+        let bad_deletes: [(&[TupleId], &str); 3] = [
+            (&[TupleId(0), TupleId(3)], "a dead row after a live one"),
+            (&[TupleId(1), TupleId(99)], "out of range"),
+            (&[TupleId(2), TupleId(2)], "duplicated"),
+        ];
+        for (batch, why) in bad_deletes {
+            rejected(session.push_deletes(batch), why);
+        }
+        let bad_updates = [(TupleId(0), row("60609", "Cicago")), (TupleId(1), short)];
+        rejected(session.push_updates(&bad_updates), "second update is short");
+
+        let table = |s: &StreamSession| -> Vec<(CellRef, String)> {
+            let ds = s.dataset();
+            let value = |c| (c, ds.value_str(ds.cell_ref(c)).to_string());
+            ds.cells().map(value).collect()
+        };
+        assert_eq!(table(&session), table(&twin));
+        assert_eq!(session.retire_stats(), twin.retire_stats());
+        assert_eq!(session.violations(), twin.violations());
+        assert_eq!(session.noisy_cells(), twin.noisy_cells());
+        assert_eq!(session.ingest_stats(), twin.ingest_stats());
+        assert_eq!(session.report(), twin.report());
     }
 
     /// Drives one session through an interleaved insert/update/delete
-    /// feed while maintaining the live table in a plain mirror, then
-    /// checks the session's exact read against a one-shot run over the
-    /// mirror. Returns the session for further inspection.
+    /// feed while maintaining the live table in a plain mirror. Returns
+    /// the session and the live rows.
     fn crud_feed(config: HoloConfig) -> (StreamSession, Vec<Vec<String>>) {
-        let mut session = StreamSession::new(
-            Schema::new(vec!["Zip", "City", "State"]),
-            "FD: Zip -> City",
-            config,
-        )
-        .unwrap();
+        let mut session = open(config);
         let rows = zip_city_rows();
         let mut mirror: Vec<Option<Vec<String>>> = Vec::new();
         let push = |session: &mut StreamSession,
@@ -1633,9 +808,10 @@ mod tests {
         second[2][1] = "Cicagoo".to_string();
         push(&mut session, &mut mirror, &second);
         let mangled = TupleId(10);
-        let fixed = vec!["60608".to_string(), "Cicago".to_string(), "IL".to_string()];
-        session.push_updates(&[(mangled, fixed.clone())]).unwrap();
-        mirror[10] = Some(fixed);
+        session
+            .push_updates(&[(mangled, row("60608", "Cicago"))])
+            .unwrap();
+        mirror[10] = Some(row("60608", "Cicago"));
 
         // Delete an early clean row too, so live ranks shift under the
         // report remap.
@@ -1663,110 +839,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn retraction_compacts_lazily_on_the_exact_read() {
-        let (mut session, _) = crud_feed(HoloConfig::default().with_threads(1));
-        // Mutations patched in place: still exactly one full build each.
-        assert_eq!(session.design_stats().full_builds, 1);
-        assert_eq!(session.component_stats().full_builds, 1);
-        let retire = session.retire_stats();
-        assert_eq!(retire.compactions, 0);
-        assert_eq!(retire.dead_rows, 3);
-        let _ = session.report();
-        // The dirty exact read paid the one amortised rebuild.
-        assert_eq!(session.design_stats().full_builds, 2);
-        assert_eq!(session.component_stats().full_builds, 2);
-        let retire = session.retire_stats();
-        assert_eq!(retire.compactions, 1);
-        assert!(retire.vars_renumbered > 0);
-        // A second read is served from cache.
-        let _ = session.report();
-        assert_eq!(session.retire_stats().compactions, 1);
-        assert_eq!(session.design_stats().full_builds, 2);
-    }
-
-    #[test]
-    fn scheduled_compaction_ticks_are_the_only_full_rebuilds() {
-        let rows = zip_city_rows();
-        let mut config = HoloConfig::default().with_threads(1);
-        config.stream.compact_every = 2;
-        let mut session = StreamSession::new(
-            Schema::new(vec!["Zip", "City", "State"]),
-            "FD: Zip -> City",
-            config,
-        )
-        .unwrap();
-        session.push_batch(&rows[..6]).unwrap(); // batch 1
-        assert_eq!(session.design_stats().full_builds, 1);
-        assert_eq!(session.retire_stats().compactions, 0);
-        session.push_batch(&rows[6..]).unwrap(); // batch 2 → tick
-        assert_eq!(session.design_stats().full_builds, 2);
-        assert_eq!(session.retire_stats().compactions, 1);
-        session.push_deletes(&[TupleId(0)]).unwrap(); // batch 3: frozen
-        assert_eq!(session.design_stats().full_builds, 2);
-        session.push_batch(&rows[..1]).unwrap(); // batch 4 → tick
-        assert_eq!(session.design_stats().full_builds, 3);
-        assert_eq!(session.component_stats().full_builds, 3);
-        assert_eq!(session.retire_stats().compactions, 2);
-        // The tick cleared the delete's dirty flag: the exact read needs
-        // no further rebuild, and it matches the one-shot run.
-        let report = session.report();
-        assert_eq!(session.design_stats().full_builds, 3);
-        let mut live: Vec<Vec<String>> = rows[1..].to_vec();
-        live.push(rows[0].clone());
-        assert_eq!(report, one_shot(&live, 1));
-    }
-
+    /// Memory is bounded by the live table: after any number of
+    /// insert/update/delete cycles over a fixed live set, the session's
+    /// model is exactly the one-shot model — no slot outlives its row.
     #[test]
     fn sustained_crud_holds_steady_state_graph_size() {
         let rows = zip_city_rows();
-        let mut config = HoloConfig::default().with_threads(1);
-        config.stream.compact_every = 2;
-        let mut session = StreamSession::new(
-            Schema::new(vec!["Zip", "City", "State"]),
-            "FD: Zip -> City",
-            config,
-        )
-        .unwrap();
-        session.push_batch(&rows).unwrap();
-        // Baseline = the compacted live model (delta compile may pin a
-        // few extra retired vars that only compaction renumbers away).
-        session.compact().unwrap();
-        let baseline_vars = session.graph.var_count();
-        let baseline_factors = session.graph.factor_count();
-        // Sustained churn: every round inserts a noisy row, heals it, and
-        // deletes it again, so the live table keeps returning to `rows`.
-        for _ in 0..6 {
-            let id = session.ds.tuple_count() as u32;
+        let config = HoloConfig::default().with_threads(1);
+        let mut session = streamed(&rows, 1, 1);
+        // Every round inserts a noisy row, heals it, and deletes it
+        // again, so the live table keeps returning to `rows`.
+        for round in 0..50 {
+            let id = TupleId(session.dataset().tuple_count() as u32);
+            session.push_batch(&[row("60609", "Evanstn")]).unwrap();
             session
-                .push_batch(&[vec![
-                    "60609".to_string(),
-                    "Evanstn".to_string(),
-                    "IL".to_string(),
-                ]])
+                .push_updates(&[(id, row("60609", "Evanston"))])
                 .unwrap();
-            session
-                .push_updates(&[(
-                    TupleId(id),
-                    vec![
-                        "60609".to_string(),
-                        "Evanston".to_string(),
-                        "IL".to_string(),
-                    ],
-                )])
-                .unwrap();
-            session.push_deletes(&[TupleId(id)]).unwrap();
+            if round % 10 == 0 {
+                let _ = session.report(); // reads mid-churn change nothing
+            }
+            session.push_deletes(&[id]).unwrap();
         }
         let report = session.report();
-        // After the churn (and its compaction ticks) the graph holds
-        // exactly the live model again — no monotone growth.
-        assert_eq!(session.graph.var_count(), baseline_vars);
-        assert_eq!(session.graph.factor_count(), baseline_factors);
-        assert_eq!(session.graph.retired_clique_count(), 0);
-        let retire = session.retire_stats();
-        assert!(retire.compactions >= 1, "the schedule must have ticked");
-        assert!(retire.vars_renumbered > 0);
-        assert_eq!(report, one_shot(&rows, 1));
+        let (outcome, fresh, _) = one_shot_with(&rows, config).run_full().unwrap();
+        assert_eq!(report, outcome.report);
+        let model = &session.model().expect("the read built it").compiled;
+        assert_eq!(model.graph.var_count(), fresh.graph.var_count());
+        assert_eq!(model.graph.factor_count(), fresh.graph.factor_count());
+        assert_eq!(model.stats.query_vars, fresh.stats.query_vars);
+        assert_eq!(model.stats.evidence_vars, fresh.stats.evidence_vars);
+        assert_eq!(model.graph.design().rows(), fresh.graph.design().rows());
+        assert_eq!(session.retire_stats().dead_rows, 50);
     }
 
     #[test]
@@ -1777,53 +880,23 @@ mod tests {
             ModelVariant::DcFeatsDcFactorsPartitioned,
         ] {
             let config = HoloConfig::default().with_threads(1).with_variant(variant);
-            let mut session = StreamSession::new(
-                Schema::new(vec!["Zip", "City", "State"]),
-                "FD: Zip -> City",
-                config.clone(),
-            )
-            .unwrap();
+            let mut session = open(config.clone());
             for chunk in rows.chunks(5) {
                 session.push_batch(chunk).unwrap();
             }
             // Exact read == one-shot under the clique-grounding variant.
             let report = session.report();
-            let mut ds = Dataset::new(Schema::new(vec!["Zip", "City", "State"]));
-            for row in &rows {
-                ds.push_row(row);
-            }
-            let reference = HoloClean::new(ds)
-                .with_constraint_text("FD: Zip -> City")
-                .unwrap()
-                .with_config(config.clone())
-                .run()
-                .unwrap()
-                .report;
+            let reference = one_shot_with(&rows, config.clone()).run().unwrap().report;
             assert_eq!(report, reference, "variant {variant:?}");
-            assert!(session.compile_stats().cliques > 0, "cliques grounded");
+            let model = session.model().expect("the read built it");
+            assert!(model.compiled.stats.cliques > 0, "cliques grounded");
 
-            // Deleting a violation endpoint retires its cliques in place.
-            let cicago = TupleId(8);
-            session.push_deletes(&[cicago]).unwrap();
-            assert!(
-                session.retire_stats().cliques_retired > 0,
-                "variant {variant:?} retires cliques"
-            );
-            // And the next exact read recompacts to the one-shot answer.
+            // Deleting a violation endpoint re-grounds without it.
+            session.push_deletes(&[TupleId(8)]).unwrap();
             let report = session.report();
             let mut live: Vec<Vec<String>> = rows.clone();
             live.remove(8);
-            let mut ds = Dataset::new(Schema::new(vec!["Zip", "City", "State"]));
-            for row in &live {
-                ds.push_row(row);
-            }
-            let reference = HoloClean::new(ds)
-                .with_constraint_text("FD: Zip -> City")
-                .unwrap()
-                .with_config(config)
-                .run()
-                .unwrap()
-                .report;
+            let reference = one_shot_with(&live, config).run().unwrap().report;
             assert_eq!(report, reference, "variant {variant:?} after delete");
         }
     }
@@ -1834,13 +907,10 @@ mod tests {
         let mut session = streamed(&rows, 3, 1);
         // Rewrite a clean Evanston row into a fresh 60608 conflict.
         session
-            .push_updates(&[(
-                TupleId(9),
-                vec!["60608".to_string(), "Evanstn".to_string(), "IL".to_string()],
-            )])
+            .push_updates(&[(TupleId(9), row("60608", "Evanstn"))])
             .unwrap();
         let mut live = rows.clone();
-        live[9] = vec!["60608".into(), "Evanstn".into(), "IL".into()];
+        live[9] = row("60608", "Evanstn");
         assert_eq!(session.report(), one_shot(&live, 1));
         // Rewrite it back: the violation retracts.
         session
@@ -1849,80 +919,38 @@ mod tests {
         assert_eq!(session.report(), one_shot(&rows, 1));
     }
 
-    #[test]
-    fn force_full_rebuild_produces_identical_output() {
-        let rows = zip_city_rows();
-        let mut fast = streamed(&rows, 4, 1);
-        let mut slow = {
-            let mut config = HoloConfig::default().with_threads(1);
-            config.stream.force_full_rebuild = true;
-            let mut session = StreamSession::new(
-                Schema::new(vec!["Zip", "City", "State"]),
-                "FD: Zip -> City",
-                config,
-            )
-            .unwrap();
-            for chunk in rows.chunks(rows.len().div_ceil(4)) {
-                session.push_batch(chunk).unwrap();
-            }
-            session
-        };
-        assert_eq!(fast.report(), slow.report());
-        assert_eq!(fast.design_stats().full_builds, 1, "patched path");
-        assert!(
-            slow.design_stats().full_builds > 1,
-            "rebuild path recompiles per batch"
-        );
-    }
-
-    #[test]
-    fn interim_report_tracks_new_evidence_between_batches() {
-        let rows = zip_city_rows();
-        let mut session = streamed(&rows, 3, 1);
-        let interim = session.interim_report();
-        let exact = session.report();
-        // Interim serves the same cells, with (possibly) different
-        // posterior mass: same posterior count, approximate weights.
-        assert_eq!(interim.posteriors.len(), exact.posteriors.len());
-        assert!(session.ingest_stats().replay_minibatches > 0);
-    }
-
     use proptest::prelude::*;
 
     fn crud_row(z: u8, c: u8) -> Vec<String> {
         let zips = ["60608", "60609"];
         let cities = ["Chicago", "Cicago", "Evanston"];
-        vec![
-            zips[z as usize % zips.len()].to_string(),
-            cities[c as usize % cities.len()].to_string(),
-        ]
+        row(
+            zips[z as usize % zips.len()],
+            cities[c as usize % cities.len()],
+        )
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Arbitrary insert/update/delete/compact interleavings serve
-        /// exact reads bit-for-bit equal to a from-scratch build over the
-        /// live table, and every `full_builds` tick is a compaction tick.
-        /// Each op is `(kind, sel, n, z, c)`: kind 0 inserts `n` rows
-        /// derived from `(z, c)`, kind 1 updates the live row selected by
-        /// `sel`, kind 2 deletes it.
+        /// Arbitrary insert/update/delete interleavings, with reads at
+        /// arbitrary points mid-feed, serve every read bit-for-bit equal
+        /// to a from-scratch build over the live table at that moment; a
+        /// repeated read is equal and builds nothing. Each op is
+        /// `((kind, sel, n, z, c), read)`: kind 0 inserts `n` rows derived
+        /// from `(z, c)`, kind 1 updates the live row selected by `sel`,
+        /// kind 2 deletes it; `read == 1` reads after the op (the last
+        /// op is always read).
         #[test]
         fn prop_interleaved_crud_matches_a_fresh_build(
-            ops in proptest::collection::vec((0u8..3, 0u8..16, 1u8..4, 0u8..2, 0u8..3), 1..8),
-            compact_every in 0usize..3,
+            ops in proptest::collection::vec(
+                ((0u8..3, 0u8..16, 1u8..4, 0u8..2, 0u8..3), 0u8..2), 1..8),
         ) {
-            let mut config = HoloConfig::default().with_threads(1);
-            config.stream.compact_every = compact_every;
-            let mut session = StreamSession::new(
-                Schema::new(vec!["Zip", "City"]),
-                "FD: Zip -> City",
-                config,
-            ).unwrap();
+            let mut session = open(HoloConfig::default().with_threads(1));
             let mut live_ids: Vec<TupleId> = Vec::new();
             let mut mirror: Vec<Vec<String>> = Vec::new();
-            let mut pushed = false;
-            for (kind, sel, n, z, c) in ops {
+            let last = ops.len() - 1;
+            for (i, ((kind, sel, n, z, c), read)) in ops.into_iter().enumerate() {
                 match kind {
                     0 => {
                         let batch: Vec<Vec<String>> = (0..n)
@@ -1934,49 +962,32 @@ mod tests {
                             live_ids.push(TupleId((before + i) as u32));
                             mirror.push(row);
                         }
-                        pushed = true;
                     }
+                    _ if live_ids.is_empty() => {}
                     1 => {
-                        if live_ids.is_empty() {
-                            continue;
-                        }
                         let idx = sel as usize % live_ids.len();
                         let row = crud_row(z, c);
                         session.push_updates(&[(live_ids[idx], row.clone())]).unwrap();
                         mirror[idx] = row;
                     }
                     _ => {
-                        if live_ids.is_empty() {
-                            continue;
-                        }
                         let idx = sel as usize % live_ids.len();
                         session.push_deletes(&[live_ids[idx]]).unwrap();
                         live_ids.remove(idx);
                         mirror.remove(idx);
                     }
                 }
-                if pushed {
-                    // Every full build after the first is a compaction.
-                    let compactions = session.retire_stats().compactions;
-                    prop_assert_eq!(session.design_stats().full_builds, 1 + compactions);
-                    prop_assert_eq!(session.component_stats().full_builds, 1 + compactions);
+                if read == 0 && i != last {
+                    continue;
                 }
-            }
-            let streamed = session.report();
-            let mut ds = Dataset::new(Schema::new(vec!["Zip", "City"]));
-            for row in &mirror {
-                ds.push_row(row);
-            }
-            let fresh = HoloClean::new(ds)
-                .with_constraint_text("FD: Zip -> City")
-                .unwrap()
-                .run()
-                .unwrap()
-                .report;
-            prop_assert_eq!(streamed, fresh);
-            if pushed {
-                let compactions = session.retire_stats().compactions;
-                prop_assert_eq!(session.design_stats().full_builds, 1 + compactions);
+                let streamed = session.report();
+                prop_assert_eq!(&streamed, &one_shot(&mirror, 1));
+                let ingest = session.ingest_stats();
+                let design = session.design_stats();
+                prop_assert_eq!(design.full_builds, 1 + session.retire_stats().compactions);
+                prop_assert_eq!(&session.report(), &streamed);
+                prop_assert_eq!(session.ingest_stats(), ingest);
+                prop_assert_eq!(session.design_stats(), design);
             }
         }
     }

@@ -28,15 +28,14 @@
 //! updates. The maintained invariants are the ones chromatic sweeps need:
 //! the coloring stays *proper* (no clique scope contains two variables of
 //! the same color) and clique-free variables stay at color 0. Both are
-//! proptested; [`ColoringStats`] counts full builds vs in-place patches so
-//! streaming sessions can prove they never rebuilt.
+//! proptested; [`ColoringStats`] counts full builds vs in-place patches.
 
 use crate::graph::{CliqueFactor, VarId};
 use serde::{Deserialize, Serialize};
 
-/// Build/patch counters of the cached [`Coloring`] — a healthy streaming
-/// session shows at most one full build (the first chromatic inference
-/// pass) and one patch per late mutation after it.
+/// Build/patch counters of the cached [`Coloring`] — at most one full
+/// build (the first chromatic inference pass) and one patch per late
+/// mutation after it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ColoringStats {
     /// Full greedy passes over the whole graph.

@@ -112,8 +112,7 @@ pub struct PartitionStats {
     /// Gibbs-routed components that armed a plan (0 for every single-color
     /// component, which keeps the sequential sweep).
     pub color_sweep_blocks: u64,
-    /// Full greedy builds of the coloring over the graph's lifetime (a
-    /// healthy streaming session shows 1).
+    /// Full greedy builds of the coloring over the graph's lifetime.
     pub coloring_full_builds: u64,
     /// In-place coloring patches (late cliques repaired raise-only plus
     /// appended variables) over the graph's lifetime.

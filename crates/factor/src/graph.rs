@@ -6,33 +6,6 @@
 //! encode grounded denial constraints from Algorithm 1 — a conjunction of
 //! predicates over the candidate values of up to a handful of variables
 //! plus constants frozen from clean cells.
-//!
-//! # Retirement and compaction
-//!
-//! Long-lived graphs (streaming sessions) must *retract*, not just grow,
-//! and every retraction is designed to keep the three cached structures —
-//! the CSR design matrix, the [`ComponentIndex`], and the greedy
-//! [`Coloring`] — patchable in place:
-//!
-//! * **Variables** retire through [`FactorGraph::pin_evidence`]: the
-//!   variable becomes evidence (excluded from inference) but keeps its id
-//!   and its design-matrix rows, so nothing renumbers.
-//! * **Cliques** retire through [`FactorGraph::retire_clique`]: the
-//!   clique's predicates are replaced by a single *unsatisfiable* predicate
-//!   (`NULL = NULL`; null never satisfies anything), so every consumer —
-//!   Gibbs conditionals, exact enumeration, the blocked score kernel —
-//!   sees a factor that scores `0` under every assignment with **zero**
-//!   special-casing. The clique keeps its scope, which is exactly why the
-//!   component index stays valid without re-splitting (components only
-//!   ever merge) and the coloring stays proper without lowering colors.
-//!
-//! Both mechanisms trade garbage for stability: retired variables and
-//! cliques still occupy slots. The amortised cleanup is **compaction** —
-//! the session rebuilds the graph from the live table into a fresh
-//! structure seeded with [`FactorGraph::carry_counters_from`], which
-//! preserves the cumulative `full_builds`/patch counters so the
-//! "one amortised full rebuild per compaction tick" claim stays observable
-//! across the swap.
 
 use crate::coloring::{Coloring, ColoringStats};
 use crate::components::{ComponentIndex, ComponentStats};
@@ -227,24 +200,6 @@ impl CliqueFactor {
 /// Sparse unary features of one `(variable, candidate)` pair.
 pub type FeatureVec = Vec<(WeightId, f64)>;
 
-/// Retirement / compaction counters of a long-lived graph. The graph
-/// itself maintains the clique half; sessions layer the variable and
-/// row-liveness half on top when they snapshot stage timings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct RetireStats {
-    /// Cliques neutralised in place by [`FactorGraph::retire_clique`].
-    pub cliques_retired: u64,
-    /// Variables renumbered away by compaction passes (session-level).
-    pub vars_renumbered: u64,
-    /// Compaction ticks performed (session-level).
-    pub compactions: u64,
-    /// Live rows of the backing dataset at snapshot time (session-level).
-    pub live_rows: u64,
-    /// Tombstoned rows of the backing dataset at snapshot time
-    /// (session-level).
-    pub dead_rows: u64,
-}
-
 /// The grounded factor graph.
 ///
 /// Unary features live in two representations: the nested adjacency
@@ -307,11 +262,6 @@ pub struct FactorGraph {
     coloring_stats: ColoringStats,
     /// Number of full [`Coloring::build`] passes.
     coloring_full_builds: AtomicU64,
-    /// Indices of cliques neutralised by [`FactorGraph::retire_clique`].
-    retired_cliques: FxHashSet<u32>,
-    /// Cumulative retirement counters (survive compaction via
-    /// [`FactorGraph::carry_counters_from`]).
-    retire_stats: RetireStats,
 }
 
 impl Clone for FactorGraph {
@@ -343,8 +293,6 @@ impl Clone for FactorGraph {
             coloring,
             coloring_stats: self.coloring_stats,
             coloring_full_builds: AtomicU64::new(self.coloring_full_builds.load(Ordering::Relaxed)),
-            retired_cliques: self.retired_cliques.clone(),
-            retire_stats: self.retire_stats,
         }
     }
 }
@@ -719,84 +667,6 @@ impl FactorGraph {
         };
         var.evidence = Some(k);
     }
-
-    /// Retires clique `idx` in place by replacing its predicates with a
-    /// single unsatisfiable one (`NULL = NULL` — null symbols never
-    /// satisfy any predicate), so [`CliqueFactor::violated`] is `false`
-    /// and [`CliqueFactor::score`] is `0` under every assignment. The
-    /// clique keeps its slot, its scope, and its adjacency wiring, which
-    /// is the whole point: the design matrix holds no clique state (no
-    /// patch needed), the component index stays valid because the scope
-    /// still spans the same variables (components never re-split before
-    /// compaction), and the coloring stays proper because no interaction
-    /// edge was removed (colors never lower). Idempotent.
-    pub fn retire_clique(&mut self, idx: u32) {
-        assert!((idx as usize) < self.cliques.len(), "unknown clique {idx}");
-        if !self.retired_cliques.insert(idx) {
-            return;
-        }
-        self.cliques[idx as usize].predicates = vec![FactorPredicate {
-            lhs: FactorOperand::Const(Sym::NULL),
-            op: CmpOp::Eq,
-            rhs: FactorOperand::Const(Sym::NULL),
-        }];
-        self.retire_stats.cliques_retired += 1;
-    }
-
-    /// Whether clique `idx` has been retired.
-    pub fn is_clique_retired(&self, idx: u32) -> bool {
-        self.retired_cliques.contains(&idx)
-    }
-
-    /// Number of currently-retired cliques (resets to 0 after compaction
-    /// swaps in a fresh graph; the cumulative count lives in
-    /// [`FactorGraph::retire_stats`]).
-    pub fn retired_clique_count(&self) -> usize {
-        self.retired_cliques.len()
-    }
-
-    /// Cumulative retirement counters.
-    pub fn retire_stats(&self) -> RetireStats {
-        self.retire_stats
-    }
-
-    /// Adds session-level retirement/compaction counts (variables
-    /// renumbered away, compaction ticks) to the cumulative stats.
-    pub fn note_compaction(&mut self, vars_renumbered: u64) {
-        self.retire_stats.vars_renumbered += vars_renumbered;
-        self.retire_stats.compactions += 1;
-    }
-
-    /// Seeds this (freshly-built, typically empty) graph with the
-    /// cumulative cache and retirement counters of `prior` — the
-    /// compaction handshake. A compaction pass rebuilds the graph from
-    /// scratch and swaps it in; carrying the counters across the swap
-    /// keeps `full_builds` monotone so "the counters advance exactly once
-    /// per compaction tick" is observable at the session level rather
-    /// than resetting to 1 on every rebuild.
-    pub fn carry_counters_from(&mut self, prior: &FactorGraph) {
-        self.full_builds
-            .fetch_add(prior.full_builds.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.comp_full_builds.fetch_add(
-            prior.comp_full_builds.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.coloring_full_builds.fetch_add(
-            prior.coloring_full_builds.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.stats.vars_patched += prior.stats.vars_patched;
-        self.stats.rows_patched += prior.stats.rows_patched;
-        self.stats.entries_patched += prior.stats.entries_patched;
-        self.comp_stats.vars_appended += prior.comp_stats.vars_appended;
-        self.comp_stats.merges += prior.comp_stats.merges;
-        self.coloring_stats.vars_appended += prior.coloring_stats.vars_appended;
-        self.coloring_stats.cliques_patched += prior.coloring_stats.cliques_patched;
-        self.coloring_stats.colors_raised += prior.coloring_stats.colors_raised;
-        self.retire_stats.cliques_retired += prior.retire_stats.cliques_retired;
-        self.retire_stats.vars_renumbered += prior.retire_stats.vars_renumbered;
-        self.retire_stats.compactions += prior.retire_stats.compactions;
-    }
 }
 
 #[cfg(test)]
@@ -1000,98 +870,6 @@ mod tests {
         let _ = g.unary_scores(v, &w); // populate the cache
         let clone = g.clone();
         assert_eq!(clone.unary_scores(v, &w), g.unary_scores(v, &w));
-    }
-
-    /// Retiring a clique neutralises its score under every assignment
-    /// while keeping the scope (components stay merged, coloring stays
-    /// proper) and advancing no cache full-build.
-    #[test]
-    fn retired_clique_scores_zero_and_keeps_scope() {
-        let mut g = FactorGraph::new();
-        let v0 = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        let v1 = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        g.add_clique(CliqueFactor {
-            vars: vec![v0, v1],
-            weight: WeightId(0),
-            predicates: vec![FactorPredicate {
-                lhs: FactorOperand::Var(0),
-                op: CmpOp::Eq,
-                rhs: FactorOperand::Var(1),
-            }],
-        });
-        let _ = g.design();
-        let _ = g.components();
-        let _ = g.coloring();
-        assert_eq!(g.components().comp_of(v0), g.components().comp_of(v1));
-        let colors_before = (g.coloring().color_of(v0), g.coloring().color_of(v1));
-        let mut w = Weights::zeros(1);
-        w.set(WeightId(0), 4.0);
-        let ctx = EqOnlyContext;
-        assert_eq!(g.cliques()[0].score(&[sym(5), sym(5)], &w, &ctx), -4.0);
-
-        g.retire_clique(0);
-        g.retire_clique(0); // idempotent
-        assert!(g.is_clique_retired(0));
-        assert_eq!(g.retired_clique_count(), 1);
-        assert_eq!(g.retire_stats().cliques_retired, 1);
-        // Scores zero under every assignment, including the violating one.
-        for assign in [[sym(5), sym(5)], [sym(5), sym(6)], [Sym::NULL, sym(5)]] {
-            assert_eq!(g.cliques()[0].score(&assign, &w, &ctx), 0.0);
-            assert!(!g.cliques()[0].violated(&assign, &ctx));
-        }
-        // Scope intact: components do not re-split, colors never lower,
-        // adjacency untouched, and no cache rebuilt.
-        assert_eq!(g.components().comp_of(v0), g.components().comp_of(v1));
-        assert!(g.coloring().color_of(v0) >= colors_before.0);
-        assert!(g.coloring().color_of(v1) >= colors_before.1);
-        assert_eq!(g.cliques_of(v0), &[0]);
-        assert_eq!(g.design_stats().full_builds, 1);
-        assert_eq!(g.component_stats().full_builds, 1);
-        assert_eq!(g.coloring_stats().full_builds, 1);
-    }
-
-    /// Compaction handshake: a fresh graph carries the prior graph's
-    /// cumulative counters forward, so full-build counts stay monotone
-    /// across the swap.
-    #[test]
-    fn carry_counters_survives_compaction_swap() {
-        let mut g = FactorGraph::new();
-        let v = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        g.add_clique(CliqueFactor {
-            vars: vec![v],
-            weight: WeightId(0),
-            predicates: vec![FactorPredicate {
-                lhs: FactorOperand::Var(0),
-                op: CmpOp::Eq,
-                rhs: FactorOperand::Const(sym(1)),
-            }],
-        });
-        let _ = g.design();
-        let _ = g.components();
-        g.retire_clique(0);
-        g.pin_evidence(v, sym(9));
-
-        let mut fresh = FactorGraph::new();
-        fresh.carry_counters_from(&g);
-        fresh.note_compaction(1);
-        let _ = fresh.add_variable(Variable::query(vec![sym(1)], Some(0)));
-        let _ = fresh.design();
-        let _ = fresh.components();
-        assert_eq!(
-            fresh.design_stats().full_builds,
-            2,
-            "prior build + one amortised rebuild"
-        );
-        assert_eq!(fresh.component_stats().full_builds, 2);
-        let rs = fresh.retire_stats();
-        assert_eq!(rs.cliques_retired, 1, "cumulative across the swap");
-        assert_eq!(rs.compactions, 1);
-        assert_eq!(rs.vars_renumbered, 1);
-        assert_eq!(
-            fresh.retired_clique_count(),
-            0,
-            "the fresh graph holds no garbage"
-        );
     }
 
     #[test]

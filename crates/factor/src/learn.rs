@@ -68,7 +68,6 @@ use crate::graph::{FactorGraph, VarId};
 use crate::packed::{self, EpochOutcome, PackedArena};
 use crate::weights::Weights;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
@@ -212,11 +211,10 @@ pub fn train(graph: &FactorGraph, weights: &mut Weights, config: &LearnConfig) -
 ///
 /// Examples are visited in the graph's variable-id order — for a graph
 /// built by one compile pass that *is* the canonical (attribute-major,
-/// cell-sorted) evidence order. A long-lived graph whose variables were
-/// appended across batches must use [`train_examples`] with an explicit
-/// canonical order instead: SGD's seeded shuffle permutes example
+/// cell-sorted) evidence order. SGD's seeded shuffle permutes example
 /// *positions*, so the example sequence — and therefore every learned
-/// weight, bitwise — depends on the initial order.
+/// weight, bitwise — depends on that initial order; [`train_examples`]
+/// takes an explicit one.
 pub fn train_with_threads(
     graph: &FactorGraph,
     weights: &mut Weights,
@@ -228,18 +226,10 @@ pub fn train_with_threads(
 
 /// [`train_with_threads`] over a caller-supplied example order.
 ///
-/// This is the streaming engine's learning entry point: a
-/// [`StreamSession`]-maintained graph accumulates evidence variables in
-/// arrival order, which differs from the order a one-shot compile of the
-/// same data would produce. Passing the canonical order explicitly makes
-/// the SGD trajectory — and the final weights, bit for bit — a function
-/// of the *model content* rather than of the mutation history, which is
-/// what the streaming-equals-batch equivalence rests on.
-///
 /// Single-candidate entries are skipped (no gradient signal); order is
-/// otherwise preserved. Variables must be evidence.
-///
-/// [`StreamSession`]: https://docs.rs/holoclean (crates/core `stream`)
+/// otherwise preserved. Variables must be evidence. The eligible
+/// examples are packed into a per-call arena and the dense-accumulator
+/// kernel runs over it, consuming one shuffle per epoch.
 pub fn train_examples(
     graph: &FactorGraph,
     weights: &mut Weights,
@@ -249,15 +239,21 @@ pub fn train_examples(
 ) -> LearnStats {
     let examples = eligible_examples(graph, examples);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    run_epochs(
-        graph,
+    let mut stats = LearnStats::empty(examples.len(), config.epochs);
+    let arena = PackedArena::pack(graph, graph.design(), weights, &examples);
+    stats.packed_examples = arena.examples();
+    stats.packed_entries = arena.packed_entries();
+    stats.packed_bytes = arena.bytes();
+    stats.packed_epochs = config.epochs;
+    stats.absorb(packed::run_epochs(
+        &arena,
         weights,
         config,
         threads,
-        &examples,
         &mut rng,
         config.epochs,
-    )
+    ));
+    stats
 }
 
 /// The entries of `examples` that carry gradient signal, in order: an
@@ -276,93 +272,6 @@ fn eligible_examples(graph: &FactorGraph, examples: &[VarId]) -> Vec<VarId> {
         .collect()
 }
 
-/// The shared epoch driver: packs the (already filtered) example list
-/// into a per-call arena and runs the dense-accumulator kernel over it,
-/// consuming one length-`examples` shuffle per epoch from `rng`.
-fn run_epochs(
-    graph: &FactorGraph,
-    weights: &mut Weights,
-    config: &LearnConfig,
-    threads: usize,
-    examples: &[VarId],
-    rng: &mut StdRng,
-    epochs: usize,
-) -> LearnStats {
-    let mut stats = LearnStats::empty(examples.len(), epochs);
-    let arena = PackedArena::pack(graph, graph.design(), weights, examples);
-    stats.packed_examples = arena.examples();
-    stats.packed_entries = arena.packed_entries();
-    stats.packed_bytes = arena.bytes();
-    stats.packed_epochs = epochs;
-    stats.absorb(packed::run_epochs(
-        &arena, weights, config, threads, rng, epochs,
-    ));
-    stats
-}
-
-/// Warm-start replay training — the incremental-learning path of the
-/// streaming engine (and of feedback retraining workloads shaped like
-/// it).
-///
-/// Instead of re-running full SGD from the priors over *all* evidence,
-/// this resumes from the **current** `weights` and replays a window
-/// biased to new evidence: the last `recent` examples (the batch that
-/// just arrived) plus an equally-sized seeded sample of the older
-/// examples (so the new signal cannot drag shared weights away from what
-/// the old evidence supports). `epochs` replay epochs run with the usual
-/// minibatch/shard machinery, so the result is bit-for-bit identical at
-/// every thread count.
-///
-/// This is an *approximation*: an SGD endpoint depends on its whole
-/// trajectory, so replayed weights differ from a canonical from-scratch
-/// retrain (which is what batch-equivalent reads use). The point is
-/// wall-clock — `O(window)` per batch instead of `O(all evidence ·
-/// epochs)` — for serving interim posteriors between batches.
-pub fn train_replay(
-    graph: &FactorGraph,
-    weights: &mut Weights,
-    config: &LearnConfig,
-    threads: usize,
-    examples: &[VarId],
-    recent: usize,
-    epochs: usize,
-) -> LearnStats {
-    let (window, mut rng) = replay_window(graph, config, examples, recent);
-    if window.is_empty() {
-        return LearnStats::empty(0, epochs);
-    }
-    run_epochs(graph, weights, config, threads, &window, &mut rng, epochs)
-}
-
-/// The replay window of [`train_replay`] — the last `recent` eligible
-/// examples followed by an equally-sized seeded sample of the older ones
-/// — plus the RNG the sample was drawn from: the epoch loop continues on
-/// it, so the replay trajectory is one deterministic stream per (seed,
-/// eligible count).
-fn replay_window(
-    graph: &FactorGraph,
-    config: &LearnConfig,
-    examples: &[VarId],
-    recent: usize,
-) -> (Vec<VarId>, StdRng) {
-    let eligible = eligible_examples(graph, examples);
-    let recent_n = recent.min(eligible.len());
-    let (older, fresh) = eligible.split_at(eligible.len() - recent_n);
-    // Deterministic replay sample of the old evidence: seed mixes the
-    // stream position so successive batches revisit different slices.
-    let mut rng = StdRng::seed_from_u64(
-        config
-            .seed
-            .wrapping_add((eligible.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    );
-    let mut sampled: Vec<VarId> = older.to_vec();
-    sampled.shuffle(&mut rng);
-    sampled.truncate(recent_n);
-    let mut window: Vec<VarId> = fresh.to_vec();
-    window.extend(sampled);
-    (window, rng)
-}
-
 /// The pre-arena trainer, kept as the **test-only reference** the packed
 /// kernel is pinned against bit for bit: it walks the CSR design matrix
 /// per example, accumulates gradients in hash maps, merges shard maps in
@@ -371,7 +280,7 @@ fn replay_window(
 /// path; it fills no arena counters and never reports a dispatch.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{eligible_examples, replay_window, LearnConfig, LearnStats};
+    use super::{eligible_examples, LearnConfig, LearnStats};
     use crate::design::DesignMatrix;
     use crate::graph::{FactorGraph, VarId};
     use crate::math::softmax_in_place;
@@ -401,32 +310,6 @@ pub(crate) mod oracle {
             &mut examples,
             &mut rng,
             config.epochs,
-        ));
-        stats
-    }
-
-    /// Reference [`super::train_replay`]. An empty window runs zero
-    /// minibatches, which absorbs to the same all-zero stats the
-    /// production path returns early with.
-    pub(crate) fn train_replay(
-        graph: &FactorGraph,
-        weights: &mut Weights,
-        config: &LearnConfig,
-        threads: usize,
-        examples: &[VarId],
-        recent: usize,
-        epochs: usize,
-    ) -> LearnStats {
-        let (mut window, mut rng) = replay_window(graph, config, examples, recent);
-        let mut stats = LearnStats::empty(window.len(), epochs);
-        stats.absorb(run_epochs(
-            graph,
-            weights,
-            config,
-            threads,
-            &mut window,
-            &mut rng,
-            epochs,
         ));
         stats
     }
@@ -871,10 +754,6 @@ mod tests {
         let stats_clean = train_examples(&g, &mut w_clean, &cfg, 1, &clean);
         assert_eq!(w, w_clean, "filtered window trains identically");
         assert_eq!(stats.minibatches, stats_clean.minibatches);
-        // Replay windows get the same treatment.
-        let mut w_replay = w.clone();
-        let s = train_replay(&g, &mut w_replay, &cfg, 1, &window, 4, 1);
-        assert_eq!(s.examples, 8, "4 fresh + 4 replayed, query excluded");
     }
 
     /// `grad_norm_mean` averages the final epoch's minibatch norms: with
@@ -937,8 +816,7 @@ mod tests {
     }
 
     /// `train_examples` with the graph's own evidence order is exactly
-    /// `train_with_threads`; a permuted order changes the SGD trajectory
-    /// (which is why streaming callers must pass the canonical one).
+    /// `train_with_threads`; a permuted order changes the SGD trajectory.
     #[test]
     fn explicit_example_order_controls_the_trajectory() {
         let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
@@ -961,42 +839,6 @@ mod tests {
         let mut w_rev = reg.build_weights();
         train_examples(&g, &mut w_rev, &cfg, 1, &reversed);
         assert_ne!(w_graph, w_rev, "order is load-bearing for the trajectory");
-    }
-
-    /// Replay training is deterministic, thread-count invariant, and
-    /// bounded by the window (not the full evidence set).
-    #[test]
-    fn replay_is_deterministic_and_windowed() {
-        let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
-        let mut g = FactorGraph::new();
-        for i in 0..100usize {
-            let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], i % 2));
-            let w = reg.learnable(i % 7);
-            g.add_feature(v, 0, w, 1.0);
-        }
-        let order = g.evidence_vars();
-        let cfg = LearnConfig::default();
-        let mut w1 = reg.build_weights();
-        let base = train_with_threads(&g, &mut w1, &cfg, 1);
-        let mut w2 = w1.clone();
-        let stats = train_replay(&g, &mut w2, &cfg, 1, &order, 10, 2);
-        assert_eq!(stats.examples, 20, "10 fresh + 10 replayed old");
-        assert!(stats.minibatches > 0);
-        assert!(
-            stats.minibatches < base.minibatches,
-            "cheaper than full SGD"
-        );
-        for threads in [2, 4] {
-            let mut w3 = w1.clone();
-            let s3 = train_replay(&g, &mut w3, &cfg, threads, &order, 10, 2);
-            assert_eq!(w3, w2, "threads = {threads}");
-            assert_eq!(s3.minibatches, stats.minibatches);
-        }
-        // Empty window is a no-op.
-        let mut w4 = w1.clone();
-        let s4 = train_replay(&g, &mut w4, &cfg, 1, &order, 0, 2);
-        assert_eq!(s4.examples, 0);
-        assert_eq!(w4, w1);
     }
 
     #[test]

@@ -77,8 +77,7 @@ pub use components::{
 pub use design::{DesignMatrix, DesignStats};
 pub use gibbs::{run_chains, GibbsConfig, GibbsSampler};
 pub use graph::{
-    CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, RetireStats, ValueContext,
-    VarId, Variable,
+    CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, ValueContext, VarId, Variable,
 };
 pub use learn::{LearnConfig, LearnStats};
 pub use marginals::Marginals;

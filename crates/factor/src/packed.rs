@@ -2,8 +2,7 @@
 //! SGD kernel — the hash-free, sort-free substrate of [`crate::learn`].
 //!
 //! Weight learning is the tax every read pays (`LearnStage`,
-//! `FeedbackSession::retrain`, stream replay and `StreamSession::report`
-//! all run it), so the epoch loop does no bookkeeping beyond the gradient
+//! `FeedbackSession::retrain` and `StreamSession::report` all run it), so the epoch loop does no bookkeeping beyond the gradient
 //! arithmetic itself: **one gather pass per training call** copies each
 //! example's candidate rows into contiguous example-major buffers
 //! ([`PackedArena`]), every epoch streams that memory linearly, and the

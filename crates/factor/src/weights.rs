@@ -157,10 +157,9 @@ impl Weights {
     ///
     /// The squares are summed in **value-sorted** order, not weight-id
     /// order: two models whose registries interned the same features in
-    /// different sequences (a one-shot compile vs a streaming session
-    /// patching the same model together batch by batch) hold the same
-    /// multiset of weight values under different ids, and a value-ordered
-    /// sum makes the reported norm bit-for-bit identical for both — so
+    /// different sequences hold the same multiset of weight values under
+    /// different ids, and a value-ordered sum makes the reported norm
+    /// bit-for-bit identical for both — so
     /// equivalence diffs over diagnostic dumps don't false-positive on
     /// floating-point association order.
     pub fn learnable_norm(&self) -> f64 {

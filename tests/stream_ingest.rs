@@ -1,16 +1,16 @@
-//! The streaming-equivalence contract of PR 5:
+//! The streaming-equivalence contract:
 //!
 //! 1. feeding hospital in K batches yields repairs **byte-identical** to
 //!    the one-shot pipeline — cells, values, and full posteriors — for
-//!    K ∈ {1, 4, 16} at every thread count;
-//! 2. the incrementality is real: after the first batch, the design
-//!    matrix and the component index are patched in place only —
-//!    `full_builds` stays pinned at 1 for the whole stream.
+//!    K ∈ {1, 4, 16} at every thread count, under the default model and
+//!    the partitioned DC-factor variant;
+//! 2. pushes maintain statistics and violations only: the model is built
+//!    once, by the read, and a failing read is a typed error.
 
 use holoclean_repro::holo_datagen::{hospital, HospitalConfig};
 use holoclean_repro::holo_dataset::{Dataset, Schema};
 use holoclean_repro::holoclean::stream::StreamSession;
-use holoclean_repro::holoclean::{HoloClean, HoloConfig, RepairReport};
+use holoclean_repro::holoclean::{HoloClean, HoloConfig, HoloError, ModelVariant, RepairReport};
 
 fn hospital_rows() -> (Schema, String, Vec<Vec<String>>) {
     let gen = hospital(HospitalConfig {
@@ -32,11 +32,11 @@ fn hospital_rows() -> (Schema, String, Vec<Vec<String>>) {
     (schema, gen.constraints_text.clone(), rows)
 }
 
-fn one_shot(
+fn one_shot_with(
     schema: &Schema,
     constraints: &str,
     rows: &[Vec<String>],
-    threads: usize,
+    config: HoloConfig,
 ) -> RepairReport {
     let mut ds = Dataset::new(schema.clone());
     for row in rows {
@@ -45,10 +45,34 @@ fn one_shot(
     HoloClean::new(ds)
         .with_constraint_text(constraints)
         .unwrap()
-        .with_config(HoloConfig::default().with_threads(threads))
+        .with_config(config)
         .run()
         .unwrap()
         .report
+}
+
+fn one_shot(
+    schema: &Schema,
+    constraints: &str,
+    rows: &[Vec<String>],
+    threads: usize,
+) -> RepairReport {
+    let config = HoloConfig::default().with_threads(threads);
+    one_shot_with(schema, constraints, rows, config)
+}
+
+fn streamed_with(
+    schema: &Schema,
+    constraints: &str,
+    rows: &[Vec<String>],
+    batches: usize,
+    config: HoloConfig,
+) -> StreamSession {
+    let mut session = StreamSession::new(schema.clone(), constraints, config).unwrap();
+    for chunk in rows.chunks(rows.len().div_ceil(batches)) {
+        session.push_batch(chunk).unwrap();
+    }
+    session
 }
 
 fn streamed(
@@ -58,16 +82,8 @@ fn streamed(
     batches: usize,
     threads: usize,
 ) -> StreamSession {
-    let mut session = StreamSession::new(
-        schema.clone(),
-        constraints,
-        HoloConfig::default().with_threads(threads),
-    )
-    .unwrap();
-    for chunk in rows.chunks(rows.len().div_ceil(batches)) {
-        session.push_batch(chunk).unwrap();
-    }
-    session
+    let config = HoloConfig::default().with_threads(threads);
+    streamed_with(schema, constraints, rows, batches, config)
 }
 
 /// Repairs and posteriors compared down to the f64 bits — `PartialEq` on
@@ -143,6 +159,30 @@ fn hospital_streams_bit_identical_to_batch_at_any_split_and_thread_count() {
     }
 }
 
+/// Insert-only K-batch ≡ one-shot under Algorithm 1 grounding with
+/// Algorithm 3 partitioning (the exact and Gibbs engines run).
+#[test]
+fn hospital_streams_bit_identical_under_partitioned_dc_factors() {
+    let (schema, constraints, rows) = hospital_rows();
+    let config = |threads: usize| {
+        HoloConfig::default()
+            .with_threads(threads)
+            .with_variant(ModelVariant::DcFactorsPartitioned)
+    };
+    let reference = one_shot_with(&schema, &constraints, &rows, config(1));
+    assert!(!reference.posteriors.is_empty());
+    for (batches, threads) in [(1, 2), (4, 1), (16, 4)] {
+        let mut session = streamed_with(&schema, &constraints, &rows, batches, config(threads));
+        assert_bitwise_equal(
+            &session.report(),
+            &reference,
+            &format!("dc-factors K={batches}, threads={threads}"),
+        );
+        let model = session.model().expect("the read built it");
+        assert!(model.compiled.stats.cliques > 0, "cliques grounded");
+    }
+}
+
 #[test]
 fn hospital_stream_never_rebuilds_after_the_first_batch() {
     let (schema, constraints, rows) = hospital_rows();
@@ -153,37 +193,62 @@ fn hospital_stream_never_rebuilds_after_the_first_batch() {
     let n_batches = chunks.len() as u64;
     for chunk in chunks {
         reports.push(session.push_batch(chunk).unwrap());
-        // Pinned from the very first batch: one full design build, one
-        // full component-index build, patches only ever after.
-        assert_eq!(session.design_stats().full_builds, 1);
-        assert_eq!(session.component_stats().full_builds, 1);
+        // A push builds no model, on the first batch or any later one.
+        assert_eq!(session.design_stats().full_builds, 0);
+        assert!(session.model().is_none());
     }
-    // Interleave batch-equivalent reads with ingestion: reads must not
-    // rebuild either.
+    // The read builds it, once; a second read builds nothing.
+    let _ = session.report();
     let _ = session.report();
     assert_eq!(session.design_stats().full_builds, 1);
-    assert_eq!(session.component_stats().full_builds, 1);
+    assert_eq!(session.design_stats().vars_patched, 0);
+    assert_eq!(session.retire_stats().compactions, 0);
     let stats = session.ingest_stats();
     assert_eq!(stats.batches, n_batches);
     assert_eq!(stats.tuples as usize, rows.len());
+    assert_eq!(stats.canonical_retrains, 1);
     assert!(stats.vars_added > 0);
     assert!(stats.cells_recomputed > 0);
     assert!(
         stats.delta_violations as usize >= reports[0].new_violations,
         "delta detection found violations"
     );
-    // The design matrix was patched (vars appended across batches), not
-    // recompiled.
-    assert!(session.design_stats().vars_patched > 0);
     let timings = session.timings();
     assert_eq!(timings.ingest, stats);
+    assert_eq!(timings.design.full_builds, 1);
     assert!(timings.detect + timings.compile > std::time::Duration::ZERO);
+}
+
+/// Mirrors `end_to_end::diverging_learning_rate_is_a_typed_error_not_nan_repairs`:
+/// a streamed read surfaces the divergence instead of repairs, and the
+/// session survives it.
+#[test]
+fn diverging_learning_rate_is_a_typed_error_from_try_report() {
+    let (schema, constraints, rows) = hospital_rows();
+    let mut config = HoloConfig::default().with_threads(1);
+    config.learn.learning_rate = 1e308;
+    let mut session = streamed_with(&schema, &constraints, &rows, 4, config);
+    for _ in 0..2 {
+        match session.try_report() {
+            Err(HoloError::LearnDiverged {
+                non_finite_minibatches,
+                minibatches,
+            }) => {
+                assert!(non_finite_minibatches > 0);
+                assert!(non_finite_minibatches <= minibatches);
+            }
+            Err(other) => panic!("expected LearnDiverged, got {other}"),
+            Ok(_) => panic!("a diverged read must not produce a report"),
+        }
+        assert!(session.model().is_none(), "a failed read caches nothing");
+    }
+    assert_eq!(session.dataset().tuple_count(), rows.len());
 }
 
 #[test]
 fn stream_counts_match_one_shot_detection() {
     let (schema, constraints, rows) = hospital_rows();
-    let session = streamed(&schema, &constraints, &rows, 4, 1);
+    let mut session = streamed(&schema, &constraints, &rows, 4, 1);
     // The delta union must equal the one-shot detection totals.
     let mut ds = Dataset::new(session.dataset().schema().clone());
     for row in &rows {
@@ -196,9 +261,8 @@ fn stream_counts_match_one_shot_detection() {
         .unwrap();
     assert_eq!(session.violations(), outcome.violations);
     assert_eq!(session.noisy_cells(), outcome.noisy_cells);
-    assert_eq!(session.compile_stats().query_vars, outcome.model.query_vars);
-    assert_eq!(
-        session.compile_stats().evidence_vars,
-        outcome.model.evidence_vars
-    );
+    let _ = session.report();
+    let shape = &session.model().expect("the read built it").compiled.stats;
+    assert_eq!(shape.query_vars, outcome.model.query_vars);
+    assert_eq!(shape.evidence_vars, outcome.model.evidence_vars);
 }
