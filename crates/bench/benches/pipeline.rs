@@ -97,8 +97,9 @@ fn bench_pruning(c: &mut Criterion) {
             ))
         })
     });
-    // The same scan against the retained naive hash-map oracle — the
-    // dense-vs-naive read-path comparison.
+    // The same prune over the retained naive hash-map oracle: only the
+    // index build walks the statistics now, so this differs from the dense
+    // arm by one group walk, not by a per-cell read path.
     let naive_stats = CooccurStats::build_with_opts(&gen.dirty, 1, true);
     group.bench_function("tau_0.5_naive_stats", |b| {
         b.iter(|| {
@@ -113,7 +114,9 @@ fn bench_pruning(c: &mut Criterion) {
         })
     });
     // Correlation-gated Algorithm 2 (BClean's cor_strength knob): partner
-    // attributes below the threshold are skipped entirely.
+    // attributes below the threshold never enter the index. Pruned at
+    // `compile`'s own minimum support.
+    let min_support = holoclean::HoloConfig::default().min_cond_support;
     let gate = holoclean::PruneGate {
         corr: stats.correlations(),
         min_corr: 0.3,
@@ -127,6 +130,7 @@ fn bench_pruning(c: &mut Criterion) {
                 0.5,
                 50,
                 1,
+                min_support,
                 Some(gate),
             ))
         })

@@ -21,6 +21,12 @@
 //! packed-arena counters `packed_examples`, `packed_entries`,
 //! `packed_bytes`, `packed_epochs`.
 //!
+//! The `compile` object carries the Algorithm 2 threshold index's size
+//! (`prune_index_rows`, `prune_index_entries`) and `phases`, the
+//! wall-clock split of `compile()` (`index_build_s`, `noisy_prune_s`,
+//! `evidence_prune_s`, `featurize_s`, `apply_s`, `ground_s` on DC-factor
+//! variants, `design_build_s`).
+//!
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
 //! (dense/CSR pair split, cell and byte footprint, build/extend/retract
 //! and correlation-recompute counters; the storage gauges are zero under
@@ -86,6 +92,17 @@ fn print_json(dataset: &str, out: &HoloOutcome, gate_hists: Option<&([u64; 4], [
     timings.field_raw("learn_s", &num_exact(t.learn.as_secs_f64()));
     timings.field_raw("infer_s", &num_exact(t.infer.as_secs_f64()));
     timings.field_raw("total_s", &num_exact(t.total().as_secs_f64()));
+    let mut compile = JsonObj::new();
+    compile.field_u64("prune_index_rows", out.model.prune_index_rows as u64);
+    compile.field_u64("prune_index_entries", out.model.prune_index_entries as u64);
+    let mut phases = JsonObj::new();
+    for (name, d) in &out.model.phases {
+        phases.field_raw(
+            &format!("{}_s", name.replace(' ', "_")),
+            &num_exact(d.as_secs_f64()),
+        );
+    }
+    compile.field_raw("phases", &phases.finish());
     let mut design = JsonObj::new();
     design.field_u64("full_builds", d.full_builds);
     design.field_u64("vars_patched", d.vars_patched);
@@ -143,6 +160,7 @@ fn print_json(dataset: &str, out: &HoloOutcome, gate_hists: Option<&([u64; 4], [
     root.field_str("dataset", dataset);
     root.field_raw("quality", &quality.finish());
     root.field_raw("timings", &timings.finish());
+    root.field_raw("compile", &compile.finish());
     root.field_raw("design", &design.finish());
     root.field_raw("learn", &learn);
     root.field_raw("partition", &partition.finish());
@@ -261,7 +279,7 @@ fn main() {
         .with_score_cache(!args.no_score_cache)
         .with_naive_stats(args.naive_stats)
         .with_cor_strength(args.cor_strength);
-    let max_domain = config.max_domain;
+    let (max_domain, min_support) = (config.max_domain, config.min_cond_support);
     let (out, registry, weights, pool) = if args.stream > 0 {
         run_streamed(&gen, config, args.stream)
     } else {
@@ -299,28 +317,25 @@ fn main() {
             }
             h
         };
-        let ungated = holoclean::prune_domains_with_threads(
-            &gen.dirty,
-            &cells,
-            &stats,
-            tau,
-            max_domain,
-            args.threads,
-        );
         let gate = holoclean::PruneGate {
             corr: stats.correlations(),
             min_corr,
         };
-        let gated = holoclean::prune_domains_gated(
-            &gen.dirty,
-            &cells,
-            &stats,
-            tau,
-            max_domain,
-            args.threads,
-            Some(gate),
-        );
-        (hist(&ungated), hist(&gated))
+        // Same minimum support as `compile`, so the histograms describe
+        // domains the pipeline actually builds.
+        let prune = |gate| {
+            holoclean::prune_domains_gated(
+                &gen.dirty,
+                &cells,
+                &stats,
+                tau,
+                max_domain,
+                args.threads,
+                min_support,
+                gate,
+            )
+        };
+        (hist(&prune(None)), hist(&prune(Some(gate))))
     });
     if args.json {
         print_json(kind.name(), &out, gate_hists.as_ref());
@@ -348,6 +363,17 @@ fn main() {
         out.timings.learn,
         out.timings.infer,
         out.timings.total()
+    );
+    let phases: Vec<String> = out
+        .model
+        .phases
+        .iter()
+        .map(|(name, d)| format!("{name} {d:?}"))
+        .collect();
+    println!("  compile phases: {}", phases.join(", "));
+    println!(
+        "  prune index: {} conditioning value(s), {} entr(ies)",
+        out.model.prune_index_rows, out.model.prune_index_entries
     );
     let design = out.timings.design;
     println!(

@@ -19,7 +19,7 @@
 //!    Infer read.
 
 use crate::config::HoloConfig;
-use crate::domain::CellDomains;
+use crate::domain::{CellDomains, PruneGate, PruneIndex};
 use crate::error::HoloError;
 use crate::features::{
     collect_cooccur_features, collect_distribution_feature, collect_external_features,
@@ -37,6 +37,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
 
 /// Size/shape diagnostics of a compiled model (reported by the harness —
 /// this is the "factor graph size" the paper's optimisations shrink).
@@ -59,6 +60,26 @@ pub struct CompileStats {
     pub dc_pairs_considered: usize,
     /// Constraints whose clique cap was hit.
     pub clique_cap_hits: usize,
+    /// Conditioning values held by the Algorithm 2 threshold index.
+    pub prune_index_rows: usize,
+    /// `(value, count)` entries held by the Algorithm 2 threshold index.
+    pub prune_index_entries: usize,
+    /// Wall-clock of `compile`'s phases, in execution order: index build,
+    /// noisy prune, evidence prune, featurize, apply, ground (DC-factor
+    /// variants only), design build.
+    pub phases: Vec<(&'static str, Duration)>,
+}
+
+/// Runs `f` and appends its wall-clock to `phases` under `name`.
+fn timed<R>(
+    phases: &mut Vec<(&'static str, Duration)>,
+    name: &'static str,
+    f: impl FnOnce() -> R,
+) -> R {
+    let start = Instant::now();
+    let out = f();
+    phases.push((name, start.elapsed()));
+    out
 }
 
 /// A compiled, grounded model ready for learning and inference.
@@ -111,55 +132,61 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     let mut graph = FactorGraph::new();
     let mut registry: FeatureRegistry<FeatureKey> = FeatureRegistry::new();
     let mut cstats = CompileStats::default();
+    let mut phases = Vec::new();
 
     // ---- 1. domains for noisy cells (Alg. 2 + dictionary assertions) ----
     let mut asserted_by_cell: FxHashMap<CellRef, Vec<Sym>> = FxHashMap::default();
     for &(cell, sym) in matches.keys() {
         asserted_by_cell.entry(cell).or_default().push(sym);
     }
+    let assert_into = |cell: CellRef, dom: &mut Vec<Sym>| {
+        for &v in asserted_by_cell.get(&cell).into_iter().flatten() {
+            if !dom.contains(&v) {
+                dom.push(v);
+            }
+        }
+    };
     let mut noisy_cells: Vec<CellRef> = noisy.iter().copied().collect();
     noisy_cells.sort_unstable();
     // Optional BClean-style correlation gate: computed once from the
     // maintained counts (cached inside the statistics until the next
     // mutation) and applied to both the noisy and evidence prunes.
-    let gate = config
-        .cor_strength
-        .map(|min_corr| crate::domain::PruneGate {
-            corr: stats.correlations(),
-            min_corr,
-        });
-    // Per-cell pruning reads only the dataset and the statistics, so the
-    // noisy cells shard across worker threads; merging in sorted-cell
-    // order keeps the result independent of the thread count.
-    let pruned = holo_parallel::parallel_map(threads, &noisy_cells, |_, &cell| {
-        crate::domain::prune_cell_gated(
+    let gate = config.cor_strength.map(|min_corr| PruneGate {
+        corr: stats.correlations(),
+        min_corr,
+    });
+    // One τ-threshold index serves both prunes: built at the smaller
+    // (evidence) τ, filtered at the noisy τ on read. It is dropped before
+    // featurization, so it never coexists with the feature buffers.
+    let evidence_tau = config.tau.min(config.evidence_tau_cap);
+    let index = timed(&mut phases, "index build", || {
+        PruneIndex::build(
             ds,
-            cell,
             stats,
-            config.tau,
-            config.max_domain,
+            evidence_tau,
             config.min_cond_support,
             gate,
+            threads,
         )
     });
-    let mut domains = CellDomains::default();
-    for (&cell, mut dom) in noisy_cells.iter().zip(pruned) {
-        if let Some(asserted) = asserted_by_cell.get(&cell) {
-            for &v in asserted {
-                if !dom.contains(&v) {
-                    dom.push(v);
-                }
-            }
-        }
-        domains.insert(cell, dom);
-    }
+    cstats.prune_index_rows = index.rows();
+    cstats.prune_index_entries = index.entries();
+    let pruned = timed(&mut phases, "noisy prune", || {
+        index.prune_cells(ds, &noisy_cells, config.tau, config.max_domain, threads)
+    });
 
     // ---- 2. variables ----
+    // Only DC-factor grounding reads domains by cell; every other variant
+    // moves each domain straight into its variable.
+    let mut domains = CellDomains::default();
     let mut cell_vars: FxHashMap<CellRef, VarId> = FxHashMap::default();
     let mut query_cells = Vec::new();
     let mut query_vars = Vec::new();
-    for &cell in &noisy_cells {
-        let dom = domains.get(cell).to_vec();
+    for (&cell, mut dom) in noisy_cells.iter().zip(pruned) {
+        assert_into(cell, &mut dom);
+        if config.variant.uses_dc_factors() {
+            domains.insert(cell, dom.clone());
+        }
         if dom.len() < 2 {
             cstats.singleton_noisy_cells += 1;
             continue;
@@ -175,34 +202,20 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     cstats.total_candidates = query_vars.iter().map(|&v| graph.var(v).arity()).sum();
 
     // Evidence: sample clean cells per attribute. Selection stays
-    // sequential (it consumes the seeded RNG); the Algorithm 2 pruning of
-    // the selected cells — the expensive part — shards across threads.
+    // sequential (it consumes the seeded RNG); the Algorithm 2 reads of
+    // the selected cells shard across threads.
     let selected = select_evidence_cells(ds, noisy, config);
-    let evidence_tau = config.tau.min(config.evidence_tau_cap);
-    let evidence_domains = holo_parallel::parallel_map(threads, &selected, |_, &cell| {
-        crate::domain::prune_cell_gated(
-            ds,
-            cell,
-            stats,
-            evidence_tau,
-            config.max_domain,
-            config.min_cond_support,
-            gate,
-        )
+    let evidence_domains = timed(&mut phases, "evidence prune", || {
+        index.prune_cells(ds, &selected, evidence_tau, config.max_domain, threads)
     });
+    drop(index);
     let mut evidence: Vec<(CellRef, Vec<Sym>, usize)> = Vec::new();
     for (&cell, mut dom) in selected.iter().zip(evidence_domains) {
         // Dictionary assertions join the evidence domains too: an
         // evidence cell whose observed value beats the asserted one is
         // exactly the negative example that trains the dictionary's
         // reliability weight w(k) down when coverage is poor.
-        if let Some(asserted) = asserted_by_cell.get(&cell) {
-            for &v in asserted {
-                if !dom.contains(&v) {
-                    dom.push(v);
-                }
-            }
-        }
+        assert_into(cell, &mut dom);
         if dom.len() < 2 {
             continue;
         }
@@ -253,39 +266,45 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     // [`FeatureBuffer`]s; the buffers then apply sequentially in variable
     // order, which replays the exact registry interning sequence of the
     // sequential compiler (same weight ids at every thread count).
-    let buffers = holo_parallel::parallel_map(threads, &all_vars, |_, &(cell, var)| {
-        let candidates = &graph.var(var).domain;
-        let mut buf = FeatureBuffer::default();
-        collect_cell_features(
-            &mut buf,
-            ds,
-            stats,
-            matches,
-            config,
-            dc_featurizer.as_ref(),
-            source_featurizer.as_ref(),
-            cell,
-            candidates,
-        );
-        buf
+    let buffers = timed(&mut phases, "featurize", || {
+        holo_parallel::parallel_map(threads, &all_vars, |_, &(cell, var)| {
+            let candidates = &graph.var(var).domain;
+            let mut buf = FeatureBuffer::default();
+            collect_cell_features(
+                &mut buf,
+                ds,
+                stats,
+                matches,
+                config,
+                dc_featurizer.as_ref(),
+                source_featurizer.as_ref(),
+                cell,
+                candidates,
+            );
+            buf
+        })
     });
-    for (&(_, var), buf) in all_vars.iter().zip(buffers) {
-        buf.apply(&mut graph, &mut registry, var);
-    }
+    timed(&mut phases, "apply", || {
+        for (&(_, var), buf) in all_vars.iter().zip(buffers) {
+            buf.apply(&mut graph, &mut registry, var);
+        }
+    });
 
     // ---- 4. DC factor grounding (Algorithm 1) ----
     if config.variant.uses_dc_factors() {
-        ground_dc_factors(
-            &mut graph,
-            &mut registry,
-            ds,
-            constraints,
-            &domains,
-            &cell_vars,
-            config,
-            components.as_deref(),
-            &mut cstats,
-        );
+        timed(&mut phases, "ground", || {
+            ground_dc_factors(
+                &mut graph,
+                &mut registry,
+                ds,
+                constraints,
+                &domains,
+                &cell_vars,
+                config,
+                components.as_deref(),
+                &mut cstats,
+            )
+        });
     }
 
     // Compile hands the model over in its scoring form: force the CSR
@@ -294,9 +313,12 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     // model's *only* full build — it absorbs the dirty set the mutators
     // above accumulated, and later mutations (feedback pins) patch the
     // matrix in place (`graph.design_stats()` keeps the tally).
-    let _ = graph.design();
+    timed(&mut phases, "design build", || {
+        let _ = graph.design();
+    });
     debug_assert_eq!(graph.design_stats().full_builds, 1);
 
+    cstats.phases = phases;
     cstats.factors = graph.factor_count();
     let weights = registry.build_weights();
     Ok(CompiledModel {

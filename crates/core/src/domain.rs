@@ -11,17 +11,43 @@
 //! Varying τ trades recall (small τ, large domains) against precision and
 //! runtime (large τ) — the axis swept in Figures 3 and 4.
 //!
+//! # The τ-threshold index
+//!
+//! Which values of a group `(A' = v' → A)` clear τ is a function of the
+//! group alone, not of the cell asking. `PruneIndex::build` therefore
+//! walks every co-occurrence group of the statistics **once** and keeps,
+//! per group whose conditioning value occurs at least `min_support` times,
+//! the `(value, count)` entries with `count / #v' ≥ τ_min`. Pruning a cell
+//! is then at most `n_attrs − 1` list lookups, a max-merge of the
+//! probabilities, the `(p desc, value string asc)` sort with the initial
+//! value pinned first, and the `max_domain` truncation — no count row is
+//! scanned per cell.
+//!
+//! * **Sharing rule.** The reader re-derives `p = count / #v'` with the
+//!   build's own expression and keeps `p ≥ τ`, so an index built at `τ_min`
+//!   answers every `τ ≥ τ_min` exactly as an index built at `τ` would:
+//!   `compile` builds one at `min(tau, evidence_tau_cap)` and reads it for
+//!   both the noisy and the evidence prune.
+//! * **Size bound.** A group holds at most `⌊1/τ_min⌋` entries for
+//!   `τ_min > 0` (the probabilities of one group sum to ≤ 1); at `τ = 0` the
+//!   index is a copy of the statistics' own non-zero counts.
+//! * **Determinism.** Shards are built per conditioning attribute and
+//!   merged in attribute order; entry order inside a list follows the
+//!   statistics backend but is unobservable behind the max-merge and the
+//!   total sort, so domains are identical at every thread count and on
+//!   both backends.
+//!
 //! [`HoloConfig::max_domain`]: crate::config::HoloConfig::max_domain
 
-use holo_dataset::{CellRef, CooccurStats, CorrelationView, Dataset, FxHashMap, GroupView, Sym};
+use holo_dataset::{AttrId, CellRef, CooccurStats, CorrelationView, Dataset, FxHashMap, Sym};
 
 /// BClean-style correlation gate for Algorithm 2 (the `cor_strength` knob
 /// of the Python HoloClean API): conditioning attributes whose uncertainty
 /// coefficient toward the repaired attribute falls below `min_corr` are
-/// skipped entirely — their co-occurrence rows are never scanned and their
+/// skipped entirely — their groups never enter the index and their
 /// candidates never enter the domain. Opt-in via
 /// [`HoloConfig::cor_strength`](crate::config::HoloConfig::cor_strength);
-/// ungated pruning scans every partner.
+/// ungated pruning reads every partner.
 #[derive(Debug, Clone, Copy)]
 pub struct PruneGate<'a> {
     /// The dependency view of the statistics being pruned against.
@@ -70,9 +96,183 @@ impl CellDomains {
         self.domains.values().map(Vec::len).sum()
     }
 
-    /// Inserts a domain (used by compile for evidence variables).
+    /// Inserts a domain (used by compile when grounding needs them).
     pub(crate) fn insert(&mut self, cell: CellRef, domain: Vec<Sym>) {
         self.domains.insert(cell, domain);
+    }
+}
+
+/// One conditioning attribute's slice of the [`PruneIndex`].
+struct Shard {
+    /// Conditioning value → row, for values with `#v' ≥ min_support`.
+    rows: FxHashMap<Sym, u32>,
+    /// `#v'` per row — the denominator of `Pr[v | v']`.
+    denom: Vec<u32>,
+    /// `(start, len)` into `entries` per `(row, target attribute)`,
+    /// row-major; `(0, 0)` where no value clears `τ_min`.
+    lists: Vec<(u32, u32)>,
+    /// `(v, #(v, v'))` with `#(v, v') / #v' ≥ τ_min`, one run per list.
+    entries: Vec<(Sym, u32)>,
+}
+
+/// The τ-threshold index over one [`CooccurStats`] (see the module docs).
+pub(crate) struct PruneIndex {
+    shards: Vec<Shard>,
+    /// `open[cond · n + target]`: whether `cond` may propose candidates for
+    /// `target` (off the diagonal and through the correlation gate).
+    open: Vec<bool>,
+    tau_min: f64,
+}
+
+impl PruneIndex {
+    /// Walks every group of `stats` once, one shard per conditioning
+    /// attribute on up to `threads` workers.
+    pub(crate) fn build(
+        ds: &Dataset,
+        stats: &CooccurStats,
+        tau_min: f64,
+        min_support: u32,
+        gate: Option<PruneGate<'_>>,
+        threads: usize,
+    ) -> Self {
+        let schema = ds.schema();
+        let n = schema.len();
+        let open: Vec<bool> = schema
+            .attrs()
+            .flat_map(|cond| schema.attrs().map(move |target| (cond, target)))
+            .map(|(cond, target)| {
+                cond != target
+                    && gate.is_none_or(|g| g.corr.correlation(cond, target) >= g.min_corr)
+            })
+            .collect();
+        let at = |i: usize| u32::try_from(i).expect("prune index outgrew u32 offsets");
+        let threads = holo_parallel::sized_threads(threads, stats.group_count());
+        let shards = holo_parallel::parallel_jobs(threads, n, |cond| {
+            let open = &open[cond * n..(cond + 1) * n];
+            let cond = AttrId(cond as u16);
+            let mut rows = FxHashMap::default();
+            let mut denom = Vec::new();
+            for (v, count) in stats.freq().iter_attr(cond) {
+                if !v.is_null() && count >= min_support {
+                    rows.insert(v, denom.len() as u32);
+                    denom.push(count);
+                }
+            }
+            let mut lists = vec![(0u32, 0u32); denom.len() * n];
+            let mut entries: Vec<(Sym, u32)> = Vec::new();
+            stats.for_each_group_of(cond, |target, v_cond, group| {
+                if !open[target.index()] {
+                    return;
+                }
+                let Some(&row) = rows.get(&v_cond) else {
+                    return;
+                };
+                let d = f64::from(denom[row as usize]);
+                let start = entries.len();
+                group.for_each(|v, count| {
+                    if f64::from(count) / d >= tau_min {
+                        entries.push((v, count));
+                    }
+                });
+                lists[row as usize * n + target.index()] = (at(start), at(entries.len() - start));
+            });
+            Shard {
+                rows,
+                denom,
+                lists,
+                entries,
+            }
+        });
+        PruneIndex {
+            shards,
+            open,
+            tau_min,
+        }
+    }
+
+    /// Conditioning values indexed, over all attributes.
+    pub(crate) fn rows(&self) -> usize {
+        self.shards.iter().map(|s| s.denom.len()).sum()
+    }
+
+    /// `(value, count)` entries stored, over all lists.
+    pub(crate) fn entries(&self) -> usize {
+        self.shards.iter().map(|s| s.entries.len()).sum()
+    }
+
+    /// Algorithm 2 at `tau ≥ τ_min` for each of `cells`, in order, sharded
+    /// across up to `threads` workers (a cell reads only the dataset and
+    /// the index, so the result is identical for every thread count).
+    pub(crate) fn prune_cells(
+        &self,
+        ds: &Dataset,
+        cells: &[CellRef],
+        tau: f64,
+        max_domain: usize,
+        threads: usize,
+    ) -> Vec<Vec<Sym>> {
+        // (A NaN τ keeps no candidate on any index.)
+        debug_assert!(
+            tau >= self.tau_min || tau.is_nan(),
+            "index built above the requested τ"
+        );
+        holo_parallel::parallel_chunks(threads, cells, |_, chunk| {
+            let mut scored = Vec::new();
+            chunk
+                .iter()
+                .map(|&cell| self.prune_cell(ds, cell, tau, max_domain, &mut scored))
+                .collect()
+        })
+    }
+
+    /// Candidate repairs for one cell (always ≥ 1 entry: the initial
+    /// value). `scored` is caller-owned scratch.
+    fn prune_cell(
+        &self,
+        ds: &Dataset,
+        cell: CellRef,
+        tau: f64,
+        max_domain: usize,
+        scored: &mut Vec<(Sym, f64)>,
+    ) -> Vec<Sym> {
+        let n = self.shards.len();
+        let target = cell.attr.index();
+        scored.clear();
+        // The initial value always survives pruning with top priority.
+        scored.push((ds.cell_ref(cell), f64::INFINITY));
+        for (cond, shard) in ds.schema().attrs().zip(&self.shards) {
+            if !self.open[cond.index() * n + target] {
+                continue;
+            }
+            let v_cond = ds.cell(cell.tuple, cond);
+            let Some(&row) = shard.rows.get(&v_cond) else {
+                continue;
+            };
+            let row = row as usize;
+            let (start, len) = shard.lists[row * n + target];
+            let d = f64::from(shard.denom[row]);
+            for &(v, count) in &shard.entries[start as usize..(start + len) as usize] {
+                let p = f64::from(count) / d;
+                if p >= tau {
+                    scored.push((v, p));
+                }
+            }
+        }
+        // Max-merge: best conditional probability per candidate.
+        scored.sort_unstable_by(|(s1, p1), (s2, p2)| s1.cmp(s2).then(p2.total_cmp(p1)));
+        scored.dedup_by_key(|&mut (s, _)| s);
+        // Ties break on the *value string*, not the symbol id: symbol ids
+        // encode interning order, and the streaming engine interns values in
+        // arrival order (constraints first, rows as they arrive) while the
+        // one-shot loader interns all rows up front — a pool-dependent
+        // tie-break would make the two paths disagree on domain order (and
+        // therefore on MAP ties) for identical data.
+        scored.sort_unstable_by(|(s1, p1), (s2, p2)| {
+            p2.total_cmp(p1)
+                .then_with(|| ds.value_str(*s1).cmp(ds.value_str(*s2)))
+        });
+        scored.truncate(max_domain.max(1));
+        scored.iter().map(|&(s, _)| s).collect()
     }
 }
 
@@ -91,10 +291,9 @@ where
     prune_domains_with_threads(ds, &cells, stats, tau, max_domain, 1)
 }
 
-/// [`prune_domains`] with each cell's Algorithm 2 scan dispatched across up
-/// to `threads` worker threads (`0` = all cores). Pruning one cell touches
-/// only the read-only dataset and statistics, so cells shard freely; the
-/// result is identical for every thread count.
+/// [`prune_domains`] with the index build and the per-cell reads dispatched
+/// across up to `threads` worker threads (`0` = all cores); the result is
+/// identical for every thread count.
 pub fn prune_domains_with_threads(
     ds: &Dataset,
     noisy: &[CellRef],
@@ -103,12 +302,16 @@ pub fn prune_domains_with_threads(
     max_domain: usize,
     threads: usize,
 ) -> CellDomains {
-    prune_domains_gated(ds, noisy, stats, tau, max_domain, threads, None)
+    prune_domains_gated(ds, noisy, stats, tau, max_domain, threads, 1, None)
 }
 
-/// [`prune_domains_with_threads`] with an optional correlation gate.
-/// `gate = None` scans all partner attributes — byte-identical to the
-/// ungated path.
+/// [`prune_domains_with_threads`] with an explicit minimum support —
+/// conditioning values occurring fewer than `min_support` times are
+/// ignored (a value seen once yields a meaningless `Pr[v | v'] = 1`) —
+/// and an optional correlation gate. `compile` prunes with
+/// [`HoloConfig::min_cond_support`](crate::config::HoloConfig::min_cond_support);
+/// `min_support = 1, gate = None` is the plain Algorithm 2.
+#[allow(clippy::too_many_arguments)]
 pub fn prune_domains_gated(
     ds: &Dataset,
     noisy: &[CellRef],
@@ -116,129 +319,86 @@ pub fn prune_domains_gated(
     tau: f64,
     max_domain: usize,
     threads: usize,
+    min_support: u32,
     gate: Option<PruneGate<'_>>,
 ) -> CellDomains {
-    let domains = holo_parallel::parallel_map(threads, noisy, |_, &cell| {
-        prune_cell_gated(ds, cell, stats, tau, max_domain, 1, gate)
-    });
-    let mut out = CellDomains::default();
-    for (&cell, domain) in noisy.iter().zip(domains) {
-        out.insert(cell, domain);
+    let index = PruneIndex::build(ds, stats, tau, min_support, gate, threads);
+    let pruned = index.prune_cells(ds, noisy, tau, max_domain, threads);
+    CellDomains {
+        domains: noisy.iter().copied().zip(pruned).collect(),
     }
-    out
-}
-
-/// [`prune_cell_with_support`] with no minimum-support requirement.
-pub fn prune_cell(
-    ds: &Dataset,
-    cell: CellRef,
-    stats: &CooccurStats,
-    tau: f64,
-    max_domain: usize,
-) -> Vec<Sym> {
-    prune_cell_with_support(ds, cell, stats, tau, max_domain, 1)
-}
-
-/// Candidate repairs for one cell (always ≥ 1 entry: the initial value).
-/// Conditioning values occurring fewer than `min_support` times are
-/// ignored — a value seen twice yields meaningless `Pr[v | v'] = 1`
-/// estimates.
-pub fn prune_cell_with_support(
-    ds: &Dataset,
-    cell: CellRef,
-    stats: &CooccurStats,
-    tau: f64,
-    max_domain: usize,
-    min_support: u32,
-) -> Vec<Sym> {
-    prune_cell_gated(ds, cell, stats, tau, max_domain, min_support, None)
-}
-
-/// [`prune_cell_with_support`] with an optional correlation gate: gated
-/// partner attributes contribute no candidates at all. On the dense
-/// statistics backend the inner loop walks a contiguous count row (or
-/// sorted postings); on the naive oracle it probes the group's hash table.
-/// Either way the best score per candidate and the final string-tie-broken
-/// sort make iteration order unobservable, so the two backends return the
-/// same domain.
-pub fn prune_cell_gated(
-    ds: &Dataset,
-    cell: CellRef,
-    stats: &CooccurStats,
-    tau: f64,
-    max_domain: usize,
-    min_support: u32,
-    gate: Option<PruneGate<'_>>,
-) -> Vec<Sym> {
-    let init = ds.cell_ref(cell);
-    // Best conditional probability per candidate across conditioning cells.
-    let mut scores: FxHashMap<Sym, f64> = FxHashMap::default();
-    for cond_attr in ds.schema().attrs() {
-        if cond_attr == cell.attr {
-            continue;
-        }
-        if let Some(g) = gate {
-            if g.corr.correlation(cond_attr, cell.attr) < g.min_corr {
-                continue;
-            }
-        }
-        let v_cond = ds.cell(cell.tuple, cond_attr);
-        if v_cond.is_null() {
-            continue;
-        }
-        let denom = stats.freq().count(cond_attr, v_cond);
-        if denom == 0 || denom < min_support {
-            continue;
-        }
-        if let Some(co) = stats.group(cond_attr, v_cond, cell.attr) {
-            let mut score = |v: Sym, count: u32| {
-                let p = f64::from(count) / f64::from(denom);
-                if p >= tau {
-                    let entry = scores.entry(v).or_insert(0.0);
-                    if p > *entry {
-                        *entry = p;
-                    }
-                }
-            };
-            // The hash-map arm is kept as an explicit loop in this frame:
-            // routing it through `for_each`'s closure costs ~25% of the
-            // whole scan when the call doesn't inline (measured on the
-            // hospital pruning bench). The dense arms keep the shared
-            // walker — their cost is the row scan inside it, not the
-            // per-entry call.
-            match co {
-                GroupView::Map(m) => {
-                    for (&v, &count) in m {
-                        score(v, count);
-                    }
-                }
-                other => other.for_each(score),
-            }
-        }
-    }
-    // The initial value always survives pruning with top priority.
-    scores.insert(init, f64::INFINITY);
-    let mut candidates: Vec<(Sym, f64)> = scores.into_iter().collect();
-    // Ties break on the *value string*, not the symbol id: symbol ids
-    // encode interning order, and the streaming engine interns values in
-    // arrival order (constraints first, rows as they arrive) while the
-    // one-shot loader interns all rows up front — a pool-dependent
-    // tie-break would make the two paths disagree on domain order (and
-    // therefore on MAP ties) for identical data.
-    candidates.sort_by(|(s1, p1), (s2, p2)| {
-        p2.partial_cmp(p1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| ds.value_str(*s1).cmp(ds.value_str(*s2)))
-    });
-    candidates.truncate(max_domain.max(1));
-    candidates.into_iter().map(|(s, _)| s).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holo_dataset::Schema;
+    use holo_dataset::{Schema, TupleId};
     use proptest::prelude::*;
+
+    /// The row-scanning Algorithm 2 the index replaced, kept as the
+    /// reference the proptests compare against: per (cell, partner
+    /// attribute) it walks the whole group and scores every value.
+    fn row_scan_prune_cell(
+        ds: &Dataset,
+        cell: CellRef,
+        stats: &CooccurStats,
+        tau: f64,
+        max_domain: usize,
+        min_support: u32,
+        gate: Option<PruneGate<'_>>,
+    ) -> Vec<Sym> {
+        let mut scores: FxHashMap<Sym, f64> = FxHashMap::default();
+        for cond_attr in ds.schema().attrs() {
+            if cond_attr == cell.attr {
+                continue;
+            }
+            if gate.is_some_and(|g| g.corr.correlation(cond_attr, cell.attr) < g.min_corr) {
+                continue;
+            }
+            let v_cond = ds.cell(cell.tuple, cond_attr);
+            if v_cond.is_null() {
+                continue;
+            }
+            let denom = stats.freq().count(cond_attr, v_cond);
+            if denom == 0 || denom < min_support {
+                continue;
+            }
+            if let Some(co) = stats.group(cond_attr, v_cond, cell.attr) {
+                co.for_each(|v, count| {
+                    let p = f64::from(count) / f64::from(denom);
+                    if p >= tau {
+                        let entry = scores.entry(v).or_insert(0.0);
+                        if p > *entry {
+                            *entry = p;
+                        }
+                    }
+                });
+            }
+        }
+        scores.insert(ds.cell_ref(cell), f64::INFINITY);
+        let mut candidates: Vec<(Sym, f64)> = scores.into_iter().collect();
+        candidates.sort_by(|(s1, p1), (s2, p2)| {
+            p2.partial_cmp(p1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| ds.value_str(*s1).cmp(ds.value_str(*s2)))
+        });
+        candidates.truncate(max_domain.max(1));
+        candidates.into_iter().map(|(s, _)| s).collect()
+    }
+
+    /// One cell through the public wrapper (index built at `tau`,
+    /// `min_support = 1`, no gate).
+    fn prune_cell(
+        ds: &Dataset,
+        cell: CellRef,
+        stats: &CooccurStats,
+        tau: f64,
+        max_domain: usize,
+    ) -> Vec<Sym> {
+        prune_domains(ds, [cell], stats, tau, max_domain)
+            .get(cell)
+            .to_vec()
+    }
 
     /// Zip 60608 maps to Chicago in 3/4 tuples, Cicago in 1/4.
     fn city_ds() -> Dataset {
@@ -256,6 +416,17 @@ mod tests {
             tuple: t.into(),
             attr: ds.schema().attr_id(attr).unwrap(),
         }
+    }
+
+    /// Every live cell of the table, tuple-major.
+    fn all_cells(ds: &Dataset) -> Vec<CellRef> {
+        ds.tuples()
+            .flat_map(|t| {
+                ds.schema()
+                    .attrs()
+                    .map(move |attr| CellRef { tuple: t, attr })
+            })
+            .collect()
     }
 
     #[test]
@@ -324,6 +495,75 @@ mod tests {
         assert!(domains.total_candidates() >= 2);
     }
 
+    /// The noisy/evidence sharing contract: an index built at `τ_min`
+    /// answers any `τ ≥ τ_min` exactly as an index built at `τ` itself,
+    /// while holding no more than `⌊1/τ_min⌋` entries per group.
+    #[test]
+    fn index_built_at_tau_min_answers_larger_taus() {
+        let mut ds = Dataset::new(Schema::new(vec!["K", "L", "V"]));
+        for i in 0..60u32 {
+            ds.push_row(&[
+                format!("k{}", i % 3),
+                format!("l{}", i % 4),
+                format!("v{}", (i * i + i / 7) % 11),
+            ]);
+        }
+        let stats = CooccurStats::build(&ds);
+        let cells = all_cells(&ds);
+        let tau_min = 0.05;
+        let shared = PruneIndex::build(&ds, &stats, tau_min, 2, None, 1);
+        for shard in &shared.shards {
+            assert!(shard.lists.iter().all(|&(_, len)| len <= 20));
+        }
+        let mut shrank = false;
+        for tau in [0.05, 0.1, 0.25, 0.3, 1.0 / 3.0, 0.5, 0.9, 1.0] {
+            let own = PruneIndex::build(&ds, &stats, tau, 2, None, 1);
+            assert!(own.entries() <= shared.entries());
+            shrank |= own.entries() < shared.entries();
+            let from_own = own.prune_cells(&ds, &cells, tau, 4, 1);
+            assert_eq!(
+                shared.prune_cells(&ds, &cells, tau, 4, 1),
+                from_own,
+                "τ = {tau}"
+            );
+            // Several of these τ equal a group's probability exactly: the
+            // `≥` boundary must match the row scan's.
+            let reference: Vec<Vec<Sym>> = cells
+                .iter()
+                .map(|&c| row_scan_prune_cell(&ds, c, &stats, tau, 4, 2, None))
+                .collect();
+            assert_eq!(from_own, reference, "τ = {tau}");
+        }
+        assert!(shrank, "the sweep must cross some group's threshold");
+    }
+
+    /// A table with enough groups that the index build really shards
+    /// across workers (the proptest tables stay under the sequential
+    /// cutoff): threads 1 and 4 agree with each other and the reference.
+    #[test]
+    fn sharded_index_build_matches_sequential() {
+        let mut ds = Dataset::new(Schema::new(vec!["A", "B", "C"]));
+        for i in 0..3000u32 {
+            ds.push_row(&[
+                format!("a{}", i % 1500),
+                format!("b{}", (i * 7) % 1100),
+                format!("c{}", i % 13),
+            ]);
+        }
+        let stats = CooccurStats::build(&ds);
+        assert!(stats.group_count() >= holo_parallel::MIN_PARALLEL_WORK);
+        let cells = all_cells(&ds);
+        let one = prune_domains_gated(&ds, &cells, &stats, 0.2, 6, 1, 2, None);
+        let four = prune_domains_gated(&ds, &cells, &stats, 0.2, 6, 4, 2, None);
+        for &c in &cells {
+            assert_eq!(one.get(c), four.get(c));
+        }
+        for &c in cells.iter().step_by(97) {
+            let expected = row_scan_prune_cell(&ds, c, &stats, 0.2, 6, 2, None);
+            assert_eq!(one.get(c), expected.as_slice());
+        }
+    }
+
     proptest! {
         /// Monotonicity: raising τ never grows a domain, and every domain
         /// contains the initial value.
@@ -353,11 +593,15 @@ mod tests {
             }
         }
 
-        /// The dense statistics engine and the retained naive oracle give
-        /// Algorithm 2 identical domains — same cells, same candidates,
-        /// same order — across random datasets (with nulls), a full CRUD
-        /// interleaving (build → extend → update → delete), thread counts
-        /// {1, 4}, and both the ungated and correlation-gated scans.
+        /// The index gives Algorithm 2 exactly the row-scan reference's
+        /// domains — same cells, same candidates, same order — on the dense
+        /// statistics engine and on the retained naive oracle alike (so
+        /// dense ≡ naive too), across random datasets (with nulls), a full
+        /// CRUD interleaving (build → extend → update → delete, values
+        /// retracted to zero frequency included), τ ∈ [0, 0.6],
+        /// `min_support` ∈ {1, 2, 3}, binding and slack `max_domain` caps,
+        /// thread counts {1, 4}, and both the ungated and correlation-gated
+        /// reads.
         #[test]
         fn prop_prune_domains_dense_matches_naive(
             rows in proptest::collection::vec((0u8..5, 0u8..4, 0u8..4), 5..30),
@@ -365,9 +609,10 @@ mod tests {
             update_step in 2usize..5,
             delete_step in 3usize..6,
             tau in 0.0f64..0.6,
+            min_support in 1u32..4,
+            max_domain in 1usize..8,
             min_corr in 0.0f64..0.8,
         ) {
-            use holo_dataset::TupleId;
             // 0 encodes a null cell so codes and hash keys diverge early.
             let cs = |k: usize, v: u8| if v == 0 { String::new() } else { format!("a{k}v{v}") };
             let row = |r: &(u8, u8, u8)| vec![cs(0, r.0), cs(1, r.1), cs(2, r.2)];
@@ -417,33 +662,28 @@ mod tests {
             naive.retract_with_threads(&ds, &deleted, 4);
 
             // Every live cell is "noisy": prune them all.
-            let noisy: Vec<CellRef> = ds
-                .tuples()
-                .flat_map(|t| {
-                    ds.schema()
-                        .attrs()
-                        .map(move |attr| CellRef { tuple: t, attr })
-                })
-                .collect();
-            let dump = |doms: &CellDomains| -> Vec<(CellRef, Vec<Sym>)> {
-                let mut v: Vec<_> =
-                    doms.iter().map(|(c, d)| (c, d.to_vec())).collect();
-                v.sort_unstable_by_key(|&(c, _)| (c.tuple.index(), c.attr.index()));
-                v
-            };
-            for threads in [1usize, 4] {
+            let noisy = all_cells(&ds);
+            for stats in [&dense, &naive] {
                 for gated in [false, true] {
-                    let gd = gated.then(|| PruneGate {
-                        corr: dense.correlations(),
+                    let gate = gated.then(|| PruneGate {
+                        corr: stats.correlations(),
                         min_corr,
                     });
-                    let gn = gated.then(|| PruneGate {
-                        corr: naive.correlations(),
-                        min_corr,
-                    });
-                    let d = prune_domains_gated(&ds, &noisy, &dense, tau, 10, threads, gd);
-                    let n = prune_domains_gated(&ds, &noisy, &naive, tau, 10, threads, gn);
-                    prop_assert_eq!(dump(&d), dump(&n));
+                    let reference: Vec<Vec<Sym>> = noisy
+                        .iter()
+                        .map(|&c| {
+                            row_scan_prune_cell(&ds, c, stats, tau, max_domain, min_support, gate)
+                        })
+                        .collect();
+                    for threads in [1usize, 4] {
+                        let doms = prune_domains_gated(
+                            &ds, &noisy, stats, tau, max_domain, threads, min_support, gate,
+                        );
+                        prop_assert_eq!(doms.len(), noisy.len());
+                        for (&c, expected) in noisy.iter().zip(&reference) {
+                            prop_assert_eq!(doms.get(c), expected.as_slice());
+                        }
+                    }
                 }
             }
         }

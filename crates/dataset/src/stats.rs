@@ -1037,64 +1037,69 @@ impl CooccurStats {
         })
     }
 
-    fn compute_correlations(&self) -> CorrelationView {
-        let n = self.freq.counts.len();
-        let mut per_pair: Vec<PairRows> = vec![Vec::new(); n * n];
+    /// Calls `f(target, v_cond, group)` once for every non-empty group
+    /// conditioned on attribute `cond` — the block-level walk that
+    /// whole-statistics consumers (the Algorithm 2 threshold index, the
+    /// correlation view) use instead of probing [`CooccurStats::group`] per
+    /// value. Visit order is backend-dependent (hash order vs target-major
+    /// code order); callers must fold order-insensitively.
+    pub fn for_each_group_of(&self, cond: AttrId, mut f: impl FnMut(AttrId, Sym, GroupView<'_>)) {
         match &self.backend {
             Backend::Naive { table } => {
                 for (&k, m) in table {
-                    let cond = ((k >> 48) & 0xffff) as usize;
-                    let target = ((k >> 32) & 0xffff) as usize;
-                    let v_cond = Sym((k & 0xffff_ffff) as u32);
-                    let entries: Vec<(Sym, u32)> = m.iter().map(|(&s, &c)| (s, c)).collect();
-                    per_pair[cond * n + target].push((v_cond, entries));
+                    if (k >> 48) as u16 == cond.0 {
+                        let target = AttrId((k >> 32) as u16);
+                        f(target, Sym(k as u32), GroupView::Map(m));
+                    }
                 }
             }
             Backend::Dense(dt) => {
-                for cond in 0..n {
-                    for target in 0..n {
-                        if cond == target {
-                            continue;
-                        }
-                        let out = &mut per_pair[cond * n + target];
-                        let csyms = &dt.codes.syms[cond];
-                        let tsyms = &dt.codes.syms[target];
-                        match &dt.blocks[cond * n + target] {
-                            PairBlock::Dense {
-                                stride,
-                                counts,
-                                nonzero,
-                            } => {
-                                for (c, &nz) in nonzero.iter().enumerate() {
-                                    if nz == 0 {
-                                        continue;
-                                    }
-                                    let entries: Vec<(Sym, u32)> = counts
-                                        [c * stride..(c + 1) * stride]
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|&(_, &x)| x != 0)
-                                        .map(|(t, &x)| (tsyms[t], x))
-                                        .collect();
-                                    out.push((csyms[c], entries));
+                let csyms = dt.codes.syms(cond);
+                for target in (0..dt.n_attrs).map(|t| AttrId(t as u16)) {
+                    if target == cond {
+                        continue;
+                    }
+                    let syms = dt.codes.syms(target);
+                    match dt.block(cond, target) {
+                        PairBlock::Dense {
+                            stride,
+                            counts,
+                            nonzero,
+                        } => {
+                            for (c, &nz) in nonzero.iter().enumerate() {
+                                if nz > 0 {
+                                    let counts = &counts[c * stride..(c + 1) * stride];
+                                    let group = GroupView::Dense {
+                                        syms,
+                                        counts,
+                                        nonzero: nz,
+                                    };
+                                    f(target, csyms[c], group);
                                 }
                             }
-                            PairBlock::Csr { rows } => {
-                                for (c, posting) in rows.iter().enumerate() {
-                                    if posting.is_empty() {
-                                        continue;
-                                    }
-                                    let entries: Vec<(Sym, u32)> = posting
-                                        .iter()
-                                        .map(|&(t, x)| (tsyms[t as usize], x))
-                                        .collect();
-                                    out.push((csyms[c], entries));
+                        }
+                        PairBlock::Csr { rows } => {
+                            for (c, postings) in rows.iter().enumerate() {
+                                if !postings.is_empty() {
+                                    f(target, csyms[c], GroupView::Csr { syms, postings });
                                 }
                             }
                         }
                     }
                 }
             }
+        }
+    }
+
+    fn compute_correlations(&self) -> CorrelationView {
+        let n = self.freq.counts.len();
+        let mut per_pair: Vec<PairRows> = vec![Vec::new(); n * n];
+        for cond in 0..n {
+            self.for_each_group_of(AttrId(cond as u16), |target, v_cond, group| {
+                let mut entries = Vec::new();
+                group.for_each(|s, c| entries.push((s, c)));
+                per_pair[cond * n + target.index()].push((v_cond, entries));
+            });
         }
         let mut corr = vec![0.0; n * n];
         for cond in 0..n {
