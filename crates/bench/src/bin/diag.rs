@@ -22,7 +22,10 @@
 //! `packed_bytes`, `packed_epochs`.
 //!
 //! The `compile` object carries the Algorithm 2 threshold index's size
-//! (`prune_index_rows`, `prune_index_entries`) and `phases`, the
+//! (`prune_index_rows`, `prune_index_entries`), the Algorithm 1 grounding
+//! counters (`cliques`, `dc_pairs_considered`, `clique_cap_hits`,
+//! `dc_skipped_no_join_key` — all zero unless `--dc-factors` selects the
+//! partitioned DC-factor variant) and `phases`, the
 //! wall-clock split of `compile()` (`index_build_s`, `noisy_prune_s`,
 //! `evidence_prune_s`, `featurize_s`, `apply_s`, `ground_s` on DC-factor
 //! variants, `design_build_s`).
@@ -43,7 +46,7 @@ use holo_datagen::{DatasetKind, GeneratedDataset};
 use holo_dataset::{Dataset, FxHashMap};
 use holoclean::features::FeatureKey;
 use holoclean::stream::{IngestStats, StreamSession};
-use holoclean::{evaluate, HoloConfig};
+use holoclean::{evaluate, HoloConfig, ModelVariant};
 
 /// Emits the run's diagnostics as one JSON object for the bench
 /// trajectory: stage timings, `DesignStats`, `LearnStats`,
@@ -95,6 +98,13 @@ fn print_json(dataset: &str, out: &HoloOutcome, gate_hists: Option<&([u64; 4], [
     let mut compile = JsonObj::new();
     compile.field_u64("prune_index_rows", out.model.prune_index_rows as u64);
     compile.field_u64("prune_index_entries", out.model.prune_index_entries as u64);
+    compile.field_u64("cliques", out.model.cliques as u64);
+    compile.field_u64("dc_pairs_considered", out.model.dc_pairs_considered as u64);
+    compile.field_u64("clique_cap_hits", out.model.clique_cap_hits as u64);
+    compile.field_u64(
+        "dc_skipped_no_join_key",
+        out.model.dc_skipped_no_join_key as u64,
+    );
     let mut phases = JsonObj::new();
     for (name, d) in &out.model.phases {
         phases.field_raw(
@@ -273,12 +283,15 @@ fn main() {
             full: args.full,
         },
     );
-    let config = HoloConfig::default()
+    let mut config = HoloConfig::default()
         .with_threads(args.threads)
         .with_chromatic_gibbs(args.chromatic)
         .with_score_cache(!args.no_score_cache)
         .with_naive_stats(args.naive_stats)
         .with_cor_strength(args.cor_strength);
+    if args.dc_factors {
+        config = config.with_variant(ModelVariant::DcFactorsPartitioned);
+    }
     let (max_domain, min_support) = (config.max_domain, config.min_cond_support);
     let (out, registry, weights, pool) = if args.stream > 0 {
         run_streamed(&gen, config, args.stream)
@@ -374,6 +387,14 @@ fn main() {
     println!(
         "  prune index: {} conditioning value(s), {} entr(ies)",
         out.model.prune_index_rows, out.model.prune_index_entries
+    );
+    println!(
+        "  grounding: {} clique(s) from {} tuple pair(s), {} clique cap hit(s), \
+         {} two-tuple DC(s) skipped (no equality join key)",
+        out.model.cliques,
+        out.model.dc_pairs_considered,
+        out.model.clique_cap_hits,
+        out.model.dc_skipped_no_join_key
     );
     let design = out.timings.design;
     println!(

@@ -61,7 +61,7 @@ pub struct Args {
     /// or off — which is the equivalence CI diffs.
     pub no_score_cache: bool,
     /// Ground the denial constraints as clique factors instead of
-    /// violation features (`dump_repairs`): selects the partitioned
+    /// violation features (`diag`, `dump_repairs`): selects the partitioned
     /// DC-factor model variant, exercising the exact/Gibbs engines the
     /// default clique-free model never routes to.
     pub dc_factors: bool,
@@ -186,7 +186,7 @@ fn usage(msg: &str) -> ! {
          --marginals        also dump per-cell posteriors (dump_repairs)\n\
          --chromatic        chromatic Gibbs colour sweeps (diag, dump_repairs)\n\
          --no-score-cache   disable the frozen-weight score cache (diag, dump_repairs)\n\
-         --dc-factors       partitioned DC-factor model variant (dump_repairs)\n\
+         --dc-factors       partitioned DC-factor model variant (diag, dump_repairs)\n\
          --naive-stats      use the naive hash-map co-occurrence oracle instead of\n\
          \x20                  the dense count blocks (diag, dump_repairs)\n\
          --cor-strength F   gate Algorithm 2 to partner attributes with\n\

@@ -60,6 +60,9 @@ pub struct CompileStats {
     pub dc_pairs_considered: usize,
     /// Constraints whose clique cap was hit.
     pub clique_cap_hits: usize,
+    /// Two-tuple constraints left ungrounded because no cross-tuple
+    /// equality predicate gives a join key to block on.
+    pub dc_skipped_no_join_key: usize,
     /// Conditioning values held by the Algorithm 2 threshold index.
     pub prune_index_rows: usize,
     /// `(value, count)` entries held by the Algorithm 2 threshold index.
@@ -504,7 +507,7 @@ fn ground_dc_factors(
             // No join key: grounding would be O(|D|²) with no pruning.
             // Such constraints are not present in any evaluated workload;
             // skip with a note in the stats.
-            cstats.clique_cap_hits += 1;
+            cstats.dc_skipped_no_join_key += 1;
             continue;
         }
         let symmetric = c.is_symmetric();
@@ -822,6 +825,18 @@ mod tests {
         assert_eq!(model.stats.cliques, 3);
         assert!(model.stats.clique_cap_hits >= 1);
         assert!(model.graph.cliques().len() == 3);
+    }
+
+    /// A two-tuple DC with no cross-tuple equality has no join key: it is
+    /// skipped under its own counter, not billed as a clique-cap hit.
+    #[test]
+    fn inequality_only_dc_is_skipped_not_capped() {
+        let (mut ds, _, config) = setup(ModelVariant::DcFactors);
+        let cons = parse_constraints("t1&t2&IQ(t1.City,t2.City)", &mut ds).unwrap();
+        let model = run_compile(&ds, &cons, &config);
+        assert_eq!(model.stats.clique_cap_hits, 0);
+        assert_eq!(model.stats.dc_skipped_no_join_key, 1);
+        assert_eq!(model.stats.cliques, 0);
     }
 
     #[test]

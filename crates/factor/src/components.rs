@@ -373,9 +373,10 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
     let sweeps = (config.gibbs.burn_in + samples_per_chain(&config.gibbs)) as u64;
     let mut comps: Vec<Vec<VarId>> = Vec::new();
     let mut units: Vec<Unit> = Vec::new();
-    // Estimated cost of `units[i]`, in design-row visits — the dispatch
-    // weight for longest-first scheduling. An estimate only: it steers
-    // which worker runs a unit first, never what any unit computes.
+    // Estimated cost of `units[i]` — design-row visits, plus for Gibbs
+    // units the candidate evaluations of their clique entries — the
+    // dispatch weight for longest-first scheduling. An estimate only: it
+    // steers which worker runs a unit first, never what any unit computes.
     let mut costs: Vec<u64> = Vec::new();
     for members in index.iter() {
         let query: Vec<VarId> = members
@@ -422,7 +423,14 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
                 if let Some(col) = coloring {
                     stats.color_sweep_blocks += chromatic_sweep_blocks(col, &query);
                 }
-                let chain_cost = rows.saturating_mul(sweeps);
+                // A resample visits each candidate once for the unary
+                // term and once per adjacent clique — and on a coupled
+                // component the clique visits are nearly all of it.
+                let clique_evals: u64 = query
+                    .iter()
+                    .map(|&v| (graph.var(v).arity() * graph.cliques_of(v).len()) as u64)
+                    .sum();
+                let chain_cost = (rows + clique_evals).saturating_mul(sweeps);
                 if chains > 1 && query.len() >= CHAIN_FANOUT_MIN_QUERY_VARS {
                     units.extend((0..chains).map(|c| Unit::GibbsChain(rank, c)));
                     costs.extend((0..chains).map(|_| chain_cost));

@@ -53,10 +53,50 @@
 //! borrows the design matrix it scored; it is never stored in
 //! [`FactorGraph`], so a feedback retrain (new weights, patched matrix)
 //! cannot leak stale scores into the next inference pass.
+//!
+//! ## Compiled clique programs
+//!
+//! The clique half of the conditional is not interpreted per sample. A
+//! sampler compiles, once at construction, one flat *entry* per (query
+//! variable `v`, adjacent clique) pair, in `cliques_of(v)` order:
+//!
+//! * **Layout.** Two contiguous arenas plus a per-variable start table.
+//!   An entry holds the resolved penalty `-θ` and two predicate counts;
+//!   its predicates sit back to back in the predicate arena, *guards*
+//!   first, then *owns*. Every operand is pre-resolved to the candidate
+//!   being scored (`Me` — the first slot `v` occupies in the clique), a
+//!   frozen constant, or the global index of another variable, read from
+//!   the sampler-owned current-symbol array (kept in step with the state
+//!   vector, so no `domain[state[u]]` double load happens per sample).
+//! * **Guard/own split.** A guard is a predicate that does not mention
+//!   `Me`: it is evaluated once per resample, and one false guard skips
+//!   the clique for every candidate. An own predicate mentions `Me` and
+//!   is the only thing evaluated per candidate. A denial constraint is a
+//!   conjunction, so the order predicates are tested in cannot change
+//!   whether it fires.
+//! * **Addition order.** Entries are walked in adjacency order and a
+//!   firing entry adds exactly `-θ` to its candidate, so every candidate
+//!   receives the non-zero addends of the interpreted loop
+//!   (`CliqueFactor::score` per clique per candidate) in the same order.
+//! * **Zero addends.** The interpreted loop also adds `+0.0` for every
+//!   clique that does not fire; the program skips those. `x + 0.0` is `x`
+//!   for every `x` but `-0.0`, so a score can differ from the interpreted
+//!   one only in the sign of a zero, which the max-shifted softmax erases
+//!   (`±0.0 - max` and `x - ±0.0` exponentiate to the same bits). The
+//!   post-softmax conditional is therefore bit-for-bit the interpreted
+//!   one — proptested against the `#[cfg(test)]` interpreter over every
+//!   operator, null symbols and repeated variables.
+//! * **Lifetime.** The program belongs to the sampler: built by
+//!   [`GibbsSampler::for_query`] over exactly the sampler's query set,
+//!   read by the sequential sweep and the chromatic blocks, kept across
+//!   the chain rewinds of per-component multi-chain sampling, dropped with
+//!   the sampler (so with the component, under partitioned inference).
+//!   Weights are frozen while a sampler lives, which is what makes
+//!   resolving `-θ` at build sound.
 
 use crate::cache::ScoreCache;
 use crate::coloring::Coloring;
-use crate::graph::{FactorGraph, ValueContext, VarId};
+use crate::graph::{CmpOp, FactorGraph, FactorOperand, ValueContext, VarId, Variable};
 use crate::marginals::Marginals;
 use crate::math::{sample_categorical, softmax_in_place};
 use crate::weights::Weights;
@@ -138,9 +178,10 @@ const COLOR_BLOCK_SIZE: usize = 64;
 /// set: the query variables regrouped into color classes, each class cut
 /// into fixed blocks.
 struct ChromaticPlan {
-    /// Query variables reordered by `(color, id)` — one contiguous run per
-    /// color class, classes in ascending color order.
-    order: Vec<VarId>,
+    /// Positions into the sampler's query list reordered by `(color, id)`
+    /// — one contiguous run per color class, classes in ascending color
+    /// order.
+    order: Vec<usize>,
     /// One entry per color class present in the query set.
     runs: Vec<ColorRun>,
     /// Total blocks per sweep, for per-sweep seed derivation.
@@ -165,15 +206,18 @@ fn build_plan(coloring: &Coloring, query: &[VarId]) -> Option<ChromaticPlan> {
     if query.len() < 2 {
         return None;
     }
-    let mut order: Vec<VarId> = query.to_vec();
-    order.sort_by_key(|&v| (coloring.color_of(v), v));
+    // `query` is sorted by id, so a stable sort of positions by color is
+    // the `(color, id)` order.
+    let color_at = |i: usize| coloring.color_of(query[i]);
+    let mut order: Vec<usize> = (0..query.len()).collect();
+    order.sort_by_key(|&i| color_at(i));
     let mut runs: Vec<ColorRun> = Vec::new();
     let mut blocks = 0u64;
     let mut start = 0usize;
     while start < order.len() {
-        let color = coloring.color_of(order[start]);
+        let color = color_at(order[start]);
         let mut end = start + 1;
-        while end < order.len() && coloring.color_of(order[end]) == color {
+        while end < order.len() && color_at(order[end]) == color {
             end += 1;
         }
         runs.push(ColorRun {
@@ -240,6 +284,12 @@ pub fn run_chains<C: ValueContext + Sync>(
     Marginals::from_raw(merged)
 }
 
+/// The candidate a variable starts every chain at: its evidence, else its
+/// initial value, else candidate 0.
+fn initial_candidate(var: &Variable) -> usize {
+    var.evidence.or(var.init).unwrap_or(0)
+}
+
 /// Turns raw per-candidate sample counts into marginals in place: evidence
 /// variables get a point mass, sampled query variables normalise, and
 /// never-sampled variables fall back to uniform.
@@ -264,21 +314,167 @@ fn normalize_counts(graph: &FactorGraph, counts: &mut [Vec<f64>]) {
     }
 }
 
-/// Conditional log-scores of every candidate of `v` given `state`, written
-/// into `scores`. Unary terms are a memcpy of the cached row range when a
-/// [`ScoreCache`] is supplied, or a kernel walk over the design matrix
-/// otherwise — the two produce identical bytes; clique terms are
-/// re-evaluated against `state`. A free function so the sequential sweep
-/// (sampler-owned scratch) and chromatic blocks (per-block scratch against
-/// a shared pre-class snapshot) share one body.
-///
-/// Binary cliques — the entire output of pairwise denial constraints, i.e.
-/// nearly every clique in practice — take a fast path: the partner's
-/// symbol and the clique weight are resolved once per resample instead of
-/// once per candidate, and each candidate pays only the predicate check.
-/// The fast path adds the exact addends (`-θ` or `0.0`) of the general
-/// loop in the same order, so it is bit-for-bit equivalent.
-#[allow(clippy::too_many_arguments)] // the sweep hot path: scratch buffers and the cache ride as args
+/// One pre-resolved operand of a compiled clique predicate.
+#[derive(Clone, Copy)]
+enum Operand {
+    /// The candidate being scored for the variable under resample.
+    Me,
+    /// A constant frozen at grounding.
+    Const(Sym),
+    /// The current symbol of another variable, by global variable index.
+    Var(u32),
+}
+
+/// One clique predicate with both operands pre-resolved.
+struct Pred {
+    lhs: Operand,
+    op: CmpOp,
+    rhs: Operand,
+}
+
+impl Pred {
+    /// Whether the predicate reads the candidate (own) or only the rest
+    /// of the state (guard).
+    fn is_own(&self) -> bool {
+        matches!(self.lhs, Operand::Me) || matches!(self.rhs, Operand::Me)
+    }
+
+    /// Evaluates the predicate for candidate `me`, every other variable
+    /// at its symbol in `syms`.
+    #[inline]
+    fn holds(&self, me: Sym, syms: &[Sym], ctx: &impl ValueContext) -> bool {
+        let resolve = |o: Operand| match o {
+            Operand::Me => me,
+            Operand::Const(sym) => sym,
+            Operand::Var(u) => syms[u as usize],
+        };
+        let (a, b) = (resolve(self.lhs), resolve(self.rhs));
+        // Equality — all a denial constraint over categorical cells
+        // usually uses — is decided inline; the operators that consult
+        // the value context are called out of line, which keeps the sweep's
+        // inner loops a two-way branch over a few registers (the whole
+        // 1000-row hospital DC-factor repair at one thread: 0.29 s, against
+        // 0.35 s with the seven-way `CmpOp::holds` inlined here).
+        match self.op {
+            CmpOp::Eq => CmpOp::Eq.holds(a, b, ctx),
+            CmpOp::Neq => CmpOp::Neq.holds(a, b, ctx),
+            op => holds_in_context(op, a, b, ctx),
+        }
+    }
+}
+
+/// [`CmpOp::holds`] kept out of line — see [`Pred::holds`].
+#[inline(never)]
+fn holds_in_context(op: CmpOp, a: Sym, b: Sym, ctx: &impl ValueContext) -> bool {
+    op.holds(a, b, ctx)
+}
+
+/// One (query variable, adjacent clique) pair of a [`CliqueProgram`]. Its
+/// `guards + owns` predicates are contiguous in the predicate arena.
+struct Entry {
+    /// `-θ`, added to every candidate the clique fires on.
+    penalty: f64,
+    guards: u32,
+    owns: u32,
+}
+
+/// The clique half of every conditional of one sampler, compiled once
+/// (see "Compiled clique programs" in the module docs).
+struct CliqueProgram {
+    /// `starts[i]` = (first entry, first predicate) of the sampler's
+    /// `i`-th query variable; one trailing sentinel.
+    starts: Vec<(usize, usize)>,
+    entries: Vec<Entry>,
+    preds: Vec<Pred>,
+}
+
+impl CliqueProgram {
+    fn build(graph: &FactorGraph, weights: &Weights, query: &[VarId]) -> Self {
+        // Sized exactly up front: the arenas are the sampler's largest
+        // allocation, and growing them by doubling would copy them twice.
+        let adjacent = || {
+            query
+                .iter()
+                .flat_map(|&v| graph.cliques_of(v))
+                .map(|&ci| &graph.cliques()[ci as usize])
+        };
+        let mut program = CliqueProgram {
+            starts: Vec::with_capacity(query.len() + 1),
+            entries: Vec::with_capacity(adjacent().count()),
+            preds: Vec::with_capacity(adjacent().map(|c| c.predicates.len()).sum()),
+        };
+        for &v in query {
+            program
+                .starts
+                .push((program.entries.len(), program.preds.len()));
+            for &ci in graph.cliques_of(v) {
+                let clique = &graph.cliques()[ci as usize];
+                // `v` is `Me` in the first slot it occupies; a repeat of
+                // `v` in a later slot reads its current symbol, like any
+                // other member.
+                let me = clique.vars.iter().position(|&u| u == v);
+                debug_assert!(me.is_some(), "adjacency list inconsistent");
+                let resolve = |o: FactorOperand| match o {
+                    FactorOperand::Const(sym) => Operand::Const(sym),
+                    FactorOperand::Var(slot) if Some(slot as usize) == me => Operand::Me,
+                    FactorOperand::Var(slot) => Operand::Var(clique.vars[slot as usize].0),
+                };
+                let compiled = clique.predicates.iter().map(|p| Pred {
+                    lhs: resolve(p.lhs),
+                    op: p.op,
+                    rhs: resolve(p.rhs),
+                });
+                let first = program.preds.len();
+                program
+                    .preds
+                    .extend(compiled.clone().filter(|p| !p.is_own()));
+                let guards = program.preds.len() - first;
+                program.preds.extend(compiled.filter(Pred::is_own));
+                program.entries.push(Entry {
+                    penalty: -weights.get(clique.weight),
+                    guards: guards as u32,
+                    owns: (program.preds.len() - first - guards) as u32,
+                });
+            }
+        }
+        program
+            .starts
+            .push((program.entries.len(), program.preds.len()));
+        program
+    }
+
+    /// Adds the clique terms of query variable `i` (candidates `domain`)
+    /// to `scores`, every other variable at its symbol in `syms`.
+    fn add_clique_terms(
+        &self,
+        i: usize,
+        domain: &[Sym],
+        syms: &[Sym],
+        ctx: &impl ValueContext,
+        scores: &mut [f64],
+    ) {
+        let (first, mut at) = self.starts[i];
+        for entry in &self.entries[first..self.starts[i + 1].0] {
+            let (guards, rest) = self.preds[at..].split_at(entry.guards as usize);
+            let owns = &rest[..entry.owns as usize];
+            at += guards.len() + owns.len();
+            // A guard never reads the candidate; any symbol stands in.
+            if !guards.iter().all(|p| p.holds(Sym::NULL, syms, ctx)) {
+                continue;
+            }
+            for (score, &me) in scores.iter_mut().zip(domain) {
+                if owns.iter().all(|p| p.holds(me, syms, ctx)) {
+                    *score += entry.penalty;
+                }
+            }
+        }
+    }
+}
+
+/// The interpreted conditional the compiled program replaced, kept as the
+/// test reference: unary scores, then `CliqueFactor::score` per adjacent
+/// clique per candidate with every other member at its state.
+#[cfg(test)]
 pub(crate) fn conditional_scores_into<C: ValueContext>(
     graph: &FactorGraph,
     weights: &Weights,
@@ -287,34 +483,14 @@ pub(crate) fn conditional_scores_into<C: ValueContext>(
     state: &[usize],
     v: VarId,
     scores: &mut Vec<f64>,
-    clique_syms: &mut Vec<Sym>,
 ) {
-    let arity = graph.var(v).arity();
     match cache {
         Some(c) => c.copy_var_scores_into(v, scores),
         None => graph.design().score_var_into(v, weights, scores),
     }
-    // Clique contributions: evaluate each adjacent clique once per
-    // candidate of v, with all other clique members at their state.
+    let mut clique_syms: Vec<Sym> = Vec::new();
     for &ci in graph.cliques_of(v) {
         let clique = &graph.cliques()[ci as usize];
-        if let [a, b] = clique.vars[..] {
-            let (slot, partner) = if a == v { (0, b) } else { (1, a) };
-            let partner_sym = graph.var(partner).domain[state[partner.index()]];
-            let penalty = -weights.get(clique.weight);
-            clique_syms.clear();
-            clique_syms.push(partner_sym);
-            clique_syms.push(partner_sym);
-            for (k, score) in scores.iter_mut().enumerate().take(arity) {
-                clique_syms[slot] = graph.var(v).domain[k];
-                *score += if clique.violated(clique_syms, ctx) {
-                    penalty
-                } else {
-                    0.0
-                };
-            }
-            continue;
-        }
         let slot = clique
             .vars
             .iter()
@@ -324,9 +500,9 @@ pub(crate) fn conditional_scores_into<C: ValueContext>(
         for &u in &clique.vars {
             clique_syms.push(graph.var(u).domain[state[u.index()]]);
         }
-        for (k, score) in scores.iter_mut().enumerate().take(arity) {
+        for (k, score) in scores.iter_mut().enumerate() {
             clique_syms[slot] = graph.var(v).domain[k];
-            *score += clique.score(clique_syms, weights, ctx);
+            *score += clique.score(&clique_syms, weights, ctx);
         }
     }
 }
@@ -338,13 +514,16 @@ pub struct GibbsSampler<'a, C: ValueContext> {
     ctx: &'a C,
     /// Current candidate index of every variable (evidence pinned).
     state: Vec<usize>,
+    /// Current symbol of every variable: `domain[state]`, kept in step
+    /// with `state` — what the compiled program's `Var` operands read.
+    syms: Vec<Sym>,
     query: Vec<VarId>,
+    /// The compiled clique terms of `query`'s conditionals.
+    program: CliqueProgram,
     rng: StdRng,
     /// Scratch buffer for conditional scores (sequential sweeps; chromatic
     /// blocks carry their own per-block scratch).
     scores: Vec<f64>,
-    /// Scratch buffer for clique assignments.
-    clique_syms: Vec<Sym>,
     /// Sampled candidate indices of the color class being resampled —
     /// sampler-owned so chromatic sweeps reuse one allocation across
     /// classes and sweeps instead of collecting fresh per-block `Vec`s.
@@ -387,20 +566,23 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     ) -> Self {
         debug_assert!(query.iter().all(|&v| graph.var(v).is_query()));
         debug_assert!(query.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-        let state = graph
+        let state: Vec<usize> = graph.vars().iter().map(initial_candidate).collect();
+        let syms = graph
             .vars()
             .iter()
-            .map(|v| v.evidence.or(v.init).unwrap_or(0))
+            .zip(&state)
+            .map(|(var, &k)| var.domain[k])
             .collect();
         GibbsSampler {
             graph,
             weights,
             ctx,
             state,
+            syms,
+            program: CliqueProgram::build(graph, weights, &query),
             query,
             rng: StdRng::seed_from_u64(seed),
             scores: Vec::new(),
-            clique_syms: Vec::new(),
             class_vals: Vec::new(),
             cache: None,
             plan: None,
@@ -439,56 +621,64 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     /// this sampler's *own* query variables to their initial state.
     /// Restricted sweeps never move any other variable, so the reset is
     /// O(this sampler's query set) — per-component multi-chain sampling
-    /// pays the full-graph state build once per component, not once per
-    /// chain, and a reset sampler is indistinguishable from a fresh
-    /// [`GibbsSampler::for_query`] with the same seed.
+    /// pays the full-graph state build and the program compile once per
+    /// component, not once per chain, and a reset sampler is
+    /// indistinguishable from a fresh [`GibbsSampler::for_query`] with the
+    /// same seed.
     pub(crate) fn reset_chain(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
         self.base_seed = seed;
         self.sweep_no = 0;
-        for &v in &self.query {
-            let var = self.graph.var(v);
-            self.state[v.index()] = var.evidence.or(var.init).unwrap_or(0);
+        for i in 0..self.query.len() {
+            let v = self.query[i];
+            self.assign(v, initial_candidate(self.graph.var(v)));
         }
     }
 
-    /// Current symbol of variable `v` under the sampler state.
+    /// Moves `v` to candidate `k`, keeping the symbol array in step.
     #[inline]
-    fn current_sym(&self, v: VarId) -> Sym {
-        self.graph.var(v).domain[self.state[v.index()]]
+    fn assign(&mut self, v: VarId, k: usize) {
+        self.state[v.index()] = k;
+        self.syms[v.index()] = self.graph.var(v).domain[k];
     }
 
-    /// Conditional log-scores of every candidate of `v` given the rest,
-    /// into the sampler's own scratch buffers.
-    fn conditional_scores(&mut self, v: VarId) {
-        conditional_scores_into(
-            self.graph,
-            self.weights,
-            self.ctx,
-            self.cache,
-            &self.state,
-            v,
-            &mut self.scores,
-            &mut self.clique_syms,
-        );
+    /// Conditional log-scores of every candidate of the `i`-th query
+    /// variable given the rest, into `scores`: the unary terms (a memcpy
+    /// of the cached row range when a [`ScoreCache`] is armed, a kernel
+    /// walk over the design matrix otherwise — identical bytes), then the
+    /// compiled clique terms against the current symbols. `&self`, so the
+    /// sequential sweep (sampler-owned scratch) and chromatic blocks
+    /// (per-block scratch against the pre-class symbols) share it.
+    fn conditional_into(&self, i: usize, scores: &mut Vec<f64>) {
+        let v = self.query[i];
+        match self.cache {
+            Some(c) => c.copy_var_scores_into(v, scores),
+            None => self.graph.design().score_var_into(v, self.weights, scores),
+        }
+        let domain = &self.graph.var(v).domain;
+        self.program
+            .add_clique_terms(i, domain, &self.syms, self.ctx, scores);
     }
 
     /// One full sweep over the query variables: sequential single-site
     /// updates, or fixed-order color-class updates when a chromatic plan
     /// is armed (see the module docs).
     pub fn sweep(&mut self) {
-        if self.plan.is_some() {
-            self.sweep_chromatic();
+        // The schedule is taken out of `self` for the sweep so the block
+        // closures can read the sampler while the plan is walked.
+        if let Some(plan) = self.plan.take() {
+            self.sweep_chromatic(&plan);
+            self.plan = Some(plan);
             return;
         }
-        let query = std::mem::take(&mut self.query);
-        for &v in &query {
-            self.conditional_scores(v);
-            softmax_in_place(&mut self.scores);
+        let mut scores = std::mem::take(&mut self.scores);
+        for i in 0..self.query.len() {
+            self.conditional_into(i, &mut scores);
+            softmax_in_place(&mut scores);
             let u: f64 = self.rng.gen();
-            self.state[v.index()] = sample_categorical(&self.scores, u);
+            self.assign(self.query[i], sample_categorical(&scores, u));
         }
-        self.query = query;
+        self.scores = scores;
     }
 
     /// One chromatic sweep: colors in ascending order; within a color,
@@ -497,58 +687,41 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     /// count — block boundaries and block seeds depend only on the plan
     /// and the sweep number, and [`holo_parallel::parallel_jobs`] merges
     /// in block order.
-    fn sweep_chromatic(&mut self) {
-        let graph = self.graph;
-        let weights = self.weights;
-        let ctx = self.ctx;
-        let cache = self.cache;
-        let base_seed = self.base_seed;
-        let threads = self.threads;
+    fn sweep_chromatic(&mut self, plan: &ChromaticPlan) {
         // Sampler-owned class output buffer, reused across classes and
-        // sweeps (taken out of `self` so the fill closure can read
-        // `self.state` while writing into it).
+        // sweeps (taken out of `self` so the fill closure can read the
+        // sampler while writing into it).
         let mut class_vals = std::mem::take(&mut self.class_vals);
-        let plan = self.plan.as_ref().expect("chromatic sweep without a plan");
         let sweep_base = self.sweep_no.wrapping_mul(plan.blocks_per_sweep);
         for run in &plan.runs {
             let class = &plan.order[run.start..run.start + run.len];
             class_vals.clear();
             class_vals.resize(class.len(), 0);
-            let state = &self.state;
             // Fixed COLOR_BLOCK_SIZE output chunks, one seeded job each —
             // the same block boundaries and seeds as the old collect-based
             // schedule, now writing in place.
             holo_parallel::parallel_chunks_mut(
-                threads,
+                self.threads,
                 &mut class_vals,
                 COLOR_BLOCK_SIZE,
                 |b, out| {
-                    let seed = color_block_seed(base_seed, sweep_base + run.block_base + b as u64);
+                    let seed =
+                        color_block_seed(self.base_seed, sweep_base + run.block_base + b as u64);
                     let mut rng = StdRng::seed_from_u64(seed);
                     // Per-block scratch: allocated once per block, reused
                     // across the block's variables.
                     let mut scores: Vec<f64> = Vec::new();
-                    let mut clique_syms: Vec<Sym> = Vec::new();
                     let block = &class[b * COLOR_BLOCK_SIZE..b * COLOR_BLOCK_SIZE + out.len()];
-                    for (&v, slot) in block.iter().zip(out) {
-                        conditional_scores_into(
-                            graph,
-                            weights,
-                            ctx,
-                            cache,
-                            state,
-                            v,
-                            &mut scores,
-                            &mut clique_syms,
-                        );
+                    for (&i, slot) in block.iter().zip(out) {
+                        self.conditional_into(i, &mut scores);
                         softmax_in_place(&mut scores);
                         let u: f64 = rng.gen();
                         *slot = sample_categorical(&scores, u);
                     }
                 },
             );
-            for (&v, &val) in class.iter().zip(&class_vals) {
-                self.state[v.index()] = val;
+            for (&i, &val) in class.iter().zip(&class_vals) {
+                self.assign(self.query[i], val);
             }
         }
         self.class_vals = class_vals;
@@ -608,7 +781,27 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
 
     /// Current symbols of all variables.
     pub fn assignment_syms(&self) -> Vec<Sym> {
-        self.graph.var_ids().map(|v| self.current_sym(v)).collect()
+        self.syms.clone()
+    }
+}
+
+/// Hooks for the tests that pin the compiled conditional against the
+/// interpreted reference at arbitrary states.
+#[cfg(test)]
+impl<C: ValueContext + Sync> GibbsSampler<'_, C> {
+    /// Overwrites the whole state vector (one candidate index per graph
+    /// variable).
+    pub(crate) fn set_state(&mut self, state: &[usize]) {
+        for (v, &k) in self.graph.var_ids().zip(state) {
+            self.assign(v, k);
+        }
+    }
+
+    /// Raw (pre-softmax) conditional scores of the `i`-th query variable.
+    pub(crate) fn conditional(&self, i: usize) -> Vec<f64> {
+        let mut scores = Vec::new();
+        self.conditional_into(i, &mut scores);
+        scores
     }
 }
 

@@ -139,20 +139,14 @@ impl ValueContext for EqOnlyContext {
     }
 }
 
-impl FactorPredicate {
-    /// Evaluates the predicate under an assignment of clique variables to
-    /// symbols.
-    pub fn eval(&self, assignment: &[Sym], ctx: &impl ValueContext) -> bool {
-        let resolve = |o: FactorOperand| match o {
-            FactorOperand::Var(slot) => assignment[slot as usize],
-            FactorOperand::Const(sym) => sym,
-        };
-        let a = resolve(self.lhs);
-        let b = resolve(self.rhs);
+impl CmpOp {
+    /// Whether `a op b` holds. A null on either side satisfies nothing.
+    #[inline]
+    pub fn holds(self, a: Sym, b: Sym, ctx: &impl ValueContext) -> bool {
         if a.is_null() || b.is_null() {
             return false;
         }
-        match self.op {
+        match self {
             CmpOp::Eq => a == b,
             CmpOp::Neq => a != b,
             CmpOp::Lt => ctx.compare(a, b).is_lt(),
@@ -161,6 +155,18 @@ impl FactorPredicate {
             CmpOp::Geq => ctx.compare(a, b).is_ge(),
             CmpOp::Sim(t) => a == b || ctx.similar(a, b, t),
         }
+    }
+}
+
+impl FactorPredicate {
+    /// Evaluates the predicate under an assignment of clique variables to
+    /// symbols.
+    pub fn eval(&self, assignment: &[Sym], ctx: &impl ValueContext) -> bool {
+        let resolve = |o: FactorOperand| match o {
+            FactorOperand::Var(slot) => assignment[slot as usize],
+            FactorOperand::Const(sym) => sym,
+        };
+        self.op.holds(resolve(self.lhs), resolve(self.rhs), ctx)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Cross-module property tests: the Gibbs sampler against the brute-force
-//! enumeration oracle on randomly generated small factor graphs, and
-//! structural invariants of marginals.
+//! enumeration oracle on randomly generated small factor graphs, its
+//! compiled conditional against the interpreted reference, and structural
+//! invariants of marginals.
 
 #![cfg(test)]
 
@@ -8,13 +9,18 @@ use crate::cache::ScoreCache;
 use crate::exact::exact_marginals;
 use crate::gibbs::{conditional_scores_into, GibbsConfig, GibbsSampler};
 use crate::graph::{
-    CliqueFactor, CmpOp, EqOnlyContext, FactorGraph, FactorOperand, FactorPredicate, Variable,
+    CliqueFactor, CmpOp, EqOnlyContext, FactorGraph, FactorOperand, FactorPredicate, ValueContext,
+    VarId, Variable,
 };
 use crate::learn::{self, oracle, LearnConfig};
 use crate::marginals::Marginals;
+use crate::math::softmax_in_place;
 use crate::weights::{FeatureRegistry, WeightId, Weights};
 use holo_dataset::Sym;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 /// A compact description of a random small model.
 #[derive(Debug, Clone)]
@@ -50,6 +56,94 @@ fn random_model() -> impl Strategy<Value = RandomModel> {
             })
         })
         .prop_filter("at least one variable", |m| !m.arities.is_empty())
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Symbols ordered by id, similar when their ids are within the threshold
+/// — a context under which every [`CmpOp`] can be evaluated.
+struct NumericContext;
+
+impl ValueContext for NumericContext {
+    fn compare(&self, a: Sym, b: Sym) -> std::cmp::Ordering {
+        a.0.cmp(&b.0)
+    }
+    fn similar(&self, a: Sym, b: Sym, threshold: f64) -> bool {
+        f64::from(a.0.abs_diff(b.0)) <= threshold
+    }
+}
+
+/// A small random graph exercising everything a clique program resolves:
+/// 2-6 variables (one in four evidence) over the symbols `0..=6` (`0` is
+/// [`Sym::NULL`]), and 0-8 cliques of arity 1-4 whose members, operand
+/// slots, constants, operators and weights are all drawn independently —
+/// so members repeat, a slot can sit on both sides of a predicate, and a
+/// predicate can be constant-only.
+fn random_clique_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
+    const OPS: [CmpOp; 7] = [
+        CmpOp::Eq,
+        CmpOp::Neq,
+        CmpOp::Lt,
+        CmpOp::Gt,
+        CmpOp::Leq,
+        CmpOp::Geq,
+        CmpOp::Sim(1.5),
+    ];
+    const CLIQUE_WEIGHTS: [f64; 5] = [0.0, 0.7, 2.1, -1.3, 4.0];
+    let mut graph = FactorGraph::new();
+    let mut weight_values = Vec::new();
+    let n_vars = rng.gen_range(2usize..=6);
+    for i in 0..n_vars {
+        let mut pool: Vec<u32> = (0..=6).collect();
+        pool.shuffle(rng);
+        let arity = rng.gen_range(1usize..=4);
+        let domain: Vec<Sym> = pool[..arity].iter().map(|&s| Sym(s)).collect();
+        // Variable 0 is always a query variable, so there is something to
+        // resample.
+        let var = if i > 0 && rng.gen_bool(0.25) {
+            Variable::evidence(domain, rng.gen_range(0..arity))
+        } else {
+            Variable::query(domain, Some(rng.gen_range(0..arity)))
+        };
+        let v = graph.add_variable(var);
+        for k in 0..arity {
+            graph.add_feature(v, k, WeightId(weight_values.len() as u32), 1.0);
+            weight_values.push(rng.gen_range(-1.5f64..1.5));
+        }
+    }
+    for _ in 0..rng.gen_range(0usize..=8) {
+        let arity = rng.gen_range(1usize..=4);
+        let vars: Vec<VarId> = (0..arity)
+            .map(|_| VarId(rng.gen_range(0..n_vars as u32)))
+            .collect();
+        let operand = |rng: &mut StdRng| {
+            if rng.gen_bool(0.6) {
+                FactorOperand::Var(rng.gen_range(0..arity as u8))
+            } else {
+                FactorOperand::Const(Sym(rng.gen_range(0u32..=6)))
+            }
+        };
+        let predicates = (0..rng.gen_range(1usize..=3))
+            .map(|_| FactorPredicate {
+                lhs: operand(rng),
+                op: OPS[rng.gen_range(0..OPS.len())],
+                rhs: operand(rng),
+            })
+            .collect();
+        graph.add_clique(CliqueFactor {
+            vars,
+            weight: WeightId(weight_values.len() as u32),
+            predicates,
+        });
+        weight_values.push(CLIQUE_WEIGHTS[rng.gen_range(0..CLIQUE_WEIGHTS.len())]);
+    }
+    let mut weights = Weights::zeros(weight_values.len());
+    for (i, w) in weight_values.into_iter().enumerate() {
+        weights.set(WeightId(i as u32), w);
+    }
+    (graph, weights)
 }
 
 fn build(model: &RandomModel) -> (FactorGraph, Weights) {
@@ -203,10 +297,10 @@ proptest! {
     }
 
     /// The frozen-weight score cache serves the Gibbs conditional
-    /// bit-for-bit: on random graphs, weights and states, the cached
-    /// `conditional_scores_into` (memcpy of the cached row range + clique
-    /// deltas) produces exactly the bytes of the uncached matrix walk, at
-    /// every cache-build thread count. This is the invariant that lets
+    /// bit-for-bit: on random graphs, weights and states, the sampler's
+    /// cached conditional (memcpy of the cached row range + clique terms)
+    /// produces exactly the bytes of the uncached matrix walk, at every
+    /// cache-build thread count. This is the invariant that lets
     /// `PartitionedConfig::score_cache` be a pure wall-clock knob.
     #[test]
     fn cached_conditionals_bit_identical_to_uncached(model in random_model(),
@@ -217,21 +311,15 @@ proptest! {
             .var_ids()
             .map(|v| (v.index() + state_salt) % graph.var(v).arity())
             .collect();
+        let mut uncached = GibbsSampler::new(&graph, &weights, &ctx, 0);
+        uncached.set_state(&state);
         for threads in [1usize, 4] {
             let cache = ScoreCache::build(graph.design(), &weights, threads);
-            let (mut cached, mut uncached) = (Vec::new(), Vec::new());
-            let (mut syms_a, mut syms_b) = (Vec::new(), Vec::new());
-            for v in graph.var_ids() {
-                conditional_scores_into(
-                    &graph, &weights, &ctx, Some(&cache), &state, v, &mut cached, &mut syms_a,
-                );
-                conditional_scores_into(
-                    &graph, &weights, &ctx, None, &state, v, &mut uncached, &mut syms_b,
-                );
-                let cached_bits: Vec<u64> = cached.iter().map(|x| x.to_bits()).collect();
-                let uncached_bits: Vec<u64> = uncached.iter().map(|x| x.to_bits()).collect();
-                prop_assert_eq!(cached_bits, uncached_bits,
-                    "var {:?}, cache built with {} thread(s)", v, threads);
+            let mut cached = GibbsSampler::new(&graph, &weights, &ctx, 0).with_score_cache(&cache);
+            cached.set_state(&state);
+            for i in 0..graph.query_vars().len() {
+                prop_assert_eq!(bits(&cached.conditional(i)), bits(&uncached.conditional(i)),
+                    "query var {}, cache built with {} thread(s)", i, threads);
             }
         }
     }
@@ -261,7 +349,7 @@ proptest! {
         let _ = graph.coloring(); // the one full build
         for (a, b) in extra {
             let n = graph.var_count();
-            let (a, b) = (crate::graph::VarId((a % n) as u32), crate::graph::VarId((b % n) as u32));
+            let (a, b) = (VarId((a % n) as u32), VarId((b % n) as u32));
             if a == b {
                 continue;
             }
@@ -290,6 +378,50 @@ proptest! {
             }
         }
         prop_assert_eq!(graph.coloring_stats().full_builds, 1, "patches only");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The compiled clique program is the interpreted conditional: over
+    /// random graphs (clique arity 1-4 with repeated members, every
+    /// operator under a real ordering/similarity context, nulls in domains
+    /// and constants, constant-only predicates, one slot on both sides of
+    /// a predicate, evidence members, zero and negative clique weights)
+    /// and random states, the raw scores are equal as numbers (a skipped
+    /// `+0.0` may only flip a zero's sign) and the softmaxed conditional
+    /// is equal bit for bit, with the score cache and without.
+    #[test]
+    fn compiled_conditional_bit_identical_to_interpreted(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (graph, weights) = random_clique_graph(&mut rng);
+        let ctx = NumericContext;
+        let cache = ScoreCache::build(graph.design(), &weights, 1);
+        let query = graph.query_vars();
+        let plain = GibbsSampler::new(&graph, &weights, &ctx, 0);
+        let cached = GibbsSampler::new(&graph, &weights, &ctx, 0).with_score_cache(&cache);
+        for mut sampler in [plain, cached] {
+            for _ in 0..4 {
+                let state: Vec<usize> = graph
+                    .vars()
+                    .iter()
+                    .map(|var| var.evidence.unwrap_or_else(|| rng.gen_range(0..var.arity())))
+                    .collect();
+                sampler.set_state(&state);
+                for (i, &v) in query.iter().enumerate() {
+                    let mut compiled = sampler.conditional(i);
+                    let mut interpreted = Vec::new();
+                    conditional_scores_into(
+                        &graph, &weights, &ctx, None, &state, v, &mut interpreted,
+                    );
+                    prop_assert_eq!(&compiled, &interpreted, "raw scores of {:?}", v);
+                    softmax_in_place(&mut compiled);
+                    softmax_in_place(&mut interpreted);
+                    prop_assert_eq!(bits(&compiled), bits(&interpreted), "conditional of {:?}", v);
+                }
+            }
+        }
     }
 }
 
