@@ -26,9 +26,10 @@
 //! counters (`cliques`, `dc_pairs_considered`, `clique_cap_hits`,
 //! `dc_skipped_no_join_key` — all zero unless `--dc-factors` selects the
 //! partitioned DC-factor variant) and `phases`, the
-//! wall-clock split of `compile()` (`index_build_s`, `noisy_prune_s`,
-//! `evidence_prune_s`, `featurize_s`, `apply_s`, `ground_s` on DC-factor
-//! variants, `design_build_s`).
+//! wall-clock split of `compile()` in execution order (`index_build_s`,
+//! `noisy_prune_s`, `evidence_prune_s`, `variables_s`,
+//! `featurizer_setup_s`, `featurize_s`, `assemble_s`, and `ground_s` on
+//! DC-factor variants).
 //!
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
 //! (dense/CSR pair split, cell and byte footprint, build/extend/retract

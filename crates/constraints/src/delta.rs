@@ -25,7 +25,7 @@
 //! uses); single-tuple constraints check only the new tuples.
 
 use crate::ast::{ConstraintSet, Operand, TupleVar};
-use crate::violations::Violation;
+use crate::violations::{CellTemplate, Violation};
 use holo_dataset::{AttrId, Dataset, FxHashMap, Sym, TupleId};
 
 /// Per-constraint persistent blocking state.
@@ -216,13 +216,14 @@ impl DeltaViolationIndex {
         let in_rows = &in_rows;
         let mut out = Vec::new();
         for (id, c) in constraints.iter() {
+            let template = CellTemplate::new(c, id);
             match &self.per_constraint[id] {
                 ConstraintIndex::SingleTuple => {
                     out.extend(holo_parallel::parallel_chunks(threads, rows, |_, chunk| {
                         chunk
                             .iter()
                             .filter(|&&t| c.violated_by(ds, t, t))
-                            .map(|&t| Violation::new(ds, c, id, t, t))
+                            .map(|&t| template.violation(t, t))
                             .collect()
                     }));
                 }
@@ -236,7 +237,7 @@ impl DeltaViolationIndex {
                                 continue;
                             }
                             if c.violated_by(ds, t1, t2) {
-                                found.push(Violation::new(ds, c, id, t1, t2));
+                                found.push(template.violation(t1, t2));
                             }
                         }
                         found
@@ -248,7 +249,7 @@ impl DeltaViolationIndex {
                                 continue;
                             }
                             if c.violated_by(ds, t1, t2) {
-                                found.push(Violation::new(ds, c, id, t1, t2));
+                                found.push(template.violation(t1, t2));
                             }
                         }
                         found
@@ -281,7 +282,7 @@ impl DeltaViolationIndex {
                                     continue;
                                 }
                                 if c.violated_by(ds, t1, t2) {
-                                    found.push(Violation::new(ds, c, id, t1, t2));
+                                    found.push(template.violation(t1, t2));
                                 }
                             }
                         }
@@ -307,7 +308,7 @@ impl DeltaViolationIndex {
                                     continue;
                                 }
                                 if c.violated_by(ds, t1, t2) {
-                                    found.push(Violation::new(ds, c, id, t1, t2));
+                                    found.push(template.violation(t1, t2));
                                 }
                             }
                         }
@@ -381,6 +382,7 @@ impl DeltaViolationIndex {
         // ---- Probe with the new tuples, both directions ----
         let mut out = Vec::new();
         for (id, c) in constraints.iter() {
+            let template = CellTemplate::new(c, id);
             match &self.per_constraint[id] {
                 ConstraintIndex::SingleTuple => {
                     out.extend(holo_parallel::parallel_chunks(
@@ -390,7 +392,7 @@ impl DeltaViolationIndex {
                             chunk
                                 .iter()
                                 .filter(|&&t| c.violated_by(ds, t, t))
-                                .map(|&t| Violation::new(ds, c, id, t, t))
+                                .map(|&t| template.violation(t, t))
                                 .collect()
                         },
                     ));
@@ -413,7 +415,7 @@ impl DeltaViolationIndex {
                                     continue;
                                 }
                                 if c.violated_by(ds, t1, t2) {
-                                    found.push(Violation::new(ds, c, id, t1, t2));
+                                    found.push(template.violation(t1, t2));
                                 }
                             }
                             found
@@ -434,7 +436,7 @@ impl DeltaViolationIndex {
                                     continue;
                                 }
                                 if c.violated_by(ds, t1, t2) {
-                                    found.push(Violation::new(ds, c, id, t1, t2));
+                                    found.push(template.violation(t1, t2));
                                 }
                             }
                             found
@@ -475,7 +477,7 @@ impl DeltaViolationIndex {
                                         continue;
                                     }
                                     if c.violated_by(ds, t1, t2) {
-                                        found.push(Violation::new(ds, c, id, t1, t2));
+                                        found.push(template.violation(t1, t2));
                                     }
                                 }
                             }
@@ -507,7 +509,7 @@ impl DeltaViolationIndex {
                                         break; // buckets ascend: the rest are new
                                     }
                                     if c.violated_by(ds, t1, t2) {
-                                        found.push(Violation::new(ds, c, id, t1, t2));
+                                        found.push(template.violation(t1, t2));
                                     }
                                 }
                             }

@@ -19,7 +19,7 @@
 //! thread count.
 
 use crate::ast::{ConstraintId, ConstraintSet, DenialConstraint, Operand, TupleVar};
-use holo_dataset::{CellRef, Dataset, FxHashMap, Sym, TupleId};
+use holo_dataset::{AttrId, CellRef, Dataset, FxHashMap, Sym, TupleId};
 use serde::{Deserialize, Serialize};
 
 /// One detected violation: a constraint plus the witnessing tuple binding.
@@ -36,36 +36,49 @@ pub struct Violation {
     pub cells: Vec<CellRef>,
 }
 
-impl Violation {
-    pub(crate) fn new(
-        ds: &Dataset,
-        c: &DenialConstraint,
-        id: ConstraintId,
-        t1: TupleId,
-        t2: TupleId,
-    ) -> Self {
-        let _ = ds;
-        let mut cells = Vec::new();
-        let (a1, a2) = c.attrs_by_tuple();
-        for a in a1 {
-            let cell = CellRef { tuple: t1, attr: a };
-            if !cells.contains(&cell) {
-                cells.push(cell);
-            }
+/// The cell pattern every violation of one constraint shares: the
+/// attributes read on each tuple variable. Deriving it walks the
+/// predicates and allocates, so a detection pass builds it once per
+/// constraint and stamps each witnessing pair through it.
+pub(crate) struct CellTemplate {
+    constraint: ConstraintId,
+    t1_attrs: Vec<AttrId>,
+    /// Empty for single-tuple constraints.
+    t2_attrs: Vec<AttrId>,
+}
+
+impl CellTemplate {
+    pub(crate) fn new(c: &DenialConstraint, constraint: ConstraintId) -> Self {
+        let (t1_attrs, mut t2_attrs) = c.attrs_by_tuple();
+        if !c.two_tuple {
+            t2_attrs.clear();
         }
-        if c.two_tuple {
-            for a in a2 {
-                let cell = CellRef { tuple: t2, attr: a };
-                if !cells.contains(&cell) {
-                    cells.push(cell);
-                }
-            }
+        CellTemplate {
+            constraint,
+            t1_attrs,
+            t2_attrs,
         }
+    }
+
+    /// The violation witnessed by `(t1, t2)`: `t1`'s cells in predicate
+    /// order, then `t2`'s. A two-tuple constraint is never violated by a
+    /// self-pair, so no cell is named twice; single-tuple constraints pass
+    /// `t1 == t2`.
+    pub(crate) fn violation(&self, t1: TupleId, t2: TupleId) -> Violation {
+        debug_assert!(self.t2_attrs.is_empty() || t1 != t2);
+        let cell_of = |tuple: TupleId| move |&attr: &AttrId| CellRef { tuple, attr };
+        // Both halves report an exact length, so `cells` is sized once.
+        let t2_cells = self.t2_attrs.iter().map(cell_of(t2));
         Violation {
-            constraint: id,
+            constraint: self.constraint,
             t1,
             t2,
-            cells,
+            cells: self
+                .t1_attrs
+                .iter()
+                .map(cell_of(t1))
+                .chain(t2_cells)
+                .collect(),
         }
     }
 }
@@ -114,6 +127,7 @@ pub fn find_constraint_violations_with_threads(
     threads: usize,
     out: &mut Vec<Violation>,
 ) {
+    let template = CellTemplate::new(c, id);
     if !c.two_tuple {
         let tuples: Vec<TupleId> = ds.tuples().collect();
         // Per-tuple work here is one predicate evaluation — far below the
@@ -126,7 +140,7 @@ pub fn find_constraint_violations_with_threads(
                 chunk
                     .iter()
                     .filter(|&&t| c.violated_by(ds, t, t))
-                    .map(|&t| Violation::new(ds, c, id, t, t))
+                    .map(|&t| template.violation(t, t))
                     .collect()
             },
         ));
@@ -135,7 +149,7 @@ pub fn find_constraint_violations_with_threads(
 
     // Collect the blocking key: for each cross-tuple equality predicate,
     // the attribute read on the t1 side and on the t2 side.
-    let eq_keys: Vec<(holo_dataset::AttrId, holo_dataset::AttrId)> = c
+    let eq_keys: Vec<(AttrId, AttrId)> = c
         .predicates
         .iter()
         .filter(|p| p.is_cross_tuple_eq())
@@ -152,7 +166,7 @@ pub fn find_constraint_violations_with_threads(
         .collect();
 
     if eq_keys.is_empty() {
-        naive_constraint_violations(ds, c, id, threads, out);
+        naive_constraint_violations(ds, c, &template, threads, out);
         return;
     }
 
@@ -228,7 +242,7 @@ pub fn find_constraint_violations_with_threads(
                         continue;
                     }
                     if c.violated_by(ds, t1, t2) {
-                        found.push(Violation::new(ds, c, id, t1, t2));
+                        found.push(template.violation(t1, t2));
                     }
                 }
             }
@@ -240,7 +254,7 @@ pub fn find_constraint_violations_with_threads(
 fn naive_constraint_violations(
     ds: &Dataset,
     c: &DenialConstraint,
-    id: ConstraintId,
+    template: &CellTemplate,
     threads: usize,
     out: &mut Vec<Violation>,
 ) {
@@ -256,7 +270,7 @@ fn naive_constraint_violations(
                     continue;
                 }
                 if c.violated_by(ds, t1, t2) {
-                    found.push(Violation::new(ds, c, id, t1, t2));
+                    found.push(template.violation(t1, t2));
                 }
             }
             found
@@ -269,14 +283,15 @@ fn naive_constraint_violations(
 pub fn find_violations_naive(ds: &Dataset, constraints: &ConstraintSet) -> Vec<Violation> {
     let mut out = Vec::new();
     for (id, c) in constraints.iter() {
+        let template = CellTemplate::new(c, id);
         if !c.two_tuple {
             for t in ds.tuples() {
                 if c.violated_by(ds, t, t) {
-                    out.push(Violation::new(ds, c, id, t, t));
+                    out.push(template.violation(t, t));
                 }
             }
         } else {
-            naive_constraint_violations(ds, c, id, 1, &mut out);
+            naive_constraint_violations(ds, c, &template, 1, &mut out);
         }
     }
     out

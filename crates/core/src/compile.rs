@@ -8,30 +8,31 @@
 //! 2. samples evidence variables from the clean cells (§2.2 — evidence is
 //!    what the weights are learned from; sampling caps the training-set
 //!    size the way DeepDive batches do);
-//! 3. featurizes every variable: co-occurrence statistics, minimality
+//! 3. featurizes every variable — co-occurrence statistics, minimality
 //!    prior, external matches, relaxed DC features (§5.2), and optional
-//!    source-reliability features;
+//!    source-reliability features — in one pass that ends in the CSR
+//!    design matrix, the flat scoring substrate Learn and Infer read and
+//!    the only place unary features are ever stored (see
+//!    [`crate::features`]);
 //! 4. in the factor variants, grounds denial constraints into clique
 //!    factors (Algorithm 1), optionally restricted to the Algorithm 3
 //!    tuple groups — pair discovery and clique construction both shard
-//!    across threads with ordered merges;
-//! 5. builds the CSR design matrix, the flat scoring substrate Learn and
-//!    Infer read.
+//!    across threads with ordered merges.
 
 use crate::config::HoloConfig;
 use crate::domain::{CellDomains, PruneGate, PruneIndex};
 use crate::error::HoloError;
 use crate::features::{
     collect_cooccur_features, collect_distribution_feature, collect_external_features,
-    collect_minimality_feature, DcFeaturizer, FeatureBuffer, FeatureKey, MatchLookup,
+    collect_minimality_feature, DcFeaturizer, FeatureBuffer, FeatureKey, FeatureSink, MatchLookup,
     SourceFeaturizer,
 };
 use holo_constraints::ast::{Op, Operand, TupleVar};
 use holo_constraints::{ConflictHypergraph, ConstraintSet, Violation};
 use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Sym, TupleId};
 use holo_factor::{
-    CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, FeatureRegistry, VarId,
-    Variable, Weights,
+    CliqueFactor, CmpOp, DesignMatrix, FactorGraph, FactorOperand, FactorPredicate,
+    FeatureRegistry, VarId, Variable, Weights,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -67,9 +68,14 @@ pub struct CompileStats {
     pub prune_index_rows: usize,
     /// `(value, count)` entries held by the Algorithm 2 threshold index.
     pub prune_index_entries: usize,
-    /// Wall-clock of `compile`'s phases, in execution order: index build,
-    /// noisy prune, evidence prune, featurize, apply, ground (DC-factor
-    /// variants only), design build.
+    /// Wall-clock of `compile`'s phases, in execution order: `index
+    /// build` (the τ-index), `noisy prune` (its Algorithm 2 read for the
+    /// noisy cells), `evidence prune` (evidence selection and its read),
+    /// `variables`, `featurizer setup` (DC/source featurizers, Algorithm 3
+    /// components), `featurize` (the parallel pass into per-chunk sinks),
+    /// `assemble` (their ordered merge into registry + design matrix),
+    /// `ground` (Algorithm 1; DC-factor variants only). Together they
+    /// cover the call but for the final weight-vector copy.
     pub phases: Vec<(&'static str, Duration)>,
 }
 
@@ -132,37 +138,22 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     } = *input;
 
     let threads = config.effective_threads();
-    let mut graph = FactorGraph::new();
-    let mut registry: FeatureRegistry<FeatureKey> = FeatureRegistry::new();
     let mut cstats = CompileStats::default();
     let mut phases = Vec::new();
 
     // ---- 1. domains for noisy cells (Alg. 2 + dictionary assertions) ----
-    let mut asserted_by_cell: FxHashMap<CellRef, Vec<Sym>> = FxHashMap::default();
-    for &(cell, sym) in matches.keys() {
-        asserted_by_cell.entry(cell).or_default().push(sym);
-    }
-    let assert_into = |cell: CellRef, dom: &mut Vec<Sym>| {
-        for &v in asserted_by_cell.get(&cell).into_iter().flatten() {
-            if !dom.contains(&v) {
-                dom.push(v);
-            }
-        }
-    };
-    let mut noisy_cells: Vec<CellRef> = noisy.iter().copied().collect();
-    noisy_cells.sort_unstable();
-    // Optional BClean-style correlation gate: computed once from the
-    // maintained counts (cached inside the statistics until the next
-    // mutation) and applied to both the noisy and evidence prunes.
-    let gate = config.cor_strength.map(|min_corr| PruneGate {
-        corr: stats.correlations(),
-        min_corr,
-    });
     // One τ-threshold index serves both prunes: built at the smaller
     // (evidence) τ, filtered at the noisy τ on read. It is dropped before
-    // featurization, so it never coexists with the feature buffers.
+    // featurization, so it never coexists with the design matrix.
     let evidence_tau = config.tau.min(config.evidence_tau_cap);
     let index = timed(&mut phases, "index build", || {
+        // Optional BClean-style correlation gate: computed once from the
+        // maintained counts (cached inside the statistics until the next
+        // mutation) and applied to both the noisy and evidence prunes.
+        let gate = config.cor_strength.map(|min_corr| PruneGate {
+            corr: stats.correlations(),
+            min_corr,
+        });
         PruneIndex::build(
             ds,
             stats,
@@ -174,128 +165,109 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     });
     cstats.prune_index_rows = index.rows();
     cstats.prune_index_entries = index.entries();
-    let pruned = timed(&mut phases, "noisy prune", || {
-        index.prune_cells(ds, &noisy_cells, config.tau, config.max_domain, threads)
+    let (noisy_cells, pruned) = timed(&mut phases, "noisy prune", || {
+        let mut noisy_cells: Vec<CellRef> = noisy.iter().copied().collect();
+        noisy_cells.sort_unstable();
+        let pruned = index.prune_cells(ds, &noisy_cells, config.tau, config.max_domain, threads);
+        (noisy_cells, pruned)
     });
-
-    // ---- 2. variables ----
-    // Only DC-factor grounding reads domains by cell; every other variant
-    // moves each domain straight into its variable.
-    let mut domains = CellDomains::default();
-    let mut cell_vars: FxHashMap<CellRef, VarId> = FxHashMap::default();
-    let mut query_cells = Vec::new();
-    let mut query_vars = Vec::new();
-    for (&cell, mut dom) in noisy_cells.iter().zip(pruned) {
-        assert_into(cell, &mut dom);
-        if config.variant.uses_dc_factors() {
-            domains.insert(cell, dom.clone());
-        }
-        if dom.len() < 2 {
-            cstats.singleton_noisy_cells += 1;
-            continue;
-        }
-        let init = ds.cell_ref(cell);
-        let init_idx = dom.iter().position(|&v| v == init);
-        let var = graph.add_variable(Variable::query(dom, init_idx));
-        cell_vars.insert(cell, var);
-        query_cells.push(cell);
-        query_vars.push(var);
-    }
-    cstats.query_vars = query_vars.len();
-    cstats.total_candidates = query_vars.iter().map(|&v| graph.var(v).arity()).sum();
 
     // Evidence: sample clean cells per attribute. Selection stays
     // sequential (it consumes the seeded RNG); the Algorithm 2 reads of
     // the selected cells shard across threads.
-    let selected = select_evidence_cells(ds, noisy, config);
-    let evidence_domains = timed(&mut phases, "evidence prune", || {
-        index.prune_cells(ds, &selected, evidence_tau, config.max_domain, threads)
+    let (selected, evidence_domains) = timed(&mut phases, "evidence prune", || {
+        let selected = select_evidence_cells(ds, noisy, config);
+        let domains = index.prune_cells(ds, &selected, evidence_tau, config.max_domain, threads);
+        (selected, domains)
     });
     drop(index);
-    let mut evidence: Vec<(CellRef, Vec<Sym>, usize)> = Vec::new();
-    for (&cell, mut dom) in selected.iter().zip(evidence_domains) {
-        // Dictionary assertions join the evidence domains too: an
-        // evidence cell whose observed value beats the asserted one is
-        // exactly the negative example that trains the dictionary's
-        // reliability weight w(k) down when coverage is poor.
-        assert_into(cell, &mut dom);
-        if dom.len() < 2 {
-            continue;
+
+    // ---- 2. variables: query first, then evidence ----
+    // Only DC-factor grounding reads domains by cell; every other variant
+    // moves each domain straight into its variable.
+    let mut vars: Vec<Variable> = Vec::new();
+    let mut var_cells: Vec<CellRef> = Vec::new();
+    let mut domains = CellDomains::default();
+    timed(&mut phases, "variables", || {
+        let mut asserted_by_cell: FxHashMap<CellRef, Vec<Sym>> = FxHashMap::default();
+        for &(cell, sym) in matches.keys() {
+            asserted_by_cell.entry(cell).or_default().push(sym);
         }
-        // The pruner keeps a cell's observed value by construction; if a
-        // pruning configuration ever breaks that, surface the cell as a
-        // typed error rather than a crash.
-        let Some(observed) = dom.iter().position(|&v| v == ds.cell_ref(cell)) else {
-            return Err(HoloError::PrunedInitialValue {
-                cell,
-                attr: ds.schema().attr_name(cell.attr).to_string(),
-            });
+        let assert_into = |cell: CellRef, dom: &mut Vec<Sym>| {
+            for &v in asserted_by_cell.get(&cell).into_iter().flatten() {
+                if !dom.contains(&v) {
+                    dom.push(v);
+                }
+            }
         };
-        evidence.push((cell, dom, observed));
-    }
-    cstats.evidence_vars = evidence.len();
-    let mut evidence_vars: Vec<(CellRef, VarId)> = Vec::with_capacity(evidence.len());
-    for (cell, dom, observed) in evidence {
-        let var = graph.add_variable(Variable::evidence(dom, observed));
-        evidence_vars.push((cell, var));
-    }
+        for (&cell, mut dom) in noisy_cells.iter().zip(pruned) {
+            assert_into(cell, &mut dom);
+            if config.variant.uses_dc_factors() {
+                domains.insert(cell, dom.clone());
+            }
+            if dom.len() < 2 {
+                cstats.singleton_noisy_cells += 1;
+                continue;
+            }
+            let init = ds.cell_ref(cell);
+            let init_idx = dom.iter().position(|&v| v == init);
+            vars.push(Variable::query(dom, init_idx));
+            var_cells.push(cell);
+        }
+        cstats.query_vars = vars.len();
+        cstats.total_candidates = vars.iter().map(Variable::arity).sum();
+        for (&cell, mut dom) in selected.iter().zip(evidence_domains) {
+            // Dictionary assertions join the evidence domains too: an
+            // evidence cell whose observed value beats the asserted one is
+            // exactly the negative example that trains the dictionary's
+            // reliability weight w(k) down when coverage is poor.
+            assert_into(cell, &mut dom);
+            if dom.len() < 2 {
+                continue;
+            }
+            // The pruner keeps a cell's observed value by construction; if
+            // a pruning configuration ever breaks that, surface the cell
+            // as a typed error rather than a crash.
+            let Some(observed) = dom.iter().position(|&v| v == ds.cell_ref(cell)) else {
+                return Err(HoloError::PrunedInitialValue {
+                    cell,
+                    attr: ds.schema().attr_name(cell.attr).to_string(),
+                });
+            };
+            vars.push(Variable::evidence(dom, observed));
+            var_cells.push(cell);
+        }
+        Ok(())
+    })?;
+    cstats.evidence_vars = vars.len() - cstats.query_vars;
+    let query_cells = var_cells[..cstats.query_vars].to_vec();
+    let query_vars: Vec<VarId> = (0..cstats.query_vars as u32).map(VarId).collect();
 
     // ---- 3. featurization ----
-    let components = if config.variant.uses_partitioning() {
-        Some(build_components(constraints, violations, ds.tuple_count()))
-    } else {
-        None
-    };
-    let dc_featurizer = if config.variant.uses_dc_features() {
-        Some(DcFeaturizer::new(ds, constraints, config))
-    } else {
-        None
-    };
-    let source_featurizer = match &config.source {
-        Some(sc) => Some(SourceFeaturizer::new(ds, &sc.entity_attr, &sc.source_attr)?),
-        None => None,
-    };
-
-    let all_vars: Vec<(CellRef, VarId)> = query_cells
-        .iter()
-        .copied()
-        .zip(query_vars.iter().copied())
-        .chain(evidence_vars.iter().copied())
-        .collect();
-    // Featurization is the compile hot path: every signal of every
-    // variable scans conditioning cells, match lookups and DC partner
-    // blocks. Each variable's features depend only on read-only inputs, so
-    // the collection phase runs data-parallel into per-variable
-    // [`FeatureBuffer`]s; the buffers then apply sequentially in variable
-    // order, which replays the exact registry interning sequence of the
-    // sequential compiler (same weight ids at every thread count).
-    let buffers = timed(&mut phases, "featurize", || {
-        holo_parallel::parallel_map(threads, &all_vars, |_, &(cell, var)| {
-            let candidates = &graph.var(var).domain;
-            let mut buf = FeatureBuffer::default();
-            collect_cell_features(
-                &mut buf,
-                ds,
-                stats,
-                matches,
-                config,
-                dc_featurizer.as_ref(),
-                source_featurizer.as_ref(),
-                cell,
-                candidates,
-            );
-            buf
-        })
+    let (components, signals) = timed(&mut phases, "featurizer setup", || {
+        let components = config
+            .variant
+            .uses_partitioning()
+            .then(|| build_components(constraints, violations, ds.tuple_count()));
+        Signals::new(input).map(|signals| (components, signals))
+    })?;
+    let sinks = timed(&mut phases, "featurize", || {
+        signals.featurize(threads, &var_cells, &vars)
     });
-    timed(&mut phases, "apply", || {
-        for (&(_, var), buf) in all_vars.iter().zip(buffers) {
-            buf.apply(&mut graph, &mut registry, var);
-        }
+    let (mut registry, mut graph) = timed(&mut phases, "assemble", || {
+        drop(signals);
+        let (registry, design) = assemble(sinks);
+        (registry, FactorGraph::from_design(vars, design))
     });
 
     // ---- 4. DC factor grounding (Algorithm 1) ----
     if config.variant.uses_dc_factors() {
         timed(&mut phases, "ground", || {
+            let cell_vars: FxHashMap<CellRef, VarId> = query_cells
+                .iter()
+                .copied()
+                .zip(query_vars.iter().copied())
+                .collect();
             ground_dc_factors(
                 &mut graph,
                 &mut registry,
@@ -309,17 +281,6 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
             )
         });
     }
-
-    // Compile hands the model over in its scoring form: force the CSR
-    // design-matrix build here so Learn and Infer read a ready substrate
-    // and the conversion cost is billed to the Compile stage. This is the
-    // model's *only* full build — it absorbs the dirty set the mutators
-    // above accumulated, and later mutations (feedback pins) patch the
-    // matrix in place (`graph.design_stats()` keeps the tally).
-    timed(&mut phases, "design build", || {
-        let _ = graph.design();
-    });
-    debug_assert_eq!(graph.design_stats().full_builds, 1);
 
     cstats.phases = phases;
     cstats.factors = graph.factor_count();
@@ -363,45 +324,104 @@ fn select_evidence_cells(
     selected
 }
 
-/// The full per-cell featurization sequence — every signal of §4.2 in
-/// its canonical order: the collect order *is* the per-row feature order
-/// in the design matrix.
-///
-/// Partitioning (Alg. 3) restricts the *factor grounding* of Algorithm 1
-/// only; the relaxed features of §5.2 always count against all partners
-/// — dropping out-of-component partners would silence the violations a
-/// bad repair would create with clean tuples.
-#[allow(clippy::too_many_arguments)]
-fn collect_cell_features(
-    buf: &mut FeatureBuffer,
-    ds: &Dataset,
-    stats: &CooccurStats,
-    matches: &MatchLookup,
-    config: &HoloConfig,
-    dc_featurizer: Option<&DcFeaturizer<'_>>,
-    source_featurizer: Option<&SourceFeaturizer>,
-    cell: CellRef,
-    candidates: &[Sym],
-) {
-    let init = ds.cell_ref(cell);
-    collect_cooccur_features(buf, ds, cell, candidates);
-    collect_distribution_feature(
-        buf,
-        ds,
-        stats,
-        cell,
-        candidates,
-        config.min_cond_support,
-        config.distribution_prior,
-    );
-    collect_minimality_feature(buf, config, init, candidates);
-    collect_external_features(buf, matches, cell, candidates, config.ext_dict_prior);
-    if let Some(dcf) = dc_featurizer {
-        dcf.collect_features(buf, cell, candidates, None);
+/// The repair signals of §4.2 in the form per-cell featurization reads
+/// them: the compile inputs plus the DC and source featurizers built over
+/// them.
+struct Signals<'a> {
+    ds: &'a Dataset,
+    stats: &'a CooccurStats,
+    matches: &'a MatchLookup,
+    config: &'a HoloConfig,
+    dc: Option<DcFeaturizer<'a>>,
+    source: Option<SourceFeaturizer>,
+}
+
+impl<'a> Signals<'a> {
+    fn new(input: &CompileInput<'a>) -> Result<Self, HoloError> {
+        let config = input.config;
+        Ok(Signals {
+            ds: input.ds,
+            stats: input.stats,
+            matches: input.matches,
+            config,
+            dc: config
+                .variant
+                .uses_dc_features()
+                .then(|| DcFeaturizer::new(input.ds, input.constraints, config)),
+            source: match &config.source {
+                Some(sc) => Some(SourceFeaturizer::new(
+                    input.ds,
+                    &sc.entity_attr,
+                    &sc.source_attr,
+                )?),
+                None => None,
+            },
+        })
     }
-    if let Some(sf) = source_featurizer {
-        sf.collect_features(buf, ds, cell, candidates);
+
+    /// Queues every signal of one cell in its canonical order: the collect
+    /// order *is* the per-row feature order in the design matrix and the
+    /// weight interning order.
+    ///
+    /// Partitioning (Alg. 3) restricts the *factor grounding* of
+    /// Algorithm 1 only; the relaxed features of §5.2 always count against
+    /// all partners — dropping out-of-component partners would silence the
+    /// violations a bad repair would create with clean tuples.
+    fn collect(&self, buf: &mut FeatureBuffer, cell: CellRef, candidates: &[Sym]) {
+        let Signals {
+            ds, stats, config, ..
+        } = *self;
+        collect_cooccur_features(buf, ds, cell, candidates);
+        collect_distribution_feature(
+            buf,
+            ds,
+            stats,
+            cell,
+            candidates,
+            config.min_cond_support,
+            config.distribution_prior,
+        );
+        collect_minimality_feature(buf, config, ds.cell_ref(cell), candidates);
+        collect_external_features(buf, self.matches, cell, candidates, config.ext_dict_prior);
+        if let Some(dcf) = &self.dc {
+            dcf.collect_features(buf, cell, candidates, None);
+        }
+        if let Some(sf) = &self.source {
+            sf.collect_features(buf, ds, cell, candidates);
+        }
     }
+
+    /// Featurizes the variables (`cells[i]` is the cell of `vars[i]`), one
+    /// [`FeatureSink`] per contiguous chunk, in chunk order. This is the
+    /// compile hot path — every signal of every variable scans
+    /// conditioning cells, match lookups and DC partner blocks — and a
+    /// variable's features depend only on read-only inputs, so the chunks
+    /// run data-parallel, each through one reused [`FeatureBuffer`].
+    fn featurize(&self, threads: usize, cells: &[CellRef], vars: &[Variable]) -> Vec<FeatureSink> {
+        let items: Vec<(CellRef, &Variable)> = cells.iter().copied().zip(vars).collect();
+        holo_parallel::parallel_chunks(threads, &items, |_, chunk| {
+            let mut sink = FeatureSink::default();
+            let mut buf = FeatureBuffer::default();
+            for &(cell, var) in chunk {
+                buf.clear();
+                self.collect(&mut buf, cell, &var.domain);
+                sink.push_var(&buf, var.arity());
+            }
+            vec![sink]
+        })
+    }
+}
+
+/// Merges per-chunk sinks, in chunk order, into the model's registry and
+/// design matrix — those of a single sink fed every variable in turn, at
+/// any chunking (see the `features` module docs).
+fn assemble(sinks: Vec<FeatureSink>) -> (FeatureRegistry<FeatureKey>, DesignMatrix) {
+    let mut sinks = sinks.into_iter();
+    let mut merged = sinks.next().unwrap_or_default();
+    for sink in sinks {
+        merged.absorb(sink);
+    }
+    merged.finish()
 }
 
 /// Per-constraint tuple→component maps from the Algorithm 3 groups.
@@ -905,5 +925,157 @@ mod tests {
         assert_eq!(m1.stats.evidence_vars, m2.stats.evidence_vars);
         assert_eq!(m1.stats.factors, m2.stats.factors);
         assert_eq!(m1.query_cells, m2.query_cells);
+    }
+
+    /// The phase list is part of `diag --json`'s surface: names and order
+    /// are pinned, `ground` appearing exactly on the DC-factor variants.
+    #[test]
+    fn phases_are_named_and_ordered() {
+        let expected = [
+            "index build",
+            "noisy prune",
+            "evidence prune",
+            "variables",
+            "featurizer setup",
+            "featurize",
+            "assemble",
+            "ground",
+        ];
+        for (variant, n) in [(ModelVariant::DcFeats, 7), (ModelVariant::DcFactors, 8)] {
+            let (ds, cons, config) = setup(variant);
+            let model = run_compile(&ds, &cons, &config);
+            let names: Vec<&str> = model.stats.phases.iter().map(|(name, _)| *name).collect();
+            assert_eq!(names, expected[..n], "{variant:?}");
+        }
+    }
+
+    /// The pre-CSR pipeline, kept as the reference of the one-pass build:
+    /// every variable is added bare, then each in turn is featurized into
+    /// a fresh buffer, expanded `to_rows` and grounded entry by entry
+    /// through `FactorGraph::add_feature`.
+    fn reference_build(
+        signals: &Signals<'_>,
+        cells: &[CellRef],
+        vars: &[Variable],
+    ) -> (FeatureRegistry<FeatureKey>, FactorGraph) {
+        let mut graph = FactorGraph::new();
+        let mut registry = FeatureRegistry::new();
+        let ids: Vec<VarId> = vars.iter().map(|v| graph.add_variable(v.clone())).collect();
+        for ((&cell, var), &id) in cells.iter().zip(vars).zip(&ids) {
+            let mut buf = FeatureBuffer::default();
+            signals.collect(&mut buf, cell, &var.domain);
+            buf.apply(&mut graph, &mut registry, id);
+        }
+        (registry, graph)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// One-pass featurization ≡ the reference pipeline: identical
+        /// registry (key → id, fixed mask, initial values) and
+        /// `DesignMatrix ==`, at 1, 2 and 4 threads — over random tables
+        /// with nulls, DC sets with and without relaxed features,
+        /// dictionary-asserted out-of-domain candidates, the source
+        /// featurizer, variable counts that do not divide into the chunks,
+        /// groups that come out empty, and a variable with no features.
+        #[test]
+        fn one_pass_featurization_equals_reference(
+            rows in proptest::collection::vec((0u8..4, 0u8..3, 0u8..4, 0u8..4), 17..36),
+            dcs in 0usize..3,
+            with_source in 0u8..2,
+            with_dc_features in 0u8..2,
+            min_support in 1u32..3,
+            salt in 0usize..7,
+        ) {
+            // 0 encodes a null cell.
+            let cs = |p: &str, v: u8| if v == 0 { String::new() } else { format!("{p}{v}") };
+            let mut ds = Dataset::new(holo_dataset::Schema::new(vec!["E", "S", "A", "B"]));
+            // An all-null tuple: its variables carry no feature at all,
+            // bar a dictionary assertion.
+            ds.push_row(&["", "", "", ""]);
+            for &(e, s, a, b) in &rows {
+                ds.push_row(&[cs("e", e), cs("s", s), cs("a", a), cs("b", b)]);
+            }
+            let text = ["", "FD: E -> A", "FD: A -> B\nt1&t2&EQ(t1.E,t2.E)&IQ(t1.B,t2.B)&IQ(t1.A,\"a1\")"];
+            let cons = parse_constraints(text[dcs], &mut ds).unwrap();
+            let asserted = ds.intern("dictionary-says");
+            let mut config = HoloConfig::default().with_variant(if with_dc_features == 1 {
+                ModelVariant::DcFeats
+            } else {
+                ModelVariant::DcFactors
+            });
+            config.min_cond_support = min_support;
+            if with_source == 1 {
+                config = config.with_source("E", "S");
+            }
+
+            // Every cell becomes a variable over part of its column (the
+            // observed value first when there is one), every third one
+            // with a dictionary-asserted value no row holds.
+            let mut cells = Vec::new();
+            let mut vars = Vec::new();
+            let mut matches = MatchLookup::default();
+            for t in ds.tuples() {
+                for attr in ds.schema().attrs() {
+                    let cell = CellRef { tuple: t, attr };
+                    let i = cells.len() + salt;
+                    let mut domain: Vec<Sym> = Vec::new();
+                    let column = ds.tuples().map(|u| ds.cell(u, attr)).filter(|v| !v.is_null());
+                    for v in std::iter::once(ds.cell_ref(cell)).chain(column.skip(i % 3)) {
+                        if !v.is_null() && !domain.contains(&v) && domain.len() < 2 + i % 3 {
+                            domain.push(v);
+                        }
+                    }
+                    if i % 3 == 0 || domain.is_empty() {
+                        domain.push(asserted);
+                        matches.insert((cell, asserted), vec![(i % 2) as u32, 2]);
+                    }
+                    let var = if i % 2 == 0 || ds.cell_ref(cell).is_null() {
+                        Variable::query(domain, None)
+                    } else {
+                        Variable::evidence(domain, 0)
+                    };
+                    cells.push(cell);
+                    vars.push(var);
+                }
+            }
+            // Cut the count off the multiples of 4 so chunks come out uneven.
+            cells.truncate(cells.len() - salt % 4);
+            vars.truncate(cells.len());
+            proptest::prop_assert!(cells.len() >= holo_parallel::MIN_PARALLEL_ITEMS);
+
+            let stats = CooccurStats::build(&ds);
+            let (noisy, violations) = (FxHashSet::default(), Vec::new());
+            let signals = Signals::new(&CompileInput {
+                ds: &ds,
+                constraints: &cons,
+                noisy: &noisy,
+                violations: &violations,
+                stats: &stats,
+                matches: &matches,
+                config: &config,
+            })
+            .unwrap();
+            let (ref_registry, ref_graph) = reference_build(&signals, &cells, &vars);
+            let featureless = (0..vars.len())
+                .filter(|&i| ref_graph.design().var_range(VarId(i as u32)).all(|r| ref_graph.design().row(r).is_empty()))
+                .count();
+            proptest::prop_assert!(featureless >= 1, "the all-null tuple's variables");
+            for threads in [1usize, 2, 4] {
+                let (registry, design) = assemble(signals.featurize(threads, &cells, &vars));
+                proptest::prop_assert_eq!(&design, ref_graph.design(), "threads = {}", threads);
+                proptest::prop_assert_eq!(registry.len(), ref_registry.len());
+                proptest::prop_assert_eq!(registry.build_weights(), ref_registry.build_weights());
+                let mut buf = FeatureBuffer::default();
+                for (&cell, var) in cells.iter().zip(&vars) {
+                    buf.clear();
+                    signals.collect(&mut buf, cell, &var.domain);
+                    for key in buf.keys() {
+                        proptest::prop_assert_eq!(registry.get(&key), ref_registry.get(&key));
+                    }
+                }
+            }
+        }
     }
 }

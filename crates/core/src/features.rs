@@ -19,15 +19,63 @@
 //!   \[35\]) — for multi-source data, a candidate asserted by source `s`
 //!   (via another tuple about the same entity) carries a feature with
 //!   learned weight `w(s)`.
+//!
+//! ## One pass, ending in the design matrix
+//!
+//! The relaxed model of §5.2 makes repair *featurization plus a softmax*,
+//! so featurization is the system, and it runs as a single pass: the
+//! `collect_*` functions queue one variable's features into a reusable
+//! [`FeatureBuffer`] (a scratch, cleared per variable), and
+//! [`FeatureSink::push_var`] moves them straight into CSR rows. Each
+//! parallel chunk of variables owns one sink — a row-major fragment
+//! ([`holo_factor::DesignBuilder`]) plus a chunk-local
+//! [`FeatureRegistry`] — and [`FeatureSink::absorb`] concatenates the
+//! chunks in order.
+//!
+//! **The interning invariant.** A weight's id is the rank of its key's
+//! first appearance in *queue order* — variables in model order, and
+//! within a variable the order the collectors queued their specs (a group
+//! counts once, where it was queued; an empty group never). Each sink
+//! interns in exactly that order, so its local ids are first-appearance
+//! ranks within the chunk; absorbing the chunks in order hands every key
+//! new to the merged registry the next id, chunk by chunk, which is its
+//! first-appearance rank in the concatenated queue (see
+//! [`FeatureRegistry::absorb`]). That rank never mentions where a chunk
+//! ends, so weight ids, fixedness and initial values — and through them
+//! every learned weight and marginal — are the same at every thread count.
+//!
+//! ## The compiled partner scan
+//!
+//! A relaxed-DC count asks, per (cell, candidate, constraint), how many
+//! partner tuples would complete a violation. `DcFeaturizer` compiles each
+//! two-tuple constraint once per *role* (the target cell's tuple playing
+//! `t1`, or `t2`) by sorting its predicates three ways:
+//!
+//! * **join** — cross-tuple equalities `t1.A = t2.B`. Partners are
+//!   bucketed by their side of these, the target's side is the lookup key,
+//!   so every partner found already satisfies them: elided.
+//! * **target-only** — predicates reading just the target tuple or a
+//!   constant. Evaluated once per candidate; a false one means no partner
+//!   can complete the violation.
+//! * **residual** — everything that reads the partner. Each bucket stores,
+//!   beside its tuple ids, the partner values these predicates read, one
+//!   contiguous row per partner, so the inner loop is a linear walk over
+//!   that block with no dataset access.
+//!
+//! The walk keeps the interpreter's caps: it visits a bucket in tuple
+//! order, skips the target's own tuple and (when an Algorithm 3 component
+//! map is given) partners outside the target's component, stops after
+//! `scan_cap` visited partners, and stops a candidate whose count — summed
+//! over both roles — reaches `count_cap`.
 
 use crate::config::HoloConfig;
-use holo_constraints::ast::{eval_op, Operand, TupleVar};
+use holo_constraints::ast::{eval_op, Op, Operand, TupleVar};
 use holo_constraints::{ConstraintId, ConstraintSet, DenialConstraint};
 use holo_dataset::{AttrId, CellRef, Dataset, FxHashMap, Sym, TupleId};
-use holo_factor::{FactorGraph, FeatureRegistry, VarId};
+use holo_factor::{DesignBuilder, DesignMatrix, FeatureRegistry, WeightId};
 
 /// Structured feature keys; interning them yields the tied weights.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureKey {
     /// Quantitative-statistics feature `w(d, f)` with `f = (A', v')`.
     Cooccur {
@@ -71,9 +119,8 @@ pub enum FeatureKey {
 /// asserting it` (the `Matched` relation keyed for featurization).
 pub type MatchLookup = FxHashMap<(CellRef, Sym), Vec<u32>>;
 
-/// How a buffered feature's weight is obtained from the registry at apply
-/// time.
-#[derive(Debug, Clone, PartialEq)]
+/// How a queued feature's weight is obtained from the registry.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightSpec {
     /// `registry.learnable(key)`.
     Learnable(FeatureKey),
@@ -83,31 +130,35 @@ pub enum WeightSpec {
     Fixed(FeatureKey, f64),
 }
 
-/// One queued grounding unit: either a feature with its own weight, or a
-/// group of features sharing one weight (interned once at apply time).
-#[derive(Debug, Clone, PartialEq)]
-enum FeatureEntry {
-    /// `(candidate slot, weight spec, feature value)`.
-    Single(usize, WeightSpec, f64),
-    /// One weight shared by several `(slot, value)` groundings — e.g. the
-    /// per-attribute distribution feature across all candidates.
-    Group(WeightSpec, Vec<(usize, f64)>),
+impl WeightSpec {
+    fn intern(self, registry: &mut FeatureRegistry<FeatureKey>) -> WeightId {
+        match self {
+            WeightSpec::Learnable(key) => registry.learnable(key),
+            WeightSpec::LearnableInit(key, prior) => registry.learnable_init(key, prior),
+            WeightSpec::Fixed(key, value) => registry.fixed(key, value),
+        }
+    }
 }
 
-/// Features of one variable, collected without touching the graph or the
-/// registry — the unit of work the parallel featurization stage computes
-/// per cell. Applying buffers **in variable order** keeps the registry
-/// interning sequence deterministic, so weight ids (and therefore every
-/// downstream number) are independent of the thread count.
+/// The features of one variable in *queue order* — the reusable scratch
+/// the `collect_*` functions write and [`FeatureSink::push_var`] drains.
+/// Nothing here touches a registry: weights are named by [`WeightSpec`]
+/// and interned by the sink, spec by spec, which is what makes the queue
+/// order the interning order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FeatureBuffer {
-    entries: Vec<FeatureEntry>,
+    /// One spec per queued unit — a single feature, or a non-empty group
+    /// of features sharing one weight — in queue order.
+    specs: Vec<WeightSpec>,
+    /// `(index into specs, candidate slot, feature value)`, in queue order.
+    entries: Vec<(usize, usize, f64)>,
 }
 
 impl FeatureBuffer {
     /// Queues one feature grounding.
     pub fn push(&mut self, slot: usize, spec: WeightSpec, value: f64) {
-        self.entries.push(FeatureEntry::Single(slot, spec, value));
+        self.entries.push((self.specs.len(), slot, value));
+        self.specs.push(spec);
     }
 
     /// Queues a shared-weight group: `spec` is interned once and every
@@ -115,97 +166,68 @@ impl FeatureBuffer {
     /// are dropped — their weight is never interned. (An ungrounded weight
     /// contributes nothing to learning or inference, so this only shifts
     /// internal weight ids, never results.)
-    pub fn push_group(&mut self, spec: WeightSpec, slots: Vec<(usize, f64)>) {
-        if !slots.is_empty() {
-            self.entries.push(FeatureEntry::Group(spec, slots));
-        }
-    }
-
-    /// Number of queued groundings.
-    pub fn len(&self) -> usize {
+    pub fn push_group(&mut self, spec: WeightSpec, slots: impl IntoIterator<Item = (usize, f64)>) {
+        let unit = self.specs.len();
+        let before = self.entries.len();
         self.entries
-            .iter()
-            .map(|e| match e {
-                FeatureEntry::Single(..) => 1,
-                FeatureEntry::Group(_, slots) => slots.len(),
-            })
-            .sum()
-    }
-
-    /// Whether nothing was queued.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Interns the queued weights and materialises the buffer as one
-    /// feature row per candidate (in queue order, exactly the rows
-    /// [`FeatureBuffer::apply`] would have grounded entry by entry) — the
-    /// form [`holo_factor::FactorGraph::add_variable_with_features`]
-    /// consumes to append a finished variable to a live design matrix
-    /// with a single splice.
-    pub fn to_rows(
-        &self,
-        registry: &mut FeatureRegistry<FeatureKey>,
-        arity: usize,
-    ) -> Vec<Vec<(holo_factor::WeightId, f64)>> {
-        let intern = |registry: &mut FeatureRegistry<FeatureKey>, spec: &WeightSpec| match spec {
-            WeightSpec::Learnable(key) => registry.learnable(key.clone()),
-            WeightSpec::LearnableInit(key, prior) => registry.learnable_init(key.clone(), *prior),
-            WeightSpec::Fixed(key, fixed) => registry.fixed(key.clone(), *fixed),
-        };
-        let mut rows = vec![Vec::new(); arity];
-        for entry in &self.entries {
-            match entry {
-                FeatureEntry::Single(slot, spec, value) => {
-                    let w = intern(registry, spec);
-                    rows[*slot].push((w, *value));
-                }
-                FeatureEntry::Group(spec, slots) => {
-                    let w = intern(registry, spec);
-                    for (slot, value) in slots {
-                        rows[*slot].push((w, *value));
-                    }
-                }
-            }
+            .extend(slots.into_iter().map(|(slot, value)| (unit, slot, value)));
+        if self.entries.len() > before {
+            self.specs.push(spec);
         }
-        rows
     }
 
-    /// Interns the queued weights and grounds the features onto `var`,
-    /// entry by entry through [`FactorGraph::add_feature`] (cheap while
-    /// the graph has no compiled matrix — the bulk-build phase). One
-    /// grounding semantics exists: this is [`FeatureBuffer::to_rows`]
-    /// replayed onto an existing variable, per-candidate order included.
-    pub fn apply(
-        self,
-        graph: &mut FactorGraph,
-        registry: &mut FeatureRegistry<FeatureKey>,
-        var: VarId,
-    ) {
-        let rows = self.to_rows(registry, graph.var(var).arity());
-        for (k, row) in rows.into_iter().enumerate() {
-            for (w, x) in row {
-                graph.add_feature(var, k, w, x);
-            }
-        }
+    /// Empties the buffer for the next variable, keeping its allocations.
+    pub fn clear(&mut self) {
+        self.specs.clear();
+        self.entries.clear();
     }
 }
 
-/// Adds the quantitative-statistics features for one variable.
-pub fn add_cooccur_features(
-    graph: &mut FactorGraph,
-    registry: &mut FeatureRegistry<FeatureKey>,
-    ds: &Dataset,
-    var: VarId,
-    cell: CellRef,
-    candidates: &[Sym],
-) {
-    let mut buf = FeatureBuffer::default();
-    collect_cooccur_features(&mut buf, ds, cell, candidates);
-    buf.apply(graph, registry, var);
+/// Where featurization ends: a run of consecutive variables as finished
+/// design-matrix rows plus the registry of the weights they name — the
+/// only way a unary feature enters a compiled model. See the module docs
+/// for the interning invariant [`FeatureSink::push_var`] and
+/// [`FeatureSink::absorb`] maintain between them.
+#[derive(Debug, Default)]
+pub struct FeatureSink {
+    registry: FeatureRegistry<FeatureKey>,
+    rows: DesignBuilder,
+    /// Scratch of `push_var`: the weight id of each queued spec.
+    ids: Vec<WeightId>,
 }
 
-/// Buffer-collecting form of [`add_cooccur_features`].
+impl FeatureSink {
+    /// Appends the next variable, of `arity` candidates, with the features
+    /// queued in `buf`: interns the specs in queue order, then sorts the
+    /// entries into the variable's rows.
+    pub fn push_var(&mut self, buf: &FeatureBuffer, arity: usize) {
+        self.ids.clear();
+        for spec in &buf.specs {
+            self.ids.push(spec.intern(&mut self.registry));
+        }
+        let ids = &self.ids;
+        self.rows.push_var(
+            arity,
+            buf.entries
+                .iter()
+                .map(|&(unit, slot, value)| (slot, ids[unit], value)),
+        );
+    }
+
+    /// Appends the variables of `later` — the sink of the chunk that
+    /// follows this one — re-interning its weights in its id order.
+    pub fn absorb(&mut self, later: FeatureSink) {
+        let remap = self.registry.absorb(later.registry);
+        self.rows.append_remapped(later.rows, &remap);
+    }
+
+    /// The merged registry and the assembled design matrix.
+    pub fn finish(self) -> (FeatureRegistry<FeatureKey>, DesignMatrix) {
+        (self.registry, self.rows.finish())
+    }
+}
+
+/// Queues the quantitative-statistics features of one variable.
 pub fn collect_cooccur_features(
     buf: &mut FeatureBuffer,
     ds: &Dataset,
@@ -232,29 +254,11 @@ pub fn collect_cooccur_features(
     }
 }
 
-/// Adds the empirical-distribution feature: for each candidate `d`, the
+/// Queues the empirical-distribution feature: for each candidate `d`, the
 /// mean of `Pr[d | v']` across the tuple's other non-null cells whose
 /// values clear `min_support`. One learnable weight per attribute,
 /// initialised to `prior` — the signal is informative from the first
 /// iteration even for values that never appear in clean evidence.
-#[allow(clippy::too_many_arguments)]
-pub fn add_distribution_feature(
-    graph: &mut FactorGraph,
-    registry: &mut FeatureRegistry<FeatureKey>,
-    ds: &Dataset,
-    stats: &holo_dataset::CooccurStats,
-    var: VarId,
-    cell: CellRef,
-    candidates: &[Sym],
-    min_support: u32,
-    prior: f64,
-) {
-    let mut buf = FeatureBuffer::default();
-    collect_distribution_feature(&mut buf, ds, stats, cell, candidates, min_support, prior);
-    buf.apply(graph, registry, var);
-}
-
-/// Buffer-collecting form of [`add_distribution_feature`].
 pub fn collect_distribution_feature(
     buf: &mut FeatureBuffer,
     ds: &Dataset,
@@ -307,36 +311,17 @@ pub fn collect_distribution_feature(
     if cond_attrs == 0 {
         return;
     }
-    let slots: Vec<(usize, f64)> = sums
-        .iter()
-        .enumerate()
-        .filter_map(|(k, sum)| {
-            let mean = sum / cond_attrs as f64;
-            (mean > 0.0).then_some((k, mean))
-        })
-        .collect();
     buf.push_group(
         WeightSpec::LearnableInit(FeatureKey::Distribution { attr: cell.attr }, prior),
-        slots,
+        sums.iter().enumerate().filter_map(|(k, sum)| {
+            let mean = sum / cond_attrs as f64;
+            (mean > 0.0).then_some((k, mean))
+        }),
     );
 }
 
-/// Adds the minimality prior: fires on the candidate equal to the initial
-/// observed value.
-pub fn add_minimality_feature(
-    graph: &mut FactorGraph,
-    registry: &mut FeatureRegistry<FeatureKey>,
-    config: &HoloConfig,
-    var: VarId,
-    init: Sym,
-    candidates: &[Sym],
-) {
-    let mut buf = FeatureBuffer::default();
-    collect_minimality_feature(&mut buf, config, init, candidates);
-    buf.apply(graph, registry, var);
-}
-
-/// Buffer-collecting form of [`add_minimality_feature`].
+/// Queues the minimality prior: fires on the candidate equal to the
+/// initial observed value.
 pub fn collect_minimality_feature(
     buf: &mut FeatureBuffer,
     config: &HoloConfig,
@@ -351,24 +336,9 @@ pub fn collect_minimality_feature(
     }
 }
 
-/// Adds external-match features from the `Matched` lookup. Dictionary
+/// Queues external-match features from the `Matched` lookup. Dictionary
 /// weights start at `dict_prior` (learnable): external data is trusted a
 /// priori and evidence cells with dictionary coverage recalibrate it.
-pub fn add_external_features(
-    graph: &mut FactorGraph,
-    registry: &mut FeatureRegistry<FeatureKey>,
-    matches: &MatchLookup,
-    var: VarId,
-    cell: CellRef,
-    candidates: &[Sym],
-    dict_prior: f64,
-) {
-    let mut buf = FeatureBuffer::default();
-    collect_external_features(&mut buf, matches, cell, candidates, dict_prior);
-    buf.apply(graph, registry, var);
-}
-
-/// Buffer-collecting form of [`add_external_features`].
 pub fn collect_external_features(
     buf: &mut FeatureBuffer,
     matches: &MatchLookup,
@@ -376,6 +346,9 @@ pub fn collect_external_features(
     candidates: &[Sym],
     dict_prior: f64,
 ) {
+    if matches.is_empty() {
+        return;
+    }
     for (k, &d) in candidates.iter().enumerate() {
         if let Some(dicts) = matches.get(&(cell, d)) {
             for &dict in dicts {
@@ -386,14 +359,11 @@ pub fn collect_external_features(
     }
 }
 
-/// Relaxed denial-constraint featurizer (§5.2).
-///
-/// Holds per-constraint partner indexes so the would-be-violation counts
-/// are computed with hash-join blocking rather than full scans.
+/// Relaxed denial-constraint featurizer (§5.2): per constraint and role, a
+/// compiled partner scan (see the module docs).
 pub struct DcFeaturizer<'a> {
     ds: &'a Dataset,
-    constraints: &'a ConstraintSet,
-    /// Per constraint, per role: blocking index over partner tuples.
+    /// Per constraint, per role: the compiled scan.
     indexes: Vec<Vec<RoleIndex>>,
     /// Scan budget per (cell, candidate) — bounds worst-case block sizes.
     scan_cap: usize,
@@ -408,24 +378,106 @@ pub struct DcFeaturizer<'a> {
     prior: f64,
 }
 
-/// Blocking index for evaluating a constraint with the target cell playing
-/// one specific role (t1 or t2).
+/// One side of a compiled predicate.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    /// An attribute of the target tuple. Binding a predicate to a cell
+    /// ([`RolePredicate::bind`]) freezes every such side to the tuple's
+    /// initial value except the target cell's own attribute, which reads
+    /// the candidate.
+    Target(AttrId),
+    /// Column of the partner's row in its bucket's value block.
+    Partner(usize),
+    /// A constant.
+    Const(Sym),
+}
+
+/// A predicate oriented for one role, operands pre-resolved to [`Side`]s.
+#[derive(Debug, Clone, Copy)]
+struct RolePredicate {
+    lhs: Side,
+    op: Op,
+    rhs: Side,
+}
+
+impl RolePredicate {
+    /// Freezes the target sides to the initial values of `cell`'s tuple,
+    /// leaving only `cell`'s own attribute (the candidate) symbolic.
+    fn bind(&self, ds: &Dataset, cell: CellRef) -> RolePredicate {
+        let bind_side = |side: Side| match side {
+            Side::Target(attr) if attr != cell.attr => Side::Const(ds.cell(cell.tuple, attr)),
+            other => other,
+        };
+        RolePredicate {
+            lhs: bind_side(self.lhs),
+            op: self.op,
+            rhs: bind_side(self.rhs),
+        }
+    }
+
+    /// Whether a *bound* predicate holds for candidate `d` against the
+    /// partner whose residual values are `row`.
+    #[inline]
+    fn holds(&self, ds: &Dataset, d: Sym, row: &[Sym]) -> bool {
+        let read = |side: Side| match side {
+            Side::Target(_) => d,
+            Side::Partner(col) => row[col],
+            Side::Const(sym) => sym,
+        };
+        let (lhs, rhs) = (read(self.lhs), read(self.rhs));
+        // The two operators every FD-shaped constraint uses, decided
+        // inline; `eval_op` agrees on both.
+        match self.op {
+            Op::Eq => lhs == rhs && !lhs.is_null(),
+            Op::Neq => lhs != rhs && !lhs.is_null() && !rhs.is_null(),
+            op => eval_op(ds, lhs, op, rhs),
+        }
+    }
+}
+
+/// The partners sharing one join key: tuple ids in ascending order and,
+/// row-major beside them, the values the residual predicates read.
+#[derive(Debug, Default)]
+struct Bucket {
+    tuples: Vec<TupleId>,
+    /// `values[i * width..][..width]` belongs to `tuples[i]`.
+    values: Vec<Sym>,
+}
+
+/// A two-tuple constraint compiled for the target cell playing one
+/// specific role (t1 or t2).
 struct RoleIndex {
-    /// The role the *target* tuple plays.
-    role: TupleVar,
-    /// Attributes the constraint reads on the target cell's side, used to
+    /// Attributes the constraint reads on the target's side, used to
     /// decide whether a cell participates at all.
     target_attrs: Vec<AttrId>,
-    /// `(target-side attr, partner-side attr)` pairs of the cross-tuple
-    /// equality predicates — the blocking key.
-    eq_pairs: Vec<(AttrId, AttrId)>,
-    /// Partner tuples bucketed by their side of the blocking key.
-    buckets: FxHashMap<Vec<Sym>, Vec<TupleId>>,
+    /// Target-side attributes of the join equalities — the lookup key.
+    key_attrs: Vec<AttrId>,
+    /// Predicates with no partner operand.
+    target_only: Vec<RolePredicate>,
+    /// Predicates with a partner operand, join equalities excepted.
+    residual: Vec<RolePredicate>,
+    /// Partner values stored per bucket member (the distinct partner
+    /// attributes `residual` reads).
+    width: usize,
+    /// Join key (the partners' side) → index into `buckets`.
+    bucket_of: FxHashMap<Vec<Sym>, usize>,
+    buckets: Vec<Bucket>,
+}
+
+/// Per-cell scratch of the partner scan, reused across constraints and
+/// roles.
+#[derive(Default)]
+struct ScanScratch {
+    key: Vec<Sym>,
+    /// The role's `target_only` then `residual` predicates, bound to the
+    /// cell.
+    bound: Vec<RolePredicate>,
 }
 
 impl<'a> DcFeaturizer<'a> {
-    /// Builds the per-constraint indexes. `O(|Σ| · |D|)`.
-    pub fn new(ds: &'a Dataset, constraints: &'a ConstraintSet, config: &HoloConfig) -> Self {
+    /// Compiles every two-tuple constraint for each role its target can
+    /// play and buckets the partner tuples. `O(|Σ| · |D|)`.
+    pub fn new(ds: &'a Dataset, constraints: &ConstraintSet, config: &HoloConfig) -> Self {
         let mut indexes = Vec::with_capacity(constraints.len());
         for (_, c) in constraints.iter() {
             let mut role_indexes = Vec::new();
@@ -439,7 +491,6 @@ impl<'a> DcFeaturizer<'a> {
         }
         DcFeaturizer {
             ds,
-            constraints,
             indexes,
             scan_cap: 512,
             count_cap: 512,
@@ -458,43 +509,42 @@ impl<'a> DcFeaturizer<'a> {
         candidates: &[Sym],
         component: Option<&FxHashMap<TupleId, u32>>,
     ) -> Vec<u32> {
-        let c = self.constraints.get(sigma);
         let mut counts = vec![0u32; candidates.len()];
-        for role_index in &self.indexes[sigma] {
-            if !role_index.target_attrs.contains(&cell.attr) {
-                continue;
-            }
-            role_index.accumulate(
-                self.ds,
-                c,
-                cell,
-                candidates,
-                component,
-                self.scan_cap,
-                self.count_cap,
-                &mut counts,
-            );
-        }
+        let mut scratch = ScanScratch::default();
+        self.count_into(
+            sigma,
+            cell,
+            candidates,
+            component,
+            &mut scratch,
+            &mut counts,
+        );
         counts
     }
 
-    /// Adds the relaxed-DC features of one variable across all constraints.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_features(
+    /// Adds the counts of every role of `sigma` into `counts`; `false` if
+    /// the constraint reads `cell`'s attribute on no role.
+    fn count_into(
         &self,
-        graph: &mut FactorGraph,
-        registry: &mut FeatureRegistry<FeatureKey>,
-        var: VarId,
+        sigma: ConstraintId,
         cell: CellRef,
         candidates: &[Sym],
-        components: Option<&[FxHashMap<TupleId, u32>]>,
-    ) {
-        let mut buf = FeatureBuffer::default();
-        self.collect_features(&mut buf, cell, candidates, components);
-        buf.apply(graph, registry, var);
+        component: Option<&FxHashMap<TupleId, u32>>,
+        scratch: &mut ScanScratch,
+        counts: &mut [u32],
+    ) -> bool {
+        let mut participates = false;
+        for role_index in &self.indexes[sigma] {
+            if role_index.target_attrs.contains(&cell.attr) {
+                participates = true;
+                role_index.accumulate(self, cell, candidates, component, scratch, counts);
+            }
+        }
+        participates
     }
 
-    /// Buffer-collecting form of [`DcFeaturizer::add_features`].
+    /// Queues the relaxed-DC features of one variable across all
+    /// constraints.
     pub fn collect_features(
         &self,
         buf: &mut FeatureBuffer,
@@ -502,22 +552,32 @@ impl<'a> DcFeaturizer<'a> {
         candidates: &[Sym],
         components: Option<&[FxHashMap<TupleId, u32>]>,
     ) {
-        for (sigma, _) in self.constraints.iter() {
+        let mut scratch = ScanScratch::default();
+        let mut counts = vec![0u32; candidates.len()];
+        for sigma in 0..self.indexes.len() {
             let component = components.map(|c| &c[sigma]);
-            let counts = self.violation_counts(sigma, cell, candidates, component);
-            let slots: Vec<(usize, f64)> = counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &count)| count > 0)
-                .map(|(k, &count)| (k, f64::from(count) / self.normalizer))
-                .collect();
+            if !self.count_into(
+                sigma,
+                cell,
+                candidates,
+                component,
+                &mut scratch,
+                &mut counts,
+            ) {
+                continue;
+            }
             buf.push_group(
                 WeightSpec::LearnableInit(
                     FeatureKey::DcViolation { constraint: sigma },
                     self.prior,
                 ),
-                slots,
+                counts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &count)| count > 0)
+                    .map(|(k, &count)| (k, f64::from(count) / self.normalizer)),
             );
+            counts.fill(0);
         }
     }
 }
@@ -525,93 +585,156 @@ impl<'a> DcFeaturizer<'a> {
 impl RoleIndex {
     fn build(ds: &Dataset, c: &DenialConstraint, role: TupleVar) -> Self {
         let (t1_attrs, t2_attrs) = c.attrs_by_tuple();
-        let (target_attrs, _partner_attrs) = match role {
-            TupleVar::T1 => (t1_attrs, t2_attrs),
-            TupleVar::T2 => (t2_attrs, t1_attrs),
+        let target_attrs = match role {
+            TupleVar::T1 => t1_attrs,
+            TupleVar::T2 => t2_attrs,
         };
-        // Cross-tuple equality predicates, oriented (target attr, partner attr).
-        let mut eq_pairs = Vec::new();
+        // Classify the predicates. Partner attributes the residuals read
+        // get a column in the bucket value blocks, in first-use order.
+        let mut key_attrs = Vec::new();
+        let mut key_partner_attrs = Vec::new();
+        let mut target_only = Vec::new();
+        let mut residual = Vec::new();
+        let mut partner_cols: Vec<AttrId> = Vec::new();
+        let mut side_of = |tv: TupleVar, attr: AttrId| {
+            if tv == role {
+                return Side::Target(attr);
+            }
+            let col = partner_cols.iter().position(|&a| a == attr);
+            Side::Partner(col.unwrap_or_else(|| {
+                partner_cols.push(attr);
+                partner_cols.len() - 1
+            }))
+        };
         for p in &c.predicates {
-            if !p.is_cross_tuple_eq() {
+            if let (true, Operand::Cell(rhs_tuple, rhs_attr)) = (p.is_cross_tuple_eq(), p.rhs) {
+                let (target, partner) = if rhs_tuple == role {
+                    (rhs_attr, p.lhs_attr)
+                } else {
+                    (p.lhs_attr, rhs_attr)
+                };
+                key_attrs.push(target);
+                key_partner_attrs.push(partner);
                 continue;
             }
-            let rhs_attr = match p.rhs {
-                Operand::Cell(_, a) => a,
-                Operand::Const(_) => continue,
+            let compiled = RolePredicate {
+                lhs: side_of(p.lhs_tuple, p.lhs_attr),
+                op: p.op,
+                rhs: match p.rhs {
+                    Operand::Cell(tv, attr) => side_of(tv, attr),
+                    Operand::Const(sym) => Side::Const(sym),
+                },
             };
-            let (t1a, t2a) = match p.lhs_tuple {
-                TupleVar::T1 => (p.lhs_attr, rhs_attr),
-                TupleVar::T2 => (rhs_attr, p.lhs_attr),
-            };
-            match role {
-                TupleVar::T1 => eq_pairs.push((t1a, t2a)),
-                TupleVar::T2 => eq_pairs.push((t2a, t1a)),
+            if matches!(compiled.lhs, Side::Partner(_)) || matches!(compiled.rhs, Side::Partner(_))
+            {
+                residual.push(compiled);
+            } else {
+                target_only.push(compiled);
             }
         }
-        // Bucket partner tuples by their side of the key (initial values).
-        let mut buckets: FxHashMap<Vec<Sym>, Vec<TupleId>> = FxHashMap::default();
+        // Bucket partner tuples by their side of the key (initial values),
+        // packing the residual columns beside each.
+        let mut bucket_of: FxHashMap<Vec<Sym>, usize> = FxHashMap::default();
+        let mut buckets: Vec<Bucket> = Vec::new();
+        let mut key = Vec::with_capacity(key_partner_attrs.len());
         'tuples: for t in ds.tuples() {
-            let mut key = Vec::with_capacity(eq_pairs.len());
-            for &(_, partner_attr) in &eq_pairs {
+            key.clear();
+            for &partner_attr in &key_partner_attrs {
                 let v = ds.cell(t, partner_attr);
                 if v.is_null() {
                     continue 'tuples;
                 }
                 key.push(v);
             }
-            buckets.entry(key).or_default().push(t);
+            let id = match bucket_of.get(key.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    bucket_of.insert(key.clone(), buckets.len());
+                    buckets.push(Bucket::default());
+                    buckets.len() - 1
+                }
+            };
+            let bucket = &mut buckets[id];
+            bucket.tuples.push(t);
+            bucket
+                .values
+                .extend(partner_cols.iter().map(|&a| ds.cell(t, a)));
         }
         RoleIndex {
-            role,
             target_attrs,
-            eq_pairs,
+            key_attrs,
+            target_only,
+            residual,
+            width: partner_cols.len(),
+            bucket_of,
             buckets,
         }
     }
 
-    /// Accumulates per-candidate violation counts into `counts`.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate(
+    /// The bucket whose partners join with the target tuple when `cell`
+    /// holds `d`; none if a key value is null.
+    fn bucket_for(
         &self,
         ds: &Dataset,
-        c: &DenialConstraint,
+        cell: CellRef,
+        d: Sym,
+        key: &mut Vec<Sym>,
+    ) -> Option<&Bucket> {
+        key.clear();
+        for &attr in &self.key_attrs {
+            let v = if attr == cell.attr {
+                d
+            } else {
+                ds.cell(cell.tuple, attr)
+            };
+            if v.is_null() {
+                return None;
+            }
+            key.push(v);
+        }
+        let id = *self.bucket_of.get(key.as_slice())?;
+        Some(&self.buckets[id])
+    }
+
+    /// Accumulates per-candidate violation counts into `counts`.
+    fn accumulate(
+        &self,
+        featurizer: &DcFeaturizer<'_>,
         cell: CellRef,
         candidates: &[Sym],
         component: Option<&FxHashMap<TupleId, u32>>,
-        scan_cap: usize,
-        count_cap: u32,
+        scratch: &mut ScanScratch,
         counts: &mut [u32],
     ) {
+        let ds = featurizer.ds;
         let target_component = component.and_then(|m| m.get(&cell.tuple).copied());
         if component.is_some() && target_component.is_none() {
             // Partitioning on, and this tuple is in no conflict component:
             // no partners to consider.
             return;
         }
-        let mut key = Vec::with_capacity(self.eq_pairs.len());
+        let ScanScratch { key, bound } = scratch;
+        bound.clear();
+        let predicates = self.target_only.iter().chain(&self.residual);
+        bound.extend(predicates.map(|p| p.bind(ds, cell)));
+        let (target_only, residual) = bound.split_at(self.target_only.len());
+        // Unless the target cell is itself part of the join key, every
+        // candidate meets the same partners.
+        let shared_bucket = (!self.key_attrs.contains(&cell.attr))
+            .then(|| self.bucket_for(ds, cell, Sym::NULL, key));
         for (k, &d) in candidates.iter().enumerate() {
-            key.clear();
-            let mut key_ok = true;
-            for &(target_attr, _) in &self.eq_pairs {
-                let v = if target_attr == cell.attr {
-                    d
-                } else {
-                    ds.cell(cell.tuple, target_attr)
-                };
-                if v.is_null() {
-                    key_ok = false;
-                    break;
-                }
-                key.push(v);
-            }
-            if !key_ok {
-                continue;
-            }
-            let Some(bucket) = self.buckets.get(&key) else {
+            let bucket = match shared_bucket {
+                Some(bucket) => bucket,
+                None => self.bucket_for(ds, cell, d, key),
+            };
+            let Some(bucket) = bucket else {
                 continue;
             };
+            if !target_only.iter().all(|p| p.holds(ds, d, &[])) {
+                continue;
+            }
             let mut scanned = 0usize;
-            for &partner in bucket {
+            for (i, &partner) in bucket.tuples.iter().enumerate() {
                 if partner == cell.tuple {
                     continue;
                 }
@@ -621,72 +744,19 @@ impl RoleIndex {
                     }
                 }
                 scanned += 1;
-                if scanned > scan_cap {
+                if scanned > featurizer.scan_cap {
                     break;
                 }
-                let violated = match self.role {
-                    TupleVar::T1 => eval_constraint_subst(
-                        ds,
-                        c,
-                        cell.tuple,
-                        partner,
-                        cell.attr,
-                        d,
-                        TupleVar::T1,
-                    ),
-                    TupleVar::T2 => eval_constraint_subst(
-                        ds,
-                        c,
-                        partner,
-                        cell.tuple,
-                        cell.attr,
-                        d,
-                        TupleVar::T2,
-                    ),
-                };
-                if violated {
+                let row = &bucket.values[i * self.width..][..self.width];
+                if residual.iter().all(|p| p.holds(ds, d, row)) {
                     counts[k] += 1;
-                    if counts[k] >= count_cap {
+                    if counts[k] >= featurizer.count_cap {
                         break;
                     }
                 }
             }
         }
     }
-}
-
-/// Evaluates all predicates of `c` for the pair `(t1, t2)` with a single
-/// substituted cell: the cell `(subst_role, subst_attr)` reads `subst_value`
-/// instead of its stored value.
-fn eval_constraint_subst(
-    ds: &Dataset,
-    c: &DenialConstraint,
-    t1: TupleId,
-    t2: TupleId,
-    subst_attr: AttrId,
-    subst_value: Sym,
-    subst_role: TupleVar,
-) -> bool {
-    if t1 == t2 {
-        return false;
-    }
-    let read = |tv: TupleVar, attr: AttrId| -> Sym {
-        if tv == subst_role && attr == subst_attr {
-            return subst_value;
-        }
-        match tv {
-            TupleVar::T1 => ds.cell(t1, attr),
-            TupleVar::T2 => ds.cell(t2, attr),
-        }
-    };
-    c.predicates.iter().all(|p| {
-        let lhs = read(p.lhs_tuple, p.lhs_attr);
-        let rhs = match p.rhs {
-            Operand::Cell(tv, a) => read(tv, a),
-            Operand::Const(sym) => sym,
-        };
-        eval_op(ds, lhs, p.op, rhs)
-    })
 }
 
 /// Source-reliability featurizer: index of tuples per entity value plus the
@@ -795,23 +865,8 @@ impl SourceFeaturizer {
         })
     }
 
-    /// Adds, for each candidate `d` of `cell`, one feature per source that
+    /// Queues, for each candidate `d` of `cell`, one feature per source that
     /// asserts `d` for the same entity and attribute.
-    pub fn add_features(
-        &self,
-        graph: &mut FactorGraph,
-        registry: &mut FeatureRegistry<FeatureKey>,
-        ds: &Dataset,
-        var: VarId,
-        cell: CellRef,
-        candidates: &[Sym],
-    ) {
-        let mut buf = FeatureBuffer::default();
-        self.collect_features(&mut buf, ds, cell, candidates);
-        buf.apply(graph, registry, var);
-    }
-
-    /// Buffer-collecting form of [`SourceFeaturizer::add_features`].
     pub fn collect_features(
         &self,
         buf: &mut FeatureBuffer,
@@ -849,17 +904,112 @@ impl SourceFeaturizer {
     }
 }
 
+/// What the one-pass build and the compiled partner scan replaced, kept as
+/// the references their tests compare against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl FeatureBuffer {
+        /// The queued weight keys, in queue (= interning) order.
+        pub(crate) fn keys(&self) -> impl Iterator<Item = FeatureKey> + '_ {
+            self.specs.iter().map(|spec| match *spec {
+                WeightSpec::Learnable(key)
+                | WeightSpec::LearnableInit(key, _)
+                | WeightSpec::Fixed(key, _) => key,
+            })
+        }
+
+        /// The pre-CSR pipeline, first half: interns the queued weights and
+        /// materialises the buffer as one feature row per candidate, in queue
+        /// order. Kept as the reference the one-pass build is tested against.
+        pub(crate) fn to_rows(
+            &self,
+            registry: &mut FeatureRegistry<FeatureKey>,
+            arity: usize,
+        ) -> Vec<Vec<(WeightId, f64)>> {
+            let ids: Vec<WeightId> = self.specs.iter().map(|s| s.intern(registry)).collect();
+            let mut rows = vec![Vec::new(); arity];
+            for &(unit, slot, value) in &self.entries {
+                rows[slot].push((ids[unit], value));
+            }
+            rows
+        }
+
+        /// The pre-CSR pipeline, second half: grounds [`FeatureBuffer::to_rows`]
+        /// onto `var` entry by entry through `FactorGraph::add_feature`.
+        pub(crate) fn apply(
+            &self,
+            graph: &mut holo_factor::FactorGraph,
+            registry: &mut FeatureRegistry<FeatureKey>,
+            var: holo_factor::VarId,
+        ) {
+            let rows = self.to_rows(registry, graph.var(var).arity());
+            for (k, row) in rows.into_iter().enumerate() {
+                for (w, x) in row {
+                    graph.add_feature(var, k, w, x);
+                }
+            }
+        }
+    }
+
+    /// Evaluates all predicates of `c` for the pair `(t1, t2)` with a single
+    /// substituted cell: the cell `(subst_role, subst_attr)` reads `subst_value`
+    /// instead of its stored value. The interpreter the compiled scan replaced,
+    /// kept as its test reference.
+    pub(super) fn eval_constraint_subst(
+        ds: &Dataset,
+        c: &DenialConstraint,
+        t1: TupleId,
+        t2: TupleId,
+        subst_attr: AttrId,
+        subst_value: Sym,
+        subst_role: TupleVar,
+    ) -> bool {
+        if t1 == t2 {
+            return false;
+        }
+        let read = |tv: TupleVar, attr: AttrId| -> Sym {
+            if tv == subst_role && attr == subst_attr {
+                return subst_value;
+            }
+            match tv {
+                TupleVar::T1 => ds.cell(t1, attr),
+                TupleVar::T2 => ds.cell(t2, attr),
+            }
+        };
+        c.predicates.iter().all(|p| {
+            let lhs = read(p.lhs_tuple, p.lhs_attr);
+            let rhs = match p.rhs {
+                Operand::Cell(tv, a) => read(tv, a),
+                Operand::Const(sym) => sym,
+            };
+            eval_op(ds, lhs, p.op, rhs)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::eval_constraint_subst;
     use super::*;
     use holo_constraints::parse_constraints;
     use holo_dataset::Schema;
-    use holo_factor::Variable;
+    use holo_factor::{FactorGraph, VarId, Variable};
 
-    fn graph_with_var(candidates: &[Sym]) -> (FactorGraph, VarId) {
-        let mut g = FactorGraph::new();
-        let v = g.add_variable(Variable::query(candidates.to_vec(), Some(0)));
-        (g, v)
+    /// Featurizes one variable over `candidates` with `collect` and sends
+    /// it through the sink: the resulting one-variable graph and registry.
+    fn sink_one(
+        candidates: &[Sym],
+        collect: impl FnOnce(&mut FeatureBuffer),
+    ) -> (FactorGraph, VarId, FeatureRegistry<FeatureKey>) {
+        let mut buf = FeatureBuffer::default();
+        collect(&mut buf);
+        let mut sink = FeatureSink::default();
+        sink.push_var(&buf, candidates.len());
+        let (reg, design) = sink.finish();
+        let var = Variable::query(candidates.to_vec(), Some(0));
+        (FactorGraph::from_design(vec![var], design), VarId(0), reg)
     }
 
     #[test]
@@ -873,9 +1023,9 @@ mod tests {
             tuple: 0usize.into(),
             attr: city,
         };
-        let (mut g, v) = graph_with_var(&[chicago, other]);
-        let mut reg = FeatureRegistry::new();
-        add_cooccur_features(&mut g, &mut reg, &ds, v, cell, &[chicago, other]);
+        let (g, v, reg) = sink_one(&[chicago, other], |buf| {
+            collect_cooccur_features(buf, &ds, cell, &[chicago, other])
+        });
         // 2 conditioning attrs × 2 candidates = 4 feature entries,
         // 4 distinct weights (keys differ in candidate and cond attr).
         assert_eq!(g.features(v, 0).len(), 2);
@@ -893,9 +1043,9 @@ mod tests {
             tuple: 0usize.into(),
             attr: city,
         };
-        let (mut g, v) = graph_with_var(&[chicago]);
-        let mut reg = FeatureRegistry::new();
-        add_cooccur_features(&mut g, &mut reg, &ds, v, cell, &[chicago]);
+        let (g, v, _) = sink_one(&[chicago], |buf| {
+            collect_cooccur_features(buf, &ds, cell, &[chicago])
+        });
         assert!(g.features(v, 0).is_empty());
     }
 
@@ -905,10 +1055,10 @@ mod tests {
         ds.push_row(&["Cicago"]);
         let init = ds.pool().get("Cicago").unwrap();
         let alt = ds.intern("Chicago");
-        let (mut g, v) = graph_with_var(&[init, alt]);
-        let mut reg = FeatureRegistry::new();
         let config = HoloConfig::default();
-        add_minimality_feature(&mut g, &mut reg, &config, v, init, &[init, alt]);
+        let (g, v, reg) = sink_one(&[init, alt], |buf| {
+            collect_minimality_feature(buf, &config, init, &[init, alt])
+        });
         assert_eq!(g.features(v, 0).len(), 1);
         assert!(g.features(v, 1).is_empty());
         let w = reg.build_weights();
@@ -930,9 +1080,9 @@ mod tests {
         };
         let mut matches: MatchLookup = MatchLookup::default();
         matches.insert((cell, chicago), vec![0, 1]);
-        let (mut g, v) = graph_with_var(&[init, chicago]);
-        let mut reg = FeatureRegistry::new();
-        add_external_features(&mut g, &mut reg, &matches, v, cell, &[init, chicago], 2.0);
+        let (g, v, reg) = sink_one(&[init, chicago], |buf| {
+            collect_external_features(buf, &matches, cell, &[init, chicago], 2.0)
+        });
         assert!(g.features(v, 0).is_empty());
         assert_eq!(g.features(v, 1).len(), 2, "one feature per asserting dict");
         assert_eq!(reg.len(), 2);
@@ -1005,9 +1155,9 @@ mod tests {
         };
         let cicago = ds.pool().get("Cicago").unwrap();
         let chicago = ds.pool().get("Chicago").unwrap();
-        let (mut g, v) = graph_with_var(&[cicago, chicago]);
-        let mut reg = FeatureRegistry::new();
-        feat.add_features(&mut g, &mut reg, v, cell, &[cicago, chicago], None);
+        let (g, v, reg) = sink_one(&[cicago, chicago], |buf| {
+            feat.collect_features(buf, cell, &[cicago, chicago], None)
+        });
         // Candidate "Cicago" gets the violation feature (count 1, scaled
         // by the normalizer); "Chicago" violates nothing → no entry.
         assert_eq!(g.features(v, 0).len(), 1);
@@ -1065,9 +1215,9 @@ mod tests {
             attr: dep,
         };
         let sf = SourceFeaturizer::new(&ds, "Flight", "Source").unwrap();
-        let (mut g, v) = graph_with_var(&[nine30, nine]);
-        let mut reg = FeatureRegistry::new();
-        sf.add_features(&mut g, &mut reg, &ds, v, cell, &[nine30, nine]);
+        let (g, v, reg) = sink_one(&[nine30, nine], |buf| {
+            sf.collect_features(buf, &ds, cell, &[nine30, nine])
+        });
         // 09:30 asserted only by s3; 09:00 by s1 and s2.
         assert_eq!(g.features(v, 0).len(), 1);
         assert_eq!(g.features(v, 1).len(), 2);
@@ -1081,5 +1231,212 @@ mod tests {
         let mut ds = Dataset::new(Schema::new(vec!["a"]));
         ds.push_row(&["x"]);
         assert!(SourceFeaturizer::new(&ds, "Flight", "Source").is_err());
+    }
+
+    /// The interpreted partner scan the compiled one replaced: bucket the
+    /// partners by the join key, then run every predicate of the
+    /// constraint per partner through `eval_constraint_subst`.
+    fn interpreted_counts(
+        ds: &Dataset,
+        c: &DenialConstraint,
+        cell: CellRef,
+        candidates: &[Sym],
+        component: Option<&FxHashMap<TupleId, u32>>,
+    ) -> Vec<u32> {
+        let (scan_cap, count_cap) = (512usize, 512u32);
+        let mut counts = vec![0u32; candidates.len()];
+        let mut roles = Vec::new();
+        if c.two_tuple {
+            roles.push(TupleVar::T1);
+            if !c.is_symmetric() {
+                roles.push(TupleVar::T2);
+            }
+        }
+        let (t1_attrs, t2_attrs) = c.attrs_by_tuple();
+        for role in roles {
+            let target_attrs = if role == TupleVar::T1 {
+                &t1_attrs
+            } else {
+                &t2_attrs
+            };
+            if !target_attrs.contains(&cell.attr) {
+                continue;
+            }
+            // Join pairs oriented (target attr, partner attr).
+            let mut eq_pairs = Vec::new();
+            for p in c.predicates.iter().filter(|p| p.is_cross_tuple_eq()) {
+                let Operand::Cell(_, rhs_attr) = p.rhs else {
+                    unreachable!()
+                };
+                let (t1a, t2a) = match p.lhs_tuple {
+                    TupleVar::T1 => (p.lhs_attr, rhs_attr),
+                    TupleVar::T2 => (rhs_attr, p.lhs_attr),
+                };
+                eq_pairs.push(if role == TupleVar::T1 {
+                    (t1a, t2a)
+                } else {
+                    (t2a, t1a)
+                });
+            }
+            let mut buckets: FxHashMap<Vec<Sym>, Vec<TupleId>> = FxHashMap::default();
+            for t in ds.tuples() {
+                let key: Vec<Sym> = eq_pairs.iter().map(|&(_, pa)| ds.cell(t, pa)).collect();
+                if key.iter().all(|v| !v.is_null()) {
+                    buckets.entry(key).or_default().push(t);
+                }
+            }
+            let target_component = component.and_then(|m| m.get(&cell.tuple).copied());
+            if component.is_some() && target_component.is_none() {
+                continue;
+            }
+            for (k, &d) in candidates.iter().enumerate() {
+                let key: Vec<Sym> = eq_pairs
+                    .iter()
+                    .map(|&(ta, _)| {
+                        if ta == cell.attr {
+                            d
+                        } else {
+                            ds.cell(cell.tuple, ta)
+                        }
+                    })
+                    .collect();
+                if key.iter().any(|v| v.is_null()) {
+                    continue;
+                }
+                let Some(bucket) = buckets.get(&key) else {
+                    continue;
+                };
+                let mut scanned = 0usize;
+                for &partner in bucket {
+                    if partner == cell.tuple {
+                        continue;
+                    }
+                    if let (Some(tc), Some(m)) = (target_component, component) {
+                        if m.get(&partner) != Some(&tc) {
+                            continue;
+                        }
+                    }
+                    scanned += 1;
+                    if scanned > scan_cap {
+                        break;
+                    }
+                    let (t1, t2) = match role {
+                        TupleVar::T1 => (cell.tuple, partner),
+                        TupleVar::T2 => (partner, cell.tuple),
+                    };
+                    if eval_constraint_subst(ds, c, t1, t2, cell.attr, d, role) {
+                        counts[k] += 1;
+                        if counts[k] >= count_cap {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        counts
+    }
+
+    /// Every constraint × every cell × a candidate set (the column's
+    /// values, one foreign value, null): compiled ≡ interpreted.
+    fn assert_scan_matches_interpreter(
+        ds: &Dataset,
+        cons: &ConstraintSet,
+        components: Option<&[FxHashMap<TupleId, u32>]>,
+        cells: impl Iterator<Item = CellRef>,
+        foreign: Sym,
+    ) {
+        let feat = DcFeaturizer::new(ds, cons, &HoloConfig::default());
+        for cell in cells {
+            let mut candidates: Vec<Sym> = ds.tuples().map(|t| ds.cell(t, cell.attr)).collect();
+            candidates.sort_unstable();
+            candidates.dedup();
+            candidates.truncate(6);
+            candidates.push(foreign);
+            candidates.push(Sym::NULL);
+            for (sigma, c) in cons.iter() {
+                let component = components.map(|m| &m[sigma]);
+                assert_eq!(
+                    feat.violation_counts(sigma, cell, &candidates, component),
+                    interpreted_counts(ds, c, cell, &candidates, component),
+                    "sigma {sigma} ({}) cell {cell:?}",
+                    c.name
+                );
+            }
+        }
+    }
+
+    /// `scan_cap` / `count_cap` edge: one bucket of 511–514 partners, the
+    /// target tuple inside and outside the first 512, for a symmetric FD
+    /// and an asymmetric order constraint (two roles adding into one
+    /// count).
+    #[test]
+    fn compiled_scan_keeps_caps_at_the_512_edge() {
+        for rows in 512usize..=515 {
+            let mut ds = Dataset::new(Schema::new(vec!["K", "A", "N"]));
+            for i in 0..rows {
+                ds.push_row(&["k".to_string(), format!("a{}", i % 3), format!("{}", i % 7)]);
+            }
+            let foreign = ds.intern("elsewhere");
+            let cons = parse_constraints(
+                "FD: K -> A\nt1&t2&EQ(t1.K,t2.K)&LT(t1.N,t2.N)\nt1&t2&EQ(t1.K,t2.K)&IQ(t1.N,t2.N)&IQ(t1.A,\"a1\")",
+                &mut ds,
+            )
+            .unwrap();
+            let cells = [0, 1, 511, rows - 1].into_iter().flat_map(|t| {
+                (0..3).map(move |a| CellRef {
+                    tuple: t.into(),
+                    attr: AttrId(a),
+                })
+            });
+            assert_scan_matches_interpreter(&ds, &cons, None, cells, foreign);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The compiled scan counts exactly what the interpreter counts,
+        /// over tables with nulls in key and residual attributes, targets
+        /// that are the blocking-key attribute, asymmetric two-role
+        /// constraints (joins across different attributes included),
+        /// order, similarity and constant predicates, a join-free
+        /// constraint, and an Algorithm 3 component map.
+        #[test]
+        fn compiled_scan_equals_interpreter(
+            rows in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4, 0u8..6), 2..28),
+            with_components in 0u8..2,
+        ) {
+            // 0 encodes a null cell.
+            let cs = |p: &str, v: u8| if v == 0 { String::new() } else { format!("{p}{v}") };
+            let mut ds = Dataset::new(Schema::new(vec!["K", "A", "B", "N"]));
+            for &(k, a, b, n) in &rows {
+                let num = if n == 0 { String::new() } else { format!("{}", n * 5) };
+                // A and K share a value space so `t1.K = t2.A` can join.
+                ds.push_row(&[cs("v", k), cs("v", a), cs("bee", b), num]);
+            }
+            let foreign = ds.intern("elsewhere");
+            let cons = parse_constraints(
+                "FD: K -> A
+                 FD: K, B -> N
+                 t1&t2&EQ(t1.K,t2.K)&LT(t1.N,t2.N)
+                 t1&t2&EQ(t1.K,t2.A)&IQ(t1.B,t2.B)
+                 t1&t2&EQ(t1.K,t2.K)&GTE(t1.N,t2.N)&EQ(t1.B,\"bee1\")&IQ(t2.A,\"v2\")
+                 t1&t2&EQ(t1.A,t2.A)&SIM0.6(t1.B,t2.B)&IQ(t1.K,t2.K)
+                 t1&t2&IQ(t1.A,t2.A)&GT(t1.N,t2.N)
+                 t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t1.B)&LTE(t2.N,t2.N)",
+                &mut ds,
+            ).unwrap();
+            let components = (with_components == 1).then(|| {
+                let violations = holo_constraints::find_violations(&ds, &cons);
+                crate::compile::build_components(&cons, &violations, ds.tuple_count())
+            });
+            let cells: Vec<CellRef> = ds
+                .tuples()
+                .flat_map(|t| ds.schema().attrs().map(move |attr| CellRef { tuple: t, attr }))
+                .collect();
+            assert_scan_matches_interpreter(
+                &ds, &cons, components.as_deref(), cells.into_iter(), foreign,
+            );
+        }
     }
 }

@@ -57,22 +57,18 @@
 //!
 //! ## The compiled scoring substrate
 //!
-//! Compile ends by building the model's [`holo_factor::DesignMatrix`]: a
-//! CSR matrix with one row per `(variable, candidate)` pair, columns of
-//! `(WeightId, f64)` feature entries, a row-offset index and a
-//! per-variable row-range index. Learn and Infer never touch the graph's
-//! build-side adjacency `Vec`s — SGD walks rows, the Gibbs conditional
-//! scores a variable's contiguous row range, and exact enumeration
-//! precomputes all row scores once.
+//! Compile's featurization ends in the model's
+//! [`holo_factor::DesignMatrix`]: a CSR matrix with one row per
+//! `(variable, candidate)` pair, columns of `(WeightId, f64)` feature
+//! entries, a row-offset index and a per-variable row-range index. SGD
+//! walks rows, the Gibbs conditional scores a variable's contiguous row
+//! range, and exact enumeration precomputes all row scores once.
 //!
-//! The matrix is built **once** and then kept in sync incrementally:
-//! while no matrix exists (the bulk mutations of the Compile stage),
-//! `FactorGraph` mutators record the touched variable in a dirty set and
-//! the forced build at the end of Compile absorbs it; afterwards every
-//! mutator splices the affected variable's row range in place, so the
-//! feedback loop's `pin_evidence` patches one variable per label instead
-//! of invalidating the whole matrix. A full rebuild only happens again if
-//! a caller forces one with `FactorGraph::invalidate_design`. The
+//! The matrix is assembled **once** — Compile featurizes straight into
+//! it, and it is the only place unary features are stored — and then
+//! kept current incrementally: every `FactorGraph` mutator splices the
+//! affected variable's row range in place, so the feedback loop's
+//! `pin_evidence` patches one variable per label. The
 //! [`holo_factor::DesignStats`] counters in [`StageTimings::design`]
 //! (full builds vs rows patched) make the distinction observable.
 //!

@@ -1,18 +1,16 @@
-//! The compiled design matrix — the flat scoring substrate of the model.
+//! The design matrix — the flat scoring substrate of the model, and the
+//! **only** store of unary features.
 //!
-//! The builder-side [`FactorGraph`](crate::graph::FactorGraph) collects
-//! unary features as nested per-variable/per-candidate adjacency `Vec`s,
-//! which is the right shape for incremental construction but the wrong one
-//! for the hot loops: learning walks every `(variable, candidate)` row once
-//! per epoch, Gibbs scores a variable's full candidate slice per sweep, and
-//! both pay a double pointer chase per access. [`DesignMatrix`] compiles
-//! the same features once into CSR form:
+//! Learning walks every `(variable, candidate)` row once per epoch, Gibbs
+//! scores a variable's full candidate slice per sweep, exact enumeration
+//! scores each row many times: all of them want one flat array, so the
+//! model keeps its unary features in CSR form and in no other:
 //!
 //! * one **row** per `(variable, candidate)` pair, rows ordered by variable
 //!   then candidate — so a variable's candidates are a contiguous row range;
-//! * **columns** are `(WeightId, f64)` entries, concatenated in exactly the
-//!   insertion order of the adjacency lists (so a row's dot product sums in
-//!   the same order as the nested path: scores are bit-for-bit identical);
+//! * **columns** are `(WeightId, f64)` entries; within a row they sit in
+//!   emission order (the order the featurizers produced them), which fixes
+//!   the addition order of the row's dot product;
 //! * a **row-offset** index (`row_offsets`, standard CSR) plus a
 //!   **per-variable slice** index (`var_rows`: the first row of each
 //!   variable, one prefix-sum entry per variable).
@@ -21,6 +19,27 @@
 //! inference: once the grounded model is a flat array, learning and
 //! inference shard over contiguous index ranges instead of chasing object
 //! graphs.
+//!
+//! ## One-pass assembly
+//!
+//! The compiler never materialises features anywhere else first. A
+//! [`DesignBuilder`] is a row-major *fragment*: featurizers produce one
+//! variable's `(slot, weight, value)` triples in whatever order they
+//! compute them, and [`push_var`](DesignBuilder::push_var) moves them into
+//! the fragment's CSR arrays with a stable counting sort by candidate slot
+//! — row `k` holds the slot-`k` emissions in emission order. Each parallel
+//! chunk of variables
+//! fills its own fragment (weight ids local to the chunk's registry);
+//! [`append_remapped`](DesignBuilder::append_remapped) then concatenates
+//! the fragments in chunk order, translating ids through the remap table
+//! [`FeatureRegistry::absorb`](crate::weights::FeatureRegistry::absorb)
+//! returns. Rows depend only on their own variable, so where the chunk
+//! boundaries fall cannot change a single entry.
+//!
+//! After assembly the matrix is patched in place by the small-graph
+//! mutators of [`FactorGraph`](crate::graph::FactorGraph)
+//! ([`DesignMatrix::patch_var`] and friends); a patched matrix is
+//! field-for-field the matrix a fresh build of the same rows produces.
 //!
 //! ## The blocked score kernel
 //!
@@ -43,13 +62,16 @@ use crate::weights::{WeightId, Weights};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// Counters for how the design matrix has been (re)built — the
+/// Counters for how the design matrix has been built and patched — the
 /// observability hook for the incremental feedback loop: a healthy
 /// multi-round feedback session shows exactly one full build (the Compile
-/// stage) and one patch per mutated variable afterwards.
+/// stage's assembly) and one patch per mutated variable afterwards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DesignStats {
-    /// Full `compile` passes over the whole adjacency.
+    /// Whole-matrix builds: the bulk assembly a compiled model arrives
+    /// with, plus every [`FactorGraph::invalidate_design`] re-pack.
+    ///
+    /// [`FactorGraph::invalidate_design`]: crate::graph::FactorGraph::invalidate_design
     pub full_builds: u64,
     /// Variables whose row range was spliced in place.
     pub vars_patched: u64,
@@ -73,11 +95,11 @@ impl DesignStats {
 }
 
 /// CSR design matrix over all `(variable, candidate)` rows of a factor
-/// graph. Compiled once; graph mutations splice the affected variable's
-/// row range in place ([`DesignMatrix::patch_var`] and friends) instead of
-/// recompiling, and the patched matrix is bit-for-bit identical to a fresh
-/// [`DesignMatrix::compile`] of the mutated adjacency.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// graph. Assembled once by a [`DesignBuilder`]; graph mutations splice the
+/// affected variable's row range in place ([`DesignMatrix::patch_var`] and
+/// friends), and the patched matrix is bit-for-bit the matrix a fresh build
+/// of the same rows produces.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignMatrix {
     /// `var_rows[v] .. var_rows[v + 1]` is the row range of variable `v`
     /// (one row per candidate, in domain order). Length `var_count + 1`.
@@ -89,22 +111,26 @@ pub struct DesignMatrix {
     entries: Vec<(WeightId, f64)>,
 }
 
-impl DesignMatrix {
-    /// Compiles the nested adjacency representation (`unary[v][k]` = sparse
-    /// features of candidate `k` of variable `v`) into CSR.
-    pub fn compile(unary: &[Vec<FeatureVec>]) -> Self {
-        let rows: usize = unary.iter().map(Vec::len).sum();
-        let nnz: usize = unary
-            .iter()
-            .map(|per_var| per_var.iter().map(Vec::len).sum::<usize>())
-            .sum();
-        Self::assert_dims(rows, nnz);
+/// The matrix of a graph with no variables.
+impl Default for DesignMatrix {
+    fn default() -> Self {
+        DesignMatrix {
+            var_rows: vec![0],
+            row_offsets: vec![0],
+            entries: Vec::new(),
+        }
+    }
+}
 
-        let mut var_rows = Vec::with_capacity(unary.len() + 1);
-        let mut row_offsets = Vec::with_capacity(rows + 1);
-        let mut entries = Vec::with_capacity(nnz);
-        var_rows.push(0);
-        row_offsets.push(0);
+impl DesignMatrix {
+    /// The reference build the patch and assembly tests compare against:
+    /// nested adjacency (`unary[v][k]` = sparse features of candidate `k`
+    /// of variable `v`) copied row by row into CSR.
+    #[cfg(test)]
+    pub(crate) fn compile(unary: &[Vec<FeatureVec>]) -> Self {
+        let mut var_rows = vec![0];
+        let mut row_offsets = vec![0];
+        let mut entries = Vec::new();
         for per_var in unary {
             for features in per_var {
                 entries.extend_from_slice(features);
@@ -112,6 +138,7 @@ impl DesignMatrix {
             }
             var_rows.push(row_offsets.len() as u32 - 1);
         }
+        Self::assert_dims(row_offsets.len() - 1, entries.len());
         DesignMatrix {
             var_rows,
             row_offsets,
@@ -119,13 +146,11 @@ impl DesignMatrix {
         }
     }
 
-    /// The single bound check of the CSR layout, shared by [`compile`]
-    /// and every patch splice so no mutation path can silently wrap:
+    /// The single bound check of the CSR layout, shared by the bulk
+    /// assembly and every patch splice so no path can silently wrap:
     /// `var_rows` stores row indices and `row_offsets` has `rows + 1`
     /// elements whose values are entry offsets, all as `u32` — so
     /// `rows + 1` and `nnz` must both be representable.
-    ///
-    /// [`compile`]: DesignMatrix::compile
     #[inline]
     fn assert_dims(rows: usize, nnz: usize) {
         assert!(rows < u32::MAX as usize, "design matrix row overflow");
@@ -135,9 +160,8 @@ impl DesignMatrix {
     /// Replaces the rows of variable `v` with `per_candidate` (one sparse
     /// feature vector per candidate, in domain order), splicing `entries`
     /// and `row_offsets` and shifting the suffix indexes — O(changed rows
-    /// plus a suffix memmove) instead of a full recompile. The result is
-    /// bit-for-bit identical to [`DesignMatrix::compile`] of an adjacency
-    /// whose `unary[v]` equals `per_candidate`.
+    /// plus a suffix memmove). The result is bit-for-bit the matrix a
+    /// fresh build with `per_candidate` as `v`'s rows produces.
     pub fn patch_var(&mut self, v: VarId, per_candidate: &[FeatureVec]) {
         let rows = self.var_range(v);
         let e0 = self.row_offsets[rows.start] as usize;
@@ -201,8 +225,7 @@ impl DesignMatrix {
     }
 
     /// Appends a whole new variable's rows at the end of the matrix (the
-    /// `add_variable`-after-compile path). Row and entry order match what
-    /// [`DesignMatrix::compile`] would produce for the extended adjacency.
+    /// `add_variable` path).
     pub fn append_var(&mut self, per_candidate: &[FeatureVec]) {
         let new_nnz: usize = per_candidate.iter().map(Vec::len).sum();
         Self::assert_dims(self.rows() + per_candidate.len(), self.nnz() + new_nnz);
@@ -211,6 +234,15 @@ impl DesignMatrix {
             self.row_offsets.push(self.entries.len() as u32);
         }
         self.var_rows.push(self.row_offsets.len() as u32 - 1);
+    }
+
+    /// Re-packs the three arrays into exact-size allocations, dropping the
+    /// slack that growth and patch splices leave behind. Contents are
+    /// unchanged.
+    pub fn repack(&mut self) {
+        self.var_rows.shrink_to_fit();
+        self.row_offsets.shrink_to_fit();
+        self.entries.shrink_to_fit();
     }
 
     /// Number of variables covered.
@@ -238,8 +270,7 @@ impl DesignMatrix {
     ///
     /// # Panics
     /// Panics when `k` is not a candidate of `v` — without the check an
-    /// out-of-range `k` would silently land in the next variable's rows
-    /// (the nested-adjacency path this replaces always bounds-checked).
+    /// out-of-range `k` would silently land in the next variable's rows.
     #[inline]
     pub fn row_of(&self, v: VarId, k: usize) -> usize {
         let range = self.var_range(v);
@@ -314,9 +345,80 @@ impl DesignMatrix {
     }
 }
 
-/// The blocked dot-product kernel shared by every unary-scoring path (CSR
-/// rows *and* the adjacency oracle, so cross-representation tests stay
-/// bit-for-bit): four independent accumulators over exact chunks of four,
+/// A row-major fragment of a design matrix under assembly — see the module
+/// docs ("One-pass assembly").
+#[derive(Debug, Default)]
+pub struct DesignBuilder {
+    matrix: DesignMatrix,
+    /// Counting-sort scratch of `push_var`: per candidate slot, the next
+    /// write position relative to the variable's first entry.
+    cursor: Vec<u32>,
+}
+
+impl DesignBuilder {
+    /// Appends one variable of `arity` candidates whose features are the
+    /// `(slot, weight, value)` triples of `emissions`, in any slot order:
+    /// a stable counting sort on the slot moves them into `arity` new
+    /// rows, each keeping emission order. The iterator is walked twice
+    /// (count, then place).
+    ///
+    /// # Panics
+    /// Panics if an emission names a slot `>= arity`.
+    pub fn push_var<I>(&mut self, arity: usize, emissions: I)
+    where
+        I: Iterator<Item = (usize, WeightId, f64)> + Clone,
+    {
+        let m = &mut self.matrix;
+        self.cursor.clear();
+        self.cursor.resize(arity, 0);
+        let mut count = 0usize;
+        for (slot, ..) in emissions.clone() {
+            self.cursor[slot] += 1;
+            count += 1;
+        }
+        DesignMatrix::assert_dims(m.rows() + arity, m.nnz() + count);
+        let mut start = 0u32;
+        for c in &mut self.cursor {
+            start += std::mem::replace(c, start);
+        }
+        let base = m.entries.len();
+        m.entries.resize(base + count, (WeightId(0), 0.0));
+        for (slot, weight, value) in emissions {
+            let at = &mut self.cursor[slot];
+            m.entries[base + *at as usize] = (weight, value);
+            *at += 1;
+        }
+        // Every cursor now sits at the end of its row.
+        let base = base as u32;
+        m.row_offsets
+            .extend(self.cursor.iter().map(|&end| base + end));
+        m.var_rows.push(m.row_offsets.len() as u32 - 1);
+    }
+
+    /// Appends the variables of `other` (a later chunk's fragment) after
+    /// this fragment's, translating each weight id `w` to
+    /// `remap[w.index()]`.
+    pub fn append_remapped(&mut self, other: DesignBuilder, remap: &[WeightId]) {
+        let (m, o) = (&mut self.matrix, other.matrix);
+        DesignMatrix::assert_dims(m.rows() + o.rows(), m.nnz() + o.nnz());
+        let (row_base, entry_base) = (m.rows() as u32, m.nnz() as u32);
+        m.var_rows
+            .extend(o.var_rows[1..].iter().map(|r| r + row_base));
+        m.row_offsets
+            .extend(o.row_offsets[1..].iter().map(|e| e + entry_base));
+        m.entries
+            .extend(o.entries.iter().map(|&(w, x)| (remap[w.index()], x)));
+    }
+
+    /// The assembled matrix, its arrays trimmed to size.
+    pub fn finish(mut self) -> DesignMatrix {
+        self.matrix.repack();
+        self.matrix
+    }
+}
+
+/// The blocked dot-product kernel shared by every unary-scoring path: four
+/// independent accumulators over exact chunks of four,
 /// a sequential tail for the remainder, pairwise lane reduction. See the
 /// module docs for why the split is fixed and short rows reproduce the
 /// pre-blocked addition order exactly.
@@ -446,6 +548,75 @@ mod tests {
         assert_eq!(m, DesignMatrix::compile(&unary));
         assert_eq!(m.var_count(), 3);
         assert_eq!(m.var_range(VarId(2)), 5..7);
+    }
+
+    /// Emits `unary` through a builder with each variable's entries
+    /// interleaved across slots (round-robin over the rows, the way
+    /// co-occurrence features arrive: attribute-major, candidate-minor).
+    fn emit_interleaved(b: &mut DesignBuilder, unary: &[Vec<FeatureVec>]) {
+        for per_var in unary {
+            let longest = per_var.iter().map(Vec::len).max().unwrap_or(0);
+            let mut emissions = Vec::new();
+            for i in 0..longest {
+                for (k, row) in per_var.iter().enumerate() {
+                    if let Some(&(w, x)) = row.get(i) {
+                        emissions.push((k, w, x));
+                    }
+                }
+            }
+            b.push_var(per_var.len(), emissions.iter().copied());
+        }
+    }
+
+    /// The counting sort restores row-major order from any interleaving
+    /// that keeps each slot's own order, including empty rows and a
+    /// variable with no features at all.
+    #[test]
+    fn builder_matches_reference_compile() {
+        let mut unary = sample_unary();
+        unary.push(vec![vec![], vec![]]);
+        unary.push(vec![vec![(wid(2), 1.0), (wid(2), 2.0), (wid(0), 3.0)]]);
+        let mut b = DesignBuilder::default();
+        emit_interleaved(&mut b, &unary);
+        assert_eq!(b.finish(), DesignMatrix::compile(&unary));
+        assert_eq!(
+            DesignBuilder::default().finish(),
+            DesignMatrix::compile(&[])
+        );
+    }
+
+    /// Fragments concatenate to the single-fragment matrix wherever the
+    /// variable list is cut, ids translated through the remap table.
+    #[test]
+    fn fragments_concatenate_at_any_cut() {
+        let mut unary = sample_unary();
+        unary.push(vec![vec![(wid(3), 0.5)], vec![], vec![(wid(1), -2.0)]]);
+        let whole = DesignMatrix::compile(&unary);
+        // The tail fragment numbers its weights differently (reversed).
+        let remap: Vec<WeightId> = (0..4).rev().map(wid).collect();
+        for cut in 0..=unary.len() {
+            let mut head = DesignBuilder::default();
+            emit_interleaved(&mut head, &unary[..cut]);
+            let local: Vec<Vec<FeatureVec>> = unary[cut..]
+                .iter()
+                .map(|per_var| {
+                    per_var
+                        .iter()
+                        .map(|row| row.iter().map(|&(w, x)| (wid(3 - w.0), x)).collect())
+                        .collect()
+                })
+                .collect();
+            let mut tail = DesignBuilder::default();
+            emit_interleaved(&mut tail, &local);
+            head.append_remapped(tail, &remap);
+            assert_eq!(head.finish(), whole, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn builder_rejects_slot_beyond_arity() {
+        DesignBuilder::default().push_var(2, [(2, wid(0), 1.0)].into_iter());
     }
 
     /// The blocked kernel agrees with the plain sequential reference: rows

@@ -9,12 +9,12 @@
 
 use crate::coloring::{Coloring, ColoringStats};
 use crate::components::{ComponentIndex, ComponentStats};
-use crate::design::{score_features, DesignMatrix, DesignStats};
+use crate::design::{DesignMatrix, DesignStats};
 use crate::weights::{WeightId, Weights};
-use holo_dataset::{FxHashSet, Sym};
+use holo_dataset::Sym;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Index of a variable in a [`FactorGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -208,51 +208,41 @@ pub type FeatureVec = Vec<(WeightId, f64)>;
 
 /// The grounded factor graph.
 ///
-/// Unary features live in two representations: the nested adjacency
-/// `Vec`s (`unary`) are the *build side* — cheap to append to while the
-/// compiler grounds the model — and the compiled [`DesignMatrix`] is the
-/// *scoring substrate* every consumer reads ([`FactorGraph::unary_score`],
-/// the Gibbs conditional loop, exact enumeration, SGD). The matrix is
-/// compiled lazily on first use and cached. Mutations keep the cache
-/// **incrementally in sync**: while no matrix exists yet (the bulk-build
-/// phase of the compiler), mutators just record the variable in a dirty
-/// set and the first scoring access compiles everything once; once a
-/// matrix exists, each mutator splices the affected variable's rows in
-/// place (`patch_var`/`append_candidate_row`/`append_var`) — the feedback
-/// loop's `pin_evidence` never triggers a full rebuild. [`DesignStats`]
-/// counts both paths so the claim is observable.
+/// Unary features have exactly one home: the CSR [`DesignMatrix`], which
+/// every consumer reads ([`FactorGraph::unary_score`], the Gibbs
+/// conditional, exact enumeration, SGD). A compiled model arrives with its
+/// matrix already assembled ([`FactorGraph::from_design`] — the compiler
+/// featurizes straight into it, see [`crate::design`]); a graph started
+/// with [`FactorGraph::new`] begins with the empty matrix. Either way the
+/// mutators below — [`add_variable`](FactorGraph::add_variable),
+/// [`add_feature`](FactorGraph::add_feature),
+/// [`pin_evidence`](FactorGraph::pin_evidence) — splice the affected
+/// variable's rows in place, each costing O(that variable's rows plus a
+/// suffix shift): right for tests, hand-built graphs and the feedback
+/// loop's handful of pins, wrong for bulk featurization, which goes through
+/// a [`DesignBuilder`](crate::design::DesignBuilder) instead.
+/// [`DesignStats`] counts assemblies and splices so the split is
+/// observable.
 #[derive(Debug, Default)]
 pub struct FactorGraph {
     vars: Vec<Variable>,
-    /// `unary[v][k]` = sparse features of candidate `k` of variable `v`
-    /// (build-side adjacency; scoring goes through `design`).
-    unary: Vec<Vec<FeatureVec>>,
+    /// The unary features of every `(variable, candidate)` pair.
+    design: DesignMatrix,
     cliques: Vec<CliqueFactor>,
     /// `var_cliques[v]` = clique indices touching `v`.
     var_cliques: Vec<Vec<u32>>,
-    /// Compiled CSR view of `unary`, built on first scoring access and
-    /// patched in place by later mutations.
-    design: OnceLock<DesignMatrix>,
-    /// Variables mutated while no compiled matrix existed — absorbed (and
-    /// cleared) by the next full compile. Empty whenever a cached matrix
-    /// exists: with a cache present, mutators patch it immediately instead
-    /// of marking. Behind a `Mutex` only so the `OnceLock` init closure
-    /// (`&self`) can clear it; the hot scoring path never locks.
-    dirty: Mutex<FxHashSet<VarId>>,
-    /// Patch-path counters (`full_builds` lives in the atomic below, since
-    /// full compiles happen behind the `OnceLock` under `&self`).
+    /// Assembly and splice counters of `design`.
     stats: DesignStats,
-    /// Number of full [`DesignMatrix::compile`] passes.
-    full_builds: AtomicU64,
     /// Connected components of the clique structure, built on first use by
-    /// partitioned inference and patched in place by mutators exactly like
-    /// `design`: `add_variable` appends a singleton component,
-    /// `add_clique` merges the components its scope spans, and
-    /// `pin_evidence` changes nothing (scopes are unioned over all
-    /// members, evidence included — see [`ComponentIndex`]).
+    /// partitioned inference and patched in place by mutators:
+    /// `add_variable` appends a singleton component, `add_clique` merges
+    /// the components its scope spans, and `pin_evidence` changes nothing
+    /// (scopes are unioned over all members, evidence included — see
+    /// [`ComponentIndex`]).
     components: OnceLock<ComponentIndex>,
-    /// Patch-path counters of the component index (`full_builds` in the
-    /// atomic below, for the same `&self`-init reason as the matrix).
+    /// Patch-path counters of the component index (`full_builds` lives in
+    /// the atomic below, since full builds happen behind the `OnceLock`
+    /// under `&self`).
     comp_stats: ComponentStats,
     /// Number of full [`ComponentIndex::build`] passes.
     comp_full_builds: AtomicU64,
@@ -260,11 +250,11 @@ pub struct FactorGraph {
     /// use by chromatic Gibbs and patched in place by mutators:
     /// `add_variable` appends at color 0, a late `add_clique` raise-only
     /// repairs its scope, and `pin_evidence` changes nothing. Unlike the
-    /// two caches above, a patched coloring need not equal a fresh build —
+    /// component index, a patched coloring need not equal a fresh build —
     /// the maintained invariant is *properness* (see [`Coloring`]).
     coloring: OnceLock<Coloring>,
     /// Patch-path counters of the coloring (`full_builds` in the atomic
-    /// below, for the same `&self`-init reason as the matrix).
+    /// below, for the same `&self`-init reason as the component index).
     coloring_stats: ColoringStats,
     /// Number of full [`Coloring::build`] passes.
     coloring_full_builds: AtomicU64,
@@ -272,31 +262,16 @@ pub struct FactorGraph {
 
 impl Clone for FactorGraph {
     fn clone(&self) -> Self {
-        let design = OnceLock::new();
-        if let Some(d) = self.design.get() {
-            let _ = design.set(d.clone());
-        }
-        let components = OnceLock::new();
-        if let Some(c) = self.components.get() {
-            let _ = components.set(c.clone());
-        }
-        let coloring = OnceLock::new();
-        if let Some(c) = self.coloring.get() {
-            let _ = coloring.set(c.clone());
-        }
         FactorGraph {
             vars: self.vars.clone(),
-            unary: self.unary.clone(),
+            design: self.design.clone(),
             cliques: self.cliques.clone(),
             var_cliques: self.var_cliques.clone(),
-            design,
-            dirty: Mutex::new(self.dirty.lock().unwrap().clone()),
             stats: self.stats,
-            full_builds: AtomicU64::new(self.full_builds.load(Ordering::Relaxed)),
-            components,
+            components: self.components.clone(),
             comp_stats: self.comp_stats,
             comp_full_builds: AtomicU64::new(self.comp_full_builds.load(Ordering::Relaxed)),
-            coloring,
+            coloring: self.coloring.clone(),
             coloring_stats: self.coloring_stats,
             coloring_full_builds: AtomicU64::new(self.coloring_full_builds.load(Ordering::Relaxed)),
         }
@@ -309,57 +284,41 @@ impl FactorGraph {
         Self::default()
     }
 
-    /// Adds a variable, returning its id. With a compiled matrix present
-    /// its rows are appended in place; otherwise the variable joins the
-    /// dirty set for the next full compile.
-    pub fn add_variable(&mut self, var: Variable) -> VarId {
-        let id = VarId(self.vars.len() as u32);
-        self.unary.push(vec![Vec::new(); var.arity()]);
-        self.var_cliques.push(Vec::new());
-        self.vars.push(var);
-        if let Some(d) = self.design.get_mut() {
-            d.append_var(&self.unary[id.index()]);
-            self.stats.vars_patched += 1;
-            self.stats.rows_patched += self.unary[id.index()].len() as u64;
-        } else {
-            self.dirty.get_mut().unwrap().insert(id);
-        }
-        if let Some(ix) = self.components.get_mut() {
-            ix.add_singleton(id);
-            self.comp_stats.vars_appended += 1;
-        }
-        if let Some(col) = self.coloring.get_mut() {
-            col.push_var(id);
-            self.coloring_stats.vars_appended += 1;
-        }
-        id
-    }
-
-    /// Adds a variable **with its unary features already materialised**
-    /// (one `FeatureVec` per candidate, in candidate order), returning its
-    /// id. With a compiled matrix present this splices the finished rows
-    /// in with a *single* append — the path for long-lived graphs that
-    /// keep growing after compile (streaming ingestion): appending the
-    /// variable bare and then calling [`FactorGraph::add_feature`] per
-    /// entry would re-splice the row range once per feature.
+    /// A clique-free graph over `vars` whose unary features are the
+    /// already-assembled `design` — how the compiler hands over a model
+    /// (one full build on the [`DesignStats`] tally).
     ///
     /// # Panics
-    /// Panics if `rows.len()` differs from the variable's arity.
-    pub fn add_variable_with_features(&mut self, var: Variable, rows: Vec<FeatureVec>) -> VarId {
-        assert_eq!(rows.len(), var.arity(), "one feature row per candidate");
+    /// Panics unless `design` has exactly one row range per variable, of
+    /// that variable's arity.
+    pub fn from_design(vars: Vec<Variable>, design: DesignMatrix) -> Self {
+        assert_eq!(design.var_count(), vars.len(), "one row range per variable");
+        for (i, var) in vars.iter().enumerate() {
+            let rows = design.var_range(VarId(i as u32)).len();
+            assert_eq!(rows, var.arity(), "one row per candidate");
+        }
+        FactorGraph {
+            var_cliques: vec![Vec::new(); vars.len()],
+            vars,
+            design,
+            stats: DesignStats {
+                full_builds: 1,
+                ..DesignStats::default()
+            },
+            ..FactorGraph::default()
+        }
+    }
+
+    /// Adds a variable with no features, returning its id; its (empty)
+    /// rows are appended to the design matrix.
+    pub fn add_variable(&mut self, var: Variable) -> VarId {
         let id = VarId(self.vars.len() as u32);
-        self.unary.push(rows);
+        self.design
+            .append_var(&vec![FeatureVec::new(); var.arity()]);
+        self.stats.vars_patched += 1;
+        self.stats.rows_patched += var.arity() as u64;
         self.var_cliques.push(Vec::new());
         self.vars.push(var);
-        if let Some(d) = self.design.get_mut() {
-            let per_candidate = &self.unary[id.index()];
-            d.append_var(per_candidate);
-            self.stats.vars_patched += 1;
-            self.stats.rows_patched += per_candidate.len() as u64;
-            self.stats.entries_patched += per_candidate.iter().map(Vec::len).sum::<usize>() as u64;
-        } else {
-            self.dirty.get_mut().unwrap().insert(id);
-        }
         if let Some(ix) = self.components.get_mut() {
             ix.add_singleton(id);
             self.comp_stats.vars_appended += 1;
@@ -371,22 +330,20 @@ impl FactorGraph {
         id
     }
 
-    /// Appends a unary feature `(weight, value)` to candidate `k` of `v`.
-    /// With a compiled matrix present `v`'s row range is re-spliced in
-    /// place (O(its rows) per call — bulk featurization should happen
-    /// before the first scoring access, which is what the compiler does);
-    /// otherwise `v` joins the dirty set for the next full compile.
+    /// Appends a unary feature `(weight, value)` to candidate `k` of `v`
+    /// by re-splicing `v`'s row range — O(its entries plus a suffix shift)
+    /// per call.
     pub fn add_feature(&mut self, v: VarId, k: usize, weight: WeightId, value: f64) {
-        self.unary[v.index()][k].push((weight, value));
-        if let Some(d) = self.design.get_mut() {
-            let per_candidate = &self.unary[v.index()];
-            d.patch_var(v, per_candidate);
-            self.stats.vars_patched += 1;
-            self.stats.rows_patched += per_candidate.len() as u64;
-            self.stats.entries_patched += per_candidate.iter().map(Vec::len).sum::<usize>() as u64;
-        } else {
-            self.dirty.get_mut().unwrap().insert(v);
-        }
+        let mut per_candidate: Vec<FeatureVec> = self
+            .design
+            .var_range(v)
+            .map(|r| self.design.row(r).to_vec())
+            .collect();
+        per_candidate[k].push((weight, value));
+        self.design.patch_var(v, &per_candidate);
+        self.stats.vars_patched += 1;
+        self.stats.rows_patched += per_candidate.len() as u64;
+        self.stats.entries_patched += per_candidate.iter().map(Vec::len).sum::<usize>() as u64;
     }
 
     /// Adds a clique factor, wiring the adjacency lists. With a built
@@ -439,63 +396,35 @@ impl FactorGraph {
             .collect()
     }
 
-    /// The compiled CSR design matrix over all `(variable, candidate)`
-    /// rows — the single scoring substrate. Compiled on first access and
-    /// cached; the compiler forces the build at the end of the Compile
-    /// stage so learning and inference never pay it. Unary mutations after
-    /// the build patch the cache in place (see the struct docs), so this
-    /// never serves stale rows and never recompiles unless
-    /// [`FactorGraph::invalidate_design`] forced it.
+    /// The CSR design matrix over all `(variable, candidate)` rows — the
+    /// single store and scoring substrate of the unary features, always
+    /// current: every mutator splices it in place.
     pub fn design(&self) -> &DesignMatrix {
-        self.design.get_or_init(|| {
-            self.full_builds.fetch_add(1, Ordering::Relaxed);
-            self.dirty.lock().unwrap().clear();
-            DesignMatrix::compile(&self.unary)
-        })
+        &self.design
     }
 
-    /// Drops the compiled design matrix (and any pending dirty marks); the
-    /// next scoring access recompiles from scratch. The escape hatch for
-    /// callers that prefer a fresh compile over accumulated patches — the
-    /// `feedback_retrain` bench uses it to price the patch path against
-    /// the full rebuild it replaces.
+    /// Re-packs the design matrix's arrays into exact-size allocations
+    /// (patch splices leave growth slack behind) and counts one full
+    /// build. The matrix is the only copy of the features, so there is
+    /// nothing to rebuild it *from*: [`FactorGraph::design`] afterwards
+    /// returns a matrix equal to the one before.
     pub fn invalidate_design(&mut self) {
-        self.design.take();
-        self.dirty.get_mut().unwrap().clear();
+        self.design.repack();
+        self.stats.full_builds += 1;
     }
 
-    /// A from-scratch [`DesignMatrix::compile`] of the current adjacency,
-    /// bypassing (and not counting toward) the cache — the reference
-    /// oracle that patch-equivalence tests compare the cached matrix
-    /// against bit-for-bit.
-    pub fn compile_design(&self) -> DesignMatrix {
-        DesignMatrix::compile(&self.unary)
-    }
-
-    /// Build/patch counters of the design-matrix cache (full compiles vs
-    /// in-place row splices). Snapshot at session start and diff with
-    /// [`DesignStats::since`] for per-session accounting.
+    /// Assembly/splice counters of the design matrix. Snapshot at session
+    /// start and diff with [`DesignStats::since`] for per-session
+    /// accounting.
     pub fn design_stats(&self) -> DesignStats {
-        DesignStats {
-            full_builds: self.full_builds.load(Ordering::Relaxed),
-            ..self.stats
-        }
-    }
-
-    /// Variables mutated since the last full design build, in id order —
-    /// the pending work of the next compile. Empty whenever a cached
-    /// matrix exists (mutations patch an existing cache immediately).
-    pub fn dirty_vars(&self) -> Vec<VarId> {
-        let mut out: Vec<VarId> = self.dirty.lock().unwrap().iter().copied().collect();
-        out.sort_unstable();
-        out
+        self.stats
     }
 
     /// The connected components of the clique structure — the partition
     /// seam of [`crate::components::infer_partitioned`]. Built on first
     /// access (one union-find pass over the clique scopes) and cached;
-    /// later mutations patch it in place (see the field docs), so like the
-    /// design matrix it is never stale and never rebuilt unless
+    /// later mutations patch it in place (see the field docs), so it is
+    /// never stale and never rebuilt unless
     /// [`FactorGraph::invalidate_components`] forced it.
     pub fn components(&self) -> &ComponentIndex {
         self.components.get_or_init(|| {
@@ -512,8 +441,7 @@ impl FactorGraph {
     }
 
     /// Drops the cached component index; the next access rebuilds it from
-    /// scratch. Escape hatch mirroring
-    /// [`FactorGraph::invalidate_design`].
+    /// scratch.
     pub fn invalidate_components(&mut self) {
         self.components.take();
     }
@@ -552,9 +480,8 @@ impl FactorGraph {
     }
 
     /// Drops the cached coloring; the next access rebuilds it from
-    /// scratch. Escape hatch mirroring
-    /// [`FactorGraph::invalidate_design`] — also the way to re-pack colors
-    /// after many raise-only patches inflated the palette.
+    /// scratch — the way to re-pack colors after many raise-only patches
+    /// inflated the palette.
     pub fn invalidate_coloring(&mut self) {
         self.coloring.take();
     }
@@ -580,39 +507,25 @@ impl FactorGraph {
     /// Sparse features of candidate `k` of variable `v` (a CSR row of the
     /// design matrix, in insertion order).
     pub fn features(&self, v: VarId, k: usize) -> &[(WeightId, f64)] {
-        let d = self.design();
-        d.row(d.row_of(v, k))
+        self.design.row(self.design.row_of(v, k))
     }
 
     /// Unary log-score of candidate `k` of `v` under `weights`.
     pub fn unary_score(&self, v: VarId, k: usize, weights: &Weights) -> f64 {
-        let d = self.design();
-        d.score_row(d.row_of(v, k), weights)
+        self.design.score_row(self.design.row_of(v, k), weights)
     }
 
     /// Unary log-scores of all candidates of `v`.
     pub fn unary_scores(&self, v: VarId, weights: &Weights) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.var(v).arity());
-        self.design().score_var_into(v, weights, &mut out);
+        self.design.score_var_into(v, weights, &mut out);
         out
     }
 
     /// [`FactorGraph::unary_scores`] into a caller-owned buffer (cleared
     /// first) — the allocation-free form hot loops use.
     pub fn unary_scores_into(&self, v: VarId, weights: &Weights, out: &mut Vec<f64>) {
-        self.design().score_var_into(v, weights, out);
-    }
-
-    /// Unary log-scores of all candidates of `v` computed over the nested
-    /// adjacency `Vec`s — the pre-CSR reference path, kept as the oracle
-    /// for design-matrix equivalence tests. Each feature row goes through
-    /// the same blocked dot-product kernel as the CSR path so the two stay
-    /// bit-for-bit comparable at any row length.
-    pub fn unary_scores_adjacency(&self, v: VarId, weights: &Weights) -> Vec<f64> {
-        self.unary[v.index()]
-            .iter()
-            .map(|features| score_features(features, weights))
-            .collect()
+        self.design.score_var_into(v, weights, out);
     }
 
     /// All clique factors.
@@ -633,12 +546,7 @@ impl FactorGraph {
     /// Total number of grounded factors (unary feature entries + cliques) —
     /// the "factor graph size" the paper's optimisations shrink.
     pub fn factor_count(&self) -> usize {
-        let unary: usize = self
-            .unary
-            .iter()
-            .map(|per_var| per_var.iter().map(Vec::len).sum::<usize>())
-            .sum();
-        unary + self.cliques.len()
+        self.design.nnz() + self.cliques.len()
     }
 
     /// Whether the graph has clique factors (needs Gibbs) or is fully
@@ -651,23 +559,18 @@ impl FactorGraph {
     /// incremental-feedback path (§2.2): user-verified cells become
     /// labelled examples for retraining. If `value` is not in the
     /// variable's domain it is appended (with no unary features; the pin
-    /// itself carries the information) and the compiled design matrix, if
-    /// built, gains the one candidate row in place — pinning k labels
-    /// patches k variables' rows, never triggering a full rebuild.
+    /// itself carries the information) and the design matrix gains the
+    /// one candidate row in place — pinning k labels patches at most k
+    /// variables' rows.
     pub fn pin_evidence(&mut self, v: VarId, value: Sym) {
         let var = &mut self.vars[v.index()];
         let k = match var.domain.iter().position(|&d| d == value) {
             Some(k) => k,
             None => {
                 var.domain.push(value);
-                self.unary[v.index()].push(Vec::new());
-                if let Some(d) = self.design.get_mut() {
-                    d.append_candidate_row(v, &[]);
-                    self.stats.vars_patched += 1;
-                    self.stats.rows_patched += 1;
-                } else {
-                    self.dirty.get_mut().unwrap().insert(v);
-                }
+                self.design.append_candidate_row(v, &[]);
+                self.stats.vars_patched += 1;
+                self.stats.rows_patched += 1;
                 var.domain.len() - 1
             }
         };
@@ -794,72 +697,125 @@ mod tests {
         assert!(g.has_cliques());
     }
 
-    /// The CSR path and the adjacency reference path agree bit-for-bit,
-    /// and the cached design matrix is invalidated by mutation.
+    /// A graph built through the mutators next to the shadow adjacency the
+    /// test keeps itself — the reference store the design matrix replaced.
+    struct Shadowed {
+        g: FactorGraph,
+        unary: Vec<Vec<FeatureVec>>,
+    }
+
+    impl Shadowed {
+        fn add_variable(&mut self, var: Variable) -> VarId {
+            self.unary.push(vec![Vec::new(); var.arity()]);
+            self.g.add_variable(var)
+        }
+        fn add_feature(&mut self, v: VarId, k: usize, w: WeightId, x: f64) {
+            self.unary[v.index()][k].push((w, x));
+            self.g.add_feature(v, k, w, x);
+        }
+        fn pin_evidence(&mut self, v: VarId, value: Sym) {
+            if !self.g.var(v).domain.contains(&value) {
+                self.unary[v.index()].push(Vec::new());
+            }
+            self.g.pin_evidence(v, value);
+        }
+        /// Scores over the nested adjacency, through the same kernel.
+        fn adjacency_scores(&self, v: VarId, weights: &Weights) -> Vec<f64> {
+            self.unary[v.index()]
+                .iter()
+                .map(|features| crate::design::score_features(features, weights))
+                .collect()
+        }
+    }
+
+    /// The CSR store and the adjacency reference agree bit-for-bit, and
+    /// every mutation is visible to the next scoring access.
     #[test]
     fn design_matrix_matches_adjacency_and_invalidates() {
-        let mut g = FactorGraph::new();
-        let v = g.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], Some(0)));
+        let mut s = Shadowed {
+            g: FactorGraph::new(),
+            unary: Vec::new(),
+        };
+        let v = s.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], Some(0)));
         let mut w = Weights::zeros(3);
         w.set(WeightId(0), 0.7);
         w.set(WeightId(1), -1.3);
         w.set(WeightId(2), 2.2);
-        g.add_feature(v, 0, WeightId(1), 0.25);
-        g.add_feature(v, 0, WeightId(0), 1.0);
-        g.add_feature(v, 2, WeightId(2), -0.5);
-        assert_eq!(g.unary_scores(v, &w), g.unary_scores_adjacency(v, &w));
-        assert_eq!(g.design().nnz(), 3);
-        // Mutation after scoring must rebuild the matrix, not serve stale
-        // rows.
-        g.add_feature(v, 1, WeightId(0), 4.0);
-        assert_eq!(g.design().nnz(), 4);
-        assert_eq!(g.unary_scores(v, &w), g.unary_scores_adjacency(v, &w));
+        s.add_feature(v, 0, WeightId(1), 0.25);
+        s.add_feature(v, 0, WeightId(0), 1.0);
+        s.add_feature(v, 2, WeightId(2), -0.5);
+        assert_eq!(s.g.unary_scores(v, &w), s.adjacency_scores(v, &w));
+        assert_eq!(s.g.design().nnz(), 3);
+        // Mutation after scoring must not serve stale rows.
+        s.add_feature(v, 1, WeightId(0), 4.0);
+        assert_eq!(s.g.design().nnz(), 4);
+        assert_eq!(s.g.unary_scores(v, &w), s.adjacency_scores(v, &w));
         let mut buf = vec![99.0];
-        g.unary_scores_into(v, &w, &mut buf);
-        assert_eq!(buf, g.unary_scores(v, &w));
+        s.g.unary_scores_into(v, &w, &mut buf);
+        assert_eq!(buf, s.g.unary_scores(v, &w));
         // Pinning evidence to a new value appends a candidate row.
-        g.pin_evidence(v, sym(9));
-        assert_eq!(g.design().rows(), 4);
-        assert_eq!(g.unary_scores(v, &w), g.unary_scores_adjacency(v, &w));
+        s.pin_evidence(v, sym(9));
+        assert_eq!(s.g.design().rows(), 4);
+        assert_eq!(s.g.unary_scores(v, &w), s.adjacency_scores(v, &w));
+        // With one store there is nothing to rebuild from: invalidation
+        // re-packs and hands back an equal matrix.
+        let before = s.g.design().clone();
+        s.g.invalidate_design();
+        assert_eq!(s.g.design(), &before);
+        assert_eq!(s.g.design(), &DesignMatrix::compile(&s.unary));
     }
 
-    /// Post-build mutations patch the cached matrix in place: it stays
-    /// bit-for-bit equal to a fresh compile while `full_builds` stays 1,
-    /// and every mutation is visible in the patch counters.
+    /// Mutations splice the matrix in place: it stays bit-for-bit equal to
+    /// a reference compile of the shadow adjacency, every mutation shows in
+    /// the patch counters, and only assembly or `invalidate_design` counts
+    /// as a full build.
     #[test]
     fn mutations_patch_instead_of_rebuilding() {
-        let mut g = FactorGraph::new();
-        let v0 = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        g.add_feature(v0, 0, WeightId(0), 1.0);
-        assert_eq!(g.dirty_vars(), vec![v0], "pre-build mutations mark dirty");
-        let _ = g.design(); // first (and only) full build
-        assert!(g.dirty_vars().is_empty(), "build absorbs the dirty set");
-        assert_eq!(g.design_stats().full_builds, 1);
-        assert_eq!(g.design_stats().vars_patched, 0);
+        let mut s = Shadowed {
+            g: FactorGraph::new(),
+            unary: Vec::new(),
+        };
+        let v0 = s.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
+        s.add_feature(v0, 0, WeightId(0), 1.0);
+        assert_eq!(s.g.design(), &DesignMatrix::compile(&s.unary));
+        assert_eq!(s.g.design_stats().full_builds, 0, "nothing assembled");
+        let before = s.g.design_stats();
+        assert_eq!(before.vars_patched, 2, "add_variable + add_feature");
 
-        g.add_feature(v0, 1, WeightId(1), 2.0);
-        let v1 = g.add_variable(Variable::query(vec![sym(3), sym(4), sym(5)], None));
-        g.add_feature(v1, 2, WeightId(0), -1.0);
-        g.pin_evidence(v0, sym(9)); // out-of-domain: appends a row
-        g.pin_evidence(v1, sym(3)); // in-domain: no matrix change needed
+        s.add_feature(v0, 1, WeightId(1), 2.0);
+        let v1 = s.add_variable(Variable::query(vec![sym(3), sym(4), sym(5)], None));
+        s.add_feature(v1, 2, WeightId(0), -1.0);
+        s.pin_evidence(v0, sym(9)); // out-of-domain: appends a row
+        s.pin_evidence(v1, sym(3)); // in-domain: no matrix change needed
 
-        assert_eq!(g.design(), &g.compile_design(), "patched == fresh compile");
-        assert!(g.dirty_vars().is_empty());
-        let stats = g.design_stats();
-        assert_eq!(stats.full_builds, 1, "no rebuild after the compile");
+        assert_eq!(s.g.design(), &DesignMatrix::compile(&s.unary));
+        let stats = s.g.design_stats().since(&before);
+        assert_eq!(stats.full_builds, 0);
         assert_eq!(stats.vars_patched, 4, "feature x2 + add_variable + pin");
         assert!(stats.rows_patched >= 6);
-        // Forcing invalidation is the only way to get a second full build.
-        g.invalidate_design();
-        let _ = g.design();
-        assert_eq!(g.design_stats().full_builds, 2);
+        // A graph handed over with its matrix starts at one full build and
+        // forcing invalidation is the only way to get a second.
+        let mut built = FactorGraph::from_design(s.g.vars().to_vec(), s.g.design().clone());
+        assert_eq!(built.design_stats().full_builds, 1);
+        assert_eq!(built.design_stats().vars_patched, 0);
+        built.invalidate_design();
+        assert_eq!(built.design_stats().full_builds, 2);
+        assert_eq!(built.design(), s.g.design());
+    }
+
+    #[test]
+    #[should_panic(expected = "one row per candidate")]
+    fn from_design_rejects_mismatched_arity() {
+        let mut g = FactorGraph::new();
+        g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
+        let three = vec![Variable::query(vec![sym(1), sym(2), sym(3)], None)];
+        FactorGraph::from_design(three, g.design().clone());
     }
 
     #[test]
     fn cloned_graph_carries_design_stats() {
         let mut g = FactorGraph::new();
         let v = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
-        let _ = g.design();
         g.pin_evidence(v, sym(7));
         let clone = g.clone();
         assert_eq!(clone.design_stats(), g.design_stats());

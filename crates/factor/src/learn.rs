@@ -246,12 +246,7 @@ pub fn train_examples(
     stats.packed_bytes = arena.bytes();
     stats.packed_epochs = config.epochs;
     stats.absorb(packed::run_epochs(
-        &arena,
-        weights,
-        config,
-        threads,
-        &mut rng,
-        config.epochs,
+        &arena, weights, config, threads, &mut rng,
     ));
     stats
 }

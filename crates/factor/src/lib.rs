@@ -11,11 +11,11 @@
 //!   candidate, tied weights — the grounding of `Value?(t,a,d) :- …
 //!   weight = w(…)` rules) or *cliques* (multi-variable denial-constraint
 //!   factors produced by Algorithm 1).
-//! * [`design`] — the compiled CSR [`DesignMatrix`]: one row per
-//!   `(variable, candidate)` pair, built once at the end of compilation.
-//!   Every unary-scoring consumer (learning, Gibbs conditionals, exact
-//!   enumeration, closed-form marginals) reads this flat substrate instead
-//!   of the graph's nested adjacency `Vec`s.
+//! * [`design`] — the CSR [`DesignMatrix`]: one row per `(variable,
+//!   candidate)` pair, the only store of unary features. The compiler
+//!   assembles it in one pass through [`DesignBuilder`] fragments; every
+//!   unary-scoring consumer (learning, Gibbs conditionals, exact
+//!   enumeration, closed-form marginals) reads this flat substrate.
 //! * [`cache`] — the per-inference-pass frozen-weight [`ScoreCache`]: every
 //!   design row scored once in parallel through the blocked kernel, read by
 //!   all three inference engines so a Gibbs resample starts from a memcpy
@@ -74,7 +74,7 @@ pub use coloring::{Coloring, ColoringStats};
 pub use components::{
     infer_partitioned, ComponentIndex, ComponentStats, PartitionStats, PartitionedConfig,
 };
-pub use design::{DesignMatrix, DesignStats};
+pub use design::{DesignBuilder, DesignMatrix, DesignStats};
 pub use gibbs::{run_chains, GibbsConfig, GibbsSampler};
 pub use graph::{
     CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, ValueContext, VarId, Variable,

@@ -513,7 +513,6 @@ pub(crate) fn run_epochs(
     config: &LearnConfig,
     threads: usize,
     rng: &mut StdRng,
-    epochs: usize,
 ) -> EpochOutcome {
     let batch = config.minibatch.max(1);
     let budget = holo_parallel::effective_threads(threads);
@@ -523,7 +522,7 @@ pub(crate) fn run_epochs(
     let mut grad: Vec<(WeightId, f64)> = Vec::new();
     let mut lr = config.learning_rate;
     let mut out = EpochOutcome::default();
-    for _epoch in 0..epochs {
+    for _epoch in 0..config.epochs {
         order.shuffle(rng);
         let mut ll_sum = 0.0;
         let mut norm_sum = 0.0;

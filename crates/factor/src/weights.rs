@@ -11,6 +11,7 @@
 
 use holo_dataset::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 /// Dense index of a tied weight.
@@ -67,14 +68,41 @@ impl<K: Hash + Eq + Clone> FeatureRegistry<K> {
     }
 
     fn intern(&mut self, key: K, fixed: bool, value: f64) -> WeightId {
-        if let Some(&id) = self.map.get(&key) {
-            return id;
-        }
         let id = WeightId(self.fixed.len() as u32);
-        self.map.insert(key, id);
-        self.fixed.push(fixed);
-        self.initial.push(value);
-        id
+        match self.map.entry(key) {
+            Entry::Occupied(seen) => *seen.get(),
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+                self.fixed.push(fixed);
+                self.initial.push(value);
+                id
+            }
+        }
+    }
+
+    /// Interns every key of `other`, in `other`'s id order, with the
+    /// fixedness and initial value `other` recorded for it, and returns the
+    /// translation table `remap[old.index()] = new id`.
+    ///
+    /// This is how per-chunk registries merge into one: if each chunk
+    /// interned its keys in first-appearance order, absorbing the chunks in
+    /// order assigns exactly the ids a single registry fed the concatenated
+    /// key stream would have — a key keeps the id (and the first-seen
+    /// fixedness and value) of its first appearance overall, wherever the
+    /// chunk boundaries fall.
+    pub fn absorb(&mut self, other: FeatureRegistry<K>) -> Vec<WeightId> {
+        let mut keys: Vec<Option<K>> = vec![None; other.len()];
+        for (key, id) in other.map {
+            keys[id.index()] = Some(key);
+        }
+        self.map.reserve(keys.len());
+        keys.into_iter()
+            .zip(other.fixed.into_iter().zip(other.initial))
+            .map(|(key, (fixed, value))| {
+                let key = key.expect("a registry's ids are dense");
+                self.intern(key, fixed, value)
+            })
+            .collect()
     }
 
     /// Looks up a key without interning.
@@ -276,6 +304,38 @@ mod tests {
         assert_eq!(rebuilt.get(feat), 4.0, "trained value carried over");
         assert_eq!(rebuilt.get(fixed), 1.5, "fixed keeps its registry value");
         assert_eq!(rebuilt.get(tail), -0.5, "new weight starts at its prior");
+    }
+
+    /// Chunked interning merged by `absorb` equals one registry fed the
+    /// whole key stream, wherever the stream is cut.
+    #[test]
+    fn absorb_reproduces_single_registry_ids() {
+        let stream = [
+            (Key::Dict(0), false, 0.5),
+            (Key::Minimality, true, 1.5),
+            (Key::Dict(1), false, 0.0),
+            (Key::Dict(0), false, 9.0), // repeat: first value wins
+            (Key::Cooccur(0, 1, 2, 3), false, 0.0),
+            (Key::Minimality, true, 7.0),
+            (Key::Dict(2), false, -1.0),
+        ];
+        let feed = |reg: &mut FeatureRegistry<Key>, part: &[(Key, bool, f64)]| -> Vec<WeightId> {
+            part.iter()
+                .map(|(k, fixed, v)| reg.intern(k.clone(), *fixed, *v))
+                .collect()
+        };
+        let mut whole = FeatureRegistry::new();
+        let whole_ids = feed(&mut whole, &stream);
+        for cut in 0..=stream.len() {
+            let mut head = FeatureRegistry::new();
+            let mut ids = feed(&mut head, &stream[..cut]);
+            let mut tail = FeatureRegistry::new();
+            let tail_ids = feed(&mut tail, &stream[cut..]);
+            let remap = head.absorb(tail);
+            ids.extend(tail_ids.iter().map(|w| remap[w.index()]));
+            assert_eq!(ids, whole_ids, "cut at {cut}");
+            assert_eq!(head.build_weights(), whole.build_weights(), "cut at {cut}");
+        }
     }
 
     #[test]

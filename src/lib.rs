@@ -55,12 +55,12 @@
 //! `Pipeline::insert_after`; `HoloClean::run` is a thin driver over
 //! `Pipeline::standard()`.
 //!
-//! The model's CSR design matrix is compiled **once** (end of Compile)
-//! and then maintained **incrementally**: feedback pins and other graph
-//! mutations splice the affected variable's rows in place instead of
-//! invalidating the cache, a patched matrix is bit-for-bit a fresh
-//! compile of the mutated adjacency, and `holo_factor::DesignStats`
-//! (carried in `StageTimings::design` and
+//! The model's CSR design matrix is the only store of its unary
+//! features: Compile featurizes straight into it, **once**, and it is then
+//! maintained **incrementally** — feedback pins and other graph mutations
+//! splice the affected variable's rows in place, a patched matrix is
+//! bit-for-bit a fresh build of the same rows, and
+//! `holo_factor::DesignStats` (carried in `StageTimings::design` and
 //! `holoclean::FeedbackSession::design_stats`) counts full builds vs
 //! patched rows so the no-rebuild claim is observable.
 //!

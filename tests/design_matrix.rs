@@ -1,10 +1,13 @@
-//! Golden tests for the CSR design-matrix refactor: on a real compiled
-//! hospital model, the CSR scoring path must be bit-for-bit the old
-//! nested-adjacency path, and minibatch-parallel SGD must produce
+//! Golden tests for the CSR design matrix on a real compiled hospital
+//! model: the matrix the one-pass assembly hands over must be bit-for-bit
+//! the matrix — and score like the nested adjacency — of the same rows
+//! grounded entry by entry, and minibatch-parallel SGD must produce
 //! identical weights at every thread count.
 
 use holoclean_repro::holo_datagen::{hospital, HospitalConfig};
+use holoclean_repro::holo_factor::design::score_features;
 use holoclean_repro::holo_factor::learn::train_with_threads;
+use holoclean_repro::holo_factor::{FactorGraph, WeightId};
 use holoclean_repro::holoclean::pipeline::{
     CompileStage, DetectStage, PipelineContext, Stage, StageData,
 };
@@ -29,9 +32,42 @@ fn compile_hospital(threads: usize) -> (PipelineContext, StageData) {
     (cx, data)
 }
 
-/// The tentpole equivalence: every variable's CSR-backed `unary_scores`
-/// equals the nested-adjacency reference path bit-for-bit, under both the
-/// prior weights and trained (non-trivial) weights.
+/// `graph`'s unary features read back out as nested adjacency
+/// (`rows[v][k]`), the store the design matrix replaced.
+fn adjacency_of(graph: &FactorGraph) -> Vec<Vec<Vec<(WeightId, f64)>>> {
+    graph
+        .var_ids()
+        .map(|v| {
+            (0..graph.var(v).arity())
+                .map(|k| graph.features(v, k).to_vec())
+                .collect()
+        })
+        .collect()
+}
+
+/// The graph that grounding `adjacency` onto `graph`'s variables one entry
+/// at a time produces — the pre-CSR build path (`add_variable`, then
+/// `add_feature` per entry), which splices where the compiler assembles.
+fn grounded_entry_by_entry(
+    graph: &FactorGraph,
+    adjacency: &[Vec<Vec<(WeightId, f64)>>],
+) -> FactorGraph {
+    let mut fresh = FactorGraph::new();
+    for (v, rows) in graph.var_ids().zip(adjacency) {
+        let added = fresh.add_variable(graph.var(v).clone());
+        for (k, row) in rows.iter().enumerate() {
+            for &(w, x) in row {
+                fresh.add_feature(added, k, w, x);
+            }
+        }
+    }
+    fresh
+}
+
+/// The tentpole equivalence: the assembled matrix equals the entry-by-entry
+/// build of its rows, and every variable's CSR-backed `unary_scores` equals
+/// the nested-adjacency reference bit-for-bit, under both the prior
+/// weights and trained (non-trivial) weights.
 #[test]
 fn csr_unary_scores_match_adjacency_on_hospital() {
     let (cx, data) = compile_hospital(1);
@@ -42,10 +78,19 @@ fn csr_unary_scores_match_adjacency_on_hospital() {
     let design = model.graph.design();
     assert!(design.nnz() > 0, "hospital model has unary features");
     assert_eq!(design.var_count(), model.graph.var_count());
+    let rows = adjacency_of(&model.graph);
+    assert_eq!(
+        design,
+        grounded_entry_by_entry(&model.graph, &rows).design(),
+        "assembled == grounded entry by entry"
+    );
     for weights in [&model.weights, &trained] {
         for v in model.graph.var_ids() {
             let csr = model.graph.unary_scores(v, weights);
-            let adjacency = model.graph.unary_scores_adjacency(v, weights);
+            let adjacency: Vec<f64> = rows[v.index()]
+                .iter()
+                .map(|features| score_features(features, weights))
+                .collect();
             assert_eq!(csr.len(), adjacency.len(), "var {v:?}");
             for (k, (a, b)) in csr.iter().zip(&adjacency).enumerate() {
                 assert_eq!(
@@ -87,15 +132,16 @@ fn learn_thread_counts_produce_identical_weights_on_hospital() {
 }
 
 /// Hospital-scale check of the incremental path: pinning evidence (the
-/// feedback mutation) on a real compiled model patches the cached matrix
-/// in place — no further full build — and the patched matrix is
-/// bit-for-bit a fresh compile of the mutated adjacency.
+/// feedback mutation) on a real compiled model patches the matrix in
+/// place — no further full build — and the patched matrix is bit-for-bit
+/// a fresh build of the compiled rows plus the pinned candidates.
 #[test]
 fn pinning_patches_hospital_design_in_place() {
     let (cx, mut data) = compile_hospital(1);
     let model = data.model.as_mut().unwrap();
     let before = model.graph.design_stats();
-    assert_eq!(before.full_builds, 1, "compile forced the one build");
+    assert_eq!(before.full_builds, 1, "compile assembled the matrix once");
+    let mut rows = adjacency_of(&model.graph);
     let mut ds = cx.ds.clone();
     let pins: Vec<_> = model
         .query_vars
@@ -109,19 +155,24 @@ fn pinning_patches_hospital_design_in_place() {
     assert_eq!(pins.len(), 6);
     for &(v, sym) in &pins {
         model.graph.pin_evidence(v, sym);
+        rows[v.index()].push(Vec::new());
     }
     let stats = model.graph.design_stats().since(&before);
     assert_eq!(stats.full_builds, 0);
     assert_eq!(stats.vars_patched, 6);
     assert_eq!(stats.rows_patched, 6, "one appended row per novel pin");
-    assert_eq!(model.graph.design(), &model.graph.compile_design());
+    assert_eq!(
+        model.graph.design(),
+        grounded_entry_by_entry(&model.graph, &rows).design()
+    );
     // The reference adjacency path agrees with the patched CSR path.
     let weights = model.weights.clone();
     for &(v, _) in &pins {
-        assert_eq!(
-            model.graph.unary_scores(v, &weights),
-            model.graph.unary_scores_adjacency(v, &weights)
-        );
+        let adjacency: Vec<f64> = rows[v.index()]
+            .iter()
+            .map(|features| score_features(features, &weights))
+            .collect();
+        assert_eq!(model.graph.unary_scores(v, &weights), adjacency);
     }
 }
 
@@ -143,5 +194,6 @@ fn compile_thread_counts_produce_identical_design() {
             ref_model.graph.design(),
             "threads = {threads}"
         );
+        assert_eq!(model.weights, ref_model.weights, "threads = {threads}");
     }
 }
