@@ -7,10 +7,11 @@
 use criterion::{criterion_group, BenchRecord, BenchmarkId, Criterion};
 use holo_bench::{build, Scale};
 use holo_constraints::{
-    find_violations, find_violations_naive, find_violations_with_threads, parse_constraints,
+    find_violations, find_violations_naive, find_violations_with_threads, noisy_cells,
+    parse_constraints,
 };
 use holo_datagen::DatasetKind;
-use holo_dataset::{CooccurStats, FxHashSet};
+use holo_dataset::CooccurStats;
 use holoclean::compile::{compile, CompileInput};
 use holoclean::domain::{prune_domains, prune_domains_with_threads};
 use holoclean::{HoloClean, HoloConfig, ModelVariant};
@@ -62,10 +63,7 @@ fn bench_pruning(c: &mut Criterion) {
     let mut gen = build(DatasetKind::Hospital, small_scale());
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     for tau in [0.3, 0.5, 0.7, 0.9] {
         group.bench_with_input(BenchmarkId::from_parameter(tau), &tau, |b, &tau| {
@@ -144,10 +142,7 @@ fn bench_compile_variants(c: &mut Criterion) {
     let mut gen = build(DatasetKind::Hospital, small_scale());
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     for variant in [
@@ -182,10 +177,7 @@ fn bench_learning_and_inference(c: &mut Criterion) {
     let mut gen = build(DatasetKind::Hospital, small_scale());
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     let config = HoloConfig::default();
@@ -264,10 +256,7 @@ fn bench_learn_kernel(c: &mut Criterion) {
     let mut gen = build(DatasetKind::Hospital, small_scale());
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     let config = HoloConfig::default();
@@ -300,10 +289,7 @@ fn bench_gibbs(c: &mut Criterion) {
     let mut gen = build(DatasetKind::Hospital, small_scale());
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     let config = HoloConfig::default().with_variant(ModelVariant::DcFactorsPartitioned);
@@ -373,10 +359,7 @@ fn bench_gibbs_kernel(c: &mut Criterion) {
     let mut gen = build(DatasetKind::Hospital, small_scale());
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     let config = HoloConfig::default();
@@ -423,10 +406,7 @@ fn bench_infer_partitioned(c: &mut Criterion) {
     let mut gen = build(DatasetKind::Hospital, small_scale());
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     let config = HoloConfig::default().with_variant(ModelVariant::DcFeatsDcFactors);
@@ -495,10 +475,7 @@ fn bench_gibbs_cache(c: &mut Criterion) {
     let mut gen = build(DatasetKind::Hospital, small_scale());
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     let config = HoloConfig::default().with_variant(ModelVariant::DcFactorsPartitioned);
@@ -579,10 +556,7 @@ fn bench_feedback_retrain(c: &mut Criterion) {
     let mut gen = build(DatasetKind::Hospital, small_scale());
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     let config = HoloConfig::default();

@@ -31,6 +31,14 @@
 //! `featurizer_setup_s`, `featurize_s`, `assemble_s`, and `ground_s` on
 //! DC-factor variants).
 //!
+//! The `detect` object prices violation detection without a scratch
+//! probe: per constraint its join key, violation count and the wall-clock
+//! of the public per-constraint detector call (diag times the call itself,
+//! so a constraint that shares its join key's index in the pipeline pays
+//! for a private one here), and per distinct join key the bucket count,
+//! the largest bucket and the number of same-key tuple pairs — the
+//! quantity a key's scan cost is quadratic in.
+//!
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
 //! (dense/CSR pair split, cell and byte footprint, build/extend/retract
 //! and correlation-recompute counters; the storage gauges are zero under
@@ -40,14 +48,146 @@
 //! 16+, mirroring the partition `size_hist`) so the gate's pruning power
 //! is visible at a glance.
 
-use holo_bench::json::{num_exact, JsonObj};
+use holo_bench::json::{num, num_exact, JsonObj};
 use holo_bench::runner::{run_holoclean_full, HoloOutcome};
 use holo_bench::{build, Args, Scale};
+use holo_constraints::ast::TupleVar;
+use holo_constraints::scan::{BlockIndex, PairScan};
+use holo_constraints::violations::find_constraint_violations_with_threads;
 use holo_datagen::{DatasetKind, GeneratedDataset};
-use holo_dataset::{Dataset, FxHashMap};
+use holo_dataset::{AttrId, Dataset, FxHashMap};
 use holoclean::features::FeatureKey;
 use holoclean::stream::{IngestStats, StreamSession};
 use holoclean::{evaluate, HoloConfig, ModelVariant};
+
+/// One constraint's line of the `detect:` block.
+struct ConstraintDetect {
+    name: String,
+    /// Label of its [`KeyDetect`], or why it has none.
+    join_key: String,
+    violations: usize,
+    ms: f64,
+}
+
+/// One distinct join key's line of the `detect:` block.
+struct KeyDetect {
+    label: String,
+    constraints: usize,
+    buckets: usize,
+    largest_bucket: usize,
+    /// Unordered pairs of tuples sharing a key value: `Σ n(n-1)/2`.
+    same_key_pairs: u64,
+}
+
+struct DetectProfile {
+    constraints: Vec<ConstraintDetect>,
+    keys: Vec<KeyDetect>,
+}
+
+/// Detects constraint by constraint through the public per-constraint
+/// call, timing each, and sizes the buckets of every distinct join key.
+fn detect_profile(gen: &GeneratedDataset, threads: usize) -> DetectProfile {
+    let mut ds = gen.dirty.clone();
+    let constraints = holo_constraints::parse_constraints(&gen.constraints_text, &mut ds)
+        .expect("the generated constraints parse");
+    let mut signatures: Vec<(Vec<AttrId>, Vec<AttrId>)> = Vec::new();
+    let mut profile = DetectProfile {
+        constraints: Vec::new(),
+        keys: Vec::new(),
+    };
+    for (id, c) in constraints.iter() {
+        let scan = c.two_tuple.then(|| PairScan::new(c, TupleVar::T1));
+        let key = scan.filter(|s| !s.probe_key.is_empty()).map(|scan| {
+            let signature = (scan.probe_key, scan.partner_key);
+            let known = signatures.iter().position(|s| *s == signature);
+            known.unwrap_or_else(|| {
+                let names = |attrs: &[AttrId]| -> String {
+                    let names: Vec<&str> =
+                        attrs.iter().map(|&a| ds.schema().attr_name(a)).collect();
+                    names.join(", ")
+                };
+                let index = BlockIndex::build(&ds, &signature.1, &[], |_| true);
+                let sizes = (0..index.bucket_count()).map(|b| index.range(b).len());
+                profile.keys.push(KeyDetect {
+                    label: format!("t1[{}] = t2[{}]", names(&signature.0), names(&signature.1)),
+                    constraints: 0,
+                    buckets: index.bucket_count(),
+                    largest_bucket: sizes.clone().max().unwrap_or(0),
+                    same_key_pairs: sizes.map(|n| (n * n.saturating_sub(1) / 2) as u64).sum(),
+                });
+                signatures.push(signature);
+                signatures.len() - 1
+            })
+        });
+        let join_key = match key {
+            Some(k) => {
+                profile.keys[k].constraints += 1;
+                profile.keys[k].label.clone()
+            }
+            None => "none (single-tuple or pairwise scan)".to_string(),
+        };
+        let mut found = Vec::new();
+        let started = std::time::Instant::now();
+        find_constraint_violations_with_threads(&ds, c, id, threads, &mut found);
+        profile.constraints.push(ConstraintDetect {
+            name: c.name.clone(),
+            join_key,
+            violations: found.len(),
+            ms: started.elapsed().as_secs_f64() * 1e3,
+        });
+    }
+    profile
+}
+
+impl DetectProfile {
+    fn json(&self) -> String {
+        let constraints: Vec<String> = self
+            .constraints
+            .iter()
+            .map(|c| {
+                let mut o = JsonObj::new();
+                o.field_str("name", &c.name);
+                o.field_str("join_key", &c.join_key);
+                o.field_u64("violations", c.violations as u64);
+                o.field_raw("ms", &num(c.ms));
+                o.finish()
+            })
+            .collect();
+        let keys: Vec<String> = self
+            .keys
+            .iter()
+            .map(|k| {
+                let mut o = JsonObj::new();
+                o.field_str("join_key", &k.label);
+                o.field_u64("constraints", k.constraints as u64);
+                o.field_u64("buckets", k.buckets as u64);
+                o.field_u64("largest_bucket", k.largest_bucket as u64);
+                o.field_u64("same_key_pairs", k.same_key_pairs);
+                o.finish()
+            })
+            .collect();
+        let mut o = JsonObj::new();
+        o.field_raw("constraints", &format!("[{}]", constraints.join(",")));
+        o.field_raw("keys", &format!("[{}]", keys.join(",")));
+        o.finish()
+    }
+
+    fn print(&self) {
+        println!("detect:");
+        for c in &self.constraints {
+            println!(
+                "  {:<44} {:>8} violation(s) {:>9.3} ms  on {}",
+                c.name, c.violations, c.ms, c.join_key
+            );
+        }
+        for k in &self.keys {
+            println!(
+                "  key {}: {} constraint(s), {} bucket(s), largest {}, {} same-key pair(s)",
+                k.label, k.constraints, k.buckets, k.largest_bucket, k.same_key_pairs
+            );
+        }
+    }
+}
 
 /// Emits the run's diagnostics as one JSON object for the bench
 /// trajectory: stage timings, `DesignStats`, `LearnStats`,
@@ -55,7 +195,12 @@ use holoclean::{evaluate, HoloConfig, ModelVariant};
 /// runs) the `IngestStats`. Hand-rolled over `holo_bench::json` — the
 /// offline `serde` stub derives are no-ops, and the shape here is small
 /// and stable.
-fn print_json(dataset: &str, out: &HoloOutcome, gate_hists: Option<&([u64; 4], [u64; 4])>) {
+fn print_json(
+    dataset: &str,
+    out: &HoloOutcome,
+    detect: &DetectProfile,
+    gate_hists: Option<&([u64; 4], [u64; 4])>,
+) {
     let t = &out.timings;
     let d = t.design;
     let p = t.partition;
@@ -171,6 +316,7 @@ fn print_json(dataset: &str, out: &HoloOutcome, gate_hists: Option<&([u64; 4], [
     root.field_str("dataset", dataset);
     root.field_raw("quality", &quality.finish());
     root.field_raw("timings", &timings.finish());
+    root.field_raw("detect", &detect.json());
     root.field_raw("compile", &compile.finish());
     root.field_raw("design", &design.finish());
     root.field_raw("learn", &learn);
@@ -351,8 +497,9 @@ fn main() {
         };
         (hist(&prune(None)), hist(&prune(Some(gate))))
     });
+    let detect = detect_profile(&gen, args.threads);
     if args.json {
-        print_json(kind.name(), &out, gate_hists.as_ref());
+        print_json(kind.name(), &out, &detect, gate_hists.as_ref());
         return;
     }
     println!(
@@ -378,6 +525,7 @@ fn main() {
         out.timings.infer,
         out.timings.total()
     );
+    detect.print();
     let phases: Vec<String> = out
         .model
         .phases

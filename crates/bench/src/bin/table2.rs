@@ -4,9 +4,8 @@
 
 use holo_bench::table::TableWriter;
 use holo_bench::{build, Args, Scale};
-use holo_constraints::{find_violations, parse_constraints};
+use holo_constraints::{find_violations, noisy_cells, parse_constraints};
 use holo_datagen::DatasetKind;
-use holo_dataset::FxHashSet;
 
 fn main() {
     let args = Args::parse(std::env::args());
@@ -40,10 +39,7 @@ fn main() {
         let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty)
             .expect("generated constraints parse");
         let violations = find_violations(&gen.dirty, &cons);
-        let mut noisy: FxHashSet<_> = FxHashSet::default();
-        for v in &violations {
-            noisy.extend(v.cells.iter().copied());
-        }
+        let noisy = noisy_cells(&violations);
         tuples.push(gen.dirty.tuple_count().to_string());
         attrs.push(gen.dirty.schema().len().to_string());
         violations_row.push(violations.len().to_string());

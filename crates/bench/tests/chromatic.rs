@@ -4,9 +4,9 @@
 //! thread count, because the colour-block seeds depend only on the fixed
 //! block index, never on which worker drew them.
 
-use holo_constraints::{find_violations, parse_constraints};
+use holo_constraints::{find_violations, noisy_cells, parse_constraints};
 use holo_datagen::DatasetKind;
-use holo_dataset::{CooccurStats, FxHashSet};
+use holo_dataset::CooccurStats;
 use holoclean::compile::{compile, CompileInput};
 use holoclean::context::DatasetContext;
 use holoclean::{HoloConfig, ModelVariant};
@@ -23,10 +23,7 @@ fn chromatic_hospital_dc_factors_is_thread_invariant() {
     );
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let mut noisy: FxHashSet<_> = FxHashSet::default();
-    for v in &violations {
-        noisy.extend(v.cells.iter().copied());
-    }
+    let noisy = noisy_cells(&violations);
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     let config = HoloConfig::default().with_variant(ModelVariant::DcFactorsPartitioned);

@@ -20,32 +20,45 @@
 //! tested below) with no duplicates. Per batch the cost is
 //! `O(batch · bucket)` instead of `O(|D| · bucket)`.
 //!
-//! Constraints without a cross-tuple equality predicate fall back to a
-//! pairwise scan of `new × all` (the same fallback the one-shot path
-//! uses); single-tuple constraints check only the new tuples.
+//! Both directions are the compiled scan of [`crate::scan`] — the
+//! constraint classified once per probe role, join predicates elided, the
+//! remaining predicates bound to the probe tuple — run by one helper over
+//! buckets that stay plain mutable id lists (retraction and re-absorption
+//! edit them in place, so nothing is packed beside them). A constraint
+//! without a cross-tuple equality predicate has the empty key: one bucket
+//! holding every live tuple, i.e. the pairwise scan of `new × all`.
+//! Single-tuple constraints check only the new tuples.
 
-use crate::ast::{ConstraintSet, Operand, TupleVar};
+use crate::ast::{ConstraintSet, TupleVar};
+use crate::scan::{PairScan, ScanPredicate};
 use crate::violations::{CellTemplate, Violation};
-use holo_dataset::{AttrId, Dataset, FxHashMap, Sym, TupleId};
+use holo_dataset::{AttrId, Dataset, FxHashMap, FxHashSet, Sym, TupleId};
 
-/// Per-constraint persistent blocking state.
-enum ConstraintIndex {
-    /// Single-tuple constraint: no index needed, new tuples self-check.
-    SingleTuple,
-    /// No equality join key: pairwise fallback over `new × all`.
-    NoKey,
-    /// Hash-join blocking on the cross-tuple equality predicates.
-    Blocked {
-        /// `(t1-side attr, t2-side attr)` per equality predicate.
-        eq_keys: Vec<(AttrId, AttrId)>,
-        /// Whether the constraint is swap-invariant (pairs canonical with
-        /// `t1 < t2`).
-        symmetric: bool,
-        /// t2-side key → tuples, ascending (the forward-probe index).
-        t2_blocks: FxHashMap<Vec<Sym>, Vec<TupleId>>,
-        /// t1-side key → tuples, ascending (the backward-probe index).
-        t1_blocks: FxHashMap<Vec<Sym>, Vec<TupleId>>,
-    },
+/// Join key → tuples holding it, ascending.
+type Blocks = FxHashMap<Vec<Sym>, Vec<TupleId>>;
+
+/// Persistent blocking state of one two-tuple constraint, blocked on its
+/// cross-tuple equality predicates (all live tuples in one bucket when it
+/// has none).
+struct PairIndex {
+    /// Whether the constraint is swap-invariant (pairs canonical with
+    /// `t1 < t2`).
+    symmetric: bool,
+    /// The scan with `t1` in hand, and the tuples by `t2`-side key it
+    /// probes.
+    forward: PairScan,
+    t2_blocks: Blocks,
+    /// The scan with `t2` in hand, and the tuples by `t1`-side key.
+    backward: PairScan,
+    t1_blocks: Blocks,
+}
+
+/// Writes `t`'s cells of `attrs` into `key`; `false` if one is null (such
+/// a tuple joins nothing and is never indexed).
+fn key_of(ds: &Dataset, t: TupleId, attrs: &[AttrId], key: &mut Vec<Sym>) -> bool {
+    key.clear();
+    key.extend(attrs.iter().map(|&a| ds.cell(t, a)));
+    !key.iter().any(|v| v.is_null())
 }
 
 /// Persistent, incrementally-extended violation blocking index — the
@@ -56,7 +69,9 @@ enum ConstraintIndex {
 /// call extends the index with the batch and returns every violation
 /// involving at least one new tuple.
 pub struct DeltaViolationIndex {
-    per_constraint: Vec<ConstraintIndex>,
+    /// `None` for a single-tuple constraint: no index needed, new tuples
+    /// self-check.
+    per_constraint: Vec<Option<PairIndex>>,
     /// Tuples `0..indexed` are present in the blocking indexes.
     indexed: usize,
 }
@@ -68,36 +83,13 @@ impl DeltaViolationIndex {
         let per_constraint = constraints
             .iter()
             .map(|(_, c)| {
-                if !c.two_tuple {
-                    return ConstraintIndex::SingleTuple;
-                }
-                let eq_keys: Vec<(AttrId, AttrId)> = c
-                    .predicates
-                    .iter()
-                    .filter(|p| p.is_cross_tuple_eq())
-                    .map(|p| {
-                        let rhs_attr = match p.rhs {
-                            Operand::Cell(_, a) => a,
-                            Operand::Const(_) => {
-                                unreachable!("is_cross_tuple_eq guarantees a cell rhs")
-                            }
-                        };
-                        match p.lhs_tuple {
-                            TupleVar::T1 => (p.lhs_attr, rhs_attr),
-                            TupleVar::T2 => (rhs_attr, p.lhs_attr),
-                        }
-                    })
-                    .collect();
-                if eq_keys.is_empty() {
-                    ConstraintIndex::NoKey
-                } else {
-                    ConstraintIndex::Blocked {
-                        symmetric: c.is_symmetric(),
-                        eq_keys,
-                        t2_blocks: FxHashMap::default(),
-                        t1_blocks: FxHashMap::default(),
-                    }
-                }
+                c.two_tuple.then(|| PairIndex {
+                    symmetric: c.is_symmetric(),
+                    forward: PairScan::new(c, TupleVar::T1),
+                    t2_blocks: Blocks::default(),
+                    backward: PairScan::new(c, TupleVar::T2),
+                    t1_blocks: Blocks::default(),
+                })
             })
             .collect();
         DeltaViolationIndex {
@@ -111,6 +103,17 @@ impl DeltaViolationIndex {
         self.indexed
     }
 
+    /// Every blocking index with the key attributes its tuples are filed
+    /// under: the partner side of the scan that probes it.
+    fn blocks_mut(&mut self) -> impl Iterator<Item = (&[AttrId], &mut Blocks)> {
+        self.per_constraint.iter_mut().flatten().flat_map(|index| {
+            [
+                (index.forward.partner_key.as_slice(), &mut index.t2_blocks),
+                (index.backward.partner_key.as_slice(), &mut index.t1_blocks),
+            ]
+        })
+    }
+
     /// Removes the given rows' posting entries from every blocking index —
     /// the retraction path of deletes and in-place updates. Keys are
     /// recomputed from the rows' *current* cell values, so this must run
@@ -119,38 +122,21 @@ impl DeltaViolationIndex {
     /// delete both work). `indexed` is a physical high-water mark and does
     /// not move — ids stay stable and ingest contiguity is untouched.
     pub fn retract(&mut self, ds: &Dataset, rows: &[TupleId]) {
-        for index in &mut self.per_constraint {
-            let ConstraintIndex::Blocked {
-                eq_keys,
-                t2_blocks,
-                t1_blocks,
-                ..
-            } = index
-            else {
-                continue;
-            };
-            for (blocks, side) in [(&mut *t2_blocks, 1usize), (&mut *t1_blocks, 0usize)] {
-                'tuple: for &t in rows {
-                    let mut key = Vec::with_capacity(eq_keys.len());
-                    for &pair in eq_keys.iter() {
-                        let a = if side == 1 { pair.1 } else { pair.0 };
-                        let v = ds.cell(t, a);
-                        if v.is_null() {
-                            // Null-keyed rows were never inserted.
-                            continue 'tuple;
-                        }
-                        key.push(v);
-                    }
-                    let bucket = blocks
-                        .get_mut(key.as_slice())
-                        .expect("retracting a tuple whose key was never indexed");
-                    let pos = bucket
-                        .binary_search(&t)
-                        .expect("retracting a tuple absent from its bucket");
-                    bucket.remove(pos);
-                    if bucket.is_empty() {
-                        blocks.remove(key.as_slice());
-                    }
+        let mut key = Vec::new();
+        for (attrs, blocks) in self.blocks_mut() {
+            for &t in rows {
+                if !key_of(ds, t, attrs, &mut key) {
+                    continue;
+                }
+                let bucket = blocks
+                    .get_mut(key.as_slice())
+                    .expect("retracting a tuple whose key was never indexed");
+                let pos = bucket
+                    .binary_search(&t)
+                    .expect("retracting a tuple absent from its bucket");
+                bucket.remove(pos);
+                if bucket.is_empty() {
+                    blocks.remove(key.as_slice());
                 }
             }
         }
@@ -164,33 +150,17 @@ impl DeltaViolationIndex {
     /// below existing bucket members, and both the backward ingest probe
     /// and retraction's binary search rely on the order.
     pub fn absorb_rows(&mut self, ds: &Dataset, rows: &[TupleId]) {
-        for index in &mut self.per_constraint {
-            let ConstraintIndex::Blocked {
-                eq_keys,
-                t2_blocks,
-                t1_blocks,
-                ..
-            } = index
-            else {
-                continue;
-            };
-            for (blocks, side) in [(&mut *t2_blocks, 1usize), (&mut *t1_blocks, 0usize)] {
-                'tuple: for &t in rows {
-                    let mut key = Vec::with_capacity(eq_keys.len());
-                    for &pair in eq_keys.iter() {
-                        let a = if side == 1 { pair.1 } else { pair.0 };
-                        let v = ds.cell(t, a);
-                        if v.is_null() {
-                            continue 'tuple;
-                        }
-                        key.push(v);
-                    }
-                    let bucket = blocks.entry(key).or_default();
-                    let pos = bucket
-                        .binary_search(&t)
-                        .expect_err("absorbing a tuple already present in its bucket");
-                    bucket.insert(pos, t);
+        let mut key = Vec::new();
+        for (attrs, blocks) in self.blocks_mut() {
+            for &t in rows {
+                if !key_of(ds, t, attrs, &mut key) {
+                    continue;
                 }
+                let bucket = blocks.entry(key.clone()).or_default();
+                let pos = bucket
+                    .binary_search(&t)
+                    .expect_err("absorbing a tuple already present in its bucket");
+                bucket.insert(pos, t);
             }
         }
     }
@@ -212,112 +182,8 @@ impl DeltaViolationIndex {
         rows: &[TupleId],
         threads: usize,
     ) -> Vec<Violation> {
-        let in_rows: holo_dataset::FxHashSet<TupleId> = rows.iter().copied().collect();
-        let in_rows = &in_rows;
-        let mut out = Vec::new();
-        for (id, c) in constraints.iter() {
-            let template = CellTemplate::new(c, id);
-            match &self.per_constraint[id] {
-                ConstraintIndex::SingleTuple => {
-                    out.extend(holo_parallel::parallel_chunks(threads, rows, |_, chunk| {
-                        chunk
-                            .iter()
-                            .filter(|&&t| c.violated_by(ds, t, t))
-                            .map(|&t| template.violation(t, t))
-                            .collect()
-                    }));
-                }
-                ConstraintIndex::NoKey => {
-                    let symmetric = c.is_symmetric();
-                    let all: Vec<TupleId> = ds.tuples().collect();
-                    out.extend(holo_parallel::parallel_flat_map(threads, rows, |_, &t1| {
-                        let mut found = Vec::new();
-                        for &t2 in &all {
-                            if t1 == t2 || (symmetric && t1 > t2) {
-                                continue;
-                            }
-                            if c.violated_by(ds, t1, t2) {
-                                found.push(template.violation(t1, t2));
-                            }
-                        }
-                        found
-                    }));
-                    out.extend(holo_parallel::parallel_flat_map(threads, rows, |_, &t2| {
-                        let mut found = Vec::new();
-                        for &t1 in &all {
-                            if in_rows.contains(&t1) || t1 == t2 || (symmetric && t1 > t2) {
-                                continue;
-                            }
-                            if c.violated_by(ds, t1, t2) {
-                                found.push(template.violation(t1, t2));
-                            }
-                        }
-                        found
-                    }));
-                }
-                ConstraintIndex::Blocked {
-                    eq_keys,
-                    symmetric,
-                    t2_blocks,
-                    t1_blocks,
-                } => {
-                    let symmetric = *symmetric;
-                    out.extend(holo_parallel::parallel_chunks(threads, rows, |_, chunk| {
-                        let mut found = Vec::new();
-                        let mut probe_key = Vec::with_capacity(eq_keys.len());
-                        'probe: for &t1 in chunk {
-                            probe_key.clear();
-                            for &(a1, _) in eq_keys.iter() {
-                                let v = ds.cell(t1, a1);
-                                if v.is_null() {
-                                    continue 'probe;
-                                }
-                                probe_key.push(v);
-                            }
-                            let Some(bucket) = t2_blocks.get(probe_key.as_slice()) else {
-                                continue;
-                            };
-                            for &t2 in bucket {
-                                if t1 == t2 || (symmetric && t1 > t2) {
-                                    continue;
-                                }
-                                if c.violated_by(ds, t1, t2) {
-                                    found.push(template.violation(t1, t2));
-                                }
-                            }
-                        }
-                        found
-                    }));
-                    out.extend(holo_parallel::parallel_chunks(threads, rows, |_, chunk| {
-                        let mut found = Vec::new();
-                        let mut probe_key = Vec::with_capacity(eq_keys.len());
-                        'probe: for &t2 in chunk {
-                            probe_key.clear();
-                            for &(_, a2) in eq_keys.iter() {
-                                let v = ds.cell(t2, a2);
-                                if v.is_null() {
-                                    continue 'probe;
-                                }
-                                probe_key.push(v);
-                            }
-                            let Some(bucket) = t1_blocks.get(probe_key.as_slice()) else {
-                                continue;
-                            };
-                            for &t1 in bucket {
-                                if in_rows.contains(&t1) || t1 == t2 || (symmetric && t1 > t2) {
-                                    continue;
-                                }
-                                if c.violated_by(ds, t1, t2) {
-                                    found.push(template.violation(t1, t2));
-                                }
-                            }
-                        }
-                        found
-                    }));
-                }
-            }
-        }
-        out
+        let in_rows: FxHashSet<TupleId> = rows.iter().copied().collect();
+        self.probe_both(ds, constraints, rows, threads, |t1| in_rows.contains(&t1))
     }
 
     /// Extends the index with the tuples `from..` of `ds` and returns all
@@ -343,184 +209,128 @@ impl DeltaViolationIndex {
         let new_tuples: Vec<TupleId> = (from.index()..ds.tuple_count())
             .map(|t| TupleId(t as u32))
             .collect();
-        // ---- Extend the persistent indexes with the batch ----
-        for index in &mut self.per_constraint {
-            let ConstraintIndex::Blocked {
-                eq_keys,
-                t2_blocks,
-                t1_blocks,
-                ..
-            } = index
-            else {
-                continue;
-            };
-            'tuple2: for &t in &new_tuples {
-                let mut key = Vec::with_capacity(eq_keys.len());
-                for &(_, a2) in eq_keys.iter() {
-                    let v = ds.cell(t, a2);
-                    if v.is_null() {
-                        continue 'tuple2;
-                    }
-                    key.push(v);
+        // New ids exceed every indexed one, so appending keeps the buckets
+        // ascending.
+        let mut key = Vec::new();
+        for (attrs, blocks) in self.blocks_mut() {
+            for &t in &new_tuples {
+                if !key_of(ds, t, attrs, &mut key) {
+                    continue;
                 }
-                t2_blocks.entry(key).or_default().push(t);
-            }
-            'tuple1: for &t in &new_tuples {
-                let mut key = Vec::with_capacity(eq_keys.len());
-                for &(a1, _) in eq_keys.iter() {
-                    let v = ds.cell(t, a1);
-                    if v.is_null() {
-                        continue 'tuple1;
-                    }
-                    key.push(v);
+                match blocks.get_mut(key.as_slice()) {
+                    Some(bucket) => bucket.push(t),
+                    None => drop(blocks.insert(key.clone(), vec![t])),
                 }
-                t1_blocks.entry(key).or_default().push(t);
             }
         }
         self.indexed = ds.tuple_count();
+        self.probe_both(ds, constraints, &new_tuples, threads, |t1| t1 >= from)
+    }
 
-        // ---- Probe with the new tuples, both directions ----
+    /// Every violation with a member in `probes`, constraint-major: each
+    /// probe as `t1` against all partners, then each probe as `t2` against
+    /// the partners `probed` rejects (pairs of two probes belong to the
+    /// first direction). `probed` must hold for exactly the tuples of
+    /// `probes`.
+    fn probe_both(
+        &self,
+        ds: &Dataset,
+        constraints: &ConstraintSet,
+        probes: &[TupleId],
+        threads: usize,
+        probed: impl Fn(TupleId) -> bool + Sync,
+    ) -> Vec<Violation> {
         let mut out = Vec::new();
         for (id, c) in constraints.iter() {
             let template = CellTemplate::new(c, id);
-            match &self.per_constraint[id] {
-                ConstraintIndex::SingleTuple => {
-                    out.extend(holo_parallel::parallel_chunks(
-                        threads,
-                        &new_tuples,
-                        |_, chunk| {
-                            chunk
-                                .iter()
-                                .filter(|&&t| c.violated_by(ds, t, t))
-                                .map(|&t| template.violation(t, t))
-                                .collect()
-                        },
-                    ));
-                }
-                ConstraintIndex::NoKey => {
-                    // Pairwise fallback: every pair with ≥ 1 new member,
-                    // without double-counting new-new pairs. The forward
-                    // pass takes new tuples as t1; under the canonical
-                    // `t1 < t2` filter of symmetric constraints that is
-                    // exactly the (new, new) pairs.
-                    let symmetric = c.is_symmetric();
-                    let all: Vec<TupleId> = ds.tuples().collect();
-                    out.extend(holo_parallel::parallel_flat_map(
-                        threads,
-                        &new_tuples,
-                        |_, &t1| {
-                            let mut found = Vec::new();
-                            for &t2 in &all {
-                                if t1 == t2 || (symmetric && t1 > t2) {
-                                    continue;
-                                }
-                                if c.violated_by(ds, t1, t2) {
-                                    found.push(template.violation(t1, t2));
-                                }
-                            }
-                            found
-                        },
-                    ));
-                    // Backward: (old t1, new t2) pairs the forward pass
-                    // misses — for *both* orientations: a symmetric
-                    // constraint's canonical pair with an old member puts
-                    // the old tuple in the t1 slot (t1 < t2), which the
-                    // forward filter above deliberately skipped.
-                    out.extend(holo_parallel::parallel_flat_map(
-                        threads,
-                        &new_tuples,
-                        |_, &t2| {
-                            let mut found = Vec::new();
-                            for &t1 in &all {
-                                if t1 >= from || t1 == t2 {
-                                    continue;
-                                }
-                                if c.violated_by(ds, t1, t2) {
-                                    found.push(template.violation(t1, t2));
-                                }
-                            }
-                            found
-                        },
-                    ));
-                }
-                ConstraintIndex::Blocked {
-                    eq_keys,
-                    symmetric,
-                    t2_blocks,
-                    t1_blocks,
-                } => {
-                    let symmetric = *symmetric;
-                    // Forward: new tuple as t1 against the full t2 index.
-                    // For symmetric constraints the canonical `t1 < t2`
-                    // filter restricts this to (new, new) pairs — (old,
-                    // new) arrives via the backward probe below.
-                    out.extend(holo_parallel::parallel_chunks(
-                        threads,
-                        &new_tuples,
-                        |_, chunk| {
-                            let mut found = Vec::new();
-                            let mut probe_key = Vec::with_capacity(eq_keys.len());
-                            'probe: for &t1 in chunk {
-                                probe_key.clear();
-                                for &(a1, _) in eq_keys.iter() {
-                                    let v = ds.cell(t1, a1);
-                                    if v.is_null() {
-                                        continue 'probe;
-                                    }
-                                    probe_key.push(v);
-                                }
-                                let Some(bucket) = t2_blocks.get(probe_key.as_slice()) else {
-                                    continue;
-                                };
-                                for &t2 in bucket {
-                                    if t1 == t2 || (symmetric && t1 > t2) {
-                                        continue;
-                                    }
-                                    if c.violated_by(ds, t1, t2) {
-                                        found.push(template.violation(t1, t2));
-                                    }
-                                }
-                            }
-                            found
-                        },
-                    ));
-                    // Backward: new tuple as t2 against the t1-side index,
-                    // old partners only (new t1 partners were just covered).
-                    out.extend(holo_parallel::parallel_chunks(
-                        threads,
-                        &new_tuples,
-                        |_, chunk| {
-                            let mut found = Vec::new();
-                            let mut probe_key = Vec::with_capacity(eq_keys.len());
-                            'probe: for &t2 in chunk {
-                                probe_key.clear();
-                                for &(_, a2) in eq_keys.iter() {
-                                    let v = ds.cell(t2, a2);
-                                    if v.is_null() {
-                                        continue 'probe;
-                                    }
-                                    probe_key.push(v);
-                                }
-                                let Some(bucket) = t1_blocks.get(probe_key.as_slice()) else {
-                                    continue;
-                                };
-                                for &t1 in bucket {
-                                    if t1 >= from {
-                                        break; // buckets ascend: the rest are new
-                                    }
-                                    if c.violated_by(ds, t1, t2) {
-                                        found.push(template.violation(t1, t2));
-                                    }
-                                }
-                            }
-                            found
-                        },
-                    ));
-                }
-            }
+            let Some(index) = &self.per_constraint[id] else {
+                let pairs = holo_parallel::parallel_chunks(threads, probes, |_, chunk| {
+                    let violating = chunk.iter().filter(|&&t| c.violated_by(ds, t, t));
+                    violating.map(|&t| (t, t)).collect()
+                });
+                template.stamp(pairs, &mut out);
+                continue;
+            };
+            // Forward: probe as t1 against the full t2-side index. Under a
+            // symmetric constraint's canonical `t1 < t2` filter that leaves
+            // every pair whose smaller member is not a probe to the
+            // backward direction, so symmetric constraints need both.
+            let forward = holo_parallel::parallel_chunks(threads, probes, |_, chunk| {
+                let (scan, blocks) = (&index.forward, &index.t2_blocks);
+                probe_pairs(
+                    ds,
+                    scan,
+                    blocks,
+                    index.symmetric,
+                    TupleVar::T1,
+                    chunk,
+                    |_| false,
+                )
+            });
+            template.stamp(forward, &mut out);
+            let backward = holo_parallel::parallel_chunks(threads, probes, |_, chunk| {
+                let (scan, blocks) = (&index.backward, &index.t1_blocks);
+                probe_pairs(
+                    ds,
+                    scan,
+                    blocks,
+                    index.symmetric,
+                    TupleVar::T2,
+                    chunk,
+                    &probed,
+                )
+            });
+            template.stamp(backward, &mut out);
         }
         out
     }
+}
+
+/// The violating pairs `(t1, t2)` of each tuple of `chunk`, playing `role`,
+/// with the members of its bucket that `skip` lets through — by ascending
+/// probe, then ascending partner.
+fn probe_pairs(
+    ds: &Dataset,
+    scan: &PairScan,
+    blocks: &Blocks,
+    symmetric: bool,
+    role: TupleVar,
+    chunk: &[TupleId],
+    skip: impl Fn(TupleId) -> bool,
+) -> Vec<(TupleId, TupleId)> {
+    let mut found = Vec::new();
+    let mut key = Vec::with_capacity(scan.probe_key.len());
+    let mut bound: Vec<ScanPredicate> = Vec::new();
+    for &probe in chunk {
+        if !key_of(ds, probe, &scan.probe_key, &mut key) {
+            continue;
+        }
+        let Some(bucket) = blocks.get(key.as_slice()) else {
+            continue;
+        };
+        if !scan.admits(ds, probe) {
+            continue;
+        }
+        // The buckets hold every tuple, so the partner-only predicates run
+        // per partner, with the residuals.
+        bound.clear();
+        let per_partner = scan.partner_only.iter().chain(&scan.residual);
+        bound.extend(per_partner.map(|p| p.bind(ds, probe, None)));
+        for &partner in bucket {
+            let (t1, t2) = match role {
+                TupleVar::T1 => (probe, partner),
+                TupleVar::T2 => (partner, probe),
+            };
+            if t1 == t2 || (symmetric && t1 > t2) || skip(partner) {
+                continue;
+            }
+            let cell = |col: usize| ds.cell(partner, scan.partner_attrs[col]);
+            if bound.iter().all(|p| p.holds(ds, Sym::NULL, cell)) {
+                found.push((t1, t2));
+            }
+        }
+    }
+    found
 }
 
 #[cfg(test)]

@@ -16,8 +16,12 @@
 //!   attribute exactly as in Example 2 of the paper.
 //! * [`similarity`] — normalised Levenshtein similarity backing the `≈`
 //!   operator.
-//! * [`violations`] — violation detection with hash-join blocking on the
-//!   equality predicates, so FD-style constraints never pay the O(|D|²)
+//! * [`scan`] — the compiled pair scan: one predicate classifier (join /
+//!   probe-only / partner-only / residual) and one blocking index (flat
+//!   bucket arena, packed partner columns) shared by detection, the
+//!   streaming delta probes and the relaxed-DC featurizer.
+//! * [`violations`] — violation detection over that scan, blocking once
+//!   per distinct join key, so FD-style constraints never pay the O(|D|²)
 //!   pair enumeration.
 //! * [`delta`] — the streaming form: a persistent blocking index extended
 //!   per batch and probed with only the new tuples (both join directions),
@@ -43,6 +47,7 @@ pub mod ast;
 pub mod delta;
 pub mod hypergraph;
 pub mod parser;
+pub mod scan;
 pub mod similarity;
 pub mod violations;
 
@@ -51,5 +56,6 @@ pub use delta::DeltaViolationIndex;
 pub use hypergraph::{ConflictHypergraph, TupleGroups};
 pub use parser::{parse_constraint, parse_constraints, ParseError};
 pub use violations::{
-    find_violations, find_violations_naive, find_violations_with_threads, Violation,
+    find_violations, find_violations_naive, find_violations_with_threads, noisy_cells, CellList,
+    Violation,
 };

@@ -1,0 +1,597 @@
+//! The compiled pair scan: one predicate classifier and one blocking
+//! index for every layer that enumerates the tuple pairs of a two-tuple
+//! denial constraint — one-shot detection ([`crate::violations`]), the
+//! streaming delta probes ([`crate::delta`]) and the relaxed-DC featurizer
+//! of the core crate.
+//!
+//! ## Classification ([`PairScan`])
+//!
+//! A scan fixes which tuple variable is the **probe** (the tuple in hand:
+//! `t1` for detection, the new tuple for a delta probe, the target cell's
+//! tuple for the featurizer); the other variable ranges over **partners**.
+//! Each predicate of the constraint lands in exactly one class:
+//!
+//! * **join** — a cross-tuple equality `t1.A = t2.B`. Its probe-side
+//!   attribute joins [`PairScan::probe_key`], its partner-side attribute
+//!   [`PairScan::partner_key`], and the predicate itself is *elided*:
+//!   partners are bucketed by their key, the probe's key is the lookup, so
+//!   every partner found already satisfies it.
+//! * **probe-only** — reads the probe tuple and constants only (same-tuple
+//!   cell–cell predicates included). Evaluated once per probe tuple; a
+//!   false one means no partner can complete the pair.
+//! * **partner-only** — reads the partner and constants only. Detection
+//!   filters bucket members with these when it builds the index; layers
+//!   whose buckets must hold every tuple evaluate them with the residuals.
+//! * **residual** — reads both tuples. Its operands are pre-resolved to
+//!   [`Side`]s, so binding the probe tuple ([`ScanPredicate::bind`]) leaves
+//!   a comparison between a constant and a partner column.
+//!
+//! `=` and `≠` are decided inline on [`Sym`]s with the workspace's null
+//! rule (a null on either side satisfies nothing); the other five
+//! operators go through [`eval_op`].
+//!
+//! ## Index layout ([`BlockIndex`])
+//!
+//! One index serves every constraint with the same join key. Tuples whose
+//! partner-side key has no null are grouped into buckets; all buckets live
+//! in one flat arena — `members[offsets[b]..offsets[b + 1]]`, ascending
+//! tuple ids — built by a counting sort over one ascending pass, so the
+//! order inside a bucket never depends on a thread count. A key resolves
+//! to its bucket without allocating: the first key attribute's symbol
+//! indexes a dense table, every further attribute folds `(code so far,
+//! symbol)` through a hash map. Beside the members, the partner attributes
+//! the sharing constraints read are **packed** column-wise
+//! ([`PackedColumn`]): one contiguous run per bucket per column, parallel
+//! to the member run, so a residual scan walks memory linearly and never
+//! touches the dataset. Per bucket and column the index records whether
+//! every member holds the same value.
+//!
+//! ## Whole-bucket refutation
+//!
+//! [`ScanPredicate::refuted_by`] decides, before a bucket is scanned, that
+//! a bound residual holds for none of its members:
+//!
+//! * a bound side is the null constant — by the null rule no operator
+//!   holds (the probe's cell is missing);
+//! * the residual is `v ≠ column` and the bucket's column is uniformly
+//!   `v` — or uniformly null, which `≠` cannot satisfy either.
+//!
+//! An FD whose right-hand side agrees inside every left-hand-side group
+//! (`Zip → State`) is refuted bucket by bucket and costs one lookup per
+//! tuple instead of one comparison per same-key pair.
+
+use crate::ast::{eval_op, DenialConstraint, Op, Operand, TupleVar};
+use holo_dataset::{AttrId, Dataset, FxHashMap, Sym, TupleId};
+use std::ops::Range;
+
+/// One operand of a compiled predicate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Side {
+    /// An attribute of the probe tuple. [`ScanPredicate::bind`] freezes it
+    /// to the tuple's value — except an attribute the caller keeps
+    /// symbolic (the featurizer's candidate), which reads `d` at
+    /// evaluation.
+    Probe(AttrId),
+    /// A partner attribute, as an index into [`PairScan::partner_attrs`].
+    Partner(usize),
+    /// A constant.
+    Const(Sym),
+}
+
+/// A predicate with its operands resolved for one probe role.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScanPredicate {
+    /// Left operand.
+    pub lhs: Side,
+    /// The comparison operator.
+    pub op: Op,
+    /// Right operand.
+    pub rhs: Side,
+}
+
+impl ScanPredicate {
+    /// Freezes the probe sides to the values of `probe`, leaving only the
+    /// attribute `keep` (if any) symbolic.
+    pub fn bind(&self, ds: &Dataset, probe: TupleId, keep: Option<AttrId>) -> ScanPredicate {
+        let bind_side = |side: Side| match side {
+            Side::Probe(attr) if Some(attr) != keep => Side::Const(ds.cell(probe, attr)),
+            other => other,
+        };
+        ScanPredicate {
+            lhs: bind_side(self.lhs),
+            op: self.op,
+            rhs: bind_side(self.rhs),
+        }
+    }
+
+    /// Whether the predicate holds when every still-symbolic probe side
+    /// reads `d` and partner column `col` reads `partner(col)`.
+    #[inline]
+    pub fn holds(&self, ds: &Dataset, d: Sym, partner: impl Fn(usize) -> Sym) -> bool {
+        let read = |side: Side| match side {
+            Side::Probe(_) => d,
+            Side::Partner(col) => partner(col),
+            Side::Const(sym) => sym,
+        };
+        let (lhs, rhs) = (read(self.lhs), read(self.rhs));
+        // The two operators every FD-shaped constraint uses, decided
+        // inline; `eval_op` agrees on both.
+        match self.op {
+            Op::Eq => lhs == rhs && !lhs.is_null(),
+            Op::Neq => lhs != rhs && !lhs.is_null() && !rhs.is_null(),
+            op => eval_op(ds, lhs, op, rhs),
+        }
+    }
+
+    /// Whether this *bound* predicate holds for no member of `bucket` —
+    /// the whole-bucket refutation of the module docs. `columns[col]` is
+    /// the packed column behind `Side::Partner(col)`.
+    pub fn refuted_by(&self, columns: &[&PackedColumn], bucket: usize) -> bool {
+        let null_const = |side: Side| matches!(side, Side::Const(sym) if sym.is_null());
+        if null_const(self.lhs) || null_const(self.rhs) {
+            return true;
+        }
+        match (self.op, self.lhs, self.rhs) {
+            (Op::Neq, Side::Const(v), Side::Partner(col))
+            | (Op::Neq, Side::Partner(col), Side::Const(v)) => columns[col]
+                .uniform(bucket)
+                .is_some_and(|held| held == v || held.is_null()),
+            _ => false,
+        }
+    }
+}
+
+/// A two-tuple constraint classified for one probe role (module docs).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PairScan {
+    /// Probe-side attributes of the join equalities, in predicate order —
+    /// the lookup key.
+    pub probe_key: Vec<AttrId>,
+    /// Partner-side attributes of the join equalities, in the same order —
+    /// the blocking key.
+    pub partner_key: Vec<AttrId>,
+    /// Predicates with no partner operand.
+    pub probe_only: Vec<ScanPredicate>,
+    /// Predicates with no probe operand.
+    pub partner_only: Vec<ScanPredicate>,
+    /// Predicates reading both tuples, join equalities excepted.
+    pub residual: Vec<ScanPredicate>,
+    /// The partner attributes `partner_only` and `residual` read, in
+    /// first-use order: `Side::Partner(col)` reads `partner_attrs[col]`.
+    pub partner_attrs: Vec<AttrId>,
+}
+
+impl PairScan {
+    /// Classifies the predicates of the two-tuple constraint `c` with
+    /// `probe` as the tuple in hand.
+    pub fn new(c: &DenialConstraint, probe: TupleVar) -> Self {
+        let mut scan = PairScan::default();
+        for p in &c.predicates {
+            if let (Op::Eq, Operand::Cell(rhs_tuple, rhs_attr)) = (p.op, p.rhs) {
+                if rhs_tuple != p.lhs_tuple {
+                    let (probe_attr, partner_attr) = if p.lhs_tuple == probe {
+                        (p.lhs_attr, rhs_attr)
+                    } else {
+                        (rhs_attr, p.lhs_attr)
+                    };
+                    scan.probe_key.push(probe_attr);
+                    scan.partner_key.push(partner_attr);
+                    continue;
+                }
+            }
+            let lhs = scan.side(probe, p.lhs_tuple, p.lhs_attr);
+            let rhs = match p.rhs {
+                Operand::Cell(tuple, attr) => scan.side(probe, tuple, attr),
+                Operand::Const(sym) => Side::Const(sym),
+            };
+            let reads_probe = [lhs, rhs].iter().any(|s| matches!(s, Side::Probe(_)));
+            let reads_partner = [lhs, rhs].iter().any(|s| matches!(s, Side::Partner(_)));
+            let class = match (reads_probe, reads_partner) {
+                (_, false) => &mut scan.probe_only,
+                (false, true) => &mut scan.partner_only,
+                (true, true) => &mut scan.residual,
+            };
+            class.push(ScanPredicate { lhs, op: p.op, rhs });
+        }
+        scan
+    }
+
+    /// The operand for `tuple.attr`, giving a partner attribute its column.
+    fn side(&mut self, probe: TupleVar, tuple: TupleVar, attr: AttrId) -> Side {
+        if tuple == probe {
+            return Side::Probe(attr);
+        }
+        let col = self.partner_attrs.iter().position(|&a| a == attr);
+        Side::Partner(col.unwrap_or_else(|| {
+            self.partner_attrs.push(attr);
+            self.partner_attrs.len() - 1
+        }))
+    }
+
+    /// Whether the probe-only predicates hold on `probe` as stored — if
+    /// not, it completes a pair with no partner.
+    pub fn admits(&self, ds: &Dataset, probe: TupleId) -> bool {
+        let holds = |p: &ScanPredicate| p.bind(ds, probe, None).holds(ds, Sym::NULL, |_| Sym::NULL);
+        self.probe_only.iter().all(holds)
+    }
+
+    /// The probe tuple's lookup key when its cell `subst.0` reads
+    /// `subst.1` instead of the stored value.
+    pub fn probe_key_of<'a>(
+        &'a self,
+        ds: &'a Dataset,
+        probe: TupleId,
+        subst: Option<(AttrId, Sym)>,
+    ) -> impl Iterator<Item = Sym> + 'a {
+        self.probe_key.iter().map(move |&attr| match subst {
+            Some((a, d)) if a == attr => d,
+            _ => ds.cell(probe, attr),
+        })
+    }
+}
+
+/// "No bucket" in the key tables.
+const NONE: u32 = u32::MAX;
+
+/// One partner attribute packed beside the bucket arena.
+#[derive(Debug)]
+pub struct PackedColumn {
+    attr: AttrId,
+    /// `values[i]` is the cell of `members[i]`.
+    values: Vec<Sym>,
+    /// Per bucket: the value every member holds, if they all agree.
+    uniform: Vec<Option<Sym>>,
+}
+
+impl PackedColumn {
+    /// The packed values, parallel to [`BlockIndex::members`].
+    #[inline]
+    pub fn values(&self) -> &[Sym] {
+        &self.values
+    }
+
+    /// The value every member of `bucket` holds, if they all agree.
+    #[inline]
+    pub fn uniform(&self, bucket: usize) -> Option<Sym> {
+        self.uniform[bucket]
+    }
+}
+
+/// Tuples blocked by one join key (module docs).
+#[derive(Debug)]
+pub struct BlockIndex {
+    /// Symbol of the first key attribute → code (`NONE` if unseen). With a
+    /// one-attribute key the code is the bucket id.
+    first: Vec<u32>,
+    /// One map per further key attribute: `(code so far, symbol)` → code.
+    /// The last level's code is the bucket id.
+    rest: Vec<FxHashMap<(u32, Sym), u32>>,
+    /// Bucket `b` is `members[offsets[b]..offsets[b + 1]]`.
+    offsets: Vec<u32>,
+    members: Vec<TupleId>,
+    columns: Vec<PackedColumn>,
+}
+
+impl BlockIndex {
+    /// Blocks the live tuples of `ds` that pass `keep` by their
+    /// `partner_key` cells (a tuple with a null key cell joins nothing and
+    /// is left out; an empty key puts every tuple in one bucket) and packs
+    /// the `packed` attributes beside them.
+    pub fn build(
+        ds: &Dataset,
+        partner_key: &[AttrId],
+        packed: &[AttrId],
+        keep: impl Fn(TupleId) -> bool,
+    ) -> Self {
+        let width = partner_key.len();
+        let mut first = vec![NONE; if width == 0 { 0 } else { ds.pool().len() }];
+        let mut rest: Vec<FxHashMap<(u32, Sym), u32>> =
+            vec![FxHashMap::default(); width.saturating_sub(1)];
+        // Pass 1: every tuple's bucket and the bucket sizes. The codes of
+        // a key level are dense in first-appearance order, and the last
+        // level's codes are the bucket ids.
+        let mut next_code = vec![0u32; width];
+        let mut bucket_of: Vec<u32> = Vec::with_capacity(ds.live_count());
+        let mut sizes: Vec<u32> = Vec::new();
+        'tuples: for t in ds.tuples() {
+            if !keep(t) {
+                bucket_of.push(NONE);
+                continue;
+            }
+            let mut code = 0u32;
+            for (level, &attr) in partner_key.iter().enumerate() {
+                let sym = ds.cell(t, attr);
+                if sym.is_null() {
+                    bucket_of.push(NONE);
+                    continue 'tuples;
+                }
+                let slot = if level == 0 {
+                    &mut first[sym.index()]
+                } else {
+                    rest[level - 1].entry((code, sym)).or_insert(NONE)
+                };
+                if *slot == NONE {
+                    *slot = next_code[level];
+                    next_code[level] += 1;
+                }
+                code = *slot;
+            }
+            if code as usize == sizes.len() {
+                sizes.push(0);
+            }
+            sizes[code as usize] += 1;
+            bucket_of.push(code);
+        }
+        // Pass 2: scatter into the arena; ascending tuples keep every
+        // bucket ascending.
+        let mut offsets = Vec::with_capacity(sizes.len() + 1);
+        let mut total = 0u32;
+        for &size in &sizes {
+            offsets.push(total);
+            total += size;
+        }
+        offsets.push(total);
+        let mut cursor = offsets.clone();
+        let mut members = vec![TupleId(0); total as usize];
+        for (t, &bucket) in ds.tuples().zip(&bucket_of) {
+            if bucket != NONE {
+                let at = &mut cursor[bucket as usize];
+                members[*at as usize] = t;
+                *at += 1;
+            }
+        }
+        let mut index = BlockIndex {
+            first,
+            rest,
+            offsets,
+            members,
+            columns: Vec::new(),
+        };
+        index.columns = packed.iter().map(|&attr| index.pack(ds, attr)).collect();
+        index
+    }
+
+    fn pack(&self, ds: &Dataset, attr: AttrId) -> PackedColumn {
+        let column = ds.column(attr);
+        let values: Vec<Sym> = self.members.iter().map(|t| column[t.index()]).collect();
+        let uniform = (0..self.bucket_count())
+            .map(|b| {
+                let run = &values[self.range(b)];
+                run.iter().all(|&v| v == run[0]).then(|| run[0])
+            })
+            .collect();
+        PackedColumn {
+            attr,
+            values,
+            uniform,
+        }
+    }
+
+    /// The bucket whose members' partner-side key equals `key` (one symbol
+    /// per key attribute, in key order); none if a symbol is null or no
+    /// member has that key.
+    #[inline]
+    pub fn lookup(&self, key: impl IntoIterator<Item = Sym>) -> Option<usize> {
+        let mut code = 0u32;
+        for (level, sym) in key.into_iter().enumerate() {
+            if sym.is_null() {
+                return None;
+            }
+            code = if level == 0 {
+                *self.first.get(sym.index())?
+            } else {
+                *self.rest[level - 1].get(&(code, sym))?
+            };
+        }
+        // `NONE` (an unseen first symbol) and the empty index of an empty
+        // key both fall outside the bucket range.
+        ((code as usize) < self.bucket_count()).then_some(code as usize)
+    }
+
+    /// Number of buckets.
+    pub fn bucket_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The arena positions of `bucket`'s members.
+    #[inline]
+    pub fn range(&self, bucket: usize) -> Range<usize> {
+        self.offsets[bucket] as usize..self.offsets[bucket + 1] as usize
+    }
+
+    /// The member arena: every bucket's tuples, ascending inside a bucket.
+    #[inline]
+    pub fn members(&self) -> &[TupleId] {
+        &self.members
+    }
+
+    /// The packed columns, in the order `build` was given their attributes.
+    #[inline]
+    pub fn packed(&self) -> &[PackedColumn] {
+        &self.columns
+    }
+
+    /// The packed columns behind a scan's `Side::Partner(col)` operands,
+    /// for an index shared by several scans (one built for a single scan
+    /// packs exactly its `partner_attrs`: [`BlockIndex::packed`]).
+    ///
+    /// # Panics
+    /// Panics if the index was built without one of `scan.partner_attrs`.
+    pub fn columns_of(&self, scan: &PairScan) -> Vec<&PackedColumn> {
+        let column = |attr: &AttrId| self.columns.iter().find(|c| c.attr == *attr);
+        scan.partner_attrs
+            .iter()
+            .map(|attr| column(attr).expect("the index packs every attribute its scans read"))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse_constraints;
+    use holo_dataset::Schema;
+
+    fn table() -> Dataset {
+        let mut ds = Dataset::new(Schema::new(vec!["K", "L", "A", "B"]));
+        ds.push_row(&["k1", "l1", "x", "p"]); // t0
+        ds.push_row(&["k2", "l1", "", ""]); // t1
+        ds.push_row(&["k1", "l2", "x", "q"]); // t2
+        ds.push_row(&["", "l1", "y", "p"]); // t3: null key
+        ds.push_row(&["k2", "l1", "", "q"]); // t4
+        ds.push_row(&["k1", "l1", "x", ""]); // t5
+        ds
+    }
+
+    #[test]
+    fn predicates_land_in_one_class_each() {
+        let mut ds = table();
+        let cons = parse_constraints(
+            "t1&t2&EQ(t1.K,t2.L)&EQ(t2.K,t1.K)&IQ(t1.A,t2.A)&EQ(t1.B,\"p\")&IQ(t2.B,\"q\")&LT(t1.A,t1.B)&GT(t2.A,t2.B)",
+            &mut ds,
+        )
+        .unwrap();
+        let attr = |name: &str| ds.schema().attr_id(name).unwrap();
+        let (k, l, a, b) = (attr("K"), attr("L"), attr("A"), attr("B"));
+        let p = ds.pool().get("p").unwrap();
+        let q = ds.pool().get("q").unwrap();
+
+        let scan = PairScan::new(cons.get(0), TupleVar::T1);
+        // Both joins elided into the key, each oriented probe → partner.
+        assert_eq!(
+            (&scan.probe_key, &scan.partner_key),
+            (&vec![k, k], &vec![l, k])
+        );
+        assert_eq!(scan.partner_attrs, vec![a, b]);
+        let pred = |lhs, op, rhs| ScanPredicate { lhs, op, rhs };
+        assert_eq!(
+            scan.residual,
+            vec![pred(Side::Probe(a), Op::Neq, Side::Partner(0))]
+        );
+        assert_eq!(
+            scan.probe_only,
+            vec![
+                pred(Side::Probe(b), Op::Eq, Side::Const(p)),
+                pred(Side::Probe(a), Op::Lt, Side::Probe(b)),
+            ]
+        );
+        assert_eq!(
+            scan.partner_only,
+            vec![
+                pred(Side::Partner(1), Op::Neq, Side::Const(q)),
+                pred(Side::Partner(0), Op::Gt, Side::Partner(1)),
+            ]
+        );
+
+        // The same constraint with t2 in hand: keys and classes swap.
+        let back = PairScan::new(cons.get(0), TupleVar::T2);
+        assert_eq!(
+            (&back.probe_key, &back.partner_key),
+            (&vec![l, k], &vec![k, k])
+        );
+        assert_eq!(back.probe_only.len(), 2);
+        assert_eq!(back.partner_only.len(), 2);
+        assert_eq!(
+            back.residual,
+            vec![pred(Side::Partner(0), Op::Neq, Side::Probe(a))]
+        );
+    }
+
+    #[test]
+    fn buckets_are_ascending_runs_of_one_arena_with_packed_columns() {
+        let ds = table();
+        let attr = |name: &str| ds.schema().attr_id(name).unwrap();
+        let sym = |s: &str| ds.pool().get(s).unwrap();
+        let index = BlockIndex::build(&ds, &[attr("K")], &[attr("A"), attr("B")], |_| true);
+        assert_eq!(index.bucket_count(), 2);
+        let members = |b: usize| index.members()[index.range(b)].to_vec();
+        let k1 = index.lookup([sym("k1")]).unwrap();
+        let k2 = index.lookup([sym("k2")]).unwrap();
+        assert_eq!(members(k1), vec![TupleId(0), TupleId(2), TupleId(5)]);
+        assert_eq!(members(k2), vec![TupleId(1), TupleId(4)]);
+        // Null and unseen keys find nothing; the null-keyed t3 is in no bucket.
+        assert_eq!(index.lookup([Sym::NULL]), None);
+        assert_eq!(index.lookup([sym("l1")]), None);
+        assert_eq!(index.members().len(), 5);
+
+        let [a, b] = index.packed() else {
+            panic!("two packed columns")
+        };
+        assert_eq!(&a.values()[index.range(k1)], &[sym("x"); 3]);
+        assert_eq!(a.uniform(k1), Some(sym("x")));
+        assert_eq!(a.uniform(k2), Some(Sym::NULL), "uniformly null");
+        assert_eq!(b.uniform(k1), None);
+        assert_eq!(b.uniform(k2), None);
+    }
+
+    #[test]
+    fn wider_keys_fold_and_the_empty_key_is_one_bucket() {
+        let ds = table();
+        let attr = |name: &str| ds.schema().attr_id(name).unwrap();
+        let sym = |s: &str| ds.pool().get(s).unwrap();
+        let index = BlockIndex::build(&ds, &[attr("K"), attr("L")], &[], |t| t != TupleId(4));
+        let members = |key: [Sym; 2]| {
+            index
+                .lookup(key)
+                .map(|b| index.members()[index.range(b)].to_vec())
+        };
+        assert_eq!(
+            members([sym("k1"), sym("l1")]),
+            Some(vec![TupleId(0), TupleId(5)])
+        );
+        assert_eq!(members([sym("k1"), sym("l2")]), Some(vec![TupleId(2)]));
+        // t4 was filtered out, so (k2, l1) holds t1 alone.
+        assert_eq!(members([sym("k2"), sym("l1")]), Some(vec![TupleId(1)]));
+        assert_eq!(members([sym("k2"), sym("l2")]), None);
+        assert_eq!(members([sym("l1"), sym("k1")]), None, "order matters");
+        assert_eq!(members([sym("k1"), Sym::NULL]), None);
+
+        let all = BlockIndex::build(&ds, &[], &[], |_| true);
+        assert_eq!(all.lookup([]), Some(0));
+        assert_eq!(all.members().len(), 6);
+        let empty = Dataset::new(Schema::new(vec!["K"]));
+        assert_eq!(
+            BlockIndex::build(&empty, &[], &[], |_| true).lookup([]),
+            None
+        );
+    }
+
+    /// The refutation rule case by case, the two null cases included. A
+    /// refuted bucket is merely not scanned — the member loop applies the
+    /// null rule itself — so a missing case costs time, never output, and
+    /// only a direct test can pin it.
+    #[test]
+    fn refutation_rule() {
+        let ds = table();
+        let attr = |name: &str| ds.schema().attr_id(name).unwrap();
+        let sym = |s: &str| ds.pool().get(s).unwrap();
+        let index = BlockIndex::build(&ds, &[attr("K")], &[attr("A"), attr("B")], |_| true);
+        let columns: Vec<&PackedColumn> = index.packed().iter().collect();
+        let k1 = index.lookup([sym("k1")]).unwrap();
+        let k2 = index.lookup([sym("k2")]).unwrap();
+        let neq = |v: Sym, col: usize| ScanPredicate {
+            lhs: Side::Const(v),
+            op: Op::Neq,
+            rhs: Side::Partner(col),
+        };
+        // A is uniformly "x" in k1: `x ≠ A` cannot hold, `y ≠ A` can.
+        assert!(neq(sym("x"), 0).refuted_by(&columns, k1));
+        assert!(!neq(sym("y"), 0).refuted_by(&columns, k1));
+        // Null case 1: the bound probe value is null.
+        assert!(neq(Sym::NULL, 1).refuted_by(&columns, k1));
+        // Null case 2: the column is uniformly null.
+        assert!(neq(sym("x"), 0).refuted_by(&columns, k2));
+        // A mixed column refutes nothing, and neither does another operator.
+        assert!(!neq(sym("p"), 1).refuted_by(&columns, k1));
+        let mut eq = neq(sym("x"), 0);
+        eq.op = Op::Eq;
+        assert!(!eq.refuted_by(&columns, k1));
+        // Either way round.
+        let flipped = ScanPredicate {
+            lhs: Side::Partner(0),
+            op: Op::Neq,
+            rhs: Side::Const(sym("x")),
+        };
+        assert!(flipped.refuted_by(&columns, k1));
+    }
+}

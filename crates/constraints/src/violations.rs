@@ -4,22 +4,53 @@
 //! quadratic bottleneck the paper works around. We use the standard
 //! *blocking* trick: every two-tuple constraint in the evaluated workloads
 //! carries at least one cross-tuple equality predicate `t1.A = t2.B`, so
-//! tuples are hashed into blocks keyed by those attribute values and only
-//! pairs within a block are verified against the remaining predicates.
-//! Constraints with no equality predicate fall back to the naive pairwise
-//! scan (exposed separately as [`find_violations_naive`], which is also the
-//! test oracle for the blocked path).
+//! tuples are grouped into buckets keyed by those attribute values and only
+//! pairs within a bucket are verified against the remaining predicates.
 //!
-//! Detection is data-parallel over tuples on both sides
-//! ([`find_violations_with_threads`]): the blocking index is built from
-//! per-chunk maps merged in chunk order (every bucket keeps ascending
-//! tuple order), then the probe side shards across worker threads, each
-//! probe tuple's matches collected independently and concatenated in tuple
-//! order — so the output is byte-identical to the sequential scan at every
-//! thread count.
+//! ## The compiled scan
+//!
+//! Detection runs on [`crate::scan`]: each two-tuple constraint is
+//! classified once with `t1` as the probe ([`PairScan`]) — join predicates
+//! become the key and are elided, `t1`-only predicates run once per probe
+//! tuple, `t2`-only predicates filter bucket members when the index is
+//! built, and the residuals compare the bound `t1` values down the
+//! bucket's packed columns. Tuples are blocked **once per distinct join
+//! key**, not once per constraint: constraints whose ordered `(t1-side,
+//! t2-side)` key attribute lists are equal share one [`BlockIndex`] (the
+//! FD sugar `X → A, B` expands to one constraint per right-hand attribute,
+//! all on the key `X`), packing the union of the columns they read. A
+//! constraint with a `t2`-only predicate filters its buckets and so keeps
+//! an index of its own. Before a bucket is scanned the residuals are
+//! checked for **whole-bucket refutation**
+//! ([`crate::scan::ScanPredicate::refuted_by`]): a null probe cell, or a
+//! `≠` against a column that is uniformly the probe's value (or uniformly
+//! null), rules the bucket out without reading a member.
+//!
+//! Constraints with no join key fall back to the pairwise scan (exposed
+//! separately as [`find_violations_naive`], the quadratic oracle);
+//! single-tuple constraints evaluate their predicates per tuple.
+//!
+//! ## The order contract
+//!
+//! Violations come constraint-major, then by ascending `t1`, then by
+//! ascending `t2`. A symmetric constraint reports each unordered pair once,
+//! with `t1 < t2` (its scan starts past `t1` in the bucket); an asymmetric
+//! one scans the whole bucket, skipping `t1` itself. The indexes are built
+//! by ascending passes and the probe side shards over contiguous chunks of
+//! tuples concatenated in chunk order, so the output — elements *and*
+//! order — is the same at every thread count.
+//!
+//! ## The reference
+//!
+//! The loop this replaced — block per constraint by a `Vec<Sym>` key, then
+//! interpret [`DenialConstraint::violated_by`] on every same-key pair —
+//! survives as the `#[cfg(test)]` module `reference`; a proptest pins the
+//! compiled scan to it, order included, and both to
+//! [`find_violations_naive`].
 
-use crate::ast::{ConstraintId, ConstraintSet, DenialConstraint, Operand, TupleVar};
-use holo_dataset::{AttrId, CellRef, Dataset, FxHashMap, Sym, TupleId};
+use crate::ast::{ConstraintId, ConstraintSet, DenialConstraint, TupleVar};
+use crate::scan::{BlockIndex, PairScan, ScanPredicate};
+use holo_dataset::{AttrId, CellRef, Dataset, FxHashSet, Sym, TupleId};
 use serde::{Deserialize, Serialize};
 
 /// One detected violation: a constraint plus the witnessing tuple binding.
@@ -33,18 +64,138 @@ pub struct Violation {
     pub t2: TupleId,
     /// The cells that participate in the violated predicates. These become
     /// nodes of the conflict hypergraph.
-    pub cells: Vec<CellRef>,
+    pub cells: CellList,
 }
 
-/// The cell pattern every violation of one constraint shares: the
-/// attributes read on each tuple variable. Deriving it walks the
-/// predicates and allocates, so a detection pass builds it once per
-/// constraint and stamps each witnessing pair through it.
+/// Cells a [`CellList`] holds without a heap allocation: the 2 + 2 cells
+/// of a single-attribute FD violation.
+const INLINE_CELLS: usize = 4;
+
+/// The cells of one violation; reads as a `[CellRef]`. Up to four cells
+/// are stored inline — detection emits hundreds of thousands of
+/// violations, and a `Vec` each was a malloc and a free per violation —
+/// and longer lists spill to the heap.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct CellList(Repr);
+
+#[derive(Clone, Serialize, Deserialize)]
+enum Repr {
+    Inline {
+        len: u8,
+        cells: [CellRef; INLINE_CELLS],
+    },
+    Heap(Box<[CellRef]>),
+}
+
+impl std::ops::Deref for CellList {
+    type Target = [CellRef];
+
+    #[inline]
+    fn deref(&self) -> &[CellRef] {
+        match &self.0 {
+            Repr::Inline { len, cells } => &cells[..usize::from(*len)],
+            Repr::Heap(cells) => cells,
+        }
+    }
+}
+
+impl CellList {
+    fn as_mut_slice(&mut self) -> &mut [CellRef] {
+        match &mut self.0 {
+            Repr::Inline { len, cells } => &mut cells[..usize::from(*len)],
+            Repr::Heap(cells) => cells,
+        }
+    }
+}
+
+impl FromIterator<CellRef> for CellList {
+    fn from_iter<I: IntoIterator<Item = CellRef>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let filler = CellRef {
+            tuple: TupleId(0),
+            attr: AttrId(0),
+        };
+        let mut cells = [filler; INLINE_CELLS];
+        let mut len = 0u8;
+        while usize::from(len) < INLINE_CELLS {
+            match iter.next() {
+                Some(cell) => cells[usize::from(len)] = cell,
+                None => return CellList(Repr::Inline { len, cells }),
+            }
+            len += 1;
+        }
+        match iter.next() {
+            None => CellList(Repr::Inline { len, cells }),
+            Some(fifth) => CellList(Repr::Heap(
+                cells.into_iter().chain([fifth]).chain(iter).collect(),
+            )),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a CellList {
+    type Item = &'a CellRef;
+    type IntoIter = std::slice::Iter<'a, CellRef>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for CellList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for CellList {}
+
+impl std::fmt::Debug for CellList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The set of cells named by `violations` — the noisy cells `D_n` of the
+/// violation detector.
+///
+/// A cell of a large bucket is named by hundreds of violations, so a
+/// first-sight filter (one bitmap over tuples per attribute, grown on
+/// demand) stands in front of the hash set: only a cell's first mention
+/// is hashed.
+pub fn noisy_cells(violations: &[Violation]) -> FxHashSet<CellRef> {
+    let mut seen: Vec<Vec<u64>> = Vec::new();
+    let mut fresh: Vec<CellRef> = Vec::new();
+    for v in violations {
+        for &cell in &v.cells {
+            let (attr, word) = (cell.attr.index(), cell.tuple.index() / 64);
+            if seen.len() <= attr {
+                seen.resize(attr + 1, Vec::new());
+            }
+            let bits = &mut seen[attr];
+            if bits.len() <= word {
+                bits.resize(word + 1, 0);
+            }
+            let bit = 1u64 << (cell.tuple.index() % 64);
+            if bits[word] & bit == 0 {
+                bits[word] |= bit;
+                fresh.push(cell);
+            }
+        }
+    }
+    fresh.into_iter().collect()
+}
+
+/// The violation every witness of one constraint is stamped from: its
+/// cells are the attributes read on each tuple variable, `t1`'s in
+/// predicate order, then `t2`'s. Deriving them walks the predicates and
+/// allocates, so a detection pass builds the template once per constraint;
+/// a witnessing pair then costs a copy and the tuple ids.
 pub(crate) struct CellTemplate {
-    constraint: ConstraintId,
-    t1_attrs: Vec<AttrId>,
-    /// Empty for single-tuple constraints.
-    t2_attrs: Vec<AttrId>,
+    /// The violation of the pair `(t0, t0)`.
+    proto: Violation,
+    /// `proto.cells[..t1_cells]` belong to `t1`, the rest to `t2`.
+    t1_cells: usize,
 }
 
 impl CellTemplate {
@@ -53,33 +204,38 @@ impl CellTemplate {
         if !c.two_tuple {
             t2_attrs.clear();
         }
+        let tuple = TupleId(0);
+        let cell_of = |&attr: &AttrId| CellRef { tuple, attr };
         CellTemplate {
-            constraint,
-            t1_attrs,
-            t2_attrs,
+            proto: Violation {
+                constraint,
+                t1: tuple,
+                t2: tuple,
+                cells: t1_attrs.iter().chain(&t2_attrs).map(cell_of).collect(),
+            },
+            t1_cells: t1_attrs.len(),
         }
     }
 
-    /// The violation witnessed by `(t1, t2)`: `t1`'s cells in predicate
-    /// order, then `t2`'s. A two-tuple constraint is never violated by a
-    /// self-pair, so no cell is named twice; single-tuple constraints pass
-    /// `t1 == t2`.
-    pub(crate) fn violation(&self, t1: TupleId, t2: TupleId) -> Violation {
-        debug_assert!(self.t2_attrs.is_empty() || t1 != t2);
-        let cell_of = |tuple: TupleId| move |&attr: &AttrId| CellRef { tuple, attr };
-        // Both halves report an exact length, so `cells` is sized once.
-        let t2_cells = self.t2_attrs.iter().map(cell_of(t2));
-        Violation {
-            constraint: self.constraint,
-            t1,
-            t2,
-            cells: self
-                .t1_attrs
-                .iter()
-                .map(cell_of(t1))
-                .chain(t2_cells)
-                .collect(),
-        }
+    /// The violation witnessed by `(t1, t2)`. A two-tuple constraint is
+    /// never violated by a self-pair, so no cell is named twice;
+    /// single-tuple constraints pass `t1 == t2`.
+    #[inline]
+    fn violation(&self, t1: TupleId, t2: TupleId) -> Violation {
+        let mut v = self.proto.clone();
+        (v.t1, v.t2) = (t1, t2);
+        let (on_t1, on_t2) = v.cells.as_mut_slice().split_at_mut(self.t1_cells);
+        debug_assert!(on_t2.is_empty() || t1 != t2);
+        on_t1.iter_mut().for_each(|cell| cell.tuple = t1);
+        on_t2.iter_mut().for_each(|cell| cell.tuple = t2);
+        v
+    }
+
+    /// Appends the violations witnessed by `pairs`, in order. Witnesses
+    /// are collected as bare pairs and stamped here, so the violations are
+    /// written once, into space reserved for all of them.
+    pub(crate) fn stamp(&self, pairs: Vec<(TupleId, TupleId)>, out: &mut Vec<Violation>) {
+        out.extend(pairs.into_iter().map(|(t1, t2)| self.violation(t1, t2)));
     }
 }
 
@@ -93,18 +249,17 @@ pub fn find_violations(ds: &Dataset, constraints: &ConstraintSet) -> Vec<Violati
     find_violations_with_threads(ds, constraints, 1)
 }
 
-/// [`find_violations`] with the probe scan sharded over up to `threads`
-/// worker threads (`0` = all cores). The result is identical to the
-/// sequential scan for every thread count.
+/// [`find_violations`] with the index builds and the probe scans spread
+/// over up to `threads` worker threads (`0` = all cores). The result is
+/// identical to the sequential scan for every thread count.
 pub fn find_violations_with_threads(
     ds: &Dataset,
     constraints: &ConstraintSet,
     threads: usize,
 ) -> Vec<Violation> {
+    let constraints: Vec<(ConstraintId, &DenialConstraint)> = constraints.iter().collect();
     let mut out = Vec::new();
-    for (id, c) in constraints.iter() {
-        find_constraint_violations_with_threads(ds, c, id, threads, &mut out);
-    }
+    detect(ds, &constraints, threads, &mut out);
     out
 }
 
@@ -127,155 +282,149 @@ pub fn find_constraint_violations_with_threads(
     threads: usize,
     out: &mut Vec<Violation>,
 ) {
-    let template = CellTemplate::new(c, id);
-    if !c.two_tuple {
-        let tuples: Vec<TupleId> = ds.tuples().collect();
-        // Per-tuple work here is one predicate evaluation — far below the
-        // spawn-overhead break-even — so small inputs run sequentially.
-        let threads = holo_parallel::sized_threads(threads, tuples.len());
-        out.extend(holo_parallel::parallel_chunks(
-            threads,
-            &tuples,
-            |_, chunk| {
-                chunk
-                    .iter()
-                    .filter(|&&t| c.violated_by(ds, t, t))
-                    .map(|&t| template.violation(t, t))
-                    .collect()
-            },
-        ));
-        return;
-    }
-
-    // Collect the blocking key: for each cross-tuple equality predicate,
-    // the attribute read on the t1 side and on the t2 side.
-    let eq_keys: Vec<(AttrId, AttrId)> = c
-        .predicates
-        .iter()
-        .filter(|p| p.is_cross_tuple_eq())
-        .map(|p| {
-            let rhs_attr = match p.rhs {
-                Operand::Cell(_, a) => a,
-                Operand::Const(_) => unreachable!("is_cross_tuple_eq guarantees a cell rhs"),
-            };
-            match p.lhs_tuple {
-                TupleVar::T1 => (p.lhs_attr, rhs_attr),
-                TupleVar::T2 => (rhs_attr, p.lhs_attr),
-            }
-        })
-        .collect();
-
-    if eq_keys.is_empty() {
-        naive_constraint_violations(ds, c, &template, threads, out);
-        return;
-    }
-
-    let symmetric = c.is_symmetric();
-
-    // Build phase: block tuples by their t2-side key. Sharded like
-    // `CooccurStats::build_with_threads` — each chunk of tuples builds a
-    // local map, and the local maps merge in chunk order, so every
-    // bucket's tuple list comes out in ascending tuple order exactly as
-    // the sequential scan produced it.
-    let tuples: Vec<TupleId> = ds.tuples().collect();
-    // Build and probe both do O(key width) work per tuple: on inputs of a
-    // few thousand rows spawn overhead dominates (the bench snapshot had
-    // `blocked_threads_all` *slower* than sequential `blocked` on the
-    // hospital table), so small inputs take the inline path.
-    let threads = holo_parallel::sized_threads(threads, tuples.len());
-    let chunk_maps = holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| {
-        let mut local: FxHashMap<Vec<Sym>, Vec<TupleId>> = FxHashMap::default();
-        'tuple: for &t in chunk {
-            let mut key = Vec::with_capacity(eq_keys.len());
-            for &(_, a2) in &eq_keys {
-                let v = ds.cell(t, a2);
-                if v.is_null() {
-                    // A null key cell can never satisfy the equality
-                    // predicate.
-                    continue 'tuple;
-                }
-                key.push(v);
-            }
-            local.entry(key).or_default().push(t);
-        }
-        vec![local]
-    });
-    // The first chunk's map seeds the merge, so the sequential path
-    // (one chunk) takes its finished index verbatim.
-    let mut chunk_maps = chunk_maps.into_iter();
-    let mut blocks: FxHashMap<Vec<Sym>, Vec<TupleId>> = chunk_maps.next().unwrap_or_default();
-    for local in chunk_maps {
-        for (key, mut ts) in local {
-            blocks.entry(key).or_default().append(&mut ts);
-        }
-    }
-
-    // Probe phase: each probe tuple's bucket scan is independent, so the
-    // probe side shards cleanly; chunk results concatenate in probe-tuple
-    // order. Chunk-level (not per-item) so the probe-key scratch buffer is
-    // allocated once per worker, as the sequential loop did.
-    out.extend(holo_parallel::parallel_chunks(
-        threads,
-        &tuples,
-        |_, chunk| {
-            let mut found = Vec::new();
-            let mut probe_key = Vec::with_capacity(eq_keys.len());
-            'probe: for &t1 in chunk {
-                probe_key.clear();
-                for &(a1, _) in &eq_keys {
-                    let v = ds.cell(t1, a1);
-                    if v.is_null() {
-                        continue 'probe;
-                    }
-                    probe_key.push(v);
-                }
-                let Some(bucket) = blocks.get(probe_key.as_slice()) else {
-                    continue;
-                };
-                for &t2 in bucket {
-                    if t1 == t2 {
-                        continue;
-                    }
-                    if symmetric && t1 > t2 {
-                        // Each unordered pair once for swap-invariant
-                        // constraints.
-                        continue;
-                    }
-                    if c.violated_by(ds, t1, t2) {
-                        found.push(template.violation(t1, t2));
-                    }
-                }
-            }
-            found
-        },
-    ));
+    detect(ds, &[(id, c)], threads, out);
 }
 
-fn naive_constraint_violations(
+/// The constraints that probe one [`BlockIndex`]: equal join keys, or a
+/// single constraint whose `t2`-only predicates filter the buckets.
+struct KeyGroup<'a> {
+    scan: &'a PairScan,
+    /// Union of the members' `partner_attrs`, in first-use order.
+    packed: Vec<AttrId>,
+}
+
+/// Appends the violations of `constraints`, in the order given, to `out`.
+fn detect(
     ds: &Dataset,
-    c: &DenialConstraint,
-    template: &CellTemplate,
+    constraints: &[(ConstraintId, &DenialConstraint)],
     threads: usize,
     out: &mut Vec<Violation>,
 ) {
-    let symmetric = c.is_symmetric();
     let tuples: Vec<TupleId> = ds.tuples().collect();
-    out.extend(holo_parallel::parallel_flat_map(
-        threads,
-        &tuples,
-        |_, &t1| {
-            let mut found = Vec::new();
-            for &t2 in &tuples {
-                if t1 == t2 || (symmetric && t1 > t2) {
-                    continue;
-                }
-                if c.violated_by(ds, t1, t2) {
-                    found.push(template.violation(t1, t2));
+    // Build and probe both do O(key width) work per tuple: on inputs of a
+    // few thousand rows spawn overhead dominates, so small inputs take the
+    // inline path. (The pairwise fallback is quadratic and keeps the full
+    // budget.)
+    let budget = threads;
+    let threads = holo_parallel::sized_threads(budget, tuples.len());
+
+    // Classify, then block once per distinct join key.
+    let scans: Vec<Option<PairScan>> = constraints
+        .iter()
+        .map(|(_, c)| c.two_tuple.then(|| PairScan::new(c, TupleVar::T1)))
+        .collect();
+    let mut groups: Vec<KeyGroup> = Vec::new();
+    let group_of: Vec<Option<usize>> = scans
+        .iter()
+        .map(|scan| {
+            let scan = scan.as_ref().filter(|s| !s.probe_key.is_empty())?;
+            let shared = groups.iter().position(|g| {
+                scan.partner_only.is_empty()
+                    && g.scan.partner_only.is_empty()
+                    && g.scan.probe_key == scan.probe_key
+                    && g.scan.partner_key == scan.partner_key
+            });
+            let at = shared.unwrap_or_else(|| {
+                groups.push(KeyGroup {
+                    scan,
+                    packed: Vec::new(),
+                });
+                groups.len() - 1
+            });
+            for &attr in &scan.partner_attrs {
+                if !groups[at].packed.contains(&attr) {
+                    groups[at].packed.push(attr);
                 }
             }
-            found
-        },
-    ));
+            Some(at)
+        })
+        .collect();
+    let indexes = holo_parallel::parallel_jobs(threads, groups.len(), |g| {
+        let KeyGroup { scan, packed } = &groups[g];
+        BlockIndex::build(ds, &scan.partner_key, packed, |t2| {
+            let cell = |col: usize| ds.cell(t2, scan.partner_attrs[col]);
+            scan.partner_only
+                .iter()
+                .all(|p| p.holds(ds, Sym::NULL, cell))
+        })
+    });
+
+    for (at, &(id, c)) in constraints.iter().enumerate() {
+        let pairs = match (&scans[at], group_of[at]) {
+            (Some(scan), Some(g)) => {
+                let (index, symmetric) = (&indexes[g], c.is_symmetric());
+                holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| {
+                    probe_pairs(ds, scan, index, symmetric, chunk)
+                })
+            }
+            (Some(_), None) => naive_pairs(ds, c, budget),
+            // Per-tuple work is one predicate evaluation — far below the
+            // spawn-overhead break-even — so small inputs run sequentially.
+            (None, _) => holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| {
+                let violating = chunk.iter().filter(|&&t| c.violated_by(ds, t, t));
+                violating.map(|&t| (t, t)).collect()
+            }),
+        };
+        CellTemplate::new(c, id).stamp(pairs, out);
+    }
+}
+
+/// One constraint's compiled scan over its join key's index: the
+/// violating pairs with `t1` in `chunk`, by ascending `t1` then `t2`.
+fn probe_pairs(
+    ds: &Dataset,
+    scan: &PairScan,
+    index: &BlockIndex,
+    symmetric: bool,
+    chunk: &[TupleId],
+) -> Vec<(TupleId, TupleId)> {
+    let columns = index.columns_of(scan);
+    let members = index.members();
+    let mut found = Vec::new();
+    let mut bound: Vec<ScanPredicate> = Vec::with_capacity(scan.residual.len());
+    'probe: for &t1 in chunk {
+        let Some(bucket) = index.lookup(scan.probe_key_of(ds, t1, None)) else {
+            continue;
+        };
+        if !scan.admits(ds, t1) {
+            continue;
+        }
+        bound.clear();
+        for p in &scan.residual {
+            let p = p.bind(ds, t1, None);
+            if p.refuted_by(&columns, bucket) {
+                continue 'probe;
+            }
+            bound.push(p);
+        }
+        let range = index.range(bucket);
+        // Each unordered pair once for swap-invariant constraints.
+        let start = if symmetric {
+            range.start + members[range.clone()].partition_point(|&t2| t2 <= t1)
+        } else {
+            range.start
+        };
+        for (at, &t2) in members[..range.end].iter().enumerate().skip(start) {
+            let partner = |col: usize| columns[col].values()[at];
+            if t2 != t1 && bound.iter().all(|p| p.holds(ds, Sym::NULL, partner)) {
+                found.push((t1, t2));
+            }
+        }
+    }
+    found
+}
+
+/// Every violating pair of a two-tuple constraint, by exhaustive
+/// enumeration (`t1` ascending, then `t2`).
+fn naive_pairs(ds: &Dataset, c: &DenialConstraint, threads: usize) -> Vec<(TupleId, TupleId)> {
+    let symmetric = c.is_symmetric();
+    let tuples: Vec<TupleId> = ds.tuples().collect();
+    holo_parallel::parallel_flat_map(threads, &tuples, |_, &t1| {
+        let partners = tuples
+            .iter()
+            .filter(|&&t2| t1 != t2 && !(symmetric && t1 > t2) && c.violated_by(ds, t1, t2));
+        partners.map(|&t2| (t1, t2)).collect()
+    })
 }
 
 /// Reference implementation: enumerate all ordered tuple pairs. Quadratic;
@@ -283,23 +432,92 @@ fn naive_constraint_violations(
 pub fn find_violations_naive(ds: &Dataset, constraints: &ConstraintSet) -> Vec<Violation> {
     let mut out = Vec::new();
     for (id, c) in constraints.iter() {
-        let template = CellTemplate::new(c, id);
-        if !c.two_tuple {
-            for t in ds.tuples() {
-                if c.violated_by(ds, t, t) {
-                    out.push(template.violation(t, t));
-                }
-            }
+        let pairs = if c.two_tuple {
+            naive_pairs(ds, c, 1)
         } else {
-            naive_constraint_violations(ds, c, &template, 1, &mut out);
-        }
+            let violating = ds.tuples().filter(|&t| c.violated_by(ds, t, t));
+            violating.map(|t| (t, t)).collect()
+        };
+        CellTemplate::new(c, id).stamp(pairs, &mut out);
     }
     out
 }
 
+/// The detector the compiled scan replaced, kept as the reference its
+/// tests compare against: block per constraint by a `Vec<Sym>` key, then
+/// interpret `violated_by` on every same-key pair.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use holo_dataset::FxHashMap;
+
+    pub(super) fn find_violations_interpreted(
+        ds: &Dataset,
+        constraints: &ConstraintSet,
+    ) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for (id, c) in constraints.iter() {
+            let template = CellTemplate::new(c, id);
+            if !c.two_tuple {
+                let violating = ds.tuples().filter(|&t| c.violated_by(ds, t, t));
+                out.extend(violating.map(|t| template.violation(t, t)));
+                continue;
+            }
+            // The blocking key: per cross-tuple equality predicate, the
+            // attribute read on the t1 side and on the t2 side.
+            let eq_keys: Vec<(AttrId, AttrId)> = c
+                .predicates
+                .iter()
+                .filter(|p| p.is_cross_tuple_eq())
+                .map(|p| {
+                    let crate::ast::Operand::Cell(_, rhs_attr) = p.rhs else {
+                        unreachable!("is_cross_tuple_eq guarantees a cell rhs")
+                    };
+                    match p.lhs_tuple {
+                        TupleVar::T1 => (p.lhs_attr, rhs_attr),
+                        TupleVar::T2 => (rhs_attr, p.lhs_attr),
+                    }
+                })
+                .collect();
+            if eq_keys.is_empty() {
+                template.stamp(naive_pairs(ds, c, 1), &mut out);
+                continue;
+            }
+            let key_of = |t: TupleId, side: fn(&(AttrId, AttrId)) -> AttrId| {
+                let key: Vec<Sym> = eq_keys.iter().map(|pair| ds.cell(t, side(pair))).collect();
+                // A null key cell can never satisfy the equality predicate.
+                key.iter().all(|v| !v.is_null()).then_some(key)
+            };
+            let mut blocks: FxHashMap<Vec<Sym>, Vec<TupleId>> = FxHashMap::default();
+            for t in ds.tuples() {
+                if let Some(key) = key_of(t, |pair| pair.1) {
+                    blocks.entry(key).or_default().push(t);
+                }
+            }
+            let symmetric = c.is_symmetric();
+            for t1 in ds.tuples() {
+                let bucket = key_of(t1, |pair| pair.0).and_then(|key| blocks.get(&key));
+                for &t2 in bucket.into_iter().flatten() {
+                    // Each unordered pair once for swap-invariant
+                    // constraints.
+                    if t1 == t2 || (symmetric && t1 > t2) {
+                        continue;
+                    }
+                    if c.violated_by(ds, t1, t2) {
+                        out.push(template.violation(t1, t2));
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::find_violations_interpreted;
     use super::*;
+    use crate::ast::{Op, Operand, Predicate};
     use crate::parser::parse_constraints;
     use holo_dataset::Schema;
     use proptest::prelude::*;
@@ -431,7 +649,194 @@ mod tests {
         }
     }
 
+    #[test]
+    fn cell_lists_spill_past_four_cells() {
+        let cell = |i: usize| CellRef::new(i, i);
+        for len in 0..=7 {
+            let list: CellList = (0..len).map(cell).collect();
+            let want: Vec<CellRef> = (0..len).map(cell).collect();
+            assert_eq!(&*list, want.as_slice());
+            assert_eq!(list.clone(), list);
+            assert_eq!(list.into_iter().count(), len);
+        }
+        let a: CellList = (0..3).map(cell).collect();
+        let b: CellList = (0..4).map(cell).collect();
+        assert_ne!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{:?}", &*a));
+    }
+
+    #[test]
+    fn noisy_cells_is_the_set_of_named_cells() {
+        let (ds, cons) = food_like();
+        let violations = find_violations(&ds, &cons);
+        let mut want: FxHashSet<CellRef> = FxHashSet::default();
+        for v in &violations {
+            want.extend(v.cells.iter().copied());
+        }
+        assert!(!want.is_empty());
+        assert_eq!(noisy_cells(&violations), want);
+        assert!(noisy_cells(&[]).is_empty());
+    }
+
+    /// Detection at a size where the index builds and the probe chunks
+    /// really run on worker threads (the cutoff is 4096 tuples): shared
+    /// and unshared keys, a two-attribute key, an asymmetric constraint, a
+    /// cross-attribute join, nulls — identical, order included, to the
+    /// interpreting reference at every thread count.
+    #[test]
+    fn sharded_detection_equals_reference() {
+        let mut ds = Dataset::new(Schema::new(vec!["K", "L", "A", "B", "N"]));
+        let or_null = |n: usize, text: String| if n == 0 { String::new() } else { text };
+        for i in 0..4500usize {
+            ds.push_row(&[
+                or_null(i % 11, format!("k{}", i % 1500)),
+                format!("l{}", i % 2),
+                or_null(i % 13, format!("a{}", (i / 1500) % 2 + i % 3 / 2)),
+                format!("k{}", (i * 7 + i / 1500) % 1500),
+                or_null(i % 5, format!("{}", i % 9)),
+            ]);
+        }
+        let cons = parse_constraints(
+            "FD: K -> A, N
+             FD: K, L -> B
+             t1&t2&EQ(t1.K,t2.K)&LT(t1.N,t2.N)
+             t1&t2&EQ(t1.K,t2.B)&IQ(t1.A,t2.A)
+             t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t2.A)&EQ(t2.L,\"l1\")
+             t1&EQ(t1.N,\"3\")&EQ(t1.L,\"l0\")",
+            &mut ds,
+        )
+        .unwrap();
+        let want = find_violations_interpreted(&ds, &cons);
+        for sigma in 0..cons.len() {
+            assert!(
+                want.iter().any(|v| v.constraint == sigma),
+                "constraint {sigma} must be violated for the test to mean anything"
+            );
+        }
+        for threads in [1, 2, 3, 8] {
+            assert!(
+                find_violations_with_threads(&ds, &cons, threads) == want,
+                "threads = {threads}"
+            );
+        }
+    }
+
+    /// The seven operators, `≈` at a threshold that separates `v1`/`v2`
+    /// from the numbers.
+    const OPS: [Op; 7] = [
+        Op::Eq,
+        Op::Neq,
+        Op::Lt,
+        Op::Gt,
+        Op::Leq,
+        Op::Geq,
+        Op::Sim(0.5),
+    ];
+
+    fn predicate(lhs: (TupleVar, u8), op: Op, rhs: Operand) -> Predicate {
+        Predicate {
+            lhs_tuple: lhs.0,
+            lhs_attr: AttrId(u16::from(lhs.1)),
+            op,
+            rhs,
+        }
+    }
+
+    fn two_tuple(name: &str, predicates: Vec<Predicate>) -> DenialConstraint {
+        DenialConstraint {
+            name: name.into(),
+            two_tuple: true,
+            predicates,
+        }
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Compiled scan ≡ the interpreting reference *including order*,
+        /// and ≡ the quadratic oracle as a set, at every thread count —
+        /// over random tables with nulls in every column and constraint
+        /// sets built to meet each branch of the scan: 1–3 join predicates
+        /// (across different attributes, either way round, repeats
+        /// allowed), residuals over all seven operators, constants (the
+        /// null constant included), `t1`-only, `t2`-only and same-tuple
+        /// cell–cell predicates, a constraint sharing the first one's
+        /// key, one with the same key attributes the other way round, and
+        /// two symmetric FDs on one key.
+        #[test]
+        fn prop_compiled_scan_equals_reference(
+            rows in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4, 0u8..5), 0..40),
+            joins in proptest::collection::vec((0u8..3, 0u8..3, 0u8..2), 1..4),
+            extras in proptest::collection::vec((0u8..6, 0u8..7, 0u8..4, 0u8..4), 0..4),
+        ) {
+            // 0 encodes a null cell. A, B and C share a value space, so a
+            // join across two of them finds partners.
+            let text = |p: &str, v: u8| if v == 0 { String::new() } else { format!("{p}{v}") };
+            let mut ds = Dataset::new(Schema::new(vec!["A", "B", "C", "N"]));
+            for &(a, b, c, n) in &rows {
+                let num = if n == 0 { String::new() } else { format!("{}", u32::from(n) * 5) };
+                ds.push_row(&[text("v", a), text("v", b), text("v", c), num]);
+            }
+            let constants = [ds.intern("v1"), ds.intern("v2"), ds.intern("10"), Sym::NULL];
+
+            let (t1, t2) = (TupleVar::T1, TupleVar::T2);
+            let join = |&(a, b, flip): &(u8, u8, u8)| match flip {
+                0 => predicate((t1, a), Op::Eq, Operand::Cell(t2, AttrId(u16::from(b)))),
+                _ => predicate((t2, b), Op::Eq, Operand::Cell(t1, AttrId(u16::from(a)))),
+            };
+            let extra = |&(kind, op, x, y): &(u8, u8, u8, u8)| {
+                let op = OPS[usize::from(op)];
+                let constant = Operand::Const(constants[usize::from(y)]);
+                let cell = |tv| Operand::Cell(tv, AttrId(u16::from(y)));
+                match kind {
+                    0 => predicate((t1, x), op, cell(t2)),
+                    1 => predicate((t2, x), op, cell(t1)),
+                    2 => predicate((t1, x), op, constant),
+                    3 => predicate((t2, x), op, constant),
+                    4 => predicate((t1, x), op, cell(t1)),
+                    _ => predicate((t2, x), op, cell(t2)),
+                }
+            };
+            let joined: Vec<Predicate> = joins.iter().map(join).collect();
+            let with_joins = |tail: Vec<Predicate>| {
+                joined.iter().copied().chain(tail).collect::<Vec<_>>()
+            };
+            let turned: Vec<Predicate> = joins.iter().map(|&(a, b, flip)| join(&(b, a, flip))).collect();
+            let (key, flip) = (joins[0].0, joins[0].2);
+            let fd = |rhs: u8| {
+                vec![join(&(key, key, flip)), extra(&(0, 1, rhs, rhs))]
+            };
+            let cons: ConstraintSet = [
+                two_tuple("random", with_joins(extras.iter().map(extra).collect())),
+                two_tuple("same key", with_joins(vec![extra(&(0, 1, 3, 3))])),
+                two_tuple(
+                    "key turned round",
+                    turned.into_iter().chain([extra(&(0, 1, 3, 3))]).collect(),
+                ),
+                two_tuple("fd", fd((key + 1) % 4)),
+                two_tuple("fd, same key", fd((key + 2) % 4)),
+            ]
+            .into_iter()
+            .collect();
+            prop_assert!(cons.get(3).is_symmetric() && cons.get(4).is_symmetric());
+
+            let want = find_violations_interpreted(&ds, &cons);
+            for threads in [1, 2, 3, 8] {
+                prop_assert_eq!(&find_violations_with_threads(&ds, &cons, threads), &want);
+            }
+            // The per-constraint entry point blocks for its constraint alone.
+            let mut one_by_one = Vec::new();
+            for (id, c) in cons.iter() {
+                find_constraint_violations(&ds, c, id, &mut one_by_one);
+            }
+            prop_assert_eq!(&one_by_one, &want);
+            let by_pair = |mut v: Vec<Violation>| {
+                v.sort_by_key(|v| (v.constraint, v.t1, v.t2));
+                v
+            };
+            prop_assert_eq!(by_pair(want), by_pair(find_violations_naive(&ds, &cons)));
+        }
+
         /// The blocked detector agrees with the quadratic oracle on random
         /// datasets and FD constraints.
         #[test]

@@ -28,6 +28,7 @@ use crate::features::{
     SourceFeaturizer,
 };
 use holo_constraints::ast::{Op, Operand, TupleVar};
+use holo_constraints::scan::PairScan;
 use holo_constraints::{ConflictHypergraph, ConstraintSet, Violation};
 use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Sym, TupleId};
 use holo_factor::{
@@ -508,21 +509,9 @@ fn ground_dc_factors(
             continue;
         }
         // Cross-tuple equality predicates, oriented (t1 attr, t2 attr).
-        let eq_pairs: Vec<(AttrId, AttrId)> = c
-            .predicates
-            .iter()
-            .filter(|p| p.is_cross_tuple_eq())
-            .map(|p| {
-                let rhs_attr = match p.rhs {
-                    Operand::Cell(_, a) => a,
-                    Operand::Const(_) => unreachable!(),
-                };
-                match p.lhs_tuple {
-                    TupleVar::T1 => (p.lhs_attr, rhs_attr),
-                    TupleVar::T2 => (rhs_attr, p.lhs_attr),
-                }
-            })
-            .collect();
+        let scan = PairScan::new(c, TupleVar::T1);
+        let eq_pairs: Vec<(AttrId, AttrId)> =
+            std::iter::zip(scan.probe_key, scan.partner_key).collect();
         if eq_pairs.is_empty() {
             // No join key: grounding would be O(|D|²) with no pruning.
             // Such constraints are not present in any evaluated workload;
@@ -764,7 +753,7 @@ fn build_clique(
 mod tests {
     use super::*;
     use crate::config::ModelVariant;
-    use holo_constraints::{find_violations, parse_constraints};
+    use holo_constraints::{find_violations, noisy_cells, parse_constraints};
 
     fn setup(variant: ModelVariant) -> (Dataset, ConstraintSet, HoloConfig) {
         let mut ds = Dataset::new(holo_dataset::Schema::new(vec!["Zip", "City"]));
@@ -784,10 +773,7 @@ mod tests {
 
     fn run_compile(ds: &Dataset, cons: &ConstraintSet, config: &HoloConfig) -> CompiledModel {
         let violations = find_violations(ds, cons);
-        let mut noisy: FxHashSet<CellRef> = FxHashSet::default();
-        for v in &violations {
-            noisy.extend(v.cells.iter().copied());
-        }
+        let noisy = noisy_cells(&violations);
         let stats = CooccurStats::build(ds);
         let matches = MatchLookup::default();
         compile(&CompileInput {
@@ -876,10 +862,7 @@ mod tests {
     fn dictionary_assertions_extend_domains() {
         let (ds, cons, config) = setup(ModelVariant::DcFeats);
         let violations = find_violations(&ds, &cons);
-        let mut noisy: FxHashSet<CellRef> = FxHashSet::default();
-        for v in &violations {
-            noisy.extend(v.cells.iter().copied());
-        }
+        let noisy = noisy_cells(&violations);
         let stats = CooccurStats::build(&ds);
         // Assert an out-of-domain value for a noisy cell.
         let mut ds2 = ds.clone();

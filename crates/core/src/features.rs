@@ -47,29 +47,29 @@
 //! ## The compiled partner scan
 //!
 //! A relaxed-DC count asks, per (cell, candidate, constraint), how many
-//! partner tuples would complete a violation. `DcFeaturizer` compiles each
-//! two-tuple constraint once per *role* (the target cell's tuple playing
-//! `t1`, or `t2`) by sorting its predicates three ways:
-//!
-//! * **join** — cross-tuple equalities `t1.A = t2.B`. Partners are
-//!   bucketed by their side of these, the target's side is the lookup key,
-//!   so every partner found already satisfies them: elided.
-//! * **target-only** — predicates reading just the target tuple or a
-//!   constant. Evaluated once per candidate; a false one means no partner
-//!   can complete the violation.
-//! * **residual** — everything that reads the partner. Each bucket stores,
-//!   beside its tuple ids, the partner values these predicates read, one
-//!   contiguous row per partner, so the inner loop is a linear walk over
-//!   that block with no dataset access.
+//! partner tuples would complete a violation. `DcFeaturizer` runs it on
+//! the compiled pair scan of [`holo_constraints::scan`] — the classifier
+//! and bucket layout detection uses — with the target cell's tuple as the
+//! probe, once per *role* that tuple can play (`t1`, or `t2`): join
+//! equalities are elided (partners are bucketed by their side, the
+//! target's side is the lookup key), probe-only predicates run once per
+//! candidate, and everything that reads the partner runs per partner
+//! against the values packed beside the bucket. Binding a predicate to the
+//! cell freezes the target tuple's other attributes and leaves the cell's
+//! own attribute reading the candidate.
 //!
 //! The walk keeps the interpreter's caps: it visits a bucket in tuple
 //! order, skips the target's own tuple and (when an Algorithm 3 component
 //! map is given) partners outside the target's component, stops after
 //! `scan_cap` visited partners, and stops a candidate whose count — summed
-//! over both roles — reaches `count_cap`.
+//! over both roles — reaches `count_cap`. The caps count *visited*
+//! partners, so the buckets hold every tuple with a non-null key:
+//! partner-only predicates are evaluated with the residuals, never used to
+//! thin a bucket.
 
 use crate::config::HoloConfig;
-use holo_constraints::ast::{eval_op, Op, Operand, TupleVar};
+use holo_constraints::ast::TupleVar;
+use holo_constraints::scan::{BlockIndex, PairScan, ScanPredicate};
 use holo_constraints::{ConstraintId, ConstraintSet, DenialConstraint};
 use holo_dataset::{AttrId, CellRef, Dataset, FxHashMap, Sym, TupleId};
 use holo_factor::{DesignBuilder, DesignMatrix, FeatureRegistry, WeightId};
@@ -378,100 +378,26 @@ pub struct DcFeaturizer<'a> {
     prior: f64,
 }
 
-/// One side of a compiled predicate.
-#[derive(Debug, Clone, Copy)]
-enum Side {
-    /// An attribute of the target tuple. Binding a predicate to a cell
-    /// ([`RolePredicate::bind`]) freezes every such side to the tuple's
-    /// initial value except the target cell's own attribute, which reads
-    /// the candidate.
-    Target(AttrId),
-    /// Column of the partner's row in its bucket's value block.
-    Partner(usize),
-    /// A constant.
-    Const(Sym),
-}
-
-/// A predicate oriented for one role, operands pre-resolved to [`Side`]s.
-#[derive(Debug, Clone, Copy)]
-struct RolePredicate {
-    lhs: Side,
-    op: Op,
-    rhs: Side,
-}
-
-impl RolePredicate {
-    /// Freezes the target sides to the initial values of `cell`'s tuple,
-    /// leaving only `cell`'s own attribute (the candidate) symbolic.
-    fn bind(&self, ds: &Dataset, cell: CellRef) -> RolePredicate {
-        let bind_side = |side: Side| match side {
-            Side::Target(attr) if attr != cell.attr => Side::Const(ds.cell(cell.tuple, attr)),
-            other => other,
-        };
-        RolePredicate {
-            lhs: bind_side(self.lhs),
-            op: self.op,
-            rhs: bind_side(self.rhs),
-        }
-    }
-
-    /// Whether a *bound* predicate holds for candidate `d` against the
-    /// partner whose residual values are `row`.
-    #[inline]
-    fn holds(&self, ds: &Dataset, d: Sym, row: &[Sym]) -> bool {
-        let read = |side: Side| match side {
-            Side::Target(_) => d,
-            Side::Partner(col) => row[col],
-            Side::Const(sym) => sym,
-        };
-        let (lhs, rhs) = (read(self.lhs), read(self.rhs));
-        // The two operators every FD-shaped constraint uses, decided
-        // inline; `eval_op` agrees on both.
-        match self.op {
-            Op::Eq => lhs == rhs && !lhs.is_null(),
-            Op::Neq => lhs != rhs && !lhs.is_null() && !rhs.is_null(),
-            op => eval_op(ds, lhs, op, rhs),
-        }
-    }
-}
-
-/// The partners sharing one join key: tuple ids in ascending order and,
-/// row-major beside them, the values the residual predicates read.
-#[derive(Debug, Default)]
-struct Bucket {
-    tuples: Vec<TupleId>,
-    /// `values[i * width..][..width]` belongs to `tuples[i]`.
-    values: Vec<Sym>,
-}
-
 /// A two-tuple constraint compiled for the target cell playing one
-/// specific role (t1 or t2).
+/// specific role (t1 or t2): the pair scan with that role as the probe and
+/// the partners blocked by their side of the join key.
 struct RoleIndex {
     /// Attributes the constraint reads on the target's side, used to
     /// decide whether a cell participates at all.
     target_attrs: Vec<AttrId>,
-    /// Target-side attributes of the join equalities — the lookup key.
-    key_attrs: Vec<AttrId>,
-    /// Predicates with no partner operand.
-    target_only: Vec<RolePredicate>,
-    /// Predicates with a partner operand, join equalities excepted.
-    residual: Vec<RolePredicate>,
-    /// Partner values stored per bucket member (the distinct partner
-    /// attributes `residual` reads).
-    width: usize,
-    /// Join key (the partners' side) → index into `buckets`.
-    bucket_of: FxHashMap<Vec<Sym>, usize>,
-    buckets: Vec<Bucket>,
+    scan: PairScan,
+    /// Every tuple with a non-null key, `scan.partner_attrs` packed.
+    index: BlockIndex,
 }
 
 /// Per-cell scratch of the partner scan, reused across constraints and
 /// roles.
 #[derive(Default)]
 struct ScanScratch {
-    key: Vec<Sym>,
-    /// The role's `target_only` then `residual` predicates, bound to the
-    /// cell.
-    bound: Vec<RolePredicate>,
+    /// The role's probe-only predicates, bound to the cell.
+    target_only: Vec<ScanPredicate>,
+    /// Its partner-only then residual predicates, bound to the cell.
+    per_partner: Vec<ScanPredicate>,
 }
 
 impl<'a> DcFeaturizer<'a> {
@@ -589,111 +515,13 @@ impl RoleIndex {
             TupleVar::T1 => t1_attrs,
             TupleVar::T2 => t2_attrs,
         };
-        // Classify the predicates. Partner attributes the residuals read
-        // get a column in the bucket value blocks, in first-use order.
-        let mut key_attrs = Vec::new();
-        let mut key_partner_attrs = Vec::new();
-        let mut target_only = Vec::new();
-        let mut residual = Vec::new();
-        let mut partner_cols: Vec<AttrId> = Vec::new();
-        let mut side_of = |tv: TupleVar, attr: AttrId| {
-            if tv == role {
-                return Side::Target(attr);
-            }
-            let col = partner_cols.iter().position(|&a| a == attr);
-            Side::Partner(col.unwrap_or_else(|| {
-                partner_cols.push(attr);
-                partner_cols.len() - 1
-            }))
-        };
-        for p in &c.predicates {
-            if let (true, Operand::Cell(rhs_tuple, rhs_attr)) = (p.is_cross_tuple_eq(), p.rhs) {
-                let (target, partner) = if rhs_tuple == role {
-                    (rhs_attr, p.lhs_attr)
-                } else {
-                    (p.lhs_attr, rhs_attr)
-                };
-                key_attrs.push(target);
-                key_partner_attrs.push(partner);
-                continue;
-            }
-            let compiled = RolePredicate {
-                lhs: side_of(p.lhs_tuple, p.lhs_attr),
-                op: p.op,
-                rhs: match p.rhs {
-                    Operand::Cell(tv, attr) => side_of(tv, attr),
-                    Operand::Const(sym) => Side::Const(sym),
-                },
-            };
-            if matches!(compiled.lhs, Side::Partner(_)) || matches!(compiled.rhs, Side::Partner(_))
-            {
-                residual.push(compiled);
-            } else {
-                target_only.push(compiled);
-            }
-        }
-        // Bucket partner tuples by their side of the key (initial values),
-        // packing the residual columns beside each.
-        let mut bucket_of: FxHashMap<Vec<Sym>, usize> = FxHashMap::default();
-        let mut buckets: Vec<Bucket> = Vec::new();
-        let mut key = Vec::with_capacity(key_partner_attrs.len());
-        'tuples: for t in ds.tuples() {
-            key.clear();
-            for &partner_attr in &key_partner_attrs {
-                let v = ds.cell(t, partner_attr);
-                if v.is_null() {
-                    continue 'tuples;
-                }
-                key.push(v);
-            }
-            let id = match bucket_of.get(key.as_slice()) {
-                Some(&id) => id,
-                None => {
-                    bucket_of.insert(key.clone(), buckets.len());
-                    buckets.push(Bucket::default());
-                    buckets.len() - 1
-                }
-            };
-            let bucket = &mut buckets[id];
-            bucket.tuples.push(t);
-            bucket
-                .values
-                .extend(partner_cols.iter().map(|&a| ds.cell(t, a)));
-        }
+        let scan = PairScan::new(c, role);
+        let index = BlockIndex::build(ds, &scan.partner_key, &scan.partner_attrs, |_| true);
         RoleIndex {
             target_attrs,
-            key_attrs,
-            target_only,
-            residual,
-            width: partner_cols.len(),
-            bucket_of,
-            buckets,
+            scan,
+            index,
         }
-    }
-
-    /// The bucket whose partners join with the target tuple when `cell`
-    /// holds `d`; none if a key value is null.
-    fn bucket_for(
-        &self,
-        ds: &Dataset,
-        cell: CellRef,
-        d: Sym,
-        key: &mut Vec<Sym>,
-    ) -> Option<&Bucket> {
-        key.clear();
-        for &attr in &self.key_attrs {
-            let v = if attr == cell.attr {
-                d
-            } else {
-                ds.cell(cell.tuple, attr)
-            };
-            if v.is_null() {
-                return None;
-            }
-            key.push(v);
-        }
-        let id = *self.bucket_of.get(key.as_slice())?;
-        Some(&self.buckets[id])
     }
 
     /// Accumulates per-candidate violation counts into `counts`.
@@ -707,34 +535,38 @@ impl RoleIndex {
         counts: &mut [u32],
     ) {
         let ds = featurizer.ds;
+        let RoleIndex { scan, index, .. } = self;
         let target_component = component.and_then(|m| m.get(&cell.tuple).copied());
         if component.is_some() && target_component.is_none() {
             // Partitioning on, and this tuple is in no conflict component:
             // no partners to consider.
             return;
         }
-        let ScanScratch { key, bound } = scratch;
-        bound.clear();
-        let predicates = self.target_only.iter().chain(&self.residual);
-        bound.extend(predicates.map(|p| p.bind(ds, cell)));
-        let (target_only, residual) = bound.split_at(self.target_only.len());
-        // Unless the target cell is itself part of the join key, every
-        // candidate meets the same partners.
-        let shared_bucket = (!self.key_attrs.contains(&cell.attr))
-            .then(|| self.bucket_for(ds, cell, Sym::NULL, key));
+        let bind = |p: &ScanPredicate| p.bind(ds, cell.tuple, Some(cell.attr));
+        scratch.target_only.clear();
+        scratch.target_only.extend(scan.probe_only.iter().map(bind));
+        scratch.per_partner.clear();
+        let per_partner = scan.partner_only.iter().chain(&scan.residual);
+        scratch.per_partner.extend(per_partner.map(bind));
+        // Built for this scan alone: column `col` is `partner_attrs[col]`.
+        let columns = index.packed();
+        // The bucket whose partners join with the target tuple when the
+        // cell holds `d`. Unless the cell is itself part of the join key,
+        // every candidate meets the same partners.
+        let bucket_for =
+            |d: Sym| index.lookup(scan.probe_key_of(ds, cell.tuple, Some((cell.attr, d))));
+        let shared_bucket = (!scan.probe_key.contains(&cell.attr)).then(|| bucket_for(Sym::NULL));
         for (k, &d) in candidates.iter().enumerate() {
-            let bucket = match shared_bucket {
-                Some(bucket) => bucket,
-                None => self.bucket_for(ds, cell, d, key),
-            };
-            let Some(bucket) = bucket else {
+            let Some(bucket) = shared_bucket.unwrap_or_else(|| bucket_for(d)) else {
                 continue;
             };
-            if !target_only.iter().all(|p| p.holds(ds, d, &[])) {
+            let on_target = |p: &ScanPredicate| p.holds(ds, d, |_| Sym::NULL);
+            if !scratch.target_only.iter().all(on_target) {
                 continue;
             }
             let mut scanned = 0usize;
-            for (i, &partner) in bucket.tuples.iter().enumerate() {
+            for at in index.range(bucket) {
+                let partner = index.members()[at];
                 if partner == cell.tuple {
                     continue;
                 }
@@ -747,8 +579,8 @@ impl RoleIndex {
                 if scanned > featurizer.scan_cap {
                     break;
                 }
-                let row = &bucket.values[i * self.width..][..self.width];
-                if residual.iter().all(|p| p.holds(ds, d, row)) {
+                let value = |col: usize| columns[col].values()[at];
+                if scratch.per_partner.iter().all(|p| p.holds(ds, d, value)) {
                     counts[k] += 1;
                     if counts[k] >= featurizer.count_cap {
                         break;
@@ -909,6 +741,7 @@ impl SourceFeaturizer {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use holo_constraints::ast::{eval_op, Operand};
 
     impl FeatureBuffer {
         /// The queued weight keys, in queue (= interning) order.
@@ -993,6 +826,7 @@ mod reference {
 mod tests {
     use super::reference::eval_constraint_subst;
     use super::*;
+    use holo_constraints::ast::Operand;
     use holo_constraints::parse_constraints;
     use holo_dataset::Schema;
     use holo_factor::{FactorGraph, VarId, Variable};

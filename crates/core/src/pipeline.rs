@@ -147,7 +147,7 @@ use crate::config::HoloConfig;
 use crate::context::DatasetContext;
 use crate::error::HoloError;
 use crate::features::MatchLookup;
-use holo_constraints::{find_violations_with_threads, ConstraintSet, Violation};
+use holo_constraints::{find_violations_with_threads, noisy_cells, ConstraintSet, Violation};
 use holo_dataset::{CellRef, CooccurStats, Dataset, FxHashSet};
 use holo_detect::Detector;
 use holo_factor::{
@@ -340,10 +340,7 @@ impl Stage for DetectStage {
         data.noisy = match &cx.noisy_override {
             Some(cells) => cells.clone(),
             None => {
-                let mut noisy: FxHashSet<CellRef> = FxHashSet::default();
-                for v in &data.violations {
-                    noisy.extend(v.cells.iter().copied());
-                }
+                let mut noisy = noisy_cells(&data.violations);
                 for d in &cx.extra_detectors {
                     noisy.extend(d.detect(&cx.ds));
                 }

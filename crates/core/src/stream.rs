@@ -76,7 +76,9 @@ use crate::error::HoloError;
 use crate::features::MatchLookup;
 use crate::pipeline::{infer_marginals, learn_weights, StageKind, StageTimings};
 use crate::repair::RepairReport;
-use holo_constraints::{parse_constraints, ConstraintSet, DeltaViolationIndex, Violation};
+use holo_constraints::{
+    noisy_cells, parse_constraints, ConstraintSet, DeltaViolationIndex, Violation,
+};
 use holo_dataset::{
     AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Schema, Sym, TupleId,
 };
@@ -258,9 +260,7 @@ impl StreamSession {
         let new_violations = self
             .delta_index
             .ingest(&self.ds, &self.constraints, from, threads);
-        for v in &new_violations {
-            self.noisy.extend(v.cells.iter().copied());
-        }
+        self.noisy.extend(noisy_cells(&new_violations));
         let report = BatchReport {
             appended: rows.len(),
             new_violations: new_violations.len(),
@@ -386,10 +386,7 @@ impl StreamSession {
 
     /// Recomputes the noisy-cell set from the live violations.
     fn rebuild_noisy(&mut self) {
-        self.noisy.clear();
-        for v in &self.live_violations {
-            self.noisy.extend(v.cells.iter().copied());
-        }
+        self.noisy = noisy_cells(&self.live_violations);
     }
 
     /// Compiles, trains and infers the model of the current live table —

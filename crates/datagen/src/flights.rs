@@ -184,7 +184,7 @@ pub fn flights(config: FlightsConfig) -> GeneratedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holo_constraints::{find_violations, parse_constraints};
+    use holo_constraints::{find_violations, noisy_cells, parse_constraints};
 
     #[test]
     fn shape_matches_table2() {
@@ -200,10 +200,7 @@ mod tests {
         let cons = parse_constraints(&g.constraints_text, &mut g.dirty).unwrap();
         assert_eq!(cons.len(), 4);
         let violations = find_violations(&g.dirty, &cons);
-        let mut noisy = holo_dataset::FxHashSet::default();
-        for v in &violations {
-            noisy.extend(v.cells.iter().copied());
-        }
+        let noisy = noisy_cells(&violations);
         // Time cells: 4 per row. The paper: "the majority of cells in
         // Flights are noisy".
         let time_cells = g.dirty.tuple_count() * 4;

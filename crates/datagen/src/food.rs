@@ -286,7 +286,7 @@ pub fn food(config: FoodConfig) -> GeneratedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holo_constraints::{find_violations, parse_constraints};
+    use holo_constraints::{find_violations, noisy_cells, parse_constraints};
 
     fn small() -> FoodConfig {
         FoodConfig {
@@ -322,10 +322,7 @@ mod tests {
         assert!(!violations.is_empty());
         // Results errors are not covered by any DC → undetectable.
         let results = g.dirty.schema().attr_id("Results").unwrap();
-        let mut noisy = holo_dataset::FxHashSet::default();
-        for v in &violations {
-            noisy.extend(v.cells.iter().copied());
-        }
+        let noisy = noisy_cells(&violations);
         let undetectable = g
             .errors
             .iter()

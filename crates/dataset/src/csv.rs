@@ -5,6 +5,7 @@
 use crate::error::DatasetError;
 use crate::schema::Schema;
 use crate::table::Dataset;
+use crate::value::Sym;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
@@ -80,23 +81,135 @@ pub fn parse_records(input: &str) -> Result<Vec<Vec<String>>, DatasetError> {
 }
 
 /// Parses CSV text (header + data rows) into a [`Dataset`].
+///
+/// One pass over the bytes, no intermediate records: an unquoted field is
+/// interned straight from the input slice, a field with a quoted part is
+/// spliced in one reused buffer, and each row's symbols go onto the
+/// columns as its record ends. The records are exactly those of
+/// [`parse_records`] (the reference the tests compare against), values are
+/// interned in row-major order, and errors keep its precedence: an
+/// unterminated quote anywhere wins over a malformed header or record
+/// before it. `ArityMismatch::line` is the physical line the record
+/// starts on.
 pub fn parse_dataset(input: &str) -> Result<Dataset, DatasetError> {
-    let records = parse_records(input)?;
-    let mut iter = records.into_iter();
-    let header = iter.next().ok_or(DatasetError::EmptyInput)?;
-    let arity = header.len();
-    let mut ds = Dataset::new(Schema::new(header));
-    for (i, rec) in iter.enumerate() {
-        if rec.len() != arity {
-            return Err(DatasetError::ArityMismatch {
-                line: i + 2,
-                expected: arity,
-                found: rec.len(),
-            });
+    let bytes = input.as_bytes();
+    // Every delimiter is ASCII, so slicing `input` at one is always on a
+    // character boundary.
+    let is_plain = |b: u8| !matches!(b, b'"' | b',' | b'\r' | b'\n');
+    let mut header: Vec<String> = Vec::new();
+    let mut arity = 0usize;
+    let mut ds: Option<Dataset> = None;
+    // The first malformed header or record; reported only once the rest of
+    // the input is known to close its quotes.
+    let mut failure: Option<DatasetError> = None;
+    let mut row: Vec<Sym> = Vec::new();
+    let mut scratch = String::new();
+    let (mut line, mut record_line) = (1usize, 1usize);
+    // Fields completed in the current record.
+    let mut fields = 0usize;
+    let mut pos = 0usize;
+    while pos < bytes.len() || fields > 0 {
+        // One field: plain runs read in place; the first quote moves the
+        // field into `scratch`.
+        let mut run = pos;
+        let mut spliced = false;
+        loop {
+            while pos < bytes.len() && is_plain(bytes[pos]) {
+                pos += 1;
+            }
+            if bytes.get(pos) != Some(&b'"') {
+                break;
+            }
+            if !spliced {
+                scratch.clear();
+                spliced = true;
+            }
+            scratch.push_str(&input[run..pos]);
+            let quote_line = line;
+            pos += 1;
+            run = pos;
+            loop {
+                match bytes.get(pos) {
+                    None => return Err(DatasetError::UnterminatedQuote { line: quote_line }),
+                    Some(b'"') if bytes.get(pos + 1) == Some(&b'"') => {
+                        // `""`: keep one of the two.
+                        scratch.push_str(&input[run..=pos]);
+                        pos += 2;
+                        run = pos;
+                    }
+                    Some(b'"') => break,
+                    Some(&b) => {
+                        line += usize::from(b == b'\n');
+                        pos += 1;
+                    }
+                }
+            }
+            scratch.push_str(&input[run..pos]);
+            pos += 1;
+            run = pos;
         }
-        ds.push_row(&rec);
+        let field = if spliced {
+            scratch.push_str(&input[run..pos]);
+            scratch.as_str()
+        } else {
+            &input[run..pos]
+        };
+        let terminator = bytes.get(pos).copied();
+        if terminator.is_none() && fields == 0 && field.is_empty() {
+            // Nothing after the last record terminator (or only `""`).
+            break;
+        }
+        if failure.is_none() {
+            match &mut ds {
+                None => header.push(field.to_string()),
+                Some(ds) if fields < arity => row.push(ds.intern(field)),
+                Some(_) => {}
+            }
+        }
+        fields += 1;
+        pos += 1;
+        if terminator == Some(b',') {
+            continue;
+        }
+        // End of record: `\n`, `\r\n`, a stray `\r`, or the end of input.
+        if terminator == Some(b'\r') && bytes.get(pos) == Some(&b'\n') {
+            pos += 1;
+        }
+        line += 1;
+        if failure.is_none() {
+            match &mut ds {
+                None => {
+                    let repeated = (1..header.len()).find(|&i| header[..i].contains(&header[i]));
+                    match repeated {
+                        Some(i) => {
+                            failure = Some(DatasetError::DuplicateAttribute(header.swap_remove(i)));
+                        }
+                        None => {
+                            arity = header.len();
+                            ds = Some(Dataset::new(Schema::new(std::mem::take(&mut header))));
+                        }
+                    }
+                }
+                Some(ds) if fields == arity => {
+                    ds.push_row_syms(&row);
+                }
+                Some(_) => {
+                    failure = Some(DatasetError::ArityMismatch {
+                        line: record_line,
+                        expected: arity,
+                        found: fields,
+                    });
+                }
+            }
+        }
+        row.clear();
+        fields = 0;
+        record_line = line;
     }
-    Ok(ds)
+    match failure {
+        Some(e) => Err(e),
+        None => ds.ok_or(DatasetError::EmptyInput),
+    }
 }
 
 /// Loads a dataset from a CSV file.
@@ -105,39 +218,35 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Dataset, DatasetError> {
     parse_dataset(&text)
 }
 
-/// Escapes one field per RFC 4180 (quote iff it contains `,`, `"` or a
-/// newline).
-fn escape(field: &str) -> String {
-    if field.contains([',', '"', '\n', '\r']) {
-        let mut out = String::with_capacity(field.len() + 2);
-        out.push('"');
-        for c in field.chars() {
-            if c == '"' {
-                out.push('"');
-            }
-            out.push(c);
+/// Appends one record: the fields escaped per RFC 4180 (quoted iff one
+/// contains `,`, `"` or a line break), comma-separated, then `\n`.
+fn write_record<'a>(out: &mut String, fields: impl Iterator<Item = &'a str>) {
+    for (i, field) in fields.enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out.push('"');
-        out
-    } else {
-        field.to_string()
+        if field.contains([',', '"', '\n', '\r']) {
+            out.push('"');
+            for c in field.chars() {
+                if c == '"' {
+                    out.push('"');
+                }
+                out.push(c);
+            }
+            out.push('"');
+        } else {
+            out.push_str(field);
+        }
     }
+    out.push('\n');
 }
 
 /// Serialises a dataset to CSV text (header + rows).
 pub fn to_csv_string(ds: &Dataset) -> String {
     let mut out = String::new();
-    let header: Vec<String> = ds.schema().names().iter().map(|n| escape(n)).collect();
-    out.push_str(&header.join(","));
-    out.push('\n');
+    write_record(&mut out, ds.schema().names().iter().map(String::as_str));
     for t in ds.tuples() {
-        let row: Vec<String> = ds
-            .schema()
-            .attrs()
-            .map(|a| escape(ds.cell_str(t, a)))
-            .collect();
-        out.push_str(&row.join(","));
-        out.push('\n');
+        write_record(&mut out, ds.schema().attrs().map(|a| ds.cell_str(t, a)));
     }
     out
 }
@@ -210,6 +319,123 @@ mod tests {
         );
     }
 
+    /// A quoted field spanning lines moves the physical line away from the
+    /// record ordinal: the three-field record is the third record but
+    /// starts on line 4.
+    #[test]
+    fn arity_mismatch_line_counts_lines_inside_quotes() {
+        let err = parse_dataset("a,b\n\"x\ny\",1\n1,2,3\n").unwrap_err();
+        assert_eq!(
+            err,
+            DatasetError::ArityMismatch {
+                line: 4,
+                expected: 2,
+                found: 3
+            }
+        );
+    }
+
+    #[test]
+    fn duplicate_header_is_a_typed_error() {
+        assert_eq!(
+            parse_dataset("a,b,a\n1,2,3\n").unwrap_err(),
+            DatasetError::DuplicateAttribute("a".into())
+        );
+        // An unterminated quote further down still wins.
+        assert_eq!(
+            parse_dataset("a,a\n\"x").unwrap_err(),
+            DatasetError::UnterminatedQuote { line: 2 }
+        );
+    }
+
+    /// What `parse_dataset` was before it streamed: all records first
+    /// ([`parse_records`]), then the header, then row by row. The streaming
+    /// parser must agree with it on everything but `ArityMismatch::line`,
+    /// which this reports as the record ordinal.
+    fn reference_dataset(input: &str) -> Result<Dataset, DatasetError> {
+        let mut records = parse_records(input)?.into_iter();
+        let header = records.next().ok_or(DatasetError::EmptyInput)?;
+        if let Some((_, name)) = header
+            .iter()
+            .enumerate()
+            .find(|(i, name)| header[..*i].contains(name))
+        {
+            return Err(DatasetError::DuplicateAttribute(name.clone()));
+        }
+        let arity = header.len();
+        let mut ds = Dataset::new(Schema::new(header));
+        for (i, rec) in records.enumerate() {
+            if rec.len() != arity {
+                return Err(DatasetError::ArityMismatch {
+                    line: i + 2,
+                    expected: arity,
+                    found: rec.len(),
+                });
+            }
+            ds.push_row(&rec);
+        }
+        Ok(ds)
+    }
+
+    /// Streaming ≡ reference: same schema, cells and symbol order, or the
+    /// same error (up to `ArityMismatch::line`).
+    fn assert_matches_reference(input: &str) {
+        match (parse_dataset(input), reference_dataset(input)) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.schema(), want.schema(), "{input:?}");
+                assert_eq!(got.tuple_count(), want.tuple_count(), "{input:?}");
+                for a in want.schema().attrs() {
+                    assert_eq!(got.column(a), want.column(a), "{input:?} column {a}");
+                }
+                let symbols = |ds: &Dataset| -> Vec<String> {
+                    ds.pool().iter().map(|(_, s)| s.to_string()).collect()
+                };
+                assert_eq!(symbols(&got), symbols(&want), "{input:?}");
+            }
+            (
+                Err(DatasetError::ArityMismatch {
+                    expected, found, ..
+                }),
+                Err(DatasetError::ArityMismatch {
+                    expected: want_expected,
+                    found: want_found,
+                    ..
+                }),
+            ) => assert_eq!((expected, found), (want_expected, want_found), "{input:?}"),
+            (Err(got), Err(want)) => assert_eq!(got, want, "{input:?}"),
+            (got, want) => panic!("{input:?}: streaming {got:?}, reference {want:?}"),
+        }
+    }
+
+    #[test]
+    fn streaming_matches_reference_on_the_awkward_inputs() {
+        for input in [
+            "",
+            "\n",
+            "\r",
+            "\"\"",
+            "a\n\"\"",
+            "a\n\"\",",
+            "a,b\n1,",
+            "a,b\n1,2",
+            "a,b\r\n1,2\r\n",
+            "a,b\r1,2\r",
+            "a\r\r\nb",
+            "a,b\n\n1,2\n",
+            "a\nx\"y,z\"w\n",
+            "a\n\"p\"q\"r\"\n",
+            "a\n\"say \"\"hi\"\"\"\n",
+            "a\n\"\"\"",
+            "a,b\n\"x\ny\",\"\r\"\n",
+            "é,b\né\"é\",ü\n",
+            "a,b\n1\n\"open",
+            "a,a\n1,2\n",
+            "a,b\n1,2,3\n4,5\n6\n",
+        ] {
+            assert_matches_reference(input);
+        }
+    }
+
     #[test]
     fn unterminated_quote_rejected() {
         let err = parse_dataset("a\n\"oops\n").unwrap_err();
@@ -250,6 +476,23 @@ mod tests {
         write_file(&ds, &path).unwrap();
         let back = read_file(&path).unwrap();
         assert_eq!(back.cell_str(0.into(), 0.into()), "v1");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The CSV half of the no-panic contract: any text over the
+        /// delimiters, a few letters and a multi-byte character parses or
+        /// fails exactly as the record-based reference does.
+        #[test]
+        fn prop_streaming_equals_reference(
+            wide in "[a-z,\"\r\n é]{0,64}",
+            // Delimiter-heavy, with few enough letters that headers repeat.
+            dense in "[ab,,\"\"\r\n\n é]{0,48}",
+        ) {
+            assert_matches_reference(&wide);
+            assert_matches_reference(&dense);
+        }
     }
 
     proptest! {

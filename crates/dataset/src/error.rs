@@ -7,9 +7,12 @@ use std::fmt;
 pub enum DatasetError {
     /// An attribute name was not found in the schema.
     UnknownAttribute(String),
+    /// A CSV header named the same attribute twice.
+    DuplicateAttribute(String),
     /// A CSV record had a different arity than the header.
     ArityMismatch {
-        /// 1-based line number of the offending record.
+        /// 1-based physical line the offending record starts on (a quoted
+        /// field may span several).
         line: usize,
         /// Expected number of fields (header arity).
         expected: usize,
@@ -32,6 +35,9 @@ impl fmt::Display for DatasetError {
         match self {
             DatasetError::UnknownAttribute(name) => {
                 write!(f, "unknown attribute {name:?}")
+            }
+            DatasetError::DuplicateAttribute(name) => {
+                write!(f, "CSV header names attribute {name:?} more than once")
             }
             DatasetError::ArityMismatch {
                 line,

@@ -49,7 +49,8 @@ impl fmt::Display for Sym {
 pub struct ValuePool {
     strings: Vec<Box<str>>,
     lookup: FxHashMap<Box<str>, Sym>,
-    /// Lazily parsed numeric view of each symbol (for `<`/`>` predicates).
+    /// Numeric view of each symbol (for `<`/`>` predicates), parsed when the
+    /// value is interned.
     numeric: Vec<Option<f64>>,
 }
 

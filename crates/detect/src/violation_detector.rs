@@ -2,7 +2,7 @@
 //! of the paper's experiments.
 
 use crate::{Detector, NoisyCells};
-use holo_constraints::{find_violations, ConstraintSet};
+use holo_constraints::{find_violations, noisy_cells, ConstraintSet};
 use holo_dataset::{Dataset, TupleId};
 
 /// Flags every cell participating in at least one violation.
@@ -29,11 +29,7 @@ impl Detector for ViolationDetector {
     }
 
     fn detect(&self, ds: &Dataset) -> NoisyCells {
-        let mut noisy = NoisyCells::default();
-        for v in find_violations(ds, &self.constraints) {
-            noisy.extend(v.cells.iter().copied());
-        }
-        noisy
+        noisy_cells(&find_violations(ds, &self.constraints))
     }
 
     /// Cells of the violations that *involve* a new tuple — including the
