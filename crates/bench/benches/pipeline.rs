@@ -209,16 +209,14 @@ fn bench_learning_and_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The Learn stage in isolation, through the same [`Stage`] seam the
-/// pipeline drives: Detect + Compile run once to fill the blackboard,
-/// then each iteration re-trains from the model's priors. `threads_1` vs
+/// The learn step in isolation, through the function the pipeline
+/// calls: detect + compile run once, then each iteration re-trains from
+/// the model's priors. `threads_1` vs
 /// `threads_all` isolates the minibatch-shard parallelism of
 /// `learn::train_with_threads` (bit-for-bit identical outputs; wall-clock
 /// only).
 fn bench_learn_stage(c: &mut Criterion) {
-    use holoclean::pipeline::{
-        CompileStage, DetectStage, LearnStage, PipelineContext, Stage, StageData,
-    };
+    use holoclean::pipeline::{compile_model, detect, learn_weights, PipelineContext};
     let mut group = c.benchmark_group("learn_stage");
     group.sample_size(10);
     let mut gen = build(DatasetKind::Hospital, small_scale());
@@ -229,13 +227,11 @@ fn bench_learn_stage(c: &mut Criterion) {
             cons.clone(),
             HoloConfig::default().with_threads(threads),
         );
-        let mut data = StageData::default();
-        DetectStage.run(&cx, &mut data).unwrap();
-        CompileStage.run(&cx, &mut data).unwrap();
+        let (model, _) = compile_model(&cx, &detect(&cx)).unwrap();
         group.bench_function(label, |b| {
             b.iter(|| {
-                LearnStage.run(&cx, &mut data).unwrap();
-                black_box(data.weights.as_ref().unwrap().learnable_norm())
+                let (weights, _) = learn_weights(&model, &cx.config).unwrap();
+                black_box(weights.learnable_norm())
             })
         });
     }
@@ -586,13 +582,7 @@ fn bench_feedback_retrain(c: &mut Criterion) {
             for &(v, sym) in &labels {
                 g.pin_evidence(v, sym);
             }
-            let nnz = g.design().nnz();
-            assert_eq!(
-                g.design_stats().full_builds,
-                1,
-                "assembled once, then spliced"
-            );
-            black_box(nnz)
+            black_box(g.design().nnz())
         })
     });
     group.finish();

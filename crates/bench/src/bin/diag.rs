@@ -190,9 +190,8 @@ impl DetectProfile {
 }
 
 /// Emits the run's diagnostics as one JSON object for the bench
-/// trajectory: stage timings, `DesignStats`, `LearnStats`,
-/// `PartitionStats`, the component-index counters, and (for streamed
-/// runs) the `IngestStats`. Hand-rolled over `holo_bench::json` — the
+/// trajectory: stage timings, `LearnStats`, `PartitionStats` and (for
+/// streamed runs) the `IngestStats`. Hand-rolled over `holo_bench::json` — the
 /// offline `serde` stub derives are no-ops, and the shape here is small
 /// and stable.
 fn print_json(
@@ -202,9 +201,7 @@ fn print_json(
     gate_hists: Option<&([u64; 4], [u64; 4])>,
 ) {
     let t = &out.timings;
-    let d = t.design;
     let p = t.partition;
-    let ci = t.components;
     let learn = match &out.learn_stats {
         Some(ls) => {
             let mut o = JsonObj::new();
@@ -259,11 +256,6 @@ fn print_json(
         );
     }
     compile.field_raw("phases", &phases.finish());
-    let mut design = JsonObj::new();
-    design.field_u64("full_builds", d.full_builds);
-    design.field_u64("vars_patched", d.vars_patched);
-    design.field_u64("rows_patched", d.rows_patched);
-    design.field_u64("entries_patched", d.entries_patched);
     let mut partition = JsonObj::new();
     partition.field_u64("components", p.components);
     partition.field_u64("singleton_components", p.singleton_components);
@@ -283,14 +275,8 @@ fn print_json(
     partition.field_u64("gibbs_vars", p.gibbs_vars);
     partition.field_u64("colors", p.colors);
     partition.field_u64("color_sweep_blocks", p.color_sweep_blocks);
-    partition.field_u64("coloring_full_builds", p.coloring_full_builds);
-    partition.field_u64("coloring_patches", p.coloring_patches);
     partition.field_u64("score_cache_builds", p.score_cache.builds);
     partition.field_u64("score_cache_rows", p.score_cache.rows);
-    let mut component_index = JsonObj::new();
-    component_index.field_u64("full_builds", ci.full_builds);
-    component_index.field_u64("merges", ci.merges);
-    component_index.field_u64("vars_appended", ci.vars_appended);
     let s = t.stats;
     let mut stats = JsonObj::new();
     stats.field_u64("dense_pairs", s.dense_pairs);
@@ -318,10 +304,8 @@ fn print_json(
     root.field_raw("timings", &timings.finish());
     root.field_raw("detect", &detect.json());
     root.field_raw("compile", &compile.finish());
-    root.field_raw("design", &design.finish());
     root.field_raw("learn", &learn);
     root.field_raw("partition", &partition.finish());
-    root.field_raw("component_index", &component_index.finish());
     root.field_raw("stats", &stats.finish());
     root.field_raw("retire", &retire.finish());
     root.field_raw("ingest", &ingest);
@@ -545,11 +529,6 @@ fn main() {
         out.model.clique_cap_hits,
         out.model.dc_skipped_no_join_key
     );
-    let design = out.timings.design;
-    println!(
-        "design matrix: {} full build(s), {} var(s) patched, {} row(s) / {} entry(ies) spliced",
-        design.full_builds, design.vars_patched, design.rows_patched, design.entries_patched
-    );
     let p = out.timings.partition;
     println!(
         "partitioned inference: {} component(s) ({} singleton, largest {}), \
@@ -567,8 +546,8 @@ fn main() {
     );
     if p.colors > 0 {
         println!(
-            "  chromatic: {} color(s), {} sweep block(s), coloring {} full build(s) / {} patch(es)",
-            p.colors, p.color_sweep_blocks, p.coloring_full_builds, p.coloring_patches
+            "  chromatic: {} color(s), {} sweep block(s)",
+            p.colors, p.color_sweep_blocks
         );
     }
     if p.score_cache.builds > 0 {
@@ -577,11 +556,6 @@ fn main() {
             p.score_cache.builds, p.score_cache.rows
         );
     }
-    let ci = out.timings.components;
-    println!(
-        "component index: {} full build(s), {} merge(s), {} singleton(s) appended",
-        ci.full_builds, ci.merges, ci.vars_appended
-    );
     let s = out.timings.stats;
     println!(
         "cooccur stats: {} dense / {} CSR pair(s), {} dense cell(s), ~{} byte(s); \

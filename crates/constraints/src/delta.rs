@@ -98,11 +98,6 @@ impl DeltaViolationIndex {
         }
     }
 
-    /// Number of tuples currently indexed.
-    pub fn indexed_tuples(&self) -> usize {
-        self.indexed
-    }
-
     /// Every blocking index with the key attributes its tuples are filed
     /// under: the partner side of the scan that probes it.
     fn blocks_mut(&mut self) -> impl Iterator<Item = (&[AttrId], &mut Blocks)> {

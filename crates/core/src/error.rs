@@ -12,9 +12,6 @@ pub enum HoloError {
     Constraint(String),
     /// Configuration problem (e.g. source attribute missing).
     Config(String),
-    /// Stage-contract violation in a custom pipeline (e.g. Learn scheduled
-    /// before Compile produced a model).
-    Pipeline(String),
     /// Streaming-ingestion failure: an unsupported model variant for the
     /// incremental engine, a malformed batch (arity mismatch), or an
     /// out-of-order ingest.
@@ -48,7 +45,6 @@ impl fmt::Display for HoloError {
             HoloError::Dataset(e) => write!(f, "dataset error: {e}"),
             HoloError::Constraint(msg) => write!(f, "constraint error: {msg}"),
             HoloError::Config(msg) => write!(f, "configuration error: {msg}"),
-            HoloError::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
             HoloError::Stream(msg) => write!(f, "streaming error: {msg}"),
             HoloError::PrunedInitialValue { cell, attr } => write!(
                 f,

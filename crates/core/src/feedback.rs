@@ -17,35 +17,28 @@
 //!    current weights (the "incremental" part) — and re-infers marginals
 //!    for the still-unlabelled cells.
 //!
-//! ## Incremental recompilation
+//! ## What a label changes
 //!
-//! The model's CSR design matrix is assembled once (by the pipeline's
-//! Compile stage) and **patched, never rebuilt**, across the session:
-//! each out-of-domain label appends exactly one candidate row to its
-//! variable via `DesignMatrix::append_candidate_row`, and in-domain
-//! labels change nothing in the matrix at all — so a retrain round's
-//! matrix maintenance is a per-label row splice (plus a contiguous
-//! suffix-index shift, a plain memmove).
-//! [`FeedbackSession::design_stats`] exposes the counters (a healthy
-//! session shows `full_builds == 0` and one patched row per out-of-domain
-//! label) and [`FeedbackSession::timings`] accumulates the learn/infer
-//! wall-clock of every retrain round alongside them.
-//!
-//! The graph's component index rides the same contract: pinning a label
-//! converts a query variable to evidence *inside* its component (clique
-//! scopes are unioned over all members, so no split is ever needed) and
-//! re-inference runs partitioned over the patched index —
-//! [`FeedbackSession::component_stats`] shows zero full rebuilds for any
-//! label sequence, and [`FeedbackSession::partition_stats`] reports how
-//! the latest pass routed components between closed form, exact
-//! enumeration and Gibbs.
+//! The compiled model stays as built. An out-of-domain label appends one
+//! (featureless) candidate row to its variable in the CSR design matrix
+//! via `DesignMatrix::append_candidate_row`; an in-domain label changes
+//! nothing in the matrix; the patched matrix equals a fresh build of the
+//! same rows, bit for bit. Pinning converts a query variable to evidence
+//! *inside* its component (clique scopes are unioned over all members, so
+//! no split is ever needed), so re-inference runs partitioned over the
+//! component index the model already has —
+//! [`FeedbackSession::partition_stats`] reports how the latest pass routed
+//! components between closed form, exact enumeration and Gibbs, and
+//! [`FeedbackSession::timings`] accumulates the learn/infer wall-clock of
+//! every retrain round.
 
 use crate::compile::CompiledModel;
 use crate::config::HoloConfig;
-use crate::pipeline::{infer_marginals, StageTimings};
+use crate::error::HoloError;
+use crate::pipeline::{infer_marginals, train_checked, StageTimings};
 use crate::repair::RepairReport;
 use holo_dataset::{CellRef, Dataset, FxHashMap, Sym};
-use holo_factor::{learn, ComponentStats, DesignStats, Marginals, PartitionStats, Weights};
+use holo_factor::{LearnStats, Marginals, PartitionStats, Weights};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -78,17 +71,8 @@ pub struct FeedbackSession {
     labelled: FxHashMap<CellRef, Sym>,
     marginals: Marginals,
     /// Learn/infer wall-clock accumulated over retrain rounds, plus the
-    /// session-relative design-matrix counters.
+    /// latest routing snapshot.
     timings: StageTimings,
-    /// Design-matrix counters at session start; `design_stats` diffs
-    /// against this so the compile-stage full build is not billed to the
-    /// session.
-    design_baseline: DesignStats,
-    /// Component-index counters at session start; `component_stats` diffs
-    /// against this so the pipeline's one index build is not billed to
-    /// the session — a healthy session never rebuilds the index (pins
-    /// leave it untouched by construction).
-    component_baseline: ComponentStats,
 }
 
 impl FeedbackSession {
@@ -96,13 +80,6 @@ impl FeedbackSession {
     /// [`HoloClean::run_full`](crate::HoloClean::run_full)) — the model,
     /// its learned weights, and the configuration used.
     pub fn new(model: CompiledModel, weights: Weights, config: HoloConfig, ds: &Dataset) -> Self {
-        let design_baseline = model.graph.design_stats();
-        // Force the index to exist before snapshotting: a model built
-        // straight from `compile()` (never inferred) would otherwise pay
-        // its one lazy build inside the initial inference below, billing
-        // it to the session and tripping the zero-rebuild contract.
-        let _ = model.graph.components();
-        let component_baseline = model.graph.component_stats();
         let mut timings = StageTimings::default();
         let t0 = Instant::now();
         let (marginals, partition) = infer_marginals(&model, &weights, ds, &config);
@@ -115,8 +92,6 @@ impl FeedbackSession {
             labelled: FxHashMap::default(),
             marginals,
             timings,
-            design_baseline,
-            component_baseline,
         }
     }
 
@@ -157,8 +132,8 @@ impl FeedbackSession {
     /// Pins user-verified values. Labels whose value is not among the
     /// cell's candidates are added to the variable's domain on the fly
     /// (the user knows values the statistics never proposed) — which
-    /// patches one candidate row into the compiled design matrix instead
-    /// of invalidating it. Unknown cells are ignored.
+    /// appends one candidate row to the compiled design matrix. Unknown
+    /// cells are ignored.
     ///
     /// Each pinned cell's marginal becomes a point mass on the label
     /// immediately, so [`FeedbackSession::report`] reflects the pin (with
@@ -177,32 +152,25 @@ impl FeedbackSession {
             self.marginals.pin(var, k, pinned.arity());
             self.labelled.insert(label.cell, sym);
         }
-        self.timings.design = self.design_stats();
-        self.timings.components = self.component_stats();
     }
 
     /// Incremental retraining: SGD warm-started from the current weights
     /// (labelled cells now contribute gradients as evidence), then fresh
-    /// inference for the remaining query cells. Both phases read the
-    /// patched design matrix — no rebuild happens here — and bill their
-    /// wall-clock to [`FeedbackSession::timings`].
-    pub fn retrain(&mut self, ds: &Dataset) -> learn::LearnStats {
+    /// inference for the remaining query cells, both billed to
+    /// [`FeedbackSession::timings`]. Weights and marginals are replaced
+    /// only by a finite training run: on [`HoloError::LearnDiverged`] the
+    /// session is exactly as it was before the call.
+    pub fn retrain(&mut self, ds: &Dataset) -> Result<LearnStats, HoloError> {
         let t0 = Instant::now();
-        let stats = learn::train_with_threads(
-            &self.model.graph,
-            &mut self.weights,
-            &self.config.learn,
-            self.config.threads,
-        );
+        let (weights, stats) = train_checked(&self.model.graph, &self.weights, &self.config)?;
         self.timings.learn += t0.elapsed();
         let t1 = Instant::now();
-        let (marginals, partition) = infer_marginals(&self.model, &self.weights, ds, &self.config);
-        self.marginals = marginals;
+        let (marginals, partition) = infer_marginals(&self.model, &weights, ds, &self.config);
         self.timings.infer += t1.elapsed();
-        self.timings.design = self.design_stats();
-        self.timings.components = self.component_stats();
         self.timings.partition = partition;
-        stats
+        self.weights = weights;
+        self.marginals = marginals;
+        Ok(stats)
     }
 
     /// The current repair report (labelled cells report their pinned value
@@ -222,25 +190,6 @@ impl FeedbackSession {
         self.labelled.len()
     }
 
-    /// Design-matrix work done *by this session* (the compile-stage build
-    /// is not counted): `full_builds` stays 0 as long as every label went
-    /// through the patch path, and `rows_patched` counts one row per
-    /// out-of-domain label.
-    pub fn design_stats(&self) -> DesignStats {
-        self.model.graph.design_stats().since(&self.design_baseline)
-    }
-
-    /// Component-index work done *by this session* (the pipeline's one
-    /// build is not counted): `full_builds` stays 0 for any label
-    /// sequence — pins never restructure the index, and even late cliques
-    /// merge it in place.
-    pub fn component_stats(&self) -> ComponentStats {
-        self.model
-            .graph
-            .component_stats()
-            .since(&self.component_baseline)
-    }
-
     /// How the most recent inference pass (session start or the last
     /// [`FeedbackSession::retrain`]) partitioned the graph and routed its
     /// components between closed form, exact enumeration and Gibbs.
@@ -249,9 +198,8 @@ impl FeedbackSession {
     }
 
     /// Wall-clock accumulated by this session (initial inference plus
-    /// every retrain round), with [`StageTimings::design`] /
-    /// [`StageTimings::components`] holding the session-relative counters
-    /// and [`StageTimings::partition`] the latest routing snapshot.
+    /// every retrain round), with [`StageTimings::partition`] the latest
+    /// routing snapshot.
     pub fn timings(&self) -> StageTimings {
         self.timings
     }
@@ -330,7 +278,7 @@ mod tests {
             .collect();
         session.apply_labels(&mut ds, &labels);
         assert_eq!(session.labelled_count(), 5);
-        session.retrain(&ds);
+        session.retrain(&ds).unwrap();
 
         let after = evaluate(&session.report(&ds), &dirty, &clean);
         assert!(
@@ -367,7 +315,7 @@ mod tests {
             })
             .collect();
         session.apply_labels(&mut ds, &labels);
-        session.retrain(&ds);
+        session.retrain(&ds).unwrap();
         let q = evaluate(&session.report(&ds), &dirty, &clean);
         assert_eq!(q.precision, 1.0, "{q:?}");
         assert_eq!(q.recall, 1.0, "{q:?}");
@@ -387,7 +335,7 @@ mod tests {
                 value: "omega".to_string(), // never seen anywhere
             }],
         );
-        session.retrain(&ds);
+        session.retrain(&ds).unwrap();
         let report = session.report(&ds);
         assert!(report
             .repairs
@@ -488,18 +436,17 @@ mod tests {
         }
     }
 
-    /// The acceptance criterion of the incremental path: a multi-round
-    /// feedback session (requests → apply_labels → retrain → report, with
-    /// in-domain and out-of-domain labels) performs **zero** full design
-    /// rebuilds, patches exactly one row per out-of-domain label, and the
-    /// patched matrix stays bit-for-bit equal to a graph built afresh from
-    /// the compiled rows plus the (featureless) pinned candidates.
+    /// A multi-round feedback session (requests → apply_labels → retrain →
+    /// report, with in-domain and out-of-domain labels) grows the design
+    /// matrix by exactly one row per out-of-domain label, and the patched
+    /// matrix stays bit-for-bit equal to a graph built afresh from the
+    /// compiled rows plus the (featureless) pinned candidates.
     #[test]
     fn feedback_session_never_rebuilds_the_design_matrix() {
         let (dirty, clean) = ambiguous_dataset();
         let (mut session, mut ds) = session_for(&dirty);
         let compiled = session.model.graph.clone();
-        let mut out_of_domain = 0u64;
+        let mut out_of_domain = 0;
         for round in 0..3 {
             let requests = session.requests(&ds, 3);
             if requests.is_empty() {
@@ -522,14 +469,15 @@ mod tests {
                 })
                 .collect();
             session.apply_labels(&mut ds, &labels);
-            session.retrain(&ds);
+            session.retrain(&ds).unwrap();
             let _ = session.report(&ds);
         }
         assert!(out_of_domain > 0, "exercised the append path");
-        let stats = session.design_stats();
-        assert_eq!(stats.full_builds, 0, "no full rebuild in the session");
-        assert_eq!(stats.vars_patched, out_of_domain);
-        assert_eq!(stats.rows_patched, out_of_domain, "one row per novel label");
+        assert_eq!(
+            session.model.graph.design().rows(),
+            compiled.design().rows() + out_of_domain,
+            "one row per novel label"
+        );
         let mut fresh = holo_factor::FactorGraph::new();
         for v in compiled.var_ids() {
             let added = fresh.add_variable(session.model.graph.var(v).clone());
@@ -544,18 +492,43 @@ mod tests {
             fresh.design(),
             "patched matrix == fresh build, bit for bit"
         );
-        assert_eq!(session.timings().design, stats);
         assert!(session.timings().learn > std::time::Duration::ZERO);
-        // The component index obeys the same incremental contract: zero
-        // session rebuilds, and the patched index equals a fresh one.
-        let cstats = session.component_stats();
-        assert_eq!(cstats.full_builds, 0, "no index rebuild in the session");
-        assert_eq!(
-            session.model.graph.components(),
-            &session.model.graph.compile_components(),
-            "patched index == fresh build"
-        );
+        // Pins leave the component index as the compiled model had it.
+        assert_eq!(session.model.graph.components(), compiled.components());
         assert!(session.partition_stats().components > 0);
-        assert_eq!(session.timings().components, cstats);
+    }
+
+    /// A retrain that diverges is a typed error and changes nothing: the
+    /// overflowed weights never reach inference or the session.
+    #[test]
+    fn diverging_retrain_is_an_error_and_leaves_the_session_untouched() {
+        // Flag is unconstrained and two-to-one under every Key, so each
+        // clean Flag cell keeps both candidates and rows with identical
+        // features carry different labels: evidence no weights can fit,
+        // which is what a huge rate overflows on.
+        let mut dirty = Dataset::new(Schema::new(vec!["Key", "Value", "Flag"]));
+        for i in 0..40 {
+            for flag in ["y", "y", "n"] {
+                dirty.push_row(&[format!("k{i}").as_str(), "gamma", flag]);
+            }
+        }
+        dirty.push_row(&["k0", "delta", "y"]); // a conflict to label
+        let (mut session, mut ds) = session_for(&dirty);
+        let cell = session.requests(&ds, 1)[0].cell;
+        let value = "gamma".to_string();
+        session.apply_labels(&mut ds, &[Label { cell, value }]);
+        let (weights, marginals) = (session.weights.clone(), session.marginals.clone());
+        let report = session.report(&ds);
+
+        session.config.learn.learning_rate = 1e308;
+        let err = session.retrain(&ds).expect_err("1e308 overflows");
+        assert!(matches!(err, HoloError::LearnDiverged { .. }), "got {err}");
+        assert_eq!(session.weights, weights);
+        assert_eq!(session.marginals, marginals);
+        assert_eq!(session.report(&ds), report);
+
+        // The session is still usable once the rate is sane again.
+        session.config.learn.learning_rate = HoloConfig::default().learn.learning_rate;
+        session.retrain(&ds).unwrap();
     }
 }

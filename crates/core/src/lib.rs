@@ -71,7 +71,7 @@ pub use domain::{
 pub use error::HoloError;
 pub use feedback::{FeedbackRequest, FeedbackSession, Label};
 pub use metrics::{evaluate, RepairQuality};
-pub use pipeline::{Pipeline, PipelineContext, Stage, StageData, StageKind, StageTimings};
+pub use pipeline::{Detection, PipelineContext, PipelineRun, StageTimings};
 pub use repair::{Repair, RepairReport};
 pub use report::{confidence_buckets, ConfidenceBucket};
 pub use session::{HoloClean, RepairOutcome};

@@ -90,11 +90,6 @@ impl RepairReport {
         out
     }
 
-    /// Number of performed repairs.
-    pub fn repair_count(&self) -> usize {
-        self.repairs.len()
-    }
-
     /// Serialises the repairs as CSV
     /// (`tuple,attribute,old_value,new_value,probability`) for downstream
     /// review tooling — the artifact a data steward audits.

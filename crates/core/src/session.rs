@@ -1,11 +1,11 @@
-//! The HoloClean session: a builder plus a thin driver over the staged
-//! engine in [`crate::pipeline`] (Figure 2).
+//! The HoloClean session: a builder plus a thin driver over
+//! [`crate::pipeline::run`] (Figure 2).
 
 use crate::compile::{CompileStats, CompiledModel};
 use crate::config::HoloConfig;
 use crate::error::HoloError;
 use crate::features::MatchLookup;
-use crate::pipeline::{Pipeline, PipelineContext};
+use crate::pipeline::{self, PipelineContext, PipelineRun};
 use crate::repair::RepairReport;
 use holo_constraints::{parse_constraints, ConstraintSet};
 use holo_dataset::{CellRef, Dataset, FxHashSet};
@@ -135,7 +135,7 @@ impl HoloClean {
     /// This is a thin driver: it freezes the inputs into a
     /// [`PipelineContext`] (the one step needing `&mut Dataset`, because
     /// dictionary matches intern their asserted values) and hands control
-    /// to [`Pipeline::standard`].
+    /// to [`pipeline::run`].
     pub fn run_full(
         mut self,
     ) -> Result<(RepairOutcome, CompiledModel, holo_factor::Weights), HoloError> {
@@ -171,19 +171,15 @@ impl HoloClean {
             config: self.config,
         };
 
-        // ---- The staged engine ----
-        let (data, mut timings) = Pipeline::standard().run(&cx)?;
+        let PipelineRun {
+            detection,
+            model,
+            weights,
+            learn_stats,
+            marginals,
+            mut timings,
+        } = pipeline::run(&cx)?;
         timings.compile += matching_time;
-
-        let model = data
-            .model
-            .ok_or_else(|| HoloError::Pipeline("standard pipeline produced no model".into()))?;
-        let weights = data
-            .weights
-            .ok_or_else(|| HoloError::Pipeline("standard pipeline produced no weights".into()))?;
-        let marginals = data
-            .marginals
-            .ok_or_else(|| HoloError::Pipeline("standard pipeline produced no marginals".into()))?;
 
         // ---- Repair extraction ----
         let ds = cx.ds;
@@ -202,9 +198,9 @@ impl HoloClean {
             report,
             timings,
             model: model.stats.clone(),
-            learn_stats: data.learn_stats,
-            violations: data.violations.len(),
-            noisy_cells: data.noisy.len(),
+            learn_stats,
+            violations: detection.violations.len(),
+            noisy_cells: detection.noisy.len(),
         };
         Ok((outcome, model, weights))
     }

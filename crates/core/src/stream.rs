@@ -31,11 +31,11 @@
 //!
 //! [`StreamSession::try_report`] hands the live table, the maintained
 //! statistics and the live violations to [`crate::compile::compile`] —
-//! the function [`crate::pipeline::CompileStage`] calls, here with an
+//! the function [`crate::pipeline::compile_model`] calls, here with an
 //! empty match lookup — then learns from the priors and infers through
-//! the code of [`crate::pipeline::LearnStage`] and
-//! [`crate::pipeline::InferStage`]. There is one compiler; the session
-//! owns no second route to a model.
+//! [`crate::pipeline::learn_weights`] and
+//! [`crate::pipeline::infer_marginals`]. There is one compiler; the
+//! session owns no second route to a model.
 //!
 //! **Why nothing of a model is kept across a mutation.** Algorithm 2
 //! prunes a cell's domain by `Pr[v | v']` over the *whole* table, and the
@@ -74,7 +74,7 @@ use crate::compile::{compile, CompileInput, CompiledModel};
 use crate::config::HoloConfig;
 use crate::error::HoloError;
 use crate::features::MatchLookup;
-use crate::pipeline::{infer_marginals, learn_weights, StageKind, StageTimings};
+use crate::pipeline::{infer_marginals, learn_weights, StageTimings};
 use crate::repair::RepairReport;
 use holo_constraints::{
     noisy_cells, parse_constraints, ConstraintSet, DeltaViolationIndex, Violation,
@@ -82,7 +82,7 @@ use holo_constraints::{
 use holo_dataset::{
     AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Schema, Sym, TupleId,
 };
-use holo_factor::{DesignStats, LearnStats, Marginals, Weights};
+use holo_factor::{LearnStats, Marginals, Weights};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -114,6 +114,16 @@ pub struct IngestStats {
     pub rows_deleted: u64,
     /// Rows rewritten in place by [`StreamSession::push_updates`].
     pub rows_updated: u64,
+}
+
+/// What [`StreamSession::design_stats`] reports. Kept because the
+/// benchmark reads both fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DesignStats {
+    /// Models built: each compiles its design matrix once.
+    pub full_builds: u64,
+    /// Always 0: a built model is never mutated.
+    pub vars_patched: u64,
 }
 
 /// Model turnover and table liveness of a session, riding in
@@ -267,7 +277,7 @@ impl StreamSession {
             ..BatchReport::default()
         };
         self.live_violations.extend(new_violations);
-        self.timings.record(StageKind::Detect, t_detect.elapsed());
+        self.timings.detect += t_detect.elapsed();
         self.mark_stale(&report);
         Ok(report)
     }
@@ -285,7 +295,7 @@ impl StreamSession {
         self.drop_violations_of(rows);
         self.rebuild_noisy();
         self.ds.delete_rows(rows);
-        self.timings.record(StageKind::Detect, t_detect.elapsed());
+        self.timings.detect += t_detect.elapsed();
         let report = BatchReport {
             deleted: rows.len(),
             ..BatchReport::default()
@@ -336,7 +346,7 @@ impl StreamSession {
         };
         self.live_violations.extend(new_violations);
         self.rebuild_noisy();
-        self.timings.record(StageKind::Detect, t_detect.elapsed());
+        self.timings.detect += t_detect.elapsed();
         self.mark_stale(&report);
         Ok(report)
     }
@@ -390,7 +400,7 @@ impl StreamSession {
     }
 
     /// Compiles, trains and infers the model of the current live table —
-    /// the one-shot Compile, Learn and Infer stages over the maintained
+    /// the one-shot compile, learn and infer steps over the maintained
     /// statistics and violations.
     fn build_model(&mut self) -> Result<StreamModel, HoloError> {
         let t_compile = Instant::now();
@@ -403,16 +413,16 @@ impl StreamSession {
             matches: &MatchLookup::default(),
             config: &self.config,
         })?;
-        self.timings.record(StageKind::Compile, t_compile.elapsed());
+        self.timings.compile += t_compile.elapsed();
 
         let t_learn = Instant::now();
         let (weights, learn_stats) = learn_weights(&compiled, &self.config)?;
-        self.timings.record(StageKind::Learn, t_learn.elapsed());
+        self.timings.learn += t_learn.elapsed();
 
         let t_infer = Instant::now();
         let (marginals, partition) = infer_marginals(&compiled, &weights, &self.ds, &self.config);
         self.timings.partition = partition;
-        self.timings.record(StageKind::Infer, t_infer.elapsed());
+        self.timings.infer += t_infer.elapsed();
 
         let shape = &compiled.stats;
         let ingest = &mut self.timings.ingest;
@@ -535,13 +545,11 @@ impl StreamSession {
         self.timings.ingest
     }
 
-    /// Design-matrix work over the session's life: `full_builds` counts
-    /// the models built (each compiles its matrix once) and the patch
-    /// counters stay 0 — a built model is never mutated.
+    /// Design-matrix work over the session's life.
     pub fn design_stats(&self) -> DesignStats {
         DesignStats {
             full_builds: self.timings.ingest.canonical_retrains,
-            ..DesignStats::default()
+            vars_patched: 0,
         }
     }
 
@@ -554,16 +562,12 @@ impl StreamSession {
         }
     }
 
-    /// Cumulative stage timings (pushes bill Detect; reads bill Compile,
-    /// Learn and Infer) with every counter block filled in.
+    /// Cumulative stage timings (pushes bill `detect`; reads bill
+    /// `compile`, `learn` and `infer`) with every counter block filled in.
     pub fn timings(&self) -> StageTimings {
         let mut t = self.timings;
-        t.design = self.design_stats();
         t.retire = self.retire_stats();
         t.stats = self.stats.stats_stats();
-        if let Some(model) = &self.model {
-            t.components = model.compiled.graph.component_stats();
-        }
         t
     }
 }

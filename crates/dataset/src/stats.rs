@@ -831,8 +831,9 @@ impl CooccurStats {
     }
 
     /// Builds co-occurrence statistics with the ordered attribute pairs
-    /// sharded over up to `threads` worker threads (`0` = all cores),
-    /// dense backend.
+    /// sharded over up to `threads` worker threads (`0` = all cores) and
+    /// an explicit backend choice: `naive = true` selects the retained
+    /// hash-map oracle, `false` the dense engine.
     ///
     /// Each `(cond, target)` pair owns a disjoint block (dense) or slice
     /// of the key space (naive), so per-pair results merge without
@@ -840,12 +841,6 @@ impl CooccurStats {
     /// as the sequential pass does. Lookups are keyed (no consumer
     /// observes storage iteration order), so results are identical for
     /// every thread count.
-    pub fn build_with_threads(ds: &Dataset, threads: usize) -> Self {
-        Self::build_with_opts(ds, threads, false)
-    }
-
-    /// Builds with an explicit backend choice: `naive = true` selects the
-    /// retained hash-map oracle, `false` the dense engine.
     pub fn build_with_opts(ds: &Dataset, threads: usize, naive: bool) -> Self {
         let freq = FrequencyStats::build(ds);
         let backend = if naive {

@@ -7,63 +7,24 @@
 //! classes whose members are pairwise non-interacting, so an entire class
 //! can resample in parallel against an immutable pre-class snapshot and
 //! still factorise exactly like sequential single-site updates (chromatic
-//! Gibbs). [`Coloring`] materialises the partition:
+//! Gibbs). [`Coloring`] materialises the partition with one greedy pass in
+//! ascending variable order: each variable takes the smallest color absent
+//! among its already-colored interaction neighbours.
+//! Clique-free variables have no neighbours and therefore all land on
+//! **color 0** — the §5.2 relaxed model is single-color by construction
+//! and keeps the sequential sweep path.
 //!
-//! * **Build** — one greedy pass in ascending variable order: each variable
-//!   takes the smallest color absent among its already-colored interaction
-//!   neighbours. Clique-free variables have no neighbours and therefore all
-//!   land on **color 0** — the §5.2 relaxed model is single-color by
-//!   construction and keeps the sequential sweep path.
-//! * **Patch** — graph mutators maintain the coloring in place, exactly
-//!   like the design matrix and the component index:
-//!   [`Coloring::push_var`] appends a clique-free variable at color 0, and
-//!   a late clique runs [`Coloring::patch_clique`], which may only *raise*
-//!   the colors of the spanned variables (each conflicted member moves to
-//!   the smallest conflict-free color above its current one, in ascending
-//!   id order). Feedback pins change no scopes and touch nothing.
-//!
-//! Unlike the design-matrix and component caches, a patched coloring is
-//! **not** promised to equal a fresh [`Coloring::build`] structurally —
-//! raise-only patching trades optimality for monotone O(scope · degree)
-//! updates. The maintained invariants are the ones chromatic sweeps need:
-//! the coloring stays *proper* (no clique scope contains two variables of
-//! the same color) and clique-free variables stay at color 0. Both are
-//! proptested; [`ColoringStats`] counts full builds vs in-place patches.
+//! The graph builds its coloring lazily, on the first chromatic inference
+//! pass, and never patches it: a clique or variable added afterwards drops
+//! the cached coloring and the next access builds a fresh one; feedback
+//! pins change no scope and touch nothing. The invariant chromatic sweeps
+//! need is *properness* — no clique scope contains two variables of the
+//! same color ([`Coloring::is_proper`]).
 
 use crate::graph::{CliqueFactor, VarId};
-use serde::{Deserialize, Serialize};
-
-/// Build/patch counters of the cached [`Coloring`] — at most one full
-/// build (the first chromatic inference pass) and one patch per late
-/// mutation after it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ColoringStats {
-    /// Full greedy passes over the whole graph.
-    pub full_builds: u64,
-    /// Late cliques absorbed by a raise-only in-place patch.
-    pub cliques_patched: u64,
-    /// Individual color raises those patches performed (0 when the new
-    /// scope happened to be conflict-free already).
-    pub colors_raised: u64,
-    /// Variables appended at color 0 for late `add_variable`s.
-    pub vars_appended: u64,
-}
-
-impl ColoringStats {
-    /// Counter-wise difference since an earlier snapshot (for per-session
-    /// accounting on a long-lived graph).
-    pub fn since(&self, earlier: &ColoringStats) -> ColoringStats {
-        ColoringStats {
-            full_builds: self.full_builds - earlier.full_builds,
-            cliques_patched: self.cliques_patched - earlier.cliques_patched,
-            colors_raised: self.colors_raised - earlier.colors_raised,
-            vars_appended: self.vars_appended - earlier.vars_appended,
-        }
-    }
-}
 
 /// A proper coloring of the variable-interaction graph (see the module
-/// docs for the invariants and the patch rules).
+/// docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Coloring {
     /// `color_of[v]` = color of variable `v`.
@@ -91,7 +52,7 @@ impl Coloring {
                     }
                 }
             }
-            let c = smallest_absent(&mut used, 0);
+            let c = smallest_absent(&mut used);
             color_of[v] = c;
             num_colors = num_colors.max(c + 1);
         }
@@ -117,68 +78,25 @@ impl Coloring {
         self.color_of.len()
     }
 
-    /// Appends a just-added (necessarily clique-free) variable at color 0.
-    /// The variable must carry the next id, mirroring
-    /// [`crate::components::ComponentIndex::add_singleton`].
-    pub fn push_var(&mut self, v: VarId) {
-        assert_eq!(v.index(), self.color_of.len(), "variables append in order");
-        self.color_of.push(0);
-        self.num_colors = self.num_colors.max(1);
-    }
-
-    /// Absorbs a late clique in place with raise-only repairs: the spanned
-    /// variables are visited in ascending id order, and any member whose
-    /// color now collides with an interaction neighbour moves to the
-    /// smallest conflict-free color *above* its current one. Conflicts
-    /// with **later** scope members are deferred to the later member's own
-    /// turn (mirroring the greedy build, where smaller ids pick first), so
-    /// the smallest spanned id keeps its color whenever possible. Colors
-    /// never decrease, untouched variables keep their color, and the
-    /// coloring stays proper. Returns how many members were raised.
-    ///
-    /// `cliques` and `var_cliques` must already include the new clique
-    /// (the graph wires adjacency before patching its caches).
-    pub fn patch_clique(
-        &mut self,
-        scope: &[VarId],
-        cliques: &[CliqueFactor],
-        var_cliques: &[Vec<u32>],
-    ) -> u64 {
-        let mut members: Vec<VarId> = scope.to_vec();
-        members.sort_unstable();
-        members.dedup();
-        let mut raised = 0u64;
-        let mut used: Vec<u32> = Vec::new();
-        for &v in &members {
-            used.clear();
-            for &ci in &var_cliques[v.index()] {
-                for &u in &cliques[ci as usize].vars {
-                    // Skip v itself and scope members not yet visited:
-                    // when the later member's turn comes, v is final and
-                    // the later member resolves any collision itself.
-                    if u != v && !(u > v && members.binary_search(&u).is_ok()) {
-                        used.push(self.color_of[u.index()]);
-                    }
-                }
-            }
-            let current = self.color_of[v.index()];
-            if !used.contains(&current) {
-                continue;
-            }
-            let c = smallest_absent(&mut used, current + 1);
-            self.color_of[v.index()] = c;
-            self.num_colors = self.num_colors.max(c + 1);
-            raised += 1;
-        }
-        raised
+    /// Whether no scope in `cliques` contains two distinct variables of
+    /// the same color.
+    pub fn is_proper(&self, cliques: &[CliqueFactor]) -> bool {
+        cliques.iter().all(|c| {
+            let mut members = c.vars.clone();
+            members.sort_unstable();
+            members.dedup();
+            let mut colors: Vec<u32> = members.iter().map(|&v| self.color_of(v)).collect();
+            colors.sort_unstable();
+            colors.windows(2).all(|w| w[0] != w[1])
+        })
     }
 }
 
-/// The smallest color `>= floor` not present in `used` (sorted in place).
-fn smallest_absent(used: &mut Vec<u32>, floor: u32) -> u32 {
+/// The smallest color not present in `used` (sorted in place).
+fn smallest_absent(used: &mut Vec<u32>) -> u32 {
     used.sort_unstable();
     used.dedup();
-    let mut c = floor;
+    let mut c = 0;
     for &u in used.iter() {
         if u == c {
             c += 1;
@@ -212,18 +130,6 @@ mod tests {
                 rhs: FactorOperand::Var(1),
             }],
         }
-    }
-
-    /// Whether no clique scope contains two variables of the same color —
-    /// the invariant chromatic sweeps rely on.
-    fn proper(coloring: &Coloring, cliques: &[CliqueFactor]) -> bool {
-        cliques.iter().all(|c| {
-            let mut colors: Vec<u32> = c.vars.iter().map(|&v| coloring.color_of(v)).collect();
-            colors.sort_unstable();
-            let n = colors.len();
-            colors.dedup();
-            colors.len() == n
-        })
     }
 
     fn chain_graph(n: usize) -> FactorGraph {
@@ -260,7 +166,7 @@ mod tests {
         let g = chain_graph(7);
         let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
         assert_eq!(c.num_colors(), 2, "a path is 2-colorable greedily");
-        assert!(proper(&c, g.cliques()));
+        assert!(c.is_proper(g.cliques()));
         // Greedy in id order alternates on a path.
         for v in g.var_ids() {
             assert_eq!(c.color_of(v), v.0 % 2);
@@ -278,7 +184,7 @@ mod tests {
         g.add_clique(clique(vec![vars[0], vars[2]]));
         let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
         assert_eq!(c.num_colors(), 3);
-        assert!(proper(&c, g.cliques()));
+        assert!(c.is_proper(g.cliques()));
     }
 
     #[test]
@@ -290,93 +196,6 @@ mod tests {
         g.add_clique(clique(vars.clone()));
         let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
         assert_eq!(c.num_colors(), 4);
-        assert!(proper(&c, g.cliques()));
-    }
-
-    #[test]
-    fn push_var_appends_color_zero() {
-        let mut c = Coloring::build(0, &[], &[]);
-        c.push_var(VarId(0));
-        c.push_var(VarId(1));
-        assert_eq!(c.num_colors(), 1);
-        assert_eq!(c.color_of(VarId(1)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "append in order")]
-    fn push_var_out_of_order_panics() {
-        let mut c = Coloring::build(0, &[], &[]);
-        c.push_var(VarId(3));
-    }
-
-    #[test]
-    fn patch_raises_only_conflicted_members() {
-        // Build on a clique-free graph (all color 0), then add one edge:
-        // exactly one endpoint must raise.
-        let mut g = FactorGraph::new();
-        let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
-        let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
-        let mut c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
-        g.add_clique(clique(vec![a, b]));
-        let raised = c.patch_clique(&[a, b], g.cliques(), g.var_cliques_raw());
-        assert_eq!(raised, 1);
-        assert_eq!(c.color_of(a), 0, "ascending order keeps the smaller id");
-        assert_eq!(c.color_of(b), 1);
-        assert!(proper(&c, g.cliques()));
-    }
-
-    #[test]
-    fn patch_keeps_conflict_free_scopes_untouched() {
-        let mut g = chain_graph(4);
-        let mut c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
-        let before = c.clone();
-        // 0 and 2 already differ... no: both are color 0 on a path, so use
-        // 0 and 1 (colors 0 and 1) — a clique over them conflicts nowhere.
-        g.add_clique(clique(vec![VarId(0), VarId(1)]));
-        let raised = c.patch_clique(&[VarId(0), VarId(1)], g.cliques(), g.var_cliques_raw());
-        assert_eq!(raised, 0);
-        assert_eq!(c, before);
-    }
-
-    #[test]
-    fn patch_never_lowers_and_stays_proper() {
-        let mut g = chain_graph(6);
-        let mut c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
-        let before: Vec<u32> = g.var_ids().map(|v| c.color_of(v)).collect();
-        // Close the path into an odd structure: 0-2 (same color 0) and a
-        // 3-wide scope.
-        g.add_clique(clique(vec![VarId(0), VarId(2)]));
-        c.patch_clique(&[VarId(0), VarId(2)], g.cliques(), g.var_cliques_raw());
-        g.add_clique(clique(vec![VarId(1), VarId(3), VarId(5)]));
-        c.patch_clique(
-            &[VarId(1), VarId(3), VarId(5)],
-            g.cliques(),
-            g.var_cliques_raw(),
-        );
-        assert!(proper(&c, g.cliques()));
-        for (v, &old) in g.var_ids().zip(before.iter()) {
-            assert!(c.color_of(v) >= old, "patching never lowers a color");
-        }
-    }
-
-    #[test]
-    fn coloring_stats_since_subtracts() {
-        let a = ColoringStats {
-            full_builds: 1,
-            cliques_patched: 2,
-            colors_raised: 1,
-            vars_appended: 3,
-        };
-        let b = ColoringStats {
-            full_builds: 1,
-            cliques_patched: 5,
-            colors_raised: 4,
-            vars_appended: 7,
-        };
-        let d = b.since(&a);
-        assert_eq!(d.full_builds, 0);
-        assert_eq!(d.cliques_patched, 3);
-        assert_eq!(d.colors_raised, 3);
-        assert_eq!(d.vars_appended, 4);
+        assert!(c.is_proper(g.cliques()));
     }
 }

@@ -31,14 +31,11 @@
 //! each variable's marginal exactly once — so the result is **bit-for-bit
 //! identical at every thread count**.
 //!
-//! The index is maintained incrementally like the design matrix: graph
-//! mutators patch it in place (`add_variable` appends a singleton
-//! component, a late `add_clique` merges the components its scope spans,
-//! feedback pins change nothing — scopes are unioned over *all* members,
-//! evidence included, precisely so that pinning never has to split a
-//! component). [`ComponentStats`] counts full builds vs in-place patches,
-//! and a patched index is always equal to a fresh
-//! [`ComponentIndex::build`] of the mutated graph (proptested).
+//! The graph builds the index lazily, on the first inference pass, and
+//! never patches it: a clique or variable added afterwards drops the
+//! cached index and the next access builds a fresh one. Feedback pins
+//! change nothing — scopes are unioned over *all* members, evidence
+//! included, precisely so that pinning never has to split a component.
 
 use crate::cache::{ScoreCache, ScoreCacheStats};
 use crate::coloring::Coloring;
@@ -51,37 +48,9 @@ use crate::weights::Weights;
 use holo_dataset::FxHashMap;
 use serde::{Deserialize, Serialize};
 
-/// Build/patch counters of the cached [`ComponentIndex`] — the
-/// observability hook for its incremental maintenance: a healthy feedback
-/// session shows **zero** full builds (the one build happened during the
-/// pipeline's Infer stage) and one patch per late mutation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ComponentStats {
-    /// Full union-find builds over the whole graph.
-    pub full_builds: u64,
-    /// Components fused in place by late cliques (a clique spanning `k`
-    /// components counts `k - 1`).
-    pub merges: u64,
-    /// Singleton components appended for late variables.
-    pub vars_appended: u64,
-}
-
-impl ComponentStats {
-    /// Counter-wise difference since an earlier snapshot (for per-session
-    /// accounting on a long-lived graph).
-    pub fn since(&self, earlier: &ComponentStats) -> ComponentStats {
-        ComponentStats {
-            full_builds: self.full_builds - earlier.full_builds,
-            merges: self.merges - earlier.merges,
-            vars_appended: self.vars_appended - earlier.vars_appended,
-        }
-    }
-}
-
 /// How one partitioned inference pass decomposed and routed the graph —
 /// the component count, the size shape, and the exact vs sampled split.
-/// Snapshot semantics (unlike the counter-style [`ComponentStats`]): each
-/// inference pass produces a fresh one.
+/// Snapshot semantics: each inference pass produces a fresh one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PartitionStats {
     /// Connected components containing at least one query variable.
@@ -112,11 +81,6 @@ pub struct PartitionStats {
     /// Gibbs-routed components that armed a plan (0 for every single-color
     /// component, which keeps the sequential sweep).
     pub color_sweep_blocks: u64,
-    /// Full greedy builds of the coloring over the graph's lifetime.
-    pub coloring_full_builds: u64,
-    /// In-place coloring patches (late cliques repaired raise-only plus
-    /// appended variables) over the graph's lifetime.
-    pub coloring_patches: u64,
     /// What the frozen-weight score cache did this pass (all-zero when
     /// [`PartitionedConfig::score_cache`] is off).
     pub score_cache: ScoreCacheStats,
@@ -125,13 +89,12 @@ pub struct PartitionStats {
 /// The connected components of a factor graph under the relation "appears
 /// in a common clique scope". Canonical form: every member list is sorted
 /// ascending, and components are ordered by their smallest member — so
-/// two indexes over the same graph are structurally equal however they
-/// were produced (fresh build or incremental patches).
+/// two indexes over the same graph are structurally equal.
 ///
 /// Scopes are unioned over **all** clique members, evidence included:
-/// conditioning on evidence could split components further, but splitting
-/// a union-find is not an in-place operation — keeping evidence in the
-/// union means [`FactorGraph::pin_evidence`] never invalidates the index.
+/// conditioning on evidence could split components further, but keeping
+/// evidence in the union means [`FactorGraph::pin_evidence`] never
+/// invalidates the index.
 /// Routing still only counts *query* variables (see
 /// [`infer_partitioned`]), so the conservatism costs nothing in the
 /// common case.
@@ -224,46 +187,6 @@ impl ComponentIndex {
     /// Iterates component member lists in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = &[VarId]> {
         self.members.iter().map(Vec::as_slice)
-    }
-
-    /// Appends a fresh singleton component for a just-added variable
-    /// (which must carry the next variable id). A new variable has the
-    /// largest id, so its singleton sorts last — the canonical position.
-    pub fn add_singleton(&mut self, v: VarId) {
-        assert_eq!(v.index(), self.comp_of.len(), "variables append in order");
-        self.comp_of.push(self.members.len() as u32);
-        self.members.push(vec![v]);
-    }
-
-    /// Fuses the components spanned by a late clique's scope in place,
-    /// returning how many merges happened (`distinct components - 1`).
-    /// O(variable count) when a merge occurs — late cliques are rare
-    /// (feedback-scale), and a fresh build is O(V + cliques) anyway.
-    pub fn merge_scope(&mut self, vars: &[VarId]) -> u64 {
-        let mut comps: Vec<u32> = vars.iter().map(|&v| self.comp_of[v.index()]).collect();
-        comps.sort_unstable();
-        comps.dedup();
-        if comps.len() <= 1 {
-            return 0;
-        }
-        // Component ids are ordered by smallest member, so the smallest id
-        // keeps its slot and absorbs the rest.
-        let target = comps[0] as usize;
-        let mut merged = std::mem::take(&mut self.members[target]);
-        for &c in &comps[1..] {
-            merged.extend_from_slice(&self.members[c as usize]);
-        }
-        merged.sort_unstable();
-        self.members[target] = merged;
-        for &c in comps[1..].iter().rev() {
-            self.members.remove(c as usize);
-        }
-        for (id, members) in self.members.iter().enumerate() {
-            for &v in members {
-                self.comp_of[v.index()] = id as u32;
-            }
-        }
-        (comps.len() - 1) as u64
     }
 }
 
@@ -364,10 +287,7 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
         ..PartitionStats::default()
     };
     if let Some(col) = coloring {
-        let cstats = graph.coloring_stats();
         stats.colors = col.num_colors() as u64;
-        stats.coloring_full_builds = cstats.full_builds;
-        stats.coloring_patches = cstats.cliques_patched + cstats.vars_appended;
     }
     // Per-chain counted sweeps, for the per-unit cost estimates below.
     let sweeps = (config.gibbs.burn_in + samples_per_chain(&config.gibbs)) as u64;
@@ -695,37 +615,16 @@ mod tests {
     }
 
     #[test]
-    fn late_clique_merges_in_place_and_matches_fresh_build() {
-        let (mut g, _) = two_pair_graph();
-        let _ = g.components(); // the one full build
-        assert_eq!(g.component_stats().full_builds, 1);
-        // Bridge the two pairs: components 0 and 1 fuse.
-        g.add_clique(must_differ(VarId(1), VarId(2), WeightId(1)));
-        assert_eq!(g.components(), &g.compile_components());
-        assert_eq!(g.components().len(), 2);
-        assert_eq!(
-            g.components().members(0),
-            &[VarId(0), VarId(1), VarId(2), VarId(3)]
-        );
-        // Late variable: appended as a singleton.
-        let v = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
-        assert_eq!(g.components(), &g.compile_components());
-        assert_eq!(g.components().comp_of(v), 2);
-        let stats = g.component_stats();
-        assert_eq!(stats.full_builds, 1, "patched, never rebuilt");
-        assert_eq!(stats.merges, 1);
-        assert_eq!(stats.vars_appended, 1);
-    }
-
-    #[test]
     fn pins_leave_the_index_untouched() {
         let (mut g, _) = two_pair_graph();
         let before = g.components().clone();
         g.pin_evidence(VarId(1), sym(9)); // out-of-domain pin
         g.pin_evidence(VarId(4), sym(1)); // in-domain pin
         assert_eq!(g.components(), &before);
-        assert_eq!(g.components(), &g.compile_components());
-        assert_eq!(g.component_stats().full_builds, 1);
+        assert_eq!(
+            g.components(),
+            &ComponentIndex::build(g.var_count(), g.cliques())
+        );
     }
 
     /// Clique-free graphs route every variable through the closed form,
@@ -965,7 +864,6 @@ mod tests {
         assert_eq!(stats.gibbs_components, 1);
         assert_eq!(stats.colors, 2, "a chain two-colors");
         assert_eq!(stats.color_sweep_blocks, 2, "one block per color class");
-        assert_eq!(stats.coloring_full_builds, 1);
         for threads in [2, 4] {
             let (mt, st) = infer_partitioned(&g, &w, &ctx, &cfg, threads);
             assert_eq!(mt, m, "threads = {threads}");
@@ -1074,8 +972,8 @@ mod tests {
         assert_eq!(Marginals::assemble(&g, sequential), reference);
     }
 
-    /// One mutation drawn from the moves a live graph makes after its
-    /// index is built.
+    /// One mutation of a graph whose index and coloring are already
+    /// built.
     #[derive(Debug, Clone)]
     enum Op {
         AddVar { arity: usize },
@@ -1099,9 +997,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Random pin / late-clique / late-variable sequences keep the
-        /// patched index equal to a fresh recompute, with exactly one full
-        /// build ever.
+        /// The invalidation contract: after every pin, late clique or
+        /// late variable the cached index equals a fresh build and the
+        /// cached coloring is proper — a construction call that forgot to
+        /// drop a cache would serve the stale one here.
         #[test]
         fn random_mutations_patch_equals_fresh_build(
             arities in proptest::collection::vec(2usize..=4, 1..6),
@@ -1113,7 +1012,7 @@ mod tests {
                 let domain: Vec<Sym> = (0..arity as u32).map(|k| Sym(base + k)).collect();
                 g.add_variable(Variable::query(domain, Some(0)));
             }
-            let _ = g.components(); // the one full build
+            let _ = (g.components(), g.coloring()); // both caches live
             let mut novel = 50_000u32;
             for op in ops {
                 match op {
@@ -1142,9 +1041,13 @@ mod tests {
                         g.pin_evidence(v, value);
                     }
                 }
-                prop_assert_eq!(g.components(), &g.compile_components());
+                prop_assert_eq!(
+                    g.components(),
+                    &ComponentIndex::build(g.var_count(), g.cliques())
+                );
+                prop_assert_eq!(g.coloring().var_count(), g.var_count());
+                prop_assert!(g.coloring().is_proper(g.cliques()));
             }
-            prop_assert_eq!(g.component_stats().full_builds, 1, "patches only");
         }
     }
 }

@@ -59,40 +59,7 @@
 
 use crate::graph::{FeatureVec, VarId};
 use crate::weights::{WeightId, Weights};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
-
-/// Counters for how the design matrix has been built and patched — the
-/// observability hook for the incremental feedback loop: a healthy
-/// multi-round feedback session shows exactly one full build (the Compile
-/// stage's assembly) and one patch per mutated variable afterwards.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DesignStats {
-    /// Whole-matrix builds: the bulk assembly a compiled model arrives
-    /// with, plus every [`FactorGraph::invalidate_design`] re-pack.
-    ///
-    /// [`FactorGraph::invalidate_design`]: crate::graph::FactorGraph::invalidate_design
-    pub full_builds: u64,
-    /// Variables whose row range was spliced in place.
-    pub vars_patched: u64,
-    /// Rows written by patch splices (the O(changed rows) work).
-    pub rows_patched: u64,
-    /// Feature entries written by patch splices.
-    pub entries_patched: u64,
-}
-
-impl DesignStats {
-    /// Counter-wise difference since an earlier snapshot (for per-session
-    /// accounting on a long-lived graph).
-    pub fn since(&self, earlier: &DesignStats) -> DesignStats {
-        DesignStats {
-            full_builds: self.full_builds - earlier.full_builds,
-            vars_patched: self.vars_patched - earlier.vars_patched,
-            rows_patched: self.rows_patched - earlier.rows_patched,
-            entries_patched: self.entries_patched - earlier.entries_patched,
-        }
-    }
-}
 
 /// CSR design matrix over all `(variable, candidate)` rows of a factor
 /// graph. Assembled once by a [`DesignBuilder`]; graph mutations splice the
@@ -653,26 +620,5 @@ mod tests {
         // score_row and score_features route through the same kernel.
         assert_eq!(m.score_row(2, &w), blocked[2]);
         assert_eq!(score_features(&long_row, &w), blocked[2]);
-    }
-
-    #[test]
-    fn design_stats_since_subtracts() {
-        let a = DesignStats {
-            full_builds: 1,
-            vars_patched: 2,
-            rows_patched: 5,
-            entries_patched: 9,
-        };
-        let b = DesignStats {
-            full_builds: 1,
-            vars_patched: 5,
-            rows_patched: 11,
-            entries_patched: 20,
-        };
-        let d = b.since(&a);
-        assert_eq!(d.full_builds, 0);
-        assert_eq!(d.vars_patched, 3);
-        assert_eq!(d.rows_patched, 6);
-        assert_eq!(d.entries_patched, 11);
     }
 }

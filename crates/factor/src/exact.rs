@@ -300,47 +300,6 @@ fn for_each_assignment(
     }
 }
 
-/// MAP assignment by enumeration (for tests): returns per-variable candidate
-/// indices maximising the joint score.
-pub fn exact_map(graph: &FactorGraph, weights: &Weights, ctx: &impl ValueContext) -> Vec<usize> {
-    let query = graph.query_vars();
-    let design = graph.design();
-    let row_scores = design.score_all(weights);
-    let mut state: Vec<usize> = graph
-        .vars()
-        .iter()
-        .map(|v| v.evidence.unwrap_or(0))
-        .collect();
-    let mut best_state = state.clone();
-    let mut best_score = f64::NEG_INFINITY;
-    let mut odometer = vec![0usize; query.len()];
-    loop {
-        for (i, &v) in query.iter().enumerate() {
-            state[v.index()] = odometer[i];
-        }
-        let score = joint_score(graph, design, &row_scores, weights, ctx, &state);
-        if score > best_score {
-            best_score = score;
-            best_state = state.clone();
-        }
-        let mut i = 0;
-        loop {
-            if i == odometer.len() {
-                return best_state;
-            }
-            odometer[i] += 1;
-            if odometer[i] < graph.var(query[i]).arity() {
-                break;
-            }
-            odometer[i] = 0;
-            i += 1;
-        }
-        if odometer.iter().all(|&k| k == 0) {
-            return best_state;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,31 +351,6 @@ mod tests {
         // marginals stay 0.5/0.5.
         assert!((m.prob(a, 0) - 0.5).abs() < 1e-9);
         assert!((m.prob(b, 1) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn map_respects_cliques() {
-        let mut g = FactorGraph::new();
-        let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
-        let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
-        let mut w = Weights::zeros(2);
-        w.set(WeightId(0), 1.0); // both vars mildly prefer candidate 0
-        w.set(WeightId(1), 10.0); // strong must-differ
-        g.add_feature(a, 0, WeightId(0), 1.0);
-        g.add_feature(b, 0, WeightId(0), 0.5);
-        g.add_clique(CliqueFactor {
-            vars: vec![a, b],
-            weight: WeightId(1),
-            predicates: vec![FactorPredicate {
-                lhs: FactorOperand::Var(0),
-                op: CmpOp::Eq,
-                rhs: FactorOperand::Var(1),
-            }],
-        });
-        let map = exact_map(&g, &w, &EqOnlyContext);
-        // a takes its preferred candidate 0; b must differ → candidate 1.
-        assert_eq!(map[a.index()], 0);
-        assert_eq!(map[b.index()], 1);
     }
 
     #[test]

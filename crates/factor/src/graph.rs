@@ -7,13 +7,12 @@
 //! predicates over the candidate values of up to a handful of variables
 //! plus constants frozen from clean cells.
 
-use crate::coloring::{Coloring, ColoringStats};
-use crate::components::{ComponentIndex, ComponentStats};
-use crate::design::{DesignMatrix, DesignStats};
+use crate::coloring::Coloring;
+use crate::components::ComponentIndex;
+use crate::design::DesignMatrix;
 use crate::weights::{WeightId, Weights};
 use holo_dataset::Sym;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Index of a variable in a [`FactorGraph`].
@@ -206,24 +205,30 @@ impl CliqueFactor {
 /// Sparse unary features of one `(variable, candidate)` pair.
 pub type FeatureVec = Vec<(WeightId, f64)>;
 
-/// The grounded factor graph.
+/// The grounded factor graph: constructed, then read.
 ///
-/// Unary features have exactly one home: the CSR [`DesignMatrix`], which
-/// every consumer reads ([`FactorGraph::unary_score`], the Gibbs
-/// conditional, exact enumeration, SGD). A compiled model arrives with its
-/// matrix already assembled ([`FactorGraph::from_design`] — the compiler
-/// featurizes straight into it, see [`crate::design`]); a graph started
-/// with [`FactorGraph::new`] begins with the empty matrix. Either way the
-/// mutators below — [`add_variable`](FactorGraph::add_variable),
-/// [`add_feature`](FactorGraph::add_feature),
-/// [`pin_evidence`](FactorGraph::pin_evidence) — splice the affected
-/// variable's rows in place, each costing O(that variable's rows plus a
-/// suffix shift): right for tests, hand-built graphs and the feedback
-/// loop's handful of pins, wrong for bulk featurization, which goes through
-/// a [`DesignBuilder`](crate::design::DesignBuilder) instead.
-/// [`DesignStats`] counts assemblies and splices so the split is
-/// observable.
-#[derive(Debug, Default)]
+/// **Construction.** A compiled model arrives with its CSR
+/// [`DesignMatrix`] — the one home of the unary features, which every
+/// consumer reads ([`FactorGraph::unary_score`], the Gibbs conditional,
+/// exact enumeration, SGD) — already assembled
+/// ([`FactorGraph::from_design`]; the compiler featurizes straight into
+/// it, see [`crate::design`]) and then grounds its cliques with
+/// [`add_clique`](FactorGraph::add_clique). Tests and hand-built graphs
+/// start from [`FactorGraph::new`] and use
+/// [`add_variable`](FactorGraph::add_variable) /
+/// [`add_feature`](FactorGraph::add_feature), which splice the affected
+/// variable's rows into the matrix in place — O(that variable's rows plus
+/// a suffix shift) per call, wrong for bulk featurization, which goes
+/// through a [`DesignBuilder`](crate::design::DesignBuilder).
+///
+/// **Use.** The component index and the coloring are derived from the
+/// clique structure on first access and cached; nothing ever patches
+/// them. A construction call that arrives after one was built simply drops
+/// it, so a cached partition can never be stale. The one mutator of a
+/// built graph is [`pin_evidence`](FactorGraph::pin_evidence) (user
+/// feedback, §2.2), which changes no clique scope and therefore leaves
+/// both caches alone.
+#[derive(Debug, Clone, Default)]
 pub struct FactorGraph {
     vars: Vec<Variable>,
     /// The unary features of every `(variable, candidate)` pair.
@@ -231,51 +236,14 @@ pub struct FactorGraph {
     cliques: Vec<CliqueFactor>,
     /// `var_cliques[v]` = clique indices touching `v`.
     var_cliques: Vec<Vec<u32>>,
-    /// Assembly and splice counters of `design`.
-    stats: DesignStats,
     /// Connected components of the clique structure, built on first use by
-    /// partitioned inference and patched in place by mutators:
-    /// `add_variable` appends a singleton component, `add_clique` merges
-    /// the components its scope spans, and `pin_evidence` changes nothing
-    /// (scopes are unioned over all members, evidence included — see
-    /// [`ComponentIndex`]).
+    /// partitioned inference. Scopes are unioned over all members,
+    /// evidence included (see [`ComponentIndex`]), so `pin_evidence` never
+    /// changes it.
     components: OnceLock<ComponentIndex>,
-    /// Patch-path counters of the component index (`full_builds` lives in
-    /// the atomic below, since full builds happen behind the `OnceLock`
-    /// under `&self`).
-    comp_stats: ComponentStats,
-    /// Number of full [`ComponentIndex::build`] passes.
-    comp_full_builds: AtomicU64,
     /// Greedy coloring of the variable-interaction graph, built on first
-    /// use by chromatic Gibbs and patched in place by mutators:
-    /// `add_variable` appends at color 0, a late `add_clique` raise-only
-    /// repairs its scope, and `pin_evidence` changes nothing. Unlike the
-    /// component index, a patched coloring need not equal a fresh build —
-    /// the maintained invariant is *properness* (see [`Coloring`]).
+    /// use by chromatic Gibbs (see [`Coloring`]).
     coloring: OnceLock<Coloring>,
-    /// Patch-path counters of the coloring (`full_builds` in the atomic
-    /// below, for the same `&self`-init reason as the component index).
-    coloring_stats: ColoringStats,
-    /// Number of full [`Coloring::build`] passes.
-    coloring_full_builds: AtomicU64,
-}
-
-impl Clone for FactorGraph {
-    fn clone(&self) -> Self {
-        FactorGraph {
-            vars: self.vars.clone(),
-            design: self.design.clone(),
-            cliques: self.cliques.clone(),
-            var_cliques: self.var_cliques.clone(),
-            stats: self.stats,
-            components: self.components.clone(),
-            comp_stats: self.comp_stats,
-            comp_full_builds: AtomicU64::new(self.comp_full_builds.load(Ordering::Relaxed)),
-            coloring: self.coloring.clone(),
-            coloring_stats: self.coloring_stats,
-            coloring_full_builds: AtomicU64::new(self.coloring_full_builds.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl FactorGraph {
@@ -285,8 +253,7 @@ impl FactorGraph {
     }
 
     /// A clique-free graph over `vars` whose unary features are the
-    /// already-assembled `design` — how the compiler hands over a model
-    /// (one full build on the [`DesignStats`] tally).
+    /// already-assembled `design` — how the compiler hands over a model.
     ///
     /// # Panics
     /// Panics unless `design` has exactly one row range per variable, of
@@ -301,32 +268,21 @@ impl FactorGraph {
             var_cliques: vec![Vec::new(); vars.len()],
             vars,
             design,
-            stats: DesignStats {
-                full_builds: 1,
-                ..DesignStats::default()
-            },
             ..FactorGraph::default()
         }
     }
 
     /// Adds a variable with no features, returning its id; its (empty)
-    /// rows are appended to the design matrix.
+    /// rows are appended to the design matrix and a cached component
+    /// index or coloring is dropped.
     pub fn add_variable(&mut self, var: Variable) -> VarId {
         let id = VarId(self.vars.len() as u32);
         self.design
             .append_var(&vec![FeatureVec::new(); var.arity()]);
-        self.stats.vars_patched += 1;
-        self.stats.rows_patched += var.arity() as u64;
         self.var_cliques.push(Vec::new());
         self.vars.push(var);
-        if let Some(ix) = self.components.get_mut() {
-            ix.add_singleton(id);
-            self.comp_stats.vars_appended += 1;
-        }
-        if let Some(col) = self.coloring.get_mut() {
-            col.push_var(id);
-            self.coloring_stats.vars_appended += 1;
-        }
+        self.components.take();
+        self.coloring.take();
         id
     }
 
@@ -341,15 +297,11 @@ impl FactorGraph {
             .collect();
         per_candidate[k].push((weight, value));
         self.design.patch_var(v, &per_candidate);
-        self.stats.vars_patched += 1;
-        self.stats.rows_patched += per_candidate.len() as u64;
-        self.stats.entries_patched += per_candidate.iter().map(Vec::len).sum::<usize>() as u64;
     }
 
-    /// Adds a clique factor, wiring the adjacency lists. With a built
-    /// component index present, the components its scope spans merge in
-    /// place, and with a built coloring present, its scope is raise-only
-    /// repaired; otherwise the next build sees the clique anyway.
+    /// Adds a clique factor, wiring the adjacency lists. A cached
+    /// component index or coloring is dropped: the next access builds it
+    /// over the new scopes.
     pub fn add_clique(&mut self, clique: CliqueFactor) {
         assert!(!clique.vars.is_empty());
         assert!(clique.vars.len() <= u8::MAX as usize);
@@ -357,16 +309,9 @@ impl FactorGraph {
         for &v in &clique.vars {
             self.var_cliques[v.index()].push(idx);
         }
-        if let Some(ix) = self.components.get_mut() {
-            self.comp_stats.merges += ix.merge_scope(&clique.vars);
-        }
         self.cliques.push(clique);
-        if let Some(col) = self.coloring.get_mut() {
-            let scope = &self.cliques[idx as usize].vars;
-            self.coloring_stats.colors_raised +=
-                col.patch_clique(scope, &self.cliques, &self.var_cliques);
-            self.coloring_stats.cliques_patched += 1;
-        }
+        self.components.take();
+        self.coloring.take();
     }
 
     /// The variable `v`.
@@ -398,46 +343,29 @@ impl FactorGraph {
 
     /// The CSR design matrix over all `(variable, candidate)` rows — the
     /// single store and scoring substrate of the unary features, always
-    /// current: every mutator splices it in place.
+    /// current: `add_variable`, `add_feature` and `pin_evidence` splice it
+    /// in place.
     pub fn design(&self) -> &DesignMatrix {
         &self.design
     }
 
     /// Re-packs the design matrix's arrays into exact-size allocations
-    /// (patch splices leave growth slack behind) and counts one full
-    /// build. The matrix is the only copy of the features, so there is
-    /// nothing to rebuild it *from*: [`FactorGraph::design`] afterwards
-    /// returns a matrix equal to the one before.
+    /// (splices leave growth slack behind). The matrix is the only copy of
+    /// the features, so there is nothing to rebuild it *from*:
+    /// [`FactorGraph::design`] afterwards returns a matrix equal to the
+    /// one before.
     pub fn invalidate_design(&mut self) {
         self.design.repack();
-        self.stats.full_builds += 1;
-    }
-
-    /// Assembly/splice counters of the design matrix. Snapshot at session
-    /// start and diff with [`DesignStats::since`] for per-session
-    /// accounting.
-    pub fn design_stats(&self) -> DesignStats {
-        self.stats
     }
 
     /// The connected components of the clique structure — the partition
     /// seam of [`crate::components::infer_partitioned`]. Built on first
-    /// access (one union-find pass over the clique scopes) and cached;
-    /// later mutations patch it in place (see the field docs), so it is
-    /// never stale and never rebuilt unless
-    /// [`FactorGraph::invalidate_components`] forced it.
+    /// access (one union-find pass over the clique scopes) and cached
+    /// until a construction call or
+    /// [`FactorGraph::invalidate_components`] drops it.
     pub fn components(&self) -> &ComponentIndex {
-        self.components.get_or_init(|| {
-            self.comp_full_builds.fetch_add(1, Ordering::Relaxed);
-            ComponentIndex::build(self.vars.len(), &self.cliques)
-        })
-    }
-
-    /// A from-scratch [`ComponentIndex::build`] of the current graph,
-    /// bypassing (and not counting toward) the cache — the reference
-    /// oracle patch-equivalence tests compare the cached index against.
-    pub fn compile_components(&self) -> ComponentIndex {
-        ComponentIndex::build(self.vars.len(), &self.cliques)
+        self.components
+            .get_or_init(|| ComponentIndex::build(self.vars.len(), &self.cliques))
     }
 
     /// Drops the cached component index; the next access rebuilds it from
@@ -446,54 +374,13 @@ impl FactorGraph {
         self.components.take();
     }
 
-    /// Build/patch counters of the component-index cache. Snapshot at
-    /// session start and diff with [`ComponentStats::since`] for
-    /// per-session accounting.
-    pub fn component_stats(&self) -> ComponentStats {
-        ComponentStats {
-            full_builds: self.comp_full_builds.load(Ordering::Relaxed),
-            ..self.comp_stats
-        }
-    }
-
     /// The greedy coloring of the variable-interaction graph — the sweep
     /// schedule of chromatic Gibbs. Built on first access (one greedy pass
-    /// over the clique scopes) and cached; later mutations patch it in
-    /// place (see the field docs), so it is never *improper* and never
-    /// rebuilt unless [`FactorGraph::invalidate_coloring`] forced it. Note
-    /// the weaker patch contract: a patched coloring stays proper but may
-    /// use more colors than a fresh [`FactorGraph::compile_coloring`].
+    /// over the clique scopes) and cached until a construction call drops
+    /// it.
     pub fn coloring(&self) -> &Coloring {
-        self.coloring.get_or_init(|| {
-            self.coloring_full_builds.fetch_add(1, Ordering::Relaxed);
-            Coloring::build(self.vars.len(), &self.cliques, &self.var_cliques)
-        })
-    }
-
-    /// A from-scratch [`Coloring::build`] of the current graph, bypassing
-    /// (and not counting toward) the cache. Unlike the design/component
-    /// oracles this is *not* an equality reference for the patched cache —
-    /// raise-only patches may use extra colors — but it is the fewest-color
-    /// baseline tests compare properness and color counts against.
-    pub fn compile_coloring(&self) -> Coloring {
-        Coloring::build(self.vars.len(), &self.cliques, &self.var_cliques)
-    }
-
-    /// Drops the cached coloring; the next access rebuilds it from
-    /// scratch — the way to re-pack colors after many raise-only patches
-    /// inflated the palette.
-    pub fn invalidate_coloring(&mut self) {
-        self.coloring.take();
-    }
-
-    /// Build/patch counters of the coloring cache. Snapshot at session
-    /// start and diff with [`ColoringStats::since`] for per-session
-    /// accounting.
-    pub fn coloring_stats(&self) -> ColoringStats {
-        ColoringStats {
-            full_builds: self.coloring_full_builds.load(Ordering::Relaxed),
-            ..self.coloring_stats
-        }
+        self.coloring
+            .get_or_init(|| Coloring::build(self.vars.len(), &self.cliques, &self.var_cliques))
     }
 
     /// The raw clique-adjacency lists (`var_cliques[v]` = clique indices
@@ -560,8 +447,8 @@ impl FactorGraph {
     /// labelled examples for retraining. If `value` is not in the
     /// variable's domain it is appended (with no unary features; the pin
     /// itself carries the information) and the design matrix gains the
-    /// one candidate row in place — pinning k labels patches at most k
-    /// variables' rows.
+    /// one candidate row in place. Clique scopes do not change, so the
+    /// component index and the coloring stay as they are.
     pub fn pin_evidence(&mut self, v: VarId, value: Sym) {
         let var = &mut self.vars[v.index()];
         let k = match var.domain.iter().position(|&d| d == value) {
@@ -569,8 +456,6 @@ impl FactorGraph {
             None => {
                 var.domain.push(value);
                 self.design.append_candidate_row(v, &[]);
-                self.stats.vars_patched += 1;
-                self.stats.rows_patched += 1;
                 var.domain.len() - 1
             }
         };
@@ -766,9 +651,8 @@ mod tests {
     }
 
     /// Mutations splice the matrix in place: it stays bit-for-bit equal to
-    /// a reference compile of the shadow adjacency, every mutation shows in
-    /// the patch counters, and only assembly or `invalidate_design` counts
-    /// as a full build.
+    /// a reference compile of the shadow adjacency, and a graph handed over
+    /// with its matrix re-packs to an equal one.
     #[test]
     fn mutations_patch_instead_of_rebuilding() {
         let mut s = Shadowed {
@@ -778,28 +662,17 @@ mod tests {
         let v0 = s.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         s.add_feature(v0, 0, WeightId(0), 1.0);
         assert_eq!(s.g.design(), &DesignMatrix::compile(&s.unary));
-        assert_eq!(s.g.design_stats().full_builds, 0, "nothing assembled");
-        let before = s.g.design_stats();
-        assert_eq!(before.vars_patched, 2, "add_variable + add_feature");
 
         s.add_feature(v0, 1, WeightId(1), 2.0);
         let v1 = s.add_variable(Variable::query(vec![sym(3), sym(4), sym(5)], None));
         s.add_feature(v1, 2, WeightId(0), -1.0);
         s.pin_evidence(v0, sym(9)); // out-of-domain: appends a row
         s.pin_evidence(v1, sym(3)); // in-domain: no matrix change needed
-
+        assert_eq!(s.g.design().rows(), 6);
         assert_eq!(s.g.design(), &DesignMatrix::compile(&s.unary));
-        let stats = s.g.design_stats().since(&before);
-        assert_eq!(stats.full_builds, 0);
-        assert_eq!(stats.vars_patched, 4, "feature x2 + add_variable + pin");
-        assert!(stats.rows_patched >= 6);
-        // A graph handed over with its matrix starts at one full build and
-        // forcing invalidation is the only way to get a second.
+
         let mut built = FactorGraph::from_design(s.g.vars().to_vec(), s.g.design().clone());
-        assert_eq!(built.design_stats().full_builds, 1);
-        assert_eq!(built.design_stats().vars_patched, 0);
         built.invalidate_design();
-        assert_eq!(built.design_stats().full_builds, 2);
         assert_eq!(built.design(), s.g.design());
     }
 
@@ -810,16 +683,6 @@ mod tests {
         g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         let three = vec![Variable::query(vec![sym(1), sym(2), sym(3)], None)];
         FactorGraph::from_design(three, g.design().clone());
-    }
-
-    #[test]
-    fn cloned_graph_carries_design_stats() {
-        let mut g = FactorGraph::new();
-        let v = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
-        g.pin_evidence(v, sym(7));
-        let clone = g.clone();
-        assert_eq!(clone.design_stats(), g.design_stats());
-        assert_eq!(clone.design(), g.design());
     }
 
     #[test]

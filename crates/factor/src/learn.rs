@@ -60,9 +60,9 @@
 //! ever written into them), and every such minibatch is counted in
 //! [`LearnStats::non_finite_minibatches`]. The frozen weights are not a
 //! usable model — they may already hold the overflowed `±∞` values that
-//! made the gradient non-finite — so callers that can fail (`LearnStage`)
-//! turn a non-zero count into a typed error instead of handing them to
-//! inference.
+//! made the gradient non-finite — so the repair engine turns a non-zero
+//! count into a typed error (`HoloError::LearnDiverged`) instead of
+//! handing them to inference.
 
 use crate::graph::{FactorGraph, VarId};
 use crate::packed::{self, EpochOutcome, PackedArena};

@@ -37,11 +37,11 @@
 //!   query variables, or deterministic chromatic color-class sweeps when a
 //!   coloring is supplied.
 //! * [`coloring`] — greedy proper coloring of the variable-interaction
-//!   graph (patched in place by graph mutators, raise-only for late
-//!   cliques), the schedule substrate chromatic Gibbs parallelises over.
+//!   graph (built lazily, never patched), the schedule substrate chromatic
+//!   Gibbs parallelises over.
 //! * [`components`] — connected-component decomposition of the grounded
-//!   graph (union-find over clique scopes, patched in place by graph
-//!   mutators) and the partitioned hybrid inference driver that routes
+//!   graph (union-find over clique scopes; built lazily, never patched)
+//!   and the partitioned hybrid inference driver that routes
 //!   each component to closed-form softmax, exact enumeration, or
 //!   per-component seeded Gibbs and merges the results deterministically.
 //! * [`marginals`] — marginal estimates, either exact (closed-form softmax
@@ -70,11 +70,9 @@ pub mod weights;
 mod proptests;
 
 pub use cache::{ScoreCache, ScoreCacheStats};
-pub use coloring::{Coloring, ColoringStats};
-pub use components::{
-    infer_partitioned, ComponentIndex, ComponentStats, PartitionStats, PartitionedConfig,
-};
-pub use design::{DesignBuilder, DesignMatrix, DesignStats};
+pub use coloring::Coloring;
+pub use components::{infer_partitioned, ComponentIndex, PartitionStats, PartitionedConfig};
+pub use design::{DesignBuilder, DesignMatrix};
 pub use gibbs::{run_chains, GibbsConfig, GibbsSampler};
 pub use graph::{
     CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, ValueContext, VarId, Variable,

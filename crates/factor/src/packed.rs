@@ -1,9 +1,10 @@
 //! The packed example-major training arena and its dense-accumulator
 //! SGD kernel — the hash-free, sort-free substrate of [`crate::learn`].
 //!
-//! Weight learning is the tax every read pays (`LearnStage`,
-//! `FeedbackSession::retrain` and `StreamSession::report` all run it), so the epoch loop does no bookkeeping beyond the gradient
-//! arithmetic itself: **one gather pass per training call** copies each
+//! Weight learning is the tax every read pays (`pipeline::run`,
+//! `FeedbackSession::retrain` and `StreamSession::report` all run it), so
+//! the epoch loop does no bookkeeping beyond the gradient arithmetic
+//! itself: **one gather pass per training call** copies each
 //! example's candidate rows into contiguous example-major buffers
 //! ([`PackedArena`]), every epoch streams that memory linearly, and the
 //! minibatch gradient is summed in one dense per-call accumulator that is

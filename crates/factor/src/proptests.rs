@@ -337,48 +337,6 @@ proptest! {
         let weighted = holo_parallel::parallel_jobs_weighted(threads, n, |i| ws[i], f);
         prop_assert_eq!(weighted, plain);
     }
-
-    /// The coloring invariants survive random late mutations: the patched
-    /// coloring stays proper, clique-free variables stay at color 0, and
-    /// the graph never rebuilds it.
-    #[test]
-    fn coloring_patches_stay_proper(model in random_model(),
-                                    extra in proptest::collection::vec(
-                                        (0usize..16, 0usize..16), 0..6)) {
-        let (mut graph, _) = build(&model);
-        let _ = graph.coloring(); // the one full build
-        for (a, b) in extra {
-            let n = graph.var_count();
-            let (a, b) = (VarId((a % n) as u32), VarId((b % n) as u32));
-            if a == b {
-                continue;
-            }
-            graph.add_clique(CliqueFactor {
-                vars: vec![a, b],
-                weight: WeightId(0),
-                predicates: vec![FactorPredicate {
-                    lhs: FactorOperand::Var(0),
-                    op: CmpOp::Eq,
-                    rhs: FactorOperand::Var(1),
-                }],
-            });
-            let coloring = graph.coloring();
-            for clique in graph.cliques() {
-                let mut colors: Vec<u32> =
-                    clique.vars.iter().map(|&v| coloring.color_of(v)).collect();
-                let total = colors.len();
-                colors.sort_unstable();
-                colors.dedup();
-                prop_assert_eq!(colors.len(), total, "improper after patch");
-            }
-            for v in graph.var_ids() {
-                if graph.cliques_of(v).is_empty() {
-                    prop_assert_eq!(coloring.color_of(v), 0, "clique-free var off color 0");
-                }
-            }
-        }
-        prop_assert_eq!(graph.coloring_stats().full_builds, 1, "patches only");
-    }
 }
 
 proptest! {

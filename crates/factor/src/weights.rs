@@ -201,22 +201,6 @@ impl Weights {
         squares.sort_by(f64::total_cmp);
         squares.iter().sum::<f64>().sqrt()
     }
-
-    /// Copies the values of every **learnable** weight of `old` into this
-    /// store (positions `0..old.len()`; the two stores must agree on that
-    /// prefix — the streaming engine grows a registry append-only, so a
-    /// rebuilt prior store is exactly the old one plus a fresh tail).
-    /// Fixed weights keep their registry values: they never train, so
-    /// there is nothing to carry over.
-    pub fn adopt_learned(&mut self, old: &Weights) {
-        assert!(old.len() <= self.len(), "weight store shrank");
-        for i in 0..old.values.len() {
-            debug_assert_eq!(self.fixed[i], old.fixed[i], "prefix disagreement");
-            if !self.fixed[i] {
-                self.values[i] = old.values[i];
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -288,22 +272,6 @@ mod tests {
             b.set(WeightId((values.len() - 1 - i) as u32), v);
         }
         assert_eq!(a.learnable_norm().to_bits(), b.learnable_norm().to_bits());
-    }
-
-    #[test]
-    fn adopt_learned_carries_prefix_and_keeps_new_priors() {
-        let mut reg: FeatureRegistry<Key> = FeatureRegistry::new();
-        let fixed = reg.fixed(Key::Minimality, 1.5);
-        let feat = reg.learnable(Key::Dict(0));
-        let mut trained = reg.build_weights();
-        trained.update(feat, 4.0);
-        // The registry grows append-only (a later batch interned more).
-        let tail = reg.learnable_init(Key::Dict(1), -0.5);
-        let mut rebuilt = reg.build_weights();
-        rebuilt.adopt_learned(&trained);
-        assert_eq!(rebuilt.get(feat), 4.0, "trained value carried over");
-        assert_eq!(rebuilt.get(fixed), 1.5, "fixed keeps its registry value");
-        assert_eq!(rebuilt.get(tail), -0.5, "new weight starts at its prior");
     }
 
     /// Chunked interning merged by `absorb` equals one registry fed the

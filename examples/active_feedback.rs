@@ -52,7 +52,7 @@ fn main() {
             })
             .collect();
         session.apply_labels(&mut ds, &labels);
-        let stats = session.retrain(&ds);
+        let stats = session.retrain(&ds).expect("retraining converges");
         let q = evaluate(&session.report(&ds), &gen.dirty, &gen.clean);
         println!(
             "round {round} (+10 labels, asked at avg confidence {avg_confidence:.2}): \

@@ -31,38 +31,36 @@
 //!
 //! # The staged engine
 //!
-//! The repair pipeline (paper §2.2/Figure 2) is an explicit stage list in
-//! `holoclean::pipeline`:
+//! The repair pipeline (paper §2.2/Figure 2) is four functions in
+//! `holoclean::pipeline`, each taking its predecessor's output, so the
+//! argument types are the stage order:
 //!
 //! ```text
 //! PipelineContext (immutable: dataset, constraints, matches, config)
 //!        │
 //!        ▼
-//! Detect ─► Compile ─► Learn ─► Infer        (Pipeline::standard())
-//!   │         │          │        │
-//!   ▼         ▼          ▼        ▼
-//!          StageData (violations, noisy, model, weights, marginals)
+//! detect ─► compile_model ─► learn_weights ─► infer_marginals
+//!   │            │                │                 │
+//!   ▼            ▼                ▼                 ▼
+//! Detection   CompiledModel    Weights          Marginals
 //! ```
 //!
-//! Each stage implements `holoclean::pipeline::Stage`, bills its
-//! wall-clock to a `StageTimings` slot, and parallelises internally over
-//! `HoloConfig::threads` — violation probing, domain pruning,
-//! featurization, co-occurrence statistics and Gibbs chains all shard
-//! across worker threads, and every parallel path merges shard results in
-//! input order, so **any thread count produces bit-for-bit the
-//! `threads = 1` output**. To add a stage, implement `Stage` (choosing the
-//! `StageKind` whose time budget it belongs to) and splice it in with
-//! `Pipeline::insert_after`; `HoloClean::run` is a thin driver over
-//! `Pipeline::standard()`.
+//! `pipeline::run` calls the four in order and bills each to its
+//! `StageTimings` slot; `HoloClean::run` is a thin driver over it, and
+//! `StreamSession` and `FeedbackSession` call the same functions. Every
+//! step parallelises internally over `HoloConfig::threads` — violation
+//! probing, domain pruning, featurization, co-occurrence statistics and
+//! Gibbs chains all shard across worker threads, and every parallel path
+//! merges shard results in input order, so **any thread count produces
+//! bit-for-bit the `threads = 1` output**.
 //!
-//! The model's CSR design matrix is the only store of its unary
-//! features: Compile featurizes straight into it, **once**, and it is then
-//! maintained **incrementally** — feedback pins and other graph mutations
-//! splice the affected variable's rows in place, a patched matrix is
-//! bit-for-bit a fresh build of the same rows, and
-//! `holo_factor::DesignStats` (carried in `StageTimings::design` and
-//! `holoclean::FeedbackSession::design_stats`) counts full builds vs
-//! patched rows so the no-rebuild claim is observable.
+//! A compiled model is a value: the CSR design matrix is the only store of
+//! its unary features and compile featurizes straight into it, once; the
+//! component index and the coloring are derived from the clique structure
+//! on first use and never patched. The one thing that changes a compiled
+//! model is user feedback (§2.2): `FactorGraph::pin_evidence` turns a
+//! query variable into evidence, appending a candidate row when the label
+//! is a value no candidate proposed.
 //!
 //! # Quick start
 //!

@@ -8,14 +8,13 @@ use holoclean_repro::holo_datagen::{hospital, HospitalConfig};
 use holoclean_repro::holo_factor::design::score_features;
 use holoclean_repro::holo_factor::learn::train_with_threads;
 use holoclean_repro::holo_factor::{FactorGraph, WeightId};
-use holoclean_repro::holoclean::pipeline::{
-    CompileStage, DetectStage, PipelineContext, Stage, StageData,
-};
+use holoclean_repro::holoclean::compile::CompiledModel;
+use holoclean_repro::holoclean::pipeline::{compile_model, detect, PipelineContext};
 use holoclean_repro::holoclean::HoloConfig;
 
-/// Detect + Compile over a generated hospital dataset, returning the
-/// filled blackboard and the shared context.
-fn compile_hospital(threads: usize) -> (PipelineContext, StageData) {
+/// Detect + compile over a generated hospital dataset, returning the
+/// shared context and the model.
+fn compile_hospital(threads: usize) -> (PipelineContext, CompiledModel) {
     let gen = hospital(HospitalConfig {
         rows: 300,
         seed: 11,
@@ -26,10 +25,8 @@ fn compile_hospital(threads: usize) -> (PipelineContext, StageData) {
         holoclean_repro::holo_constraints::parse_constraints(&gen.constraints_text, &mut ds)
             .expect("generated constraints parse");
     let cx = PipelineContext::new(ds, constraints, HoloConfig::default().with_threads(threads));
-    let mut data = StageData::default();
-    DetectStage.run(&cx, &mut data).unwrap();
-    CompileStage.run(&cx, &mut data).unwrap();
-    (cx, data)
+    let (model, _) = compile_model(&cx, &detect(&cx)).unwrap();
+    (cx, model)
 }
 
 /// `graph`'s unary features read back out as nested adjacency
@@ -70,8 +67,7 @@ fn grounded_entry_by_entry(
 /// weights and trained (non-trivial) weights.
 #[test]
 fn csr_unary_scores_match_adjacency_on_hospital() {
-    let (cx, data) = compile_hospital(1);
-    let model = data.model.as_ref().unwrap();
+    let (cx, model) = compile_hospital(1);
     let mut trained = model.weights.clone();
     train_with_threads(&model.graph, &mut trained, &cx.config.learn, 1);
     assert!(trained.learnable_norm() > 0.0, "training moved the weights");
@@ -107,8 +103,7 @@ fn csr_unary_scores_match_adjacency_on_hospital() {
 /// produce identical `Weights` (and identical diagnostics).
 #[test]
 fn learn_thread_counts_produce_identical_weights_on_hospital() {
-    let (cx, data) = compile_hospital(1);
-    let model = data.model.as_ref().unwrap();
+    let (cx, model) = compile_hospital(1);
     let mut reference = model.weights.clone();
     let ref_stats = train_with_threads(&model.graph, &mut reference, &cx.config.learn, 1);
     assert!(ref_stats.examples > 0, "hospital compiles evidence");
@@ -131,16 +126,14 @@ fn learn_thread_counts_produce_identical_weights_on_hospital() {
     }
 }
 
-/// Hospital-scale check of the incremental path: pinning evidence (the
-/// feedback mutation) on a real compiled model patches the matrix in
-/// place — no further full build — and the patched matrix is bit-for-bit
-/// a fresh build of the compiled rows plus the pinned candidates.
+/// Hospital-scale check of the feedback mutation: pinning evidence on a
+/// real compiled model patches the matrix in place, and the patched matrix
+/// is bit-for-bit a fresh build of the compiled rows plus the pinned
+/// candidates.
 #[test]
 fn pinning_patches_hospital_design_in_place() {
-    let (cx, mut data) = compile_hospital(1);
-    let model = data.model.as_mut().unwrap();
-    let before = model.graph.design_stats();
-    assert_eq!(before.full_builds, 1, "compile assembled the matrix once");
+    let (cx, mut model) = compile_hospital(1);
+    let compiled_rows = model.graph.design().rows();
     let mut rows = adjacency_of(&model.graph);
     let mut ds = cx.ds.clone();
     let pins: Vec<_> = model
@@ -157,10 +150,11 @@ fn pinning_patches_hospital_design_in_place() {
         model.graph.pin_evidence(v, sym);
         rows[v.index()].push(Vec::new());
     }
-    let stats = model.graph.design_stats().since(&before);
-    assert_eq!(stats.full_builds, 0);
-    assert_eq!(stats.vars_patched, 6);
-    assert_eq!(stats.rows_patched, 6, "one appended row per novel pin");
+    assert_eq!(
+        model.graph.design().rows(),
+        compiled_rows + 6,
+        "one appended row per novel pin"
+    );
     assert_eq!(
         model.graph.design(),
         grounded_entry_by_entry(&model.graph, &rows).design()
@@ -180,11 +174,9 @@ fn pinning_patches_hospital_design_in_place() {
 /// parallel DC grounding and the design-matrix shape it feeds.
 #[test]
 fn compile_thread_counts_produce_identical_design() {
-    let reference = compile_hospital(1).1;
-    let ref_model = reference.model.as_ref().unwrap();
+    let ref_model = compile_hospital(1).1;
     for threads in [2, 4] {
-        let data = compile_hospital(threads).1;
-        let model = data.model.as_ref().unwrap();
+        let model = compile_hospital(threads).1;
         assert_eq!(
             model.query_cells, ref_model.query_cells,
             "threads = {threads}"

@@ -1,7 +1,13 @@
 //! Cross-crate integration tests: end-to-end repair quality on each
 //! generated evaluation dataset, with the paper's Table 3 shape as the
-//! assertion target (floors, not exact values — the generators are
-//! synthetic and seeds vary by scale).
+//! assertion target.
+//!
+//! The runs are deterministic, so each quality floor is the score measured
+//! when it was last set, minus 0.03. Floors only move up, and only with
+//! the newly measured numbers in the commit message. Measured at PR 18:
+//! hospital(400) P 0.841 / R 0.649 / F1 0.733, food(250) 0.816 / 0.722 /
+//! 0.766, physicians(2000) P 1.0 / R 0.984, flights(40 × 25) P 0.922 /
+//! R 0.833.
 
 use holoclean_repro::holo_baselines::{to_report, Holistic, Katara, RepairSystem, Scare};
 use holoclean_repro::holo_constraints::parse_constraints;
@@ -36,9 +42,9 @@ fn hospital_quality_floor() {
         ..HospitalConfig::default()
     });
     let q = run_holoclean(&gen, 0.5, None);
-    assert!(q.precision > 0.7, "precision {q:?}");
-    assert!(q.recall > 0.45, "recall {q:?}");
-    assert!(q.f1 > 0.6, "f1 {q:?}");
+    assert!(q.precision > 0.811, "precision {q:?}");
+    assert!(q.recall > 0.619, "recall {q:?}");
+    assert!(q.f1 > 0.703, "f1 {q:?}");
 }
 
 #[test]
@@ -49,8 +55,8 @@ fn flights_quality_floor_and_source_lift() {
         ..FlightsConfig::default()
     });
     let with_sources = run_holoclean(&gen, 0.3, Some(("Flight", "Source")));
-    assert!(with_sources.precision > 0.85, "{with_sources:?}");
-    assert!(with_sources.recall > 0.7, "{with_sources:?}");
+    assert!(with_sources.precision > 0.892, "{with_sources:?}");
+    assert!(with_sources.recall > 0.803, "{with_sources:?}");
     // Source-reliability features must provide a real lift.
     let without = run_holoclean(&gen, 0.3, None);
     assert!(
@@ -66,8 +72,9 @@ fn food_quality_floor() {
         ..FoodConfig::default()
     });
     let q = run_holoclean(&gen, 0.5, None);
-    assert!(q.precision > 0.7, "{q:?}");
-    assert!(q.f1 > 0.6, "{q:?}");
+    assert!(q.precision > 0.786, "{q:?}");
+    assert!(q.recall > 0.692, "{q:?}");
+    assert!(q.f1 > 0.736, "{q:?}");
 }
 
 #[test]
@@ -80,8 +87,8 @@ fn physicians_quality_floor() {
         ..PhysiciansConfig::default()
     });
     let q = run_holoclean(&gen, 0.7, None);
-    assert!(q.precision > 0.9, "{q:?}");
-    assert!(q.recall > 0.8, "{q:?}");
+    assert!(q.precision > 0.97, "{q:?}");
+    assert!(q.recall > 0.954, "{q:?}");
 }
 
 #[test]

@@ -14,9 +14,7 @@ use holoclean_repro::holo_factor::{
     Coloring, FactorGraph, GibbsConfig, GibbsSampler, ValueContext, VarId, Weights,
 };
 use holoclean_repro::holoclean::context::DatasetContext;
-use holoclean_repro::holoclean::pipeline::{
-    CompileStage, DetectStage, PipelineContext, Stage, StageData,
-};
+use holoclean_repro::holoclean::pipeline::{compile_model, detect, PipelineContext};
 use holoclean_repro::holoclean::{HoloConfig, ModelVariant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,10 +139,7 @@ fn compiled_sampler_equals_interpreted_reference_on_hospital() {
         .with_variant(ModelVariant::DcFactorsPartitioned)
         .with_threads(1);
     let cx = PipelineContext::new(ds, constraints, config);
-    let mut data = StageData::default();
-    DetectStage.run(&cx, &mut data).unwrap();
-    CompileStage.run(&cx, &mut data).unwrap();
-    let model = data.model.as_ref().unwrap();
+    let (model, _) = compile_model(&cx, &detect(&cx)).unwrap();
     let graph = &model.graph;
     let mut weights = model.weights.clone();
     train_with_threads(graph, &mut weights, &cx.config.learn, 1);
