@@ -631,9 +631,10 @@ fn bench_end_to_end_parallelism(c: &mut Criterion) {
 }
 
 /// Streaming ingestion: hospital through a `StreamSession` in 8 batches
-/// plus one read (pushes maintain statistics and violations; the read
-/// compiles, learns and infers once), against the one-shot pipeline over
-/// the same rows — the spread is what the per-batch maintenance costs.
+/// plus one read (pushes only edit the table; the read is the one-shot
+/// run over it), against the one-shot pipeline over the same rows — the
+/// spread is what batch validation, appending and the report's
+/// live-coordinate remap cost.
 fn bench_stream_ingest(c: &mut Criterion) {
     use holoclean::stream::StreamSession;
     let mut group = c.benchmark_group("stream_ingest");
@@ -685,8 +686,9 @@ fn bench_stream_ingest(c: &mut Criterion) {
 /// Full-CRUD streaming: per-feed cost when every batch is corrupted on
 /// entry (a mangled first row plus a decoy row) and healed with
 /// `push_updates`/`push_deletes` before the next batch, ending in one
-/// read. The live table ends equal to the plain rows, so the one-shot
-/// reference is `stream_ingest/per_batch/one_shot_baseline`.
+/// read over a table with tombstones and transient pool values. The live
+/// table ends equal to the plain rows, so the one-shot reference is
+/// `stream_ingest/per_batch/one_shot_baseline`.
 fn bench_stream_crud(c: &mut Criterion) {
     use holo_dataset::TupleId;
     use holoclean::stream::StreamSession;

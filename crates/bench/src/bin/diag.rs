@@ -5,8 +5,8 @@
 //!
 //! `--stream K` feeds the dataset through `StreamSession` in K batches
 //! instead of the one-shot pipeline and additionally reports the ingest
-//! counters (batches, tuples, delta violations, rows updated/deleted,
-//! model builds) and the live/tombstoned row split; `--json` emits the
+//! counters (batches, tuples, rows updated/deleted, pipeline runs) and
+//! the live/tombstoned row split; `--json` emits the
 //! machine-readable form either way (via the shared `holo_bench::json`
 //! writer). Unknown flags abort with a usage line (exit 2).
 //!
@@ -40,8 +40,8 @@
 //! quantity a key's scan cost is quadratic in.
 //!
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
-//! (dense/CSR pair split, cell and byte footprint, build/extend/retract
-//! and correlation-recompute counters; the storage gauges are zero under
+//! (dense/CSR pair split, cell and byte footprint, whether the
+//! correlation view was computed; the storage gauges are zero under
 //! `--naive-stats`). With `--cor-strength F`, diag additionally prunes
 //! every cell of the dirty table twice — ungated and correlation-gated —
 //! and reports the two domain-size histograms (buckets 1 / 2-3 / 4-15 /
@@ -283,9 +283,6 @@ fn print_json(
     stats.field_u64("csr_pairs", s.csr_pairs);
     stats.field_u64("dense_cells", s.dense_cells);
     stats.field_u64("bytes", s.bytes);
-    stats.field_u64("builds", s.builds);
-    stats.field_u64("extends", s.extends);
-    stats.field_u64("retracts", s.retracts);
     stats.field_u64("corr_recomputes", s.corr_recomputes);
     if let Some((before, after)) = gate_hists {
         let hist = |h: &[u64; 4]| format!("[{},{},{},{}]", h[0], h[1], h[2], h[3]);
@@ -320,7 +317,6 @@ fn ingest_json(i: &IngestStats) -> String {
     o.field_u64("tuples", i.tuples);
     o.field_u64("rows_deleted", i.rows_deleted);
     o.field_u64("rows_updated", i.rows_updated);
-    o.field_u64("delta_violations", i.delta_violations);
     o.field_u64("cells_recomputed", i.cells_recomputed);
     o.field_u64("vars_added", i.vars_added);
     o.field_u64("vars_retired", i.vars_retired);
@@ -366,7 +362,7 @@ fn run_streamed(
         session.push_batch(chunk).unwrap_or_else(|e| fail(e));
     }
     let report = session.try_report().unwrap_or_else(|e| fail(e));
-    let model = session.model().expect("the read above built it");
+    let run = session.cached_run().expect("the read above made it");
     let mut dense = Dataset::new(gen.dirty.schema().clone());
     {
         let src = session.dataset();
@@ -385,15 +381,15 @@ fn run_streamed(
         quality,
         timings: session.timings(),
         report,
-        model: model.compiled.stats.clone(),
-        learn_stats: model.learn_stats.clone(),
-        violations: session.violations(),
-        noisy_cells: session.noisy_cells(),
+        model: run.model.stats.clone(),
+        learn_stats: run.learn_stats.clone(),
+        violations: run.detection.violations.len(),
+        noisy_cells: run.detection.noisy.len(),
     };
     (
         outcome,
-        model.compiled.registry.clone(),
-        model.weights.clone(),
+        run.model.registry.clone(),
+        run.weights.clone(),
         dense,
     )
 }
@@ -559,15 +555,8 @@ fn main() {
     let s = out.timings.stats;
     println!(
         "cooccur stats: {} dense / {} CSR pair(s), {} dense cell(s), ~{} byte(s); \
-         {} build(s), {} extend(s), {} retract(s), {} corr recompute(s)",
-        s.dense_pairs,
-        s.csr_pairs,
-        s.dense_cells,
-        s.bytes,
-        s.builds,
-        s.extends,
-        s.retracts,
-        s.corr_recomputes
+         {} corr recompute(s)",
+        s.dense_pairs, s.csr_pairs, s.dense_cells, s.bytes, s.corr_recomputes
     );
     if let Some((before, after)) = &gate_hists {
         println!(
@@ -578,11 +567,11 @@ fn main() {
     let ingest = out.timings.ingest;
     if ingest.batches > 0 {
         println!(
-            "ingest: {} batch(es), {} tuple(s), {} delta violation(s)",
-            ingest.batches, ingest.tuples, ingest.delta_violations
+            "ingest: {} batch(es), {} tuple(s)",
+            ingest.batches, ingest.tuples
         );
         println!(
-            "  reads: {} model build(s) / canonical retrain(s); {} cell(s) compiled, \
+            "  reads: {} pipeline run(s) / canonical retrain(s); {} cell(s) compiled, \
              {} var(s) built, {} discarded",
             ingest.canonical_retrains,
             ingest.cells_recomputed,

@@ -15,7 +15,7 @@
 //! entry (a mangled first row plus a decoy row) and heals it with
 //! `push_updates`/`push_deletes`, so the live table — and therefore the
 //! dump — still matches one-shot byte for byte, now exercising
-//! tombstones, retraction and the live-coordinate remap.
+//! tombstones, in-place updates and the live-coordinate remap.
 //!
 //! With `--dc-factors`, the denial constraints ground as clique factors
 //! (the partitioned DC-factor variant) so the dump exercises the exact
@@ -123,8 +123,8 @@ fn main() {
             dense.push_row(&row);
         }
         let quality = evaluate(&report, &dense, &gen.clean);
-        let model = session.model().expect("the read above built it");
-        let norm = model.weights.learnable_norm();
+        let run = session.cached_run().expect("the read above made it");
+        let norm = run.weights.learnable_norm();
         (
             report,
             quality,

@@ -109,11 +109,6 @@ pub fn address_dependencies_for(zip_col: &str) -> Vec<MatchingDependency> {
     ]
 }
 
-/// [`address_dependencies_for`] with the common `"Zip"` column.
-pub fn address_dependencies() -> Vec<MatchingDependency> {
-    address_dependencies_for("Zip")
-}
-
 /// Outcome of a baseline run.
 #[derive(Debug)]
 pub struct BaselineOutcome {

@@ -18,14 +18,12 @@
 //!   operator.
 //! * [`scan`] — the compiled pair scan: one predicate classifier (join /
 //!   probe-only / partner-only / residual) and one blocking index (flat
-//!   bucket arena, packed partner columns) shared by detection, the
-//!   streaming delta probes and the relaxed-DC featurizer.
+//!   bucket arena, packed partner columns) shared by detection and the
+//!   relaxed-DC featurizer.
 //! * [`violations`] — violation detection over that scan, blocking once
 //!   per distinct join key, so FD-style constraints never pay the O(|D|²)
-//!   pair enumeration.
-//! * [`delta`] — the streaming form: a persistent blocking index extended
-//!   per batch and probed with only the new tuples (both join directions),
-//!   whose per-batch results union to exactly the one-shot violation set.
+//!   pair enumeration. It reads the live rows of a tombstoned table, so
+//!   it is also what a streaming session runs at read.
 //! * [`hypergraph`] — the conflict hypergraph of \[26\] and the Algorithm 3
 //!   per-constraint connected-component tuple partitioning.
 //!
@@ -44,7 +42,6 @@
 //! ```
 
 pub mod ast;
-pub mod delta;
 pub mod hypergraph;
 pub mod parser;
 pub mod scan;
@@ -52,7 +49,6 @@ pub mod similarity;
 pub mod violations;
 
 pub use ast::{ConstraintId, ConstraintSet, DenialConstraint, Op, Operand, Predicate, TupleVar};
-pub use delta::DeltaViolationIndex;
 pub use hypergraph::{ConflictHypergraph, TupleGroups};
 pub use parser::{parse_constraint, parse_constraints, ParseError};
 pub use violations::{

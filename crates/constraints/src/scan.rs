@@ -1,14 +1,12 @@
 //! The compiled pair scan: one predicate classifier and one blocking
 //! index for every layer that enumerates the tuple pairs of a two-tuple
-//! denial constraint — one-shot detection ([`crate::violations`]), the
-//! streaming delta probes ([`crate::delta`]) and the relaxed-DC featurizer
-//! of the core crate.
+//! denial constraint — violation detection ([`crate::violations`]) and the
+//! relaxed-DC featurizer of the core crate.
 //!
 //! ## Classification ([`PairScan`])
 //!
 //! A scan fixes which tuple variable is the **probe** (the tuple in hand:
-//! `t1` for detection, the new tuple for a delta probe, the target cell's
-//! tuple for the featurizer); the other variable ranges over **partners**.
+//! `t1` for detection, the target cell's tuple for the featurizer); the other variable ranges over **partners**.
 //! Each predicate of the constraint lands in exactly one class:
 //!
 //! * **join** — a cross-tuple equality `t1.A = t2.B`. Its probe-side

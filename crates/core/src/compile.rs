@@ -149,8 +149,8 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     let evidence_tau = config.tau.min(config.evidence_tau_cap);
     let index = timed(&mut phases, "index build", || {
         // Optional BClean-style correlation gate: computed once from the
-        // maintained counts (cached inside the statistics until the next
-        // mutation) and applied to both the noisy and evidence prunes.
+        // counts (cached inside the statistics) and applied to both the
+        // noisy and evidence prunes.
         let gate = config.cor_strength.map(|min_corr| PruneGate {
             corr: stats.correlations(),
             min_corr,

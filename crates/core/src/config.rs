@@ -277,16 +277,6 @@ impl HoloConfig {
         self
     }
 
-    /// Sets the SGD minibatch size (builder style); `0`/`1` = classic
-    /// per-example SGD. Like the Gibbs chain count this is a *model* knob
-    /// — it changes where gradients are applied, hence the learned
-    /// weights — while `threads` only changes how each minibatch's
-    /// gradient work is sharded.
-    pub fn with_minibatch(mut self, minibatch: usize) -> Self {
-        self.learn.minibatch = minibatch;
-        self
-    }
-
     /// Sets the per-component exact-inference ceiling (builder style);
     /// `0` disables exact enumeration so every clique-coupled component
     /// samples. See the field docs for the determinism contract.

@@ -12,9 +12,10 @@ pub enum HoloError {
     Constraint(String),
     /// Configuration problem (e.g. source attribute missing).
     Config(String),
-    /// Streaming-ingestion failure: an unsupported model variant for the
-    /// incremental engine, a malformed batch (arity mismatch), or an
-    /// out-of-order ingest.
+    /// Streaming-session failure: a configuration the session cannot
+    /// serve (source-reliability features, a non-empty starting table) or
+    /// a malformed mutation batch (arity mismatch, a row that is not live
+    /// or is named twice).
     Stream(String),
     /// Algorithm 2 pruning dropped a cell's own observed value from its
     /// candidate domain — a pathological pruning configuration (the

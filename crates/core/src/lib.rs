@@ -75,4 +75,4 @@ pub use pipeline::{Detection, PipelineContext, PipelineRun, StageTimings};
 pub use repair::{Repair, RepairReport};
 pub use report::{confidence_buckets, ConfidenceBucket};
 pub use session::{HoloClean, RepairOutcome};
-pub use stream::{BatchReport, IngestStats, RetireStats, StreamModel, StreamSession};
+pub use stream::{BatchReport, IngestStats, RetireStats, StreamSession};

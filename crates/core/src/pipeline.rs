@@ -9,8 +9,9 @@
 //! bills each to its [`StageTimings`] slot. They all read one
 //! [`PipelineContext`] — the frozen dataset (all dictionary values already
 //! interned), the bound constraints, the external-match lookup, detection
-//! overrides and the [`HoloConfig`] — which nothing mutates after
-//! construction.
+//! overrides and the [`HoloConfig`] — which nothing mutates during a run
+//! (a [`crate::stream::StreamSession`] edits its context's dataset
+//! *between* runs, and every run sees a frozen table).
 //!
 //! ```
 //! use holo_dataset::{Dataset, Schema};
@@ -91,18 +92,18 @@ pub struct StageTimings {
     /// How the last inference pass decomposed the graph: component count,
     /// size histogram, and the closed-form / exact / Gibbs routing split.
     pub partition: PartitionStats,
-    /// Streaming-ingestion counters (zero for one-shot pipeline runs;
-    /// filled by [`crate::stream::StreamSession`], which bills its pushes
-    /// to `detect`, its reads to the other three slots, and its batch
-    /// bookkeeping here).
+    /// Batches accepted and runs made by a
+    /// [`crate::stream::StreamSession`] (zero for one-shot runs). A
+    /// session's mutations bill no stage; each read that runs the
+    /// pipeline adds that run's four durations to the slots above.
     pub ingest: crate::stream::IngestStats,
-    /// Model turnover of a streaming session and the live-vs-tombstoned
+    /// Run turnover of a streaming session and the live-vs-tombstoned
     /// row split of its backing table (zero for one-shot runs).
     pub retire: crate::stream::RetireStats,
-    /// Statistics-engine gauges and counters: dense vs CSR pair blocks,
-    /// dense cells and approximate bytes, plus build/extend/retract and
-    /// correlation-recompute counts (all-zero storage gauges under
-    /// `--naive-stats`).
+    /// Size gauges of the statistics this run (a session's last run)
+    /// built: dense vs CSR pair blocks, dense cells, approximate bytes
+    /// (all zero under `--naive-stats`), and whether the correlation view
+    /// was computed.
     pub stats: StatsStats,
 }
 
@@ -118,9 +119,9 @@ impl StageTimings {
     }
 }
 
-/// The immutable inputs every step shares. Constructed once (after
-/// dictionary matching has interned all asserted values, so the dataset
-/// never needs to change again) and only ever borrowed.
+/// The inputs every step shares, only ever borrowed by a run. Constructed
+/// after dictionary matching has interned all asserted values, so no step
+/// needs to change the dataset.
 pub struct PipelineContext {
     /// The frozen dirty dataset.
     pub ds: Dataset,
@@ -216,8 +217,8 @@ pub fn compile_model(
         matches: &cx.matches,
         config: &cx.config,
     })?;
-    // Snapshot after compile so the correlation-recompute counter
-    // reflects whether the gate ran.
+    // Snapshot after compile so `corr_recomputes` reflects whether the
+    // gate ran.
     Ok((model, stats.stats_stats()))
 }
 

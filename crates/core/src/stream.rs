@@ -1,114 +1,92 @@
-//! Streaming ingestion: a session that absorbs inserts, updates and
-//! deletes cheaply and answers reads **batch-equivalently**.
+//! Streaming ingestion: a session is **a table and a cached run**.
 //!
-//! The paper compiles its model over a frozen table; a service sees the
-//! table move. What PClean (arXiv 2007.11838) and PUD (arXiv 1801.06750)
-//! carry forward as evidence grows is *sufficient statistics*, never
-//! grounded factors, and [`StreamSession`] does the same: a mutation
-//! updates the table, its statistics and its violations; a read compiles
-//! the model from them through the one-shot compiler.
+//! The paper compiles its model over a frozen table (§3, Figure 2); a
+//! service sees the table move. [`StreamSession`] therefore owns exactly
+//! two things: the [`PipelineContext`] of a one-shot repair — whose
+//! dataset it edits between reads — and the [`PipelineRun`] of the last
+//! read, if no mutation has happened since.
 //!
-//! ## Maintained per mutation
+//! ## A mutation edits the table
 //!
-//! Everything here is exact and costs `O(batch)`, not `O(table)`:
+//! [`StreamSession::push_batch`], [`StreamSession::push_updates`] and
+//! [`StreamSession::push_deletes`] validate the whole batch before they
+//! touch anything, so a rejected batch ([`HoloError::Stream`]) leaves the
+//! session as it was. An accepted one edits the dataset — deletes
+//! tombstone, updates rewrite in place, `TupleId`s are stable and nothing
+//! renumbers — and drops the cached run. That is all a mutation does: it
+//! detects nothing and counts nothing but itself. An empty batch is a
+//! no-op and keeps the cached run.
 //!
-//! * the **dataset**, with stable `TupleId`s — deletes tombstone, updates
-//!   rewrite in place, nothing renumbers;
-//! * the **co-occurrence statistics**, by signed deltas
-//!   (`CooccurStats::extend_with_threads` / `retract_with_threads` /
-//!   `absorb_rows_with_threads`);
-//! * the **violations**: a persistent blocking index
-//!   ([`holo_constraints::DeltaViolationIndex`]) is probed with only the
-//!   rows a batch touched, in both join directions, and retraction drops
-//!   the violations of removed rows — so the live violation set, and the
-//!   noisy-cell set derived from it, always equal a one-shot scan of the
-//!   live table.
+//! ## A read is the one-shot run
 //!
-//! Every batch is validated before the first of these is touched, so a
-//! rejected batch ([`HoloError::Stream`]) leaves the session as it was.
+//! [`StreamSession::try_report`] serves the cached run when there is one
+//! and otherwise calls [`pipeline::run`] — the function
+//! [`crate::HoloClean::run_full`] calls — over the live table: violation
+//! detection, statistics, compilation, learning from the priors and
+//! inference, each through the same code as a one-shot repair.
+//! Detection and statistics scan live rows only, so tombstones are
+//! invisible to them. [`IngestStats::canonical_retrains`] counts the runs;
+//! repeated reads of an unchanged session cost a report extraction each.
 //!
-//! ## Built per read
-//!
-//! [`StreamSession::try_report`] hands the live table, the maintained
-//! statistics and the live violations to [`crate::compile::compile`] —
-//! the function [`crate::pipeline::compile_model`] calls, here with an
-//! empty match lookup — then learns from the priors and infers through
-//! [`crate::pipeline::learn_weights`] and
-//! [`crate::pipeline::infer_marginals`]. There is one compiler; the
-//! session owns no second route to a model.
-//!
-//! **Why nothing of a model is kept across a mutation.** Algorithm 2
-//! prunes a cell's domain by `Pr[v | v']` over the *whole* table, and the
-//! relaxed DC features count partners over the whole table. A new row
-//! that shares one value with an old row moves that old row's
-//! conditional probabilities, hence its domain and its features; evidence
-//! sampling is a seeded draw over all clean cells, so membership shifts
-//! too. Measured on insert-only feeds of hospital (996 rows) and
-//! physicians (4 000 rows) at 4, 16 and 64 batches, a per-cell compile
-//! cache reused **0 cells**: every batch's affected set was the whole
-//! table. SGD's endpoint depends on its whole trajectory, so learning
-//! restarts from the priors regardless.
-//!
-//! **Staleness rule.** The session holds at most one [`StreamModel`], the
-//! model of the current live table. A successful mutation discards it; a
-//! read builds it if absent and otherwise serves it as is, so repeated
-//! reads of an unchanged session cost a report extraction each.
-//! [`IngestStats::canonical_retrains`] counts the builds.
+//! **Why nothing is carried across a mutation.** Algorithm 2 prunes a
+//! cell's domain by `Pr[v | v']` over the *whole* table and the relaxed
+//! DC features count partners over the whole table, so one new row moves
+//! the domains and features of old rows (a per-cell compile cache reused
+//! 0 cells on every feed measured, PR 13), and SGD's endpoint depends on
+//! its whole trajectory. Sufficient statistics and a violation index
+//! *can* be carried exactly (PClean, arXiv 2007.11838, carries the
+//! former), but on the traffic this repository has — K batches, then one
+//! read — carrying them measured 3× one statistics build and 2–20× one
+//! detection of the final table, and needs a second implementation of
+//! both kept equal to the first. The trade reopens with a benchmarked
+//! read-per-batch workload on a table large enough that detection and
+//! statistics dominate a read (ROADMAP, Settled).
 //!
 //! ## The equivalence contract
 //!
 //! A read is byte-identical — repairs and posteriors — to a one-shot
 //! [`crate::HoloClean`] run over the final live table, for any batch
 //! split, any interleaving of inserts, updates and deletes, any model
-//! variant and any thread count. It holds by construction: same compiler,
-//! same inputs. What differs is coordinates — the session's `TupleId`s
-//! have tombstone gaps and its value pool interned transient values — so
-//! reports are issued in **live coordinates**: each physical `TupleId`
-//! maps to its rank among live tuples and each symbol to its row-major
-//! first-appearance rank over the live table, which is what a fresh
-//! loader assigns. Source-reliability features and external dictionaries
+//! variant and any thread count, because it *is* that run. What differs
+//! is coordinates — the session's `TupleId`s have tombstone gaps and its
+//! value pool interned transient values — so reports are issued in
+//! **live coordinates**: each physical `TupleId` maps to its rank among
+//! live tuples and each symbol to its row-major first-appearance rank
+//! over the live table, which is what a fresh loader assigns. A failed
+//! read ([`HoloError::PrunedInitialValue`], [`HoloError::LearnDiverged`])
+//! caches nothing. Source-reliability features and external dictionaries
 //! need the one-shot path ([`StreamSession::new`] rejects the former;
 //! there is no way to attach the latter).
 
-use crate::compile::{compile, CompileInput, CompiledModel};
 use crate::config::HoloConfig;
 use crate::error::HoloError;
-use crate::features::MatchLookup;
-use crate::pipeline::{infer_marginals, learn_weights, StageTimings};
+use crate::pipeline::{self, PipelineContext, PipelineRun, StageTimings};
 use crate::repair::RepairReport;
-use holo_constraints::{
-    noisy_cells, parse_constraints, ConstraintSet, DeltaViolationIndex, Violation,
-};
-use holo_dataset::{
-    AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Schema, Sym, TupleId,
-};
-use holo_factor::{LearnStats, Marginals, Weights};
+use holo_constraints::{parse_constraints, ConstraintSet};
+use holo_dataset::{AttrId, Dataset, FxHashMap, FxHashSet, Schema, Sym, TupleId};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Cumulative streaming counters, riding in [`StageTimings::ingest`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestStats {
-    /// Mutation batches accepted (pushes, updates and deletes).
+    /// Non-empty mutation batches accepted (pushes, updates and deletes).
     pub batches: u64,
     /// Tuples appended.
     pub tuples: u64,
-    /// Violations found by delta detection.
-    pub delta_violations: u64,
-    /// Noisy and evidence cells compiled, summed over model builds.
+    /// Noisy and evidence cells compiled, summed over runs.
     pub cells_recomputed: u64,
     /// Always 0: no compile state outlives a mutation (see the module
     /// docs). Kept because the benchmark reads the field.
     pub cells_reused: u64,
-    /// Variables of the models built, summed over builds.
+    /// Variables of the models built, summed over runs.
     pub vars_added: u64,
     /// Variables of the models a mutation discarded.
     pub vars_retired: u64,
     /// Always 0: there is no warm-start replay. Kept because the
     /// benchmark reads the field.
     pub replay_minibatches: u64,
-    /// Models built. Each build trains from the priors, so this is also
-    /// the number of canonical retrains.
+    /// One-shot runs made by reads. Each trains from the priors, so this
+    /// is also the number of canonical retrains.
     pub canonical_retrains: u64,
     /// Rows tombstoned by [`StreamSession::push_deletes`].
     pub rows_deleted: u64,
@@ -120,18 +98,18 @@ pub struct IngestStats {
 /// benchmark reads both fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DesignStats {
-    /// Models built: each compiles its design matrix once.
+    /// Runs made: each compiles its design matrix once.
     pub full_builds: u64,
     /// Always 0: a built model is never mutated.
     pub vars_patched: u64,
 }
 
-/// Model turnover and table liveness of a session, riding in
+/// Run turnover and table liveness of a session, riding in
 /// [`StageTimings::retire`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetireStats {
-    /// Models discarded by a mutation and rebuilt by a later read. The
-    /// session's first build is not one, so after any read
+    /// Runs discarded by a mutation and made again by a later read. The
+    /// session's first run is not one, so after any read
     /// `design_stats().full_builds == 1 + compactions`.
     pub compactions: u64,
     /// Live rows of the backing table.
@@ -149,25 +127,11 @@ pub struct BatchReport {
     pub deleted: usize,
     /// Rows rewritten in place.
     pub updated: usize,
-    /// Violations the batch introduced.
-    pub new_violations: usize,
 }
 
-/// The model of a session's current live table, as the last read built
-/// it.
-pub struct StreamModel {
-    /// The one-shot compiler's output over the live table.
-    pub compiled: CompiledModel,
-    /// The weights learned from `compiled.weights`.
-    pub weights: Weights,
-    /// Learning diagnostics (`None` when the model has no evidence).
-    pub learn_stats: Option<LearnStats>,
-    /// Posteriors of the query variables.
-    pub marginals: Marginals,
-}
-
-/// The streaming repair session. See the module docs for what a mutation
-/// maintains, what a read builds, and the equivalence contract.
+/// The streaming repair session: a table and the cached one-shot run over
+/// it. See the module docs for what a mutation does, what a read does,
+/// and the equivalence contract.
 ///
 /// ```
 /// use holo_dataset::Schema;
@@ -189,20 +153,15 @@ pub struct StreamModel {
 /// assert_eq!(report.repairs[0].new_value, "Chicago");
 /// ```
 pub struct StreamSession {
-    ds: Dataset,
-    constraints: ConstraintSet,
-    config: HoloConfig,
-    /// Persistent violation blocking index (forward + backward).
-    delta_index: DeltaViolationIndex,
-    /// Co-occurrence statistics of the live table.
-    stats: CooccurStats,
-    /// Violations over the live table.
-    live_violations: Vec<Violation>,
-    /// The cells of `live_violations`.
-    noisy: FxHashSet<CellRef>,
-    /// The model of the current live table; `None` until the first read
+    /// The one-shot pipeline's inputs: the tombstoned table (the only
+    /// part a mutation edits), the bound constraints, an empty match
+    /// lookup and the configuration.
+    cx: PipelineContext,
+    /// The run over the current live table; `None` until the first read
     /// and after every mutation.
-    model: Option<StreamModel>,
+    run: Option<PipelineRun>,
+    /// Stage durations summed over the runs made, the last run's
+    /// partition and statistics blocks, and the ingest counters.
     timings: StageTimings,
 }
 
@@ -234,27 +193,17 @@ impl StreamSession {
                 "source-reliability features are not supported by the streaming engine".into(),
             ));
         }
-        let delta_index = DeltaViolationIndex::new(&constraints);
-        let stats = CooccurStats::build_with_opts(&ds, 1, config.naive_stats);
         Ok(StreamSession {
-            ds,
-            constraints,
-            config,
-            delta_index,
-            stats,
-            live_violations: Vec::new(),
-            noisy: FxHashSet::default(),
-            model: None,
+            cx: PipelineContext::new(ds, constraints, config),
+            run: None,
             timings: StageTimings::default(),
         })
     }
 
-    /// Appends one batch of raw rows: the statistics absorb them and the
-    /// blocking index is probed with them, so the violation and noisy
-    /// sets stay equal to a one-shot scan. A row of the wrong arity
-    /// rejects the whole batch before anything changes.
+    /// Appends one batch of raw rows. A row of the wrong arity rejects
+    /// the whole batch before anything changes.
     pub fn push_batch<S: AsRef<str>>(&mut self, rows: &[Vec<S>]) -> Result<BatchReport, HoloError> {
-        let arity = self.ds.schema().len();
+        let arity = self.cx.ds.schema().len();
         for (i, row) in rows.iter().enumerate() {
             if row.len() != arity {
                 return Err(HoloError::Stream(format!(
@@ -263,61 +212,35 @@ impl StreamSession {
                 )));
             }
         }
-        let threads = self.config.threads;
-        let t_detect = Instant::now();
-        let from = self.ds.append_rows(rows);
-        self.stats.extend_with_threads(&self.ds, from, threads);
-        let new_violations = self
-            .delta_index
-            .ingest(&self.ds, &self.constraints, from, threads);
-        self.noisy.extend(noisy_cells(&new_violations));
-        let report = BatchReport {
+        self.cx.ds.append_rows(rows);
+        Ok(self.accept(BatchReport {
             appended: rows.len(),
-            new_violations: new_violations.len(),
             ..BatchReport::default()
-        };
-        self.live_violations.extend(new_violations);
-        self.timings.detect += t_detect.elapsed();
-        self.mark_stale(&report);
-        Ok(report)
+        }))
     }
 
-    /// Tombstones live rows: statistics, the blocking index and the live
-    /// violations fold the rows out. `TupleId`s are stable — nothing is
+    /// Tombstones live rows. `TupleId`s are stable — nothing is
     /// renumbered. A row that is out of range, already dead, or named
     /// twice rejects the whole batch before anything changes.
     pub fn push_deletes(&mut self, rows: &[TupleId]) -> Result<BatchReport, HoloError> {
         self.validate_live(rows)?;
-        let threads = self.config.threads;
-        let t_detect = Instant::now();
-        self.stats.retract_with_threads(&self.ds, rows, threads);
-        self.delta_index.retract(&self.ds, rows);
-        self.drop_violations_of(rows);
-        self.rebuild_noisy();
-        self.ds.delete_rows(rows);
-        self.timings.detect += t_detect.elapsed();
-        let report = BatchReport {
+        self.cx.ds.delete_rows(rows);
+        Ok(self.accept(BatchReport {
             deleted: rows.len(),
             ..BatchReport::default()
-        };
-        self.mark_stale(&report);
-        Ok(report)
+        }))
     }
 
-    /// Rewrites live rows in place (same `TupleId`, new values): the old
-    /// values are retracted and the new ones absorbed through the same
-    /// layers as [`StreamSession::push_deletes`] /
-    /// [`StreamSession::push_batch`], and the blocking index is re-probed
-    /// with the rewritten rows in both join directions. A row that is not
-    /// live, is named twice, or has the wrong arity rejects the whole
-    /// batch before anything changes.
+    /// Rewrites live rows in place (same `TupleId`, new values). A row
+    /// that is not live, is named twice, or has the wrong arity rejects
+    /// the whole batch before anything changes.
     pub fn push_updates<S: AsRef<str>>(
         &mut self,
         updates: &[(TupleId, Vec<S>)],
     ) -> Result<BatchReport, HoloError> {
         let rows: Vec<TupleId> = updates.iter().map(|(t, _)| *t).collect();
         self.validate_live(&rows)?;
-        let arity = self.ds.schema().len();
+        let arity = self.cx.ds.schema().len();
         for (t, vals) in updates {
             if vals.len() != arity {
                 return Err(HoloError::Stream(format!(
@@ -327,51 +250,39 @@ impl StreamSession {
                 )));
             }
         }
-        let threads = self.config.threads;
-        let t_detect = Instant::now();
-        self.stats.retract_with_threads(&self.ds, &rows, threads);
-        self.delta_index.retract(&self.ds, &rows);
-        self.drop_violations_of(&rows);
-        self.ds.update_rows(updates);
-        self.stats
-            .absorb_rows_with_threads(&self.ds, &rows, threads);
-        self.delta_index.absorb_rows(&self.ds, &rows);
-        let new_violations =
-            self.delta_index
-                .probe_rows(&self.ds, &self.constraints, &rows, threads);
-        let report = BatchReport {
+        self.cx.ds.update_rows(updates);
+        Ok(self.accept(BatchReport {
             updated: rows.len(),
-            new_violations: new_violations.len(),
             ..BatchReport::default()
-        };
-        self.live_violations.extend(new_violations);
-        self.rebuild_noisy();
-        self.timings.detect += t_detect.elapsed();
-        self.mark_stale(&report);
-        Ok(report)
+        }))
     }
 
-    /// The end of every accepted mutation: the model of the previous
-    /// table is discarded whole (see the module docs for why no part of
-    /// it survives) and the batch is counted.
-    fn mark_stale(&mut self, report: &BatchReport) {
+    /// The end of every accepted mutation: the run over the previous
+    /// table is dropped whole (see the module docs for why no part of it
+    /// survives) and the batch is counted. An empty batch changed no
+    /// row, so it does neither.
+    fn accept(&mut self, report: BatchReport) -> BatchReport {
+        if report == BatchReport::default() {
+            return report;
+        }
         let ingest = &mut self.timings.ingest;
-        if let Some(model) = self.model.take() {
-            ingest.vars_retired += model.compiled.graph.var_count() as u64;
+        if let Some(run) = self.run.take() {
+            ingest.vars_retired += run.model.graph.var_count() as u64;
         }
         ingest.batches += 1;
         ingest.tuples += report.appended as u64;
         ingest.rows_deleted += report.deleted as u64;
         ingest.rows_updated += report.updated as u64;
-        ingest.delta_violations += report.new_violations as u64;
+        report
     }
 
     /// Rejects mutation batches naming rows that are out of range, dead,
     /// or repeated within the batch.
     fn validate_live(&self, rows: &[TupleId]) -> Result<(), HoloError> {
+        let ds = &self.cx.ds;
         let mut seen: FxHashSet<TupleId> = FxHashSet::default();
         for &t in rows {
-            if t.index() >= self.ds.tuple_count() || !self.ds.is_live(t) {
+            if t.index() >= ds.tuple_count() || !ds.is_live(t) {
                 return Err(HoloError::Stream(format!(
                     "tuple {} is not a live row of this session",
                     t.index()
@@ -387,62 +298,29 @@ impl StreamSession {
         Ok(())
     }
 
-    /// Drops the violations with an endpoint in `rows`.
-    fn drop_violations_of(&mut self, rows: &[TupleId]) {
-        let rows: FxHashSet<TupleId> = rows.iter().copied().collect();
-        self.live_violations
-            .retain(|v| !rows.contains(&v.t1) && !rows.contains(&v.t2));
-    }
-
-    /// Recomputes the noisy-cell set from the live violations.
-    fn rebuild_noisy(&mut self) {
-        self.noisy = noisy_cells(&self.live_violations);
-    }
-
-    /// Compiles, trains and infers the model of the current live table —
-    /// the one-shot compile, learn and infer steps over the maintained
-    /// statistics and violations.
-    fn build_model(&mut self) -> Result<StreamModel, HoloError> {
-        let t_compile = Instant::now();
-        let compiled = compile(&CompileInput {
-            ds: &self.ds,
-            constraints: &self.constraints,
-            noisy: &self.noisy,
-            violations: &self.live_violations,
-            stats: &self.stats,
-            matches: &MatchLookup::default(),
-            config: &self.config,
-        })?;
-        self.timings.compile += t_compile.elapsed();
-
-        let t_learn = Instant::now();
-        let (weights, learn_stats) = learn_weights(&compiled, &self.config)?;
-        self.timings.learn += t_learn.elapsed();
-
-        let t_infer = Instant::now();
-        let (marginals, partition) = infer_marginals(&compiled, &weights, &self.ds, &self.config);
-        self.timings.partition = partition;
-        self.timings.infer += t_infer.elapsed();
-
-        let shape = &compiled.stats;
-        let ingest = &mut self.timings.ingest;
-        ingest.canonical_retrains += 1;
-        ingest.cells_recomputed +=
+    /// The one-shot run over the current live table, billed to the
+    /// session's cumulative timings and counters.
+    fn run_pipeline(&mut self) -> Result<PipelineRun, HoloError> {
+        let run = pipeline::run(&self.cx)?;
+        let t = &mut self.timings;
+        t.detect += run.timings.detect;
+        t.compile += run.timings.compile;
+        t.learn += run.timings.learn;
+        t.infer += run.timings.infer;
+        t.partition = run.timings.partition;
+        t.stats = run.timings.stats;
+        let shape = &run.model.stats;
+        t.ingest.canonical_retrains += 1;
+        t.ingest.cells_recomputed +=
             (shape.query_vars + shape.singleton_noisy_cells + shape.evidence_vars) as u64;
-        ingest.vars_added += compiled.graph.var_count() as u64;
-        Ok(StreamModel {
-            compiled,
-            weights,
-            learn_stats,
-            marginals,
-        })
+        t.ingest.vars_added += run.model.graph.var_count() as u64;
+        Ok(run)
     }
 
-    /// Batch-equivalent repairs and posteriors: byte-identical to a
-    /// one-shot [`crate::HoloClean`] run over the live table, at any
-    /// batch split and any thread count. Builds the model if a mutation
-    /// (or nothing yet) left the session without one; an unchanged
-    /// session serves the model it has.
+    /// Repairs and posteriors of the live table: the one-shot
+    /// [`crate::HoloClean`] run over it, in live coordinates. Makes the
+    /// run if a mutation (or nothing yet) left the session without one;
+    /// an unchanged session serves the run it has.
     ///
     /// Fails like the one-shot pipeline does:
     /// [`HoloError::PrunedInitialValue`] from the compiler and
@@ -450,18 +328,18 @@ impl StreamSession {
     /// gradients. A failed read caches nothing; the session stays
     /// consistent and the next read tries again.
     pub fn try_report(&mut self) -> Result<RepairReport, HoloError> {
-        let model = match self.model.take() {
-            Some(model) => model,
-            None => self.build_model()?,
+        let run = match self.run.take() {
+            Some(run) => run,
+            None => self.run_pipeline()?,
         };
         let mut report = RepairReport::from_marginals(
-            &self.ds,
-            &model.compiled.query_cells,
-            &model.compiled.query_vars,
-            &model.compiled.graph,
-            &model.marginals,
+            &self.cx.ds,
+            &run.model.query_cells,
+            &run.model.query_vars,
+            &run.model.graph,
+            &run.marginals,
         );
-        self.model = Some(model);
+        self.run = Some(run);
         self.remap_to_live(&mut report);
         Ok(report)
     }
@@ -470,11 +348,11 @@ impl StreamSession {
     /// as a bug.
     ///
     /// # Panics
-    /// Panics if the model build fails — with default pruning that takes
-    /// a diverging [`holo_factor::LearnConfig::learning_rate`].
+    /// Panics if the run fails — with default pruning that takes a
+    /// diverging [`holo_factor::LearnConfig::learning_rate`].
     pub fn report(&mut self) -> RepairReport {
         self.try_report()
-            .expect("StreamSession::report: the model build failed; try_report returns the error")
+            .expect("StreamSession::report: the run failed; try_report returns the error")
     }
 
     /// Rewrites report coordinates from physical ids to the dense ids a
@@ -484,11 +362,12 @@ impl StreamSession {
     /// that order whenever an update interns a transient value or a
     /// constraint constant was interned before data.
     fn remap_to_live(&self, report: &mut RepairReport) {
+        let ds = &self.cx.ds;
         let mut rank = 0u32;
-        let ranks: Vec<u32> = (0..self.ds.tuple_count())
+        let ranks: Vec<u32> = (0..ds.tuple_count())
             .map(|t| {
                 let r = rank;
-                if self.ds.is_live(TupleId(t as u32)) {
+                if ds.is_live(TupleId(t as u32)) {
                     rank += 1;
                 }
                 r
@@ -496,9 +375,9 @@ impl StreamSession {
             .collect();
         let mut dense: FxHashMap<Sym, Sym> = FxHashMap::default();
         dense.insert(Sym::NULL, Sym::NULL);
-        for t in self.ds.tuples() {
-            for a in 0..self.ds.schema().len() {
-                let s = self.ds.cell(t, AttrId(a as u16));
+        for t in ds.tuples() {
+            for a in 0..ds.schema().len() {
+                let s = ds.cell(t, AttrId(a as u16));
                 let next = Sym(dense.len() as u32);
                 dense.entry(s).or_insert(next);
             }
@@ -521,23 +400,25 @@ impl StreamSession {
 
     /// The backing table, tombstones included.
     pub fn dataset(&self) -> &Dataset {
-        &self.ds
+        &self.cx.ds
     }
 
-    /// The model of the current live table, if the last read built one
-    /// and no mutation has discarded it since.
-    pub fn model(&self) -> Option<&StreamModel> {
-        self.model.as_ref()
+    /// The run over the current live table — detection, model, weights,
+    /// marginals, in physical coordinates — if the last read made one and
+    /// no mutation has dropped it since.
+    pub fn cached_run(&self) -> Option<&PipelineRun> {
+        self.run.as_ref()
     }
 
-    /// Violations over the live table (== the one-shot count).
-    pub fn violations(&self) -> usize {
-        self.live_violations.len()
+    /// Violations the cached run detected over the live table; `None`
+    /// when there is no cached run (mutations detect nothing).
+    pub fn violations(&self) -> Option<usize> {
+        Some(self.run.as_ref()?.detection.violations.len())
     }
 
-    /// Noisy cells of the live table (== the one-shot count).
-    pub fn noisy_cells(&self) -> usize {
-        self.noisy.len()
+    /// Noisy cells of the cached run; `None` when there is none.
+    pub fn noisy_cells(&self) -> Option<usize> {
+        Some(self.run.as_ref()?.detection.noisy.len())
     }
 
     /// Cumulative ingest counters.
@@ -553,21 +434,21 @@ impl StreamSession {
         }
     }
 
-    /// Model turnover and the live-vs-tombstoned row split.
+    /// Run turnover and the live-vs-tombstoned row split.
     pub fn retire_stats(&self) -> RetireStats {
         RetireStats {
             compactions: self.timings.ingest.canonical_retrains.saturating_sub(1),
-            live_rows: self.ds.live_count() as u64,
-            dead_rows: self.ds.dead_count() as u64,
+            live_rows: self.cx.ds.live_count() as u64,
+            dead_rows: self.cx.ds.dead_count() as u64,
         }
     }
 
-    /// Cumulative stage timings (pushes bill `detect`; reads bill
-    /// `compile`, `learn` and `infer`) with every counter block filled in.
+    /// Stage durations summed over the runs made (mutations bill
+    /// nothing), the last run's partition and statistics blocks, and
+    /// every counter block filled in.
     pub fn timings(&self) -> StageTimings {
         let mut t = self.timings;
         t.retire = self.retire_stats();
-        t.stats = self.stats.stats_stats();
         t
     }
 }
@@ -577,6 +458,7 @@ mod tests {
     use super::*;
     use crate::config::ModelVariant;
     use crate::HoloClean;
+    use holo_dataset::CellRef;
 
     const SCHEMA: [&str; 3] = ["Zip", "City", "State"];
 
@@ -648,8 +530,8 @@ mod tests {
     fn reads_are_cached_until_the_next_mutation() {
         let rows = zip_city_rows();
         let mut session = streamed(&rows, 4, 1);
-        // Pushes build nothing.
-        assert!(session.model().is_none());
+        // Pushes run nothing.
+        assert!(session.cached_run().is_none());
         assert_eq!(session.design_stats().full_builds, 0);
         let first = session.report();
         let stats = session.ingest_stats();
@@ -658,14 +540,20 @@ mod tests {
         assert_eq!(stats.canonical_retrains, 1);
         assert!(stats.vars_added > 0 && stats.cells_recomputed > 0);
         assert_eq!((stats.cells_reused, stats.replay_minibatches), (0, 0));
-        // An unchanged session serves the model it has.
+        // An unchanged session serves the run it has — and an empty
+        // batch leaves it unchanged.
+        let none = BatchReport::default();
+        assert_eq!(session.push_batch::<String>(&[]).unwrap(), none);
+        assert_eq!(session.push_deletes(&[]).unwrap(), none);
+        assert_eq!(session.push_updates::<String>(&[]).unwrap(), none);
+        assert!(session.cached_run().is_some());
         assert_eq!(session.report(), first);
         assert_eq!(session.ingest_stats(), stats);
         assert_eq!(session.design_stats().full_builds, 1);
         assert_eq!(session.retire_stats().compactions, 0);
-        // A mutation discards it; the next read builds the next one.
+        // A mutation discards it; the next read makes the next one.
         session.push_batch(&[row("60609", "Evanstn")]).unwrap();
-        assert!(session.model().is_none());
+        assert!(session.cached_run().is_none());
         assert_eq!(session.ingest_stats().vars_retired, stats.vars_added);
         let mut grown = rows.clone();
         grown.push(row("60609", "Evanstn"));
@@ -771,10 +659,10 @@ mod tests {
         };
         assert_eq!(table(&session), table(&twin));
         assert_eq!(session.retire_stats(), twin.retire_stats());
-        assert_eq!(session.violations(), twin.violations());
-        assert_eq!(session.noisy_cells(), twin.noisy_cells());
         assert_eq!(session.ingest_stats(), twin.ingest_stats());
         assert_eq!(session.report(), twin.report());
+        assert_eq!(session.violations(), twin.violations());
+        assert_eq!(session.noisy_cells(), twin.noisy_cells());
     }
 
     /// Drives one session through an interleaved insert/update/delete
@@ -864,7 +752,7 @@ mod tests {
         let report = session.report();
         let (outcome, fresh, _) = one_shot_with(&rows, config).run_full().unwrap();
         assert_eq!(report, outcome.report);
-        let model = &session.model().expect("the read built it").compiled;
+        let model = &session.cached_run().expect("the read made it").model;
         assert_eq!(model.graph.var_count(), fresh.graph.var_count());
         assert_eq!(model.graph.factor_count(), fresh.graph.factor_count());
         assert_eq!(model.stats.query_vars, fresh.stats.query_vars);
@@ -889,8 +777,8 @@ mod tests {
             let report = session.report();
             let reference = one_shot_with(&rows, config.clone()).run().unwrap().report;
             assert_eq!(report, reference, "variant {variant:?}");
-            let model = session.model().expect("the read built it");
-            assert!(model.compiled.stats.cliques > 0, "cliques grounded");
+            let run = session.cached_run().expect("the read made it");
+            assert!(run.model.stats.cliques > 0, "cliques grounded");
 
             // Deleting a violation endpoint re-grounds without it.
             session.push_deletes(&[TupleId(8)]).unwrap();
@@ -906,18 +794,82 @@ mod tests {
     fn updates_can_introduce_and_remove_violations() {
         let rows = zip_city_rows();
         let mut session = streamed(&rows, 3, 1);
+        // A read serves the one-shot report and the one-shot detection.
+        let reads_like_one_shot = |session: &mut StreamSession, live: &[Vec<String>]| {
+            let config = HoloConfig::default().with_threads(1);
+            let outcome = one_shot_with(live, config).run().unwrap();
+            assert_eq!(session.violations(), None, "a mutation detects nothing");
+            assert_eq!(session.report(), outcome.report);
+            assert_eq!(session.violations(), Some(outcome.violations));
+            assert_eq!(session.noisy_cells(), Some(outcome.noisy_cells));
+            outcome.violations
+        };
+        let before = reads_like_one_shot(&mut session, &rows);
         // Rewrite a clean Evanston row into a fresh 60608 conflict.
         session
             .push_updates(&[(TupleId(9), row("60608", "Evanstn"))])
             .unwrap();
         let mut live = rows.clone();
         live[9] = row("60608", "Evanstn");
-        assert_eq!(session.report(), one_shot(&live, 1));
-        // Rewrite it back: the violation retracts.
+        assert!(reads_like_one_shot(&mut session, &live) > before);
+        // Rewrite it back: the violation is gone.
         session
             .push_updates(&[(TupleId(9), rows[9].clone())])
             .unwrap();
-        assert_eq!(session.report(), one_shot(&rows, 1));
+        assert_eq!(reads_like_one_shot(&mut session, &rows), before);
+    }
+
+    /// Degenerate feeds (ROADMAP item 7(c)): every read is `Ok` and equal,
+    /// to the probability bit, to `HoloClean::run` over the same live
+    /// table.
+    #[test]
+    fn degenerate_feeds_read_like_the_one_shot_run() {
+        type Feed = fn(&mut StreamSession) -> Vec<Vec<String>>;
+        let feeds: [(&str, Feed); 5] = [
+            ("never fed", |_| Vec::new()),
+            ("every row deleted", |s| {
+                s.push_batch(&zip_city_rows()).unwrap();
+                let all: Vec<TupleId> = s.dataset().tuples().collect();
+                s.push_deletes(&all).unwrap();
+                Vec::new()
+            }),
+            ("a single live row", |s| {
+                s.push_batch(&zip_city_rows()[7..9]).unwrap();
+                s.push_deletes(&[TupleId(0)]).unwrap();
+                vec![row("60608", "Cicago")]
+            }),
+            ("an all-null column", |s| {
+                let rows: Vec<Vec<String>> = zip_city_rows()
+                    .iter()
+                    .map(|r| vec![r[0].clone(), r[1].clone(), String::new()])
+                    .collect();
+                s.push_batch(&rows).unwrap();
+                rows
+            }),
+            ("only a rejected mutation", |s| {
+                rejected(s.push_batch(&[vec!["short".to_string()]]), "arity");
+                rejected(s.push_deletes(&[TupleId(0)]), "no such row");
+                Vec::new()
+            }),
+        ];
+        let bits = |r: &RepairReport| -> Vec<u64> {
+            let repairs = r.repairs.iter().map(|x| x.probability.to_bits());
+            let posteriors = r.posteriors.iter().flat_map(|p| &p.candidates);
+            repairs
+                .chain(posteriors.map(|(_, p)| p.to_bits()))
+                .collect()
+        };
+        for (name, feed) in feeds {
+            let mut session = open(HoloConfig::default().with_threads(1));
+            let live = feed(&mut session);
+            let report = session
+                .try_report()
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let reference = one_shot(&live, 1);
+            assert_eq!(report, reference, "{name}");
+            assert_eq!(bits(&report), bits(&reference), "{name}");
+            assert_eq!(session.ingest_stats().canonical_retrains, 1, "{name}");
+        }
     }
 
     use proptest::prelude::*;

@@ -17,7 +17,7 @@
 //! backends:
 //!
 //! * **Dense** (the default): every non-null value of every attribute gets
-//!   a compact per-attribute *code* (a [`ValueCodes`] registry maintained
+//!   a compact per-attribute *code* (a [`ValueCodes`] registry built
 //!   next to the frequency tables), and each ordered attribute pair owns a
 //!   count block — a dense `|V_cond| × |V_target|` row-major matrix when
 //!   the block fits under a size threshold, CSR-style sorted postings per
@@ -34,20 +34,22 @@
 //!
 //! Counts are integer accumulators, so the two backends answer **every**
 //! query identically — `count`, `prob`, `conditional_prob`, [`GroupView`]
-//! contents, `group_count` — across builds, incremental extends, in-place
-//! update absorb/retract cycles, and deletes, at any thread count. That
+//! contents, `group_count` — over any table, tombstoned rows and values
+//! that no live row holds any more included, at any thread count. That
 //! equivalence is proptested below (`dense_matches_naive_oracle`) and CI
 //! byte-diffs full pipeline dumps between the backends.
 //!
-//! Both backends are maintained incrementally by `extend_with_threads` /
-//! `absorb_rows_with_threads` / `retract_with_threads`, sharded per
-//! ordered attribute pair (each pair owns a disjoint slice of the key
-//! space or block table, so per-pair results merge without collisions).
+//! A [`CooccurStats`] is **built, then read**: one pass over the live rows
+//! of a frozen table, sharded per ordered attribute pair (each pair owns a
+//! disjoint slice of the key space or block table, so per-pair results
+//! merge without collisions), and no mutator afterwards. A table that
+//! changed gets new statistics — a streaming session builds them at its
+//! next read, through the same call as the one-shot pipeline.
 //!
-//! On top of the maintained counts, [`CooccurStats::correlations`] lazily
-//! computes an attribute dependency view — the uncertainty coefficient
+//! On top of the counts, [`CooccurStats::correlations`] lazily computes an
+//! attribute dependency view — the uncertainty coefficient
 //! `U(target | cond) = 1 − H(target|cond) / H(target)` per ordered pair —
-//! cached until the next mutation. Algorithm 2 uses it (opt-in, via
+//! once, on first use. Algorithm 2 uses it (opt-in, via
 //! `HoloConfig::cor_strength`) to skip uncorrelated partner attributes
 //! entirely. Entropy terms are summed in canonical symbol order, so the
 //! view is bit-identical across backends and thread counts.
@@ -55,7 +57,6 @@
 //! Null cells never contribute to co-occurrence statistics: a missing value
 //! is evidence of nothing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
@@ -96,64 +97,6 @@ impl FrequencyStats {
     /// Number of tuples the statistics were computed over.
     pub fn tuple_count(&self) -> usize {
         self.tuples
-    }
-
-    /// Folds the rows `from..` of `ds` into the tables — the incremental
-    /// maintenance path of streaming ingestion. Counts are integer
-    /// accumulators, so the result is exactly [`FrequencyStats::build`]
-    /// over the whole dataset, however the rows arrived.
-    pub fn extend(&mut self, ds: &Dataset, from: TupleId) {
-        let live_new: Vec<TupleId> = (from.index()..ds.tuple_count())
-            .map(TupleId::from)
-            .filter(|&t| ds.is_live(t))
-            .collect();
-        for a in ds.schema().attrs() {
-            let col = ds.column(a);
-            let table = &mut self.counts[a.index()];
-            for &t in &live_new {
-                *table.entry(col[t.index()]).or_insert(0) += 1;
-            }
-        }
-        self.tuples += live_new.len();
-    }
-
-    /// Folds the given live rows' current values into the tables — the
-    /// re-absorption half of an in-place update (retract the old values,
-    /// overwrite the cells, absorb the new ones).
-    pub fn absorb_rows(&mut self, ds: &Dataset, rows: &[TupleId]) {
-        for a in ds.schema().attrs() {
-            let col = ds.column(a);
-            let table = &mut self.counts[a.index()];
-            for &t in rows {
-                *table.entry(col[t.index()]).or_insert(0) += 1;
-            }
-        }
-        self.tuples += rows.len();
-    }
-
-    /// Folds the given rows' current values *out* of the tables — the
-    /// retraction path of deletes and updates. Must run while the rows'
-    /// values are still the folded-in ones (before an update overwrites
-    /// them; tombstones keep values readable, so before/after a delete
-    /// both work). Zeroed entries are removed so the retracted tables are
-    /// indistinguishable from a fresh [`FrequencyStats::build`] over the
-    /// surviving rows.
-    pub fn retract_rows(&mut self, ds: &Dataset, rows: &[TupleId]) {
-        for a in ds.schema().attrs() {
-            let col = ds.column(a);
-            let table = &mut self.counts[a.index()];
-            for &t in rows {
-                let sym = col[t.index()];
-                let c = table
-                    .get_mut(&sym)
-                    .expect("retracting a value that was never counted");
-                *c -= 1;
-                if *c == 0 {
-                    table.remove(&sym);
-                }
-            }
-        }
-        self.tuples -= rows.len();
     }
 
     /// How often `v` occurs in attribute `a`.
@@ -208,9 +151,7 @@ const NULL_CODE: u32 = u32::MAX;
 
 /// Compact per-attribute `Sym → code` registry. Codes are dense
 /// (`0..len(attr)`), assigned in first-appearance order over the scanned
-/// rows, and append-only: retraction never retires a code (a code whose
-/// counts all reach zero simply answers every query with 0, exactly as an
-/// absent hash-map entry would).
+/// rows.
 #[derive(Debug, Clone)]
 pub struct ValueCodes {
     code: Vec<FxHashMap<Sym, u32>>,
@@ -256,10 +197,9 @@ impl ValueCodes {
 /// Count storage for one ordered attribute pair in the dense backend.
 #[derive(Debug, Clone)]
 enum PairBlock {
-    /// Row-major `rows × stride` matrix; `nonzero[c]` tracks how many
-    /// cells of row `c` are non-zero so emptied groups stay observable.
-    /// Invariant between mutations: `stride == codes.len(target)` and
-    /// `nonzero.len() == codes.len(cond)`.
+    /// Row-major `rows × stride` matrix with `stride == codes.len(target)`;
+    /// `nonzero[c]` (one per conditioning code) counts the non-zero cells
+    /// of row `c`, so an all-zero row reads as an absent group.
     Dense {
         stride: usize,
         counts: Vec<u32>,
@@ -353,106 +293,20 @@ fn build_block(cond_col: &[u32], target_col: &[u32], vc: usize, vt: usize) -> Pa
             nonzero,
         }
     } else {
+        let mut packed: Vec<u64> = Vec::with_capacity(cond_col.len());
+        for (&c, &t) in cond_col.iter().zip(target_col) {
+            if c == NULL_CODE || t == NULL_CODE {
+                continue;
+            }
+            packed.push(((c as u64) << 32) | t as u64);
+        }
+        packed.sort_unstable();
         let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); vc];
-        for (c, t, n) in pair_delta(cond_col, target_col) {
-            rows[c as usize].push((t, n));
+        for run in packed.chunk_by(|a, b| a == b) {
+            rows[(run[0] >> 32) as usize].push((run[0] as u32, run.len() as u32));
         }
         PairBlock::Csr { rows }
     }
-}
-
-/// Incremental kernel for one pair: the batch's contributions as sorted
-/// `(cond_code, target_code, count)` runs — packed into `u64` words,
-/// sorted, run-length encoded. Output order is canonical (ascending code
-/// pairs), so application order never depends on thread count.
-fn pair_delta(cond_col: &[u32], target_col: &[u32]) -> Vec<(u32, u32, u32)> {
-    let mut packed: Vec<u64> = Vec::with_capacity(cond_col.len());
-    for (&c, &t) in cond_col.iter().zip(target_col) {
-        if c == NULL_CODE || t == NULL_CODE {
-            continue;
-        }
-        packed.push(((c as u64) << 32) | t as u64);
-    }
-    packed.sort_unstable();
-    let mut runs: Vec<(u32, u32, u32)> = Vec::new();
-    let mut i = 0;
-    while i < packed.len() {
-        let word = packed[i];
-        let mut j = i + 1;
-        while j < packed.len() && packed[j] == word {
-            j += 1;
-        }
-        runs.push(((word >> 32) as u32, word as u32, (j - i) as u32));
-        i = j;
-    }
-    runs
-}
-
-/// Applies a sorted delta to one block with the requested sign, returning
-/// the net change in non-empty group count.
-fn apply_block(block: &mut PairBlock, delta: &[(u32, u32, u32)], retract: bool) -> isize {
-    let mut groups_delta: isize = 0;
-    match block {
-        PairBlock::Dense {
-            stride,
-            counts,
-            nonzero,
-        } => {
-            for &(c, t, d) in delta {
-                let cell = &mut counts[c as usize * *stride + t as usize];
-                if retract {
-                    assert!(*cell >= d, "co-occurrence count underflow");
-                    *cell -= d;
-                    if *cell == 0 {
-                        nonzero[c as usize] -= 1;
-                        if nonzero[c as usize] == 0 {
-                            groups_delta -= 1;
-                        }
-                    }
-                } else {
-                    if *cell == 0 {
-                        if nonzero[c as usize] == 0 {
-                            groups_delta += 1;
-                        }
-                        nonzero[c as usize] += 1;
-                    }
-                    *cell += d;
-                }
-            }
-        }
-        PairBlock::Csr { rows } => {
-            for &(c, t, d) in delta {
-                let row = &mut rows[c as usize];
-                match row.binary_search_by_key(&t, |&(tc, _)| tc) {
-                    Ok(i) => {
-                        if retract {
-                            assert!(row[i].1 >= d, "co-occurrence count underflow");
-                            row[i].1 -= d;
-                            if row[i].1 == 0 {
-                                row.remove(i);
-                                if row.is_empty() {
-                                    groups_delta -= 1;
-                                }
-                            }
-                        } else {
-                            row[i].1 += d;
-                        }
-                    }
-                    Err(i) => {
-                        assert!(
-                            !retract,
-                            "retracting a co-occurrence that was never counted"
-                        );
-                        if row.is_empty() {
-                            groups_delta += 1;
-                        }
-                        row.insert(i, (t, d));
-                    }
-                }
-            }
-        }
-    }
-    groups_delta
 }
 
 impl DenseTables {
@@ -494,103 +348,6 @@ impl DenseTables {
     fn block(&self, cond: AttrId, target: AttrId) -> &PairBlock {
         &self.blocks[cond.index() * self.n_attrs + target.index()]
     }
-
-    /// Brings every off-diagonal block up to the current registry sizes
-    /// after a batch interned new codes: dense matrices re-stride (and
-    /// spill to CSR once they outgrow the cell threshold), CSR tables gain
-    /// empty rows. Run before applying a batch's deltas.
-    fn grow(&mut self) {
-        let n = self.n_attrs;
-        for cond in 0..n {
-            for target in 0..n {
-                if cond == target {
-                    continue;
-                }
-                let vc = self.codes.syms[cond].len();
-                let vt = self.codes.syms[target].len();
-                let idx = cond * n + target;
-                if let PairBlock::Dense {
-                    stride,
-                    counts,
-                    nonzero,
-                } = &self.blocks[idx]
-                {
-                    if vc * vt > DENSE_MAX_CELLS {
-                        // Outgrew the matrix budget: spill to CSR postings.
-                        let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); vc];
-                        for (c, row) in rows.iter_mut().enumerate().take(nonzero.len()) {
-                            *row = counts[c * stride..(c + 1) * stride]
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &x)| x != 0)
-                                .map(|(t, &x)| (t as u32, x))
-                                .collect();
-                        }
-                        self.blocks[idx] = PairBlock::Csr { rows };
-                        continue;
-                    }
-                }
-                match &mut self.blocks[idx] {
-                    PairBlock::Dense {
-                        stride,
-                        counts,
-                        nonzero,
-                    } => {
-                        if vt != *stride {
-                            let old = std::mem::take(counts);
-                            let old_rows = nonzero.len();
-                            let mut grown = vec![0u32; vc * vt];
-                            for c in 0..old_rows {
-                                grown[c * vt..c * vt + *stride]
-                                    .copy_from_slice(&old[c * *stride..(c + 1) * *stride]);
-                            }
-                            *counts = grown;
-                            *stride = vt;
-                            nonzero.resize(vc, 0);
-                        } else if vc > nonzero.len() {
-                            counts.resize(vc * vt, 0);
-                            nonzero.resize(vc, 0);
-                        }
-                    }
-                    PairBlock::Csr { rows } => {
-                        if rows.len() < vc {
-                            rows.resize(vc, Vec::new());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Shared incremental kernel: intern the batch's values, grow the
-    /// blocks, compute per-pair sorted deltas in parallel (disjoint
-    /// blocks), and apply them sequentially with the requested sign.
-    fn fold(&mut self, ds: &Dataset, rows: &[TupleId], threads: usize, retract: bool) {
-        if rows.is_empty() {
-            return;
-        }
-        let coded = code_rows(ds, &mut self.codes, rows);
-        self.grow();
-        let pairs = ordered_pairs(ds);
-        let threads = holo_parallel::sized_threads(threads, pairs.len() * rows.len());
-        let deltas = holo_parallel::parallel_jobs(threads, pairs.len(), |i| {
-            let (cond, target) = pairs[i];
-            pair_delta(&coded[cond.index()], &coded[target.index()])
-        });
-        let n = self.n_attrs;
-        let mut groups_delta: isize = 0;
-        for (&(cond, target), delta) in pairs.iter().zip(&deltas) {
-            groups_delta += apply_block(
-                &mut self.blocks[cond.index() * n + target.index()],
-                delta,
-                retract,
-            );
-        }
-        self.groups = self
-            .groups
-            .checked_add_signed(groups_delta)
-            .expect("group count underflow");
-    }
 }
 
 /// One co-occurrence group: every value of `target` co-occurring with a
@@ -603,7 +360,7 @@ pub enum GroupView<'a> {
     Map(&'a FxHashMap<Sym, u32>),
     /// Dense backend, matrix block: one contiguous count row, indexed by
     /// target code (`syms[code]` recovers the symbol). `nonzero` is the
-    /// row's maintained nonzero-entry count, letting iteration stop as
+    /// row's nonzero-entry count, letting iteration stop as
     /// soon as every live entry has been visited.
     Dense {
         syms: &'a [Sym],
@@ -636,7 +393,7 @@ impl GroupView<'_> {
                 // one nonzero per row), so a plain scan wastes most of its
                 // iterations on zeros. Test 16-lane chunks for all-zero
                 // first — the compare vectorizes — and stop once the row's
-                // maintained nonzero count is exhausted. Nonzero entries
+                // nonzero count is exhausted. Nonzero entries
                 // are still visited strictly in code order.
                 const LANES: usize = 16;
                 let mut left = nonzero;
@@ -756,11 +513,11 @@ fn uncertainty_coefficient(rows: &mut [(Sym, Vec<(Sym, u32)>)]) -> f64 {
     (1.0 - h_cond / h_target).clamp(0.0, 1.0)
 }
 
-/// Counters and size gauges of the statistics engine, surfaced through
-/// `StageTimings` into `diag` / `diag --json`. Size gauges (`dense_pairs`,
-/// `csr_pairs`, `dense_cells`, `bytes`) describe the dense backend's
-/// current storage (all zero under the naive oracle); `bytes` is the
-/// count-payload plus code-registry estimate, not allocator-exact.
+/// Size gauges of the statistics engine, surfaced through `StageTimings`
+/// into `diag` / `diag --json`. `dense_pairs`, `csr_pairs`, `dense_cells`
+/// and `bytes` describe the dense backend's storage (all zero under the
+/// naive oracle); `bytes` is the count-payload plus code-registry
+/// estimate, not allocator-exact.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct StatsStats {
     /// Ordered attribute pairs stored as dense matrices.
@@ -771,13 +528,7 @@ pub struct StatsStats {
     pub dense_cells: u64,
     /// Approximate bytes of count storage + code registry.
     pub bytes: u64,
-    /// Full builds performed.
-    pub builds: u64,
-    /// Incremental extends + absorbs applied.
-    pub extends: u64,
-    /// Incremental retractions applied.
-    pub retracts: u64,
-    /// Lazy correlation-view recomputations.
+    /// 1 once the lazy correlation view has been computed, else 0.
     pub corr_recomputes: u64,
 }
 
@@ -797,31 +548,12 @@ enum Backend {
 /// of `A'`, stores the multiset of values of `A` that co-occur with `v'` in
 /// the same tuple. Construction is a single `O(|D| · |A|²)` pass. See the
 /// module docs for the dense/naive backend split.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CooccurStats {
     backend: Backend,
     freq: FrequencyStats,
-    /// Lazily computed attribute dependency view; reset by every mutation
-    /// so it is recomputed at most once per batch boundary.
+    /// Lazily computed attribute dependency view.
     corr: OnceLock<CorrelationView>,
-    builds: u64,
-    extends: u64,
-    retracts: u64,
-    corr_recomputes: AtomicU64,
-}
-
-impl Clone for CooccurStats {
-    fn clone(&self) -> Self {
-        CooccurStats {
-            backend: self.backend.clone(),
-            freq: self.freq.clone(),
-            corr: self.corr.clone(),
-            builds: self.builds,
-            extends: self.extends,
-            retracts: self.retracts,
-            corr_recomputes: AtomicU64::new(self.corr_recomputes.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl CooccurStats {
@@ -854,10 +586,6 @@ impl CooccurStats {
             backend,
             freq,
             corr: OnceLock::new(),
-            builds: 1,
-            extends: 0,
-            retracts: 0,
-            corr_recomputes: AtomicU64::new(0),
         }
     }
 
@@ -873,61 +601,6 @@ impl CooccurStats {
         match &self.backend {
             Backend::Dense(dt) => Some(&dt.codes),
             Backend::Naive { .. } => None,
-        }
-    }
-
-    /// Folds the rows `from..` of `ds` into the co-occurrence tables (and
-    /// the frequency tables alongside) — the incremental maintenance path
-    /// of streaming ingestion: per batch this costs `O(batch · |A|²)`
-    /// instead of the `O(|D| · |A|²)` full rebuild.
-    ///
-    /// All counts are integer accumulators, so the extended statistics
-    /// answer every query exactly as [`CooccurStats::build`] over the
-    /// whole dataset would.
-    pub fn extend_with_threads(&mut self, ds: &Dataset, from: TupleId, threads: usize) {
-        self.freq.extend(ds, from);
-        self.extends += 1;
-        self.corr = OnceLock::new();
-        match &mut self.backend {
-            Backend::Naive { table } => extend_naive(table, ds, from, threads),
-            Backend::Dense(dt) => {
-                let rows: Vec<TupleId> = (from.index()..ds.tuple_count())
-                    .map(TupleId::from)
-                    .filter(|&t| ds.is_live(t))
-                    .collect();
-                dt.fold(ds, &rows, threads, false);
-            }
-        }
-    }
-
-    /// Folds the given live rows' current values into the tables (and the
-    /// frequency tables alongside) — the re-absorption half of an in-place
-    /// update, mirroring [`FrequencyStats::absorb_rows`].
-    pub fn absorb_rows_with_threads(&mut self, ds: &Dataset, rows: &[TupleId], threads: usize) {
-        self.freq.absorb_rows(ds, rows);
-        self.extends += 1;
-        self.corr = OnceLock::new();
-        match &mut self.backend {
-            Backend::Naive { table } => fold_naive(table, ds, rows, threads, false),
-            Backend::Dense(dt) => dt.fold(ds, rows, threads, false),
-        }
-    }
-
-    /// Folds the given rows' current values *out* of the co-occurrence and
-    /// frequency tables — the retraction path of deletes and updates,
-    /// mirroring [`CooccurStats::extend_with_threads`] with the sign
-    /// flipped. Must run while the rows' values are still the folded-in
-    /// ones (before an update overwrites them). Zeroed counts and emptied
-    /// groups stop being observable, so the retracted statistics answer
-    /// *every* query — including [`CooccurStats::group_count`] — exactly
-    /// as a fresh [`CooccurStats::build`] over the surviving rows would.
-    pub fn retract_with_threads(&mut self, ds: &Dataset, rows: &[TupleId], threads: usize) {
-        self.freq.retract_rows(ds, rows);
-        self.retracts += 1;
-        self.corr = OnceLock::new();
-        match &mut self.backend {
-            Backend::Naive { table } => fold_naive(table, ds, rows, threads, true),
-            Backend::Dense(dt) => dt.fold(ds, rows, threads, true),
         }
     }
 
@@ -1021,15 +694,10 @@ impl CooccurStats {
         }
     }
 
-    /// The attribute dependency view over the current counts, computed on
-    /// first use after a mutation and cached until the next one (batch
-    /// boundaries, in streaming terms). Bit-identical across backends and
-    /// thread counts.
+    /// The attribute dependency view over the counts, computed on first
+    /// use and cached. Bit-identical across backends and thread counts.
     pub fn correlations(&self) -> &CorrelationView {
-        self.corr.get_or_init(|| {
-            self.corr_recomputes.fetch_add(1, Ordering::Relaxed);
-            self.compute_correlations()
-        })
+        self.corr.get_or_init(|| self.compute_correlations())
     }
 
     /// Calls `f(target, v_cond, group)` once for every non-empty group
@@ -1109,13 +777,10 @@ impl CooccurStats {
         CorrelationView { n_attrs: n, corr }
     }
 
-    /// Snapshot of the engine's counters and size gauges.
+    /// Snapshot of the engine's size gauges.
     pub fn stats_stats(&self) -> StatsStats {
         let mut s = StatsStats {
-            builds: self.builds,
-            extends: self.extends,
-            retracts: self.retracts,
-            corr_recomputes: self.corr_recomputes.load(Ordering::Relaxed),
+            corr_recomputes: u64::from(self.corr.get().is_some()),
             ..StatsStats::default()
         };
         if let Backend::Dense(dt) = &self.backend {
@@ -1175,108 +840,6 @@ fn build_naive_table(ds: &Dataset, threads: usize) -> FxHashMap<u64, FxHashMap<S
         table.extend(local);
     }
     table
-}
-
-/// Naive-oracle incremental extend: folds the rows `from..` in.
-fn extend_naive(
-    table: &mut FxHashMap<u64, FxHashMap<Sym, u32>>,
-    ds: &Dataset,
-    from: TupleId,
-    threads: usize,
-) {
-    let pairs = ordered_pairs(ds);
-    let batch = ds.tuple_count() - from.index();
-    let threads = holo_parallel::sized_threads(threads, pairs.len() * batch);
-    let per_pair = holo_parallel::parallel_jobs(threads, pairs.len(), |i| {
-        let (cond, target) = pairs[i];
-        let mut local: FxHashMap<u64, FxHashMap<Sym, u32>> = FxHashMap::default();
-        let cond_col = ds.column(cond);
-        let target_col = ds.column(target);
-        for t in (from.index()..ds.tuple_count()).map(TupleId::from) {
-            if !ds.is_live(t) {
-                continue;
-            }
-            let (v_cond, v_target) = (cond_col[t.index()], target_col[t.index()]);
-            if v_cond.is_null() || v_target.is_null() {
-                continue;
-            }
-            *local
-                .entry(key(cond, target, v_cond))
-                .or_default()
-                .entry(v_target)
-                .or_insert(0) += 1;
-        }
-        local
-    });
-    for local in per_pair {
-        for (k, counts) in local {
-            let slot = table.entry(k).or_default();
-            for (sym, count) in counts {
-                *slot.entry(sym).or_insert(0) += count;
-            }
-        }
-    }
-}
-
-/// Naive-oracle fold kernel of absorb/retract: accumulates the rows'
-/// contributions per ordered attribute pair in parallel (disjoint key
-/// spaces, as in the build), then applies them with the requested sign.
-/// Integer counts commute, so the result is independent of row order and
-/// thread count.
-fn fold_naive(
-    table: &mut FxHashMap<u64, FxHashMap<Sym, u32>>,
-    ds: &Dataset,
-    rows: &[TupleId],
-    threads: usize,
-    retract: bool,
-) {
-    let pairs = ordered_pairs(ds);
-    let threads = holo_parallel::sized_threads(threads, pairs.len() * rows.len());
-    let per_pair = holo_parallel::parallel_jobs(threads, pairs.len(), |i| {
-        let (cond, target) = pairs[i];
-        let mut local: FxHashMap<u64, FxHashMap<Sym, u32>> = FxHashMap::default();
-        let cond_col = ds.column(cond);
-        let target_col = ds.column(target);
-        for &t in rows {
-            let (v_cond, v_target) = (cond_col[t.index()], target_col[t.index()]);
-            if v_cond.is_null() || v_target.is_null() {
-                continue;
-            }
-            *local
-                .entry(key(cond, target, v_cond))
-                .or_default()
-                .entry(v_target)
-                .or_insert(0) += 1;
-        }
-        local
-    });
-    for local in per_pair {
-        for (k, counts) in local {
-            if retract {
-                let slot = table
-                    .get_mut(&k)
-                    .expect("retracting a co-occurrence group that was never counted");
-                for (sym, count) in counts {
-                    let c = slot
-                        .get_mut(&sym)
-                        .expect("retracting a co-occurrence that was never counted");
-                    assert!(*c >= count, "co-occurrence count underflow");
-                    *c -= count;
-                    if *c == 0 {
-                        slot.remove(&sym);
-                    }
-                }
-                if slot.is_empty() {
-                    table.remove(&k);
-                }
-            } else {
-                let slot = table.entry(k).or_default();
-                for (sym, count) in counts {
-                    *slot.entry(sym).or_insert(0) += count;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1429,139 +992,6 @@ mod tests {
         }
     }
 
-    /// Extending statistics batch-by-batch answers every query exactly as
-    /// a full rebuild over the final dataset — the invariant streaming
-    /// ingestion's delta compile rests on.
-    #[test]
-    fn extend_matches_full_rebuild() {
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        for i in 0..90 {
-            rows.push(vec![
-                format!("a{}", i % 9),
-                if i % 11 == 0 {
-                    String::new()
-                } else {
-                    format!("b{}", i % 5)
-                },
-                format!("c{}", i % 3),
-            ]);
-        }
-        for naive in [false, true] {
-            for split in [1, 4, 7] {
-                let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c"]));
-                let mut stats = CooccurStats::build_with_opts(&ds, 1, naive);
-                for batch in rows.chunks(rows.len().div_ceil(split)) {
-                    let from = ds.append_rows(batch);
-                    stats.extend_with_threads(&ds, from, 2);
-                }
-                let full = CooccurStats::build_with_opts(&ds, 1, naive);
-                assert_eq!(stats.freq().tuple_count(), full.freq().tuple_count());
-                assert_eq!(stats.group_count(), full.group_count());
-                for cond in ds.schema().attrs() {
-                    for target in ds.schema().attrs() {
-                        if cond == target {
-                            continue;
-                        }
-                        for v_cond in ds.active_domain(cond) {
-                            assert_eq!(
-                                stats.freq().count(cond, v_cond),
-                                full.freq().count(cond, v_cond)
-                            );
-                            for v in ds.active_domain(target) {
-                                assert_eq!(
-                                    stats.cooccur_count(cond, v_cond, target, v),
-                                    full.cooccur_count(cond, v_cond, target, v),
-                                    "split = {split}, naive = {naive}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Retracting rows (deletes and in-place updates) answers every query
-    /// exactly as a full rebuild over the surviving live table — the
-    /// fold-*out* mirror of `extend_matches_full_rebuild`, and the
-    /// invariant CRUD streaming's delta compile rests on.
-    #[test]
-    fn retract_matches_full_rebuild() {
-        for naive in [false, true] {
-            let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c"]));
-            for i in 0..90 {
-                ds.push_row(&[
-                    format!("a{}", i % 9),
-                    if i % 11 == 0 {
-                        String::new()
-                    } else {
-                        format!("b{}", i % 5)
-                    },
-                    format!("c{}", i % 3),
-                ]);
-            }
-            let mut stats = CooccurStats::build_with_opts(&ds, 2, naive);
-            // Update a third of the rows in place: retract, overwrite, absorb.
-            let updated: Vec<TupleId> = (0..90).step_by(3).map(TupleId::from).collect();
-            stats.retract_with_threads(&ds, &updated, 2);
-            let new_rows: Vec<(TupleId, Vec<String>)> = updated
-                .iter()
-                .map(|&t| {
-                    let i = t.index();
-                    (
-                        t,
-                        vec![
-                            format!("a{}", (i + 1) % 4),
-                            format!("b{}", i % 6),
-                            if i % 7 == 0 {
-                                String::new()
-                            } else {
-                                format!("c{}", i % 2)
-                            },
-                        ],
-                    )
-                })
-                .collect();
-            ds.update_rows(&new_rows);
-            stats.absorb_rows_with_threads(&ds, &updated, 2);
-            // Then delete a handful, folding their (updated) values out.
-            let deleted: Vec<TupleId> = (0..90).step_by(7).map(TupleId::from).collect();
-            stats.retract_with_threads(&ds, &deleted, 2);
-            ds.delete_rows(&deleted);
-
-            let full = CooccurStats::build_with_opts(&ds, 1, naive);
-            assert_eq!(stats.freq().tuple_count(), full.freq().tuple_count());
-            assert_eq!(stats.freq().tuple_count(), ds.live_count());
-            assert_eq!(
-                stats.group_count(),
-                full.group_count(),
-                "zeroed groups must vanish, not linger at count 0 (naive = {naive})"
-            );
-            for a in ds.schema().attrs() {
-                assert_eq!(stats.freq().distinct(a), full.freq().distinct(a));
-            }
-            for cond in ds.schema().attrs() {
-                for target in ds.schema().attrs() {
-                    if cond == target {
-                        continue;
-                    }
-                    for v_cond in ds.active_domain(cond) {
-                        assert_eq!(
-                            stats.freq().count(cond, v_cond),
-                            full.freq().count(cond, v_cond)
-                        );
-                        for v in ds.active_domain(target) {
-                            assert_eq!(
-                                stats.cooccur_count(cond, v_cond, target, v),
-                                full.cooccur_count(cond, v_cond, target, v)
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Correlations: a determined pair scores 1, independence scores ~0,
     /// and the view is bit-identical between backends.
     #[test]
@@ -1610,21 +1040,40 @@ mod tests {
     }
 
     /// Engine gauges: the dense backend reports its blocks, the oracle
-    /// reports zero storage but the same operation counters.
+    /// reports zero storage.
     #[test]
     fn stats_stats_gauges() {
         let ds = chicago();
         let dense = CooccurStats::build(&ds);
         let s = dense.stats_stats();
-        assert_eq!(s.builds, 1);
         assert_eq!(s.dense_pairs + s.csr_pairs, 6); // 3 attrs → 6 ordered pairs
         assert!(s.dense_cells > 0);
         assert!(s.bytes > 0);
+        assert_eq!(s.corr_recomputes, 0, "nothing asked for the view yet");
         let naive = CooccurStats::build_with_opts(&ds, 1, true);
         let s = naive.stats_stats();
-        assert_eq!(s.builds, 1);
         assert_eq!(s.dense_pairs + s.csr_pairs, 0);
         assert_eq!(s.bytes, 0);
+    }
+
+    /// A pair whose `|V_cond| × |V_target|` exceeds the matrix budget is
+    /// stored as CSR postings; the sort-and-run-length build of that arm
+    /// answers like the oracle, nulls and repeated pairs included.
+    #[test]
+    fn csr_arm_matches_naive_oracle() {
+        let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c"]));
+        for i in 0..900usize {
+            let b = if i % 17 == 0 {
+                String::new()
+            } else {
+                // Rows i and i + 300 repeat a pair; rows 600.. pair anew.
+                format!("b{}", ((i % 300) * 7 + i / 600) % 290)
+            };
+            ds.push_row(&[format!("a{}", i % 300), b, format!("c{}", i % 3)]);
+        }
+        let dense = CooccurStats::build_with_opts(&ds, 2, false);
+        assert_eq!(dense.stats_stats().csr_pairs, 2, "a→b and b→a");
+        assert_backends_agree(&ds, &dense, &CooccurStats::build_with_opts(&ds, 2, true));
     }
 
     /// Asserts the two engines answer every query identically on the
@@ -1687,9 +1136,10 @@ mod tests {
 
     proptest! {
         /// Dense engine ≡ hash-map oracle: identical `count` / `prob` /
-        /// `cond_prob` / group / `group_count` / correlation answers
-        /// across random datasets × CRUD interleavings (build / extend /
-        /// absorb / retract) × threads {1, 4}.
+        /// `cond_prob` / group / `group_count` / correlation answers when
+        /// built over random datasets at every stage of a CRUD edit
+        /// (fresh, appended to, updated in place, rows tombstoned — so the
+        /// pool holds values no live row does) × threads {1, 4}.
         #[test]
         fn dense_matches_naive_oracle(
             rows in proptest::collection::vec((0u8..6, 0u8..4, 0u8..5), 5..40),
@@ -1698,56 +1148,41 @@ mod tests {
             delete_step in 3usize..6,
         ) {
             for threads in [1usize, 4] {
+                let agree = |ds: &Dataset| {
+                    let dense = CooccurStats::build_with_opts(ds, threads, false);
+                    let naive = CooccurStats::build_with_opts(ds, threads, true);
+                    assert_backends_agree(ds, &dense, &naive);
+                };
                 let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c"]));
                 for &(a, b, c) in &rows {
                     ds.push_row(&[cell_str(0, a), cell_str(1, b), cell_str(2, c)]);
                 }
-                let mut dense = CooccurStats::build_with_opts(&ds, threads, false);
-                let mut naive = CooccurStats::build_with_opts(&ds, threads, true);
-                assert_backends_agree(&ds, &dense, &naive);
+                agree(&ds);
 
-                // Extend with a fresh batch.
                 let batch: Vec<Vec<String>> = extra
                     .iter()
                     .map(|&(a, b, c)| vec![cell_str(0, a), cell_str(1, b), cell_str(2, c)])
                     .collect();
-                if !batch.is_empty() {
-                    let from = ds.append_rows(&batch);
-                    dense.extend_with_threads(&ds, from, threads);
-                    naive.extend_with_threads(&ds, from, threads);
-                    assert_backends_agree(&ds, &dense, &naive);
-                }
+                ds.append_rows(&batch);
+                agree(&ds);
 
-                // In-place update: retract, overwrite, absorb.
-                let updated: Vec<TupleId> = (0..ds.tuple_count())
+                let new_rows: Vec<(TupleId, Vec<String>)> = (0..ds.tuple_count())
                     .step_by(update_step)
-                    .map(TupleId::from)
-                    .filter(|&t| ds.is_live(t))
-                    .collect();
-                dense.retract_with_threads(&ds, &updated, threads);
-                naive.retract_with_threads(&ds, &updated, threads);
-                let new_rows: Vec<(TupleId, Vec<String>)> = updated
-                    .iter()
-                    .map(|&t| {
-                        let i = t.index() as u8;
-                        (t, vec![cell_str(0, i % 7), cell_str(1, i % 3), cell_str(2, i % 6)])
+                    .map(|t| {
+                        let i = t as u8;
+                        let row = vec![cell_str(0, i % 7), cell_str(1, i % 3), cell_str(2, i % 6)];
+                        (TupleId::from(t), row)
                     })
                     .collect();
                 ds.update_rows(&new_rows);
-                dense.absorb_rows_with_threads(&ds, &updated, threads);
-                naive.absorb_rows_with_threads(&ds, &updated, threads);
-                assert_backends_agree(&ds, &dense, &naive);
+                agree(&ds);
 
-                // Delete a stride of rows.
                 let deleted: Vec<TupleId> = (0..ds.tuple_count())
                     .step_by(delete_step)
                     .map(TupleId::from)
-                    .filter(|&t| ds.is_live(t))
                     .collect();
-                dense.retract_with_threads(&ds, &deleted, threads);
                 ds.delete_rows(&deleted);
-                naive.retract_with_threads(&ds, &deleted, threads);
-                assert_backends_agree(&ds, &dense, &naive);
+                agree(&ds);
             }
         }
 

@@ -68,10 +68,8 @@ impl fmt::Display for CellRef {
 ///
 /// Rows are never physically removed: [`Dataset::delete_rows`] marks them
 /// dead in a liveness mask, which keeps every [`TupleId`] stable forever —
-/// the property the streaming engine's long-lived handles (violation
-/// indexes, postings, factor-graph cell maps) rest on. Dead rows keep
-/// their column values readable (retraction passes need the old values),
-/// but every *scan* entry point — [`Dataset::tuples`], [`Dataset::cells`],
+/// the property a streaming caller's row handles rest on. Dead rows keep
+/// their column values readable, but every *scan* entry point — [`Dataset::tuples`], [`Dataset::cells`],
 /// [`Dataset::active_domain`] — iterates live rows only, so statistics,
 /// violation detection and featurization over a tombstoned dataset see
 /// exactly the live table. [`Dataset::tuple_count`] stays *physical* (it
@@ -203,10 +201,8 @@ impl Dataset {
     }
 
     /// Tombstones the given rows. Ids stay stable (nothing is renumbered)
-    /// and the dead rows' values stay readable — retraction passes fold
-    /// the old values *out* of derived statistics before or after the
-    /// tombstone lands, their choice — but every scan entry point stops
-    /// yielding the rows immediately.
+    /// and the dead rows' values stay readable, but every scan entry point
+    /// stops yielding the rows immediately.
     ///
     /// # Panics
     /// Panics if any row is out of range or already tombstoned (a
@@ -224,8 +220,7 @@ impl Dataset {
     }
 
     /// Overwrites entire live rows in place, interning the new values.
-    /// Ids stay stable; callers that maintain derived statistics must
-    /// retract the old values *before* this call (they are gone after).
+    /// Ids stay stable; the old values are gone after this call.
     ///
     /// # Panics
     /// Panics if a row is out of range or tombstoned, or on arity

@@ -35,10 +35,8 @@ impl Detector for ViolationDetector {
     /// Cells of the violations that *involve* a new tuple — including the
     /// cells of old partner tuples those violations newly implicate (the
     /// default trait filter would silently drop them). A stateless
-    /// detector cannot keep a persistent blocking index, so this pays a
-    /// full scan; the streaming engine itself uses
-    /// [`holo_constraints::DeltaViolationIndex`], which probes only the
-    /// batch.
+    /// detector keeps no blocking index between calls, so this pays a
+    /// full scan.
     fn detect_delta(&self, ds: &Dataset, first_new: TupleId) -> NoisyCells {
         let mut noisy = NoisyCells::default();
         for v in find_violations(ds, &self.constraints) {

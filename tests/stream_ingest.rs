@@ -4,13 +4,15 @@
 //!    the one-shot pipeline — cells, values, and full posteriors — for
 //!    K ∈ {1, 4, 16} at every thread count, under the default model and
 //!    the partitioned DC-factor variant;
-//! 2. pushes maintain statistics and violations only: the model is built
-//!    once, by the read, and a failing read is a typed error.
+//! 2. pushes only edit the table: detection, statistics and the model are
+//!    the read's one-shot run, and a failing read is a typed error.
 
 use holoclean_repro::holo_datagen::{hospital, HospitalConfig};
 use holoclean_repro::holo_dataset::{Dataset, Schema};
 use holoclean_repro::holoclean::stream::StreamSession;
-use holoclean_repro::holoclean::{HoloClean, HoloConfig, HoloError, ModelVariant, RepairReport};
+use holoclean_repro::holoclean::{
+    HoloClean, HoloConfig, HoloError, ModelVariant, RepairOutcome, RepairReport,
+};
 
 fn hospital_rows() -> (Schema, String, Vec<Vec<String>>) {
     let gen = hospital(HospitalConfig {
@@ -37,7 +39,7 @@ fn one_shot_with(
     constraints: &str,
     rows: &[Vec<String>],
     config: HoloConfig,
-) -> RepairReport {
+) -> RepairOutcome {
     let mut ds = Dataset::new(schema.clone());
     for row in rows {
         ds.push_row(row);
@@ -48,7 +50,6 @@ fn one_shot_with(
         .with_config(config)
         .run()
         .unwrap()
-        .report
 }
 
 fn one_shot(
@@ -58,7 +59,7 @@ fn one_shot(
     threads: usize,
 ) -> RepairReport {
     let config = HoloConfig::default().with_threads(threads);
-    one_shot_with(schema, constraints, rows, config)
+    one_shot_with(schema, constraints, rows, config).report
 }
 
 fn streamed_with(
@@ -169,7 +170,7 @@ fn hospital_streams_bit_identical_under_partitioned_dc_factors() {
             .with_threads(threads)
             .with_variant(ModelVariant::DcFactorsPartitioned)
     };
-    let reference = one_shot_with(&schema, &constraints, &rows, config(1));
+    let reference = one_shot_with(&schema, &constraints, &rows, config(1)).report;
     assert!(!reference.posteriors.is_empty());
     for (batches, threads) in [(1, 2), (4, 1), (16, 4)] {
         let mut session = streamed_with(&schema, &constraints, &rows, batches, config(threads));
@@ -178,8 +179,8 @@ fn hospital_streams_bit_identical_under_partitioned_dc_factors() {
             &reference,
             &format!("dc-factors K={batches}, threads={threads}"),
         );
-        let model = session.model().expect("the read built it");
-        assert!(model.compiled.stats.cliques > 0, "cliques grounded");
+        let run = session.cached_run().expect("the read made it");
+        assert!(run.model.stats.cliques > 0, "cliques grounded");
     }
 }
 
@@ -188,16 +189,18 @@ fn hospital_stream_never_rebuilds_after_the_first_batch() {
     let (schema, constraints, rows) = hospital_rows();
     let mut session =
         StreamSession::new(schema, &constraints, HoloConfig::default().with_threads(1)).unwrap();
-    let mut reports = Vec::new();
     let chunks: Vec<_> = rows.chunks(rows.len().div_ceil(16)).collect();
     let n_batches = chunks.len() as u64;
     for chunk in chunks {
-        reports.push(session.push_batch(chunk).unwrap());
-        // A push builds no model, on the first batch or any later one.
+        let batch = session.push_batch(chunk).unwrap();
+        assert_eq!(batch.appended, chunk.len());
+        // A push runs nothing — no detection, no model — on the first
+        // batch or any later one.
         assert_eq!(session.design_stats().full_builds, 0);
-        assert!(session.model().is_none());
+        assert!(session.cached_run().is_none());
+        assert_eq!(session.violations(), None);
     }
-    // The read builds it, once; a second read builds nothing.
+    // The read runs the pipeline, once; a second read runs nothing.
     let _ = session.report();
     let _ = session.report();
     assert_eq!(session.design_stats().full_builds, 1);
@@ -209,10 +212,12 @@ fn hospital_stream_never_rebuilds_after_the_first_batch() {
     assert_eq!(stats.canonical_retrains, 1);
     assert!(stats.vars_added > 0);
     assert!(stats.cells_recomputed > 0);
-    assert!(
-        stats.delta_violations as usize >= reports[0].new_violations,
-        "delta detection found violations"
-    );
+    let detection = &session.cached_run().expect("the read made it").detection;
+    let schema = session.dataset().schema();
+    let outcome = one_shot_with(schema, &constraints, &rows, HoloConfig::default());
+    assert!(outcome.violations > 0, "the slice must violate its DCs");
+    assert_eq!(detection.violations.len(), outcome.violations);
+    assert_eq!(detection.noisy.len(), outcome.noisy_cells);
     let timings = session.timings();
     assert_eq!(timings.ingest, stats);
     assert!(timings.detect + timings.compile > std::time::Duration::ZERO);
@@ -239,7 +244,10 @@ fn diverging_learning_rate_is_a_typed_error_from_try_report() {
             Err(other) => panic!("expected LearnDiverged, got {other}"),
             Ok(_) => panic!("a diverged read must not produce a report"),
         }
-        assert!(session.model().is_none(), "a failed read caches nothing");
+        assert!(
+            session.cached_run().is_none(),
+            "a failed read caches nothing"
+        );
     }
     assert_eq!(session.dataset().tuple_count(), rows.len());
 }
@@ -248,20 +256,12 @@ fn diverging_learning_rate_is_a_typed_error_from_try_report() {
 fn stream_counts_match_one_shot_detection() {
     let (schema, constraints, rows) = hospital_rows();
     let mut session = streamed(&schema, &constraints, &rows, 4, 1);
-    // The delta union must equal the one-shot detection totals.
-    let mut ds = Dataset::new(session.dataset().schema().clone());
-    for row in &rows {
-        ds.push_row(row);
-    }
-    let outcome = HoloClean::new(ds)
-        .with_constraint_text(&constraints)
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(session.violations(), outcome.violations);
-    assert_eq!(session.noisy_cells(), outcome.noisy_cells);
+    // The read's detection equals the one-shot detection totals.
+    let outcome = one_shot_with(&schema, &constraints, &rows, HoloConfig::default());
     let _ = session.report();
-    let shape = &session.model().expect("the read built it").compiled.stats;
+    assert_eq!(session.violations(), Some(outcome.violations));
+    assert_eq!(session.noisy_cells(), Some(outcome.noisy_cells));
+    let shape = &session.cached_run().expect("the read made it").model.stats;
     assert_eq!(shape.query_vars, outcome.model.query_vars);
     assert_eq!(shape.evidence_vars, outcome.model.evidence_vars);
 }
