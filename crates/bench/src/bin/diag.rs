@@ -21,7 +21,10 @@
 //! packed-arena counters `packed_examples`, `packed_entries`,
 //! `packed_bytes`, `packed_epochs`.
 //!
-//! The `compile` object carries the Algorithm 2 threshold index's size
+//! The `compile` object carries the evidence scope (`trainable_attrs`,
+//! the attributes that share a learnable weight with one that has a query
+//! variable and so supply evidence, and `evidence_attrs_skipped`, the
+//! rest), the Algorithm 2 threshold index's size
 //! (`prune_index_rows`, `prune_index_entries`), the Algorithm 1 grounding
 //! counters (`cliques`, `dc_pairs_considered`, `clique_cap_hits`,
 //! `dc_skipped_no_join_key` — all zero unless `--dc-factors` selects the
@@ -40,7 +43,9 @@
 //! quantity a key's scan cost is quadratic in.
 //!
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
-//! (dense/CSR pair split, cell and byte footprint, whether the
+//! (`pairs` built — only target attributes a variable can have — of
+//! `pairs_possible` = |A|(|A|−1), dense/CSR pair split, cell and byte
+//! footprint, whether the
 //! correlation view was computed; the storage gauges are zero under
 //! `--naive-stats`). With `--cor-strength F`, diag additionally prunes
 //! every cell of the dirty table twice — ungated and correlation-gated —
@@ -55,7 +60,9 @@ use holo_constraints::ast::TupleVar;
 use holo_constraints::scan::{BlockIndex, PairScan};
 use holo_constraints::violations::find_constraint_violations_with_threads;
 use holo_datagen::{DatasetKind, GeneratedDataset};
-use holo_dataset::{AttrId, Dataset, FxHashMap};
+use holo_dataset::{AttrId, Dataset, FxHashMap, FxHashSet};
+use holo_factor::{VarId, WeightId};
+use holoclean::compile::CompiledModel;
 use holoclean::features::FeatureKey;
 use holoclean::stream::{IngestStats, StreamSession};
 use holoclean::{evaluate, HoloConfig, ModelVariant};
@@ -239,6 +246,11 @@ fn print_json(
     timings.field_raw("infer_s", &num_exact(t.infer.as_secs_f64()));
     timings.field_raw("total_s", &num_exact(t.total().as_secs_f64()));
     let mut compile = JsonObj::new();
+    compile.field_u64("trainable_attrs", out.model.trainable_attrs as u64);
+    compile.field_u64(
+        "evidence_attrs_skipped",
+        out.model.evidence_attrs_skipped as u64,
+    );
     compile.field_u64("prune_index_rows", out.model.prune_index_rows as u64);
     compile.field_u64("prune_index_entries", out.model.prune_index_entries as u64);
     compile.field_u64("cliques", out.model.cliques as u64);
@@ -278,7 +290,11 @@ fn print_json(
     partition.field_u64("score_cache_builds", p.score_cache.builds);
     partition.field_u64("score_cache_rows", p.score_cache.rows);
     let s = t.stats;
+    // Every attribute is either trainable or skipped.
+    let n_attrs = (out.model.trainable_attrs + out.model.evidence_attrs_skipped) as u64;
     let mut stats = JsonObj::new();
+    stats.field_u64("pairs", s.pairs);
+    stats.field_u64("pairs_possible", n_attrs * n_attrs.saturating_sub(1));
     stats.field_u64("dense_pairs", s.dense_pairs);
     stats.field_u64("csr_pairs", s.csr_pairs);
     stats.field_u64("dense_cells", s.dense_cells);
@@ -339,6 +355,7 @@ fn run_streamed(
     holo_factor::FeatureRegistry<FeatureKey>,
     holo_factor::Weights,
     Dataset,
+    FxHashSet<WeightId>,
 ) {
     config.tau = gen.kind.paper_tau();
     let fail = |e: holoclean::HoloError| -> ! {
@@ -391,7 +408,17 @@ fn run_streamed(
         run.model.registry.clone(),
         run.weights.clone(),
         dense,
+        evidence_weights(&run.model),
     )
+}
+
+/// The weights some evidence row names — the ones training can move.
+fn evidence_weights(model: &CompiledModel) -> FxHashSet<WeightId> {
+    let design = model.graph.design();
+    (model.query_vars.len()..model.graph.var_count())
+        .flat_map(|v| design.var_range(VarId(v as u32)))
+        .flat_map(|r| design.row(r).iter().map(|&(w, _)| w))
+        .collect()
 }
 
 fn main() {
@@ -420,11 +447,12 @@ fn main() {
         config = config.with_variant(ModelVariant::DcFactorsPartitioned);
     }
     let (max_domain, min_support) = (config.max_domain, config.min_cond_support);
-    let (out, registry, weights, pool) = if args.stream > 0 {
+    let (out, registry, weights, pool, trained) = if args.stream > 0 {
         run_streamed(&gen, config, args.stream)
     } else {
         let (out, model, weights) = run_holoclean_full(&gen, config, None, false);
-        (out, model.registry, weights, gen.dirty.clone())
+        let trained = evidence_weights(&model);
+        (out, model.registry, weights, gen.dirty.clone(), trained)
     };
     // With a gate requested, measure its pruning power directly: prune
     // every cell of the dirty table ungated and gated and histogram the
@@ -494,8 +522,13 @@ fn main() {
         out.model.query_vars,
     );
     println!(
-        "model: {} evidence vars, {} factors, {} singleton noisy cells",
-        out.model.evidence_vars, out.model.factors, out.model.singleton_noisy_cells
+        "model: {} evidence vars from {} trainable attribute(s) ({} skipped: no query variable \
+         reads their weights), {} factors, {} singleton noisy cells",
+        out.model.evidence_vars,
+        out.model.trainable_attrs,
+        out.model.evidence_attrs_skipped,
+        out.model.factors,
+        out.model.singleton_noisy_cells
     );
     println!(
         "stage timings: detect {:?}, compile {:?}, learn {:?}, infer {:?} (total {:?})",
@@ -553,10 +586,17 @@ fn main() {
         );
     }
     let s = out.timings.stats;
+    let n_attrs = gen.dirty.schema().len() as u64;
     println!(
-        "cooccur stats: {} dense / {} CSR pair(s), {} dense cell(s), ~{} byte(s); \
-         {} corr recompute(s)",
-        s.dense_pairs, s.csr_pairs, s.dense_cells, s.bytes, s.corr_recomputes
+        "cooccur stats: {} of {} pair(s) built ({} dense / {} CSR), {} dense cell(s), \
+         ~{} byte(s); {} corr recompute(s)",
+        s.pairs,
+        n_attrs * n_attrs.saturating_sub(1),
+        s.dense_pairs,
+        s.csr_pairs,
+        s.dense_cells,
+        s.bytes,
+        s.corr_recomputes
     );
     if let Some((before, after)) = &gate_hists {
         println!(
@@ -617,30 +657,21 @@ fn main() {
         }
         None => println!("learning: skipped (no evidence)"),
     }
+    // Constraint ids are positions in the bound set, which the detection
+    // profile lists in order.
     println!("\nlearned DC-violation weights:");
-    let constraints_text = gen.constraints_text.lines();
-    let mut sigma = 0usize;
-    for line in constraints_text {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // FD sugar expands to one DC per RHS attribute; approximate the
-        // mapping by probing consecutive ids until the registry runs out.
-        let _ = line;
-        loop {
-            match registry.get(&FeatureKey::DcViolation { constraint: sigma }) {
-                Some(id) => {
-                    println!("  sigma {} -> w = {:+.4}", sigma, weights.get(id));
-                }
-                None => println!("  sigma {} -> (never grounded)", sigma),
+    for (constraint, c) in detect.constraints.iter().enumerate() {
+        match registry.get(&FeatureKey::DcViolation { constraint }) {
+            Some(id) if trained.contains(&id) => {
+                println!("  {:<44} w = {:+.4}", c.name, weights.get(id));
             }
-            sigma += 1;
-            if sigma > 16 {
-                break;
-            }
+            Some(id) => println!(
+                "  {:<44} w = {:+.4} — the prior: not trained (no evidence row names it)",
+                c.name,
+                weights.get(id)
+            ),
+            None => println!("  {:<44} not trained (no query variable reads it)", c.name),
         }
-        break;
     }
     println!("minimality prior = {:+.4}", {
         match registry.get(&FeatureKey::Minimality) {

@@ -7,7 +7,11 @@
 //!    external-dictionary matches);
 //! 2. samples evidence variables from the clean cells (§2.2 — evidence is
 //!    what the weights are learned from; sampling caps the training-set
-//!    size the way DeepDive batches do);
+//!    size the way DeepDive batches do) of the *trainable* attributes:
+//!    those that share a learnable weight, directly or through other
+//!    attributes' evidence, with an attribute that has a query variable
+//!    ([`crate::trainable`]). Evidence of any other attribute trains
+//!    weights no marginal reads and is never selected;
 //! 3. featurizes every variable — co-occurrence statistics, minimality
 //!    prior, external matches, relaxed DC features (§5.2), and optional
 //!    source-reliability features — in one pass that ends in the CSR
@@ -27,6 +31,7 @@ use crate::features::{
     collect_minimality_feature, DcFeaturizer, FeatureBuffer, FeatureKey, FeatureSink, MatchLookup,
     SourceFeaturizer,
 };
+use crate::trainable::{attrs_of, trainable_attrs};
 use holo_constraints::ast::{Op, Operand, TupleVar};
 use holo_constraints::scan::PairScan;
 use holo_constraints::{ConflictHypergraph, ConstraintSet, Violation};
@@ -52,6 +57,12 @@ pub struct CompileStats {
     pub singleton_noisy_cells: usize,
     /// Evidence variables sampled for learning.
     pub evidence_vars: usize,
+    /// Attributes evidence was drawn from: those sharing a learnable
+    /// weight with an attribute that has a query variable.
+    pub trainable_attrs: usize,
+    /// The other attributes — their clean cells train nothing a marginal
+    /// reads, so none became evidence (`|A| − trainable_attrs`).
+    pub evidence_attrs_skipped: usize,
     /// Total candidates across query variables.
     pub total_candidates: usize,
     /// Grounded unary feature entries + clique factors.
@@ -104,6 +115,9 @@ pub struct CompiledModel {
     pub query_cells: Vec<CellRef>,
     /// Query variable ids, parallel to `query_cells`.
     pub query_vars: Vec<VarId>,
+    /// Evidence cells, in variable order: the evidence variables are the
+    /// ids after the query variables'.
+    pub evidence_cells: Vec<CellRef>,
     /// Shape diagnostics.
     pub stats: CompileStats,
 }
@@ -128,6 +142,17 @@ pub struct CompileInput<'a> {
 
 /// Compiles the full model.
 pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
+    compile_with(input, |seeds| {
+        trainable_attrs(seeds, input.constraints, input.matches, input.config)
+    })
+}
+
+/// [`compile`] over the attribute closure `trainable` (seed flags in, the
+/// trainable attributes out).
+fn compile_with(
+    input: &CompileInput<'_>,
+    trainable: impl Fn(Vec<bool>) -> Vec<bool>,
+) -> Result<CompiledModel, HoloError> {
     let CompileInput {
         ds,
         constraints,
@@ -147,7 +172,13 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     // (evidence) τ, filtered at the noisy τ on read. It is dropped before
     // featurization, so it never coexists with the design matrix.
     let evidence_tau = config.tau.min(config.evidence_tau_cap);
+    let n_attrs = ds.schema().len();
     let index = timed(&mut phases, "index build", || {
+        // Lists only for the attributes a cell can be pruned in: those of
+        // the noisy cells and of the evidence their query variables can
+        // make trainable — the targets `pipeline::compile_model` builds
+        // pair blocks for, recomputed here from the same inputs.
+        let targets = trainable(attrs_of(n_attrs, noisy.iter().copied()));
         // Optional BClean-style correlation gate: computed once from the
         // counts (cached inside the statistics) and applied to both the
         // noisy and evidence prunes.
@@ -158,6 +189,7 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
         PruneIndex::build(
             ds,
             stats,
+            &targets,
             evidence_tau,
             config.min_cond_support,
             gate,
@@ -166,18 +198,44 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     });
     cstats.prune_index_rows = index.rows();
     cstats.prune_index_entries = index.entries();
-    let (noisy_cells, pruned) = timed(&mut phases, "noisy prune", || {
+    // Dictionary-asserted values join a cell's domain after pruning.
+    type Asserted = FxHashMap<CellRef, Vec<Sym>>;
+    fn assert_into(asserted: &Asserted, cell: CellRef, dom: &mut Vec<Sym>) {
+        for &v in asserted.get(&cell).into_iter().flatten() {
+            if !dom.contains(&v) {
+                dom.push(v);
+            }
+        }
+    }
+    let (noisy_cells, noisy_domains, asserted) = timed(&mut phases, "noisy prune", || {
+        let mut asserted = Asserted::default();
+        for &(cell, sym) in matches.keys() {
+            asserted.entry(cell).or_default().push(sym);
+        }
         let mut noisy_cells: Vec<CellRef> = noisy.iter().copied().collect();
         noisy_cells.sort_unstable();
-        let pruned = index.prune_cells(ds, &noisy_cells, config.tau, config.max_domain, threads);
-        (noisy_cells, pruned)
+        let mut domains =
+            index.prune_cells(ds, &noisy_cells, config.tau, config.max_domain, threads);
+        for (&cell, dom) in noisy_cells.iter().zip(&mut domains) {
+            assert_into(&asserted, cell, dom);
+        }
+        (noisy_cells, domains, asserted)
     });
 
-    // Evidence: sample clean cells per attribute. Selection stays
-    // sequential (it consumes the seeded RNG); the Algorithm 2 reads of
-    // the selected cells shard across threads.
+    // Evidence: sample clean cells per trainable attribute — seeded by the
+    // attributes that have a query variable, known now that the noisy
+    // domains are final. Selection stays sequential (it consumes the
+    // seeded RNG); the Algorithm 2 reads of the selected cells shard
+    // across threads.
+    let is_query = |dom: &Vec<Sym>| dom.len() >= 2;
     let (selected, evidence_domains) = timed(&mut phases, "evidence prune", || {
-        let selected = select_evidence_cells(ds, noisy, config);
+        let query_cells = std::iter::zip(&noisy_cells, &noisy_domains)
+            .filter(|(_, dom)| is_query(dom))
+            .map(|(&cell, _)| cell);
+        let evidence_attrs = trainable(attrs_of(n_attrs, query_cells));
+        cstats.trainable_attrs = evidence_attrs.iter().filter(|&&t| t).count();
+        cstats.evidence_attrs_skipped = n_attrs - cstats.trainable_attrs;
+        let selected = select_evidence_cells(ds, noisy, &evidence_attrs, config);
         let domains = index.prune_cells(ds, &selected, evidence_tau, config.max_domain, threads);
         (selected, domains)
     });
@@ -190,23 +248,11 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     let mut var_cells: Vec<CellRef> = Vec::new();
     let mut domains = CellDomains::default();
     timed(&mut phases, "variables", || {
-        let mut asserted_by_cell: FxHashMap<CellRef, Vec<Sym>> = FxHashMap::default();
-        for &(cell, sym) in matches.keys() {
-            asserted_by_cell.entry(cell).or_default().push(sym);
-        }
-        let assert_into = |cell: CellRef, dom: &mut Vec<Sym>| {
-            for &v in asserted_by_cell.get(&cell).into_iter().flatten() {
-                if !dom.contains(&v) {
-                    dom.push(v);
-                }
-            }
-        };
-        for (&cell, mut dom) in noisy_cells.iter().zip(pruned) {
-            assert_into(cell, &mut dom);
+        for (&cell, dom) in noisy_cells.iter().zip(noisy_domains) {
             if config.variant.uses_dc_factors() {
                 domains.insert(cell, dom.clone());
             }
-            if dom.len() < 2 {
+            if !is_query(&dom) {
                 cstats.singleton_noisy_cells += 1;
                 continue;
             }
@@ -222,7 +268,7 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
             // evidence cell whose observed value beats the asserted one is
             // exactly the negative example that trains the dictionary's
             // reliability weight w(k) down when coverage is poor.
-            assert_into(cell, &mut dom);
+            assert_into(&asserted, cell, &mut dom);
             if dom.len() < 2 {
                 continue;
             }
@@ -241,7 +287,6 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
         Ok(())
     })?;
     cstats.evidence_vars = vars.len() - cstats.query_vars;
-    let query_cells = var_cells[..cstats.query_vars].to_vec();
     let query_vars: Vec<VarId> = (0..cstats.query_vars as u32).map(VarId).collect();
 
     // ---- 3. featurization ----
@@ -255,6 +300,8 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
     let sinks = timed(&mut phases, "featurize", || {
         signals.featurize(threads, &var_cells, &vars)
     });
+    let evidence_cells = var_cells.split_off(cstats.query_vars);
+    let query_cells = var_cells;
     let (mut registry, mut graph) = timed(&mut phases, "assemble", || {
         drop(signals);
         let (registry, design) = assemble(sinks);
@@ -292,32 +339,55 @@ pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
         registry,
         query_cells,
         query_vars,
+        evidence_cells,
         stats: cstats,
     })
 }
 
-/// Canonical evidence selection: per attribute, the clean non-null cells
-/// of the *whole* dataset, downsampled to
+/// Canonical evidence selection: per attribute set in `trainable`, the
+/// clean non-null cells of the *whole* dataset, downsampled to
 /// [`HoloConfig::max_evidence_per_attr`] by a seeded shuffle (then
 /// re-sorted). Membership is a function of `(live table, noisy set,
 /// seed)` only, never of arrival order — the streaming-equals-batch byte
-/// equivalence rests on it.
+/// equivalence rests on it — and a kept attribute's cells are the ones the
+/// all-attributes selection picks for it: the attributes share one RNG, so
+/// a skipped attribute that would have been down-sampled still advances it
+/// (a shuffle draws by length only).
+///
+/// The noisy set is read through one tuple bitmap per attribute, so a
+/// clean-cell test is a bit probe, not a hash of the cell.
 fn select_evidence_cells(
     ds: &Dataset,
     noisy: &FxHashSet<CellRef>,
+    trainable: &[bool],
     config: &HoloConfig,
 ) -> Vec<CellRef> {
     let mut rng = StdRng::seed_from_u64(config.seed);
+    let cap = config.max_evidence_per_attr;
+    let words = ds.tuple_count().div_ceil(64);
+    let mut flagged: Vec<Vec<u64>> = vec![vec![0; words]; trainable.len()];
+    for cell in noisy {
+        let t = cell.tuple.index();
+        flagged[cell.attr.index()][t / 64] |= 1 << (t % 64);
+    }
     let mut selected: Vec<CellRef> = Vec::new();
     for attr in ds.schema().attrs() {
-        let mut clean: Vec<CellRef> = ds
-            .tuples()
-            .map(|t| CellRef { tuple: t, attr })
-            .filter(|c| !noisy.contains(c) && !ds.cell_ref(*c).is_null())
-            .collect();
-        if clean.len() > config.max_evidence_per_attr {
+        let (column, flagged) = (ds.column(attr), &flagged[attr.index()]);
+        let clean = ds.tuples().filter(|t| {
+            let t = t.index();
+            flagged[t / 64] >> (t % 64) & 1 == 0 && !column[t].is_null()
+        });
+        if !trainable[attr.index()] {
+            let skipped = clean.count();
+            if skipped > cap {
+                vec![(); skipped].shuffle(&mut rng);
+            }
+            continue;
+        }
+        let mut clean: Vec<CellRef> = clean.map(|t| CellRef { tuple: t, attr }).collect();
+        if clean.len() > cap {
             clean.shuffle(&mut rng);
-            clean.truncate(config.max_evidence_per_attr);
+            clean.truncate(cap);
             clean.sort_unstable();
         }
         selected.extend(clean);
@@ -749,6 +819,14 @@ fn build_clique(
     })
 }
 
+/// The compile that treats every attribute as trainable — all evidence,
+/// τ-index lists for every target — kept as the reference the restricted
+/// one is tested against. Needs statistics that hold every target.
+#[cfg(test)]
+pub(crate) fn compile_unfiltered(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
+    compile_with(input, |seeds| vec![true; seeds.len()])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -897,6 +975,46 @@ mod tests {
         let model = run_compile(&ds, &cons, &config);
         // ≤ 2 evidence vars per attribute (2 attrs → ≤ 4), minus singletons.
         assert!(model.stats.evidence_vars <= 4);
+    }
+
+    /// A kept attribute gets exactly the cells the all-attributes
+    /// selection picks for it, whichever attributes around it are skipped:
+    /// a skipped attribute that would have been down-sampled still advances
+    /// the shared RNG. Noisy and null cells are never evidence.
+    #[test]
+    fn skipped_attributes_leave_the_kept_selections_unchanged() {
+        let mut ds = Dataset::new(holo_dataset::Schema::new(vec!["A", "B", "C", "D"]));
+        for i in 0..60 {
+            let b = if i % 9 == 0 { "" } else { "b" };
+            ds.push_row(&[&format!("a{}", i % 7), b, &format!("c{i}"), "d"]);
+        }
+        ds.delete_rows(&[TupleId::from(3usize), TupleId::from(40usize)]);
+        let noisy: FxHashSet<CellRef> = (0..60usize)
+            .filter(|t| t % 5 == 1)
+            .map(|t| CellRef::new(t, t % 4))
+            .collect();
+        let config = HoloConfig {
+            max_evidence_per_attr: 10,
+            ..HoloConfig::default()
+        };
+        let all = select_evidence_cells(&ds, &noisy, &[true; 4], &config);
+        for attr in ds.schema().attrs() {
+            assert_eq!(all.iter().filter(|c| c.attr == attr).count(), 10);
+        }
+        for cell in &all {
+            assert!(!noisy.contains(cell) && ds.is_live(cell.tuple));
+            assert!(!ds.cell_ref(*cell).is_null());
+        }
+        for skip in 0u8..16 {
+            let mask: Vec<bool> = (0..4).map(|a| skip >> a & 1 == 0).collect();
+            let expected: Vec<CellRef> = all
+                .iter()
+                .copied()
+                .filter(|c| mask[c.attr.index()])
+                .collect();
+            let kept = select_evidence_cells(&ds, &noisy, &mask, &config);
+            assert_eq!(kept, expected, "mask {mask:?}");
+        }
     }
 
     #[test]

@@ -122,7 +122,10 @@ pub struct HoloConfig {
     /// this blow-up in §1 challenge (2)). A constraint stops grounding
     /// outright once the cap is reached.
     pub max_cliques_per_constraint: usize,
-    /// Evidence cells sampled per attribute for weight learning.
+    /// Evidence cells sampled per *trainable* attribute for weight
+    /// learning — an attribute that shares a learnable weight with one
+    /// that has a query variable ([`crate::trainable`]); the other
+    /// attributes supply no evidence at all.
     pub max_evidence_per_attr: usize,
     /// Evidence variables build their candidate domains with
     /// `min(tau, evidence_tau_cap)`: at large τ most clean cells would

@@ -15,7 +15,9 @@
 //!
 //! Which values of a group `(A' = v' → A)` clear τ is a function of the
 //! group alone, not of the cell asking. `PruneIndex::build` therefore
-//! walks every co-occurrence group of the statistics **once** and keeps,
+//! walks every co-occurrence group of the statistics **once** — those of
+//! the target attributes it is given: `compile` names the attributes a
+//! cell can be pruned in, the public wrappers every attribute — and keeps,
 //! per group whose conditioning value occurs at least `min_support` times,
 //! the `(value, count)` entries with `count / #v' ≥ τ_min`. Pruning a cell
 //! is then at most `n_attrs − 1` list lookups, a max-merge of the
@@ -119,17 +121,23 @@ struct Shard {
 pub(crate) struct PruneIndex {
     shards: Vec<Shard>,
     /// `open[cond · n + target]`: whether `cond` may propose candidates for
-    /// `target` (off the diagonal and through the correlation gate).
+    /// `target` (off the diagonal, `target` among the build's targets, and
+    /// through the correlation gate).
     open: Vec<bool>,
+    /// The target attributes the lists were built for.
+    targets: Vec<bool>,
     tau_min: f64,
 }
 
 impl PruneIndex {
-    /// Walks every group of `stats` once, one shard per conditioning
-    /// attribute on up to `threads` workers.
+    /// Walks every group of `stats` whose target attribute is set in
+    /// `targets` once, one shard per conditioning attribute on up to
+    /// `threads` workers. Cells of other attributes must not be pruned
+    /// against the index (`prune_cell` `debug_assert!`s it).
     pub(crate) fn build(
         ds: &Dataset,
         stats: &CooccurStats,
+        targets: &[bool],
         tau_min: f64,
         min_support: u32,
         gate: Option<PruneGate<'_>>,
@@ -141,7 +149,9 @@ impl PruneIndex {
             .attrs()
             .flat_map(|cond| schema.attrs().map(move |target| (cond, target)))
             .map(|(cond, target)| {
+                debug_assert!(!targets[target.index()] || stats.holds_target(target));
                 cond != target
+                    && targets[target.index()]
                     && gate.is_none_or(|g| g.corr.correlation(cond, target) >= g.min_corr)
             })
             .collect();
@@ -186,6 +196,7 @@ impl PruneIndex {
         PruneIndex {
             shards,
             open,
+            targets: targets.to_vec(),
             tau_min,
         }
     }
@@ -237,6 +248,7 @@ impl PruneIndex {
     ) -> Vec<Sym> {
         let n = self.shards.len();
         let target = cell.attr.index();
+        debug_assert!(self.targets[target], "no lists for {:?}", cell.attr);
         scored.clear();
         // The initial value always survives pruning with top priority.
         scored.push((ds.cell_ref(cell), f64::INFINITY));
@@ -322,7 +334,8 @@ pub fn prune_domains_gated(
     min_support: u32,
     gate: Option<PruneGate<'_>>,
 ) -> CellDomains {
-    let index = PruneIndex::build(ds, stats, tau, min_support, gate, threads);
+    let every_attr = vec![true; ds.schema().len()];
+    let index = PruneIndex::build(ds, stats, &every_attr, tau, min_support, gate, threads);
     let pruned = index.prune_cells(ds, noisy, tau, max_domain, threads);
     CellDomains {
         domains: noisy.iter().copied().zip(pruned).collect(),
@@ -511,13 +524,13 @@ mod tests {
         let stats = CooccurStats::build(&ds);
         let cells = all_cells(&ds);
         let tau_min = 0.05;
-        let shared = PruneIndex::build(&ds, &stats, tau_min, 2, None, 1);
+        let shared = PruneIndex::build(&ds, &stats, &[true; 3], tau_min, 2, None, 1);
         for shard in &shared.shards {
             assert!(shard.lists.iter().all(|&(_, len)| len <= 20));
         }
         let mut shrank = false;
         for tau in [0.05, 0.1, 0.25, 0.3, 1.0 / 3.0, 0.5, 0.9, 1.0] {
-            let own = PruneIndex::build(&ds, &stats, tau, 2, None, 1);
+            let own = PruneIndex::build(&ds, &stats, &[true; 3], tau, 2, None, 1);
             assert!(own.entries() <= shared.entries());
             shrank |= own.entries() < shared.entries();
             let from_own = own.prune_cells(&ds, &cells, tau, 4, 1);

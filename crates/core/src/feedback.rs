@@ -237,8 +237,12 @@ mod tests {
     }
 
     fn session_for(dirty: &Dataset) -> (FeedbackSession, Dataset) {
+        session_with(dirty, "FD: Key -> Value")
+    }
+
+    fn session_with(dirty: &Dataset, constraints: &str) -> (FeedbackSession, Dataset) {
         let (outcome, model, weights) = HoloClean::new(dirty.clone())
-            .with_constraint_text("FD: Key -> Value")
+            .with_constraint_text(constraints)
             .unwrap()
             .run_full()
             .unwrap();
@@ -502,10 +506,11 @@ mod tests {
     /// overflowed weights never reach inference or the session.
     #[test]
     fn diverging_retrain_is_an_error_and_leaves_the_session_untouched() {
-        // Flag is unconstrained and two-to-one under every Key, so each
-        // clean Flag cell keeps both candidates and rows with identical
-        // features carry different labels: evidence no weights can fit,
-        // which is what a huge rate overflows on.
+        // Flag is two-to-one under every Key, so each clean Flag cell keeps
+        // both candidates and rows with identical features carry different
+        // labels: evidence no weights can fit, which is what a huge rate
+        // overflows on. One single-tuple DC flags k0's "n", so Flag has a
+        // query variable and its evidence is trained on at all.
         let mut dirty = Dataset::new(Schema::new(vec!["Key", "Value", "Flag"]));
         for i in 0..40 {
             for flag in ["y", "y", "n"] {
@@ -513,7 +518,13 @@ mod tests {
             }
         }
         dirty.push_row(&["k0", "delta", "y"]); // a conflict to label
-        let (mut session, mut ds) = session_for(&dirty);
+        let constraints = "FD: Key -> Value\nt1&EQ(t1.Key,\"k0\")&EQ(t1.Flag,\"n\")";
+        let (mut session, mut ds) = session_with(&dirty, constraints);
+        assert!(session
+            .model
+            .query_cells
+            .iter()
+            .any(|c| c.attr == holo_dataset::AttrId(2)));
         let cell = session.requests(&ds, 1)[0].cell;
         let value = "gamma".to_string();
         session.apply_labels(&mut ds, &[Label { cell, value }]);

@@ -63,6 +63,7 @@ pub mod repair;
 pub mod report;
 pub mod session;
 pub mod stream;
+pub mod trainable;
 
 pub use config::{HoloConfig, ModelVariant};
 pub use domain::{

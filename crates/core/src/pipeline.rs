@@ -67,6 +67,7 @@ use crate::config::HoloConfig;
 use crate::context::DatasetContext;
 use crate::error::HoloError;
 use crate::features::MatchLookup;
+use crate::trainable::{attrs_of, trainable_attrs};
 use holo_constraints::{find_violations_with_threads, noisy_cells, ConstraintSet, Violation};
 use holo_dataset::{CellRef, CooccurStats, Dataset, FxHashSet, StatsStats};
 use holo_detect::Detector;
@@ -198,16 +199,25 @@ pub fn detect(cx: &PipelineContext) -> Detection {
     Detection { violations, noisy }
 }
 
-/// Compilation: co-occurrence statistics, Algorithm 2 pruning,
-/// featurization of every variable straight into the CSR design matrix
-/// and (in the factor variants) Algorithm 1 grounding. Pruning,
+/// Compilation: co-occurrence statistics (the pair blocks of the target
+/// attributes a variable can have, see [`crate::trainable`]), Algorithm 2
+/// pruning, featurization of every variable straight into the CSR design
+/// matrix and (in the factor variants) Algorithm 1 grounding. Pruning,
 /// featurization and grounding shard across [`HoloConfig::threads`].
 /// Returns the model and the statistics-engine gauges.
 pub fn compile_model(
     cx: &PipelineContext,
     detection: &Detection,
 ) -> Result<(CompiledModel, StatsStats), HoloError> {
-    let stats = CooccurStats::build_with_opts(&cx.ds, cx.config.threads, cx.config.naive_stats);
+    // Pair blocks only for the target attributes compile can read: those
+    // of the noisy cells (Algorithm 2, the distribution feature) and of
+    // the evidence they can make trainable — a superset of the attributes
+    // compile ends up drawing evidence from, which are seeded by the noisy
+    // cells that keep ≥ 2 candidates.
+    let noisy_attrs = attrs_of(cx.ds.schema().len(), detection.noisy.iter().copied());
+    let targets = trainable_attrs(noisy_attrs, &cx.constraints, &cx.matches, &cx.config);
+    let stats =
+        CooccurStats::build_for_targets(&cx.ds, cx.config.threads, cx.config.naive_stats, &targets);
     let model = compile(&CompileInput {
         ds: &cx.ds,
         constraints: &cx.constraints,

@@ -127,23 +127,10 @@ impl HoloClean {
         self.run_full().map(|(outcome, _, _)| outcome)
     }
 
-    /// Like [`HoloClean::run`] but also returns the compiled model and the
-    /// learned weights — introspection for debugging and for analyses that
-    /// need the feature registry (e.g. inspecting learned constraint or
-    /// source-reliability weights).
-    ///
-    /// This is a thin driver: it freezes the inputs into a
-    /// [`PipelineContext`] (the one step needing `&mut Dataset`, because
-    /// dictionary matches intern their asserted values) and hands control
-    /// to [`pipeline::run`].
-    pub fn run_full(
-        mut self,
-    ) -> Result<(RepairOutcome, CompiledModel, holo_factor::Weights), HoloError> {
-        // ---- Freeze: external matching interns asserted values, after
-        // which the dataset is immutable for the whole engine run. Billed
-        // to the compile budget, matching the original pipeline's
-        // accounting.
-        let t0 = Instant::now();
+    /// Freezes the inputs into a [`PipelineContext`] — the one step
+    /// needing `&mut Dataset`: external matching interns the asserted
+    /// values, after which the dataset is immutable for the whole run.
+    pub fn into_context(mut self) -> Result<PipelineContext, HoloError> {
         let mut matches: MatchLookup = MatchLookup::default();
         for (dict_idx, (dict, deps)) in self.dicts.iter().enumerate() {
             let matcher = Matcher::new(dict, DictId(dict_idx as u32));
@@ -160,16 +147,32 @@ impl HoloClean {
                 }
             }
         }
-        let matching_time = t0.elapsed();
-
-        let cx = PipelineContext {
+        Ok(PipelineContext {
             ds: self.ds,
             constraints: self.constraints,
             matches,
             noisy_override: self.noisy_override,
             extra_detectors: self.extra_detectors,
             config: self.config,
-        };
+        })
+    }
+
+    /// Like [`HoloClean::run`] but also returns the compiled model and the
+    /// learned weights — introspection for debugging and for analyses that
+    /// need the feature registry (e.g. inspecting learned constraint or
+    /// source-reliability weights).
+    ///
+    /// This is a thin driver: it freezes the inputs
+    /// ([`HoloClean::into_context`]) and hands control to
+    /// [`pipeline::run`].
+    pub fn run_full(
+        self,
+    ) -> Result<(RepairOutcome, CompiledModel, holo_factor::Weights), HoloError> {
+        // Matching is billed to the compile budget, matching the original
+        // pipeline's accounting.
+        let t0 = Instant::now();
+        let cx = self.into_context()?;
+        let matching_time = t0.elapsed();
 
         let PipelineRun {
             detection,

@@ -46,6 +46,17 @@
 //! changed gets new statistics — a streaming session builds them at its
 //! next read, through the same call as the one-shot pipeline.
 //!
+//! **Which pairs.** Every reader asks about a *target* attribute — which
+//! values of `A` co-occur with `v'@A'` — and the repair pipeline only ever
+//! asks about attributes that have a variable. So
+//! [`CooccurStats::build_for_targets`] builds the `(·, target)` pairs of a
+//! given attribute set only (`build_with_opts` = every attribute); value
+//! codes and [`FrequencyStats`] are always complete. The statistics
+//! remember their targets: a keyed read of any other pair is a
+//! `debug_assert!` failure rather than a silent zero, the block walks
+//! ([`CooccurStats::for_each_group_of`], the correlation view) visit held
+//! targets only, and [`StatsStats::pairs`] counts them.
+//!
 //! On top of the counts, [`CooccurStats::correlations`] lazily computes an
 //! attribute dependency view — the uncertainty coefficient
 //! `U(target | cond) = 1 − H(target|cond) / H(target)` per ordered pair —
@@ -234,13 +245,14 @@ struct DenseTables {
     groups: usize,
 }
 
-/// All ordered attribute pairs `(cond, target)`, `cond != target`.
-fn ordered_pairs(ds: &Dataset) -> Vec<(AttrId, AttrId)> {
+/// The ordered attribute pairs `(cond, target)`, `cond != target`, whose
+/// target attribute is in `targets`.
+fn ordered_pairs(ds: &Dataset, targets: &[bool]) -> Vec<(AttrId, AttrId)> {
     let attrs: Vec<AttrId> = ds.schema().attrs().collect();
     let mut pairs: Vec<(AttrId, AttrId)> = Vec::with_capacity(attrs.len() * attrs.len());
     for &cond in &attrs {
         for &target in &attrs {
-            if cond != target {
+            if cond != target && targets[target.index()] {
                 pairs.push((cond, target));
             }
         }
@@ -310,12 +322,12 @@ fn build_block(cond_col: &[u32], target_col: &[u32], vc: usize, vt: usize) -> Pa
 }
 
 impl DenseTables {
-    fn build(ds: &Dataset, threads: usize) -> Self {
+    fn build(ds: &Dataset, threads: usize, targets: &[bool]) -> Self {
         let n = ds.schema().len();
         let mut codes = ValueCodes::new(n);
         let live: Vec<TupleId> = ds.tuples().collect();
         let coded = code_rows(ds, &mut codes, &live);
-        let pairs = ordered_pairs(ds);
+        let pairs = ordered_pairs(ds, targets);
         let threads = holo_parallel::sized_threads(threads, pairs.len() * live.len());
         // parallel_jobs, not parallel_map: each "item" is a full column
         // scan, so even the 12 pairs of a 4-attribute schema are worth
@@ -459,7 +471,9 @@ impl CorrelationView {
     /// How strongly `cond` predicts `target`, in `[0, 1]`.
     #[inline]
     pub fn correlation(&self, cond: AttrId, target: AttrId) -> f64 {
-        self.corr[cond.index() * self.n_attrs + target.index()]
+        let corr = self.corr[cond.index() * self.n_attrs + target.index()];
+        debug_assert!(!corr.is_nan(), "pairs of {target:?} not built");
+        corr
     }
 }
 
@@ -520,6 +534,9 @@ fn uncertainty_coefficient(rows: &mut [(Sym, Vec<(Sym, u32)>)]) -> f64 {
 /// estimate, not allocator-exact.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct StatsStats {
+    /// Ordered attribute pairs built, on either backend: target
+    /// attributes held × `(|A| − 1)`, of `|A| · (|A| − 1)`.
+    pub pairs: u64,
     /// Ordered attribute pairs stored as dense matrices.
     pub dense_pairs: u64,
     /// Ordered attribute pairs stored as CSR postings.
@@ -552,6 +569,9 @@ enum Backend {
 pub struct CooccurStats {
     backend: Backend,
     freq: FrequencyStats,
+    /// `targets[a]`: whether the pairs `(·, a)` were built. Reading a pair
+    /// outside them is a `debug_assert!` failure, never a silent zero.
+    targets: Vec<bool>,
     /// Lazily computed attribute dependency view.
     corr: OnceLock<CorrelationView>,
 }
@@ -574,19 +594,41 @@ impl CooccurStats {
     /// observes storage iteration order), so results are identical for
     /// every thread count.
     pub fn build_with_opts(ds: &Dataset, threads: usize, naive: bool) -> Self {
+        Self::build_for_targets(ds, threads, naive, &vec![true; ds.schema().len()])
+    }
+
+    /// [`CooccurStats::build_with_opts`] restricted to the ordered pairs
+    /// whose *target* attribute is set in `targets` (indexed by attribute)
+    /// — the `|targets| · (|A| − 1)` blocks a caller that only ever asks
+    /// "which values of these attributes co-occur with …" reads. Value
+    /// codes and [`FrequencyStats`] stay complete, every held pair is the
+    /// block the full build holds, and the statistics remember the mask:
+    /// see [`CooccurStats::holds_target`].
+    pub fn build_for_targets(ds: &Dataset, threads: usize, naive: bool, targets: &[bool]) -> Self {
+        assert_eq!(targets.len(), ds.schema().len(), "one flag per attribute");
         let freq = FrequencyStats::build(ds);
         let backend = if naive {
             Backend::Naive {
-                table: build_naive_table(ds, threads),
+                table: build_naive_table(ds, threads, targets),
             }
         } else {
-            Backend::Dense(DenseTables::build(ds, threads))
+            Backend::Dense(DenseTables::build(ds, threads, targets))
         };
         CooccurStats {
             backend,
             freq,
+            targets: targets.to_vec(),
             corr: OnceLock::new(),
         }
+    }
+
+    /// Whether the pairs with target attribute `target` were built. Every
+    /// keyed read ([`CooccurStats::cooccur_count`],
+    /// [`CooccurStats::conditional_prob`], [`CooccurStats::group`],
+    /// [`CorrelationView::correlation`]) `debug_assert!`s it, and the
+    /// whole-statistics walks visit held targets only.
+    pub fn holds_target(&self, target: AttrId) -> bool {
+        self.targets[target.index()]
     }
 
     /// Whether the dense backend is active (false = naive oracle).
@@ -611,6 +653,7 @@ impl CooccurStats {
 
     /// `#(v@target, v'@cond)` — tuples where both values appear together.
     pub fn cooccur_count(&self, cond: AttrId, v_cond: Sym, target: AttrId, v: Sym) -> u32 {
+        debug_assert!(self.holds_target(target), "pairs of {target:?} not built");
         match &self.backend {
             Backend::Naive { table } => table
                 .get(&key(cond, target, v_cond))
@@ -654,6 +697,7 @@ impl CooccurStats {
     /// counts. Returns `None` when `v_cond` never co-occurs with a
     /// non-null `target` value.
     pub fn group(&self, cond: AttrId, v_cond: Sym, target: AttrId) -> Option<GroupView<'_>> {
+        debug_assert!(self.holds_target(target), "pairs of {target:?} not built");
         match &self.backend {
             Backend::Naive { table } => table.get(&key(cond, target, v_cond)).map(GroupView::Map),
             Backend::Dense(dt) => {
@@ -719,7 +763,7 @@ impl CooccurStats {
             Backend::Dense(dt) => {
                 let csyms = dt.codes.syms(cond);
                 for target in (0..dt.n_attrs).map(|t| AttrId(t as u16)) {
-                    if target == cond {
+                    if target == cond || !self.holds_target(target) {
                         continue;
                     }
                     let syms = dt.codes.syms(target);
@@ -769,8 +813,10 @@ impl CooccurStats {
             for target in 0..n {
                 corr[cond * n + target] = if cond == target {
                     1.0
-                } else {
+                } else if self.targets[target] {
                     uncertainty_coefficient(&mut per_pair[cond * n + target])
+                } else {
+                    f64::NAN // not held: `correlation` refuses to read it
                 };
             }
         }
@@ -783,11 +829,13 @@ impl CooccurStats {
             corr_recomputes: u64::from(self.corr.get().is_some()),
             ..StatsStats::default()
         };
+        let held = self.targets.iter().filter(|&&t| t).count();
+        s.pairs = (held * self.targets.len().saturating_sub(1)) as u64;
         if let Backend::Dense(dt) = &self.backend {
             let n = dt.n_attrs;
             for cond in 0..n {
                 for target in 0..n {
-                    if cond == target {
+                    if cond == target || !self.targets[target] {
                         continue;
                     }
                     match &dt.blocks[cond * n + target] {
@@ -814,8 +862,12 @@ impl CooccurStats {
 }
 
 /// Full build of the naive oracle table, sharded per ordered pair.
-fn build_naive_table(ds: &Dataset, threads: usize) -> FxHashMap<u64, FxHashMap<Sym, u32>> {
-    let pairs = ordered_pairs(ds);
+fn build_naive_table(
+    ds: &Dataset,
+    threads: usize,
+    targets: &[bool],
+) -> FxHashMap<u64, FxHashMap<Sym, u32>> {
+    let pairs = ordered_pairs(ds, targets);
     let threads = holo_parallel::sized_threads(threads, pairs.len() * ds.live_count());
     let per_pair = holo_parallel::parallel_jobs(threads, pairs.len(), |i| {
         let (cond, target) = pairs[i];
@@ -1074,6 +1126,91 @@ mod tests {
         let dense = CooccurStats::build_with_opts(&ds, 2, false);
         assert_eq!(dense.stats_stats().csr_pairs, 2, "a→b and b→a");
         assert_backends_agree(&ds, &dense, &CooccurStats::build_with_opts(&ds, 2, true));
+    }
+
+    /// A build restricted to some target attributes holds, for each of
+    /// them, the very pairs the full build holds — dense, CSR and naive —
+    /// and nothing else: the walks skip the other targets, the gauges
+    /// count the held pairs only, codes and frequencies stay complete.
+    #[test]
+    fn restricted_build_holds_the_full_builds_pairs_for_its_targets() {
+        let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c", "d"]));
+        for i in 0..900usize {
+            let c = if i % 17 == 0 {
+                String::new()
+            } else {
+                format!("c{}", i % 5)
+            };
+            let row = [
+                format!("a{}", i % 300),
+                format!("b{}", (i * 7) % 290),
+                c,
+                format!("d{}", i % 3),
+            ];
+            ds.push_row(&row);
+        }
+        let targets = [false, true, true, false];
+        for naive in [false, true] {
+            let full = CooccurStats::build_with_opts(&ds, 2, naive);
+            let held = CooccurStats::build_for_targets(&ds, 2, naive, &targets);
+            assert_eq!(held.stats_stats().pairs, 6);
+            assert_eq!(full.stats_stats().pairs, 12);
+            if !naive {
+                assert_eq!(full.stats_stats().csr_pairs, 2, "a→b and b→a");
+                assert_eq!(held.stats_stats().csr_pairs, 1, "a→b");
+                assert_eq!(held.stats_stats().dense_pairs, 5);
+            }
+            let mut walked = 0;
+            for cond in ds.schema().attrs() {
+                assert_eq!(held.freq().distinct(cond), full.freq().distinct(cond));
+                held.for_each_group_of(cond, |target, v_cond, group| {
+                    assert!(held.holds_target(target));
+                    let entries = |g: GroupView<'_>| {
+                        let mut out = Vec::new();
+                        g.for_each(|v, c| out.push((v, c)));
+                        out.sort_unstable();
+                        out
+                    };
+                    let same = full
+                        .group(cond, v_cond, target)
+                        .expect("the full build's group");
+                    assert_eq!(entries(group), entries(same));
+                    walked += 1;
+                });
+                for target in ds
+                    .schema()
+                    .attrs()
+                    .filter(|&t| t != cond && targets[t.index()])
+                {
+                    assert_eq!(
+                        held.correlations().correlation(cond, target).to_bits(),
+                        full.correlations().correlation(cond, target).to_bits()
+                    );
+                    for v_cond in ds.active_domain(cond) {
+                        for v in ds.active_domain(target) {
+                            assert_eq!(
+                                held.cooccur_count(cond, v_cond, target, v),
+                                full.cooccur_count(cond, v_cond, target, v)
+                            );
+                        }
+                    }
+                }
+            }
+            assert_eq!(walked, held.group_count());
+            assert!(held.group_count() < full.group_count());
+        }
+    }
+
+    /// Reading a pair that was not built is a bug in the caller's target
+    /// mask, caught in debug builds instead of answered with a zero.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not built")]
+    fn reading_an_unheld_target_is_a_debug_assertion() {
+        let ds = chicago();
+        let held = CooccurStats::build_for_targets(&ds, 1, false, &[true, false, true]);
+        let chicago = ds.pool().get("Chicago").unwrap();
+        held.group(AttrId(0), chicago, AttrId(1));
     }
 
     /// Asserts the two engines answer every query identically on the

@@ -4,6 +4,11 @@
 //! are treated as evidence and are used to learn the parameters of the
 //! model … efficient methods such as stochastic gradient descent are used."
 //!
+//! "Evidence variables" here are the ones the graph holds: the compiler
+//! (`holoclean::compile`) keeps clean cells only of attributes whose
+//! weights a query variable can read, so nothing below trains a weight
+//! inference never touches.
+//!
 //! For each evidence variable, the conditional likelihood of its observed
 //! candidate under the unary features is a multinomial logistic regression
 //! term; SGD ascends the log-likelihood with L2 shrinkage. Clique factors
