@@ -32,15 +32,20 @@
 //! wall-clock split of `compile()` in execution order (`index_build_s`,
 //! `noisy_prune_s`, `evidence_prune_s`, `variables_s`,
 //! `featurizer_setup_s`, `featurize_s`, `assemble_s`, and `ground_s` on
-//! DC-factor variants).
+//! DC-factor variants), led by `stats_build_s`: the co-occurrence
+//! statistics, which `pipeline::compile_model` builds before it calls
+//! `compile()` — inside the compile stage, and printed on a line of its own.
 //!
 //! The `detect` object prices violation detection without a scratch
 //! probe: per constraint its join key, violation count and the wall-clock
-//! of the public per-constraint detector call (diag times the call itself,
-//! so a constraint that shares its join key's index in the pipeline pays
-//! for a private one here), and per distinct join key the bucket count,
-//! the largest bucket and the number of same-key tuple pairs — the
-//! quantity a key's scan cost is quadratic in.
+//! of the list-free detector on that constraint alone (diag times the call
+//! itself, so a constraint that shares its join key's index in the
+//! pipeline pays for a private one here), and per distinct join key the
+//! bucket count, the largest bucket, and over the columns its constraints
+//! compare inside a bucket the value groups and the *mixed* (bucket,
+//! column)s — those holding two or more groups. Detection is linear in a
+//! bucket until it is mixed; a mixed bucket's FD-shaped constraints cost
+//! its size plus its violations, any other constraint its size squared.
 //!
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
 //! (`pairs` built — only target attributes a variable can have — of
@@ -57,8 +62,8 @@ use holo_bench::json::{num, num_exact, JsonObj};
 use holo_bench::runner::{run_holoclean_full, HoloOutcome};
 use holo_bench::{build, Args, Scale};
 use holo_constraints::ast::TupleVar;
-use holo_constraints::scan::{BlockIndex, PairScan};
-use holo_constraints::violations::find_constraint_violations_with_threads;
+use holo_constraints::scan::{build_shared, PairScan};
+use holo_constraints::{find_noisy_cells_with_threads, ConstraintSet};
 use holo_datagen::{DatasetKind, GeneratedDataset};
 use holo_dataset::{AttrId, Dataset, FxHashMap, FxHashSet};
 use holo_factor::{VarId, WeightId};
@@ -82,8 +87,12 @@ struct KeyDetect {
     constraints: usize,
     buckets: usize,
     largest_bucket: usize,
-    /// Unordered pairs of tuples sharing a key value: `Σ n(n-1)/2`.
-    same_key_pairs: u64,
+    /// The partner columns the key's constraints read, and over them the
+    /// (bucket, column)s with two or more value groups and the value
+    /// groups in all.
+    columns: usize,
+    mixed_buckets: usize,
+    groups: usize,
 }
 
 struct DetectProfile {
@@ -91,59 +100,76 @@ struct DetectProfile {
     keys: Vec<KeyDetect>,
 }
 
-/// Detects constraint by constraint through the public per-constraint
-/// call, timing each, and sizes the buckets of every distinct join key.
+/// Detects constraint by constraint through the public list-free
+/// detector, timing each, and sizes the buckets of every distinct join
+/// key — the indexes detection itself shares ([`build_shared`]), so a key
+/// is a partner-side key.
 fn detect_profile(gen: &GeneratedDataset, threads: usize) -> DetectProfile {
     let mut ds = gen.dirty.clone();
     let constraints = holo_constraints::parse_constraints(&gen.constraints_text, &mut ds)
         .expect("the generated constraints parse");
-    let mut signatures: Vec<(Vec<AttrId>, Vec<AttrId>)> = Vec::new();
-    let mut profile = DetectProfile {
-        constraints: Vec::new(),
-        keys: Vec::new(),
+    let scans: Vec<Option<PairScan>> = constraints
+        .iter()
+        .map(|(_, c)| c.two_tuple.then(|| PairScan::new(c, TupleVar::T1)))
+        .collect();
+    let keyed: Vec<Option<&PairScan>> = scans
+        .iter()
+        .map(|scan| scan.as_ref().filter(|s| !s.probe_key.is_empty()))
+        .collect();
+    let (indexes, index_of) = build_shared(&ds, &keyed, false, threads);
+    let names = |attrs: &[AttrId]| -> String {
+        let names: Vec<&str> = attrs.iter().map(|&a| ds.schema().attr_name(a)).collect();
+        names.join(", ")
     };
-    for (id, c) in constraints.iter() {
-        let scan = c.two_tuple.then(|| PairScan::new(c, TupleVar::T1));
-        let key = scan.filter(|s| !s.probe_key.is_empty()).map(|scan| {
-            let signature = (scan.probe_key, scan.partner_key);
-            let known = signatures.iter().position(|s| *s == signature);
-            known.unwrap_or_else(|| {
-                let names = |attrs: &[AttrId]| -> String {
-                    let names: Vec<&str> =
-                        attrs.iter().map(|&a| ds.schema().attr_name(a)).collect();
-                    names.join(", ")
-                };
-                let index = BlockIndex::build(&ds, &signature.1, &[], |_| true);
-                let sizes = (0..index.bucket_count()).map(|b| index.range(b).len());
-                profile.keys.push(KeyDetect {
-                    label: format!("t1[{}] = t2[{}]", names(&signature.0), names(&signature.1)),
-                    constraints: 0,
-                    buckets: index.bucket_count(),
-                    largest_bucket: sizes.clone().max().unwrap_or(0),
-                    same_key_pairs: sizes.map(|n| (n * n.saturating_sub(1) / 2) as u64).sum(),
-                });
-                signatures.push(signature);
-                signatures.len() - 1
-            })
-        });
-        let join_key = match key {
-            Some(k) => {
-                profile.keys[k].constraints += 1;
-                profile.keys[k].label.clone()
-            }
-            None => "none (single-tuple or pairwise scan)".to_string(),
+    let keys = indexes.iter().enumerate().map(|(k, index)| {
+        let on_key = || {
+            keyed
+                .iter()
+                .zip(&index_of)
+                .filter(move |(_, at)| **at == Some(k))
         };
-        let mut found = Vec::new();
-        let started = std::time::Instant::now();
-        find_constraint_violations_with_threads(&ds, c, id, threads, &mut found);
-        profile.constraints.push(ConstraintDetect {
-            name: c.name.clone(),
-            join_key,
-            violations: found.len(),
-            ms: started.elapsed().as_secs_f64() * 1e3,
+        let first = on_key().find_map(|(scan, _)| *scan);
+        let buckets = 0..index.bucket_count();
+        let groups = index.packed().iter().flat_map(|column| {
+            let buckets = buckets.clone();
+            buckets.map(move |b| column.groups(b).len())
         });
+        KeyDetect {
+            label: first.map_or(String::new(), |scan| {
+                let (t1, t2) = (names(&scan.probe_key), names(&scan.partner_key));
+                format!("t1[{t1}] = t2[{t2}]")
+            }),
+            constraints: on_key().count(),
+            buckets: buckets.len(),
+            largest_bucket: buckets
+                .clone()
+                .map(|b| index.range(b).len())
+                .max()
+                .unwrap_or(0),
+            columns: index.packed().len(),
+            mixed_buckets: groups.clone().filter(|&n| n > 1).count(),
+            groups: groups.sum(),
+        }
+    });
+    let keys: Vec<KeyDetect> = keys.collect();
+    let constraints = constraints.iter().zip(&index_of).map(|((_, c), at)| {
+        let alone: ConstraintSet = [c.clone()].into_iter().collect();
+        let started = std::time::Instant::now();
+        let (_, violations) = find_noisy_cells_with_threads(&ds, &alone, threads);
+        ConstraintDetect {
+            name: c.name.clone(),
+            join_key: match at {
+                Some(k) => keys[*k].label.clone(),
+                None => "none (single-tuple or pairwise scan)".to_string(),
+            },
+            violations,
+            ms: started.elapsed().as_secs_f64() * 1e3,
+        }
+    });
+    DetectProfile {
+        constraints: constraints.collect(),
+        keys,
     }
-    profile
 }
 
 impl DetectProfile {
@@ -169,7 +195,8 @@ impl DetectProfile {
                 o.field_u64("constraints", k.constraints as u64);
                 o.field_u64("buckets", k.buckets as u64);
                 o.field_u64("largest_bucket", k.largest_bucket as u64);
-                o.field_u64("same_key_pairs", k.same_key_pairs);
+                o.field_u64("mixed_buckets", k.mixed_buckets as u64);
+                o.field_u64("groups", k.groups as u64);
                 o.finish()
             })
             .collect();
@@ -189,8 +216,15 @@ impl DetectProfile {
         }
         for k in &self.keys {
             println!(
-                "  key {}: {} constraint(s), {} bucket(s), largest {}, {} same-key pair(s)",
-                k.label, k.constraints, k.buckets, k.largest_bucket, k.same_key_pairs
+                "  key {}: {} constraint(s), {} bucket(s), largest {}; over {} compared column(s) \
+                 {} mixed bucket(s), {} value group(s)",
+                k.label,
+                k.constraints,
+                k.buckets,
+                k.largest_bucket,
+                k.columns,
+                k.mixed_buckets,
+                k.groups
             );
         }
     }
@@ -400,7 +434,7 @@ fn run_streamed(
         report,
         model: run.model.stats.clone(),
         learn_stats: run.learn_stats.clone(),
-        violations: run.detection.violations.len(),
+        violations: run.detection.violations,
         noisy_cells: run.detection.noisy.len(),
     };
     (
@@ -539,13 +573,16 @@ fn main() {
         out.timings.total()
     );
     detect.print();
-    let phases: Vec<String> = out
-        .model
-        .phases
-        .iter()
-        .map(|(name, d)| format!("{name} {d:?}"))
-        .collect();
-    println!("  compile phases: {}", phases.join(", "));
+    // The statistics are built inside the compile stage before `compile()`
+    // runs: the first entry, on a line of its own.
+    if let Some(((_, stats_build), phases)) = out.model.phases.split_first() {
+        println!("  statistics build: {stats_build:?}");
+        let phases: Vec<String> = phases
+            .iter()
+            .map(|(name, d)| format!("{name} {d:?}"))
+            .collect();
+        println!("  compile phases: {}", phases.join(", "));
+    }
     println!(
         "  prune index: {} conditioning value(s), {} entr(ies)",
         out.model.prune_index_rows, out.model.prune_index_entries

@@ -3,11 +3,14 @@
 //! the detector returns exactly — elements and order — what the loop it
 //! replaced returned, restated here over the public API alone (block by
 //! the cross-tuple equality predicates, then `violated_by` on every
-//! same-key pair). Also pins the `Violation` footprint the change was
-//! made for.
+//! same-key pair) — every constraint of these generators is an FD, so this
+//! is the grouped path end to end — and the list-free detector returns
+//! that list's cells and length. Also pins the `Violation` footprint the
+//! change was made for.
 
 use holo_constraints::{
-    find_violations_with_threads, parse_constraints, ConstraintSet, Operand, TupleVar, Violation,
+    find_noisy_cells_with_threads, find_violations_with_threads, noisy_cells, parse_constraints,
+    ConstraintSet, Operand, TupleVar, Violation,
 };
 use holo_datagen::{
     food, hospital, physicians, FoodConfig, GeneratedDataset, HospitalConfig, PhysiciansConfig,
@@ -89,6 +92,11 @@ fn assert_detector_equals_interpreter(mut gen: GeneratedDataset) {
     for threads in [1, 2, 4] {
         let got = find_violations_with_threads(&gen.dirty, &cons, threads);
         assert!(flat(&got) == want, "{name}, threads = {threads}");
+        let list_free = find_noisy_cells_with_threads(&gen.dirty, &cons, threads);
+        assert!(
+            list_free == (noisy_cells(&got), got.len()),
+            "{name}, list-free, threads = {threads}"
+        );
     }
 }
 

@@ -18,11 +18,13 @@
 //!   operator.
 //! * [`scan`] — the compiled pair scan: one predicate classifier (join /
 //!   probe-only / partner-only / residual) and one blocking index (flat
-//!   bucket arena, packed partner columns) shared by detection and the
-//!   relaxed-DC featurizer.
+//!   bucket arena, packed partner columns, per-bucket value groups) shared
+//!   by detection and the relaxed-DC featurizer.
 //! * [`violations`] — violation detection over that scan, blocking once
-//!   per distinct join key, so FD-style constraints never pay the O(|D|²)
-//!   pair enumeration. It reads the live rows of a tombstoned table, so
+//!   per distinct join key; an FD-shaped constraint compares a tuple only
+//!   with the members of its bucket that hold another value, and the
+//!   noisy cells and violation count of a proper FD come from the value
+//!   groups in O(rows). It reads the live rows of a tombstoned table, so
 //!   it is also what a streaming session runs at read.
 //! * [`hypergraph`] — the conflict hypergraph of \[26\] and the Algorithm 3
 //!   per-constraint connected-component tuple partitioning.
@@ -52,6 +54,6 @@ pub use ast::{ConstraintId, ConstraintSet, DenialConstraint, Op, Operand, Predic
 pub use hypergraph::{ConflictHypergraph, TupleGroups};
 pub use parser::{parse_constraint, parse_constraints, ParseError};
 pub use violations::{
-    find_violations, find_violations_naive, find_violations_with_threads, noisy_cells, CellList,
-    Violation,
+    find_noisy_cells_with_threads, find_violations, find_violations_naive,
+    find_violations_with_threads, noisy_cells, CellList, Violation,
 };

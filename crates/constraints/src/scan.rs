@@ -41,8 +41,16 @@
 //! the sharing constraints read are **packed** column-wise
 //! ([`PackedColumn`]): one contiguous run per bucket per column, parallel
 //! to the member run, so a residual scan walks memory linearly and never
-//! touches the dataset. Per bucket and column the index records whether
-//! every member holds the same value.
+//! touches the dataset. Per bucket and column the index also records the
+//! **value groups** — each distinct non-null value with how many members
+//! hold it, ascending by value, in one flat arena — and their total, so
+//! "how many members hold a non-null value other than `v`"
+//! ([`PackedColumn::differing`]) is a binary search, not a scan.
+//!
+//! One index serves every scan with the same partner key
+//! ([`build_shared`]): what an index holds depends on the key its members
+//! are bucketed by, the columns packed and the member filter, never on the
+//! probe side.
 //!
 //! ## Whole-bucket refutation
 //!
@@ -51,12 +59,20 @@
 //!
 //! * a bound side is the null constant — by the null rule no operator
 //!   holds (the probe's cell is missing);
-//! * the residual is `v ≠ column` and the bucket's column is uniformly
-//!   `v` — or uniformly null, which `≠` cannot satisfy either.
+//! * the residual is `v ≠ column` and no member of the bucket holds a
+//!   non-null value other than `v`.
 //!
-//! An FD whose right-hand side agrees inside every left-hand-side group
-//! (`Zip → State`) is refuted bucket by bucket and costs one lookup per
-//! tuple instead of one comparison per same-key pair.
+//! ## The FD shape ([`PairScan::fd_shape`])
+//!
+//! A non-empty join key, one residual `probe attr ≠ partner column` and
+//! nothing else — every constraint the `FD:` sugar produces. For a probe
+//! holding `v`, the partners that complete a violation are exactly the
+//! bucket's members outside `v`'s value group, so the groups answer
+//! *how many* in O(1) (the relaxed-DC featurizer) and *whether any*
+//! per bucket (detection), and nobody compares the probe with the
+//! members of its own group. Both layers select this path from the
+//! constraint's predicates alone; every other two-tuple constraint takes
+//! the general scan.
 
 use crate::ast::{eval_op, DenialConstraint, Op, Operand, TupleVar};
 use holo_dataset::{AttrId, Dataset, FxHashMap, Sym, TupleId};
@@ -131,9 +147,9 @@ impl ScanPredicate {
         }
         match (self.op, self.lhs, self.rhs) {
             (Op::Neq, Side::Const(v), Side::Partner(col))
-            | (Op::Neq, Side::Partner(col), Side::Const(v)) => columns[col]
-                .uniform(bucket)
-                .is_some_and(|held| held == v || held.is_null()),
+            | (Op::Neq, Side::Partner(col), Side::Const(v)) => {
+                columns[col].differing(bucket, v) == 0
+            }
             _ => false,
         }
     }
@@ -206,6 +222,24 @@ impl PairScan {
         }))
     }
 
+    /// The FD shape (module docs): `(probe attribute, partner column)` of
+    /// the one residual when the scan is a non-empty join key plus
+    /// `probe attr ≠ partner column` and nothing else.
+    pub fn fd_shape(&self) -> Option<(AttrId, usize)> {
+        let [residual] = self.residual.as_slice() else {
+            return None;
+        };
+        if self.probe_key.is_empty() || !self.probe_only.is_empty() || !self.partner_only.is_empty()
+        {
+            return None;
+        }
+        match (residual.op, residual.lhs, residual.rhs) {
+            (Op::Neq, Side::Probe(attr), Side::Partner(col))
+            | (Op::Neq, Side::Partner(col), Side::Probe(attr)) => Some((attr, col)),
+            _ => None,
+        }
+    }
+
     /// Whether the probe-only predicates hold on `probe` as stored — if
     /// not, it completes a pair with no partner.
     pub fn admits(&self, ds: &Dataset, probe: TupleId) -> bool {
@@ -237,8 +271,15 @@ pub struct PackedColumn {
     attr: AttrId,
     /// `values[i]` is the cell of `members[i]`.
     values: Vec<Sym>,
-    /// Per bucket: the value every member holds, if they all agree.
-    uniform: Vec<Option<Sym>>,
+    /// Bucket `b`'s value groups are
+    /// `groups[group_offsets[b]..group_offsets[b + 1]]`: each distinct
+    /// non-null value with the number of members holding it, ascending by
+    /// value.
+    group_offsets: Vec<u32>,
+    groups: Vec<(Sym, u32)>,
+    /// Per bucket: members holding a non-null value (the sum of its
+    /// groups' counts).
+    non_null: Vec<u32>,
 }
 
 impl PackedColumn {
@@ -248,10 +289,28 @@ impl PackedColumn {
         &self.values
     }
 
-    /// The value every member of `bucket` holds, if they all agree.
+    /// The value groups of `bucket`: `(value, members holding it)` for
+    /// each distinct non-null value, ascending by value.
     #[inline]
-    pub fn uniform(&self, bucket: usize) -> Option<Sym> {
-        self.uniform[bucket]
+    pub fn groups(&self, bucket: usize) -> &[(Sym, u32)] {
+        &self.groups[self.group_offsets[bucket] as usize..self.group_offsets[bucket + 1] as usize]
+    }
+
+    /// Members of `bucket` holding a non-null value.
+    #[inline]
+    pub fn non_null(&self, bucket: usize) -> u32 {
+        self.non_null[bucket]
+    }
+
+    /// Members of `bucket` holding a non-null value other than `v` — the
+    /// partners `v ≠ column` holds for, when `v` is not null.
+    #[inline]
+    pub fn differing(&self, bucket: usize, v: Sym) -> u32 {
+        let groups = self.groups(bucket);
+        let held = groups
+            .binary_search_by_key(&v, |&(value, _)| value)
+            .map_or(0, |at| groups[at].1);
+        self.non_null[bucket] - held
     }
 }
 
@@ -352,16 +411,36 @@ impl BlockIndex {
     fn pack(&self, ds: &Dataset, attr: AttrId) -> PackedColumn {
         let column = ds.column(attr);
         let values: Vec<Sym> = self.members.iter().map(|t| column[t.index()]).collect();
-        let uniform = (0..self.bucket_count())
-            .map(|b| {
-                let run = &values[self.range(b)];
-                run.iter().all(|&v| v == run[0]).then(|| run[0])
-            })
-            .collect();
+        let mut group_offsets = Vec::with_capacity(self.offsets.len());
+        let mut groups: Vec<(Sym, u32)> = Vec::new();
+        let mut non_null = Vec::with_capacity(self.bucket_count());
+        let mut sorted: Vec<Sym> = Vec::new();
+        for bucket in 0..self.bucket_count() {
+            group_offsets.push(groups.len() as u32);
+            let run = &values[self.range(bucket)];
+            // A bucket is never empty. The common one — every member
+            // agrees — is one group (none if the value is null), unsorted.
+            if run.iter().all(|&v| v == run[0]) {
+                if !run[0].is_null() {
+                    groups.push((run[0], run.len() as u32));
+                }
+            } else {
+                sorted.clear();
+                sorted.extend(run.iter().filter(|v| !v.is_null()));
+                sorted.sort_unstable();
+                let same = sorted.chunk_by(|a, b| a == b);
+                groups.extend(same.map(|group| (group[0], group.len() as u32)));
+            }
+            let held = &groups[group_offsets[bucket] as usize..];
+            non_null.push(held.iter().map(|&(_, count)| count).sum());
+        }
+        group_offsets.push(groups.len() as u32);
         PackedColumn {
             attr,
             values,
-            uniform,
+            group_offsets,
+            groups,
+            non_null,
         }
     }
 
@@ -409,19 +488,89 @@ impl BlockIndex {
         &self.columns
     }
 
-    /// The packed columns behind a scan's `Side::Partner(col)` operands,
-    /// for an index shared by several scans (one built for a single scan
-    /// packs exactly its `partner_attrs`: [`BlockIndex::packed`]).
+    /// Where the columns behind a scan's `Side::Partner(col)` operands sit
+    /// in [`BlockIndex::packed`], for an index shared by several scans:
+    /// `Side::Partner(col)` reads `packed()[slots[col]]`.
     ///
     /// # Panics
     /// Panics if the index was built without one of `scan.partner_attrs`.
-    pub fn columns_of(&self, scan: &PairScan) -> Vec<&PackedColumn> {
-        let column = |attr: &AttrId| self.columns.iter().find(|c| c.attr == *attr);
+    pub fn slots_of(&self, scan: &PairScan) -> Vec<usize> {
+        let slot = |attr: &AttrId| self.columns.iter().position(|c| c.attr == *attr);
         scan.partner_attrs
             .iter()
-            .map(|attr| column(attr).expect("the index packs every attribute its scans read"))
+            .map(|attr| slot(attr).expect("the index packs every attribute its scans read"))
             .collect()
     }
+
+    /// The packed columns behind a scan's `Side::Partner(col)` operands
+    /// ([`BlockIndex::slots_of`], resolved).
+    pub fn columns_of(&self, scan: &PairScan) -> Vec<&PackedColumn> {
+        let slots = self.slots_of(scan);
+        slots.into_iter().map(|slot| &self.columns[slot]).collect()
+    }
+}
+
+/// Builds the indexes `scans` probe, **one per distinct partner key** —
+/// the FD sugar `X → A, B` expands to one constraint per right-hand
+/// attribute, all blocked on `X` — each packing the union of the columns
+/// its scans read, on up to `threads` threads (one job per index). Returns
+/// the indexes and, per scan, the one it probes (`None` stays `None`).
+///
+/// With `filter_members` (detection) an index holds only the tuples that
+/// pass its scan's partner-only predicates, so a scan that has any keeps
+/// an index of its own. Without (layers that cap *visited* partners, and
+/// so evaluate partner-only predicates per partner) every index holds
+/// every tuple with a non-null key.
+pub fn build_shared(
+    ds: &Dataset,
+    scans: &[Option<&PairScan>],
+    filter_members: bool,
+    threads: usize,
+) -> (Vec<BlockIndex>, Vec<Option<usize>>) {
+    struct KeyGroup<'a> {
+        scan: &'a PairScan,
+        private: bool,
+        /// Union of the members' `partner_attrs`, in first-use order.
+        packed: Vec<AttrId>,
+    }
+    let mut groups: Vec<KeyGroup> = Vec::new();
+    let index_of = scans
+        .iter()
+        .map(|scan| {
+            let scan = (*scan)?;
+            let private = filter_members && !scan.partner_only.is_empty();
+            let shared = groups
+                .iter()
+                .position(|g| !private && !g.private && g.scan.partner_key == scan.partner_key);
+            let at = shared.unwrap_or_else(|| {
+                groups.push(KeyGroup {
+                    scan,
+                    private,
+                    packed: Vec::new(),
+                });
+                groups.len() - 1
+            });
+            for &attr in &scan.partner_attrs {
+                if !groups[at].packed.contains(&attr) {
+                    groups[at].packed.push(attr);
+                }
+            }
+            Some(at)
+        })
+        .collect();
+    let indexes = holo_parallel::parallel_jobs(threads, groups.len(), |g| {
+        let KeyGroup {
+            scan,
+            private,
+            packed,
+        } = &groups[g];
+        BlockIndex::build(ds, &scan.partner_key, packed, |t2| {
+            let cell = |col: usize| ds.cell(t2, scan.partner_attrs[col]);
+            let passes = |p: &ScanPredicate| p.holds(ds, Sym::NULL, cell);
+            !private || scan.partner_only.iter().all(passes)
+        })
+    });
+    (indexes, index_of)
 }
 
 #[cfg(test)]
@@ -516,10 +665,108 @@ mod tests {
             panic!("two packed columns")
         };
         assert_eq!(&a.values()[index.range(k1)], &[sym("x"); 3]);
-        assert_eq!(a.uniform(k1), Some(sym("x")));
-        assert_eq!(a.uniform(k2), Some(Sym::NULL), "uniformly null");
-        assert_eq!(b.uniform(k1), None);
-        assert_eq!(b.uniform(k2), None);
+        // Value groups: non-null values only, ascending, with their total.
+        assert_eq!(a.groups(k1), &[(sym("x"), 3)]);
+        assert_eq!((a.groups(k2), a.non_null(k2)), (&[][..], 0), "all null");
+        let mut want = vec![(sym("p"), 1), (sym("q"), 1)];
+        want.sort_unstable();
+        assert_eq!((b.groups(k1), b.non_null(k1)), (want.as_slice(), 2));
+        assert_eq!(
+            b.groups(k2),
+            &[(sym("q"), 1)],
+            "the null member is in no group"
+        );
+        // Members holding a non-null value other than the one asked about.
+        assert_eq!(a.differing(k1, sym("x")), 0);
+        assert_eq!(a.differing(k1, sym("y")), 3);
+        assert_eq!(b.differing(k1, sym("p")), 1);
+        assert_eq!(
+            b.differing(k2, sym("q")),
+            0,
+            "a null is not a differing value"
+        );
+        assert_eq!(b.differing(k2, sym("p")), 1);
+    }
+
+    #[test]
+    fn fd_shape_is_a_key_and_one_inequality() {
+        let mut ds = table();
+        let cons = parse_constraints(
+            "FD: K, L -> A
+             t1&t2&EQ(t1.K,t2.L)&IQ(t2.B,t1.A)
+             t1&t2&IQ(t1.A,t2.A)
+             t1&t2&EQ(t1.K,t2.K)&LT(t1.A,t2.A)
+             t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t2.A)&IQ(t1.B,t2.B)
+             t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t2.A)&EQ(t1.B,\"p\")
+             t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t2.A)&EQ(t2.B,\"p\")
+             t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,\"x\")",
+            &mut ds,
+        )
+        .unwrap();
+        let attr = |name: &str| ds.schema().attr_id(name).unwrap();
+        let shape = |sigma: usize, role| PairScan::new(cons.get(sigma), role).fd_shape();
+        assert_eq!(shape(0, TupleVar::T1), Some((attr("A"), 0)));
+        // A cross-attribute key and residual, written partner-first: still
+        // the shape, from either role.
+        assert_eq!(shape(1, TupleVar::T1), Some((attr("A"), 0)));
+        assert_eq!(shape(1, TupleVar::T2), Some((attr("B"), 0)));
+        // No key; another operator; two residuals; a probe-only, a
+        // partner-only or a constant predicate: the general scan.
+        for sigma in 2..cons.len() {
+            assert_eq!(shape(sigma, TupleVar::T1), None, "constraint {sigma}");
+            assert_eq!(shape(sigma, TupleVar::T2), None, "constraint {sigma}");
+        }
+    }
+
+    #[test]
+    fn scans_share_one_index_per_partner_key() {
+        let mut ds = table();
+        let cons = parse_constraints(
+            "FD: K -> A, B
+             t1&t2&EQ(t1.L,t2.K)&LT(t1.A,t2.L)
+             t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t2.A)&IQ(t2.B,\"q\")
+             FD: K, L -> A
+             t1&t2&IQ(t1.A,t2.A)",
+            &mut ds,
+        )
+        .unwrap();
+        let attr = |name: &str| ds.schema().attr_id(name).unwrap();
+        let scans: Vec<PairScan> = cons
+            .iter()
+            .map(|(_, c)| PairScan::new(c, TupleVar::T1))
+            .collect();
+        // The join-free constraint asks for no index.
+        let asked: Vec<Option<&PairScan>> = scans
+            .iter()
+            .map(|s| (!s.probe_key.is_empty()).then_some(s))
+            .collect();
+        for threads in [1, 3] {
+            // Unfiltered: the partner key alone decides, whatever the
+            // probe side and the partner-only predicates are.
+            let (indexes, index_of) = build_shared(&ds, &asked, false, threads);
+            assert_eq!(
+                index_of,
+                [Some(0), Some(0), Some(0), Some(0), Some(1), None]
+            );
+            assert_eq!(indexes.len(), 2);
+            let packed: Vec<AttrId> = indexes[0].packed().iter().map(|c| c.attr).collect();
+            assert_eq!(
+                packed,
+                [attr("A"), attr("B"), attr("L")],
+                "the union, first use first"
+            );
+            assert_eq!(indexes[0].slots_of(&scans[2]), [2]);
+            assert_eq!(indexes[0].members().len(), 5);
+            // Filtered: the constraint with a partner-only predicate keeps
+            // an index of its own, thinned to the members that pass it.
+            let (indexes, index_of) = build_shared(&ds, &asked, true, threads);
+            assert_eq!(
+                index_of,
+                [Some(0), Some(0), Some(0), Some(1), Some(2), None]
+            );
+            let thinned: Vec<TupleId> = indexes[1].members().to_vec();
+            assert_eq!(thinned, [TupleId(0)], "B is non-null and not q on t0 alone");
+        }
     }
 
     #[test]
@@ -579,6 +826,9 @@ mod tests {
         assert!(neq(Sym::NULL, 1).refuted_by(&columns, k1));
         // Null case 2: the column is uniformly null.
         assert!(neq(sym("x"), 0).refuted_by(&columns, k2));
+        // Null case 3: nulls beside the probe's own value refute as well.
+        assert!(neq(sym("q"), 1).refuted_by(&columns, k2));
+        assert!(!neq(sym("p"), 1).refuted_by(&columns, k2));
         // A mixed column refutes nothing, and neither does another operator.
         assert!(!neq(sym("p"), 1).refuted_by(&columns, k1));
         let mut eq = neq(sym("x"), 0);

@@ -15,16 +15,33 @@
 //! tuple, `t2`-only predicates filter bucket members when the index is
 //! built, and the residuals compare the bound `t1` values down the
 //! bucket's packed columns. Tuples are blocked **once per distinct join
-//! key**, not once per constraint: constraints whose ordered `(t1-side,
-//! t2-side)` key attribute lists are equal share one [`BlockIndex`] (the
-//! FD sugar `X → A, B` expands to one constraint per right-hand attribute,
-//! all on the key `X`), packing the union of the columns they read. A
-//! constraint with a `t2`-only predicate filters its buckets and so keeps
-//! an index of its own. Before a bucket is scanned the residuals are
-//! checked for **whole-bucket refutation**
-//! ([`crate::scan::ScanPredicate::refuted_by`]): a null probe cell, or a
-//! `≠` against a column that is uniformly the probe's value (or uniformly
-//! null), rules the bucket out without reading a member.
+//! key**, not once per constraint ([`crate::scan::build_shared`]).
+//! Before a bucket is scanned the residuals are checked for **whole-bucket
+//! refutation** ([`crate::scan::ScanPredicate::refuted_by`]): a null probe
+//! cell, or a `≠` against a column where nobody holds another non-null
+//! value, rules the bucket out without reading a member.
+//!
+//! ## FD-shaped constraints: one group against the rest
+//!
+//! A constraint of the FD shape ([`PairScan::fd_shape`]: a join key and
+//! one `t1.A ≠ t2.B` — all the `FD:` sugar produces) never compares a
+//! probe with the members of its own value group. The index holds each
+//! bucket's value groups; per bucket the probe pass adds the **majority**
+//! value and the ascending list of the members holding another non-null
+//! one (`Minorities`). A probe holding the majority value reads that
+//! list — every entry is a witness; any other probe walks the bucket's
+//! run. That is ≤ 2 · violations + bucket size visits per bucket where the
+//! general scan pays bucket², and the pairs come out in the same order.
+//!
+//! [`find_noisy_cells_with_threads`] is the detector for callers that want
+//! `D_n` and the violation count but not the list. For a proper FD
+//! `X → A` (the same key attributes and the same dependent attribute on
+//! both tuples) it reads the groups alone: in a bucket with at least two
+//! groups every member holding a non-null `A` disagrees with somebody, so
+//! its cells are noisy, and the bucket holds `(n² − Σ gᵢ²) / 2` violating
+//! pairs (`n` non-null members in groups of `gᵢ`) — O(rows), no pair is
+//! ever formed. Every other constraint marks the cells of the pairs its
+//! list path finds, without stamping them into [`Violation`]s.
 //!
 //! Constraints with no join key fall back to the pairwise scan (exposed
 //! separately as [`find_violations_naive`], the quadratic oracle);
@@ -49,7 +66,7 @@
 //! [`find_violations_naive`].
 
 use crate::ast::{ConstraintId, ConstraintSet, DenialConstraint, TupleVar};
-use crate::scan::{BlockIndex, PairScan, ScanPredicate};
+use crate::scan::{build_shared, BlockIndex, PackedColumn, PairScan, ScanPredicate};
 use holo_dataset::{AttrId, CellRef, Dataset, FxHashSet, Sym, TupleId};
 use serde::{Deserialize, Serialize};
 
@@ -156,34 +173,47 @@ impl std::fmt::Debug for CellList {
     }
 }
 
-/// The set of cells named by `violations` — the noisy cells `D_n` of the
-/// violation detector.
-///
-/// A cell of a large bucket is named by hundreds of violations, so a
-/// first-sight filter (one bitmap over tuples per attribute, grown on
-/// demand) stands in front of the hash set: only a cell's first mention
-/// is hashed.
-pub fn noisy_cells(violations: &[Violation]) -> FxHashSet<CellRef> {
-    let mut seen: Vec<Vec<u64>> = Vec::new();
-    let mut fresh: Vec<CellRef> = Vec::new();
-    for v in violations {
-        for &cell in &v.cells {
-            let (attr, word) = (cell.attr.index(), cell.tuple.index() / 64);
-            if seen.len() <= attr {
-                seen.resize(attr + 1, Vec::new());
-            }
-            let bits = &mut seen[attr];
-            if bits.len() <= word {
-                bits.resize(word + 1, 0);
-            }
-            let bit = 1u64 << (cell.tuple.index() % 64);
-            if bits[word] & bit == 0 {
-                bits[word] |= bit;
-                fresh.push(cell);
-            }
+/// A set of cells being collected. A cell of a large bucket is named by
+/// hundreds of violations, so a first-sight filter (one bitmap over tuples
+/// per attribute, grown on demand) stands in front of the hash set: only a
+/// cell's first mention is hashed.
+#[derive(Default)]
+struct CellMarks {
+    seen: Vec<Vec<u64>>,
+    fresh: Vec<CellRef>,
+}
+
+impl CellMarks {
+    #[inline]
+    fn mark(&mut self, cell: CellRef) {
+        let (attr, word) = (cell.attr.index(), cell.tuple.index() / 64);
+        if self.seen.len() <= attr {
+            self.seen.resize(attr + 1, Vec::new());
+        }
+        let bits = &mut self.seen[attr];
+        if bits.len() <= word {
+            bits.resize(word + 1, 0);
+        }
+        let bit = 1u64 << (cell.tuple.index() % 64);
+        if bits[word] & bit == 0 {
+            bits[word] |= bit;
+            self.fresh.push(cell);
         }
     }
-    fresh.into_iter().collect()
+
+    fn into_set(self) -> FxHashSet<CellRef> {
+        self.fresh.into_iter().collect()
+    }
+}
+
+/// The set of cells named by `violations` — the noisy cells `D_n` of the
+/// violation detector.
+pub fn noisy_cells(violations: &[Violation]) -> FxHashSet<CellRef> {
+    let mut marks = CellMarks::default();
+    for v in violations {
+        v.cells.iter().for_each(|&cell| marks.mark(cell));
+    }
+    marks.into_set()
 }
 
 /// The violation every witness of one constraint is stamped from: its
@@ -237,6 +267,16 @@ impl CellTemplate {
     pub(crate) fn stamp(&self, pairs: Vec<(TupleId, TupleId)>, out: &mut Vec<Violation>) {
         out.extend(pairs.into_iter().map(|(t1, t2)| self.violation(t1, t2)));
     }
+
+    /// Marks the cells [`CellTemplate::violation`] names on `t1` and on
+    /// `t2`.
+    #[inline]
+    fn mark(&self, t1: TupleId, t2: TupleId, marks: &mut CellMarks) {
+        for (at, cell) in self.proto.cells.iter().enumerate() {
+            let tuple = if at < self.t1_cells { t1 } else { t2 };
+            marks.mark(CellRef { tuple, ..*cell });
+        }
+    }
 }
 
 /// Finds all violations of every constraint, using equality-predicate
@@ -257,49 +297,41 @@ pub fn find_violations_with_threads(
     constraints: &ConstraintSet,
     threads: usize,
 ) -> Vec<Violation> {
-    let constraints: Vec<(ConstraintId, &DenialConstraint)> = constraints.iter().collect();
     let mut out = Vec::new();
-    detect(ds, &constraints, threads, &mut out);
+    detect(ds, constraints, threads, &mut Sink::List(&mut out));
     out
 }
 
-/// Finds violations of a single constraint, appending to `out`.
-pub fn find_constraint_violations(
+/// The noisy cells and the violation count of
+/// [`find_violations_with_threads`] — `(noisy_cells(&list), list.len())` —
+/// without the list: a proper FD is answered from its buckets' value
+/// groups in O(rows) (module docs), any other constraint marks the cells
+/// of the pairs it finds.
+pub fn find_noisy_cells_with_threads(
     ds: &Dataset,
-    c: &DenialConstraint,
-    id: ConstraintId,
-    out: &mut Vec<Violation>,
-) {
-    find_constraint_violations_with_threads(ds, c, id, 1, out);
-}
-
-/// Finds violations of a single constraint with a thread budget, appending
-/// to `out` in canonical (probe-tuple-major) order.
-pub fn find_constraint_violations_with_threads(
-    ds: &Dataset,
-    c: &DenialConstraint,
-    id: ConstraintId,
+    constraints: &ConstraintSet,
     threads: usize,
-    out: &mut Vec<Violation>,
-) {
-    detect(ds, &[(id, c)], threads, out);
+) -> (FxHashSet<CellRef>, usize) {
+    let (mut marks, mut violations) = (CellMarks::default(), 0);
+    detect(
+        ds,
+        constraints,
+        threads,
+        &mut Sink::Cells(&mut marks, &mut violations),
+    );
+    (marks.into_set(), violations)
 }
 
-/// The constraints that probe one [`BlockIndex`]: equal join keys, or a
-/// single constraint whose `t2`-only predicates filter the buckets.
-struct KeyGroup<'a> {
-    scan: &'a PairScan,
-    /// Union of the members' `partner_attrs`, in first-use order.
-    packed: Vec<AttrId>,
+/// What a detection pass makes of a constraint's witnesses.
+enum Sink<'a> {
+    /// Every witnessing pair stamped into a [`Violation`], in order.
+    List(&'a mut Vec<Violation>),
+    /// The witnesses' cells marked and the witnesses counted.
+    Cells(&'a mut CellMarks, &'a mut usize),
 }
 
-/// Appends the violations of `constraints`, in the order given, to `out`.
-fn detect(
-    ds: &Dataset,
-    constraints: &[(ConstraintId, &DenialConstraint)],
-    threads: usize,
-    out: &mut Vec<Violation>,
-) {
+/// Feeds the violations of `constraints`, in order, to `sink`.
+fn detect(ds: &Dataset, constraints: &ConstraintSet, threads: usize, sink: &mut Sink<'_>) {
     let tuples: Vec<TupleId> = ds.tuples().collect();
     // Build and probe both do O(key width) work per tuple: on inputs of a
     // few thousand rows spawn overhead dominates, so small inputs take the
@@ -313,59 +345,191 @@ fn detect(
         .iter()
         .map(|(_, c)| c.two_tuple.then(|| PairScan::new(c, TupleVar::T1)))
         .collect();
-    let mut groups: Vec<KeyGroup> = Vec::new();
-    let group_of: Vec<Option<usize>> = scans
+    let keyed: Vec<Option<&PairScan>> = scans
         .iter()
-        .map(|scan| {
-            let scan = scan.as_ref().filter(|s| !s.probe_key.is_empty())?;
-            let shared = groups.iter().position(|g| {
-                scan.partner_only.is_empty()
-                    && g.scan.partner_only.is_empty()
-                    && g.scan.probe_key == scan.probe_key
-                    && g.scan.partner_key == scan.partner_key
-            });
-            let at = shared.unwrap_or_else(|| {
-                groups.push(KeyGroup {
-                    scan,
-                    packed: Vec::new(),
-                });
-                groups.len() - 1
-            });
-            for &attr in &scan.partner_attrs {
-                if !groups[at].packed.contains(&attr) {
-                    groups[at].packed.push(attr);
-                }
-            }
-            Some(at)
-        })
+        .map(|scan| scan.as_ref().filter(|s| !s.probe_key.is_empty()))
         .collect();
-    let indexes = holo_parallel::parallel_jobs(threads, groups.len(), |g| {
-        let KeyGroup { scan, packed } = &groups[g];
-        BlockIndex::build(ds, &scan.partner_key, packed, |t2| {
-            let cell = |col: usize| ds.cell(t2, scan.partner_attrs[col]);
-            scan.partner_only
-                .iter()
-                .all(|p| p.holds(ds, Sym::NULL, cell))
-        })
-    });
+    let (indexes, index_of) = build_shared(ds, &keyed, true, threads);
 
-    for (at, &(id, c)) in constraints.iter().enumerate() {
-        let pairs = match (&scans[at], group_of[at]) {
-            (Some(scan), Some(g)) => {
-                let (index, symmetric) = (&indexes[g], c.is_symmetric());
-                holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| {
-                    probe_pairs(ds, scan, index, symmetric, chunk)
-                })
-            }
-            (Some(_), None) => naive_pairs(ds, c, budget),
+    for ((scan, at), (id, c)) in keyed.iter().zip(index_of).zip(constraints.iter()) {
+        let template = CellTemplate::new(c, id);
+        let pairs = match (scan, at.map(|at| &indexes[at])) {
+            (Some(scan), Some(index)) => match scan.fd_shape() {
+                Some((probe_attr, col)) => {
+                    let column = index.columns_of(scan)[col];
+                    // `X → A` proper: the same key and the same dependent
+                    // attribute on both tuples, so a bucket's members are
+                    // exactly the probes that look it up.
+                    let proper =
+                        scan.probe_key == scan.partner_key && probe_attr == scan.partner_attrs[col];
+                    if let (Sink::Cells(marks, violations), true) = (&mut *sink, proper) {
+                        **violations += mark_mixed_buckets(index, column, &template, marks);
+                        continue;
+                    }
+                    let fd = FdProbe {
+                        scan,
+                        probe_attr,
+                        index,
+                        column,
+                        minorities: Minorities::new(index, column),
+                        symmetric: c.is_symmetric(),
+                    };
+                    holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| fd.pairs(ds, chunk))
+                }
+                None => {
+                    let symmetric = c.is_symmetric();
+                    holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| {
+                        probe_pairs(ds, scan, index, symmetric, chunk)
+                    })
+                }
+            },
+            _ if c.two_tuple => naive_pairs(ds, c, budget),
             // Per-tuple work is one predicate evaluation — far below the
             // spawn-overhead break-even — so small inputs run sequentially.
-            (None, _) => holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| {
+            _ => holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| {
                 let violating = chunk.iter().filter(|&&t| c.violated_by(ds, t, t));
                 violating.map(|&t| (t, t)).collect()
             }),
         };
-        CellTemplate::new(c, id).stamp(pairs, out);
+        match sink {
+            Sink::List(out) => template.stamp(pairs, out),
+            Sink::Cells(marks, violations) => {
+                **violations += pairs.len();
+                for (t1, t2) in pairs {
+                    template.mark(t1, t2, marks);
+                }
+            }
+        }
+    }
+}
+
+/// A proper FD without its pairs: marks the cells of every member that
+/// holds a non-null dependent value in a bucket with two or more value
+/// groups — each disagrees with a member of another group — and returns
+/// the number of disagreeing pairs.
+fn mark_mixed_buckets(
+    index: &BlockIndex,
+    column: &PackedColumn,
+    template: &CellTemplate,
+    marks: &mut CellMarks,
+) -> usize {
+    let mut pairs = 0u64;
+    for bucket in 0..index.bucket_count() {
+        let groups = column.groups(bucket);
+        if groups.len() < 2 {
+            continue;
+        }
+        let square = |n: u32| u64::from(n) * u64::from(n);
+        let agreeing: u64 = groups.iter().map(|&(_, count)| square(count)).sum();
+        pairs += (square(column.non_null(bucket)) - agreeing) / 2;
+        for at in index.range(bucket) {
+            if !column.values()[at].is_null() {
+                let t = index.members()[at];
+                template.mark(t, t, marks);
+            }
+        }
+    }
+    pairs as usize
+}
+
+/// Per bucket of one packed column: the value most members hold and the
+/// others — what lets an FD-shaped probe skip its own value group.
+struct Minorities {
+    /// Per bucket, the value of its largest group (null if it has none).
+    majority: Vec<Sym>,
+    /// Bucket `b`'s minority is `positions[offsets[b]..offsets[b + 1]]`:
+    /// the arena positions, ascending, of the members holding a non-null
+    /// value other than `majority[b]`.
+    offsets: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl Minorities {
+    fn new(index: &BlockIndex, column: &PackedColumn) -> Self {
+        let buckets = index.bucket_count();
+        let mut majority = Vec::with_capacity(buckets);
+        let mut offsets = Vec::with_capacity(buckets + 1);
+        let mut positions = Vec::new();
+        for bucket in 0..buckets {
+            offsets.push(positions.len() as u32);
+            let groups = column.groups(bucket);
+            // The first of the largest groups: any choice gives the same
+            // pairs, this one is a function of the bucket alone.
+            let largest = groups.iter().rev().max_by_key(|&&(_, count)| count);
+            let held = largest.map_or(Sym::NULL, |&(value, _)| value);
+            majority.push(held);
+            if groups.len() > 1 {
+                let values = &column.values()[index.range(bucket)];
+                let start = index.range(bucket).start;
+                let others = values
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &v)| v != held && !v.is_null());
+                positions.extend(others.map(|(at, _)| (start + at) as u32));
+            }
+        }
+        offsets.push(positions.len() as u32);
+        Minorities {
+            majority,
+            offsets,
+            positions,
+        }
+    }
+
+    fn of(&self, bucket: usize) -> &[u32] {
+        &self.positions[self.offsets[bucket] as usize..self.offsets[bucket + 1] as usize]
+    }
+}
+
+/// One FD-shaped constraint ready to probe (module docs).
+struct FdProbe<'a> {
+    scan: &'a PairScan,
+    /// `t1.probe_attr ≠ t2.column` is the residual.
+    probe_attr: AttrId,
+    index: &'a BlockIndex,
+    column: &'a PackedColumn,
+    minorities: Minorities,
+    symmetric: bool,
+}
+
+impl FdProbe<'_> {
+    /// The violating pairs with `t1` in `chunk`, by ascending `t1` then
+    /// `t2`: the bucket's members holding a non-null value other than
+    /// `t1`'s.
+    fn pairs(&self, ds: &Dataset, chunk: &[TupleId]) -> Vec<(TupleId, TupleId)> {
+        let (members, values) = (self.index.members(), self.column.values());
+        let mut found = Vec::new();
+        for &t1 in chunk {
+            let v = ds.cell(t1, self.probe_attr);
+            if v.is_null() {
+                continue;
+            }
+            let Some(bucket) = self.index.lookup(self.scan.probe_key_of(ds, t1, None)) else {
+                continue;
+            };
+            if self.column.differing(bucket, v) == 0 {
+                continue;
+            }
+            // Each unordered pair once for swap-invariant constraints.
+            let past_t1 = |at: usize| !self.symmetric || members[at] > t1;
+            if v == self.minorities.majority[bucket] {
+                let others = self.minorities.of(bucket);
+                let start = others.partition_point(|&at| !past_t1(at as usize));
+                let partners = others[start..].iter().map(|&at| members[at as usize]);
+                found.extend(partners.filter(|&t2| t2 != t1).map(|t2| (t1, t2)));
+            } else {
+                let range = self.index.range(bucket);
+                let start = range.start
+                    + members[range.clone()].partition_point(|&t2| self.symmetric && t2 <= t1);
+                for at in start..range.end {
+                    let held = values[at];
+                    if held != v && !held.is_null() && members[at] != t1 {
+                        found.push((t1, members[at]));
+                    }
+                }
+            }
+        }
+        found
     }
 }
 
@@ -706,6 +870,8 @@ mod tests {
             &mut ds,
         )
         .unwrap();
+        let dead: Vec<TupleId> = (0..4500u32).step_by(97).map(TupleId).collect();
+        ds.delete_rows(&dead);
         let want = find_violations_interpreted(&ds, &cons);
         for sigma in 0..cons.len() {
             assert!(
@@ -713,12 +879,48 @@ mod tests {
                 "constraint {sigma} must be violated for the test to mean anything"
             );
         }
+        let cells_and_count = (noisy_cells(&want), want.len());
         for threads in [1, 2, 3, 8] {
             assert!(
                 find_violations_with_threads(&ds, &cons, threads) == want,
                 "threads = {threads}"
             );
+            assert!(
+                find_noisy_cells_with_threads(&ds, &cons, threads) == cells_and_count,
+                "list-free, threads = {threads}"
+            );
         }
+    }
+
+    /// One key value, 60 000 rows, three typos: 1.8 G same-key pairs, which
+    /// a detector that compares a probe with the members of its own value
+    /// group does not get through inside a test run. The grouped one
+    /// visits the three minority members per majority probe and the run
+    /// once per typo.
+    #[test]
+    fn one_huge_mixed_bucket_detects_in_linear_time() {
+        const ROWS: usize = 60_000;
+        let typos = [(7usize, "Cicago"), (30_000, "Chicagoo"), (59_999, "Cicago")];
+        let mut ds = Dataset::new(Schema::new(vec!["Zip", "City"]));
+        for t in 0..ROWS {
+            let typo = typos.iter().find(|(at, _)| *at == t);
+            ds.push_row(&["60608", typo.map_or("Chicago", |(_, city)| city)]);
+        }
+        let cons = parse_constraints("FD: Zip -> City", &mut ds).unwrap();
+        let list = find_violations(&ds, &cons);
+        // Every typo against every clean row, and the two spellings
+        // against each other.
+        assert_eq!(list.len(), 3 * (ROWS - 3) + 2);
+        assert!(list
+            .windows(2)
+            .all(|w| (w[0].t1, w[0].t2) < (w[1].t1, w[1].t2)));
+        assert!(list
+            .iter()
+            .all(|v| v.t1 < v.t2 && ds.cell(v.t1, AttrId(1)) != ds.cell(v.t2, AttrId(1))));
+        let (cells, count) = find_noisy_cells_with_threads(&ds, &cons, 1);
+        assert_eq!(count, list.len());
+        assert_eq!(cells.len(), 2 * ROWS, "both cells of every row");
+        assert_eq!(cells, noisy_cells(&list));
     }
 
     /// The seven operators, `≈` at a threshold that separates `v1`/`v2`
@@ -824,17 +1026,65 @@ mod tests {
             for threads in [1, 2, 3, 8] {
                 prop_assert_eq!(&find_violations_with_threads(&ds, &cons, threads), &want);
             }
-            // The per-constraint entry point blocks for its constraint alone.
-            let mut one_by_one = Vec::new();
-            for (id, c) in cons.iter() {
-                find_constraint_violations(&ds, c, id, &mut one_by_one);
+            // The list-free detector: the same cells, the same count.
+            let cells_and_count = (noisy_cells(&want), want.len());
+            for threads in [1, 2, 4] {
+                prop_assert_eq!(&find_noisy_cells_with_threads(&ds, &cons, threads), &cells_and_count);
             }
-            prop_assert_eq!(&one_by_one, &want);
             let by_pair = |mut v: Vec<Violation>| {
                 v.sort_by_key(|v| (v.constraint, v.t1, v.t2));
                 v
             };
             prop_assert_eq!(by_pair(want), by_pair(find_violations_naive(&ds, &cons)));
+        }
+
+        /// The grouped path against the interpreting reference, order
+        /// included, and the list-free path against the list: nulls in key
+        /// and dependent columns, one- and two-attribute keys, tombstoned
+        /// rows, and around the proper FDs every neighbouring shape — the
+        /// dependent attribute differing between the tuples, the key
+        /// crossing attributes (one way, and both ways so the constraint
+        /// is symmetric without being a proper FD), a second FD on a
+        /// shared index, and non-FD constraints on the same keys (an order
+        /// residual, a partner-only filter, a single-tuple constraint).
+        #[test]
+        fn prop_grouped_detection_equals_reference(
+            rows in proptest::collection::vec((0u8..3, 0u8..3, 0u8..4, 0u8..4), 0..48),
+            dead in proptest::collection::vec(0u32..48, 0..6),
+        ) {
+            // 0 encodes a null cell; K/L and A/B each share a value space.
+            let text = |p: &str, v: u8| if v == 0 { String::new() } else { format!("{p}{v}") };
+            let mut ds = Dataset::new(Schema::new(vec!["K", "L", "A", "B"]));
+            for &(k, l, a, b) in &rows {
+                ds.push_row(&[text("k", k), text("k", l), text("v", a), text("v", b)]);
+            }
+            let cons = parse_constraints(
+                "FD: K -> A
+                 FD: K, L -> B
+                 FD: K -> B
+                 t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t2.B)
+                 t1&t2&EQ(t1.K,t2.L)&IQ(t1.A,t2.A)
+                 t1&t2&EQ(t1.K,t2.L)&EQ(t2.K,t1.L)&IQ(t1.A,t2.A)
+                 t1&t2&EQ(t1.K,t2.K)&LT(t1.A,t2.A)
+                 t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t2.A)&IQ(t2.B,\"v1\")
+                 t1&EQ(t1.A,\"v2\")",
+                &mut ds,
+            ).unwrap();
+            let fd_shaped = |sigma| PairScan::new(cons.get(sigma), TupleVar::T1).fd_shape().is_some();
+            prop_assert!((0..6).all(fd_shaped) && !(6..9).any(fd_shaped));
+            prop_assert!(cons.get(5).is_symmetric() && !cons.get(4).is_symmetric());
+            let mut dead: Vec<TupleId> =
+                dead.into_iter().filter(|&t| (t as usize) < rows.len()).map(TupleId).collect();
+            dead.sort_unstable();
+            dead.dedup();
+            ds.delete_rows(&dead);
+
+            let want = find_violations_interpreted(&ds, &cons);
+            let cells_and_count = (noisy_cells(&want), want.len());
+            for threads in [1, 2, 4] {
+                prop_assert_eq!(&find_violations_with_threads(&ds, &cons, threads), &want);
+                prop_assert_eq!(&find_noisy_cells_with_threads(&ds, &cons, threads), &cells_and_count);
+            }
         }
 
         /// The blocked detector agrees with the quadratic oracle on random

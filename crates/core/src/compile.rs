@@ -88,6 +88,8 @@ pub struct CompileStats {
     /// `assemble` (their ordered merge into registry + design matrix),
     /// `ground` (Algorithm 1; DC-factor variants only). Together they
     /// cover the call but for the final weight-vector copy.
+    /// `pipeline::compile_model` puts `stats build`, the co-occurrence
+    /// statistics it builds before calling `compile`, in front.
     pub phases: Vec<(&'static str, Duration)>,
 }
 
@@ -130,7 +132,10 @@ pub struct CompileInput<'a> {
     pub constraints: &'a ConstraintSet,
     /// The noisy-cell set `D_n` from error detection.
     pub noisy: &'a FxHashSet<CellRef>,
-    /// Detected violations (reused for Algorithm 3 partitioning).
+    /// The detected violations. Read only by the variants that partition
+    /// (Algorithm 3 builds its conflict hypergraph from them); any other
+    /// variant ignores the slice, and `pipeline::compile_model` passes it
+    /// empty.
     pub violations: &'a [Violation],
     /// Co-occurrence statistics of the dataset.
     pub stats: &'a CooccurStats,
@@ -433,11 +438,6 @@ impl<'a> Signals<'a> {
     /// Queues every signal of one cell in its canonical order: the collect
     /// order *is* the per-row feature order in the design matrix and the
     /// weight interning order.
-    ///
-    /// Partitioning (Alg. 3) restricts the *factor grounding* of
-    /// Algorithm 1 only; the relaxed features of §5.2 always count against
-    /// all partners — dropping out-of-component partners would silence the
-    /// violations a bad repair would create with clean tuples.
     fn collect(&self, buf: &mut FeatureBuffer, cell: CellRef, candidates: &[Sym]) {
         let Signals {
             ds, stats, config, ..
@@ -455,7 +455,7 @@ impl<'a> Signals<'a> {
         collect_minimality_feature(buf, config, ds.cell_ref(cell), candidates);
         collect_external_features(buf, self.matches, cell, candidates, config.ext_dict_prior);
         if let Some(dcf) = &self.dc {
-            dcf.collect_features(buf, cell, candidates, None);
+            dcf.collect_features(buf, cell, candidates);
         }
         if let Some(sf) = &self.source {
             sf.collect_features(buf, ds, cell, candidates);
@@ -496,7 +496,7 @@ fn assemble(sinks: Vec<FeatureSink>) -> (FeatureRegistry<FeatureKey>, DesignMatr
 }
 
 /// Per-constraint tuple→component maps from the Algorithm 3 groups.
-pub fn build_components(
+fn build_components(
     constraints: &ConstraintSet,
     violations: &[Violation],
     tuple_count: usize,

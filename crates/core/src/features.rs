@@ -52,25 +52,33 @@
 //! and bucket layout detection uses — with the target cell's tuple as the
 //! probe, once per *role* that tuple can play (`t1`, or `t2`): join
 //! equalities are elided (partners are bucketed by their side, the
-//! target's side is the lookup key), probe-only predicates run once per
-//! candidate, and everything that reads the partner runs per partner
-//! against the values packed beside the bucket. Binding a predicate to the
-//! cell freezes the target tuple's other attributes and leaves the cell's
-//! own attribute reading the candidate.
+//! target's side is the lookup key), and binding a predicate to the cell
+//! freezes the target tuple's other attributes and leaves the cell's own
+//! attribute reading the candidate. Roles that block on the same partner
+//! key share one index.
 //!
-//! The walk keeps the interpreter's caps: it visits a bucket in tuple
-//! order, skips the target's own tuple and (when an Algorithm 3 component
-//! map is given) partners outside the target's component, stops after
-//! `scan_cap` visited partners, and stops a candidate whose count — summed
-//! over both roles — reaches `count_cap`. The caps count *visited*
-//! partners, so the buckets hold every tuple with a non-null key:
-//! partner-only predicates are evaluated with the residuals, never used to
-//! thin a bucket.
+//! **FD-shaped roles** (`PairScan::fd_shape`: a join key and one
+//! `target attr ≠ partner column`) are answered from the bucket's value
+//! groups without visiting a partner: with the target side holding `v`
+//! (the candidate when the cell is that attribute, else the tuple's stored
+//! value), the count is the bucket's members holding a non-null value
+//! other than `v` — minus the target's own tuple when it is one of them —
+//! and nothing when `v` is null. It is exact, then clamped to `count_cap`.
+//!
+//! Every other role walks its bucket: probe-only predicates run once per
+//! candidate, and everything that reads the partner runs per partner
+//! against the values packed beside the bucket. The walk visits a bucket
+//! in tuple order, skips the target's own tuple, stops after `scan_cap`
+//! visited partners (a cost bound on the walk, and so on this path only),
+//! and stops a candidate whose count — summed over both roles — reaches
+//! `count_cap`. `scan_cap` counts *visited* partners, so the buckets hold
+//! every tuple with a non-null key: partner-only predicates are evaluated
+//! with the residuals, never used to thin a bucket.
 
 use crate::config::HoloConfig;
 use holo_constraints::ast::TupleVar;
-use holo_constraints::scan::{BlockIndex, PairScan, ScanPredicate};
-use holo_constraints::{ConstraintId, ConstraintSet, DenialConstraint};
+use holo_constraints::scan::{build_shared, BlockIndex, PairScan, ScanPredicate};
+use holo_constraints::{ConstraintId, ConstraintSet};
 use holo_dataset::{AttrId, CellRef, Dataset, FxHashMap, Sym, TupleId};
 use holo_factor::{DesignBuilder, DesignMatrix, FeatureRegistry, WeightId};
 
@@ -363,11 +371,15 @@ pub fn collect_external_features(
 /// compiled partner scan (see the module docs).
 pub struct DcFeaturizer<'a> {
     ds: &'a Dataset,
+    /// One index per distinct partner key, every tuple with a non-null
+    /// key in it, shared by the roles that block on that key.
+    indexes: Vec<BlockIndex>,
     /// Per constraint, per role: the compiled scan.
-    indexes: Vec<Vec<RoleIndex>>,
-    /// Scan budget per (cell, candidate) — bounds worst-case block sizes.
+    roles: Vec<Vec<RoleIndex>>,
+    /// Partners a walked (cell, candidate, role) visits at most — bounds
+    /// worst-case block sizes.
     scan_cap: usize,
-    /// Count saturation (equals the scan budget).
+    /// Count saturation.
     count_cap: u32,
     /// Divisor applied to counts when emitting feature values, so SGD sees
     /// O(1)-magnitude features while the contribution stays *linear* in
@@ -386,11 +398,16 @@ struct RoleIndex {
     /// decide whether a cell participates at all.
     target_attrs: Vec<AttrId>,
     scan: PairScan,
-    /// Every tuple with a non-null key, `scan.partner_attrs` packed.
-    index: BlockIndex,
+    /// `scan.fd_shape()`: the role is counted from value groups if it has
+    /// one, walked if not.
+    fd_shape: Option<(AttrId, usize)>,
+    /// Which of [`DcFeaturizer::indexes`] blocks the partners.
+    index: usize,
+    /// `Side::Partner(col)` reads the index's packed column `slots[col]`.
+    slots: Vec<usize>,
 }
 
-/// Per-cell scratch of the partner scan, reused across constraints and
+/// Per-cell scratch of the partner walk, reused across constraints and
 /// roles.
 #[derive(Default)]
 struct ScanScratch {
@@ -402,22 +419,36 @@ struct ScanScratch {
 
 impl<'a> DcFeaturizer<'a> {
     /// Compiles every two-tuple constraint for each role its target can
-    /// play and buckets the partner tuples. `O(|Σ| · |D|)`.
+    /// play and buckets the partner tuples once per distinct partner key.
+    /// `O(keys · |D|)`.
     pub fn new(ds: &'a Dataset, constraints: &ConstraintSet, config: &HoloConfig) -> Self {
-        let mut indexes = Vec::with_capacity(constraints.len());
-        for (_, c) in constraints.iter() {
-            let mut role_indexes = Vec::new();
-            if c.two_tuple {
-                role_indexes.push(RoleIndex::build(ds, c, TupleVar::T1));
-                if !c.is_symmetric() {
-                    role_indexes.push(RoleIndex::build(ds, c, TupleVar::T2));
-                }
+        let mut compiled: Vec<(ConstraintId, Vec<AttrId>, PairScan)> = Vec::new();
+        for (sigma, c) in constraints.iter().filter(|(_, c)| c.two_tuple) {
+            let (t1_attrs, t2_attrs) = c.attrs_by_tuple();
+            compiled.push((sigma, t1_attrs, PairScan::new(c, TupleVar::T1)));
+            if !c.is_symmetric() {
+                compiled.push((sigma, t2_attrs, PairScan::new(c, TupleVar::T2)));
             }
-            indexes.push(role_indexes);
+        }
+        let scans: Vec<Option<&PairScan>> = compiled.iter().map(|(.., scan)| Some(scan)).collect();
+        let (indexes, index_of) = build_shared(ds, &scans, false, 1);
+        let mut roles: Vec<Vec<RoleIndex>> = Vec::new();
+        roles.resize_with(constraints.len(), Vec::new);
+        for ((sigma, target_attrs, scan), index) in
+            compiled.into_iter().zip(index_of.into_iter().flatten())
+        {
+            roles[sigma].push(RoleIndex {
+                target_attrs,
+                slots: indexes[index].slots_of(&scan),
+                fd_shape: scan.fd_shape(),
+                scan,
+                index,
+            });
         }
         DcFeaturizer {
             ds,
             indexes,
+            roles,
             scan_cap: 512,
             count_cap: 512,
             normalizer: f64::from(config.dc_feature_cap.max(1)),
@@ -427,24 +458,15 @@ impl<'a> DcFeaturizer<'a> {
 
     /// Would-be-violation counts of every candidate of `cell` for
     /// constraint `sigma`, with all other cells at their initial values.
-    /// `component` optionally restricts partners to an Algorithm 3 group.
     pub fn violation_counts(
         &self,
         sigma: ConstraintId,
         cell: CellRef,
         candidates: &[Sym],
-        component: Option<&FxHashMap<TupleId, u32>>,
     ) -> Vec<u32> {
         let mut counts = vec![0u32; candidates.len()];
         let mut scratch = ScanScratch::default();
-        self.count_into(
-            sigma,
-            cell,
-            candidates,
-            component,
-            &mut scratch,
-            &mut counts,
-        );
+        self.count_into(sigma, cell, candidates, &mut scratch, &mut counts);
         counts
     }
 
@@ -455,41 +477,32 @@ impl<'a> DcFeaturizer<'a> {
         sigma: ConstraintId,
         cell: CellRef,
         candidates: &[Sym],
-        component: Option<&FxHashMap<TupleId, u32>>,
         scratch: &mut ScanScratch,
         counts: &mut [u32],
     ) -> bool {
         let mut participates = false;
-        for role_index in &self.indexes[sigma] {
-            if role_index.target_attrs.contains(&cell.attr) {
+        for role in &self.roles[sigma] {
+            if role.target_attrs.contains(&cell.attr) {
                 participates = true;
-                role_index.accumulate(self, cell, candidates, component, scratch, counts);
+                match role.fd_shape {
+                    Some(fd) => role.count_grouped(self, fd, cell, candidates, counts),
+                    None => role.count_walked(self, cell, candidates, scratch, counts),
+                }
             }
         }
         participates
     }
 
     /// Queues the relaxed-DC features of one variable across all
-    /// constraints.
-    pub fn collect_features(
-        &self,
-        buf: &mut FeatureBuffer,
-        cell: CellRef,
-        candidates: &[Sym],
-        components: Option<&[FxHashMap<TupleId, u32>]>,
-    ) {
+    /// constraints. They count against every partner, whatever Algorithm 3
+    /// group it is in: partitioning restricts the *factor grounding* of
+    /// Algorithm 1 only — dropping out-of-component partners here would
+    /// silence the violations a bad repair would create with clean tuples.
+    pub fn collect_features(&self, buf: &mut FeatureBuffer, cell: CellRef, candidates: &[Sym]) {
         let mut scratch = ScanScratch::default();
         let mut counts = vec![0u32; candidates.len()];
-        for sigma in 0..self.indexes.len() {
-            let component = components.map(|c| &c[sigma]);
-            if !self.count_into(
-                sigma,
-                cell,
-                candidates,
-                component,
-                &mut scratch,
-                &mut counts,
-            ) {
+        for sigma in 0..self.roles.len() {
+            if !self.count_into(sigma, cell, candidates, &mut scratch, &mut counts) {
                 continue;
             }
             buf.push_group(
@@ -509,55 +522,88 @@ impl<'a> DcFeaturizer<'a> {
 }
 
 impl RoleIndex {
-    fn build(ds: &Dataset, c: &DenialConstraint, role: TupleVar) -> Self {
-        let (t1_attrs, t2_attrs) = c.attrs_by_tuple();
-        let target_attrs = match role {
-            TupleVar::T1 => t1_attrs,
-            TupleVar::T2 => t2_attrs,
-        };
-        let scan = PairScan::new(c, role);
-        let index = BlockIndex::build(ds, &scan.partner_key, &scan.partner_attrs, |_| true);
-        RoleIndex {
-            target_attrs,
-            scan,
-            index,
+    /// The bucket whose partners join with the target tuple when the cell
+    /// holds `d`.
+    fn bucket_for(&self, index: &BlockIndex, ds: &Dataset, cell: CellRef, d: Sym) -> Option<usize> {
+        index.lookup(self.scan.probe_key_of(ds, cell.tuple, Some((cell.attr, d))))
+    }
+
+    /// Whether every candidate meets the same partners: the cell is not
+    /// itself part of the join key.
+    fn shares_bucket(&self, cell: CellRef) -> bool {
+        !self.scan.probe_key.contains(&cell.attr)
+    }
+
+    /// An FD-shaped role — `target.probe_attr ≠ partner column` is its one
+    /// residual — from the bucket's value groups (module docs).
+    fn count_grouped(
+        &self,
+        featurizer: &DcFeaturizer<'_>,
+        (probe_attr, col): (AttrId, usize),
+        cell: CellRef,
+        candidates: &[Sym],
+        counts: &mut [u32],
+    ) {
+        let ds = featurizer.ds;
+        let index = &featurizer.indexes[self.index];
+        let column = &index.packed()[self.slots[col]];
+        // The target's own tuple is a bucket member like any other (its
+        // stored values, never the candidate) and is no partner of itself.
+        let own_key = self
+            .scan
+            .partner_key
+            .iter()
+            .map(|&attr| ds.cell(cell.tuple, attr));
+        let (own_bucket, own_value) = (
+            index.lookup(own_key),
+            ds.cell(cell.tuple, self.scan.partner_attrs[col]),
+        );
+        let shared_bucket = self
+            .shares_bucket(cell)
+            .then(|| self.bucket_for(index, ds, cell, Sym::NULL));
+        for (k, &d) in candidates.iter().enumerate() {
+            let v = if cell.attr == probe_attr {
+                d
+            } else {
+                ds.cell(cell.tuple, probe_attr)
+            };
+            if v.is_null() {
+                continue;
+            }
+            let Some(bucket) = shared_bucket.unwrap_or_else(|| self.bucket_for(index, ds, cell, d))
+            else {
+                continue;
+            };
+            let own = own_bucket == Some(bucket) && !own_value.is_null() && own_value != v;
+            let partners = column.differing(bucket, v) - u32::from(own);
+            counts[k] = (counts[k] + partners).min(featurizer.count_cap);
         }
     }
 
-    /// Accumulates per-candidate violation counts into `counts`.
-    fn accumulate(
+    /// Any other role: the partner walk (module docs).
+    fn count_walked(
         &self,
         featurizer: &DcFeaturizer<'_>,
         cell: CellRef,
         candidates: &[Sym],
-        component: Option<&FxHashMap<TupleId, u32>>,
         scratch: &mut ScanScratch,
         counts: &mut [u32],
     ) {
         let ds = featurizer.ds;
-        let RoleIndex { scan, index, .. } = self;
-        let target_component = component.and_then(|m| m.get(&cell.tuple).copied());
-        if component.is_some() && target_component.is_none() {
-            // Partitioning on, and this tuple is in no conflict component:
-            // no partners to consider.
-            return;
-        }
+        let (scan, index) = (&self.scan, &featurizer.indexes[self.index]);
         let bind = |p: &ScanPredicate| p.bind(ds, cell.tuple, Some(cell.attr));
         scratch.target_only.clear();
         scratch.target_only.extend(scan.probe_only.iter().map(bind));
         scratch.per_partner.clear();
         let per_partner = scan.partner_only.iter().chain(&scan.residual);
         scratch.per_partner.extend(per_partner.map(bind));
-        // Built for this scan alone: column `col` is `partner_attrs[col]`.
         let columns = index.packed();
-        // The bucket whose partners join with the target tuple when the
-        // cell holds `d`. Unless the cell is itself part of the join key,
-        // every candidate meets the same partners.
-        let bucket_for =
-            |d: Sym| index.lookup(scan.probe_key_of(ds, cell.tuple, Some((cell.attr, d))));
-        let shared_bucket = (!scan.probe_key.contains(&cell.attr)).then(|| bucket_for(Sym::NULL));
+        let shared_bucket = self
+            .shares_bucket(cell)
+            .then(|| self.bucket_for(index, ds, cell, Sym::NULL));
         for (k, &d) in candidates.iter().enumerate() {
-            let Some(bucket) = shared_bucket.unwrap_or_else(|| bucket_for(d)) else {
+            let Some(bucket) = shared_bucket.unwrap_or_else(|| self.bucket_for(index, ds, cell, d))
+            else {
                 continue;
             };
             let on_target = |p: &ScanPredicate| p.holds(ds, d, |_| Sym::NULL);
@@ -566,20 +612,14 @@ impl RoleIndex {
             }
             let mut scanned = 0usize;
             for at in index.range(bucket) {
-                let partner = index.members()[at];
-                if partner == cell.tuple {
+                if index.members()[at] == cell.tuple {
                     continue;
-                }
-                if let (Some(tc), Some(m)) = (target_component, component) {
-                    if m.get(&partner) != Some(&tc) {
-                        continue;
-                    }
                 }
                 scanned += 1;
                 if scanned > featurizer.scan_cap {
                     break;
                 }
-                let value = |col: usize| columns[col].values()[at];
+                let value = |col: usize| columns[self.slots[col]].values()[at];
                 if scratch.per_partner.iter().all(|p| p.holds(ds, d, value)) {
                     counts[k] += 1;
                     if counts[k] >= featurizer.count_cap {
@@ -742,6 +782,8 @@ impl SourceFeaturizer {
 mod reference {
     use super::*;
     use holo_constraints::ast::{eval_op, Operand};
+    use holo_constraints::DenialConstraint;
+    use holo_dataset::TupleId;
 
     impl FeatureBuffer {
         /// The queued weight keys, in queue (= interning) order.
@@ -827,7 +869,7 @@ mod tests {
     use super::reference::eval_constraint_subst;
     use super::*;
     use holo_constraints::ast::Operand;
-    use holo_constraints::parse_constraints;
+    use holo_constraints::{parse_constraints, DenialConstraint};
     use holo_dataset::Schema;
     use holo_factor::{FactorGraph, VarId, Variable};
 
@@ -945,7 +987,7 @@ mod tests {
         };
         let chicago = ds.pool().get("Chicago").unwrap();
         let cicago = ds.pool().get("Cicago").unwrap();
-        let counts = feat.violation_counts(0, cell, &[cicago, chicago], None);
+        let counts = feat.violation_counts(0, cell, &[cicago, chicago]);
         // Keeping "Cicago" violates against 3 partners; "Chicago" against 0.
         assert_eq!(counts, vec![3, 0]);
     }
@@ -968,7 +1010,7 @@ mod tests {
         };
         let z08 = ds.pool().get("60608").unwrap();
         let z09 = ds.pool().get("60609").unwrap();
-        let counts = feat.violation_counts(0, cell, &[z09, z08], None);
+        let counts = feat.violation_counts(0, cell, &[z09, z08]);
         // Zip 60609 conflicts with t1 (Evanston ≠ Chicago) → 1 violation.
         // Zip 60608 agrees with t0 (Chicago = Chicago) → 0 violations.
         assert_eq!(counts, vec![1, 0]);
@@ -990,7 +1032,7 @@ mod tests {
         let cicago = ds.pool().get("Cicago").unwrap();
         let chicago = ds.pool().get("Chicago").unwrap();
         let (g, v, reg) = sink_one(&[cicago, chicago], |buf| {
-            feat.collect_features(buf, cell, &[cicago, chicago], None)
+            feat.collect_features(buf, cell, &[cicago, chicago])
         });
         // Candidate "Cicago" gets the violation feature (count 1, scaled
         // by the normalizer); "Chicago" violates nothing → no entry.
@@ -1005,33 +1047,6 @@ mod tests {
             !w.is_fixed(g.features(v, 0)[0].0),
             "DC feature weight is learned"
         );
-    }
-
-    #[test]
-    fn partitioning_restricts_partners() {
-        let mut ds = Dataset::new(Schema::new(vec!["Zip", "City"]));
-        ds.push_row(&["60608", "Chicago"]);
-        ds.push_row(&["60608", "Cicago"]);
-        let cons = parse_constraints("FD: Zip -> City", &mut ds).unwrap();
-        let config = HoloConfig::default();
-        let feat = DcFeaturizer::new(&ds, &cons, &config);
-        let city = ds.schema().attr_id("City").unwrap();
-        let cell = CellRef {
-            tuple: 1usize.into(),
-            attr: city,
-        };
-        let cicago = ds.pool().get("Cicago").unwrap();
-        // Component map placing the two tuples in different components:
-        // the partner is filtered out.
-        let mut comp: FxHashMap<TupleId, u32> = FxHashMap::default();
-        comp.insert(0usize.into(), 0);
-        comp.insert(1usize.into(), 1);
-        let counts = feat.violation_counts(0, cell, &[cicago], Some(&comp));
-        assert_eq!(counts, vec![0]);
-        // Same component: the violation is counted.
-        comp.insert(0usize.into(), 1);
-        let counts = feat.violation_counts(0, cell, &[cicago], Some(&comp));
-        assert_eq!(counts, vec![1]);
     }
 
     #[test]
@@ -1069,15 +1084,16 @@ mod tests {
 
     /// The interpreted partner scan the compiled one replaced: bucket the
     /// partners by the join key, then run every predicate of the
-    /// constraint per partner through `eval_constraint_subst`.
+    /// constraint per partner through `eval_constraint_subst`, visiting at
+    /// most `scan_cap` partners per (candidate, role).
     fn interpreted_counts(
         ds: &Dataset,
         c: &DenialConstraint,
         cell: CellRef,
         candidates: &[Sym],
-        component: Option<&FxHashMap<TupleId, u32>>,
+        scan_cap: usize,
     ) -> Vec<u32> {
-        let (scan_cap, count_cap) = (512usize, 512u32);
+        let count_cap = 512u32;
         let mut counts = vec![0u32; candidates.len()];
         let mut roles = Vec::new();
         if c.two_tuple {
@@ -1119,10 +1135,6 @@ mod tests {
                     buckets.entry(key).or_default().push(t);
                 }
             }
-            let target_component = component.and_then(|m| m.get(&cell.tuple).copied());
-            if component.is_some() && target_component.is_none() {
-                continue;
-            }
             for (k, &d) in candidates.iter().enumerate() {
                 let key: Vec<Sym> = eq_pairs
                     .iter()
@@ -1145,11 +1157,6 @@ mod tests {
                     if partner == cell.tuple {
                         continue;
                     }
-                    if let (Some(tc), Some(m)) = (target_component, component) {
-                        if m.get(&partner) != Some(&tc) {
-                            continue;
-                        }
-                    }
                     scanned += 1;
                     if scanned > scan_cap {
                         break;
@@ -1171,11 +1178,14 @@ mod tests {
     }
 
     /// Every constraint × every cell × a candidate set (the column's
-    /// values, one foreign value, null): compiled ≡ interpreted.
+    /// values, one foreign value, null): compiled ≡ interpreted. An
+    /// FD-shaped constraint is counted from value groups, so its count is
+    /// the interpreter's over *every* partner, clamped to `count_cap`; any
+    /// other is walked and keeps the interpreter's `scan_cap`. In buckets
+    /// of ≤ 512 partners the two references are one.
     fn assert_scan_matches_interpreter(
         ds: &Dataset,
         cons: &ConstraintSet,
-        components: Option<&[FxHashMap<TupleId, u32>]>,
         cells: impl Iterator<Item = CellRef>,
         foreign: Sym,
     ) {
@@ -1188,10 +1198,20 @@ mod tests {
             candidates.push(foreign);
             candidates.push(Sym::NULL);
             for (sigma, c) in cons.iter() {
-                let component = components.map(|m| &m[sigma]);
+                let grouped = PairScan::new(c, TupleVar::T1).fd_shape().is_some();
+                let mut want = interpreted_counts(
+                    ds,
+                    c,
+                    cell,
+                    &candidates,
+                    if grouped { usize::MAX } else { 512 },
+                );
+                if grouped {
+                    want.iter_mut().for_each(|count| *count = (*count).min(512));
+                }
                 assert_eq!(
-                    feat.violation_counts(sigma, cell, &candidates, component),
-                    interpreted_counts(ds, c, cell, &candidates, component),
+                    feat.violation_counts(sigma, cell, &candidates),
+                    want,
                     "sigma {sigma} ({}) cell {cell:?}",
                     c.name
                 );
@@ -1199,20 +1219,25 @@ mod tests {
         }
     }
 
-    /// `scan_cap` / `count_cap` edge: one bucket of 511–514 partners, the
-    /// target tuple inside and outside the first 512, for a symmetric FD
-    /// and an asymmetric order constraint (two roles adding into one
-    /// count).
+    /// The caps at their edge: one bucket of 511–514 partners (and one of
+    /// 1 099, where a count passes `count_cap`), the target tuple inside
+    /// and outside the first 512. The FD and the cross-attribute FD shape
+    /// count every partner and clamp — at 513 and 514 partners that is not
+    /// what a 512-partner walk saw; the order constraint (two roles adding
+    /// into one count) and the FD with a constant predicate are walked and
+    /// stop at `scan_cap`.
     #[test]
     fn compiled_scan_keeps_caps_at_the_512_edge() {
-        for rows in 512usize..=515 {
+        for rows in [512usize, 513, 514, 515, 1100] {
             let mut ds = Dataset::new(Schema::new(vec!["K", "A", "N"]));
             for i in 0..rows {
-                ds.push_row(&["k".to_string(), format!("a{}", i % 3), format!("{}", i % 7)]);
+                // The last rows alone hold a2, past a 512-partner walk.
+                let a = if i >= 512 { 2 } else { i % 2 };
+                ds.push_row(&["k".to_string(), format!("a{a}"), format!("{}", i % 7)]);
             }
-            let foreign = ds.intern("elsewhere");
+            let (foreign, a2) = (ds.intern("elsewhere"), ds.intern("a2"));
             let cons = parse_constraints(
-                "FD: K -> A\nt1&t2&EQ(t1.K,t2.K)&LT(t1.N,t2.N)\nt1&t2&EQ(t1.K,t2.K)&IQ(t1.N,t2.N)&IQ(t1.A,\"a1\")",
+                "FD: K -> A\nt1&t2&EQ(t1.K,t2.K)&IQ(t1.N,t2.A)\nt1&t2&EQ(t1.K,t2.K)&LT(t1.N,t2.N)\nt1&t2&EQ(t1.K,t2.K)&IQ(t1.N,t2.N)&IQ(t1.A,\"a1\")",
                 &mut ds,
             )
             .unwrap();
@@ -1222,7 +1247,16 @@ mod tests {
                     attr: AttrId(a),
                 })
             });
-            assert_scan_matches_interpreter(&ds, &cons, None, cells, foreign);
+            assert_scan_matches_interpreter(&ds, &cons, cells, foreign);
+            // What the clamp and the missing scan cap mean, spelled out
+            // for t0.A under the FD.
+            let feat = DcFeaturizer::new(&ds, &cons, &HoloConfig::default());
+            let cell = CellRef::new(0, 1);
+            let counts = feat.violation_counts(0, cell, &[ds.cell_ref(cell), a2, foreign]);
+            let beyond = (rows - 512) as u32;
+            assert_eq!(counts[0], (256 + beyond).min(512), "a0: the a1 and a2 rows");
+            assert_eq!(counts[1], 511, "a2: the first 512 rows but t0 itself");
+            assert_eq!(counts[2], (rows as u32 - 1).min(512), "every partner");
         }
     }
 
@@ -1233,12 +1267,16 @@ mod tests {
         /// over tables with nulls in key and residual attributes, targets
         /// that are the blocking-key attribute, asymmetric two-role
         /// constraints (joins across different attributes included),
-        /// order, similarity and constant predicates, a join-free
-        /// constraint, and an Algorithm 3 component map.
+        /// order, similarity and constant predicates and a join-free
+        /// constraint. Three of the constraints are FD-shaped — two FDs
+        /// and a cross-attribute join with two roles — so the grouped
+        /// count meets a candidate in the key, in the dependent
+        /// attribute, null, foreign, and equal to and different from the
+        /// stored value, with the target's own tuple inside and outside
+        /// the bucket it is counted against.
         #[test]
         fn compiled_scan_equals_interpreter(
             rows in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4, 0u8..6), 2..28),
-            with_components in 0u8..2,
         ) {
             // 0 encodes a null cell.
             let cs = |p: &str, v: u8| if v == 0 { String::new() } else { format!("{p}{v}") };
@@ -1260,17 +1298,13 @@ mod tests {
                  t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t1.B)&LTE(t2.N,t2.N)",
                 &mut ds,
             ).unwrap();
-            let components = (with_components == 1).then(|| {
-                let violations = holo_constraints::find_violations(&ds, &cons);
-                crate::compile::build_components(&cons, &violations, ds.tuple_count())
-            });
+            let fd_shaped = |sigma| PairScan::new(cons.get(sigma), TupleVar::T1).fd_shape().is_some();
+            proptest::prop_assert!([0, 1, 3].into_iter().all(fd_shaped));
             let cells: Vec<CellRef> = ds
                 .tuples()
                 .flat_map(|t| ds.schema().attrs().map(move |attr| CellRef { tuple: t, attr }))
                 .collect();
-            assert_scan_matches_interpreter(
-                &ds, &cons, components.as_deref(), cells.into_iter(), foreign,
-            );
+            assert_scan_matches_interpreter(&ds, &cons, cells.into_iter(), foreign);
         }
     }
 }

@@ -68,7 +68,10 @@ use crate::context::DatasetContext;
 use crate::error::HoloError;
 use crate::features::MatchLookup;
 use crate::trainable::{attrs_of, trainable_attrs};
-use holo_constraints::{find_violations_with_threads, noisy_cells, ConstraintSet, Violation};
+use holo_constraints::{
+    find_noisy_cells_with_threads, find_violations_with_threads, noisy_cells, ConstraintSet,
+    Violation,
+};
 use holo_dataset::{CellRef, CooccurStats, Dataset, FxHashSet, StatsStats};
 use holo_detect::Detector;
 use holo_factor::{
@@ -131,8 +134,8 @@ pub struct PipelineContext {
     /// External-match lookup (`Matched` relation), possibly empty.
     pub matches: MatchLookup,
     /// Detection override: when set, this is the noisy set `D_n`, verbatim.
-    /// Violations are still detected — Algorithm 3 grouping and
-    /// [`crate::RepairOutcome::violations`] read them.
+    /// The violations of Σ are still detected: [`Detection::violations`]
+    /// counts them, and the partitioning variants group by them.
     pub noisy_override: Option<FxHashSet<CellRef>>,
     /// Extra detectors unioned with violation detection.
     pub extra_detectors: Vec<Box<dyn Detector + Send + Sync>>,
@@ -158,8 +161,12 @@ impl PipelineContext {
 /// What [`detect`] found.
 #[derive(Debug, PartialEq)]
 pub struct Detection {
-    /// Violations of Σ.
-    pub violations: Vec<Violation>,
+    /// How many violations of Σ the table holds.
+    pub violations: usize,
+    /// The violations themselves, for the one reader they have: Algorithm 3
+    /// ([`crate::ModelVariant::uses_partitioning`]). `None` under every
+    /// other variant — nothing would read the list, so it is never built.
+    pub violation_list: Option<Vec<Violation>>,
     /// The noisy-cell set `D_n`.
     pub noisy: FxHashSet<CellRef>,
 }
@@ -181,22 +188,35 @@ pub struct PipelineRun {
     pub timings: StageTimings,
 }
 
-/// Error detection: violations of Σ, and as the noisy set their cells plus
-/// any extra detectors' — or the override set verbatim. Violation probing
+/// Error detection: the violations of Σ — counted, and listed only when
+/// the variant partitions — and as the noisy set their cells plus any
+/// extra detectors' — or the override set verbatim. Violation probing
 /// shards across [`HoloConfig::threads`].
 pub fn detect(cx: &PipelineContext) -> Detection {
-    let violations = find_violations_with_threads(&cx.ds, &cx.constraints, cx.config.threads);
+    let (ds, threads) = (&cx.ds, cx.config.threads);
+    let (violation_list, violating, violations) = if cx.config.variant.uses_partitioning() {
+        let list = find_violations_with_threads(ds, &cx.constraints, threads);
+        let (cells, count) = (noisy_cells(&list), list.len());
+        (Some(list), cells, count)
+    } else {
+        let (cells, count) = find_noisy_cells_with_threads(ds, &cx.constraints, threads);
+        (None, cells, count)
+    };
     let noisy = match &cx.noisy_override {
         Some(cells) => cells.clone(),
         None => {
-            let mut noisy = noisy_cells(&violations);
+            let mut noisy = violating;
             for d in &cx.extra_detectors {
-                noisy.extend(d.detect(&cx.ds));
+                noisy.extend(d.detect(ds));
             }
             noisy
         }
     };
-    Detection { violations, noisy }
+    Detection {
+        violations,
+        violation_list,
+        noisy,
+    }
 }
 
 /// Compilation: co-occurrence statistics (the pair blocks of the target
@@ -204,7 +224,9 @@ pub fn detect(cx: &PipelineContext) -> Detection {
 /// pruning, featurization of every variable straight into the CSR design
 /// matrix and (in the factor variants) Algorithm 1 grounding. Pruning,
 /// featurization and grounding shard across [`HoloConfig::threads`].
-/// Returns the model and the statistics-engine gauges.
+/// Returns the model — the wall-clock of the statistics build prepended to
+/// its [`crate::compile::CompileStats::phases`] as `stats build` — and the
+/// statistics-engine gauges.
 pub fn compile_model(
     cx: &PipelineContext,
     detection: &Detection,
@@ -216,17 +238,20 @@ pub fn compile_model(
     // cells that keep ≥ 2 candidates.
     let noisy_attrs = attrs_of(cx.ds.schema().len(), detection.noisy.iter().copied());
     let targets = trainable_attrs(noisy_attrs, &cx.constraints, &cx.matches, &cx.config);
+    let started = Instant::now();
     let stats =
         CooccurStats::build_for_targets(&cx.ds, cx.config.threads, cx.config.naive_stats, &targets);
-    let model = compile(&CompileInput {
+    let stats_build = started.elapsed();
+    let mut model = compile(&CompileInput {
         ds: &cx.ds,
         constraints: &cx.constraints,
         noisy: &detection.noisy,
-        violations: &detection.violations,
+        violations: detection.violation_list.as_deref().unwrap_or_default(),
         stats: &stats,
         matches: &cx.matches,
         config: &cx.config,
     })?;
+    model.stats.phases.insert(0, ("stats build", stats_build));
     // Snapshot after compile so `corr_recomputes` reflects whether the
     // gate ran.
     Ok((model, stats.stats_stats()))
@@ -362,7 +387,11 @@ mod tests {
     fn standard_pipeline_fills_every_output() {
         let cx = zip_city_context(1);
         let out = run(&cx).unwrap();
-        assert!(!out.detection.violations.is_empty());
+        assert!(out.detection.violations > 0);
+        assert_eq!(
+            out.detection.violation_list, None,
+            "the default model reads no list"
+        );
         assert!(!out.detection.noisy.is_empty());
         assert!(out.model.stats.query_vars > 0);
         assert!(out.learn_stats.is_some());
@@ -375,6 +404,24 @@ mod tests {
         assert!(partition.components >= 1);
         assert_eq!(partition.components, partition.closed_form_components);
         assert_eq!(partition.gibbs_components, 0);
+    }
+
+    /// The violation list is built for the one reader it has, and the
+    /// count and the noisy set do not depend on whether it was.
+    #[test]
+    fn only_a_partitioning_variant_lists_its_violations() {
+        let relaxed = detect(&zip_city_context(1));
+        assert_eq!(relaxed.violation_list, None);
+        let mut cx = zip_city_context(1);
+        cx.config = cx
+            .config
+            .with_variant(crate::ModelVariant::DcFactorsPartitioned);
+        let partitioned = detect(&cx);
+        let listed = partitioned.violation_list.as_ref().map(Vec::len);
+        assert_eq!(listed, Some(8), "the typo against each clean 60608 row");
+        assert_eq!(partitioned.violations, 8);
+        assert_eq!(relaxed.violations, 8);
+        assert_eq!(relaxed.noisy, partitioned.noisy);
     }
 
     fn weight_bits(w: &Weights) -> Vec<u64> {

@@ -202,7 +202,7 @@ impl HoloClean {
             timings,
             model: model.stats.clone(),
             learn_stats,
-            violations: detection.violations.len(),
+            violations: detection.violations,
             noisy_cells: detection.noisy.len(),
         };
         Ok((outcome, model, weights))

@@ -413,7 +413,7 @@ impl StreamSession {
     /// Violations the cached run detected over the live table; `None`
     /// when there is no cached run (mutations detect nothing).
     pub fn violations(&self) -> Option<usize> {
-        Some(self.run.as_ref()?.detection.violations.len())
+        Some(self.run.as_ref()?.detection.violations)
     }
 
     /// Noisy cells of the cached run; `None` when there is none.

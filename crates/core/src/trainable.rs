@@ -162,7 +162,7 @@ mod tests {
             ds: &cx.ds,
             constraints: &cx.constraints,
             noisy: &detection.noisy,
-            violations: &detection.violations,
+            violations: detection.violation_list.as_deref().unwrap_or_default(),
             stats,
             matches: &cx.matches,
             config: &cx.config,

@@ -216,7 +216,7 @@ fn hospital_stream_never_rebuilds_after_the_first_batch() {
     let schema = session.dataset().schema();
     let outcome = one_shot_with(schema, &constraints, &rows, HoloConfig::default());
     assert!(outcome.violations > 0, "the slice must violate its DCs");
-    assert_eq!(detection.violations.len(), outcome.violations);
+    assert_eq!(detection.violations, outcome.violations);
     assert_eq!(detection.noisy.len(), outcome.noisy_cells);
     let timings = session.timings();
     assert_eq!(timings.ingest, stats);
