@@ -34,9 +34,9 @@ fn main() {
             }),
         ),
         (
-            "no distribution feature",
+            "tied co-occurrence weights start at 0",
             Box::new(|mut c| {
-                c.distribution_prior = 0.0;
+                c.occur_prior = 0.0;
                 c
             }),
         ),
@@ -102,7 +102,7 @@ fn main() {
     }
     table.print();
     println!("\nReading guide: the DC prior carries saturated constraint groups;");
-    println!("the distribution feature protects frequent values in fully-noisy");
+    println!("the co-occurrence prior protects frequent values in fully-noisy");
     println!("blocks (precision); the evidence-tau cap keeps SGD supplied with");
     println!("training examples; support filtering removes spurious candidates.");
 }

@@ -47,6 +47,12 @@
 //! bucket until it is mixed; a mixed bucket's FD-shaped constraints cost
 //! its size plus its violations, any other constraint its size squared.
 //!
+//! `quality.clean_cells_rewritten` counts repairs of clean cells, and of
+//! those `clean_rewritten_sibling_dirty` (an error elsewhere in the tuple),
+//! `_to_rarer` / `_to_equal` (new value rarer / as frequent in the dirty
+//! column). `occur_weights`: per attribute, its `Occur` weights and the top
+//! 3 `[conditioning attribute, w]` by |w|.
+//!
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
 //! (`pairs` built — only target attributes a variable can have — of
 //! `pairs_possible` = |A|(|A|−1), dense/CSR pair split, cell and byte
@@ -66,11 +72,11 @@ use holo_constraints::scan::{build_shared, PairScan};
 use holo_constraints::{find_noisy_cells_with_threads, ConstraintSet};
 use holo_datagen::{DatasetKind, GeneratedDataset};
 use holo_dataset::{AttrId, Dataset, FxHashMap, FxHashSet};
-use holo_factor::{VarId, WeightId};
+use holo_factor::{FeatureRegistry, VarId, WeightId, Weights};
 use holoclean::compile::CompiledModel;
 use holoclean::features::FeatureKey;
 use holoclean::stream::{IngestStats, StreamSession};
-use holoclean::{evaluate, HoloConfig, ModelVariant};
+use holoclean::{evaluate, HoloConfig, ModelVariant, Repair};
 
 /// One constraint's line of the `detect:` block.
 struct ConstraintDetect {
@@ -230,17 +236,64 @@ impl DetectProfile {
     }
 }
 
+/// Repairs of cells that were already clean (module docs).
+#[derive(Default)]
+struct CleanRewrites {
+    total: u64,
+    sibling_dirty: u64,
+    to_rarer: u64,
+    to_equal: u64,
+}
+
+fn clean_rewrites(gen: &GeneratedDataset, repairs: &[Repair]) -> CleanRewrites {
+    let (ds, errors) = (&gen.dirty, FxHashSet::from_iter(gen.errors.iter().copied()));
+    let dirty_tuples: FxHashSet<_> = gen.errors.iter().map(|c| c.tuple).collect();
+    let freq = holo_dataset::FrequencyStats::build(ds);
+    let mut out = CleanRewrites::default();
+    for r in repairs.iter().filter(|r| !errors.contains(&r.cell)) {
+        let count = |v: &str| ds.pool().get(v).map_or(0, |v| freq.count(r.cell.attr, v));
+        out.total += 1;
+        out.sibling_dirty += u64::from(dirty_tuples.contains(&r.cell.tuple));
+        match count(&r.new_value).cmp(&count(&r.old_value)) {
+            std::cmp::Ordering::Less => out.to_rarer += 1,
+            std::cmp::Ordering::Equal => out.to_equal += 1,
+            std::cmp::Ordering::Greater => {}
+        }
+    }
+    out
+}
+
+/// Per attribute with `Occur` weights, in attribute order: how many, and
+/// the three `(conditioning attribute, w)` with the largest |w|.
+type OccurWeights = (AttrId, usize, Vec<(AttrId, f64)>);
+
+fn occur_weights(registry: &FeatureRegistry<FeatureKey>, weights: &Weights) -> Vec<OccurWeights> {
+    let mut by_attr: std::collections::BTreeMap<AttrId, Vec<(AttrId, f64)>> = Default::default();
+    for (id, key) in registry.keys().iter().enumerate() {
+        if let FeatureKey::Occur { attr, cond_attr } = *key {
+            let w = weights.get(WeightId(id as u32));
+            by_attr.entry(attr).or_default().push((cond_attr, w));
+        }
+    }
+    let by_attr = by_attr.into_iter().map(|(attr, mut ws)| {
+        ws.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
+        (attr, ws.len(), ws.into_iter().take(3).collect())
+    });
+    by_attr.collect()
+}
+
 /// Emits the run's diagnostics as one JSON object for the bench
 /// trajectory: stage timings, `LearnStats`, `PartitionStats` and (for
 /// streamed runs) the `IngestStats`. Hand-rolled over `holo_bench::json` — the
 /// offline `serde` stub derives are no-ops, and the shape here is small
 /// and stable.
 fn print_json(
-    dataset: &str,
+    gen: &GeneratedDataset,
     out: &HoloOutcome,
-    detect: &DetectProfile,
+    (detect, clean, occur): (&DetectProfile, &CleanRewrites, &Vec<OccurWeights>),
     gate_hists: Option<&([u64; 4], [u64; 4])>,
 ) {
+    let name = |a: AttrId| gen.dirty.schema().attr_name(a);
     let t = &out.timings;
     let p = t.partition;
     let learn = match &out.learn_stats {
@@ -273,6 +326,22 @@ fn print_json(
     quality.field_num("f1", out.quality.f1);
     quality.field_u64("repairs", out.quality.total_repairs as u64);
     quality.field_u64("errors", out.quality.total_errors as u64);
+    quality.field_u64("clean_cells_rewritten", clean.total);
+    quality.field_u64("clean_rewritten_sibling_dirty", clean.sibling_dirty);
+    quality.field_u64("clean_rewritten_to_rarer", clean.to_rarer);
+    quality.field_u64("clean_rewritten_to_equal", clean.to_equal);
+    let occur = occur.iter().map(|(attr, n, top)| {
+        let top: Vec<String> = top
+            .iter()
+            .map(|&(c, w)| format!("[\"{}\",{}]", name(c), num(w)))
+            .collect();
+        let top = top.join(",");
+        format!(
+            "{{\"attr\":\"{}\",\"weights\":{n},\"top\":[{top}]}}",
+            name(*attr)
+        )
+    });
+    let occur: Vec<String> = occur.collect();
     let mut timings = JsonObj::new();
     timings.field_raw("detect_s", &num_exact(t.detect.as_secs_f64()));
     timings.field_raw("compile_s", &num_exact(t.compile.as_secs_f64()));
@@ -346,12 +415,13 @@ fn print_json(
     retire.field_u64("dead_rows", r.dead_rows);
 
     let mut root = JsonObj::new();
-    root.field_str("dataset", dataset);
+    root.field_str("dataset", gen.kind.name());
     root.field_raw("quality", &quality.finish());
     root.field_raw("timings", &timings.finish());
     root.field_raw("detect", &detect.json());
     root.field_raw("compile", &compile.finish());
     root.field_raw("learn", &learn);
+    root.field_raw("occur_weights", &format!("[{}]", occur.join(",")));
     root.field_raw("partition", &partition.finish());
     root.field_raw("stats", &stats.finish());
     root.field_raw("retire", &retire.finish());
@@ -540,8 +610,10 @@ fn main() {
         (hist(&prune(None)), hist(&prune(Some(gate))))
     });
     let detect = detect_profile(&gen, args.threads);
+    let clean = clean_rewrites(&gen, &out.report.repairs);
+    let occur = occur_weights(&registry, &weights);
     if args.json {
-        print_json(kind.name(), &out, &detect, gate_hists.as_ref());
+        print_json(&gen, &out, (&detect, &clean, &occur), gate_hists.as_ref());
         return;
     }
     println!(
@@ -554,6 +626,11 @@ fn main() {
         out.quality.total_errors,
         out.noisy_cells,
         out.model.query_vars,
+    );
+    println!(
+        "clean cells rewritten: {} ({} with a dirty sibling cell, {} to a column-rarer value, \
+         {} to an equally frequent one)",
+        clean.total, clean.sibling_dirty, clean.to_rarer, clean.to_equal
     );
     println!(
         "model: {} evidence vars from {} trainable attribute(s) ({} skipped: no query variable \
@@ -716,6 +793,16 @@ fn main() {
             None => f64::NAN,
         }
     });
+    println!("\nlearned co-occurrence weights (Occur; top 3 conditioning attributes by |w|):");
+    let name = |a: AttrId| gen.dirty.schema().attr_name(a);
+    for (attr, n, top) in &occur {
+        let top = top.iter().map(|&(c, w)| format!("{} {w:+.4}", name(c)));
+        println!(
+            "  {:<24} {n:>3} weight(s): {}",
+            name(*attr),
+            top.collect::<Vec<_>>().join(", ")
+        );
+    }
 
     // Per-attribute tallies.
     #[derive(Default)]

@@ -27,9 +27,8 @@ use crate::config::HoloConfig;
 use crate::domain::{CellDomains, PruneGate, PruneIndex};
 use crate::error::HoloError;
 use crate::features::{
-    collect_cooccur_features, collect_distribution_feature, collect_external_features,
-    collect_minimality_feature, DcFeaturizer, FeatureBuffer, FeatureKey, FeatureSink, MatchLookup,
-    SourceFeaturizer,
+    collect_external_features, collect_minimality_feature, collect_occur_features, DcFeaturizer,
+    FeatureBuffer, FeatureKey, FeatureSink, MatchLookup, SourceFeaturizer,
 };
 use crate::trainable::{attrs_of, trainable_attrs};
 use holo_constraints::ast::{Op, Operand, TupleVar};
@@ -109,7 +108,7 @@ fn timed<R>(
 pub struct CompiledModel {
     /// The factor graph.
     pub graph: FactorGraph,
-    /// Initial weights (fixed priors set, learnables at 0).
+    /// Initial weights: fixed values and the learnable weights' priors.
     pub weights: Weights,
     /// The feature registry (kept for introspection).
     pub registry: FeatureRegistry<FeatureKey>,
@@ -439,19 +438,9 @@ impl<'a> Signals<'a> {
     /// order *is* the per-row feature order in the design matrix and the
     /// weight interning order.
     fn collect(&self, buf: &mut FeatureBuffer, cell: CellRef, candidates: &[Sym]) {
-        let Signals {
-            ds, stats, config, ..
-        } = *self;
-        collect_cooccur_features(buf, ds, cell, candidates);
-        collect_distribution_feature(
-            buf,
-            ds,
-            stats,
-            cell,
-            candidates,
-            config.min_cond_support,
-            config.distribution_prior,
-        );
+        let (ds, config) = (self.ds, self.config);
+        let support_prior = (config.min_cond_support, config.occur_prior);
+        collect_occur_features(buf, (ds, self.stats), support_prior, cell, candidates);
         collect_minimality_feature(buf, config, ds.cell_ref(cell), candidates);
         collect_external_features(buf, self.matches, cell, candidates, config.ext_dict_prior);
         if let Some(dcf) = &self.dc {

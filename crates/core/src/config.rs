@@ -135,14 +135,11 @@ pub struct HoloConfig {
     /// trusts `Pr[v | v']` — rare conditioning values (count 1-2) produce
     /// spurious probability-1 candidates.
     pub min_cond_support: u32,
-    /// Initial (learnable) weight of the per-attribute empirical
-    /// distribution feature, whose value is the mean conditional
-    /// probability `Pr[d | v']` of a candidate across the tuple's other
-    /// cells. This is the "empirical distribution characterizing
-    /// attributes" signal of §1; unlike the per-(d, f) co-occurrence
-    /// weights it needs no per-value evidence, so it keeps defending
-    /// frequent values inside fully-noisy violation groups.
-    pub distribution_prior: f64,
+    /// Each tied co-occurrence weight `Occur { attr, A' }` starts at
+    /// `occur_prior / (|A| − 1)`, so an untrained candidate scores
+    /// `occur_prior` × its mean `Pr[d | v']` over the tuple's other cells —
+    /// §1's "empirical distribution", which needs no clean evidence.
+    pub occur_prior: f64,
     /// Optional source-reliability features.
     pub source: Option<SourceConfig>,
     /// SGD hyper-parameters.
@@ -234,7 +231,7 @@ impl Default for HoloConfig {
             max_evidence_per_attr: 800,
             evidence_tau_cap: 0.3,
             min_cond_support: 2,
-            distribution_prior: 2.0,
+            occur_prior: 1.0,
             source: None,
             learn: LearnConfig::default(),
             gibbs: GibbsConfig::default(),

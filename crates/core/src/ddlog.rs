@@ -35,8 +35,8 @@ pub fn render_program(ds: &Dataset, constraints: &ConstraintSet, config: &HoloCo
     out.push_str("// Random variable declaration (one categorical variable per cell)\n");
     out.push_str("Value?(t, a, d) :- Domain(t, a, d)\n\n");
 
-    out.push_str("// Quantitative statistics (weight per candidate/feature pair)\n");
-    out.push_str("Value?(t, a, d) :- HasFeature(t, a, f) weight = w(d, f)\n\n");
+    out.push_str("// Quantitative statistics (weight per attribute pair, value P(d | v'))\n");
+    out.push_str("Value?(t, a, d) :- HasFeature(t, a, f = (a', v')) weight = w(a, a')\n\n");
 
     out.push_str("// Minimality prior (fixed weight)\n");
     let _ = writeln!(
@@ -215,7 +215,7 @@ mod tests {
         let config = HoloConfig::default();
         let program = render_program(&ds, &cons, &config);
         assert!(program.contains("Value?(t, a, d) :- Domain(t, a, d)"));
-        assert!(program.contains("HasFeature(t, a, f) weight = w(d, f)"));
+        assert!(program.contains("HasFeature(t, a, f = (a', v')) weight = w(a, a')"));
         assert!(program.contains("InitValue(t, a, d) weight = 0.5"));
         assert!(program.contains("Matched(t, a, d, k) weight = w(k)"));
         assert!(

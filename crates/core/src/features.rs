@@ -3,9 +3,16 @@
 //!
 //! Every signal becomes unary features over the `Value?(t, a, d)` variables:
 //!
-//! * **Quantitative statistics** — `Value?(t,a,d) :- HasFeature(t,a,f)
-//!   weight = w(d,f)`: one feature per (candidate `d`, co-occurring cell
-//!   value `f = "A'=v'"`), weight learned per `(d, f)`.
+//! * **Quantitative statistics** — §4.2 writes `Value?(t,a,d) :-
+//!   HasFeature(t,a,f) weight = w(d,f)`, a weight per (candidate `d`, cell
+//!   value `f = "A'=v'"`). Like the authors' `OccurAttrFeaturizer` we tie it
+//!   per attribute pair: `Occur { attr, A' }` with `x = P(d | v')`. A
+//!   `w(d, f)` is trained only by evidence whose domain holds `d` (never a
+//!   typo) and goes negative on frequent values that lose in evidence; a
+//!   tied weight applies to every candidate and learns which `A'` predict
+//!   `attr`, in ≤ |A|·(|A| − 1) weights. Each starts at `occur_prior /
+//!   (|A| − 1)`, so untrained scores are `occur_prior` × the mean
+//!   conditional probability — what keeps tables without evidence repairable.
 //! * **Minimality prior** — `Value?(t,a,d) :- InitValue(t,a,d) weight = w`:
 //!   a fixed positive weight on keeping the observed value.
 //! * **External data** — `Value?(t,a,d) :- Matched(t,a,d,k) weight = w(k)`:
@@ -79,22 +86,19 @@ use crate::config::HoloConfig;
 use holo_constraints::ast::TupleVar;
 use holo_constraints::scan::{build_shared, BlockIndex, PairScan, ScanPredicate};
 use holo_constraints::{ConstraintId, ConstraintSet};
-use holo_dataset::{AttrId, CellRef, Dataset, FxHashMap, Sym, TupleId};
+use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, Sym, TupleId};
 use holo_factor::{DesignBuilder, DesignMatrix, FeatureRegistry, WeightId};
 
 /// Structured feature keys; interning them yields the tied weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureKey {
-    /// Quantitative-statistics feature `w(d, f)` with `f = (A', v')`.
-    Cooccur {
+    /// Quantitative-statistics feature, tied per attribute pair: `x = P(d |
+    /// v')` for the tuple's value `v'` of `cond_attr`.
+    Occur {
         /// Attribute of the cell.
         attr: AttrId,
-        /// Candidate value `d`.
-        value: Sym,
         /// Conditioning attribute `A'`.
         cond_attr: AttrId,
-        /// Conditioning value `v'`.
-        cond_value: Sym,
     },
     /// The minimality prior (single fixed weight).
     Minimality,
@@ -113,12 +117,6 @@ pub enum FeatureKey {
         /// The asserting source (interned name).
         source: Sym,
     },
-    /// Per-attribute empirical-distribution feature: the candidate's mean
-    /// conditional probability given the tuple's other cells.
-    Distribution {
-        /// Attribute of the cell.
-        attr: AttrId,
-    },
     /// Fixed weight of grounded DC clique factors (Algorithm 1).
     DcFactor,
 }
@@ -130,8 +128,6 @@ pub type MatchLookup = FxHashMap<(CellRef, Sym), Vec<u32>>;
 /// How a queued feature's weight is obtained from the registry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightSpec {
-    /// `registry.learnable(key)`.
-    Learnable(FeatureKey),
     /// `registry.learnable_init(key, prior)`.
     LearnableInit(FeatureKey, f64),
     /// `registry.fixed(key, value)`.
@@ -141,7 +137,6 @@ pub enum WeightSpec {
 impl WeightSpec {
     fn intern(self, registry: &mut FeatureRegistry<FeatureKey>) -> WeightId {
         match self {
-            WeightSpec::Learnable(key) => registry.learnable(key),
             WeightSpec::LearnableInit(key, prior) => registry.learnable_init(key, prior),
             WeightSpec::Fixed(key, value) => registry.fixed(key, value),
         }
@@ -165,8 +160,7 @@ pub struct FeatureBuffer {
 impl FeatureBuffer {
     /// Queues one feature grounding.
     pub fn push(&mut self, slot: usize, spec: WeightSpec, value: f64) {
-        self.entries.push((self.specs.len(), slot, value));
-        self.specs.push(spec);
+        self.push_group(spec, [(slot, value)]);
     }
 
     /// Queues a shared-weight group: `spec` is interned once and every
@@ -235,97 +229,44 @@ impl FeatureSink {
     }
 }
 
-/// Queues the quantitative-statistics features of one variable.
-pub fn collect_cooccur_features(
+/// Queues the tied co-occurrence features of one variable: per other
+/// attribute `A'` whose value `v'` in the tuple is non-null and seen at
+/// least `min_support` times, one group under `Occur { attr, A' }` holding
+/// `x = P(d | v') = #(d, v') / #v'` for every candidate `d` it is non-zero
+/// for. The weights start at `prior / (|A| − 1)` (module docs).
+pub fn collect_occur_features(
     buf: &mut FeatureBuffer,
-    ds: &Dataset,
+    (ds, stats): (&Dataset, &CooccurStats),
+    (min_support, prior): (u32, f64),
     cell: CellRef,
     candidates: &[Sym],
 ) {
-    for cond_attr in ds.schema().attrs() {
-        if cond_attr == cell.attr {
-            continue;
-        }
-        let cond_value = ds.cell(cell.tuple, cond_attr);
-        if cond_value.is_null() {
-            continue;
-        }
-        for (k, &d) in candidates.iter().enumerate() {
-            let spec = WeightSpec::Learnable(FeatureKey::Cooccur {
-                attr: cell.attr,
-                value: d,
-                cond_attr,
-                cond_value,
-            });
-            buf.push(k, spec, 1.0);
-        }
-    }
-}
-
-/// Queues the empirical-distribution feature: for each candidate `d`, the
-/// mean of `Pr[d | v']` across the tuple's other non-null cells whose
-/// values clear `min_support`. One learnable weight per attribute,
-/// initialised to `prior` — the signal is informative from the first
-/// iteration even for values that never appear in clean evidence.
-pub fn collect_distribution_feature(
-    buf: &mut FeatureBuffer,
-    ds: &Dataset,
-    stats: &holo_dataset::CooccurStats,
-    cell: CellRef,
-    candidates: &[Sym],
-    min_support: u32,
-    prior: f64,
-) {
-    let mut sums = vec![0.0f64; candidates.len()];
-    let mut cond_attrs = 0usize;
-    // Dense backend: resolve each candidate's value code once per cell,
-    // then probe count rows by code instead of re-hashing `(key, Sym)`
-    // per (partner, candidate) pair. Unseen candidates get the sentinel
-    // `u32::MAX`, which every block answers with count 0 — the same 0.0
-    // probability the hash path yields, added in the same order, so the
-    // sums are bit-identical.
-    let cand_codes: Option<Vec<u32>> = stats.codes().map(|codes| {
-        candidates
-            .iter()
-            .map(|&d| codes.code(cell.attr, d).unwrap_or(u32::MAX))
-            .collect()
+    let attr = cell.attr;
+    let init = prior / ds.schema().len().saturating_sub(1).max(1) as f64;
+    // Dense backend: each candidate's value code once per cell, then
+    // counts by code (an unseen candidate's sentinel `u32::MAX` counts 0);
+    // the naive backend has no codes and answers `cooccur_count`. Both
+    // divide the same integer counts, so the rows are bit-identical.
+    let codes: Option<Vec<u32>> = stats.codes().map(|codes| {
+        let code = |&d: &Sym| codes.code(attr, d).unwrap_or(u32::MAX);
+        candidates.iter().map(code).collect()
     });
     for cond_attr in ds.schema().attrs() {
-        if cond_attr == cell.attr {
-            continue;
-        }
         let v_cond = ds.cell(cell.tuple, cond_attr);
-        if v_cond.is_null() {
-            continue;
-        }
         let denom = stats.freq().count(cond_attr, v_cond);
-        if denom < min_support.max(1) {
+        if cond_attr == attr || v_cond.is_null() || denom < min_support.max(1) {
             continue;
         }
-        cond_attrs += 1;
-        if let Some(cc) = &cand_codes {
-            let view = stats.group(cond_attr, v_cond, cell.attr);
-            let df = f64::from(denom);
-            for (k, &code) in cc.iter().enumerate() {
-                let count = view.map_or(0, |g| g.count_by_code(code));
-                sums[k] += f64::from(count) / df;
-            }
-        } else {
-            for (k, &d) in candidates.iter().enumerate() {
-                sums[k] += stats.conditional_prob(cond_attr, v_cond, cell.attr, d);
-            }
-        }
+        let view = stats.group(cond_attr, v_cond, attr);
+        let count = |k: usize, d: Sym| match &codes {
+            Some(codes) => view.map_or(0, |g| g.count_by_code(codes[k])),
+            None => stats.cooccur_count(cond_attr, v_cond, attr, d),
+        };
+        let x = |(k, &d): (usize, &Sym)| (k, f64::from(count(k, d)) / f64::from(denom));
+        let spec = WeightSpec::LearnableInit(FeatureKey::Occur { attr, cond_attr }, init);
+        let entries = candidates.iter().enumerate().map(x);
+        buf.push_group(spec, entries.filter(|e| e.1 > 0.0));
     }
-    if cond_attrs == 0 {
-        return;
-    }
-    buf.push_group(
-        WeightSpec::LearnableInit(FeatureKey::Distribution { attr: cell.attr }, prior),
-        sums.iter().enumerate().filter_map(|(k, sum)| {
-            let mean = sum / cond_attrs as f64;
-            (mean > 0.0).then_some((k, mean))
-        }),
-    );
 }
 
 /// Queues the minimality prior: fires on the candidate equal to the
@@ -454,20 +395,6 @@ impl<'a> DcFeaturizer<'a> {
             normalizer: f64::from(config.dc_feature_cap.max(1)),
             prior: config.dc_violation_prior,
         }
-    }
-
-    /// Would-be-violation counts of every candidate of `cell` for
-    /// constraint `sigma`, with all other cells at their initial values.
-    pub fn violation_counts(
-        &self,
-        sigma: ConstraintId,
-        cell: CellRef,
-        candidates: &[Sym],
-    ) -> Vec<u32> {
-        let mut counts = vec![0u32; candidates.len()];
-        let mut scratch = ScanScratch::default();
-        self.count_into(sigma, cell, candidates, &mut scratch, &mut counts);
-        counts
     }
 
     /// Adds the counts of every role of `sigma` into `counts`; `false` if
@@ -777,7 +704,8 @@ impl SourceFeaturizer {
 }
 
 /// What the one-pass build and the compiled partner scan replaced, kept as
-/// the references their tests compare against.
+/// the references their tests compare against, and the accessors the tests
+/// read them through.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -785,13 +713,27 @@ mod reference {
     use holo_constraints::DenialConstraint;
     use holo_dataset::TupleId;
 
+    impl DcFeaturizer<'_> {
+        /// Would-be-violation counts of every candidate of `cell` for
+        /// constraint `sigma`, with all other cells at their initial values.
+        pub(super) fn violation_counts(
+            &self,
+            sigma: ConstraintId,
+            cell: CellRef,
+            candidates: &[Sym],
+        ) -> Vec<u32> {
+            let mut counts = vec![0u32; candidates.len()];
+            let mut scratch = ScanScratch::default();
+            self.count_into(sigma, cell, candidates, &mut scratch, &mut counts);
+            counts
+        }
+    }
+
     impl FeatureBuffer {
         /// The queued weight keys, in queue (= interning) order.
         pub(crate) fn keys(&self) -> impl Iterator<Item = FeatureKey> + '_ {
             self.specs.iter().map(|spec| match *spec {
-                WeightSpec::Learnable(key)
-                | WeightSpec::LearnableInit(key, _)
-                | WeightSpec::Fixed(key, _) => key,
+                WeightSpec::LearnableInit(key, _) | WeightSpec::Fixed(key, _) => key,
             })
         }
 
@@ -888,41 +830,157 @@ mod tests {
         (FactorGraph::from_design(vec![var], design), VarId(0), reg)
     }
 
-    #[test]
-    fn cooccur_features_one_per_cond_attr_and_candidate() {
-        let mut ds = Dataset::new(Schema::new(vec!["Zip", "City", "State"]));
-        ds.push_row(&["60608", "Chicago", "IL"]);
-        let city = ds.schema().attr_id("City").unwrap();
-        let chicago = ds.pool().get("Chicago").unwrap();
-        let other = ds.intern("Cicago");
-        let cell = CellRef {
-            tuple: 0usize.into(),
-            attr: city,
-        };
-        let (g, v, reg) = sink_one(&[chicago, other], |buf| {
-            collect_cooccur_features(buf, &ds, cell, &[chicago, other])
-        });
-        // 2 conditioning attrs × 2 candidates = 4 feature entries,
-        // 4 distinct weights (keys differ in candidate and cond attr).
-        assert_eq!(g.features(v, 0).len(), 2);
-        assert_eq!(g.features(v, 1).len(), 2);
-        assert_eq!(reg.len(), 4);
+    /// The tied co-occurrence features of `cell` over `candidates`, at the
+    /// default support and prior.
+    fn occur(
+        buf: &mut FeatureBuffer,
+        ds: &Dataset,
+        stats: &CooccurStats,
+        cell: CellRef,
+        candidates: &[Sym],
+    ) {
+        let config = HoloConfig::default();
+        let (support, prior) = (config.min_cond_support, config.occur_prior);
+        collect_occur_features(buf, (ds, stats), (support, prior), cell, candidates);
     }
 
     #[test]
-    fn cooccur_skips_null_conditioning() {
-        let mut ds = Dataset::new(Schema::new(vec!["Zip", "City"]));
-        ds.push_row(&["", "Chicago"]);
-        let city = ds.schema().attr_id("City").unwrap();
-        let chicago = ds.pool().get("Chicago").unwrap();
-        let cell = CellRef {
-            tuple: 0usize.into(),
-            attr: city,
+    fn occur_features_one_weight_per_cond_attr() {
+        let mut ds = Dataset::new(Schema::new(vec!["Zip", "City", "State"]));
+        for (zip, city, n) in [
+            ("60608", "Chicago", 3),
+            ("60608", "Cicago", 1),
+            ("60609", "Evanston", 2),
+        ] {
+            for _ in 0..n {
+                ds.push_row(&[zip, city, "IL"]);
+            }
+        }
+        let stats = CooccurStats::build(&ds);
+        let [zip, city, state] = [0, 1, 2].map(AttrId);
+        let candidates = ["Chicago", "Cicago", "Evanston"].map(|v| ds.pool().get(v).unwrap());
+        let prob = |cond: AttrId, t: usize, d: Sym| {
+            let v_cond = ds.cell(t.into(), cond);
+            f64::from(stats.cooccur_count(cond, v_cond, city, d))
+                / f64::from(stats.freq().count(cond, v_cond))
         };
-        let (g, v, _) = sink_one(&[chicago], |buf| {
-            collect_cooccur_features(buf, &ds, cell, &[chicago])
+        // t3.City and t0.City, then t3.State through one sink.
+        let mut sink = FeatureSink::default();
+        let mut buf = FeatureBuffer::default();
+        for cell in [CellRef::new(3, 1), CellRef::new(0, 1)] {
+            buf.clear();
+            occur(&mut buf, &ds, &stats, cell, &candidates);
+            sink.push_var(&buf, candidates.len());
+        }
+        let il = [ds.pool().get("IL").unwrap()];
+        buf.clear();
+        occur(&mut buf, &ds, &stats, CellRef::new(3, 2), &il);
+        sink.push_var(&buf, 1);
+        let (reg, design) = sink.finish();
+        let vars = [candidates.to_vec(), candidates.to_vec(), il.to_vec()]
+            .map(|domain| Variable::query(domain, Some(0)));
+        let g = FactorGraph::from_design(vars.to_vec(), design);
+
+        // City | Zip, City | State, State | Zip — State | City reads
+        // `Cicago`, seen once, below the support of 2.
+        let key = |attr, cond_attr| reg.get(&FeatureKey::Occur { attr, cond_attr }).unwrap();
+        assert_eq!(reg.len(), 3);
+        let (by_zip, by_state) = (key(city, zip), key(city, state));
+        assert_eq!(g.features(VarId(2), 0), &[(key(state, zip), 1.0)][..]);
+        let w = reg.build_weights();
+        for id in [by_zip, by_state] {
+            assert_eq!(w.get(id), HoloConfig::default().occur_prior / 2.0);
+            assert!(!w.is_fixed(id));
+        }
+        for (v, t) in [(0, 3), (1, 0)] {
+            for (k, &d) in candidates.iter().enumerate() {
+                // `Evanston` never co-occurs with 60608: no entry.
+                let mut want = vec![(by_zip, prob(zip, t, d)), (by_state, prob(state, t, d))];
+                want.retain(|&(_, x)| x > 0.0);
+                assert_eq!(g.features(VarId(v), k), &want[..], "t{t} {k}");
+            }
+        }
+        assert_eq!(g.features(VarId(0), 0)[0].1, 0.75);
+        assert_eq!(g.features(VarId(0), 2), &[(by_state, 2.0 / 6.0)][..]);
+    }
+
+    #[test]
+    fn occur_skips_null_rare_and_zero_probability() {
+        let mut ds = Dataset::new(Schema::new(vec!["Zip", "City", "State"]));
+        ds.push_row(&["", "Chicago", "IL"]);
+        ds.push_row(&["60608", "Chicago", "IL"]);
+        ds.push_row(&["60608", "Chicago", "IL"]);
+        ds.push_row(&["60609", "Evanston", "WI"]);
+        let foreign = ds.intern("Nowhere");
+        let stats = CooccurStats::build(&ds);
+        let chicago = ds.pool().get("Chicago").unwrap();
+        let evanston = ds.pool().get("Evanston").unwrap();
+        let candidates = [chicago, evanston, foreign];
+        // t0: Zip null, State IL seen 3 times — only Chicago co-occurs.
+        let (g, v, reg) = sink_one(&candidates, |buf| {
+            occur(buf, &ds, &stats, CellRef::new(0, 1), &candidates)
         });
-        assert!(g.features(v, 0).is_empty());
+        assert_eq!(g.features(v, 0).len(), 1);
+        assert!(g.features(v, 1).is_empty() && g.features(v, 2).is_empty());
+        assert_eq!(reg.len(), 1);
+        // t3: 60609 and WI are each seen once, below the support of 2.
+        let (g, v, reg) = sink_one(&candidates, |buf| {
+            occur(buf, &ds, &stats, CellRef::new(3, 1), &candidates)
+        });
+        assert!((0..3).all(|k| g.features(v, k).is_empty()));
+        assert!(reg.is_empty());
+    }
+
+    /// The dense backend reads counts by value code, the naive one through
+    /// `conditional_prob`: the same entries, bit for bit, for every cell
+    /// of a table with nulls, at two supports.
+    #[test]
+    fn occur_rows_are_bit_identical_on_both_backends() {
+        let mut ds = Dataset::new(Schema::new(vec!["A", "B", "C"]));
+        for i in 0..60usize {
+            let c = if i % 7 == 0 {
+                String::new()
+            } else {
+                format!("c{}", i % 4)
+            };
+            ds.push_row(&[format!("a{}", i % 3), format!("b{}", i * i % 5), c]);
+        }
+        let foreign = ds.intern("elsewhere");
+        let dense = CooccurStats::build_with_opts(&ds, 1, false);
+        let naive = CooccurStats::build_with_opts(&ds, 1, true);
+        assert!(dense.codes().is_some() && naive.codes().is_none());
+        let mut entries = 0;
+        for cell in ds.tuples().flat_map(|t| {
+            (0..3).map(move |a| CellRef {
+                tuple: t,
+                attr: AttrId(a),
+            })
+        }) {
+            let mut candidates = ds.active_domain(cell.attr);
+            candidates.push(foreign);
+            for support in [1, 3] {
+                let rows = |stats: &CooccurStats| {
+                    let mut buf = FeatureBuffer::default();
+                    collect_occur_features(
+                        &mut buf,
+                        (&ds, stats),
+                        (support, 1.0),
+                        cell,
+                        &candidates,
+                    );
+                    let bits: Vec<(usize, usize, u64)> = buf
+                        .entries
+                        .iter()
+                        .map(|&(u, k, x)| (u, k, x.to_bits()))
+                        .collect();
+                    (buf.specs, bits)
+                };
+                let want = rows(&dense);
+                assert_eq!(want, rows(&naive), "{cell:?} support {support}");
+                entries += want.1.len();
+            }
+        }
+        assert!(entries > 0);
     }
 
     #[test]

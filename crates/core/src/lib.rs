@@ -22,7 +22,7 @@
 //!   probability ≥ τ.
 //! * **Compilation** ([`compile`], [`features`]) turns each signal into
 //!   inference rules over `Value?` variables: co-occurrence features with
-//!   weights `w(d, f)`, a minimality prior, external-match features
+//!   weights tied per attribute pair, a minimality prior, external-match features
 //!   `w(k)`, relaxed denial-constraint features (§5.2), optional
 //!   source-reliability features, and — in the factor variants — grounded
 //!   denial-constraint cliques (Algorithm 1), optionally restricted by the

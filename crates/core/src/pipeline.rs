@@ -232,7 +232,7 @@ pub fn compile_model(
     detection: &Detection,
 ) -> Result<(CompiledModel, StatsStats), HoloError> {
     // Pair blocks only for the target attributes compile can read: those
-    // of the noisy cells (Algorithm 2, the distribution feature) and of
+    // of the noisy cells (Algorithm 2, the `Occur` features) and of
     // the evidence they can make trainable — a superset of the attributes
     // compile ends up drawing evidence from, which are seeded by the noisy
     // cells that keep ≥ 2 candidates.

@@ -1,7 +1,7 @@
 //! Which attributes a run has to build, featurize and train.
 //!
-//! Every learnable weight of the model is scoped: `Cooccur { attr, .. }`
-//! and `Distribution { attr }` to one target attribute, `DcViolation` to
+//! Every learnable weight of the model is scoped: `Occur { attr, .. }` (tied
+//! over values, never over targets) to one target attribute, `DcViolation` to
 //! the attributes one constraint mentions, `ExtDict` to the attributes one
 //! dictionary asserts values for, `Source` to the whole schema. An evidence
 //! variable trains only the weights its own rows name, so evidence of an
@@ -192,9 +192,8 @@ mod tests {
             .collect()
     }
 
-    /// Every key a design row of `cells` (`domains[i]` the candidates of
-    /// `cells[i]`) can name.
-    fn keys_of(cx: &PipelineContext, cells: &[CellRef], domains: &[&[Sym]]) -> Vec<FeatureKey> {
+    /// Every key a design row of `cells` can name.
+    fn keys_of(cx: &PipelineContext, cells: &[CellRef]) -> Vec<FeatureKey> {
         let ds = &cx.ds;
         let mut keys: FxHashSet<FeatureKey> = std::iter::once(FeatureKey::Minimality).collect();
         keys.extend(
@@ -211,29 +210,13 @@ mod tests {
                     .map(|source| FeatureKey::Source { source }),
             );
         }
-        for (cell, domain) in cells.iter().zip(domains) {
-            keys.insert(FeatureKey::Distribution { attr: cell.attr });
-            for cond_attr in ds.schema().attrs() {
-                let cond_value = ds.cell(cell.tuple, cond_attr);
-                keys.extend(domain.iter().map(|&value| FeatureKey::Cooccur {
-                    attr: cell.attr,
-                    value,
-                    cond_attr,
-                    cond_value,
-                }));
-            }
+        for cell in cells {
+            keys.extend(ds.schema().attrs().map(|cond_attr| FeatureKey::Occur {
+                attr: cell.attr,
+                cond_attr,
+            }));
         }
         keys.into_iter().collect()
-    }
-
-    /// The keys the query rows of `model` can name.
-    fn query_keys(cx: &PipelineContext, model: &CompiledModel) -> Vec<FeatureKey> {
-        let domains: Vec<&[Sym]> = model
-            .query_vars
-            .iter()
-            .map(|&v| model.graph.var(v).domain.as_slice())
-            .collect();
-        keys_of(cx, &model.query_cells, &domains)
     }
 
     /// Soundness, structural and exact. Against the reference that keeps
@@ -376,12 +359,11 @@ mod tests {
             .chain(&a.evidence_cells)
             .copied()
             .collect();
-        let domains: Vec<&[Sym]> = a.graph.vars().iter().map(|v| v.domain.as_slice()).collect();
         for (va, vb) in a.graph.vars().iter().zip(b.graph.vars()) {
             assert_eq!(va.domain, vb.domain, "{label}");
             assert_eq!((va.init, va.evidence), (vb.init, vb.evidence), "{label}");
         }
-        let keys = keys_of(cx, &cells, &domains);
+        let keys = keys_of(cx, &cells);
         let named = keys.iter().filter(|k| a.registry.get(k).is_some()).count();
         assert_eq!(
             named,
@@ -464,7 +446,7 @@ mod tests {
             };
             let (fw, rw) = (train(&filtered), train(&reference));
             let (mut compared, mut moved) = (0, 0.0f64);
-            for key in query_keys(&cx, &filtered) {
+            for key in keys_of(&cx, &filtered.query_cells) {
                 let Some(f) = filtered.registry.get(&key) else {
                     continue;
                 };
@@ -486,6 +468,36 @@ mod tests {
                 compared > 0 && moved > 1e-4,
                 "{kind:?}: {compared} weights, moved {moved}"
             );
+        }
+    }
+
+    /// A compiled model names at most one weight per ordered attribute
+    /// pair, constraint, dictionary and source, plus the minimality prior
+    /// and the DC-factor weight — whatever the table's size.
+    #[test]
+    fn registry_is_bounded_by_the_tied_keys_on_the_generators() {
+        for (kind, mut cx) in generated() {
+            let n = cx.ds.schema().len();
+            let dictionaries: FxHashSet<u32> = cx.matches.values().flatten().copied().collect();
+            let sources = cx.config.source.as_ref().map_or(0, |sc| {
+                let attr = cx.ds.schema().attr_id(&sc.source_attr).unwrap();
+                cx.ds.active_domain(attr).len()
+            });
+            let bound = n * (n - 1) + cx.constraints.len() + dictionaries.len() + sources + 2;
+            for variant in [
+                ModelVariant::DcFeats,
+                ModelVariant::DcFeatsDcFactorsPartitioned,
+            ] {
+                cx.config.variant = variant;
+                let (model, _) = pipeline::compile_model(&cx, &pipeline::detect(&cx)).unwrap();
+                let keys = model.registry.keys().iter();
+                let occur = keys
+                    .filter(|key| matches!(key, FeatureKey::Occur { .. }))
+                    .count();
+                let label = format!("{kind:?} {variant:?}: {} of {bound}", model.registry.len());
+                assert!(model.registry.len() <= bound, "{label}");
+                assert!(0 < occur && occur <= n * (n - 1), "{label}: {occur} Occur");
+            }
         }
     }
 

@@ -1,10 +1,10 @@
 //! Tied weights and feature interning.
 //!
-//! HoloClean's inference rules are *weight-parameterised*: e.g. the
-//! quantitative-statistics rule `Value?(t,a,d) :- HasFeature(t,a,f)
-//! weight = w(d,f)` shares one weight across every grounding with the same
-//! `(d, f)` (§4.2). The [`FeatureRegistry`] interns arbitrary structured
-//! keys to dense [`WeightId`]s; [`Weights`] stores the values, separating
+//! HoloClean's inference rules are *weight-parameterised*: e.g. a
+//! relaxed denial constraint `σ` shares one weight `w(σ)` across every
+//! grounding (§4.2, §5.2). The [`FeatureRegistry`] interns arbitrary
+//! structured keys to dense [`WeightId`]s and names each id by its key;
+//! [`Weights`] stores the values, separating
 //! *learnable* weights (updated by SGD) from *fixed* weights (the
 //! minimality prior and the constant denial-constraint weight `w` of
 //! Algorithm 1).
@@ -26,11 +26,12 @@ impl WeightId {
     }
 }
 
-/// Interns structured feature keys (e.g. `(attr, candidate, co-attr, value)`
-/// tuples) into dense weight ids.
+/// Interns structured feature keys (e.g. `(attr, co-attr)` pairs) into
+/// dense weight ids, and keeps the keys in id order.
 #[derive(Debug, Clone)]
 pub struct FeatureRegistry<K> {
     map: FxHashMap<K, WeightId>,
+    keys: Vec<K>,
     fixed: Vec<bool>,
     initial: Vec<f64>,
 }
@@ -39,6 +40,7 @@ impl<K: Hash + Eq + Clone> Default for FeatureRegistry<K> {
     fn default() -> Self {
         FeatureRegistry {
             map: FxHashMap::default(),
+            keys: Vec::new(),
             fixed: Vec::new(),
             initial: Vec::new(),
         }
@@ -49,11 +51,6 @@ impl<K: Hash + Eq + Clone> FeatureRegistry<K> {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Interns `key` as a learnable weight initialised to 0.
-    pub fn learnable(&mut self, key: K) -> WeightId {
-        self.intern(key, false, 0.0)
     }
 
     /// Interns `key` as a learnable weight with a non-zero prior value —
@@ -72,6 +69,7 @@ impl<K: Hash + Eq + Clone> FeatureRegistry<K> {
         match self.map.entry(key) {
             Entry::Occupied(seen) => *seen.get(),
             Entry::Vacant(slot) => {
+                self.keys.push(slot.key().clone());
                 slot.insert(id);
                 self.fixed.push(fixed);
                 self.initial.push(value);
@@ -91,23 +89,23 @@ impl<K: Hash + Eq + Clone> FeatureRegistry<K> {
     /// fixedness and value) of its first appearance overall, wherever the
     /// chunk boundaries fall.
     pub fn absorb(&mut self, other: FeatureRegistry<K>) -> Vec<WeightId> {
-        let mut keys: Vec<Option<K>> = vec![None; other.len()];
-        for (key, id) in other.map {
-            keys[id.index()] = Some(key);
-        }
-        self.map.reserve(keys.len());
-        keys.into_iter()
+        self.map.reserve(other.len());
+        other
+            .keys
+            .into_iter()
             .zip(other.fixed.into_iter().zip(other.initial))
-            .map(|(key, (fixed, value))| {
-                let key = key.expect("a registry's ids are dense");
-                self.intern(key, fixed, value)
-            })
+            .map(|(key, (fixed, value))| self.intern(key, fixed, value))
             .collect()
     }
 
     /// Looks up a key without interning.
     pub fn get(&self, key: &K) -> Option<WeightId> {
         self.map.get(key).copied()
+    }
+
+    /// The interned keys in id order: `keys()[id.index()]` names `id`.
+    pub fn keys(&self) -> &[K] {
+        &self.keys
     }
 
     /// Number of interned weights.
@@ -200,6 +198,14 @@ impl Weights {
             .collect();
         squares.sort_by(f64::total_cmp);
         squares.iter().sum::<f64>().sqrt()
+    }
+}
+
+#[cfg(test)]
+impl<K: Hash + Eq + Clone> FeatureRegistry<K> {
+    /// Interns `key` as a learnable weight initialised to 0.
+    pub fn learnable(&mut self, key: K) -> WeightId {
+        self.intern(key, false, 0.0)
     }
 }
 
@@ -312,5 +318,23 @@ mod tests {
         assert_eq!(reg.get(&Key::Minimality), None);
         let id = reg.learnable(Key::Minimality);
         assert_eq!(reg.get(&Key::Minimality), Some(id));
+    }
+
+    /// Every id names the key it was interned for, after `absorb` too.
+    #[test]
+    fn ids_name_their_keys() {
+        let mut reg: FeatureRegistry<Key> = FeatureRegistry::new();
+        let a = reg.learnable(Key::Dict(3));
+        let b = reg.fixed(Key::Minimality, 1.0);
+        let mut later = FeatureRegistry::new();
+        later.learnable(Key::Minimality);
+        later.learnable(Key::Dict(4));
+        let remap = reg.absorb(later);
+        assert_eq!(remap, vec![b, WeightId(2)]);
+        assert_eq!((a, b), (WeightId(0), WeightId(1)));
+        assert_eq!(reg.keys(), [Key::Dict(3), Key::Minimality, Key::Dict(4)]);
+        for (id, key) in reg.keys().iter().enumerate() {
+            assert_eq!(reg.get(key), Some(WeightId(id as u32)));
+        }
     }
 }

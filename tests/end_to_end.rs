@@ -4,10 +4,13 @@
 //!
 //! The runs are deterministic, so each quality floor is the score measured
 //! when it was last set, minus 0.03. Floors only move up, and only with
-//! the newly measured numbers in the commit message. Measured at PR 18:
-//! hospital(400) P 0.841 / R 0.649 / F1 0.733, food(250) 0.816 / 0.722 /
-//! 0.766, physicians(2000) P 1.0 / R 0.984, flights(40 × 25) P 0.922 /
-//! R 0.833.
+//! the newly measured numbers in the commit message. Measured with the
+//! co-occurrence weights tied per attribute pair: hospital(400) P 0.909 /
+//! R 0.614 / F1 0.733, paper-shaped hospital(1000) 0.994 / 0.706 / 0.826,
+//! food(250) 0.913 / 0.685 / 0.783, physicians(2000) P 1.0 / R 0.984,
+//! flights(40 × 25) P 0.927 / R 0.843. Tying the weights was the one
+//! sanctioned recall step down (hospital 0.649 → 0.614, food 0.722 →
+//! 0.685), bought with +0.07 / +0.10 precision.
 
 use holoclean_repro::holo_baselines::{to_report, Holistic, Katara, RepairSystem, Scare};
 use holoclean_repro::holo_constraints::parse_constraints;
@@ -42,9 +45,26 @@ fn hospital_quality_floor() {
         ..HospitalConfig::default()
     });
     let q = run_holoclean(&gen, 0.5, None);
-    assert!(q.precision > 0.811, "precision {q:?}");
-    assert!(q.recall > 0.619, "recall {q:?}");
+    assert!(q.precision > 0.879, "precision {q:?}");
+    assert!(q.recall > 0.584, "recall {q:?}");
     assert!(q.f1 > 0.703, "f1 {q:?}");
+}
+
+/// The hospital table the paper describes: ten rows per provider and
+/// independent typos (the default generator adds two-row providers and
+/// replicated typos, which the paper's table does not have).
+#[test]
+fn paper_shaped_hospital_quality_floor() {
+    let gen = hospital(HospitalConfig {
+        rows: 1_000,
+        small_provider_rate: 0.0,
+        correlated_rate: 0.0,
+        ..HospitalConfig::default()
+    });
+    let q = run_holoclean(&gen, 0.5, None);
+    assert!(q.precision > 0.964, "{q:?}");
+    assert!(q.recall > 0.676, "{q:?}");
+    assert!(q.f1 > 0.795, "{q:?}");
 }
 
 #[test]
@@ -55,8 +75,8 @@ fn flights_quality_floor_and_source_lift() {
         ..FlightsConfig::default()
     });
     let with_sources = run_holoclean(&gen, 0.3, Some(("Flight", "Source")));
-    assert!(with_sources.precision > 0.892, "{with_sources:?}");
-    assert!(with_sources.recall > 0.803, "{with_sources:?}");
+    assert!(with_sources.precision > 0.897, "{with_sources:?}");
+    assert!(with_sources.recall > 0.812, "{with_sources:?}");
     // Source-reliability features must provide a real lift.
     let without = run_holoclean(&gen, 0.3, None);
     assert!(
@@ -72,9 +92,9 @@ fn food_quality_floor() {
         ..FoodConfig::default()
     });
     let q = run_holoclean(&gen, 0.5, None);
-    assert!(q.precision > 0.786, "{q:?}");
-    assert!(q.recall > 0.692, "{q:?}");
-    assert!(q.f1 > 0.736, "{q:?}");
+    assert!(q.precision > 0.882, "{q:?}");
+    assert!(q.recall > 0.655, "{q:?}");
+    assert!(q.f1 > 0.752, "{q:?}");
 }
 
 #[test]
