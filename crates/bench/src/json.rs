@@ -1,6 +1,5 @@
-//! Minimal hand-rolled JSON emission and parsing shared by the
-//! machine-readable diagnostics (`diag --json`, the streaming
-//! `IngestStats` dump, the `bench_diff` snapshot reader).
+//! Minimal hand-rolled JSON emission for the machine-readable
+//! diagnostics (`diag --json` and its streaming `IngestStats` dump).
 //!
 //! The offline `serde` stubs have no-op derives, so the binaries emit
 //! JSON by hand; before this module each emission site re-implemented
@@ -12,11 +11,8 @@
 //! * numbers print finitely or as `null`: bare `NaN`/`inf` are not JSON
 //!   and would break every consumer.
 //!
-//! The reading side is [`JsonValue::parse`] — a small recursive-descent
-//! parser covering exactly the grammar the writer emits (objects,
-//! arrays, strings with the escapes above, numbers, booleans, `null`),
-//! so `bench_diff` can load committed `BENCH_*.json` snapshots without
-//! an external JSON crate.
+//! There is no reading side: what reads this output (CI's Python `json`
+//! module and `grep`) lives outside the workspace.
 
 use std::fmt::Write as _;
 
@@ -132,241 +128,6 @@ impl JsonObj {
     }
 }
 
-/// A parsed JSON value — the reading counterpart of [`JsonObj`]. Object
-/// members keep document order in a `Vec` (the snapshots are small and
-/// ordered; no hash map needed).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (the writer only emits finite ones).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, members in document order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Parses one JSON document; trailing non-whitespace is an error.
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Object member lookup (first match; `None` on non-objects).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(JsonValue::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogate pairs never appear in our own output
-                            // (the writer escapes only control bytes); map
-                            // lone surrogates to the replacement character.
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape {:?}", other as char)),
-                    }
-                }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: the input is a &str, so the
-                    // sequence is valid — copy it whole.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,59 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn parser_round_trips_the_writers_output() {
-        let mut inner = JsonObj::new();
-        inner.field_str("label", "end_to_end/hospital \"full\"");
-        inner.field_u64("median_ns", 123_456);
-        let mut o = JsonObj::new();
-        o.field_str("bench", "pipeline");
-        o.field_num("f1", 0.5);
-        o.field_raw("benchmarks", &format!("[{}]", inner.finish()));
-        o.field_raw("missing", "null");
-        let v = JsonValue::parse(&o.finish()).unwrap();
-        assert_eq!(v.get("bench").and_then(JsonValue::as_str), Some("pipeline"));
-        assert_eq!(v.get("f1").and_then(JsonValue::as_f64), Some(0.5));
-        assert_eq!(v.get("missing"), Some(&JsonValue::Null));
-        let rows = v.get("benchmarks").and_then(JsonValue::as_arr).unwrap();
-        assert_eq!(
-            rows[0].get("label").and_then(JsonValue::as_str),
-            Some("end_to_end/hospital \"full\"")
-        );
-        assert_eq!(
-            rows[0].get("median_ns").and_then(JsonValue::as_f64),
-            Some(123_456.0)
-        );
-    }
-
-    #[test]
-    fn parser_handles_escapes_whitespace_and_scalars() {
-        let v = JsonValue::parse(" { \"a\\n\\u0041\" : [ 1 , -2.5e1 , true , false , null ] } ")
-            .unwrap();
-        let arr = v.get("a\nA").and_then(JsonValue::as_arr).unwrap();
-        assert_eq!(arr[0], JsonValue::Num(1.0));
-        assert_eq!(arr[1], JsonValue::Num(-25.0));
-        assert_eq!(arr[2], JsonValue::Bool(true));
-        assert_eq!(arr[3], JsonValue::Bool(false));
-        assert_eq!(arr[4], JsonValue::Null);
-        assert_eq!(JsonValue::parse("[]").unwrap(), JsonValue::Arr(vec![]));
-        assert_eq!(JsonValue::parse("{}").unwrap(), JsonValue::Obj(vec![]));
-        assert_eq!(
-            JsonValue::parse("\"é\"").unwrap(),
-            JsonValue::Str("é".to_string())
-        );
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        assert!(JsonValue::parse("").is_err());
-        assert!(JsonValue::parse("{").is_err());
-        assert!(JsonValue::parse("[1,]").is_err());
-        assert!(JsonValue::parse("{\"a\":1} trailing").is_err());
-        assert!(JsonValue::parse("\"unterminated").is_err());
-        assert!(JsonValue::parse("nulll").is_err());
-    }
-
-    #[test]
     fn object_builder_produces_valid_member_sequences() {
         let mut o = JsonObj::new();
         o.field_str("s", "x\"y");
@@ -458,5 +166,15 @@ mod tests {
             r#"{"s":"x\"y","n":2.000000,"u":7,"nested":{"a":1},"none":null}"#
         );
         assert_eq!(JsonObj::new().finish(), "{}");
+        // An escaped string inside a finished object nested through
+        // `field_raw` keeps its escapes verbatim.
+        let mut inner = JsonObj::new();
+        inner.field_str("label", "hospital \"full\"\n");
+        let mut outer = JsonObj::new();
+        outer.field_raw("rows", &format!("[{}]", inner.finish()));
+        assert_eq!(
+            outer.finish(),
+            r#"{"rows":[{"label":"hospital \"full\"\n"}]}"#
+        );
     }
 }

@@ -54,6 +54,6 @@ pub use ast::{ConstraintId, ConstraintSet, DenialConstraint, Op, Operand, Predic
 pub use hypergraph::{ConflictHypergraph, TupleGroups};
 pub use parser::{parse_constraint, parse_constraints, ParseError};
 pub use violations::{
-    find_noisy_cells_with_threads, find_violations, find_violations_naive,
-    find_violations_with_threads, noisy_cells, CellList, Violation,
+    find_noisy_cells_with_threads, find_violations, find_violations_with_threads, noisy_cells,
+    CellList, Violation,
 };

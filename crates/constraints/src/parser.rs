@@ -6,7 +6,8 @@
 //! * **Denial constraints**, in the convention used by the HoloClean
 //!   research code: `t1&t2&EQ(t1.Zip,t2.Zip)&IQ(t1.City,t2.City)`.
 //!   Operators: `EQ` (=), `IQ` (≠), `LT` (<), `GT` (>), `LTE` (≤),
-//!   `GTE` (≥), `SIM` (≈, default threshold 0.8, override as `SIM0.9`).
+//!   `GTE` (≥), `SIM` (≈, default threshold 0.8, override as `SIM0.9`;
+//!   a threshold outside `[0, 1]` is an error).
 //!   Operands are `t1.Attr`, `t2.Attr`, or a quoted constant `"IL"`.
 //!   Declaring only `t1` gives a single-tuple constraint.
 //! * **Functional-dependency sugar**: `FD: Zip -> City, State` expands to
@@ -29,6 +30,9 @@ pub enum ParseError {
     UndeclaredTuple(String),
     /// An unknown operator token.
     UnknownOp(String),
+    /// A `SIM` token whose threshold is a number but not a finite one in
+    /// `[0, 1]` (`SIM-1`, `SIM1.5`, `SIMnan`, `SIMinf`).
+    SimThreshold(String),
 }
 
 impl fmt::Display for ParseError {
@@ -38,6 +42,9 @@ impl fmt::Display for ParseError {
             ParseError::UnknownAttribute(a) => write!(f, "unknown attribute {a:?}"),
             ParseError::UndeclaredTuple(t) => write!(f, "undeclared tuple variable {t:?}"),
             ParseError::UnknownOp(op) => write!(f, "unknown operator {op:?}"),
+            ParseError::SimThreshold(op) => {
+                write!(f, "similarity threshold of {op:?} is not in [0, 1]")
+            }
         }
     }
 }
@@ -264,6 +271,11 @@ fn parse_op(token: &str) -> Result<Op, ParseError> {
                     rest.parse::<f64>()
                         .map_err(|_| ParseError::UnknownOp(token.to_string()))?
                 };
+                // A similarity lies in [0, 1]: a threshold below it makes
+                // every non-null pair similar, and NaN none.
+                if !(0.0..=1.0).contains(&threshold) {
+                    return Err(ParseError::SimThreshold(token.to_string()));
+                }
                 Op::Sim(threshold)
             } else {
                 return Err(ParseError::UnknownOp(token.to_string()));
@@ -372,6 +384,40 @@ mod tests {
             Op::Sim(t) => assert!((t - 0.8).abs() < 1e-12),
             other => panic!("expected SIM, got {other:?}"),
         }
+    }
+
+    /// A threshold is a finite number in [0, 1]; a number outside it is a
+    /// typed error, a token that is no number stays an unknown operator.
+    #[test]
+    fn sim_threshold_must_lie_in_the_unit_interval() {
+        let mut ds = ds();
+        let mut parse =
+            |op: &str| parse_constraint(&format!("t1&t2&{op}(t1.City,t2.City)"), &mut ds);
+        for (op, want) in [
+            ("SIM0", 0.0),
+            ("SIM1", 1.0),
+            ("SIM1.0", 1.0),
+            ("SIM.5", 0.5),
+        ] {
+            assert_eq!(
+                parse(op).unwrap()[0].predicates[0].op,
+                Op::Sim(want),
+                "{op}"
+            );
+        }
+        for op in [
+            "SIM-1", "SIM1.5", "SIM-0.1", "SIMnan", "SIMNaN", "SIMinf", "SIM-inf",
+        ] {
+            assert_eq!(
+                parse(op).unwrap_err(),
+                ParseError::SimThreshold(op.to_string()),
+                "{op}"
+            );
+        }
+        assert_eq!(
+            parse("SIMx").unwrap_err(),
+            ParseError::UnknownOp("SIMx".to_string())
+        );
     }
 
     #[test]

@@ -43,8 +43,7 @@
 //! ever formed. Every other constraint marks the cells of the pairs its
 //! list path finds, without stamping them into [`Violation`]s.
 //!
-//! Constraints with no join key fall back to the pairwise scan (exposed
-//! separately as [`find_violations_naive`], the quadratic oracle);
+//! Constraints with no join key fall back to the pairwise scan;
 //! single-tuple constraints evaluate their predicates per tuple.
 //!
 //! ## The order contract
@@ -62,8 +61,8 @@
 //! The loop this replaced — block per constraint by a `Vec<Sym>` key, then
 //! interpret [`DenialConstraint::violated_by`] on every same-key pair —
 //! survives as the `#[cfg(test)]` module `reference`; a proptest pins the
-//! compiled scan to it, order included, and both to
-//! [`find_violations_naive`].
+//! compiled scan to it, order included, and both to the quadratic
+//! all-pairs oracle `find_violations_naive` beside it.
 
 use crate::ast::{ConstraintId, ConstraintSet, DenialConstraint, TupleVar};
 use crate::scan::{build_shared, BlockIndex, PackedColumn, PairScan, ScanPredicate};
@@ -591,29 +590,32 @@ fn naive_pairs(ds: &Dataset, c: &DenialConstraint, threads: usize) -> Vec<(Tuple
     })
 }
 
-/// Reference implementation: enumerate all ordered tuple pairs. Quadratic;
-/// used as a correctness oracle in tests and small benchmarks.
-pub fn find_violations_naive(ds: &Dataset, constraints: &ConstraintSet) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (id, c) in constraints.iter() {
-        let pairs = if c.two_tuple {
-            naive_pairs(ds, c, 1)
-        } else {
-            let violating = ds.tuples().filter(|&t| c.violated_by(ds, t, t));
-            violating.map(|t| (t, t)).collect()
-        };
-        CellTemplate::new(c, id).stamp(pairs, &mut out);
-    }
-    out
-}
-
 /// The detector the compiled scan replaced, kept as the reference its
 /// tests compare against: block per constraint by a `Vec<Sym>` key, then
-/// interpret `violated_by` on every same-key pair.
+/// interpret `violated_by` on every same-key pair — plus the quadratic
+/// oracle both are compared with.
 #[cfg(test)]
 mod reference {
     use super::*;
     use holo_dataset::FxHashMap;
+
+    /// Every ordered tuple pair enumerated and interpreted. Quadratic.
+    pub(super) fn find_violations_naive(
+        ds: &Dataset,
+        constraints: &ConstraintSet,
+    ) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for (id, c) in constraints.iter() {
+            let pairs = if c.two_tuple {
+                naive_pairs(ds, c, 1)
+            } else {
+                let violating = ds.tuples().filter(|&t| c.violated_by(ds, t, t));
+                violating.map(|t| (t, t)).collect()
+            };
+            CellTemplate::new(c, id).stamp(pairs, &mut out);
+        }
+        out
+    }
 
     pub(super) fn find_violations_interpreted(
         ds: &Dataset,
@@ -679,7 +681,7 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::find_violations_interpreted;
+    use super::reference::{find_violations_interpreted, find_violations_naive};
     use super::*;
     use crate::ast::{Op, Operand, Predicate};
     use crate::parser::parse_constraints;

@@ -288,24 +288,9 @@ impl PruneIndex {
     }
 }
 
-/// Runs Algorithm 2 over the noisy cells.
-pub fn prune_domains<I>(
-    ds: &Dataset,
-    noisy: I,
-    stats: &CooccurStats,
-    tau: f64,
-    max_domain: usize,
-) -> CellDomains
-where
-    I: IntoIterator<Item = CellRef>,
-{
-    let cells: Vec<CellRef> = noisy.into_iter().collect();
-    prune_domains_with_threads(ds, &cells, stats, tau, max_domain, 1)
-}
-
-/// [`prune_domains`] with the index build and the per-cell reads dispatched
-/// across up to `threads` worker threads (`0` = all cores); the result is
-/// identical for every thread count.
+/// Runs Algorithm 2 over the noisy cells, with the index build and the
+/// per-cell reads dispatched across up to `threads` worker threads (`0` =
+/// all cores); the result is identical for every thread count.
 pub fn prune_domains_with_threads(
     ds: &Dataset,
     noisy: &[CellRef],
@@ -408,7 +393,7 @@ mod tests {
         tau: f64,
         max_domain: usize,
     ) -> Vec<Sym> {
-        prune_domains(ds, [cell], stats, tau, max_domain)
+        prune_domains_with_threads(ds, &[cell], stats, tau, max_domain, 1)
             .get(cell)
             .to_vec()
     }
@@ -501,7 +486,7 @@ mod tests {
         let ds = city_ds();
         let stats = CooccurStats::build(&ds);
         let noisy = [cell(&ds, 3, "City"), cell(&ds, 3, "Zip")];
-        let domains = prune_domains(&ds, noisy.iter().copied(), &stats, 0.5, 50);
+        let domains = prune_domains_with_threads(&ds, &noisy, &stats, 0.5, 50, 1);
         assert_eq!(domains.len(), 2);
         assert!(domains.contains(noisy[0]));
         assert!(!domains.get(noisy[1]).is_empty());

@@ -27,7 +27,7 @@ pub mod null_detector;
 pub mod outlier;
 pub mod violation_detector;
 
-use holo_dataset::{CellRef, Dataset, FxHashSet, TupleId};
+use holo_dataset::{CellRef, Dataset, FxHashSet};
 
 /// The noisy-cell set `D_n` produced by detection.
 pub type NoisyCells = FxHashSet<CellRef>;
@@ -38,28 +38,6 @@ pub trait Detector {
     fn name(&self) -> &str;
     /// Returns the cells this detector considers potentially erroneous.
     fn detect(&self, ds: &Dataset) -> NoisyCells;
-
-    /// Streaming entry point: the tuples `first_new..` were just appended;
-    /// return every cell this detector *newly* flags because of them. A
-    /// streaming caller unions the per-batch results, so the contract is:
-    /// the union over all batches must equal [`Detector::detect`] on the
-    /// final dataset.
-    ///
-    /// The default runs a full [`Detector::detect`] and keeps the cells on
-    /// the new tuples — correct for detectors whose verdict on a cell
-    /// depends only on that cell's tuple (e.g. [`NullDetector`]).
-    /// Detectors whose old-tuple verdicts can change as data accumulates
-    /// **must override**: [`OutlierDetector`] re-flags everything (its
-    /// frequency baseline moves with every batch), and
-    /// [`ViolationDetector`] returns all cells of violations *involving* a
-    /// new tuple — including the old partner cells those violations newly
-    /// implicate.
-    fn detect_delta(&self, ds: &Dataset, first_new: TupleId) -> NoisyCells {
-        self.detect(ds)
-            .into_iter()
-            .filter(|c| c.tuple >= first_new)
-            .collect()
-    }
 }
 
 pub use ensemble::DetectorEnsemble;

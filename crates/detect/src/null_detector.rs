@@ -1,7 +1,7 @@
 //! Missing-value detection.
 
 use crate::{Detector, NoisyCells};
-use holo_dataset::{CellRef, Dataset, TupleId};
+use holo_dataset::{CellRef, Dataset};
 
 /// Flags every null (empty) cell, optionally restricted to a subset of
 /// attributes (some attributes are legitimately optional).
@@ -52,31 +52,6 @@ impl Detector for NullDetector {
         }
         noisy
     }
-
-    /// True delta: a cell is null independently of every other tuple, so
-    /// only the appended rows need scanning — `O(batch)`, not `O(|D|)`.
-    fn detect_delta(&self, ds: &Dataset, first_new: TupleId) -> NoisyCells {
-        let mut noisy = NoisyCells::default();
-        let attrs: Vec<_> = if self.attrs.is_empty() {
-            ds.schema().attrs().collect()
-        } else {
-            self.attrs
-                .iter()
-                .filter_map(|n| ds.schema().attr_id(n))
-                .collect()
-        };
-        for a in attrs {
-            for (i, sym) in ds.column(a).iter().enumerate().skip(first_new.index()) {
-                if sym.is_null() {
-                    noisy.insert(CellRef {
-                        tuple: i.into(),
-                        attr: a,
-                    });
-                }
-            }
-        }
-        noisy
-    }
 }
 
 #[cfg(test)]
@@ -103,20 +78,6 @@ mod tests {
         let noisy = NullDetector::for_attrs(vec!["b"]).detect(&ds);
         assert_eq!(noisy.len(), 1);
         assert!(noisy.contains(&CellRef::new(0usize, 1usize)));
-    }
-
-    #[test]
-    fn delta_scans_only_new_tuples_but_unions_to_full() {
-        let mut ds = Dataset::new(Schema::new(vec!["a", "b"]));
-        ds.push_row(&["", "x"]);
-        let d = NullDetector::all();
-        let mut union = d.detect_delta(&ds, 0usize.into());
-        let first = ds.append_rows(&[vec!["y", ""], vec!["", "w"]]);
-        let delta = d.detect_delta(&ds, first);
-        assert_eq!(delta.len(), 2, "only batch cells reported");
-        assert!(delta.iter().all(|c| c.tuple >= first));
-        union.extend(delta);
-        assert_eq!(union, d.detect(&ds), "batch union == one-shot detect");
     }
 
     #[test]

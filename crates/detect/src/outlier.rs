@@ -102,14 +102,6 @@ impl Detector for OutlierDetector {
         }
         noisy
     }
-
-    /// Frequency baselines move with every batch — a value that was
-    /// common can become relatively rare, flipping *old* cells to noisy —
-    /// so the only sound delta is a full re-detection. The streaming
-    /// caller unions results, which is exactly the full set here.
-    fn detect_delta(&self, ds: &Dataset, _first_new: holo_dataset::TupleId) -> NoisyCells {
-        self.detect(ds)
-    }
 }
 
 #[cfg(test)]

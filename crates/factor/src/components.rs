@@ -225,7 +225,7 @@ pub struct PartitionedConfig {
 /// identical counts (same seeds, same chain-order merge) — so it can
 /// never affect output, only wall-clock. Without the fan-out, a densely
 /// constrained graph that collapses into one giant component would lose
-/// the chain parallelism the monolithic `run_chains` had.
+/// the chain parallelism of whole-graph multi-chain sampling.
 const CHAIN_FANOUT_MIN_QUERY_VARS: usize = 64;
 
 /// One schedulable work unit of a partitioned inference pass, referencing
@@ -257,7 +257,7 @@ enum UnitOut {
 /// Determinism: the component order is canonical, component `rank` seeds
 /// its chains via the same SplitMix mixing as multi-chain Gibbs (rank 0
 /// keeps `gibbs.seed`, so a graph that is one single component reproduces
-/// [`crate::gibbs::run_chains`] bit-for-bit), and each variable's marginal
+/// whole-graph multi-chain sampling bit-for-bit), and each variable's marginal
 /// is produced by exactly one component — so any thread count yields the
 /// `threads = 1` result bit-for-bit. Evidence variables get a point mass.
 pub fn infer_partitioned<C: ValueContext + Sync>(
@@ -450,15 +450,15 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
 }
 
 /// Counted sweeps contributed by each chain: the total sample budget split
-/// evenly, rounded up — exactly [`crate::gibbs::run_chains`]'s split, so
-/// the fan-out path stays bit-compatible with it.
+/// evenly, rounded up — the same split on the fan-out path and the
+/// sequential one, so the two stay bit-compatible.
 fn samples_per_chain(cfg: &GibbsConfig) -> usize {
     cfg.samples.max(1).div_ceil(cfg.chains.max(1))
 }
 
 /// Seed of component `rank`: rank 0 keeps the master seed — so a graph
-/// that is one single component reproduces [`crate::gibbs::run_chains`]
-/// bit-for-bit — and later ranks mix `(seed, rank)` through a SplitMix64
+/// that is one single component reproduces whole-graph multi-chain
+/// sampling bit-for-bit — and later ranks mix `(seed, rank)` through a SplitMix64
 /// finalizer with **different constants** than the chain-level
 /// [`chain_seed`]. The two tiers must not share a mixer: `chain_seed(x,
 /// 0) == x`, so with one mixer, component `r`'s chain 0 and component
@@ -477,8 +477,8 @@ fn component_seed(seed: u64, rank: usize) -> u64 {
 
 /// Multi-chain Gibbs restricted to one component: chains run sequentially
 /// (components provide the parallelism) with seeds derived from the
-/// component seed exactly as [`crate::gibbs::run_chains`] derives them
-/// from the master seed, and their counts merge in chain order. With a
+/// component seed by [`chain_seed`], and their counts merge in chain
+/// order. With a
 /// `coloring`, multi-color query sets sweep chromatically — the same plan
 /// and seeds the fanned-out [`Unit::GibbsChain`] path derives, so the two
 /// schedules stay bit-compatible.
@@ -531,7 +531,7 @@ fn sample_component<C: ValueContext + Sync>(
 
 /// Raw per-candidate sample counts into marginals, query-aligned: sampled
 /// variables normalise, never-sampled ones fall back to uniform (the same
-/// rule as [`crate::gibbs::run_chains`]'s normalisation).
+/// rule as [`GibbsSampler::run`]'s normalisation).
 fn normalize_query_counts(query: &[VarId], mut counts: Vec<Vec<f64>>) -> Vec<(VarId, Vec<f64>)> {
     for probs in &mut counts {
         let total: f64 = probs.iter().sum();
@@ -549,8 +549,9 @@ fn normalize_query_counts(query: &[VarId], mut counts: Vec<Vec<f64>>) -> Vec<(Va
 mod tests {
     use super::*;
     use crate::exact::exact_marginals;
-    use crate::gibbs::run_chains;
+    use crate::gibbs::reference::run_chains;
     use crate::graph::{CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, Variable};
+    use crate::marginals::reference::exact_unary;
     use crate::weights::WeightId;
     use holo_dataset::Sym;
     use proptest::prelude::*;
@@ -628,7 +629,8 @@ mod tests {
     }
 
     /// Clique-free graphs route every variable through the closed form,
-    /// reproducing `Marginals::exact_unary` bit-for-bit at any limit.
+    /// reproducing the whole-graph softmax `exact_unary` bit-for-bit at any
+    /// limit.
     #[test]
     fn clique_free_graph_is_closed_form_at_any_limit() {
         let mut g = FactorGraph::new();
@@ -640,7 +642,7 @@ mod tests {
         w.set(WeightId(1), -0.7);
         g.add_feature(a, 0, WeightId(0), 1.0);
         g.add_feature(b, 2, WeightId(1), 3.0);
-        let reference = Marginals::exact_unary(&g, &w);
+        let reference = exact_unary(&g, &w);
         for exact_limit in [0, 4096] {
             let cfg = PartitionedConfig {
                 gibbs: GibbsConfig::default(),

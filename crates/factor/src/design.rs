@@ -274,21 +274,6 @@ impl DesignMatrix {
         }
     }
 
-    /// The pre-blocked reference kernel: a plain sequential
-    /// map-multiply-sum per row through [`DesignMatrix::row`]. Kept solely
-    /// as the baseline the `gibbs_kernel` criterion group prices the
-    /// blocked kernel against — production paths all use
-    /// [`DesignMatrix::score_var_into`].
-    pub fn score_var_into_naive(&self, v: VarId, weights: &Weights, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.var_range(v).map(|r| {
-            self.row(r)
-                .iter()
-                .map(|&(w, x)| weights.get(w) * x)
-                .sum::<f64>()
-        }));
-    }
-
     /// Scores every row under `weights` — precomputation for exhaustive
     /// consumers (exact enumeration scores each row many times).
     pub fn score_all(&self, weights: &Weights) -> Vec<f64> {
@@ -406,8 +391,33 @@ pub fn score_features(features: &[(WeightId, f64)], weights: &Weights) -> f64 {
     ((a0 + a1) + (a2 + a3)) + tail
 }
 
+/// The pre-blocked kernel, kept as the reference the blocked one is
+/// compared against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// A plain sequential map-multiply-sum per row of `v` through
+    /// [`DesignMatrix::row`], into `out` (cleared first).
+    pub(crate) fn score_var_into_naive(
+        m: &DesignMatrix,
+        v: VarId,
+        weights: &Weights,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.extend(m.var_range(v).map(|r| {
+            m.row(r)
+                .iter()
+                .map(|&(w, x)| weights.get(w) * x)
+                .sum::<f64>()
+        }));
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::score_var_into_naive;
     use super::*;
 
     fn wid(i: u32) -> WeightId {
@@ -607,7 +617,7 @@ mod tests {
         w.set(wid(3), 3.0);
         let (mut blocked, mut naive) = (Vec::new(), Vec::new());
         m.score_var_into(VarId(0), &w, &mut blocked);
-        m.score_var_into_naive(VarId(0), &w, &mut naive);
+        score_var_into_naive(&m, VarId(0), &w, &mut naive);
         assert_eq!(blocked.len(), 3);
         // Short rows: the tail path reproduces the sequential sum exactly.
         assert_eq!(blocked[0], naive[0]);

@@ -306,7 +306,7 @@ mod tests {
     use crate::graph::{
         CliqueFactor, CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, Variable,
     };
-    use crate::marginals::Marginals;
+    use crate::marginals::reference::exact_unary;
     use crate::weights::WeightId;
 
     fn sym(i: u32) -> Sym {
@@ -323,7 +323,7 @@ mod tests {
         g.add_feature(v, 0, WeightId(0), 1.0);
         g.add_feature(v, 2, WeightId(1), 2.0);
         let exact = exact_marginals(&g, &w, &EqOnlyContext);
-        let closed = Marginals::exact_unary(&g, &w);
+        let closed = exact_unary(&g, &w);
         for k in 0..3 {
             assert!((exact.prob(v, k) - closed.prob(v, k)).abs() < 1e-12);
         }

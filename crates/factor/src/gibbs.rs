@@ -9,14 +9,15 @@
 //!
 //! ## Multi-chain parallelism
 //!
-//! [`run_chains`] runs [`GibbsConfig::chains`] independent chains, each with
-//! its own deterministically derived seed (chain 0 uses `seed` itself, so
-//! `chains = 1` is bit-for-bit the single-chain sampler), and merges their
-//! per-candidate sample counts into one [`Marginals`]. Chains are
-//! embarrassingly parallel — they share only the read-only graph, weights
-//! and value context — and are scheduled over up to `threads` OS threads.
-//! Because each chain's counts depend only on its own seed and the merge is
-//! a sum in chain order, the result is identical for every thread count.
+//! [`infer_partitioned`](crate::components::infer_partitioned) runs
+//! [`GibbsConfig::chains`] independent chains per sampled component, each
+//! with its own deterministically derived seed (chain 0 uses the
+//! component's seed itself, so `chains = 1` is bit-for-bit the
+//! single-chain sampler), and merges their per-candidate sample counts in
+//! chain order. Chains share only the read-only graph, weights and value
+//! context. Because each chain's counts depend only on its own seed and
+//! the merge is a sum in chain order, the result is identical for every
+//! thread count.
 //!
 //! ## Chromatic sweeps
 //!
@@ -111,12 +112,12 @@ pub struct GibbsConfig {
     /// Sweeps discarded before collecting statistics (per chain).
     pub burn_in: usize,
     /// Sweeps whose states are counted into the marginals, split across
-    /// chains by [`run_chains`].
+    /// chains by [`infer_partitioned`](crate::components::infer_partitioned).
     pub samples: usize,
     /// RNG seed — the sampler is fully deterministic given the seed (and,
-    /// for [`run_chains`], the chain count).
+    /// under partitioned inference, the chain count).
     pub seed: u64,
-    /// Independent chains merged by [`run_chains`]; `1` reproduces the
+    /// Independent chains merged per sampled component; `1` reproduces the
     /// single-chain sampler exactly.
     pub chains: usize,
 }
@@ -140,7 +141,8 @@ impl Default for GibbsConfig {
 /// keeping the chains' streams statistically independent. Partitioned
 /// inference reuses the same mixer one level up (component rank → chain):
 /// rank 0 keeps the master seed, so a single-component graph reproduces
-/// [`run_chains`] exactly.
+/// the whole-graph multi-chain sampler (the test-only `reference`)
+/// exactly.
 pub(crate) fn chain_seed(seed: u64, chain: usize) -> u64 {
     if chain == 0 {
         return seed;
@@ -244,44 +246,6 @@ fn build_plan(coloring: &Coloring, query: &[VarId]) -> Option<ChromaticPlan> {
 /// Gibbs components.
 pub(crate) fn chromatic_sweep_blocks(coloring: &Coloring, query: &[VarId]) -> u64 {
     build_plan(coloring, query).map_or(0, |plan| plan.blocks_per_sweep)
-}
-
-/// Runs `config.chains` independent seeded chains over up to `threads` OS
-/// threads and merges their sample counts into one [`Marginals`].
-///
-/// Each chain burns in for `config.burn_in` sweeps and contributes
-/// `ceil(samples / chains)` counted sweeps. Deterministic for a fixed
-/// `(seed, chains)` pair at any `threads`; `chains = 1` is bit-for-bit
-/// [`GibbsSampler::run`].
-pub fn run_chains<C: ValueContext + Sync>(
-    graph: &FactorGraph,
-    weights: &Weights,
-    ctx: &C,
-    config: &GibbsConfig,
-    threads: usize,
-) -> Marginals {
-    let chains = config.chains.max(1);
-    if chains == 1 {
-        return GibbsSampler::new(graph, weights, ctx, config.seed).run(config);
-    }
-    let samples_per_chain = config.samples.max(1).div_ceil(chains);
-    let per_chain: Vec<Vec<Vec<f64>>> = holo_parallel::parallel_jobs(threads, chains, |i| {
-        let mut sampler = GibbsSampler::new(graph, weights, ctx, chain_seed(config.seed, i));
-        sampler.collect_counts(config.burn_in, samples_per_chain)
-    });
-    let mut merged = per_chain
-        .into_iter()
-        .reduce(|mut acc, counts| {
-            for (a, c) in acc.iter_mut().zip(counts) {
-                for (x, y) in a.iter_mut().zip(c) {
-                    *x += y;
-                }
-            }
-            acc
-        })
-        .expect("at least one chain");
-    normalize_counts(graph, &mut merged);
-    Marginals::from_raw(merged)
 }
 
 /// The candidate a variable starts every chain at: its evidence, else its
@@ -663,7 +627,7 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     /// One full sweep over the query variables: sequential single-site
     /// updates, or fixed-order color-class updates when a chromatic plan
     /// is armed (see the module docs).
-    pub fn sweep(&mut self) {
+    fn sweep(&mut self) {
         // The schedule is taken out of `self` for the sweep so the block
         // closures can read the sampler while the plan is walked.
         if let Some(plan) = self.plan.take() {
@@ -751,7 +715,7 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     }
 
     /// [`GibbsSampler::collect_query_counts`] scattered into full-graph
-    /// count vectors (the merge unit of [`run_chains`]).
+    /// count vectors.
     fn collect_counts(&mut self, burn_in: usize, samples: usize) -> Vec<Vec<f64>> {
         let query_counts = self.collect_query_counts(burn_in, samples);
         let mut counts: Vec<Vec<f64>> = self
@@ -774,14 +738,54 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
         Marginals::from_raw(counts)
     }
 
-    /// Read-only view of the current assignment (for tests/debugging).
-    pub fn state(&self) -> &[usize] {
-        &self.state
-    }
-
     /// Current symbols of all variables.
     pub fn assignment_syms(&self) -> Vec<Sym> {
         self.syms.clone()
+    }
+}
+
+/// The whole-graph multi-chain sampler that per-component sampling
+/// replaced, kept as the reference its tests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Runs `config.chains` independent seeded chains over up to `threads`
+    /// OS threads and merges their sample counts into one [`Marginals`].
+    ///
+    /// Each chain burns in for `config.burn_in` sweeps and contributes
+    /// `ceil(samples / chains)` counted sweeps. Deterministic for a fixed
+    /// `(seed, chains)` pair at any `threads`; `chains = 1` is bit-for-bit
+    /// [`GibbsSampler::run`].
+    pub(crate) fn run_chains<C: ValueContext + Sync>(
+        graph: &FactorGraph,
+        weights: &Weights,
+        ctx: &C,
+        config: &GibbsConfig,
+        threads: usize,
+    ) -> Marginals {
+        let chains = config.chains.max(1);
+        if chains == 1 {
+            return GibbsSampler::new(graph, weights, ctx, config.seed).run(config);
+        }
+        let samples_per_chain = config.samples.max(1).div_ceil(chains);
+        let per_chain: Vec<Vec<Vec<f64>>> = holo_parallel::parallel_jobs(threads, chains, |i| {
+            let mut sampler = GibbsSampler::new(graph, weights, ctx, chain_seed(config.seed, i));
+            sampler.collect_counts(config.burn_in, samples_per_chain)
+        });
+        let mut merged = per_chain
+            .into_iter()
+            .reduce(|mut acc, counts| {
+                for (a, c) in acc.iter_mut().zip(counts) {
+                    for (x, y) in a.iter_mut().zip(c) {
+                        *x += y;
+                    }
+                }
+                acc
+            })
+            .expect("at least one chain");
+        normalize_counts(graph, &mut merged);
+        Marginals::from_raw(merged)
     }
 }
 
@@ -807,6 +811,7 @@ impl<C: ValueContext + Sync> GibbsSampler<'_, C> {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::run_chains;
     use super::*;
     use crate::exact::exact_marginals;
     use crate::graph::{

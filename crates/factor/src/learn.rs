@@ -201,11 +201,6 @@ impl LearnStats {
     }
 }
 
-/// [`train_with_threads`] on a single thread.
-pub fn train(graph: &FactorGraph, weights: &mut Weights, config: &LearnConfig) -> LearnStats {
-    train_with_threads(graph, weights, config, 1)
-}
-
 /// Trains the learnable weights on the evidence variables of `graph`,
 /// sharding minibatch gradient computation over up to `threads` worker
 /// threads (`0` = all cores). Bit-for-bit identical for every thread
@@ -435,12 +430,17 @@ pub(crate) mod oracle {
 mod tests {
     use super::*;
     use crate::graph::Variable;
-    use crate::marginals::Marginals;
+    use crate::marginals::reference::exact_unary;
     use crate::weights::{FeatureRegistry, WeightId};
     use holo_dataset::Sym;
 
     fn sym(i: u32) -> Sym {
         Sym(i)
+    }
+
+    /// [`train_with_threads`] on a single thread.
+    fn train(graph: &FactorGraph, weights: &mut Weights, config: &LearnConfig) -> LearnStats {
+        train_with_threads(graph, weights, config, 1)
     }
 
     /// Perfectly separable evidence: candidate 0 always carries feature A
@@ -470,7 +470,7 @@ mod tests {
             w.get(fa),
             w.get(fb)
         );
-        let m = Marginals::exact_unary(&g, &w);
+        let m = exact_unary(&g, &w);
         assert!(m.prob(q, 0) > 0.8, "query prefers the learned signal");
         assert!(stats.final_log_likelihood > -0.5);
     }

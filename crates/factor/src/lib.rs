@@ -73,7 +73,7 @@ pub use cache::{ScoreCache, ScoreCacheStats};
 pub use coloring::Coloring;
 pub use components::{infer_partitioned, ComponentIndex, PartitionStats, PartitionedConfig};
 pub use design::{DesignBuilder, DesignMatrix};
-pub use gibbs::{run_chains, GibbsConfig, GibbsSampler};
+pub use gibbs::{GibbsConfig, GibbsSampler};
 pub use graph::{
     CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, ValueContext, VarId, Variable,
 };

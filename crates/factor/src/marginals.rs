@@ -1,8 +1,7 @@
 //! Marginal distributions over variable candidates, and MAP extraction.
 
 use crate::graph::{FactorGraph, VarId};
-use crate::math::{argmax, softmax};
-use crate::weights::Weights;
+use crate::math::argmax;
 use serde::{Deserialize, Serialize};
 
 /// Per-variable categorical marginals `P(T_c = d; Ω, Σ)`.
@@ -14,32 +13,6 @@ pub struct Marginals {
 impl Marginals {
     /// Wraps raw per-variable probability vectors.
     pub fn from_raw(per_var: Vec<Vec<f64>>) -> Self {
-        Marginals { per_var }
-    }
-
-    /// Exact marginals for a graph *without clique factors*: each variable
-    /// is independent, so its marginal is the softmax of its unary scores
-    /// (the closed form the §5.2 relaxation buys). Evidence variables get a
-    /// point mass on their observed candidate.
-    pub fn exact_unary(graph: &FactorGraph, weights: &Weights) -> Self {
-        debug_assert!(
-            !graph.has_cliques(),
-            "exact_unary called on a graph with clique factors"
-        );
-        let per_var = graph
-            .var_ids()
-            .map(|v| {
-                let var = graph.var(v);
-                match var.evidence {
-                    Some(k) => {
-                        let mut p = vec![0.0; var.arity()];
-                        p[k] = 1.0;
-                        p
-                    }
-                    None => softmax(&graph.unary_scores(v, weights)),
-                }
-            })
-            .collect();
         Marginals { per_var }
     }
 
@@ -123,11 +96,48 @@ impl Marginals {
     }
 }
 
+/// Whole-graph closed-form marginals, kept as the reference the
+/// partitioned router's closed-form path and the engines are compared
+/// against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::math::softmax;
+    use crate::weights::Weights;
+
+    /// Exact marginals for a graph *without clique factors*: each variable
+    /// is independent, so its marginal is the softmax of its unary scores
+    /// (the closed form the §5.2 relaxation buys). Evidence variables get a
+    /// point mass on their observed candidate.
+    pub(crate) fn exact_unary(graph: &FactorGraph, weights: &Weights) -> Marginals {
+        debug_assert!(
+            !graph.has_cliques(),
+            "exact_unary called on a graph with clique factors"
+        );
+        let per_var = graph
+            .var_ids()
+            .map(|v| {
+                let var = graph.var(v);
+                match var.evidence {
+                    Some(k) => {
+                        let mut p = vec![0.0; var.arity()];
+                        p[k] = 1.0;
+                        p
+                    }
+                    None => softmax(&graph.unary_scores(v, weights)),
+                }
+            })
+            .collect();
+        Marginals { per_var }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::exact_unary;
     use super::*;
     use crate::graph::Variable;
-    use crate::weights::WeightId;
+    use crate::weights::{WeightId, Weights};
     use holo_dataset::Sym;
 
     #[test]
@@ -137,7 +147,7 @@ mod tests {
         let mut w = Weights::zeros(1);
         w.set(WeightId(0), 1.0);
         g.add_feature(v, 0, WeightId(0), 1.0); // score 1 vs 0
-        let m = Marginals::exact_unary(&g, &w);
+        let m = exact_unary(&g, &w);
         let p = m.probs(v);
         assert!((p[0] + p[1] - 1.0).abs() < 1e-12);
         assert!(p[0] > p[1]);
@@ -152,7 +162,7 @@ mod tests {
         let mut g = FactorGraph::new();
         let v = g.add_variable(Variable::evidence(vec![Sym(1), Sym(2), Sym(3)], 2));
         let w = Weights::zeros(0);
-        let m = Marginals::exact_unary(&g, &w);
+        let m = exact_unary(&g, &w);
         assert_eq!(m.probs(v), &[0.0, 0.0, 1.0]);
         assert_eq!(m.map_candidate(v), (2, 1.0));
     }

@@ -13,7 +13,7 @@ use crate::graph::{
     VarId, Variable,
 };
 use crate::learn::{self, oracle, LearnConfig};
-use crate::marginals::Marginals;
+use crate::marginals::reference::exact_unary;
 use crate::math::softmax_in_place;
 use crate::weights::{FeatureRegistry, WeightId, Weights};
 use holo_dataset::Sym;
@@ -234,7 +234,7 @@ proptest! {
     fn independent_graphs_need_no_sampling(model in random_model()) {
         let model = RandomModel { cliques: Vec::new(), ..model };
         let (graph, weights) = build(&model);
-        let closed = Marginals::exact_unary(&graph, &weights);
+        let closed = exact_unary(&graph, &weights);
         let sampled = GibbsSampler::new(&graph, &weights, &EqOnlyContext, 17).run(&GibbsConfig {
             burn_in: 200,
             samples: 12_000,

@@ -21,10 +21,10 @@
 //! | `core` | [`holoclean`] | the staged repair engine and its compiler |
 //! | `baselines` | [`holo_baselines`] | Holistic, KATARA and SCARE |
 //! | `datagen` | [`holo_datagen`] | deterministic evaluation dataset generators |
-//! | `bench` | `holo_bench` | experiment harness + criterion benches |
+//! | `bench` | `holo_bench` | paper figure/table binaries, `diag`, `dump_repairs` |
 //!
-//! `third_party/` holds offline API-compatible stubs for `serde`, `rand`,
-//! `proptest` and `criterion` — the build environment has no registry
+//! `third_party/` holds offline API-compatible stubs for `serde`, `rand`
+//! and `proptest` — the build environment has no registry
 //! access, so the workspace vendors the small API surface it actually
 //! uses (see each stub's crate docs). Swap the `[workspace.dependencies]`
 //! paths for registry versions to use the real crates.
