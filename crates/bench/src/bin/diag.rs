@@ -15,10 +15,7 @@
 //! (mean over the final epoch — the stable number to watch),
 //! `non_finite_minibatches` (always 0 in a printed run: a diverging SGD
 //! fails one-shot and streamed runs alike with `HoloError::LearnDiverged`
-//! before diag prints), `parallel_minibatches` (how many
-//! minibatch folds were dispatched to worker threads rather than run
-//! inline — "did a second core ever engage in learn"), and the
-//! packed-arena counters `packed_examples`, `packed_entries`,
+//! before diag prints), and the packed-arena counters `packed_examples`, `packed_entries`,
 //! `packed_bytes`, `packed_epochs`.
 //!
 //! The `compile` object carries the evidence scope (`trainable_attrs`,
@@ -306,7 +303,6 @@ fn print_json(
             o.field_num("grad_norm", ls.grad_norm);
             o.field_num("grad_norm_mean", ls.grad_norm_mean);
             o.field_u64("non_finite_minibatches", ls.non_finite_minibatches as u64);
-            o.field_u64("parallel_minibatches", ls.parallel_minibatches as u64);
             o.field_u64("packed_examples", ls.packed_examples as u64);
             o.field_u64("packed_entries", ls.packed_entries as u64);
             o.field_u64("packed_bytes", ls.packed_bytes as u64);
@@ -759,10 +755,8 @@ fn main() {
                 ls.grad_norm_mean
             );
             println!(
-                "  minibatch folds: {} dispatched to workers, {} inline; {} non-finite (diverged)",
-                ls.parallel_minibatches,
-                ls.minibatches - ls.parallel_minibatches,
-                ls.non_finite_minibatches
+                "  minibatches: {}, {} non-finite (diverged)",
+                ls.minibatches, ls.non_finite_minibatches
             );
             println!(
                 "  packed arena: {} example(s), {} entr(ies), {} byte(s), {} epoch(s) served",

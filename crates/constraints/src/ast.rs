@@ -144,8 +144,8 @@ impl Predicate {
 
 /// Evaluates `lhs op rhs` over interned symbols.
 ///
-/// Ordering operators compare numerically when both sides parse as numbers,
-/// lexicographically otherwise. Null on either side fails every operator
+/// Ordering operators read [`holo_dataset::ValuePool::compare`]: numerically
+/// when both sides are finite numbers, lexicographically otherwise. Null on either side fails every operator
 /// except that two nulls are `=`-equal is *also* suppressed: nulls never
 /// satisfy predicates, matching the "missing values are evidence of
 /// nothing" convention used throughout the workspace.
@@ -157,10 +157,7 @@ pub fn eval_op(ds: &Dataset, lhs: Sym, op: Op, rhs: Sym) -> bool {
         Op::Eq => lhs == rhs,
         Op::Neq => lhs != rhs,
         Op::Lt | Op::Gt | Op::Leq | Op::Geq => {
-            let ord = match (ds.pool().as_number(lhs), ds.pool().as_number(rhs)) {
-                (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal),
-                _ => ds.value_str(lhs).cmp(ds.value_str(rhs)),
-            };
+            let ord = ds.pool().compare(lhs, rhs);
             match op {
                 Op::Lt => ord.is_lt(),
                 Op::Gt => ord.is_gt(),
@@ -452,6 +449,21 @@ mod tests {
         assert!(eval_op(&ds, apple, Op::Lt, banana));
         // Mixed: falls back to lexicographic ('9' sorts before 'a').
         assert!(eval_op(&ds, nine, Op::Lt, apple));
+    }
+
+    /// Regression: "nan" parsed as a NaN that compared `Equal` to every
+    /// number, so `t1.A <= t2.A` held for a "Nan" cell against any numeric
+    /// partner. It is a string, and strings sort after digits.
+    #[test]
+    fn nan_is_a_string_not_a_number() {
+        let mut ds = Dataset::new(Schema::new(vec!["x"]));
+        ds.push_row(&["nan"]);
+        ds.push_row(&["5"]);
+        let nan = ds.pool().get("nan").unwrap();
+        let five = ds.pool().get("5").unwrap();
+        assert!(!eval_op(&ds, nan, Op::Leq, five));
+        assert!(!eval_op(&ds, five, Op::Geq, nan));
+        assert!(eval_op(&ds, nan, Op::Gt, five));
     }
 
     #[test]

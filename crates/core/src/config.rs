@@ -154,10 +154,10 @@ pub struct HoloConfig {
     /// at all — singleton variables are the common case after pruning —
     /// always take the closed-form softmax regardless of this limit, so
     /// for the relaxed (clique-free) model the knob has **no effect on
-    /// output**. Determinism contract: like [`GibbsConfig::chains`] this
-    /// is a *model* knob — changing it changes which engine produces a
-    /// coupled component's marginals — while at any fixed value every
-    /// thread count remains bit-for-bit identical to `threads = 1`.
+    /// output**. Determinism contract: this is a *model* knob — changing
+    /// it changes which engine produces a coupled component's marginals —
+    /// while at any fixed value every thread count remains bit-for-bit
+    /// identical to `threads = 1`.
     pub exact_component_limit: u64,
     /// Chromatic Gibbs sweeps for sampled components: when set, a
     /// Gibbs-routed connected component whose query variables span several
@@ -206,13 +206,10 @@ pub struct HoloConfig {
     pub seed: u64,
     /// Worker threads for the data-parallel stages (violation detection
     /// and its blocking index, statistics, domain pruning, featurization,
-    /// DC-factor grounding, minibatch-SGD gradient shards, and — when
-    /// [`GibbsConfig::chains`] > 1 — the Gibbs chains). `0` = all cores.
+    /// DC-factor grounding, per-component inference and chromatic sweep
+    /// blocks; weight learning runs on one thread). `0` = all cores.
     /// Every thread count produces bit-for-bit the `threads = 1` result —
-    /// the knob trades wall-clock only, never output. Note the chain
-    /// *count* is a model knob ([`HoloConfig::with_gibbs_chains`]), not a
-    /// thread knob: changing it changes which seeds sample, so it is
-    /// deliberately not derived from `threads`.
+    /// the knob trades wall-clock only, never output.
     pub threads: usize,
 }
 
@@ -263,17 +260,6 @@ impl HoloConfig {
     /// `1` = fully sequential. Output is identical either way.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the number of independent Gibbs chains (builder style). Chains
-    /// run in parallel over the thread budget and their sample counts
-    /// merge into one marginal estimate; `1` (the default) reproduces the
-    /// single-chain sampler exactly. Unlike `threads`, this knob *does*
-    /// change the output (different seeds sample), which is why it is
-    /// separate.
-    pub fn with_gibbs_chains(mut self, chains: usize) -> Self {
-        self.gibbs.chains = chains.max(1);
         self
     }
 

@@ -6,8 +6,9 @@ use holo_constraints::similarity::normalized_similarity;
 use holo_dataset::{Dataset, Sym};
 use holo_factor::ValueContext;
 
-/// Orders symbols numerically when both parse as numbers, falling back to
-/// lexicographic comparison; similarity is normalised Levenshtein.
+/// Orders symbols by [`holo_dataset::ValuePool::compare`] (numerically
+/// when both are finite numbers, lexicographically otherwise); similarity
+/// is normalised Levenshtein.
 pub struct DatasetContext<'a> {
     ds: &'a Dataset,
 }
@@ -21,11 +22,7 @@ impl<'a> DatasetContext<'a> {
 
 impl ValueContext for DatasetContext<'_> {
     fn compare(&self, a: Sym, b: Sym) -> std::cmp::Ordering {
-        let pool = self.ds.pool();
-        match (pool.as_number(a), pool.as_number(b)) {
-            (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
-            _ => pool.resolve(a).cmp(pool.resolve(b)),
-        }
+        self.ds.pool().compare(a, b)
     }
 
     fn similar(&self, a: Sym, b: Sym, threshold: f64) -> bool {

@@ -30,16 +30,13 @@
 //! ## Parallelism contract
 //!
 //! The steps parallelise *internally* (violation blocking and probing,
-//! domain pruning, featurization, DC-factor grounding, minibatch-SGD
-//! gradient shards, per-component inference — all sharded over
-//! [`HoloConfig::threads`]); the sequence itself is strictly ordered
+//! domain pruning, featurization, DC-factor grounding, per-component
+//! inference — all sharded over [`HoloConfig::threads`]); weight learning
+//! runs on one thread, and the sequence itself is strictly ordered
 //! because each step consumes its predecessor's output. Every parallel
-//! path merges per-shard results in input order, and order-sensitive
-//! reductions (the SGD gradient sums) use **fixed-size shards** whose
-//! boundaries never depend on the thread count
-//! (`holo_parallel::sharded_fold`) — so a run yields **bit-for-bit
-//! identical output for every thread count** — `threads = 1` is the
-//! sequential engine, anything else is just faster.
+//! path merges per-shard results in input order — so a run yields
+//! **bit-for-bit identical output for every thread count** — `threads =
+//! 1` is the sequential engine, anything else is just faster.
 //!
 //! ## The partition/merge seam of inference
 //!
@@ -52,8 +49,8 @@
 //! **closed-form** softmax over the component's design-matrix rows when it
 //! has no cliques (every variable of the relaxed §5.2 model), **exact
 //! enumeration** when its joint query space is within
-//! [`HoloConfig::exact_component_limit`], and **per-component multi-chain
-//! Gibbs** otherwise, seeded from `(seed, component_rank)`. Components
+//! [`HoloConfig::exact_component_limit`], and **per-component Gibbs**
+//! otherwise, seeded from `(seed, component_rank)`. Components
 //! share no state and per-component marginals merge back in variable
 //! order, so the parallelism is deterministic *by construction* — no
 //! cross-thread sampling order exists to get wrong. All three engines

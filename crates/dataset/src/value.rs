@@ -11,6 +11,7 @@
 
 use crate::fxhash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A handle to an interned value. `Sym::NULL` denotes a missing value.
@@ -50,7 +51,9 @@ pub struct ValuePool {
     strings: Vec<Box<str>>,
     lookup: FxHashMap<Box<str>, Sym>,
     /// Numeric view of each symbol (for `<`/`>` predicates), parsed when the
-    /// value is interned.
+    /// value is interned. Finite numbers only: `nan`, `inf` or `1e400`
+    /// parse as floats, but a NaN has no order and a cell reading "Nan"
+    /// is more likely a place name than a number.
     numeric: Vec<Option<f64>>,
 }
 
@@ -76,7 +79,8 @@ impl ValuePool {
         let boxed: Box<str> = value.into();
         self.strings.push(boxed.clone());
         self.lookup.insert(boxed, sym);
-        self.numeric.push(value.trim().parse::<f64>().ok());
+        let number = value.trim().parse::<f64>().ok();
+        self.numeric.push(number.filter(|x| x.is_finite()));
         sym
     }
 
@@ -94,10 +98,23 @@ impl ValuePool {
         &self.strings[sym.index()]
     }
 
-    /// Numeric interpretation of `sym`, if its string parses as `f64`.
+    /// Numeric interpretation of `sym`, if its string parses as a finite
+    /// `f64`.
     #[inline]
     pub fn as_number(&self, sym: Sym) -> Option<f64> {
         self.numeric[sym.index()]
+    }
+
+    /// The value order every ordering predicate (`<`, `>`, `≤`, `≥`) reads:
+    /// two numbers compare numerically (so `"9" < "10"` and `"-0" ==
+    /// "0"`), anything else compares as strings. A total order, because
+    /// [`ValuePool::as_number`] holds finite numbers only.
+    pub fn compare(&self, a: Sym, b: Sym) -> Ordering {
+        match (self.as_number(a), self.as_number(b)) {
+            // Never `None`: both sides are finite.
+            (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
+            _ => self.resolve(a).cmp(self.resolve(b)),
+        }
     }
 
     /// Number of interned values (including the null sentinel).
@@ -163,6 +180,35 @@ mod tests {
         assert_eq!(pool.as_number(s), None);
         assert_eq!(pool.as_number(padded), Some(42.0));
         assert_eq!(pool.as_number(Sym::NULL), None);
+        // Rust parses these as floats; none of them is a finite number.
+        for text in ["nan", "Nan", "NaN", "inf", "-Infinity", "1e400"] {
+            let sym = pool.intern(text);
+            assert_eq!(pool.as_number(sym), None, "{text}");
+        }
+    }
+
+    #[test]
+    fn compare_orders_numbers_then_strings() {
+        let mut pool = ValuePool::new();
+        let [nine, ten, zero, neg_zero, abc, nan] =
+            ["9", "10", "0", "-0", "abc", "Nan"].map(|v| pool.intern(v));
+        assert_eq!(
+            pool.compare(nine, ten),
+            Ordering::Less,
+            "numeric, not lexicographic"
+        );
+        assert_eq!(pool.compare(neg_zero, zero), Ordering::Equal);
+        assert_eq!(
+            pool.compare(ten, abc),
+            Ordering::Less,
+            "mixed compares as strings"
+        );
+        assert_eq!(
+            pool.compare(nan, nine),
+            Ordering::Greater,
+            "\"Nan\" is a string"
+        );
+        assert_eq!(pool.compare(nine, nan), Ordering::Less);
     }
 
     #[test]

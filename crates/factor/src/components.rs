@@ -17,8 +17,8 @@
 //!   is at most [`PartitionedConfig::exact_limit`] are enumerated exactly
 //!   ([`crate::exact::exact_marginals_for`]): exact marginals, no sampling
 //!   noise;
-//! * **Gibbs** — larger components run multi-chain Gibbs restricted to
-//!   the component, seeded from `(seed, component_rank)`. With
+//! * **Gibbs** — larger components run one Gibbs chain restricted to the
+//!   component, seeded from `(seed, component_rank)`. With
 //!   [`PartitionedConfig::chromatic`] set, each Gibbs-routed component
 //!   whose query set spans several colors of the graph's cached
 //!   [`Coloring`] sweeps chromatically — color classes resample in
@@ -40,12 +40,11 @@
 use crate::cache::{ScoreCache, ScoreCacheStats};
 use crate::coloring::Coloring;
 use crate::exact::{exact_marginals_for, MAX_EXACT_STATES};
-use crate::gibbs::{chain_seed, chromatic_sweep_blocks, GibbsConfig, GibbsSampler};
+use crate::gibbs::{chromatic_sweep_blocks, GibbsConfig, GibbsSampler};
 use crate::graph::{CliqueFactor, FactorGraph, ValueContext, VarId};
 use crate::marginals::Marginals;
 use crate::math::softmax;
 use crate::weights::Weights;
-use holo_dataset::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 /// How one partitioned inference pass decomposed and routed the graph —
@@ -70,7 +69,7 @@ pub struct PartitionStats {
     pub exact_components: u64,
     /// Query variables solved by exact enumeration.
     pub exact_vars: u64,
-    /// Components sampled with per-component Gibbs chains.
+    /// Components sampled with a per-component Gibbs chain.
     pub gibbs_components: u64,
     /// Query variables sampled with Gibbs.
     pub gibbs_vars: u64,
@@ -217,17 +216,6 @@ pub struct PartitionedConfig {
     pub score_cache: bool,
 }
 
-/// Gibbs components with at least this many query variables fan their
-/// chains out as separate parallel jobs (each chain pays its own O(graph)
-/// sampler setup, amortised by the sweep work on a component this big);
-/// smaller components run chains sequentially on one rewound sampler.
-/// The threshold only picks a schedule — both paths produce bit-for-bit
-/// identical counts (same seeds, same chain-order merge) — so it can
-/// never affect output, only wall-clock. Without the fan-out, a densely
-/// constrained graph that collapses into one giant component would lose
-/// the chain parallelism of whole-graph multi-chain sampling.
-const CHAIN_FANOUT_MIN_QUERY_VARS: usize = 64;
-
 /// One schedulable work unit of a partitioned inference pass, referencing
 /// its component by rank.
 enum Unit {
@@ -235,17 +223,8 @@ enum Unit {
     Closed(usize),
     /// Exact enumeration of the component's joint query space.
     Exact(usize),
-    /// Per-component Gibbs, all chains sequentially on one sampler.
+    /// Per-component Gibbs.
     Gibbs(usize),
-    /// One chain of a fanned-out large Gibbs component.
-    GibbsChain(usize, usize),
-}
-
-/// What a unit produces: finished marginals, or one chain's raw counts
-/// (query-aligned) still to be merged with its sibling chains.
-enum UnitOut {
-    Done(Vec<(VarId, Vec<f64>)>),
-    ChainCounts(usize, Vec<Vec<f64>>),
 }
 
 /// Partitioned hybrid inference: decomposes the graph via its cached
@@ -255,10 +234,10 @@ enum UnitOut {
 /// marginals back in variable order.
 ///
 /// Determinism: the component order is canonical, component `rank` seeds
-/// its chains via the same SplitMix mixing as multi-chain Gibbs (rank 0
-/// keeps `gibbs.seed`, so a graph that is one single component reproduces
-/// whole-graph multi-chain sampling bit-for-bit), and each variable's marginal
-/// is produced by exactly one component — so any thread count yields the
+/// its sampler from `(gibbs.seed, rank)` (rank 0 keeps `gibbs.seed`, so a
+/// graph that is one single component reproduces the whole-graph
+/// [`GibbsSampler::run`] bit-for-bit), and each variable's marginal is
+/// produced by exactly one component — so any thread count yields the
 /// `threads = 1` result bit-for-bit. Evidence variables get a point mass.
 pub fn infer_partitioned<C: ValueContext + Sync>(
     graph: &FactorGraph,
@@ -268,7 +247,6 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
     threads: usize,
 ) -> (Marginals, PartitionStats) {
     let index = graph.components();
-    let chains = config.gibbs.chains.max(1);
     // The coloring is only built (or even looked at) when chromatic sweeps
     // are requested — the flag off leaves the cache untouched.
     let coloring = config.chromatic.then(|| graph.coloring());
@@ -289,8 +267,8 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
     if let Some(col) = coloring {
         stats.colors = col.num_colors() as u64;
     }
-    // Per-chain counted sweeps, for the per-unit cost estimates below.
-    let sweeps = (config.gibbs.burn_in + samples_per_chain(&config.gibbs)) as u64;
+    // Sweeps per sampler, for the per-unit cost estimates below.
+    let sweeps = (config.gibbs.burn_in + config.gibbs.samples.max(1)) as u64;
     let mut comps: Vec<Vec<VarId>> = Vec::new();
     let mut units: Vec<Unit> = Vec::new();
     // Estimated cost of `units[i]` — design-row visits, plus for Gibbs
@@ -350,14 +328,8 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
                     .iter()
                     .map(|&v| (graph.var(v).arity() * graph.cliques_of(v).len()) as u64)
                     .sum();
-                let chain_cost = (rows + clique_evals).saturating_mul(sweeps);
-                if chains > 1 && query.len() >= CHAIN_FANOUT_MIN_QUERY_VARS {
-                    units.extend((0..chains).map(|c| Unit::GibbsChain(rank, c)));
-                    costs.extend((0..chains).map(|_| chain_cost));
-                } else {
-                    units.push(Unit::Gibbs(rank));
-                    costs.push(chain_cost.saturating_mul(chains as u64));
-                }
+                units.push(Unit::Gibbs(rank));
+                costs.push((rows + clique_evals).saturating_mul(sweeps));
             }
         }
         comps.push(query);
@@ -371,26 +343,18 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
         units.len(),
         |i| costs[i],
         |i| match units[i] {
-            Unit::Closed(rank) => UnitOut::Done(
-                comps[rank]
-                    .iter()
-                    .map(|&v| {
-                        let probs = match cache {
-                            Some(c) => softmax(c.var_scores(v)),
-                            None => softmax(&graph.unary_scores(v, weights)),
-                        };
-                        (v, probs)
-                    })
-                    .collect(),
-            ),
-            Unit::Exact(rank) => UnitOut::Done(exact_marginals_for(
-                graph,
-                weights,
-                ctx,
-                cache,
-                &comps[rank],
-            )),
-            Unit::Gibbs(rank) => UnitOut::Done(sample_component(
+            Unit::Closed(rank) => comps[rank]
+                .iter()
+                .map(|&v| {
+                    let probs = match cache {
+                        Some(c) => softmax(c.var_scores(v)),
+                        None => softmax(&graph.unary_scores(v, weights)),
+                    };
+                    (v, probs)
+                })
+                .collect(),
+            Unit::Exact(rank) => exact_marginals_for(graph, weights, ctx, cache, &comps[rank]),
+            Unit::Gibbs(rank) => sample_component(
                 graph,
                 weights,
                 ctx,
@@ -400,88 +364,32 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
                 coloring,
                 cache,
                 threads,
-            )),
-            Unit::GibbsChain(rank, chain) => {
-                let seed = chain_seed(component_seed(config.gibbs.seed, rank), chain);
-                let mut sampler =
-                    GibbsSampler::for_query(graph, weights, ctx, seed, comps[rank].to_vec());
-                if let Some(col) = coloring {
-                    sampler = sampler.with_chromatic(col, threads);
-                }
-                if let Some(c) = cache {
-                    sampler = sampler.with_score_cache(c);
-                }
-                let counts = sampler
-                    .collect_query_counts(config.gibbs.burn_in, samples_per_chain(&config.gibbs));
-                UnitOut::ChainCounts(rank, counts)
-            }
+            ),
         },
     );
-    // Merge: finished units pass through; fanned chain counts accumulate
-    // per component in unit order — which is chain order, the same f64
-    // addition sequence the sequential sampler performs — then normalise.
-    let mut parts: Vec<(VarId, Vec<f64>)> = Vec::new();
-    let mut fanned: FxHashMap<usize, Vec<Vec<f64>>> = FxHashMap::default();
-    let mut fanned_ranks: Vec<usize> = Vec::new();
-    for out in outs {
-        match out {
-            UnitOut::Done(p) => parts.extend(p),
-            UnitOut::ChainCounts(rank, counts) => match fanned.entry(rank) {
-                std::collections::hash_map::Entry::Occupied(mut acc) => {
-                    for (a, c) in acc.get_mut().iter_mut().zip(counts) {
-                        for (x, y) in a.iter_mut().zip(c) {
-                            *x += y;
-                        }
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(counts);
-                    fanned_ranks.push(rank);
-                }
-            },
-        }
-    }
-    for rank in fanned_ranks {
-        let counts = fanned.remove(&rank).expect("accumulated above");
-        parts.extend(normalize_query_counts(&comps[rank], counts));
-    }
-    let marginals = Marginals::assemble(graph, parts);
+    let marginals = Marginals::assemble(graph, outs.into_iter().flatten());
     (marginals, stats)
 }
 
-/// Counted sweeps contributed by each chain: the total sample budget split
-/// evenly, rounded up — the same split on the fan-out path and the
-/// sequential one, so the two stay bit-compatible.
-fn samples_per_chain(cfg: &GibbsConfig) -> usize {
-    cfg.samples.max(1).div_ceil(cfg.chains.max(1))
-}
-
 /// Seed of component `rank`: rank 0 keeps the master seed — so a graph
-/// that is one single component reproduces whole-graph multi-chain
-/// sampling bit-for-bit — and later ranks mix `(seed, rank)` through a SplitMix64
-/// finalizer with **different constants** than the chain-level
-/// [`chain_seed`]. The two tiers must not share a mixer: `chain_seed(x,
-/// 0) == x`, so with one mixer, component `r`'s chain 0 and component
-/// 0's chain `r` would both derive the identical stream `mix(seed, r)`
-/// and two different components would consume correlated randomness.
+/// that is one single component reproduces the whole-graph
+/// [`GibbsSampler::run`] bit-for-bit — and later ranks mix `(seed, rank)`
+/// through a Murmur3-style finalizer. Its constants differ from the
+/// chromatic block tier's ([`crate::gibbs`]), so a component seed and a
+/// block seed hanging off another component never share a mixer.
 fn component_seed(seed: u64, rank: usize) -> u64 {
     if rank == 0 {
         return seed;
     }
-    // Murmur3-style finalizer constants (distinct from chain_seed's).
     let mut z = seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
     z ^ (z >> 33)
 }
 
-/// Multi-chain Gibbs restricted to one component: chains run sequentially
-/// (components provide the parallelism) with seeds derived from the
-/// component seed by [`chain_seed`], and their counts merge in chain
-/// order. With a
-/// `coloring`, multi-color query sets sweep chromatically — the same plan
-/// and seeds the fanned-out [`Unit::GibbsChain`] path derives, so the two
-/// schedules stay bit-compatible.
+/// Gibbs restricted to one component: one sampler seeded with the
+/// component seed, its sample counts normalised. With a `coloring`,
+/// multi-color query sets sweep chromatically.
 #[allow(clippy::too_many_arguments)]
 fn sample_component<C: ValueContext + Sync>(
     graph: &FactorGraph,
@@ -494,39 +402,15 @@ fn sample_component<C: ValueContext + Sync>(
     cache: Option<&ScoreCache>,
     threads: usize,
 ) -> Vec<(VarId, Vec<f64>)> {
-    let chains = cfg.chains.max(1);
-    let per_chain = samples_per_chain(cfg);
-    let mut merged: Vec<Vec<f64>> = query
-        .iter()
-        .map(|&v| vec![0.0; graph.var(v).arity()])
-        .collect();
-    // One sampler per component, rewound between chains: the full-graph
-    // state build happens once, each further chain costs O(component).
-    let mut sampler = GibbsSampler::for_query(
-        graph,
-        weights,
-        ctx,
-        chain_seed(comp_seed, 0),
-        query.to_vec(),
-    );
+    let mut sampler = GibbsSampler::for_query(graph, weights, ctx, comp_seed, query.to_vec());
     if let Some(col) = coloring {
         sampler = sampler.with_chromatic(col, threads);
     }
     if let Some(c) = cache {
         sampler = sampler.with_score_cache(c);
     }
-    for chain in 0..chains {
-        if chain > 0 {
-            sampler.reset_chain(chain_seed(comp_seed, chain));
-        }
-        let counts = sampler.collect_query_counts(cfg.burn_in, per_chain);
-        for (acc, c) in merged.iter_mut().zip(counts) {
-            for (x, y) in acc.iter_mut().zip(c) {
-                *x += y;
-            }
-        }
-    }
-    normalize_query_counts(query, merged)
+    let counts = sampler.collect_query_counts(cfg.burn_in, cfg.samples);
+    normalize_query_counts(query, counts)
 }
 
 /// Raw per-candidate sample counts into marginals, query-aligned: sampled
@@ -549,7 +433,6 @@ fn normalize_query_counts(query: &[VarId], mut counts: Vec<Vec<f64>>) -> Vec<(Va
 mod tests {
     use super::*;
     use crate::exact::exact_marginals;
-    use crate::gibbs::reference::run_chains;
     use crate::graph::{CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, Variable};
     use crate::marginals::reference::exact_unary;
     use crate::weights::WeightId;
@@ -660,10 +543,10 @@ mod tests {
     }
 
     /// A single-component graph sampled with `exact_limit = 0` reproduces
-    /// the monolithic `run_chains` bit-for-bit (same seeds, same sweep
-    /// order, same merge order) — the partition seam costs nothing.
+    /// the whole-graph [`GibbsSampler::run`] bit-for-bit (same seed, same
+    /// sweep order) — the partition seam costs nothing.
     #[test]
-    fn single_component_gibbs_is_bit_for_bit_run_chains() {
+    fn single_component_gibbs_is_bit_for_bit_run() {
         let mut g = FactorGraph::new();
         let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
@@ -674,25 +557,22 @@ mod tests {
         g.add_feature(a, 0, WeightId(0), 1.0);
         g.add_clique(must_differ(a, b, WeightId(1)));
         let ctx = EqOnlyContext;
-        for chains in [1usize, 4] {
-            let gibbs = GibbsConfig {
-                burn_in: 30,
-                samples: 600,
-                seed: 21,
-                chains,
-            };
-            let reference = run_chains(&g, &w, &ctx, &gibbs, 1);
-            let cfg = PartitionedConfig {
-                gibbs,
-                exact_limit: 0,
-                chromatic: false,
-                score_cache: true,
-            };
-            let (m, stats) = infer_partitioned(&g, &w, &ctx, &cfg, 1);
-            assert_eq!(m, reference, "chains = {chains}");
-            assert_eq!(stats.gibbs_components, 1);
-            assert_eq!(stats.gibbs_vars, 2);
-        }
+        let gibbs = GibbsConfig {
+            burn_in: 30,
+            samples: 600,
+            seed: 21,
+        };
+        let reference = GibbsSampler::new(&g, &w, &ctx, gibbs.seed).run(&gibbs);
+        let cfg = PartitionedConfig {
+            gibbs,
+            exact_limit: 0,
+            chromatic: false,
+            score_cache: true,
+        };
+        let (m, stats) = infer_partitioned(&g, &w, &ctx, &cfg, 1);
+        assert_eq!(m, reference);
+        assert_eq!(stats.gibbs_components, 1);
+        assert_eq!(stats.gibbs_vars, 2);
     }
 
     /// Exact routing matches global enumeration, and the whole pass is
@@ -741,7 +621,6 @@ mod tests {
                 burn_in: 200,
                 samples: 20_000,
                 seed: 5,
-                chains: 2,
             },
             exact_limit: 0, // force sampling of the coupled pairs
             chromatic: false,
@@ -767,64 +646,20 @@ mod tests {
         }
     }
 
-    /// A component large enough to trip the chain fan-out (≥ 64 query
-    /// vars, chains > 1) still reproduces the monolithic `run_chains`
-    /// bit-for-bit — the fan-out is a schedule, not a model change — and
-    /// stays thread-invariant.
+    /// The two seed tiers never collide structurally: the component
+    /// seeds and the chromatic block seeds hanging off each of them are
+    /// pairwise distinct in a small grid — so no block of one component
+    /// replays another component's sequential stream.
     #[test]
-    fn fanned_out_chains_match_run_chains_bit_for_bit() {
-        let mut g = FactorGraph::new();
-        let n = CHAIN_FANOUT_MIN_QUERY_VARS + 6;
-        let vars: Vec<VarId> = (0..n)
-            .map(|i| g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(i % 2))))
-            .collect();
-        let mut w = Weights::zeros(2);
-        w.set(WeightId(0), 0.6);
-        w.set(WeightId(1), 1.1);
-        g.add_feature(vars[0], 0, WeightId(0), 1.0);
-        for pair in vars.windows(2) {
-            g.add_clique(must_differ(pair[0], pair[1], WeightId(1)));
-        }
-        let ctx = EqOnlyContext;
-        let gibbs = GibbsConfig {
-            burn_in: 10,
-            samples: 80,
-            seed: 33,
-            chains: 4,
-        };
-        let reference = run_chains(&g, &w, &ctx, &gibbs, 1);
-        let cfg = PartitionedConfig {
-            gibbs,
-            exact_limit: 0,
-            chromatic: false,
-            score_cache: true,
-        };
-        for threads in [1, 2, 4] {
-            let (m, stats) = infer_partitioned(&g, &w, &ctx, &cfg, threads);
-            assert_eq!(m, reference, "threads = {threads}");
-            assert_eq!(stats.gibbs_components, 1);
-            assert_eq!(stats.gibbs_vars, n as u64);
-        }
-    }
-
-    /// The three seed tiers never collide structurally: component `r`'s
-    /// chain 0 (`component_seed(s, r)`) must differ from component 0's
-    /// chain `r` (`chain_seed(s, r)`) — with a shared mixer they would be
-    /// identical — and all (rank, chain) streams plus the chromatic block
-    /// seeds hanging off each of them are pairwise distinct in a small
-    /// grid.
-    #[test]
-    fn component_chain_and_block_seeds_do_not_collide() {
+    fn component_and_block_seeds_do_not_collide() {
         let seed = 0x5eed;
         assert_eq!(component_seed(seed, 0), seed);
         let mut all = Vec::new();
-        for rank in 0..8 {
-            for chain in 0..8 {
-                let cs = chain_seed(component_seed(seed, rank), chain);
-                all.push(cs);
-                for block in 0..4 {
-                    all.push(crate::gibbs::color_block_seed(cs, block));
-                }
+        for rank in 0..64 {
+            let cs = component_seed(seed, rank);
+            all.push(cs);
+            for block in 0..8 {
+                all.push(crate::gibbs::color_block_seed(cs, block));
             }
         }
         let mut dedup = all.clone();
@@ -856,7 +691,6 @@ mod tests {
                 burn_in: 200,
                 samples: 30_000,
                 seed: 19,
-                chains: 1,
             },
             exact_limit: 0, // force sampling
             chromatic: true,
@@ -915,63 +749,6 @@ mod tests {
         assert_eq!(s_on.colors, 1, "clique-free = single color");
         assert_eq!(s_on.color_sweep_blocks, 0, "no plan ever arms");
         assert_eq!(s_off.colors, 0, "coloring not built when off");
-    }
-
-    /// Fanned-out chains and the sequential rewound-sampler path stay
-    /// bit-compatible under chromatic sweeps too — the fan-out threshold
-    /// remains a pure schedule knob.
-    #[test]
-    fn chromatic_fanned_chains_match_sequential_chains() {
-        let mut g = FactorGraph::new();
-        let n = CHAIN_FANOUT_MIN_QUERY_VARS + 6;
-        let vars: Vec<VarId> = (0..n)
-            .map(|i| g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(i % 2))))
-            .collect();
-        let mut w = Weights::zeros(2);
-        w.set(WeightId(0), 0.6);
-        w.set(WeightId(1), 1.1);
-        g.add_feature(vars[0], 0, WeightId(0), 1.0);
-        for pair in vars.windows(2) {
-            g.add_clique(must_differ(pair[0], pair[1], WeightId(1)));
-        }
-        let ctx = EqOnlyContext;
-        // chains = 4 trips the fan-out on this component; chains = 1 with
-        // 4× the samples-per-chain budget uses the rewound sampler. The
-        // fan-out invariance is checked against the *same* config routed
-        // at different thread counts, plus a direct sampler cross-check.
-        let cfg = PartitionedConfig {
-            gibbs: GibbsConfig {
-                burn_in: 10,
-                samples: 80,
-                seed: 33,
-                chains: 4,
-            },
-            exact_limit: 0,
-            chromatic: true,
-            score_cache: true,
-        };
-        let (reference, stats) = infer_partitioned(&g, &w, &ctx, &cfg, 1);
-        assert_eq!(stats.gibbs_components, 1);
-        assert!(stats.color_sweep_blocks >= 2);
-        for threads in [2, 4] {
-            let (m, _) = infer_partitioned(&g, &w, &ctx, &cfg, threads);
-            assert_eq!(m, reference, "threads = {threads}");
-        }
-        // Direct cross-check: the rewound-sampler path (what a component
-        // below the fan-out threshold runs) produces the same counts as
-        // the fanned units did above.
-        let sequential = sample_component(
-            &g,
-            &w,
-            &ctx,
-            &cfg.gibbs,
-            component_seed(cfg.gibbs.seed, 0),
-            &vars,
-            Some(g.coloring()),
-            None,
-            1,
-        );
-        assert_eq!(Marginals::assemble(&g, sequential), reference);
     }
 
     /// One mutation of a graph whose index and coloring are already

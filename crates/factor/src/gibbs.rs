@@ -7,17 +7,10 @@
 //! *is* the marginal and the sampler trivially mixes in `O(n log n)` sweeps
 //! — matching the theory the paper cites [21, 36].
 //!
-//! ## Multi-chain parallelism
-//!
-//! [`infer_partitioned`](crate::components::infer_partitioned) runs
-//! [`GibbsConfig::chains`] independent chains per sampled component, each
-//! with its own deterministically derived seed (chain 0 uses the
-//! component's seed itself, so `chains = 1` is bit-for-bit the
-//! single-chain sampler), and merges their per-candidate sample counts in
-//! chain order. Chains share only the read-only graph, weights and value
-//! context. Because each chain's counts depend only on its own seed and
-//! the merge is a sum in chain order, the result is identical for every
-//! thread count.
+//! One sampler is one chain.
+//! [`infer_partitioned`](crate::components::infer_partitioned) runs one
+//! per sampled component, seeded from the component's rank; the
+//! parallelism lives in the component decomposition, not in extra chains.
 //!
 //! ## Chromatic sweeps
 //!
@@ -31,8 +24,8 @@
 //! visits colors in fixed ascending order; within a color, the class is
 //! cut into fixed-size blocks (independent of the thread count), each
 //! block draws from its own RNG seeded by
-//! `color_block_seed(chain_seed, sweep · blocks_per_sweep + block)` — a
-//! third mixer tier below component and chain seeds — and the sampled
+//! `color_block_seed(seed, sweep · blocks_per_sweep + block)` — a second
+//! mixer tier below the component seed — and the sampled
 //! values are written back only after the whole class finished. Blocks are
 //! scheduled over [`holo_parallel::parallel_jobs`], which merges in block
 //! order, so **any thread count is bit-for-bit `threads = 1`**. A query
@@ -89,8 +82,7 @@
 //!   operator, null symbols and repeated variables.
 //! * **Lifetime.** The program belongs to the sampler: built by
 //!   [`GibbsSampler::for_query`] over exactly the sampler's query set,
-//!   read by the sequential sweep and the chromatic blocks, kept across
-//!   the chain rewinds of per-component multi-chain sampling, dropped with
+//!   read by the sequential sweep and the chromatic blocks, dropped with
 //!   the sampler (so with the component, under partitioned inference).
 //!   Weights are frozen while a sampler lives, which is what makes
 //!   resolving `-θ` at build sound.
@@ -109,17 +101,12 @@ use serde::{Deserialize, Serialize};
 /// Sampler configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct GibbsConfig {
-    /// Sweeps discarded before collecting statistics (per chain).
+    /// Sweeps discarded before collecting statistics.
     pub burn_in: usize,
-    /// Sweeps whose states are counted into the marginals, split across
-    /// chains by [`infer_partitioned`](crate::components::infer_partitioned).
+    /// Sweeps whose states are counted into the marginals.
     pub samples: usize,
-    /// RNG seed — the sampler is fully deterministic given the seed (and,
-    /// under partitioned inference, the chain count).
+    /// RNG seed — the sampler is fully deterministic given the seed.
     pub seed: u64,
-    /// Independent chains merged per sampled component; `1` reproduces the
-    /// single-chain sampler exactly.
-    pub chains: usize,
 }
 
 impl Default for GibbsConfig {
@@ -128,42 +115,21 @@ impl Default for GibbsConfig {
             burn_in: 20,
             samples: 100,
             seed: 0x5eed,
-            chains: 1,
         }
     }
 }
 
-/// Seed of chain `i`: chain 0 keeps the configured seed (exact
-/// single-chain compatibility); later chains pass `(seed, i)` through a
-/// SplitMix64-style finalizer. A plain additive step would interact with
-/// the RNG's own additive seed expansion — consecutive chains' initial
-/// states would share 3 of 4 words — so the seeds are mixed, not stepped,
-/// keeping the chains' streams statistically independent. Partitioned
-/// inference reuses the same mixer one level up (component rank → chain):
-/// rank 0 keeps the master seed, so a single-component graph reproduces
-/// the whole-graph multi-chain sampler (the test-only `reference`)
-/// exactly.
-pub(crate) fn chain_seed(seed: u64, chain: usize) -> u64 {
-    if chain == 0 {
-        return seed;
-    }
-    let mut z = seed ^ (chain as u64).wrapping_mul(0xA24B_AED4_963E_E407);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Seed of one color-sweep block: the third tier of the seed hierarchy
-/// (component rank → chain → block), mixing the chain seed with the
-/// block's global index `sweep · blocks_per_sweep + block_rank`. Uses yet
-/// another distinct finalizer (degski64 constants) and — unlike the upper
-/// tiers — **no identity shortcut at index 0**: block 0 must not reuse the
-/// chain seed verbatim, or its draws would replay the stream the
+/// Seed of one color-sweep block: the second tier of the seed hierarchy
+/// (component rank → block), mixing the sampler's seed with the block's
+/// global index `sweep · blocks_per_sweep + block_rank`. Uses a finalizer
+/// distinct from the component tier's (degski64 constants) and — unlike
+/// it — **no identity shortcut at index 0**: block 0 must not reuse the
+/// sampler seed verbatim, or its draws would replay the stream the
 /// sequential path would have consumed (chromatic multi-color output is a
 /// deliberately different sampling schedule, not a reordering of the
 /// sequential one).
-pub(crate) fn color_block_seed(chain_seed: u64, block_index: u64) -> u64 {
-    let mut z = chain_seed ^ block_index.wrapping_mul(0x2545_F491_4F6C_DD1D);
+pub(crate) fn color_block_seed(seed: u64, block_index: u64) -> u64 {
+    let mut z = seed ^ block_index.wrapping_mul(0x2545_F491_4F6C_DD1D);
     z = (z ^ (z >> 32)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
     z = (z ^ (z >> 32)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
     z ^ (z >> 32)
@@ -248,7 +214,7 @@ pub(crate) fn chromatic_sweep_blocks(coloring: &Coloring, query: &[VarId]) -> u6
     build_plan(coloring, query).map_or(0, |plan| plan.blocks_per_sweep)
 }
 
-/// The candidate a variable starts every chain at: its evidence, else its
+/// The candidate a variable starts at: its evidence, else its
 /// initial value, else candidate 0.
 fn initial_candidate(var: &Variable) -> usize {
     var.evidence.or(var.init).unwrap_or(0)
@@ -500,10 +466,10 @@ pub struct GibbsSampler<'a, C: ValueContext> {
     /// Worker threads chromatic sweeps may spawn (a schedule knob only:
     /// any value is bit-for-bit `1`).
     threads: usize,
-    /// The chain seed, re-mixed per color block by [`color_block_seed`].
+    /// The sampler's seed, re-mixed per color block by [`color_block_seed`].
     base_seed: u64,
-    /// Sweeps performed since the last (re)seed — the per-sweep component
-    /// of chromatic block seeds.
+    /// Sweeps performed so far — the per-sweep component of chromatic
+    /// block seeds.
     sweep_no: u64,
 }
 
@@ -579,24 +545,6 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     pub fn with_score_cache(mut self, cache: &'a ScoreCache<'a>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// Rewinds the sampler for a fresh chain: reseeds the RNG and resets
-    /// this sampler's *own* query variables to their initial state.
-    /// Restricted sweeps never move any other variable, so the reset is
-    /// O(this sampler's query set) — per-component multi-chain sampling
-    /// pays the full-graph state build and the program compile once per
-    /// component, not once per chain, and a reset sampler is
-    /// indistinguishable from a fresh [`GibbsSampler::for_query`] with the
-    /// same seed.
-    pub(crate) fn reset_chain(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
-        self.base_seed = seed;
-        self.sweep_no = 0;
-        for i in 0..self.query.len() {
-            let v = self.query[i];
-            self.assign(v, initial_candidate(self.graph.var(v)));
-        }
     }
 
     /// Moves `v` to candidate `k`, keeping the symbol array in step.
@@ -693,8 +641,8 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     }
 
     /// Runs burn-in + sampling sweeps and returns raw per-candidate sample
-    /// counts aligned to this sampler's query list (the merge unit of
-    /// per-component sampling, where full-graph count vectors would cost
+    /// counts aligned to this sampler's query list (what per-component
+    /// sampling normalises, where full-graph count vectors would cost
     /// O(variables) per component).
     pub(crate) fn collect_query_counts(&mut self, burn_in: usize, samples: usize) -> Vec<Vec<f64>> {
         for _ in 0..burn_in {
@@ -737,56 +685,6 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
         normalize_counts(self.graph, &mut counts);
         Marginals::from_raw(counts)
     }
-
-    /// Current symbols of all variables.
-    pub fn assignment_syms(&self) -> Vec<Sym> {
-        self.syms.clone()
-    }
-}
-
-/// The whole-graph multi-chain sampler that per-component sampling
-/// replaced, kept as the reference its tests compare against.
-#[cfg(test)]
-pub(crate) mod reference {
-    use super::*;
-
-    /// Runs `config.chains` independent seeded chains over up to `threads`
-    /// OS threads and merges their sample counts into one [`Marginals`].
-    ///
-    /// Each chain burns in for `config.burn_in` sweeps and contributes
-    /// `ceil(samples / chains)` counted sweeps. Deterministic for a fixed
-    /// `(seed, chains)` pair at any `threads`; `chains = 1` is bit-for-bit
-    /// [`GibbsSampler::run`].
-    pub(crate) fn run_chains<C: ValueContext + Sync>(
-        graph: &FactorGraph,
-        weights: &Weights,
-        ctx: &C,
-        config: &GibbsConfig,
-        threads: usize,
-    ) -> Marginals {
-        let chains = config.chains.max(1);
-        if chains == 1 {
-            return GibbsSampler::new(graph, weights, ctx, config.seed).run(config);
-        }
-        let samples_per_chain = config.samples.max(1).div_ceil(chains);
-        let per_chain: Vec<Vec<Vec<f64>>> = holo_parallel::parallel_jobs(threads, chains, |i| {
-            let mut sampler = GibbsSampler::new(graph, weights, ctx, chain_seed(config.seed, i));
-            sampler.collect_counts(config.burn_in, samples_per_chain)
-        });
-        let mut merged = per_chain
-            .into_iter()
-            .reduce(|mut acc, counts| {
-                for (a, c) in acc.iter_mut().zip(counts) {
-                    for (x, y) in a.iter_mut().zip(c) {
-                        *x += y;
-                    }
-                }
-                acc
-            })
-            .expect("at least one chain");
-        normalize_counts(graph, &mut merged);
-        Marginals::from_raw(merged)
-    }
 }
 
 /// Hooks for the tests that pin the compiled conditional against the
@@ -811,7 +709,6 @@ impl<C: ValueContext + Sync> GibbsSampler<'_, C> {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::run_chains;
     use super::*;
     use crate::exact::exact_marginals;
     use crate::graph::{
@@ -837,7 +734,6 @@ mod tests {
             burn_in: 50,
             samples: 4000,
             seed: 7,
-            chains: 1,
         });
         let sigmoid = 1.0 / (1.0 + (-1.5f64).exp());
         assert!(
@@ -873,7 +769,6 @@ mod tests {
             burn_in: 200,
             samples: 20_000,
             seed: 13,
-            chains: 1,
         });
         for v in [a, b] {
             for k in 0..2 {
@@ -911,7 +806,6 @@ mod tests {
             burn_in: 50,
             samples: 3000,
             seed: 3,
-            chains: 1,
         });
         assert_eq!(m.probs(e), &[1.0, 0.0]);
         assert!(
@@ -933,7 +827,6 @@ mod tests {
             burn_in: 10,
             samples: 500,
             seed: 42,
-            chains: 1,
         };
         let m1 = GibbsSampler::new(&g, &w, &ctx, cfg.seed).run(&cfg);
         let m2 = GibbsSampler::new(&g, &w, &ctx, cfg.seed).run(&cfg);
@@ -950,152 +843,13 @@ mod tests {
         assert_eq!(m.probs(VarId(0)), &[1.0]);
     }
 
-    /// The toy graph the multi-chain tests sample: two coupled variables
-    /// plus an evidence pin, exercising unary, clique and evidence paths.
-    fn toy_graph() -> (FactorGraph, Weights) {
-        let mut g = FactorGraph::new();
-        let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        g.add_variable(Variable::evidence(vec![sym(1), sym(2)], 1));
-        let mut w = Weights::zeros(2);
-        w.set(WeightId(0), 0.7);
-        w.set(WeightId(1), 1.4);
-        g.add_feature(a, 0, WeightId(0), 1.0);
-        g.add_clique(CliqueFactor {
-            vars: vec![a, b],
-            weight: WeightId(1),
-            predicates: vec![FactorPredicate {
-                lhs: FactorOperand::Var(0),
-                op: CmpOp::Eq,
-                rhs: FactorOperand::Var(1),
-            }],
-        });
-        (g, w)
-    }
-
-    #[test]
-    fn single_chain_run_chains_is_bit_for_bit_run() {
-        let (g, w) = toy_graph();
-        let ctx = EqOnlyContext;
-        let cfg = GibbsConfig {
-            burn_in: 30,
-            samples: 700,
-            seed: 21,
-            chains: 1,
-        };
-        let direct = GibbsSampler::new(&g, &w, &ctx, cfg.seed).run(&cfg);
-        let chained = run_chains(&g, &w, &ctx, &cfg, 4);
-        assert_eq!(direct, chained);
-    }
-
-    #[test]
-    fn multi_chain_deterministic_at_any_thread_count() {
-        let (g, w) = toy_graph();
-        let ctx = EqOnlyContext;
-        let cfg = GibbsConfig {
-            burn_in: 30,
-            samples: 2000,
-            seed: 77,
-            chains: 4,
-        };
-        let reference = run_chains(&g, &w, &ctx, &cfg, 1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                run_chains(&g, &w, &ctx, &cfg, threads),
-                reference,
-                "threads = {threads}"
-            );
-        }
-        // And across repeated runs with the same seed set.
-        assert_eq!(run_chains(&g, &w, &ctx, &cfg, 4), reference);
-    }
-
-    #[test]
-    fn four_chain_marginals_close_to_single_chain() {
-        let (g, w) = toy_graph();
-        let ctx = EqOnlyContext;
-        let single = run_chains(
-            &g,
-            &w,
-            &ctx,
-            &GibbsConfig {
-                burn_in: 200,
-                samples: 20_000,
-                seed: 5,
-                chains: 1,
-            },
-            1,
-        );
-        let multi = run_chains(
-            &g,
-            &w,
-            &ctx,
-            &GibbsConfig {
-                burn_in: 200,
-                samples: 20_000,
-                seed: 5,
-                chains: 4,
-            },
-            4,
-        );
-        for v in [VarId(0), VarId(1), VarId(2)] {
-            for k in 0..2 {
-                assert!(
-                    (single.prob(v, k) - multi.prob(v, k)).abs() < 0.03,
-                    "var {v:?} cand {k}: single {} vs 4-chain {}",
-                    single.prob(v, k),
-                    multi.prob(v, k)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn multi_chain_matches_exact_enumeration() {
-        let (g, w) = toy_graph();
-        let ctx = EqOnlyContext;
-        let exact = exact_marginals(&g, &w, &ctx);
-        let multi = run_chains(
-            &g,
-            &w,
-            &ctx,
-            &GibbsConfig {
-                burn_in: 300,
-                samples: 40_000,
-                seed: 9,
-                chains: 4,
-            },
-            4,
-        );
-        for v in [VarId(0), VarId(1)] {
-            for k in 0..2 {
-                assert!(
-                    (exact.prob(v, k) - multi.prob(v, k)).abs() < 0.02,
-                    "var {v:?} cand {k}: exact {} vs 4-chain {}",
-                    exact.prob(v, k),
-                    multi.prob(v, k)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chain_seeds_distinct_and_stable() {
-        assert_eq!(chain_seed(42, 0), 42);
-        let seeds: Vec<u64> = (0..8).map(|i| chain_seed(42, i)).collect();
-        let mut dedup = seeds.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), seeds.len());
-    }
-
     #[test]
     fn color_block_seeds_distinct_and_never_identity() {
-        // No identity shortcut at block 0 — it must not replay the chain
-        // stream — and no collisions across blocks or with chain seeds.
+        // No identity shortcut at block 0 — it must not replay the
+        // sampler's own stream — and no collisions across blocks.
         assert_ne!(color_block_seed(42, 0), 42);
         let mut seeds: Vec<u64> = (0..64).map(|b| color_block_seed(42, b)).collect();
-        seeds.extend((0..8).map(|i| chain_seed(42, i)));
+        seeds.push(42);
         let n = seeds.len();
         seeds.sort_unstable();
         seeds.dedup();
@@ -1153,7 +907,6 @@ mod tests {
             burn_in: 20,
             samples: 400,
             seed: 11,
-            chains: 1,
         };
         assert_eq!(g.coloring().num_colors(), 1);
         let sequential = GibbsSampler::new(&g, &w, &ctx, cfg.seed).run(&cfg);
@@ -1171,7 +924,6 @@ mod tests {
             burn_in: 30,
             samples: 1500,
             seed: 23,
-            chains: 1,
         };
         let reference = GibbsSampler::new(&g, &w, &ctx, cfg.seed)
             .with_chromatic(g.coloring(), 1)
@@ -1200,7 +952,6 @@ mod tests {
                 burn_in: 300,
                 samples: 30_000,
                 seed: 31,
-                chains: 1,
             });
         for v in [VarId(0), VarId(1), VarId(2)] {
             for k in 0..2 {

@@ -17,7 +17,7 @@
 //! time — the same simplification DeepDive applies when evidence
 //! separates from the query set.
 //!
-//! ## Minibatch parallelism and determinism
+//! ## Minibatches and determinism
 //!
 //! Training is minibatch SGD over the compiled
 //! [`DesignMatrix`](crate::design::DesignMatrix): a seed-fixed permutation
@@ -25,15 +25,14 @@
 //! [`LearnConfig::minibatch`] examples, every example's sparse gradient is
 //! computed against the weights frozen at minibatch start, and the summed
 //! gradient is applied once per minibatch, in weight-id order. Inside a
-//! minibatch the examples are folded in **fixed-size shards**: each shard
-//! sums its examples' gradients per weight in example order, shards run
-//! on up to `threads` workers, and the shard subtotals are added strictly
-//! in shard order. Because the shard boundaries depend only on the shard
-//! size — never on the thread count — every floating-point addition
-//! happens in the same order at every thread count, so `threads = N` is
-//! **bit-for-bit identical** to `threads = 1`. The gradient is summed (not
-//! averaged) over the minibatch, so one epoch applies the same total step
-//! mass as classic per-example SGD at the same learning rate.
+//! minibatch the examples are folded in **fixed-size shards** on the
+//! caller's thread: each shard sums its examples' gradients per weight in
+//! example order, and the shard subtotals are added strictly in shard
+//! order. Training is sequential, so it is deterministic given the seed
+//! and the example order, whatever thread budget the rest of the pipeline
+//! runs with. The gradient is summed (not averaged) over the minibatch, so
+//! one epoch applies the same total step mass as classic per-example SGD
+//! at the same learning rate.
 //!
 //! ## The kernel
 //!
@@ -43,13 +42,10 @@
 //! `packed::run_epochs` streams it: per-shard dense subtotals, one dense
 //! per-call minibatch accumulator with a touched-bitmap, updates applied
 //! off the bitmap in id order. No hashing, no sorting, no per-shard
-//! allocation; see [`crate::packed`] for the layout, the addition-order
-//! invariants and the guard that decides when a minibatch is worth
-//! dispatching to worker threads (none of the default-config workloads'
-//! minibatches is — [`LearnStats::parallel_minibatches`] says how many
-//! were). Arena, accumulator and scratches live for exactly one training
-//! call, like the inference-side `ScoreCache`, so patched design matrices
-//! can never serve a stale pack.
+//! allocation; see [`crate::packed`] for the layout and the addition-order
+//! invariants. Arena, accumulator and scratch live for exactly one
+//! training call, like the inference-side `ScoreCache`, so patched design
+//! matrices can never serve a stale pack.
 //!
 //! The pre-arena trainer — CSR rows walked per example, gradients in
 //! hash maps — survives only as the test-only `oracle` module: the
@@ -132,11 +128,6 @@ pub struct LearnStats {
     /// means the run failed and the weights are not a usable model (see
     /// the module docs).
     pub non_finite_minibatches: usize,
-    /// Minibatches whose gradient fold was dispatched to worker threads;
-    /// the other `minibatches − parallel_minibatches` ran inline because
-    /// the thread budget was 1 or their work sat under the dispatch guard
-    /// (see [`crate::packed`]). Wall-clock only — never changes a result.
-    pub parallel_minibatches: usize,
     /// Examples gathered into the packed arena.
     pub packed_examples: usize,
     /// Feature entries gathered into the packed arena.
@@ -159,7 +150,6 @@ impl LearnStats {
             grad_norm: 0.0,
             grad_norm_mean: 0.0,
             non_finite_minibatches: 0,
-            parallel_minibatches: 0,
             packed_examples: 0,
             packed_entries: 0,
             packed_bytes: 0,
@@ -178,7 +168,6 @@ impl LearnStats {
         self.grad_norm = out.grad_norm;
         self.grad_norm_mean = out.grad_norm_mean;
         self.non_finite_minibatches = out.non_finite_minibatches;
-        self.parallel_minibatches = out.parallel_minibatches;
     }
 
     /// Everything the kernel and the test-only oracle both compute —
@@ -201,10 +190,9 @@ impl LearnStats {
     }
 }
 
-/// Trains the learnable weights on the evidence variables of `graph`,
-/// sharding minibatch gradient computation over up to `threads` worker
-/// threads (`0` = all cores). Bit-for-bit identical for every thread
-/// count (see the module docs for the scheme).
+/// Trains the learnable weights on the evidence variables of `graph`.
+/// Training runs on the caller's thread: `threads` is not read, and stays
+/// in the signature only for callers that pass the pipeline's budget.
 ///
 /// Returns diagnostics; `weights` is updated in place. Evidence variables
 /// with a single candidate carry no gradient signal and are skipped.
@@ -213,15 +201,14 @@ impl LearnStats {
 /// built by one compile pass that *is* the canonical (attribute-major,
 /// cell-sorted) evidence order. SGD's seeded shuffle permutes example
 /// *positions*, so the example sequence — and therefore every learned
-/// weight, bitwise — depends on that initial order; [`train_examples`]
-/// takes an explicit one.
+/// weight, bitwise — depends on that initial order.
 pub fn train_with_threads(
     graph: &FactorGraph,
     weights: &mut Weights,
     config: &LearnConfig,
-    threads: usize,
+    _threads: usize,
 ) -> LearnStats {
-    train_examples(graph, weights, config, threads, &graph.evidence_vars())
+    train_examples(graph, weights, config, &graph.evidence_vars())
 }
 
 /// [`train_with_threads`] over a caller-supplied example order.
@@ -230,11 +217,10 @@ pub fn train_with_threads(
 /// otherwise preserved. Variables must be evidence. The eligible
 /// examples are packed into a per-call arena and the dense-accumulator
 /// kernel runs over it, consuming one shuffle per epoch.
-pub fn train_examples(
+pub(crate) fn train_examples(
     graph: &FactorGraph,
     weights: &mut Weights,
     config: &LearnConfig,
-    threads: usize,
     examples: &[VarId],
 ) -> LearnStats {
     let examples = eligible_examples(graph, examples);
@@ -245,9 +231,7 @@ pub fn train_examples(
     stats.packed_entries = arena.packed_entries();
     stats.packed_bytes = arena.bytes();
     stats.packed_epochs = config.epochs;
-    stats.absorb(packed::run_epochs(
-        &arena, weights, config, threads, &mut rng,
-    ));
+    stats.absorb(packed::run_epochs(&arena, weights, config, &mut rng));
     stats
 }
 
@@ -272,7 +256,7 @@ fn eligible_examples(graph: &FactorGraph, examples: &[VarId]) -> Vec<VarId> {
 /// per example, accumulates gradients in hash maps, merges shard maps in
 /// shard order and applies the update in sorted id order. Same entry
 /// points, same RNG consumption, same divergence rule as the production
-/// path; it fills no arena counters and never reports a dispatch.
+/// path; it fills no arena counters.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::{eligible_examples, LearnConfig, LearnStats};
@@ -291,7 +275,6 @@ pub(crate) mod oracle {
         graph: &FactorGraph,
         weights: &mut Weights,
         config: &LearnConfig,
-        threads: usize,
         examples: &[VarId],
     ) -> LearnStats {
         let mut examples = eligible_examples(graph, examples);
@@ -301,7 +284,6 @@ pub(crate) mod oracle {
             graph,
             weights,
             config,
-            threads,
             &mut examples,
             &mut rng,
             config.epochs,
@@ -313,7 +295,6 @@ pub(crate) mod oracle {
         graph: &FactorGraph,
         weights: &mut Weights,
         config: &LearnConfig,
-        threads: usize,
         examples: &mut [VarId],
         rng: &mut StdRng,
         epochs: usize,
@@ -330,7 +311,7 @@ pub(crate) mod oracle {
             let mut epoch_minibatches = 0usize;
             for minibatch in examples.chunks(batch) {
                 let Some((grad, ll)) =
-                    minibatch_gradient(graph, design, weights, config, threads, minibatch)
+                    minibatch_gradient(graph, design, weights, config, minibatch)
                 else {
                     continue;
                 };
@@ -369,22 +350,18 @@ pub(crate) mod oracle {
 
     /// Sparse summed gradient of one minibatch (plus its log-likelihood
     /// sum), computed against the frozen `weights`. Examples fold in
-    /// fixed-size shards merged in shard order, so the accumulation
-    /// order — and the floating-point result — is independent of the
-    /// thread count.
+    /// fixed-size shards merged in shard order — the packed kernel's
+    /// accumulation order.
     fn minibatch_gradient(
         graph: &FactorGraph,
         design: &DesignMatrix,
         weights: &Weights,
         config: &LearnConfig,
-        threads: usize,
         minibatch: &[VarId],
     ) -> Option<(FxHashMap<WeightId, f64>, f64)> {
-        holo_parallel::sharded_fold(
-            threads,
-            minibatch,
-            GRAD_SHARD_EXAMPLES,
-            |shard| {
+        minibatch
+            .chunks(GRAD_SHARD_EXAMPLES)
+            .map(|shard| {
                 let mut grad: FxHashMap<WeightId, f64> = FxHashMap::default();
                 let mut ll = 0.0;
                 let mut scores: Vec<f64> = Vec::new();
@@ -415,14 +392,13 @@ pub(crate) mod oracle {
                     }
                 }
                 (grad, ll)
-            },
-            |(mut acc, acc_ll), (grad, ll)| {
+            })
+            .reduce(|(mut acc, acc_ll), (grad, ll)| {
                 for (w, g) in grad {
                     *acc.entry(w).or_insert(0.0) += g;
                 }
                 (acc, acc_ll + ll)
-            },
-        )
+            })
     }
 }
 
@@ -538,60 +514,11 @@ mod tests {
         assert_eq!(w1.get(f), w2.get(f));
     }
 
-    /// The headline determinism contract: any thread count is bit-for-bit
-    /// `threads = 1`, across minibatch sizes that do and don't divide the
-    /// example count or the shard size.
-    #[test]
-    fn thread_count_never_changes_weights() {
-        let mut reg: FeatureRegistry<(u8, usize)> = FeatureRegistry::new();
-        let mut g = FactorGraph::new();
-        // 150 examples over 30 tied weights with irregular feature values.
-        for i in 0..150usize {
-            let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2), sym(3)], i % 3));
-            for k in 0..3usize {
-                let w = reg.learnable((b'a', (i + k) % 30));
-                g.add_feature(v, k, w, 0.1 + ((i * 7 + k) % 5) as f64 * 0.3);
-            }
-        }
-        type Trainer = fn(&FactorGraph, &mut Weights, &LearnConfig, usize, &[VarId]) -> LearnStats;
-        let trainers: [(&str, Trainer); 2] = [
-            ("kernel", train_examples),
-            ("oracle", oracle::train_examples),
-        ];
-        let order = g.evidence_vars();
-        for minibatch in [1, 7, 32, 64, 150, 400] {
-            for (name, trainer) in trainers {
-                let cfg = LearnConfig {
-                    minibatch,
-                    ..LearnConfig::default()
-                };
-                let mut reference = reg.build_weights();
-                let ref_stats = trainer(&g, &mut reference, &cfg, 1, &order);
-                for threads in [2, 4] {
-                    let mut w = reg.build_weights();
-                    let stats = trainer(&g, &mut w, &cfg, threads, &order);
-                    assert_eq!(
-                        w, reference,
-                        "minibatch = {minibatch}, threads = {threads}, {name}"
-                    );
-                    assert_eq!(stats.minibatches, ref_stats.minibatches);
-                    assert_eq!(stats.grad_norm.to_bits(), ref_stats.grad_norm.to_bits());
-                    assert_eq!(
-                        stats.grad_norm_mean.to_bits(),
-                        ref_stats.grad_norm_mean.to_bits()
-                    );
-                    assert_eq!(
-                        stats.final_log_likelihood.to_bits(),
-                        ref_stats.final_log_likelihood.to_bits()
-                    );
-                }
-            }
-        }
-    }
-
     /// The headline equivalence of the packed kernel: for every
-    /// minibatch size, the trainer's weights and stats are bit-for-bit
-    /// the hash-map oracle's, and only the kernel reports arena counters.
+    /// minibatch size — ones that do and don't divide the example count
+    /// or the shard size, and ones past the example count — the trainer's
+    /// weights and stats are bit-for-bit the hash-map oracle's, and only
+    /// the kernel reports arena counters.
     #[test]
     fn packed_trainer_is_bitwise_the_naive_oracle() {
         let mut reg: FeatureRegistry<(u8, usize)> = FeatureRegistry::new();
@@ -606,14 +533,14 @@ mod tests {
             g.add_feature(v, i % 3, prior, 1.0);
         }
         let order = g.evidence_vars();
-        for minibatch in [1, 8, 33, 128] {
+        for minibatch in [1, 7, 8, 32, 33, 64, 128, 150, 400] {
             let cfg = LearnConfig {
                 minibatch,
                 ..LearnConfig::default()
             };
             let mut w_naive = reg.build_weights();
             let mut w_packed = reg.build_weights();
-            let s_naive = oracle::train_examples(&g, &mut w_naive, &cfg, 2, &order);
+            let s_naive = oracle::train_examples(&g, &mut w_naive, &cfg, &order);
             let s_packed = train_with_threads(&g, &mut w_packed, &cfg, 2);
             assert_eq!(w_packed, w_naive, "minibatch = {minibatch}");
             assert_eq!(s_packed.bits(), s_naive.bits(), "train");
@@ -627,9 +554,8 @@ mod tests {
         }
     }
 
-    /// A model whose default-size minibatch holds enough packed entries
-    /// to clear the dispatch guard: `examples` three-candidate variables,
-    /// `per_row` tied features per candidate row.
+    /// A wide model: `examples` three-candidate variables, `per_row` tied
+    /// features per candidate row.
     fn wide_model(examples: usize, per_row: usize) -> (FactorGraph, Weights) {
         let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
         let mut g = FactorGraph::new();
@@ -646,55 +572,6 @@ mod tests {
         (g, w)
     }
 
-    /// Work above the guard is dispatched to workers — and the dispatch
-    /// changes nothing: weights and stats equal the inline run and the
-    /// oracle bit for bit. Work below it never leaves the caller's
-    /// thread, whatever the budget.
-    #[test]
-    fn threaded_dispatch_is_forced_by_work_and_equals_inline() {
-        use crate::packed::ENTRIES_PER_WORK_UNIT;
-        let guard_entries = holo_parallel::MIN_PARALLEL_WORK * ENTRIES_PER_WORK_UNIT;
-        // 3 rows × 60 entries per example; the minibatch is sized to
-        // hold a bit more than the guard.
-        let per_example = 3 * 60;
-        let minibatch = guard_entries / per_example + 40;
-        let (g, w0) = wide_model(2 * minibatch + 5, 60);
-        let cfg = LearnConfig {
-            epochs: 2,
-            minibatch,
-            ..LearnConfig::default()
-        };
-        let mut w_inline = w0.clone();
-        let s_inline = train_with_threads(&g, &mut w_inline, &cfg, 1);
-        assert_eq!(s_inline.parallel_minibatches, 0, "budget of one is inline");
-        let mut w_oracle = w0.clone();
-        let s_oracle = oracle::train_examples(&g, &mut w_oracle, &cfg, 1, &g.evidence_vars());
-        assert_eq!(w_inline, w_oracle);
-        assert_eq!(s_inline.bits(), s_oracle.bits(), "inline vs oracle");
-        for threads in [2, 4] {
-            let mut w = w0.clone();
-            let s = train_with_threads(&g, &mut w, &cfg, threads);
-            // Two full minibatches per epoch clear the guard; the
-            // five-example tail does not.
-            assert_eq!(s.minibatches, 6);
-            assert_eq!(s.parallel_minibatches, 4, "threads = {threads}");
-            assert_eq!(w, w_inline, "threads = {threads}");
-            assert_eq!(s.bits(), s_inline.bits(), "threaded vs inline");
-        }
-        // Same model, default minibatch: far under the guard, so even a
-        // large budget (or `0` = all cores) never dispatches.
-        let small = LearnConfig {
-            epochs: 1,
-            ..LearnConfig::default()
-        };
-        for threads in [0, 8] {
-            let mut w = w0.clone();
-            let s = train_with_threads(&g, &mut w, &small, threads);
-            assert!(s.minibatches > 0);
-            assert_eq!(s.parallel_minibatches, 0, "threads = {threads}");
-        }
-    }
-
     /// Regression (robustness): a learning rate that overflows the
     /// weights used to poison them silently. Now a non-finite minibatch
     /// gradient is never applied, it freezes the weights for the rest
@@ -708,21 +585,18 @@ mod tests {
             minibatch: 8,
             ..LearnConfig::default()
         };
-        for threads in [1, 2] {
-            let mut w = w0.clone();
-            let stats = train_with_threads(&g, &mut w, &cfg, threads);
-            assert_eq!(stats.minibatches, 24, "every minibatch still counted");
-            assert!(stats.non_finite_minibatches > 0, "divergence surfaced");
-            assert!(
-                (0..w.len()).all(|i| !w.get(WeightId(i as u32)).is_nan()),
-                "no NaN ever reaches the weights"
-            );
-            let mut w_oracle = w0.clone();
-            let s_oracle =
-                oracle::train_examples(&g, &mut w_oracle, &cfg, threads, &g.evidence_vars());
-            assert_eq!(w, w_oracle, "oracle applies the same rule");
-            assert_eq!(stats.bits(), s_oracle.bits(), "diverged");
-        }
+        let mut w = w0.clone();
+        let stats = train(&g, &mut w, &cfg);
+        assert_eq!(stats.minibatches, 24, "every minibatch still counted");
+        assert!(stats.non_finite_minibatches > 0, "divergence surfaced");
+        assert!(
+            (0..w.len()).all(|i| !w.get(WeightId(i as u32)).is_nan()),
+            "no NaN ever reaches the weights"
+        );
+        let mut w_oracle = w0.clone();
+        let s_oracle = oracle::train_examples(&g, &mut w_oracle, &cfg, &g.evidence_vars());
+        assert_eq!(w, w_oracle, "oracle applies the same rule");
+        assert_eq!(stats.bits(), s_oracle.bits(), "diverged");
         // A sane rate on the same model never trips the counter.
         let mut w = w0.clone();
         let ok = train(&g, &mut w, &LearnConfig::default());
@@ -747,18 +621,17 @@ mod tests {
         window.insert(4, q);
         let cfg = LearnConfig::default();
         let mut w = reg.build_weights();
-        let stats = train_examples(&g, &mut w, &cfg, 1, &window);
+        let stats = train_examples(&g, &mut w, &cfg, &window);
         assert_eq!(stats.examples, 12, "query var dropped");
         let mut w_clean = reg.build_weights();
         let clean: Vec<VarId> = window.iter().copied().filter(|&v| v != q).collect();
-        let stats_clean = train_examples(&g, &mut w_clean, &cfg, 1, &clean);
+        let stats_clean = train_examples(&g, &mut w_clean, &cfg, &clean);
         assert_eq!(w, w_clean, "filtered window trains identically");
         assert_eq!(stats.minibatches, stats_clean.minibatches);
     }
 
     /// `grad_norm_mean` averages the final epoch's minibatch norms: with
-    /// one minibatch per epoch it equals `grad_norm`, and it is stable
-    /// across thread counts (covered bitwise above).
+    /// one minibatch per epoch it equals `grad_norm`.
     #[test]
     fn grad_norm_mean_reports_the_final_epoch_mean() {
         let mut g = FactorGraph::new();
@@ -831,13 +704,13 @@ mod tests {
         let mut w_graph = reg.build_weights();
         let mut w_explicit = reg.build_weights();
         train_with_threads(&g, &mut w_graph, &cfg, 1);
-        train_examples(&g, &mut w_explicit, &cfg, 1, &order);
+        train_examples(&g, &mut w_explicit, &cfg, &order);
         assert_eq!(w_graph, w_explicit, "graph order == explicit graph order");
 
         let mut reversed: Vec<VarId> = order.clone();
         reversed.reverse();
         let mut w_rev = reg.build_weights();
-        train_examples(&g, &mut w_rev, &cfg, 1, &reversed);
+        train_examples(&g, &mut w_rev, &cfg, &reversed);
         assert_ne!(w_graph, w_rev, "order is load-bearing for the trajectory");
     }
 

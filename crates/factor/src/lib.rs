@@ -24,14 +24,13 @@
 //!   feature registry for interning structured feature keys.
 //! * [`learn`] — empirical-risk minimisation over evidence variables with
 //!   minibatch SGD (§2.2), i.e. multinomial logistic regression over the
-//!   design-matrix rows; L2 regularised, deterministic under a seed at
-//!   every thread count (fixed gradient shards merged in shard order).
+//!   design-matrix rows; L2 regularised, sequential and deterministic
+//!   under a seed (fixed gradient shards added in shard order).
 //! * [`packed`] — the example-major [`PackedArena`] the trainer gathers
 //!   per training call: contiguous per-example rows with local weight
 //!   dictionaries, scored by a packed clone of the blocked kernel with
 //!   dense-slot (hash-free) gradient accumulation. Bit-for-bit the
-//!   naive trainer at every thread count; rebuilt per call like
-//!   [`ScoreCache`].
+//!   naive trainer; rebuilt per call like [`ScoreCache`].
 //! * [`gibbs`] — the Gibbs sampler used for approximate inference over
 //!   models with clique factors: sequential single-site sweeps over the
 //!   query variables, or deterministic chromatic color-class sweeps when a

@@ -27,20 +27,19 @@
 //! ## One minibatch
 //!
 //! 1. The minibatch is cut into fixed shards of
-//!    `GRAD_SHARD_EXAMPLES` examples. A worker folds its contiguous run
-//!    of shards through one `GradScratch`: each example is scored through
-//!    a packed clone of the blocked 4-accumulator kernel (gathering its
-//!    few weight values into a dense `wvals` buffer first) and the fused
+//!    `GRAD_SHARD_EXAMPLES` examples, folded in order through one
+//!    `GradScratch`: each example is scored through a packed clone of the
+//!    blocked 4-accumulator kernel (gathering its few weight values into a
+//!    dense `wvals` buffer first) and the fused
 //!    [`crate::math::softmax_in_place`], and gradient increments add into
 //!    a **per-shard subtotal** per weight. A generation stamp (`tick`,
 //!    bumped per shard) makes the first touch of a weight inside a shard
 //!    open a fresh `+0.0` subtotal at the end of the scratch's
-//!    `touched`/`grad` arrays, so those arrays end up holding the worker's
-//!    shard runs back to back, in shard order.
+//!    `touched`/`grad` arrays, so those arrays end up holding the
+//!    minibatch's shard runs back to back, in shard order.
 //! 2. The runs are folded into the `GradAccumulator` — `sum: Vec<f64>`
-//!    of `weight_count` plus a `u64` touched-bitmap — scratch by scratch
-//!    in worker order, which is shard order: `sum[w] += subtotal`, bit
-//!    set.
+//!    of `weight_count` plus a `u64` touched-bitmap — in shard order:
+//!    `sum[w] += subtotal`, bit set.
 //! 3. `GradAccumulator::drain_sorted` walks the bitmap's set bits in
 //!    ascending word/bit order, emitting `(WeightId, gradient)` into a
 //!    reused buffer and zeroing what it read. The epoch loop takes the
@@ -51,15 +50,14 @@
 //! ## Invariants
 //!
 //! * **Shard-order addition** — bit-for-bit the hash-map reference
-//!   trainer (`learn::oracle`, test-only) at every thread count. The
-//!   packed kernel reproduces the blocked kernel's fixed lane split per
-//!   row; a shard subtotal adds gradient increments per weight in the
-//!   exact entry-visit order the reference's per-shard hash accumulator
-//!   does; and the accumulator adds shard subtotals per weight in shard
-//!   order starting from `+0.0` — literally the reference's
-//!   `*acc.entry(w).or_insert(0.0) += g` merge. Shard boundaries depend
-//!   only on `GRAD_SHARD_EXAMPLES`, never on the worker count, so the
-//!   sequence is the same whether one worker or eight produced the runs.
+//!   trainer (`learn::oracle`, test-only). The packed kernel reproduces
+//!   the blocked kernel's fixed lane split per row; a shard subtotal adds
+//!   gradient increments per weight in the exact entry-visit order the
+//!   reference's per-shard hash accumulator does; and the accumulator
+//!   adds shard subtotals per weight in shard order starting from `+0.0`
+//!   — literally the reference's `*acc.entry(w).or_insert(0.0) += g`
+//!   merge. The subtotals are not a schedule: summing a minibatch's
+//!   increments straight into the accumulator would round differently.
 //! * **First touch is a copy** — a shard subtotal is never `-0.0` (it
 //!   starts at `+0.0`, and round-to-nearest never yields `-0.0` from a
 //!   sum with a `+0.0` term or from an exact cancellation), so the first
@@ -74,48 +72,12 @@
 //! * **Clean between minibatches** — `drain_sorted` zeroes every slot and
 //!   word it visits, so each minibatch starts from an all-`+0.0`,
 //!   all-clear accumulator without an `O(weight_count)` reset.
-//! * **Lifetime = one training call** — arena, accumulator and scratches
+//! * **Lifetime = one training call** — arena, accumulator and scratch
 //!   are built per call and never stored in the graph (the
 //!   [`crate::cache::ScoreCache`] discipline), so a design matrix patched
 //!   between calls can never serve a stale pack. The arena also snapshots
 //!   `weights.is_fixed` per slot, safe for the same reason: fixedness
 //!   never changes inside a training call.
-//!
-//! ## When a minibatch is dispatched to worker threads
-//!
-//! `std::thread::scope` workers are spawned per dispatch (there is no
-//! pool), so a minibatch goes to workers only when its gradient work
-//! dwarfs the dispatch. The work is sized in **packed entries** — the
-//! kernel's cost is linear in them — and clamped through
-//! [`holo_parallel::sized_threads`] at `ENTRIES_PER_WORK_UNIT` entries
-//! per work unit. Measured on the 2-core reference container, medians:
-//!
-//! * the inline kernel costs **15–19 ns per packed entry** all-in (score,
-//!   softmax, gradient, accumulate, apply; hospital at 996 rows: 211 305
-//!   entries × 10 epochs in ~40 ms), so the default 128-example minibatch
-//!   (~45 entries per example, ~5 750 entries) is **~100 µs** of work;
-//! * an *empty* two-worker [`holo_parallel::sharded_fold_scratch`]
-//!   dispatch costs 59 / 85 / 125 µs (p10 / p50 / p90) — already the
-//!   whole default minibatch, which is why the example-count guard this
-//!   replaces (740 spawns per training call) made two threads slower
-//!   than one;
-//! * a *loaded* dispatch costs more than the spawn, because the second
-//!   core wakes late and both run slower side by side. Gradient fold of
-//!   one minibatch, inline → two workers: 34 560 entries 522 → 794 µs
-//!   (a loss), 92 160 entries 1 150 → 1 193 µs (**break-even**), 211 860
-//!   entries 3 546 → 2 462 µs (1.44×).
-//!
-//! The guard therefore dispatches from `MIN_PARALLEL_WORK ×
-//! ENTRIES_PER_WORK_UNIT` = **131 072 entries** (~2 ms of work, past
-//! break-even), which no minibatch of the default configuration reaches
-//! on any benchmark workload. Per-worker scratches (two
-//! `weight_count`-wide arrays each) are built the first time a minibatch
-//! actually dispatches, never for the thread budget alone, and are
-//! cache-line aligned: their `Vec` headers sit side by side in one
-//! allocation and are written on every push, and the false sharing cost
-//! the two-worker fold its entire gain before the alignment (3.1 ms
-//! either way at 211 860 entries). Purely a wall-clock guard: shard
-//! boundaries, and hence every result bit, are the same either way.
 
 use crate::design::DesignMatrix;
 use crate::graph::{FactorGraph, VarId};
@@ -126,24 +88,17 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use std::ops::Range;
 
-/// Examples per gradient shard — the fixed parallel work unit inside a
-/// minibatch. Independent of the thread count by design (that is what
-/// makes the addition order, and hence the result, thread-count
-/// invariant); small enough that the default minibatch spans 16 shards.
-/// The test-only reference trainer cuts the same boundaries.
+/// Examples per gradient shard — the fixed unit of subtotals inside a
+/// minibatch, so the default minibatch spans 16 shards. Part of the
+/// addition order (see "Shard-order addition" in the module docs); the
+/// test-only reference trainer cuts the same boundaries.
 pub(crate) const GRAD_SHARD_EXAMPLES: usize = 8;
-
-/// Packed entries per [`holo_parallel::sized_threads`] work unit: a
-/// minibatch is dispatched to worker threads only from
-/// `MIN_PARALLEL_WORK × 32` = 131 072 packed entries. See the module
-/// docs for the measurement behind the constant.
-pub(crate) const ENTRIES_PER_WORK_UNIT: usize = 32;
 
 /// The example-major gather of a training call's eligible examples (see
 /// the module docs for layout and invariants). Build with
 /// [`PackedArena::pack`]; rebuilt per training call.
 pub struct PackedArena {
-    /// Width of the weight store — sizes the per-worker stamp arrays.
+    /// Width of the weight store — sizes the scratch's stamp arrays.
     weight_count: usize,
     /// Evidence target (candidate index) per example.
     ex_target: Vec<u32>,
@@ -292,14 +247,6 @@ impl PackedArena {
     fn row(&self, r: usize) -> &[(u32, f64)] {
         &self.entries[self.row_entries[r] as usize..self.row_entries[r + 1] as usize]
     }
-
-    /// Packed entries of example `i` across all its candidate rows — the
-    /// unit the dispatch guard sizes a minibatch's work in.
-    #[inline]
-    fn example_entries(&self, i: usize) -> usize {
-        let rows = self.row_range(i);
-        (self.row_entries[rows.end] - self.row_entries[rows.start]) as usize
-    }
 }
 
 /// What one epoch loop reports back to `learn`'s stats assembly.
@@ -312,18 +259,14 @@ pub(crate) struct EpochOutcome {
     pub grad_norm: f64,
     pub grad_norm_mean: f64,
     pub non_finite_minibatches: usize,
-    pub parallel_minibatches: usize,
 }
 
-/// Per-worker reusable scratch of the packed gradient fold. `touched` /
-/// `grad` collect one minibatch's shard runs back to back (cleared by
+/// Reusable scratch of the packed gradient fold. `touched` / `grad`
+/// collect one minibatch's shard runs back to back (cleared by
 /// [`GradScratch::begin_minibatch`]); the generation stamp (`tick`,
 /// bumped per shard) opens a fresh subtotal for the first touch of a
-/// weight inside each shard, so a shard's run never depends on which
-/// worker's scratch folds it or on what earlier shards left behind.
-/// Aligned so that two workers' scratches never share a cache line (the
-/// `Vec` lengths in here are written on every push; see the module docs).
-#[repr(align(128))]
+/// weight inside each shard, so a shard's run never depends on what
+/// earlier shards left behind.
 struct GradScratch {
     /// Gathered weight values of the current example's dictionary.
     wvals: Vec<f64>,
@@ -485,40 +428,23 @@ fn shard_gradient(
     ll
 }
 
-/// Workers a minibatch's gradient fold may use: `1` (inline) unless the
-/// thread budget allows more *and* the minibatch's packed entries clear
-/// the dispatch guard (module docs). Never more than its shard count.
-fn minibatch_workers(arena: &PackedArena, budget: usize, minibatch: &[u32]) -> usize {
-    if budget <= 1 {
-        return 1;
-    }
-    let entries: usize = minibatch
-        .iter()
-        .map(|&ei| arena.example_entries(ei as usize))
-        .sum();
-    let shards = minibatch.len().div_ceil(GRAD_SHARD_EXAMPLES);
-    holo_parallel::sized_threads(budget, entries / ENTRIES_PER_WORK_UNIT).min(shards)
-}
-
 /// The packed epoch loop: seed-fixed shuffles over arena indices (same
 /// RNG draws as the reference loop's `VarId` shuffle — the stub's
 /// `shuffle` depends only on slice length), minibatch chunks folded in
-/// fixed shards through per-worker scratch, shard runs summed in the
-/// dense accumulator, and the gradient applied in weight-id order off
-/// its bitmap. A minibatch whose gradient norm is non-finite is counted
+/// fixed shards through one scratch, shard runs summed in the dense
+/// accumulator, and the gradient applied in weight-id order off its
+/// bitmap. A minibatch whose gradient norm is non-finite is counted
 /// and **not** applied, and no later minibatch is applied either (see
 /// "Divergence" in [`crate::learn`]).
 pub(crate) fn run_epochs(
     arena: &PackedArena,
     weights: &mut Weights,
     config: &LearnConfig,
-    threads: usize,
     rng: &mut StdRng,
 ) -> EpochOutcome {
     let batch = config.minibatch.max(1);
-    let budget = holo_parallel::effective_threads(threads);
     let mut order: Vec<u32> = (0..arena.examples() as u32).collect();
-    let mut scratches = vec![GradScratch::new(arena)];
+    let mut scratch = GradScratch::new(arena);
     let mut acc = GradAccumulator::new(arena.weight_count);
     let mut grad: Vec<(WeightId, f64)> = Vec::new();
     let mut lr = config.learning_rate;
@@ -529,31 +455,16 @@ pub(crate) fn run_epochs(
         let mut norm_sum = 0.0;
         let mut epoch_minibatches = 0usize;
         for minibatch in order.chunks(batch) {
-            let workers = minibatch_workers(arena, budget, minibatch);
-            if workers > 1 {
-                out.parallel_minibatches += 1;
-                if scratches.len() < workers {
-                    scratches.resize_with(workers, || GradScratch::new(arena));
-                }
-            }
-            let scratches = &mut scratches[..workers];
-            scratches.iter_mut().for_each(GradScratch::begin_minibatch);
+            scratch.begin_minibatch();
             let frozen: &Weights = weights;
-            let Some(ll) = holo_parallel::sharded_fold_scratch(
-                workers,
-                minibatch,
-                GRAD_SHARD_EXAMPLES,
-                scratches,
-                |scratch, shard| shard_gradient(arena, frozen, config.l2, scratch, shard),
-                |a, b| a + b,
-            ) else {
+            let Some(ll) = minibatch
+                .chunks(GRAD_SHARD_EXAMPLES)
+                .map(|shard| shard_gradient(arena, frozen, config.l2, &mut scratch, shard))
+                .reduce(|a, b| a + b)
+            else {
                 continue;
             };
-            // Scratch `w` folded the `w`-th contiguous run of shards, so
-            // scratch order is shard order.
-            for scratch in scratches.iter() {
-                acc.add_runs(&scratch.touched, &scratch.grad);
-            }
+            acc.add_runs(&scratch.touched, &scratch.grad);
             acc.drain_sorted(&mut grad);
             ll_sum += ll;
             out.minibatches += 1;
@@ -734,28 +645,6 @@ mod tests {
             acc.drain_sorted(&mut drained);
             assert!(drained.is_empty(), "nothing left to visit");
         }
-    }
-
-    /// The dispatch guard sizes a minibatch by its packed entries: under
-    /// the guard, or with a budget of one, the fold stays inline (and no
-    /// worker scratch is ever built for it); over it, workers are capped
-    /// by the budget and by the shard count.
-    #[test]
-    fn minibatch_workers_follow_the_entry_guard() {
-        let (g, w, vars) = tied_model();
-        let arena = PackedArena::pack(&g, g.design(), &w, &vars);
-        let all: Vec<u32> = (0..arena.examples() as u32).collect();
-        let entries: usize = all.iter().map(|&i| arena.example_entries(i as usize)).sum();
-        assert_eq!(entries, arena.packed_entries());
-        assert!(entries < holo_parallel::MIN_PARALLEL_WORK * ENTRIES_PER_WORK_UNIT);
-        assert_eq!(minibatch_workers(&arena, 8, &all), 1, "tiny minibatch");
-        // The same nine examples repeated until the guard is cleared.
-        let reps = holo_parallel::MIN_PARALLEL_WORK * ENTRIES_PER_WORK_UNIT / entries + 1;
-        let big: Vec<u32> = all.iter().copied().cycle().take(reps * all.len()).collect();
-        assert_eq!(minibatch_workers(&arena, 1, &big), 1, "budget of one");
-        assert_eq!(minibatch_workers(&arena, 4, &big), 4);
-        let shards = big.len().div_ceil(GRAD_SHARD_EXAMPLES);
-        assert_eq!(minibatch_workers(&arena, 10 * shards, &big), shards);
     }
 
     #[test]

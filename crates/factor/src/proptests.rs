@@ -195,7 +195,6 @@ proptest! {
             burn_in: 300,
             samples: 12_000,
             seed: 99,
-            chains: 1,
         });
         for v in graph.var_ids() {
             for k in 0..graph.var(v).arity() {
@@ -217,7 +216,6 @@ proptest! {
                 burn_in: 10,
                 samples: 200,
                 seed: 5,
-            chains: 1,
             }),
         ] {
             for v in graph.var_ids() {
@@ -239,7 +237,6 @@ proptest! {
             burn_in: 200,
             samples: 12_000,
             seed: 17,
-            chains: 1,
         });
         for v in graph.var_ids() {
             for k in 0..graph.var(v).arity() {
@@ -262,7 +259,6 @@ proptest! {
                 burn_in: 300,
                 samples: 12_000,
                 seed: 101,
-                chains: 1,
             });
         for v in graph.var_ids() {
             for k in 0..graph.var(v).arity() {
@@ -280,7 +276,7 @@ proptest! {
     fn chromatic_gibbs_deterministic_across_threads(model in random_model()) {
         let (graph, weights) = build(&model);
         let ctx = EqOnlyContext;
-        let cfg = GibbsConfig { burn_in: 20, samples: 300, seed: 7, chains: 1 };
+        let cfg = GibbsConfig { burn_in: 20, samples: 300, seed: 7 };
         let reference = GibbsSampler::new(&graph, &weights, &ctx, cfg.seed)
             .with_chromatic(graph.coloring(), 1)
             .run(&cfg);
@@ -457,8 +453,8 @@ proptest! {
 
     /// The dense-accumulator trainer is bit-for-bit the hash-map oracle
     /// — weights and every `LearnStats` float — across random evidence
-    /// graphs, weight counts on the bitmap's word edges, fixed weights,
-    /// minibatch sizes, and threads {1, 2, 4}.
+    /// graphs, weight counts on the bitmap's word edges, fixed weights and
+    /// minibatch sizes.
     #[test]
     fn packed_trainer_bitwise_equals_naive(model in evidence_model(),
                                            weight_count in 0usize..WEIGHT_COUNTS.len(),
@@ -471,18 +467,11 @@ proptest! {
             minibatch: MINIBATCHES[minibatch],
             ..LearnConfig::default()
         };
-        for threads in [1usize, 2, 4] {
-            let mut w_naive = weights.clone();
-            let mut w_packed = weights.clone();
-            let s_naive = oracle::train_examples(&graph, &mut w_naive, &cfg, threads, &order);
-            let s_packed = learn::train_examples(&graph, &mut w_packed, &cfg, threads, &order);
-            prop_assert_eq!(
-                weight_bits(&w_packed),
-                weight_bits(&w_naive),
-                "train_examples, threads = {}",
-                threads
-            );
-            prop_assert_eq!(s_packed.bits(), s_naive.bits());
-        }
+        let mut w_naive = weights.clone();
+        let mut w_packed = weights.clone();
+        let s_naive = oracle::train_examples(&graph, &mut w_naive, &cfg, &order);
+        let s_packed = learn::train_examples(&graph, &mut w_packed, &cfg, &order);
+        prop_assert_eq!(weight_bits(&w_packed), weight_bits(&w_naive));
+        prop_assert_eq!(s_packed.bits(), s_naive.bits());
     }
 }

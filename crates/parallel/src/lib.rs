@@ -8,9 +8,6 @@
 //! all. Parallel maps split the input into contiguous chunks, each worker
 //! produces its chunk's outputs in input order, and chunks are concatenated
 //! in order — so a pure `f` yields bit-for-bit the sequential result.
-//! [`sharded_fold`] extends the contract to reductions whose merge is
-//! order-sensitive (floating-point sums, sparse accumulators) by fixing the
-//! shard boundaries independently of the thread count.
 //!
 //! Work sizing: spawning threads costs ~10µs each, so [`parallel_map`]
 //! falls back to the inline path for inputs smaller than
@@ -112,8 +109,8 @@ where
 
 /// Runs `n` independent jobs (indexed `0..n`) on up to `threads` threads
 /// and returns their results in index order. Unlike [`parallel_map`] there
-/// is no minimum-size cutoff: jobs are assumed coarse (e.g. one Gibbs
-/// chain or one full-column statistics scan each).
+/// is no minimum-size cutoff: jobs are assumed coarse (e.g. one inference
+/// component or one full-column statistics scan each).
 pub fn parallel_jobs<R: Send, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     F: Fn(usize) -> R + Sync,
@@ -228,122 +225,6 @@ fn weighted_order(weights: &[u64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..weights.len()).collect();
     order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
     order
-}
-
-/// Splits `items` into **fixed-size** shards, folds each shard with
-/// `fold` on up to `threads` worker threads, and reduces the shard
-/// accumulators strictly in shard order with `merge`. Returns `None` for
-/// empty input.
-///
-/// This is the deterministic stand-in for a parallel reduce: because the
-/// shard boundaries depend only on `shard_size` — never on the thread
-/// count — the merge applies the exact same accumulator sequence in the
-/// exact same order at every thread count, so even order-sensitive merges
-/// (floating-point sums, sparse gradient accumulators) are bit-for-bit
-/// identical to `threads = 1`. Shards are treated as coarse jobs (no
-/// minimum-size cutoff, like [`parallel_jobs`]): pick `shard_size` so one
-/// shard amortises a thread hop, and so `items.len() / shard_size`
-/// comfortably exceeds the core count.
-pub fn sharded_fold<T: Sync, A: Send, F, M>(
-    threads: usize,
-    items: &[T],
-    shard_size: usize,
-    fold: F,
-    merge: M,
-) -> Option<A>
-where
-    F: Fn(&[T]) -> A + Sync,
-    M: FnMut(A, A) -> A,
-{
-    if items.is_empty() {
-        return None;
-    }
-    let shards: Vec<&[T]> = items.chunks(shard_size.max(1)).collect();
-    let accs = parallel_jobs(threads, shards.len(), |i| fold(shards[i]));
-    accs.into_iter().reduce(merge)
-}
-
-/// [`sharded_fold`] with **per-worker reusable scratch**: each worker
-/// thread folds its contiguous run of shards through one `&mut S` drawn
-/// from `scratches`, so shard folds can reuse large buffers (stamp
-/// arrays, gather buffers) instead of reallocating them per shard. At
-/// most `scratches.len()` workers run — size the slice with
-/// [`effective_threads`] of the intended budget.
-///
-/// Determinism contract: shard boundaries depend only on `shard_size`
-/// and accumulators still merge strictly in shard order, exactly like
-/// [`sharded_fold`] — but the *caller* must guarantee that `fold`'s
-/// result for a shard does not depend on which scratch instance it
-/// receives or on what earlier shards left inside it (reset the scratch
-/// at fold entry, e.g. with a generation stamp). With that, the result
-/// is bit-for-bit identical at every thread count, including the inline
-/// `threads = 1` path that reuses `scratches[0]` for every shard.
-///
-/// Run placement is part of the contract: worker `w` draws
-/// `scratches[w]` and folds the `w`-th contiguous run of shards, in shard
-/// order. A fold may therefore *append* per-shard output to its scratch
-/// instead of returning it, and the caller reads the scratches back in
-/// slice order to get all output in shard order with no per-shard
-/// allocation (the SGD kernel's gradient runs do this). Scratches past
-/// the worker count are not touched.
-pub fn sharded_fold_scratch<T: Sync, S: Send, A: Send, F, M>(
-    threads: usize,
-    items: &[T],
-    shard_size: usize,
-    scratches: &mut [S],
-    fold: F,
-    merge: M,
-) -> Option<A>
-where
-    F: Fn(&mut S, &[T]) -> A + Sync,
-    M: FnMut(A, A) -> A,
-{
-    if items.is_empty() {
-        return None;
-    }
-    assert!(
-        !scratches.is_empty(),
-        "sharded_fold_scratch needs at least one scratch"
-    );
-    let shards: Vec<&[T]> = items.chunks(shard_size.max(1)).collect();
-    let n = shards.len();
-    let workers = effective_threads(threads)
-        .min(n)
-        .min(scratches.len())
-        .max(1);
-    if workers == 1 {
-        let scratch = &mut scratches[0];
-        return shards
-            .into_iter()
-            .map(|shard| fold(scratch, shard))
-            .reduce(merge);
-    }
-    // Contiguous shard runs per worker (first `n % workers` runs one
-    // shard longer), mirroring `spawn_ranges`; outputs concatenate in
-    // worker order = shard order before the in-order reduce.
-    let base = n / workers;
-    let remainder = n % workers;
-    let mut results: Vec<Vec<A>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let (fold, shards) = (&fold, &shards);
-        let mut handles = Vec::with_capacity(workers);
-        let mut start = 0usize;
-        for (w, scratch) in scratches.iter_mut().take(workers).enumerate() {
-            let len = base + usize::from(w < remainder);
-            let offset = start;
-            start += len;
-            handles.push(scope.spawn(move || {
-                shards[offset..offset + len]
-                    .iter()
-                    .map(|shard| fold(scratch, shard))
-                    .collect::<Vec<A>>()
-            }));
-        }
-        for h in handles {
-            results.push(join_propagating(h));
-        }
-    });
-    results.into_iter().flatten().reduce(merge)
 }
 
 /// The shared spawn/merge scaffolding: splits `0..n` into `threads`
@@ -559,158 +440,6 @@ mod tests {
                 i
             },
         );
-    }
-
-    /// Floating-point shard sums are merged in shard order, so the result
-    /// is bit-for-bit identical at every thread count (the whole point of
-    /// fixing the shard boundaries instead of chunking by thread).
-    #[test]
-    fn sharded_fold_bit_identical_across_thread_counts() {
-        let items: Vec<f64> = (0..1000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let run = |threads| {
-            sharded_fold(
-                threads,
-                &items,
-                37,
-                |shard| shard.iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-            .unwrap()
-        };
-        let reference = run(1);
-        for threads in [2, 3, 4, 8] {
-            assert_eq!(
-                run(threads).to_bits(),
-                reference.to_bits(),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_fold_empty_input_is_none() {
-        let items: [u8; 0] = [];
-        assert_eq!(sharded_fold(4, &items, 8, |s| s.len(), |a, b| a + b), None);
-    }
-
-    /// The scratch-carrying fold matches `sharded_fold` bit-for-bit at
-    /// every thread count when the fold resets its scratch on entry —
-    /// including with fewer scratches than requested threads.
-    #[test]
-    fn sharded_fold_scratch_matches_plain_fold() {
-        let items: Vec<f64> = (0..500).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let reference = sharded_fold(
-            1,
-            &items,
-            23,
-            |shard| shard.iter().sum::<f64>(),
-            |a, b| a + b,
-        )
-        .unwrap();
-        for threads in [1usize, 2, 3, 8] {
-            for n_scratches in [1usize, 2, threads.max(1)] {
-                // A scratch that must be reset on entry: reused buffer.
-                let mut scratches: Vec<Vec<f64>> = vec![Vec::new(); n_scratches];
-                let out = sharded_fold_scratch(
-                    threads,
-                    &items,
-                    23,
-                    &mut scratches,
-                    |buf, shard| {
-                        buf.clear();
-                        buf.extend_from_slice(shard);
-                        buf.iter().sum::<f64>()
-                    },
-                    |a, b| a + b,
-                )
-                .unwrap();
-                assert_eq!(
-                    out.to_bits(),
-                    reference.to_bits(),
-                    "threads = {threads}, scratches = {n_scratches}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_fold_scratch_empty_input_is_none() {
-        let items: [u8; 0] = [];
-        let mut scratches = [0u8];
-        assert_eq!(
-            sharded_fold_scratch(4, &items, 8, &mut scratches, |_, s| s.len(), |a, b| a + b),
-            None
-        );
-    }
-
-    /// Run placement: scratch `w` receives the `w`-th contiguous run of
-    /// shards in order, so output appended to the scratches reads back in
-    /// shard order; surplus scratches stay untouched.
-    #[test]
-    fn sharded_fold_scratch_appends_read_back_in_shard_order() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1usize, 2, 3, 7] {
-            let mut scratches: Vec<Vec<usize>> = vec![Vec::new(); 5];
-            let total = sharded_fold_scratch(
-                threads,
-                &items,
-                9,
-                &mut scratches,
-                |seen, shard| {
-                    seen.extend_from_slice(shard);
-                    shard.len()
-                },
-                |a, b| a + b,
-            );
-            assert_eq!(total, Some(items.len()));
-            let workers = threads.min(5);
-            assert!(scratches[..workers].iter().all(|s| !s.is_empty()));
-            assert!(scratches[workers..].iter().all(Vec::is_empty));
-            let read_back: Vec<usize> = scratches.concat();
-            assert_eq!(read_back, items, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_fold_scratch_merge_sees_shard_order() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 3, 7] {
-            let mut scratches: Vec<()> = vec![(); effective_threads(threads)];
-            let merged = sharded_fold_scratch(
-                threads,
-                &items,
-                9,
-                &mut scratches,
-                |(), shard| shard.to_vec(),
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            )
-            .unwrap();
-            assert_eq!(merged, items, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_fold_merge_sees_shard_order() {
-        // Record which shard offsets the merge concatenates: must be the
-        // items in order, regardless of threads.
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 3, 7] {
-            let merged = sharded_fold(
-                threads,
-                &items,
-                9,
-                |shard| shard.to_vec(),
-                |mut a, b| {
-                    a.extend(b);
-                    a
-                },
-            )
-            .unwrap();
-            assert_eq!(merged, items, "threads = {threads}");
-        }
     }
 
     #[test]

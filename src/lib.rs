@@ -15,7 +15,7 @@
 //! | `parallel` | `holo_parallel` | deterministic data-parallel primitives over std scoped threads |
 //! | `dataset` | [`holo_dataset`] | tables, value interning, CSV, statistics |
 //! | `constraints` | [`holo_constraints`] | denial constraints, parsing, violation detection |
-//! | `factor` | [`holo_factor`] | factor graphs, SGD learning, (multi-chain) Gibbs |
+//! | `factor` | [`holo_factor`] | factor graphs, SGD learning, Gibbs |
 //! | `external` | [`holo_external`] | dictionaries and matching dependencies |
 //! | `detect` | [`holo_detect`] | pluggable error detection |
 //! | `core` | [`holoclean`] | the staged repair engine and its compiler |
@@ -48,11 +48,12 @@
 //! `pipeline::run` calls the four in order and bills each to its
 //! `StageTimings` slot; `HoloClean::run` is a thin driver over it, and
 //! `StreamSession` and `FeedbackSession` call the same functions. Every
-//! step parallelises internally over `HoloConfig::threads` — violation
-//! probing, domain pruning, featurization, co-occurrence statistics and
-//! Gibbs chains all shard across worker threads, and every parallel path
-//! merges shard results in input order, so **any thread count produces
-//! bit-for-bit the `threads = 1` output**.
+//! step but weight learning parallelises internally over
+//! `HoloConfig::threads` — violation probing, domain pruning,
+//! featurization, co-occurrence statistics and per-component inference
+//! all shard across worker threads, and every parallel path merges shard
+//! results in input order, so **any thread count produces bit-for-bit the
+//! `threads = 1` output**.
 //!
 //! A compiled model is a value: the CSR design matrix is the only store of
 //! its unary features and compile featurizes straight into it, once; the

@@ -24,8 +24,8 @@ use rand::{Rng, SeedableRng};
 /// define the chromatic sampling stream, so a reference has to share them.
 const COLOR_BLOCK_SIZE: usize = 64;
 
-fn color_block_seed(chain_seed: u64, block_index: u64) -> u64 {
-    let mut z = chain_seed ^ block_index.wrapping_mul(0x2545_F491_4F6C_DD1D);
+fn color_block_seed(seed: u64, block_index: u64) -> u64 {
+    let mut z = seed ^ block_index.wrapping_mul(0x2545_F491_4F6C_DD1D);
     z = (z ^ (z >> 32)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
     z = (z ^ (z >> 32)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
     z ^ (z >> 32)
@@ -57,7 +57,7 @@ fn interpreted_conditional(
     softmax_in_place(probs);
 }
 
-/// Single-chain reference sampler over all query variables: sequential
+/// Reference sampler over all query variables: sequential
 /// sweeps, or — given a coloring — chromatic ones (colors ascending, each
 /// class cut into fixed blocks that draw from their own seeded RNG against
 /// the pre-class state). Returns per-variable sample counts.
@@ -151,7 +151,6 @@ fn compiled_sampler_equals_interpreted_reference_on_hospital() {
         burn_in: 3,
         samples: 12,
         seed: 0x5eed,
-        chains: 1,
     };
     for chromatic in [false, true] {
         let coloring = chromatic.then(|| graph.coloring());
