@@ -86,7 +86,8 @@ pub struct CompileStats {
     /// components), `featurize` (the parallel pass into per-chunk sinks),
     /// `assemble` (their ordered merge into registry + design matrix),
     /// `ground` (Algorithm 1; DC-factor variants only). Together they
-    /// cover the call but for the final weight-vector copy.
+    /// cover the call but for wiring the graph's clique lists and the
+    /// final weight-vector copy.
     /// `pipeline::compile_model` puts `stats build`, the co-occurrence
     /// statistics it builds before calling `compile`, in front.
     pub phases: Vec<(&'static str, Duration)>,
@@ -239,7 +240,13 @@ fn compile_with(
         let evidence_attrs = trainable(attrs_of(n_attrs, query_cells));
         cstats.trainable_attrs = evidence_attrs.iter().filter(|&&t| t).count();
         cstats.evidence_attrs_skipped = n_attrs - cstats.trainable_attrs;
-        let selected = select_evidence_cells(ds, noisy, &evidence_attrs, config);
+        let selected = select_evidence_cells(
+            ds,
+            noisy,
+            &evidence_attrs,
+            config.seed,
+            MAX_EVIDENCE_PER_ATTR,
+        );
         let domains = index.prune_cells(ds, &selected, evidence_tau, config.max_domain, threads);
         (selected, domains)
     });
@@ -306,22 +313,21 @@ fn compile_with(
     });
     let evidence_cells = var_cells.split_off(cstats.query_vars);
     let query_cells = var_cells;
-    let (mut registry, mut graph) = timed(&mut phases, "assemble", || {
+    let (mut registry, design) = timed(&mut phases, "assemble", || {
         drop(signals);
-        let (registry, design) = assemble(sinks);
-        (registry, FactorGraph::from_design(vars, design))
+        assemble(sinks)
     });
 
     // ---- 4. DC factor grounding (Algorithm 1) ----
+    let mut cliques = Vec::new();
     if config.variant.uses_dc_factors() {
-        timed(&mut phases, "ground", || {
+        cliques = timed(&mut phases, "ground", || {
             let cell_vars: FxHashMap<CellRef, VarId> = query_cells
                 .iter()
                 .copied()
                 .zip(query_vars.iter().copied())
                 .collect();
             ground_dc_factors(
-                &mut graph,
                 &mut registry,
                 ds,
                 constraints,
@@ -330,10 +336,12 @@ fn compile_with(
                 config,
                 components.as_deref(),
                 &mut cstats,
+                MAX_CLIQUES_PER_CONSTRAINT,
             )
         });
     }
 
+    let graph = FactorGraph::new(vars, design, cliques);
     cstats.phases = phases;
     cstats.factors = graph.factor_count();
     let weights = registry.build_weights();
@@ -348,10 +356,16 @@ fn compile_with(
     })
 }
 
+/// Evidence cells sampled per *trainable* attribute for weight learning —
+/// an attribute that shares a learnable weight with one that has a query
+/// variable ([`crate::trainable`]); the other attributes supply no
+/// evidence at all.
+const MAX_EVIDENCE_PER_ATTR: usize = 800;
+
 /// Canonical evidence selection: per attribute set in `trainable`, the
-/// clean non-null cells of the *whole* dataset, downsampled to
-/// [`HoloConfig::max_evidence_per_attr`] by a seeded shuffle (then
-/// re-sorted). Membership is a function of `(live table, noisy set,
+/// clean non-null cells of the *whole* dataset, downsampled to `cap`
+/// ([`MAX_EVIDENCE_PER_ATTR`] in `compile`) by a shuffle seeded with
+/// `seed` (then re-sorted). Membership is a function of `(live table, noisy set,
 /// seed)` only, never of arrival order — the streaming-equals-batch byte
 /// equivalence rests on it — and a kept attribute's cells are the ones the
 /// all-attributes selection picks for it: the attributes share one RNG, so
@@ -364,10 +378,10 @@ fn select_evidence_cells(
     ds: &Dataset,
     noisy: &FxHashSet<CellRef>,
     trainable: &[bool],
-    config: &HoloConfig,
+    seed: u64,
+    cap: usize,
 ) -> Vec<CellRef> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let cap = config.max_evidence_per_attr;
+    let mut rng = StdRng::seed_from_u64(seed);
     let words = ds.tuple_count().div_ceil(64);
     let mut flagged: Vec<Vec<u64>> = vec![vec![0; words]; trainable.len()];
     for cell in noisy {
@@ -442,7 +456,7 @@ impl<'a> Signals<'a> {
         let support_prior = (config.min_cond_support, config.occur_prior);
         collect_occur_features(buf, (ds, self.stats), support_prior, cell, candidates);
         collect_minimality_feature(buf, config, ds.cell_ref(cell), candidates);
-        collect_external_features(buf, self.matches, cell, candidates, config.ext_dict_prior);
+        collect_external_features(buf, self.matches, cell, candidates);
         if let Some(dcf) = &self.dc {
             dcf.collect_features(buf, cell, candidates);
         }
@@ -532,25 +546,36 @@ fn dom_of<'a>(
     singleton
 }
 
+/// Fixed weight `w` of DC clique factors (Algorithm 1 "soft constraint"
+/// relaxation; `f64::INFINITY` would make them hard).
+pub(crate) const DC_FACTOR_WEIGHT: f64 = 4.0;
+
+/// Cap on grounded cliques per two-tuple constraint (safety valve for the
+/// unpartitioned factor variants at small τ; the paper reports exactly
+/// this blow-up in §1 challenge (2)). A constraint stops grounding
+/// outright once the cap is reached.
+const MAX_CLIQUES_PER_CONSTRAINT: usize = 500_000;
+
 /// Tuple pairs per parallel clique-construction block: large enough that a
-/// block amortises the fan-out, small enough that a binding
-/// [`HoloConfig::max_cliques_per_constraint`] cap doesn't build far past
-/// its stopping point.
+/// block amortises the fan-out, small enough that a binding clique cap
+/// doesn't build far past its stopping point.
 const GROUND_BLOCK_PAIRS: usize = 4096;
 
 /// Grounds denial constraints into clique factors over the query variables
-/// (Algorithm 1). Pairs are discovered by blocking on the first cross-tuple
-/// equality predicate *over candidate domains* — a pair is grounded iff some
-/// candidate assignment can satisfy the equality join at all.
+/// (Algorithm 1), in constraint order. A single-tuple constraint grounds
+/// one clique per tuple with a query cell in it. A two-tuple constraint
+/// discovers its pairs by blocking on the first cross-tuple equality
+/// predicate *over candidate domains* — a pair is grounded iff some
+/// candidate assignment can satisfy the equality join at all — and stops
+/// after `clique_cap` cliques.
 ///
-/// Both phases are data-parallel with ordered merges: pair discovery shards
-/// the probe tuples (each probe tuple's bucket scan is pure; per-tuple pair
-/// lists concatenate in tuple order), and clique construction shards the
-/// pair list in fixed blocks (cliques append in pair order) — so the
-/// grounded graph is identical at every thread count.
+/// Every phase is data-parallel with an ordered merge: single-tuple
+/// cliques and pair discovery shard the tuples (per-tuple results
+/// concatenate in tuple order), and pair cliques shard the pair list in
+/// fixed blocks (cliques append in pair order) — so the grounded cliques
+/// are identical at every thread count.
 #[allow(clippy::too_many_arguments)]
 fn ground_dc_factors(
-    graph: &mut FactorGraph,
     registry: &mut FeatureRegistry<FeatureKey>,
     ds: &Dataset,
     constraints: &ConstraintSet,
@@ -559,12 +584,19 @@ fn ground_dc_factors(
     config: &HoloConfig,
     components: Option<&[FxHashMap<TupleId, u32>]>,
     cstats: &mut CompileStats,
-) {
+    clique_cap: usize,
+) -> Vec<CliqueFactor> {
     let threads = config.effective_threads();
-    let weight = registry.fixed(FeatureKey::DcFactor, config.dc_factor_weight);
+    let weight = registry.fixed(FeatureKey::DcFactor, DC_FACTOR_WEIGHT);
+    let tuples: Vec<TupleId> = ds.tuples().collect();
+    let mut cliques = Vec::new();
     for (sigma, c) in constraints.iter() {
         if !c.two_tuple {
-            ground_single_tuple(graph, ds, c, cell_vars, weight, threads);
+            // The pair builder with both roles on one tuple and no join.
+            let built = holo_parallel::parallel_map(threads, &tuples, |_, &t| {
+                build_clique(ds, c, t, t, domains, cell_vars, weight, &[])
+            });
+            cliques.extend(built.into_iter().flatten());
             continue;
         }
         // Cross-tuple equality predicates, oriented (t1 attr, t2 attr).
@@ -603,7 +635,6 @@ fn ground_dc_factors(
         // local to t1); shard probe tuples and concatenate the per-tuple
         // pair lists in tuple order, replaying the sequential discovery
         // order exactly.
-        let tuples: Vec<TupleId> = ds.tuples().collect();
         let pairs: Vec<(TupleId, TupleId)> =
             holo_parallel::parallel_flat_map(threads, &tuples, |_, &t1| {
                 let t1_comp = component.and_then(|m| m.get(&t1).copied());
@@ -656,84 +687,24 @@ fn ground_dc_factors(
             for clique in built {
                 cstats.dc_pairs_considered += 1;
                 let Some(clique) = clique else { continue };
-                graph.add_clique(clique);
+                cliques.push(clique);
                 cliques_here += 1;
                 cstats.cliques += 1;
-                if cliques_here >= config.max_cliques_per_constraint {
+                if cliques_here >= clique_cap {
                     cstats.clique_cap_hits += 1;
                     break 'blocks;
                 }
             }
         }
     }
+    cliques
 }
 
-/// Grounds single-tuple constraints: one clique per tuple whose involved
-/// cells include at least one query variable. Clique construction per
-/// tuple is pure, so tuples shard across threads and the cliques append
-/// in tuple order.
-fn ground_single_tuple(
-    graph: &mut FactorGraph,
-    ds: &Dataset,
-    c: &holo_constraints::DenialConstraint,
-    cell_vars: &FxHashMap<CellRef, VarId>,
-    weight: holo_factor::WeightId,
-    threads: usize,
-) {
-    let tuples: Vec<TupleId> = ds.tuples().collect();
-    let built = holo_parallel::parallel_map(threads, &tuples, |_, &t| {
-        let mut vars: Vec<VarId> = Vec::new();
-        let slot_of = |cell: CellRef, vars: &mut Vec<VarId>| -> Option<u8> {
-            let var = cell_vars.get(&cell)?;
-            if let Some(pos) = vars.iter().position(|v| v == var) {
-                return Some(pos as u8);
-            }
-            vars.push(*var);
-            Some((vars.len() - 1) as u8)
-        };
-        let mut predicates = Vec::with_capacity(c.predicates.len());
-        for p in &c.predicates {
-            let lhs_cell = CellRef {
-                tuple: t,
-                attr: p.lhs_attr,
-            };
-            let lhs = match slot_of(lhs_cell, &mut vars) {
-                Some(slot) => FactorOperand::Var(slot),
-                None => FactorOperand::Const(ds.cell_ref(lhs_cell)),
-            };
-            let rhs = match p.rhs {
-                Operand::Cell(_, a) => {
-                    let cell = CellRef { tuple: t, attr: a };
-                    match slot_of(cell, &mut vars) {
-                        Some(slot) => FactorOperand::Var(slot),
-                        None => FactorOperand::Const(ds.cell_ref(cell)),
-                    }
-                }
-                Operand::Const(sym) => FactorOperand::Const(sym),
-            };
-            predicates.push(FactorPredicate {
-                lhs,
-                op: op_to_cmp(p.op),
-                rhs,
-            });
-        }
-        if vars.is_empty() {
-            return None;
-        }
-        Some(CliqueFactor {
-            vars,
-            weight,
-            predicates,
-        })
-    });
-    for clique in built.into_iter().flatten() {
-        graph.add_clique(clique);
-    }
-}
-
-/// Materialises the clique for one tuple pair, or `None` when no query
+/// Materialises the clique for one tuple pair — a single-tuple constraint
+/// passes its tuple as both and no `eq_pairs` — or `None` when no query
 /// variable participates (the factor would be constant) or the equality
-/// join is domain-infeasible.
+/// join is domain-infeasible. A query cell becomes a clique slot, any
+/// other cell the constant it holds.
 #[allow(clippy::too_many_arguments)]
 fn build_clique(
     ds: &Dataset,
@@ -821,6 +792,7 @@ mod tests {
     use super::*;
     use crate::config::ModelVariant;
     use holo_constraints::{find_violations, noisy_cells, parse_constraints};
+    use holo_factor::graph::FeatureVec;
 
     fn setup(variant: ModelVariant) -> (Dataset, ConstraintSet, HoloConfig) {
         let mut ds = Dataset::new(holo_dataset::Schema::new(vec!["Zip", "City"]));
@@ -889,15 +861,88 @@ mod tests {
     }
 
     /// The clique cap is a hard stop: a constraint grounds exactly
-    /// `max_cliques_per_constraint` cliques and records the hit.
+    /// `clique_cap` cliques, the first ones of the uncapped grounding, and
+    /// records the hit.
     #[test]
     fn clique_cap_stops_grounding() {
-        let (ds, cons, mut config) = setup(ModelVariant::DcFactors);
-        config.max_cliques_per_constraint = 3;
+        let (ds, cons, config) = setup(ModelVariant::DcFactors);
         let model = run_compile(&ds, &cons, &config);
-        assert_eq!(model.stats.cliques, 3);
-        assert!(model.stats.clique_cap_hits >= 1);
-        assert!(model.graph.cliques().len() == 3);
+        assert!(model.stats.cliques > 3);
+        assert_eq!(model.stats.clique_cap_hits, 0);
+        // The compiled model's query domains, re-grounded under a cap.
+        let (mut domains, mut cell_vars) = (CellDomains::default(), FxHashMap::default());
+        for (&cell, &v) in model.query_cells.iter().zip(&model.query_vars) {
+            domains.insert(cell, model.graph.var(v).domain.clone());
+            cell_vars.insert(cell, v);
+        }
+        let mut cstats = CompileStats::default();
+        let cliques = ground_dc_factors(
+            &mut FeatureRegistry::new(),
+            &ds,
+            &cons,
+            &domains,
+            &cell_vars,
+            &config,
+            None,
+            &mut cstats,
+            3,
+        );
+        assert_eq!(cstats.cliques, 3);
+        assert_eq!(cstats.clique_cap_hits, 1);
+        assert_eq!(cliques.len(), 3);
+        for (capped, full) in cliques.iter().zip(model.graph.cliques()) {
+            assert_eq!(capped.vars, full.vars);
+            assert_eq!(capped.predicates, full.predicates);
+        }
+    }
+
+    /// A single-tuple DC grounds one clique per tuple with a query cell in
+    /// it, in tuple order: the query cell is a slot, the clean cell a
+    /// frozen constant, and an all-clean tuple grounds nothing.
+    #[test]
+    fn single_tuple_dc_grounds_one_clique_per_tuple_with_a_query_cell() {
+        let mut ds = Dataset::new(holo_dataset::Schema::new(vec!["State", "City"]));
+        for _ in 0..6 {
+            ds.push_row(&["IL", "Chicago"]);
+        }
+        ds.push_row(&["IL", "Cicago"]);
+        ds.push_row(&["WI", "Madison"]);
+        ds.push_row(&["IL", "Chicgo"]);
+        let cons =
+            parse_constraints("t1&EQ(t1.State,\"IL\")&IQ(t1.City,\"Chicago\")", &mut ds).unwrap();
+        let config = HoloConfig::default()
+            .with_variant(ModelVariant::DcFactors)
+            .with_tau(0.3);
+        // The misspelt cities are noisy; every State cell stays clean.
+        let cells = [CellRef::new(6usize, 1), CellRef::new(8usize, 1)];
+        let noisy: FxHashSet<CellRef> = cells.into_iter().collect();
+        let violations = find_violations(&ds, &cons);
+        let stats = CooccurStats::build(&ds);
+        let matches = MatchLookup::default();
+        let model = compile(&CompileInput {
+            ds: &ds,
+            constraints: &cons,
+            noisy: &noisy,
+            violations: &violations,
+            stats: &stats,
+            matches: &matches,
+            config: &config,
+        })
+        .unwrap();
+        assert_eq!(model.query_cells, cells);
+        let [il, chicago] =
+            ["IL", "Chicago"].map(|v| FactorOperand::Const(ds.pool().get(v).unwrap()));
+        let pred = |lhs, op, rhs| FactorPredicate { lhs, op, rhs };
+        let want = [
+            pred(il, CmpOp::Eq, il),
+            pred(FactorOperand::Var(0), CmpOp::Neq, chicago),
+        ];
+        let cliques = model.graph.cliques();
+        assert_eq!(cliques.len(), 2, "tuples 6 and 8; none for WI");
+        for (clique, &v) in cliques.iter().zip(&model.query_vars) {
+            assert_eq!(clique.vars, [v]);
+            assert_eq!(clique.predicates, want);
+        }
     }
 
     /// A two-tuple DC with no cross-tuple equality has no join key: it is
@@ -959,11 +1004,13 @@ mod tests {
 
     #[test]
     fn evidence_sampling_respects_cap() {
-        let (ds, cons, mut config) = setup(ModelVariant::DcFeats);
-        config.max_evidence_per_attr = 2;
-        let model = run_compile(&ds, &cons, &config);
-        // ≤ 2 evidence vars per attribute (2 attrs → ≤ 4), minus singletons.
-        assert!(model.stats.evidence_vars <= 4);
+        let (ds, cons, config) = setup(ModelVariant::DcFeats);
+        let noisy = noisy_cells(&find_violations(&ds, &cons));
+        // Three clean cells per attribute, two kept.
+        let selected = select_evidence_cells(&ds, &noisy, &[true; 2], config.seed, 2);
+        for attr in ds.schema().attrs() {
+            assert_eq!(selected.iter().filter(|c| c.attr == attr).count(), 2);
+        }
     }
 
     /// A kept attribute gets exactly the cells the all-attributes
@@ -982,11 +1029,8 @@ mod tests {
             .filter(|t| t % 5 == 1)
             .map(|t| CellRef::new(t, t % 4))
             .collect();
-        let config = HoloConfig {
-            max_evidence_per_attr: 10,
-            ..HoloConfig::default()
-        };
-        let all = select_evidence_cells(&ds, &noisy, &[true; 4], &config);
+        let seed = HoloConfig::default().seed;
+        let all = select_evidence_cells(&ds, &noisy, &[true; 4], seed, 10);
         for attr in ds.schema().attrs() {
             assert_eq!(all.iter().filter(|c| c.attr == attr).count(), 10);
         }
@@ -1001,7 +1045,7 @@ mod tests {
                 .copied()
                 .filter(|c| mask[c.attr.index()])
                 .collect();
-            let kept = select_evidence_cells(&ds, &noisy, &mask, &config);
+            let kept = select_evidence_cells(&ds, &noisy, &mask, seed, 10);
             assert_eq!(kept, expected, "mask {mask:?}");
         }
     }
@@ -1040,31 +1084,32 @@ mod tests {
     }
 
     /// The pre-CSR pipeline, kept as the reference of the one-pass build:
-    /// every variable is added bare, then each in turn is featurized into
-    /// a fresh buffer, expanded `to_rows` and grounded entry by entry
-    /// through `FactorGraph::add_feature`.
+    /// each variable in turn is featurized into a fresh buffer and
+    /// expanded `to_rows`.
     fn reference_build(
         signals: &Signals<'_>,
         cells: &[CellRef],
         vars: &[Variable],
-    ) -> (FeatureRegistry<FeatureKey>, FactorGraph) {
-        let mut graph = FactorGraph::new();
+    ) -> (FeatureRegistry<FeatureKey>, Vec<Vec<FeatureVec>>) {
         let mut registry = FeatureRegistry::new();
-        let ids: Vec<VarId> = vars.iter().map(|v| graph.add_variable(v.clone())).collect();
-        for ((&cell, var), &id) in cells.iter().zip(vars).zip(&ids) {
-            let mut buf = FeatureBuffer::default();
-            signals.collect(&mut buf, cell, &var.domain);
-            buf.apply(&mut graph, &mut registry, id);
-        }
-        (registry, graph)
+        let rows = cells
+            .iter()
+            .zip(vars)
+            .map(|(&cell, var)| {
+                let mut buf = FeatureBuffer::default();
+                signals.collect(&mut buf, cell, &var.domain);
+                buf.to_rows(&mut registry, var.arity())
+            })
+            .collect();
+        (registry, rows)
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
         /// One-pass featurization ≡ the reference pipeline: identical
-        /// registry (key → id, fixed mask, initial values) and
-        /// `DesignMatrix ==`, at 1, 2 and 4 threads — over random tables
+        /// registry (key → id, fixed mask, initial values) and design rows,
+        /// at 1, 2 and 4 threads — over random tables
         /// with nulls, DC sets with and without relaxed features,
         /// dictionary-asserted out-of-domain candidates, the source
         /// featurizer, variable counts that do not divide into the chunks,
@@ -1147,14 +1192,25 @@ mod tests {
                 config: &config,
             })
             .unwrap();
-            let (ref_registry, ref_graph) = reference_build(&signals, &cells, &vars);
-            let featureless = (0..vars.len())
-                .filter(|&i| ref_graph.design().var_range(VarId(i as u32)).all(|r| ref_graph.design().row(r).is_empty()))
+            let (ref_registry, ref_rows) = reference_build(&signals, &cells, &vars);
+            let featureless = ref_rows
+                .iter()
+                .filter(|rows| rows.iter().all(Vec::is_empty))
                 .count();
             proptest::prop_assert!(featureless >= 1, "the all-null tuple's variables");
             for threads in [1usize, 2, 4] {
                 let (registry, design) = assemble(signals.featurize(threads, &cells, &vars));
-                proptest::prop_assert_eq!(&design, ref_graph.design(), "threads = {}", threads);
+                proptest::prop_assert_eq!(design.var_count(), vars.len());
+                for (i, rows) in ref_rows.iter().enumerate() {
+                    let v = VarId(i as u32);
+                    proptest::prop_assert_eq!(design.var_range(v).len(), rows.len());
+                    for (k, row) in rows.iter().enumerate() {
+                        proptest::prop_assert_eq!(
+                            design.row(design.row_of(v, k)), &row[..],
+                            "var {} candidate {}, threads = {}", i, k, threads
+                        );
+                    }
+                }
                 proptest::prop_assert_eq!(registry.len(), ref_registry.len());
                 proptest::prop_assert_eq!(registry.build_weights(), ref_registry.build_weights());
                 let mut buf = FeatureBuffer::default();

@@ -6,9 +6,8 @@ use serde::{Deserialize, Serialize};
 /// Which probabilistic model to compile — the ablation axis of Figure 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ModelVariant {
-    /// Denial constraints ground as multi-variable factors with the fixed
-    /// weight [`HoloConfig::dc_factor_weight`] (Algorithm 1). No
-    /// partitioning.
+    /// Denial constraints ground as multi-variable factors with one fixed
+    /// weight (Algorithm 1). No partitioning.
     DcFactors,
     /// [`ModelVariant::DcFactors`] plus Algorithm 3 tuple partitioning.
     DcFactorsPartitioned,
@@ -96,20 +95,8 @@ pub struct HoloConfig {
     pub max_domain: usize,
     /// Which model to compile.
     pub variant: ModelVariant,
-    /// Fixed weight `w` of DC clique factors (Algorithm 1 "soft
-    /// constraint" relaxation; `f64::INFINITY` would make them hard).
-    pub dc_factor_weight: f64,
     /// Fixed weight of the minimality prior.
     pub minimality_weight: f64,
-    /// Initial (learnable) value of each dictionary's reliability weight
-    /// `w(k)`. Dictionaries are trusted a priori; evidence cells covered by
-    /// matches adjust the weight during learning.
-    pub ext_dict_prior: f64,
-    /// Normalizer for relaxed-DC feature values: the emitted feature is
-    /// `violation_count / dc_feature_cap`, keeping SGD inputs O(1) while
-    /// preserving the linear-in-count semantics of Example 6 (one grounded
-    /// factor per violating partner tuple).
-    pub dc_feature_cap: u32,
     /// Initial (learnable) value of each constraint's relaxed-DC feature
     /// weight `w(σ)`. Negative: a candidate that would violate a denial
     /// constraint is a priori implausible — that is what the constraint
@@ -117,16 +104,6 @@ pub struct HoloConfig {
     /// carries constraints whose attributes have no clean cells at all
     /// (fully-saturated violation groups).
     pub dc_violation_prior: f64,
-    /// Cap on grounded cliques per constraint (safety valve for the
-    /// unpartitioned factor variants at small τ; the paper reports exactly
-    /// this blow-up in §1 challenge (2)). A constraint stops grounding
-    /// outright once the cap is reached.
-    pub max_cliques_per_constraint: usize,
-    /// Evidence cells sampled per *trainable* attribute for weight
-    /// learning — an attribute that shares a learnable weight with one
-    /// that has a query variable ([`crate::trainable`]); the other
-    /// attributes supply no evidence at all.
-    pub max_evidence_per_attr: usize,
     /// Evidence variables build their candidate domains with
     /// `min(tau, evidence_tau_cap)`: at large τ most clean cells would
     /// have singleton domains and carry no gradient, starving SGD.
@@ -219,13 +196,8 @@ impl Default for HoloConfig {
             tau: 0.5,
             max_domain: 50,
             variant: ModelVariant::DcFeats,
-            dc_factor_weight: 4.0,
             minimality_weight: 0.5,
-            ext_dict_prior: 2.0,
-            dc_feature_cap: 4,
             dc_violation_prior: -1.0,
-            max_cliques_per_constraint: 500_000,
-            max_evidence_per_attr: 800,
             evidence_tau_cap: 0.3,
             min_cond_support: 2,
             occur_prior: 1.0,

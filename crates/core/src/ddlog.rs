@@ -6,6 +6,7 @@
 //! clearest specification of what the compiler built, and the rendering is
 //! exercised by tests so it cannot drift from the implementation.
 
+use crate::compile::DC_FACTOR_WEIGHT;
 use crate::config::HoloConfig;
 use holo_constraints::ast::{Op, Operand, TupleVar};
 use holo_constraints::ConstraintSet;
@@ -97,10 +98,9 @@ pub fn render_program(ds: &Dataset, constraints: &ConstraintSet, config: &HoloCo
             };
             let _ = writeln!(
                 out,
-                "!({}) :- {body}, [{}] weight = {}",
+                "!({}) :- {body}, [{}] weight = {DC_FACTOR_WEIGHT}",
                 head_atoms.join(" ^ "),
                 scope.join(", "),
-                config.dc_factor_weight
             );
         }
         if config.variant.uses_dc_features() && c.two_tuple {
@@ -197,7 +197,7 @@ mod tests {
         let program = render_program(&ds, &cons, &config);
         assert!(program.contains("!(Value?(t1, Zip, v1a) ^ Value?(t2, Zip, v1b)"));
         assert!(program.contains("Tuple(t1), Tuple(t2)"));
-        assert!(program.contains(&format!("weight = {}", config.dc_factor_weight)));
+        assert!(program.contains(&format!("weight = {DC_FACTOR_WEIGHT}")));
     }
 
     #[test]

@@ -285,15 +285,18 @@ pub fn collect_minimality_feature(
     }
 }
 
-/// Queues external-match features from the `Matched` lookup. Dictionary
-/// weights start at `dict_prior` (learnable): external data is trusted a
-/// priori and evidence cells with dictionary coverage recalibrate it.
+/// Initial (learnable) value of each dictionary's reliability weight
+/// `w(k)`: dictionaries are trusted a priori, and evidence cells covered
+/// by matches adjust the weight during learning.
+const EXT_DICT_PRIOR: f64 = 2.0;
+
+/// Queues external-match features from the `Matched` lookup, one learnable
+/// weight per dictionary starting at `EXT_DICT_PRIOR`.
 pub fn collect_external_features(
     buf: &mut FeatureBuffer,
     matches: &MatchLookup,
     cell: CellRef,
     candidates: &[Sym],
-    dict_prior: f64,
 ) {
     if matches.is_empty() {
         return;
@@ -301,12 +304,18 @@ pub fn collect_external_features(
     for (k, &d) in candidates.iter().enumerate() {
         if let Some(dicts) = matches.get(&(cell, d)) {
             for &dict in dicts {
-                let spec = WeightSpec::LearnableInit(FeatureKey::ExtDict { dict }, dict_prior);
+                let spec = WeightSpec::LearnableInit(FeatureKey::ExtDict { dict }, EXT_DICT_PRIOR);
                 buf.push(k, spec, 1.0);
             }
         }
     }
 }
+
+/// Divisor of the violation counts a relaxed-DC feature emits, so SGD sees
+/// O(1)-magnitude features while the contribution stays *linear* in the
+/// violation count — Example 6 grounds one factor per partner tuple, so
+/// the total log-linear contribution is `w · count`.
+const DC_FEATURE_CAP: u32 = 4;
 
 /// Relaxed denial-constraint featurizer (§5.2): per constraint and role, a
 /// compiled partner scan (see the module docs).
@@ -322,11 +331,6 @@ pub struct DcFeaturizer<'a> {
     scan_cap: usize,
     /// Count saturation.
     count_cap: u32,
-    /// Divisor applied to counts when emitting feature values, so SGD sees
-    /// O(1)-magnitude features while the contribution stays *linear* in
-    /// the violation count — Example 6 grounds one factor per partner
-    /// tuple, so the total log-linear contribution is `w · count`.
-    normalizer: f64,
     /// Initial value of the learnable per-constraint weights.
     prior: f64,
 }
@@ -392,7 +396,6 @@ impl<'a> DcFeaturizer<'a> {
             roles,
             scan_cap: 512,
             count_cap: 512,
-            normalizer: f64::from(config.dc_feature_cap.max(1)),
             prior: config.dc_violation_prior,
         }
     }
@@ -441,7 +444,7 @@ impl<'a> DcFeaturizer<'a> {
                     .iter()
                     .enumerate()
                     .filter(|(_, &count)| count > 0)
-                    .map(|(k, &count)| (k, f64::from(count) / self.normalizer)),
+                    .map(|(k, &count)| (k, f64::from(count) / f64::from(DC_FEATURE_CAP))),
             );
             counts.fill(0);
         }
@@ -737,9 +740,9 @@ mod reference {
             })
         }
 
-        /// The pre-CSR pipeline, first half: interns the queued weights and
-        /// materialises the buffer as one feature row per candidate, in queue
-        /// order. Kept as the reference the one-pass build is tested against.
+        /// The pre-CSR pipeline: interns the queued weights and materialises
+        /// the buffer as one feature row per candidate, in queue order. Kept
+        /// as the reference the one-pass build is tested against.
         pub(crate) fn to_rows(
             &self,
             registry: &mut FeatureRegistry<FeatureKey>,
@@ -751,22 +754,6 @@ mod reference {
                 rows[slot].push((ids[unit], value));
             }
             rows
-        }
-
-        /// The pre-CSR pipeline, second half: grounds [`FeatureBuffer::to_rows`]
-        /// onto `var` entry by entry through `FactorGraph::add_feature`.
-        pub(crate) fn apply(
-            &self,
-            graph: &mut holo_factor::FactorGraph,
-            registry: &mut FeatureRegistry<FeatureKey>,
-            var: holo_factor::VarId,
-        ) {
-            let rows = self.to_rows(registry, graph.var(var).arity());
-            for (k, row) in rows.into_iter().enumerate() {
-                for (w, x) in row {
-                    graph.add_feature(var, k, w, x);
-                }
-            }
         }
     }
 
@@ -827,7 +814,11 @@ mod tests {
         sink.push_var(&buf, candidates.len());
         let (reg, design) = sink.finish();
         let var = Variable::query(candidates.to_vec(), Some(0));
-        (FactorGraph::from_design(vec![var], design), VarId(0), reg)
+        (
+            FactorGraph::new(vec![var], design, Vec::new()),
+            VarId(0),
+            reg,
+        )
     }
 
     /// The tied co-occurrence features of `cell` over `candidates`, at the
@@ -879,7 +870,7 @@ mod tests {
         let (reg, design) = sink.finish();
         let vars = [candidates.to_vec(), candidates.to_vec(), il.to_vec()]
             .map(|domain| Variable::query(domain, Some(0)));
-        let g = FactorGraph::from_design(vars.to_vec(), design);
+        let g = FactorGraph::new(vars.to_vec(), design, Vec::new());
 
         // City | Zip, City | State, State | Zip — State | City reads
         // `Cicago`, seen once, below the support of 2.
@@ -1015,14 +1006,14 @@ mod tests {
         let mut matches: MatchLookup = MatchLookup::default();
         matches.insert((cell, chicago), vec![0, 1]);
         let (g, v, reg) = sink_one(&[init, chicago], |buf| {
-            collect_external_features(buf, &matches, cell, &[init, chicago], 2.0)
+            collect_external_features(buf, &matches, cell, &[init, chicago])
         });
         assert!(g.features(v, 0).is_empty());
         assert_eq!(g.features(v, 1).len(), 2, "one feature per asserting dict");
         assert_eq!(reg.len(), 2);
         let w = reg.build_weights();
         let (wid, _) = g.features(v, 1)[0];
-        assert_eq!(w.get(wid), 2.0, "dictionary prior");
+        assert_eq!(w.get(wid), EXT_DICT_PRIOR, "dictionary prior");
         assert!(!w.is_fixed(wid), "dictionary weight stays learnable");
     }
 
@@ -1093,12 +1084,9 @@ mod tests {
             feat.collect_features(buf, cell, &[cicago, chicago])
         });
         // Candidate "Cicago" gets the violation feature (count 1, scaled
-        // by the normalizer); "Chicago" violates nothing → no entry.
+        // by the cap); "Chicago" violates nothing → no entry.
         assert_eq!(g.features(v, 0).len(), 1);
-        assert_eq!(
-            g.features(v, 0)[0].1,
-            1.0 / f64::from(config.dc_feature_cap)
-        );
+        assert_eq!(g.features(v, 0)[0].1, 1.0 / f64::from(DC_FEATURE_CAP));
         assert!(g.features(v, 1).is_empty());
         let w = reg.build_weights();
         assert!(

@@ -482,7 +482,7 @@ mod tests {
             compiled.design().rows() + out_of_domain,
             "one row per novel label"
         );
-        let mut fresh = holo_factor::FactorGraph::new();
+        let mut fresh = holo_factor::GraphBuilder::new();
         for v in compiled.var_ids() {
             let added = fresh.add_variable(session.model.graph.var(v).clone());
             for k in 0..compiled.var(v).arity() {
@@ -493,7 +493,7 @@ mod tests {
         }
         assert_eq!(
             session.model.graph.design(),
-            fresh.design(),
+            fresh.build().design(),
             "patched matrix == fresh build, bit for bit"
         );
         assert!(session.timings().learn > std::time::Duration::ZERO);

@@ -277,9 +277,10 @@ pub(crate) fn train_checked(
 
 /// Weight learning from `model`'s priors: minibatch SGD over the evidence
 /// variables, reading the compiled [`holo_factor::DesignMatrix`].
-/// Minibatch gradients shard across [`HoloConfig::threads`] in fixed-size
-/// example shards merged in shard order, so the learned weights are
-/// bit-for-bit identical at every thread count. Returns the learned
+/// Learning runs on the caller's thread whatever [`HoloConfig::threads`]
+/// says (minibatch gradients fold in fixed-size example shards, in shard
+/// order), so the learned weights are bit-for-bit identical at every
+/// thread count. Returns the learned
 /// weights and the diagnostics (`None` when the model has no evidence and
 /// the weights stay at their priors); a diverging
 /// [`holo_factor::LearnConfig::learning_rate`] is

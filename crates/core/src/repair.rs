@@ -120,7 +120,7 @@ impl RepairReport {
 mod tests {
     use super::*;
     use holo_dataset::Schema;
-    use holo_factor::{FactorGraph, Variable};
+    use holo_factor::{GraphBuilder, Variable};
 
     #[test]
     fn map_differing_from_init_becomes_repair() {
@@ -128,8 +128,9 @@ mod tests {
         ds.push_row(&["Cicago"]);
         let cicago = ds.pool().get("Cicago").unwrap();
         let chicago = ds.intern("Chicago");
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::query(vec![cicago, chicago], Some(0)));
+        let g = g.build();
         let cell = CellRef::new(0usize, 0usize);
         let marginals = Marginals::from_raw(vec![vec![0.2, 0.8]]);
         let report = RepairReport::from_marginals(&ds, &[cell], &[v], &g, &marginals);
@@ -147,8 +148,9 @@ mod tests {
         ds.push_row(&["Chicago"]);
         let chicago = ds.pool().get("Chicago").unwrap();
         let other = ds.intern("Cicago");
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::query(vec![chicago, other], Some(0)));
+        let g = g.build();
         let cell = CellRef::new(0usize, 0usize);
         let marginals = Marginals::from_raw(vec![vec![0.9, 0.1]]);
         let report = RepairReport::from_marginals(&ds, &[cell], &[v], &g, &marginals);

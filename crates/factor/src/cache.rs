@@ -94,12 +94,12 @@ impl<'d> ScoreCache<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{FactorGraph, Variable};
+    use crate::graph::{FactorGraph, GraphBuilder, Variable};
     use crate::weights::WeightId;
     use holo_dataset::Sym;
 
     fn graph_with_features() -> (FactorGraph, Weights) {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let mut w = Weights::zeros(4);
         for k in 0..4u32 {
             w.set(WeightId(k), 0.4 * f64::from(k) - 0.7);
@@ -112,7 +112,7 @@ mod tests {
                 g.add_feature(v, k, WeightId((i + k as u32) % 4), 0.3 * f64::from(i) + 1.0);
             }
         }
-        (g, w)
+        (g.build(), w)
     }
 
     #[test]
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn empty_design_builds_an_empty_cache() {
-        let g = FactorGraph::new();
+        let g = GraphBuilder::new().build();
         let w = Weights::zeros(0);
         let cache = ScoreCache::build(g.design(), &w, 4);
         assert_eq!(cache.rows(), 0);

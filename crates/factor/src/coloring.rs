@@ -15,9 +15,8 @@
 //! and keeps the sequential sweep path.
 //!
 //! The graph builds its coloring lazily, on the first chromatic inference
-//! pass, and never patches it: a clique or variable added afterwards drops
-//! the cached coloring and the next access builds a fresh one; feedback
-//! pins change no scope and touch nothing. The invariant chromatic sweeps
+//! pass, and never patches it: the clique scopes are fixed once the graph
+//! is built, and feedback pins change none. The invariant chromatic sweeps
 //! need is *properness* — no clique scope contains two variables of the
 //! same color ([`Coloring::is_proper`]).
 
@@ -111,7 +110,7 @@ fn smallest_absent(used: &mut Vec<u32>) -> u32 {
 mod tests {
     use super::*;
     use crate::graph::{
-        CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, Variable,
+        CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder, Variable,
     };
     use crate::weights::WeightId;
     use holo_dataset::Sym;
@@ -133,22 +132,23 @@ mod tests {
     }
 
     fn chain_graph(n: usize) -> FactorGraph {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let vars: Vec<VarId> = (0..n)
             .map(|_| g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0))))
             .collect();
         for pair in vars.windows(2) {
             g.add_clique(clique(vec![pair[0], pair[1]]));
         }
-        g
+        g.build()
     }
 
     #[test]
     fn clique_free_graph_is_single_color() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         for _ in 0..5 {
             g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         }
+        let g = g.build();
         let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
         assert_eq!(c.num_colors(), 1);
         assert!(g.var_ids().all(|v| c.color_of(v) == 0));
@@ -175,13 +175,14 @@ mod tests {
 
     #[test]
     fn triangle_needs_three_colors() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let vars: Vec<VarId> = (0..3)
             .map(|_| g.add_variable(Variable::query(vec![sym(1), sym(2)], None)))
             .collect();
         g.add_clique(clique(vec![vars[0], vars[1]]));
         g.add_clique(clique(vec![vars[1], vars[2]]));
         g.add_clique(clique(vec![vars[0], vars[2]]));
+        let g = g.build();
         let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
         assert_eq!(c.num_colors(), 3);
         assert!(c.is_proper(g.cliques()));
@@ -189,11 +190,12 @@ mod tests {
 
     #[test]
     fn wide_scope_colors_every_member_distinctly() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let vars: Vec<VarId> = (0..4)
             .map(|_| g.add_variable(Variable::query(vec![sym(1), sym(2)], None)))
             .collect();
         g.add_clique(clique(vars.clone()));
+        let g = g.build();
         let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
         assert_eq!(c.num_colors(), 4);
         assert!(c.is_proper(g.cliques()));

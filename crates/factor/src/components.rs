@@ -26,16 +26,16 @@
 //!   component-level parallelism degenerates to a single unit.
 //!
 //! Components share no state, so they run concurrently via
-//! [`holo_parallel::parallel_jobs`]; per-component seeds depend only on
+//! [`holo_parallel::parallel_jobs_weighted`]; per-component seeds depend only on
 //! the component's rank in the canonical index order and the merge writes
 //! each variable's marginal exactly once — so the result is **bit-for-bit
 //! identical at every thread count**.
 //!
 //! The graph builds the index lazily, on the first inference pass, and
-//! never patches it: a clique or variable added afterwards drops the
-//! cached index and the next access builds a fresh one. Feedback pins
-//! change nothing — scopes are unioned over *all* members, evidence
-//! included, precisely so that pinning never has to split a component.
+//! never patches it: the clique scopes are fixed once the graph is built.
+//! Feedback pins change nothing — scopes are unioned over *all* members,
+//! evidence included, precisely so that pinning never has to split a
+//! component.
 
 use crate::cache::{ScoreCache, ScoreCacheStats};
 use crate::coloring::Coloring;
@@ -433,7 +433,9 @@ fn normalize_query_counts(query: &[VarId], mut counts: Vec<Vec<f64>>) -> Vec<(Va
 mod tests {
     use super::*;
     use crate::exact::exact_marginals;
-    use crate::graph::{CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, Variable};
+    use crate::graph::{
+        CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, GraphBuilder, Variable,
+    };
     use crate::marginals::reference::exact_unary;
     use crate::weights::WeightId;
     use holo_dataset::Sym;
@@ -458,7 +460,7 @@ mod tests {
     /// Two coupled pairs plus a free variable: three components, in
     /// canonical order.
     fn two_pair_graph() -> (FactorGraph, Weights) {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let vs: Vec<VarId> = (0..5)
             .map(|i| {
                 g.add_variable(Variable::query(
@@ -477,7 +479,7 @@ mod tests {
         g.add_feature(vs[4], 2, WeightId(0), 1.0);
         g.add_clique(must_differ(vs[0], vs[1], WeightId(1)));
         g.add_clique(must_differ(vs[2], vs[3], WeightId(2)));
-        (g, w)
+        (g.build(), w)
     }
 
     #[test]
@@ -494,7 +496,7 @@ mod tests {
 
     #[test]
     fn empty_graph_has_no_components() {
-        let g = FactorGraph::new();
+        let g = GraphBuilder::new().build();
         assert!(g.components().is_empty());
     }
 
@@ -516,7 +518,7 @@ mod tests {
     /// limit.
     #[test]
     fn clique_free_graph_is_closed_form_at_any_limit() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         g.add_variable(Variable::evidence(vec![sym(3), sym(4)], 1));
         let b = g.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], None));
@@ -525,6 +527,7 @@ mod tests {
         w.set(WeightId(1), -0.7);
         g.add_feature(a, 0, WeightId(0), 1.0);
         g.add_feature(b, 2, WeightId(1), 3.0);
+        let g = g.build();
         let reference = exact_unary(&g, &w);
         for exact_limit in [0, 4096] {
             let cfg = PartitionedConfig {
@@ -547,7 +550,7 @@ mod tests {
     /// sweep order) — the partition seam costs nothing.
     #[test]
     fn single_component_gibbs_is_bit_for_bit_run() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         g.add_variable(Variable::evidence(vec![sym(1), sym(2)], 1));
@@ -556,6 +559,7 @@ mod tests {
         w.set(WeightId(1), 1.4);
         g.add_feature(a, 0, WeightId(0), 1.0);
         g.add_clique(must_differ(a, b, WeightId(1)));
+        let g = g.build();
         let ctx = EqOnlyContext;
         let gibbs = GibbsConfig {
             burn_in: 30,
@@ -673,7 +677,7 @@ mod tests {
     /// marginals still converge to the exact answer.
     #[test]
     fn chromatic_routing_thread_invariant_and_converges() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let n = 6;
         let vars: Vec<VarId> = (0..n)
             .map(|i| g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(i % 2))))
@@ -685,6 +689,7 @@ mod tests {
         for pair in vars.windows(2) {
             g.add_clique(must_differ(pair[0], pair[1], WeightId(1)));
         }
+        let g = g.build();
         let ctx = EqOnlyContext;
         let cfg = PartitionedConfig {
             gibbs: GibbsConfig {
@@ -723,7 +728,7 @@ mod tests {
     /// non-chromatic pass (the CI byte-diff contract for hospital runs).
     #[test]
     fn chromatic_flag_is_noop_on_clique_free_graphs() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let b = g.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], None));
         let mut w = Weights::zeros(2);
@@ -731,6 +736,7 @@ mod tests {
         w.set(WeightId(1), -0.4);
         g.add_feature(a, 0, WeightId(0), 1.0);
         g.add_feature(b, 1, WeightId(1), 2.0);
+        let g = g.build();
         let ctx = EqOnlyContext;
         let off = PartitionedConfig {
             gibbs: GibbsConfig::default(),
@@ -751,75 +757,44 @@ mod tests {
         assert_eq!(s_off.colors, 0, "coloring not built when off");
     }
 
-    /// One mutation of a graph whose index and coloring are already
-    /// built.
-    #[derive(Debug, Clone)]
-    enum Op {
-        AddVar { arity: usize },
-        AddClique { a: usize, b: usize },
-        Pin { var: usize, novel: bool },
-    }
-
-    fn op() -> impl Strategy<Value = Op> {
-        // The offline proptest stub has no `prop_oneof!`; select the
-        // variant with a modulo, like the feedback mutation strategy does.
-        (0usize..3, 0usize..64, 0usize..64).prop_map(|(which, a, b)| match which {
-            0 => Op::AddVar { arity: 2 + a % 3 },
-            1 => Op::AddClique { a, b },
-            _ => Op::Pin {
-                var: a,
-                novel: b % 2 == 0,
-            },
-        })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The invalidation contract: after every pin, late clique or
-        /// late variable the cached index equals a fresh build and the
-        /// cached coloring is proper — a construction call that forgot to
-        /// drop a cache would serve the stale one here.
+        /// The pin contract: after every in- or out-of-domain pin on a
+        /// built graph whose index and coloring are already cached, the
+        /// cached index equals a fresh build and the cached coloring is
+        /// proper — pins change no scope, so neither cache is dropped.
         #[test]
         fn random_mutations_patch_equals_fresh_build(
             arities in proptest::collection::vec(2usize..=4, 1..6),
-            ops in proptest::collection::vec(op(), 1..24),
+            pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..8),
+            pins in proptest::collection::vec((0usize..64, 0u8..2), 1..24),
         ) {
-            let mut g = FactorGraph::new();
+            let mut b = GraphBuilder::new();
             for (i, &arity) in arities.iter().enumerate() {
                 let base = 1 + (i * 8) as u32;
                 let domain: Vec<Sym> = (0..arity as u32).map(|k| Sym(base + k)).collect();
-                g.add_variable(Variable::query(domain, Some(0)));
+                b.add_variable(Variable::query(domain, Some(0)));
             }
+            let n = arities.len();
+            for (a, c) in pairs {
+                let (a, c) = (VarId((a % n) as u32), VarId((c % n) as u32));
+                if a != c {
+                    b.add_clique(must_differ(a, c, WeightId(0)));
+                }
+            }
+            let mut g = b.build();
             let _ = (g.components(), g.coloring()); // both caches live
             let mut novel = 50_000u32;
-            for op in ops {
-                match op {
-                    Op::AddVar { arity } => {
-                        novel += 16;
-                        let domain: Vec<Sym> =
-                            (0..arity as u32).map(|k| Sym(novel + k)).collect();
-                        g.add_variable(Variable::query(domain, None));
-                    }
-                    Op::AddClique { a, b } => {
-                        let n = g.var_count();
-                        let (a, b) = (VarId((a % n) as u32), VarId((b % n) as u32));
-                        if a == b {
-                            continue;
-                        }
-                        g.add_clique(must_differ(a, b, WeightId(0)));
-                    }
-                    Op::Pin { var, novel: out_of_domain } => {
-                        let v = VarId((var % g.var_count()) as u32);
-                        let value = if out_of_domain {
-                            novel += 16;
-                            Sym(novel)
-                        } else {
-                            g.var(v).domain[0]
-                        };
-                        g.pin_evidence(v, value);
-                    }
-                }
+            for (var, out_of_domain) in pins {
+                let v = VarId((var % n) as u32);
+                let value = if out_of_domain == 1 {
+                    novel += 16;
+                    Sym(novel)
+                } else {
+                    g.var(v).domain[0]
+                };
+                g.pin_evidence(v, value);
                 prop_assert_eq!(
                     g.components(),
                     &ComponentIndex::build(g.var_count(), g.cliques())

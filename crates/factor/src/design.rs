@@ -36,9 +36,9 @@
 //! returns. Rows depend only on their own variable, so where the chunk
 //! boundaries fall cannot change a single entry.
 //!
-//! After assembly the matrix is patched in place by the small-graph
-//! mutators of [`FactorGraph`](crate::graph::FactorGraph)
-//! ([`DesignMatrix::patch_var`] and friends); a patched matrix is
+//! After assembly the matrix changes in one way only: an out-of-domain
+//! feedback pin appends a candidate row to its variable
+//! ([`DesignMatrix::append_candidate_row`]), and the result is
 //! field-for-field the matrix a fresh build of the same rows produces.
 //!
 //! ## The blocked score kernel
@@ -57,15 +57,12 @@
 //! contiguous row range over the raw offset array so the hot Gibbs loop
 //! pays one slice bound check per row, not two.
 
-use crate::graph::{FeatureVec, VarId};
+use crate::graph::VarId;
 use crate::weights::{WeightId, Weights};
 use std::ops::Range;
 
 /// CSR design matrix over all `(variable, candidate)` rows of a factor
-/// graph. Assembled once by a [`DesignBuilder`]; graph mutations splice the
-/// affected variable's row range in place ([`DesignMatrix::patch_var`] and
-/// friends), and the patched matrix is bit-for-bit the matrix a fresh build
-/// of the same rows produces.
+/// graph, assembled once by a [`DesignBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignMatrix {
     /// `var_rows[v] .. var_rows[v + 1]` is the row range of variable `v`
@@ -90,11 +87,11 @@ impl Default for DesignMatrix {
 }
 
 impl DesignMatrix {
-    /// The reference build the patch and assembly tests compare against:
+    /// The reference build the assembly and pin tests compare against:
     /// nested adjacency (`unary[v][k]` = sparse features of candidate `k`
     /// of variable `v`) copied row by row into CSR.
     #[cfg(test)]
-    pub(crate) fn compile(unary: &[Vec<FeatureVec>]) -> Self {
+    pub(crate) fn compile(unary: &[Vec<crate::graph::FeatureVec>]) -> Self {
         let mut var_rows = vec![0];
         let mut row_offsets = vec![0];
         let mut entries = Vec::new();
@@ -114,7 +111,7 @@ impl DesignMatrix {
     }
 
     /// The single bound check of the CSR layout, shared by the bulk
-    /// assembly and every patch splice so no path can silently wrap:
+    /// assembly and the pin append so no path can silently wrap:
     /// `var_rows` stores row indices and `row_offsets` has `rows + 1`
     /// elements whose values are entry offsets, all as `u32` — so
     /// `rows + 1` and `nnz` must both be representable.
@@ -124,53 +121,9 @@ impl DesignMatrix {
         assert!(nnz <= u32::MAX as usize, "design matrix entry overflow");
     }
 
-    /// Replaces the rows of variable `v` with `per_candidate` (one sparse
-    /// feature vector per candidate, in domain order), splicing `entries`
-    /// and `row_offsets` and shifting the suffix indexes — O(changed rows
-    /// plus a suffix memmove). The result is bit-for-bit the matrix a
-    /// fresh build with `per_candidate` as `v`'s rows produces.
-    pub fn patch_var(&mut self, v: VarId, per_candidate: &[FeatureVec]) {
-        let rows = self.var_range(v);
-        let e0 = self.row_offsets[rows.start] as usize;
-        let e1 = self.row_offsets[rows.end] as usize;
-        let old_rows = rows.len();
-        let new_rows = per_candidate.len();
-        let new_nnz: usize = per_candidate.iter().map(Vec::len).sum();
-        Self::assert_dims(
-            self.rows() - old_rows + new_rows,
-            self.entries.len() - (e1 - e0) + new_nnz,
-        );
-
-        self.entries
-            .splice(e0..e1, per_candidate.iter().flatten().copied());
-        // New offsets for the replaced rows (absolute, starting at e0),
-        // then shift every later row's offset by the entry delta.
-        let mut acc = e0;
-        let new_offsets = per_candidate.iter().map(|f| {
-            acc += f.len();
-            acc as u32
-        });
-        self.row_offsets
-            .splice(rows.start + 1..rows.end + 1, new_offsets);
-        let entry_delta = new_nnz as i64 - (e1 - e0) as i64;
-        if entry_delta != 0 {
-            for off in &mut self.row_offsets[rows.start + 1 + new_rows..] {
-                *off = (*off as i64 + entry_delta) as u32;
-            }
-        }
-        let row_delta = new_rows as i64 - old_rows as i64;
-        if row_delta != 0 {
-            for vr in &mut self.var_rows[v.index() + 1..] {
-                *vr = (*vr as i64 + row_delta) as u32;
-            }
-        }
-    }
-
     /// Appends one candidate row at the end of variable `v`'s row range —
-    /// the common feedback mutation (an out-of-domain pin appends one
-    /// candidate to the variable's domain). Equivalent to
-    /// [`DesignMatrix::patch_var`] with the old candidates plus one, but
-    /// without re-splicing the variable's existing entries.
+    /// the feedback mutation (an out-of-domain pin appends one candidate
+    /// to the variable's domain).
     pub fn append_candidate_row(&mut self, v: VarId, features: &[(WeightId, f64)]) {
         Self::assert_dims(self.rows() + 1, self.nnz() + features.len());
         // The new row starts where v's last row ends (= the entry offset
@@ -191,20 +144,8 @@ impl DesignMatrix {
         }
     }
 
-    /// Appends a whole new variable's rows at the end of the matrix (the
-    /// `add_variable` path).
-    pub fn append_var(&mut self, per_candidate: &[FeatureVec]) {
-        let new_nnz: usize = per_candidate.iter().map(Vec::len).sum();
-        Self::assert_dims(self.rows() + per_candidate.len(), self.nnz() + new_nnz);
-        for features in per_candidate {
-            self.entries.extend_from_slice(features);
-            self.row_offsets.push(self.entries.len() as u32);
-        }
-        self.var_rows.push(self.row_offsets.len() as u32 - 1);
-    }
-
     /// Re-packs the three arrays into exact-size allocations, dropping the
-    /// slack that growth and patch splices leave behind. Contents are
+    /// slack that growth and pin appends leave behind. Contents are
     /// unchanged.
     pub fn repack(&mut self) {
         self.var_rows.shrink_to_fit();
@@ -419,6 +360,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::score_var_into_naive;
     use super::*;
+    use crate::graph::FeatureVec;
 
     fn wid(i: u32) -> WeightId {
         WeightId(i)
@@ -478,30 +420,6 @@ mod tests {
         assert_eq!(m.nnz(), 0);
     }
 
-    /// The determinism contract of every patch path: the spliced matrix
-    /// equals a fresh compile of the mutated adjacency, field for field.
-    #[test]
-    fn patch_var_matches_fresh_compile() {
-        let mut unary = sample_unary();
-        let mut m = DesignMatrix::compile(&unary);
-        // Grow var 0's first candidate, shrink its second away, add one.
-        unary[0] = vec![
-            vec![(wid(3), 1.0), (wid(0), 2.0), (wid(2), -3.0)],
-            vec![(wid(1), 9.0)],
-            vec![],
-        ];
-        m.patch_var(VarId(0), &unary[0]);
-        assert_eq!(m, DesignMatrix::compile(&unary));
-        // Patch the last variable too (no suffix to shift).
-        unary[1] = vec![vec![], vec![(wid(0), 5.0)]];
-        m.patch_var(VarId(1), &unary[1]);
-        assert_eq!(m, DesignMatrix::compile(&unary));
-        // Patching to fewer entries/rows shrinks correctly.
-        unary[0] = vec![vec![(wid(1), 1.0)]];
-        m.patch_var(VarId(0), &unary[0]);
-        assert_eq!(m, DesignMatrix::compile(&unary));
-    }
-
     #[test]
     fn append_candidate_row_matches_fresh_compile() {
         let mut unary = sample_unary();
@@ -514,17 +432,6 @@ mod tests {
         unary[1].push(vec![(wid(2), 7.0), (wid(0), -1.0)]);
         m.append_candidate_row(VarId(1), &[(wid(2), 7.0), (wid(0), -1.0)]);
         assert_eq!(m, DesignMatrix::compile(&unary));
-    }
-
-    #[test]
-    fn append_var_matches_fresh_compile() {
-        let mut unary = sample_unary();
-        let mut m = DesignMatrix::compile(&unary);
-        unary.push(vec![vec![(wid(1), 2.0)], vec![]]);
-        m.append_var(&unary[2]);
-        assert_eq!(m, DesignMatrix::compile(&unary));
-        assert_eq!(m.var_count(), 3);
-        assert_eq!(m.var_range(VarId(2)), 5..7);
     }
 
     /// Emits `unary` through a builder with each variable's entries

@@ -304,7 +304,7 @@ fn for_each_assignment(
 mod tests {
     use super::*;
     use crate::graph::{
-        CliqueFactor, CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, Variable,
+        CliqueFactor, CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, GraphBuilder, Variable,
     };
     use crate::marginals::reference::exact_unary;
     use crate::weights::WeightId;
@@ -315,13 +315,14 @@ mod tests {
 
     #[test]
     fn matches_closed_form_for_independent_vars() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], None));
         let mut w = Weights::zeros(2);
         w.set(WeightId(0), 1.0);
         w.set(WeightId(1), -0.5);
         g.add_feature(v, 0, WeightId(0), 1.0);
         g.add_feature(v, 2, WeightId(1), 2.0);
+        let g = g.build();
         let exact = exact_marginals(&g, &w, &EqOnlyContext);
         let closed = exact_unary(&g, &w);
         for k in 0..3 {
@@ -332,7 +333,7 @@ mod tests {
     #[test]
     fn hard_constraint_limits_support() {
         // Two binary vars, near-hard "must differ" constraint.
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         let mut w = Weights::zeros(1);
@@ -346,6 +347,7 @@ mod tests {
                 rhs: FactorOperand::Var(1),
             }],
         });
+        let g = g.build();
         let m = exact_marginals(&g, &w, &EqOnlyContext);
         // By symmetry each var is uniform, but the joint excludes equality:
         // marginals stay 0.5/0.5.
@@ -355,8 +357,9 @@ mod tests {
 
     #[test]
     fn evidence_point_mass() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let e = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], 1));
+        let g = g.build();
         let m = exact_marginals(&g, &Weights::zeros(0), &EqOnlyContext);
         assert_eq!(m.probs(e), &[0.0, 1.0]);
     }

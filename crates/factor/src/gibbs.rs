@@ -26,9 +26,10 @@
 //! block draws from its own RNG seeded by
 //! `color_block_seed(seed, sweep · blocks_per_sweep + block)` — a second
 //! mixer tier below the component seed — and the sampled
-//! values are written back only after the whole class finished. Blocks are
-//! scheduled over [`holo_parallel::parallel_jobs`], which merges in block
-//! order, so **any thread count is bit-for-bit `threads = 1`**. A query
+//! values are written back only after the whole class finished. Blocks run
+//! over [`holo_parallel::parallel_chunks_mut`], each writing its own fixed
+//! chunk of the class output, so **any thread count is bit-for-bit
+//! `threads = 1`**. A query
 //! set spanning a single color (every clique-free component) keeps no
 //! plan and runs today's sequential sweep, RNG draw for RNG draw.
 //!
@@ -597,8 +598,8 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     /// fixed blocks resample in parallel against the pre-class state and
     /// write back after the class completes. Deterministic at any thread
     /// count — block boundaries and block seeds depend only on the plan
-    /// and the sweep number, and [`holo_parallel::parallel_jobs`] merges
-    /// in block order.
+    /// and the sweep number, and [`holo_parallel::parallel_chunks_mut`]
+    /// gives each block its own fixed output chunk.
     fn sweep_chromatic(&mut self, plan: &ChromaticPlan) {
         // Sampler-owned class output buffer, reused across classes and
         // sweeps (taken out of `self` so the fill closure can read the
@@ -712,7 +713,7 @@ mod tests {
     use super::*;
     use crate::exact::exact_marginals;
     use crate::graph::{
-        CliqueFactor, CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, Variable,
+        CliqueFactor, CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, GraphBuilder, Variable,
     };
     use crate::weights::{WeightId, Weights};
 
@@ -724,11 +725,12 @@ mod tests {
     /// marginals must approach the softmax.
     #[test]
     fn independent_variable_matches_softmax() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let mut w = Weights::zeros(1);
         w.set(WeightId(0), 1.5);
         g.add_feature(v, 0, WeightId(0), 1.0);
+        let g = g.build();
         let ctx = EqOnlyContext;
         let m = GibbsSampler::new(&g, &w, &ctx, 7).run(&GibbsConfig {
             burn_in: 50,
@@ -747,7 +749,7 @@ mod tests {
     /// against brute-force enumeration.
     #[test]
     fn coupled_pair_matches_exact_enumeration() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let mut w = Weights::zeros(2);
@@ -763,6 +765,7 @@ mod tests {
                 rhs: FactorOperand::Var(1),
             }],
         });
+        let g = g.build();
         let ctx = EqOnlyContext;
         let exact = exact_marginals(&g, &w, &ctx);
         let approx = GibbsSampler::new(&g, &w, &ctx, 13).run(&GibbsConfig {
@@ -786,7 +789,7 @@ mod tests {
     /// neighbours through cliques.
     #[test]
     fn evidence_pins_and_influences() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let e = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], 0));
         let q = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let mut w = Weights::zeros(1);
@@ -801,6 +804,7 @@ mod tests {
                 rhs: FactorOperand::Var(1),
             }],
         });
+        let g = g.build();
         let ctx = EqOnlyContext;
         let m = GibbsSampler::new(&g, &w, &ctx, 3).run(&GibbsConfig {
             burn_in: 50,
@@ -817,11 +821,12 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], None));
         let mut w = Weights::zeros(1);
         w.set(WeightId(0), 0.5);
         g.add_feature(v, 1, WeightId(0), 1.0);
+        let g = g.build();
         let ctx = EqOnlyContext;
         let cfg = GibbsConfig {
             burn_in: 10,
@@ -835,9 +840,10 @@ mod tests {
 
     #[test]
     fn zero_query_vars_is_fine() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_variable(Variable::evidence(vec![sym(1)], 0));
         let w = Weights::zeros(0);
+        let g = g.build();
         let ctx = EqOnlyContext;
         let m = GibbsSampler::new(&g, &w, &ctx, 1).run(&GibbsConfig::default());
         assert_eq!(m.probs(VarId(0)), &[1.0]);
@@ -860,7 +866,7 @@ mod tests {
     /// ({a, c} at color 0, {b} at color 1), the smallest graph where
     /// chromatic sweeps engage.
     fn chain_graph() -> (FactorGraph, Weights) {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let c = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
@@ -879,7 +885,7 @@ mod tests {
                 }],
             });
         }
-        (g, w)
+        (g.build(), w)
     }
 
     #[test]
@@ -895,13 +901,14 @@ mod tests {
     fn single_color_chromatic_is_bit_for_bit_sequential() {
         // Clique-free graph: one color, so `with_chromatic` arms no plan
         // and the sampler runs today's sequential sweep verbatim.
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let mut w = Weights::zeros(3);
         for k in 0..3u32 {
             let v = g.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], None));
             w.set(WeightId(k), 0.3 * (k as f64 + 1.0));
             g.add_feature(v, k as usize, WeightId(k), 1.0);
         }
+        let g = g.build();
         let ctx = EqOnlyContext;
         let cfg = GibbsConfig {
             burn_in: 20,

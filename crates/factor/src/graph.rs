@@ -9,7 +9,7 @@
 
 use crate::coloring::Coloring;
 use crate::components::ComponentIndex;
-use crate::design::DesignMatrix;
+use crate::design::{DesignBuilder, DesignMatrix};
 use crate::weights::{WeightId, Weights};
 use holo_dataset::Sym;
 use serde::{Deserialize, Serialize};
@@ -205,30 +205,22 @@ impl CliqueFactor {
 /// Sparse unary features of one `(variable, candidate)` pair.
 pub type FeatureVec = Vec<(WeightId, f64)>;
 
-/// The grounded factor graph: constructed, then read.
+/// The grounded factor graph: constructed once, then read.
 ///
-/// **Construction.** A compiled model arrives with its CSR
+/// **Construction.** [`FactorGraph::new`] takes the variables, their CSR
 /// [`DesignMatrix`] — the one home of the unary features, which every
 /// consumer reads ([`FactorGraph::unary_score`], the Gibbs conditional,
-/// exact enumeration, SGD) — already assembled
-/// ([`FactorGraph::from_design`]; the compiler featurizes straight into
-/// it, see [`crate::design`]) and then grounds its cliques with
-/// [`add_clique`](FactorGraph::add_clique). Tests and hand-built graphs
-/// start from [`FactorGraph::new`] and use
-/// [`add_variable`](FactorGraph::add_variable) /
-/// [`add_feature`](FactorGraph::add_feature), which splice the affected
-/// variable's rows into the matrix in place — O(that variable's rows plus
-/// a suffix shift) per call, wrong for bulk featurization, which goes
-/// through a [`DesignBuilder`](crate::design::DesignBuilder).
+/// exact enumeration, SGD) — and the grounded cliques, all complete. The
+/// compiler featurizes straight into the matrix (see [`crate::design`])
+/// and grounds its cliques before it calls `new`; hand-built graphs
+/// collect the same three parts in a [`GraphBuilder`].
 ///
 /// **Use.** The component index and the coloring are derived from the
 /// clique structure on first access and cached; nothing ever patches
-/// them. A construction call that arrives after one was built simply drops
-/// it, so a cached partition can never be stale. The one mutator of a
-/// built graph is [`pin_evidence`](FactorGraph::pin_evidence) (user
-/// feedback, §2.2), which changes no clique scope and therefore leaves
-/// both caches alone.
-#[derive(Debug, Clone, Default)]
+/// them. The one mutator of a built graph is
+/// [`pin_evidence`](FactorGraph::pin_evidence) (user feedback, §2.2),
+/// which changes no clique scope and therefore leaves both caches alone.
+#[derive(Debug, Clone)]
 pub struct FactorGraph {
     vars: Vec<Variable>,
     /// The unary features of every `(variable, candidate)` pair.
@@ -247,71 +239,51 @@ pub struct FactorGraph {
 }
 
 impl FactorGraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A clique-free graph over `vars` whose unary features are the
-    /// already-assembled `design` — how the compiler hands over a model.
+    /// The graph over `vars` whose unary features are `design` and whose
+    /// clique factors are `cliques`, wiring each variable's clique list.
     ///
     /// # Panics
     /// Panics unless `design` has exactly one row range per variable, of
-    /// that variable's arity.
-    pub fn from_design(vars: Vec<Variable>, design: DesignMatrix) -> Self {
+    /// that variable's arity, and every clique names between 1 and 255
+    /// variables, all of them in `vars`.
+    pub fn new(vars: Vec<Variable>, design: DesignMatrix, cliques: Vec<CliqueFactor>) -> Self {
         assert_eq!(design.var_count(), vars.len(), "one row range per variable");
         for (i, var) in vars.iter().enumerate() {
             let rows = design.var_range(VarId(i as u32)).len();
             assert_eq!(rows, var.arity(), "one row per candidate");
         }
+        let mut counts = vec![0usize; vars.len()];
+        for (idx, clique) in cliques.iter().enumerate() {
+            let arity = clique.vars.len();
+            assert!(
+                (1..=u8::MAX as usize).contains(&arity),
+                "clique {idx} has {arity} variables, not 1 to 255"
+            );
+            for &v in &clique.vars {
+                assert!(
+                    v.index() < vars.len(),
+                    "clique {idx} names variable {} of a graph with {}",
+                    v.0,
+                    vars.len()
+                );
+                counts[v.index()] += 1;
+            }
+        }
+        // Sized before filling, so each list is one allocation.
+        let mut var_cliques: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (idx, clique) in cliques.iter().enumerate() {
+            for &v in &clique.vars {
+                var_cliques[v.index()].push(idx as u32);
+            }
+        }
         FactorGraph {
-            var_cliques: vec![Vec::new(); vars.len()],
             vars,
             design,
-            ..FactorGraph::default()
+            cliques,
+            var_cliques,
+            components: OnceLock::new(),
+            coloring: OnceLock::new(),
         }
-    }
-
-    /// Adds a variable with no features, returning its id; its (empty)
-    /// rows are appended to the design matrix and a cached component
-    /// index or coloring is dropped.
-    pub fn add_variable(&mut self, var: Variable) -> VarId {
-        let id = VarId(self.vars.len() as u32);
-        self.design
-            .append_var(&vec![FeatureVec::new(); var.arity()]);
-        self.var_cliques.push(Vec::new());
-        self.vars.push(var);
-        self.components.take();
-        self.coloring.take();
-        id
-    }
-
-    /// Appends a unary feature `(weight, value)` to candidate `k` of `v`
-    /// by re-splicing `v`'s row range — O(its entries plus a suffix shift)
-    /// per call.
-    pub fn add_feature(&mut self, v: VarId, k: usize, weight: WeightId, value: f64) {
-        let mut per_candidate: Vec<FeatureVec> = self
-            .design
-            .var_range(v)
-            .map(|r| self.design.row(r).to_vec())
-            .collect();
-        per_candidate[k].push((weight, value));
-        self.design.patch_var(v, &per_candidate);
-    }
-
-    /// Adds a clique factor, wiring the adjacency lists. A cached
-    /// component index or coloring is dropped: the next access builds it
-    /// over the new scopes.
-    pub fn add_clique(&mut self, clique: CliqueFactor) {
-        assert!(!clique.vars.is_empty());
-        assert!(clique.vars.len() <= u8::MAX as usize);
-        let idx = self.cliques.len() as u32;
-        for &v in &clique.vars {
-            self.var_cliques[v.index()].push(idx);
-        }
-        self.cliques.push(clique);
-        self.components.take();
-        self.coloring.take();
     }
 
     /// The variable `v`.
@@ -343,14 +315,13 @@ impl FactorGraph {
 
     /// The CSR design matrix over all `(variable, candidate)` rows — the
     /// single store and scoring substrate of the unary features, always
-    /// current: `add_variable`, `add_feature` and `pin_evidence` splice it
-    /// in place.
+    /// current: `pin_evidence` appends its candidate row in place.
     pub fn design(&self) -> &DesignMatrix {
         &self.design
     }
 
     /// Re-packs the design matrix's arrays into exact-size allocations
-    /// (splices leave growth slack behind). The matrix is the only copy of
+    /// (pins leave growth slack behind). The matrix is the only copy of
     /// the features, so there is nothing to rebuild it *from*:
     /// [`FactorGraph::design`] afterwards returns a matrix equal to the
     /// one before.
@@ -361,8 +332,7 @@ impl FactorGraph {
     /// The connected components of the clique structure — the partition
     /// seam of [`crate::components::infer_partitioned`]. Built on first
     /// access (one union-find pass over the clique scopes) and cached
-    /// until a construction call or
-    /// [`FactorGraph::invalidate_components`] drops it.
+    /// until [`FactorGraph::invalidate_components`] drops it.
     pub fn components(&self) -> &ComponentIndex {
         self.components
             .get_or_init(|| ComponentIndex::build(self.vars.len(), &self.cliques))
@@ -376,8 +346,7 @@ impl FactorGraph {
 
     /// The greedy coloring of the variable-interaction graph — the sweep
     /// schedule of chromatic Gibbs. Built on first access (one greedy pass
-    /// over the clique scopes) and cached until a construction call drops
-    /// it.
+    /// over the clique scopes) and cached.
     pub fn coloring(&self) -> &Coloring {
         self.coloring
             .get_or_init(|| Coloring::build(self.vars.len(), &self.cliques, &self.var_cliques))
@@ -463,6 +432,65 @@ impl FactorGraph {
     }
 }
 
+/// The parts of a hand-built [`FactorGraph`], collected one call at a time
+/// and assembled by [`GraphBuilder::build`] — for tests and small graphs;
+/// the compiler assembles its design matrix in bulk and calls
+/// [`FactorGraph::new`] itself.
+#[derive(Debug, Clone, Default)]
+pub struct GraphBuilder {
+    vars: Vec<Variable>,
+    /// `emissions[v]` = the `(candidate, weight, value)` features of `v`,
+    /// in the order they were added.
+    emissions: Vec<Vec<(usize, WeightId, f64)>>,
+    cliques: Vec<CliqueFactor>,
+}
+
+impl GraphBuilder {
+    /// A builder with no variables.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a variable with no features, returning its id.
+    pub fn add_variable(&mut self, var: Variable) -> VarId {
+        let id = VarId(self.vars.len() as u32);
+        self.vars.push(var);
+        self.emissions.push(Vec::new());
+        id
+    }
+
+    /// Appends a unary feature `(weight, value)` to candidate `k` of `v`.
+    ///
+    /// # Panics
+    /// Panics when `k` is not a candidate of `v`.
+    pub fn add_feature(&mut self, v: VarId, k: usize, weight: WeightId, value: f64) {
+        assert!(
+            k < self.vars[v.index()].arity(),
+            "candidate index out of range"
+        );
+        self.emissions[v.index()].push((k, weight, value));
+    }
+
+    /// Adds a clique factor.
+    pub fn add_clique(&mut self, clique: CliqueFactor) {
+        self.cliques.push(clique);
+    }
+
+    /// The graph: each variable's features become its design rows (row `k`
+    /// in the order they were added to candidate `k`), through the
+    /// compiler's own [`DesignBuilder::push_var`].
+    ///
+    /// # Panics
+    /// Panics where [`FactorGraph::new`] does.
+    pub fn build(self) -> FactorGraph {
+        let mut design = DesignBuilder::default();
+        for (var, emissions) in self.vars.iter().zip(&self.emissions) {
+            design.push_var(var.arity(), emissions.iter().copied());
+        }
+        FactorGraph::new(self.vars, design.finish(), self.cliques)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,7 +517,7 @@ mod tests {
 
     #[test]
     fn unary_scores_accumulate() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         let mut w = Weights::zeros(2);
         w.set(WeightId(0), 2.0);
@@ -497,6 +525,7 @@ mod tests {
         g.add_feature(v, 0, WeightId(0), 1.0);
         g.add_feature(v, 0, WeightId(1), 3.0);
         g.add_feature(v, 1, WeightId(0), 0.5);
+        let g = g.build();
         assert!((g.unary_score(v, 0, &w) - (2.0 - 3.0)).abs() < 1e-12);
         assert!((g.unary_score(v, 1, &w) - 1.0).abs() < 1e-12);
         assert_eq!(g.unary_scores(v, &w).len(), 2);
@@ -561,7 +590,7 @@ mod tests {
 
     #[test]
     fn adjacency_wiring() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v0 = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         let v1 = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         let v2 = g.add_variable(Variable::evidence(vec![sym(1)], 0));
@@ -574,6 +603,7 @@ mod tests {
                 rhs: FactorOperand::Var(1),
             }],
         });
+        let g = g.build();
         assert_eq!(g.cliques_of(v0), &[0]);
         assert_eq!(g.cliques_of(v1), &[0]);
         assert!(g.cliques_of(v2).is_empty());
@@ -582,114 +612,104 @@ mod tests {
         assert!(g.has_cliques());
     }
 
-    /// A graph built through the mutators next to the shadow adjacency the
-    /// test keeps itself — the reference store the design matrix replaced.
-    struct Shadowed {
-        g: FactorGraph,
-        unary: Vec<Vec<FeatureVec>>,
+    /// Scores of `v`'s candidates over the nested adjacency `unary`,
+    /// through the same kernel.
+    fn adjacency_scores(unary: &[Vec<FeatureVec>], v: VarId, weights: &Weights) -> Vec<f64> {
+        unary[v.index()]
+            .iter()
+            .map(|features| crate::design::score_features(features, weights))
+            .collect()
     }
 
-    impl Shadowed {
-        fn add_variable(&mut self, var: Variable) -> VarId {
-            self.unary.push(vec![Vec::new(); var.arity()]);
-            self.g.add_variable(var)
-        }
-        fn add_feature(&mut self, v: VarId, k: usize, w: WeightId, x: f64) {
-            self.unary[v.index()][k].push((w, x));
-            self.g.add_feature(v, k, w, x);
-        }
-        fn pin_evidence(&mut self, v: VarId, value: Sym) {
-            if !self.g.var(v).domain.contains(&value) {
-                self.unary[v.index()].push(Vec::new());
-            }
-            self.g.pin_evidence(v, value);
-        }
-        /// Scores over the nested adjacency, through the same kernel.
-        fn adjacency_scores(&self, v: VarId, weights: &Weights) -> Vec<f64> {
-            self.unary[v.index()]
-                .iter()
-                .map(|features| crate::design::score_features(features, weights))
-                .collect()
-        }
-    }
-
-    /// The CSR store and the adjacency reference agree bit-for-bit, and
-    /// every mutation is visible to the next scoring access.
+    /// The CSR store and the adjacency reference agree bit-for-bit, a pin
+    /// is visible to the next scoring access, and invalidation hands back
+    /// an equal matrix.
     #[test]
     fn design_matrix_matches_adjacency_and_invalidates() {
-        let mut s = Shadowed {
-            g: FactorGraph::new(),
-            unary: Vec::new(),
-        };
-        let v = s.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], Some(0)));
+        let mut b = GraphBuilder::new();
+        let v = b.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], Some(0)));
+        let mut unary: Vec<Vec<FeatureVec>> = vec![vec![Vec::new(); 3]];
+        for (k, w, x) in [(0, 1, 0.25), (0, 0, 1.0), (2, 2, -0.5), (1, 0, 4.0)] {
+            b.add_feature(v, k, WeightId(w), x);
+            unary[0][k].push((WeightId(w), x));
+        }
+        let mut g = b.build();
         let mut w = Weights::zeros(3);
         w.set(WeightId(0), 0.7);
         w.set(WeightId(1), -1.3);
         w.set(WeightId(2), 2.2);
-        s.add_feature(v, 0, WeightId(1), 0.25);
-        s.add_feature(v, 0, WeightId(0), 1.0);
-        s.add_feature(v, 2, WeightId(2), -0.5);
-        assert_eq!(s.g.unary_scores(v, &w), s.adjacency_scores(v, &w));
-        assert_eq!(s.g.design().nnz(), 3);
-        // Mutation after scoring must not serve stale rows.
-        s.add_feature(v, 1, WeightId(0), 4.0);
-        assert_eq!(s.g.design().nnz(), 4);
-        assert_eq!(s.g.unary_scores(v, &w), s.adjacency_scores(v, &w));
+        assert_eq!(g.design().nnz(), 4);
+        assert_eq!(g.unary_scores(v, &w), adjacency_scores(&unary, v, &w));
         let mut buf = vec![99.0];
-        s.g.unary_scores_into(v, &w, &mut buf);
-        assert_eq!(buf, s.g.unary_scores(v, &w));
+        g.unary_scores_into(v, &w, &mut buf);
+        assert_eq!(buf, g.unary_scores(v, &w));
         // Pinning evidence to a new value appends a candidate row.
-        s.pin_evidence(v, sym(9));
-        assert_eq!(s.g.design().rows(), 4);
-        assert_eq!(s.g.unary_scores(v, &w), s.adjacency_scores(v, &w));
+        g.pin_evidence(v, sym(9));
+        unary[0].push(Vec::new());
+        assert_eq!(g.design().rows(), 4);
+        assert_eq!(g.unary_scores(v, &w), adjacency_scores(&unary, v, &w));
         // With one store there is nothing to rebuild from: invalidation
         // re-packs and hands back an equal matrix.
-        let before = s.g.design().clone();
-        s.g.invalidate_design();
-        assert_eq!(s.g.design(), &before);
-        assert_eq!(s.g.design(), &DesignMatrix::compile(&s.unary));
+        let before = g.design().clone();
+        g.invalidate_design();
+        assert_eq!(g.design(), &before);
+        assert_eq!(g.design(), &DesignMatrix::compile(&unary));
     }
 
-    /// Mutations splice the matrix in place: it stays bit-for-bit equal to
-    /// a reference compile of the shadow adjacency, and a graph handed over
-    /// with its matrix re-packs to an equal one.
+    /// Features added in any order across variables and candidates land
+    /// in the rows the reference compile of the same adjacency builds,
+    /// each row in the order its features were added.
     #[test]
-    fn mutations_patch_instead_of_rebuilding() {
-        let mut s = Shadowed {
-            g: FactorGraph::new(),
-            unary: Vec::new(),
-        };
-        let v0 = s.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        s.add_feature(v0, 0, WeightId(0), 1.0);
-        assert_eq!(s.g.design(), &DesignMatrix::compile(&s.unary));
-
-        s.add_feature(v0, 1, WeightId(1), 2.0);
-        let v1 = s.add_variable(Variable::query(vec![sym(3), sym(4), sym(5)], None));
-        s.add_feature(v1, 2, WeightId(0), -1.0);
-        s.pin_evidence(v0, sym(9)); // out-of-domain: appends a row
-        s.pin_evidence(v1, sym(3)); // in-domain: no matrix change needed
-        assert_eq!(s.g.design().rows(), 6);
-        assert_eq!(s.g.design(), &DesignMatrix::compile(&s.unary));
-
-        let mut built = FactorGraph::from_design(s.g.vars().to_vec(), s.g.design().clone());
-        built.invalidate_design();
-        assert_eq!(built.design(), s.g.design());
+    fn builder_equals_reference_compile() {
+        let mut b = GraphBuilder::new();
+        let mut unary: Vec<Vec<FeatureVec>> = Vec::new();
+        for n in [2, 3, 1, 2] {
+            b.add_variable(Variable::query((1..=n).map(sym).collect(), None));
+            unary.push(vec![Vec::new(); n as usize]);
+        }
+        let adds = [(1, 2), (0, 1), (1, 0), (1, 2), (0, 0), (3, 1), (1, 2)];
+        for (i, (v, k)) in adds.into_iter().enumerate() {
+            let (w, x) = (WeightId(i as u32 % 3), 0.5 * i as f64 - 1.0);
+            b.add_feature(VarId(v as u32), k, w, x);
+            unary[v][k].push((w, x));
+        }
+        assert_eq!(b.build().design(), &DesignMatrix::compile(&unary));
+        assert_eq!(
+            GraphBuilder::new().build().design(),
+            &DesignMatrix::compile(&[])
+        );
     }
 
     #[test]
     #[should_panic(expected = "one row per candidate")]
-    fn from_design_rejects_mismatched_arity() {
-        let mut g = FactorGraph::new();
-        g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
+    fn new_rejects_mismatched_arity() {
+        let design = DesignMatrix::compile(&[vec![Vec::new(); 2]]);
         let three = vec![Variable::query(vec![sym(1), sym(2), sym(3)], None)];
-        FactorGraph::from_design(three, g.design().clone());
+        FactorGraph::new(three, design, Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "clique 1 names variable 2 of a graph with 2")]
+    fn new_rejects_a_clique_over_a_missing_variable() {
+        let mut b = GraphBuilder::new();
+        let v = b.add_variable(Variable::query(vec![sym(1), sym(2)], None));
+        b.add_variable(Variable::query(vec![sym(1), sym(2)], None));
+        let clique = |vars| CliqueFactor {
+            vars,
+            weight: WeightId(0),
+            predicates: Vec::new(),
+        };
+        b.add_clique(clique(vec![v]));
+        b.add_clique(clique(vec![v, VarId(2)]));
+        b.build();
     }
 
     #[test]
     fn cloned_graph_scores_identically() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         g.add_feature(v, 0, WeightId(0), 1.0);
+        let g = g.build();
         let mut w = Weights::zeros(1);
         w.set(WeightId(0), 3.0);
         let _ = g.unary_scores(v, &w); // populate the cache
@@ -699,11 +719,11 @@ mod tests {
 
     #[test]
     fn factor_count_tallies_unary_and_cliques() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         g.add_feature(v, 0, WeightId(0), 1.0);
         g.add_feature(v, 1, WeightId(0), 1.0);
-        assert_eq!(g.factor_count(), 2);
+        assert_eq!(g.clone().build().factor_count(), 2);
         g.add_clique(CliqueFactor {
             vars: vec![v],
             weight: WeightId(0),
@@ -713,6 +733,6 @@ mod tests {
                 rhs: FactorOperand::Const(sym(1)),
             }],
         });
-        assert_eq!(g.factor_count(), 3);
+        assert_eq!(g.build().factor_count(), 3);
     }
 }

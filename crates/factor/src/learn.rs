@@ -405,7 +405,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Variable;
+    use crate::graph::{GraphBuilder, Variable};
     use crate::marginals::reference::exact_unary;
     use crate::weights::{FeatureRegistry, WeightId};
     use holo_dataset::Sym;
@@ -427,7 +427,7 @@ mod tests {
         let mut reg: FeatureRegistry<&'static str> = FeatureRegistry::new();
         let fa = reg.learnable("A");
         let fb = reg.learnable("B");
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         for _ in 0..50 {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], 0));
             g.add_feature(v, 0, fa, 1.0);
@@ -436,6 +436,7 @@ mod tests {
         let q = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(1)));
         g.add_feature(q, 0, fa, 1.0);
         g.add_feature(q, 1, fb, 1.0);
+        let g = g.build();
         let mut w = reg.build_weights();
         let stats = train(&g, &mut w, &LearnConfig::default());
         assert_eq!(stats.examples, 50);
@@ -457,7 +458,7 @@ mod tests {
     fn calibrates_to_empirical_frequencies() {
         let mut reg: FeatureRegistry<&'static str> = FeatureRegistry::new();
         let f = reg.learnable("shared");
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..100 {
             let target = usize::from(i >= 70);
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], target));
@@ -465,6 +466,7 @@ mod tests {
             // log(0.7/0.3).
             g.add_feature(v, 0, f, 1.0);
         }
+        let g = g.build();
         let mut w = reg.build_weights();
         train(
             &g,
@@ -488,10 +490,11 @@ mod tests {
         let mut reg: FeatureRegistry<&'static str> = FeatureRegistry::new();
         let prior = reg.fixed("prior", 2.5);
         let feat = reg.learnable("feat");
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], 0));
         g.add_feature(v, 0, prior, 1.0);
         g.add_feature(v, 1, feat, 1.0);
+        let g = g.build();
         let mut w = reg.build_weights();
         train(&g, &mut w, &LearnConfig::default());
         assert_eq!(w.get(prior), 2.5);
@@ -500,12 +503,13 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let f = WeightId(0);
         for i in 0..20 {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], i % 2));
             g.add_feature(v, 0, f, 1.0);
         }
+        let g = g.build();
         let cfg = LearnConfig::default();
         let mut w1 = Weights::zeros(1);
         let mut w2 = Weights::zeros(1);
@@ -523,7 +527,7 @@ mod tests {
     fn packed_trainer_is_bitwise_the_naive_oracle() {
         let mut reg: FeatureRegistry<(u8, usize)> = FeatureRegistry::new();
         let prior = reg.fixed((b'p', 0), 1.25);
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..90usize {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2), sym(3)], i % 3));
             for k in 0..3usize {
@@ -532,6 +536,7 @@ mod tests {
             }
             g.add_feature(v, i % 3, prior, 1.0);
         }
+        let g = g.build();
         let order = g.evidence_vars();
         for minibatch in [1, 7, 8, 32, 33, 64, 128, 150, 400] {
             let cfg = LearnConfig {
@@ -558,7 +563,7 @@ mod tests {
     /// features per candidate row.
     fn wide_model(examples: usize, per_row: usize) -> (FactorGraph, Weights) {
         let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..examples {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2), sym(3)], i % 3));
             for k in 0..3usize {
@@ -569,7 +574,7 @@ mod tests {
             }
         }
         let w = reg.build_weights();
-        (g, w)
+        (g.build(), w)
     }
 
     /// Regression (robustness): a learning rate that overflows the
@@ -609,7 +614,7 @@ mod tests {
     #[test]
     fn non_evidence_examples_are_filtered_not_a_panic() {
         let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let mut window = Vec::new();
         for i in 0..12usize {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], i % 2));
@@ -619,6 +624,7 @@ mod tests {
         let q = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
         g.add_feature(q, 0, reg.learnable(0), 1.0);
         window.insert(4, q);
+        let g = g.build();
         let cfg = LearnConfig::default();
         let mut w = reg.build_weights();
         let stats = train_examples(&g, &mut w, &cfg, &window);
@@ -634,12 +640,13 @@ mod tests {
     /// one minibatch per epoch it equals `grad_norm`.
     #[test]
     fn grad_norm_mean_reports_the_final_epoch_mean() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let f = WeightId(0);
         for i in 0..10 {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], i % 2));
             g.add_feature(v, 0, f, 1.0);
         }
+        let g = g.build();
         let one_batch = LearnConfig {
             minibatch: 16,
             ..LearnConfig::default()
@@ -663,12 +670,13 @@ mod tests {
     /// example.
     #[test]
     fn minibatch_one_is_per_example_sgd() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let f = WeightId(0);
         for i in 0..10 {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], i % 2));
             g.add_feature(v, 0, f, 1.0);
         }
+        let g = g.build();
         let cfg = LearnConfig {
             epochs: 2,
             minibatch: 1,
@@ -693,12 +701,13 @@ mod tests {
     #[test]
     fn explicit_example_order_controls_the_trajectory() {
         let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..40usize {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2)], i % 2));
             let w = reg.learnable(i % 5);
             g.add_feature(v, 0, w, 1.0 + (i % 3) as f64 * 0.5);
         }
+        let g = g.build();
         let cfg = LearnConfig::default();
         let order = g.evidence_vars();
         let mut w_graph = reg.build_weights();
@@ -716,8 +725,9 @@ mod tests {
 
     #[test]
     fn no_evidence_is_a_noop() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
+        let g = g.build();
         let mut w = Weights::zeros(1);
         let stats = train(&g, &mut w, &LearnConfig::default());
         assert_eq!(stats.examples, 0);
@@ -727,8 +737,9 @@ mod tests {
 
     #[test]
     fn single_candidate_evidence_skipped() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_variable(Variable::evidence(vec![sym(1)], 0));
+        let g = g.build();
         let mut w = Weights::zeros(0);
         let stats = train(&g, &mut w, &LearnConfig::default());
         assert_eq!(stats.examples, 0);

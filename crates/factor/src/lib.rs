@@ -11,6 +11,8 @@
 //!   candidate, tied weights — the grounding of `Value?(t,a,d) :- …
 //!   weight = w(…)` rules) or *cliques* (multi-variable denial-constraint
 //!   factors produced by Algorithm 1).
+//!   A graph is built once, from its variables, design matrix and cliques;
+//!   hand-built graphs collect those parts in a [`GraphBuilder`].
 //! * [`design`] — the CSR [`DesignMatrix`]: one row per `(variable,
 //!   candidate)` pair, the only store of unary features. The compiler
 //!   assembles it in one pass through [`DesignBuilder`] fragments; every
@@ -74,7 +76,8 @@ pub use components::{infer_partitioned, ComponentIndex, PartitionStats, Partitio
 pub use design::{DesignBuilder, DesignMatrix};
 pub use gibbs::{GibbsConfig, GibbsSampler};
 pub use graph::{
-    CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, ValueContext, VarId, Variable,
+    CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder, ValueContext,
+    VarId, Variable,
 };
 pub use learn::{LearnConfig, LearnStats};
 pub use marginals::Marginals;

@@ -136,17 +136,18 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::exact_unary;
     use super::*;
-    use crate::graph::Variable;
+    use crate::graph::{GraphBuilder, Variable};
     use crate::weights::{WeightId, Weights};
     use holo_dataset::Sym;
 
     #[test]
     fn exact_unary_softmax() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::query(vec![Sym(1), Sym(2)], Some(0)));
         let mut w = Weights::zeros(1);
         w.set(WeightId(0), 1.0);
         g.add_feature(v, 0, WeightId(0), 1.0); // score 1 vs 0
+        let g = g.build();
         let m = exact_unary(&g, &w);
         let p = m.probs(v);
         assert!((p[0] + p[1] - 1.0).abs() < 1e-12);
@@ -159,9 +160,10 @@ mod tests {
 
     #[test]
     fn evidence_gets_point_mass() {
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let v = g.add_variable(Variable::evidence(vec![Sym(1), Sym(2), Sym(3)], 2));
         let w = Weights::zeros(0);
+        let g = g.build();
         let m = exact_unary(&g, &w);
         assert_eq!(m.probs(v), &[0.0, 0.0, 1.0]);
         assert_eq!(m.map_candidate(v), (2, 1.0));

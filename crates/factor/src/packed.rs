@@ -499,7 +499,7 @@ pub(crate) fn run_epochs(
 mod tests {
     use super::*;
     use crate::design::score_features;
-    use crate::graph::Variable;
+    use crate::graph::{GraphBuilder, Variable};
     use crate::weights::FeatureRegistry;
     use holo_dataset::Sym;
 
@@ -512,7 +512,7 @@ mod tests {
     fn tied_model() -> (FactorGraph, Weights, Vec<VarId>) {
         let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
         let prior = reg.fixed(999, 1.5);
-        let mut g = FactorGraph::new();
+        let mut g = GraphBuilder::new();
         let mut vars = Vec::new();
         for i in 0..9usize {
             let v = g.add_variable(Variable::evidence(vec![sym(1), sym(2), sym(3)], i % 3));
@@ -526,7 +526,7 @@ mod tests {
             vars.push(v);
         }
         let w = reg.build_weights();
-        (g, w, vars)
+        (g.build(), w, vars)
     }
 
     #[test]

@@ -9,8 +9,8 @@ use crate::cache::ScoreCache;
 use crate::exact::exact_marginals;
 use crate::gibbs::{conditional_scores_into, GibbsConfig, GibbsSampler};
 use crate::graph::{
-    CliqueFactor, CmpOp, EqOnlyContext, FactorGraph, FactorOperand, FactorPredicate, ValueContext,
-    VarId, Variable,
+    CliqueFactor, CmpOp, EqOnlyContext, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder,
+    ValueContext, VarId, Variable,
 };
 use crate::learn::{self, oracle, LearnConfig};
 use crate::marginals::reference::exact_unary;
@@ -92,7 +92,7 @@ fn random_clique_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
         CmpOp::Sim(1.5),
     ];
     const CLIQUE_WEIGHTS: [f64; 5] = [0.0, 0.7, 2.1, -1.3, 4.0];
-    let mut graph = FactorGraph::new();
+    let mut graph = GraphBuilder::new();
     let mut weight_values = Vec::new();
     let n_vars = rng.gen_range(2usize..=6);
     for i in 0..n_vars {
@@ -143,11 +143,11 @@ fn random_clique_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
     for (i, w) in weight_values.into_iter().enumerate() {
         weights.set(WeightId(i as u32), w);
     }
-    (graph, weights)
+    (graph.build(), weights)
 }
 
 fn build(model: &RandomModel) -> (FactorGraph, Weights) {
-    let mut graph = FactorGraph::new();
+    let mut graph = GraphBuilder::new();
     let mut weight_values = Vec::new();
     let mut vars = Vec::new();
     for (v, &arity) in model.arities.iter().enumerate() {
@@ -178,7 +178,7 @@ fn build(model: &RandomModel) -> (FactorGraph, Weights) {
     for (i, v) in weight_values.into_iter().enumerate() {
         weights.set(WeightId(i as u32), v);
     }
-    (graph, weights)
+    (graph.build(), weights)
 }
 
 proptest! {
@@ -427,7 +427,7 @@ fn build_evidence(
             }
         })
         .collect();
-    let mut graph = FactorGraph::new();
+    let mut graph = GraphBuilder::new();
     let mut order = Vec::new();
     for &(arity, target, ref per_candidate) in model {
         let domain: Vec<Sym> = (1..=arity as u32).map(Sym).collect();
@@ -439,7 +439,7 @@ fn build_evidence(
         }
         order.push(v);
     }
-    (graph, reg.build_weights(), order)
+    (graph.build(), reg.build_weights(), order)
 }
 
 fn weight_bits(w: &Weights) -> Vec<u64> {

@@ -1,13 +1,13 @@
 //! Golden tests for the CSR design matrix on a real compiled hospital
 //! model: the matrix the one-pass assembly hands over must be bit-for-bit
 //! the matrix — and score like the nested adjacency — of the same rows
-//! grounded entry by entry, and minibatch-parallel SGD must produce
-//! identical weights at every thread count.
+//! grounded entry by entry, and SGD must produce identical weights at
+//! every thread count.
 
 use holoclean_repro::holo_datagen::{hospital, HospitalConfig};
 use holoclean_repro::holo_factor::design::score_features;
 use holoclean_repro::holo_factor::learn::train_with_threads;
-use holoclean_repro::holo_factor::{FactorGraph, WeightId};
+use holoclean_repro::holo_factor::{FactorGraph, GraphBuilder, WeightId};
 use holoclean_repro::holoclean::compile::CompiledModel;
 use holoclean_repro::holoclean::pipeline::{compile_model, detect, PipelineContext};
 use holoclean_repro::holoclean::HoloConfig;
@@ -43,13 +43,13 @@ fn adjacency_of(graph: &FactorGraph) -> Vec<Vec<Vec<(WeightId, f64)>>> {
 }
 
 /// The graph that grounding `adjacency` onto `graph`'s variables one entry
-/// at a time produces — the pre-CSR build path (`add_variable`, then
-/// `add_feature` per entry), which splices where the compiler assembles.
+/// at a time produces — a [`GraphBuilder`] fed `add_variable`, then
+/// `add_feature` per entry.
 fn grounded_entry_by_entry(
     graph: &FactorGraph,
     adjacency: &[Vec<Vec<(WeightId, f64)>>],
 ) -> FactorGraph {
-    let mut fresh = FactorGraph::new();
+    let mut fresh = GraphBuilder::new();
     for (v, rows) in graph.var_ids().zip(adjacency) {
         let added = fresh.add_variable(graph.var(v).clone());
         for (k, row) in rows.iter().enumerate() {
@@ -58,7 +58,7 @@ fn grounded_entry_by_entry(
             }
         }
     }
-    fresh
+    fresh.build()
 }
 
 /// The tentpole equivalence: the assembled matrix equals the entry-by-entry

@@ -1,9 +1,8 @@
-//! The mutation contract of a factor graph and the feedback loop on it:
+//! The pin contract of a factor graph and the feedback loop on it:
 //!
-//! 1. any sequence of graph mutations (in-domain pins, out-of-domain
-//!    pins, late features, appended variables, late cliques) leaves the
-//!    patched design matrix **bit-for-bit equal** to a graph built afresh,
-//!    in order, from the shadow adjacency the test keeps, the cached
+//! 1. any sequence of feedback pins (in-domain and out-of-domain) on a
+//!    built graph leaves the design matrix **bit-for-bit equal** to a graph
+//!    built afresh from the shadow adjacency the test keeps, the cached
 //!    component index equal to a fresh build and the cached coloring
 //!    proper;
 //! 2. the whole feedback loop (requests → apply_labels → retrain →
@@ -12,68 +11,23 @@
 use holoclean_repro::holo_datagen::{hospital, HospitalConfig};
 use holoclean_repro::holo_dataset::Sym;
 use holoclean_repro::holo_factor::{
-    CliqueFactor, CmpOp, ComponentIndex, FactorGraph, FactorOperand, FactorPredicate, Variable,
-    WeightId,
+    CliqueFactor, CmpOp, ComponentIndex, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder,
+    VarId, Variable, WeightId,
 };
 use holoclean_repro::holoclean::feedback::{FeedbackSession, Label};
 use holoclean_repro::holoclean::{HoloClean, HoloConfig};
 use proptest::prelude::*;
 
-/// One mutation of an already-built factor graph: the pins the feedback
-/// loop makes (in- and out-of-domain), and the construction calls a
-/// hand-built graph may still make afterwards — late features, appended
-/// variables and late cliques — after each of which the graph's state
-/// must equal a fresh build's.
-#[derive(Debug, Clone, Copy)]
-enum Mutation {
-    /// Pin variable `var % n` to candidate `k % arity` (in-domain).
-    PinInDomain { var: usize, k: usize },
-    /// Pin variable `var % n` to a fresh symbol (appends a candidate row).
-    PinNovel { var: usize },
-    /// Append a feature to candidate `k % arity` of variable `var % n`.
-    AddFeature {
-        var: usize,
-        k: usize,
-        weight: usize,
-        value_milli: i32,
-    },
-    /// Append a fresh variable of the given arity, pre-loaded with
-    /// `features` features — a streamed batch's new cell.
-    AppendVar { arity: usize, features: usize },
-    /// Add a clique over variables `a % n` and `b % n` — late coupling
-    /// that must drop the cached index and coloring.
-    LateClique { a: usize, b: usize },
-}
+/// A small random graph: 2–5 variables of arity 2–4 with a few features
+/// and "must differ" cliques over variable pairs.
+type Shape = (Vec<usize>, Vec<(usize, usize, usize)>, Vec<(usize, usize)>);
 
-fn mutation() -> impl Strategy<Value = Mutation> {
-    (0usize..32, 0usize..10, 0usize..6, -2000i32..2000).prop_map(|(var, k, weight, value_milli)| {
-        match k % 5 {
-            0 => Mutation::PinInDomain { var, k },
-            1 => Mutation::PinNovel { var },
-            2 => Mutation::AppendVar {
-                arity: 2 + var % 3,
-                features: weight % 4,
-            },
-            3 => Mutation::LateClique {
-                a: var,
-                b: var / 2 + k,
-            },
-            _ => Mutation::AddFeature {
-                var,
-                k,
-                weight,
-                value_milli,
-            },
-        }
-    })
-}
-
-/// A small random graph: 2–5 variables of arity 2–4 with a few features.
-fn graph_shape() -> impl Strategy<Value = (Vec<usize>, Vec<(usize, usize, usize)>)> {
+fn graph_shape() -> impl Strategy<Value = Shape> {
     (2usize..=5).prop_flat_map(|n| {
         (
             proptest::collection::vec(2usize..=4, n),
             proptest::collection::vec((0usize..n, 0usize..4, 0usize..6), 0..12),
+            proptest::collection::vec((0usize..n, 0usize..n), 0..6),
         )
     })
 }
@@ -83,30 +37,39 @@ fn graph_shape() -> impl Strategy<Value = (Vec<usize>, Vec<(usize, usize, usize)
 /// reference of what the graph should hold.
 type Shadow = Vec<Vec<Vec<(WeightId, f64)>>>;
 
-fn build_graph(arities: &[usize], features: &[(usize, usize, usize)]) -> (FactorGraph, Shadow) {
-    let mut g = FactorGraph::new();
+fn build_graph((arities, features, pairs): &Shape) -> (FactorGraph, Shadow) {
+    let mut b = GraphBuilder::new();
     let mut shadow = Shadow::new();
     for (i, &arity) in arities.iter().enumerate() {
         // Distinct symbol ranges per variable; Sym(0) is reserved.
         let base = 1 + (i * 16) as u32;
         let domain: Vec<Sym> = (0..arity as u32).map(|k| Sym(base + k)).collect();
-        g.add_variable(Variable::query(domain, Some(0)));
+        b.add_variable(Variable::query(domain, Some(0)));
         shadow.push(vec![Vec::new(); arity]);
     }
     for &(v, k, w) in features {
-        let var = holoclean_repro::holo_factor::VarId(v as u32);
         let k = k % arities[v];
-        g.add_feature(var, k, WeightId(w as u32), 0.25 + w as f64);
+        b.add_feature(VarId(v as u32), k, WeightId(w as u32), 0.25 + w as f64);
         shadow[v][k].push((WeightId(w as u32), 0.25 + w as f64));
     }
-    (g, shadow)
+    for &(a, c) in pairs.iter().filter(|(a, c)| a != c) {
+        b.add_clique(CliqueFactor {
+            vars: vec![VarId(a as u32), VarId(c as u32)],
+            weight: WeightId(0),
+            predicates: vec![FactorPredicate {
+                lhs: FactorOperand::Var(0),
+                op: CmpOp::Eq,
+                rhs: FactorOperand::Var(1),
+            }],
+        });
+    }
+    (b.build(), shadow)
 }
 
-/// The graph a fresh, in-order build of `shadow` produces: every variable
-/// appended with all of its features before the next one exists, so no
-/// splice ever lands in the middle of the matrix.
+/// The graph a fresh build of `shadow` over `g`'s (pinned) variables
+/// produces.
 fn fresh_build(g: &FactorGraph, shadow: &Shadow) -> FactorGraph {
-    let mut fresh = FactorGraph::new();
+    let mut fresh = GraphBuilder::new();
     for (v, rows) in g.var_ids().zip(shadow) {
         let added = fresh.add_variable(g.var(v).clone());
         for (k, row) in rows.iter().enumerate() {
@@ -115,98 +78,35 @@ fn fresh_build(g: &FactorGraph, shadow: &Shadow) -> FactorGraph {
             }
         }
     }
-    fresh
+    fresh.build()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random mutation sequences keep the patched matrix bit-for-bit equal
-    /// to a fresh build, and never leave a stale index or coloring behind.
+    /// Random pin sequences keep the patched matrix bit-for-bit equal to
+    /// a fresh build, and never leave a stale index or coloring behind.
     #[test]
     fn random_pin_sequences_patch_equals_compile(
-        case in (graph_shape(), proptest::collection::vec(mutation(), 1..20)),
+        shape in graph_shape(),
+        // Pin variable `var % n` to candidate `k % arity` (in-domain), or
+        // with `novel == 1` to a fresh symbol (appends a candidate row).
+        pins in proptest::collection::vec((0usize..32, 0usize..10, 0u8..2), 1..20),
     ) {
-        let ((arities, features), mutations) = case;
-        let (mut g, mut shadow) = build_graph(&arities, &features);
+        let (mut g, mut shadow) = build_graph(&shape);
         let _ = (g.components(), g.coloring()); // both caches live
-        let mut n_vars = arities.len();
         let mut novel = 10_000u32; // far above any domain symbol
-        for m in mutations {
-            match m {
-                Mutation::PinInDomain { var, k } => {
-                    let v = holoclean_repro::holo_factor::VarId((var % n_vars) as u32);
-                    let value = g.var(v).domain[k % g.var(v).arity()];
-                    g.pin_evidence(v, value);
-                }
-                Mutation::PinNovel { var } => {
-                    let v = holoclean_repro::holo_factor::VarId((var % n_vars) as u32);
-                    novel += 1;
-                    g.pin_evidence(v, Sym(novel));
-                    shadow[v.index()].push(Vec::new());
-                }
-                Mutation::AddFeature { var, k, weight, value_milli } => {
-                    let v = holoclean_repro::holo_factor::VarId((var % n_vars) as u32);
-                    let k = k % g.var(v).arity();
-                    g.add_feature(v, k, WeightId(weight as u32), value_milli as f64 / 1000.0);
-                    shadow[v.index()][k].push((WeightId(weight as u32), value_milli as f64 / 1000.0));
-                }
-                Mutation::AppendVar { arity, features } => {
-                    // A new cell grounded late: the variable is appended,
-                    // then featurized entry by entry.
-                    let domain: Vec<Sym> = (0..arity as u32)
-                        .map(|k| {
-                            novel += 1;
-                            Sym(novel + k)
-                        })
-                        .collect();
-                    novel += arity as u32;
-                    let rows: Vec<Vec<(WeightId, f64)>> = (0..arity)
-                        .map(|k| {
-                            (0..features)
-                                .map(|f| (WeightId(((k + f) % 6) as u32), 0.5 + f as f64))
-                                .collect()
-                        })
-                        .collect();
-                    let v = g.add_variable(Variable::query(domain, Some(0)));
-                    for (k, row) in rows.iter().enumerate() {
-                        for &(w, x) in row {
-                            g.add_feature(v, k, w, x);
-                        }
-                    }
-                    shadow.push(rows);
-                    n_vars += 1;
-                }
-                Mutation::LateClique { a, b } => {
-                    let va = holoclean_repro::holo_factor::VarId((a % n_vars) as u32);
-                    let vb = holoclean_repro::holo_factor::VarId((b % n_vars) as u32);
-                    let (vars, predicates) = if va == vb {
-                        (
-                            vec![va],
-                            vec![FactorPredicate {
-                                lhs: FactorOperand::Var(0),
-                                op: CmpOp::Eq,
-                                rhs: FactorOperand::Const(g.var(va).domain[0]),
-                            }],
-                        )
-                    } else {
-                        (
-                            vec![va, vb],
-                            vec![FactorPredicate {
-                                lhs: FactorOperand::Var(0),
-                                op: CmpOp::Eq,
-                                rhs: FactorOperand::Var(1),
-                            }],
-                        )
-                    };
-                    g.add_clique(CliqueFactor {
-                        vars,
-                        weight: WeightId(0),
-                        predicates,
-                    });
-                }
+        for (var, k, out_of_domain) in pins {
+            let v = VarId((var % g.var_count()) as u32);
+            if out_of_domain == 1 {
+                novel += 1;
+                g.pin_evidence(v, Sym(novel));
+                shadow[v.index()].push(Vec::new());
+            } else {
+                let value = g.var(v).domain[k % g.var(v).arity()];
+                g.pin_evidence(v, value);
             }
-            // After *every* mutation: the patched matrix is exactly what a
+            // After *every* pin: the patched matrix is exactly what a
             // fresh build of the shadow adjacency produces, the cached
             // component index equals a fresh union-find build, and the
             // cached coloring covers every variable and is proper.
