@@ -384,6 +384,8 @@ fn print_json(
     partition.field_u64("exact_vars", p.exact_vars);
     partition.field_u64("gibbs_components", p.gibbs_components);
     partition.field_u64("gibbs_vars", p.gibbs_vars);
+    partition.field_u64("clique_entries", p.clique_entries);
+    partition.field_u64("clique_entries_folded", p.clique_entries_folded);
     partition.field_u64("colors", p.colors);
     partition.field_u64("color_sweep_blocks", p.color_sweep_blocks);
     partition.field_u64("score_cache_builds", p.score_cache.builds);
@@ -675,13 +677,16 @@ fn main() {
         p.components, p.singleton_components, p.largest_component, p.size_hist
     );
     println!(
-        "  routing: {} closed-form ({} vars), {} exact ({} vars), {} Gibbs ({} vars)",
+        "  routing: {} closed-form ({} vars), {} exact ({} vars), {} Gibbs ({} vars); \
+         {} clique-kernel entr(ies), {} folded",
         p.closed_form_components,
         p.closed_form_vars,
         p.exact_components,
         p.exact_vars,
         p.gibbs_components,
-        p.gibbs_vars
+        p.gibbs_vars,
+        p.clique_entries,
+        p.clique_entries_folded
     );
     if p.colors > 0 {
         println!(

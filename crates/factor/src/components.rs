@@ -15,8 +15,7 @@
 //!   graph in the §5.2 relaxed model);
 //! * **exact** — clique-coupled components whose joint query state space
 //!   is at most [`PartitionedConfig::exact_limit`] are enumerated exactly
-//!   ([`crate::exact::exact_marginals_for`]): exact marginals, no sampling
-//!   noise;
+//!   (see [`crate::exact`]): exact marginals, no sampling noise;
 //! * **Gibbs** — larger components run one Gibbs chain restricted to the
 //!   component, seeded from `(seed, component_rank)`. With
 //!   [`PartitionedConfig::chromatic`] set, each Gibbs-routed component
@@ -40,7 +39,7 @@
 use crate::cache::{ScoreCache, ScoreCacheStats};
 use crate::coloring::Coloring;
 use crate::exact::{exact_marginals_for, MAX_EXACT_STATES};
-use crate::gibbs::{chromatic_sweep_blocks, GibbsConfig, GibbsSampler};
+use crate::gibbs::{chromatic_sweep_blocks, GibbsConfig, GibbsSampler, KernelCounts};
 use crate::graph::{CliqueFactor, FactorGraph, ValueContext, VarId};
 use crate::marginals::Marginals;
 use crate::math::softmax;
@@ -73,6 +72,12 @@ pub struct PartitionStats {
     pub gibbs_components: u64,
     /// Query variables sampled with Gibbs.
     pub gibbs_vars: u64,
+    /// Clique-kernel entries compiled after folding, over every exact and
+    /// Gibbs unit (see "Compiled clique kernel" in [`crate::gibbs`]).
+    pub clique_entries: u64,
+    /// Kernel entries folded away at build: a predicate over constants
+    /// only was false, so the clique could never fire.
+    pub clique_entries_folded: u64,
     /// Colors of the cached graph coloring (0 when chromatic sweeps are
     /// off — the coloring is never even built).
     pub colors: u64,
@@ -343,16 +348,19 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
         units.len(),
         |i| costs[i],
         |i| match units[i] {
-            Unit::Closed(rank) => comps[rank]
-                .iter()
-                .map(|&v| {
-                    let probs = match cache {
-                        Some(c) => softmax(c.var_scores(v)),
-                        None => softmax(&graph.unary_scores(v, weights)),
-                    };
-                    (v, probs)
-                })
-                .collect(),
+            Unit::Closed(rank) => {
+                let marginals = comps[rank]
+                    .iter()
+                    .map(|&v| {
+                        let probs = match cache {
+                            Some(c) => softmax(c.var_scores(v)),
+                            None => softmax(&graph.unary_scores(v, weights)),
+                        };
+                        (v, probs)
+                    })
+                    .collect();
+                (marginals, KernelCounts::default())
+            }
             Unit::Exact(rank) => exact_marginals_for(graph, weights, ctx, cache, &comps[rank]),
             Unit::Gibbs(rank) => sample_component(
                 graph,
@@ -367,7 +375,11 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
             ),
         },
     );
-    let marginals = Marginals::assemble(graph, outs.into_iter().flatten());
+    for (_, counts) in &outs {
+        stats.clique_entries += counts.entries;
+        stats.clique_entries_folded += counts.folded;
+    }
+    let marginals = Marginals::assemble(graph, outs.into_iter().flat_map(|(m, _)| m));
     (marginals, stats)
 }
 
@@ -388,8 +400,9 @@ fn component_seed(seed: u64, rank: usize) -> u64 {
 }
 
 /// Gibbs restricted to one component: one sampler seeded with the
-/// component seed, its sample counts normalised. With a `coloring`,
-/// multi-color query sets sweep chromatically.
+/// component seed, its sample counts normalised, beside what its clique
+/// kernel kept. With a `coloring`, multi-color query sets sweep
+/// chromatically.
 #[allow(clippy::too_many_arguments)]
 fn sample_component<C: ValueContext + Sync>(
     graph: &FactorGraph,
@@ -401,7 +414,7 @@ fn sample_component<C: ValueContext + Sync>(
     coloring: Option<&Coloring>,
     cache: Option<&ScoreCache>,
     threads: usize,
-) -> Vec<(VarId, Vec<f64>)> {
+) -> (Vec<(VarId, Vec<f64>)>, KernelCounts) {
     let mut sampler = GibbsSampler::for_query(graph, weights, ctx, comp_seed, query.to_vec());
     if let Some(col) = coloring {
         sampler = sampler.with_chromatic(col, threads);
@@ -410,7 +423,10 @@ fn sample_component<C: ValueContext + Sync>(
         sampler = sampler.with_score_cache(c);
     }
     let counts = sampler.collect_query_counts(cfg.burn_in, cfg.samples);
-    normalize_query_counts(query, counts)
+    (
+        normalize_query_counts(query, counts),
+        sampler.kernel_counts(),
+    )
 }
 
 /// Raw per-candidate sample counts into marginals, query-aligned: sampled
@@ -432,7 +448,7 @@ fn normalize_query_counts(query: &[VarId], mut counts: Vec<Vec<f64>>) -> Vec<(Va
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_marginals;
+    use crate::exact::reference::exact_marginals;
     use crate::graph::{
         CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, GraphBuilder, Variable,
     };
@@ -596,6 +612,8 @@ mod tests {
         assert_eq!(stats.exact_components, 2);
         assert_eq!(stats.closed_form_components, 1);
         assert_eq!(stats.size_hist, [1, 2, 0, 0]);
+        // One kernel entry per clique of an exact component.
+        assert_eq!((stats.clique_entries, stats.clique_entries_folded), (2, 0));
         let global = exact_marginals(&g, &w, &ctx);
         for v in g.var_ids() {
             for k in 0..g.var(v).arity() {
@@ -633,6 +651,8 @@ mod tests {
         let (m, stats) = infer_partitioned(&g, &w, &ctx, &cfg, 1);
         assert_eq!(stats.gibbs_components, 2);
         assert_eq!(stats.closed_form_components, 1);
+        // One kernel entry per (query variable, adjacent clique).
+        assert_eq!((stats.clique_entries, stats.clique_entries_folded), (4, 0));
         for threads in [2, 4] {
             let (mt, _) = infer_partitioned(&g, &w, &ctx, &cfg, threads);
             assert_eq!(mt, m, "threads = {threads}");

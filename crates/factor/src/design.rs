@@ -215,8 +215,8 @@ impl DesignMatrix {
         }
     }
 
-    /// Scores every row under `weights` — precomputation for exhaustive
-    /// consumers (exact enumeration scores each row many times).
+    /// Scores every row under `weights`, in row order — the sequential
+    /// pass of [`DesignMatrix::score_all_with_threads`].
     pub fn score_all(&self, weights: &Weights) -> Vec<f64> {
         (0..self.rows())
             .map(|r| self.score_row(r, weights))

@@ -49,44 +49,56 @@
 //! [`FactorGraph`], so a feedback retrain (new weights, patched matrix)
 //! cannot leak stale scores into the next inference pass.
 //!
-//! ## Compiled clique programs
+//! ## Compiled clique kernel
 //!
-//! The clique half of the conditional is not interpreted per sample. A
-//! sampler compiles, once at construction, one flat *entry* per (query
-//! variable `v`, adjacent clique) pair, in `cliques_of(v)` order:
+//! Neither the sampler nor exact enumeration interprets a clique per
+//! sample. Each Gibbs or exact unit compiles, once, a `CliqueKernel`: flat
+//! *entries* (the penalty `-θ` and two predicate counts) over one
+//! predicate arena. A Gibbs kernel has one row per query variable `v`,
+//! holding one entry per clique in `cliques_of(v)` order; an exact kernel
+//! has one row with one entry per clique of the component, ascending.
 //!
-//! * **Layout.** Two contiguous arenas plus a per-variable start table.
-//!   An entry holds the resolved penalty `-θ` and two predicate counts;
-//!   its predicates sit back to back in the predicate arena, *guards*
-//!   first, then *owns*. Every operand is pre-resolved to the candidate
-//!   being scored (`Me` — the first slot `v` occupies in the clique), a
-//!   frozen constant, or the global index of another variable, read from
-//!   the sampler-owned current-symbol array (kept in step with the state
-//!   vector, so no `domain[state[u]]` double load happens per sample).
-//! * **Guard/own split.** A guard is a predicate that does not mention
-//!   `Me`: it is evaluated once per resample, and one false guard skips
-//!   the clique for every candidate. An own predicate mentions `Me` and
-//!   is the only thing evaluated per candidate. A denial constraint is a
-//!   conjunction, so the order predicates are tested in cannot change
-//!   whether it fires.
-//! * **Addition order.** Entries are walked in adjacency order and a
-//!   firing entry adds exactly `-θ` to its candidate, so every candidate
-//!   receives the non-zero addends of the interpreted loop
-//!   (`CliqueFactor::score` per clique per candidate) in the same order.
-//! * **Zero addends.** The interpreted loop also adds `+0.0` for every
-//!   clique that does not fire; the program skips those. `x + 0.0` is `x`
-//!   for every `x` but `-0.0`, so a score can differ from the interpreted
-//!   one only in the sign of a zero, which the max-shifted softmax erases
-//!   (`±0.0 - max` and `x - ±0.0` exponentiate to the same bits). The
-//!   post-softmax conditional is therefore bit-for-bit the interpreted
-//!   one — proptested against the `#[cfg(test)]` interpreter over every
-//!   operator, null symbols and repeated variables.
-//! * **Lifetime.** The program belongs to the sampler: built by
-//!   [`GibbsSampler::for_query`] over exactly the sampler's query set,
-//!   read by the sequential sweep and the chromatic blocks, dropped with
-//!   the sampler (so with the component, under partitioned inference).
-//!   Weights are frozen while a sampler lives, which is what makes
-//!   resolving `-θ` at build sound.
+//! * **Operand space.** Every operand is a `u32` slot of one
+//!   *component-local* symbol array. Slots `0..n` are the unit's query
+//!   variables at their current candidates, in query order. After them
+//!   comes the *constant pool*: clique constants and the symbols of every
+//!   other clique member (evidence, pinned for as long as the unit runs),
+//!   deduplicated by symbol. The sampler's state and symbol arrays are
+//!   sized to this space, never to the graph.
+//! * **Guards and owns.** In a Gibbs row, the first slot `v` occupies in
+//!   a clique is the candidate being scored: a flag on the predicate, on
+//!   either side or both (`Me op Me`). A later repeat of `v` reads its
+//!   current symbol like any other member. A *guard* has no flag: it is
+//!   evaluated once per pair of candidates, and one false guard skips the
+//!   clique for both. An *own* predicate is evaluated per candidate. An
+//!   exact row has guards only. A denial constraint is a conjunction, so
+//!   the order predicates are tested in cannot change whether it fires.
+//! * **Folding.** A predicate over two pool slots is decided at build,
+//!   with the unit's value context. A true one is dropped; a false one
+//!   means the clique can never fire, so its entry is dropped (counted as
+//!   folded in [`PartitionStats`](crate::components::PartitionStats)).
+//! * **Accumulation.** A row is walked once per pair of candidates, whose
+//!   two scores stay in registers from the first entry to the last. Past
+//!   its guards, an entry adds to each: `-θ` when the candidate's owns
+//!   hold, `-0.0` otherwise — a select, not a skip. `x + -0.0` is `x` bit
+//!   for bit for every `x`, so that is exactly a skip. Every candidate therefore receives the
+//!   non-zero addends of the interpreted loop (`CliqueFactor::score` per
+//!   clique per candidate) in the same order, and differs from it at most
+//!   in the sign of a zero score, where the interpreter adds `+0.0`. The
+//!   max-shifted softmax erases that sign, so the post-softmax conditional
+//!   is bit-for-bit the interpreted one — proptested against the
+//!   `#[cfg(test)]` interpreter over every operator, null symbols and
+//!   repeated variables. Exact enumeration starts its joint score at
+//!   `+0.0`, which no addition turns into `-0.0`, so there adding `+0.0`,
+//!   adding `-0.0` and skipping all give the same bits.
+//! * **Operators.** `=` and `≠` are decided inline, without a branch. Any
+//!   other operator goes through the value context, out of line; a kernel
+//!   with none runs a copy of the loop that never calls the context, so
+//!   its state stays in registers.
+//! * **Lifetime.** Weights are frozen while a unit runs, which is what
+//!   makes resolving `-θ` and the pool at build sound. A Gibbs kernel
+//!   belongs to its sampler ([`GibbsSampler::for_query`]): the sequential
+//!   sweep and the chromatic blocks read it, and it dies with the sampler.
 
 use crate::cache::ScoreCache;
 use crate::coloring::Coloring;
@@ -98,6 +110,7 @@ use holo_dataset::Sym;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Sampler configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -245,63 +258,28 @@ fn normalize_counts(graph: &FactorGraph, counts: &mut [Vec<f64>]) {
     }
 }
 
-/// One pre-resolved operand of a compiled clique predicate.
+/// `Pred::me` bits: which sides of an own predicate read the candidate.
+const ME_LHS: u8 = 1;
+const ME_RHS: u8 = 2;
+
+/// `CliqueKernel::ops` index of `≠`. `=` is index 0; both are decided
+/// inline, every later operator by the value context.
+const NEQ: u32 = 1;
+
+/// One compiled clique predicate: two slots of the unit's symbol array
+/// and an index into the kernel's operator table (16 bytes).
 #[derive(Clone, Copy)]
-enum Operand {
-    /// The candidate being scored for the variable under resample.
-    Me,
-    /// A constant frozen at grounding.
-    Const(Sym),
-    /// The current symbol of another variable, by global variable index.
-    Var(u32),
-}
-
-/// One clique predicate with both operands pre-resolved.
 struct Pred {
-    lhs: Operand,
-    op: CmpOp,
-    rhs: Operand,
+    lhs: u32,
+    rhs: u32,
+    op: u32,
+    /// `ME_LHS | ME_RHS` bits of an own predicate; `0` for a guard. A
+    /// flagged side's slot is `0` and unread.
+    me: u8,
 }
 
-impl Pred {
-    /// Whether the predicate reads the candidate (own) or only the rest
-    /// of the state (guard).
-    fn is_own(&self) -> bool {
-        matches!(self.lhs, Operand::Me) || matches!(self.rhs, Operand::Me)
-    }
-
-    /// Evaluates the predicate for candidate `me`, every other variable
-    /// at its symbol in `syms`.
-    #[inline]
-    fn holds(&self, me: Sym, syms: &[Sym], ctx: &impl ValueContext) -> bool {
-        let resolve = |o: Operand| match o {
-            Operand::Me => me,
-            Operand::Const(sym) => sym,
-            Operand::Var(u) => syms[u as usize],
-        };
-        let (a, b) = (resolve(self.lhs), resolve(self.rhs));
-        // Equality — all a denial constraint over categorical cells
-        // usually uses — is decided inline; the operators that consult
-        // the value context are called out of line, which keeps the sweep's
-        // inner loops a two-way branch over a few registers (the whole
-        // 1000-row hospital DC-factor repair at one thread: 0.29 s, against
-        // 0.35 s with the seven-way `CmpOp::holds` inlined here).
-        match self.op {
-            CmpOp::Eq => CmpOp::Eq.holds(a, b, ctx),
-            CmpOp::Neq => CmpOp::Neq.holds(a, b, ctx),
-            op => holds_in_context(op, a, b, ctx),
-        }
-    }
-}
-
-/// [`CmpOp::holds`] kept out of line — see [`Pred::holds`].
-#[inline(never)]
-fn holds_in_context(op: CmpOp, a: Sym, b: Sym, ctx: &impl ValueContext) -> bool {
-    op.holds(a, b, ctx)
-}
-
-/// One (query variable, adjacent clique) pair of a [`CliqueProgram`]. Its
-/// `guards + owns` predicates are contiguous in the predicate arena.
+/// One clique of a [`CliqueKernel`] row. Its `guards + owns` predicates
+/// are contiguous in the predicate arena, guards first.
 struct Entry {
     /// `-θ`, added to every candidate the clique fires on.
     penalty: f64,
@@ -309,97 +287,291 @@ struct Entry {
     owns: u32,
 }
 
-/// The clique half of every conditional of one sampler, compiled once
-/// (see "Compiled clique programs" in the module docs).
-struct CliqueProgram {
-    /// `starts[i]` = (first entry, first predicate) of the sampler's
-    /// `i`-th query variable; one trailing sentinel.
+/// How many entries building one [`CliqueKernel`] kept and how many it
+/// folded away; summed into
+/// [`PartitionStats`](crate::components::PartitionStats).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KernelCounts {
+    pub(crate) entries: u64,
+    pub(crate) folded: u64,
+}
+
+/// An operand of a clique predicate, resolved for one unit.
+#[derive(Clone, Copy)]
+enum Operand {
+    /// The candidate being scored.
+    Me,
+    /// The query variable in this slot.
+    Slot(u32),
+    /// A symbol that never moves while the unit runs.
+    Const(Sym),
+}
+
+/// The clique terms of one Gibbs or exact unit, compiled once (see
+/// "Compiled clique kernel" in the module docs).
+pub(crate) struct CliqueKernel {
+    /// `starts[r]` = (first entry, first predicate) of row `r`; one
+    /// trailing sentinel.
     starts: Vec<(usize, usize)>,
     entries: Vec<Entry>,
     preds: Vec<Pred>,
+    /// The distinct operators, `=` and `≠` first.
+    ops: Vec<CmpOp>,
+    /// The constant pool: the symbols of slots `n..`.
+    pool: Vec<Sym>,
+    folded: u64,
 }
 
-impl CliqueProgram {
-    fn build(graph: &FactorGraph, weights: &Weights, query: &[VarId]) -> Self {
-        // Sized exactly up front: the arenas are the sampler's largest
-        // allocation, and growing them by doubling would copy them twice.
-        let adjacent = || {
-            query
-                .iter()
-                .flat_map(|&v| graph.cliques_of(v))
-                .map(|&ci| &graph.cliques()[ci as usize])
+impl CliqueKernel {
+    /// The Gibbs kernel of `query`: row `i` holds the cliques of
+    /// `query[i]`, the first slot it occupies read as the candidate.
+    pub(crate) fn conditionals(
+        graph: &FactorGraph,
+        weights: &Weights,
+        ctx: &impl ValueContext,
+        query: &[VarId],
+    ) -> Self {
+        let rows = query.iter().map(|&v| (Some(v), graph.cliques_of(v)));
+        Self::build(graph, weights, ctx, query, rows)
+    }
+
+    /// The exact kernel of `query`: one row holding every clique adjacent
+    /// to it once, ascending, with no candidate.
+    pub(crate) fn joint(
+        graph: &FactorGraph,
+        weights: &Weights,
+        ctx: &impl ValueContext,
+        query: &[VarId],
+    ) -> Self {
+        let mut cliques: Vec<u32> = query
+            .iter()
+            .flat_map(|&v| graph.cliques_of(v).iter().copied())
+            .collect();
+        cliques.sort_unstable();
+        cliques.dedup();
+        Self::build(
+            graph,
+            weights,
+            ctx,
+            query,
+            [(None, &cliques[..])].into_iter(),
+        )
+    }
+
+    /// Compiles one row per item of `rows` — the variable read as the
+    /// candidate, if any, and the cliques to compile — over the symbol
+    /// space of `query`.
+    fn build<'c>(
+        graph: &FactorGraph,
+        weights: &Weights,
+        ctx: &impl ValueContext,
+        query: &[VarId],
+        rows: impl Iterator<Item = (Option<VarId>, &'c [u32])> + Clone,
+    ) -> Self {
+        // Sized up front for the unfolded program: the arenas are a unit's
+        // largest allocation, and growing them by doubling copies them.
+        let all = rows.clone().flat_map(|(_, cliques)| cliques);
+        let preds = all
+            .clone()
+            .map(|&ci| graph.cliques()[ci as usize].predicates.len());
+        let mut kernel = CliqueKernel {
+            starts: Vec::with_capacity(rows.clone().count() + 1),
+            entries: Vec::with_capacity(all.count()),
+            preds: Vec::with_capacity(preds.sum()),
+            ops: vec![CmpOp::Eq, CmpOp::Neq],
+            pool: Vec::new(),
+            folded: 0,
         };
-        let mut program = CliqueProgram {
-            starts: Vec::with_capacity(query.len() + 1),
-            entries: Vec::with_capacity(adjacent().count()),
-            preds: Vec::with_capacity(adjacent().map(|c| c.predicates.len()).sum()),
-        };
-        for &v in query {
-            program
+        let mut pooled: HashMap<Sym, u32> = HashMap::new();
+        let mut owns: Vec<Pred> = Vec::new();
+        for (v, cliques) in rows {
+            kernel
                 .starts
-                .push((program.entries.len(), program.preds.len()));
-            for &ci in graph.cliques_of(v) {
+                .push((kernel.entries.len(), kernel.preds.len()));
+            'entry: for &ci in cliques {
                 let clique = &graph.cliques()[ci as usize];
-                // `v` is `Me` in the first slot it occupies; a repeat of
-                // `v` in a later slot reads its current symbol, like any
-                // other member.
-                let me = clique.vars.iter().position(|&u| u == v);
-                debug_assert!(me.is_some(), "adjacency list inconsistent");
+                let me = v.and_then(|v| clique.vars.iter().position(|&u| u == v));
                 let resolve = |o: FactorOperand| match o {
                     FactorOperand::Const(sym) => Operand::Const(sym),
                     FactorOperand::Var(slot) if Some(slot as usize) == me => Operand::Me,
-                    FactorOperand::Var(slot) => Operand::Var(clique.vars[slot as usize].0),
+                    FactorOperand::Var(slot) => {
+                        let u = clique.vars[slot as usize];
+                        match query.binary_search(&u) {
+                            Ok(i) => Operand::Slot(i as u32),
+                            Err(_) => {
+                                let var = graph.var(u);
+                                Operand::Const(var.domain[initial_candidate(var)])
+                            }
+                        }
+                    }
                 };
-                let compiled = clique.predicates.iter().map(|p| Pred {
-                    lhs: resolve(p.lhs),
-                    op: p.op,
-                    rhs: resolve(p.rhs),
-                });
-                let first = program.preds.len();
-                program
-                    .preds
-                    .extend(compiled.clone().filter(|p| !p.is_own()));
-                let guards = program.preds.len() - first;
-                program.preds.extend(compiled.filter(Pred::is_own));
-                program.entries.push(Entry {
+                let first = kernel.preds.len();
+                owns.clear();
+                for p in &clique.predicates {
+                    let (lhs, rhs) = (resolve(p.lhs), resolve(p.rhs));
+                    if let (Operand::Const(a), Operand::Const(b)) = (lhs, rhs) {
+                        if !p.op.holds(a, b, ctx) {
+                            // The clique can never fire: fold its entry.
+                            kernel.preds.truncate(first);
+                            kernel.folded += 1;
+                            continue 'entry;
+                        }
+                        continue;
+                    }
+                    let me_bit = |o: Operand, bit: u8| match o {
+                        Operand::Me => bit,
+                        _ => 0,
+                    };
+                    let mut slot = |o: Operand| match o {
+                        Operand::Me => 0,
+                        Operand::Slot(i) => i,
+                        Operand::Const(sym) => *pooled.entry(sym).or_insert_with(|| {
+                            kernel.pool.push(sym);
+                            (query.len() + kernel.pool.len() - 1) as u32
+                        }),
+                    };
+                    let pred = Pred {
+                        lhs: slot(lhs),
+                        rhs: slot(rhs),
+                        op: match kernel.ops.iter().position(|&op| op == p.op) {
+                            Some(k) => k as u32,
+                            None => {
+                                kernel.ops.push(p.op);
+                                (kernel.ops.len() - 1) as u32
+                            }
+                        },
+                        me: me_bit(lhs, ME_LHS) | me_bit(rhs, ME_RHS),
+                    };
+                    if pred.me == 0 {
+                        kernel.preds.push(pred);
+                    } else {
+                        owns.push(pred);
+                    }
+                }
+                let guards = kernel.preds.len() - first;
+                kernel.preds.extend_from_slice(&owns);
+                kernel.entries.push(Entry {
                     penalty: -weights.get(clique.weight),
                     guards: guards as u32,
-                    owns: (program.preds.len() - first - guards) as u32,
+                    owns: owns.len() as u32,
                 });
             }
         }
-        program
+        kernel
             .starts
-            .push((program.entries.len(), program.preds.len()));
-        program
+            .push((kernel.entries.len(), kernel.preds.len()));
+        kernel
     }
 
-    /// Adds the clique terms of query variable `i` (candidates `domain`)
-    /// to `scores`, every other variable at its symbol in `syms`.
-    fn add_clique_terms(
+    /// What building this kernel kept and folded.
+    pub(crate) fn counts(&self) -> KernelCounts {
+        KernelCounts {
+            entries: self.entries.len() as u64,
+            folded: self.folded,
+        }
+    }
+
+    /// The unit's symbol array: `query_syms` (one per query variable, in
+    /// query order) followed by the constant pool.
+    pub(crate) fn symbols(&self, query_syms: impl Iterator<Item = Sym>) -> Vec<Sym> {
+        query_syms.chain(self.pool.iter().copied()).collect()
+    }
+
+    /// Whether `a p.op b` holds. Without `CONTEXT` the kernel has no
+    /// operator but `=` and `≠`.
+    #[inline(always)]
+    fn holds<const CONTEXT: bool>(
         &self,
-        i: usize,
+        p: &Pred,
+        a: Sym,
+        b: Sym,
+        ctx: &impl ValueContext,
+    ) -> bool {
+        if CONTEXT && p.op > NEQ {
+            return holds_in_context(self.ops[p.op as usize], a, b, ctx);
+        }
+        // `=` and `≠`, all a denial constraint over categorical cells
+        // usually uses, without a branch: a null satisfies neither.
+        !a.is_null() & !b.is_null() & ((a == b) != (p.op == NEQ))
+    }
+
+    /// Adds the clique terms of row `row` to `scores`, one per candidate
+    /// in `domain`, every slot at its symbol in `syms`. An exact row has no
+    /// candidate: it takes one stand-in symbol and one score.
+    pub(crate) fn add_clique_terms(
+        &self,
+        row: usize,
         domain: &[Sym],
         syms: &[Sym],
         ctx: &impl ValueContext,
         scores: &mut [f64],
     ) {
-        let (first, mut at) = self.starts[i];
-        for entry in &self.entries[first..self.starts[i + 1].0] {
-            let (guards, rest) = self.preds[at..].split_at(entry.guards as usize);
-            let owns = &rest[..entry.owns as usize];
-            at += guards.len() + owns.len();
-            // A guard never reads the candidate; any symbol stands in.
-            if !guards.iter().all(|p| p.holds(Sym::NULL, syms, ctx)) {
-                continue;
-            }
-            for (score, &me) in scores.iter_mut().zip(domain) {
-                if owns.iter().all(|p| p.holds(me, syms, ctx)) {
-                    *score += entry.penalty;
-                }
-            }
+        // `ops` holds more than `=` and `≠` only when the kernel needs the
+        // value context (see "Operators" in the module docs).
+        if self.ops.len() > 2 {
+            self.add_terms::<true>(row, domain, syms, ctx, scores);
+        } else {
+            self.add_terms::<false>(row, domain, syms, ctx, scores);
         }
     }
+
+    /// [`CliqueKernel::add_clique_terms`], for a kernel with (`CONTEXT`)
+    /// or without operators beyond `=` and `≠`.
+    #[inline(always)]
+    fn add_terms<const CONTEXT: bool>(
+        &self,
+        row: usize,
+        domain: &[Sym],
+        syms: &[Sym],
+        ctx: &impl ValueContext,
+        scores: &mut [f64],
+    ) {
+        // Candidates go two at a time, their scores held in registers for
+        // the whole row: adding to `scores` in place would chain each
+        // entry's addition to the last one through a store and a reload.
+        // Two beats four because most domains of the DC-factor model have
+        // two candidates and every lane evaluates its owns. An odd last
+        // candidate shares its pair with a null stand-in, whose score is
+        // dropped.
+        const LANES: usize = 2;
+        let (first, at) = self.starts[row];
+        let (last, end) = self.starts[row + 1];
+        let slot = |s: u32| syms[s as usize];
+        let holds = |p: &Pred, a, b| self.holds::<CONTEXT>(p, a, b, ctx);
+        for (scores, domain) in scores.chunks_mut(LANES).zip(domain.chunks(LANES)) {
+            let mut cands = [Sym::NULL; LANES];
+            cands[..domain.len()].copy_from_slice(domain);
+            let mut acc = [0.0; LANES];
+            acc[..scores.len()].copy_from_slice(scores);
+            let mut preds = &self.preds[at..end];
+            for entry in &self.entries[first..last] {
+                let (guards, rest) = preds.split_at(entry.guards as usize);
+                let (owns, rest) = rest.split_at(entry.owns as usize);
+                preds = rest;
+                if !guards.iter().all(|p| holds(p, slot(p.lhs), slot(p.rhs))) {
+                    continue;
+                }
+                for (acc, &me) in acc.iter_mut().zip(&cands) {
+                    let fires = owns.iter().fold(true, |fires, p| {
+                        let a = if p.me & ME_LHS != 0 { me } else { slot(p.lhs) };
+                        let b = if p.me & ME_RHS != 0 { me } else { slot(p.rhs) };
+                        fires & holds(p, a, b)
+                    });
+                    *acc += if fires { entry.penalty } else { -0.0 };
+                }
+            }
+            let n = scores.len();
+            scores.copy_from_slice(&acc[..n]);
+        }
+    }
+}
+
+/// [`CmpOp::holds`] kept out of line and cold, so the loops that may
+/// reach it keep their state in registers.
+#[cold]
+#[inline(never)]
+fn holds_in_context(op: CmpOp, a: Sym, b: Sym, ctx: &impl ValueContext) -> bool {
+    op.holds(a, b, ctx)
 }
 
 /// The interpreted conditional the compiled program replaced, kept as the
@@ -443,14 +615,14 @@ pub struct GibbsSampler<'a, C: ValueContext> {
     graph: &'a FactorGraph,
     weights: &'a Weights,
     ctx: &'a C,
-    /// Current candidate index of every variable (evidence pinned).
+    /// Current candidate index of each query variable, in `query` order.
     state: Vec<usize>,
-    /// Current symbol of every variable: `domain[state]`, kept in step
-    /// with `state` — what the compiled program's `Var` operands read.
+    /// The kernel's symbol array: `domain[state]` of each query variable,
+    /// kept in step with `state`, then the constant pool.
     syms: Vec<Sym>,
     query: Vec<VarId>,
     /// The compiled clique terms of `query`'s conditionals.
-    program: CliqueProgram,
+    kernel: CliqueKernel,
     rng: StdRng,
     /// Scratch buffer for conditional scores (sequential sweeps; chromatic
     /// blocks carry their own per-block scratch).
@@ -487,7 +659,8 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     /// stay pinned at their initial state; that is sound exactly when no
     /// clique couples `query` to an outside *query* variable, which the
     /// component decomposition guarantees. With `query` equal to the full
-    /// query set this is [`GibbsSampler::new`].
+    /// query set this is [`GibbsSampler::new`]. The sampler's state covers
+    /// `query` and the constant pool of its kernel, never the whole graph.
     pub fn for_query(
         graph: &'a FactorGraph,
         weights: &'a Weights,
@@ -497,20 +670,24 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     ) -> Self {
         debug_assert!(query.iter().all(|&v| graph.var(v).is_query()));
         debug_assert!(query.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-        let state: Vec<usize> = graph.vars().iter().map(initial_candidate).collect();
-        let syms = graph
-            .vars()
+        let kernel = CliqueKernel::conditionals(graph, weights, ctx, &query);
+        let state: Vec<usize> = query
             .iter()
-            .zip(&state)
-            .map(|(var, &k)| var.domain[k])
+            .map(|&v| initial_candidate(graph.var(v)))
             .collect();
+        let syms = kernel.symbols(
+            query
+                .iter()
+                .zip(&state)
+                .map(|(&v, &k)| graph.var(v).domain[k]),
+        );
         GibbsSampler {
             graph,
             weights,
             ctx,
             state,
             syms,
-            program: CliqueProgram::build(graph, weights, &query),
+            kernel,
             query,
             rng: StdRng::seed_from_u64(seed),
             scores: Vec::new(),
@@ -548,11 +725,17 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
         self
     }
 
-    /// Moves `v` to candidate `k`, keeping the symbol array in step.
+    /// Moves the `i`-th query variable to candidate `k`, keeping the
+    /// symbol array in step.
     #[inline]
-    fn assign(&mut self, v: VarId, k: usize) {
-        self.state[v.index()] = k;
-        self.syms[v.index()] = self.graph.var(v).domain[k];
+    fn assign(&mut self, i: usize, k: usize) {
+        self.state[i] = k;
+        self.syms[i] = self.graph.var(self.query[i]).domain[k];
+    }
+
+    /// What building this sampler's kernel kept and folded.
+    pub(crate) fn kernel_counts(&self) -> KernelCounts {
+        self.kernel.counts()
     }
 
     /// Conditional log-scores of every candidate of the `i`-th query
@@ -569,7 +752,7 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
             None => self.graph.design().score_var_into(v, self.weights, scores),
         }
         let domain = &self.graph.var(v).domain;
-        self.program
+        self.kernel
             .add_clique_terms(i, domain, &self.syms, self.ctx, scores);
     }
 
@@ -589,7 +772,7 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
             self.conditional_into(i, &mut scores);
             softmax_in_place(&mut scores);
             let u: f64 = self.rng.gen();
-            self.assign(self.query[i], sample_categorical(&scores, u));
+            self.assign(i, sample_categorical(&scores, u));
         }
         self.scores = scores;
     }
@@ -634,7 +817,7 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
                 },
             );
             for (&i, &val) in class.iter().zip(&class_vals) {
-                self.assign(self.query[i], val);
+                self.assign(i, val);
             }
         }
         self.class_vals = class_vals;
@@ -656,8 +839,8 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
             .collect();
         for _ in 0..samples.max(1) {
             self.sweep();
-            for (i, &v) in self.query.iter().enumerate() {
-                counts[i][self.state[v.index()]] += 1.0;
+            for (c, &k) in counts.iter_mut().zip(&self.state) {
+                c[k] += 1.0;
             }
         }
         counts
@@ -692,11 +875,19 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
 /// interpreted reference at arbitrary states.
 #[cfg(test)]
 impl<C: ValueContext + Sync> GibbsSampler<'_, C> {
-    /// Overwrites the whole state vector (one candidate index per graph
-    /// variable).
+    /// Moves every query variable to its candidate in `state` (one
+    /// candidate index per graph variable). Every other variable must sit
+    /// at the candidate it is pinned to: the kernel's pool holds that one.
     pub(crate) fn set_state(&mut self, state: &[usize]) {
-        for (v, &k) in self.graph.var_ids().zip(state) {
-            self.assign(v, k);
+        debug_assert!(
+            self.graph
+                .var_ids()
+                .all(|v| self.query.binary_search(&v).is_ok()
+                    || state[v.index()] == initial_candidate(self.graph.var(v))),
+            "a variable outside the query set moved off its pinned candidate"
+        );
+        for i in 0..self.query.len() {
+            self.assign(i, state[self.query[i].index()]);
         }
     }
 
@@ -711,7 +902,7 @@ impl<C: ValueContext + Sync> GibbsSampler<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exact_marginals;
+    use crate::exact::reference::exact_marginals;
     use crate::graph::{
         CliqueFactor, CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, GraphBuilder, Variable,
     };
@@ -847,6 +1038,35 @@ mod tests {
         let ctx = EqOnlyContext;
         let m = GibbsSampler::new(&g, &w, &ctx, 1).run(&GibbsConfig::default());
         assert_eq!(m.probs(VarId(0)), &[1.0]);
+    }
+
+    /// A component sampler's state covers its component, not the graph:
+    /// two coupled query variables among 10 000 others hold two candidates
+    /// and, beside them, one pooled symbol for their evidence partner.
+    #[test]
+    fn sampler_state_is_sized_to_its_component() {
+        let mut g = GraphBuilder::new();
+        for i in 0..10_000u32 {
+            g.add_variable(Variable::evidence(vec![sym(i + 10)], 0));
+        }
+        let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
+        let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(1)));
+        let equal = |lhs, rhs| FactorPredicate {
+            lhs: FactorOperand::Var(lhs),
+            op: CmpOp::Eq,
+            rhs: FactorOperand::Var(rhs),
+        };
+        g.add_clique(CliqueFactor {
+            vars: vec![a, b, VarId(7)],
+            weight: WeightId(0),
+            predicates: vec![equal(0, 1), equal(1, 2)],
+        });
+        let g = g.build();
+        let w = Weights::zeros(1);
+        let sampler = GibbsSampler::for_query(&g, &w, &EqOnlyContext, 1, vec![a, b]);
+        assert_eq!(sampler.state, [0, 1]);
+        assert_eq!(sampler.syms, [sym(1), sym(2), sym(17)]);
+        assert_eq!(sampler.kernel_counts().entries, 2);
     }
 
     #[test]

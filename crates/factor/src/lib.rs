@@ -48,8 +48,9 @@
 //! * [`marginals`] — marginal estimates, either exact (closed-form softmax
 //!   for the relaxed model of §5.2, whose variables are independent) or
 //!   empirical from Gibbs samples; MAP extraction.
-//! * [`exact`] — brute-force enumeration for tiny graphs; the test oracle
-//!   for the sampler.
+//! * [`exact`] — exact enumeration of small coupled components through
+//!   the same compiled clique kernel as the sampler; the interpreted
+//!   whole-graph enumeration is the test oracle for both.
 //!
 //! The probability model is Eq. 1 of the paper:
 //! `P(T) = Z⁻¹ exp(Σ_φ θ_φ · h_φ(φ))`.

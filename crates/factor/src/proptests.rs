@@ -1,12 +1,13 @@
 //! Cross-module property tests: the Gibbs sampler against the brute-force
-//! enumeration oracle on randomly generated small factor graphs, its
-//! compiled conditional against the interpreted reference, and structural
-//! invariants of marginals.
+//! enumeration oracle on randomly generated small factor graphs, the
+//! compiled conditional and exact enumeration against their interpreted
+//! references, and structural invariants of marginals.
 
 #![cfg(test)]
 
 use crate::cache::ScoreCache;
-use crate::exact::exact_marginals;
+use crate::exact::exact_marginals_for;
+use crate::exact::reference::{self as exact_reference, exact_marginals};
 use crate::gibbs::{conditional_scores_into, GibbsConfig, GibbsSampler};
 use crate::graph::{
     CliqueFactor, CmpOp, EqOnlyContext, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder,
@@ -75,7 +76,7 @@ impl ValueContext for NumericContext {
     }
 }
 
-/// A small random graph exercising everything a clique program resolves:
+/// A small random graph exercising everything a clique kernel resolves:
 /// 2-6 variables (one in four evidence) over the symbols `0..=6` (`0` is
 /// [`Sym::NULL`]), and 0-8 cliques of arity 1-4 whose members, operand
 /// slots, constants, operators and weights are all drawn independently —
@@ -293,7 +294,8 @@ proptest! {
     }
 
     /// The frozen-weight score cache serves the Gibbs conditional
-    /// bit-for-bit: on random graphs, weights and states, the sampler's
+    /// bit-for-bit: on random graphs, weights and states (evidence at its
+    /// pinned candidate, the only state a sampler reaches), the sampler's
     /// cached conditional (memcpy of the cached row range + clique terms)
     /// produces exactly the bytes of the uncached matrix walk, at every
     /// cache-build thread count. This is the invariant that lets
@@ -305,7 +307,10 @@ proptest! {
         let ctx = EqOnlyContext;
         let state: Vec<usize> = graph
             .var_ids()
-            .map(|v| (v.index() + state_salt) % graph.var(v).arity())
+            .map(|v| {
+                let var = graph.var(v);
+                var.evidence.unwrap_or((v.index() + state_salt) % var.arity())
+            })
             .collect();
         let mut uncached = GibbsSampler::new(&graph, &weights, &ctx, 0);
         uncached.set_state(&state);
@@ -338,7 +343,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The compiled clique program is the interpreted conditional: over
+    /// The compiled clique kernel is the interpreted conditional: over
     /// random graphs (clique arity 1-4 with repeated members, every
     /// operator under a real ordering/similarity context, nulls in domains
     /// and constants, constant-only predicates, one slot on both sides of
@@ -373,6 +378,34 @@ proptest! {
                     softmax_in_place(&mut compiled);
                     softmax_in_place(&mut interpreted);
                     prop_assert_eq!(bits(&compiled), bits(&interpreted), "conditional of {:?}", v);
+                }
+            }
+        }
+    }
+
+    /// The compiled exact enumeration is the interpreted one: over the same
+    /// random graphs, every component's marginals from the clique kernel
+    /// (folded constants, pooled evidence, branch-free addends) equal the
+    /// `CliqueFactor::score` enumeration bit for bit, with the score cache
+    /// and without.
+    #[test]
+    fn compiled_exact_bit_identical_to_interpreted(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (graph, weights) = random_clique_graph(&mut rng);
+        let ctx = NumericContext;
+        let cache = ScoreCache::build(graph.design(), &weights, 1);
+        for members in graph.components().iter() {
+            let query: Vec<VarId> =
+                members.iter().copied().filter(|&v| graph.var(v).is_query()).collect();
+            let interpreted = exact_reference::exact_marginals_for(
+                &graph, &weights, &ctx, None, &query,
+            );
+            for c in [None, Some(&cache)] {
+                let (compiled, _) = exact_marginals_for(&graph, &weights, &ctx, c, &query);
+                prop_assert_eq!(compiled.len(), interpreted.len());
+                for ((v, p), (u, q)) in compiled.iter().zip(&interpreted) {
+                    prop_assert_eq!(v, u);
+                    prop_assert_eq!(bits(p), bits(q), "{:?}, cache {}", v, c.is_some());
                 }
             }
         }
