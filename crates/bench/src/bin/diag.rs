@@ -6,7 +6,7 @@
 //! `--stream K` feeds the dataset through `StreamSession` in K batches
 //! instead of the one-shot pipeline and additionally reports the ingest
 //! counters (batches, tuples, rows updated/deleted, pipeline runs) and
-//! the live/tombstoned row split; `--json` emits the
+//! the live/deleted row split; `--json` emits the
 //! machine-readable form either way (via the shared `holo_bench::json`
 //! writer). Unknown flags abort with a usage line (exit 2).
 //!
@@ -444,10 +444,9 @@ fn ingest_json(i: &IngestStats) -> String {
 
 /// Runs the dataset through a `StreamSession` in `batches` batches,
 /// shaping the outcome like the one-shot runner's so the reporting is
-/// shared. The session's report speaks one-shot coordinates (live tuple
-/// ranks, dense first-appearance symbols) rather than the session's
-/// physical pool, so the returned [`Dataset`] is a freshly-interned copy
-/// of the live table — candidate values must resolve through it.
+/// shared. The session's report speaks the coordinates of the table its
+/// read compacted, not the row store's, so the returned [`Dataset`] is
+/// that table — candidate values must resolve through it.
 fn run_streamed(
     gen: &GeneratedDataset,
     mut config: HoloConfig,
@@ -482,20 +481,8 @@ fn run_streamed(
     }
     let report = session.try_report().unwrap_or_else(|e| fail(e));
     let run = session.cached_run().expect("the read above made it");
-    let mut dense = Dataset::new(gen.dirty.schema().clone());
-    {
-        let src = session.dataset();
-        for t in src.tuples() {
-            let row: Vec<String> = gen
-                .dirty
-                .schema()
-                .attrs()
-                .map(|a| src.cell_str(t, a).to_string())
-                .collect();
-            dense.push_row(&row);
-        }
-    }
-    let quality = evaluate(&report, &dense, &gen.clean);
+    let table = session.cached_table().expect("the read above made it");
+    let quality = evaluate(&report, table, &gen.clean);
     let outcome = HoloOutcome {
         quality,
         timings: session.timings(),
@@ -509,7 +496,7 @@ fn run_streamed(
         outcome,
         run.model.registry.clone(),
         run.weights.clone(),
-        dense,
+        table.clone(),
         evidence_weights(&run.model),
     )
 }
@@ -743,7 +730,7 @@ fn main() {
     let retire = out.timings.retire;
     if ingest.batches > 0 {
         println!(
-            "  table: {} live / {} tombstoned row(s); {} model(s) discarded and rebuilt",
+            "  rows: {} live / {} deleted; {} model(s) discarded and rebuilt",
             retire.live_rows, retire.dead_rows, retire.compactions
         );
     }

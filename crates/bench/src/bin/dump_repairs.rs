@@ -13,9 +13,9 @@
 //! equivalence contract says the output is **byte-identical** either way
 //! — CI runs both and diffs them. Adding `--crud` corrupts every batch on
 //! entry (a mangled first row plus a decoy row) and heals it with
-//! `push_updates`/`push_deletes`, so the live table — and therefore the
-//! dump — still matches one-shot byte for byte, now exercising
-//! tombstones, in-place updates and the live-coordinate remap.
+//! `push_updates`/`push_deletes`, so the live rows — and therefore the
+//! dump — still match one-shot byte for byte, now exercising deletes,
+//! in-place updates and the compaction a read makes.
 //!
 //! With `--dc-factors`, the denial constraints ground as clique factors
 //! (the partitioned DC-factor variant) so the dump exercises the exact
@@ -38,7 +38,7 @@
 use holo_bench::runner::run_holoclean_full;
 use holo_bench::{build, Args, Scale};
 use holo_datagen::DatasetKind;
-use holo_dataset::{Dataset, TupleId};
+use holo_dataset::TupleId;
 use holoclean::stream::StreamSession;
 use holoclean::{evaluate, HoloConfig, ModelVariant, RepairQuality, RepairReport};
 
@@ -108,28 +108,23 @@ fn main() {
             }
         }
         let report = session.report();
-        // The report speaks one-shot coordinates (live tuple ranks, dense
-        // first-appearance symbols), not the session's physical ones —
-        // resolve and score it against a freshly-interned live table.
-        let mut dense = Dataset::new(gen.dirty.schema().clone());
-        let src = session.dataset();
-        for t in src.tuples() {
-            let row: Vec<String> = gen
-                .dirty
-                .schema()
-                .attrs()
-                .map(|a| src.cell_str(t, a).to_string())
-                .collect();
-            dense.push_row(&row);
-        }
-        let quality = evaluate(&report, &dense, &gen.clean);
-        let run = session.cached_run().expect("the read above made it");
-        let norm = run.weights.learnable_norm();
+        // The report speaks the compacted table's coordinates, not the
+        // row store's: resolve and score it against that table.
+        let table = session
+            .cached_table()
+            .expect("the read above made it")
+            .clone();
+        let quality = evaluate(&report, &table, &gen.clean);
+        let norm = session
+            .cached_run()
+            .expect("the read above made it")
+            .weights
+            .learnable_norm();
         (
             report,
             quality,
             norm,
-            Box::new(move |s| dense.value_str(s).to_string()),
+            Box::new(move |s| table.value_str(s).to_string()),
         )
     } else {
         let (out, _model, weights) = run_holoclean_full(&gen, config, None, false);

@@ -24,8 +24,8 @@
 //!   per distinct join key; an FD-shaped constraint compares a tuple only
 //!   with the members of its bucket that hold another value, and the
 //!   noisy cells and violation count of a proper FD come from the value
-//!   groups in O(rows). It reads the live rows of a tombstoned table, so
-//!   it is also what a streaming session runs at read.
+//!   groups in O(rows). A streaming session's read runs it unchanged,
+//!   over the table that read compacts.
 //! * [`hypergraph`] — the conflict hypergraph of \[26\] and the Algorithm 3
 //!   per-constraint connected-component tuple partitioning.
 //!

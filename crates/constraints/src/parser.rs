@@ -479,4 +479,80 @@ mod tests {
         assert_eq!(fd[0].predicates, dc[0].predicates);
         assert_eq!(fd[0].two_tuple, dc[0].two_tuple);
     }
+
+    use proptest::prelude::*;
+
+    /// Line openers and fragments the robustness proptest splices between
+    /// arbitrary characters: whole predicates and FD sides, so that many
+    /// draws bind, and single grammar tokens, so that many nearly do.
+    const HEADS: &[&str] = &["t1", "t1&t2", "t2&t1", "FD: Zip -> City", "FD:", "#", ""];
+    const PIECES: &[&str] = &[
+        "&EQ(t1.Zip,t2.Zip)",
+        "&IQ(t1.City,\"Chi,cago\")",
+        "&SIM0.9(t1.Address,t2.Address)",
+        "&LT(t1.State,\"6\")",
+        ", State",
+        "-> Zip",
+        "t1",
+        "t2",
+        "&",
+        "(",
+        ")",
+        ",",
+        ".",
+        "\"",
+        "EQ",
+        "IQ",
+        "SIM",
+        "SIM-1",
+        "FD:",
+        "->",
+        "City",
+        "t2.",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        /// Robustness (ROADMAP item 9(a)): any text — grammar fragments
+        /// mixed with arbitrary characters, multi-byte ones included —
+        /// parses to `Ok` or a `ParseError`, never a panic, and every
+        /// constraint it accepts has a predicate and names only schema
+        /// attributes.
+        #[test]
+        fn prop_parse_never_panics_and_binds_only_schema_attributes(
+            lines in proptest::collection::vec(
+                (
+                    0usize..HEADS.len(),
+                    proptest::collection::vec(
+                        (0usize..PIECES.len() + 4, "[ -~\té¡ß€中𝄞]{1,3}"),
+                        0..5,
+                    ),
+                ),
+                0..4,
+            ),
+        ) {
+            let text: Vec<String> = lines
+                .iter()
+                .map(|(head, pieces)| {
+                    let rest = pieces.iter().map(|(i, chars)| PIECES.get(*i).copied().unwrap_or(chars));
+                    std::iter::once(HEADS[*head]).chain(rest).collect()
+                })
+                .collect();
+            let text = text.join("\n");
+            let mut ds = ds();
+            let arity = ds.schema().len();
+            if let Ok(set) = parse_constraints(&text, &mut ds) {
+                for (_, c) in set.iter() {
+                    prop_assert!(!c.predicates.is_empty(), "{text:?}");
+                    for p in &c.predicates {
+                        prop_assert!(p.lhs_attr.index() < arity, "{text:?}");
+                        if let Operand::Cell(_, a) = p.rhs {
+                            prop_assert!(a.index() < arity, "{text:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

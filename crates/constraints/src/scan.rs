@@ -330,7 +330,7 @@ pub struct BlockIndex {
 }
 
 impl BlockIndex {
-    /// Blocks the live tuples of `ds` that pass `keep` by their
+    /// Blocks the tuples of `ds` that pass `keep` by their
     /// `partner_key` cells (a tuple with a null key cell joins nothing and
     /// is left out; an empty key puts every tuple in one bucket) and packs
     /// the `packed` attributes beside them.
@@ -348,7 +348,7 @@ impl BlockIndex {
         // a key level are dense in first-appearance order, and the last
         // level's codes are the bucket ids.
         let mut next_code = vec![0u32; width];
-        let mut bucket_of: Vec<u32> = Vec::with_capacity(ds.live_count());
+        let mut bucket_of: Vec<u32> = Vec::with_capacity(ds.tuple_count());
         let mut sizes: Vec<u32> = Vec::new();
         'tuples: for t in ds.tuples() {
             if !keep(t) {

@@ -365,9 +365,8 @@ const MAX_EVIDENCE_PER_ATTR: usize = 800;
 /// Canonical evidence selection: per attribute set in `trainable`, the
 /// clean non-null cells of the *whole* dataset, downsampled to `cap`
 /// ([`MAX_EVIDENCE_PER_ATTR`] in `compile`) by a shuffle seeded with
-/// `seed` (then re-sorted). Membership is a function of `(live table, noisy set,
-/// seed)` only, never of arrival order — the streaming-equals-batch byte
-/// equivalence rests on it — and a kept attribute's cells are the ones the
+/// `seed` (then re-sorted). Membership is a function of `(table, noisy set,
+/// seed)` only, and a kept attribute's cells are the ones the
 /// all-attributes selection picks for it: the attributes share one RNG, so
 /// a skipped attribute that would have been down-sampled still advances it
 /// (a shuffle draws by length only).
@@ -1024,7 +1023,6 @@ mod tests {
             let b = if i % 9 == 0 { "" } else { "b" };
             ds.push_row(&[&format!("a{}", i % 7), b, &format!("c{i}"), "d"]);
         }
-        ds.delete_rows(&[TupleId::from(3usize), TupleId::from(40usize)]);
         let noisy: FxHashSet<CellRef> = (0..60usize)
             .filter(|t| t % 5 == 1)
             .map(|t| CellRef::new(t, t % 4))
@@ -1035,7 +1033,7 @@ mod tests {
             assert_eq!(all.iter().filter(|c| c.attr == attr).count(), 10);
         }
         for cell in &all {
-            assert!(!noisy.contains(cell) && ds.is_live(cell.tuple));
+            assert!(!noisy.contains(cell));
             assert!(!ds.cell_ref(*cell).is_null());
         }
         for skip in 0u8..16 {

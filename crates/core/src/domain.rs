@@ -274,11 +274,10 @@ impl PruneIndex {
         scored.sort_unstable_by(|(s1, p1), (s2, p2)| s1.cmp(s2).then(p2.total_cmp(p1)));
         scored.dedup_by_key(|&mut (s, _)| s);
         // Ties break on the *value string*, not the symbol id: symbol ids
-        // encode interning order, and the streaming engine interns values in
-        // arrival order (constraints first, rows as they arrive) while the
-        // one-shot loader interns all rows up front — a pool-dependent
-        // tie-break would make the two paths disagree on domain order (and
-        // therefore on MAP ties) for identical data.
+        // encode interning order — which a caller's load order, constraint
+        // constants or dictionary values interned first all shift — so a
+        // pool-dependent tie-break would let two pools holding the same
+        // table disagree on domain order (and therefore on MAP ties).
         scored.sort_unstable_by(|(s1, p1), (s2, p2)| {
             p2.total_cmp(p1)
                 .then_with(|| ds.value_str(*s1).cmp(ds.value_str(*s2)))
@@ -416,17 +415,6 @@ mod tests {
         }
     }
 
-    /// Every live cell of the table, tuple-major.
-    fn all_cells(ds: &Dataset) -> Vec<CellRef> {
-        ds.tuples()
-            .flat_map(|t| {
-                ds.schema()
-                    .attrs()
-                    .map(move |attr| CellRef { tuple: t, attr })
-            })
-            .collect()
-    }
-
     #[test]
     fn threshold_filters_candidates() {
         let ds = city_ds();
@@ -507,7 +495,7 @@ mod tests {
             ]);
         }
         let stats = CooccurStats::build(&ds);
-        let cells = all_cells(&ds);
+        let cells: Vec<CellRef> = ds.cells().collect();
         let tau_min = 0.05;
         let shared = PruneIndex::build(&ds, &stats, &[true; 3], tau_min, 2, None, 1);
         for shard in &shared.shards {
@@ -550,7 +538,7 @@ mod tests {
         }
         let stats = CooccurStats::build(&ds);
         assert!(stats.group_count() >= holo_parallel::MIN_PARALLEL_WORK);
-        let cells = all_cells(&ds);
+        let cells: Vec<CellRef> = ds.cells().collect();
         let one = prune_domains_gated(&ds, &cells, &stats, 0.2, 6, 1, 2, None);
         let four = prune_domains_gated(&ds, &cells, &stats, 0.2, 6, 4, 2, None);
         for &c in &cells {
@@ -595,17 +583,16 @@ mod tests {
         /// domains — same cells, same candidates, same order — on the dense
         /// statistics engine and on the retained naive oracle alike (so
         /// dense ≡ naive too), across random datasets (with nulls) that
-        /// went through a full CRUD edit before the statistics were built
-        /// (append → update → delete: tombstoned rows, and pool values no
-        /// live row holds), τ ∈ [0, 0.6], `min_support` ∈ {1, 2, 3},
-        /// binding and slack `max_domain` caps, thread counts {1, 4}, and
-        /// both the ungated and correlation-gated reads.
+        /// went through an edit before the statistics were built (append →
+        /// update in place: pool values no row holds), τ ∈ [0, 0.6],
+        /// `min_support` ∈ {1, 2, 3}, binding and slack `max_domain` caps,
+        /// thread counts {1, 4}, and both the ungated and correlation-gated
+        /// reads.
         #[test]
         fn prop_prune_domains_dense_matches_naive(
             rows in proptest::collection::vec((0u8..5, 0u8..4, 0u8..4), 5..30),
             extra in proptest::collection::vec((0u8..5, 0u8..4, 0u8..4), 0..10),
             update_step in 2usize..5,
-            delete_step in 3usize..6,
             tau in 0.0f64..0.6,
             min_support in 1u32..4,
             max_domain in 1usize..8,
@@ -621,7 +608,7 @@ mod tests {
             }
             let batch: Vec<Vec<String>> = extra.iter().map(&row).collect();
             ds.append_rows(&batch);
-            // In-place update of a stride of rows, then delete a stride.
+            // In-place update of a stride of rows.
             let new_rows: Vec<(TupleId, Vec<String>)> = (0..ds.tuple_count())
                 .step_by(update_step)
                 .map(|t| {
@@ -630,16 +617,11 @@ mod tests {
                 })
                 .collect();
             ds.update_rows(&new_rows);
-            let deleted: Vec<TupleId> = (0..ds.tuple_count())
-                .step_by(delete_step)
-                .map(TupleId::from)
-                .collect();
-            ds.delete_rows(&deleted);
             let dense = CooccurStats::build_with_opts(&ds, 4, false);
             let naive = CooccurStats::build_with_opts(&ds, 4, true);
 
-            // Every live cell is "noisy": prune them all.
-            let noisy = all_cells(&ds);
+            // Every cell is "noisy": prune them all.
+            let noisy: Vec<CellRef> = ds.cells().collect();
             for stats in [&dense, &naive] {
                 for gated in [false, true] {
                     let gate = gated.then(|| PruneGate {

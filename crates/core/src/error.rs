@@ -13,9 +13,8 @@ pub enum HoloError {
     /// Configuration problem (e.g. source attribute missing).
     Config(String),
     /// Streaming-session failure: a configuration the session cannot
-    /// serve (source-reliability features, a non-empty starting table) or
-    /// a malformed mutation batch (arity mismatch, a row that is not live
-    /// or is named twice).
+    /// serve (source-reliability features) or a malformed mutation batch
+    /// (arity mismatch, a row that is not live or is named twice).
     Stream(String),
     /// Algorithm 2 pruning dropped a cell's own observed value from its
     /// candidate domain — a pathological pruning configuration (the

@@ -98,8 +98,8 @@ pub struct StageTimings {
     /// session's mutations bill no stage; each read that runs the
     /// pipeline adds that run's four durations to the slots above.
     pub ingest: crate::stream::IngestStats,
-    /// Run turnover of a streaming session and the live-vs-tombstoned
-    /// row split of its backing table (zero for one-shot runs).
+    /// Run turnover of a streaming session and the live-vs-deleted row
+    /// split of its row store (zero for one-shot runs).
     pub retire: crate::stream::RetireStats,
     /// Size gauges of the statistics this run (a session's last run)
     /// built: dense vs CSR pair blocks, dense cells, approximate bytes

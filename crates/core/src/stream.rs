@@ -1,31 +1,32 @@
-//! Streaming ingestion: a session is **a table and a cached run**.
+//! Streaming ingestion: a session is **a row store and a cached run**.
 //!
 //! The paper compiles its model over a frozen table (§3, Figure 2); a
-//! service sees the table move. [`StreamSession`] therefore owns exactly
-//! two things: the [`PipelineContext`] of a one-shot repair — whose
-//! dataset it edits between reads — and the [`PipelineRun`] of the last
-//! read, if no mutation has happened since.
+//! service sees the table move. [`StreamSession`] therefore keeps the rows
+//! as they were fed, which rows are still live, and the one-shot run over
+//! the live rows of the last read, if no mutation has happened since.
 //!
-//! ## A mutation edits the table
+//! ## A mutation edits the row store
 //!
 //! [`StreamSession::push_batch`], [`StreamSession::push_updates`] and
 //! [`StreamSession::push_deletes`] validate the whole batch before they
 //! touch anything, so a rejected batch ([`HoloError::Stream`]) leaves the
-//! session as it was. An accepted one edits the dataset — deletes
-//! tombstone, updates rewrite in place, `TupleId`s are stable and nothing
-//! renumbers — and drops the cached run. That is all a mutation does: it
-//! detects nothing and counts nothing but itself. An empty batch is a
-//! no-op and keeps the cached run.
+//! session as it was. An accepted one edits the store — appends take the
+//! next `TupleId`s, updates rewrite a row in place, deletes clear its live
+//! flag, and nothing renumbers — and drops the cached run. That is all a
+//! mutation does: it detects nothing and counts nothing but itself. An
+//! empty batch is a no-op and keeps the cached run.
 //!
-//! ## A read is the one-shot run
+//! ## A read compacts the table and makes the one-shot run
 //!
-//! [`StreamSession::try_report`] serves the cached run when there is one
-//! and otherwise calls [`pipeline::run`] — the function
-//! [`crate::HoloClean::run_full`] calls — over the live table: violation
-//! detection, statistics, compilation, learning from the priors and
-//! inference, each through the same code as a one-shot repair.
-//! Detection and statistics scan live rows only, so tombstones are
-//! invisible to them. [`IngestStats::canonical_retrains`] counts the runs;
+//! [`StreamSession::try_report`] serves the cached run when there is one.
+//! Otherwise it builds a fresh table of the live rows in id order — each
+//! distinct value interned once, in row-major first-appearance order, then
+//! the constraint text parsed into it: the table `csv::parse_dataset` and
+//! [`crate::HoloClean::with_constraint_text`] build from the same rows —
+//! and runs [`pipeline::run`], the function [`crate::HoloClean::run_full`]
+//! calls, over it: violation detection, statistics, compilation, learning
+//! from the priors and inference. No layer below the session ever sees a
+//! deleted row. [`IngestStats::canonical_retrains`] counts the runs;
 //! repeated reads of an unchanged session cost a report extraction each.
 //!
 //! **Why nothing is carried across a mutation.** Algorithm 2 prunes a
@@ -44,26 +45,26 @@
 //!
 //! ## The equivalence contract
 //!
-//! A read is byte-identical — repairs and posteriors — to a one-shot
-//! [`crate::HoloClean`] run over the final live table, for any batch
-//! split, any interleaving of inserts, updates and deletes, any model
-//! variant and any thread count, because it *is* that run. What differs
-//! is coordinates — the session's `TupleId`s have tombstone gaps and its
-//! value pool interned transient values — so reports are issued in
-//! **live coordinates**: each physical `TupleId` maps to its rank among
-//! live tuples and each symbol to its row-major first-appearance rank
-//! over the live table, which is what a fresh loader assigns. A failed
-//! read ([`HoloError::PrunedInitialValue`], [`HoloError::LearnDiverged`])
-//! caches nothing. Source-reliability features and external dictionaries
-//! need the one-shot path ([`StreamSession::new`] rejects the former;
-//! there is no way to attach the latter).
+//! A read is identical — `TupleId`s, symbols, repairs and posteriors to
+//! the bit — to a one-shot [`crate::HoloClean`] run over the final live
+//! rows, for any batch split, any interleaving of inserts, updates and
+//! deletes, any model variant and any thread count, because it *is* that
+//! run on that table. Its coordinates are therefore the compacted table's:
+//! a reported `TupleId` is a live row's rank, and a symbol resolves
+//! through [`StreamSession::cached_table`], not through the row store. A
+//! failed read ([`HoloError::PrunedInitialValue`],
+//! [`HoloError::LearnDiverged`]) caches nothing. Source-reliability
+//! features and external dictionaries need the one-shot path
+//! ([`StreamSession::new`] rejects the former; there is no way to attach
+//! the latter).
 
 use crate::config::HoloConfig;
 use crate::error::HoloError;
-use crate::pipeline::{self, PipelineContext, PipelineRun, StageTimings};
+use crate::pipeline::{self, PipelineRun, StageTimings};
 use crate::repair::RepairReport;
-use holo_constraints::{parse_constraints, ConstraintSet};
-use holo_dataset::{AttrId, Dataset, FxHashMap, FxHashSet, Schema, Sym, TupleId};
+use crate::HoloClean;
+use holo_constraints::parse_constraints;
+use holo_dataset::{Dataset, FxHashSet, Schema, Sym, TupleId};
 use serde::{Deserialize, Serialize};
 
 /// Cumulative streaming counters, riding in [`StageTimings::ingest`].
@@ -88,7 +89,7 @@ pub struct IngestStats {
     /// One-shot runs made by reads. Each trains from the priors, so this
     /// is also the number of canonical retrains.
     pub canonical_retrains: u64,
-    /// Rows tombstoned by [`StreamSession::push_deletes`].
+    /// Rows deleted by [`StreamSession::push_deletes`].
     pub rows_deleted: u64,
     /// Rows rewritten in place by [`StreamSession::push_updates`].
     pub rows_updated: u64,
@@ -104,7 +105,7 @@ pub struct DesignStats {
     pub vars_patched: u64,
 }
 
-/// Run turnover and table liveness of a session, riding in
+/// Run turnover and row liveness of a session, riding in
 /// [`StageTimings::retire`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetireStats {
@@ -112,9 +113,9 @@ pub struct RetireStats {
     /// session's first run is not one, so after any read
     /// `design_stats().full_builds == 1 + compactions`.
     pub compactions: u64,
-    /// Live rows of the backing table.
+    /// Live rows of the session.
     pub live_rows: u64,
-    /// Tombstoned rows of the backing table.
+    /// Deleted rows, whose ids stay taken.
     pub dead_rows: u64,
 }
 
@@ -123,15 +124,15 @@ pub struct RetireStats {
 pub struct BatchReport {
     /// Rows appended.
     pub appended: usize,
-    /// Rows tombstoned.
+    /// Rows deleted.
     pub deleted: usize,
     /// Rows rewritten in place.
     pub updated: usize,
 }
 
-/// The streaming repair session: a table and the cached one-shot run over
-/// it. See the module docs for what a mutation does, what a read does,
-/// and the equivalence contract.
+/// The streaming repair session: a row store and the cached one-shot run
+/// over its live rows. See the module docs for what a mutation does, what
+/// a read does, and the equivalence contract.
 ///
 /// ```
 /// use holo_dataset::Schema;
@@ -153,13 +154,17 @@ pub struct BatchReport {
 /// assert_eq!(report.repairs[0].new_value, "Chicago");
 /// ```
 pub struct StreamSession {
-    /// The one-shot pipeline's inputs: the tombstoned table (the only
-    /// part a mutation edits), the bound constraints, an empty match
-    /// lookup and the configuration.
-    cx: PipelineContext,
-    /// The run over the current live table; `None` until the first read
-    /// and after every mutation.
-    run: Option<PipelineRun>,
+    /// Every row ever fed, at its `TupleId`: appended, rewritten in place,
+    /// never removed.
+    rows: Dataset,
+    /// Whether each row of `rows` is live.
+    live: Vec<bool>,
+    /// The constraint text, parsed into every compacted table.
+    constraints: String,
+    config: HoloConfig,
+    /// The compacted live table and the run over it; `None` until the
+    /// first read and after every mutation.
+    read: Option<(Dataset, PipelineRun)>,
     /// Stage durations summed over the runs made, the last run's
     /// partition and statistics blocks, and the ingest counters.
     timings: StageTimings,
@@ -167,35 +172,24 @@ pub struct StreamSession {
 
 impl StreamSession {
     /// Opens a session over `schema` with constraints parsed from
-    /// `text` (DC lines and/or `FD:` sugar). The dataset starts empty;
+    /// `text` (DC lines and/or `FD:` sugar). The session starts empty;
     /// feed rows with [`StreamSession::push_batch`].
     pub fn new(schema: Schema, text: &str, config: HoloConfig) -> Result<Self, HoloError> {
-        let mut ds = Dataset::new(schema);
-        let constraints = parse_constraints(text, &mut ds)?;
-        Self::with_constraints(ds, constraints, config)
-    }
-
-    /// Opens a session over an **empty** dataset (used for its schema and
-    /// value pool — constraint constants are already interned) and an
-    /// already-bound constraint set.
-    pub fn with_constraints(
-        ds: Dataset,
-        constraints: ConstraintSet,
-        config: HoloConfig,
-    ) -> Result<Self, HoloError> {
-        if ds.tuple_count() != 0 {
-            return Err(HoloError::Stream(
-                "streaming sessions start from an empty dataset; feed rows via push_batch".into(),
-            ));
-        }
         if config.source.is_some() {
             return Err(HoloError::Stream(
                 "source-reliability features are not supported by the streaming engine".into(),
             ));
         }
+        let rows = Dataset::new(schema);
+        // Whether a text binds depends on the schema alone, so a text that
+        // parses here parses into every table a read builds.
+        parse_constraints(text, &mut rows.clone())?;
         Ok(StreamSession {
-            cx: PipelineContext::new(ds, constraints, config),
-            run: None,
+            rows,
+            live: Vec::new(),
+            constraints: text.to_string(),
+            config,
+            read: None,
             timings: StageTimings::default(),
         })
     }
@@ -203,7 +197,7 @@ impl StreamSession {
     /// Appends one batch of raw rows. A row of the wrong arity rejects
     /// the whole batch before anything changes.
     pub fn push_batch<S: AsRef<str>>(&mut self, rows: &[Vec<S>]) -> Result<BatchReport, HoloError> {
-        let arity = self.cx.ds.schema().len();
+        let arity = self.rows.schema().len();
         for (i, row) in rows.iter().enumerate() {
             if row.len() != arity {
                 return Err(HoloError::Stream(format!(
@@ -212,19 +206,23 @@ impl StreamSession {
                 )));
             }
         }
-        self.cx.ds.append_rows(rows);
+        self.rows.append_rows(rows);
+        self.live.resize(self.rows.tuple_count(), true);
         Ok(self.accept(BatchReport {
             appended: rows.len(),
             ..BatchReport::default()
         }))
     }
 
-    /// Tombstones live rows. `TupleId`s are stable — nothing is
-    /// renumbered. A row that is out of range, already dead, or named
-    /// twice rejects the whole batch before anything changes.
+    /// Deletes live rows. `TupleId`s are stable — nothing is renumbered,
+    /// and a deleted row's id is never reused. A row that is out of range,
+    /// already deleted, or named twice rejects the whole batch before
+    /// anything changes.
     pub fn push_deletes(&mut self, rows: &[TupleId]) -> Result<BatchReport, HoloError> {
         self.validate_live(rows)?;
-        self.cx.ds.delete_rows(rows);
+        for t in rows {
+            self.live[t.index()] = false;
+        }
         Ok(self.accept(BatchReport {
             deleted: rows.len(),
             ..BatchReport::default()
@@ -240,7 +238,7 @@ impl StreamSession {
     ) -> Result<BatchReport, HoloError> {
         let rows: Vec<TupleId> = updates.iter().map(|(t, _)| *t).collect();
         self.validate_live(&rows)?;
-        let arity = self.cx.ds.schema().len();
+        let arity = self.rows.schema().len();
         for (t, vals) in updates {
             if vals.len() != arity {
                 return Err(HoloError::Stream(format!(
@@ -250,7 +248,7 @@ impl StreamSession {
                 )));
             }
         }
-        self.cx.ds.update_rows(updates);
+        self.rows.update_rows(updates);
         Ok(self.accept(BatchReport {
             updated: rows.len(),
             ..BatchReport::default()
@@ -266,7 +264,7 @@ impl StreamSession {
             return report;
         }
         let ingest = &mut self.timings.ingest;
-        if let Some(run) = self.run.take() {
+        if let Some((_, run)) = self.read.take() {
             ingest.vars_retired += run.model.graph.var_count() as u64;
         }
         ingest.batches += 1;
@@ -279,10 +277,9 @@ impl StreamSession {
     /// Rejects mutation batches naming rows that are out of range, dead,
     /// or repeated within the batch.
     fn validate_live(&self, rows: &[TupleId]) -> Result<(), HoloError> {
-        let ds = &self.cx.ds;
         let mut seen: FxHashSet<TupleId> = FxHashSet::default();
         for &t in rows {
-            if t.index() >= ds.tuple_count() || !ds.is_live(t) {
+            if !self.live.get(t.index()).copied().unwrap_or(false) {
                 return Err(HoloError::Stream(format!(
                     "tuple {} is not a live row of this session",
                     t.index()
@@ -298,10 +295,35 @@ impl StreamSession {
         Ok(())
     }
 
-    /// The one-shot run over the current live table, billed to the
+    /// The live rows in id order as a fresh table, each distinct value
+    /// interned once in row-major first-appearance order — the pool a
+    /// loader builds from the same rows. Symbols are mapped, not strings
+    /// re-interned: one pool lookup per distinct value.
+    fn compact(&self) -> Dataset {
+        let src = &self.rows;
+        let mut ds = Dataset::new(src.schema().clone());
+        let mut dense: Vec<Option<Sym>> = vec![None; src.pool().len()];
+        dense[Sym::NULL.index()] = Some(Sym::NULL);
+        let mut row = Vec::with_capacity(src.schema().len());
+        for t in src.tuples().filter(|t| self.live[t.index()]) {
+            row.clear();
+            for a in src.schema().attrs() {
+                let s = src.cell(t, a);
+                row.push(*dense[s.index()].get_or_insert_with(|| ds.intern(src.value_str(s))));
+            }
+            ds.push_row_syms(&row);
+        }
+        ds
+    }
+
+    /// The one-shot run over the compacted live table, billed to the
     /// session's cumulative timings and counters.
-    fn run_pipeline(&mut self) -> Result<PipelineRun, HoloError> {
-        let run = pipeline::run(&self.cx)?;
+    fn run_pipeline(&mut self) -> Result<(Dataset, PipelineRun), HoloError> {
+        let cx = HoloClean::new(self.compact())
+            .with_constraint_text(&self.constraints)?
+            .with_config(self.config.clone())
+            .into_context()?;
+        let run = pipeline::run(&cx)?;
         let t = &mut self.timings;
         t.detect += run.timings.detect;
         t.compile += run.timings.compile;
@@ -314,13 +336,14 @@ impl StreamSession {
         t.ingest.cells_recomputed +=
             (shape.query_vars + shape.singleton_noisy_cells + shape.evidence_vars) as u64;
         t.ingest.vars_added += run.model.graph.var_count() as u64;
-        Ok(run)
+        Ok((cx.ds, run))
     }
 
-    /// Repairs and posteriors of the live table: the one-shot
-    /// [`crate::HoloClean`] run over it, in live coordinates. Makes the
-    /// run if a mutation (or nothing yet) left the session without one;
-    /// an unchanged session serves the run it has.
+    /// Repairs and posteriors of the live rows: the one-shot
+    /// [`crate::HoloClean`] run over them, in the coordinates of
+    /// [`StreamSession::cached_table`]. Makes the run if a mutation (or
+    /// nothing yet) left the session without one; an unchanged session
+    /// serves the run it has.
     ///
     /// Fails like the one-shot pipeline does:
     /// [`HoloError::PrunedInitialValue`] from the compiler and
@@ -328,20 +351,18 @@ impl StreamSession {
     /// gradients. A failed read caches nothing; the session stays
     /// consistent and the next read tries again.
     pub fn try_report(&mut self) -> Result<RepairReport, HoloError> {
-        let run = match self.run.take() {
-            Some(run) => run,
+        let read = match self.read.take() {
+            Some(read) => read,
             None => self.run_pipeline()?,
         };
-        let mut report = RepairReport::from_marginals(
-            &self.cx.ds,
+        let (ds, run) = self.read.insert(read);
+        Ok(RepairReport::from_marginals(
+            ds,
             &run.model.query_cells,
             &run.model.query_vars,
             &run.model.graph,
             &run.marginals,
-        );
-        self.run = Some(run);
-        self.remap_to_live(&mut report);
-        Ok(report)
+        ))
     }
 
     /// [`StreamSession::try_report`] for callers that treat a failed read
@@ -355,70 +376,35 @@ impl StreamSession {
             .expect("StreamSession::report: the run failed; try_report returns the error")
     }
 
-    /// Rewrites report coordinates from physical ids to the dense ids a
-    /// one-shot run over the live table would use: tuple ids become live
-    /// ranks (the identity while nothing was ever deleted) and symbols
-    /// row-major first-appearance ranks — the session pool drifts from
-    /// that order whenever an update interns a transient value or a
-    /// constraint constant was interned before data.
-    fn remap_to_live(&self, report: &mut RepairReport) {
-        let ds = &self.cx.ds;
-        let mut rank = 0u32;
-        let ranks: Vec<u32> = (0..ds.tuple_count())
-            .map(|t| {
-                let r = rank;
-                if ds.is_live(TupleId(t as u32)) {
-                    rank += 1;
-                }
-                r
-            })
-            .collect();
-        let mut dense: FxHashMap<Sym, Sym> = FxHashMap::default();
-        dense.insert(Sym::NULL, Sym::NULL);
-        for t in ds.tuples() {
-            for a in 0..ds.schema().len() {
-                let s = ds.cell(t, AttrId(a as u16));
-                let next = Sym(dense.len() as u32);
-                dense.entry(s).or_insert(next);
-            }
-        }
-        // Candidates come from the statistics of live rows only, so every
-        // reported symbol occurs in the live table.
-        let remap = |s: Sym| *dense.get(&s).expect("report symbol not in the live table");
-        for r in &mut report.repairs {
-            r.cell.tuple = TupleId(ranks[r.cell.tuple.index()]);
-            r.old = remap(r.old);
-            r.new = remap(r.new);
-        }
-        for p in &mut report.posteriors {
-            p.cell.tuple = TupleId(ranks[p.cell.tuple.index()]);
-            for (s, _) in &mut p.candidates {
-                *s = remap(*s);
-            }
-        }
+    /// The row store: every row ever fed, deleted ones included, so
+    /// `tuple_count()` is the next `TupleId` a push assigns.
+    pub fn dataset(&self) -> &Dataset {
+        &self.rows
     }
 
-    /// The backing table, tombstones included.
-    pub fn dataset(&self) -> &Dataset {
-        &self.cx.ds
+    /// The compacted live table the cached run was made over — the table
+    /// whose `TupleId`s and symbols the report speaks — if the last read
+    /// made one and no mutation has dropped it since.
+    pub fn cached_table(&self) -> Option<&Dataset> {
+        self.read.as_ref().map(|(ds, _)| ds)
     }
 
     /// The run over the current live table — detection, model, weights,
-    /// marginals, in physical coordinates — if the last read made one and
-    /// no mutation has dropped it since.
+    /// marginals, in the coordinates of [`StreamSession::cached_table`] —
+    /// if the last read made one and no mutation has dropped it since.
     pub fn cached_run(&self) -> Option<&PipelineRun> {
-        self.run.as_ref()
+        self.read.as_ref().map(|(_, run)| run)
     }
 
     /// Violations the cached run detected over the live table; `None`
     /// when there is no cached run (mutations detect nothing).
     pub fn violations(&self) -> Option<usize> {
-        Some(self.run.as_ref()?.detection.violations)
+        Some(self.cached_run()?.detection.violations)
     }
 
     /// Noisy cells of the cached run; `None` when there is none.
     pub fn noisy_cells(&self) -> Option<usize> {
-        Some(self.run.as_ref()?.detection.noisy.len())
+        Some(self.cached_run()?.detection.noisy.len())
     }
 
     /// Cumulative ingest counters.
@@ -434,12 +420,13 @@ impl StreamSession {
         }
     }
 
-    /// Run turnover and the live-vs-tombstoned row split.
+    /// Run turnover and the live-vs-deleted row split.
     pub fn retire_stats(&self) -> RetireStats {
+        let live_rows = self.live.iter().filter(|&&live| live).count() as u64;
         RetireStats {
             compactions: self.timings.ingest.canonical_retrains.saturating_sub(1),
-            live_rows: self.cx.ds.live_count() as u64,
-            dead_rows: self.cx.ds.dead_count() as u64,
+            live_rows,
+            dead_rows: self.live.len() as u64 - live_rows,
         }
     }
 
@@ -623,7 +610,7 @@ mod tests {
         session.push_deletes(&[TupleId(0)]).unwrap();
         rejected(
             session.push_updates(&[(TupleId(0), row("a", "b"))]),
-            "update of a tombstoned row",
+            "update of a deleted row",
         );
         rejected(session.push_deletes(&[TupleId(0)]), "double delete");
     }
@@ -702,8 +689,8 @@ mod tests {
             .unwrap();
         mirror[10] = Some(row("60608", "Cicago"));
 
-        // Delete an early clean row too, so live ranks shift under the
-        // report remap.
+        // Delete an early clean row too, so the compacted table's ids are
+        // not the session's.
         session.push_deletes(&[TupleId(2)]).unwrap();
         mirror[2] = None;
 
@@ -819,19 +806,28 @@ mod tests {
         assert_eq!(reads_like_one_shot(&mut session, &rows), before);
     }
 
-    /// Degenerate feeds (ROADMAP item 7(c)): every read is `Ok` and equal,
+    /// Degenerate feeds (ROADMAP item 9(c)): every read is `Ok` and equal,
     /// to the probability bit, to `HoloClean::run` over the same live
     /// table.
     #[test]
     fn degenerate_feeds_read_like_the_one_shot_run() {
         type Feed = fn(&mut StreamSession) -> Vec<Vec<String>>;
-        let feeds: [(&str, Feed); 5] = [
+        let feeds: [(&str, Feed); 6] = [
             ("never fed", |_| Vec::new()),
             ("every row deleted", |s| {
-                s.push_batch(&zip_city_rows()).unwrap();
-                let all: Vec<TupleId> = s.dataset().tuples().collect();
+                let rows = zip_city_rows();
+                s.push_batch(&rows).unwrap();
+                let all: Vec<TupleId> = (0..rows.len()).map(TupleId::from).collect();
                 s.push_deletes(&all).unwrap();
                 Vec::new()
+            }),
+            ("every row deleted, then fed again", |s| {
+                let rows = zip_city_rows();
+                s.push_batch(&rows).unwrap();
+                let all: Vec<TupleId> = (0..rows.len()).map(TupleId::from).collect();
+                s.push_deletes(&all).unwrap();
+                s.push_batch(&rows).unwrap();
+                rows
             }),
             ("a single live row", |s| {
                 s.push_batch(&zip_city_rows()[7..9]).unwrap();

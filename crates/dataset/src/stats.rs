@@ -34,13 +34,13 @@
 //!
 //! Counts are integer accumulators, so the two backends answer **every**
 //! query identically — `count`, `prob`, `conditional_prob`, [`GroupView`]
-//! contents, `group_count` — over any table, tombstoned rows and values
-//! that no live row holds any more included, at any thread count. That
-//! equivalence is proptested below (`dense_matches_naive_oracle`) and CI
-//! byte-diffs full pipeline dumps between the backends.
+//! contents, `group_count` — over any table, values that no row holds any
+//! more included, at any thread count. That equivalence is proptested
+//! below (`dense_matches_naive_oracle`) and CI byte-diffs full pipeline
+//! dumps between the backends.
 //!
-//! A [`CooccurStats`] is **built, then read**: one pass over the live rows
-//! of a frozen table, sharded per ordered attribute pair (each pair owns a
+//! A [`CooccurStats`] is **built, then read**: one pass over the rows of a
+//! frozen table, sharded per ordered attribute pair (each pair owns a
 //! disjoint slice of the key space or block table, so per-pair results
 //! merge without collisions), and no mutator afterwards. A table that
 //! changed gets new statistics — a streaming session builds them at its
@@ -74,7 +74,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fxhash::FxHashMap;
 use crate::schema::AttrId;
-use crate::table::{Dataset, TupleId};
+use crate::table::Dataset;
 use crate::value::Sym;
 
 /// Per-attribute value frequency tables.
@@ -85,23 +85,19 @@ pub struct FrequencyStats {
 }
 
 impl FrequencyStats {
-    /// Scans the live rows of the dataset once and tabulates per-attribute
-    /// counts. Tombstoned rows contribute nothing: the liveness filter runs
-    /// once up front and every attribute then counts column-major over the
-    /// same live-row list.
+    /// Scans the dataset once, column-major, and tabulates per-attribute
+    /// counts.
     pub fn build(ds: &Dataset) -> Self {
-        let live: Vec<TupleId> = ds.tuples().collect();
         let mut counts: Vec<FxHashMap<Sym, u32>> = vec![FxHashMap::default(); ds.schema().len()];
         for a in ds.schema().attrs() {
-            let col = ds.column(a);
             let table = &mut counts[a.index()];
-            for t in &live {
-                *table.entry(col[t.index()]).or_insert(0) += 1;
+            for &v in ds.column(a) {
+                *table.entry(v).or_insert(0) += 1;
             }
         }
         FrequencyStats {
             counts,
-            tuples: live.len(),
+            tuples: ds.tuple_count(),
         }
     }
 
@@ -260,16 +256,15 @@ fn ordered_pairs(ds: &Dataset, targets: &[bool]) -> Vec<(AttrId, AttrId)> {
     pairs
 }
 
-/// Transposes the given rows into per-attribute coded columns, interning
-/// any new values. Interning scans rows column-major in the given row
-/// order, so code assignment is deterministic and thread-independent.
-fn code_rows(ds: &Dataset, codes: &mut ValueCodes, rows: &[TupleId]) -> Vec<Vec<u32>> {
+/// Codes every column of the table, interning any new values. Interning
+/// scans column-major in row order, so code assignment is deterministic
+/// and thread-independent.
+fn code_rows(ds: &Dataset, codes: &mut ValueCodes) -> Vec<Vec<u32>> {
     let mut cols: Vec<Vec<u32>> = Vec::with_capacity(ds.schema().len());
     for a in ds.schema().attrs() {
         let col = ds.column(a);
-        let mut coded = Vec::with_capacity(rows.len());
-        for &t in rows {
-            let v = col[t.index()];
+        let mut coded = Vec::with_capacity(col.len());
+        for &v in col {
             coded.push(if v.is_null() {
                 NULL_CODE
             } else {
@@ -325,10 +320,9 @@ impl DenseTables {
     fn build(ds: &Dataset, threads: usize, targets: &[bool]) -> Self {
         let n = ds.schema().len();
         let mut codes = ValueCodes::new(n);
-        let live: Vec<TupleId> = ds.tuples().collect();
-        let coded = code_rows(ds, &mut codes, &live);
+        let coded = code_rows(ds, &mut codes);
         let pairs = ordered_pairs(ds, targets);
-        let threads = holo_parallel::sized_threads(threads, pairs.len() * live.len());
+        let threads = holo_parallel::sized_threads(threads, pairs.len() * ds.tuple_count());
         // parallel_jobs, not parallel_map: each "item" is a full column
         // scan, so even the 12 pairs of a 4-attribute schema are worth
         // spreading across cores once the row count is large enough
@@ -868,14 +862,11 @@ fn build_naive_table(
     targets: &[bool],
 ) -> FxHashMap<u64, FxHashMap<Sym, u32>> {
     let pairs = ordered_pairs(ds, targets);
-    let threads = holo_parallel::sized_threads(threads, pairs.len() * ds.live_count());
+    let threads = holo_parallel::sized_threads(threads, pairs.len() * ds.tuple_count());
     let per_pair = holo_parallel::parallel_jobs(threads, pairs.len(), |i| {
         let (cond, target) = pairs[i];
         let mut local: FxHashMap<u64, FxHashMap<Sym, u32>> = FxHashMap::default();
-        let cond_col = ds.column(cond);
-        let target_col = ds.column(target);
-        for t in ds.tuples() {
-            let (v_cond, v_target) = (cond_col[t.index()], target_col[t.index()]);
+        for (&v_cond, &v_target) in ds.column(cond).iter().zip(ds.column(target)) {
             if v_cond.is_null() || v_target.is_null() {
                 continue;
             }
@@ -898,6 +889,7 @@ fn build_naive_table(
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::table::TupleId;
     use proptest::prelude::*;
 
     fn chicago() -> Dataset {
@@ -1274,15 +1266,14 @@ mod tests {
     proptest! {
         /// Dense engine ≡ hash-map oracle: identical `count` / `prob` /
         /// `cond_prob` / group / `group_count` / correlation answers when
-        /// built over random datasets at every stage of a CRUD edit
-        /// (fresh, appended to, updated in place, rows tombstoned — so the
-        /// pool holds values no live row does) × threads {1, 4}.
+        /// built over random datasets at every stage of an edit (fresh,
+        /// appended to, updated in place — so the pool holds values no row
+        /// does) × threads {1, 4}.
         #[test]
         fn dense_matches_naive_oracle(
             rows in proptest::collection::vec((0u8..6, 0u8..4, 0u8..5), 5..40),
             extra in proptest::collection::vec((0u8..6, 0u8..4, 0u8..5), 0..15),
             update_step in 2usize..5,
-            delete_step in 3usize..6,
         ) {
             for threads in [1usize, 4] {
                 let agree = |ds: &Dataset| {
@@ -1312,13 +1303,6 @@ mod tests {
                     })
                     .collect();
                 ds.update_rows(&new_rows);
-                agree(&ds);
-
-                let deleted: Vec<TupleId> = (0..ds.tuple_count())
-                    .step_by(delete_step)
-                    .map(TupleId::from)
-                    .collect();
-                ds.delete_rows(&deleted);
                 agree(&ds);
             }
         }

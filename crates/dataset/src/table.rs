@@ -62,28 +62,14 @@ impl fmt::Display for CellRef {
 }
 
 /// A structured dataset `D`: a schema, an interner, and one column per
-/// attribute.
-///
-/// # Tombstones
-///
-/// Rows are never physically removed: [`Dataset::delete_rows`] marks them
-/// dead in a liveness mask, which keeps every [`TupleId`] stable forever —
-/// the property a streaming caller's row handles rest on. Dead rows keep
-/// their column values readable, but every *scan* entry point — [`Dataset::tuples`], [`Dataset::cells`],
-/// [`Dataset::active_domain`] — iterates live rows only, so statistics,
-/// violation detection and featurization over a tombstoned dataset see
-/// exactly the live table. [`Dataset::tuple_count`] stays *physical* (it
-/// is the id-allocation high-water mark); use [`Dataset::live_count`] for
-/// the logical size.
+/// attribute. Rows are only ever appended or rewritten in place, so a
+/// [`TupleId`] is a row's position and [`Dataset::tuples`] is
+/// `0..tuple_count()`.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     schema: Schema,
     pool: ValuePool,
     columns: Vec<Vec<Sym>>,
-    /// Liveness mask, one entry per row; `false` = tombstoned.
-    live: Vec<bool>,
-    /// Number of `false` entries in `live`.
-    dead: usize,
 }
 
 impl Dataset {
@@ -94,8 +80,6 @@ impl Dataset {
             schema,
             pool: ValuePool::new(),
             columns,
-            live: Vec::new(),
-            dead: 0,
         }
     }
 
@@ -115,30 +99,12 @@ impl Dataset {
         self.pool.intern(value)
     }
 
-    /// Number of tuples ever appended — the *physical* row count and the
-    /// id-allocation high-water mark. Tombstoned rows are included; use
-    /// [`Dataset::live_count`] for the logical table size.
+    /// Number of tuples.
     pub fn tuple_count(&self) -> usize {
         self.columns.first().map_or(0, Vec::len)
     }
 
-    /// Number of live (non-tombstoned) tuples.
-    pub fn live_count(&self) -> usize {
-        self.tuple_count() - self.dead
-    }
-
-    /// Number of tombstoned tuples.
-    pub fn dead_count(&self) -> usize {
-        self.dead
-    }
-
-    /// Whether tuple `t` is live (appended and not tombstoned).
-    #[inline]
-    pub fn is_live(&self, t: TupleId) -> bool {
-        self.live.get(t.index()).copied().unwrap_or(false)
-    }
-
-    /// Number of cells (`tuples × attributes`), physical rows included.
+    /// Number of cells (`tuples × attributes`).
     pub fn cell_count(&self) -> usize {
         self.tuple_count() * self.schema.len()
     }
@@ -164,7 +130,6 @@ impl Dataset {
             };
             col.push(sym);
         }
-        self.live.push(true);
         id
     }
 
@@ -176,18 +141,13 @@ impl Dataset {
             debug_assert!(sym.index() < self.pool.len(), "foreign symbol");
             col.push(sym);
         }
-        self.live.push(true);
         id
     }
 
     /// Appends a batch of raw string rows, returning the id of the first
     /// appended tuple (the batch occupies the contiguous id range
-    /// `first..first + rows.len()`).
-    ///
-    /// Tuple ids are **stable**: appending never renumbers existing rows,
-    /// which is what lets the streaming engine hold `TupleId`/[`CellRef`]
-    /// handles (noisy sets, violation indexes, factor-graph cell maps)
-    /// across batches.
+    /// `first..first + rows.len()`). Appending never renumbers existing
+    /// rows.
     ///
     /// # Panics
     /// Panics if any row's arity differs from the schema arity (same
@@ -200,38 +160,19 @@ impl Dataset {
         first
     }
 
-    /// Tombstones the given rows. Ids stay stable (nothing is renumbered)
-    /// and the dead rows' values stay readable, but every scan entry point
-    /// stops yielding the rows immediately.
+    /// Overwrites entire rows in place, interning the new values. Ids stay
+    /// stable; the old values are gone after this call, though the pool
+    /// keeps their symbols.
     ///
     /// # Panics
-    /// Panics if any row is out of range or already tombstoned (a
-    /// double-delete is a caller bug the mask cannot repair).
-    pub fn delete_rows(&mut self, rows: &[TupleId]) {
-        for &t in rows {
-            assert!(
-                t.index() < self.tuple_count(),
-                "delete of unknown tuple {t}"
-            );
-            assert!(self.live[t.index()], "double delete of tuple {t}");
-            self.live[t.index()] = false;
-            self.dead += 1;
-        }
-    }
-
-    /// Overwrites entire live rows in place, interning the new values.
-    /// Ids stay stable; the old values are gone after this call.
-    ///
-    /// # Panics
-    /// Panics if a row is out of range or tombstoned, or on arity
-    /// mismatch (same contract as [`Dataset::push_row`]).
+    /// Panics if a row is out of range, or on arity mismatch (same
+    /// contract as [`Dataset::push_row`]).
     pub fn update_rows<S: AsRef<str>>(&mut self, updates: &[(TupleId, Vec<S>)]) {
         for (t, row) in updates {
             assert!(
                 t.index() < self.tuple_count(),
                 "update of unknown tuple {t}"
             );
-            assert!(self.live[t.index()], "update of tombstoned tuple {t}");
             assert_eq!(
                 row.len(),
                 self.schema.len(),
@@ -286,14 +227,12 @@ impl Dataset {
         self.columns.iter().map(|c| c[t.index()]).collect()
     }
 
-    /// Iterates over all *live* tuple ids, ascending.
-    pub fn tuples(&self) -> impl Iterator<Item = TupleId> + '_ {
-        (0..self.tuple_count() as u32)
-            .map(TupleId)
-            .filter(move |&t| self.live[t.index()])
+    /// Iterates over all tuple ids, ascending.
+    pub fn tuples(&self) -> impl Iterator<Item = TupleId> {
+        (0..self.tuple_count() as u32).map(TupleId)
     }
 
-    /// Iterates over every cell reference of every live tuple.
+    /// Iterates over every cell reference of every tuple.
     pub fn cells(&self) -> impl Iterator<Item = CellRef> + '_ {
         let attrs = self.schema.len() as u16;
         self.tuples().flat_map(move |t| {
@@ -305,14 +244,11 @@ impl Dataset {
     }
 
     /// The *active domain* of attribute `a`: every distinct symbol that
-    /// occurs in its column among live tuples, null excluded, in
-    /// first-occurrence order.
+    /// occurs in its column, null excluded, in first-occurrence order.
     pub fn active_domain(&self, a: AttrId) -> Vec<Sym> {
         let mut seen = crate::fxhash::FxHashSet::default();
         let mut out = Vec::new();
-        let col = self.column(a);
-        for t in self.tuples() {
-            let sym = col[t.index()];
+        for &sym in self.column(a) {
             if !sym.is_null() && seen.insert(sym) {
                 out.push(sym);
             }
@@ -442,41 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_rows_tombstones_without_renumbering() {
-        let mut ds = small();
-        ds.delete_rows(&[TupleId(1)]);
-        assert_eq!(ds.tuple_count(), 3, "physical count keeps the id space");
-        assert_eq!(ds.live_count(), 2);
-        assert_eq!(ds.dead_count(), 1);
-        assert!(ds.is_live(TupleId(0)));
-        assert!(!ds.is_live(TupleId(1)));
-        // Scans skip the tombstone; values stay readable underneath.
-        let live: Vec<TupleId> = ds.tuples().collect();
-        assert_eq!(live, vec![TupleId(0), TupleId(2)]);
-        assert_eq!(ds.cells().count(), 6);
-        assert_eq!(ds.cell_str(TupleId(1), AttrId(0)), "Cicago");
-        // "Cicago" only occurred in the dead row — gone from the domain.
-        let dom: Vec<&str> = ds
-            .active_domain(AttrId(0))
-            .iter()
-            .map(|&s| ds.value_str(s))
-            .collect();
-        assert_eq!(dom, vec!["Chicago"]);
-        // Appending after a delete still allocates fresh ids at the top.
-        let t = ds.push_row(&["Evanston", "IL", "60201"]);
-        assert_eq!(t, TupleId(3));
-        assert!(ds.is_live(t));
-    }
-
-    #[test]
-    #[should_panic(expected = "double delete")]
-    fn double_delete_panics() {
-        let mut ds = small();
-        ds.delete_rows(&[TupleId(0)]);
-        ds.delete_rows(&[TupleId(0)]);
-    }
-
-    #[test]
     fn update_rows_overwrites_in_place() {
         let mut ds = small();
         ds.update_rows(&[(TupleId(1), vec!["Chicago", "IL", "60608"])]);
@@ -487,14 +388,5 @@ mod tests {
             "updated values intern into the shared pool"
         );
         assert_eq!(ds.tuple_count(), 3);
-        assert_eq!(ds.live_count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "tombstoned tuple")]
-    fn update_of_dead_row_panics() {
-        let mut ds = small();
-        ds.delete_rows(&[TupleId(2)]);
-        ds.update_rows(&[(TupleId(2), vec!["X", "Y", "Z"])]);
     }
 }

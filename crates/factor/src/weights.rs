@@ -182,12 +182,11 @@ impl Weights {
     /// L2 norm of the learnable weights (for convergence diagnostics).
     ///
     /// The squares are summed in **value-sorted** order, not weight-id
-    /// order: two models whose registries interned the same features in
-    /// different sequences hold the same multiset of weight values under
-    /// different ids, and a value-ordered sum makes the reported norm
-    /// bit-for-bit identical for both — so
-    /// equivalence diffs over diagnostic dumps don't false-positive on
-    /// floating-point association order.
+    /// order, so the norm is a function of the multiset of weight values
+    /// alone: registries that intern the same features in different
+    /// sequences report it bit for bit, and equivalence diffs over
+    /// diagnostic dumps don't false-positive on floating-point association
+    /// order.
     pub fn learnable_norm(&self) -> f64 {
         let mut squares: Vec<f64> = self
             .values

@@ -4,11 +4,15 @@
 //!    the one-shot pipeline — cells, values, and full posteriors — for
 //!    K ∈ {1, 4, 16} at every thread count, under the default model and
 //!    the partitioned DC-factor variant;
-//! 2. pushes only edit the table: detection, statistics and the model are
-//!    the read's one-shot run, and a failing read is a typed error.
+//! 2. pushes only edit the row store: detection, statistics and the model
+//!    are the read's one-shot run over the compacted live rows, and a
+//!    failing read is a typed error;
+//! 3. a read's coordinates are the one-shot run's — `TupleId`s and `Sym`s
+//!    included — even when deletes leave gaps, updates intern values no
+//!    final row holds, and a constraint carries a quoted constant.
 
 use holoclean_repro::holo_datagen::{hospital, HospitalConfig};
-use holoclean_repro::holo_dataset::{Dataset, Schema};
+use holoclean_repro::holo_dataset::{Dataset, Schema, TupleId};
 use holoclean_repro::holoclean::stream::StreamSession;
 use holoclean_repro::holoclean::{
     HoloClean, HoloConfig, HoloError, ModelVariant, RepairOutcome, RepairReport,
@@ -94,6 +98,7 @@ fn assert_bitwise_equal(a: &RepairReport, b: &RepairReport, label: &str) {
     assert_eq!(a.repairs.len(), b.repairs.len(), "{label}: repair count");
     for (x, y) in a.repairs.iter().zip(&b.repairs) {
         assert_eq!(x.cell, y.cell, "{label}");
+        assert_eq!((x.old, x.new), (y.old, y.new), "{label}: symbols");
         assert_eq!(x.old_value, y.old_value, "{label}");
         assert_eq!(x.new_value, y.new_value, "{label}");
         assert_eq!(
@@ -117,9 +122,7 @@ fn assert_bitwise_equal(a: &RepairReport, b: &RepairReport, label: &str) {
             x.cell
         );
         for ((sx, px), (sy, py)) in x.candidates.iter().zip(&y.candidates) {
-            // Symbols are pool-local (the two loaders intern in different
-            // orders); posterior identity is (position, probability bits).
-            let _ = (sx, sy);
+            assert_eq!(sx, sy, "{label}: candidate symbol of {:?}", x.cell);
             assert_eq!(
                 px.to_bits(),
                 py.to_bits(),
@@ -264,4 +267,89 @@ fn stream_counts_match_one_shot_detection() {
     let shape = &session.cached_run().expect("the read made it").model.stats;
     assert_eq!(shape.query_vars, outcome.model.query_vars);
     assert_eq!(shape.evidence_vars, outcome.model.evidence_vars);
+}
+
+fn zip_row(zip: &str, city: &str, state: &str) -> Vec<String> {
+    vec![zip.to_string(), city.to_string(), state.to_string()]
+}
+
+/// The two cases where the row store's coordinates are not the one-shot
+/// run's, pinned by id: a constraint constant the session could intern
+/// before any row, and a feed whose deletes leave gaps and whose updates
+/// intern values no final row holds. The read must equal `HoloClean::run` over the final
+/// live rows field by field — `TupleId`s, `Sym`s, strings, probability
+/// bits — and the table it ran on must be the one-shot table, pool order
+/// included.
+#[test]
+fn crud_feed_with_a_constraint_constant_reads_in_one_shot_coordinates() {
+    let schema = Schema::new(vec!["Zip", "City", "State"]);
+    let constraints = "FD: Zip -> City\n\
+         t1&t2&EQ(t1.Zip,t2.Zip)&IQ(t1.City,t2.City)&EQ(t1.State,\"IL\")";
+    let mut rows = vec![zip_row("60608", "Chicago", "IL"); 7];
+    rows.push(zip_row("60608", "Cicago", "IL"));
+    rows.extend(vec![zip_row("60609", "Evanston", "IL"); 5]);
+    rows.push(zip_row("60609", "Evanstn", "IL"));
+    rows.extend(vec![zip_row("53703", "Madison", "WI"); 4]);
+    rows.push(zip_row("53703", "Madisn", "WI"));
+    let decoy = zip_row("99999", "Nowhere", "ZZ");
+    for variant in [ModelVariant::DcFeats, ModelVariant::DcFactorsPartitioned] {
+        for threads in [1, 4] {
+            let label = format!("{variant:?}, threads = {threads}");
+            let config = HoloConfig::default()
+                .with_threads(threads)
+                .with_variant(variant);
+            let mut session =
+                StreamSession::new(schema.clone(), constraints, config.clone()).unwrap();
+            // `mirror[t]` is row `t` of the session, `None` once deleted.
+            let mut mirror: Vec<Option<Vec<String>>> = Vec::new();
+            let mut push = |session: &mut StreamSession, batch: Vec<Vec<String>>| {
+                session.push_batch(&batch).unwrap();
+                mirror.extend(batch.into_iter().map(Some));
+            };
+            // A decoy between real rows, and a clean row first mangled
+            // into values no final row holds, then healed.
+            let mut first = rows[..9].to_vec();
+            first.insert(4, decoy.clone());
+            push(&mut session, first);
+            let mangled = TupleId(2);
+            let transient = zip_row("60608~", "Chicagoo", "I L");
+            session.push_updates(&[(mangled, transient)]).unwrap();
+            let mut second = rows[9..].to_vec();
+            second.push(decoy.clone());
+            push(&mut session, second);
+            let decoys = [TupleId(4), TupleId(mirror.len() as u32 - 1)];
+            session.push_deletes(&decoys).unwrap();
+            session.push_updates(&[(mangled, rows[2].clone())]).unwrap();
+            // Two clean rows leave gaps too.
+            session.push_deletes(&[TupleId(0), TupleId(12)]).unwrap();
+            for t in [4, mirror.len() - 1, 0, 12] {
+                mirror[t] = None;
+            }
+            let live: Vec<Vec<String>> = mirror.into_iter().flatten().collect();
+            assert_eq!(live.len(), rows.len() - 2, "{label}");
+
+            let report = session.report();
+            let outcome = one_shot_with(&schema, constraints, &live, config);
+            assert!(
+                !outcome.report.repairs.is_empty(),
+                "{label}: the feed must need repairs"
+            );
+            assert_eq!(report, outcome.report, "{label}");
+            assert_bitwise_equal(&report, &outcome.report, &label);
+            assert!(
+                !session
+                    .dataset()
+                    .pool()
+                    .iter()
+                    .eq(outcome.dataset.pool().iter()),
+                "{label}: the row store's pool must differ, or nothing is pinned"
+            );
+            let table = session.cached_table().expect("the read made it");
+            assert!(
+                table.pool().iter().eq(outcome.dataset.pool().iter()),
+                "{label}: the read's pool is the one-shot pool"
+            );
+            assert_eq!(table.tuple_count(), live.len(), "{label}");
+        }
+    }
 }
