@@ -203,27 +203,18 @@ fn compile_with(
     });
     cstats.prune_index_rows = index.rows();
     cstats.prune_index_entries = index.entries();
-    // Dictionary-asserted values join a cell's domain after pruning.
-    type Asserted = FxHashMap<CellRef, Vec<Sym>>;
-    fn assert_into(asserted: &Asserted, cell: CellRef, dom: &mut Vec<Sym>) {
-        for &v in asserted.get(&cell).into_iter().flatten() {
-            if !dom.contains(&v) {
-                dom.push(v);
-            }
-        }
-    }
-    let (noisy_cells, noisy_domains, asserted) = timed(&mut phases, "noisy prune", || {
-        let mut asserted = Asserted::default();
-        for &(cell, sym) in matches.keys() {
-            asserted.entry(cell).or_default().push(sym);
-        }
+    // Dictionary-asserted values join a cell's domain after pruning: the
+    // `(cell, value)` pairs in `matches.keys()` order, stable-sorted by
+    // cell so each cell keeps that order, merge-joined with the sorted
+    // noisy cells.
+    let (noisy_cells, noisy_domains, mut asserted) = timed(&mut phases, "noisy prune", || {
+        let mut asserted: Vec<(CellRef, Sym)> = matches.keys().copied().collect();
+        asserted.sort_by_key(|&(cell, _)| cell);
         let mut noisy_cells: Vec<CellRef> = noisy.iter().copied().collect();
         noisy_cells.sort_unstable();
         let mut domains =
             index.prune_cells(ds, &noisy_cells, config.tau, config.max_domain, threads);
-        for (&cell, dom) in noisy_cells.iter().zip(&mut domains) {
-            assert_into(&asserted, cell, dom);
-        }
+        assert_into(&asserted, &noisy_cells, &mut domains, |cell| cell);
         (noisy_cells, domains, asserted)
     });
 
@@ -247,7 +238,16 @@ fn compile_with(
             config.seed,
             MAX_EVIDENCE_PER_ATTR,
         );
-        let domains = index.prune_cells(ds, &selected, evidence_tau, config.max_domain, threads);
+        let mut domains =
+            index.prune_cells(ds, &selected, evidence_tau, config.max_domain, threads);
+        // Dictionary assertions join the evidence domains too: an evidence
+        // cell whose observed value beats the asserted one is exactly the
+        // negative example that trains the dictionary's reliability weight
+        // w(k) down when coverage is poor. `selected` is attribute-major;
+        // a stable re-sort keeps each cell's order.
+        let attr_major = |cell: CellRef| (cell.attr, cell.tuple);
+        asserted.sort_by_key(|&(cell, _)| attr_major(cell));
+        assert_into(&asserted, &selected, &mut domains, attr_major);
         (selected, domains)
     });
     drop(index);
@@ -274,12 +274,7 @@ fn compile_with(
         }
         cstats.query_vars = vars.len();
         cstats.total_candidates = vars.iter().map(Variable::arity).sum();
-        for (&cell, mut dom) in selected.iter().zip(evidence_domains) {
-            // Dictionary assertions join the evidence domains too: an
-            // evidence cell whose observed value beats the asserted one is
-            // exactly the negative example that trains the dictionary's
-            // reliability weight w(k) down when coverage is poor.
-            assert_into(&asserted, cell, &mut dom);
+        for (&cell, dom) in selected.iter().zip(evidence_domains) {
             if dom.len() < 2 {
                 continue;
             }
@@ -354,6 +349,34 @@ fn compile_with(
         evidence_cells,
         stats: cstats,
     })
+}
+
+/// Appends to each of `cells`' domains the values `asserted` for it that
+/// the domain lacks, in `asserted` order: a merge join, so `cells` and
+/// `asserted` must both ascend under `key`.
+fn assert_into<K: Ord>(
+    asserted: &[(CellRef, Sym)],
+    cells: &[CellRef],
+    domains: &mut [Vec<Sym>],
+    key: impl Fn(CellRef) -> K,
+) {
+    debug_assert!(cells.is_sorted_by_key(|&cell| key(cell)));
+    debug_assert!(asserted.is_sorted_by_key(|&(cell, _)| key(cell)));
+    let mut rest = asserted;
+    for (&cell, dom) in cells.iter().zip(domains) {
+        let at = key(cell);
+        let skip = rest.iter().take_while(|&&(c, _)| key(c) < at).count();
+        let run = rest[skip..]
+            .iter()
+            .take_while(|&&(c, _)| key(c) == at)
+            .count();
+        for &(_, v) in &rest[skip..skip + run] {
+            if !dom.contains(&v) {
+                dom.push(v);
+            }
+        }
+        rest = &rest[skip + run..];
+    }
 }
 
 /// Evidence cells sampled per *trainable* attribute for weight learning —
@@ -969,19 +992,29 @@ mod tests {
         }
     }
 
+    /// Dictionary-asserted values join the domains of noisy and evidence
+    /// cells alike: after the pruned candidates, in `matches.keys()` order,
+    /// and only when the domain lacks them.
     #[test]
     fn dictionary_assertions_extend_domains() {
         let (ds, cons, config) = setup(ModelVariant::DcFeats);
         let violations = find_violations(&ds, &cons);
         let noisy = noisy_cells(&violations);
         let stats = CooccurStats::build(&ds);
-        // Assert an out-of-domain value for a noisy cell.
+        // Out-of-domain values for a noisy cell and a clean one (60609's
+        // Evanston, an evidence cell only once a value is asserted).
         let mut ds2 = ds.clone();
-        let exotic = ds2.intern("Berwyn");
+        let exotic = ["Berwyn", "Cicero", "Skokie"].map(|v| ds2.intern(v));
         let city = ds2.schema().attr_id("City").unwrap();
         let cell = *noisy.iter().find(|c| c.attr == city).unwrap();
+        let clean = CellRef::new(7usize, city.index());
+        assert!(!noisy.contains(&clean));
+        let chicago = ds2.pool().get("Chicago").unwrap();
         let mut matches = MatchLookup::default();
-        matches.insert((cell, exotic), vec![0]);
+        for &v in exotic.iter().chain([&chicago]) {
+            matches.insert((cell, v), vec![0]);
+            matches.insert((clean, v), vec![0]);
+        }
         let model = compile(&CompileInput {
             ds: &ds2,
             constraints: &cons,
@@ -992,13 +1025,32 @@ mod tests {
             config: &config,
         })
         .unwrap();
+        let asserted = |of: CellRef| -> Vec<Sym> {
+            let keys = matches.keys().filter(|&&(c, _)| c == of);
+            keys.map(|&(_, v)| v).collect()
+        };
         let var = model
             .query_cells
             .iter()
             .position(|&c| c == cell)
             .map(|i| model.query_vars[i])
             .unwrap();
-        assert!(model.graph.var(var).domain.contains(&exotic));
+        let domain = &model.graph.var(var).domain;
+        let tail: Vec<Sym> = asserted(cell)
+            .into_iter()
+            .filter(|v| v != &chicago)
+            .collect();
+        assert!(domain.ends_with(&tail), "{domain:?}");
+        assert_eq!(domain.iter().filter(|&&v| v == chicago).count(), 1);
+        let evidence = model
+            .evidence_cells
+            .iter()
+            .position(|&c| c == clean)
+            .unwrap();
+        let var = VarId((model.query_vars.len() + evidence) as u32);
+        let evanston = ds2.pool().get("Evanston").unwrap();
+        let want: Vec<Sym> = std::iter::once(evanston).chain(asserted(clean)).collect();
+        assert_eq!(model.graph.var(var).domain, want);
     }
 
     #[test]

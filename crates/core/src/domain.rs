@@ -19,11 +19,14 @@
 //! the target attributes it is given: `compile` names the attributes a
 //! cell can be pruned in, the public wrappers every attribute — and keeps,
 //! per group whose conditioning value occurs at least `min_support` times,
-//! the `(value, count)` entries with `count / #v' ≥ τ_min`. Pruning a cell
-//! is then at most `n_attrs − 1` list lookups, a max-merge of the
-//! probabilities, the `(p desc, value string asc)` sort with the initial
-//! value pinned first, and the `max_domain` truncation — no count row is
-//! scanned per cell.
+//! the `(value, count)` entries with `count / #v' ≥ τ_min`. Rows are keyed
+//! by the statistics' value codes: per conditioning attribute a `Vec`
+//! maps code → row, filled from the per-code counts and found by code as
+//! the group walk yields it. Pruning a cell is then at most `n_attrs − 1`
+//! list lookups — the conditioning code read from the coded column, no
+//! value hashed — a max-merge of the probabilities, the `(p desc, value
+//! string asc)` sort with the initial value pinned first, and the
+//! `max_domain` truncation — no count row is scanned per cell.
 //!
 //! * **Sharing rule.** The reader re-derives `p = count / #v'` with the
 //!   build's own expression and keeps `p ≥ τ`, so an index built at `τ_min`
@@ -106,8 +109,9 @@ impl CellDomains {
 
 /// One conditioning attribute's slice of the [`PruneIndex`].
 struct Shard {
-    /// Conditioning value → row, for values with `#v' ≥ min_support`.
-    rows: FxHashMap<Sym, u32>,
+    /// Conditioning value code → row, [`NO_ROW`] for codes with
+    /// `#v' < min_support`.
+    rows: Vec<u32>,
     /// `#v'` per row — the denominator of `Pr[v | v']`.
     denom: Vec<u32>,
     /// `(start, len)` into `entries` per `(row, target attribute)`,
@@ -117,8 +121,14 @@ struct Shard {
     entries: Vec<(Sym, u32)>,
 }
 
+/// The row of a conditioning code the index does not hold.
+const NO_ROW: u32 = u32::MAX;
+
 /// The τ-threshold index over one [`CooccurStats`] (see the module docs).
-pub(crate) struct PruneIndex {
+pub(crate) struct PruneIndex<'a> {
+    /// The statistics indexed: a cell's conditioning codes are read from
+    /// their coded columns.
+    stats: &'a CooccurStats,
     shards: Vec<Shard>,
     /// `open[cond · n + target]`: whether `cond` may propose candidates for
     /// `target` (off the diagonal, `target` among the build's targets, and
@@ -129,14 +139,15 @@ pub(crate) struct PruneIndex {
     tau_min: f64,
 }
 
-impl PruneIndex {
+impl<'a> PruneIndex<'a> {
     /// Walks every group of `stats` whose target attribute is set in
     /// `targets` once, one shard per conditioning attribute on up to
-    /// `threads` workers. Cells of other attributes must not be pruned
-    /// against the index (`prune_cell` `debug_assert!`s it).
+    /// `threads` workers. `stats` must be the statistics of `ds`; cells of
+    /// other attributes must not be pruned against the index
+    /// (`prune_cell` `debug_assert!`s it).
     pub(crate) fn build(
         ds: &Dataset,
-        stats: &CooccurStats,
+        stats: &'a CooccurStats,
         targets: &[bool],
         tau_min: f64,
         min_support: u32,
@@ -145,6 +156,7 @@ impl PruneIndex {
     ) -> Self {
         let schema = ds.schema();
         let n = schema.len();
+        debug_assert_eq!(stats.freq().tuple_count(), ds.tuple_count());
         let open: Vec<bool> = schema
             .attrs()
             .flat_map(|cond| schema.attrs().map(move |target| (cond, target)))
@@ -160,23 +172,22 @@ impl PruneIndex {
         let shards = holo_parallel::parallel_jobs(threads, n, |cond| {
             let open = &open[cond * n..(cond + 1) * n];
             let cond = AttrId(cond as u16);
-            let mut rows = FxHashMap::default();
+            let mut rows = vec![NO_ROW; stats.codes().len(cond)];
             let mut denom = Vec::new();
-            for (v, count) in stats.freq().iter_attr(cond) {
-                if !v.is_null() && count >= min_support {
-                    rows.insert(v, denom.len() as u32);
+            for (code, row) in rows.iter_mut().enumerate() {
+                let count = stats.code_count(cond, code as u32);
+                if count >= min_support {
+                    *row = denom.len() as u32;
                     denom.push(count);
                 }
             }
             let mut lists = vec![(0u32, 0u32); denom.len() * n];
             let mut entries: Vec<(Sym, u32)> = Vec::new();
-            stats.for_each_group_of(cond, |target, v_cond, group| {
-                if !open[target.index()] {
+            stats.for_each_group_of(cond, |target, code, group| {
+                let row = rows[code as usize];
+                if !open[target.index()] || row == NO_ROW {
                     return;
                 }
-                let Some(&row) = rows.get(&v_cond) else {
-                    return;
-                };
                 let d = f64::from(denom[row as usize]);
                 let start = entries.len();
                 group.for_each(|v, count| {
@@ -194,6 +205,7 @@ impl PruneIndex {
             }
         });
         PruneIndex {
+            stats,
             shards,
             open,
             targets: targets.to_vec(),
@@ -256,10 +268,12 @@ impl PruneIndex {
             if !self.open[cond.index() * n + target] {
                 continue;
             }
-            let v_cond = ds.cell(cell.tuple, cond);
-            let Some(&row) = shard.rows.get(&v_cond) else {
+            // A null cell's NULL_CODE is past every code: no row.
+            let code = self.stats.code_at(cond, cell.tuple);
+            let row = shard.rows.get(code as usize).map_or(NO_ROW, |&row| row);
+            if row == NO_ROW {
                 continue;
-            };
+            }
             let row = row as usize;
             let (start, len) = shard.lists[row * n + target];
             let d = f64::from(shard.denom[row]);

@@ -13,6 +13,7 @@
 //!   `attr`, in ≤ |A|·(|A| − 1) weights. Each starts at `occur_prior /
 //!   (|A| − 1)`, so untrained scores are `occur_prior` × the mean
 //!   conditional probability — what keeps tables without evidence repairable.
+//!   `P(d | v')` is read by value code ([`collect_occur_features`]).
 //! * **Minimality prior** — `Value?(t,a,d) :- InitValue(t,a,d) weight = w`:
 //!   a fixed positive weight on keeping the observed value.
 //! * **External data** — `Value?(t,a,d) :- Matched(t,a,d,k) weight = w(k)`:
@@ -86,7 +87,7 @@ use crate::config::HoloConfig;
 use holo_constraints::ast::TupleVar;
 use holo_constraints::scan::{build_shared, BlockIndex, PairScan, ScanPredicate};
 use holo_constraints::{ConstraintId, ConstraintSet};
-use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, Sym, TupleId};
+use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, Sym, TupleId, NULL_CODE};
 use holo_factor::{DesignBuilder, DesignMatrix, FeatureRegistry, WeightId};
 
 /// Structured feature keys; interning them yields the tied weights.
@@ -148,13 +149,15 @@ impl WeightSpec {
 /// Nothing here touches a registry: weights are named by [`WeightSpec`]
 /// and interned by the sink, spec by spec, which is what makes the queue
 /// order the interning order.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct FeatureBuffer {
     /// One spec per queued unit — a single feature, or a non-empty group
     /// of features sharing one weight — in queue order.
     specs: Vec<WeightSpec>,
     /// `(index into specs, candidate slot, feature value)`, in queue order.
     entries: Vec<(usize, usize, f64)>,
+    /// Scratch of [`collect_occur_features`]: the candidates' value codes.
+    codes: Vec<u32>,
 }
 
 impl FeatureBuffer {
@@ -234,6 +237,12 @@ impl FeatureSink {
 /// least `min_support` times, one group under `Occur { attr, A' }` holding
 /// `x = P(d | v') = #(d, v') / #v'` for every candidate `d` it is non-zero
 /// for. The weights start at `prior / (|A| − 1)` (module docs).
+///
+/// Everything is read by value code, on either statistics backend: `v'`
+/// from the coded column, `#v'` from the per-code counts, the group `A' =
+/// v' → attr` by code, and each candidate's count by its code, looked up
+/// once per cell into the buffer's scratch (an unseen candidate's
+/// [`NULL_CODE`] counts 0). Nothing is allocated per cell.
 pub fn collect_occur_features(
     buf: &mut FeatureBuffer,
     (ds, stats): (&Dataset, &CooccurStats),
@@ -243,30 +252,25 @@ pub fn collect_occur_features(
 ) {
     let attr = cell.attr;
     let init = prior / ds.schema().len().saturating_sub(1).max(1) as f64;
-    // Dense backend: each candidate's value code once per cell, then
-    // counts by code (an unseen candidate's sentinel `u32::MAX` counts 0);
-    // the naive backend has no codes and answers `cooccur_count`. Both
-    // divide the same integer counts, so the rows are bit-identical.
-    let codes: Option<Vec<u32>> = stats.codes().map(|codes| {
-        let code = |&d: &Sym| codes.code(attr, d).unwrap_or(u32::MAX);
-        candidates.iter().map(code).collect()
-    });
-    for cond_attr in ds.schema().attrs() {
-        let v_cond = ds.cell(cell.tuple, cond_attr);
-        let denom = stats.freq().count(cond_attr, v_cond);
-        if cond_attr == attr || v_cond.is_null() || denom < min_support.max(1) {
-            continue;
+    let mut codes = std::mem::take(&mut buf.codes);
+    codes.clear();
+    let code = |&d: &Sym| stats.codes().code(attr, d).unwrap_or(NULL_CODE);
+    codes.extend(candidates.iter().map(code));
+    for cond_attr in ds.schema().attrs().filter(|&a| a != attr) {
+        let v_cond = stats.code_at(cond_attr, cell.tuple);
+        let denom = stats.code_count(cond_attr, v_cond);
+        if denom < min_support.max(1) {
+            continue; // a null `v'` counts 0
         }
-        let view = stats.group(cond_attr, v_cond, attr);
-        let count = |k: usize, d: Sym| match &codes {
-            Some(codes) => view.map_or(0, |g| g.count_by_code(codes[k])),
-            None => stats.cooccur_count(cond_attr, v_cond, attr, d),
+        let Some(group) = stats.group_by_code(cond_attr, v_cond, attr) else {
+            continue; // every candidate would count 0
         };
-        let x = |(k, &d): (usize, &Sym)| (k, f64::from(count(k, d)) / f64::from(denom));
+        let x = |(k, &t): (usize, &u32)| (k, f64::from(group.count_by_code(t)) / f64::from(denom));
         let spec = WeightSpec::LearnableInit(FeatureKey::Occur { attr, cond_attr }, init);
-        let entries = candidates.iter().enumerate().map(x);
+        let entries = codes.iter().enumerate().map(x);
         buf.push_group(spec, entries.filter(|e| e.1 > 0.0));
     }
+    buf.codes = codes;
 }
 
 /// Queues the minimality prior: fires on the candidate equal to the
@@ -922,9 +926,10 @@ mod tests {
         assert!(reg.is_empty());
     }
 
-    /// The dense backend reads counts by value code, the naive one through
-    /// `conditional_prob`: the same entries, bit for bit, for every cell
-    /// of a table with nulls, at two supports.
+    /// Both backends read counts by value code: the same entries, bit for
+    /// bit, for every cell of a table with nulls, at two supports — and
+    /// the entries the `Sym`-keyed reads (`freq().count`, `cooccur_count`)
+    /// give.
     #[test]
     fn occur_rows_are_bit_identical_on_both_backends() {
         let mut ds = Dataset::new(Schema::new(vec!["A", "B", "C"]));
@@ -939,7 +944,9 @@ mod tests {
         let foreign = ds.intern("elsewhere");
         let dense = CooccurStats::build_with_opts(&ds, 1, false);
         let naive = CooccurStats::build_with_opts(&ds, 1, true);
-        assert!(dense.codes().is_some() && naive.codes().is_none());
+        for a in ds.schema().attrs() {
+            assert_eq!(dense.codes().syms(a), naive.codes().syms(a));
+        }
         let mut entries = 0;
         for cell in ds.tuples().flat_map(|t| {
             (0..3).map(move |a| CellRef {
@@ -968,6 +975,25 @@ mod tests {
                 };
                 let want = rows(&dense);
                 assert_eq!(want, rows(&naive), "{cell:?} support {support}");
+                // The same rows through the `Sym`-keyed reads.
+                let mut by_sym = Vec::new();
+                let conds = ds.schema().attrs().filter(|&a| a != cell.attr);
+                for cond_attr in conds {
+                    let v_cond = ds.cell(cell.tuple, cond_attr);
+                    let denom = naive.freq().count(cond_attr, v_cond);
+                    if v_cond.is_null() || denom < support {
+                        continue;
+                    }
+                    let unit = by_sym.last().map_or(0, |&(u, _, _)| u + 1);
+                    for (k, &d) in candidates.iter().enumerate() {
+                        let count = naive.cooccur_count(cond_attr, v_cond, cell.attr, d);
+                        if count > 0 {
+                            let x = f64::from(count) / f64::from(denom);
+                            by_sym.push((unit, k, x.to_bits()));
+                        }
+                    }
+                }
+                assert_eq!(want.1, by_sym, "{cell:?} support {support}");
                 entries += want.1.len();
             }
         }

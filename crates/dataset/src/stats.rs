@@ -11,33 +11,50 @@
 //!   the Algorithm 2 domain-pruning rule and of the co-occurrence features
 //!   (`HasFeature(t, a, f)` with `f = "A'=v'"`).
 //!
+//! # Value codes
+//!
+//! Every [`CooccurStats`] codes the table first, on either backend: each
+//! non-null value of each attribute gets a dense per-attribute *code* in
+//! first-appearance order, and the statistics keep the result
+//! ([`ValueCodes`]) — the `Sym ↔ code` registry, every tuple's value as its
+//! code ([`NULL_CODE`] for null) and each code's tuple count. The per-cell
+//! readers read by code and never hash a value:
+//! [`CooccurStats::code_at`] gives the code of `t[A']`,
+//! [`CooccurStats::code_count`] its `#v'`, [`CooccurStats::group_by_code`]
+//! the group `A' = v' → A`, and [`GroupView::count_by_code`] a candidate's
+//! count in it (a candidate's code is looked up once per cell).
+//!
 //! # Dense engine and the retained oracle
 //!
 //! [`CooccurStats`] stores its counts in one of two interchangeable
 //! backends:
 //!
-//! * **Dense** (the default): every non-null value of every attribute gets
-//!   a compact per-attribute *code* (a [`ValueCodes`] registry built
-//!   next to the frequency tables), and each ordered attribute pair owns a
-//!   count block — a dense `|V_cond| × |V_target|` row-major matrix when
-//!   the block fits under a size threshold, CSR-style sorted postings per
-//!   conditioning value above it. Queries index contiguous rows instead of
-//!   probing two hash levels, and the build kernel is hash-free: one
-//!   sequential pass interns codes and transposes the batch into coded
-//!   columns, then per-pair jobs either scatter into the matrix or
-//!   sort-and-run-length-encode packed `(code, code)` words.
+//! * **Dense** (the default): each ordered attribute pair owns a count
+//!   block — a dense `|V_cond| × |V_target|` row-major matrix when the
+//!   block fits under a size threshold, one flat CSR arena above it
+//!   (`offsets` per conditioning code into one `postings` vector of
+//!   `(target code, count)`, sorted by target code within a group).
+//!   Queries index contiguous rows instead of probing two hash levels, and
+//!   the build is hash-free and linear in the rows: one job per
+//!   conditioning attribute reads the coded columns and either scatters a
+//!   pair into its matrix or, for a CSR pair, gathers the target codes of
+//!   the rows grouped by conditioning code (a counting sort on the code,
+//!   done once per conditioning attribute from the per-code counts), sorts
+//!   each group and run-length encodes it.
 //! * **Naive** (the oracle): the original nested
 //!   `FxHashMap<u64, FxHashMap<Sym, u32>>` keyed by packed
 //!   `(cond, target, v_cond)` triples, selected by
 //!   `CooccurStats::build_with_opts(.., naive = true)` (surfaced as
-//!   `--naive-stats` on the bench binaries).
+//!   `--naive-stats` on the bench binaries). It differs only in how it
+//!   stores counts: codes are built and read the same way.
 //!
 //! Counts are integer accumulators, so the two backends answer **every**
-//! query identically — `count`, `prob`, `conditional_prob`, [`GroupView`]
-//! contents, `group_count` — over any table, values that no row holds any
-//! more included, at any thread count. That equivalence is proptested
-//! below (`dense_matches_naive_oracle`) and CI byte-diffs full pipeline
-//! dumps between the backends.
+//! query identically — `count`, `prob`, `conditional_prob`, the code-keyed
+//! reads, [`GroupView`] contents, `group_count` — over any table, values
+//! that no row holds any more included, at any thread count. That
+//! equivalence is proptested below (`dense_matches_naive_oracle` for the
+//! matrix arm, `csr_arm_matches_naive_oracle_randomized` for the CSR arm)
+//! and CI byte-diffs full pipeline dumps between the backends.
 //!
 //! A [`CooccurStats`] is **built, then read**: one pass over the rows of a
 //! frozen table, sharded per ordered attribute pair (each pair owns a
@@ -74,7 +91,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::fxhash::FxHashMap;
 use crate::schema::AttrId;
-use crate::table::Dataset;
+use crate::table::{Dataset, TupleId};
 use crate::value::Sym;
 
 /// Per-attribute value frequency tables.
@@ -153,35 +170,58 @@ fn key(cond_attr: AttrId, target_attr: AttrId, cond_sym: Sym) -> u64 {
 /// dense matrix (64Ki cells = 256KiB of `u32` counts per pair).
 const DENSE_MAX_CELLS: usize = 1 << 16;
 
-/// Code of a null cell in a transient coded column — never stored.
-const NULL_CODE: u32 = u32::MAX;
+/// The code of a null cell in the coded columns, and the code a reader
+/// gives a value the attribute has never held: it is out of range of
+/// every per-code table, so it counts 0 and names no group.
+pub const NULL_CODE: u32 = u32::MAX;
 
-/// Compact per-attribute `Sym → code` registry. Codes are dense
+/// The coded table: a per-attribute `Sym → code` registry, every tuple's
+/// value as its code, and each code's tuple count. Codes are dense
 /// (`0..len(attr)`), assigned in first-appearance order over the scanned
 /// rows.
 #[derive(Debug, Clone)]
 pub struct ValueCodes {
     code: Vec<FxHashMap<Sym, u32>>,
     syms: Vec<Vec<Sym>>,
+    /// `counts[a][code]`: tuples holding the value.
+    counts: Vec<Vec<u32>>,
+    /// `columns[a][tuple]`: the value's code, [`NULL_CODE`] for null.
+    columns: Vec<Vec<u32>>,
 }
 
 impl ValueCodes {
-    fn new(n_attrs: usize) -> Self {
-        ValueCodes {
-            code: vec![FxHashMap::default(); n_attrs],
-            syms: vec![Vec::new(); n_attrs],
+    /// Codes every column of the table. Interning scans column-major in
+    /// row order, so code assignment is deterministic and
+    /// thread-independent.
+    fn build(ds: &Dataset) -> Self {
+        let n = ds.schema().len();
+        let mut codes = ValueCodes {
+            code: vec![FxHashMap::default(); n],
+            syms: vec![Vec::new(); n],
+            counts: vec![Vec::new(); n],
+            columns: Vec::with_capacity(n),
+        };
+        for a in ds.schema().attrs() {
+            let (code, syms, counts) = (
+                &mut codes.code[a.index()],
+                &mut codes.syms[a.index()],
+                &mut codes.counts[a.index()],
+            );
+            let column = ds.column(a).iter().map(|&v| {
+                if v.is_null() {
+                    return NULL_CODE;
+                }
+                let c = *code.entry(v).or_insert_with(|| {
+                    syms.push(v);
+                    counts.push(0);
+                    syms.len() as u32 - 1
+                });
+                counts[c as usize] += 1;
+                c
+            });
+            codes.columns.push(column.collect());
         }
-    }
-
-    fn intern(&mut self, a: AttrId, v: Sym) -> u32 {
-        let table = &mut self.code[a.index()];
-        if let Some(&c) = table.get(&v) {
-            return c;
-        }
-        let c = self.syms[a.index()].len() as u32;
-        table.insert(v, c);
-        self.syms[a.index()].push(v);
-        c
+        codes
     }
 
     /// The code of `v` in attribute `a`, if the value has ever been seen.
@@ -199,6 +239,15 @@ impl ValueCodes {
     pub fn syms(&self, a: AttrId) -> &[Sym] {
         &self.syms[a.index()]
     }
+
+    /// Approximate bytes held: registry, per-code counts, coded columns.
+    fn bytes(&self) -> u64 {
+        let words = |v: &[Vec<u32>]| v.iter().map(|c| 4 * c.len() as u64).sum::<u64>();
+        let registry: u64 = (self.syms.iter().zip(&self.code))
+            .map(|(syms, code)| 4 * syms.len() as u64 + 12 * code.len() as u64)
+            .sum();
+        registry + words(&self.counts) + words(&self.columns)
+    }
 }
 
 /// Count storage for one ordered attribute pair in the dense backend.
@@ -212,13 +261,49 @@ enum PairBlock {
         counts: Vec<u32>,
         nonzero: Vec<u32>,
     },
-    /// One posting list per conditioning code, sorted by target code.
-    Csr { rows: Vec<Vec<(u32, u32)>> },
+    /// One flat arena of `(target_code, count)` postings, grouped by
+    /// conditioning code and sorted by target code within a group: group
+    /// `c` is `postings[offsets[c]..offsets[c + 1]]`, empty when `c` never
+    /// co-occurs with a non-null target.
+    Csr {
+        offsets: Vec<u32>,
+        postings: Vec<(u32, u32)>,
+    },
 }
 
 impl PairBlock {
     fn empty() -> Self {
-        PairBlock::Csr { rows: Vec::new() }
+        PairBlock::Csr {
+            offsets: Vec::new(),
+            postings: Vec::new(),
+        }
+    }
+
+    /// The group of conditioning code `c`, if non-empty; `syms` are the
+    /// target attribute's symbols.
+    #[inline]
+    fn group<'a>(&'a self, c: usize, syms: &'a [Sym]) -> Option<GroupView<'a>> {
+        match self {
+            PairBlock::Dense {
+                stride,
+                counts,
+                nonzero,
+            } => {
+                let nonzero = *nonzero.get(c)?;
+                (nonzero > 0).then(|| GroupView::Dense {
+                    syms,
+                    counts: &counts[c * stride..(c + 1) * stride],
+                    nonzero,
+                })
+            }
+            PairBlock::Csr { offsets, postings } => {
+                let (&start, &end) = (offsets.get(c)?, offsets.get(c + 1)?);
+                (start < end).then(|| GroupView::Csr {
+                    syms,
+                    postings: &postings[start as usize..end as usize],
+                })
+            }
+        }
     }
 
     /// Number of non-empty groups (conditioning values with at least one
@@ -226,19 +311,9 @@ impl PairBlock {
     fn group_rows(&self) -> usize {
         match self {
             PairBlock::Dense { nonzero, .. } => nonzero.iter().filter(|&&n| n > 0).count(),
-            PairBlock::Csr { rows } => rows.iter().filter(|r| !r.is_empty()).count(),
+            PairBlock::Csr { offsets, .. } => offsets.windows(2).filter(|w| w[0] < w[1]).count(),
         }
     }
-}
-
-/// The dense backend: a code registry plus one [`PairBlock`] per ordered
-/// attribute pair (row-major `n_attrs × n_attrs`, diagonal unused).
-#[derive(Debug, Clone)]
-struct DenseTables {
-    codes: ValueCodes,
-    blocks: Vec<PairBlock>,
-    n_attrs: usize,
-    groups: usize,
 }
 
 /// The ordered attribute pairs `(cond, target)`, `cond != target`, whose
@@ -256,104 +331,152 @@ fn ordered_pairs(ds: &Dataset, targets: &[bool]) -> Vec<(AttrId, AttrId)> {
     pairs
 }
 
-/// Codes every column of the table, interning any new values. Interning
-/// scans column-major in row order, so code assignment is deterministic
-/// and thread-independent.
-fn code_rows(ds: &Dataset, codes: &mut ValueCodes) -> Vec<Vec<u32>> {
-    let mut cols: Vec<Vec<u32>> = Vec::with_capacity(ds.schema().len());
-    for a in ds.schema().attrs() {
-        let col = ds.column(a);
-        let mut coded = Vec::with_capacity(col.len());
-        for &v in col {
-            coded.push(if v.is_null() {
-                NULL_CODE
+/// The dense arm of the build: scatter one pair's rows into its count
+/// matrix.
+fn build_dense(cond_col: &[u32], target_col: &[u32], vc: usize, vt: usize) -> PairBlock {
+    let mut counts = vec![0u32; vc * vt];
+    for (&c, &t) in cond_col.iter().zip(target_col) {
+        if c == NULL_CODE || t == NULL_CODE {
+            continue;
+        }
+        counts[c as usize * vt + t as usize] += 1;
+    }
+    let mut nonzero = vec![0u32; vc];
+    for (c, nz) in nonzero.iter_mut().enumerate() {
+        *nz = counts[c * vt..(c + 1) * vt]
+            .iter()
+            .filter(|&&x| x != 0)
+            .count() as u32;
+    }
+    PairBlock::Dense {
+        stride: vt,
+        counts,
+        nonzero,
+    }
+}
+
+/// The rows of one conditioning attribute grouped by value code, in row
+/// order within a group: group `c` is `rows[offsets[c]..offsets[c + 1]]`.
+/// A counting sort whose counts are the per-code counts, built once per
+/// conditioning attribute and shared by its CSR pairs.
+struct RowsByCode {
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl RowsByCode {
+    /// Groups the rows of a coded `column` whose code counts are `counts`.
+    fn new(column: &[u32], counts: &[u32]) -> Self {
+        let mut offsets = vec![0u32; counts.len() + 1];
+        for (c, &n) in counts.iter().enumerate() {
+            offsets[c + 1] = offsets[c] + n;
+        }
+        let mut next = offsets[..counts.len()].to_vec();
+        let mut rows = vec![0u32; offsets[counts.len()] as usize];
+        for (row, &c) in column.iter().enumerate() {
+            if c != NULL_CODE {
+                let slot = &mut next[c as usize];
+                rows[*slot as usize] = row as u32;
+                *slot += 1;
+            }
+        }
+        RowsByCode { offsets, rows }
+    }
+}
+
+/// The CSR arm of the build: per conditioning code, gather its rows'
+/// non-null target codes, sort them ([`sort_group`]) and run-length
+/// encode them into the postings — the postings, in the order, that a
+/// sort of packed `(cond, target)` words gives, in time linear in the rows
+/// but for the sorts of small groups.
+fn build_csr(by_code: &RowsByCode, target_col: &[u32], vt: usize) -> PairBlock {
+    let vc = by_code.offsets.len() - 1;
+    let mut offsets = vec![0u32; vc + 1];
+    let mut targets: Vec<u32> = Vec::with_capacity(by_code.rows.len());
+    let (mut distinct, mut histogram) = (0, Vec::new());
+    for c in 0..vc {
+        let start = targets.len();
+        let rows = &by_code.rows[by_code.offsets[c] as usize..by_code.offsets[c + 1] as usize];
+        let codes = rows.iter().map(|&row| target_col[row as usize]);
+        targets.extend(codes.filter(|&t| t != NULL_CODE));
+        let group = &mut targets[start..];
+        sort_group(group, vt, &mut histogram);
+        distinct += group.chunk_by(|a, b| a == b).count();
+        offsets[c + 1] = targets.len() as u32;
+    }
+    // Rewrite the offsets from target ranges to posting ranges in place: a
+    // group's target range ends where the next one's starts.
+    let mut postings: Vec<(u32, u32)> = Vec::with_capacity(distinct);
+    let mut start = 0;
+    for c in 0..vc {
+        let end = offsets[c + 1] as usize;
+        offsets[c] = postings.len() as u32;
+        for run in targets[start..end].chunk_by(|a, b| a == b) {
+            postings.push((run[0], run.len() as u32));
+        }
+        start = end;
+    }
+    offsets[vc] = postings.len() as u32;
+    PairBlock::Csr { offsets, postings }
+}
+
+/// Sorts one group of target codes (each `< vt`): a counting sort through
+/// `histogram` (scratch) when the group is large against the code range —
+/// linear where a comparison sort pays `log` of a group that can hold a
+/// large share of the rows — else `sort_unstable`.
+fn sort_group(group: &mut [u32], vt: usize, histogram: &mut Vec<u32>) {
+    if group.len() < 64 || group.len() * 8 < vt {
+        group.sort_unstable();
+        return;
+    }
+    histogram.clear();
+    histogram.resize(vt, 0);
+    for &t in group.iter() {
+        histogram[t as usize] += 1;
+    }
+    let mut at = 0;
+    for (t, &n) in histogram.iter().enumerate() {
+        group[at..at + n as usize].fill(t as u32);
+        at += n as usize;
+    }
+}
+
+/// The dense backend's blocks, one per ordered attribute pair (row-major
+/// `n_attrs × n_attrs`, diagonal and unheld targets empty): a matrix when
+/// `|V_cond| × |V_target|` fits under [`DENSE_MAX_CELLS`], CSR postings
+/// above it. Hash-free: every pair reads the coded columns only.
+fn build_blocks(
+    codes: &ValueCodes,
+    ds: &Dataset,
+    threads: usize,
+    targets: &[bool],
+) -> Vec<PairBlock> {
+    let n = ds.schema().len();
+    let held = targets.iter().filter(|&&t| t).count();
+    let threads = holo_parallel::sized_threads(threads, n * held * ds.tuple_count());
+    // One job per conditioning attribute, whose CSR pairs share one
+    // grouping of the rows. parallel_jobs, not parallel_map: each pair is
+    // a full column scan, so even a 4-attribute schema is worth spreading
+    // across cores once the row count is large enough (sized_threads
+    // supplies the small-input sequential fallback).
+    let per_cond = holo_parallel::parallel_jobs(threads, n, |cond| {
+        let (cond_col, vc) = (&codes.columns[cond], codes.syms[cond].len());
+        let mut by_code = None;
+        let pairs = (0..n).map(|target| {
+            let (target_col, vt) = (&codes.columns[target], codes.syms[target].len());
+            if target == cond || !targets[target] {
+                PairBlock::empty()
+            } else if vc * vt <= DENSE_MAX_CELLS {
+                build_dense(cond_col, target_col, vc, vt)
             } else {
-                codes.intern(a, v)
-            });
-        }
-        cols.push(coded);
-    }
-    cols
-}
-
-/// Hash-free full-build kernel for one pair: scatter into a dense matrix
-/// when it fits, otherwise sort-and-RLE packed code words into postings.
-fn build_block(cond_col: &[u32], target_col: &[u32], vc: usize, vt: usize) -> PairBlock {
-    if vc * vt <= DENSE_MAX_CELLS {
-        let mut counts = vec![0u32; vc * vt];
-        for (&c, &t) in cond_col.iter().zip(target_col) {
-            if c == NULL_CODE || t == NULL_CODE {
-                continue;
+                let by_code =
+                    by_code.get_or_insert_with(|| RowsByCode::new(cond_col, &codes.counts[cond]));
+                build_csr(by_code, target_col, vt)
             }
-            counts[c as usize * vt + t as usize] += 1;
-        }
-        let mut nonzero = vec![0u32; vc];
-        for (c, nz) in nonzero.iter_mut().enumerate() {
-            *nz = counts[c * vt..(c + 1) * vt]
-                .iter()
-                .filter(|&&x| x != 0)
-                .count() as u32;
-        }
-        PairBlock::Dense {
-            stride: vt,
-            counts,
-            nonzero,
-        }
-    } else {
-        let mut packed: Vec<u64> = Vec::with_capacity(cond_col.len());
-        for (&c, &t) in cond_col.iter().zip(target_col) {
-            if c == NULL_CODE || t == NULL_CODE {
-                continue;
-            }
-            packed.push(((c as u64) << 32) | t as u64);
-        }
-        packed.sort_unstable();
-        let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); vc];
-        for run in packed.chunk_by(|a, b| a == b) {
-            rows[(run[0] >> 32) as usize].push((run[0] as u32, run.len() as u32));
-        }
-        PairBlock::Csr { rows }
-    }
-}
-
-impl DenseTables {
-    fn build(ds: &Dataset, threads: usize, targets: &[bool]) -> Self {
-        let n = ds.schema().len();
-        let mut codes = ValueCodes::new(n);
-        let coded = code_rows(ds, &mut codes);
-        let pairs = ordered_pairs(ds, targets);
-        let threads = holo_parallel::sized_threads(threads, pairs.len() * ds.tuple_count());
-        // parallel_jobs, not parallel_map: each "item" is a full column
-        // scan, so even the 12 pairs of a 4-attribute schema are worth
-        // spreading across cores once the row count is large enough
-        // (sized_threads supplies the small-input sequential fallback).
-        let built = holo_parallel::parallel_jobs(threads, pairs.len(), |i| {
-            let (cond, target) = pairs[i];
-            build_block(
-                &coded[cond.index()],
-                &coded[target.index()],
-                codes.len(cond),
-                codes.len(target),
-            )
         });
-        let mut blocks = vec![PairBlock::empty(); n * n];
-        let mut groups = 0;
-        for (&(cond, target), block) in pairs.iter().zip(built) {
-            groups += block.group_rows();
-            blocks[cond.index() * n + target.index()] = block;
-        }
-        DenseTables {
-            codes,
-            blocks,
-            n_attrs: n,
-            groups,
-        }
-    }
-
-    #[inline]
-    fn block(&self, cond: AttrId, target: AttrId) -> &PairBlock {
-        &self.blocks[cond.index() * self.n_attrs + target.index()]
-    }
+        pairs.collect::<Vec<_>>()
+    });
+    per_cond.into_iter().flatten().collect()
 }
 
 /// One co-occurrence group: every value of `target` co-occurring with a
@@ -362,8 +485,12 @@ impl DenseTables {
 /// depend on it; every caller either re-sorts or folds order-insensitively.
 #[derive(Debug, Clone, Copy)]
 pub enum GroupView<'a> {
-    /// Naive backend: the group's hash table.
-    Map(&'a FxHashMap<Sym, u32>),
+    /// Naive backend: the group's hash table, with the target attribute's
+    /// symbols by code (what [`GroupView::count_by_code`] reads through).
+    Map {
+        syms: &'a [Sym],
+        counts: &'a FxHashMap<Sym, u32>,
+    },
     /// Dense backend, matrix block: one contiguous count row, indexed by
     /// target code (`syms[code]` recovers the symbol). `nonzero` is the
     /// row's nonzero-entry count, letting iteration stop as
@@ -385,8 +512,8 @@ impl GroupView<'_> {
     #[inline]
     pub fn for_each(&self, mut f: impl FnMut(Sym, u32)) {
         match *self {
-            GroupView::Map(m) => {
-                for (&s, &c) in m {
+            GroupView::Map { counts, .. } => {
+                for (&s, &c) in counts {
                     f(s, c);
                 }
             }
@@ -426,14 +553,17 @@ impl GroupView<'_> {
         }
     }
 
-    /// Count for the target value with code `t` — the dense-backend fast
-    /// path (callers pre-resolve candidate codes once via
-    /// [`CooccurStats::codes`]). Returns 0 on the naive backend, which has
-    /// no codes; probe `Map` groups by symbol instead.
+    /// Count for the target value with code `t` (look candidate codes up
+    /// once via [`CooccurStats::codes`]); [`NULL_CODE`] — a value the
+    /// target attribute never held — counts 0.
     #[inline]
     pub fn count_by_code(&self, t: u32) -> u32 {
         match *self {
-            GroupView::Map(_) => 0,
+            GroupView::Map { syms, counts } => syms
+                .get(t as usize)
+                .and_then(|s| counts.get(s))
+                .copied()
+                .unwrap_or(0),
             GroupView::Dense { counts, .. } => counts.get(t as usize).copied().unwrap_or(0),
             GroupView::Csr { postings, .. } => postings
                 .binary_search_by_key(&t, |&(tc, _)| tc)
@@ -524,8 +654,8 @@ fn uncertainty_coefficient(rows: &mut [(Sym, Vec<(Sym, u32)>)]) -> f64 {
 /// Size gauges of the statistics engine, surfaced through `StageTimings`
 /// into `diag` / `diag --json`. `dense_pairs`, `csr_pairs`, `dense_cells`
 /// and `bytes` describe the dense backend's storage (all zero under the
-/// naive oracle); `bytes` is the count-payload plus code-registry
-/// estimate, not allocator-exact.
+/// naive oracle); `bytes` is the count-payload plus coded-table estimate,
+/// not allocator-exact.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct StatsStats {
     /// Ordered attribute pairs built, on either backend: target
@@ -537,7 +667,9 @@ pub struct StatsStats {
     pub csr_pairs: u64,
     /// Total cells across all dense matrices (zeros included).
     pub dense_cells: u64,
-    /// Approximate bytes of count storage + code registry.
+    /// Approximate bytes of count storage (matrices, CSR offsets and
+    /// postings) + the coded table (registry, per-code counts, coded
+    /// columns).
     pub bytes: u64,
     /// 1 once the lazy correlation view has been computed, else 0.
     pub corr_recomputes: u64,
@@ -550,7 +682,12 @@ enum Backend {
     Naive {
         table: FxHashMap<u64, FxHashMap<Sym, u32>>,
     },
-    Dense(DenseTables),
+    /// One [`PairBlock`] per ordered attribute pair (row-major `n_attrs ×
+    /// n_attrs`, diagonal unused) and the number of non-empty groups.
+    Dense {
+        blocks: Vec<PairBlock>,
+        groups: usize,
+    },
 }
 
 /// Pairwise co-occurrence statistics.
@@ -558,9 +695,10 @@ enum Backend {
 /// For every ordered attribute pair `(A', A)` and every non-null value `v'`
 /// of `A'`, stores the multiset of values of `A` that co-occur with `v'` in
 /// the same tuple. Construction is a single `O(|D| · |A|²)` pass. See the
-/// module docs for the dense/naive backend split.
+/// module docs for the value codes and the dense/naive backend split.
 #[derive(Debug, Clone)]
 pub struct CooccurStats {
+    codes: ValueCodes,
     backend: Backend,
     freq: FrequencyStats,
     /// `targets[a]`: whether the pairs `(·, a)` were built. Reading a pair
@@ -601,14 +739,18 @@ impl CooccurStats {
     pub fn build_for_targets(ds: &Dataset, threads: usize, naive: bool, targets: &[bool]) -> Self {
         assert_eq!(targets.len(), ds.schema().len(), "one flag per attribute");
         let freq = FrequencyStats::build(ds);
+        let codes = ValueCodes::build(ds);
         let backend = if naive {
             Backend::Naive {
                 table: build_naive_table(ds, threads, targets),
             }
         } else {
-            Backend::Dense(DenseTables::build(ds, threads, targets))
+            let blocks = build_blocks(&codes, ds, threads, targets);
+            let groups = blocks.iter().map(PairBlock::group_rows).sum();
+            Backend::Dense { blocks, groups }
         };
         CooccurStats {
+            codes,
             backend,
             freq,
             targets: targets.to_vec(),
@@ -619,25 +761,36 @@ impl CooccurStats {
     /// Whether the pairs with target attribute `target` were built. Every
     /// keyed read ([`CooccurStats::cooccur_count`],
     /// [`CooccurStats::conditional_prob`], [`CooccurStats::group`],
-    /// [`CorrelationView::correlation`]) `debug_assert!`s it, and the
-    /// whole-statistics walks visit held targets only.
+    /// [`CooccurStats::group_by_code`], [`CorrelationView::correlation`])
+    /// `debug_assert!`s it, and the whole-statistics walks visit held
+    /// targets only.
     pub fn holds_target(&self, target: AttrId) -> bool {
         self.targets[target.index()]
     }
 
     /// Whether the dense backend is active (false = naive oracle).
     pub fn is_dense(&self) -> bool {
-        matches!(self.backend, Backend::Dense(_))
+        matches!(self.backend, Backend::Dense { .. })
     }
 
-    /// The dense backend's value-code registry, `None` under the naive
-    /// oracle. Hot readers use it to pre-resolve candidate codes once and
-    /// then probe [`GroupView::count_by_code`].
-    pub fn codes(&self) -> Option<&ValueCodes> {
-        match &self.backend {
-            Backend::Dense(dt) => Some(&dt.codes),
-            Backend::Naive { .. } => None,
-        }
+    /// The value-code registry. Hot readers use it to look candidate codes
+    /// up once and then probe [`GroupView::count_by_code`].
+    pub fn codes(&self) -> &ValueCodes {
+        &self.codes
+    }
+
+    /// The code of `t[attr]`, [`NULL_CODE`] for a null cell.
+    #[inline]
+    pub fn code_at(&self, attr: AttrId, tuple: TupleId) -> u32 {
+        self.codes.columns[attr.index()][tuple.index()]
+    }
+
+    /// How many tuples hold the value with code `code` in `attr` — the
+    /// `#v'` of `Pr[v | v']`; 0 for [`NULL_CODE`].
+    #[inline]
+    pub fn code_count(&self, attr: AttrId, code: u32) -> u32 {
+        let counts = &self.codes.counts[attr.index()];
+        counts.get(code as usize).copied().unwrap_or(0)
     }
 
     /// The frequency statistics computed alongside.
@@ -648,33 +801,11 @@ impl CooccurStats {
     /// `#(v@target, v'@cond)` — tuples where both values appear together.
     pub fn cooccur_count(&self, cond: AttrId, v_cond: Sym, target: AttrId, v: Sym) -> u32 {
         debug_assert!(self.holds_target(target), "pairs of {target:?} not built");
-        match &self.backend {
-            Backend::Naive { table } => table
-                .get(&key(cond, target, v_cond))
-                .and_then(|m| m.get(&v))
-                .copied()
-                .unwrap_or(0),
-            Backend::Dense(dt) => {
-                let (Some(c), Some(t)) = (dt.codes.code(cond, v_cond), dt.codes.code(target, v))
-                else {
-                    return 0;
-                };
-                match dt.block(cond, target) {
-                    PairBlock::Dense { stride, counts, .. } => counts
-                        .get(c as usize * *stride + t as usize)
-                        .copied()
-                        .unwrap_or(0),
-                    PairBlock::Csr { rows } => rows
-                        .get(c as usize)
-                        .and_then(|row| {
-                            row.binary_search_by_key(&t, |&(tc, _)| tc)
-                                .ok()
-                                .map(|i| row[i].1)
-                        })
-                        .unwrap_or(0),
-                }
-            }
-        }
+        let Some(t) = self.codes.code(target, v) else {
+            return 0;
+        };
+        self.group(cond, v_cond, target)
+            .map_or(0, |g| g.count_by_code(t))
     }
 
     /// The Algorithm 2 conditional probability
@@ -692,34 +823,24 @@ impl CooccurStats {
     /// non-null `target` value.
     pub fn group(&self, cond: AttrId, v_cond: Sym, target: AttrId) -> Option<GroupView<'_>> {
         debug_assert!(self.holds_target(target), "pairs of {target:?} not built");
+        self.group_by_code(cond, self.codes.code(cond, v_cond)?, target)
+    }
+
+    /// [`CooccurStats::group`] of the conditioning value with code `code`
+    /// (`None` for [`NULL_CODE`]).
+    #[inline]
+    pub fn group_by_code(&self, cond: AttrId, code: u32, target: AttrId) -> Option<GroupView<'_>> {
+        debug_assert!(self.holds_target(target), "pairs of {target:?} not built");
+        let syms = self.codes.syms(target);
         match &self.backend {
-            Backend::Naive { table } => table.get(&key(cond, target, v_cond)).map(GroupView::Map),
-            Backend::Dense(dt) => {
-                let c = dt.codes.code(cond, v_cond)? as usize;
-                let syms = dt.codes.syms(target);
-                match dt.block(cond, target) {
-                    PairBlock::Dense {
-                        stride,
-                        counts,
-                        nonzero,
-                    } => {
-                        if c >= nonzero.len() || nonzero[c] == 0 {
-                            return None;
-                        }
-                        Some(GroupView::Dense {
-                            syms,
-                            counts: &counts[c * stride..(c + 1) * stride],
-                            nonzero: nonzero[c],
-                        })
-                    }
-                    PairBlock::Csr { rows } => {
-                        let postings = rows.get(c)?;
-                        if postings.is_empty() {
-                            return None;
-                        }
-                        Some(GroupView::Csr { syms, postings })
-                    }
-                }
+            Backend::Naive { table } => {
+                let v_cond = *self.codes.syms(cond).get(code as usize)?;
+                let counts = table.get(&key(cond, target, v_cond))?;
+                Some(GroupView::Map { syms, counts })
+            }
+            Backend::Dense { blocks, .. } => {
+                let n = self.targets.len();
+                blocks[cond.index() * n + target.index()].group(code as usize, syms)
             }
         }
     }
@@ -728,7 +849,7 @@ impl CooccurStats {
     pub fn group_count(&self) -> usize {
         match &self.backend {
             Backend::Naive { table } => table.len(),
-            Backend::Dense(dt) => dt.groups,
+            Backend::Dense { groups, .. } => *groups,
         }
     }
 
@@ -738,68 +859,36 @@ impl CooccurStats {
         self.corr.get_or_init(|| self.compute_correlations())
     }
 
-    /// Calls `f(target, v_cond, group)` once for every non-empty group
-    /// conditioned on attribute `cond` — the block-level walk that
-    /// whole-statistics consumers (the Algorithm 2 threshold index, the
-    /// correlation view) use instead of probing [`CooccurStats::group`] per
-    /// value. Visit order is backend-dependent (hash order vs target-major
-    /// code order); callers must fold order-insensitively.
-    pub fn for_each_group_of(&self, cond: AttrId, mut f: impl FnMut(AttrId, Sym, GroupView<'_>)) {
-        match &self.backend {
-            Backend::Naive { table } => {
-                for (&k, m) in table {
-                    if (k >> 48) as u16 == cond.0 {
-                        let target = AttrId((k >> 32) as u16);
-                        f(target, Sym(k as u32), GroupView::Map(m));
-                    }
-                }
+    /// Calls `f(target, code, group)` once for every non-empty group
+    /// conditioned on attribute `cond` — `code` is the conditioning
+    /// value's — the block-level walk that whole-statistics consumers (the
+    /// Algorithm 2 threshold index, the correlation view) use instead of
+    /// probing [`CooccurStats::group`] per value. Groups are visited
+    /// target-major in code order; entry order inside a group follows the
+    /// backend, so callers must fold it order-insensitively.
+    pub fn for_each_group_of(&self, cond: AttrId, mut f: impl FnMut(AttrId, u32, GroupView<'_>)) {
+        let n = self.targets.len();
+        for target in (0..n).map(|t| AttrId(t as u16)) {
+            if target == cond || !self.holds_target(target) {
+                continue;
             }
-            Backend::Dense(dt) => {
-                let csyms = dt.codes.syms(cond);
-                for target in (0..dt.n_attrs).map(|t| AttrId(t as u16)) {
-                    if target == cond || !self.holds_target(target) {
-                        continue;
-                    }
-                    let syms = dt.codes.syms(target);
-                    match dt.block(cond, target) {
-                        PairBlock::Dense {
-                            stride,
-                            counts,
-                            nonzero,
-                        } => {
-                            for (c, &nz) in nonzero.iter().enumerate() {
-                                if nz > 0 {
-                                    let counts = &counts[c * stride..(c + 1) * stride];
-                                    let group = GroupView::Dense {
-                                        syms,
-                                        counts,
-                                        nonzero: nz,
-                                    };
-                                    f(target, csyms[c], group);
-                                }
-                            }
-                        }
-                        PairBlock::Csr { rows } => {
-                            for (c, postings) in rows.iter().enumerate() {
-                                if !postings.is_empty() {
-                                    f(target, csyms[c], GroupView::Csr { syms, postings });
-                                }
-                            }
-                        }
-                    }
+            for code in 0..self.codes.len(cond) as u32 {
+                if let Some(group) = self.group_by_code(cond, code, target) {
+                    f(target, code, group);
                 }
             }
         }
     }
 
     fn compute_correlations(&self) -> CorrelationView {
-        let n = self.freq.counts.len();
+        let n = self.targets.len();
         let mut per_pair: Vec<PairRows> = vec![Vec::new(); n * n];
         for cond in 0..n {
-            self.for_each_group_of(AttrId(cond as u16), |target, v_cond, group| {
+            let csyms = self.codes.syms(AttrId(cond as u16));
+            self.for_each_group_of(AttrId(cond as u16), |target, code, group| {
                 let mut entries = Vec::new();
                 group.for_each(|s, c| entries.push((s, c)));
-                per_pair[cond * n + target.index()].push((v_cond, entries));
+                per_pair[cond * n + target.index()].push((csyms[code as usize], entries));
             });
         }
         let mut corr = vec![0.0; n * n];
@@ -825,14 +914,14 @@ impl CooccurStats {
         };
         let held = self.targets.iter().filter(|&&t| t).count();
         s.pairs = (held * self.targets.len().saturating_sub(1)) as u64;
-        if let Backend::Dense(dt) = &self.backend {
-            let n = dt.n_attrs;
+        if let Backend::Dense { blocks, .. } = &self.backend {
+            let n = self.targets.len();
             for cond in 0..n {
                 for target in 0..n {
                     if cond == target || !self.targets[target] {
                         continue;
                     }
-                    match &dt.blocks[cond * n + target] {
+                    match &blocks[cond * n + target] {
                         PairBlock::Dense {
                             counts, nonzero, ..
                         } => {
@@ -840,16 +929,14 @@ impl CooccurStats {
                             s.dense_cells += counts.len() as u64;
                             s.bytes += 4 * (counts.len() + nonzero.len()) as u64;
                         }
-                        PairBlock::Csr { rows } => {
+                        PairBlock::Csr { offsets, postings } => {
                             s.csr_pairs += 1;
-                            s.bytes += rows.iter().map(|r| 8 * r.len() as u64).sum::<u64>();
+                            s.bytes += 4 * offsets.len() as u64 + 8 * postings.len() as u64;
                         }
                     }
                 }
             }
-            for a in 0..n {
-                s.bytes += 4 * dt.codes.syms[a].len() as u64 + 12 * dt.codes.code[a].len() as u64;
-            }
+            s.bytes += self.codes.bytes();
         }
         s
     }
@@ -1155,7 +1242,7 @@ mod tests {
             let mut walked = 0;
             for cond in ds.schema().attrs() {
                 assert_eq!(held.freq().distinct(cond), full.freq().distinct(cond));
-                held.for_each_group_of(cond, |target, v_cond, group| {
+                held.for_each_group_of(cond, |target, code, group| {
                     assert!(held.holds_target(target));
                     let entries = |g: GroupView<'_>| {
                         let mut out = Vec::new();
@@ -1164,7 +1251,7 @@ mod tests {
                         out
                     };
                     let same = full
-                        .group(cond, v_cond, target)
+                        .group_by_code(cond, code, target)
                         .expect("the full build's group");
                     assert_eq!(entries(group), entries(same));
                     walked += 1;
@@ -1205,20 +1292,82 @@ mod tests {
         held.group(AttrId(0), chicago, AttrId(1));
     }
 
+    /// The entries of a group, in symbol order.
+    fn sorted_entries(group: GroupView<'_>) -> Vec<(Sym, u32)> {
+        let mut out = Vec::new();
+        group.for_each(|v, c| out.push((v, c)));
+        out.sort_unstable();
+        out
+    }
+
+    /// The code-keyed reads of `stats` answer what its `Sym`-keyed ones
+    /// do: `code_at` names each cell's value, `code_count` is
+    /// `freq().count`, `group_by_code` is `group` and a group's
+    /// `count_by_code` is `cooccur_count`, with `NULL_CODE` reading 0 and
+    /// no group.
+    fn assert_code_reads_agree(ds: &Dataset, stats: &CooccurStats) {
+        let codes = stats.codes();
+        for a in ds.schema().attrs() {
+            for t in ds.tuples() {
+                let (v, code) = (ds.cell(t, a), stats.code_at(a, t));
+                if v.is_null() {
+                    assert_eq!(code, NULL_CODE);
+                } else {
+                    assert_eq!(codes.syms(a)[code as usize], v);
+                }
+            }
+            for (code, &v) in codes.syms(a).iter().enumerate() {
+                assert_eq!(codes.code(a, v), Some(code as u32));
+                assert_eq!(stats.code_count(a, code as u32), stats.freq().count(a, v));
+            }
+            assert_eq!(stats.code_count(a, NULL_CODE), 0);
+        }
+        for cond in ds.schema().attrs() {
+            for target in ds.schema().attrs() {
+                if cond == target || !stats.holds_target(target) {
+                    continue;
+                }
+                assert!(stats.group_by_code(cond, NULL_CODE, target).is_none());
+                for (code, &v_cond) in codes.syms(cond).iter().enumerate() {
+                    let by_code = stats.group_by_code(cond, code as u32, target);
+                    let by_sym = stats.group(cond, v_cond, target);
+                    assert_eq!(by_code.map(sorted_entries), by_sym.map(sorted_entries));
+                    let Some(group) = by_code else {
+                        continue;
+                    };
+                    assert_eq!(group.count_by_code(NULL_CODE), 0);
+                    for (t, &v) in codes.syms(target).iter().enumerate() {
+                        assert_eq!(
+                            group.count_by_code(t as u32),
+                            stats.cooccur_count(cond, v_cond, target, v)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Asserts the two engines answer every query identically on the
-    /// current dataset.
+    /// current dataset, over the target attributes they hold.
     fn assert_backends_agree(ds: &Dataset, dense: &CooccurStats, naive: &CooccurStats) {
         assert!(dense.is_dense() && !naive.is_dense());
         assert_eq!(dense.freq().tuple_count(), naive.freq().tuple_count());
         assert_eq!(dense.group_count(), naive.group_count());
+        for a in ds.schema().attrs() {
+            assert_eq!(dense.codes().syms(a), naive.codes().syms(a));
+        }
+        assert_code_reads_agree(ds, dense);
+        assert_code_reads_agree(ds, naive);
         for cond in ds.schema().attrs() {
             for target in ds.schema().attrs() {
-                if cond == target {
+                if cond == target || !dense.holds_target(target) {
+                    assert_eq!(naive.holds_target(target), dense.holds_target(target));
                     continue;
                 }
                 let cv = dense.correlations().correlation(cond, target);
                 let nv = naive.correlations().correlation(cond, target);
                 assert_eq!(cv.to_bits(), nv.to_bits(), "correlation differs");
+                let target_domain = ds.active_domain(target);
                 for v_cond in ds.active_domain(cond) {
                     assert_eq!(
                         dense.freq().count(cond, v_cond),
@@ -1232,15 +1381,13 @@ mod tests {
                     let ng = naive.group(cond, v_cond, target);
                     assert_eq!(dg.is_some(), ng.is_some(), "group presence differs");
                     if let (Some(dg), Some(ng)) = (dg, ng) {
-                        let mut dv: Vec<(Sym, u32)> = Vec::new();
-                        let mut nv: Vec<(Sym, u32)> = Vec::new();
-                        dg.for_each(|s, c| dv.push((s, c)));
-                        ng.for_each(|s, c| nv.push((s, c)));
-                        dv.sort_unstable();
-                        nv.sort_unstable();
-                        assert_eq!(dv, nv, "group contents differ");
+                        assert_eq!(
+                            sorted_entries(dg),
+                            sorted_entries(ng),
+                            "group contents differ"
+                        );
                     }
-                    for v in ds.active_domain(target) {
+                    for &v in &target_domain {
                         assert_eq!(
                             dense.cooccur_count(cond, v_cond, target, v),
                             naive.cooccur_count(cond, v_cond, target, v)
@@ -1252,6 +1399,41 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The packed-key CSR build the counting sort replaced: every
+    /// non-null `(cond, target)` code pair as one `u64`, sorted, and
+    /// run-length encoded into one posting list per conditioning code.
+    fn packed_sort_postings(cond: &[u32], target: &[u32], vc: usize) -> Vec<Vec<(u32, u32)>> {
+        let mut packed: Vec<u64> = (cond.iter().zip(target))
+            .filter(|&(&c, &t)| c != NULL_CODE && t != NULL_CODE)
+            .map(|(&c, &t)| (u64::from(c) << 32) | u64::from(t))
+            .collect();
+        packed.sort_unstable();
+        let mut rows = vec![Vec::new(); vc];
+        for run in packed.chunk_by(|a, b| a == b) {
+            rows[(run[0] >> 32) as usize].push((run[0] as u32, run.len() as u32));
+        }
+        rows
+    }
+
+    /// `build_csr` over the coded columns gives `want`'s postings, group
+    /// by group, in one arena.
+    fn assert_csr_is(cond: &[u32], target: &[u32], vc: usize, vt: usize, want: &[Vec<(u32, u32)>]) {
+        let mut counts = vec![0; vc];
+        for &c in cond.iter().filter(|&&c| c != NULL_CODE) {
+            counts[c as usize] += 1;
+        }
+        let by_code = RowsByCode::new(cond, &counts);
+        let PairBlock::Csr { offsets, postings } = build_csr(&by_code, target, vt) else {
+            unreachable!("build_csr builds CSR");
+        };
+        assert_eq!(offsets.len(), vc + 1);
+        assert_eq!(offsets[vc] as usize, postings.len());
+        for (c, want) in want.iter().enumerate() {
+            let got = &postings[offsets[c] as usize..offsets[c + 1] as usize];
+            assert_eq!(got, want.as_slice(), "group {c}");
         }
     }
 
@@ -1307,6 +1489,22 @@ mod tests {
             }
         }
 
+        /// The flat CSR build ≡ the packed-key sort on raw code columns,
+        /// nulls included, at group sizes on both sides of `sort_group`'s
+        /// switch to counting (few conditioning codes → groups of hundreds
+        /// of rows over a small target range).
+        #[test]
+        fn csr_build_matches_packed_sort(
+            rows in proptest::collection::vec((0u32..6, 0u32..120, 0u8..10), 0..800),
+            vc in 1usize..6,
+            vt in 1usize..120,
+        ) {
+            let code = |x: u32, range: usize, null: bool| if null { NULL_CODE } else { x % range as u32 };
+            let cond: Vec<u32> = rows.iter().map(|&(c, _, n)| code(c, vc, n == 0)).collect();
+            let target: Vec<u32> = rows.iter().map(|&(_, t, n)| code(t, vt, n == 1)).collect();
+            assert_csr_is(&cond, &target, vc, vt, &packed_sort_postings(&cond, &target, vc));
+        }
+
         /// Conditional probabilities over a fixed conditioning value sum to
         /// ≤ 1 for each target attribute (== 1 when no nulls involved).
         #[test]
@@ -1348,6 +1546,61 @@ mod tests {
                         s.cooccur_count(AttrId(1), vy, AttrId(0), vx)
                     );
                 }
+            }
+        }
+    }
+
+    proptest! {
+        // Each case builds 700-row tables at two thread counts and compares
+        // every code pair of the 600 × 230 blocks.
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The CSR arm ≡ the oracle, and ≡ the packed-key sort it replaced:
+        /// random tables whose `a ↔ b` pairs exceed the matrix budget
+        /// (600 values of `a` × ~230 of `b`), with null targets, repeated
+        /// pairs, conditioning values whose every row has a null target
+        /// (empty groups in the arena, both directions), a random
+        /// restricted target set, at threads {1, 4}.
+        #[test]
+        fn csr_arm_matches_naive_oracle_randomized(
+            picks in proptest::collection::vec((0u16..290, 0u8..8), 600..700),
+            repeats in 10usize..60,
+            empty_every in 5usize..20,
+            lonely in 1usize..6,
+            mask in 1u8..8,
+        ) {
+            let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c"]));
+            let row = |i: usize| {
+                let (b, flag) = picks[i];
+                let a = i % 600;
+                let b = if flag == 0 || a.is_multiple_of(empty_every) {
+                    String::new()
+                } else {
+                    format!("b{b}")
+                };
+                [format!("a{a}"), b, format!("c{}", flag % 3)]
+            };
+            for i in (0..picks.len()).chain(0..repeats) {
+                ds.push_row(&row(i));
+            }
+            // `b` values seen only beside a null `a`.
+            for j in 0..lonely {
+                ds.push_row(&[String::new(), format!("lonely{j}"), "c0".to_string()]);
+            }
+            let targets = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
+            for threads in [1usize, 4] {
+                let dense = CooccurStats::build_for_targets(&ds, threads, false, &targets);
+                let naive = CooccurStats::build_for_targets(&ds, threads, true, &targets);
+                let csr = usize::from(targets[0]) + usize::from(targets[1]);
+                prop_assert_eq!(dense.stats_stats().csr_pairs, csr as u64, "a→b, b→a");
+                assert_backends_agree(&ds, &dense, &naive);
+            }
+            let codes = ValueCodes::build(&ds);
+            for (cond, target) in [(AttrId(0), AttrId(1)), (AttrId(1), AttrId(0))] {
+                let (cc, tc) = (&codes.columns[cond.index()], &codes.columns[target.index()]);
+                let want = packed_sort_postings(cc, tc, codes.len(cond));
+                prop_assert!(want.iter().any(Vec::is_empty), "an empty group");
+                assert_csr_is(cc, tc, codes.len(cond), codes.len(target), &want);
             }
         }
     }
