@@ -57,9 +57,11 @@
 //! and CI byte-diffs full pipeline dumps between the backends.
 //!
 //! A [`CooccurStats`] is **built, then read**: one pass over the rows of a
-//! frozen table, sharded per ordered attribute pair (each pair owns a
-//! disjoint slice of the key space or block table, so per-pair results
-//! merge without collisions), and no mutator afterwards. A table that
+//! frozen table, and no mutator afterwards. The dense backend runs one job
+//! per conditioning attribute, whose CSR pairs share one grouping of the
+//! rows by conditioning code; the naive oracle shards per ordered attribute
+//! pair (each pair owns a disjoint slice of the key space, so per-pair
+//! results merge without collisions). A table that
 //! changed gets new statistics — a streaming session builds them at its
 //! next read, through the same call as the one-shot pipeline.
 //!
@@ -387,8 +389,7 @@ impl RowsByCode {
 /// The CSR arm of the build: per conditioning code, gather its rows'
 /// non-null target codes, sort them ([`sort_group`]) and run-length
 /// encode them into the postings — the postings, in the order, that a
-/// sort of packed `(cond, target)` words gives, in time linear in the rows
-/// but for the sorts of small groups.
+/// sort of packed `(cond, target)` words gives.
 fn build_csr(by_code: &RowsByCode, target_col: &[u32], vt: usize) -> PairBlock {
     let vc = by_code.offsets.len() - 1;
     let mut offsets = vec![0u32; vc + 1];
@@ -420,12 +421,16 @@ fn build_csr(by_code: &RowsByCode, target_col: &[u32], vt: usize) -> PairBlock {
     PairBlock::Csr { offsets, postings }
 }
 
-/// Sorts one group of target codes (each `< vt`): a counting sort through
-/// `histogram` (scratch) when the group is large against the code range —
-/// linear where a comparison sort pays `log` of a group that can hold a
-/// large share of the rows — else `sort_unstable`.
+/// Sorts one group of target codes (each `< vt`). A counting sort through
+/// `histogram` (scratch) costs `O(len + vt)`, so it takes every group at
+/// least as long as the code range and is linear in it; a shorter group,
+/// where clearing the histogram would cost more than the group, takes
+/// `sort_unstable`. Long groups come with scale: over the CSR pairs of
+/// the food table at 18 k rows they are 0.03 % of the groups and 4 % of
+/// the rows, of physicians at 2 M rows 15 % and 57 %, and there the
+/// comparison sort made the CSR build about 1.5× slower.
 fn sort_group(group: &mut [u32], vt: usize, histogram: &mut Vec<u32>) {
-    if group.len() < 64 || group.len() * 8 < vt {
+    if group.len() < vt {
         group.sort_unstable();
         return;
     }
@@ -1402,7 +1407,7 @@ mod tests {
         }
     }
 
-    /// The packed-key CSR build the counting sort replaced: every
+    /// The packed-key CSR build the flat arena replaced: every
     /// non-null `(cond, target)` code pair as one `u64`, sorted, and
     /// run-length encoded into one posting list per conditioning code.
     fn packed_sort_postings(cond: &[u32], target: &[u32], vc: usize) -> Vec<Vec<(u32, u32)>> {
@@ -1490,9 +1495,9 @@ mod tests {
         }
 
         /// The flat CSR build ≡ the packed-key sort on raw code columns,
-        /// nulls included, at group sizes on both sides of `sort_group`'s
-        /// switch to counting (few conditioning codes → groups of hundreds
-        /// of rows over a small target range).
+        /// nulls included, with groups on both sides of `sort_group`'s
+        /// switch to counting (groups of up to hundreds of rows against
+        /// up to 120 target codes).
         #[test]
         fn csr_build_matches_packed_sort(
             rows in proptest::collection::vec((0u32..6, 0u32..120, 0u8..10), 0..800),
