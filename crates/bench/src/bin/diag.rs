@@ -385,6 +385,7 @@ fn print_json(
     partition.field_u64("gibbs_components", p.gibbs_components);
     partition.field_u64("gibbs_vars", p.gibbs_vars);
     partition.field_u64("clique_entries", p.clique_entries);
+    partition.field_u64("clique_entries_compact", p.clique_entries_compact);
     partition.field_u64("clique_entries_folded", p.clique_entries_folded);
     partition.field_u64("colors", p.colors);
     partition.field_u64("color_sweep_blocks", p.color_sweep_blocks);
@@ -665,7 +666,7 @@ fn main() {
     );
     println!(
         "  routing: {} closed-form ({} vars), {} exact ({} vars), {} Gibbs ({} vars); \
-         {} clique-kernel entr(ies), {} folded",
+         {} clique-kernel entr(ies) ({} fixed-width), {} folded",
         p.closed_form_components,
         p.closed_form_vars,
         p.exact_components,
@@ -673,6 +674,7 @@ fn main() {
         p.gibbs_components,
         p.gibbs_vars,
         p.clique_entries,
+        p.clique_entries_compact,
         p.clique_entries_folded
     );
     if p.colors > 0 {

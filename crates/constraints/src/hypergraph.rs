@@ -7,10 +7,15 @@
 //! connected components, and lets each component define a group of tuples.
 //! DC factors are then grounded only for tuple pairs inside the same group,
 //! bounding grounding by `Σ_g |g|²` instead of `|Σ||D|²`.
+//!
+//! The groups need only the violations' tuple pairs: [`tuple_group_ids`]
+//! computes them from the violation slice as dense per-constraint tables,
+//! and [`ConflictHypergraph::tuple_groups`] lists those tables. The
+//! hypergraph's cell index serves the Holistic baseline.
 
 use crate::ast::ConstraintId;
 use crate::violations::Violation;
-use holo_dataset::{CellRef, FxHashMap, FxHashSet, TupleId};
+use holo_dataset::{CellRef, FxHashMap, TupleId};
 
 /// Union-find over dense indices with path halving and union by size.
 #[derive(Debug, Clone)]
@@ -107,40 +112,77 @@ impl ConflictHypergraph {
     }
 
     /// Algorithm 3: per-constraint connected components of `H_σ`, returned
-    /// as `(σ, tuples in the component)` groups. Components are derived by
-    /// union-find over the tuples linked by σ's hyperedges.
+    /// as `(σ, tuples in the component)` groups — constraints ascending,
+    /// groups by smallest member, members ascending. The groups are
+    /// [`tuple_group_ids`]'s, listed.
     pub fn tuple_groups(&self, tuple_count: usize) -> TupleGroups {
-        // Group violations by constraint.
-        let mut by_constraint: FxHashMap<ConstraintId, Vec<&Violation>> = FxHashMap::default();
-        for v in &self.violations {
-            by_constraint.entry(v.constraint).or_default().push(v);
-        }
+        let constraints = self.violations.iter().map(|v| v.constraint + 1).max();
+        let tables = tuple_group_ids(&self.violations, constraints.unwrap_or(0), tuple_count);
         let mut groups = Vec::new();
-        let mut constraint_ids: Vec<ConstraintId> = by_constraint.keys().copied().collect();
-        constraint_ids.sort_unstable();
-        for sigma in constraint_ids {
-            let vs = &by_constraint[&sigma];
-            let mut uf = UnionFind::new(tuple_count);
-            let mut involved: FxHashSet<TupleId> = FxHashSet::default();
-            for v in vs {
-                involved.insert(v.t1);
-                involved.insert(v.t2);
-                uf.union(v.t1.index(), v.t2.index());
+        for (sigma, ids) in tables.into_iter().enumerate() {
+            // Ids are numbered by smallest member, so a tuple scan meets
+            // each group's id first in id order.
+            let mut members: Vec<Vec<TupleId>> = Vec::new();
+            for (t, &id) in ids.iter().enumerate() {
+                if id == NO_GROUP {
+                    continue;
+                }
+                if id as usize == members.len() {
+                    members.push(Vec::new());
+                }
+                members[id as usize].push(TupleId(t as u32));
             }
-            let mut components: FxHashMap<usize, Vec<TupleId>> = FxHashMap::default();
-            let mut involved: Vec<TupleId> = involved.into_iter().collect();
-            involved.sort_unstable();
-            for t in involved {
-                components.entry(uf.find(t.index())).or_default().push(t);
-            }
-            let mut comps: Vec<Vec<TupleId>> = components.into_values().collect();
-            comps.sort_by_key(|c| c[0]);
-            for tuples in comps {
-                groups.push((sigma, tuples));
-            }
+            groups.extend(members.into_iter().map(|tuples| (sigma, tuples)));
         }
         TupleGroups { groups }
     }
+}
+
+/// The group id [`tuple_group_ids`] gives a tuple no violation of the
+/// constraint names.
+pub const NO_GROUP: u32 = u32::MAX;
+
+/// Algorithm 3 straight from the violation list: for each constraint
+/// `σ < constraints`, one group id per tuple — the connected component of
+/// `H_σ` the tuple lies in, numbered from 0 by smallest member, or
+/// [`NO_GROUP`] when no violation of σ names the tuple. One union-find per
+/// constraint over the violations' `(t1, t2)`: the list is read in place,
+/// with no copy and no cell index.
+pub fn tuple_group_ids(
+    violations: &[Violation],
+    constraints: usize,
+    tuple_count: usize,
+) -> Vec<Vec<u32>> {
+    // Marks a tuple some violation names, before its group is numbered.
+    const NAMED: u32 = NO_GROUP - 1;
+    let mut finds: Vec<Option<UnionFind>> = (0..constraints).map(|_| None).collect();
+    let mut ids = vec![vec![NO_GROUP; tuple_count]; constraints];
+    for v in violations {
+        let uf = finds[v.constraint].get_or_insert_with(|| UnionFind::new(tuple_count));
+        uf.union(v.t1.index(), v.t2.index());
+        let table = &mut ids[v.constraint];
+        table[v.t1.index()] = NAMED;
+        table[v.t2.index()] = NAMED;
+    }
+    for (table, uf) in ids.iter_mut().zip(finds) {
+        let Some(mut uf) = uf else { continue };
+        // Ascending tuples meet each component at its smallest member
+        // first. The root is itself a named member, so its slot holds the
+        // component's id from then on.
+        let mut next = 0;
+        for t in 0..tuple_count {
+            if table[t] == NO_GROUP {
+                continue;
+            }
+            let root = uf.find(t);
+            if table[root] == NAMED {
+                table[root] = next;
+                next += 1;
+            }
+            table[t] = table[root];
+        }
+    }
+    ids
 }
 
 /// The output of Algorithm 3: groups of tuples per constraint.
@@ -275,6 +317,38 @@ mod tests {
         assert_eq!(h.noisy_cells().count(), 0);
     }
 
+    /// The hash-map union-find `tuple_groups` ran before it read
+    /// [`tuple_group_ids`], kept as its reference.
+    fn reference_tuple_groups(violations: &[Violation], tuple_count: usize) -> TupleGroups {
+        use holo_dataset::FxHashSet;
+        let mut by_constraint: FxHashMap<ConstraintId, Vec<&Violation>> = FxHashMap::default();
+        for v in violations {
+            by_constraint.entry(v.constraint).or_default().push(v);
+        }
+        let mut groups = Vec::new();
+        let mut constraint_ids: Vec<ConstraintId> = by_constraint.keys().copied().collect();
+        constraint_ids.sort_unstable();
+        for sigma in constraint_ids {
+            let mut uf = UnionFind::new(tuple_count);
+            let mut involved: FxHashSet<TupleId> = FxHashSet::default();
+            for v in &by_constraint[&sigma] {
+                involved.insert(v.t1);
+                involved.insert(v.t2);
+                uf.union(v.t1.index(), v.t2.index());
+            }
+            let mut components: FxHashMap<usize, Vec<TupleId>> = FxHashMap::default();
+            let mut involved: Vec<TupleId> = involved.into_iter().collect();
+            involved.sort_unstable();
+            for t in involved {
+                components.entry(uf.find(t.index())).or_default().push(t);
+            }
+            let mut comps: Vec<Vec<TupleId>> = components.into_values().collect();
+            comps.sort_by_key(|c| c[0]);
+            groups.extend(comps.into_iter().map(|tuples| (sigma, tuples)));
+        }
+        TupleGroups { groups }
+    }
+
     proptest! {
         /// Union-find: union is idempotent, find is stable, all members of
         /// a chain end up connected.
@@ -286,6 +360,44 @@ mod tests {
             }
             for i in 0..n {
                 prop_assert!(uf.connected(0, i));
+            }
+        }
+
+        /// The direct Algorithm 3 groups are the reference's: over random
+        /// violation lists — empty, single-tuple (`t1 == t2`), repeated
+        /// and unordered pairs, up to 12 constraints some of which have no
+        /// violation — `tuple_groups` lists the same groups in the same
+        /// order, and each dense table numbers a constraint's groups in
+        /// that order, every other tuple [`NO_GROUP`].
+        #[test]
+        fn direct_groups_equal_the_reference(
+            pairs in proptest::collection::vec((0usize..12, 0u32..40, 0u32..40), 0..80),
+            spare in 0usize..3,
+        ) {
+            let tuple_count = 40;
+            let violations: Vec<Violation> = pairs
+                .iter()
+                .map(|&(constraint, t1, t2)| Violation {
+                    constraint,
+                    t1: TupleId(t1),
+                    t2: TupleId(t2),
+                    cells: std::iter::empty().collect(),
+                })
+                .collect();
+            let reference = reference_tuple_groups(&violations, tuple_count);
+            let h = ConflictHypergraph::build(violations.clone());
+            prop_assert_eq!(&h.tuple_groups(tuple_count).groups, &reference.groups);
+            let constraints = pairs.iter().map(|p| p.0 + 1).max().unwrap_or(0) + spare;
+            let tables = tuple_group_ids(&violations, constraints, tuple_count);
+            prop_assert_eq!(tables.len(), constraints);
+            for (sigma, table) in tables.iter().enumerate() {
+                let mut want = vec![NO_GROUP; tuple_count];
+                for (id, group) in reference.for_constraint(sigma).enumerate() {
+                    for t in group {
+                        want[t.index()] = id as u32;
+                    }
+                }
+                prop_assert_eq!(table, &want, "constraint {}", sigma);
             }
         }
 

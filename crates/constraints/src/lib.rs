@@ -51,7 +51,7 @@ pub mod similarity;
 pub mod violations;
 
 pub use ast::{ConstraintId, ConstraintSet, DenialConstraint, Op, Operand, Predicate, TupleVar};
-pub use hypergraph::{ConflictHypergraph, TupleGroups};
+pub use hypergraph::{tuple_group_ids, ConflictHypergraph, TupleGroups, NO_GROUP};
 pub use parser::{parse_constraint, parse_constraints, ParseError};
 pub use violations::{
     find_noisy_cells_with_threads, find_violations, find_violations_with_threads, noisy_cells,

@@ -20,8 +20,9 @@
 //!    [`crate::features`]);
 //! 4. in the factor variants, grounds denial constraints into clique
 //!    factors (Algorithm 1), optionally restricted to the Algorithm 3
-//!    tuple groups — pair discovery and clique construction both shard
-//!    across threads with ordered merges.
+//!    tuple groups: only pairs that can hold a query variable, in blocks of
+//!    probe tuples that stop at the clique cap, each block discovering and
+//!    building its pairs across threads with an ordered merge.
 
 use crate::config::HoloConfig;
 use crate::domain::{CellDomains, PruneGate, PruneIndex};
@@ -33,7 +34,7 @@ use crate::features::{
 use crate::trainable::{attrs_of, trainable_attrs};
 use holo_constraints::ast::{Op, Operand, TupleVar};
 use holo_constraints::scan::PairScan;
-use holo_constraints::{ConflictHypergraph, ConstraintSet, Violation};
+use holo_constraints::{tuple_group_ids, ConstraintSet, Violation, NO_GROUP};
 use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Sym, TupleId};
 use holo_factor::{
     CliqueFactor, CmpOp, DesignMatrix, FactorGraph, FactorOperand, FactorPredicate,
@@ -68,7 +69,9 @@ pub struct CompileStats {
     pub factors: usize,
     /// Grounded DC clique factors.
     pub cliques: usize,
-    /// Tuple pairs considered during DC-factor grounding.
+    /// Query-bearing tuple pairs DC-factor grounding visited — a pair
+    /// whose cells hold no query variable is never formed — up to each
+    /// constraint's clique cap.
     pub dc_pairs_considered: usize,
     /// Constraints whose clique cap was hit.
     pub clique_cap_hits: usize,
@@ -83,7 +86,7 @@ pub struct CompileStats {
     /// build` (the τ-index), `noisy prune` (its Algorithm 2 read for the
     /// noisy cells), `evidence prune` (evidence selection and its read),
     /// `variables`, `featurizer setup` (DC/source featurizers, Algorithm 3
-    /// components), `featurize` (the parallel pass into per-chunk sinks),
+    /// groups), `featurize` (the parallel pass into per-chunk sinks),
     /// `assemble` (their ordered merge into registry + design matrix),
     /// `ground` (Algorithm 1; DC-factor variants only). Together they
     /// cover the call but for wiring the graph's clique lists and the
@@ -133,7 +136,7 @@ pub struct CompileInput<'a> {
     /// The noisy-cell set `D_n` from error detection.
     pub noisy: &'a FxHashSet<CellRef>,
     /// The detected violations. Read only by the variants that partition
-    /// (Algorithm 3 builds its conflict hypergraph from them); any other
+    /// (Algorithm 3 unions their tuple pairs into groups); any other
     /// variant ignores the slice, and `pipeline::compile_model` passes it
     /// empty.
     pub violations: &'a [Violation],
@@ -296,12 +299,12 @@ fn compile_with(
     let query_vars: Vec<VarId> = (0..cstats.query_vars as u32).map(VarId).collect();
 
     // ---- 3. featurization ----
-    let (components, signals) = timed(&mut phases, "featurizer setup", || {
-        let components = config
+    let (groups, signals) = timed(&mut phases, "featurizer setup", || {
+        let groups = config
             .variant
             .uses_partitioning()
-            .then(|| build_components(constraints, violations, ds.tuple_count()));
-        Signals::new(input).map(|signals| (components, signals))
+            .then(|| tuple_group_ids(violations, constraints.len(), ds.tuple_count()));
+        Signals::new(input).map(|signals| (groups, signals))
     })?;
     let sinks = timed(&mut phases, "featurize", || {
         signals.featurize(threads, &var_cells, &vars)
@@ -329,7 +332,7 @@ fn compile_with(
                 &domains,
                 &cell_vars,
                 config,
-                components.as_deref(),
+                groups.as_deref(),
                 &mut cstats,
                 MAX_CLIQUES_PER_CONSTRAINT,
             )
@@ -520,26 +523,6 @@ fn assemble(sinks: Vec<FeatureSink>) -> (FeatureRegistry<FeatureKey>, DesignMatr
     merged.finish()
 }
 
-/// Per-constraint tuple→component maps from the Algorithm 3 groups.
-fn build_components(
-    constraints: &ConstraintSet,
-    violations: &[Violation],
-    tuple_count: usize,
-) -> Vec<FxHashMap<TupleId, u32>> {
-    let hypergraph = ConflictHypergraph::build(violations.to_vec());
-    let groups = hypergraph.tuple_groups(tuple_count);
-    let mut maps: Vec<FxHashMap<TupleId, u32>> = vec![FxHashMap::default(); constraints.len()];
-    let mut next_id: Vec<u32> = vec![0; constraints.len()];
-    for (sigma, tuples) in &groups.groups {
-        let id = next_id[*sigma];
-        next_id[*sigma] += 1;
-        for &t in tuples {
-            maps[*sigma].insert(t, id);
-        }
-    }
-    maps
-}
-
 fn op_to_cmp(op: Op) -> CmpOp {
     match op {
         Op::Eq => CmpOp::Eq,
@@ -578,24 +561,44 @@ pub(crate) const DC_FACTOR_WEIGHT: f64 = 4.0;
 /// outright once the cap is reached.
 const MAX_CLIQUES_PER_CONSTRAINT: usize = 500_000;
 
-/// Tuple pairs per parallel clique-construction block: large enough that a
-/// block amortises the fan-out, small enough that a binding clique cap
-/// doesn't build far past its stopping point.
-const GROUND_BLOCK_PAIRS: usize = 4096;
+/// Probe tuples per grounding block: large enough that a block amortises
+/// the fan-out, small enough that a binding clique cap doesn't discover
+/// and build far past its stopping point.
+const GROUND_BLOCK_TUPLES: usize = 256;
+
+/// The tuples whose `(t, block attribute)` domain holds one value, within
+/// one Algorithm 3 group, ascending.
+#[derive(Default)]
+struct Bucket {
+    /// Every such tuple.
+    all: Vec<TupleId>,
+    /// Those with a query cell among the constraint's t2 attributes.
+    queried: Vec<TupleId>,
+}
 
 /// Grounds denial constraints into clique factors over the query variables
-/// (Algorithm 1), in constraint order. A single-tuple constraint grounds
-/// one clique per tuple with a query cell in it. A two-tuple constraint
-/// discovers its pairs by blocking on the first cross-tuple equality
-/// predicate *over candidate domains* — a pair is grounded iff some
-/// candidate assignment can satisfy the equality join at all — and stops
-/// after `clique_cap` cliques.
+/// (Algorithm 1), in constraint order. A factor with no query variable is
+/// a constant, so only what can hold one is grounded: a single-tuple
+/// constraint grounds one clique per tuple with a query cell among its
+/// attributes, and a two-tuple constraint only its *query-bearing* pairs —
+/// `t1` holds a query cell among the constraint's t1 attributes or `t2`
+/// among its t2 attributes. A two-tuple constraint discovers its pairs by
+/// blocking on the first cross-tuple equality predicate *over candidate
+/// domains* (a pair is grounded iff some candidate assignment can satisfy
+/// every equality join). Its buckets are keyed by (group, value): under
+/// partitioning `groups` holds the dense per-constraint Algorithm 3 group
+/// tables of [`tuple_group_ids`], so a pair never leaves its group and a
+/// tuple in no group never probes; without it every tuple is in group 0. A
+/// probe without a query cell on its side scans only the bucket members
+/// with one on theirs — a subsequence in the same order.
 ///
-/// Every phase is data-parallel with an ordered merge: single-tuple
-/// cliques and pair discovery shard the tuples (per-tuple results
-/// concatenate in tuple order), and pair cliques shard the pair list in
-/// fixed blocks (cliques append in pair order) — so the grounded cliques
-/// are identical at every thread count.
+/// Probe tuples go in fixed blocks of [`GROUND_BLOCK_TUPLES`]: a block
+/// discovers its pairs and builds their cliques data-parallel, and the
+/// cliques append in (probe, candidate, partner) order, so they are
+/// identical at every thread count. A constraint stops in the block where
+/// it reaches `clique_cap` cliques — the pairs past the cap are never
+/// discovered — and `dc_pairs_considered` counts the query-bearing pairs
+/// it visited up to there.
 #[allow(clippy::too_many_arguments)]
 fn ground_dc_factors(
     registry: &mut FeatureRegistry<FeatureKey>,
@@ -604,18 +607,38 @@ fn ground_dc_factors(
     domains: &CellDomains,
     cell_vars: &FxHashMap<CellRef, VarId>,
     config: &HoloConfig,
-    components: Option<&[FxHashMap<TupleId, u32>]>,
+    groups: Option<&[Vec<u32>]>,
     cstats: &mut CompileStats,
     clique_cap: usize,
 ) -> Vec<CliqueFactor> {
     let threads = config.effective_threads();
     let weight = registry.fixed(FeatureKey::DcFactor, DC_FACTOR_WEIGHT);
-    let tuples: Vec<TupleId> = ds.tuples().collect();
+    let n = ds.tuple_count();
+    // Per attribute, whether each tuple's cell is a query variable; an
+    // attribute with none keeps an empty column.
+    let mut query_at: Vec<Vec<bool>> = vec![Vec::new(); ds.schema().len()];
+    for cell in cell_vars.keys() {
+        let column = &mut query_at[cell.attr.index()];
+        column.resize(n, false);
+        column[cell.tuple.index()] = true;
+    }
+    // Whether each tuple holds a query cell in any of `attrs`.
+    let query_mask = |attrs: &[AttrId]| {
+        let mut mask = vec![false; n];
+        for a in attrs {
+            for (m, &q) in mask.iter_mut().zip(&query_at[a.index()]) {
+                *m |= q;
+            }
+        }
+        mask
+    };
     let mut cliques = Vec::new();
     for (sigma, c) in constraints.iter() {
         if !c.two_tuple {
             // The pair builder with both roles on one tuple and no join.
-            let built = holo_parallel::parallel_map(threads, &tuples, |_, &t| {
+            let held = query_mask(&c.attrs());
+            let probes: Vec<TupleId> = ds.tuples().filter(|t| held[t.index()]).collect();
+            let built = holo_parallel::parallel_map(threads, &probes, |_, &t| {
                 build_clique(ds, c, t, t, domains, cell_vars, weight, &[])
             });
             cliques.extend(built.into_iter().flatten());
@@ -634,78 +657,82 @@ fn ground_dc_factors(
         }
         let symmetric = c.is_symmetric();
         let (block_a1, block_a2) = eq_pairs[0];
+        let (attrs1, attrs2) = c.attrs_by_tuple();
+        let (q1, q2) = (query_mask(&attrs1), query_mask(&attrs2));
+        let table = groups.map(|g| g[sigma].as_slice());
+        let group_of = |t: TupleId| table.map_or(0, |g| g[t.index()]);
 
-        // value → tuples whose (t, block_a2) domain contains it.
-        let mut buckets: FxHashMap<Sym, Vec<TupleId>> = FxHashMap::default();
+        let mut buckets: FxHashMap<(u32, Sym), Bucket> = FxHashMap::default();
+        let mut probes = Vec::new();
         let mut singleton = [Sym::NULL];
         for t in ds.tuples() {
+            let group = group_of(t);
+            if group == NO_GROUP {
+                continue;
+            }
+            probes.push(t);
             let cell = CellRef {
                 tuple: t,
                 attr: block_a2,
             };
             for &v in dom_of(ds, domains, cell, &mut singleton) {
                 if !v.is_null() {
-                    buckets.entry(v).or_default().push(t);
+                    let bucket = buckets.entry((group, v)).or_default();
+                    bucket.all.push(t);
+                    if q2[t.index()] {
+                        bucket.queried.push(t);
+                    }
                 }
             }
         }
 
-        let component = components.map(|m| &m[sigma]);
-
-        // Phase 1 — pair discovery. Each probe tuple's candidate/bucket
-        // scan is pure (a pair is keyed by its probe tuple, so dedup is
-        // local to t1); shard probe tuples and concatenate the per-tuple
-        // pair lists in tuple order, replaying the sequential discovery
-        // order exactly.
-        let pairs: Vec<(TupleId, TupleId)> =
-            holo_parallel::parallel_flat_map(threads, &tuples, |_, &t1| {
-                let t1_comp = component.and_then(|m| m.get(&t1).copied());
-                if component.is_some() && t1_comp.is_none() {
-                    return Vec::new();
-                }
+        // The cliques of one block of probe tuples, in pair order. A pair
+        // is keyed by its probe tuple, so dedup is local to `t1`, and only
+        // a probe with two or more candidates can meet a partner twice.
+        let ground_block = |block: &[TupleId]| -> Vec<Option<CliqueFactor>> {
+            let mut seen: FxHashSet<TupleId> = FxHashSet::default();
+            let mut built = Vec::new();
+            let mut singleton1 = [Sym::NULL];
+            for &t1 in block {
                 let cell1 = CellRef {
                     tuple: t1,
                     attr: block_a1,
                 };
-                let mut singleton1 = [Sym::NULL];
-                let mut seen: FxHashSet<TupleId> = FxHashSet::default();
-                let mut found = Vec::new();
-                for &v in dom_of(ds, domains, cell1, &mut singleton1) {
+                let candidates = dom_of(ds, domains, cell1, &mut singleton1);
+                let dedup = candidates.len() > 1;
+                seen.clear();
+                for &v in candidates {
                     if v.is_null() {
                         continue;
                     }
-                    let Some(bucket) = buckets.get(&v) else {
+                    let Some(bucket) = buckets.get(&(group_of(t1), v)) else {
                         continue;
                     };
-                    for &t2 in bucket {
-                        if t1 == t2 || (symmetric && t1 >= t2) {
+                    let mut partners = match q1[t1.index()] {
+                        true => &bucket.all[..],
+                        false => &bucket.queried[..],
+                    };
+                    if symmetric {
+                        // Each unordered pair once, from its smaller tuple.
+                        partners = &partners[partners.partition_point(|&t2| t2 <= t1)..];
+                    }
+                    for &t2 in partners {
+                        if t1 == t2 || (dedup && !seen.insert(t2)) {
                             continue;
                         }
-                        if let (Some(tc), Some(m)) = (t1_comp, component) {
-                            if m.get(&t2) != Some(&tc) {
-                                continue;
-                            }
-                        }
-                        if seen.insert(t2) {
-                            found.push((t1, t2));
-                        }
+                        built.push(build_clique(
+                            ds, c, t1, t2, domains, cell_vars, weight, &eq_pairs,
+                        ));
                     }
                 }
-                found
-            });
+            }
+            built
+        };
 
-        // Phase 2 — clique construction (the expensive part of Algorithm
-        // 1) in parallel over fixed pair blocks; results append in pair
-        // order. The per-constraint cap is applied during the ordered
-        // append and stops the constraint outright once hit. (The
-        // pre-refactor loop only skipped to the next probe tuple on a cap
-        // hit, leaking roughly one clique per remaining tuple past the
-        // "cap" — the hard stop is the documented intent.)
         let mut cliques_here = 0usize;
-        'blocks: for block in pairs.chunks(GROUND_BLOCK_PAIRS) {
-            let built = holo_parallel::parallel_map(threads, block, |_, &(t1, t2)| {
-                build_clique(ds, c, t1, t2, domains, cell_vars, weight, &eq_pairs)
-            });
+        'blocks: for block in probes.chunks(GROUND_BLOCK_TUPLES) {
+            let built =
+                holo_parallel::parallel_chunks(threads, block, |_, chunk| ground_block(chunk));
             for clique in built {
                 cstats.dc_pairs_considered += 1;
                 let Some(clique) = clique else { continue };
@@ -724,8 +751,9 @@ fn ground_dc_factors(
 
 /// Materialises the clique for one tuple pair — a single-tuple constraint
 /// passes its tuple as both and no `eq_pairs` — or `None` when no query
-/// variable participates (the factor would be constant) or the equality
-/// join is domain-infeasible. A query cell becomes a clique slot, any
+/// variable participates (no cell the constraint reads on either tuple is
+/// one: the factor would be constant) or the equality join is
+/// domain-infeasible. A query cell becomes a clique slot, any
 /// other cell the constant it holds.
 #[allow(clippy::too_many_arguments)]
 fn build_clique(
@@ -915,6 +943,237 @@ mod tests {
         for (capped, full) in cliques.iter().zip(model.graph.cliques()) {
             assert_eq!(capped.vars, full.vars);
             assert_eq!(capped.predicates, full.predicates);
+        }
+    }
+
+    /// The discover-everything-then-build grounding the blocked one
+    /// replaced, kept as its reference: every pair the (value) buckets
+    /// offer is discovered, the Algorithm 3 check is a hash-map lookup per
+    /// partner, and pair blocks are built and appended until the cap.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_ground(
+        registry: &mut FeatureRegistry<FeatureKey>,
+        ds: &Dataset,
+        constraints: &ConstraintSet,
+        domains: &CellDomains,
+        cell_vars: &FxHashMap<CellRef, VarId>,
+        config: &HoloConfig,
+        components: Option<&[FxHashMap<TupleId, u32>]>,
+        cstats: &mut CompileStats,
+        clique_cap: usize,
+    ) -> Vec<CliqueFactor> {
+        let threads = config.effective_threads();
+        let weight = registry.fixed(FeatureKey::DcFactor, DC_FACTOR_WEIGHT);
+        let tuples: Vec<TupleId> = ds.tuples().collect();
+        let mut cliques = Vec::new();
+        for (sigma, c) in constraints.iter() {
+            if !c.two_tuple {
+                let built = holo_parallel::parallel_map(threads, &tuples, |_, &t| {
+                    build_clique(ds, c, t, t, domains, cell_vars, weight, &[])
+                });
+                cliques.extend(built.into_iter().flatten());
+                continue;
+            }
+            let scan = PairScan::new(c, TupleVar::T1);
+            let eq_pairs: Vec<(AttrId, AttrId)> =
+                std::iter::zip(scan.probe_key, scan.partner_key).collect();
+            if eq_pairs.is_empty() {
+                cstats.dc_skipped_no_join_key += 1;
+                continue;
+            }
+            let symmetric = c.is_symmetric();
+            let (block_a1, block_a2) = eq_pairs[0];
+            let mut buckets: FxHashMap<Sym, Vec<TupleId>> = FxHashMap::default();
+            let mut singleton = [Sym::NULL];
+            for t in ds.tuples() {
+                let cell = CellRef::new(t.index(), block_a2.index());
+                for &v in dom_of(ds, domains, cell, &mut singleton) {
+                    if !v.is_null() {
+                        buckets.entry(v).or_default().push(t);
+                    }
+                }
+            }
+            let component = components.map(|m| &m[sigma]);
+            let pairs: Vec<(TupleId, TupleId)> =
+                holo_parallel::parallel_flat_map(threads, &tuples, |_, &t1| {
+                    let t1_comp = component.and_then(|m| m.get(&t1).copied());
+                    if component.is_some() && t1_comp.is_none() {
+                        return Vec::new();
+                    }
+                    let cell1 = CellRef::new(t1.index(), block_a1.index());
+                    let mut singleton1 = [Sym::NULL];
+                    let mut seen: FxHashSet<TupleId> = FxHashSet::default();
+                    let mut found = Vec::new();
+                    for &v in dom_of(ds, domains, cell1, &mut singleton1) {
+                        let Some(bucket) = buckets.get(&v).filter(|_| !v.is_null()) else {
+                            continue;
+                        };
+                        for &t2 in bucket {
+                            if t1 == t2 || (symmetric && t1 >= t2) {
+                                continue;
+                            }
+                            if let (Some(tc), Some(m)) = (t1_comp, component) {
+                                if m.get(&t2) != Some(&tc) {
+                                    continue;
+                                }
+                            }
+                            if seen.insert(t2) {
+                                found.push((t1, t2));
+                            }
+                        }
+                    }
+                    found
+                });
+            let mut cliques_here = 0usize;
+            'blocks: for block in pairs.chunks(4096) {
+                let built = holo_parallel::parallel_map(threads, block, |_, &(t1, t2)| {
+                    build_clique(ds, c, t1, t2, domains, cell_vars, weight, &eq_pairs)
+                });
+                for clique in built {
+                    cstats.dc_pairs_considered += 1;
+                    let Some(clique) = clique else { continue };
+                    cliques.push(clique);
+                    cliques_here += 1;
+                    cstats.cliques += 1;
+                    if cliques_here >= clique_cap {
+                        cstats.clique_cap_hits += 1;
+                        break 'blocks;
+                    }
+                }
+            }
+        }
+        cliques
+    }
+
+    /// The per-constraint tuple → group maps the reference grounds inside,
+    /// from the hypergraph's groups.
+    fn reference_components(
+        constraints: &ConstraintSet,
+        violations: &[Violation],
+        tuple_count: usize,
+    ) -> Vec<FxHashMap<TupleId, u32>> {
+        let hypergraph = holo_constraints::ConflictHypergraph::build(violations.to_vec());
+        let mut maps = vec![FxHashMap::default(); constraints.len()];
+        let mut next_id = vec![0; constraints.len()];
+        for (sigma, tuples) in &hypergraph.tuple_groups(tuple_count).groups {
+            for &t in tuples {
+                maps[*sigma].insert(t, next_id[*sigma]);
+            }
+            next_id[*sigma] += 1;
+        }
+        maps
+    }
+
+    /// Blocked, query-bearing grounding ≡ the reference: the same cliques
+    /// (members, predicates, order), clique count and cap hits, and no
+    /// more pairs considered — on the hospital and food generators, for
+    /// `DcFactors` and `DcFactorsPartitioned`, at 1 and 4 threads, uncapped
+    /// and under caps that bind inside a block of probe tuples (at the
+    /// first clique, and at half a constraint's mean clique count, blocks
+    /// in). Inputs are the compiled model's query domains.
+    #[test]
+    fn blocked_grounding_equals_the_reference() {
+        let gens = [
+            holo_datagen::hospital(holo_datagen::HospitalConfig {
+                rows: 600,
+                ..Default::default()
+            }),
+            holo_datagen::food(holo_datagen::FoodConfig {
+                establishments: 60,
+                ..Default::default()
+            }),
+        ];
+        for gen in gens {
+            let tau = gen.kind.paper_tau();
+            let mut ds = gen.dirty;
+            let cons = parse_constraints(&gen.constraints_text, &mut ds).unwrap();
+            assert!(ds.tuple_count() > 2 * GROUND_BLOCK_TUPLES, "{:?}", gen.kind);
+            let violations = find_violations(&ds, &cons);
+            let noisy = noisy_cells(&violations);
+            let stats = CooccurStats::build(&ds);
+            for variant in [ModelVariant::DcFactors, ModelVariant::DcFactorsPartitioned] {
+                let config = HoloConfig::default().with_variant(variant).with_tau(tau);
+                let model = compile(&CompileInput {
+                    ds: &ds,
+                    constraints: &cons,
+                    noisy: &noisy,
+                    violations: &violations,
+                    stats: &stats,
+                    matches: &MatchLookup::default(),
+                    config: &config,
+                })
+                .unwrap();
+                let (mut domains, mut cell_vars) = (CellDomains::default(), FxHashMap::default());
+                for (&cell, &v) in model.query_cells.iter().zip(&model.query_vars) {
+                    domains.insert(cell, model.graph.var(v).domain.clone());
+                    cell_vars.insert(cell, v);
+                }
+                let partitioned = variant.uses_partitioning();
+                let groups =
+                    partitioned.then(|| tuple_group_ids(&violations, cons.len(), ds.tuple_count()));
+                let maps =
+                    partitioned.then(|| reference_components(&cons, &violations, ds.tuple_count()));
+                let ground = |threads: usize, cap: usize, reference: bool| {
+                    let config = config.clone().with_threads(threads);
+                    let mut cstats = CompileStats::default();
+                    let registry = &mut FeatureRegistry::new();
+                    let (d, v) = (&domains, &cell_vars);
+                    let cliques = match reference {
+                        true => reference_ground(
+                            registry,
+                            &ds,
+                            &cons,
+                            d,
+                            v,
+                            &config,
+                            maps.as_deref(),
+                            &mut cstats,
+                            cap,
+                        ),
+                        false => ground_dc_factors(
+                            registry,
+                            &ds,
+                            &cons,
+                            d,
+                            v,
+                            &config,
+                            groups.as_deref(),
+                            &mut cstats,
+                            cap,
+                        ),
+                    };
+                    (cliques, cstats)
+                };
+                // Half the mean per constraint: the largest binds it.
+                let (_, full_stats) = ground(1, usize::MAX, true);
+                let mid = full_stats.cliques / (2 * cons.len());
+                assert!(mid > 1, "{:?} {variant:?}", gen.kind);
+                for cap in [usize::MAX, 1, mid] {
+                    let (want, want_stats) = ground(1, cap, true);
+                    assert_eq!(want_stats.clique_cap_hits > 0, cap < usize::MAX);
+                    for threads in [1, 4] {
+                        let (got, got_stats) = ground(threads, cap, false);
+                        let what =
+                            format!("{:?} {variant:?} cap {cap} threads {threads}", gen.kind);
+                        assert_eq!(got.len(), want.len(), "{what}");
+                        for (a, b) in got.iter().zip(&want) {
+                            assert_eq!(
+                                (&a.vars, &a.predicates),
+                                (&b.vars, &b.predicates),
+                                "{what}"
+                            );
+                            assert_eq!(a.weight, b.weight, "{what}");
+                        }
+                        assert_eq!(got_stats.cliques, want_stats.cliques, "{what}");
+                        assert_eq!(
+                            got_stats.clique_cap_hits, want_stats.clique_cap_hits,
+                            "{what}"
+                        );
+                        assert!(got_stats.dc_pairs_considered <= want_stats.dc_pairs_considered);
+                        assert!(got_stats.dc_pairs_considered >= got_stats.cliques, "{what}");
+                    }
+                }
+            }
         }
     }
 

@@ -54,9 +54,9 @@
 //! through [`StreamSession::cached_table`], not through the row store. A
 //! failed read ([`HoloError::PrunedInitialValue`],
 //! [`HoloError::LearnDiverged`]) caches nothing. Source-reliability
-//! features and external dictionaries need the one-shot path
-//! ([`StreamSession::new`] rejects the former; there is no way to attach
-//! the latter).
+//! features (`config.source`) stream like any other configuration; an
+//! external dictionary needs the one-shot path (there is no way to attach
+//! one).
 
 use crate::config::HoloConfig;
 use crate::error::HoloError;
@@ -175,11 +175,6 @@ impl StreamSession {
     /// `text` (DC lines and/or `FD:` sugar). The session starts empty;
     /// feed rows with [`StreamSession::push_batch`].
     pub fn new(schema: Schema, text: &str, config: HoloConfig) -> Result<Self, HoloError> {
-        if config.source.is_some() {
-            return Err(HoloError::Stream(
-                "source-reliability features are not supported by the streaming engine".into(),
-            ));
-        }
         let rows = Dataset::new(schema);
         // Whether a text binds depends on the schema alone, so a text that
         // parses here parses into every table a read builds.
@@ -574,14 +569,16 @@ mod tests {
         for variant in [ModelVariant::DcFactors, ModelVariant::DcFeatsDcFactors] {
             open(HoloConfig::default().with_variant(variant)); // DC factors stream
         }
-        let err = StreamSession::new(
-            Schema::new(SCHEMA.to_vec()),
-            "FD: Zip -> City",
-            HoloConfig::default().with_source("a", "b"),
-        )
-        .map(|_| ())
-        .expect_err("source features are rejected");
-        assert!(matches!(err, HoloError::Stream(_)));
+        // Source features stream too: a feed is the one-shot run, with
+        // `State` standing in for the source of each `Zip` entity.
+        let rows = zip_city_rows();
+        let config = HoloConfig::default().with_source("Zip", "State");
+        let mut session = open(config.clone());
+        for chunk in rows.chunks(4) {
+            session.push_batch(chunk).unwrap();
+        }
+        let reference = one_shot_with(&rows, config).run().unwrap().report;
+        assert_eq!(session.report(), reference, "source features");
 
         let mut session = open(HoloConfig::default());
         rejected(

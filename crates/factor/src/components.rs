@@ -75,6 +75,9 @@ pub struct PartitionStats {
     /// Clique-kernel entries compiled after folding, over every exact and
     /// Gibbs unit (see "Compiled clique kernel" in [`crate::gibbs`]).
     pub clique_entries: u64,
+    /// Of [`PartitionStats::clique_entries`], those in fixed-width rows
+    /// (16 bytes, branch-free; see "Compiled clique kernel").
+    pub clique_entries_compact: u64,
     /// Kernel entries folded away at build: a predicate over constants
     /// only was false, so the clique could never fire.
     pub clique_entries_folded: u64,
@@ -377,6 +380,7 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
     );
     for (_, counts) in &outs {
         stats.clique_entries += counts.entries;
+        stats.clique_entries_compact += counts.compact;
         stats.clique_entries_folded += counts.folded;
     }
     let marginals = Marginals::assemble(graph, outs.into_iter().flat_map(|(m, _)| m));

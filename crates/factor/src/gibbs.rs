@@ -95,6 +95,20 @@
 //!   other operator goes through the value context, out of line; a kernel
 //!   with none runs a copy of the loop that never calls the context, so
 //!   its state stays in registers.
+//! * **Fixed-width rows.** When every clique of a kernel carries the same
+//!   penalty (the DC-factor model's one fixed `DcFactor` weight), a row
+//!   whose entries each have at most one guard and one own, both `=` or
+//!   `≠`, is built as 16-byte fixed entries *instead of* the
+//!   variable-length form: two guard slots, the own's other slot and op
+//!   bits. Such a row is walked without a branch on the data: per
+//!   candidate `fires = guard & own` and `acc += if fires { -θ } else {
+//!   -0.0 }` — the same non-zero addends in the same order, so the same
+//!   bits. A missing guard compares a pooled non-null stand-in with
+//!   itself; a missing own (exact rows) holds by its bit, and a kernel
+//!   without one runs a loop that never tests it. Any other row (three
+//!   guards, `<` or similarity, mixed penalties) keeps the general form;
+//!   [`PartitionStats`](crate::components::PartitionStats) counts the
+//!   fixed-width entries.
 //! * **Lifetime.** Weights are frozen while a unit runs, which is what
 //!   makes resolving `-θ` and the pool at build sound. A Gibbs kernel
 //!   belongs to its sampler ([`GibbsSampler::for_query`]): the sequential
@@ -287,12 +301,33 @@ struct Entry {
     owns: u32,
 }
 
-/// How many entries building one [`CliqueKernel`] kept and how many it
-/// folded away; summed into
+/// [`Fixed::bits`]: the guard / own is `≠` (else `=`); the entry has no
+/// own (an exact row); its own reads the candidate on both sides.
+const GUARD_NEQ: u32 = 1;
+const OWN_NEQ: u32 = 2;
+const NO_OWN: u32 = 4;
+const OWN_ME_BOTH: u32 = 8;
+
+/// One clique of a fixed-width [`CliqueKernel`] row (16 bytes): at most
+/// one guard and one own predicate, both `=` or `≠`, at the kernel's one
+/// penalty. An entry without a guard gets `always = always`, which holds.
+/// `=` and `≠` are symmetric, so an own compares the candidate with `own`
+/// whichever side the candidate is on; without an own, `own` is `0`, read
+/// and ignored.
+#[derive(Clone, Copy)]
+struct Fixed {
+    guard: [u32; 2],
+    own: u32,
+    bits: u32,
+}
+
+/// How many entries building one [`CliqueKernel`] kept, how many of them
+/// are fixed-width, and how many it folded away; summed into
 /// [`PartitionStats`](crate::components::PartitionStats).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct KernelCounts {
     pub(crate) entries: u64,
+    pub(crate) compact: u64,
     pub(crate) folded: u64,
 }
 
@@ -310,11 +345,21 @@ enum Operand {
 /// The clique terms of one Gibbs or exact unit, compiled once (see
 /// "Compiled clique kernel" in the module docs).
 pub(crate) struct CliqueKernel {
-    /// `starts[r]` = (first entry, first predicate) of row `r`; one
-    /// trailing sentinel.
-    starts: Vec<(usize, usize)>,
+    /// `starts[r]` = (first entry, first predicate, first fixed-width
+    /// entry) of row `r`; one trailing sentinel. A row lives in one of the
+    /// two forms, so one of its ranges is empty.
+    starts: Vec<(usize, usize, usize)>,
     entries: Vec<Entry>,
     preds: Vec<Pred>,
+    fixed: Vec<Fixed>,
+    /// `-θ` of every fixed-width entry.
+    penalty: f64,
+    /// The pool slot of a non-null stand-in symbol, the guard of the
+    /// fixed-width entries that have none.
+    always: Option<u32>,
+    /// Whether some fixed-width entry has no own or reads the candidate
+    /// on both sides (never in a DC-factor Gibbs row).
+    flagged: bool,
     /// The distinct operators, `=` and `≠` first.
     ops: Vec<CmpOp>,
     /// The constant pool: the symbols of slots `n..`.
@@ -374,10 +419,20 @@ impl CliqueKernel {
         let preds = all
             .clone()
             .map(|&ci| graph.cliques()[ci as usize].predicates.len());
+        // Fixed-width rows need one penalty for the whole kernel.
+        let mut penalties = all
+            .clone()
+            .map(|&ci| (-weights.get(graph.cliques()[ci as usize].weight)).to_bits());
+        let first_penalty = penalties.next();
+        let shared = first_penalty.filter(|&p| penalties.all(|q| q == p));
         let mut kernel = CliqueKernel {
             starts: Vec::with_capacity(rows.clone().count() + 1),
             entries: Vec::with_capacity(all.count()),
             preds: Vec::with_capacity(preds.sum()),
+            fixed: Vec::new(),
+            penalty: shared.map_or(0.0, f64::from_bits),
+            always: None,
+            flagged: false,
             ops: vec![CmpOp::Eq, CmpOp::Neq],
             pool: Vec::new(),
             folded: 0,
@@ -385,9 +440,7 @@ impl CliqueKernel {
         let mut pooled: HashMap<Sym, u32> = HashMap::new();
         let mut owns: Vec<Pred> = Vec::new();
         for (v, cliques) in rows {
-            kernel
-                .starts
-                .push((kernel.entries.len(), kernel.preds.len()));
+            kernel.starts.push(kernel.row_start());
             'entry: for &ci in cliques {
                 let clique = &graph.cliques()[ci as usize];
                 let me = v.and_then(|v| clique.vars.iter().position(|&u| u == v));
@@ -456,17 +509,65 @@ impl CliqueKernel {
                     owns: owns.len() as u32,
                 });
             }
+            if shared.is_some() {
+                kernel.make_fixed_width(query.len());
+            }
         }
+        kernel.starts.push(kernel.row_start());
         kernel
-            .starts
-            .push((kernel.entries.len(), kernel.preds.len()));
-        kernel
+    }
+
+    /// Where the next row starts in each arena.
+    fn row_start(&self) -> (usize, usize, usize) {
+        (self.entries.len(), self.preds.len(), self.fixed.len())
+    }
+
+    /// Rewrites the row just built, the tail of the arenas, as fixed-width
+    /// entries if each of its entries has at most one guard and one own,
+    /// both `=` or `≠`; the kernel's entries share one penalty. The pool's
+    /// slots start at `n_query`.
+    fn make_fixed_width(&mut self, n_query: usize) {
+        let &(first, at, _) = self.starts.last().expect("a row was started");
+        let entries = &self.entries[first..];
+        let narrow = |e: &Entry| e.guards <= 1 && e.owns <= 1;
+        if !entries.iter().all(narrow) || self.preds[at..].iter().any(|p| p.op > NEQ) {
+            return;
+        }
+        let neq = |p: &Pred, bit: u32| if p.op == NEQ { bit } else { 0 };
+        let mut preds = &self.preds[at..];
+        for e in entries {
+            let (guard, rest) = preds.split_at(e.guards as usize);
+            let (own, rest) = rest.split_at(e.owns as usize);
+            preds = rest;
+            let (guard, bits) = match guard.first() {
+                Some(p) => ([p.lhs, p.rhs], neq(p, GUARD_NEQ)),
+                None => {
+                    let pool = &mut self.pool;
+                    let always = *self.always.get_or_insert_with(|| {
+                        pool.push(Sym(u32::MAX));
+                        (n_query + pool.len() - 1) as u32
+                    });
+                    ([always, always], 0)
+                }
+            };
+            let (own, bits) = match own.first() {
+                Some(p) if p.me == ME_LHS | ME_RHS => (0, bits | neq(p, OWN_NEQ) | OWN_ME_BOTH),
+                Some(p) if p.me == ME_LHS => (p.rhs, bits | neq(p, OWN_NEQ)),
+                Some(p) => (p.lhs, bits | neq(p, OWN_NEQ)),
+                None => (0, bits | NO_OWN),
+            };
+            self.flagged |= bits & (NO_OWN | OWN_ME_BOTH) != 0;
+            self.fixed.push(Fixed { guard, own, bits });
+        }
+        self.entries.truncate(first);
+        self.preds.truncate(at);
     }
 
     /// What building this kernel kept and folded.
     pub(crate) fn counts(&self) -> KernelCounts {
         KernelCounts {
-            entries: self.entries.len() as u64,
+            entries: (self.entries.len() + self.fixed.len()) as u64,
+            compact: self.fixed.len() as u64,
             folded: self.folded,
         }
     }
@@ -491,8 +592,8 @@ impl CliqueKernel {
             return holds_in_context(self.ops[p.op as usize], a, b, ctx);
         }
         // `=` and `≠`, all a denial constraint over categorical cells
-        // usually uses, without a branch: a null satisfies neither.
-        !a.is_null() & !b.is_null() & ((a == b) != (p.op == NEQ))
+        // usually uses, without a branch.
+        eq_or_neq(a, b, p.op == NEQ)
     }
 
     /// Adds the clique terms of row `row` to `scores`, one per candidate
@@ -506,6 +607,15 @@ impl CliqueKernel {
         ctx: &impl ValueContext,
         scores: &mut [f64],
     ) {
+        let (_, _, fixed) = self.starts[row];
+        let (_, _, fixed_end) = self.starts[row + 1];
+        if fixed < fixed_end {
+            let row = &self.fixed[fixed..fixed_end];
+            return match self.flagged {
+                true => self.add_fixed_terms::<true>(row, domain, syms, scores),
+                false => self.add_fixed_terms::<false>(row, domain, syms, scores),
+            };
+        }
         // `ops` holds more than `=` and `≠` only when the kernel needs the
         // value context (see "Operators" in the module docs).
         if self.ops.len() > 2 {
@@ -526,23 +636,11 @@ impl CliqueKernel {
         ctx: &impl ValueContext,
         scores: &mut [f64],
     ) {
-        // Candidates go two at a time, their scores held in registers for
-        // the whole row: adding to `scores` in place would chain each
-        // entry's addition to the last one through a store and a reload.
-        // Two beats four because most domains of the DC-factor model have
-        // two candidates and every lane evaluates its owns. An odd last
-        // candidate shares its pair with a null stand-in, whose score is
-        // dropped.
-        const LANES: usize = 2;
-        let (first, at) = self.starts[row];
-        let (last, end) = self.starts[row + 1];
+        let (first, at, _) = self.starts[row];
+        let (last, end, _) = self.starts[row + 1];
         let slot = |s: u32| syms[s as usize];
         let holds = |p: &Pred, a, b| self.holds::<CONTEXT>(p, a, b, ctx);
-        for (scores, domain) in scores.chunks_mut(LANES).zip(domain.chunks(LANES)) {
-            let mut cands = [Sym::NULL; LANES];
-            cands[..domain.len()].copy_from_slice(domain);
-            let mut acc = [0.0; LANES];
-            acc[..scores.len()].copy_from_slice(scores);
+        for_each_pair(domain, scores, |cands, acc| {
             let mut preds = &self.preds[at..end];
             for entry in &self.entries[first..last] {
                 let (guards, rest) = preds.split_at(entry.guards as usize);
@@ -551,7 +649,7 @@ impl CliqueKernel {
                 if !guards.iter().all(|p| holds(p, slot(p.lhs), slot(p.rhs))) {
                     continue;
                 }
-                for (acc, &me) in acc.iter_mut().zip(&cands) {
+                for (acc, &me) in acc.iter_mut().zip(cands) {
                     let fires = owns.iter().fold(true, |fires, p| {
                         let a = if p.me & ME_LHS != 0 { me } else { slot(p.lhs) };
                         let b = if p.me & ME_RHS != 0 { me } else { slot(p.rhs) };
@@ -560,10 +658,77 @@ impl CliqueKernel {
                     *acc += if fires { entry.penalty } else { -0.0 };
                 }
             }
-            let n = scores.len();
-            scores.copy_from_slice(&acc[..n]);
+        });
+    }
+
+    /// [`CliqueKernel::add_clique_terms`] over a fixed-width row: the same
+    /// candidate pairs and addends, without a branch on the data — the
+    /// guard is folded into each candidate's `fires` instead of skipping
+    /// the entry. Without `FLAGS` no entry lacks an own or reads the
+    /// candidate twice, and the loop tests neither.
+    #[inline(always)]
+    fn add_fixed_terms<const FLAGS: bool>(
+        &self,
+        row: &[Fixed],
+        domain: &[Sym],
+        syms: &[Sym],
+        scores: &mut [f64],
+    ) {
+        let penalty = self.penalty;
+        let slot = |s: u32| syms[s as usize];
+        for_each_pair(domain, scores, |cands, acc| {
+            for e in row {
+                let neq = e.bits & GUARD_NEQ != 0;
+                let guard = eq_or_neq(slot(e.guard[0]), slot(e.guard[1]), neq);
+                let (other, neq) = (slot(e.own), e.bits & OWN_NEQ != 0);
+                for (acc, &me) in acc.iter_mut().zip(cands) {
+                    let own = if FLAGS {
+                        let b = if e.bits & OWN_ME_BOTH != 0 { me } else { other };
+                        (e.bits & NO_OWN != 0) | eq_or_neq(me, b, neq)
+                    } else {
+                        eq_or_neq(me, other, neq)
+                    };
+                    *acc += if guard & own { penalty } else { -0.0 };
+                }
+            }
+        });
+    }
+}
+
+/// Runs `walk` over the candidates of `domain` two at a time, their
+/// scores in registers for the whole row: adding to `scores` in place
+/// would chain each entry's addition to the last one through a store and
+/// a reload. Two beats four because most domains of the DC-factor model
+/// have two candidates and every lane evaluates its owns. An odd last
+/// candidate shares its pair with a null stand-in, whose score is
+/// dropped. The copies go element by element: a slice copy of a length
+/// the compiler cannot see is a `memcpy` call per pair.
+#[inline(always)]
+fn for_each_pair(
+    domain: &[Sym],
+    scores: &mut [f64],
+    mut walk: impl FnMut(&[Sym; 2], &mut [f64; 2]),
+) {
+    for (scores, domain) in scores.chunks_mut(2).zip(domain.chunks(2)) {
+        let mut cands = [Sym::NULL; 2];
+        for (c, &d) in cands.iter_mut().zip(domain) {
+            *c = d;
+        }
+        let mut acc = [0.0; 2];
+        for (a, &s) in acc.iter_mut().zip(&*scores) {
+            *a = s;
+        }
+        walk(&cands, &mut acc);
+        for (s, &a) in scores.iter_mut().zip(&acc) {
+            *s = a;
         }
     }
+}
+
+/// Whether `a = b` (`a ≠ b` with `neq`) holds: a null satisfies neither.
+#[inline(always)]
+fn eq_or_neq(a: Sym, b: Sym, neq: bool) -> bool {
+    !a.is_null() & !b.is_null() & ((a == b) != neq)
 }
 
 /// [`CmpOp::holds`] kept out of line and cold, so the loops that may
@@ -910,6 +1075,63 @@ mod tests {
 
     fn sym(i: u32) -> Sym {
         Sym(i)
+    }
+
+    /// A row is fixed-width only when each of its entries has at most one
+    /// guard and one own, all `=` / `≠`, and only in a kernel whose
+    /// cliques share one penalty: a `<` keeps the rows holding it in the
+    /// general form, a second penalty keeps every row there, and either
+    /// way the conditionals are the interpreter's.
+    #[test]
+    fn fixed_width_rows_need_eq_or_neq_and_one_penalty() {
+        /// Symbols ordered by id.
+        struct ById;
+        impl ValueContext for ById {
+            fn compare(&self, a: Sym, b: Sym) -> std::cmp::Ordering {
+                a.0.cmp(&b.0)
+            }
+            fn similar(&self, a: Sym, b: Sym, _: f64) -> bool {
+                a == b
+            }
+        }
+        let kernel = |k1_op: CmpOp, k2_weight: f64| {
+            let mut g = GraphBuilder::new();
+            let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
+            let b = g.add_variable(Variable::query(vec![sym(1), sym(3)], Some(0)));
+            let c = g.add_variable(Variable::query(vec![sym(0), sym(2)], Some(1)));
+            let pair = |vars: Vec<VarId>, op, weight| CliqueFactor {
+                vars,
+                weight: WeightId(weight),
+                predicates: vec![FactorPredicate {
+                    lhs: FactorOperand::Var(0),
+                    op,
+                    rhs: FactorOperand::Var(1),
+                }],
+            };
+            // Rows: a holds K1 and K2, b holds K1, c holds K2.
+            g.add_clique(pair(vec![a, b], k1_op, 0));
+            g.add_clique(pair(vec![a, c], CmpOp::Neq, 1));
+            let mut w = Weights::zeros(2);
+            w.set(WeightId(0), 4.0);
+            w.set(WeightId(1), k2_weight);
+            let g = g.build();
+            let sampler = GibbsSampler::new(&g, &w, &ById, 0);
+            for (i, &v) in g.query_vars().iter().enumerate() {
+                let state: Vec<usize> = g.vars().iter().map(initial_candidate).collect();
+                let mut want = Vec::new();
+                conditional_scores_into(&g, &w, &ById, None, &state, v, &mut want);
+                assert_eq!(sampler.conditional(i), want, "{v:?}");
+            }
+            let counts = sampler.kernel_counts();
+            (counts.entries, counts.compact)
+        };
+        assert_eq!(kernel(CmpOp::Eq, 4.0), (4, 4));
+        assert_eq!(
+            kernel(CmpOp::Lt, 4.0),
+            (4, 1),
+            "only c's row is free of `<`"
+        );
+        assert_eq!(kernel(CmpOp::Eq, 2.0), (4, 0), "two penalties");
     }
 
     /// Independent two-candidate variable with a unary preference: Gibbs

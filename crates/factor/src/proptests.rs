@@ -147,6 +147,81 @@ fn random_clique_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
     (graph.build(), weights)
 }
 
+/// A small random graph shaped like the DC-factor model, where the
+/// fixed-width kernel rows apply: every clique at one shared weight, one or
+/// two `=` / `≠` predicates in the FD pattern (a join, then a difference),
+/// over 2-6 variables (one in four evidence) whose domains and the
+/// constants draw from the symbols `0..=5` (`0` is [`Sym::NULL`]). Clique
+/// members repeat and a slot can sit on both sides of a predicate, so a
+/// query variable meets itself; the rows mix one-guard-one-own entries
+/// with two-own and two-guard ones.
+fn random_dc_factor_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
+    const SHARED_WEIGHTS: [f64; 4] = [4.0, 0.7, -1.3, 0.0];
+    let mut graph = GraphBuilder::new();
+    let mut weight_values = Vec::new();
+    let n_vars = rng.gen_range(2usize..=6);
+    for i in 0..n_vars {
+        let mut pool: Vec<u32> = (0..=5).collect();
+        pool.shuffle(rng);
+        let arity = rng.gen_range(1usize..=3);
+        let domain: Vec<Sym> = pool[..arity].iter().map(|&s| Sym(s)).collect();
+        let var = if i > 0 && rng.gen_bool(0.25) {
+            Variable::evidence(domain, rng.gen_range(0..arity))
+        } else {
+            Variable::query(domain, Some(rng.gen_range(0..arity)))
+        };
+        let v = graph.add_variable(var);
+        for k in 0..arity {
+            graph.add_feature(v, k, WeightId(weight_values.len() as u32), 1.0);
+            weight_values.push(rng.gen_range(-1.5f64..1.5));
+        }
+    }
+    let shared = WeightId(weight_values.len() as u32);
+    weight_values.push(SHARED_WEIGHTS[rng.gen_range(0..SHARED_WEIGHTS.len())]);
+    for _ in 0..rng.gen_range(0usize..=8) {
+        let arity = rng.gen_range(1usize..=4);
+        let vars: Vec<VarId> = (0..arity)
+            .map(|_| VarId(rng.gen_range(0..n_vars as u32)))
+            .collect();
+        let operand = |rng: &mut StdRng| {
+            if rng.gen_bool(0.7) {
+                FactorOperand::Var(rng.gen_range(0..arity as u8))
+            } else {
+                FactorOperand::Const(Sym(rng.gen_range(0u32..=5)))
+            }
+        };
+        let ops = [CmpOp::Eq, CmpOp::Neq];
+        let predicates = ops[..rng.gen_range(1usize..=2)]
+            .iter()
+            .map(|&op| FactorPredicate {
+                lhs: operand(rng),
+                op: if rng.gen_bool(0.8) {
+                    op
+                } else {
+                    ops[rng.gen_range(0usize..2)]
+                },
+                rhs: operand(rng),
+            })
+            .collect();
+        graph.add_clique(CliqueFactor {
+            vars,
+            weight: shared,
+            predicates,
+        });
+    }
+    let mut weights = Weights::zeros(weight_values.len());
+    for (i, w) in weight_values.into_iter().enumerate() {
+        weights.set(WeightId(i as u32), w);
+    }
+    (graph.build(), weights)
+}
+
+/// A random graph generator.
+type GraphGen = fn(&mut StdRng) -> (FactorGraph, Weights);
+
+/// The two random clique-graph shapes the compiled kernel is tested over.
+const CLIQUE_GRAPHS: [GraphGen; 2] = [random_clique_graph, random_dc_factor_graph];
+
 fn build(model: &RandomModel) -> (FactorGraph, Weights) {
     let mut graph = GraphBuilder::new();
     let mut weight_values = Vec::new();
@@ -348,13 +423,16 @@ proptest! {
     /// operator under a real ordering/similarity context, nulls in domains
     /// and constants, constant-only predicates, one slot on both sides of
     /// a predicate, evidence members, zero and negative clique weights)
-    /// and random states, the raw scores are equal as numbers (a skipped
-    /// `+0.0` may only flip a zero's sign) and the softmaxed conditional
-    /// is equal bit for bit, with the score cache and without.
+    /// and DC-factor-shaped ones (one shared weight, `=` / `≠` only, so
+    /// fixed-width rows), and random states, the raw scores are equal as
+    /// numbers (a skipped `+0.0` may only flip a zero's sign) and the
+    /// softmaxed conditional is equal bit for bit, with the score cache
+    /// and without.
     #[test]
-    fn compiled_conditional_bit_identical_to_interpreted(seed in 0u64..u64::MAX) {
+    fn compiled_conditional_bit_identical_to_interpreted(seed in 0u64..u64::MAX,
+                                                         shape in 0usize..2) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (graph, weights) = random_clique_graph(&mut rng);
+        let (graph, weights) = CLIQUE_GRAPHS[shape](&mut rng);
         let ctx = NumericContext;
         let cache = ScoreCache::build(graph.design(), &weights, 1);
         let query = graph.query_vars();
@@ -384,14 +462,15 @@ proptest! {
     }
 
     /// The compiled exact enumeration is the interpreted one: over the same
-    /// random graphs, every component's marginals from the clique kernel
-    /// (folded constants, pooled evidence, branch-free addends) equal the
-    /// `CliqueFactor::score` enumeration bit for bit, with the score cache
-    /// and without.
+    /// random graphs of both shapes, every component's marginals from the
+    /// clique kernel (folded constants, pooled evidence, branch-free
+    /// addends, fixed-width rows) equal the `CliqueFactor::score`
+    /// enumeration bit for bit, with the score cache and without.
     #[test]
-    fn compiled_exact_bit_identical_to_interpreted(seed in 0u64..u64::MAX) {
+    fn compiled_exact_bit_identical_to_interpreted(seed in 0u64..u64::MAX,
+                                                   shape in 0usize..2) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (graph, weights) = random_clique_graph(&mut rng);
+        let (graph, weights) = CLIQUE_GRAPHS[shape](&mut rng);
         let ctx = NumericContext;
         let cache = ScoreCache::build(graph.design(), &weights, 1);
         for members in graph.components().iter() {
@@ -410,6 +489,21 @@ proptest! {
             }
         }
     }
+}
+
+/// The DC-factor-shaped graphs reach both row forms: over a run of seeds
+/// their Gibbs kernels hold fixed-width entries and general ones, so the
+/// two proptests above compare both against the interpreter.
+#[test]
+fn dc_factor_graphs_build_both_row_forms() {
+    let (mut fixed, mut general) = (0, 0);
+    for seed in 0..64 {
+        let (graph, weights) = random_dc_factor_graph(&mut StdRng::seed_from_u64(seed));
+        let counts = GibbsSampler::new(&graph, &weights, &EqOnlyContext, 0).kernel_counts();
+        fixed += counts.compact;
+        general += counts.entries - counts.compact;
+    }
+    assert!(fixed > 0 && general > 0, "fixed {fixed}, general {general}");
 }
 
 /// One evidence variable of a random training model: `(arity, target,
