@@ -93,9 +93,8 @@ impl Scare {
                 .map(|&(_, ov)| ov)
                 .unwrap_or_else(|| ds.cell(t, attr))
         };
-        let n = stats.freq().tuple_count() as f64;
-        let prior =
-            (f64::from(stats.freq().count(a, v)) + 1.0) / (n + stats.freq().distinct(a) as f64);
+        let n = stats.tuple_count() as f64;
+        let prior = (f64::from(stats.count(a, v)) + 1.0) / (n + stats.distinct(a) as f64);
         let mut ll = prior.ln();
         for other in ds.schema().attrs() {
             if other == a {
@@ -106,7 +105,7 @@ impl Scare {
                 continue;
             }
             let joint = f64::from(stats.cooccur_count(a, v, other, ov)) + 1.0;
-            let denom = f64::from(stats.freq().count(a, v)) + stats.freq().distinct(other) as f64;
+            let denom = f64::from(stats.count(a, v)) + stats.distinct(other) as f64;
             ll += (joint / denom).ln();
         }
         ll
@@ -174,8 +173,8 @@ impl RepairSystem for Scare {
                 if v.is_null() {
                     // A null is only worth imputing when the attribute is
                     // normally populated; all-null columns carry no model.
-                    let null_count = stats.freq().count(a, holo_dataset::Sym::NULL);
-                    if f64::from(null_count) < 0.5 * stats.freq().tuple_count() as f64 {
+                    let null_count = stats.count(a, holo_dataset::Sym::NULL);
+                    if f64::from(null_count) < 0.5 * stats.tuple_count() as f64 {
                         flagged.push((a, 0.0));
                     }
                     continue;

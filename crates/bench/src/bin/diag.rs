@@ -53,13 +53,7 @@
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
 //! (`pairs` built — only target attributes a variable can have — of
 //! `pairs_possible` = |A|(|A|−1), dense/CSR pair split, cell and byte
-//! footprint, whether the
-//! correlation view was computed; the storage gauges are zero under
-//! `--naive-stats`). With `--cor-strength F`, diag additionally prunes
-//! every cell of the dirty table twice — ungated and correlation-gated —
-//! and reports the two domain-size histograms (buckets 1 / 2-3 / 4-15 /
-//! 16+, mirroring the partition `size_hist`) so the gate's pruning power
-//! is visible at a glance.
+//! footprint; the storage gauges are zero under `--naive-stats`).
 
 use holo_bench::json::{num, num_exact, JsonObj};
 use holo_bench::runner::{run_holoclean_full, HoloOutcome};
@@ -288,7 +282,6 @@ fn print_json(
     gen: &GeneratedDataset,
     out: &HoloOutcome,
     (detect, clean, occur): (&DetectProfile, &CleanRewrites, &Vec<OccurWeights>),
-    gate_hists: Option<&([u64; 4], [u64; 4])>,
 ) {
     let name = |a: AttrId| gen.dirty.schema().attr_name(a);
     let t = &out.timings;
@@ -401,12 +394,6 @@ fn print_json(
     stats.field_u64("csr_pairs", s.csr_pairs);
     stats.field_u64("dense_cells", s.dense_cells);
     stats.field_u64("bytes", s.bytes);
-    stats.field_u64("corr_recomputes", s.corr_recomputes);
-    if let Some((before, after)) = gate_hists {
-        let hist = |h: &[u64; 4]| format!("[{},{},{},{}]", h[0], h[1], h[2], h[3]);
-        stats.field_raw("domain_hist_ungated", &hist(before));
-        stats.field_raw("domain_hist_gated", &hist(after));
-    }
     let r = t.retire;
     let mut retire = JsonObj::new();
     retire.field_u64("compactions", r.compactions);
@@ -531,12 +518,10 @@ fn main() {
         .with_threads(args.threads)
         .with_chromatic_gibbs(args.chromatic)
         .with_score_cache(!args.no_score_cache)
-        .with_naive_stats(args.naive_stats)
-        .with_cor_strength(args.cor_strength);
+        .with_naive_stats(args.naive_stats);
     if args.dc_factors {
         config = config.with_variant(ModelVariant::DcFactorsPartitioned);
     }
-    let (max_domain, min_support) = (config.max_domain, config.min_cond_support);
     let (out, registry, weights, pool, trained) = if args.stream > 0 {
         run_streamed(&gen, config, args.stream)
     } else {
@@ -544,62 +529,11 @@ fn main() {
         let trained = evidence_weights(&model);
         (out, model.registry, weights, gen.dirty.clone(), trained)
     };
-    // With a gate requested, measure its pruning power directly: prune
-    // every cell of the dirty table ungated and gated and histogram the
-    // domain sizes (buckets 1 / 2-3 / 4-15 / 16+, like the partition
-    // size histogram).
-    let gate_hists = args.cor_strength.map(|min_corr| {
-        let stats =
-            holo_dataset::CooccurStats::build_with_opts(&gen.dirty, args.threads, args.naive_stats);
-        let cells: Vec<holo_dataset::CellRef> = gen
-            .dirty
-            .tuples()
-            .flat_map(|t| {
-                gen.dirty
-                    .schema()
-                    .attrs()
-                    .map(move |attr| holo_dataset::CellRef { tuple: t, attr })
-            })
-            .collect();
-        let tau = gen.kind.paper_tau();
-        let hist = |doms: &holoclean::CellDomains| {
-            let mut h = [0u64; 4];
-            for (_, d) in doms.iter() {
-                let b = match d.len() {
-                    1 => 0,
-                    2..=3 => 1,
-                    4..=15 => 2,
-                    _ => 3,
-                };
-                h[b] += 1;
-            }
-            h
-        };
-        let gate = holoclean::PruneGate {
-            corr: stats.correlations(),
-            min_corr,
-        };
-        // Same minimum support as `compile`, so the histograms describe
-        // domains the pipeline actually builds.
-        let prune = |gate| {
-            holoclean::prune_domains_gated(
-                &gen.dirty,
-                &cells,
-                &stats,
-                tau,
-                max_domain,
-                args.threads,
-                min_support,
-                gate,
-            )
-        };
-        (hist(&prune(None)), hist(&prune(Some(gate))))
-    });
     let detect = detect_profile(&gen, args.threads);
     let clean = clean_rewrites(&gen, &out.report.repairs);
     let occur = occur_weights(&registry, &weights);
     if args.json {
-        print_json(&gen, &out, (&detect, &clean, &occur), gate_hists.as_ref());
+        print_json(&gen, &out, (&detect, &clean, &occur));
         return;
     }
     println!(
@@ -693,21 +627,14 @@ fn main() {
     let n_attrs = gen.dirty.schema().len() as u64;
     println!(
         "cooccur stats: {} of {} pair(s) built ({} dense / {} CSR), {} dense cell(s), \
-         ~{} byte(s); {} corr recompute(s)",
+         ~{} byte(s)",
         s.pairs,
         n_attrs * n_attrs.saturating_sub(1),
         s.dense_pairs,
         s.csr_pairs,
         s.dense_cells,
-        s.bytes,
-        s.corr_recomputes
+        s.bytes
     );
-    if let Some((before, after)) = &gate_hists {
-        println!(
-            "  domain sizes 1/2-3/4-15/16+: ungated {:?} -> gated {:?}",
-            before, after
-        );
-    }
     let ingest = out.timings.ingest;
     if ingest.batches > 0 {
         println!(

@@ -27,11 +27,6 @@
 //! of the dense count blocks — the same kind of pure wall-clock knob,
 //! diffed the same way.
 //!
-//! `--cor-strength F` enables the BClean-style correlation gate on
-//! Algorithm 2. Unlike the knobs above it is a *model* change: gated runs
-//! legitimately shrink domains, so CI smoke-tests the gated dump instead
-//! of byte-pinning it.
-//!
 //! Flags are parsed strictly (`holo_bench::Args`): a typo'd flag aborts
 //! with a usage line and exit code 2 instead of being silently dropped.
 
@@ -60,8 +55,7 @@ fn main() {
         .with_threads(args.threads)
         .with_chromatic_gibbs(args.chromatic)
         .with_score_cache(!args.no_score_cache)
-        .with_naive_stats(args.naive_stats)
-        .with_cor_strength(args.cor_strength);
+        .with_naive_stats(args.naive_stats);
     if args.dc_factors {
         config = config.with_variant(ModelVariant::DcFactorsPartitioned);
     }

@@ -70,12 +70,6 @@ pub struct Args {
     /// wall-clock knob — domains, repairs and posteriors are byte-identical
     /// on or off — which is the equivalence CI diffs.
     pub naive_stats: bool,
-    /// BClean-style correlation gate for Algorithm 2 (`diag`,
-    /// `dump_repairs`): skip conditioning attributes whose uncertainty
-    /// coefficient toward the repaired attribute is below this threshold.
-    /// A *model* knob — gated runs legitimately produce different (usually
-    /// smaller) domains, so CI smoke-tests it rather than byte-pinning.
-    pub cor_strength: Option<f64>,
     /// Full-CRUD streaming drive (`dump_repairs`, needs `--stream K`):
     /// every ingest batch is corrupted on entry (a mangled first row plus
     /// a decoy row) and then healed with `push_updates`/`push_deletes`,
@@ -99,7 +93,6 @@ impl Default for Args {
             no_score_cache: false,
             dc_factors: false,
             naive_stats: false,
-            cor_strength: None,
             crud: false,
         }
     }
@@ -117,7 +110,8 @@ impl Args {
                     args.scale = argv
                         .next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--scale needs a number"));
+                        .filter(|&s: &f64| s.is_finite() && s > 0.0)
+                        .unwrap_or_else(|| usage("--scale needs a positive number"));
                 }
                 "--seed" => {
                     args.seed = argv
@@ -150,13 +144,6 @@ impl Args {
                 "--no-score-cache" => args.no_score_cache = true,
                 "--dc-factors" => args.dc_factors = true,
                 "--naive-stats" => args.naive_stats = true,
-                "--cor-strength" => {
-                    args.cor_strength = Some(
-                        argv.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--cor-strength needs a number")),
-                    );
-                }
                 "--crud" => args.crud = true,
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other:?}")),
@@ -173,10 +160,9 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: <bin> [--scale F] [--seed N] [--full] [--json] [--scare-budget SECS]\n\
          \x20            [--stream K] [--threads N] [--marginals] [--chromatic]\n\
-         \x20            [--no-score-cache] [--dc-factors] [--naive-stats]\n\
-         \x20            [--cor-strength F] [--crud]\n\
+         \x20            [--no-score-cache] [--dc-factors] [--naive-stats] [--crud]\n\
          \n\
-         --scale F          row-count multiplier (default 1.0)\n\
+         --scale F          row-count multiplier, > 0 (default 1.0)\n\
          --seed N           generator seed (default 42)\n\
          --full             paper-scale rows for Food and Physicians\n\
          --json             machine-readable JSON output (diag)\n\
@@ -189,8 +175,6 @@ fn usage(msg: &str) -> ! {
          --dc-factors       partitioned DC-factor model variant (diag, dump_repairs)\n\
          --naive-stats      use the naive hash-map co-occurrence oracle instead of\n\
          \x20                  the dense count blocks (diag, dump_repairs)\n\
-         --cor-strength F   gate Algorithm 2 to partner attributes with\n\
-         \x20                  correlation >= F (diag, dump_repairs)\n\
          --crud             corrupt-and-heal every stream batch with updates and\n\
          \x20                  deletes; needs --stream (dump_repairs)"
     );
@@ -255,12 +239,9 @@ mod tests {
 
     #[test]
     fn parse_stats_flags() {
-        let a = Args::parse(argv(&["--naive-stats", "--cor-strength", "0.3"]));
+        let a = Args::parse(argv(&["--naive-stats"]));
         assert!(a.naive_stats);
-        assert_eq!(a.cor_strength, Some(0.3));
-        let a = Args::parse(argv(&[]));
-        assert!(!a.naive_stats);
-        assert_eq!(a.cor_strength, None);
+        assert!(!Args::parse(argv(&[])).naive_stats);
     }
 
     #[test]

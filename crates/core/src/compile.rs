@@ -25,7 +25,7 @@
 //!    building its pairs across threads with an ordered merge.
 
 use crate::config::HoloConfig;
-use crate::domain::{CellDomains, PruneGate, PruneIndex};
+use crate::domain::{CellDomains, PruneIndex};
 use crate::error::HoloError;
 use crate::features::{
     collect_external_features, collect_minimality_feature, collect_occur_features, DcFeaturizer,
@@ -187,20 +187,12 @@ fn compile_with(
         // make trainable — the targets `pipeline::compile_model` builds
         // pair blocks for, recomputed here from the same inputs.
         let targets = trainable(attrs_of(n_attrs, noisy.iter().copied()));
-        // Optional BClean-style correlation gate: computed once from the
-        // counts (cached inside the statistics) and applied to both the
-        // noisy and evidence prunes.
-        let gate = config.cor_strength.map(|min_corr| PruneGate {
-            corr: stats.correlations(),
-            min_corr,
-        });
         PruneIndex::build(
             ds,
             stats,
             &targets,
             evidence_tau,
             config.min_cond_support,
-            gate,
             threads,
         )
     });

@@ -87,7 +87,9 @@ pub struct SourceConfig {
 /// Full pipeline configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HoloConfig {
-    /// The Algorithm 2 co-occurrence threshold τ.
+    /// The Algorithm 2 co-occurrence threshold τ. A candidate qualifies
+    /// through any other attribute of its tuple (§5.1.1): no attribute is
+    /// gated out.
     pub tau: f64,
     /// Hard cap on a noisy cell's candidate count (keeps grounding bounded
     /// when τ is small); candidates are kept in descending co-occurrence
@@ -169,16 +171,6 @@ pub struct HoloConfig {
     /// `--naive-stats` on the bench binaries flips this on for the CI
     /// equivalence diffs.
     pub naive_stats: bool,
-    /// BClean-style correlation gate for Algorithm 2 domain pruning (the
-    /// `cor_strength` knob of the Python HoloClean API): when set,
-    /// conditioning attributes whose uncertainty coefficient toward the
-    /// repaired attribute falls below this threshold are skipped entirely
-    /// during the partner scan, shrinking candidate domains and everything
-    /// downstream (design matrix, learning, inference). Unlike
-    /// [`HoloConfig::naive_stats`] this is a *model* knob — gating changes
-    /// which candidates exist — so it is opt-in: `None` (the default)
-    /// scans all partners, preserving every byte-identical contract.
-    pub cor_strength: Option<f64>,
     /// Master seed (evidence sampling).
     pub seed: u64,
     /// Worker threads for the data-parallel stages (violation detection
@@ -208,7 +200,6 @@ impl Default for HoloConfig {
             chromatic_gibbs: false,
             score_cache: true,
             naive_stats: false,
-            cor_strength: None,
             seed: 0x401c,
             threads: 0,
         }
@@ -262,13 +253,6 @@ impl HoloConfig {
     /// field docs.
     pub fn with_naive_stats(mut self, naive: bool) -> Self {
         self.naive_stats = naive;
-        self
-    }
-
-    /// Sets the Algorithm 2 correlation gate (builder style); `None`
-    /// scans all partner attributes. A *model* knob — see the field docs.
-    pub fn with_cor_strength(mut self, cor_strength: Option<f64>) -> Self {
-        self.cor_strength = cor_strength;
         self
     }
 
@@ -346,12 +330,5 @@ mod tests {
         let c = HoloConfig::default();
         assert!(!c.naive_stats);
         assert!(c.with_naive_stats(true).naive_stats);
-    }
-
-    #[test]
-    fn cor_strength_defaults_off_and_toggles() {
-        let c = HoloConfig::default();
-        assert!(c.cor_strength.is_none());
-        assert_eq!(c.with_cor_strength(Some(0.3)).cor_strength, Some(0.3));
     }
 }

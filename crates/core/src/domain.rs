@@ -17,9 +17,11 @@
 //! group alone, not of the cell asking. `PruneIndex::build` therefore
 //! walks every co-occurrence group of the statistics **once** — those of
 //! the target attributes it is given: `compile` names the attributes a
-//! cell can be pruned in, the public wrappers every attribute — and keeps,
-//! per group whose conditioning value occurs at least `min_support` times,
-//! the `(value, count)` entries with `count / #v' ≥ τ_min`. Rows are keyed
+//! cell can be pruned in, [`prune_domains_with_threads`] every attribute —
+//! and keeps, per group whose conditioning value occurs at least
+//! `min_support` times, the `(value, count)` entries with
+//! `count / #v' ≥ τ_min`. Every other attribute of a cell's tuple takes
+//! part; no attribute is gated out. Rows are keyed
 //! by the statistics' value codes: per conditioning attribute a `Vec`
 //! maps code → row, filled from the per-code counts and found by code as
 //! the group walk yields it. Pruning a cell is then at most `n_attrs − 1`
@@ -44,22 +46,7 @@
 //!
 //! [`HoloConfig::max_domain`]: crate::config::HoloConfig::max_domain
 
-use holo_dataset::{AttrId, CellRef, CooccurStats, CorrelationView, Dataset, FxHashMap, Sym};
-
-/// BClean-style correlation gate for Algorithm 2 (the `cor_strength` knob
-/// of the Python HoloClean API): conditioning attributes whose uncertainty
-/// coefficient toward the repaired attribute falls below `min_corr` are
-/// skipped entirely — their groups never enter the index and their
-/// candidates never enter the domain. Opt-in via
-/// [`HoloConfig::cor_strength`](crate::config::HoloConfig::cor_strength);
-/// ungated pruning reads every partner.
-#[derive(Debug, Clone, Copy)]
-pub struct PruneGate<'a> {
-    /// The dependency view of the statistics being pruned against.
-    pub corr: &'a CorrelationView,
-    /// Minimum correlation for a partner attribute to participate.
-    pub min_corr: f64,
-}
+use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, Sym};
 
 /// Pruned candidate domains per noisy cell. Candidates are deduplicated,
 /// always contain the cell's initial value (even if null), and are sorted
@@ -130,10 +117,6 @@ pub(crate) struct PruneIndex<'a> {
     /// their coded columns.
     stats: &'a CooccurStats,
     shards: Vec<Shard>,
-    /// `open[cond · n + target]`: whether `cond` may propose candidates for
-    /// `target` (off the diagonal, `target` among the build's targets, and
-    /// through the correlation gate).
-    open: Vec<bool>,
     /// The target attributes the lists were built for.
     targets: Vec<bool>,
     tau_min: f64,
@@ -151,26 +134,17 @@ impl<'a> PruneIndex<'a> {
         targets: &[bool],
         tau_min: f64,
         min_support: u32,
-        gate: Option<PruneGate<'_>>,
         threads: usize,
     ) -> Self {
-        let schema = ds.schema();
-        let n = schema.len();
-        debug_assert_eq!(stats.freq().tuple_count(), ds.tuple_count());
-        let open: Vec<bool> = schema
+        let n = ds.schema().len();
+        debug_assert_eq!(stats.tuple_count(), ds.tuple_count());
+        debug_assert!(ds
+            .schema()
             .attrs()
-            .flat_map(|cond| schema.attrs().map(move |target| (cond, target)))
-            .map(|(cond, target)| {
-                debug_assert!(!targets[target.index()] || stats.holds_target(target));
-                cond != target
-                    && targets[target.index()]
-                    && gate.is_none_or(|g| g.corr.correlation(cond, target) >= g.min_corr)
-            })
-            .collect();
+            .all(|a| !targets[a.index()] || stats.holds_target(a)));
         let at = |i: usize| u32::try_from(i).expect("prune index outgrew u32 offsets");
         let threads = holo_parallel::sized_threads(threads, stats.group_count());
         let shards = holo_parallel::parallel_jobs(threads, n, |cond| {
-            let open = &open[cond * n..(cond + 1) * n];
             let cond = AttrId(cond as u16);
             let mut rows = vec![NO_ROW; stats.codes().len(cond)];
             let mut denom = Vec::new();
@@ -185,7 +159,7 @@ impl<'a> PruneIndex<'a> {
             let mut entries: Vec<(Sym, u32)> = Vec::new();
             stats.for_each_group_of(cond, |target, code, group| {
                 let row = rows[code as usize];
-                if !open[target.index()] || row == NO_ROW {
+                if !targets[target.index()] || row == NO_ROW {
                     return;
                 }
                 let d = f64::from(denom[row as usize]);
@@ -207,7 +181,6 @@ impl<'a> PruneIndex<'a> {
         PruneIndex {
             stats,
             shards,
-            open,
             targets: targets.to_vec(),
             tau_min,
         }
@@ -265,7 +238,7 @@ impl<'a> PruneIndex<'a> {
         // The initial value always survives pruning with top priority.
         scored.push((ds.cell_ref(cell), f64::INFINITY));
         for (cond, shard) in ds.schema().attrs().zip(&self.shards) {
-            if !self.open[cond.index() * n + target] {
+            if cond == cell.attr {
                 continue;
             }
             // A null cell's NULL_CODE is past every code: no row.
@@ -303,7 +276,11 @@ impl<'a> PruneIndex<'a> {
 
 /// Runs Algorithm 2 over the noisy cells, with the index build and the
 /// per-cell reads dispatched across up to `threads` worker threads (`0` =
-/// all cores); the result is identical for every thread count.
+/// all cores); the result is identical for every thread count. Every
+/// conditioning value counts (`compile` reads its own index, which skips
+/// values seen fewer than
+/// [`HoloConfig::min_cond_support`](crate::config::HoloConfig::min_cond_support)
+/// times).
 pub fn prune_domains_with_threads(
     ds: &Dataset,
     noisy: &[CellRef],
@@ -312,32 +289,27 @@ pub fn prune_domains_with_threads(
     max_domain: usize,
     threads: usize,
 ) -> CellDomains {
-    prune_domains_gated(ds, noisy, stats, tau, max_domain, threads, 1, None)
-}
-
-/// [`prune_domains_with_threads`] with an explicit minimum support —
-/// conditioning values occurring fewer than `min_support` times are
-/// ignored (a value seen once yields a meaningless `Pr[v | v'] = 1`) —
-/// and an optional correlation gate. `compile` prunes with
-/// [`HoloConfig::min_cond_support`](crate::config::HoloConfig::min_cond_support);
-/// `min_support = 1, gate = None` is the plain Algorithm 2.
-#[allow(clippy::too_many_arguments)]
-pub fn prune_domains_gated(
-    ds: &Dataset,
-    noisy: &[CellRef],
-    stats: &CooccurStats,
-    tau: f64,
-    max_domain: usize,
-    threads: usize,
-    min_support: u32,
-    gate: Option<PruneGate<'_>>,
-) -> CellDomains {
     let every_attr = vec![true; ds.schema().len()];
-    let index = PruneIndex::build(ds, stats, &every_attr, tau, min_support, gate, threads);
+    let index = PruneIndex::build(ds, stats, &every_attr, tau, 1, threads);
     let pruned = index.prune_cells(ds, noisy, tau, max_domain, threads);
     CellDomains {
         domains: noisy.iter().copied().zip(pruned).collect(),
     }
+}
+
+/// The domains of `cells`, in order, over an index of every attribute that
+/// ignores conditioning values seen fewer than `min_support` times.
+#[cfg(test)]
+pub(crate) fn prune_with_support(
+    ds: &Dataset,
+    cells: &[CellRef],
+    stats: &CooccurStats,
+    (tau, max_domain, min_support): (f64, usize, u32),
+    threads: usize,
+) -> Vec<Vec<Sym>> {
+    let every_attr = vec![true; ds.schema().len()];
+    let index = PruneIndex::build(ds, stats, &every_attr, tau, min_support, threads);
+    index.prune_cells(ds, cells, tau, max_domain, threads)
 }
 
 #[cfg(test)]
@@ -356,21 +328,17 @@ mod tests {
         tau: f64,
         max_domain: usize,
         min_support: u32,
-        gate: Option<PruneGate<'_>>,
     ) -> Vec<Sym> {
         let mut scores: FxHashMap<Sym, f64> = FxHashMap::default();
         for cond_attr in ds.schema().attrs() {
             if cond_attr == cell.attr {
                 continue;
             }
-            if gate.is_some_and(|g| g.corr.correlation(cond_attr, cell.attr) < g.min_corr) {
-                continue;
-            }
             let v_cond = ds.cell(cell.tuple, cond_attr);
             if v_cond.is_null() {
                 continue;
             }
-            let denom = stats.freq().count(cond_attr, v_cond);
+            let denom = stats.count(cond_attr, v_cond);
             if denom == 0 || denom < min_support {
                 continue;
             }
@@ -397,8 +365,8 @@ mod tests {
         candidates.into_iter().map(|(s, _)| s).collect()
     }
 
-    /// One cell through the public wrapper (index built at `tau`,
-    /// `min_support = 1`, no gate).
+    /// One cell through the public entry (index built at `tau`,
+    /// `min_support = 1`).
     fn prune_cell(
         ds: &Dataset,
         cell: CellRef,
@@ -511,13 +479,13 @@ mod tests {
         let stats = CooccurStats::build(&ds);
         let cells: Vec<CellRef> = ds.cells().collect();
         let tau_min = 0.05;
-        let shared = PruneIndex::build(&ds, &stats, &[true; 3], tau_min, 2, None, 1);
+        let shared = PruneIndex::build(&ds, &stats, &[true; 3], tau_min, 2, 1);
         for shard in &shared.shards {
             assert!(shard.lists.iter().all(|&(_, len)| len <= 20));
         }
         let mut shrank = false;
         for tau in [0.05, 0.1, 0.25, 0.3, 1.0 / 3.0, 0.5, 0.9, 1.0] {
-            let own = PruneIndex::build(&ds, &stats, &[true; 3], tau, 2, None, 1);
+            let own = PruneIndex::build(&ds, &stats, &[true; 3], tau, 2, 1);
             assert!(own.entries() <= shared.entries());
             shrank |= own.entries() < shared.entries();
             let from_own = own.prune_cells(&ds, &cells, tau, 4, 1);
@@ -530,7 +498,7 @@ mod tests {
             // `≥` boundary must match the row scan's.
             let reference: Vec<Vec<Sym>> = cells
                 .iter()
-                .map(|&c| row_scan_prune_cell(&ds, c, &stats, tau, 4, 2, None))
+                .map(|&c| row_scan_prune_cell(&ds, c, &stats, tau, 4, 2))
                 .collect();
             assert_eq!(from_own, reference, "τ = {tau}");
         }
@@ -553,14 +521,10 @@ mod tests {
         let stats = CooccurStats::build(&ds);
         assert!(stats.group_count() >= holo_parallel::MIN_PARALLEL_WORK);
         let cells: Vec<CellRef> = ds.cells().collect();
-        let one = prune_domains_gated(&ds, &cells, &stats, 0.2, 6, 1, 2, None);
-        let four = prune_domains_gated(&ds, &cells, &stats, 0.2, 6, 4, 2, None);
-        for &c in &cells {
-            assert_eq!(one.get(c), four.get(c));
-        }
-        for &c in cells.iter().step_by(97) {
-            let expected = row_scan_prune_cell(&ds, c, &stats, 0.2, 6, 2, None);
-            assert_eq!(one.get(c), expected.as_slice());
+        let one = prune_with_support(&ds, &cells, &stats, (0.2, 6, 2), 1);
+        assert_eq!(prune_with_support(&ds, &cells, &stats, (0.2, 6, 2), 4), one);
+        for (&c, got) in cells.iter().zip(&one).step_by(97) {
+            assert_eq!(*got, row_scan_prune_cell(&ds, c, &stats, 0.2, 6, 2));
         }
     }
 
@@ -600,8 +564,7 @@ mod tests {
         /// went through an edit before the statistics were built (append →
         /// update in place: pool values no row holds), τ ∈ [0, 0.6],
         /// `min_support` ∈ {1, 2, 3}, binding and slack `max_domain` caps,
-        /// thread counts {1, 4}, and both the ungated and correlation-gated
-        /// reads.
+        /// and thread counts {1, 4}.
         #[test]
         fn prop_prune_domains_dense_matches_naive(
             rows in proptest::collection::vec((0u8..5, 0u8..4, 0u8..4), 5..30),
@@ -610,7 +573,6 @@ mod tests {
             tau in 0.0f64..0.6,
             min_support in 1u32..4,
             max_domain in 1usize..8,
-            min_corr in 0.0f64..0.8,
         ) {
             // 0 encodes a null cell so codes and hash keys diverge early.
             let cs = |k: usize, v: u8| if v == 0 { String::new() } else { format!("a{k}v{v}") };
@@ -637,26 +599,14 @@ mod tests {
             // Every cell is "noisy": prune them all.
             let noisy: Vec<CellRef> = ds.cells().collect();
             for stats in [&dense, &naive] {
-                for gated in [false, true] {
-                    let gate = gated.then(|| PruneGate {
-                        corr: stats.correlations(),
-                        min_corr,
-                    });
-                    let reference: Vec<Vec<Sym>> = noisy
-                        .iter()
-                        .map(|&c| {
-                            row_scan_prune_cell(&ds, c, stats, tau, max_domain, min_support, gate)
-                        })
-                        .collect();
-                    for threads in [1usize, 4] {
-                        let doms = prune_domains_gated(
-                            &ds, &noisy, stats, tau, max_domain, threads, min_support, gate,
-                        );
-                        prop_assert_eq!(doms.len(), noisy.len());
-                        for (&c, expected) in noisy.iter().zip(&reference) {
-                            prop_assert_eq!(doms.get(c), expected.as_slice());
-                        }
-                    }
+                let reference: Vec<Vec<Sym>> = noisy
+                    .iter()
+                    .map(|&c| row_scan_prune_cell(&ds, c, stats, tau, max_domain, min_support))
+                    .collect();
+                for threads in [1usize, 4] {
+                    let params = (tau, max_domain, min_support);
+                    let doms = prune_with_support(&ds, &noisy, stats, params, threads);
+                    prop_assert_eq!(&doms, &reference);
                 }
             }
         }

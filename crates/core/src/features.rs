@@ -857,7 +857,7 @@ mod tests {
         let prob = |cond: AttrId, t: usize, d: Sym| {
             let v_cond = ds.cell(t.into(), cond);
             f64::from(stats.cooccur_count(cond, v_cond, city, d))
-                / f64::from(stats.freq().count(cond, v_cond))
+                / f64::from(stats.count(cond, v_cond))
         };
         // t3.City and t0.City, then t3.State through one sink.
         let mut sink = FeatureSink::default();
@@ -928,7 +928,7 @@ mod tests {
 
     /// Both backends read counts by value code: the same entries, bit for
     /// bit, for every cell of a table with nulls, at two supports — and
-    /// the entries the `Sym`-keyed reads (`freq().count`, `cooccur_count`)
+    /// the entries the `Sym`-keyed reads (`count`, `cooccur_count`)
     /// give.
     #[test]
     fn occur_rows_are_bit_identical_on_both_backends() {
@@ -980,7 +980,7 @@ mod tests {
                 let conds = ds.schema().attrs().filter(|&a| a != cell.attr);
                 for cond_attr in conds {
                     let v_cond = ds.cell(cell.tuple, cond_attr);
-                    let denom = naive.freq().count(cond_attr, v_cond);
+                    let denom = naive.count(cond_attr, v_cond);
                     if v_cond.is_null() || denom < support {
                         continue;
                     }

@@ -66,7 +66,7 @@ pub mod stream;
 pub mod trainable;
 
 pub use config::{HoloConfig, ModelVariant};
-pub use domain::{prune_domains_gated, prune_domains_with_threads, CellDomains, PruneGate};
+pub use domain::{prune_domains_with_threads, CellDomains};
 pub use error::HoloError;
 pub use feedback::{FeedbackRequest, FeedbackSession, Label};
 pub use metrics::{evaluate, RepairQuality};

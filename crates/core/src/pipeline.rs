@@ -103,8 +103,7 @@ pub struct StageTimings {
     pub retire: crate::stream::RetireStats,
     /// Size gauges of the statistics this run (a session's last run)
     /// built: dense vs CSR pair blocks, dense cells, approximate bytes
-    /// (all zero under `--naive-stats`), and whether the correlation view
-    /// was computed.
+    /// (all zero under `--naive-stats`).
     pub stats: StatsStats,
 }
 
@@ -249,8 +248,6 @@ pub fn compile_model(
         config: &cx.config,
     })?;
     model.stats.phases.insert(0, ("stats build", stats_build));
-    // Snapshot after compile so `corr_recomputes` reflects whether the
-    // gate ran.
     Ok((model, stats.stats_stats()))
 }
 

@@ -88,7 +88,7 @@ mod tests {
     use super::*;
     use crate::compile::{compile, compile_unfiltered, CompileInput, CompiledModel};
     use crate::config::ModelVariant;
-    use crate::domain::prune_domains_gated;
+    use crate::domain::prune_with_support;
     use crate::features::FeatureKey;
     use crate::pipeline::{self, Detection, PipelineContext};
     use crate::session::HoloClean;
@@ -379,7 +379,7 @@ mod tests {
     /// `compile` over `build_with_opts` statistics — registry, design
     /// matrix, variables — and `pipeline::compile_model` is the former, on
     /// the four generators and a Physicians table large enough for CSR
-    /// pair blocks, with the correlation gate and on the naive backend too.
+    /// pair blocks, and on the naive backend too.
     #[test]
     fn masked_statistics_compile_the_same_model() {
         let csr_arm = (DatasetKind::Physicians, frozen(physicians(2500)));
@@ -398,11 +398,9 @@ mod tests {
                 kind == DatasetKind::Flights,
                 "{kind:?}: {held} of {n}"
             );
-            let configs = [(None, false), (Some(0.3), false), (None, true)];
             // (The large table only for the arm the small ones cannot reach.)
-            for (cor_strength, naive) in configs.into_iter().take(if i == 4 { 1 } else { 3 }) {
-                let label = format!("{kind:?} cor {cor_strength:?} naive {naive}");
-                cx.config.cor_strength = cor_strength;
+            for naive in [false, true].into_iter().take(if i == 4 { 1 } else { 2 }) {
+                let label = format!("{kind:?} naive {naive}");
                 cx.config.naive_stats = naive;
                 let full = CooccurStats::build_with_opts(&cx.ds, 2, naive);
                 let masked = CooccurStats::build_for_targets(&cx.ds, 2, naive, &targets);
@@ -533,12 +531,8 @@ mod tests {
             .tuples()
             .map(|tuple| CellRef { tuple, attr: score })
             .find(|&cell| {
-                let (tau, cap) = (config.tau, config.max_domain);
-                let support = config.min_cond_support;
-                prune_domains_gated(&cx.ds, &[cell], &stats, tau, cap, 1, support, None)
-                    .get(cell)
-                    .len()
-                    >= 2
+                let params = (config.tau, config.max_domain, config.min_cond_support);
+                prune_with_support(&cx.ds, &[cell], &stats, params, 1)[0].len() >= 2
             })
             .expect("some Score cell has two candidates");
         cx.extra_detectors.push(Box::new(Flags(cell)));

@@ -45,8 +45,6 @@ pub mod value;
 pub use error::DatasetError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use schema::{AttrId, Schema};
-pub use stats::{
-    CooccurStats, CorrelationView, FrequencyStats, GroupView, StatsStats, ValueCodes, NULL_CODE,
-};
+pub use stats::{CooccurStats, FrequencyStats, GroupView, StatsStats, ValueCodes, NULL_CODE};
 pub use table::{CellRef, Dataset, TupleId};
 pub use value::{Sym, ValuePool};

@@ -3,8 +3,8 @@
 //! HoloClean uses two statistical views of the input (§4.1, §5.1.1):
 //!
 //! * [`FrequencyStats`] — per-attribute value counts (the empirical
-//!   distribution of each attribute); used by outlier detection and by the
-//!   SCARE baseline.
+//!   distribution of each attribute) for callers that need no pairwise
+//!   counts, such as outlier detection.
 //! * [`CooccurStats`] — pairwise co-occurrence counts
 //!   `#(v@A, v'@A')` for every ordered attribute pair, which give the
 //!   conditional probability `Pr[v | v'] = #(v, v') / #v'` at the heart of
@@ -17,8 +17,11 @@
 //! non-null value of each attribute gets a dense per-attribute *code* in
 //! first-appearance order, and the statistics keep the result
 //! ([`ValueCodes`]) — the `Sym ↔ code` registry, every tuple's value as its
-//! code ([`NULL_CODE`] for null) and each code's tuple count. The per-cell
-//! readers read by code and never hash a value:
+//! code ([`NULL_CODE`] for null), each code's tuple count and each
+//! attribute's null count, all from one hashing pass over the cells. That
+//! is the statistics' only per-value count table: the `Sym`-keyed
+//! [`CooccurStats::count`] and [`CooccurStats::distinct`] look the value's
+//! code up in it. The per-cell readers read by code and never hash a value:
 //! [`CooccurStats::code_at`] gives the code of `t[A']`,
 //! [`CooccurStats::code_count`] its `#v'`, [`CooccurStats::group_by_code`]
 //! the group `A' = v' → A`, and [`GroupView::count_by_code`] a candidate's
@@ -49,9 +52,10 @@
 //!   stores counts: codes are built and read the same way.
 //!
 //! Counts are integer accumulators, so the two backends answer **every**
-//! query identically — `count`, `prob`, `conditional_prob`, the code-keyed
-//! reads, [`GroupView`] contents, `group_count` — over any table, values
-//! that no row holds any more included, at any thread count. That
+//! query identically — `count`, `cooccur_count`, `conditional_prob`, the
+//! code-keyed reads, [`GroupView`] contents, `group_count` — over any
+//! table, values that no row holds any more included, at any thread
+//! count. That
 //! equivalence is proptested below (`dense_matches_naive_oracle` for the
 //! matrix arm, `csr_arm_matches_naive_oracle_randomized` for the CSR arm)
 //! and CI byte-diffs full pipeline dumps between the backends.
@@ -69,25 +73,15 @@
 //! values of `A` co-occur with `v'@A'` — and the repair pipeline only ever
 //! asks about attributes that have a variable. So
 //! [`CooccurStats::build_for_targets`] builds the `(·, target)` pairs of a
-//! given attribute set only (`build_with_opts` = every attribute); value
-//! codes and [`FrequencyStats`] are always complete. The statistics
+//! given attribute set only (`build_with_opts` = every attribute); the
+//! value codes and their counts are always complete. The statistics
 //! remember their targets: a keyed read of any other pair is a
-//! `debug_assert!` failure rather than a silent zero, the block walks
-//! ([`CooccurStats::for_each_group_of`], the correlation view) visit held
-//! targets only, and [`StatsStats::pairs`] counts them.
-//!
-//! On top of the counts, [`CooccurStats::correlations`] lazily computes an
-//! attribute dependency view — the uncertainty coefficient
-//! `U(target | cond) = 1 − H(target|cond) / H(target)` per ordered pair —
-//! once, on first use. Algorithm 2 uses it (opt-in, via
-//! `HoloConfig::cor_strength`) to skip uncorrelated partner attributes
-//! entirely. Entropy terms are summed in canonical symbol order, so the
-//! view is bit-identical across backends and thread counts.
+//! `debug_assert!` failure rather than a silent zero, the block walk
+//! ([`CooccurStats::for_each_group_of`]) visits held targets only, and
+//! [`StatsStats::pairs`] counts them.
 //!
 //! Null cells never contribute to co-occurrence statistics: a missing value
 //! is evidence of nothing.
-
-use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -178,17 +172,20 @@ const DENSE_MAX_CELLS: usize = 1 << 16;
 pub const NULL_CODE: u32 = u32::MAX;
 
 /// The coded table: a per-attribute `Sym → code` registry, every tuple's
-/// value as its code, and each code's tuple count. Codes are dense
-/// (`0..len(attr)`), assigned in first-appearance order over the scanned
-/// rows.
+/// value as its code, each code's tuple count and each attribute's null
+/// count. Codes are dense (`0..len(attr)`), assigned in first-appearance
+/// order over the scanned rows.
 #[derive(Debug, Clone)]
 pub struct ValueCodes {
     code: Vec<FxHashMap<Sym, u32>>,
     syms: Vec<Vec<Sym>>,
     /// `counts[a][code]`: tuples holding the value.
     counts: Vec<Vec<u32>>,
+    /// `nulls[a]`: tuples whose `a` is null.
+    nulls: Vec<u32>,
     /// `columns[a][tuple]`: the value's code, [`NULL_CODE`] for null.
     columns: Vec<Vec<u32>>,
+    tuples: usize,
 }
 
 impl ValueCodes {
@@ -201,16 +198,20 @@ impl ValueCodes {
             code: vec![FxHashMap::default(); n],
             syms: vec![Vec::new(); n],
             counts: vec![Vec::new(); n],
+            nulls: vec![0; n],
             columns: Vec::with_capacity(n),
+            tuples: ds.tuple_count(),
         };
         for a in ds.schema().attrs() {
-            let (code, syms, counts) = (
+            let (code, syms, counts, nulls) = (
                 &mut codes.code[a.index()],
                 &mut codes.syms[a.index()],
                 &mut codes.counts[a.index()],
+                &mut codes.nulls[a.index()],
             );
             let column = ds.column(a).iter().map(|&v| {
                 if v.is_null() {
+                    *nulls += 1;
                     return NULL_CODE;
                 }
                 let c = *code.entry(v).or_insert_with(|| {
@@ -248,7 +249,7 @@ impl ValueCodes {
         let registry: u64 = (self.syms.iter().zip(&self.code))
             .map(|(syms, code)| 4 * syms.len() as u64 + 12 * code.len() as u64)
             .sum();
-        registry + words(&self.counts) + words(&self.columns)
+        registry + words(&self.counts) + 4 * self.nulls.len() as u64 + words(&self.columns)
     }
 }
 
@@ -585,77 +586,6 @@ impl GroupView<'_> {
     }
 }
 
-/// Attribute dependency view: the uncertainty coefficient
-/// `U(target | cond) = 1 − H(target | cond) / H(target)` for every ordered
-/// attribute pair, computed over the pairwise non-null co-occurrence
-/// counts. `1.0` means `cond` determines `target` (or `target` is
-/// constant); `0.0` means independence (or no co-occurring rows).
-#[derive(Debug, Clone)]
-pub struct CorrelationView {
-    n_attrs: usize,
-    corr: Vec<f64>,
-}
-
-impl CorrelationView {
-    /// How strongly `cond` predicts `target`, in `[0, 1]`.
-    #[inline]
-    pub fn correlation(&self, cond: AttrId, target: AttrId) -> f64 {
-        let corr = self.corr[cond.index() * self.n_attrs + target.index()];
-        debug_assert!(!corr.is_nan(), "pairs of {target:?} not built");
-        corr
-    }
-}
-
-/// One pair's groups in symbol space: `(v_cond, [(v_target, count)])`.
-type PairRows = Vec<(Sym, Vec<(Sym, u32)>)>;
-
-/// Uncertainty coefficient of one pair from its canonicalized groups.
-/// Sorts rows by conditioning symbol and entries by target symbol before
-/// summing, so the floating-point result is bit-identical regardless of
-/// which backend (or thread count) produced the groups.
-fn uncertainty_coefficient(rows: &mut [(Sym, Vec<(Sym, u32)>)]) -> f64 {
-    rows.sort_unstable_by_key(|&(s, _)| s);
-    let mut marginal: FxHashMap<Sym, u64> = FxHashMap::default();
-    let mut total = 0u64;
-    for (_, entries) in rows.iter_mut() {
-        entries.sort_unstable_by_key(|&(s, _)| s);
-        for &(t, c) in entries.iter() {
-            *marginal.entry(t).or_insert(0) += u64::from(c);
-            total += u64::from(c);
-        }
-    }
-    if total == 0 {
-        return 0.0;
-    }
-    let n = total as f64;
-    let mut marginal: Vec<(Sym, u64)> = marginal.into_iter().collect();
-    marginal.sort_unstable_by_key(|&(s, _)| s);
-    let mut h_target = 0.0;
-    for &(_, c) in &marginal {
-        let p = c as f64 / n;
-        h_target -= p * p.ln();
-    }
-    if h_target <= 0.0 {
-        // A constant target is perfectly predicted by anything.
-        return 1.0;
-    }
-    let mut h_cond = 0.0;
-    for (_, entries) in rows.iter() {
-        let nc: u64 = entries.iter().map(|&(_, c)| u64::from(c)).sum();
-        if nc == 0 {
-            continue;
-        }
-        let ncf = nc as f64;
-        let mut h_row = 0.0;
-        for &(_, c) in entries {
-            let p = f64::from(c) / ncf;
-            h_row -= p * p.ln();
-        }
-        h_cond += (ncf / n) * h_row;
-    }
-    (1.0 - h_cond / h_target).clamp(0.0, 1.0)
-}
-
 /// Size gauges of the statistics engine, surfaced through `StageTimings`
 /// into `diag` / `diag --json`. `dense_pairs`, `csr_pairs`, `dense_cells`
 /// and `bytes` describe the dense backend's storage (all zero under the
@@ -676,8 +606,6 @@ pub struct StatsStats {
     /// postings) + the coded table (registry, per-code counts, coded
     /// columns).
     pub bytes: u64,
-    /// 1 once the lazy correlation view has been computed, else 0.
-    pub corr_recomputes: u64,
 }
 
 /// Count storage, either backend.
@@ -705,12 +633,9 @@ enum Backend {
 pub struct CooccurStats {
     codes: ValueCodes,
     backend: Backend,
-    freq: FrequencyStats,
     /// `targets[a]`: whether the pairs `(·, a)` were built. Reading a pair
     /// outside them is a `debug_assert!` failure, never a silent zero.
     targets: Vec<bool>,
-    /// Lazily computed attribute dependency view.
-    corr: OnceLock<CorrelationView>,
 }
 
 impl CooccurStats {
@@ -738,12 +663,11 @@ impl CooccurStats {
     /// whose *target* attribute is set in `targets` (indexed by attribute)
     /// — the `|targets| · (|A| − 1)` blocks a caller that only ever asks
     /// "which values of these attributes co-occur with …" reads. Value
-    /// codes and [`FrequencyStats`] stay complete, every held pair is the
+    /// codes and their counts stay complete, every held pair is the
     /// block the full build holds, and the statistics remember the mask:
     /// see [`CooccurStats::holds_target`].
     pub fn build_for_targets(ds: &Dataset, threads: usize, naive: bool, targets: &[bool]) -> Self {
         assert_eq!(targets.len(), ds.schema().len(), "one flag per attribute");
-        let freq = FrequencyStats::build(ds);
         let codes = ValueCodes::build(ds);
         let backend = if naive {
             Backend::Naive {
@@ -757,18 +681,15 @@ impl CooccurStats {
         CooccurStats {
             codes,
             backend,
-            freq,
             targets: targets.to_vec(),
-            corr: OnceLock::new(),
         }
     }
 
     /// Whether the pairs with target attribute `target` were built. Every
     /// keyed read ([`CooccurStats::cooccur_count`],
     /// [`CooccurStats::conditional_prob`], [`CooccurStats::group`],
-    /// [`CooccurStats::group_by_code`], [`CorrelationView::correlation`])
-    /// `debug_assert!`s it, and the whole-statistics walks visit held
-    /// targets only.
+    /// [`CooccurStats::group_by_code`]) `debug_assert!`s it, and
+    /// [`CooccurStats::for_each_group_of`] visits held targets only.
     pub fn holds_target(&self, target: AttrId) -> bool {
         self.targets[target.index()]
     }
@@ -798,9 +719,24 @@ impl CooccurStats {
         counts.get(code as usize).copied().unwrap_or(0)
     }
 
-    /// The frequency statistics computed alongside.
-    pub fn freq(&self) -> &FrequencyStats {
-        &self.freq
+    /// Number of tuples the statistics were computed over.
+    pub fn tuple_count(&self) -> usize {
+        self.codes.tuples
+    }
+
+    /// How many tuples hold `v` in attribute `a`, null included — what
+    /// [`FrequencyStats::count`] answers, read through the value's code.
+    pub fn count(&self, a: AttrId, v: Sym) -> u32 {
+        if v.is_null() {
+            return self.codes.nulls[a.index()];
+        }
+        self.codes.code(a, v).map_or(0, |c| self.code_count(a, c))
+    }
+
+    /// Number of distinct values of attribute `a`, null included when some
+    /// tuple holds it — what [`FrequencyStats::distinct`] answers.
+    pub fn distinct(&self, a: AttrId) -> usize {
+        self.codes.len(a) + usize::from(self.codes.nulls[a.index()] > 0)
     }
 
     /// `#(v@target, v'@cond)` — tuples where both values appear together.
@@ -816,7 +752,7 @@ impl CooccurStats {
     /// The Algorithm 2 conditional probability
     /// `Pr[v@target | v'@cond] = #(v, v') / #v'`.
     pub fn conditional_prob(&self, cond: AttrId, v_cond: Sym, target: AttrId, v: Sym) -> f64 {
-        let denom = self.freq.count(cond, v_cond);
+        let denom = self.count(cond, v_cond);
         if denom == 0 {
             return 0.0;
         }
@@ -858,19 +794,13 @@ impl CooccurStats {
         }
     }
 
-    /// The attribute dependency view over the counts, computed on first
-    /// use and cached. Bit-identical across backends and thread counts.
-    pub fn correlations(&self) -> &CorrelationView {
-        self.corr.get_or_init(|| self.compute_correlations())
-    }
-
     /// Calls `f(target, code, group)` once for every non-empty group
     /// conditioned on attribute `cond` — `code` is the conditioning
     /// value's — the block-level walk that whole-statistics consumers (the
-    /// Algorithm 2 threshold index, the correlation view) use instead of
-    /// probing [`CooccurStats::group`] per value. Groups are visited
-    /// target-major in code order; entry order inside a group follows the
-    /// backend, so callers must fold it order-insensitively.
+    /// Algorithm 2 threshold index) use instead of probing
+    /// [`CooccurStats::group`] per value. Groups are visited target-major
+    /// in code order; entry order inside a group follows the backend, so
+    /// callers must fold it order-insensitively.
     pub fn for_each_group_of(&self, cond: AttrId, mut f: impl FnMut(AttrId, u32, GroupView<'_>)) {
         let n = self.targets.len();
         for target in (0..n).map(|t| AttrId(t as u16)) {
@@ -885,38 +815,9 @@ impl CooccurStats {
         }
     }
 
-    fn compute_correlations(&self) -> CorrelationView {
-        let n = self.targets.len();
-        let mut per_pair: Vec<PairRows> = vec![Vec::new(); n * n];
-        for cond in 0..n {
-            let csyms = self.codes.syms(AttrId(cond as u16));
-            self.for_each_group_of(AttrId(cond as u16), |target, code, group| {
-                let mut entries = Vec::new();
-                group.for_each(|s, c| entries.push((s, c)));
-                per_pair[cond * n + target.index()].push((csyms[code as usize], entries));
-            });
-        }
-        let mut corr = vec![0.0; n * n];
-        for cond in 0..n {
-            for target in 0..n {
-                corr[cond * n + target] = if cond == target {
-                    1.0
-                } else if self.targets[target] {
-                    uncertainty_coefficient(&mut per_pair[cond * n + target])
-                } else {
-                    f64::NAN // not held: `correlation` refuses to read it
-                };
-            }
-        }
-        CorrelationView { n_attrs: n, corr }
-    }
-
     /// Snapshot of the engine's size gauges.
     pub fn stats_stats(&self) -> StatsStats {
-        let mut s = StatsStats {
-            corr_recomputes: u64::from(self.corr.get().is_some()),
-            ..StatsStats::default()
-        };
+        let mut s = StatsStats::default();
         let held = self.targets.iter().filter(|&&t| t).count();
         s.pairs = (held * self.targets.len().saturating_sub(1)) as u64;
         if let Backend::Dense { blocks, .. } = &self.backend {
@@ -1082,7 +983,8 @@ mod tests {
         for naive in [false, true] {
             let s = CooccurStats::build_with_opts(&ds, 1, naive);
             assert_eq!(s.group_count(), 0);
-            assert_eq!(s.correlations().correlation(AttrId(0), AttrId(1)), 0.0);
+            assert_eq!((s.tuple_count(), s.distinct(AttrId(0))), (0, 0));
+            assert_eq!(s.count(AttrId(1), Sym::NULL), 0);
         }
     }
 
@@ -1128,53 +1030,6 @@ mod tests {
         }
     }
 
-    /// Correlations: a determined pair scores 1, independence scores ~0,
-    /// and the view is bit-identical between backends.
-    #[test]
-    fn correlation_view_basics() {
-        let mut ds = Dataset::new(Schema::new(vec!["city", "zip", "coin"]));
-        // zip determines city; coin flips once per block of 4, so each coin
-        // value sees the full uniform city/zip cycle — independence.
-        for i in 0..40 {
-            let zip = i % 4;
-            ds.push_row(&[
-                format!("city{}", zip),
-                format!("zip{}", zip),
-                format!("coin{}", (i / 4) % 2),
-            ]);
-        }
-        let dense = CooccurStats::build(&ds);
-        let naive = CooccurStats::build_with_opts(&ds, 1, true);
-        let (city, zip, coin) = (AttrId(0), AttrId(1), AttrId(2));
-        let cv = dense.correlations();
-        assert_eq!(cv.correlation(zip, city), 1.0);
-        assert_eq!(cv.correlation(city, zip), 1.0);
-        assert!(cv.correlation(coin, city) < 1e-9);
-        assert!(cv.correlation(zip, coin) < 1e-9);
-        let nv = naive.correlations();
-        for a in ds.schema().attrs() {
-            for b in ds.schema().attrs() {
-                assert_eq!(
-                    cv.correlation(a, b).to_bits(),
-                    nv.correlation(a, b).to_bits(),
-                    "correlation({a:?}, {b:?}) differs between backends"
-                );
-            }
-        }
-        assert_eq!(dense.stats_stats().corr_recomputes, 1);
-    }
-
-    /// Constant target: anything predicts it perfectly.
-    #[test]
-    fn correlation_of_constant_target_is_one() {
-        let mut ds = Dataset::new(Schema::new(vec!["x", "k"]));
-        for i in 0..10 {
-            ds.push_row(&[format!("x{}", i % 3), "const".to_string()]);
-        }
-        let s = CooccurStats::build(&ds);
-        assert_eq!(s.correlations().correlation(AttrId(0), AttrId(1)), 1.0);
-    }
-
     /// Engine gauges: the dense backend reports its blocks, the oracle
     /// reports zero storage.
     #[test]
@@ -1185,7 +1040,6 @@ mod tests {
         assert_eq!(s.dense_pairs + s.csr_pairs, 6); // 3 attrs → 6 ordered pairs
         assert!(s.dense_cells > 0);
         assert!(s.bytes > 0);
-        assert_eq!(s.corr_recomputes, 0, "nothing asked for the view yet");
         let naive = CooccurStats::build_with_opts(&ds, 1, true);
         let s = naive.stats_stats();
         assert_eq!(s.dense_pairs + s.csr_pairs, 0);
@@ -1215,7 +1069,7 @@ mod tests {
     /// A build restricted to some target attributes holds, for each of
     /// them, the very pairs the full build holds — dense, CSR and naive —
     /// and nothing else: the walks skip the other targets, the gauges
-    /// count the held pairs only, codes and frequencies stay complete.
+    /// count the held pairs only, codes and value counts stay complete.
     #[test]
     fn restricted_build_holds_the_full_builds_pairs_for_its_targets() {
         let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c", "d"]));
@@ -1246,7 +1100,7 @@ mod tests {
             }
             let mut walked = 0;
             for cond in ds.schema().attrs() {
-                assert_eq!(held.freq().distinct(cond), full.freq().distinct(cond));
+                assert_eq!(held.distinct(cond), full.distinct(cond));
                 held.for_each_group_of(cond, |target, code, group| {
                     assert!(held.holds_target(target));
                     let entries = |g: GroupView<'_>| {
@@ -1266,10 +1120,6 @@ mod tests {
                     .attrs()
                     .filter(|&t| t != cond && targets[t.index()])
                 {
-                    assert_eq!(
-                        held.correlations().correlation(cond, target).to_bits(),
-                        full.correlations().correlation(cond, target).to_bits()
-                    );
                     for v_cond in ds.active_domain(cond) {
                         for v in ds.active_domain(target) {
                             assert_eq!(
@@ -1307,11 +1157,11 @@ mod tests {
 
     /// The code-keyed reads of `stats` answer what its `Sym`-keyed ones
     /// do: `code_at` names each cell's value, `code_count` is
-    /// `freq().count`, `group_by_code` is `group` and a group's
+    /// [`FrequencyStats`]' count, `group_by_code` is `group` and a group's
     /// `count_by_code` is `cooccur_count`, with `NULL_CODE` reading 0 and
     /// no group.
     fn assert_code_reads_agree(ds: &Dataset, stats: &CooccurStats) {
-        let codes = stats.codes();
+        let (codes, freq) = (stats.codes(), FrequencyStats::build(ds));
         for a in ds.schema().attrs() {
             for t in ds.tuples() {
                 let (v, code) = (ds.cell(t, a), stats.code_at(a, t));
@@ -1323,7 +1173,7 @@ mod tests {
             }
             for (code, &v) in codes.syms(a).iter().enumerate() {
                 assert_eq!(codes.code(a, v), Some(code as u32));
-                assert_eq!(stats.code_count(a, code as u32), stats.freq().count(a, v));
+                assert_eq!(stats.code_count(a, code as u32), freq.count(a, v));
             }
             assert_eq!(stats.code_count(a, NULL_CODE), 0);
         }
@@ -1356,7 +1206,7 @@ mod tests {
     /// current dataset, over the target attributes they hold.
     fn assert_backends_agree(ds: &Dataset, dense: &CooccurStats, naive: &CooccurStats) {
         assert!(dense.is_dense() && !naive.is_dense());
-        assert_eq!(dense.freq().tuple_count(), naive.freq().tuple_count());
+        assert_eq!(dense.tuple_count(), naive.tuple_count());
         assert_eq!(dense.group_count(), naive.group_count());
         for a in ds.schema().attrs() {
             assert_eq!(dense.codes().syms(a), naive.codes().syms(a));
@@ -1369,19 +1219,9 @@ mod tests {
                     assert_eq!(naive.holds_target(target), dense.holds_target(target));
                     continue;
                 }
-                let cv = dense.correlations().correlation(cond, target);
-                let nv = naive.correlations().correlation(cond, target);
-                assert_eq!(cv.to_bits(), nv.to_bits(), "correlation differs");
                 let target_domain = ds.active_domain(target);
                 for v_cond in ds.active_domain(cond) {
-                    assert_eq!(
-                        dense.freq().count(cond, v_cond),
-                        naive.freq().count(cond, v_cond)
-                    );
-                    assert_eq!(
-                        dense.freq().prob(cond, v_cond).to_bits(),
-                        naive.freq().prob(cond, v_cond).to_bits()
-                    );
+                    assert_eq!(dense.count(cond, v_cond), naive.count(cond, v_cond));
                     let dg = dense.group(cond, v_cond, target);
                     let ng = naive.group(cond, v_cond, target);
                     assert_eq!(dg.is_some(), ng.is_some(), "group presence differs");
@@ -1451,8 +1291,8 @@ mod tests {
     }
 
     proptest! {
-        /// Dense engine ≡ hash-map oracle: identical `count` / `prob` /
-        /// `cond_prob` / group / `group_count` / correlation answers when
+        /// Dense engine ≡ hash-map oracle: identical `count` /
+        /// `cooccur_count` / `cond_prob` / group / `group_count` answers when
         /// built over random datasets at every stage of an edit (fresh,
         /// appended to, updated in place — so the pool holds values no row
         /// does) × threads {1, 4}.
@@ -1508,6 +1348,39 @@ mod tests {
             let cond: Vec<u32> = rows.iter().map(|&(c, _, n)| code(c, vc, n == 0)).collect();
             let target: Vec<u32> = rows.iter().map(|&(_, t, n)| code(t, vt, n == 1)).collect();
             assert_csr_is(&cond, &target, vc, vt, &packed_sort_postings(&cond, &target, vc));
+        }
+
+        /// The statistics' value counts are [`FrequencyStats`]' exactly:
+        /// `count` of every pool symbol (null, values no row holds any more
+        /// included), `distinct` and `tuple_count`, on both backends under
+        /// a random target mask, over tables with nulls, an all-null column
+        /// and a constant column, the empty table included.
+        #[test]
+        fn value_counts_match_frequency_stats(
+            rows in proptest::collection::vec((0u8..5, 0u8..4), 0..30),
+            update in 0u8..5,
+            mask in 0u8..16,
+        ) {
+            let mut ds = Dataset::new(Schema::new(vec!["a", "b", "none", "k"]));
+            for &(a, b) in &rows {
+                ds.push_row(&[cell_str(0, a), cell_str(1, b), String::new(), "k".into()]);
+            }
+            if !rows.is_empty() {
+                let row = vec![cell_str(0, update), cell_str(1, 9), String::new(), "k".into()];
+                ds.update_rows(&[(TupleId::from(0usize), row)]);
+            }
+            let freq = FrequencyStats::build(&ds);
+            let targets: Vec<bool> = (0..4).map(|i| mask & (1 << i) != 0).collect();
+            for naive in [false, true] {
+                let stats = CooccurStats::build_for_targets(&ds, 2, naive, &targets);
+                prop_assert_eq!(stats.tuple_count(), freq.tuple_count());
+                for a in ds.schema().attrs() {
+                    prop_assert_eq!(stats.distinct(a), freq.distinct(a));
+                    for v in ds.pool().iter().map(|(v, _)| v).chain([Sym::NULL]) {
+                        prop_assert_eq!(stats.count(a, v), freq.count(a, v));
+                    }
+                }
+            }
         }
 
         /// Conditional probabilities over a fixed conditioning value sum to
