@@ -1,6 +1,6 @@
-//! Ablation study for the implementation decisions documented in
-//! DESIGN.md §5b — the mechanisms this reproduction had to pin down
-//! beyond the paper's text. Each row disables or varies one choice and
+//! Ablation study for the implementation decisions described in the
+//! **Model** bullet of ROADMAP.md — the mechanisms this reproduction had
+//! to pin down beyond the paper's text. Each row disables or varies one choice and
 //! reports repair quality on Hospital and Food.
 //!
 //! ```text
@@ -20,7 +20,7 @@ fn main() {
         seed: args.seed,
         full: args.full,
     };
-    println!("Ablations over the DESIGN.md §5b implementation decisions");
+    println!("Ablations over the implementation decisions of ROADMAP.md's Model bullet");
     println!("(scale ×{}, seed {})\n", args.scale, args.seed);
 
     type ConfigEdit = Box<dyn Fn(HoloConfig) -> HoloConfig>;

@@ -159,7 +159,7 @@ pub struct HoloConfig {
     /// this is a pure *wall-clock* knob like [`HoloConfig::threads`]:
     /// repairs and posteriors are byte-identical on or off, at every
     /// thread count. The cache is built per inference pass and never
-    /// stored in the graph, so feedback retrains can't read stale scores.
+    /// stored in the graph, so no pass can read another's scores.
     pub score_cache: bool,
     /// Statistics-engine oracle switch: when set, `CooccurStats` stores
     /// its counts in the original nested hash-map tables instead of the

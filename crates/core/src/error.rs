@@ -16,6 +16,8 @@ pub enum HoloError {
     /// serve (source-reliability features) or a malformed mutation batch
     /// (arity mismatch, a row that is not live or is named twice).
     Stream(String),
+    /// A feedback label naming a cell outside the session's table.
+    Feedback(String),
     /// Algorithm 2 pruning dropped a cell's own observed value from its
     /// candidate domain — a pathological pruning configuration (the
     /// compiler's invariant is that the initial value always survives).
@@ -46,6 +48,7 @@ impl fmt::Display for HoloError {
             HoloError::Constraint(msg) => write!(f, "constraint error: {msg}"),
             HoloError::Config(msg) => write!(f, "configuration error: {msg}"),
             HoloError::Stream(msg) => write!(f, "streaming error: {msg}"),
+            HoloError::Feedback(msg) => write!(f, "feedback error: {msg}"),
             HoloError::PrunedInitialValue { cell, attr } => write!(
                 f,
                 "compile error: pruning removed the observed value of cell {cell} \

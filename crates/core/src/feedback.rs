@@ -1,4 +1,5 @@
-//! User feedback and incremental retraining (§2.2, §7).
+//! User feedback (§2.2, §7): a session is **a table, its labels and a
+//! cached run**.
 //!
 //! "We can use these marginal probabilities to solicit user feedback. For
 //! example, we can ask users to verify repairs with low marginal
@@ -6,41 +7,46 @@
 //! parameters of HoloClean's model using standard incremental learning
 //! and inference techniques."
 //!
-//! [`FeedbackSession`] implements that loop over a compiled model:
+//! [`FeedbackSession`] implements that loop with the shape of
+//! [`crate::stream::StreamSession`]:
 //!
 //! 1. [`FeedbackSession::requests`] ranks the query cells by how unsure
 //!    the model is (lowest MAP marginal first) — the cells a human should
 //!    look at next.
-//! 2. [`FeedbackSession::apply_labels`] pins user-verified cells as
-//!    evidence variables.
-//! 3. [`FeedbackSession::retrain`] re-runs SGD — warm-started from the
-//!    current weights (the "incremental" part) — and re-infers marginals
-//!    for the still-unlabelled cells.
+//! 2. [`FeedbackSession::apply_labels`] writes the user-verified values
+//!    into the session's table, marks their cells
+//!    [`verified`](PipelineContext::verified) and drops the cached run.
+//! 3. The next read ([`FeedbackSession::requests`] or
+//!    [`FeedbackSession::try_report`]) makes one [`pipeline::run`] over
+//!    the edited table. That run *is* the retrain: learning from the
+//!    priors, then inference.
 //!
 //! ## What a label changes
 //!
-//! The compiled model stays as built. An out-of-domain label appends one
-//! (featureless) candidate row to its variable in the CSR design matrix
-//! via `DesignMatrix::append_candidate_row`; an in-domain label changes
-//! nothing in the matrix; the patched matrix equals a fresh build of the
-//! same rows, bit for bit. Pinning converts a query variable to evidence
-//! *inside* its component (clique scopes are unioned over all members, so
-//! no split is ever needed), so re-inference runs partitioned over the
-//! component index the model already has —
-//! [`FeedbackSession::partition_stats`] reports how the latest pass routed
-//! components between closed form, exact enumeration and Gibbs, and
-//! [`FeedbackSession::timings`] accumulates the learn/infer wall-clock of
-//! every retrain round.
+//! A label is a table edit. Detection, the co-occurrence statistics and
+//! the relaxed-DC counts all read the verified value, so a label that
+//! resolves a conflict unflags its partners too. Detection drops verified
+//! cells from the noisy set, so a labelled cell is never a query variable:
+//! it is an ordinary clean cell, and it trains the model through the
+//! evidence selection every clean cell goes through. No graph is ever
+//! patched.
+//!
+//! A read is therefore, to the bit, `pipeline::run` over a context whose
+//! table holds the labels and whose `verified` set holds their cells. Its
+//! report adds one repair at probability 1 for each label that differs
+//! from the value its cell held before its first label.
+//!
+//! Dictionary matches (the `Matched` relation) are computed once, by
+//! [`FeedbackSession::new`], over the table as given; a label does not
+//! re-match its cell.
 
-use crate::compile::CompiledModel;
-use crate::config::HoloConfig;
 use crate::error::HoloError;
-use crate::pipeline::{infer_marginals, train_checked, StageTimings};
-use crate::repair::RepairReport;
-use holo_dataset::{CellRef, Dataset, FxHashMap, Sym};
-use holo_factor::{LearnStats, Marginals, PartitionStats, Weights};
+use crate::pipeline::{self, PipelineContext, PipelineRun, StageTimings};
+use crate::repair::{Repair, RepairReport};
+use crate::HoloClean;
+use holo_dataset::{CellRef, Dataset, Sym};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::collections::BTreeMap;
 
 /// A cell the model wants verified, with its current best guess.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,54 +68,70 @@ pub struct Label {
     pub value: String,
 }
 
-/// Interactive repair refinement over a compiled model.
+/// Interactive repair refinement: the table with every label written, and
+/// the cached one-shot run over it. See the module docs for what a label
+/// changes.
 pub struct FeedbackSession {
-    model: CompiledModel,
-    weights: Weights,
-    config: HoloConfig,
-    /// Cells already pinned by the user.
-    labelled: FxHashMap<CellRef, Sym>,
-    marginals: Marginals,
-    /// Learn/infer wall-clock accumulated over retrain rounds, plus the
-    /// latest routing snapshot.
+    /// The inputs of every run; the table holds the labels, `verified`
+    /// their cells.
+    cx: PipelineContext,
+    /// The value each labelled cell held before its first label.
+    before: BTreeMap<CellRef, Sym>,
+    /// The run over the current table; `None` until the first read and
+    /// after every label batch.
+    run: Option<PipelineRun>,
+    /// Stage durations summed over the runs made, with the last run's
+    /// partition and statistics blocks.
     timings: StageTimings,
 }
 
+/// The run in `slot`, made over `cx` (and billed to `timings`) if there
+/// is none. A failed run leaves `slot` empty.
+fn cached_or_run<'a>(
+    cx: &PipelineContext,
+    slot: &'a mut Option<PipelineRun>,
+    timings: &mut StageTimings,
+) -> Result<&'a PipelineRun, HoloError> {
+    if let Some(run) = slot {
+        return Ok(run);
+    }
+    let run = pipeline::run(cx)?;
+    timings.bill(&run.timings);
+    Ok(slot.insert(run))
+}
+
 impl FeedbackSession {
-    /// Starts a session from a finished run (see
-    /// [`HoloClean::run_full`](crate::HoloClean::run_full)) — the model,
-    /// its learned weights, and the configuration used.
-    pub fn new(model: CompiledModel, weights: Weights, config: HoloConfig, ds: &Dataset) -> Self {
-        let mut timings = StageTimings::default();
-        let t0 = Instant::now();
-        let (marginals, partition) = infer_marginals(&model, &weights, ds, &config);
-        timings.infer += t0.elapsed();
-        timings.partition = partition;
-        FeedbackSession {
-            model,
-            weights,
-            config,
-            labelled: FxHashMap::default(),
-            marginals,
-            timings,
-        }
+    /// Opens a session over a configured builder: its table, constraints,
+    /// dictionaries, detectors and configuration. Matches the
+    /// dictionaries against the table as given; the first read makes the
+    /// first run.
+    pub fn new(holo: HoloClean) -> Result<Self, HoloError> {
+        Ok(FeedbackSession {
+            cx: holo.into_context()?,
+            before: BTreeMap::new(),
+            run: None,
+            timings: StageTimings::default(),
+        })
     }
 
-    /// The cells most worth human review: unlabelled query cells ordered
-    /// by ascending MAP confidence, truncated to `limit`.
-    pub fn requests(&self, ds: &Dataset, limit: usize) -> Vec<FeedbackRequest> {
-        let mut out: Vec<FeedbackRequest> = self
-            .model
+    /// The cells most worth human review: the query cells ordered by
+    /// ascending MAP confidence, truncated to `limit`. Makes the run if
+    /// there is none; a failed run is returned as its error.
+    pub fn requests(&mut self, limit: usize) -> Result<Vec<FeedbackRequest>, HoloError> {
+        let run = cached_or_run(&self.cx, &mut self.run, &mut self.timings)?;
+        let model = &run.model;
+        let mut out: Vec<FeedbackRequest> = model
             .query_cells
             .iter()
-            .zip(&self.model.query_vars)
-            .filter(|(cell, _)| !self.labelled.contains_key(cell))
+            .zip(&model.query_vars)
             .map(|(&cell, &var)| {
-                let (k, p) = self.marginals.map_candidate(var);
+                let (k, p) = run.marginals.map_candidate(var);
                 FeedbackRequest {
                     cell,
-                    proposed: ds
-                        .value_str(self.model.graph.var(var).domain[k])
+                    proposed: self
+                        .cx
+                        .ds
+                        .value_str(model.graph.var(var).domain[k])
                         .to_string(),
                     confidence: p,
                 }
@@ -126,80 +148,96 @@ impl FeedbackSession {
                 .then(a.cell.cmp(&b.cell))
         });
         out.truncate(limit);
-        out
+        Ok(out)
     }
 
-    /// Pins user-verified values. Labels whose value is not among the
-    /// cell's candidates are added to the variable's domain on the fly
-    /// (the user knows values the statistics never proposed) — which
-    /// appends one candidate row to the compiled design matrix. Unknown
-    /// cells are ignored.
-    ///
-    /// Each pinned cell's marginal becomes a point mass on the label
-    /// immediately, so [`FeedbackSession::report`] reflects the pin (with
-    /// probability 1, and a probability vector as long as the extended
-    /// domain) even before the next [`FeedbackSession::retrain`].
-    pub fn apply_labels(&mut self, ds: &mut Dataset, labels: &[Label]) {
-        for label in labels {
-            let Some(idx) = self.model.query_cells.iter().position(|&c| c == label.cell) else {
-                continue;
-            };
-            let var = self.model.query_vars[idx];
-            let sym = ds.intern(&label.value);
-            self.model.graph.pin_evidence(var, sym);
-            let pinned = self.model.graph.var(var);
-            let k = pinned.evidence.expect("pin_evidence just fixed this var");
-            self.marginals.pin(var, k, pinned.arity());
-            self.labelled.insert(label.cell, sym);
+    /// Writes user-verified values into the table and marks their cells
+    /// verified. Any cell of the table can be labelled, flagged or not,
+    /// with any value (the user knows values the statistics never
+    /// proposed). A label naming a tuple or attribute outside the table
+    /// rejects the whole batch with [`HoloError::Feedback`] before
+    /// anything changes. A non-empty batch drops the cached run.
+    pub fn apply_labels(&mut self, labels: &[Label]) -> Result<(), HoloError> {
+        let (rows, attrs) = (self.cx.ds.tuple_count(), self.cx.ds.schema().len());
+        if let Some(label) = labels
+            .iter()
+            .find(|l| l.cell.tuple.index() >= rows || l.cell.attr.index() >= attrs)
+        {
+            return Err(HoloError::Feedback(format!(
+                "label for cell {} is outside the {rows} × {attrs} table",
+                label.cell
+            )));
         }
+        for label in labels {
+            let ds = &mut self.cx.ds;
+            let sym = ds.intern(&label.value);
+            self.before
+                .entry(label.cell)
+                .or_insert(ds.cell_ref(label.cell));
+            ds.set_cell(label.cell.tuple, label.cell.attr, sym);
+            self.cx.verified.insert(label.cell);
+        }
+        if !labels.is_empty() {
+            self.run = None;
+        }
+        Ok(())
     }
 
-    /// Incremental retraining: SGD warm-started from the current weights
-    /// (labelled cells now contribute gradients as evidence), then fresh
-    /// inference for the remaining query cells, both billed to
-    /// [`FeedbackSession::timings`]. Weights and marginals are replaced
-    /// only by a finite training run: on [`HoloError::LearnDiverged`] the
-    /// session is exactly as it was before the call.
-    pub fn retrain(&mut self, ds: &Dataset) -> Result<LearnStats, HoloError> {
-        let t0 = Instant::now();
-        let (weights, stats) = train_checked(&self.model.graph, &self.weights, &self.config)?;
-        self.timings.learn += t0.elapsed();
-        let t1 = Instant::now();
-        let (marginals, partition) = infer_marginals(&self.model, &weights, ds, &self.config);
-        self.timings.infer += t1.elapsed();
-        self.timings.partition = partition;
-        self.weights = weights;
-        self.marginals = marginals;
-        Ok(stats)
-    }
-
-    /// The current repair report (labelled cells report their pinned value
-    /// with probability 1).
-    pub fn report(&self, ds: &Dataset) -> RepairReport {
-        RepairReport::from_marginals(
+    /// Repairs and posteriors: the report of the run over the labelled
+    /// table, plus one repair at probability 1 for each label that changed
+    /// its cell, all in cell order. Makes the run if a label batch (or
+    /// nothing yet) left the session without one.
+    ///
+    /// Fails like the one-shot pipeline does
+    /// ([`HoloError::PrunedInitialValue`], [`HoloError::LearnDiverged`]).
+    /// A failed read caches nothing and keeps every label; the next read
+    /// tries again.
+    pub fn try_report(&mut self) -> Result<RepairReport, HoloError> {
+        let run = cached_or_run(&self.cx, &mut self.run, &mut self.timings)?;
+        let ds = &self.cx.ds;
+        let mut report = RepairReport::from_marginals(
             ds,
-            &self.model.query_cells,
-            &self.model.query_vars,
-            &self.model.graph,
-            &self.marginals,
-        )
+            &run.model.query_cells,
+            &run.model.query_vars,
+            &run.model.graph,
+            &run.marginals,
+        );
+        report
+            .repairs
+            .extend(self.before.iter().filter_map(|(&cell, &old)| {
+                let new = ds.cell_ref(cell);
+                (new != old).then(|| Repair {
+                    cell,
+                    old,
+                    new,
+                    old_value: ds.value_str(old).to_string(),
+                    new_value: ds.value_str(new).to_string(),
+                    probability: 1.0,
+                })
+            }));
+        report.repairs.sort_by_key(|r| r.cell);
+        Ok(report)
     }
 
-    /// Number of labels applied so far.
+    /// The table with every label written; report symbols resolve here.
+    pub fn dataset(&self) -> &Dataset {
+        &self.cx.ds
+    }
+
+    /// The run over the current table, if a read made one and no label
+    /// batch has dropped it since.
+    pub fn cached_run(&self) -> Option<&PipelineRun> {
+        self.run.as_ref()
+    }
+
+    /// Number of distinct cells labelled so far.
     pub fn labelled_count(&self) -> usize {
-        self.labelled.len()
+        self.cx.verified.len()
     }
 
-    /// How the most recent inference pass (session start or the last
-    /// [`FeedbackSession::retrain`]) partitioned the graph and routed its
-    /// components between closed form, exact enumeration and Gibbs.
-    pub fn partition_stats(&self) -> PartitionStats {
-        self.timings.partition
-    }
-
-    /// Wall-clock accumulated by this session (initial inference plus
-    /// every retrain round), with [`StageTimings::partition`] the latest
-    /// routing snapshot.
+    /// Stage durations summed over every run this session made, with
+    /// [`StageTimings::partition`] and [`StageTimings::stats`] the last
+    /// run's.
     pub fn timings(&self) -> StageTimings {
         self.timings
     }
@@ -208,9 +246,10 @@ impl FeedbackSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HoloConfig;
     use crate::metrics::evaluate;
-    use crate::session::HoloClean;
-    use holo_dataset::Schema;
+    use holo_dataset::{AttrId, Schema, TupleId};
+    use holo_factor::Marginals;
 
     /// A dataset where half the conflicts are 1-vs-1 ties the model cannot
     /// resolve alone — exactly the cells feedback should surface.
@@ -236,27 +275,32 @@ mod tests {
         (dirty, clean)
     }
 
-    fn session_for(dirty: &Dataset) -> (FeedbackSession, Dataset) {
+    fn session_for(dirty: &Dataset) -> FeedbackSession {
         session_with(dirty, "FD: Key -> Value")
     }
 
-    fn session_with(dirty: &Dataset, constraints: &str) -> (FeedbackSession, Dataset) {
-        let (outcome, model, weights) = HoloClean::new(dirty.clone())
+    fn session_with(dirty: &Dataset, constraints: &str) -> FeedbackSession {
+        let holo = HoloClean::new(dirty.clone())
             .with_constraint_text(constraints)
-            .unwrap()
-            .run_full()
             .unwrap();
-        let config = HoloConfig::default();
-        let ds = outcome.dataset;
-        let session = FeedbackSession::new(model, weights, config, &ds);
-        (session, ds)
+        FeedbackSession::new(holo).unwrap()
+    }
+
+    fn truth_labels(requests: &[FeedbackRequest], clean: &Dataset) -> Vec<Label> {
+        requests
+            .iter()
+            .map(|r| Label {
+                cell: r.cell,
+                value: clean.cell_str(r.cell.tuple, r.cell.attr).to_string(),
+            })
+            .collect()
     }
 
     #[test]
     fn requests_surface_low_confidence_cells_first() {
         let (dirty, _) = ambiguous_dataset();
-        let (session, ds) = session_for(&dirty);
-        let requests = session.requests(&ds, 100);
+        let mut session = session_for(&dirty);
+        let requests = session.requests(100).unwrap();
         assert!(!requests.is_empty());
         for pair in requests.windows(2) {
             assert!(pair[0].confidence <= pair[1].confidence + 1e-12);
@@ -268,29 +312,22 @@ mod tests {
     #[test]
     fn labels_pin_cells_and_retraining_propagates() {
         let (dirty, clean) = ambiguous_dataset();
-        let (mut session, mut ds) = session_for(&dirty);
-        let before = evaluate(&session.report(&ds), &dirty, &clean);
+        let mut session = session_for(&dirty);
+        let before = evaluate(&session.try_report().unwrap(), &dirty, &clean);
 
         // Label the five least-confident cells with their true values.
-        let requests = session.requests(&ds, 5);
-        let labels: Vec<Label> = requests
-            .iter()
-            .map(|r| Label {
-                cell: r.cell,
-                value: clean.cell_str(r.cell.tuple, r.cell.attr).to_string(),
-            })
-            .collect();
-        session.apply_labels(&mut ds, &labels);
+        let labels = truth_labels(&session.requests(5).unwrap(), &clean);
+        session.apply_labels(&labels).unwrap();
         assert_eq!(session.labelled_count(), 5);
-        session.retrain(&ds).unwrap();
+        assert!(session.cached_run().is_none(), "a label drops the run");
 
-        let after = evaluate(&session.report(&ds), &dirty, &clean);
+        let report = session.try_report().unwrap();
+        let after = evaluate(&report, &dirty, &clean);
         assert!(
             after.correct_repairs >= before.correct_repairs,
             "feedback must not lose correct repairs: {before:?} -> {after:?}"
         );
         // The labelled cells themselves now repair correctly.
-        let report = session.report(&ds);
         for label in &labels {
             let truth = clean.cell_str(label.cell.tuple, label.cell.attr);
             let observed = dirty.cell_str(label.cell.tuple, label.cell.attr);
@@ -304,43 +341,30 @@ mod tests {
                 );
             }
         }
+        assert!(report.repairs.is_sorted_by_key(|r| r.cell));
     }
 
     #[test]
     fn labelling_everything_yields_perfect_labelled_cells() {
         let (dirty, clean) = ambiguous_dataset();
-        let (mut session, mut ds) = session_for(&dirty);
-        let requests = session.requests(&ds, usize::MAX);
-        let labels: Vec<Label> = requests
-            .iter()
-            .map(|r| Label {
-                cell: r.cell,
-                value: clean.cell_str(r.cell.tuple, r.cell.attr).to_string(),
-            })
-            .collect();
-        session.apply_labels(&mut ds, &labels);
-        session.retrain(&ds).unwrap();
-        let q = evaluate(&session.report(&ds), &dirty, &clean);
+        let mut session = session_for(&dirty);
+        let labels = truth_labels(&session.requests(usize::MAX).unwrap(), &clean);
+        session.apply_labels(&labels).unwrap();
+        let q = evaluate(&session.try_report().unwrap(), &dirty, &clean);
         assert_eq!(q.precision, 1.0, "{q:?}");
         assert_eq!(q.recall, 1.0, "{q:?}");
         // Nothing left to ask.
-        assert!(session.requests(&ds, 10).is_empty());
+        assert!(session.requests(10).unwrap().is_empty());
     }
 
     #[test]
     fn out_of_domain_labels_are_accepted() {
         let (dirty, _) = ambiguous_dataset();
-        let (mut session, mut ds) = session_for(&dirty);
-        let cell = session.requests(&ds, 1)[0].cell;
-        session.apply_labels(
-            &mut ds,
-            &[Label {
-                cell,
-                value: "omega".to_string(), // never seen anywhere
-            }],
-        );
-        session.retrain(&ds).unwrap();
-        let report = session.report(&ds);
+        let mut session = session_for(&dirty);
+        let cell = session.requests(1).unwrap()[0].cell;
+        let value = "omega".to_string(); // never seen anywhere
+        session.apply_labels(&[Label { cell, value }]).unwrap();
+        let report = session.try_report().unwrap();
         assert!(report
             .repairs
             .iter()
@@ -353,28 +377,31 @@ mod tests {
     #[test]
     fn nan_confidences_sort_last_without_panicking() {
         let (dirty, _) = ambiguous_dataset();
-        let (mut session, ds) = session_for(&dirty);
-        // Poison a handful of marginals with NaN, as a degenerate
-        // empty-count chain would.
-        let n = session.model.query_vars.len();
+        let mut session = session_for(&dirty);
+        let n = session.requests(usize::MAX).unwrap().len();
         assert!(n >= 4, "need a few query vars");
-        for &var in session.model.query_vars.iter().step_by(2) {
-            let arity = session.model.graph.var(var).arity();
-            let raw: Vec<Vec<f64>> = (0..session.marginals.len())
-                .map(|i| {
-                    if i == var.index() {
-                        vec![f64::NAN; arity]
-                    } else {
-                        session
-                            .marginals
-                            .probs(holo_factor::VarId(i as u32))
-                            .to_vec()
-                    }
-                })
-                .collect();
-            session.marginals = Marginals::from_raw(raw);
-        }
-        let requests = session.requests(&ds, usize::MAX);
+        // Poison every other query marginal with NaN, as a degenerate
+        // empty-count chain would.
+        let run = session.run.as_mut().unwrap();
+        let poisoned: Vec<usize> = run
+            .model
+            .query_vars
+            .iter()
+            .step_by(2)
+            .map(|v| v.index())
+            .collect();
+        let raw: Vec<Vec<f64>> = (0..run.marginals.len())
+            .map(|i| {
+                let probs = run.marginals.probs(holo_factor::VarId(i as u32));
+                if poisoned.contains(&i) {
+                    vec![f64::NAN; probs.len()]
+                } else {
+                    probs.to_vec()
+                }
+            })
+            .collect();
+        run.marginals = Marginals::from_raw(raw);
+        let requests = session.requests(usize::MAX).unwrap();
         assert_eq!(requests.len(), n);
         let first_nan = requests
             .iter()
@@ -389,121 +416,154 @@ mod tests {
             .all(|p| p[0].confidence <= p[1].confidence));
     }
 
-    /// Regression: between `apply_labels` and `retrain`, a pinned cell —
-    /// even one pinned to an out-of-domain value, which extends the
-    /// variable's domain past the stale marginal vector — must already
-    /// report its label with probability 1, as the `report` docs promise.
+    /// The next read after `apply_labels` reports every label that changed
+    /// its cell, in-domain or not, as a repair at probability 1; a
+    /// labelled cell is no query cell, so it has no posterior.
     #[test]
     fn pinned_cells_report_immediately_before_retrain() {
         let (dirty, _) = ambiguous_dataset();
-        let (mut session, mut ds) = session_for(&dirty);
-        let cells: Vec<CellRef> = session.requests(&ds, 2).iter().map(|r| r.cell).collect();
-        session.apply_labels(
-            &mut ds,
-            &[
-                Label {
-                    cell: cells[0],
-                    value: "omega".to_string(), // out-of-domain: appends a candidate
-                },
-                Label {
-                    cell: cells[1],
-                    value: "alpha".to_string(), // in-domain
-                },
-            ],
-        );
-        // No retrain yet: the report must already pin both cells.
-        let report = session.report(&ds);
-        for (cell, value) in [(cells[0], "omega"), (cells[1], "alpha")] {
-            let post = report
-                .posteriors
-                .iter()
-                .find(|p| p.cell == cell)
-                .expect("pinned cell keeps its posterior");
-            let var = session.model.query_vars[session
-                .model
-                .query_cells
-                .iter()
-                .position(|&c| c == cell)
-                .unwrap()];
-            assert_eq!(
-                post.candidates.len(),
-                session.model.graph.var(var).arity(),
-                "posterior covers the extended domain"
-            );
-            let (sym, p) = post
-                .candidates
-                .iter()
-                .find(|(s, _)| ds.value_str(*s) == value)
-                .copied()
-                .expect("label among candidates");
-            assert_eq!(p, 1.0, "pinned {value} at probability 1, got {sym:?}={p}");
+        let mut session = session_for(&dirty);
+        let requests = session.requests(2).unwrap();
+        let labelled = [(requests[0].cell, "omega"), (requests[1].cell, "alpha")];
+        let labels: Vec<Label> = labelled
+            .iter()
+            .map(|&(cell, value)| Label {
+                cell,
+                value: value.to_string(),
+            })
+            .collect();
+        session.apply_labels(&labels).unwrap();
+        let report = session.try_report().unwrap();
+        for (cell, value) in labelled {
+            assert!(report.posteriors.iter().all(|p| p.cell != cell));
+            let observed = dirty.cell_str(cell.tuple, cell.attr);
+            let repair = report.repairs.iter().find(|r| r.cell == cell);
+            if value == observed {
+                assert_eq!(repair, None, "a label that keeps its value repairs nothing");
+            } else {
+                let repair = repair.expect("a changed label is a repair");
+                assert_eq!(
+                    (repair.old_value.as_str(), repair.new_value.as_str()),
+                    (observed, value)
+                );
+                assert_eq!(repair.probability, 1.0);
+                assert_eq!(session.dataset().cell_str(cell.tuple, cell.attr), value);
+            }
         }
     }
 
-    /// A multi-round feedback session (requests → apply_labels → retrain →
-    /// report, with in-domain and out-of-domain labels) grows the design
-    /// matrix by exactly one row per out-of-domain label, and the patched
-    /// matrix stays bit-for-bit equal to a graph built afresh from the
-    /// compiled rows plus the (featureless) pinned candidates.
+    /// A read is the one-shot run over the labelled table: the same query
+    /// cells, domains (by `Sym`), weights and marginals (by bits).
     #[test]
-    fn feedback_session_never_rebuilds_the_design_matrix() {
+    fn read_is_the_one_shot_run_over_the_labelled_table() {
         let (dirty, clean) = ambiguous_dataset();
-        let (mut session, mut ds) = session_for(&dirty);
-        let compiled = session.model.graph.clone();
-        let mut out_of_domain = 0;
-        for round in 0..3 {
-            let requests = session.requests(&ds, 3);
-            if requests.is_empty() {
-                break;
-            }
-            let labels: Vec<Label> = requests
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let value = if i == 0 {
-                        out_of_domain += 1;
-                        format!("novel-{round}-{i}") // never in any domain
-                    } else {
-                        clean.cell_str(r.cell.tuple, r.cell.attr).to_string()
-                    };
-                    Label {
-                        cell: r.cell,
-                        value,
-                    }
+        let mut session = session_for(&dirty);
+        let mut labels = truth_labels(&session.requests(3).unwrap(), &clean);
+        labels.push(Label {
+            cell: CellRef::new(40usize, 1usize),
+            value: "delta".to_string(), // a clean cell, a new value
+        });
+        session.apply_labels(&labels).unwrap();
+        let report = session.try_report().unwrap();
+
+        let mut cx = HoloClean::new(dirty.clone())
+            .with_constraint_text("FD: Key -> Value")
+            .unwrap()
+            .into_context()
+            .unwrap();
+        for label in &labels {
+            let sym = cx.ds.intern(&label.value);
+            cx.ds.set_cell(label.cell.tuple, label.cell.attr, sym);
+            cx.verified.insert(label.cell);
+        }
+        let reference = pipeline::run(&cx).unwrap();
+        let run = session.cached_run().unwrap();
+        assert_eq!(run.detection, reference.detection);
+        assert_eq!(run.model.query_cells, reference.model.query_cells);
+        let bits = |run: &PipelineRun| -> Vec<(Vec<Sym>, Vec<u64>)> {
+            run.model
+                .graph
+                .var_ids()
+                .map(|v| {
+                    let probs = run.marginals.probs(v).iter().map(|p| p.to_bits());
+                    (run.model.graph.var(v).domain.clone(), probs.collect())
                 })
-                .collect();
-            session.apply_labels(&mut ds, &labels);
-            session.retrain(&ds).unwrap();
-            let _ = session.report(&ds);
-        }
-        assert!(out_of_domain > 0, "exercised the append path");
-        assert_eq!(
-            session.model.graph.design().rows(),
-            compiled.design().rows() + out_of_domain,
-            "one row per novel label"
+                .collect()
+        };
+        assert_eq!(bits(run), bits(&reference));
+        assert_eq!(run.weights, reference.weights);
+        let one_shot = RepairReport::from_marginals(
+            &cx.ds,
+            &reference.model.query_cells,
+            &reference.model.query_vars,
+            &reference.model.graph,
+            &reference.marginals,
         );
-        let mut fresh = holo_factor::GraphBuilder::new();
-        for v in compiled.var_ids() {
-            let added = fresh.add_variable(session.model.graph.var(v).clone());
-            for k in 0..compiled.var(v).arity() {
-                for &(w, x) in compiled.features(v, k) {
-                    fresh.add_feature(added, k, w, x);
-                }
-            }
-        }
-        assert_eq!(
-            session.model.graph.design(),
-            fresh.build().design(),
-            "patched matrix == fresh build, bit for bit"
-        );
-        assert!(session.timings().learn > std::time::Duration::ZERO);
-        // Pins leave the component index as the compiled model had it.
-        assert_eq!(session.model.graph.components(), compiled.components());
-        assert!(session.partition_stats().components > 0);
+        assert_eq!(report.posteriors, one_shot.posteriors);
+        let run_repairs: Vec<&Repair> = report
+            .repairs
+            .iter()
+            .filter(|r| labels.iter().all(|l| l.cell != r.cell))
+            .collect();
+        assert_eq!(run_repairs, one_shot.repairs.iter().collect::<Vec<_>>());
     }
 
-    /// A retrain that diverges is a typed error and changes nothing: the
-    /// overflowed weights never reach inference or the session.
+    /// Labelling the `beta` row of a tied 2-row group `alpha` resolves the
+    /// conflict: neither row is a query cell any more, and no repair
+    /// touches the sibling.
+    #[test]
+    fn a_label_that_resolves_a_conflict_unflags_its_partner() {
+        let (dirty, _) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        let (sibling, beta) = (CellRef::new(0usize, 1usize), CellRef::new(1usize, 1usize));
+        let query = session.requests(usize::MAX).unwrap();
+        assert!(query.iter().any(|r| r.cell == sibling) && query.iter().any(|r| r.cell == beta));
+        let value = "alpha".to_string();
+        session
+            .apply_labels(&[Label { cell: beta, value }])
+            .unwrap();
+        let query = session.requests(usize::MAX).unwrap();
+        assert!(query.iter().all(|r| r.cell != sibling && r.cell != beta));
+        let report = session.try_report().unwrap();
+        assert!(report.repairs.iter().all(|r| r.cell != sibling));
+        assert!(report
+            .repairs
+            .iter()
+            .any(|r| r.cell == beta && r.new_value == "alpha"));
+    }
+
+    /// A label naming a tuple or attribute outside the table rejects the
+    /// whole batch before anything changes; any in-range cell is accepted,
+    /// query cell or not.
+    #[test]
+    fn labels_are_validated_against_the_table() {
+        let (dirty, _) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        session.requests(1).unwrap();
+        let label = |tuple: usize, attr: usize| Label {
+            cell: CellRef::new(tuple, attr),
+            value: "alpha".to_string(),
+        };
+        let rows = dirty.tuple_count();
+        for bad in [label(rows, 0), label(0, 2)] {
+            let err = session.apply_labels(&[label(2, 1), bad]).unwrap_err();
+            assert!(matches!(err, HoloError::Feedback(_)), "got {err}");
+            assert_eq!(
+                session.labelled_count(),
+                0,
+                "a rejected batch changes nothing"
+            );
+            assert!(session.cached_run().is_some(), "and keeps the run");
+        }
+        // Row 40's Key is a clean cell, never a query cell.
+        session.apply_labels(&[label(40, 0)]).unwrap();
+        assert_eq!(session.labelled_count(), 1);
+        assert_eq!(session.dataset().cell_str(TupleId(40), AttrId(0)), "alpha");
+        assert!(session.try_report().is_ok());
+    }
+
+    /// A read that diverges is a typed error, caches nothing and keeps the
+    /// labels: the overflowed weights never reach inference or the session.
     #[test]
     fn diverging_retrain_is_an_error_and_leaves_the_session_untouched() {
         // Flag is two-to-one under every Key, so each clean Flag cell keeps
@@ -519,27 +579,29 @@ mod tests {
         }
         dirty.push_row(&["k0", "delta", "y"]); // a conflict to label
         let constraints = "FD: Key -> Value\nt1&EQ(t1.Key,\"k0\")&EQ(t1.Flag,\"n\")";
-        let (mut session, mut ds) = session_with(&dirty, constraints);
-        assert!(session
-            .model
-            .query_cells
-            .iter()
-            .any(|c| c.attr == holo_dataset::AttrId(2)));
-        let cell = session.requests(&ds, 1)[0].cell;
+        let mut session = session_with(&dirty, constraints);
+        let requests = session.requests(usize::MAX).unwrap();
+        assert!(requests.iter().any(|r| r.cell.attr == AttrId(2)));
+        let cell = requests[0].cell;
         let value = "gamma".to_string();
-        session.apply_labels(&mut ds, &[Label { cell, value }]);
-        let (weights, marginals) = (session.weights.clone(), session.marginals.clone());
-        let report = session.report(&ds);
+        session.apply_labels(&[Label { cell, value }]).unwrap();
+        let rows = |ds: &Dataset| ds.tuples().map(|t| ds.row(t)).collect::<Vec<_>>();
+        let table = rows(session.dataset());
 
-        session.config.learn.learning_rate = 1e308;
-        let err = session.retrain(&ds).expect_err("1e308 overflows");
+        session.cx.config.learn.learning_rate = 1e308;
+        let err = session.try_report().expect_err("1e308 overflows");
         assert!(matches!(err, HoloError::LearnDiverged { .. }), "got {err}");
-        assert_eq!(session.weights, weights);
-        assert_eq!(session.marginals, marginals);
-        assert_eq!(session.report(&ds), report);
+        assert!(
+            session.cached_run().is_none(),
+            "a failed read caches nothing"
+        );
+        assert_eq!(session.labelled_count(), 1);
+        assert_eq!(rows(session.dataset()), table);
 
         // The session is still usable once the rate is sane again.
-        session.config.learn.learning_rate = HoloConfig::default().learn.learning_rate;
-        session.retrain(&ds).unwrap();
+        session.cx.config.learn.learning_rate = HoloConfig::default().learn.learning_rate;
+        session.try_report().unwrap();
+        assert!(session.timings().learn > std::time::Duration::ZERO);
+        assert!(session.timings().partition.components > 0);
     }
 }

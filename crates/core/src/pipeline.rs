@@ -9,9 +9,10 @@
 //! bills each to its [`StageTimings`] slot. They all read one
 //! [`PipelineContext`] — the frozen dataset (all dictionary values already
 //! interned), the bound constraints, the external-match lookup, detection
-//! overrides and the [`HoloConfig`] — which nothing mutates during a run
-//! (a [`crate::stream::StreamSession`] edits its context's dataset
-//! *between* runs, and every run sees a frozen table).
+//! overrides, the verified cells and the [`HoloConfig`] — which nothing
+//! mutates during a run (a [`crate::feedback::FeedbackSession`] writes its
+//! labels into its context *between* runs, and every run sees a frozen
+//! table).
 //!
 //! ```
 //! use holo_dataset::{Dataset, Schema};
@@ -43,9 +44,9 @@
 //! Variables interact only through shared clique factors, so the grounded
 //! graph splits into independent connected components.
 //! [`holo_factor::ComponentIndex`] materialises that partition (one
-//! union-find pass over the clique scopes, on the model's first inference;
-//! feedback pins change no scope and so never invalidate it), and
-//! [`infer_marginals`] fans one inference job out per component:
+//! union-find pass over the clique scopes, on the model's first
+//! inference), and [`infer_marginals`] fans one inference job out per
+//! component:
 //! **closed-form** softmax over the component's design-matrix rows when it
 //! has no cliques (every variable of the relaxed §5.2 model), **exact
 //! enumeration** when its joint query space is within
@@ -56,8 +57,8 @@
 //! cross-thread sampling order exists to get wrong. All three engines
 //! read the frozen-weight [`holo_factor::ScoreCache`]
 //! ([`HoloConfig::score_cache`]), which lives only for the one call that
-//! built it and so can never be stale across a feedback retrain. The
-//! routing split is observable in [`StageTimings::partition`].
+//! built it. The routing split is observable in
+//! [`StageTimings::partition`].
 
 use crate::compile::{compile, CompileInput, CompiledModel};
 use crate::config::HoloConfig;
@@ -72,8 +73,7 @@ use holo_constraints::{
 use holo_dataset::{CellRef, CooccurStats, Dataset, FxHashSet, StatsStats};
 use holo_detect::Detector;
 use holo_factor::{
-    infer_partitioned, learn, FactorGraph, LearnStats, Marginals, PartitionStats,
-    PartitionedConfig, Weights,
+    infer_partitioned, learn, LearnStats, Marginals, PartitionStats, PartitionedConfig, Weights,
 };
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -117,6 +117,17 @@ impl StageTimings {
     pub fn total(&self) -> Duration {
         self.detect + self.compile + self.learn + self.infer
     }
+
+    /// Bills one run to a session's totals: adds its four stage
+    /// durations and takes its partition and statistics blocks.
+    pub(crate) fn bill(&mut self, run: &StageTimings) {
+        self.detect += run.detect;
+        self.compile += run.compile;
+        self.learn += run.learn;
+        self.infer += run.infer;
+        self.partition = run.partition;
+        self.stats = run.stats;
+    }
 }
 
 /// The inputs every step shares, only ever borrowed by a run. Constructed
@@ -135,6 +146,10 @@ pub struct PipelineContext {
     pub noisy_override: Option<FxHashSet<CellRef>>,
     /// Extra detectors unioned with violation detection.
     pub extra_detectors: Vec<Box<dyn Detector + Send + Sync>>,
+    /// Cells whose value a user verified (feedback labels, §2.2): never
+    /// noisy, whatever detection or the override says, so each is an
+    /// ordinary clean cell of the table.
+    pub verified: FxHashSet<CellRef>,
     /// Pipeline configuration.
     pub config: HoloConfig,
 }
@@ -149,6 +164,7 @@ impl PipelineContext {
             matches: MatchLookup::default(),
             noisy_override: None,
             extra_detectors: Vec::new(),
+            verified: FxHashSet::default(),
             config,
         }
     }
@@ -186,8 +202,9 @@ pub struct PipelineRun {
 
 /// Error detection: the violations of Σ — counted, and listed only when
 /// the variant partitions — and as the noisy set their cells plus any
-/// extra detectors' — or the override set verbatim. Violation probing
-/// shards across [`HoloConfig::threads`].
+/// extra detectors' — or the override set verbatim — less the
+/// [`PipelineContext::verified`] cells. Violation probing shards across
+/// [`HoloConfig::threads`].
 pub fn detect(cx: &PipelineContext) -> Detection {
     let (ds, threads) = (&cx.ds, cx.config.threads);
     let (violation_list, violating, violations) = if cx.config.variant.uses_partitioning() {
@@ -198,7 +215,7 @@ pub fn detect(cx: &PipelineContext) -> Detection {
         let (cells, count) = find_noisy_cells_with_threads(ds, &cx.constraints, threads);
         (None, cells, count)
     };
-    let noisy = match &cx.noisy_override {
+    let mut noisy = match &cx.noisy_override {
         Some(cells) => cells.clone(),
         None => {
             let mut noisy = violating;
@@ -208,6 +225,7 @@ pub fn detect(cx: &PipelineContext) -> Detection {
             noisy
         }
     };
+    noisy.retain(|cell| !cx.verified.contains(cell));
     Detection {
         violations,
         violation_list,
@@ -251,27 +269,6 @@ pub fn compile_model(
     Ok((model, stats.stats_stats()))
 }
 
-/// Minibatch SGD over `graph`'s evidence variables, started from `start`.
-/// The one place a training run is checked: `learn::train_with_threads`
-/// freezes the weights at the first non-finite gradient, and weights
-/// frozen there may already hold an overflowed ±∞, so such a run is
-/// [`HoloError::LearnDiverged`] and its weights are dropped.
-pub(crate) fn train_checked(
-    graph: &FactorGraph,
-    start: &Weights,
-    config: &HoloConfig,
-) -> Result<(Weights, LearnStats), HoloError> {
-    let mut weights = start.clone();
-    let stats = learn::train_with_threads(graph, &mut weights, &config.learn, config.threads);
-    if stats.non_finite_minibatches > 0 {
-        return Err(HoloError::LearnDiverged {
-            non_finite_minibatches: stats.non_finite_minibatches,
-            minibatches: stats.minibatches,
-        });
-    }
-    Ok((weights, stats))
-}
-
 /// Weight learning from `model`'s priors: minibatch SGD over the evidence
 /// variables, reading the compiled [`holo_factor::DesignMatrix`].
 /// Learning runs on the caller's thread whatever [`HoloConfig::threads`]
@@ -279,17 +276,27 @@ pub(crate) fn train_checked(
 /// order), so the learned weights are bit-for-bit identical at every
 /// thread count. Returns the learned
 /// weights and the diagnostics (`None` when the model has no evidence and
-/// the weights stay at their priors); a diverging
+/// the weights stay at their priors). `learn::train_with_threads` freezes
+/// the weights at the first non-finite gradient, and weights frozen there
+/// may already hold an overflowed ±∞, so a diverging
 /// [`holo_factor::LearnConfig::learning_rate`] is
 /// [`HoloError::LearnDiverged`], never poisoned weights.
 pub fn learn_weights(
     model: &CompiledModel,
     config: &HoloConfig,
 ) -> Result<(Weights, Option<LearnStats>), HoloError> {
+    let mut weights = model.weights.clone();
     if model.stats.evidence_vars == 0 {
-        return Ok((model.weights.clone(), None));
+        return Ok((weights, None));
     }
-    let (weights, stats) = train_checked(&model.graph, &model.weights, config)?;
+    let stats =
+        learn::train_with_threads(&model.graph, &mut weights, &config.learn, config.threads);
+    if stats.non_finite_minibatches > 0 {
+        return Err(HoloError::LearnDiverged {
+            non_finite_minibatches: stats.non_finite_minibatches,
+            minibatches: stats.minibatches,
+        });
+    }
     Ok((weights, Some(stats)))
 }
 

@@ -153,6 +153,7 @@ impl HoloClean {
             matches,
             noisy_override: self.noisy_override,
             extra_detectors: self.extra_detectors,
+            verified: FxHashSet::default(),
             config: self.config,
         })
     }

@@ -320,12 +320,7 @@ impl StreamSession {
             .into_context()?;
         let run = pipeline::run(&cx)?;
         let t = &mut self.timings;
-        t.detect += run.timings.detect;
-        t.compile += run.timings.compile;
-        t.learn += run.timings.learn;
-        t.infer += run.timings.infer;
-        t.partition = run.timings.partition;
-        t.stats = run.timings.stats;
+        t.bill(&run.timings);
         let shape = &run.model.stats;
         t.ingest.canonical_retrains += 1;
         t.ingest.cells_recomputed +=

@@ -27,10 +27,9 @@
 //!
 //! A cache is built per `infer_partitioned` call and borrows the design
 //! matrix it scored — it is **never stored in
-//! [`FactorGraph`](crate::graph::FactorGraph)**, so feedback retrains
-//! (which move the weights and patch the matrix) can never read stale
-//! scores: the next inference pass builds a fresh cache against the
-//! patched matrix and the new weights, by construction.
+//! [`FactorGraph`](crate::graph::FactorGraph)**, so a pass under other
+//! weights can never read stale scores: it builds a fresh cache against
+//! its own weights, by construction.
 
 use crate::design::DesignMatrix;
 use crate::graph::VarId;

@@ -16,9 +16,9 @@
 //!
 //! The graph builds its coloring lazily, on the first chromatic inference
 //! pass, and never patches it: the clique scopes are fixed once the graph
-//! is built, and feedback pins change none. The invariant chromatic sweeps
-//! need is *properness* — no clique scope contains two variables of the
-//! same color ([`Coloring::is_proper`]).
+//! is built. The invariant chromatic sweeps need is *properness* — no
+//! clique scope contains two variables of the same color
+//! ([`Coloring::is_proper`]).
 
 use crate::graph::{CliqueFactor, VarId};
 

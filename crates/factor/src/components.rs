@@ -32,9 +32,6 @@
 //!
 //! The graph builds the index lazily, on the first inference pass, and
 //! never patches it: the clique scopes are fixed once the graph is built.
-//! Feedback pins change nothing — scopes are unioned over *all* members,
-//! evidence included, precisely so that pinning never has to split a
-//! component.
 
 use crate::cache::{ScoreCache, ScoreCacheStats};
 use crate::coloring::Coloring;
@@ -99,12 +96,9 @@ pub struct PartitionStats {
 /// two indexes over the same graph are structurally equal.
 ///
 /// Scopes are unioned over **all** clique members, evidence included:
-/// conditioning on evidence could split components further, but keeping
-/// evidence in the union means [`FactorGraph::pin_evidence`] never
-/// invalidates the index.
-/// Routing still only counts *query* variables (see
-/// [`infer_partitioned`]), so the conservatism costs nothing in the
-/// common case.
+/// conditioning on evidence could split components further, but routing
+/// only counts *query* variables (see [`infer_partitioned`]), so the
+/// conservatism costs nothing in the common case.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ComponentIndex {
     /// `comp_of[v]` = component id of variable `v`.
@@ -459,7 +453,6 @@ mod tests {
     use crate::marginals::reference::exact_unary;
     use crate::weights::WeightId;
     use holo_dataset::Sym;
-    use proptest::prelude::*;
 
     fn sym(i: u32) -> Sym {
         Sym(i)
@@ -518,19 +511,6 @@ mod tests {
     fn empty_graph_has_no_components() {
         let g = GraphBuilder::new().build();
         assert!(g.components().is_empty());
-    }
-
-    #[test]
-    fn pins_leave_the_index_untouched() {
-        let (mut g, _) = two_pair_graph();
-        let before = g.components().clone();
-        g.pin_evidence(VarId(1), sym(9)); // out-of-domain pin
-        g.pin_evidence(VarId(4), sym(1)); // in-domain pin
-        assert_eq!(g.components(), &before);
-        assert_eq!(
-            g.components(),
-            &ComponentIndex::build(g.var_count(), g.cliques())
-        );
     }
 
     /// Clique-free graphs route every variable through the closed form,
@@ -779,53 +759,5 @@ mod tests {
         assert_eq!(s_on.colors, 1, "clique-free = single color");
         assert_eq!(s_on.color_sweep_blocks, 0, "no plan ever arms");
         assert_eq!(s_off.colors, 0, "coloring not built when off");
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// The pin contract: after every in- or out-of-domain pin on a
-        /// built graph whose index and coloring are already cached, the
-        /// cached index equals a fresh build and the cached coloring is
-        /// proper — pins change no scope, so neither cache is dropped.
-        #[test]
-        fn random_mutations_patch_equals_fresh_build(
-            arities in proptest::collection::vec(2usize..=4, 1..6),
-            pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..8),
-            pins in proptest::collection::vec((0usize..64, 0u8..2), 1..24),
-        ) {
-            let mut b = GraphBuilder::new();
-            for (i, &arity) in arities.iter().enumerate() {
-                let base = 1 + (i * 8) as u32;
-                let domain: Vec<Sym> = (0..arity as u32).map(|k| Sym(base + k)).collect();
-                b.add_variable(Variable::query(domain, Some(0)));
-            }
-            let n = arities.len();
-            for (a, c) in pairs {
-                let (a, c) = (VarId((a % n) as u32), VarId((c % n) as u32));
-                if a != c {
-                    b.add_clique(must_differ(a, c, WeightId(0)));
-                }
-            }
-            let mut g = b.build();
-            let _ = (g.components(), g.coloring()); // both caches live
-            let mut novel = 50_000u32;
-            for (var, out_of_domain) in pins {
-                let v = VarId((var % n) as u32);
-                let value = if out_of_domain == 1 {
-                    novel += 16;
-                    Sym(novel)
-                } else {
-                    g.var(v).domain[0]
-                };
-                g.pin_evidence(v, value);
-                prop_assert_eq!(
-                    g.components(),
-                    &ComponentIndex::build(g.var_count(), g.cliques())
-                );
-                prop_assert_eq!(g.coloring().var_count(), g.var_count());
-                prop_assert!(g.coloring().is_proper(g.cliques()));
-            }
-        }
     }
 }

@@ -34,12 +34,8 @@
 //! the fragments in chunk order, translating ids through the remap table
 //! [`FeatureRegistry::absorb`](crate::weights::FeatureRegistry::absorb)
 //! returns. Rows depend only on their own variable, so where the chunk
-//! boundaries fall cannot change a single entry.
-//!
-//! After assembly the matrix changes in one way only: an out-of-domain
-//! feedback pin appends a candidate row to its variable
-//! ([`DesignMatrix::append_candidate_row`]), and the result is
-//! field-for-field the matrix a fresh build of the same rows produces.
+//! boundaries fall cannot change a single entry. After assembly the
+//! matrix is only read.
 //!
 //! ## The blocked score kernel
 //!
@@ -87,7 +83,7 @@ impl Default for DesignMatrix {
 }
 
 impl DesignMatrix {
-    /// The reference build the assembly and pin tests compare against:
+    /// The reference build the assembly tests compare against:
     /// nested adjacency (`unary[v][k]` = sparse features of candidate `k`
     /// of variable `v`) copied row by row into CSR.
     #[cfg(test)]
@@ -110,8 +106,8 @@ impl DesignMatrix {
         }
     }
 
-    /// The single bound check of the CSR layout, shared by the bulk
-    /// assembly and the pin append so no path can silently wrap:
+    /// The single bound check of the CSR layout, shared by every assembly
+    /// path so none can silently wrap:
     /// `var_rows` stores row indices and `row_offsets` has `rows + 1`
     /// elements whose values are entry offsets, all as `u32` — so
     /// `rows + 1` and `nnz` must both be representable.
@@ -121,32 +117,8 @@ impl DesignMatrix {
         assert!(nnz <= u32::MAX as usize, "design matrix entry overflow");
     }
 
-    /// Appends one candidate row at the end of variable `v`'s row range —
-    /// the feedback mutation (an out-of-domain pin appends one candidate
-    /// to the variable's domain).
-    pub fn append_candidate_row(&mut self, v: VarId, features: &[(WeightId, f64)]) {
-        Self::assert_dims(self.rows() + 1, self.nnz() + features.len());
-        // The new row starts where v's last row ends (= the entry offset
-        // of the first row after v).
-        let new_row = self.var_rows[v.index() + 1] as usize;
-        let e = self.row_offsets[new_row] as usize;
-        self.entries.splice(e..e, features.iter().copied());
-        self.row_offsets
-            .insert(new_row + 1, (e + features.len()) as u32);
-        if !features.is_empty() {
-            let delta = features.len() as u32;
-            for off in &mut self.row_offsets[new_row + 2..] {
-                *off += delta;
-            }
-        }
-        for vr in &mut self.var_rows[v.index() + 1..] {
-            *vr += 1;
-        }
-    }
-
     /// Re-packs the three arrays into exact-size allocations, dropping the
-    /// slack that growth and pin appends leave behind. Contents are
-    /// unchanged.
+    /// slack that growth leaves behind. Contents are unchanged.
     pub fn repack(&mut self) {
         self.var_rows.shrink_to_fit();
         self.row_offsets.shrink_to_fit();
@@ -418,20 +390,6 @@ mod tests {
         assert_eq!(m.var_count(), 0);
         assert_eq!(m.rows(), 0);
         assert_eq!(m.nnz(), 0);
-    }
-
-    #[test]
-    fn append_candidate_row_matches_fresh_compile() {
-        let mut unary = sample_unary();
-        let mut m = DesignMatrix::compile(&unary);
-        // Empty-feature append to the first var (the out-of-domain pin).
-        unary[0].push(vec![]);
-        m.append_candidate_row(VarId(0), &[]);
-        assert_eq!(m, DesignMatrix::compile(&unary));
-        // Non-empty append to the last var.
-        unary[1].push(vec![(wid(2), 7.0), (wid(0), -1.0)]);
-        m.append_candidate_row(VarId(1), &[(wid(2), 7.0), (wid(0), -1.0)]);
-        assert_eq!(m, DesignMatrix::compile(&unary));
     }
 
     /// Emits `unary` through a builder with each variable's entries

@@ -46,8 +46,7 @@
 //! cache is built per
 //! [`infer_partitioned`](crate::components::infer_partitioned) call and
 //! borrows the design matrix it scored; it is never stored in
-//! [`FactorGraph`], so a feedback retrain (new weights, patched matrix)
-//! cannot leak stale scores into the next inference pass.
+//! [`FactorGraph`], so no later pass can read its scores.
 //!
 //! ## Compiled clique kernel
 //!

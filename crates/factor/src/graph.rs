@@ -216,10 +216,8 @@ pub type FeatureVec = Vec<(WeightId, f64)>;
 /// collect the same three parts in a [`GraphBuilder`].
 ///
 /// **Use.** The component index and the coloring are derived from the
-/// clique structure on first access and cached; nothing ever patches
-/// them. The one mutator of a built graph is
-/// [`pin_evidence`](FactorGraph::pin_evidence) (user feedback, §2.2),
-/// which changes no clique scope and therefore leaves both caches alone.
+/// clique structure on first access and cached; no method changes a
+/// variable, a feature or a clique of a built graph.
 #[derive(Debug, Clone)]
 pub struct FactorGraph {
     vars: Vec<Variable>,
@@ -229,9 +227,7 @@ pub struct FactorGraph {
     /// `var_cliques[v]` = clique indices touching `v`.
     var_cliques: Vec<Vec<u32>>,
     /// Connected components of the clique structure, built on first use by
-    /// partitioned inference. Scopes are unioned over all members,
-    /// evidence included (see [`ComponentIndex`]), so `pin_evidence` never
-    /// changes it.
+    /// partitioned inference (see [`ComponentIndex`]).
     components: OnceLock<ComponentIndex>,
     /// Greedy coloring of the variable-interaction graph, built on first
     /// use by chromatic Gibbs (see [`Coloring`]).
@@ -314,17 +310,15 @@ impl FactorGraph {
     }
 
     /// The CSR design matrix over all `(variable, candidate)` rows — the
-    /// single store and scoring substrate of the unary features, always
-    /// current: `pin_evidence` appends its candidate row in place.
+    /// single store and scoring substrate of the unary features.
     pub fn design(&self) -> &DesignMatrix {
         &self.design
     }
 
-    /// Re-packs the design matrix's arrays into exact-size allocations
-    /// (pins leave growth slack behind). The matrix is the only copy of
-    /// the features, so there is nothing to rebuild it *from*:
-    /// [`FactorGraph::design`] afterwards returns a matrix equal to the
-    /// one before.
+    /// Re-packs the design matrix's arrays into exact-size allocations.
+    /// The matrix is the only copy of the features, so there is nothing
+    /// to rebuild it *from*: [`FactorGraph::design`] afterwards returns a
+    /// matrix equal to the one before.
     pub fn invalidate_design(&mut self) {
         self.design.repack();
     }
@@ -409,26 +403,6 @@ impl FactorGraph {
     /// independent (closed-form marginals, §5.2).
     pub fn has_cliques(&self) -> bool {
         !self.cliques.is_empty()
-    }
-
-    /// Converts a query variable into evidence pinned to `value` — the
-    /// incremental-feedback path (§2.2): user-verified cells become
-    /// labelled examples for retraining. If `value` is not in the
-    /// variable's domain it is appended (with no unary features; the pin
-    /// itself carries the information) and the design matrix gains the
-    /// one candidate row in place. Clique scopes do not change, so the
-    /// component index and the coloring stay as they are.
-    pub fn pin_evidence(&mut self, v: VarId, value: Sym) {
-        let var = &mut self.vars[v.index()];
-        let k = match var.domain.iter().position(|&d| d == value) {
-            Some(k) => k,
-            None => {
-                var.domain.push(value);
-                self.design.append_candidate_row(v, &[]);
-                var.domain.len() - 1
-            }
-        };
-        var.evidence = Some(k);
     }
 }
 
@@ -621,9 +595,8 @@ mod tests {
             .collect()
     }
 
-    /// The CSR store and the adjacency reference agree bit-for-bit, a pin
-    /// is visible to the next scoring access, and invalidation hands back
-    /// an equal matrix.
+    /// The CSR store and the adjacency reference agree bit-for-bit, and
+    /// invalidation hands back an equal matrix.
     #[test]
     fn design_matrix_matches_adjacency_and_invalidates() {
         let mut b = GraphBuilder::new();
@@ -643,11 +616,6 @@ mod tests {
         let mut buf = vec![99.0];
         g.unary_scores_into(v, &w, &mut buf);
         assert_eq!(buf, g.unary_scores(v, &w));
-        // Pinning evidence to a new value appends a candidate row.
-        g.pin_evidence(v, sym(9));
-        unary[0].push(Vec::new());
-        assert_eq!(g.design().rows(), 4);
-        assert_eq!(g.unary_scores(v, &w), adjacency_scores(&unary, v, &w));
         // With one store there is nothing to rebuild from: invalidation
         // re-packs and hands back an equal matrix.
         let before = g.design().clone();

@@ -44,8 +44,8 @@
 //! off the bitmap in id order. No hashing, no sorting, no per-shard
 //! allocation; see [`crate::packed`] for the layout and the addition-order
 //! invariants. Arena, accumulator and scratch live for exactly one
-//! training call, like the inference-side `ScoreCache`, so patched design
-//! matrices can never serve a stale pack.
+//! training call, like the inference-side `ScoreCache`, so no pack
+//! outlives the call that built it.
 //!
 //! The pre-arena trainer — CSR rows walked per example, gradients in
 //! hash maps — survives only as the test-only `oracle` module: the

@@ -64,20 +64,6 @@ impl Marginals {
         self.per_var[v.index()][k]
     }
 
-    /// Overwrites `v`'s marginal with a point mass on candidate `k` of a
-    /// domain of `arity` candidates — the feedback path pins a user-label
-    /// the instant it is applied, so reads between `apply_labels` and the
-    /// next `retrain` see the pinned value with probability 1 (and a
-    /// vector as long as the possibly-extended domain, never a stale
-    /// shorter one).
-    pub fn pin(&mut self, v: VarId, k: usize, arity: usize) {
-        assert!(k < arity, "pinned candidate outside the domain");
-        let probs = &mut self.per_var[v.index()];
-        probs.clear();
-        probs.resize(arity, 0.0);
-        probs[k] = 1.0;
-    }
-
     /// The MAP candidate of `v` and its marginal probability.
     pub fn map_candidate(&self, v: VarId) -> (usize, f64) {
         let probs = self.probs(v);
@@ -173,17 +159,5 @@ mod tests {
     fn map_candidate_breaks_ties_low() {
         let m = Marginals::from_raw(vec![vec![0.4, 0.4, 0.2]]);
         assert_eq!(m.map_candidate(VarId(0)).0, 0);
-    }
-
-    /// `pin` replaces the vector wholesale, including growing it when the
-    /// domain gained candidates since inference ran.
-    #[test]
-    fn pin_overwrites_and_resizes() {
-        let mut m = Marginals::from_raw(vec![vec![0.5, 0.5]]);
-        m.pin(VarId(0), 2, 4);
-        assert_eq!(m.probs(VarId(0)), &[0.0, 0.0, 1.0, 0.0]);
-        assert_eq!(m.map_candidate(VarId(0)), (2, 1.0));
-        m.pin(VarId(0), 0, 2);
-        assert_eq!(m.probs(VarId(0)), &[1.0, 0.0]);
     }
 }

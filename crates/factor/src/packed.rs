@@ -1,8 +1,8 @@
 //! The packed example-major training arena and its dense-accumulator
 //! SGD kernel — the hash-free, sort-free substrate of [`crate::learn`].
 //!
-//! Weight learning is the tax every read pays (`pipeline::run`,
-//! `FeedbackSession::retrain` and `StreamSession::report` all run it), so
+//! Weight learning is the tax every read pays (`pipeline::run` runs it,
+//! and every `FeedbackSession` and `StreamSession` read calls that), so
 //! the epoch loop does no bookkeeping beyond the gradient arithmetic
 //! itself: **one gather pass per training call** copies each
 //! example's candidate rows into contiguous example-major buffers
@@ -74,10 +74,10 @@
 //!   all-clear accumulator without an `O(weight_count)` reset.
 //! * **Lifetime = one training call** — arena, accumulator and scratch
 //!   are built per call and never stored in the graph (the
-//!   [`crate::cache::ScoreCache`] discipline), so a design matrix patched
-//!   between calls can never serve a stale pack. The arena also snapshots
-//!   `weights.is_fixed` per slot, safe for the same reason: fixedness
-//!   never changes inside a training call.
+//!   [`crate::cache::ScoreCache`] discipline), so no pack outlives the
+//!   call that built it. The arena also snapshots `weights.is_fixed` per
+//!   slot, safe for the same reason: fixedness never changes inside a
+//!   training call.
 
 use crate::design::DesignMatrix;
 use crate::graph::{FactorGraph, VarId};

@@ -58,10 +58,9 @@
 //! A compiled model is a value: the CSR design matrix is the only store of
 //! its unary features and compile featurizes straight into it, once; the
 //! component index and the coloring are derived from the clique structure
-//! on first use and never patched. The one thing that changes a compiled
-//! model is user feedback (§2.2): `FactorGraph::pin_evidence` turns a
-//! query variable into evidence, appending a candidate row when the label
-//! is a value no candidate proposed.
+//! on first use and never patched. Nothing changes a compiled model: user
+//! feedback (§2.2) is a table edit, and `FeedbackSession` reads through
+//! a fresh run over the labelled table.
 //!
 //! # Quick start
 //!

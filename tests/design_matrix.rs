@@ -126,50 +126,6 @@ fn learn_thread_counts_produce_identical_weights_on_hospital() {
     }
 }
 
-/// Hospital-scale check of the feedback mutation: pinning evidence on a
-/// real compiled model patches the matrix in place, and the patched matrix
-/// is bit-for-bit a fresh build of the compiled rows plus the pinned
-/// candidates.
-#[test]
-fn pinning_patches_hospital_design_in_place() {
-    let (cx, mut model) = compile_hospital(1);
-    let compiled_rows = model.graph.design().rows();
-    let mut rows = adjacency_of(&model.graph);
-    let mut ds = cx.ds.clone();
-    let pins: Vec<_> = model
-        .query_vars
-        .iter()
-        .copied()
-        .step_by(3)
-        .take(6)
-        .enumerate()
-        .map(|(i, v)| (v, ds.intern(&format!("steward-says-{i}"))))
-        .collect();
-    assert_eq!(pins.len(), 6);
-    for &(v, sym) in &pins {
-        model.graph.pin_evidence(v, sym);
-        rows[v.index()].push(Vec::new());
-    }
-    assert_eq!(
-        model.graph.design().rows(),
-        compiled_rows + 6,
-        "one appended row per novel pin"
-    );
-    assert_eq!(
-        model.graph.design(),
-        grounded_entry_by_entry(&model.graph, &rows).design()
-    );
-    // The reference adjacency path agrees with the patched CSR path.
-    let weights = model.weights.clone();
-    for &(v, _) in &pins {
-        let adjacency: Vec<f64> = rows[v.index()]
-            .iter()
-            .map(|features| score_features(features, &weights))
-            .collect();
-        assert_eq!(model.graph.unary_scores(v, &weights), adjacency);
-    }
-}
-
 /// The whole compile stage is thread-count invariant too — including the
 /// parallel DC grounding and the design-matrix shape it feeds.
 #[test]
