@@ -40,9 +40,6 @@ use holo_factor::{
     CliqueFactor, CmpOp, DesignMatrix, FactorGraph, FactorOperand, FactorPredicate,
     FeatureRegistry, VarId, Variable, Weights,
 };
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -215,9 +212,8 @@ fn compile_with(
 
     // Evidence: sample clean cells per trainable attribute — seeded by the
     // attributes that have a query variable, known now that the noisy
-    // domains are final. Selection stays sequential (it consumes the
-    // seeded RNG); the Algorithm 2 reads of the selected cells shard
-    // across threads.
+    // domains are final. Selection is sequential; the Algorithm 2 reads of
+    // the selected cells shard across threads.
     let is_query = |dom: &Vec<Sym>| dom.len() >= 2;
     let (selected, evidence_domains) = timed(&mut phases, "evidence prune", || {
         let query_cells = std::iter::zip(&noisy_cells, &noisy_domains)
@@ -382,12 +378,13 @@ const MAX_EVIDENCE_PER_ATTR: usize = 800;
 
 /// Canonical evidence selection: per attribute set in `trainable`, the
 /// clean non-null cells of the *whole* dataset, downsampled to `cap`
-/// ([`MAX_EVIDENCE_PER_ATTR`] in `compile`) by a shuffle seeded with
-/// `seed` (then re-sorted). Membership is a function of `(table, noisy set,
-/// seed)` only, and a kept attribute's cells are the ones the
-/// all-attributes selection picks for it: the attributes share one RNG, so
-/// a skipped attribute that would have been down-sampled still advances it
-/// (a shuffle draws by length only).
+/// ([`MAX_EVIDENCE_PER_ATTR`] in `compile`) by keeping the `cap` cells of
+/// smallest [`sample_rank`] under `seed` (bottom-k), in cell order.
+/// Membership is a function of `(table, noisy set, seed)` only, and each
+/// cell's rank is its own: a kept attribute's cells do not depend on which
+/// other attributes are kept, and a cell that joins or leaves an
+/// attribute's clean list (a label, or a partner it unflags) changes at
+/// most one other member of that attribute's sample.
 ///
 /// The noisy set is read through one tuple bitmap per attribute, so a
 /// clean-cell test is a bit probe, not a hash of the cell.
@@ -398,7 +395,6 @@ fn select_evidence_cells(
     seed: u64,
     cap: usize,
 ) -> Vec<CellRef> {
-    let mut rng = StdRng::seed_from_u64(seed);
     let words = ds.tuple_count().div_ceil(64);
     let mut flagged: Vec<Vec<u64>> = vec![vec![0; words]; trainable.len()];
     for cell in noisy {
@@ -406,28 +402,40 @@ fn select_evidence_cells(
         flagged[cell.attr.index()][t / 64] |= 1 << (t % 64);
     }
     let mut selected: Vec<CellRef> = Vec::new();
-    for attr in ds.schema().attrs() {
+    for attr in ds.schema().attrs().filter(|a| trainable[a.index()]) {
         let (column, flagged) = (ds.column(attr), &flagged[attr.index()]);
         let clean = ds.tuples().filter(|t| {
             let t = t.index();
             flagged[t / 64] >> (t % 64) & 1 == 0 && !column[t].is_null()
         });
-        if !trainable[attr.index()] {
-            let skipped = clean.count();
-            if skipped > cap {
-                vec![(); skipped].shuffle(&mut rng);
-            }
-            continue;
+        let mut ranked: Vec<(u64, CellRef)> = clean
+            .map(|t| {
+                let cell = CellRef { tuple: t, attr };
+                (sample_rank(seed, cell), cell)
+            })
+            .collect();
+        if ranked.len() > cap {
+            ranked.select_nth_unstable(cap);
+            ranked.truncate(cap);
+            ranked.sort_unstable_by_key(|&(_, cell)| cell);
         }
-        let mut clean: Vec<CellRef> = clean.map(|t| CellRef { tuple: t, attr }).collect();
-        if clean.len() > cap {
-            clean.shuffle(&mut rng);
-            clean.truncate(cap);
-            clean.sort_unstable();
-        }
-        selected.extend(clean);
+        selected.extend(ranked.into_iter().map(|(_, cell)| cell));
     }
     selected
+}
+
+/// A cell's place in the evidence sample under `seed`: a SplitMix64 hash
+/// of the seed and the cell, so the ranks of different cells are
+/// independent and uniform.
+fn sample_rank(seed: u64, cell: CellRef) -> u64 {
+    let mix = |mut z: u64| {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let key = (cell.tuple.index() as u64) << 32 | cell.attr.index() as u64;
+    mix(mix(seed) ^ key)
 }
 
 /// The repair signals of §4.2 in the form per-cell featurization reads
@@ -1315,12 +1323,9 @@ mod tests {
         }
     }
 
-    /// A kept attribute gets exactly the cells the all-attributes
-    /// selection picks for it, whichever attributes around it are skipped:
-    /// a skipped attribute that would have been down-sampled still advances
-    /// the shared RNG. Noisy and null cells are never evidence.
-    #[test]
-    fn skipped_attributes_leave_the_kept_selections_unchanged() {
+    /// The 60 × 4 table of the selection tests: nulls in `B`, and one
+    /// noisy cell in every fifth row.
+    fn sampling_table() -> (Dataset, FxHashSet<CellRef>) {
         let mut ds = Dataset::new(holo_dataset::Schema::new(vec!["A", "B", "C", "D"]));
         for i in 0..60 {
             let b = if i % 9 == 0 { "" } else { "b" };
@@ -1330,6 +1335,15 @@ mod tests {
             .filter(|t| t % 5 == 1)
             .map(|t| CellRef::new(t, t % 4))
             .collect();
+        (ds, noisy)
+    }
+
+    /// A kept attribute gets exactly the cells the all-attributes
+    /// selection picks for it, whichever attributes around it are skipped.
+    /// Noisy and null cells are never evidence.
+    #[test]
+    fn skipped_attributes_leave_the_kept_selections_unchanged() {
+        let (ds, noisy) = sampling_table();
         let seed = HoloConfig::default().seed;
         let all = select_evidence_cells(&ds, &noisy, &[true; 4], seed, 10);
         for attr in ds.schema().attrs() {
@@ -1349,6 +1363,32 @@ mod tests {
             let kept = select_evidence_cells(&ds, &noisy, &mask, seed, 10);
             assert_eq!(kept, expected, "mask {mask:?}");
         }
+    }
+
+    /// Bottom-k is stable under small edits: a cell that leaves the noisy
+    /// set (a label, or a partner a label unflags) swaps at most one member
+    /// of its attribute's sample and leaves every other attribute's alone.
+    #[test]
+    fn unflagging_a_cell_moves_at_most_one_member() {
+        let (ds, noisy) = sampling_table();
+        let seed = HoloConfig::default().seed;
+        let before = select_evidence_cells(&ds, &noisy, &[true; 4], seed, 10);
+        let mut swaps = 0;
+        for &cell in &noisy {
+            let mut fewer = noisy.clone();
+            fewer.remove(&cell);
+            let after = select_evidence_cells(&ds, &fewer, &[true; 4], seed, 10);
+            let left: Vec<_> = before.iter().filter(|c| !after.contains(c)).collect();
+            let joined: Vec<_> = after.iter().filter(|c| !before.contains(c)).collect();
+            assert_eq!(left.len(), joined.len(), "{cell}: the cap still holds");
+            assert!(left.len() <= 1, "{cell}: {left:?} -> {joined:?}");
+            if let Some(&&joined) = joined.first() {
+                assert_eq!(joined, cell, "only the unflagged cell can join");
+                assert_eq!(left[0].attr, cell.attr, "other attributes keep theirs");
+                swaps += 1;
+            }
+        }
+        assert!(swaps > 0, "some unflagged cell ranks into its sample");
     }
 
     #[test]

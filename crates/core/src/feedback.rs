@@ -28,8 +28,10 @@
 //! resolves a conflict unflags its partners too. Detection drops verified
 //! cells from the noisy set, so a labelled cell is never a query variable:
 //! it is an ordinary clean cell, and it trains the model through the
-//! evidence selection every clean cell goes through. No graph is ever
-//! patched.
+//! evidence selection every clean cell goes through. That selection is a
+//! bottom-k sample, so each cell a label brings into an attribute's clean
+//! list displaces at most one sampled cell: the rest of the training set
+//! stays put from one read to the next. No graph is ever patched.
 //!
 //! A read is therefore, to the bit, `pipeline::run` over a context whose
 //! table holds the labels and whose `verified` set holds their cells. Its
@@ -224,12 +226,6 @@ impl FeedbackSession {
         &self.cx.ds
     }
 
-    /// The run over the current table, if a read made one and no label
-    /// batch has dropped it since.
-    pub fn cached_run(&self) -> Option<&PipelineRun> {
-        self.run.as_ref()
-    }
-
     /// Number of distinct cells labelled so far.
     pub fn labelled_count(&self) -> usize {
         self.cx.verified.len()
@@ -319,7 +315,7 @@ mod tests {
         let labels = truth_labels(&session.requests(5).unwrap(), &clean);
         session.apply_labels(&labels).unwrap();
         assert_eq!(session.labelled_count(), 5);
-        assert!(session.cached_run().is_none(), "a label drops the run");
+        assert!(session.run.is_none(), "a label drops the run");
 
         let report = session.try_report().unwrap();
         let after = evaluate(&report, &dirty, &clean);
@@ -477,7 +473,7 @@ mod tests {
             cx.verified.insert(label.cell);
         }
         let reference = pipeline::run(&cx).unwrap();
-        let run = session.cached_run().unwrap();
+        let run = session.run.as_ref().unwrap();
         assert_eq!(run.detection, reference.detection);
         assert_eq!(run.model.query_cells, reference.model.query_cells);
         let bits = |run: &PipelineRun| -> Vec<(Vec<Sym>, Vec<u64>)> {
@@ -553,7 +549,7 @@ mod tests {
                 0,
                 "a rejected batch changes nothing"
             );
-            assert!(session.cached_run().is_some(), "and keeps the run");
+            assert!(session.run.is_some(), "and keeps the run");
         }
         // Row 40's Key is a clean cell, never a query cell.
         session.apply_labels(&[label(40, 0)]).unwrap();
@@ -591,10 +587,7 @@ mod tests {
         session.cx.config.learn.learning_rate = 1e308;
         let err = session.try_report().expect_err("1e308 overflows");
         assert!(matches!(err, HoloError::LearnDiverged { .. }), "got {err}");
-        assert!(
-            session.cached_run().is_none(),
-            "a failed read caches nothing"
-        );
+        assert!(session.run.is_none(), "a failed read caches nothing");
         assert_eq!(session.labelled_count(), 1);
         assert_eq!(rows(session.dataset()), table);
 
