@@ -25,7 +25,8 @@
 //! (`prune_index_rows`, `prune_index_entries`), the Algorithm 1 grounding
 //! counters (`cliques`, `dc_pairs_considered`, `clique_cap_hits`,
 //! `dc_skipped_no_join_key` — all zero unless `--dc-factors` selects the
-//! partitioned DC-factor variant) and `phases`, the
+//! partitioned DC-factor variant), `clique_bytes` (the heap bytes of the
+//! clique arena that holds the cliques) and `phases`, the
 //! wall-clock split of `compile()` in execution order (`index_build_s`,
 //! `noisy_prune_s`, `evidence_prune_s`, `variables_s`,
 //! `featurizer_setup_s`, `featurize_s`, `assemble_s`, and `ground_s` on
@@ -49,6 +50,12 @@
 //! `_to_rarer` / `_to_equal` (new value rarer / as frequent in the dirty
 //! column). `occur_weights`: per attribute, its `Occur` weights and the top
 //! 3 `[conditioning attribute, w]` by |w|.
+//!
+//! The `memory` object carries `peak_rss_mb`, the process's peak resident
+//! set (`VmHWM` in `/proc/self/status`, read after the run; `null` where
+//! the platform has no such file), which the text output prints too. It is
+//! the whole process's: the generator's dirty and clean tables and the
+//! detection profile are counted beside the repair.
 //!
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
 //! (`pairs` built — only target attributes a variable can have — of
@@ -273,6 +280,15 @@ fn occur_weights(registry: &FeatureRegistry<FeatureKey>, weights: &Weights) -> V
     by_attr.collect()
 }
 
+/// The process's peak resident set in MB, from `VmHWM` in
+/// `/proc/self/status`; `None` where the platform has no such file.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|line| line.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Emits the run's diagnostics as one JSON object for the bench
 /// trajectory: stage timings, `LearnStats`, `PartitionStats` and (for
 /// streamed runs) the `IngestStats`. Hand-rolled over `holo_bench::json` — the
@@ -352,6 +368,7 @@ fn print_json(
         "dc_skipped_no_join_key",
         out.model.dc_skipped_no_join_key as u64,
     );
+    compile.field_u64("clique_bytes", out.model.clique_bytes as u64);
     let mut phases = JsonObj::new();
     for (name, d) in &out.model.phases {
         phases.field_raw(
@@ -406,6 +423,9 @@ fn print_json(
     root.field_raw("timings", &timings.finish());
     root.field_raw("detect", &detect.json());
     root.field_raw("compile", &compile.finish());
+    let mut memory = JsonObj::new();
+    memory.field_num("peak_rss_mb", peak_rss_mb().unwrap_or(f64::NAN));
+    root.field_raw("memory", &memory.finish());
     root.field_raw("learn", &learn);
     root.field_raw("occur_weights", &format!("[{}]", occur.join(",")));
     root.field_raw("partition", &partition.finish());
@@ -569,6 +589,10 @@ fn main() {
         out.timings.infer,
         out.timings.total()
     );
+    match peak_rss_mb() {
+        Some(mb) => println!("memory: peak RSS {mb:.1} MB (the whole process, generator included)"),
+        None => println!("memory: peak RSS unavailable (no /proc/self/status)"),
+    }
     detect.print();
     // The statistics are built inside the compile stage before `compile()`
     // runs: the first entry, on a line of its own.
@@ -586,11 +610,12 @@ fn main() {
     );
     println!(
         "  grounding: {} clique(s) from {} tuple pair(s), {} clique cap hit(s), \
-         {} two-tuple DC(s) skipped (no equality join key)",
+         {} two-tuple DC(s) skipped (no equality join key); clique arena {} byte(s)",
         out.model.cliques,
         out.model.dc_pairs_considered,
         out.model.clique_cap_hits,
-        out.model.dc_skipped_no_join_key
+        out.model.dc_skipped_no_join_key,
+        out.model.clique_bytes
     );
     let p = out.timings.partition;
     println!(

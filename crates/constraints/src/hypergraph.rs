@@ -147,30 +147,63 @@ pub const NO_GROUP: u32 = u32::MAX;
 /// `H_σ` the tuple lies in, numbered from 0 by smallest member, or
 /// [`NO_GROUP`] when no violation of σ names the tuple. One union-find per
 /// constraint over the violations' `(t1, t2)`: the list is read in place,
-/// with no copy and no cell index.
+/// with no copy and no cell index. The pipeline's groups come from
+/// [`crate::find_tuple_groups_with_threads`], which lists nothing; this is
+/// their reference, and [`ConflictHypergraph::tuple_groups`] lists it.
 pub fn tuple_group_ids(
     violations: &[Violation],
     constraints: usize,
     tuple_count: usize,
 ) -> Vec<Vec<u32>> {
-    // Marks a tuple some violation names, before its group is numbered.
-    const NAMED: u32 = NO_GROUP - 1;
-    let mut finds: Vec<Option<UnionFind>> = (0..constraints).map(|_| None).collect();
-    let mut ids = vec![vec![NO_GROUP; tuple_count]; constraints];
+    let mut tables: Vec<GroupTable> = (0..constraints)
+        .map(|_| GroupTable::new(tuple_count))
+        .collect();
     for v in violations {
-        let uf = finds[v.constraint].get_or_insert_with(|| UnionFind::new(tuple_count));
-        uf.union(v.t1.index(), v.t2.index());
-        let table = &mut ids[v.constraint];
-        table[v.t1.index()] = NAMED;
-        table[v.t2.index()] = NAMED;
+        tables[v.constraint].union(v.t1, v.t2);
     }
-    for (table, uf) in ids.iter_mut().zip(finds) {
-        let Some(mut uf) = uf else { continue };
+    tables.into_iter().map(GroupTable::finish).collect()
+}
+
+/// One constraint's group table while its witnessing pairs are unioned:
+/// [`GroupTable::finish`] numbers the components.
+pub(crate) struct GroupTable {
+    /// Built on the first pair.
+    uf: Option<UnionFind>,
+    /// [`NAMED`] for a tuple some pair names, [`NO_GROUP`] otherwise.
+    ids: Vec<u32>,
+}
+
+/// Marks a tuple some pair names, before its group is numbered.
+const NAMED: u32 = NO_GROUP - 1;
+
+impl GroupTable {
+    pub(crate) fn new(tuple_count: usize) -> Self {
+        GroupTable {
+            uf: None,
+            ids: vec![NO_GROUP; tuple_count],
+        }
+    }
+
+    /// Puts `t1` and `t2` in one group.
+    pub(crate) fn union(&mut self, t1: TupleId, t2: TupleId) {
+        let n = self.ids.len();
+        let uf = self.uf.get_or_insert_with(|| UnionFind::new(n));
+        uf.union(t1.index(), t2.index());
+        self.ids[t1.index()] = NAMED;
+        self.ids[t2.index()] = NAMED;
+    }
+
+    /// The group id of every tuple, groups numbered by smallest member.
+    pub(crate) fn finish(self) -> Vec<u32> {
+        let mut table = self.ids;
+        let Some(mut uf) = self.uf else {
+            return table;
+        };
         // Ascending tuples meet each component at its smallest member
         // first. The root is itself a named member, so its slot holds the
         // component's id from then on.
         let mut next = 0;
-        for t in 0..tuple_count {
+        for t in 0..table.len() {
             if table[t] == NO_GROUP {
                 continue;
             }
@@ -181,8 +214,8 @@ pub fn tuple_group_ids(
             }
             table[t] = table[root];
         }
+        table
     }
-    ids
 }
 
 /// The output of Algorithm 3: groups of tuples per constraint.

@@ -23,9 +23,9 @@
 //! * [`violations`] — violation detection over that scan, blocking once
 //!   per distinct join key; an FD-shaped constraint compares a tuple only
 //!   with the members of its bucket that hold another value, and the
-//!   noisy cells and violation count of a proper FD come from the value
-//!   groups in O(rows). A streaming session's read runs it unchanged,
-//!   over the table that read compacts.
+//!   noisy cells, violation count and Algorithm 3 groups of a proper FD
+//!   come from the value groups in O(rows). A streaming session's read
+//!   runs it unchanged, over the table that read compacts.
 //! * [`hypergraph`] — the conflict hypergraph of \[26\] and the Algorithm 3
 //!   per-constraint connected-component tuple partitioning.
 //!
@@ -54,6 +54,6 @@ pub use ast::{ConstraintId, ConstraintSet, DenialConstraint, Op, Operand, Predic
 pub use hypergraph::{tuple_group_ids, ConflictHypergraph, TupleGroups, NO_GROUP};
 pub use parser::{parse_constraint, parse_constraints, ParseError};
 pub use violations::{
-    find_noisy_cells_with_threads, find_violations, find_violations_with_threads, noisy_cells,
-    CellList, Violation,
+    find_noisy_cells_with_threads, find_tuple_groups_with_threads, find_violations,
+    find_violations_with_threads, noisy_cells, CellList, Violation,
 };

@@ -43,6 +43,12 @@
 //! ever formed. Every other constraint marks the cells of the pairs its
 //! list path finds, without stamping them into [`Violation`]s.
 //!
+//! [`find_tuple_groups_with_threads`] gives Algorithm 3's groups the same
+//! way: a proper FD's connected components of `H_σ` are its mixed buckets
+//! — the members holding a non-null `A` — so a spanning star of each
+//! stands in for its pairs, and any other constraint unions the pairs its
+//! list path finds, never stamping them either.
+//!
 //! Constraints with no join key fall back to the pairwise scan;
 //! single-tuple constraints evaluate their predicates per tuple.
 //!
@@ -65,6 +71,7 @@
 //! all-pairs oracle `find_violations_naive` beside it.
 
 use crate::ast::{ConstraintId, ConstraintSet, DenialConstraint, TupleVar};
+use crate::hypergraph::GroupTable;
 use crate::scan::{build_shared, BlockIndex, PackedColumn, PairScan, ScanPredicate};
 use holo_dataset::{AttrId, CellRef, Dataset, FxHashSet, Sym, TupleId};
 use serde::{Deserialize, Serialize};
@@ -321,12 +328,29 @@ pub fn find_noisy_cells_with_threads(
     (marks.into_set(), violations)
 }
 
+/// Algorithm 3's groups — [`tuple_group_ids`](crate::tuple_group_ids) of
+/// [`find_violations_with_threads`]'s list, one dense table per constraint
+/// — without the list: a proper FD unions a spanning star of each mixed
+/// bucket (module docs), and any other constraint the pairs it finds, one
+/// constraint at a time.
+pub fn find_tuple_groups_with_threads(
+    ds: &Dataset,
+    constraints: &ConstraintSet,
+    threads: usize,
+) -> Vec<Vec<u32>> {
+    let mut tables = Vec::with_capacity(constraints.len());
+    detect(ds, constraints, threads, &mut Sink::Groups(&mut tables));
+    tables
+}
+
 /// What a detection pass makes of a constraint's witnesses.
 enum Sink<'a> {
     /// Every witnessing pair stamped into a [`Violation`], in order.
     List(&'a mut Vec<Violation>),
     /// The witnesses' cells marked and the witnesses counted.
     Cells(&'a mut CellMarks, &'a mut usize),
+    /// The witnesses' Algorithm 3 group table pushed, one per constraint.
+    Groups(&'a mut Vec<Vec<u32>>),
 }
 
 /// Feeds the violations of `constraints`, in order, to `sink`.
@@ -361,19 +385,28 @@ fn detect(ds: &Dataset, constraints: &ConstraintSet, threads: usize, sink: &mut 
                     // exactly the probes that look it up.
                     let proper =
                         scan.probe_key == scan.partner_key && probe_attr == scan.partner_attrs[col];
-                    if let (Sink::Cells(marks, violations), true) = (&mut *sink, proper) {
-                        **violations += mark_mixed_buckets(index, column, &template, marks);
-                        continue;
+                    match (&mut *sink, proper) {
+                        (Sink::Cells(marks, violations), true) => {
+                            **violations += mark_mixed_buckets(index, column, &template, marks);
+                            continue;
+                        }
+                        // The groups need only a spanning tree of each
+                        // component, not every pair.
+                        (Sink::Groups(_), true) => mixed_bucket_spans(index, column),
+                        _ => {
+                            let fd = FdProbe {
+                                scan,
+                                probe_attr,
+                                index,
+                                column,
+                                minorities: Minorities::new(index, column),
+                                symmetric: c.is_symmetric(),
+                            };
+                            holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| {
+                                fd.pairs(ds, chunk)
+                            })
+                        }
                     }
-                    let fd = FdProbe {
-                        scan,
-                        probe_attr,
-                        index,
-                        column,
-                        minorities: Minorities::new(index, column),
-                        symmetric: c.is_symmetric(),
-                    };
-                    holo_parallel::parallel_chunks(threads, &tuples, |_, chunk| fd.pairs(ds, chunk))
                 }
                 None => {
                     let symmetric = c.is_symmetric();
@@ -398,8 +431,37 @@ fn detect(ds: &Dataset, constraints: &ConstraintSet, threads: usize, sink: &mut 
                     template.mark(t1, t2, marks);
                 }
             }
+            Sink::Groups(tables) => {
+                let mut table = GroupTable::new(tuples.len());
+                for (t1, t2) in pairs {
+                    table.union(t1, t2);
+                }
+                tables.push(table.finish());
+            }
         }
     }
+}
+
+/// A proper FD's Algorithm 3 components without its pairs: in a bucket
+/// with two or more value groups every member holding a non-null
+/// dependent value disagrees with a member of another group, and two
+/// members of one group share such a partner, so those members are one
+/// connected component of `H_σ`; no violation names anybody else. Returns
+/// a spanning star of each: its first member paired with every other.
+fn mixed_bucket_spans(index: &BlockIndex, column: &PackedColumn) -> Vec<(TupleId, TupleId)> {
+    let mut spans = Vec::new();
+    for bucket in 0..index.bucket_count() {
+        if column.groups(bucket).len() < 2 {
+            continue;
+        }
+        let range = index.range(bucket);
+        let values = &column.values()[range.clone()];
+        let members = index.members()[range].iter().zip(values);
+        let mut held = members.filter(|(_, v)| !v.is_null()).map(|(&t, _)| t);
+        let first = held.next().expect("a mixed bucket holds two values");
+        spans.extend(held.map(|t| (first, t)));
+    }
+    spans
 }
 
 /// A proper FD without its pairs: marks the cells of every member that
@@ -684,6 +746,7 @@ mod tests {
     use super::reference::{find_violations_interpreted, find_violations_naive};
     use super::*;
     use crate::ast::{Op, Operand, Predicate};
+    use crate::hypergraph::tuple_group_ids;
     use crate::parser::parse_constraints;
     use holo_dataset::Schema;
     use proptest::prelude::*;
@@ -1078,6 +1141,46 @@ mod tests {
             for threads in [1, 2, 4] {
                 prop_assert_eq!(&find_violations_with_threads(&ds, &cons, threads), &want);
                 prop_assert_eq!(&find_noisy_cells_with_threads(&ds, &cons, threads), &cells_and_count);
+            }
+        }
+
+        /// Algorithm 3's groups from the value groups ≡ the groups of the
+        /// listed violations ([`tuple_group_ids`]), at every thread count:
+        /// nulls in key and dependent columns, buckets of one value or one
+        /// member, one- and two-attribute keys, proper (symmetric) FDs
+        /// beside asymmetric FD-shaped constraints, which union their
+        /// pairs, and non-FD constraints — an order residual, a
+        /// single-tuple one — at every position among them.
+        #[test]
+        fn prop_value_groups_equal_the_listed_groups(
+            rows in proptest::collection::vec((0u8..4, 0u8..3, 0u8..4, 0u8..3), 0..48),
+            rotate in 0usize..7,
+        ) {
+            // 0 encodes a null cell; K/L and A/B each share a value space.
+            let text = |p: &str, v: u8| if v == 0 { String::new() } else { format!("{p}{v}") };
+            let mut ds = Dataset::new(Schema::new(vec!["K", "L", "A", "B"]));
+            for &(k, l, a, b) in &rows {
+                ds.push_row(&[text("k", k), text("k", l), text("v", a), text("v", b)]);
+            }
+            let mut lines = [
+                "FD: K -> A",
+                "FD: K, L -> B",
+                "t1&t2&EQ(t1.K,t2.K)&IQ(t1.A,t2.B)",
+                "t1&t2&EQ(t1.K,t2.L)&IQ(t1.A,t2.A)",
+                "t1&t2&EQ(t1.K,t2.K)&LT(t1.B,t2.B)",
+                "t1&EQ(t1.A,\"v2\")",
+                "FD: L -> A",
+            ];
+            lines.rotate_left(rotate);
+            let cons = parse_constraints(&lines.join("\n"), &mut ds).unwrap();
+            let shape = |sigma| PairScan::new(cons.get(sigma), TupleVar::T1).fd_shape();
+            let fd_shaped = (0..cons.len()).filter(|&sigma| shape(sigma).is_some());
+            prop_assert_eq!(fd_shaped.clone().count(), 5);
+            prop_assert_eq!(fd_shaped.filter(|&sigma| !cons.get(sigma).is_symmetric()).count(), 2);
+
+            let want = tuple_group_ids(&find_violations(&ds, &cons), cons.len(), ds.tuple_count());
+            for threads in [1, 2, 4] {
+                prop_assert_eq!(&find_tuple_groups_with_threads(&ds, &cons, threads), &want);
             }
         }
 

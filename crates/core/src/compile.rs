@@ -25,7 +25,7 @@
 //!    building its pairs across threads with an ordered merge.
 
 use crate::config::HoloConfig;
-use crate::domain::{CellDomains, PruneIndex};
+use crate::domain::PruneIndex;
 use crate::error::HoloError;
 use crate::features::{
     collect_external_features, collect_minimality_feature, collect_occur_features, DcFeaturizer,
@@ -34,11 +34,11 @@ use crate::features::{
 use crate::trainable::{attrs_of, trainable_attrs};
 use holo_constraints::ast::{Op, Operand, TupleVar};
 use holo_constraints::scan::PairScan;
-use holo_constraints::{tuple_group_ids, ConstraintSet, Violation, NO_GROUP};
+use holo_constraints::{find_tuple_groups_with_threads, ConstraintSet, Violation, NO_GROUP};
 use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Sym, TupleId};
 use holo_factor::{
-    CliqueFactor, CmpOp, DesignMatrix, FactorGraph, FactorOperand, FactorPredicate,
-    FeatureRegistry, VarId, Variable, Weights,
+    CliqueArena, CmpOp, DesignMatrix, FactorGraph, FactorOperand, FactorPredicate, FeatureRegistry,
+    VarId, Variable, Weights,
 };
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -66,6 +66,9 @@ pub struct CompileStats {
     pub factors: usize,
     /// Grounded DC clique factors.
     pub cliques: usize,
+    /// Heap bytes of the clique arena that holds them
+    /// ([`FactorGraph::clique_bytes`]).
+    pub clique_bytes: usize,
     /// Query-bearing tuple pairs DC-factor grounding visited — a pair
     /// whose cells hold no query variable is never formed — up to each
     /// constraint's clique cap.
@@ -132,10 +135,11 @@ pub struct CompileInput<'a> {
     pub constraints: &'a ConstraintSet,
     /// The noisy-cell set `D_n` from error detection.
     pub noisy: &'a FxHashSet<CellRef>,
-    /// The detected violations. Read only by the variants that partition
-    /// (Algorithm 3 unions their tuple pairs into groups); any other
-    /// variant ignores the slice, and `pipeline::compile_model` passes it
-    /// empty.
+    /// Unread: the partitioning variants take Algorithm 3's groups from
+    /// the value groups ([`find_tuple_groups_with_threads`]), so no
+    /// variant reads a violation list, and `pipeline::compile_model`
+    /// passes it empty. Kept while the benchmark's staged driver still
+    /// fills it.
     pub violations: &'a [Violation],
     /// Co-occurrence statistics of the dataset.
     pub stats: &'a CooccurStats,
@@ -162,7 +166,7 @@ fn compile_with(
         ds,
         constraints,
         noisy,
-        violations,
+        violations: _,
         stats,
         matches,
         config,
@@ -244,16 +248,12 @@ fn compile_with(
     drop(index);
 
     // ---- 2. variables: query first, then evidence ----
-    // Only DC-factor grounding reads domains by cell; every other variant
-    // moves each domain straight into its variable.
+    // Each domain moves straight into its variable; DC-factor grounding
+    // reads a query cell's domain there.
     let mut vars: Vec<Variable> = Vec::new();
     let mut var_cells: Vec<CellRef> = Vec::new();
-    let mut domains = CellDomains::default();
     timed(&mut phases, "variables", || {
         for (&cell, dom) in noisy_cells.iter().zip(noisy_domains) {
-            if config.variant.uses_dc_factors() {
-                domains.insert(cell, dom.clone());
-            }
             if !is_query(&dom) {
                 cstats.singleton_noisy_cells += 1;
                 continue;
@@ -291,7 +291,7 @@ fn compile_with(
         let groups = config
             .variant
             .uses_partitioning()
-            .then(|| tuple_group_ids(violations, constraints.len(), ds.tuple_count()));
+            .then(|| find_tuple_groups_with_threads(ds, constraints, threads));
         Signals::new(input).map(|signals| (groups, signals))
     })?;
     let sinks = timed(&mut phases, "featurize", || {
@@ -305,20 +305,15 @@ fn compile_with(
     });
 
     // ---- 4. DC factor grounding (Algorithm 1) ----
-    let mut cliques = Vec::new();
+    let mut cliques = CliqueArena::new();
     if config.variant.uses_dc_factors() {
         cliques = timed(&mut phases, "ground", || {
-            let cell_vars: FxHashMap<CellRef, VarId> = query_cells
-                .iter()
-                .copied()
-                .zip(query_vars.iter().copied())
-                .collect();
+            let query = QueryCells::new(ds, &query_cells, &vars[..cstats.query_vars]);
             ground_dc_factors(
                 &mut registry,
                 ds,
                 constraints,
-                &domains,
-                &cell_vars,
+                &query,
                 config,
                 groups.as_deref(),
                 &mut cstats,
@@ -330,6 +325,7 @@ fn compile_with(
     let graph = FactorGraph::new(vars, design, cliques);
     cstats.phases = phases;
     cstats.factors = graph.factor_count();
+    cstats.clique_bytes = graph.clique_bytes();
     let weights = registry.build_weights();
     Ok(CompiledModel {
         graph,
@@ -535,20 +531,60 @@ fn op_to_cmp(op: Op) -> CmpOp {
     }
 }
 
-/// Candidate domain of a cell: the pruned domain for noisy cells, the
-/// observed singleton otherwise.
-fn dom_of<'a>(
-    ds: &Dataset,
-    domains: &'a CellDomains,
-    cell: CellRef,
-    singleton: &'a mut [Sym; 1],
-) -> &'a [Sym] {
-    let d = domains.get(cell);
-    if !d.is_empty() {
-        return d;
+/// No query variable at a cell of [`QueryCells`].
+const NO_VAR: u32 = u32::MAX;
+
+/// The query variables by cell, as grounding reads them: per attribute a
+/// dense tuple-indexed column of variable ids ([`NO_VAR`] where the cell
+/// is no query variable; empty for an attribute without one), and the
+/// variables, whose domains are their cells'.
+struct QueryCells<'a> {
+    columns: Vec<Vec<u32>>,
+    vars: &'a [Variable],
+}
+
+impl<'a> QueryCells<'a> {
+    /// `cells[i]` is the cell of `vars[i]`, variable `VarId(i)`.
+    fn new(ds: &Dataset, cells: &[CellRef], vars: &'a [Variable]) -> Self {
+        debug_assert_eq!(cells.len(), vars.len());
+        let mut columns = vec![Vec::new(); ds.schema().len()];
+        for (i, cell) in cells.iter().enumerate() {
+            let column: &mut Vec<u32> = &mut columns[cell.attr.index()];
+            column.resize(ds.tuple_count(), NO_VAR);
+            column[cell.tuple.index()] = i as u32;
+        }
+        QueryCells { columns, vars }
     }
-    singleton[0] = ds.cell_ref(cell);
-    singleton
+
+    /// The query variable of `cell`, if it has one.
+    #[inline]
+    fn var(&self, cell: CellRef) -> Option<VarId> {
+        let column = &self.columns[cell.attr.index()];
+        let var = *column.get(cell.tuple.index())?;
+        (var != NO_VAR).then_some(VarId(var))
+    }
+
+    /// Whether each tuple holds a query cell in any of `attrs`.
+    fn mask(&self, attrs: &[AttrId], tuple_count: usize) -> Vec<bool> {
+        let mut mask = vec![false; tuple_count];
+        for a in attrs {
+            for (m, &var) in mask.iter_mut().zip(&self.columns[a.index()]) {
+                *m |= var != NO_VAR;
+            }
+        }
+        mask
+    }
+
+    /// Candidate domain of a cell: its query variable's, or the observed
+    /// singleton — which is also the domain of a noisy cell pruned to one
+    /// candidate, since pruning keeps the observed value first.
+    fn domain<'s>(&'s self, ds: &Dataset, cell: CellRef, singleton: &'s mut [Sym; 1]) -> &'s [Sym] {
+        if let Some(var) = self.var(cell) {
+            return &self.vars[var.index()].domain;
+        }
+        singleton[0] = ds.cell_ref(cell);
+        singleton
+    }
 }
 
 /// Fixed weight `w` of DC clique factors (Algorithm 1 "soft constraint"
@@ -576,6 +612,20 @@ struct Bucket {
     queried: Vec<TupleId>,
 }
 
+/// The grounding of one chunk of probe tuples: its cliques in pair order,
+/// and for the clique cap the pairs visited through each of them.
+#[derive(Default)]
+struct Fragment {
+    cliques: CliqueArena,
+    /// `visited[i]` = pairs visited up to and including clique `i`'s.
+    visited: Vec<usize>,
+    /// Pairs visited in all.
+    pairs: usize,
+    /// Scratch of the clique in hand.
+    vars: Vec<VarId>,
+    predicates: Vec<FactorPredicate>,
+}
+
 /// Grounds denial constraints into clique factors over the query variables
 /// (Algorithm 1), in constraint order. A factor with no query variable is
 /// a constant, so only what can hold one is grounded: a single-tuple
@@ -587,61 +637,50 @@ struct Bucket {
 /// domains* (a pair is grounded iff some candidate assignment can satisfy
 /// every equality join). Its buckets are keyed by (group, value): under
 /// partitioning `groups` holds the dense per-constraint Algorithm 3 group
-/// tables of [`tuple_group_ids`], so a pair never leaves its group and a
-/// tuple in no group never probes; without it every tuple is in group 0. A
-/// probe without a query cell on its side scans only the bucket members
-/// with one on theirs — a subsequence in the same order.
+/// tables of [`find_tuple_groups_with_threads`], so a pair never leaves
+/// its group and a tuple in no group never probes; without it every tuple
+/// is in group 0. A probe without a query cell on its side scans only the
+/// bucket members with one on theirs — a subsequence in the same order.
 ///
 /// Probe tuples go in fixed blocks of [`GROUND_BLOCK_TUPLES`]: a block
-/// discovers its pairs and builds their cliques data-parallel, and the
-/// cliques append in (probe, candidate, partner) order, so they are
-/// identical at every thread count. A constraint stops in the block where
-/// it reaches `clique_cap` cliques — the pairs past the cap are never
+/// discovers its pairs and builds their cliques data-parallel, each chunk
+/// into a [`Fragment`] of its own, and the fragments append to the arena in
+/// chunk order, so the cliques are in (probe, candidate, partner) order at
+/// every thread count. A constraint stops in the block where it reaches
+/// `clique_cap` (≥ 1) cliques — the pairs past the cap are never
 /// discovered — and `dc_pairs_considered` counts the query-bearing pairs
-/// it visited up to there.
+/// it visited up to there. The arena is trimmed to its length at the end.
 #[allow(clippy::too_many_arguments)]
 fn ground_dc_factors(
     registry: &mut FeatureRegistry<FeatureKey>,
     ds: &Dataset,
     constraints: &ConstraintSet,
-    domains: &CellDomains,
-    cell_vars: &FxHashMap<CellRef, VarId>,
+    query: &QueryCells<'_>,
     config: &HoloConfig,
     groups: Option<&[Vec<u32>]>,
     cstats: &mut CompileStats,
     clique_cap: usize,
-) -> Vec<CliqueFactor> {
+) -> CliqueArena {
+    assert!(clique_cap > 0, "a clique cap keeps at least one clique");
     let threads = config.effective_threads();
     let weight = registry.fixed(FeatureKey::DcFactor, DC_FACTOR_WEIGHT);
     let n = ds.tuple_count();
-    // Per attribute, whether each tuple's cell is a query variable; an
-    // attribute with none keeps an empty column.
-    let mut query_at: Vec<Vec<bool>> = vec![Vec::new(); ds.schema().len()];
-    for cell in cell_vars.keys() {
-        let column = &mut query_at[cell.attr.index()];
-        column.resize(n, false);
-        column[cell.tuple.index()] = true;
-    }
-    // Whether each tuple holds a query cell in any of `attrs`.
-    let query_mask = |attrs: &[AttrId]| {
-        let mut mask = vec![false; n];
-        for a in attrs {
-            for (m, &q) in mask.iter_mut().zip(&query_at[a.index()]) {
-                *m |= q;
-            }
-        }
-        mask
-    };
-    let mut cliques = Vec::new();
+    let mut cliques = CliqueArena::new();
     for (sigma, c) in constraints.iter() {
         if !c.two_tuple {
             // The pair builder with both roles on one tuple and no join.
-            let held = query_mask(&c.attrs());
+            let held = query.mask(&c.attrs(), n);
             let probes: Vec<TupleId> = ds.tuples().filter(|t| held[t.index()]).collect();
-            let built = holo_parallel::parallel_map(threads, &probes, |_, &t| {
-                build_clique(ds, c, t, t, domains, cell_vars, weight, &[])
+            let built = holo_parallel::parallel_chunks(threads, &probes, |_, chunk| {
+                let mut fragment = Fragment::default();
+                for &t in chunk {
+                    build_clique(ds, c, t, t, query, weight, &[], &mut fragment);
+                }
+                vec![fragment]
             });
-            cliques.extend(built.into_iter().flatten());
+            for fragment in built {
+                cliques.append(&fragment.cliques);
+            }
             continue;
         }
         // Cross-tuple equality predicates, oriented (t1 attr, t2 attr).
@@ -658,7 +697,7 @@ fn ground_dc_factors(
         let symmetric = c.is_symmetric();
         let (block_a1, block_a2) = eq_pairs[0];
         let (attrs1, attrs2) = c.attrs_by_tuple();
-        let (q1, q2) = (query_mask(&attrs1), query_mask(&attrs2));
+        let (q1, q2) = (query.mask(&attrs1, n), query.mask(&attrs2, n));
         let table = groups.map(|g| g[sigma].as_slice());
         let group_of = |t: TupleId| table.map_or(0, |g| g[t.index()]);
 
@@ -675,7 +714,7 @@ fn ground_dc_factors(
                 tuple: t,
                 attr: block_a2,
             };
-            for &v in dom_of(ds, domains, cell, &mut singleton) {
+            for &v in query.domain(ds, cell, &mut singleton) {
                 if !v.is_null() {
                     let bucket = buckets.entry((group, v)).or_default();
                     bucket.all.push(t);
@@ -686,19 +725,19 @@ fn ground_dc_factors(
             }
         }
 
-        // The cliques of one block of probe tuples, in pair order. A pair
+        // The cliques of one chunk of probe tuples, in pair order. A pair
         // is keyed by its probe tuple, so dedup is local to `t1`, and only
         // a probe with two or more candidates can meet a partner twice.
-        let ground_block = |block: &[TupleId]| -> Vec<Option<CliqueFactor>> {
+        let ground_chunk = |chunk: &[TupleId]| -> Fragment {
             let mut seen: FxHashSet<TupleId> = FxHashSet::default();
-            let mut built = Vec::new();
+            let mut fragment = Fragment::default();
             let mut singleton1 = [Sym::NULL];
-            for &t1 in block {
+            for &t1 in chunk {
                 let cell1 = CellRef {
                     tuple: t1,
                     attr: block_a1,
                 };
-                let candidates = dom_of(ds, domains, cell1, &mut singleton1);
+                let candidates = query.domain(ds, cell1, &mut singleton1);
                 let dedup = candidates.len() > 1;
                 seen.clear();
                 for &v in candidates {
@@ -720,52 +759,60 @@ fn ground_dc_factors(
                         if t1 == t2 || (dedup && !seen.insert(t2)) {
                             continue;
                         }
-                        built.push(build_clique(
-                            ds, c, t1, t2, domains, cell_vars, weight, &eq_pairs,
-                        ));
+                        fragment.pairs += 1;
+                        if build_clique(ds, c, t1, t2, query, weight, &eq_pairs, &mut fragment) {
+                            fragment.visited.push(fragment.pairs);
+                        }
                     }
                 }
             }
-            built
+            fragment
         };
 
         let mut cliques_here = 0usize;
         'blocks: for block in probes.chunks(GROUND_BLOCK_TUPLES) {
-            let built =
-                holo_parallel::parallel_chunks(threads, block, |_, chunk| ground_block(chunk));
-            for clique in built {
-                cstats.dc_pairs_considered += 1;
-                let Some(clique) = clique else { continue };
-                cliques.push(clique);
-                cliques_here += 1;
-                cstats.cliques += 1;
-                if cliques_here >= clique_cap {
+            let fragments = holo_parallel::parallel_chunks(threads, block, |_, chunk| {
+                vec![ground_chunk(chunk)]
+            });
+            for mut fragment in fragments {
+                let room = clique_cap - cliques_here;
+                let capped = fragment.cliques.len() >= room;
+                if capped {
+                    fragment.cliques.truncate(room);
+                    fragment.pairs = fragment.visited[room - 1];
+                }
+                cstats.dc_pairs_considered += fragment.pairs;
+                cstats.cliques += fragment.cliques.len();
+                cliques_here += fragment.cliques.len();
+                cliques.append(&fragment.cliques);
+                if capped {
                     cstats.clique_cap_hits += 1;
                     break 'blocks;
                 }
             }
         }
     }
+    cliques.shrink_to_fit();
     cliques
 }
 
-/// Materialises the clique for one tuple pair — a single-tuple constraint
-/// passes its tuple as both and no `eq_pairs` — or `None` when no query
-/// variable participates (no cell the constraint reads on either tuple is
-/// one: the factor would be constant) or the equality join is
-/// domain-infeasible. A query cell becomes a clique slot, any
-/// other cell the constant it holds.
+/// Appends to `out.cliques` the clique for one tuple pair — a
+/// single-tuple constraint passes its tuple as both and no `eq_pairs` —
+/// and returns whether it did: nothing is appended when no query variable
+/// participates (no cell the constraint reads on either tuple is one: the
+/// factor would be constant) or the equality join is domain-infeasible. A
+/// query cell becomes a clique slot, any other cell the constant it holds.
 #[allow(clippy::too_many_arguments)]
 fn build_clique(
     ds: &Dataset,
     c: &holo_constraints::DenialConstraint,
     t1: TupleId,
     t2: TupleId,
-    domains: &CellDomains,
-    cell_vars: &FxHashMap<CellRef, VarId>,
+    query: &QueryCells<'_>,
     weight: holo_factor::WeightId,
     eq_pairs: &[(AttrId, AttrId)],
-) -> Option<CliqueFactor> {
+    out: &mut Fragment,
+) -> bool {
     // Remaining equality joins must be domain-feasible.
     for &(a1, a2) in eq_pairs.iter().skip(1) {
         let c1 = CellRef {
@@ -778,22 +825,23 @@ fn build_clique(
         };
         let mut s1 = [Sym::NULL];
         let mut s2 = [Sym::NULL];
-        let d1 = dom_of(ds, domains, c1, &mut s1);
-        let d2 = dom_of(ds, domains, c2, &mut s2);
+        let d1 = query.domain(ds, c1, &mut s1);
+        let d2 = query.domain(ds, c2, &mut s2);
         if !d1.iter().any(|v| d2.contains(v)) {
-            return None;
+            return false;
         }
     }
 
-    let mut vars: Vec<VarId> = Vec::new();
-    let operand_of = |tv: TupleVar, attr: AttrId, vars: &mut Vec<VarId>| -> FactorOperand {
+    let vars = &mut out.vars;
+    vars.clear();
+    let mut operand_of = |tv: TupleVar, attr: AttrId| -> FactorOperand {
         let tuple = match tv {
             TupleVar::T1 => t1,
             TupleVar::T2 => t2,
         };
         let cell = CellRef { tuple, attr };
-        match cell_vars.get(&cell) {
-            Some(&var) => {
+        match query.var(cell) {
+            Some(var) => {
                 let slot = match vars.iter().position(|&v| v == var) {
                     Some(pos) => pos as u8,
                     None => {
@@ -806,27 +854,24 @@ fn build_clique(
             None => FactorOperand::Const(ds.cell_ref(cell)),
         }
     };
-    let mut predicates = Vec::with_capacity(c.predicates.len());
+    out.predicates.clear();
     for p in &c.predicates {
-        let lhs = operand_of(p.lhs_tuple, p.lhs_attr, &mut vars);
+        let lhs = operand_of(p.lhs_tuple, p.lhs_attr);
         let rhs = match p.rhs {
-            Operand::Cell(tv, a) => operand_of(tv, a, &mut vars),
+            Operand::Cell(tv, a) => operand_of(tv, a),
             Operand::Const(sym) => FactorOperand::Const(sym),
         };
-        predicates.push(FactorPredicate {
+        out.predicates.push(FactorPredicate {
             lhs,
             op: op_to_cmp(p.op),
             rhs,
         });
     }
-    if vars.is_empty() {
-        return None;
+    if out.vars.is_empty() {
+        return false;
     }
-    Some(CliqueFactor {
-        vars,
-        weight,
-        predicates,
-    })
+    out.cliques.push(&out.vars, weight, &out.predicates);
+    true
 }
 
 /// The compile that treats every attribute as trainable — all evidence,
@@ -919,19 +964,14 @@ mod tests {
         let model = run_compile(&ds, &cons, &config);
         assert!(model.stats.cliques > 3);
         assert_eq!(model.stats.clique_cap_hits, 0);
-        // The compiled model's query domains, re-grounded under a cap.
-        let (mut domains, mut cell_vars) = (CellDomains::default(), FxHashMap::default());
-        for (&cell, &v) in model.query_cells.iter().zip(&model.query_vars) {
-            domains.insert(cell, model.graph.var(v).domain.clone());
-            cell_vars.insert(cell, v);
-        }
+        // The compiled model's query variables, re-grounded under a cap.
+        let query = model_query(&ds, &model);
         let mut cstats = CompileStats::default();
         let cliques = ground_dc_factors(
             &mut FeatureRegistry::new(),
             &ds,
             &cons,
-            &domains,
-            &cell_vars,
+            &query,
             &config,
             None,
             &mut cstats,
@@ -940,38 +980,46 @@ mod tests {
         assert_eq!(cstats.cliques, 3);
         assert_eq!(cstats.clique_cap_hits, 1);
         assert_eq!(cliques.len(), 3);
-        for (capped, full) in cliques.iter().zip(model.graph.cliques()) {
-            assert_eq!(capped.vars, full.vars);
-            assert_eq!(capped.predicates, full.predicates);
+        // Every pair here builds its clique, so the count stops at the cap
+        // too: the pairs after the third clique are not billed.
+        assert_eq!(model.stats.dc_pairs_considered, model.stats.cliques);
+        assert_eq!(cstats.dc_pairs_considered, 3);
+        for (capped, full) in cliques.iter().zip(model.graph.cliques().iter()) {
+            assert_eq!(capped.vars(), full.vars());
+            assert!(capped.predicates().eq(full.predicates()));
         }
+    }
+
+    /// The query variables of a compiled model, by cell.
+    fn model_query<'m>(ds: &Dataset, model: &'m CompiledModel) -> QueryCells<'m> {
+        let vars = &model.graph.vars()[..model.query_vars.len()];
+        QueryCells::new(ds, &model.query_cells, vars)
     }
 
     /// The discover-everything-then-build grounding the blocked one
     /// replaced, kept as its reference: every pair the (value) buckets
     /// offer is discovered, the Algorithm 3 check is a hash-map lookup per
-    /// partner, and pair blocks are built and appended until the cap.
+    /// partner, and the pairs are built in order until the cap.
     #[allow(clippy::too_many_arguments)]
     fn reference_ground(
         registry: &mut FeatureRegistry<FeatureKey>,
         ds: &Dataset,
         constraints: &ConstraintSet,
-        domains: &CellDomains,
-        cell_vars: &FxHashMap<CellRef, VarId>,
+        query: &QueryCells<'_>,
         config: &HoloConfig,
         components: Option<&[FxHashMap<TupleId, u32>]>,
         cstats: &mut CompileStats,
         clique_cap: usize,
-    ) -> Vec<CliqueFactor> {
+    ) -> CliqueArena {
         let threads = config.effective_threads();
         let weight = registry.fixed(FeatureKey::DcFactor, DC_FACTOR_WEIGHT);
         let tuples: Vec<TupleId> = ds.tuples().collect();
-        let mut cliques = Vec::new();
+        let mut built = Fragment::default();
         for (sigma, c) in constraints.iter() {
             if !c.two_tuple {
-                let built = holo_parallel::parallel_map(threads, &tuples, |_, &t| {
-                    build_clique(ds, c, t, t, domains, cell_vars, weight, &[])
-                });
-                cliques.extend(built.into_iter().flatten());
+                for &t in &tuples {
+                    build_clique(ds, c, t, t, query, weight, &[], &mut built);
+                }
                 continue;
             }
             let scan = PairScan::new(c, TupleVar::T1);
@@ -987,7 +1035,7 @@ mod tests {
             let mut singleton = [Sym::NULL];
             for t in ds.tuples() {
                 let cell = CellRef::new(t.index(), block_a2.index());
-                for &v in dom_of(ds, domains, cell, &mut singleton) {
+                for &v in query.domain(ds, cell, &mut singleton) {
                     if !v.is_null() {
                         buckets.entry(v).or_default().push(t);
                     }
@@ -1004,7 +1052,7 @@ mod tests {
                     let mut singleton1 = [Sym::NULL];
                     let mut seen: FxHashSet<TupleId> = FxHashSet::default();
                     let mut found = Vec::new();
-                    for &v in dom_of(ds, domains, cell1, &mut singleton1) {
+                    for &v in query.domain(ds, cell1, &mut singleton1) {
                         let Some(bucket) = buckets.get(&v).filter(|_| !v.is_null()) else {
                             continue;
                         };
@@ -1025,24 +1073,20 @@ mod tests {
                     found
                 });
             let mut cliques_here = 0usize;
-            'blocks: for block in pairs.chunks(4096) {
-                let built = holo_parallel::parallel_map(threads, block, |_, &(t1, t2)| {
-                    build_clique(ds, c, t1, t2, domains, cell_vars, weight, &eq_pairs)
-                });
-                for clique in built {
-                    cstats.dc_pairs_considered += 1;
-                    let Some(clique) = clique else { continue };
-                    cliques.push(clique);
-                    cliques_here += 1;
-                    cstats.cliques += 1;
-                    if cliques_here >= clique_cap {
-                        cstats.clique_cap_hits += 1;
-                        break 'blocks;
-                    }
+            for (t1, t2) in pairs {
+                cstats.dc_pairs_considered += 1;
+                if !build_clique(ds, c, t1, t2, query, weight, &eq_pairs, &mut built) {
+                    continue;
+                }
+                cliques_here += 1;
+                cstats.cliques += 1;
+                if cliques_here >= clique_cap {
+                    cstats.clique_cap_hits += 1;
+                    break;
                 }
             }
         }
-        cliques
+        built.cliques
     }
 
     /// The per-constraint tuple → group maps the reference grounds inside,
@@ -1070,7 +1114,9 @@ mod tests {
     /// `DcFactors` and `DcFactorsPartitioned`, at 1 and 4 threads, uncapped
     /// and under caps that bind inside a block of probe tuples (at the
     /// first clique, and at half a constraint's mean clique count, blocks
-    /// in). Inputs are the compiled model's query domains.
+    /// in). Inputs are the compiled model's query variables; the blocked
+    /// grounding reads the groups from the value groups, the reference
+    /// from the hypergraph of the violation list.
     #[test]
     fn blocked_grounding_equals_the_reference() {
         let gens = [
@@ -1103,28 +1149,21 @@ mod tests {
                     config: &config,
                 })
                 .unwrap();
-                let (mut domains, mut cell_vars) = (CellDomains::default(), FxHashMap::default());
-                for (&cell, &v) in model.query_cells.iter().zip(&model.query_vars) {
-                    domains.insert(cell, model.graph.var(v).domain.clone());
-                    cell_vars.insert(cell, v);
-                }
+                let query = model_query(&ds, &model);
                 let partitioned = variant.uses_partitioning();
-                let groups =
-                    partitioned.then(|| tuple_group_ids(&violations, cons.len(), ds.tuple_count()));
+                let groups = partitioned.then(|| find_tuple_groups_with_threads(&ds, &cons, 1));
                 let maps =
                     partitioned.then(|| reference_components(&cons, &violations, ds.tuple_count()));
                 let ground = |threads: usize, cap: usize, reference: bool| {
                     let config = config.clone().with_threads(threads);
                     let mut cstats = CompileStats::default();
                     let registry = &mut FeatureRegistry::new();
-                    let (d, v) = (&domains, &cell_vars);
                     let cliques = match reference {
                         true => reference_ground(
                             registry,
                             &ds,
                             &cons,
-                            d,
-                            v,
+                            &query,
                             &config,
                             maps.as_deref(),
                             &mut cstats,
@@ -1134,8 +1173,7 @@ mod tests {
                             registry,
                             &ds,
                             &cons,
-                            d,
-                            v,
+                            &query,
                             &config,
                             groups.as_deref(),
                             &mut cstats,
@@ -1156,13 +1194,8 @@ mod tests {
                         let what =
                             format!("{:?} {variant:?} cap {cap} threads {threads}", gen.kind);
                         assert_eq!(got.len(), want.len(), "{what}");
-                        for (a, b) in got.iter().zip(&want) {
-                            assert_eq!(
-                                (&a.vars, &a.predicates),
-                                (&b.vars, &b.predicates),
-                                "{what}"
-                            );
-                            assert_eq!(a.weight, b.weight, "{what}");
+                        for (a, b) in got.iter().zip(want.iter()) {
+                            assert_eq!(a, b, "{what}");
                         }
                         assert_eq!(got_stats.cliques, want_stats.cliques, "{what}");
                         assert_eq!(
@@ -1175,6 +1208,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The hospital table's DC-factor model stores its cliques in at most
+    /// 64 bytes each — scope, predicates, offsets and weight, no growth
+    /// slack — and says so in its stats.
+    #[test]
+    fn hospital_cliques_take_at_most_64_bytes_each() {
+        let gen = holo_datagen::hospital(holo_datagen::HospitalConfig::default());
+        let mut ds = gen.dirty;
+        let cons = parse_constraints(&gen.constraints_text, &mut ds).unwrap();
+        let config = HoloConfig::default()
+            .with_variant(ModelVariant::DcFactorsPartitioned)
+            .with_tau(gen.kind.paper_tau());
+        let model = run_compile(&ds, &cons, &config);
+        let cliques = model.graph.cliques().len();
+        assert!(cliques > 10_000, "{cliques} cliques");
+        assert_eq!(model.stats.clique_bytes, model.graph.clique_bytes());
+        assert!(
+            model.graph.clique_bytes() <= 64 * cliques,
+            "{} bytes for {cliques} cliques",
+            model.graph.clique_bytes()
+        );
     }
 
     /// A single-tuple DC grounds one clique per tuple with a query cell in
@@ -1221,8 +1276,8 @@ mod tests {
         let cliques = model.graph.cliques();
         assert_eq!(cliques.len(), 2, "tuples 6 and 8; none for WI");
         for (clique, &v) in cliques.iter().zip(&model.query_vars) {
-            assert_eq!(clique.vars, [v]);
-            assert_eq!(clique.predicates, want);
+            assert_eq!(clique.vars(), [v]);
+            assert!(clique.predicates().eq(want));
         }
     }
 

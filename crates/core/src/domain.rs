@@ -87,11 +87,6 @@ impl CellDomains {
     pub fn total_candidates(&self) -> usize {
         self.domains.values().map(Vec::len).sum()
     }
-
-    /// Inserts a domain (used by compile when grounding needs them).
-    pub(crate) fn insert(&mut self, cell: CellRef, domain: Vec<Sym>) {
-        self.domains.insert(cell, domain);
-    }
 }
 
 /// One conditioning attribute's slice of the [`PruneIndex`].

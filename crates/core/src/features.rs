@@ -804,7 +804,7 @@ mod tests {
     use holo_constraints::ast::Operand;
     use holo_constraints::{parse_constraints, DenialConstraint};
     use holo_dataset::Schema;
-    use holo_factor::{FactorGraph, VarId, Variable};
+    use holo_factor::{CliqueArena, FactorGraph, VarId, Variable};
 
     /// Featurizes one variable over `candidates` with `collect` and sends
     /// it through the sink: the resulting one-variable graph and registry.
@@ -819,7 +819,7 @@ mod tests {
         let (reg, design) = sink.finish();
         let var = Variable::query(candidates.to_vec(), Some(0));
         (
-            FactorGraph::new(vec![var], design, Vec::new()),
+            FactorGraph::new(vec![var], design, CliqueArena::new()),
             VarId(0),
             reg,
         )
@@ -874,7 +874,7 @@ mod tests {
         let (reg, design) = sink.finish();
         let vars = [candidates.to_vec(), candidates.to_vec(), il.to_vec()]
             .map(|domain| Variable::query(domain, Some(0)));
-        let g = FactorGraph::new(vars.to_vec(), design, Vec::new());
+        let g = FactorGraph::new(vars.to_vec(), design, CliqueArena::new());
 
         // City | Zip, City | State, State | Zip — State | City reads
         // `Cicago`, seen once, below the support of 2.

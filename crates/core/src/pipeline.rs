@@ -66,10 +66,7 @@ use crate::context::DatasetContext;
 use crate::error::HoloError;
 use crate::features::MatchLookup;
 use crate::trainable::{attrs_of, trainable_attrs};
-use holo_constraints::{
-    find_noisy_cells_with_threads, find_violations_with_threads, noisy_cells, ConstraintSet,
-    Violation,
-};
+use holo_constraints::{find_noisy_cells_with_threads, ConstraintSet};
 use holo_dataset::{CellRef, CooccurStats, Dataset, FxHashSet, StatsStats};
 use holo_detect::Detector;
 use holo_factor::{
@@ -173,12 +170,9 @@ impl PipelineContext {
 /// What [`detect`] found.
 #[derive(Debug, PartialEq)]
 pub struct Detection {
-    /// How many violations of Σ the table holds.
+    /// How many violations of Σ the table holds (counted, never listed:
+    /// Algorithm 3 takes its groups from the value groups too).
     pub violations: usize,
-    /// The violations themselves, for the one reader they have: Algorithm 3
-    /// ([`crate::ModelVariant::uses_partitioning`]). `None` under every
-    /// other variant — nothing would read the list, so it is never built.
-    pub violation_list: Option<Vec<Violation>>,
     /// The noisy-cell set `D_n`.
     pub noisy: FxHashSet<CellRef>,
 }
@@ -200,21 +194,14 @@ pub struct PipelineRun {
     pub timings: StageTimings,
 }
 
-/// Error detection: the violations of Σ — counted, and listed only when
-/// the variant partitions — and as the noisy set their cells plus any
-/// extra detectors' — or the override set verbatim — less the
+/// Error detection: the violations of Σ — counted, never listed, under
+/// every variant — and as the noisy set their cells plus any extra
+/// detectors' — or the override set verbatim — less the
 /// [`PipelineContext::verified`] cells. Violation probing shards across
 /// [`HoloConfig::threads`].
 pub fn detect(cx: &PipelineContext) -> Detection {
     let (ds, threads) = (&cx.ds, cx.config.threads);
-    let (violation_list, violating, violations) = if cx.config.variant.uses_partitioning() {
-        let list = find_violations_with_threads(ds, &cx.constraints, threads);
-        let (cells, count) = (noisy_cells(&list), list.len());
-        (Some(list), cells, count)
-    } else {
-        let (cells, count) = find_noisy_cells_with_threads(ds, &cx.constraints, threads);
-        (None, cells, count)
-    };
+    let (violating, violations) = find_noisy_cells_with_threads(ds, &cx.constraints, threads);
     let mut noisy = match &cx.noisy_override {
         Some(cells) => cells.clone(),
         None => {
@@ -226,11 +213,7 @@ pub fn detect(cx: &PipelineContext) -> Detection {
         }
     };
     noisy.retain(|cell| !cx.verified.contains(cell));
-    Detection {
-        violations,
-        violation_list,
-        noisy,
-    }
+    Detection { violations, noisy }
 }
 
 /// Compilation: co-occurrence statistics (the pair blocks of the target
@@ -260,7 +243,7 @@ pub fn compile_model(
         ds: &cx.ds,
         constraints: &cx.constraints,
         noisy: &detection.noisy,
-        violations: detection.violation_list.as_deref().unwrap_or_default(),
+        violations: &[],
         stats: &stats,
         matches: &cx.matches,
         config: &cx.config,
@@ -390,10 +373,6 @@ mod tests {
         let cx = zip_city_context(1);
         let out = run(&cx).unwrap();
         assert!(out.detection.violations > 0);
-        assert_eq!(
-            out.detection.violation_list, None,
-            "the default model reads no list"
-        );
         assert!(!out.detection.noisy.is_empty());
         assert!(out.model.stats.query_vars > 0);
         assert!(out.learn_stats.is_some());
@@ -408,22 +387,22 @@ mod tests {
         assert_eq!(partition.gibbs_components, 0);
     }
 
-    /// The violation list is built for the one reader it has, and the
-    /// count and the noisy set do not depend on whether it was.
+    /// Detection lists nothing, so it does not depend on the variant: the
+    /// partitioning one counts the same violations and flags the same
+    /// cells as the relaxed one.
     #[test]
-    fn only_a_partitioning_variant_lists_its_violations() {
+    fn detection_is_the_same_under_every_variant() {
         let relaxed = detect(&zip_city_context(1));
-        assert_eq!(relaxed.violation_list, None);
         let mut cx = zip_city_context(1);
         cx.config = cx
             .config
             .with_variant(crate::ModelVariant::DcFactorsPartitioned);
         let partitioned = detect(&cx);
-        let listed = partitioned.violation_list.as_ref().map(Vec::len);
-        assert_eq!(listed, Some(8), "the typo against each clean 60608 row");
-        assert_eq!(partitioned.violations, 8);
-        assert_eq!(relaxed.violations, 8);
-        assert_eq!(relaxed.noisy, partitioned.noisy);
+        assert_eq!(
+            relaxed.violations, 8,
+            "the typo against each clean 60608 row"
+        );
+        assert_eq!(partitioned, relaxed);
     }
 
     fn weight_bits(w: &Weights) -> Vec<u64> {

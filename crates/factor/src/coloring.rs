@@ -20,7 +20,7 @@
 //! clique scope contains two variables of the same color
 //! ([`Coloring::is_proper`]).
 
-use crate::graph::{CliqueFactor, VarId};
+use crate::graph::{CliqueArena, FactorGraph, VarId};
 
 /// A proper coloring of the variable-interaction graph (see the module
 /// docs).
@@ -34,25 +34,24 @@ pub struct Coloring {
 }
 
 impl Coloring {
-    /// Builds the coloring from scratch: one greedy pass in ascending
-    /// variable order over the interaction graph induced by the clique
-    /// scopes (`var_cliques[v]` lists the clique indices adjacent to `v`,
-    /// as maintained by the factor graph).
-    pub fn build(var_count: usize, cliques: &[CliqueFactor], var_cliques: &[Vec<u32>]) -> Coloring {
-        let mut color_of = vec![0u32; var_count];
+    /// Builds the coloring of `graph` from scratch: one greedy pass in
+    /// ascending variable order over the interaction graph induced by the
+    /// clique scopes.
+    pub fn build(graph: &FactorGraph) -> Coloring {
+        let mut color_of = vec![0u32; graph.var_count()];
         let mut num_colors = 0u32;
         let mut used: Vec<u32> = Vec::new();
-        for v in 0..var_count {
+        for v in graph.var_ids() {
             used.clear();
-            for &ci in &var_cliques[v] {
-                for &u in &cliques[ci as usize].vars {
-                    if u.index() < v {
+            for &ci in graph.cliques_of(v) {
+                for &u in graph.clique(ci).vars() {
+                    if u < v {
                         used.push(color_of[u.index()]);
                     }
                 }
             }
             let c = smallest_absent(&mut used);
-            color_of[v] = c;
+            color_of[v.index()] = c;
             num_colors = num_colors.max(c + 1);
         }
         Coloring {
@@ -79,9 +78,9 @@ impl Coloring {
 
     /// Whether no scope in `cliques` contains two distinct variables of
     /// the same color.
-    pub fn is_proper(&self, cliques: &[CliqueFactor]) -> bool {
+    pub fn is_proper(&self, cliques: &CliqueArena) -> bool {
         cliques.iter().all(|c| {
-            let mut members = c.vars.clone();
+            let mut members = c.vars().to_vec();
             members.sort_unstable();
             members.dedup();
             let mut colors: Vec<u32> = members.iter().map(|&v| self.color_of(v)).collect();
@@ -110,7 +109,7 @@ fn smallest_absent(used: &mut Vec<u32>) -> u32 {
 mod tests {
     use super::*;
     use crate::graph::{
-        CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder, Variable,
+        CmpOp, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder, Variable,
     };
     use crate::weights::WeightId;
     use holo_dataset::Sym;
@@ -119,16 +118,14 @@ mod tests {
         Sym(i)
     }
 
-    fn clique(vars: Vec<VarId>) -> CliqueFactor {
-        CliqueFactor {
-            vars,
-            weight: WeightId(0),
-            predicates: vec![FactorPredicate {
-                lhs: FactorOperand::Var(0),
-                op: CmpOp::Eq,
-                rhs: FactorOperand::Var(1),
-            }],
-        }
+    /// Adds the clique `vars[0] = vars[1]` over `vars`.
+    fn add_clique(g: &mut GraphBuilder, vars: &[VarId]) {
+        let equal = FactorPredicate {
+            lhs: FactorOperand::Var(0),
+            op: CmpOp::Eq,
+            rhs: FactorOperand::Var(1),
+        };
+        g.add_clique(vars, WeightId(0), &[equal]);
     }
 
     fn chain_graph(n: usize) -> FactorGraph {
@@ -137,7 +134,7 @@ mod tests {
             .map(|_| g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0))))
             .collect();
         for pair in vars.windows(2) {
-            g.add_clique(clique(vec![pair[0], pair[1]]));
+            add_clique(&mut g, &[pair[0], pair[1]]);
         }
         g.build()
     }
@@ -149,14 +146,14 @@ mod tests {
             g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         }
         let g = g.build();
-        let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
+        let c = Coloring::build(&g);
         assert_eq!(c.num_colors(), 1);
         assert!(g.var_ids().all(|v| c.color_of(v) == 0));
     }
 
     #[test]
     fn empty_graph_has_zero_colors() {
-        let c = Coloring::build(0, &[], &[]);
+        let c = Coloring::build(&GraphBuilder::new().build());
         assert_eq!(c.num_colors(), 0);
         assert_eq!(c.var_count(), 0);
     }
@@ -164,7 +161,7 @@ mod tests {
     #[test]
     fn chain_two_colors_and_proper() {
         let g = chain_graph(7);
-        let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
+        let c = Coloring::build(&g);
         assert_eq!(c.num_colors(), 2, "a path is 2-colorable greedily");
         assert!(c.is_proper(g.cliques()));
         // Greedy in id order alternates on a path.
@@ -179,11 +176,11 @@ mod tests {
         let vars: Vec<VarId> = (0..3)
             .map(|_| g.add_variable(Variable::query(vec![sym(1), sym(2)], None)))
             .collect();
-        g.add_clique(clique(vec![vars[0], vars[1]]));
-        g.add_clique(clique(vec![vars[1], vars[2]]));
-        g.add_clique(clique(vec![vars[0], vars[2]]));
+        add_clique(&mut g, &[vars[0], vars[1]]);
+        add_clique(&mut g, &[vars[1], vars[2]]);
+        add_clique(&mut g, &[vars[0], vars[2]]);
         let g = g.build();
-        let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
+        let c = Coloring::build(&g);
         assert_eq!(c.num_colors(), 3);
         assert!(c.is_proper(g.cliques()));
     }
@@ -194,9 +191,9 @@ mod tests {
         let vars: Vec<VarId> = (0..4)
             .map(|_| g.add_variable(Variable::query(vec![sym(1), sym(2)], None)))
             .collect();
-        g.add_clique(clique(vars.clone()));
+        add_clique(&mut g, &vars);
         let g = g.build();
-        let c = Coloring::build(g.var_count(), g.cliques(), g.var_cliques_raw());
+        let c = Coloring::build(&g);
         assert_eq!(c.num_colors(), 4);
         assert!(c.is_proper(g.cliques()));
     }

@@ -37,7 +37,7 @@ use crate::cache::{ScoreCache, ScoreCacheStats};
 use crate::coloring::Coloring;
 use crate::exact::{exact_marginals_for, MAX_EXACT_STATES};
 use crate::gibbs::{chromatic_sweep_blocks, GibbsConfig, GibbsSampler, KernelCounts};
-use crate::graph::{CliqueFactor, FactorGraph, ValueContext, VarId};
+use crate::graph::{CliqueArena, FactorGraph, ValueContext, VarId};
 use crate::marginals::Marginals;
 use crate::math::softmax;
 use crate::weights::Weights;
@@ -110,7 +110,7 @@ pub struct ComponentIndex {
 impl ComponentIndex {
     /// Builds the index from scratch: union-find over the clique scopes,
     /// finalized into the canonical form.
-    pub fn build(var_count: usize, cliques: &[CliqueFactor]) -> ComponentIndex {
+    pub fn build(var_count: usize, cliques: &CliqueArena) -> ComponentIndex {
         // Union-find with the invariant "root = smallest member", which
         // makes the finalize pass canonical for free.
         let mut parent: Vec<u32> = (0..var_count as u32).collect();
@@ -121,8 +121,8 @@ impl ComponentIndex {
             }
             v
         }
-        for clique in cliques {
-            let mut vars = clique.vars.iter();
+        for clique in cliques.iter() {
+            let mut vars = clique.vars().iter();
             let Some(&first) = vars.next() else { continue };
             let mut root = find(&mut parent, first.0);
             for &v in vars {
@@ -458,16 +458,14 @@ mod tests {
         Sym(i)
     }
 
-    fn must_differ(a: VarId, b: VarId, weight: WeightId) -> CliqueFactor {
-        CliqueFactor {
-            vars: vec![a, b],
-            weight,
-            predicates: vec![FactorPredicate {
-                lhs: FactorOperand::Var(0),
-                op: CmpOp::Eq,
-                rhs: FactorOperand::Var(1),
-            }],
-        }
+    /// Adds the clique `a = b` at `weight` to `g`.
+    fn must_differ(g: &mut GraphBuilder, a: VarId, b: VarId, weight: WeightId) {
+        let equal = FactorPredicate {
+            lhs: FactorOperand::Var(0),
+            op: CmpOp::Eq,
+            rhs: FactorOperand::Var(1),
+        };
+        g.add_clique(&[a, b], weight, &[equal]);
     }
 
     /// Two coupled pairs plus a free variable: three components, in
@@ -490,8 +488,8 @@ mod tests {
         g.add_feature(vs[0], 0, WeightId(0), 1.0);
         g.add_feature(vs[2], 1, WeightId(3), 2.0);
         g.add_feature(vs[4], 2, WeightId(0), 1.0);
-        g.add_clique(must_differ(vs[0], vs[1], WeightId(1)));
-        g.add_clique(must_differ(vs[2], vs[3], WeightId(2)));
+        must_differ(&mut g, vs[0], vs[1], WeightId(1));
+        must_differ(&mut g, vs[2], vs[3], WeightId(2));
         (g.build(), w)
     }
 
@@ -558,7 +556,7 @@ mod tests {
         w.set(WeightId(0), 0.7);
         w.set(WeightId(1), 1.4);
         g.add_feature(a, 0, WeightId(0), 1.0);
-        g.add_clique(must_differ(a, b, WeightId(1)));
+        must_differ(&mut g, a, b, WeightId(1));
         let g = g.build();
         let ctx = EqOnlyContext;
         let gibbs = GibbsConfig {
@@ -691,7 +689,7 @@ mod tests {
         w.set(WeightId(1), 1.3);
         g.add_feature(vars[0], 0, WeightId(0), 1.0);
         for pair in vars.windows(2) {
-            g.add_clique(must_differ(pair[0], pair[1], WeightId(1)));
+            must_differ(&mut g, pair[0], pair[1], WeightId(1));
         }
         let g = g.build();
         let ctx = EqOnlyContext;

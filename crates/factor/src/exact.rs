@@ -24,7 +24,7 @@ pub const MAX_EXACT_STATES: usize = 1 << 22;
 ///
 /// The joint score of an assignment is the unary scores of `query` in
 /// order, then one kernel entry per component clique, ascending: the
-/// interpreted `CliqueFactor::score` sum bit for bit. Nothing outside the
+/// interpreted `Clique::score` sum bit for bit. Nothing outside the
 /// component is read — the working state covers `query` and the kernel's
 /// constant pool — so a call is O(component + joint work), and thousands of
 /// small components stay linear overall. Joint scores are max-shifted
@@ -149,7 +149,7 @@ fn for_each_assignment(
 /// references: whole-graph [`exact_marginals`](reference::exact_marginals)
 /// (the oracle of the sampler tests) and the per-component
 /// [`exact_marginals_for`](reference::exact_marginals_for), which calls
-/// `CliqueFactor::score` per clique per assignment.
+/// `Clique::score` per clique per assignment.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::MAX_EXACT_STATES;
@@ -270,9 +270,9 @@ pub(crate) mod reference {
             }
         }
         let mut syms: Vec<Sym> = Vec::new();
-        for clique in graph.cliques() {
+        for clique in graph.cliques().iter() {
             syms.clear();
-            for &u in &clique.vars {
+            for &u in clique.vars() {
                 syms.push(graph.var(u).domain[state[u.index()]]);
             }
             score += clique.score(&syms, weights, ctx);
@@ -282,7 +282,7 @@ pub(crate) mod reference {
 
     /// The interpreted [`super::exact_marginals_for`]: the same two-pass
     /// enumeration over a component-local state vector, with
-    /// `CliqueFactor::score` per component clique per assignment.
+    /// `Clique::score` per component clique per assignment.
     pub(crate) fn exact_marginals_for(
         graph: &FactorGraph,
         weights: &Weights,
@@ -312,7 +312,7 @@ pub(crate) mod reference {
         // clique-referenced variable (evidence included).
         let mut locals: Vec<VarId> = query.to_vec();
         for &ci in &cliques {
-            locals.extend_from_slice(&graph.cliques()[ci as usize].vars);
+            locals.extend_from_slice(graph.clique(ci).vars());
         }
         locals.sort_unstable();
         locals.dedup();
@@ -325,8 +325,9 @@ pub(crate) mod reference {
         let clique_slots: Vec<(u32, Vec<usize>)> = cliques
             .iter()
             .map(|&ci| {
-                let slots = graph.cliques()[ci as usize]
-                    .vars
+                let slots = graph
+                    .clique(ci)
+                    .vars()
                     .iter()
                     .map(|&v| local_of(v))
                     .collect();
@@ -355,9 +356,9 @@ pub(crate) mod reference {
                 score += unary[i][state[slot]];
             }
             for (ci, slots) in &clique_slots {
-                let clique = &graph.cliques()[*ci as usize];
+                let clique = graph.clique(*ci);
                 syms.clear();
-                for (&u, &slot) in clique.vars.iter().zip(slots) {
+                for (&u, &slot) in clique.vars().iter().zip(slots) {
                     syms.push(graph.var(u).domain[state[slot]]);
                 }
                 score += clique.score(syms, weights, ctx);
@@ -422,7 +423,7 @@ mod tests {
     use super::reference::exact_marginals;
     use super::*;
     use crate::graph::{
-        CliqueFactor, CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, GraphBuilder, Variable,
+        CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, GraphBuilder, Variable,
     };
     use crate::marginals::reference::exact_unary;
     use crate::weights::WeightId;
@@ -456,15 +457,15 @@ mod tests {
         let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         let mut w = Weights::zeros(1);
         w.set(WeightId(0), 50.0);
-        g.add_clique(CliqueFactor {
-            vars: vec![a, b],
-            weight: WeightId(0),
-            predicates: vec![FactorPredicate {
+        g.add_clique(
+            &[a, b],
+            WeightId(0),
+            &[FactorPredicate {
                 lhs: FactorOperand::Var(0),
                 op: CmpOp::Eq,
                 rhs: FactorOperand::Var(1),
             }],
-        });
+        );
         let g = g.build();
         let m = exact_marginals(&g, &w, &EqOnlyContext);
         // By symmetry each var is uniform, but the joint excludes equality:
@@ -493,10 +494,10 @@ mod tests {
         let mut w = Weights::zeros(1);
         w.set(WeightId(0), 1.5);
         for (constant, op) in [(sym(1), CmpOp::Eq), (sym(1), CmpOp::Neq)] {
-            g.add_clique(CliqueFactor {
-                vars: vec![q, e],
-                weight: WeightId(0),
-                predicates: vec![
+            g.add_clique(
+                &[q, e],
+                WeightId(0),
+                &[
                     FactorPredicate {
                         lhs: FactorOperand::Var(1),
                         op,
@@ -508,7 +509,7 @@ mod tests {
                         rhs: FactorOperand::Var(1),
                     },
                 ],
-            });
+            );
         }
         let g = g.build();
         let (compiled, counts) = exact_marginals_for(&g, &w, &EqOnlyContext, None, &[q]);

@@ -81,7 +81,7 @@
 //!   its guards, an entry adds to each: `-θ` when the candidate's owns
 //!   hold, `-0.0` otherwise — a select, not a skip. `x + -0.0` is `x` bit
 //!   for bit for every `x`, so that is exactly a skip. Every candidate therefore receives the
-//!   non-zero addends of the interpreted loop (`CliqueFactor::score` per
+//!   non-zero addends of the interpreted loop (`Clique::score` per
 //!   clique per candidate) in the same order, and differs from it at most
 //!   in the sign of a zero score, where the interpreter adds `+0.0`. The
 //!   max-shifted softmax erases that sign, so the post-softmax conditional
@@ -415,13 +415,11 @@ impl CliqueKernel {
         // Sized up front for the unfolded program: the arenas are a unit's
         // largest allocation, and growing them by doubling copies them.
         let all = rows.clone().flat_map(|(_, cliques)| cliques);
-        let preds = all
-            .clone()
-            .map(|&ci| graph.cliques()[ci as usize].predicates.len());
+        let preds = all.clone().map(|&ci| graph.clique(ci).predicates().len());
         // Fixed-width rows need one penalty for the whole kernel.
         let mut penalties = all
             .clone()
-            .map(|&ci| (-weights.get(graph.cliques()[ci as usize].weight)).to_bits());
+            .map(|&ci| (-weights.get(graph.clique(ci).weight())).to_bits());
         let first_penalty = penalties.next();
         let shared = first_penalty.filter(|&p| penalties.all(|q| q == p));
         let mut kernel = CliqueKernel {
@@ -441,13 +439,13 @@ impl CliqueKernel {
         for (v, cliques) in rows {
             kernel.starts.push(kernel.row_start());
             'entry: for &ci in cliques {
-                let clique = &graph.cliques()[ci as usize];
-                let me = v.and_then(|v| clique.vars.iter().position(|&u| u == v));
+                let clique = graph.clique(ci);
+                let me = v.and_then(|v| clique.vars().iter().position(|&u| u == v));
                 let resolve = |o: FactorOperand| match o {
                     FactorOperand::Const(sym) => Operand::Const(sym),
                     FactorOperand::Var(slot) if Some(slot as usize) == me => Operand::Me,
                     FactorOperand::Var(slot) => {
-                        let u = clique.vars[slot as usize];
+                        let u = clique.vars()[slot as usize];
                         match query.binary_search(&u) {
                             Ok(i) => Operand::Slot(i as u32),
                             Err(_) => {
@@ -459,7 +457,7 @@ impl CliqueKernel {
                 };
                 let first = kernel.preds.len();
                 owns.clear();
-                for p in &clique.predicates {
+                for p in clique.predicates() {
                     let (lhs, rhs) = (resolve(p.lhs), resolve(p.rhs));
                     if let (Operand::Const(a), Operand::Const(b)) = (lhs, rhs) {
                         if !p.op.holds(a, b, ctx) {
@@ -503,7 +501,7 @@ impl CliqueKernel {
                 let guards = kernel.preds.len() - first;
                 kernel.preds.extend_from_slice(&owns);
                 kernel.entries.push(Entry {
-                    penalty: -weights.get(clique.weight),
+                    penalty: -weights.get(clique.weight()),
                     guards: guards as u32,
                     owns: owns.len() as u32,
                 });
@@ -739,7 +737,7 @@ fn holds_in_context(op: CmpOp, a: Sym, b: Sym, ctx: &impl ValueContext) -> bool 
 }
 
 /// The interpreted conditional the compiled program replaced, kept as the
-/// test reference: unary scores, then `CliqueFactor::score` per adjacent
+/// test reference: unary scores, then `Clique::score` per adjacent
 /// clique per candidate with every other member at its state.
 #[cfg(test)]
 pub(crate) fn conditional_scores_into<C: ValueContext>(
@@ -757,14 +755,14 @@ pub(crate) fn conditional_scores_into<C: ValueContext>(
     }
     let mut clique_syms: Vec<Sym> = Vec::new();
     for &ci in graph.cliques_of(v) {
-        let clique = &graph.cliques()[ci as usize];
+        let clique = graph.clique(ci);
         let slot = clique
-            .vars
+            .vars()
             .iter()
             .position(|&u| u == v)
             .expect("adjacency list inconsistent");
         clique_syms.clear();
-        for &u in &clique.vars {
+        for &u in clique.vars() {
             clique_syms.push(graph.var(u).domain[state[u.index()]]);
         }
         for (k, score) in scores.iter_mut().enumerate() {
@@ -1068,7 +1066,7 @@ mod tests {
     use super::*;
     use crate::exact::reference::exact_marginals;
     use crate::graph::{
-        CliqueFactor, CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, GraphBuilder, Variable,
+        CmpOp, EqOnlyContext, FactorOperand, FactorPredicate, GraphBuilder, Variable,
     };
     use crate::weights::{WeightId, Weights};
 
@@ -1098,18 +1096,16 @@ mod tests {
             let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
             let b = g.add_variable(Variable::query(vec![sym(1), sym(3)], Some(0)));
             let c = g.add_variable(Variable::query(vec![sym(0), sym(2)], Some(1)));
-            let pair = |vars: Vec<VarId>, op, weight| CliqueFactor {
-                vars,
-                weight: WeightId(weight),
-                predicates: vec![FactorPredicate {
+            let pair = |op| {
+                [FactorPredicate {
                     lhs: FactorOperand::Var(0),
                     op,
                     rhs: FactorOperand::Var(1),
-                }],
+                }]
             };
             // Rows: a holds K1 and K2, b holds K1, c holds K2.
-            g.add_clique(pair(vec![a, b], k1_op, 0));
-            g.add_clique(pair(vec![a, c], CmpOp::Neq, 1));
+            g.add_clique(&[a, b], WeightId(0), &pair(k1_op));
+            g.add_clique(&[a, c], WeightId(1), &pair(CmpOp::Neq));
             let mut w = Weights::zeros(2);
             w.set(WeightId(0), 4.0);
             w.set(WeightId(1), k2_weight);
@@ -1168,15 +1164,15 @@ mod tests {
         w.set(WeightId(0), 0.8); // unary pull of candidate 0 on var a
         w.set(WeightId(1), 2.0); // penalty for equality
         g.add_feature(a, 0, WeightId(0), 1.0);
-        g.add_clique(CliqueFactor {
-            vars: vec![a, b],
-            weight: WeightId(1),
-            predicates: vec![FactorPredicate {
+        g.add_clique(
+            &[a, b],
+            WeightId(1),
+            &[FactorPredicate {
                 lhs: FactorOperand::Var(0),
                 op: CmpOp::Eq,
                 rhs: FactorOperand::Var(1),
             }],
-        });
+        );
         let g = g.build();
         let ctx = EqOnlyContext;
         let exact = exact_marginals(&g, &w, &ctx);
@@ -1207,15 +1203,15 @@ mod tests {
         let mut w = Weights::zeros(1);
         w.set(WeightId(0), 3.0);
         // ¬(e = q): q should avoid candidate sym(1).
-        g.add_clique(CliqueFactor {
-            vars: vec![e, q],
-            weight: WeightId(0),
-            predicates: vec![FactorPredicate {
+        g.add_clique(
+            &[e, q],
+            WeightId(0),
+            &[FactorPredicate {
                 lhs: FactorOperand::Var(0),
                 op: CmpOp::Eq,
                 rhs: FactorOperand::Var(1),
             }],
-        });
+        );
         let g = g.build();
         let ctx = EqOnlyContext;
         let m = GibbsSampler::new(&g, &w, &ctx, 3).run(&GibbsConfig {
@@ -1277,11 +1273,7 @@ mod tests {
             op: CmpOp::Eq,
             rhs: FactorOperand::Var(rhs),
         };
-        g.add_clique(CliqueFactor {
-            vars: vec![a, b, VarId(7)],
-            weight: WeightId(0),
-            predicates: vec![equal(0, 1), equal(1, 2)],
-        });
+        g.add_clique(&[a, b, VarId(7)], WeightId(0), &[equal(0, 1), equal(1, 2)]);
         let g = g.build();
         let w = Weights::zeros(1);
         let sampler = GibbsSampler::for_query(&g, &w, &EqOnlyContext, 1, vec![a, b]);
@@ -1316,15 +1308,15 @@ mod tests {
         w.set(WeightId(1), 1.6);
         g.add_feature(a, 0, WeightId(0), 1.0);
         for pair in [[a, b], [b, c]] {
-            g.add_clique(CliqueFactor {
-                vars: pair.to_vec(),
-                weight: WeightId(1),
-                predicates: vec![FactorPredicate {
+            g.add_clique(
+                &pair,
+                WeightId(1),
+                &[FactorPredicate {
                     lhs: FactorOperand::Var(0),
                     op: CmpOp::Eq,
                     rhs: FactorOperand::Var(1),
                 }],
-            });
+            );
         }
         (g.build(), w)
     }

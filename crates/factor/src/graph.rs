@@ -97,7 +97,7 @@ pub enum CmpOp {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FactorOperand {
     /// The value of the i-th variable of the clique (index into
-    /// [`CliqueFactor::vars`]).
+    /// [`Clique::vars`]).
     Var(u8),
     /// A constant symbol (a clean cell's value or a constraint constant).
     Const(Sym),
@@ -169,25 +169,229 @@ impl FactorPredicate {
     }
 }
 
-/// A grounded denial-constraint factor (Algorithm 1): the head
-/// `!(Value?(…) ∧ …)` fires (contributes `-θ`) whenever *all* predicates
-/// hold under the current assignment.
-#[derive(Debug, Clone)]
-pub struct CliqueFactor {
-    /// The query variables this factor connects (≥ 1).
-    pub vars: Vec<VarId>,
-    /// The tied weight `θ_φ` (fixed for hard-ish constraints, learnable in
-    /// hybrid variants).
-    pub weight: WeightId,
-    /// Conjunction of predicates over slots/constants.
-    pub predicates: Vec<FactorPredicate>,
+/// Bit of [`StoredPredicate::slots`]: the left operand is a scope slot.
+const LHS_SLOT: u8 = 1;
+/// Bit of [`StoredPredicate::slots`]: the right operand is a scope slot.
+const RHS_SLOT: u8 = 2;
+
+/// A [`FactorPredicate`] as the clique arena stores it, in 12 bytes: each
+/// operand a slot or a symbol id by its bit in `slots`, the operator an
+/// index into the arena's operator table (an `f64` similarity threshold
+/// would double the size of every predicate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StoredPredicate {
+    lhs: u32,
+    rhs: u32,
+    op: u8,
+    slots: u8,
 }
 
-impl CliqueFactor {
+/// Whether `a` and `b` are one operator, thresholds compared by bits (a
+/// NaN threshold is then one operator, not a new one per predicate).
+fn same_op(a: CmpOp, b: CmpOp) -> bool {
+    match (a, b) {
+        (CmpOp::Sim(x), CmpOp::Sim(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// The grounded denial-constraint factors (Algorithm 1) of a graph, in one
+/// flat arena: clique `i`'s scope variables, predicates and weight sit at
+/// its offsets in three shared arrays, so a clique costs its entries and
+/// no allocation of its own. A clique's head `!(Value?(…) ∧ …)` fires
+/// (contributes `-θ`) whenever *all* its predicates hold under the current
+/// assignment; [`CliqueArena::get`] reads it as a borrowed [`Clique`].
+#[derive(Debug, Clone, Default)]
+pub struct CliqueArena {
+    /// `scope_ends[i]` = end of clique `i`'s variables in `scopes` (it
+    /// starts where clique `i − 1` ends).
+    scope_ends: Vec<u32>,
+    scopes: Vec<VarId>,
+    /// `pred_ends[i]` = end of clique `i`'s predicates in `preds`.
+    pred_ends: Vec<u32>,
+    preds: Vec<StoredPredicate>,
+    weights: Vec<WeightId>,
+    /// The distinct operators the predicates use.
+    ops: Vec<CmpOp>,
+}
+
+/// Offset `len` as a `u32`: the arena indexes its entries with 32 bits.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("clique arena holds at most u32::MAX entries per array")
+}
+
+impl CliqueArena {
+    /// An arena with no clique.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of cliques.
+    pub fn len(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// Whether the arena holds no clique.
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// Appends the clique over `vars` with weight `weight` whose head
+    /// fires when every one of `predicates` holds ([`FactorGraph::new`]
+    /// checks the scope and the slots).
+    ///
+    /// # Panics
+    /// Panics past 256 distinct operators or `u32::MAX` entries.
+    pub fn push(&mut self, vars: &[VarId], weight: WeightId, predicates: &[FactorPredicate]) {
+        self.scopes.extend_from_slice(vars);
+        self.scope_ends.push(offset(self.scopes.len()));
+        for p in predicates {
+            let op = self.intern_op(p.op);
+            let (lhs, lhs_slot) = Self::encode(p.lhs, LHS_SLOT);
+            let (rhs, rhs_slot) = Self::encode(p.rhs, RHS_SLOT);
+            self.preds.push(StoredPredicate {
+                lhs,
+                rhs,
+                op,
+                slots: lhs_slot | rhs_slot,
+            });
+        }
+        self.pred_ends.push(offset(self.preds.len()));
+        self.weights.push(weight);
+    }
+
+    /// The operand's stored value, and `slot_bit` if it is a slot.
+    fn encode(operand: FactorOperand, slot_bit: u8) -> (u32, u8) {
+        match operand {
+            FactorOperand::Var(slot) => (u32::from(slot), slot_bit),
+            FactorOperand::Const(sym) => (sym.0, 0),
+        }
+    }
+
+    fn intern_op(&mut self, op: CmpOp) -> u8 {
+        let at = match self.ops.iter().position(|&known| same_op(known, op)) {
+            Some(at) => at,
+            None => {
+                self.ops.push(op);
+                self.ops.len() - 1
+            }
+        };
+        u8::try_from(at).expect("a clique arena holds at most 256 distinct operators")
+    }
+
+    /// Appends every clique of `other`, in order.
+    pub fn append(&mut self, other: &CliqueArena) {
+        offset(self.scopes.len() + other.scopes.len());
+        offset(self.preds.len() + other.preds.len());
+        let remap: Vec<u8> = other.ops.iter().map(|&op| self.intern_op(op)).collect();
+        let (scopes, preds) = (offset(self.scopes.len()), offset(self.preds.len()));
+        self.scopes.extend_from_slice(&other.scopes);
+        self.scope_ends
+            .extend(other.scope_ends.iter().map(|&end| scopes + end));
+        let remapped = other.preds.iter().map(|&p| StoredPredicate {
+            op: remap[usize::from(p.op)],
+            ..p
+        });
+        self.preds.extend(remapped);
+        self.pred_ends
+            .extend(other.pred_ends.iter().map(|&end| preds + end));
+        self.weights.extend_from_slice(&other.weights);
+    }
+
+    /// Keeps the first `len` cliques (all of them when there are fewer).
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        let ends = |ends: &[u32]| len.checked_sub(1).map_or(0, |last| ends[last] as usize);
+        self.scopes.truncate(ends(&self.scope_ends));
+        self.preds.truncate(ends(&self.pred_ends));
+        self.scope_ends.truncate(len);
+        self.pred_ends.truncate(len);
+        self.weights.truncate(len);
+    }
+
+    /// Releases the arrays' spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.scope_ends.shrink_to_fit();
+        self.scopes.shrink_to_fit();
+        self.pred_ends.shrink_to_fit();
+        self.preds.shrink_to_fit();
+        self.weights.shrink_to_fit();
+        self.ops.shrink_to_fit();
+    }
+
+    /// Heap bytes the arena holds (capacity, not length).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.scope_ends.capacity() + self.pred_ends.capacity()) * size_of::<u32>()
+            + self.scopes.capacity() * size_of::<VarId>()
+            + self.preds.capacity() * size_of::<StoredPredicate>()
+            + self.weights.capacity() * size_of::<WeightId>()
+            + self.ops.capacity() * size_of::<CmpOp>()
+    }
+
+    /// Clique `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> Clique<'_> {
+        let start = |ends: &[u32]| i.checked_sub(1).map_or(0, |prev| ends[prev] as usize);
+        let scope = start(&self.scope_ends)..self.scope_ends[i] as usize;
+        let preds = start(&self.pred_ends)..self.pred_ends[i] as usize;
+        Clique {
+            vars: &self.scopes[scope],
+            preds: &self.preds[preds],
+            ops: &self.ops,
+            weight: self.weights[i],
+        }
+    }
+
+    /// Every clique, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Clique<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// One clique of a [`CliqueArena`], borrowed.
+#[derive(Clone, Copy)]
+pub struct Clique<'a> {
+    vars: &'a [VarId],
+    preds: &'a [StoredPredicate],
+    ops: &'a [CmpOp],
+    weight: WeightId,
+}
+
+impl<'a> Clique<'a> {
+    /// The query variables this factor connects (≥ 1): its scope, which
+    /// the predicates' [`FactorOperand::Var`] slots index.
+    #[inline]
+    pub fn vars(&self) -> &'a [VarId] {
+        self.vars
+    }
+
+    /// The tied weight `θ_φ`.
+    #[inline]
+    pub fn weight(&self) -> WeightId {
+        self.weight
+    }
+
+    /// The conjunction of predicates over slots and constants, in order.
+    pub fn predicates(&self) -> impl ExactSizeIterator<Item = FactorPredicate> + 'a {
+        let ops = self.ops;
+        let decode = |value: u32, slot: bool| match slot {
+            true => FactorOperand::Var(value as u8),
+            false => FactorOperand::Const(Sym(value)),
+        };
+        self.preds.iter().map(move |p| FactorPredicate {
+            lhs: decode(p.lhs, p.slots & LHS_SLOT != 0),
+            op: ops[usize::from(p.op)],
+            rhs: decode(p.rhs, p.slots & RHS_SLOT != 0),
+        })
+    }
+
     /// Whether the denial constraint is violated by the given candidate
     /// symbols (one per clique var, in `vars` order).
     pub fn violated(&self, assignment: &[Sym], ctx: &impl ValueContext) -> bool {
-        self.predicates.iter().all(|p| p.eval(assignment, ctx))
+        self.predicates().all(|p| p.eval(assignment, ctx))
     }
 
     /// Log-linear contribution: `-θ` when violated, `0` otherwise (the
@@ -202,6 +406,24 @@ impl CliqueFactor {
     }
 }
 
+impl PartialEq for Clique<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.vars == other.vars
+            && self.weight == other.weight
+            && self.predicates().eq(other.predicates())
+    }
+}
+
+impl std::fmt::Debug for Clique<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Clique")
+            .field("vars", &self.vars)
+            .field("weight", &self.weight)
+            .field("predicates", &self.predicates().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
 /// Sparse unary features of one `(variable, candidate)` pair.
 pub type FeatureVec = Vec<(WeightId, f64)>;
 
@@ -210,10 +432,11 @@ pub type FeatureVec = Vec<(WeightId, f64)>;
 /// **Construction.** [`FactorGraph::new`] takes the variables, their CSR
 /// [`DesignMatrix`] — the one home of the unary features, which every
 /// consumer reads ([`FactorGraph::unary_score`], the Gibbs conditional,
-/// exact enumeration, SGD) — and the grounded cliques, all complete. The
-/// compiler featurizes straight into the matrix (see [`crate::design`])
-/// and grounds its cliques before it calls `new`; hand-built graphs
-/// collect the same three parts in a [`GraphBuilder`].
+/// exact enumeration, SGD) — and the grounded cliques' [`CliqueArena`],
+/// all complete. The compiler featurizes straight into the matrix (see
+/// [`crate::design`]) and grounds its cliques into the arena before it
+/// calls `new`; hand-built graphs collect the same three parts in a
+/// [`GraphBuilder`].
 ///
 /// **Use.** The component index and the coloring are derived from the
 /// clique structure on first access and cached; no method changes a
@@ -223,9 +446,12 @@ pub struct FactorGraph {
     vars: Vec<Variable>,
     /// The unary features of every `(variable, candidate)` pair.
     design: DesignMatrix,
-    cliques: Vec<CliqueFactor>,
-    /// `var_cliques[v]` = clique indices touching `v`.
-    var_cliques: Vec<Vec<u32>>,
+    cliques: CliqueArena,
+    /// The cliques touching variable `v` are
+    /// `var_cliques[var_clique_starts[v]..var_clique_starts[v + 1]]`, in
+    /// clique order (CSR).
+    var_clique_starts: Vec<u32>,
+    var_cliques: Vec<u32>,
     /// Connected components of the clique structure, built on first use by
     /// partitioned inference (see [`ComponentIndex`]).
     components: OnceLock<ComponentIndex>,
@@ -241,41 +467,63 @@ impl FactorGraph {
     /// # Panics
     /// Panics unless `design` has exactly one row range per variable, of
     /// that variable's arity, and every clique names between 1 and 255
-    /// variables, all of them in `vars`.
-    pub fn new(vars: Vec<Variable>, design: DesignMatrix, cliques: Vec<CliqueFactor>) -> Self {
+    /// distinct variables, all of them in `vars`, and reads no slot past
+    /// its scope. The message names the clique.
+    pub fn new(vars: Vec<Variable>, design: DesignMatrix, cliques: CliqueArena) -> Self {
         assert_eq!(design.var_count(), vars.len(), "one row range per variable");
         for (i, var) in vars.iter().enumerate() {
             let rows = design.var_range(VarId(i as u32)).len();
             assert_eq!(rows, var.arity(), "one row per candidate");
         }
-        let mut counts = vec![0usize; vars.len()];
+        let mut var_clique_starts = vec![0u32; vars.len() + 1];
         for (idx, clique) in cliques.iter().enumerate() {
-            let arity = clique.vars.len();
+            let scope = clique.vars();
+            let arity = scope.len();
             assert!(
                 (1..=u8::MAX as usize).contains(&arity),
                 "clique {idx} has {arity} variables, not 1 to 255"
             );
-            for &v in &clique.vars {
+            for (at, &v) in scope.iter().enumerate() {
                 assert!(
                     v.index() < vars.len(),
                     "clique {idx} names variable {} of a graph with {}",
                     v.0,
                     vars.len()
                 );
-                counts[v.index()] += 1;
+                assert!(
+                    !scope[..at].contains(&v),
+                    "clique {idx} names variable {} twice",
+                    v.0
+                );
+                var_clique_starts[v.index() + 1] += 1;
+            }
+            for p in clique.predicates() {
+                for operand in [p.lhs, p.rhs] {
+                    if let FactorOperand::Var(slot) = operand {
+                        assert!(
+                            usize::from(slot) < arity,
+                            "clique {idx} reads slot {slot} of a scope of {arity}"
+                        );
+                    }
+                }
             }
         }
-        // Sized before filling, so each list is one allocation.
-        let mut var_cliques: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for v in 0..vars.len() {
+            var_clique_starts[v + 1] += var_clique_starts[v];
+        }
+        let mut var_cliques = vec![0u32; var_clique_starts[vars.len()] as usize];
+        let mut next = var_clique_starts.clone();
         for (idx, clique) in cliques.iter().enumerate() {
-            for &v in &clique.vars {
-                var_cliques[v.index()].push(idx as u32);
+            for &v in clique.vars() {
+                var_cliques[next[v.index()] as usize] = idx as u32;
+                next[v.index()] += 1;
             }
         }
         FactorGraph {
             vars,
             design,
             cliques,
+            var_clique_starts,
             var_cliques,
             components: OnceLock::new(),
             coloring: OnceLock::new(),
@@ -342,16 +590,7 @@ impl FactorGraph {
     /// schedule of chromatic Gibbs. Built on first access (one greedy pass
     /// over the clique scopes) and cached.
     pub fn coloring(&self) -> &Coloring {
-        self.coloring
-            .get_or_init(|| Coloring::build(self.vars.len(), &self.cliques, &self.var_cliques))
-    }
-
-    /// The raw clique-adjacency lists (`var_cliques[v]` = clique indices
-    /// touching `v`) — the build input of [`Coloring`], exposed for the
-    /// coloring tests.
-    #[cfg(test)]
-    pub(crate) fn var_cliques_raw(&self) -> &[Vec<u32>] {
-        &self.var_cliques
+        self.coloring.get_or_init(|| Coloring::build(self))
     }
 
     /// Sparse features of candidate `k` of variable `v` (a CSR row of the
@@ -379,13 +618,28 @@ impl FactorGraph {
     }
 
     /// All clique factors.
-    pub fn cliques(&self) -> &[CliqueFactor] {
+    pub fn cliques(&self) -> &CliqueArena {
         &self.cliques
     }
 
-    /// Clique indices adjacent to `v`.
+    /// Clique `ci` (an index [`FactorGraph::cliques_of`] lists).
+    #[inline]
+    pub fn clique(&self, ci: u32) -> Clique<'_> {
+        self.cliques.get(ci as usize)
+    }
+
+    /// Clique indices adjacent to `v`, ascending.
     pub fn cliques_of(&self, v: VarId) -> &[u32] {
-        &self.var_cliques[v.index()]
+        let (start, end) = (
+            self.var_clique_starts[v.index()],
+            self.var_clique_starts[v.index() + 1],
+        );
+        &self.var_cliques[start as usize..end as usize]
+    }
+
+    /// Heap bytes of the clique arena ([`CliqueArena::bytes`]).
+    pub fn clique_bytes(&self) -> usize {
+        self.cliques.bytes()
     }
 
     /// Number of variables.
@@ -416,7 +670,7 @@ pub struct GraphBuilder {
     /// `emissions[v]` = the `(candidate, weight, value)` features of `v`,
     /// in the order they were added.
     emissions: Vec<Vec<(usize, WeightId, f64)>>,
-    cliques: Vec<CliqueFactor>,
+    cliques: CliqueArena,
 }
 
 impl GraphBuilder {
@@ -445,9 +699,9 @@ impl GraphBuilder {
         self.emissions[v.index()].push((k, weight, value));
     }
 
-    /// Adds a clique factor.
-    pub fn add_clique(&mut self, clique: CliqueFactor) {
-        self.cliques.push(clique);
+    /// Appends a clique factor over `vars` ([`CliqueArena::push`]).
+    pub fn add_clique(&mut self, vars: &[VarId], weight: WeightId, predicates: &[FactorPredicate]) {
+        self.cliques.push(vars, weight, predicates);
     }
 
     /// The graph: each variable's features become its design rows (row `k`
@@ -505,18 +759,25 @@ mod tests {
         assert_eq!(g.unary_scores(v, &w).len(), 2);
     }
 
+    /// An arena holding the one clique `vars` / `predicates` at weight 0.
+    fn one_clique(vars: &[VarId], predicates: &[FactorPredicate]) -> CliqueArena {
+        let mut arena = CliqueArena::new();
+        arena.push(vars, WeightId(0), predicates);
+        arena
+    }
+
     #[test]
     fn clique_violation_semantics() {
         // DC: ¬(x = y). Two variables, predicate Var(0) = Var(1).
-        let clique = CliqueFactor {
-            vars: vec![VarId(0), VarId(1)],
-            weight: WeightId(0),
-            predicates: vec![FactorPredicate {
+        let arena = one_clique(
+            &[VarId(0), VarId(1)],
+            &[FactorPredicate {
                 lhs: FactorOperand::Var(0),
                 op: CmpOp::Eq,
                 rhs: FactorOperand::Var(1),
             }],
-        };
+        );
+        let clique = arena.get(0);
         let ctx = EqOnlyContext;
         assert!(clique.violated(&[sym(5), sym(5)], &ctx));
         assert!(!clique.violated(&[sym(5), sym(6)], &ctx));
@@ -531,10 +792,9 @@ mod tests {
         // ¬(x = c ∧ x ≠ d): violated iff x == c (and c != d).
         let c = sym(7);
         let d = sym(8);
-        let clique = CliqueFactor {
-            vars: vec![VarId(0)],
-            weight: WeightId(0),
-            predicates: vec![
+        let arena = one_clique(
+            &[VarId(0)],
+            &[
                 FactorPredicate {
                     lhs: FactorOperand::Var(0),
                     op: CmpOp::Eq,
@@ -546,10 +806,65 @@ mod tests {
                     rhs: FactorOperand::Const(d),
                 },
             ],
-        };
+        );
+        let clique = arena.get(0);
         let ctx = EqOnlyContext;
         assert!(clique.violated(&[c], &ctx));
         assert!(!clique.violated(&[d], &ctx));
+    }
+
+    /// The arena reads back what was pushed — scopes, weights, predicates
+    /// with every operator, a similarity threshold among them — through
+    /// `append` and `truncate`, and stores a predicate in 12 bytes with no
+    /// allocation per clique.
+    #[test]
+    fn arena_round_trips_cliques() {
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Neq,
+            CmpOp::Lt,
+            CmpOp::Gt,
+            CmpOp::Leq,
+            CmpOp::Geq,
+            CmpOp::Sim(0.25),
+            CmpOp::Sim(0.5),
+        ];
+        let pred = |i: usize| FactorPredicate {
+            lhs: FactorOperand::Var((i % 3) as u8),
+            op: ops[i % ops.len()],
+            rhs: match i % 2 {
+                0 => FactorOperand::Const(sym(i as u32 * 7)),
+                _ => FactorOperand::Var(0),
+            },
+        };
+        let cliques: Vec<(Vec<VarId>, WeightId, Vec<FactorPredicate>)> = (0..9)
+            .map(|i| {
+                let vars = (0..3).map(|k| VarId(i * 3 + k)).collect();
+                let preds = (0..i as usize % 4).map(|k| pred(i as usize + k)).collect();
+                (vars, WeightId(i % 2), preds)
+            })
+            .collect();
+        let (mut head, mut tail) = (CliqueArena::new(), CliqueArena::new());
+        // The tail interns its operators in another order than the head.
+        for (i, (vars, weight, preds)) in cliques.iter().enumerate() {
+            let arena = if i < 4 { &mut head } else { &mut tail };
+            arena.push(vars, *weight, preds);
+        }
+        head.append(&tail);
+        assert_eq!(head.len(), cliques.len());
+        for (clique, (vars, weight, preds)) in head.iter().zip(&cliques) {
+            assert_eq!(clique.vars(), &vars[..]);
+            assert_eq!(clique.weight(), *weight);
+            assert_eq!(clique.predicates().collect::<Vec<_>>(), *preds);
+        }
+        head.truncate(5);
+        assert_eq!(head.len(), 5);
+        assert_eq!(head.get(4), tail.get(0));
+        assert_eq!(std::mem::size_of::<StoredPredicate>(), 12);
+        head.shrink_to_fit();
+        let entries: usize = head.iter().map(|c| c.vars().len()).sum();
+        let preds: usize = head.iter().map(|c| c.predicates().len()).sum();
+        assert!(head.bytes() <= 4 * entries + 12 * preds + 12 * head.len() + 8 * 32);
     }
 
     #[test]
@@ -568,19 +883,18 @@ mod tests {
         let v0 = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         let v1 = g.add_variable(Variable::query(vec![sym(1), sym(2)], None));
         let v2 = g.add_variable(Variable::evidence(vec![sym(1)], 0));
-        g.add_clique(CliqueFactor {
-            vars: vec![v0, v1],
-            weight: WeightId(0),
-            predicates: vec![FactorPredicate {
-                lhs: FactorOperand::Var(0),
-                op: CmpOp::Eq,
-                rhs: FactorOperand::Var(1),
-            }],
-        });
+        let equal = FactorPredicate {
+            lhs: FactorOperand::Var(0),
+            op: CmpOp::Eq,
+            rhs: FactorOperand::Var(1),
+        };
+        g.add_clique(&[v0, v1], WeightId(0), &[equal]);
+        g.add_clique(&[v1], WeightId(0), &[]);
         let g = g.build();
         assert_eq!(g.cliques_of(v0), &[0]);
-        assert_eq!(g.cliques_of(v1), &[0]);
+        assert_eq!(g.cliques_of(v1), &[0, 1]);
         assert!(g.cliques_of(v2).is_empty());
+        assert_eq!(g.clique(1).vars(), &[v1]);
         assert_eq!(g.query_vars(), vec![v0, v1]);
         assert_eq!(g.evidence_vars(), vec![v2]);
         assert!(g.has_cliques());
@@ -653,23 +967,47 @@ mod tests {
     fn new_rejects_mismatched_arity() {
         let design = DesignMatrix::compile(&[vec![Vec::new(); 2]]);
         let three = vec![Variable::query(vec![sym(1), sym(2), sym(3)], None)];
-        FactorGraph::new(three, design, Vec::new());
+        FactorGraph::new(three, design, CliqueArena::new());
+    }
+
+    /// Two query variables over `{1, 2}` and the cliques `scopes`, each
+    /// reading `Var(0) = Var(slot)`.
+    fn build_with(scopes: &[(&[VarId], u8)]) -> FactorGraph {
+        let mut b = GraphBuilder::new();
+        for _ in 0..2 {
+            b.add_variable(Variable::query(vec![sym(1), sym(2)], None));
+        }
+        for &(vars, slot) in scopes {
+            let read = FactorPredicate {
+                lhs: FactorOperand::Var(0),
+                op: CmpOp::Eq,
+                rhs: FactorOperand::Var(slot),
+            };
+            b.add_clique(vars, WeightId(0), &[read]);
+        }
+        b.build()
     }
 
     #[test]
     #[should_panic(expected = "clique 1 names variable 2 of a graph with 2")]
     fn new_rejects_a_clique_over_a_missing_variable() {
-        let mut b = GraphBuilder::new();
-        let v = b.add_variable(Variable::query(vec![sym(1), sym(2)], None));
-        b.add_variable(Variable::query(vec![sym(1), sym(2)], None));
-        let clique = |vars| CliqueFactor {
-            vars,
-            weight: WeightId(0),
-            predicates: Vec::new(),
-        };
-        b.add_clique(clique(vec![v]));
-        b.add_clique(clique(vec![v, VarId(2)]));
-        b.build();
+        build_with(&[(&[VarId(0)], 0), (&[VarId(0), VarId(2)], 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "clique 1 reads slot 2 of a scope of 2")]
+    fn new_rejects_a_slot_past_the_scope() {
+        build_with(&[(&[VarId(0), VarId(1)], 1), (&[VarId(1), VarId(0)], 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "clique 2 names variable 1 twice")]
+    fn new_rejects_a_variable_named_twice_in_one_scope() {
+        build_with(&[
+            (&[VarId(0)], 0),
+            (&[VarId(0), VarId(1)], 1),
+            (&[VarId(1), VarId(0), VarId(1)], 2),
+        ]);
     }
 
     #[test]
@@ -692,15 +1030,12 @@ mod tests {
         g.add_feature(v, 0, WeightId(0), 1.0);
         g.add_feature(v, 1, WeightId(0), 1.0);
         assert_eq!(g.clone().build().factor_count(), 2);
-        g.add_clique(CliqueFactor {
-            vars: vec![v],
-            weight: WeightId(0),
-            predicates: vec![FactorPredicate {
-                lhs: FactorOperand::Var(0),
-                op: CmpOp::Eq,
-                rhs: FactorOperand::Const(sym(1)),
-            }],
-        });
+        let pinned = FactorPredicate {
+            lhs: FactorOperand::Var(0),
+            op: CmpOp::Eq,
+            rhs: FactorOperand::Const(sym(1)),
+        };
+        g.add_clique(&[v], WeightId(0), &[pinned]);
         assert_eq!(g.build().factor_count(), 3);
     }
 }

@@ -77,8 +77,8 @@ pub use components::{infer_partitioned, ComponentIndex, PartitionStats, Partitio
 pub use design::{DesignBuilder, DesignMatrix};
 pub use gibbs::{GibbsConfig, GibbsSampler};
 pub use graph::{
-    CliqueFactor, CmpOp, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder, ValueContext,
-    VarId, Variable,
+    Clique, CliqueArena, CmpOp, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder,
+    ValueContext, VarId, Variable,
 };
 pub use learn::{LearnConfig, LearnStats};
 pub use marginals::Marginals;

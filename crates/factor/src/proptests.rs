@@ -10,8 +10,8 @@ use crate::exact::exact_marginals_for;
 use crate::exact::reference::{self as exact_reference, exact_marginals};
 use crate::gibbs::{conditional_scores_into, GibbsConfig, GibbsSampler};
 use crate::graph::{
-    CliqueFactor, CmpOp, EqOnlyContext, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder,
-    ValueContext, VarId, Variable,
+    CmpOp, EqOnlyContext, FactorGraph, FactorOperand, FactorPredicate, GraphBuilder, ValueContext,
+    VarId, Variable,
 };
 use crate::learn::{self, oracle, LearnConfig};
 use crate::marginals::reference::exact_unary;
@@ -76,11 +76,21 @@ impl ValueContext for NumericContext {
     }
 }
 
+/// A clique scope: 1 to `max` of the variables `0..n_vars`, no two alike,
+/// in random order.
+fn distinct_vars(rng: &mut StdRng, n_vars: usize, max: usize) -> Vec<VarId> {
+    let mut vars: Vec<VarId> = (0..n_vars as u32).map(VarId).collect();
+    vars.shuffle(rng);
+    vars.truncate(rng.gen_range(1..=max.min(n_vars)));
+    vars
+}
+
 /// A small random graph exercising everything a clique kernel resolves:
 /// 2-6 variables (one in four evidence) over the symbols `0..=6` (`0` is
 /// [`Sym::NULL`]), and 0-8 cliques of arity 1-4 whose members, operand
-/// slots, constants, operators and weights are all drawn independently —
-/// so members repeat, a slot can sit on both sides of a predicate, and a
+/// slots, constants, operators and weights are all drawn independently
+/// (members without repeats: a graph rejects a scope that names a variable
+/// twice) — so a slot can sit on both sides of a predicate, and a
 /// predicate can be constant-only.
 fn random_clique_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
     const OPS: [CmpOp; 7] = [
@@ -115,10 +125,8 @@ fn random_clique_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
         }
     }
     for _ in 0..rng.gen_range(0usize..=8) {
-        let arity = rng.gen_range(1usize..=4);
-        let vars: Vec<VarId> = (0..arity)
-            .map(|_| VarId(rng.gen_range(0..n_vars as u32)))
-            .collect();
+        let vars = distinct_vars(rng, n_vars, 4);
+        let arity = vars.len();
         let operand = |rng: &mut StdRng| {
             if rng.gen_bool(0.6) {
                 FactorOperand::Var(rng.gen_range(0..arity as u8))
@@ -126,18 +134,14 @@ fn random_clique_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
                 FactorOperand::Const(Sym(rng.gen_range(0u32..=6)))
             }
         };
-        let predicates = (0..rng.gen_range(1usize..=3))
+        let predicates: Vec<FactorPredicate> = (0..rng.gen_range(1usize..=3))
             .map(|_| FactorPredicate {
                 lhs: operand(rng),
                 op: OPS[rng.gen_range(0..OPS.len())],
                 rhs: operand(rng),
             })
             .collect();
-        graph.add_clique(CliqueFactor {
-            vars,
-            weight: WeightId(weight_values.len() as u32),
-            predicates,
-        });
+        graph.add_clique(&vars, WeightId(weight_values.len() as u32), &predicates);
         weight_values.push(CLIQUE_WEIGHTS[rng.gen_range(0..CLIQUE_WEIGHTS.len())]);
     }
     let mut weights = Weights::zeros(weight_values.len());
@@ -151,10 +155,10 @@ fn random_clique_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
 /// fixed-width kernel rows apply: every clique at one shared weight, one or
 /// two `=` / `≠` predicates in the FD pattern (a join, then a difference),
 /// over 2-6 variables (one in four evidence) whose domains and the
-/// constants draw from the symbols `0..=5` (`0` is [`Sym::NULL`]). Clique
-/// members repeat and a slot can sit on both sides of a predicate, so a
-/// query variable meets itself; the rows mix one-guard-one-own entries
-/// with two-own and two-guard ones.
+/// constants draw from the symbols `0..=5` (`0` is [`Sym::NULL`]). A slot
+/// can sit on both sides of a predicate, so a query variable meets
+/// itself; the rows mix one-guard-one-own entries with two-own and
+/// two-guard ones.
 fn random_dc_factor_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
     const SHARED_WEIGHTS: [f64; 4] = [4.0, 0.7, -1.3, 0.0];
     let mut graph = GraphBuilder::new();
@@ -179,10 +183,8 @@ fn random_dc_factor_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
     let shared = WeightId(weight_values.len() as u32);
     weight_values.push(SHARED_WEIGHTS[rng.gen_range(0..SHARED_WEIGHTS.len())]);
     for _ in 0..rng.gen_range(0usize..=8) {
-        let arity = rng.gen_range(1usize..=4);
-        let vars: Vec<VarId> = (0..arity)
-            .map(|_| VarId(rng.gen_range(0..n_vars as u32)))
-            .collect();
+        let vars = distinct_vars(rng, n_vars, 4);
+        let arity = vars.len();
         let operand = |rng: &mut StdRng| {
             if rng.gen_bool(0.7) {
                 FactorOperand::Var(rng.gen_range(0..arity as u8))
@@ -191,7 +193,7 @@ fn random_dc_factor_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
             }
         };
         let ops = [CmpOp::Eq, CmpOp::Neq];
-        let predicates = ops[..rng.gen_range(1usize..=2)]
+        let predicates: Vec<FactorPredicate> = ops[..rng.gen_range(1usize..=2)]
             .iter()
             .map(|&op| FactorPredicate {
                 lhs: operand(rng),
@@ -203,11 +205,7 @@ fn random_dc_factor_graph(rng: &mut StdRng) -> (FactorGraph, Weights) {
                 rhs: operand(rng),
             })
             .collect();
-        graph.add_clique(CliqueFactor {
-            vars,
-            weight: shared,
-            predicates,
-        });
+        graph.add_clique(&vars, shared, &predicates);
     }
     let mut weights = Weights::zeros(weight_values.len());
     for (i, w) in weight_values.into_iter().enumerate() {
@@ -240,15 +238,15 @@ fn build(model: &RandomModel) -> (FactorGraph, Weights) {
     for &(a, b, w) in &model.cliques {
         let wid = WeightId(weight_values.len() as u32);
         weight_values.push(w);
-        graph.add_clique(CliqueFactor {
-            vars: vec![vars[a], vars[b]],
-            weight: wid,
-            predicates: vec![FactorPredicate {
+        graph.add_clique(
+            &[vars[a], vars[b]],
+            wid,
+            &[FactorPredicate {
                 lhs: FactorOperand::Var(0),
                 op: CmpOp::Eq,
                 rhs: FactorOperand::Var(1),
             }],
-        });
+        );
     }
     let mut weights = Weights::zeros(weight_values.len());
     for (i, v) in weight_values.into_iter().enumerate() {
@@ -464,7 +462,7 @@ proptest! {
     /// The compiled exact enumeration is the interpreted one: over the same
     /// random graphs of both shapes, every component's marginals from the
     /// clique kernel (folded constants, pooled evidence, branch-free
-    /// addends, fixed-width rows) equal the `CliqueFactor::score`
+    /// addends, fixed-width rows) equal the `Clique::score`
     /// enumeration bit for bit, with the score cache and without.
     #[test]
     fn compiled_exact_bit_identical_to_interpreted(seed in 0u64..u64::MAX,

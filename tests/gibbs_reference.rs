@@ -1,7 +1,7 @@
 //! The compiled clique kernel against interpreted references, on a real
 //! grounded model: 250-row hospital under `DcFactorsPartitioned`, trained
 //! weights. Both references below are written against the public graph
-//! API only — `CliqueFactor::score` per clique, every other member at its
+//! API only — `Clique::score` per clique, every other member at its
 //! current state. The sampler reference replays the sampler's two
 //! schedules draw for draw, and the enumeration reference repeats the
 //! exact engine's arithmetic, so marginals must be *equal*, not close: one
@@ -46,10 +46,10 @@ fn interpreted_conditional(
 ) {
     graph.unary_scores_into(v, weights, probs);
     for &ci in graph.cliques_of(v) {
-        let clique = &graph.cliques()[ci as usize];
-        let slot = clique.vars.iter().position(|&u| u == v).unwrap();
+        let clique = graph.clique(ci);
+        let slot = clique.vars().iter().position(|&u| u == v).unwrap();
         let mut syms: Vec<Sym> = clique
-            .vars
+            .vars()
             .iter()
             .map(|&u| graph.var(u).domain[state[u.index()]])
             .collect();
@@ -186,7 +186,7 @@ fn compiled_sampler_equals_interpreted_reference_on_hospital() {
 }
 
 /// Exact marginals of the query variables `query` of one component, by
-/// enumeration: unary scores in `query` order, then `CliqueFactor::score`
+/// enumeration: unary scores in `query` order, then `Clique::score`
 /// of every clique adjacent to `query`, ascending, with every other member
 /// at its evidence; assignments in odometer order (the first variable
 /// fastest), max-shifted before exponentiating — the exact engine's
@@ -232,9 +232,9 @@ fn enumerated_marginals(
                 score += u[state[v.index()]];
             }
             for &ci in &cliques {
-                let clique = &graph.cliques()[ci as usize];
+                let clique = graph.clique(ci);
                 let syms: Vec<Sym> = clique
-                    .vars
+                    .vars()
                     .iter()
                     .map(|&u| graph.var(u).domain[state[u.index()]])
                     .collect();
