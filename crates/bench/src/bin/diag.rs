@@ -246,10 +246,15 @@ struct CleanRewrites {
 fn clean_rewrites(gen: &GeneratedDataset, repairs: &[Repair]) -> CleanRewrites {
     let (ds, errors) = (&gen.dirty, FxHashSet::from_iter(gen.errors.iter().copied()));
     let dirty_tuples: FxHashSet<_> = gen.errors.iter().map(|c| c.tuple).collect();
-    let freq = holo_dataset::FrequencyStats::build(ds);
+    let counts: Vec<(Vec<u32>, u32)> = ds.schema().attrs().map(|a| ds.code_counts(a)).collect();
     let mut out = CleanRewrites::default();
     for r in repairs.iter().filter(|r| !errors.contains(&r.cell)) {
-        let count = |v: &str| ds.pool().get(v).map_or(0, |v| freq.count(r.cell.attr, v));
+        let (codes, nulls) = &counts[r.cell.attr.index()];
+        let count = |v: &str| match ds.pool().get(v) {
+            Some(v) if v.is_null() => *nulls,
+            Some(v) => codes.get(ds.code_of(r.cell.attr, v) as usize).map_or(0, |&c| c),
+            None => 0,
+        };
         out.total += 1;
         out.sibling_dirty += u64::from(dirty_tuples.contains(&r.cell.tuple));
         match count(&r.new_value).cmp(&count(&r.old_value)) {

@@ -34,10 +34,12 @@
 //! partner-side key has no null are grouped into buckets; all buckets live
 //! in one flat arena — `members[offsets[b]..offsets[b + 1]]`, ascending
 //! tuple ids — built by a counting sort over one ascending pass, so the
-//! order inside a bucket never depends on a thread count. A key resolves
-//! to its bucket without allocating: the first key attribute's symbol
-//! indexes a dense table, every further attribute folds `(code so far,
-//! symbol)` through a hash map. Beside the members, the partner attributes
+//! order inside a bucket never depends on a thread count. Keys are read as
+//! the table's value codes ([`Dataset::code`]), so a key resolves to its
+//! bucket without hashing a value or allocating: the first key attribute's
+//! code indexes a dense table as long as that attribute's dictionary, every
+//! further attribute folds `(code so far, its code)` through a hash map.
+//! Beside the members, the partner attributes
 //! the sharing constraints read are **packed** column-wise
 //! ([`PackedColumn`]): one contiguous run per bucket per column, parallel
 //! to the member run, so a residual scan walks memory linearly and never
@@ -75,7 +77,7 @@
 //! the general scan.
 
 use crate::ast::{eval_op, DenialConstraint, Op, Operand, TupleVar};
-use holo_dataset::{AttrId, Dataset, FxHashMap, Sym, TupleId};
+use holo_dataset::{AttrId, Dataset, FxHashMap, Sym, TupleId, NULL_CODE};
 use std::ops::Range;
 
 /// One operand of a compiled predicate.
@@ -248,16 +250,21 @@ impl PairScan {
     }
 
     /// The probe tuple's lookup key when its cell `subst.0` reads
-    /// `subst.1` instead of the stored value.
+    /// `subst.1` instead of the stored value: each probe value as its code
+    /// in the partner attribute it joins ([`NULL_CODE`] if null or never
+    /// held there). A stored value joining its own attribute is its code
+    /// already; any other is looked up.
     pub fn probe_key_of<'a>(
         &'a self,
         ds: &'a Dataset,
         probe: TupleId,
         subst: Option<(AttrId, Sym)>,
-    ) -> impl Iterator<Item = Sym> + 'a {
-        self.probe_key.iter().map(move |&attr| match subst {
-            Some((a, d)) if a == attr => d,
-            _ => ds.cell(probe, attr),
+    ) -> impl Iterator<Item = u32> + 'a {
+        let joins = self.probe_key.iter().zip(&self.partner_key);
+        joins.map(move |(&attr, &partner)| match subst {
+            Some((a, d)) if a == attr => ds.code_of(partner, d),
+            _ if attr == partner => ds.code(probe, attr),
+            _ => ds.code_of(partner, ds.cell(probe, attr)),
         })
     }
 }
@@ -317,12 +324,13 @@ impl PackedColumn {
 /// Tuples blocked by one join key (module docs).
 #[derive(Debug)]
 pub struct BlockIndex {
-    /// Symbol of the first key attribute → code (`NONE` if unseen). With a
-    /// one-attribute key the code is the bucket id.
+    /// Table code of the first key attribute → level code (`NONE` if no
+    /// member holds it). With a one-attribute key the code is the bucket
+    /// id.
     first: Vec<u32>,
-    /// One map per further key attribute: `(code so far, symbol)` → code.
-    /// The last level's code is the bucket id.
-    rest: Vec<FxHashMap<(u32, Sym), u32>>,
+    /// One map per further key attribute: `(code so far, table code)` →
+    /// level code. The last level's code is the bucket id.
+    rest: Vec<FxHashMap<(u32, u32), u32>>,
     /// Bucket `b` is `members[offsets[b]..offsets[b + 1]]`.
     offsets: Vec<u32>,
     members: Vec<TupleId>,
@@ -341,8 +349,9 @@ impl BlockIndex {
         keep: impl Fn(TupleId) -> bool,
     ) -> Self {
         let width = partner_key.len();
-        let mut first = vec![NONE; if width == 0 { 0 } else { ds.pool().len() }];
-        let mut rest: Vec<FxHashMap<(u32, Sym), u32>> =
+        let first_codes = partner_key.first().map_or(0, |&a| ds.dictionary(a).len());
+        let mut first = vec![NONE; first_codes];
+        let mut rest: Vec<FxHashMap<(u32, u32), u32>> =
             vec![FxHashMap::default(); width.saturating_sub(1)];
         // Pass 1: every tuple's bucket and the bucket sizes. The codes of
         // a key level are dense in first-appearance order, and the last
@@ -357,15 +366,15 @@ impl BlockIndex {
             }
             let mut code = 0u32;
             for (level, &attr) in partner_key.iter().enumerate() {
-                let sym = ds.cell(t, attr);
-                if sym.is_null() {
+                let value = ds.code(t, attr);
+                if value == NULL_CODE {
                     bucket_of.push(NONE);
                     continue 'tuples;
                 }
                 let slot = if level == 0 {
-                    &mut first[sym.index()]
+                    &mut first[value as usize]
                 } else {
-                    rest[level - 1].entry((code, sym)).or_insert(NONE)
+                    rest[level - 1].entry((code, value)).or_insert(NONE)
                 };
                 if *slot == NONE {
                     *slot = next_code[level];
@@ -409,8 +418,7 @@ impl BlockIndex {
     }
 
     fn pack(&self, ds: &Dataset, attr: AttrId) -> PackedColumn {
-        let column = ds.column(attr);
-        let values: Vec<Sym> = self.members.iter().map(|t| column[t.index()]).collect();
+        let values: Vec<Sym> = self.members.iter().map(|&t| ds.cell(t, attr)).collect();
         let mut group_offsets = Vec::with_capacity(self.offsets.len());
         let mut groups: Vec<(Sym, u32)> = Vec::new();
         let mut non_null = Vec::with_capacity(self.bucket_count());
@@ -444,20 +452,18 @@ impl BlockIndex {
         }
     }
 
-    /// The bucket whose members' partner-side key equals `key` (one symbol
-    /// per key attribute, in key order); none if a symbol is null or no
-    /// member has that key.
+    /// The bucket whose members' partner-side key equals `key` (one table
+    /// code per key attribute, in key order, as
+    /// [`PairScan::probe_key_of`] gives it); none if a code is
+    /// [`NULL_CODE`] or no member has that key.
     #[inline]
-    pub fn lookup(&self, key: impl IntoIterator<Item = Sym>) -> Option<usize> {
+    pub fn lookup(&self, key: impl IntoIterator<Item = u32>) -> Option<usize> {
         let mut code = 0u32;
-        for (level, sym) in key.into_iter().enumerate() {
-            if sym.is_null() {
-                return None;
-            }
+        for (level, value) in key.into_iter().enumerate() {
             code = if level == 0 {
-                *self.first.get(sym.index())?
+                *self.first.get(value as usize)?
             } else {
-                *self.rest[level - 1].get(&(code, sym))?
+                *self.rest[level - 1].get(&(code, value))?
             };
         }
         // `NONE` (an unseen first symbol) and the empty index of an empty
@@ -652,13 +658,14 @@ mod tests {
         let index = BlockIndex::build(&ds, &[attr("K")], &[attr("A"), attr("B")], |_| true);
         assert_eq!(index.bucket_count(), 2);
         let members = |b: usize| index.members()[index.range(b)].to_vec();
-        let k1 = index.lookup([sym("k1")]).unwrap();
-        let k2 = index.lookup([sym("k2")]).unwrap();
+        let k = |s: &str| ds.code_of(attr("K"), sym(s));
+        let k1 = index.lookup([k("k1")]).unwrap();
+        let k2 = index.lookup([k("k2")]).unwrap();
         assert_eq!(members(k1), vec![TupleId(0), TupleId(2), TupleId(5)]);
         assert_eq!(members(k2), vec![TupleId(1), TupleId(4)]);
         // Null and unseen keys find nothing; the null-keyed t3 is in no bucket.
-        assert_eq!(index.lookup([Sym::NULL]), None);
-        assert_eq!(index.lookup([sym("l1")]), None);
+        assert_eq!(index.lookup([NULL_CODE]), None);
+        assert_eq!(k("l1"), NULL_CODE, "never a value of K");
         assert_eq!(index.members().len(), 5);
 
         let [a, b] = index.packed() else {
@@ -775,7 +782,8 @@ mod tests {
         let attr = |name: &str| ds.schema().attr_id(name).unwrap();
         let sym = |s: &str| ds.pool().get(s).unwrap();
         let index = BlockIndex::build(&ds, &[attr("K"), attr("L")], &[], |t| t != TupleId(4));
-        let members = |key: [Sym; 2]| {
+        let members = |[k, l]: [Sym; 2]| {
+            let key = [ds.code_of(attr("K"), k), ds.code_of(attr("L"), l)];
             index
                 .lookup(key)
                 .map(|b| index.members()[index.range(b)].to_vec())
@@ -812,8 +820,9 @@ mod tests {
         let sym = |s: &str| ds.pool().get(s).unwrap();
         let index = BlockIndex::build(&ds, &[attr("K")], &[attr("A"), attr("B")], |_| true);
         let columns: Vec<&PackedColumn> = index.packed().iter().collect();
-        let k1 = index.lookup([sym("k1")]).unwrap();
-        let k2 = index.lookup([sym("k2")]).unwrap();
+        let k = |s: &str| ds.code_of(attr("K"), sym(s));
+        let k1 = index.lookup([k("k1")]).unwrap();
+        let k2 = index.lookup([k("k2")]).unwrap();
         let neq = |v: Sym, col: usize| ScanPredicate {
             lhs: Side::Const(v),
             op: Op::Neq,

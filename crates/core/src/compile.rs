@@ -35,7 +35,9 @@ use crate::trainable::{attrs_of, trainable_attrs};
 use holo_constraints::ast::{Op, Operand, TupleVar};
 use holo_constraints::scan::PairScan;
 use holo_constraints::{find_tuple_groups_with_threads, ConstraintSet, Violation, NO_GROUP};
-use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Sym, TupleId};
+use holo_dataset::{
+    AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Sym, TupleId, NULL_CODE,
+};
 use holo_factor::{
     CliqueArena, CmpOp, DesignMatrix, FactorGraph, FactorOperand, FactorPredicate, FeatureRegistry,
     VarId, Variable, Weights,
@@ -399,10 +401,10 @@ fn select_evidence_cells(
     }
     let mut selected: Vec<CellRef> = Vec::new();
     for attr in ds.schema().attrs().filter(|a| trainable[a.index()]) {
-        let (column, flagged) = (ds.column(attr), &flagged[attr.index()]);
+        let (column, flagged) = (ds.codes(attr), &flagged[attr.index()]);
         let clean = ds.tuples().filter(|t| {
             let t = t.index();
-            flagged[t / 64] >> (t % 64) & 1 == 0 && !column[t].is_null()
+            flagged[t / 64] >> (t % 64) & 1 == 0 && column[t] != NULL_CODE
         });
         let mut ranked: Vec<(u64, CellRef)> = clean
             .map(|t| {
@@ -589,9 +591,9 @@ impl<'a> QueryCells<'a> {
 
 /// Fixed weight `w` of DC clique factors (Algorithm 1 "soft constraint"
 /// relaxation; `f64::INFINITY` would make them hard).
-pub(crate) const DC_FACTOR_WEIGHT: f64 = 4.0;
+const DC_FACTOR_WEIGHT: f64 = 4.0;
 
-/// Cap on grounded cliques per two-tuple constraint (safety valve for the
+/// Cap on grounded cliques per constraint (safety valve for the
 /// unpartitioned factor variants at small τ; the paper reports exactly
 /// this blow-up in §1 challenge (2)). A constraint stops grounding
 /// outright once the cap is reached.
@@ -613,7 +615,8 @@ struct Bucket {
 }
 
 /// The grounding of one chunk of probe tuples: its cliques in pair order,
-/// and for the clique cap the pairs visited through each of them.
+/// and for the clique cap the pairs visited through each of them (a
+/// single-tuple constraint visits the pair `(t, t)` of each probe).
 #[derive(Default)]
 struct Fragment {
     cliques: CliqueArena,
@@ -642,7 +645,8 @@ struct Fragment {
 /// is in group 0. A probe without a query cell on its side scans only the
 /// bucket members with one on theirs — a subsequence in the same order.
 ///
-/// Probe tuples go in fixed blocks of [`GROUND_BLOCK_TUPLES`]: a block
+/// Probe tuples of either kind of constraint go in fixed blocks of
+/// [`GROUND_BLOCK_TUPLES`] ([`ground_capped`]): a block
 /// discovers its pairs and builds their cliques data-parallel, each chunk
 /// into a [`Fragment`] of its own, and the fragments append to the arena in
 /// chunk order, so the cliques are in (probe, candidate, partner) order at
@@ -671,16 +675,17 @@ fn ground_dc_factors(
             // The pair builder with both roles on one tuple and no join.
             let held = query.mask(&c.attrs(), n);
             let probes: Vec<TupleId> = ds.tuples().filter(|t| held[t.index()]).collect();
-            let built = holo_parallel::parallel_chunks(threads, &probes, |_, chunk| {
+            let ground_chunk = |chunk: &[TupleId]| -> Fragment {
                 let mut fragment = Fragment::default();
                 for &t in chunk {
-                    build_clique(ds, c, t, t, query, weight, &[], &mut fragment);
+                    fragment.pairs += 1;
+                    if build_clique(ds, c, t, t, query, weight, &[], &mut fragment) {
+                        fragment.visited.push(fragment.pairs);
+                    }
                 }
-                vec![fragment]
-            });
-            for fragment in built {
-                cliques.append(&fragment.cliques);
-            }
+                fragment
+            };
+            ground_capped(&probes, threads, ground_chunk, clique_cap, cstats, &mut cliques);
             continue;
         }
         // Cross-tuple equality predicates, oriented (t1 attr, t2 attr).
@@ -769,31 +774,47 @@ fn ground_dc_factors(
             fragment
         };
 
-        let mut cliques_here = 0usize;
-        'blocks: for block in probes.chunks(GROUND_BLOCK_TUPLES) {
-            let fragments = holo_parallel::parallel_chunks(threads, block, |_, chunk| {
-                vec![ground_chunk(chunk)]
-            });
-            for mut fragment in fragments {
-                let room = clique_cap - cliques_here;
-                let capped = fragment.cliques.len() >= room;
-                if capped {
-                    fragment.cliques.truncate(room);
-                    fragment.pairs = fragment.visited[room - 1];
-                }
-                cstats.dc_pairs_considered += fragment.pairs;
-                cstats.cliques += fragment.cliques.len();
-                cliques_here += fragment.cliques.len();
-                cliques.append(&fragment.cliques);
-                if capped {
-                    cstats.clique_cap_hits += 1;
-                    break 'blocks;
-                }
-            }
-        }
+        ground_capped(&probes, threads, ground_chunk, clique_cap, cstats, &mut cliques);
     }
     cliques.shrink_to_fit();
     cliques
+}
+
+/// Grounds one constraint's `probes` block by block, each chunk of a block
+/// into a [`Fragment`] by `ground_chunk`, and appends the fragments to
+/// `cliques` in chunk order until the constraint holds `clique_cap`
+/// cliques. Bills the cliques kept, the pairs visited up to the last of
+/// them and a cap hit to `cstats`.
+fn ground_capped(
+    probes: &[TupleId],
+    threads: usize,
+    ground_chunk: impl Fn(&[TupleId]) -> Fragment + Sync,
+    clique_cap: usize,
+    cstats: &mut CompileStats,
+    cliques: &mut CliqueArena,
+) {
+    let mut cliques_here = 0usize;
+    for block in probes.chunks(GROUND_BLOCK_TUPLES) {
+        let fragments = holo_parallel::parallel_chunks(threads, block, |_, chunk| {
+            vec![ground_chunk(chunk)]
+        });
+        for mut fragment in fragments {
+            let room = clique_cap - cliques_here;
+            let capped = fragment.cliques.len() >= room;
+            if capped {
+                fragment.cliques.truncate(room);
+                fragment.pairs = fragment.visited[room - 1];
+            }
+            cstats.dc_pairs_considered += fragment.pairs;
+            cstats.cliques += fragment.cliques.len();
+            cliques_here += fragment.cliques.len();
+            cliques.append(&fragment.cliques);
+            if capped {
+                cstats.clique_cap_hits += 1;
+                return;
+            }
+        }
+    }
 }
 
 /// Appends to `out.cliques` the clique for one tuple pair — a
@@ -988,6 +1009,19 @@ mod tests {
             assert_eq!(capped.vars(), full.vars());
             assert!(capped.predicates().eq(full.predicates()));
         }
+
+        // A single-tuple constraint stops at the cap too: of its two
+        // cliques, the first.
+        let (ds, cons, config, model) = single_tuple_model();
+        let query = model_query(&ds, &model);
+        let mut cstats = CompileStats::default();
+        let mut registry = FeatureRegistry::new();
+        let cliques =
+            ground_dc_factors(&mut registry, &ds, &cons, &query, &config, None, &mut cstats, 1);
+        assert_eq!((cliques.len(), cstats.cliques, cstats.clique_cap_hits), (1, 1, 1));
+        assert_eq!(cstats.dc_pairs_considered, 1);
+        let first = model.graph.cliques().iter().next().unwrap();
+        assert_eq!(cliques.iter().next().unwrap().vars(), first.vars());
     }
 
     /// The query variables of a compiled model, by cell.
@@ -1017,9 +1051,8 @@ mod tests {
         let mut built = Fragment::default();
         for (sigma, c) in constraints.iter() {
             if !c.two_tuple {
-                for &t in &tuples {
-                    build_clique(ds, c, t, t, query, weight, &[], &mut built);
-                }
+                let pairs = tuples.iter().map(|&t| (t, t));
+                build_capped(ds, c, pairs, &[], query, weight, cstats, clique_cap, &mut built);
                 continue;
             }
             let scan = PairScan::new(c, TupleVar::T1);
@@ -1072,21 +1105,39 @@ mod tests {
                     }
                     found
                 });
-            let mut cliques_here = 0usize;
-            for (t1, t2) in pairs {
-                cstats.dc_pairs_considered += 1;
-                if !build_clique(ds, c, t1, t2, query, weight, &eq_pairs, &mut built) {
-                    continue;
-                }
-                cliques_here += 1;
-                cstats.cliques += 1;
-                if cliques_here >= clique_cap {
-                    cstats.clique_cap_hits += 1;
-                    break;
-                }
-            }
+            let pairs = pairs.into_iter();
+            build_capped(ds, c, pairs, &eq_pairs, query, weight, cstats, clique_cap, &mut built);
         }
         built.cliques
+    }
+
+    /// The reference's cap: builds `pairs` in order until the constraint
+    /// holds `clique_cap` cliques.
+    #[allow(clippy::too_many_arguments)]
+    fn build_capped(
+        ds: &Dataset,
+        c: &holo_constraints::DenialConstraint,
+        pairs: impl Iterator<Item = (TupleId, TupleId)>,
+        eq_pairs: &[(AttrId, AttrId)],
+        query: &QueryCells<'_>,
+        weight: holo_factor::WeightId,
+        cstats: &mut CompileStats,
+        clique_cap: usize,
+        built: &mut Fragment,
+    ) {
+        let mut cliques_here = 0usize;
+        for (t1, t2) in pairs {
+            cstats.dc_pairs_considered += 1;
+            if !build_clique(ds, c, t1, t2, query, weight, eq_pairs, built) {
+                continue;
+            }
+            cliques_here += 1;
+            cstats.cliques += 1;
+            if cliques_here >= clique_cap {
+                cstats.clique_cap_hits += 1;
+                break;
+            }
+        }
     }
 
     /// The per-constraint tuple → group maps the reference grounds inside,
@@ -1232,11 +1283,9 @@ mod tests {
         );
     }
 
-    /// A single-tuple DC grounds one clique per tuple with a query cell in
-    /// it, in tuple order: the query cell is a slot, the clean cell a
-    /// frozen constant, and an all-clean tuple grounds nothing.
-    #[test]
-    fn single_tuple_dc_grounds_one_clique_per_tuple_with_a_query_cell() {
+    /// A table whose one single-tuple DC holds a query cell in tuples 6
+    /// and 8, and its compiled `DcFactors` model.
+    fn single_tuple_model() -> (Dataset, ConstraintSet, HoloConfig, CompiledModel) {
         let mut ds = Dataset::new(holo_dataset::Schema::new(vec!["State", "City"]));
         for _ in 0..6 {
             ds.push_row(&["IL", "Chicago"]);
@@ -1266,6 +1315,15 @@ mod tests {
         })
         .unwrap();
         assert_eq!(model.query_cells, cells);
+        (ds, cons, config, model)
+    }
+
+    /// A single-tuple DC grounds one clique per tuple with a query cell in
+    /// it, in tuple order: the query cell is a slot, the clean cell a
+    /// frozen constant, and an all-clean tuple grounds nothing.
+    #[test]
+    fn single_tuple_dc_grounds_one_clique_per_tuple_with_a_query_cell() {
+        let (ds, _, _, model) = single_tuple_model();
         let [il, chicago] =
             ["IL", "Chicago"].map(|v| FactorOperand::Const(ds.pool().get(v).unwrap()));
         let pred = |lhs, op, rhs| FactorPredicate { lhs, op, rhs };
@@ -1279,6 +1337,10 @@ mod tests {
             assert_eq!(clique.vars(), [v]);
             assert!(clique.predicates().eq(want));
         }
+        // Billed like a two-tuple constraint's: one pair (t, t) per probe.
+        assert_eq!(model.stats.cliques, cliques.len());
+        assert_eq!(model.stats.dc_pairs_considered, 2);
+        assert_eq!(model.stats.clique_cap_hits, 0);
     }
 
     /// A two-tuple DC with no cross-tuple equality has no join key: it is

@@ -107,17 +107,14 @@ struct Shard {
 const NO_ROW: u32 = u32::MAX;
 
 /// The τ-threshold index over one [`CooccurStats`] (see the module docs).
-pub(crate) struct PruneIndex<'a> {
-    /// The statistics indexed: a cell's conditioning codes are read from
-    /// their coded columns.
-    stats: &'a CooccurStats,
+pub(crate) struct PruneIndex {
     shards: Vec<Shard>,
     /// The target attributes the lists were built for.
     targets: Vec<bool>,
     tau_min: f64,
 }
 
-impl<'a> PruneIndex<'a> {
+impl PruneIndex {
     /// Walks every group of `stats` whose target attribute is set in
     /// `targets` once, one shard per conditioning attribute on up to
     /// `threads` workers. `stats` must be the statistics of `ds`; cells of
@@ -125,7 +122,7 @@ impl<'a> PruneIndex<'a> {
     /// (`prune_cell` `debug_assert!`s it).
     pub(crate) fn build(
         ds: &Dataset,
-        stats: &'a CooccurStats,
+        stats: &CooccurStats,
         targets: &[bool],
         tau_min: f64,
         min_support: u32,
@@ -174,7 +171,6 @@ impl<'a> PruneIndex<'a> {
             }
         });
         PruneIndex {
-            stats,
             shards,
             targets: targets.to_vec(),
             tau_min,
@@ -237,7 +233,7 @@ impl<'a> PruneIndex<'a> {
                 continue;
             }
             // A null cell's NULL_CODE is past every code: no row.
-            let code = self.stats.code_at(cond, cell.tuple);
+            let code = ds.code(cell.tuple, cond);
             let row = shard.rows.get(code as usize).map_or(NO_ROW, |&row| row);
             if row == NO_ROW {
                 continue;

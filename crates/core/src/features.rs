@@ -257,7 +257,7 @@ pub fn collect_occur_features(
     let code = |&d: &Sym| stats.codes().code(attr, d).unwrap_or(NULL_CODE);
     codes.extend(candidates.iter().map(code));
     for cond_attr in ds.schema().attrs().filter(|&a| a != attr) {
-        let v_cond = stats.code_at(cond_attr, cell.tuple);
+        let v_cond = ds.code(cell.tuple, cond_attr);
         let denom = stats.code_count(cond_attr, v_cond);
         if denom < min_support.max(1) {
             continue; // a null `v'` counts 0
@@ -487,7 +487,7 @@ impl RoleIndex {
             .scan
             .partner_key
             .iter()
-            .map(|&attr| ds.cell(cell.tuple, attr));
+            .map(|&attr| ds.code(cell.tuple, attr));
         let (own_bucket, own_value) = (
             index.lookup(own_key),
             ds.cell(cell.tuple, self.scan.partner_attrs[col]),

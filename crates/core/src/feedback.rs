@@ -449,7 +449,10 @@ mod tests {
     }
 
     /// A read is the one-shot run over the labelled table: the same query
-    /// cells, domains (by `Sym`), weights and marginals (by bits).
+    /// cells, domains (by `Sym`), weights and marginals (by bits). So is
+    /// the run over that table re-read from CSV — a fresh pool and fresh
+    /// value codes, where the labelled table keeps the codes of the values
+    /// its labels overwrote — with domains compared by string.
     #[test]
     fn read_is_the_one_shot_run_over_the_labelled_table() {
         let (dirty, clean) = ambiguous_dataset();
@@ -488,6 +491,25 @@ mod tests {
         };
         assert_eq!(bits(run), bits(&reference));
         assert_eq!(run.weights, reference.weights);
+
+        let text = holo_dataset::csv::to_csv_string(&cx.ds);
+        let mut fresh = HoloClean::new(holo_dataset::csv::parse_dataset(&text).unwrap())
+            .with_constraint_text("FD: Key -> Value")
+            .unwrap()
+            .into_context()
+            .unwrap();
+        fresh.verified = cx.verified.clone();
+        let reread = pipeline::run(&fresh).unwrap();
+        assert_eq!(reread.detection, reference.detection);
+        assert_eq!(reread.model.query_cells, reference.model.query_cells);
+        let by_string = |ds: &Dataset, run: &PipelineRun| -> Vec<(Vec<String>, Vec<u64>)> {
+            let graph = &run.model.graph;
+            let strings = |v| graph.var(v).domain.iter().map(|&d| ds.value_str(d).to_string());
+            let probs = |v| run.marginals.probs(v).iter().map(|p| p.to_bits()).collect();
+            graph.var_ids().map(|v| (strings(v).collect(), probs(v))).collect()
+        };
+        assert_eq!(by_string(&fresh.ds, &reread), by_string(&cx.ds, &reference));
+        assert_eq!(reread.weights, reference.weights);
         let one_shot = RepairReport::from_marginals(
             &cx.ds,
             &reference.model.query_cells,

@@ -52,7 +52,6 @@
 pub mod compile;
 pub mod config;
 pub mod context;
-pub mod ddlog;
 pub mod domain;
 pub mod error;
 pub mod features;

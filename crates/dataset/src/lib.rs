@@ -8,14 +8,18 @@
 //! * [`ValuePool`] — an append-only string interner mapping cell values to
 //!   compact [`Sym`] handles so that the rest of the system works on `u32`s.
 //! * [`Schema`] / [`AttrId`] — attribute metadata.
-//! * [`Dataset`] — a columnar table of interned cells addressed by
-//!   [`CellRef`] `(tuple, attribute)` pairs.
+//! * [`Dataset`] — a columnar table addressed by [`CellRef`] `(tuple,
+//!   attribute)` pairs that codes each value once, on insert: per attribute
+//!   an append-only dictionary (code → [`Sym`]) and one `u32` code per
+//!   tuple ([`NULL_CODE`] for null). Statistics, violation blocking and
+//!   outlier detection count and group by these codes instead of hashing
+//!   the cells again; [`Sym`] stays the handle values are read through.
 //! * [`csv`] — a small CSV reader/writer (quoted fields, RFC-4180 escapes)
 //!   so realistic inputs can be loaded without external crates.
-//! * [`stats`] — per-attribute frequency tables and pairwise co-occurrence
-//!   statistics; these power both HoloClean's quantitative-statistics
-//!   features (§4.2) and the Algorithm 2 domain-pruning rule
-//!   `Pr[v | v_c'] ≥ τ`.
+//! * [`stats`] — per-attribute value counts and pairwise co-occurrence
+//!   statistics over the table's codes; these power both HoloClean's
+//!   quantitative-statistics features (§4.2) and the Algorithm 2
+//!   domain-pruning rule `Pr[v | v_c'] ≥ τ`.
 //! * [`fxhash`] — the Fx multiply-xor hasher, implemented locally because
 //!   hashing interned symbols is on the hot path of statistics collection
 //!   and violation blocking.
@@ -45,6 +49,6 @@ pub mod value;
 pub use error::DatasetError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use schema::{AttrId, Schema};
-pub use stats::{CooccurStats, FrequencyStats, GroupView, StatsStats, ValueCodes, NULL_CODE};
-pub use table::{CellRef, Dataset, TupleId};
+pub use stats::{CooccurStats, GroupView, StatsStats, ValueCodes};
+pub use table::{CellRef, Dataset, TupleId, NULL_CODE};
 pub use value::{Sym, ValuePool};

@@ -1,28 +1,25 @@
 //! Quantitative statistics of a dataset.
 //!
-//! HoloClean uses two statistical views of the input (§4.1, §5.1.1):
-//!
-//! * [`FrequencyStats`] — per-attribute value counts (the empirical
-//!   distribution of each attribute) for callers that need no pairwise
-//!   counts, such as outlier detection.
-//! * [`CooccurStats`] — pairwise co-occurrence counts
-//!   `#(v@A, v'@A')` for every ordered attribute pair, which give the
-//!   conditional probability `Pr[v | v'] = #(v, v') / #v'` at the heart of
-//!   the Algorithm 2 domain-pruning rule and of the co-occurrence features
-//!   (`HasFeature(t, a, f)` with `f = "A'=v'"`).
+//! HoloClean's statistical view of the input (§4.1, §5.1.1) is
+//! [`CooccurStats`]: per-attribute value counts and pairwise co-occurrence
+//! counts `#(v@A, v'@A')` for every ordered attribute pair, which give the
+//! conditional probability `Pr[v | v'] = #(v, v') / #v'` at the heart of
+//! the Algorithm 2 domain-pruning rule and of the co-occurrence features
+//! (`HasFeature(t, a, f)` with `f = "A'=v'"`).
 //!
 //! # Value codes
 //!
-//! Every [`CooccurStats`] codes the table first, on either backend: each
-//! non-null value of each attribute gets a dense per-attribute *code* in
-//! first-appearance order, and the statistics keep the result
-//! ([`ValueCodes`]) — the `Sym ↔ code` registry, every tuple's value as its
-//! code ([`NULL_CODE`] for null), each code's tuple count and each
-//! attribute's null count, all from one hashing pass over the cells. That
-//! is the statistics' only per-value count table: the `Sym`-keyed
+//! The statistics code nothing themselves: a [`Dataset`] codes each value
+//! once, on insert, into its attribute's dictionary ([`NULL_CODE`] for
+//! null), and the statistics read those codes. [`ValueCodes`] is their view
+//! of them — the table's dictionaries, shared rather than copied, plus each
+//! code's tuple count and each attribute's null count, taken in one
+//! hash-free pass over the coded columns ([`Dataset::code_counts`]). A code
+//! no row holds any more (its last cell was overwritten) counts 0, names
+//! no group and is not a distinct value. The `Sym`-keyed
 //! [`CooccurStats::count`] and [`CooccurStats::distinct`] look the value's
-//! code up in it. The per-cell readers read by code and never hash a value:
-//! [`CooccurStats::code_at`] gives the code of `t[A']`,
+//! code up in the table's dictionary. The per-cell readers read by code and
+//! never hash a value: [`Dataset::code`] gives the code of `t[A']`,
 //! [`CooccurStats::code_count`] its `#v'`, [`CooccurStats::group_by_code`]
 //! the group `A' = v' → A`, and [`GroupView::count_by_code`] a candidate's
 //! count in it (a candidate's code is looked up once per cell).
@@ -44,12 +41,12 @@
 //!   the rows grouped by conditioning code (a counting sort on the code,
 //!   done once per conditioning attribute from the per-code counts), sorts
 //!   each group and run-length encodes it.
-//! * **Naive** (the oracle): the original nested
-//!   `FxHashMap<u64, FxHashMap<Sym, u32>>` keyed by packed
-//!   `(cond, target, v_cond)` triples, selected by
-//!   `CooccurStats::build_with_opts(.., naive = true)` (surfaced as
-//!   `--naive-stats` on the bench binaries). It differs only in how it
-//!   stores counts: codes are built and read the same way.
+//! * **Naive** (the oracle): nested hash maps
+//!   `FxHashMap<u64, FxHashMap<u32, u32>>` keyed by packed
+//!   `(cond, target, code of v_cond)` triples and then by target code,
+//!   selected by `CooccurStats::build_with_opts(.., naive = true)`
+//!   (surfaced as `--naive-stats` on the bench binaries). It differs only
+//!   in how it stores counts: codes are read the same way.
 //!
 //! Counts are integer accumulators, so the two backends answer **every**
 //! query identically — `count`, `cooccur_count`, `conditional_prob`, the
@@ -61,7 +58,10 @@
 //! and CI byte-diffs full pipeline dumps between the backends.
 //!
 //! A [`CooccurStats`] is **built, then read**: one pass over the rows of a
-//! frozen table, and no mutator afterwards. The dense backend runs one job
+//! frozen table, and no mutator afterwards. It borrows nothing from the
+//! table: a table that gains a value while statistics over it live copies
+//! that attribute's dictionary on write, so the statistics keep reading the
+//! codes they were built over. The dense backend runs one job
 //! per conditioning attribute, whose CSR pairs share one grouping of the
 //! rows by conditioning code; the naive oracle shards per ordered attribute
 //! pair (each pair owns a disjoint slice of the key space, so per-pair
@@ -87,169 +87,66 @@ use serde::{Deserialize, Serialize};
 
 use crate::fxhash::FxHashMap;
 use crate::schema::AttrId;
-use crate::table::{Dataset, TupleId};
+use crate::table::{Dataset, Dictionary, NULL_CODE};
+use std::sync::Arc;
 use crate::value::Sym;
 
-/// Per-attribute value frequency tables.
-#[derive(Debug, Clone)]
-pub struct FrequencyStats {
-    counts: Vec<FxHashMap<Sym, u32>>,
-    tuples: usize,
-}
-
-impl FrequencyStats {
-    /// Scans the dataset once, column-major, and tabulates per-attribute
-    /// counts.
-    pub fn build(ds: &Dataset) -> Self {
-        let mut counts: Vec<FxHashMap<Sym, u32>> = vec![FxHashMap::default(); ds.schema().len()];
-        for a in ds.schema().attrs() {
-            let table = &mut counts[a.index()];
-            for &v in ds.column(a) {
-                *table.entry(v).or_insert(0) += 1;
-            }
-        }
-        FrequencyStats {
-            counts,
-            tuples: ds.tuple_count(),
-        }
-    }
-
-    /// Number of tuples the statistics were computed over.
-    pub fn tuple_count(&self) -> usize {
-        self.tuples
-    }
-
-    /// How often `v` occurs in attribute `a`.
-    #[inline]
-    pub fn count(&self, a: AttrId, v: Sym) -> u32 {
-        self.counts[a.index()].get(&v).copied().unwrap_or(0)
-    }
-
-    /// Empirical probability of `v` within attribute `a`.
-    pub fn prob(&self, a: AttrId, v: Sym) -> f64 {
-        if self.tuples == 0 {
-            0.0
-        } else {
-            f64::from(self.count(a, v)) / self.tuples as f64
-        }
-    }
-
-    /// The most frequent non-null value of attribute `a`, if any. Ties break
-    /// toward the smaller symbol id for determinism.
-    pub fn most_common(&self, a: AttrId) -> Option<(Sym, u32)> {
-        self.counts[a.index()]
-            .iter()
-            .filter(|(s, _)| !s.is_null())
-            .map(|(&s, &c)| (s, c))
-            .max_by(|(s1, c1), (s2, c2)| c1.cmp(c2).then(s2.cmp(s1)))
-    }
-
-    /// Number of distinct values (null included if present) in attribute `a`.
-    pub fn distinct(&self, a: AttrId) -> usize {
-        self.counts[a.index()].len()
-    }
-
-    /// Iterates over `(value, count)` for attribute `a`.
-    pub fn iter_attr(&self, a: AttrId) -> impl Iterator<Item = (Sym, u32)> + '_ {
-        self.counts[a.index()].iter().map(|(&s, &c)| (s, c))
-    }
-}
-
-/// Packs a `(cond_attr, target_attr, cond_sym)` triple into a `u64` map key
-/// (naive backend only).
+/// Packs a `(cond_attr, target_attr, cond_code)` triple into a `u64` map
+/// key (naive backend only).
 #[inline]
-fn key(cond_attr: AttrId, target_attr: AttrId, cond_sym: Sym) -> u64 {
-    ((cond_attr.0 as u64) << 48) | ((target_attr.0 as u64) << 32) | cond_sym.0 as u64
+fn key(cond_attr: AttrId, target_attr: AttrId, cond_code: u32) -> u64 {
+    ((cond_attr.0 as u64) << 48) | ((target_attr.0 as u64) << 32) | u64::from(cond_code)
 }
 
 /// Above this many cells a pair block stores CSR postings instead of a
 /// dense matrix (64Ki cells = 256KiB of `u32` counts per pair).
 const DENSE_MAX_CELLS: usize = 1 << 16;
 
-/// The code of a null cell in the coded columns, and the code a reader
-/// gives a value the attribute has never held: it is out of range of
-/// every per-code table, so it counts 0 and names no group.
-pub const NULL_CODE: u32 = u32::MAX;
-
-/// The coded table: a per-attribute `Sym → code` registry, every tuple's
-/// value as its code, each code's tuple count and each attribute's null
-/// count. Codes are dense (`0..len(attr)`), assigned in first-appearance
-/// order over the scanned rows.
+/// The statistics' view of the coded table: the table's per-attribute
+/// dictionaries, shared rather than copied, plus each code's tuple count
+/// and each attribute's null count, taken in one hash-free pass over the
+/// coded columns. A code no row holds any more counts 0.
 #[derive(Debug, Clone)]
 pub struct ValueCodes {
-    code: Vec<FxHashMap<Sym, u32>>,
-    syms: Vec<Vec<Sym>>,
+    dictionaries: Vec<Arc<Dictionary>>,
     /// `counts[a][code]`: tuples holding the value.
     counts: Vec<Vec<u32>>,
     /// `nulls[a]`: tuples whose `a` is null.
     nulls: Vec<u32>,
-    /// `columns[a][tuple]`: the value's code, [`NULL_CODE`] for null.
-    columns: Vec<Vec<u32>>,
     tuples: usize,
 }
 
 impl ValueCodes {
-    /// Codes every column of the table. Interning scans column-major in
-    /// row order, so code assignment is deterministic and
-    /// thread-independent.
     fn build(ds: &Dataset) -> Self {
-        let n = ds.schema().len();
-        let mut codes = ValueCodes {
-            code: vec![FxHashMap::default(); n],
-            syms: vec![Vec::new(); n],
-            counts: vec![Vec::new(); n],
-            nulls: vec![0; n],
-            columns: Vec::with_capacity(n),
+        let (counts, nulls) = ds.schema().attrs().map(|a| ds.code_counts(a)).unzip();
+        ValueCodes {
+            dictionaries: ds.schema().attrs().map(|a| ds.shared_dictionary(a)).collect(),
+            counts,
+            nulls,
             tuples: ds.tuple_count(),
-        };
-        for a in ds.schema().attrs() {
-            let (code, syms, counts, nulls) = (
-                &mut codes.code[a.index()],
-                &mut codes.syms[a.index()],
-                &mut codes.counts[a.index()],
-                &mut codes.nulls[a.index()],
-            );
-            let column = ds.column(a).iter().map(|&v| {
-                if v.is_null() {
-                    *nulls += 1;
-                    return NULL_CODE;
-                }
-                let c = *code.entry(v).or_insert_with(|| {
-                    syms.push(v);
-                    counts.push(0);
-                    syms.len() as u32 - 1
-                });
-                counts[c as usize] += 1;
-                c
-            });
-            codes.columns.push(column.collect());
         }
-        codes
     }
 
-    /// The code of `v` in attribute `a`, if the value has ever been seen.
+    /// The code of `v` in attribute `a`, if a cell of `a` has held it.
     #[inline]
     pub fn code(&self, a: AttrId, v: Sym) -> Option<u32> {
-        self.code[a.index()].get(&v).copied()
+        Some(self.dictionaries[a.index()].code(v)).filter(|&code| code != NULL_CODE)
     }
 
     /// Number of codes assigned in attribute `a`.
     pub fn len(&self, a: AttrId) -> usize {
-        self.syms[a.index()].len()
+        self.syms(a).len()
     }
 
     /// The symbols of attribute `a`, indexed by code.
     pub fn syms(&self, a: AttrId) -> &[Sym] {
-        &self.syms[a.index()]
+        &self.dictionaries[a.index()].syms
     }
 
-    /// Approximate bytes held: registry, per-code counts, coded columns.
+    /// Approximate bytes held: the per-code and null counts.
     fn bytes(&self) -> u64 {
-        let words = |v: &[Vec<u32>]| v.iter().map(|c| 4 * c.len() as u64).sum::<u64>();
-        let registry: u64 = (self.syms.iter().zip(&self.code))
-            .map(|(syms, code)| 4 * syms.len() as u64 + 12 * code.len() as u64)
-            .sum();
-        registry + words(&self.counts) + 4 * self.nulls.len() as u64 + words(&self.columns)
+        let counts: usize = self.counts.iter().map(Vec::len).sum();
+        4 * (counts + self.nulls.len()) as u64
     }
 }
 
@@ -466,10 +363,11 @@ fn build_blocks(
     // across cores once the row count is large enough (sized_threads
     // supplies the small-input sequential fallback).
     let per_cond = holo_parallel::parallel_jobs(threads, n, |cond| {
-        let (cond_col, vc) = (&codes.columns[cond], codes.syms[cond].len());
+        let column = |a: usize| (ds.codes(AttrId(a as u16)), codes.len(AttrId(a as u16)));
+        let (cond_col, vc) = column(cond);
         let mut by_code = None;
         let pairs = (0..n).map(|target| {
-            let (target_col, vt) = (&codes.columns[target], codes.syms[target].len());
+            let (target_col, vt) = column(target);
             if target == cond || !targets[target] {
                 PairBlock::empty()
             } else if vc * vt <= DENSE_MAX_CELLS {
@@ -491,11 +389,11 @@ fn build_blocks(
 /// depend on it; every caller either re-sorts or folds order-insensitively.
 #[derive(Debug, Clone, Copy)]
 pub enum GroupView<'a> {
-    /// Naive backend: the group's hash table, with the target attribute's
-    /// symbols by code (what [`GroupView::count_by_code`] reads through).
+    /// Naive backend: the group's hash table of target codes, with the
+    /// target attribute's symbols by code.
     Map {
         syms: &'a [Sym],
-        counts: &'a FxHashMap<Sym, u32>,
+        counts: &'a FxHashMap<u32, u32>,
     },
     /// Dense backend, matrix block: one contiguous count row, indexed by
     /// target code (`syms[code]` recovers the symbol). `nonzero` is the
@@ -518,9 +416,9 @@ impl GroupView<'_> {
     #[inline]
     pub fn for_each(&self, mut f: impl FnMut(Sym, u32)) {
         match *self {
-            GroupView::Map { counts, .. } => {
-                for (&s, &c) in counts {
-                    f(s, c);
+            GroupView::Map { syms, counts } => {
+                for (&t, &c) in counts {
+                    f(syms[t as usize], c);
                 }
             }
             GroupView::Dense {
@@ -565,11 +463,7 @@ impl GroupView<'_> {
     #[inline]
     pub fn count_by_code(&self, t: u32) -> u32 {
         match *self {
-            GroupView::Map { syms, counts } => syms
-                .get(t as usize)
-                .and_then(|s| counts.get(s))
-                .copied()
-                .unwrap_or(0),
+            GroupView::Map { counts, .. } => counts.get(&t).copied().unwrap_or(0),
             GroupView::Dense { counts, .. } => counts.get(t as usize).copied().unwrap_or(0),
             GroupView::Csr { postings, .. } => postings
                 .binary_search_by_key(&t, |&(tc, _)| tc)
@@ -611,9 +505,9 @@ pub struct StatsStats {
 /// Count storage, either backend.
 #[derive(Debug, Clone)]
 enum Backend {
-    /// The retained oracle: `(A', A, v') → {v: count}`.
+    /// The retained oracle: `(A', A, code of v') → {code of v: count}`.
     Naive {
-        table: FxHashMap<u64, FxHashMap<Sym, u32>>,
+        table: FxHashMap<u64, FxHashMap<u32, u32>>,
     },
     /// One [`PairBlock`] per ordered attribute pair (row-major `n_attrs ×
     /// n_attrs`, diagonal unused) and the number of non-empty groups.
@@ -699,16 +593,10 @@ impl CooccurStats {
         matches!(self.backend, Backend::Dense { .. })
     }
 
-    /// The value-code registry. Hot readers use it to look candidate codes
-    /// up once and then probe [`GroupView::count_by_code`].
+    /// The value codes. Hot readers use them to look candidate codes up
+    /// once and then probe [`GroupView::count_by_code`].
     pub fn codes(&self) -> &ValueCodes {
         &self.codes
-    }
-
-    /// The code of `t[attr]`, [`NULL_CODE`] for a null cell.
-    #[inline]
-    pub fn code_at(&self, attr: AttrId, tuple: TupleId) -> u32 {
-        self.codes.columns[attr.index()][tuple.index()]
     }
 
     /// How many tuples hold the value with code `code` in `attr` — the
@@ -724,8 +612,8 @@ impl CooccurStats {
         self.codes.tuples
     }
 
-    /// How many tuples hold `v` in attribute `a`, null included — what
-    /// [`FrequencyStats::count`] answers, read through the value's code.
+    /// How many tuples hold `v` in attribute `a`, null included, read
+    /// through the value's code.
     pub fn count(&self, a: AttrId, v: Sym) -> u32 {
         if v.is_null() {
             return self.codes.nulls[a.index()];
@@ -733,10 +621,11 @@ impl CooccurStats {
         self.codes.code(a, v).map_or(0, |c| self.code_count(a, c))
     }
 
-    /// Number of distinct values of attribute `a`, null included when some
-    /// tuple holds it — what [`FrequencyStats::distinct`] answers.
+    /// Number of distinct values some tuple holds in attribute `a`, null
+    /// included — a code no row holds any more is not one.
     pub fn distinct(&self, a: AttrId) -> usize {
-        self.codes.len(a) + usize::from(self.codes.nulls[a.index()] > 0)
+        let held = self.codes.counts[a.index()].iter().filter(|&&c| c > 0);
+        held.count() + usize::from(self.codes.nulls[a.index()] > 0)
     }
 
     /// `#(v@target, v'@cond)` — tuples where both values appear together.
@@ -775,8 +664,7 @@ impl CooccurStats {
         let syms = self.codes.syms(target);
         match &self.backend {
             Backend::Naive { table } => {
-                let v_cond = *self.codes.syms(cond).get(code as usize)?;
-                let counts = table.get(&key(cond, target, v_cond))?;
+                let counts = table.get(&key(cond, target, code))?;
                 Some(GroupView::Map { syms, counts })
             }
             Backend::Dense { blocks, .. } => {
@@ -853,25 +741,25 @@ fn build_naive_table(
     ds: &Dataset,
     threads: usize,
     targets: &[bool],
-) -> FxHashMap<u64, FxHashMap<Sym, u32>> {
+) -> FxHashMap<u64, FxHashMap<u32, u32>> {
     let pairs = ordered_pairs(ds, targets);
     let threads = holo_parallel::sized_threads(threads, pairs.len() * ds.tuple_count());
     let per_pair = holo_parallel::parallel_jobs(threads, pairs.len(), |i| {
         let (cond, target) = pairs[i];
-        let mut local: FxHashMap<u64, FxHashMap<Sym, u32>> = FxHashMap::default();
-        for (&v_cond, &v_target) in ds.column(cond).iter().zip(ds.column(target)) {
-            if v_cond.is_null() || v_target.is_null() {
+        let mut local: FxHashMap<u64, FxHashMap<u32, u32>> = FxHashMap::default();
+        for (&c, &t) in ds.codes(cond).iter().zip(ds.codes(target)) {
+            if c == NULL_CODE || t == NULL_CODE {
                 continue;
             }
             *local
-                .entry(key(cond, target, v_cond))
+                .entry(key(cond, target, c))
                 .or_default()
-                .entry(v_target)
+                .entry(t)
                 .or_insert(0) += 1;
         }
         local
     });
-    let mut table: FxHashMap<u64, FxHashMap<Sym, u32>> = FxHashMap::default();
+    let mut table: FxHashMap<u64, FxHashMap<u32, u32>> = FxHashMap::default();
     for local in per_pair {
         table.extend(local);
     }
@@ -898,25 +786,16 @@ mod tests {
     #[test]
     fn frequency_counts() {
         let ds = chicago();
-        let f = FrequencyStats::build(&ds);
         let city = ds.schema().attr_id("City").unwrap();
         let chicago = ds.pool().get("Chicago").unwrap();
         let cicago = ds.pool().get("Cicago").unwrap();
-        assert_eq!(f.count(city, chicago), 3);
-        assert_eq!(f.count(city, cicago), 1);
-        assert_eq!(f.count(city, Sym::NULL), 1);
-        assert_eq!(f.tuple_count(), 5);
-        assert!((f.prob(city, chicago) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn most_common_ignores_null() {
-        let ds = chicago();
-        let f = FrequencyStats::build(&ds);
-        let city = ds.schema().attr_id("City").unwrap();
-        let (sym, count) = f.most_common(city).unwrap();
-        assert_eq!(ds.value_str(sym), "Chicago");
-        assert_eq!(count, 3);
+        for naive in [false, true] {
+            let s = CooccurStats::build_with_opts(&ds, 1, naive);
+            assert_eq!(s.count(city, chicago), 3);
+            assert_eq!(s.count(city, cicago), 1);
+            assert_eq!(s.count(city, Sym::NULL), 1);
+            assert_eq!((s.tuple_count(), s.distinct(city)), (5, 3));
+        }
     }
 
     #[test]
@@ -977,9 +856,6 @@ mod tests {
     #[test]
     fn empty_dataset() {
         let ds = Dataset::new(Schema::new(vec!["a", "b"]));
-        let f = FrequencyStats::build(&ds);
-        assert_eq!(f.tuple_count(), 0);
-        assert_eq!(f.prob(AttrId(0), Sym(1)), 0.0);
         for naive in [false, true] {
             let s = CooccurStats::build_with_opts(&ds, 1, naive);
             assert_eq!(s.group_count(), 0);
@@ -1155,16 +1031,21 @@ mod tests {
         out
     }
 
+    /// How many tuples hold `v` in attribute `a`, by comparing cells.
+    fn cells_holding(ds: &Dataset, a: AttrId, v: Sym) -> u32 {
+        ds.tuples().filter(|&t| ds.cell(t, a) == v).count() as u32
+    }
+
     /// The code-keyed reads of `stats` answer what its `Sym`-keyed ones
-    /// do: `code_at` names each cell's value, `code_count` is
-    /// [`FrequencyStats`]' count, `group_by_code` is `group` and a group's
+    /// do: `Dataset::code` names each cell's value, `code_count` is the number
+    /// of cells holding it, `group_by_code` is `group` and a group's
     /// `count_by_code` is `cooccur_count`, with `NULL_CODE` reading 0 and
     /// no group.
     fn assert_code_reads_agree(ds: &Dataset, stats: &CooccurStats) {
-        let (codes, freq) = (stats.codes(), FrequencyStats::build(ds));
+        let codes = stats.codes();
         for a in ds.schema().attrs() {
             for t in ds.tuples() {
-                let (v, code) = (ds.cell(t, a), stats.code_at(a, t));
+                let (v, code) = (ds.cell(t, a), ds.code(t, a));
                 if v.is_null() {
                     assert_eq!(code, NULL_CODE);
                 } else {
@@ -1173,7 +1054,7 @@ mod tests {
             }
             for (code, &v) in codes.syms(a).iter().enumerate() {
                 assert_eq!(codes.code(a, v), Some(code as u32));
-                assert_eq!(stats.code_count(a, code as u32), freq.count(a, v));
+                assert_eq!(stats.code_count(a, code as u32), cells_holding(ds, a, v));
             }
             assert_eq!(stats.code_count(a, NULL_CODE), 0);
         }
@@ -1350,11 +1231,11 @@ mod tests {
             assert_csr_is(&cond, &target, vc, vt, &packed_sort_postings(&cond, &target, vc));
         }
 
-        /// The statistics' value counts are [`FrequencyStats`]' exactly:
-        /// `count` of every pool symbol (null, values no row holds any more
-        /// included), `distinct` and `tuple_count`, on both backends under
-        /// a random target mask, over tables with nulls, an all-null column
-        /// and a constant column, the empty table included.
+        /// The statistics' value counts are the cells' exactly: `count` of
+        /// every pool symbol (null, values no row holds any more included),
+        /// `distinct` and `tuple_count`, on both backends under a random
+        /// target mask, over tables with nulls, an all-null column and a
+        /// constant column, the empty table included.
         #[test]
         fn value_counts_match_frequency_stats(
             rows in proptest::collection::vec((0u8..5, 0u8..4), 0..30),
@@ -1369,15 +1250,89 @@ mod tests {
                 let row = vec![cell_str(0, update), cell_str(1, 9), String::new(), "k".into()];
                 ds.update_rows(&[(TupleId::from(0usize), row)]);
             }
-            let freq = FrequencyStats::build(&ds);
             let targets: Vec<bool> = (0..4).map(|i| mask & (1 << i) != 0).collect();
             for naive in [false, true] {
                 let stats = CooccurStats::build_for_targets(&ds, 2, naive, &targets);
-                prop_assert_eq!(stats.tuple_count(), freq.tuple_count());
+                prop_assert_eq!(stats.tuple_count(), ds.tuple_count());
                 for a in ds.schema().attrs() {
-                    prop_assert_eq!(stats.distinct(a), freq.distinct(a));
+                    let held: std::collections::BTreeSet<Sym> =
+                        ds.tuples().map(|t| ds.cell(t, a)).collect();
+                    prop_assert_eq!(stats.distinct(a), held.len());
                     for v in ds.pool().iter().map(|(v, _)| v).chain([Sym::NULL]) {
-                        prop_assert_eq!(stats.count(a, v), freq.count(a, v));
+                        prop_assert_eq!(stats.count(a, v), cells_holding(&ds, a, v));
+                    }
+                }
+            }
+        }
+
+        /// A table edited in place reads like a fresh load of the same rows:
+        /// after random `push_row` / `update_rows` / `set_cell` sequences
+        /// every coded cell decodes to `cell()` and codes back to its code,
+        /// and `count`, `distinct`, `cooccur_count` and `conditional_prob`
+        /// agree, value string by value string, with statistics over the
+        /// table re-read from CSV — so codes whose last cell was
+        /// overwritten, and codes appended out of first-appearance order,
+        /// leak into no answer. Both backends.
+        #[test]
+        fn edited_table_reads_like_a_fresh_one(
+            ops in proptest::collection::vec((0u8..3, 0usize..64, 0u8..6, 0u8..4, 0u8..6), 0..50),
+        ) {
+            let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c"]));
+            for &(kind, row, a, b, c) in &ops {
+                let n = ds.tuple_count();
+                let values = vec![cell_str(0, a), cell_str(1, b), cell_str(2, c)];
+                match kind {
+                    1 if n > 0 => ds.update_rows(&[(TupleId::from(row % n), values)]),
+                    2 if n > 0 => {
+                        let attr = a % 3;
+                        let v = ds.intern(&cell_str(attr, b + c));
+                        ds.set_cell(TupleId::from(row % n), AttrId(u16::from(attr)), v);
+                    }
+                    _ => {
+                        ds.push_row(&values);
+                    }
+                }
+            }
+            for a in ds.schema().attrs() {
+                for t in ds.tuples() {
+                    let (code, v) = (ds.code(t, a), ds.cell(t, a));
+                    let decoded = ds.dictionary(a).get(code as usize).copied();
+                    prop_assert_eq!(decoded.unwrap_or(Sym::NULL), v);
+                    prop_assert_eq!(ds.code_of(a, v), code);
+                }
+            }
+            let fresh = crate::csv::parse_dataset(&crate::csv::to_csv_string(&ds)).unwrap();
+            let values: Vec<(Sym, Option<Sym>)> = ds
+                .pool()
+                .iter()
+                .map(|(v, text)| (v, fresh.pool().get(text)))
+                .collect();
+            for naive in [false, true] {
+                let edited = CooccurStats::build_with_opts(&ds, 2, naive);
+                let reread = CooccurStats::build_with_opts(&fresh, 2, naive);
+                prop_assert_eq!(edited.tuple_count(), reread.tuple_count());
+                for a in ds.schema().attrs() {
+                    prop_assert_eq!(edited.distinct(a), reread.distinct(a));
+                    for &(v, f) in &values {
+                        prop_assert_eq!(edited.count(a, v), f.map_or(0, |f| reread.count(a, f)));
+                    }
+                }
+                for cond in ds.schema().attrs() {
+                    for target in ds.schema().attrs().filter(|&t| t != cond) {
+                        for &(vc, fc) in &values {
+                            for &(v, f) in &values {
+                                let (count, p) = match (fc, f) {
+                                    (Some(fc), Some(f)) => (
+                                        reread.cooccur_count(cond, fc, target, f),
+                                        reread.conditional_prob(cond, fc, target, f),
+                                    ),
+                                    _ => (0, 0.0),
+                                };
+                                prop_assert_eq!(edited.cooccur_count(cond, vc, target, v), count);
+                                let got = edited.conditional_prob(cond, vc, target, v);
+                                prop_assert_eq!(got.to_bits(), p.to_bits());
+                            }
+                        }
                     }
                 }
             }
@@ -1473,12 +1428,12 @@ mod tests {
                 prop_assert_eq!(dense.stats_stats().csr_pairs, csr as u64, "a→b, b→a");
                 assert_backends_agree(&ds, &dense, &naive);
             }
-            let codes = ValueCodes::build(&ds);
             for (cond, target) in [(AttrId(0), AttrId(1)), (AttrId(1), AttrId(0))] {
-                let (cc, tc) = (&codes.columns[cond.index()], &codes.columns[target.index()]);
-                let want = packed_sort_postings(cc, tc, codes.len(cond));
+                let (cc, tc) = (ds.codes(cond), ds.codes(target));
+                let (vc, vt) = (ds.dictionary(cond).len(), ds.dictionary(target).len());
+                let want = packed_sort_postings(cc, tc, vc);
                 prop_assert!(want.iter().any(Vec::is_empty), "an empty group");
-                assert_csr_is(cc, tc, codes.len(cond), codes.len(target), &want);
+                assert_csr_is(cc, tc, vc, vt, &want);
             }
         }
     }

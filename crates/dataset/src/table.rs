@@ -1,15 +1,19 @@
 //! Columnar dataset storage.
 //!
-//! A [`Dataset`] stores one [`Sym`] column per attribute. Columnar layout is
-//! deliberate: statistics collection, violation blocking and feature
-//! extraction all scan single attributes across all tuples, and a dense
-//! `Vec<Sym>` per attribute keeps those scans sequential.
+//! A [`Dataset`] stores each attribute as a dictionary plus one `u32` code
+//! per tuple. Columnar layout is deliberate: statistics collection,
+//! violation blocking and feature extraction all scan single attributes
+//! across all tuples, and a dense code column keeps those scans sequential
+//! and hash-free. Each value is coded once, on insert; every layer that
+//! groups or counts values reads those codes.
 
 use crate::error::DatasetError;
+use crate::fxhash::FxHashMap;
 use crate::schema::{AttrId, Schema};
 use crate::value::{Sym, ValuePool};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a tuple (row) in a [`Dataset`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -61,21 +65,78 @@ impl fmt::Display for CellRef {
     }
 }
 
-/// A structured dataset `D`: a schema, an interner, and one column per
-/// attribute. Rows are only ever appended or rewritten in place, so a
-/// [`TupleId`] is a row's position and [`Dataset::tuples`] is
-/// `0..tuple_count()`.
+/// The code of a null cell in a coded column, and the code a reader gives
+/// a value an attribute has never held: it is out of range of every
+/// dictionary and per-code table, so it decodes to null, counts 0 and
+/// names no group.
+pub const NULL_CODE: u32 = u32::MAX;
+
+/// One attribute's append-only dictionary: the value of each code and the
+/// inverse map that codes values on insert. Codes are dense and assigned in
+/// first-insertion order; an edit that overwrites a value's last cell
+/// leaves its code in place, held by no row.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Dictionary {
+    /// `syms[code]`: the value the code stands for.
+    pub(crate) syms: Vec<Sym>,
+    code_of: FxHashMap<Sym, u32>,
+}
+
+impl Dictionary {
+    /// The code of `v`: [`NULL_CODE`] for null and for a value never coded.
+    #[inline]
+    pub(crate) fn code(&self, v: Sym) -> u32 {
+        self.code_of.get(&v).copied().unwrap_or(NULL_CODE)
+    }
+}
+
+/// One attribute's cells: its dictionary, shared with the statistics built
+/// over the table (copied on write if the table gains a value while they
+/// live), and one code per tuple.
+#[derive(Debug, Clone, Default)]
+struct Column {
+    dictionary: Arc<Dictionary>,
+    /// `codes[tuple]`: the cell's code, [`NULL_CODE`] for null.
+    codes: Vec<u32>,
+}
+
+impl Column {
+    /// The code of `sym`, assigning the next one to a value the column
+    /// has never held.
+    fn encode(&mut self, sym: Sym) -> u32 {
+        match self.dictionary.code(sym) {
+            NULL_CODE if !sym.is_null() => {
+                let dictionary = Arc::make_mut(&mut self.dictionary);
+                let code = dictionary.syms.len() as u32;
+                dictionary.syms.push(sym);
+                dictionary.code_of.insert(sym, code);
+                code
+            }
+            code => code,
+        }
+    }
+}
+
+/// A structured dataset `D`: a schema, an interner, and one
+/// dictionary-encoded column per attribute. Rows are only ever appended or
+/// rewritten in place, so a [`TupleId`] is a row's position and
+/// [`Dataset::tuples`] is `0..tuple_count()`.
+///
+/// Every layer that groups or counts values reads the codes
+/// ([`Dataset::codes`], [`Dataset::dictionary`]) instead of hashing the
+/// cells again; [`Sym`] ([`Dataset::cell`]) stays the handle values are
+/// compared, ordered and printed through.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     schema: Schema,
     pool: ValuePool,
-    columns: Vec<Vec<Sym>>,
+    columns: Vec<Column>,
 }
 
 impl Dataset {
     /// Creates an empty dataset over `schema`.
     pub fn new(schema: Schema) -> Self {
-        let columns = vec![Vec::new(); schema.len()];
+        let columns = vec![Column::default(); schema.len()];
         Dataset {
             schema,
             pool: ValuePool::new(),
@@ -94,14 +155,15 @@ impl Dataset {
     }
 
     /// Interns a value into this dataset's pool (e.g. a candidate repair
-    /// coming from an external dictionary).
+    /// coming from an external dictionary). No attribute codes it until a
+    /// cell holds it.
     pub fn intern(&mut self, value: &str) -> Sym {
         self.pool.intern(value)
     }
 
     /// Number of tuples.
     pub fn tuple_count(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
+        self.columns.first().map_or(0, |c| c.codes.len())
     }
 
     /// Number of cells (`tuples × attributes`).
@@ -114,34 +176,34 @@ impl Dataset {
     /// # Panics
     /// Panics if `row.len()` differs from the schema arity.
     pub fn push_row<S: AsRef<str>>(&mut self, row: &[S]) -> TupleId {
-        assert_eq!(
-            row.len(),
-            self.schema.len(),
-            "row arity {} does not match schema arity {}",
-            row.len(),
-            self.schema.len()
-        );
+        self.check_arity(row.len());
         let id = TupleId(self.tuple_count() as u32);
         for (col, value) in self.columns.iter_mut().zip(row) {
-            // Inline `self.pool.intern` borrow: split borrows manually.
-            let sym = {
-                let pool = &mut self.pool;
-                pool.intern(value.as_ref())
-            };
-            col.push(sym);
+            let code = col.encode(self.pool.intern(value.as_ref()));
+            col.codes.push(code);
         }
         id
     }
 
     /// Appends a row of already-interned symbols.
     pub fn push_row_syms(&mut self, row: &[Sym]) -> TupleId {
-        assert_eq!(row.len(), self.schema.len());
+        self.check_arity(row.len());
         let id = TupleId(self.tuple_count() as u32);
         for (col, &sym) in self.columns.iter_mut().zip(row) {
             debug_assert!(sym.index() < self.pool.len(), "foreign symbol");
-            col.push(sym);
+            let code = col.encode(sym);
+            col.codes.push(code);
         }
         id
+    }
+
+    fn check_arity(&self, arity: usize) {
+        assert_eq!(
+            arity,
+            self.schema.len(),
+            "row arity {arity} does not match schema arity {}",
+            self.schema.len()
+        );
     }
 
     /// Appends a batch of raw string rows, returning the id of the first
@@ -162,7 +224,7 @@ impl Dataset {
 
     /// Overwrites entire rows in place, interning the new values. Ids stay
     /// stable; the old values are gone after this call, though the pool
-    /// keeps their symbols.
+    /// and the dictionaries keep them.
     ///
     /// # Panics
     /// Panics if a row is out of range, or on arity mismatch (same
@@ -173,16 +235,9 @@ impl Dataset {
                 t.index() < self.tuple_count(),
                 "update of unknown tuple {t}"
             );
-            assert_eq!(
-                row.len(),
-                self.schema.len(),
-                "row arity {} does not match schema arity {}",
-                row.len(),
-                self.schema.len()
-            );
-            for (a, value) in row.iter().enumerate() {
-                let sym = self.pool.intern(value.as_ref());
-                self.columns[a][t.index()] = sym;
+            self.check_arity(row.len());
+            for (col, value) in self.columns.iter_mut().zip(row) {
+                col.codes[t.index()] = col.encode(self.pool.intern(value.as_ref()));
             }
         }
     }
@@ -190,7 +245,9 @@ impl Dataset {
     /// The symbol stored at cell `t[a]`.
     #[inline]
     pub fn cell(&self, t: TupleId, a: AttrId) -> Sym {
-        self.columns[a.index()][t.index()]
+        let col = &self.columns[a.index()];
+        let code = col.codes[t.index()];
+        col.dictionary.syms.get(code as usize).copied().unwrap_or(Sym::NULL)
     }
 
     /// The symbol stored at `cell`.
@@ -202,7 +259,56 @@ impl Dataset {
     /// Overwrites cell `t[a]` — this is how repairs are materialised.
     pub fn set_cell(&mut self, t: TupleId, a: AttrId, value: Sym) {
         debug_assert!(value.index() < self.pool.len(), "foreign symbol");
-        self.columns[a.index()][t.index()] = value;
+        let col = &mut self.columns[a.index()];
+        col.codes[t.index()] = col.encode(value);
+    }
+
+    /// The code of cell `t[a]` in its attribute's dictionary,
+    /// [`NULL_CODE`] for null.
+    #[inline]
+    pub fn code(&self, t: TupleId, a: AttrId) -> u32 {
+        self.columns[a.index()].codes[t.index()]
+    }
+
+    /// Attribute `a`'s coded column: every tuple's code, [`NULL_CODE`]
+    /// for null.
+    #[inline]
+    pub fn codes(&self, a: AttrId) -> &[u32] {
+        &self.columns[a.index()].codes
+    }
+
+    /// Attribute `a`'s dictionary: the value of each code, in the order the
+    /// codes were assigned. Values no row holds any more stay in it.
+    #[inline]
+    pub fn dictionary(&self, a: AttrId) -> &[Sym] {
+        &self.columns[a.index()].dictionary.syms
+    }
+
+    /// Attribute `a`'s dictionary as a shared handle.
+    pub(crate) fn shared_dictionary(&self, a: AttrId) -> Arc<Dictionary> {
+        Arc::clone(&self.columns[a.index()].dictionary)
+    }
+
+    /// The code of `v` in attribute `a`: [`NULL_CODE`] for null and for a
+    /// value no cell of `a` has held.
+    #[inline]
+    pub fn code_of(&self, a: AttrId, v: Sym) -> u32 {
+        self.columns[a.index()].dictionary.code(v)
+    }
+
+    /// How many tuples hold each code of attribute `a` (indexed like
+    /// [`Dataset::dictionary`]; a code no row holds counts 0), and how
+    /// many hold null: one hash-free pass over the coded column.
+    pub fn code_counts(&self, a: AttrId) -> (Vec<u32>, u32) {
+        let col = &self.columns[a.index()];
+        let (mut counts, mut nulls) = (vec![0u32; col.dictionary.syms.len()], 0);
+        for &code in &col.codes {
+            match counts.get_mut(code as usize) {
+                Some(count) => *count += 1,
+                None => nulls += 1,
+            }
+        }
+        (counts, nulls)
     }
 
     /// The string value of `sym` in this dataset's pool.
@@ -216,15 +322,10 @@ impl Dataset {
         self.value_str(self.cell(t, a))
     }
 
-    /// The full column for attribute `a`.
-    #[inline]
-    pub fn column(&self, a: AttrId) -> &[Sym] {
-        &self.columns[a.index()]
-    }
-
     /// All cells of tuple `t` in schema order.
     pub fn row(&self, t: TupleId) -> Vec<Sym> {
-        self.columns.iter().map(|c| c[t.index()]).collect()
+        let attrs = self.schema.attrs();
+        attrs.map(|a| self.cell(t, a)).collect()
     }
 
     /// Iterates over all tuple ids, ascending.
@@ -243,17 +344,13 @@ impl Dataset {
         })
     }
 
-    /// The *active domain* of attribute `a`: every distinct symbol that
-    /// occurs in its column, null excluded, in first-occurrence order.
+    /// The *active domain* of attribute `a`: every distinct value some
+    /// tuple holds, null excluded, in dictionary order (first-appearance
+    /// order for a table no edit has rewritten).
     pub fn active_domain(&self, a: AttrId) -> Vec<Sym> {
-        let mut seen = crate::fxhash::FxHashSet::default();
-        let mut out = Vec::new();
-        for &sym in self.column(a) {
-            if !sym.is_null() && seen.insert(sym) {
-                out.push(sym);
-            }
-        }
-        out
+        let (counts, _) = self.code_counts(a);
+        let held = self.dictionary(a).iter().zip(counts);
+        held.filter(|&(_, count)| count > 0).map(|(&v, _)| v).collect()
     }
 
     /// Looks up an attribute id by name, as a `Result` for fallible callers.

@@ -1,7 +1,7 @@
 //! Missing-value detection.
 
 use crate::{Detector, NoisyCells};
-use holo_dataset::{CellRef, Dataset};
+use holo_dataset::{CellRef, Dataset, NULL_CODE};
 
 /// Flags every null (empty) cell, optionally restricted to a subset of
 /// attributes (some attributes are legitimately optional).
@@ -41,8 +41,8 @@ impl Detector for NullDetector {
                 .collect()
         };
         for a in attrs {
-            for (i, sym) in ds.column(a).iter().enumerate() {
-                if sym.is_null() {
+            for (i, &code) in ds.codes(a).iter().enumerate() {
+                if code == NULL_CODE {
                     noisy.insert(CellRef {
                         tuple: i.into(),
                         attr: a,

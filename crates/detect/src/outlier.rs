@@ -11,7 +11,7 @@
 
 use crate::{Detector, NoisyCells};
 use holo_constraints::similarity::normalized_similarity;
-use holo_dataset::{CellRef, Dataset, FrequencyStats};
+use holo_dataset::{CellRef, Dataset};
 
 /// Configuration for [`OutlierDetector`].
 #[derive(Debug, Clone, Copy)]
@@ -58,43 +58,33 @@ impl Detector for OutlierDetector {
 
     fn detect(&self, ds: &Dataset) -> NoisyCells {
         let mut noisy = NoisyCells::default();
-        let freq = FrequencyStats::build(ds);
         let n = ds.tuple_count() as f64;
         if n == 0.0 {
             return noisy;
         }
         for a in ds.schema().attrs() {
-            // Partition the attribute's values into rare and frequent.
-            let mut rare = Vec::new();
-            let mut frequent = Vec::new();
-            for (v, c) in freq.iter_attr(a) {
-                if v.is_null() {
-                    continue;
-                }
-                if f64::from(c) / n < self.config.min_ratio {
-                    rare.push((v, c));
-                } else {
-                    frequent.push((v, c));
-                }
-            }
-            let mut flagged: Vec<holo_dataset::Sym> = Vec::new();
-            for &(v, c) in &rare {
-                let is_typo = frequent.iter().any(|&(f, fc)| {
+            // Partition the attribute's values, by code, into rare and
+            // frequent; a code no row holds is neither.
+            let (counts, _) = ds.code_counts(a);
+            let held = counts.iter().enumerate().filter(|&(_, &c)| c > 0);
+            let (rare, frequent): (Vec<_>, Vec<_>) =
+                held.partition(|&(_, &c)| f64::from(c) / n < self.config.min_ratio);
+            let value = |code: usize| ds.value_str(ds.dictionary(a)[code]);
+            let mut flagged = vec![false; counts.len()];
+            for &(code, &c) in &rare {
+                let is_typo = frequent.iter().any(|&(f, &fc)| {
                     f64::from(fc) >= self.config.dominance * f64::from(c)
-                        && normalized_similarity(ds.value_str(v), ds.value_str(f))
-                            >= self.config.sim_threshold
+                        && normalized_similarity(value(code), value(f)) >= self.config.sim_threshold
                 });
-                if is_typo || self.config.flag_rare {
-                    flagged.push(v);
-                }
+                flagged[code] = is_typo || self.config.flag_rare;
             }
-            if flagged.is_empty() {
+            if !flagged.contains(&true) {
                 continue;
             }
-            for (i, &sym) in ds.column(a).iter().enumerate() {
-                if flagged.contains(&sym) {
+            for (i, &code) in ds.codes(a).iter().enumerate() {
+                if flagged.get(code as usize) == Some(&true) {
                     noisy.insert(CellRef {
-                        tuple: (i).into(),
+                        tuple: i.into(),
                         attr: a,
                     });
                 }
