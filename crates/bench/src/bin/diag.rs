@@ -252,7 +252,10 @@ fn clean_rewrites(gen: &GeneratedDataset, repairs: &[Repair]) -> CleanRewrites {
         let (codes, nulls) = &counts[r.cell.attr.index()];
         let count = |v: &str| match ds.pool().get(v) {
             Some(v) if v.is_null() => *nulls,
-            Some(v) => codes.get(ds.code_of(r.cell.attr, v) as usize).map_or(0, |&c| c),
+            Some(v) => codes
+                .get(ds.code_of(r.cell.attr, v) as usize)
+                .copied()
+                .unwrap_or(0),
             None => 0,
         };
         out.total += 1;

@@ -685,7 +685,14 @@ fn ground_dc_factors(
                 }
                 fragment
             };
-            ground_capped(&probes, threads, ground_chunk, clique_cap, cstats, &mut cliques);
+            ground_capped(
+                &probes,
+                threads,
+                ground_chunk,
+                clique_cap,
+                cstats,
+                &mut cliques,
+            );
             continue;
         }
         // Cross-tuple equality predicates, oriented (t1 attr, t2 attr).
@@ -774,7 +781,14 @@ fn ground_dc_factors(
             fragment
         };
 
-        ground_capped(&probes, threads, ground_chunk, clique_cap, cstats, &mut cliques);
+        ground_capped(
+            &probes,
+            threads,
+            ground_chunk,
+            clique_cap,
+            cstats,
+            &mut cliques,
+        );
     }
     cliques.shrink_to_fit();
     cliques
@@ -795,9 +809,8 @@ fn ground_capped(
 ) {
     let mut cliques_here = 0usize;
     for block in probes.chunks(GROUND_BLOCK_TUPLES) {
-        let fragments = holo_parallel::parallel_chunks(threads, block, |_, chunk| {
-            vec![ground_chunk(chunk)]
-        });
+        let fragments =
+            holo_parallel::parallel_chunks(threads, block, |_, chunk| vec![ground_chunk(chunk)]);
         for mut fragment in fragments {
             let room = clique_cap - cliques_here;
             let capped = fragment.cliques.len() >= room;
@@ -1016,9 +1029,20 @@ mod tests {
         let query = model_query(&ds, &model);
         let mut cstats = CompileStats::default();
         let mut registry = FeatureRegistry::new();
-        let cliques =
-            ground_dc_factors(&mut registry, &ds, &cons, &query, &config, None, &mut cstats, 1);
-        assert_eq!((cliques.len(), cstats.cliques, cstats.clique_cap_hits), (1, 1, 1));
+        let cliques = ground_dc_factors(
+            &mut registry,
+            &ds,
+            &cons,
+            &query,
+            &config,
+            None,
+            &mut cstats,
+            1,
+        );
+        assert_eq!(
+            (cliques.len(), cstats.cliques, cstats.clique_cap_hits),
+            (1, 1, 1)
+        );
         assert_eq!(cstats.dc_pairs_considered, 1);
         let first = model.graph.cliques().iter().next().unwrap();
         assert_eq!(cliques.iter().next().unwrap().vars(), first.vars());
@@ -1051,8 +1075,9 @@ mod tests {
         let mut built = Fragment::default();
         for (sigma, c) in constraints.iter() {
             if !c.two_tuple {
-                let pairs = tuples.iter().map(|&t| (t, t));
-                build_capped(ds, c, pairs, &[], query, weight, cstats, clique_cap, &mut built);
+                for &t in &tuples {
+                    build_clique(ds, c, t, t, query, weight, &[], &mut built);
+                }
                 continue;
             }
             let scan = PairScan::new(c, TupleVar::T1);
@@ -1105,39 +1130,21 @@ mod tests {
                     }
                     found
                 });
-            let pairs = pairs.into_iter();
-            build_capped(ds, c, pairs, &eq_pairs, query, weight, cstats, clique_cap, &mut built);
+            let mut cliques_here = 0usize;
+            for (t1, t2) in pairs {
+                cstats.dc_pairs_considered += 1;
+                if !build_clique(ds, c, t1, t2, query, weight, &eq_pairs, &mut built) {
+                    continue;
+                }
+                cliques_here += 1;
+                cstats.cliques += 1;
+                if cliques_here >= clique_cap {
+                    cstats.clique_cap_hits += 1;
+                    break;
+                }
+            }
         }
         built.cliques
-    }
-
-    /// The reference's cap: builds `pairs` in order until the constraint
-    /// holds `clique_cap` cliques.
-    #[allow(clippy::too_many_arguments)]
-    fn build_capped(
-        ds: &Dataset,
-        c: &holo_constraints::DenialConstraint,
-        pairs: impl Iterator<Item = (TupleId, TupleId)>,
-        eq_pairs: &[(AttrId, AttrId)],
-        query: &QueryCells<'_>,
-        weight: holo_factor::WeightId,
-        cstats: &mut CompileStats,
-        clique_cap: usize,
-        built: &mut Fragment,
-    ) {
-        let mut cliques_here = 0usize;
-        for (t1, t2) in pairs {
-            cstats.dc_pairs_considered += 1;
-            if !build_clique(ds, c, t1, t2, query, weight, eq_pairs, built) {
-                continue;
-            }
-            cliques_here += 1;
-            cstats.cliques += 1;
-            if cliques_here >= clique_cap {
-                cstats.clique_cap_hits += 1;
-                break;
-            }
-        }
     }
 
     /// The per-constraint tuple → group maps the reference grounds inside,

@@ -87,7 +87,7 @@ use crate::config::HoloConfig;
 use holo_constraints::ast::TupleVar;
 use holo_constraints::scan::{build_shared, BlockIndex, PairScan, ScanPredicate};
 use holo_constraints::{ConstraintId, ConstraintSet};
-use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, Sym, TupleId, NULL_CODE};
+use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, Sym, TupleId};
 use holo_factor::{DesignBuilder, DesignMatrix, FeatureRegistry, WeightId};
 
 /// Structured feature keys; interning them yields the tied weights.
@@ -242,7 +242,8 @@ impl FeatureSink {
 /// from the coded column, `#v'` from the per-code counts, the group `A' =
 /// v' → attr` by code, and each candidate's count by its code, looked up
 /// once per cell into the buffer's scratch (an unseen candidate's
-/// [`NULL_CODE`] counts 0). Nothing is allocated per cell.
+/// [`NULL_CODE`](holo_dataset::NULL_CODE) counts 0). Nothing is allocated
+/// per cell.
 pub fn collect_occur_features(
     buf: &mut FeatureBuffer,
     (ds, stats): (&Dataset, &CooccurStats),
@@ -254,8 +255,7 @@ pub fn collect_occur_features(
     let init = prior / ds.schema().len().saturating_sub(1).max(1) as f64;
     let mut codes = std::mem::take(&mut buf.codes);
     codes.clear();
-    let code = |&d: &Sym| stats.codes().code(attr, d).unwrap_or(NULL_CODE);
-    codes.extend(candidates.iter().map(code));
+    codes.extend(candidates.iter().map(|&d| ds.code_of(attr, d)));
     for cond_attr in ds.schema().attrs().filter(|&a| a != attr) {
         let v_cond = ds.code(cell.tuple, cond_attr);
         let denom = stats.code_count(cond_attr, v_cond);

@@ -504,9 +504,18 @@ mod tests {
         assert_eq!(reread.model.query_cells, reference.model.query_cells);
         let by_string = |ds: &Dataset, run: &PipelineRun| -> Vec<(Vec<String>, Vec<u64>)> {
             let graph = &run.model.graph;
-            let strings = |v| graph.var(v).domain.iter().map(|&d| ds.value_str(d).to_string());
+            let strings = |v| {
+                graph
+                    .var(v)
+                    .domain
+                    .iter()
+                    .map(|&d| ds.value_str(d).to_string())
+            };
             let probs = |v| run.marginals.probs(v).iter().map(|p| p.to_bits()).collect();
-            graph.var_ids().map(|v| (strings(v).collect(), probs(v))).collect()
+            graph
+                .var_ids()
+                .map(|v| (strings(v).collect(), probs(v)))
+                .collect()
         };
         assert_eq!(by_string(&fresh.ds, &reread), by_string(&cx.ds, &reference));
         assert_eq!(reread.weights, reference.weights);

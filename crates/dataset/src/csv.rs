@@ -386,7 +386,11 @@ mod tests {
                 assert_eq!(got.tuple_count(), want.tuple_count(), "{input:?}");
                 for a in want.schema().attrs() {
                     assert_eq!(got.codes(a), want.codes(a), "{input:?} column {a}");
-                    assert_eq!(got.dictionary(a), want.dictionary(a), "{input:?} column {a}");
+                    assert_eq!(
+                        got.dictionary(a),
+                        want.dictionary(a),
+                        "{input:?} column {a}"
+                    );
                 }
                 let symbols = |ds: &Dataset| -> Vec<String> {
                     ds.pool().iter().map(|(_, s)| s.to_string()).collect()

@@ -88,8 +88,8 @@ use serde::{Deserialize, Serialize};
 use crate::fxhash::FxHashMap;
 use crate::schema::AttrId;
 use crate::table::{Dataset, Dictionary, NULL_CODE};
-use std::sync::Arc;
 use crate::value::Sym;
+use std::sync::Arc;
 
 /// Packs a `(cond_attr, target_attr, cond_code)` triple into a `u64` map
 /// key (naive backend only).
@@ -120,7 +120,11 @@ impl ValueCodes {
     fn build(ds: &Dataset) -> Self {
         let (counts, nulls) = ds.schema().attrs().map(|a| ds.code_counts(a)).unzip();
         ValueCodes {
-            dictionaries: ds.schema().attrs().map(|a| ds.shared_dictionary(a)).collect(),
+            dictionaries: ds
+                .schema()
+                .attrs()
+                .map(|a| ds.shared_dictionary(a))
+                .collect(),
             counts,
             nulls,
             tuples: ds.tuple_count(),
@@ -483,8 +487,8 @@ impl GroupView<'_> {
 /// Size gauges of the statistics engine, surfaced through `StageTimings`
 /// into `diag` / `diag --json`. `dense_pairs`, `csr_pairs`, `dense_cells`
 /// and `bytes` describe the dense backend's storage (all zero under the
-/// naive oracle); `bytes` is the count-payload plus coded-table estimate,
-/// not allocator-exact.
+/// naive oracle); `bytes` is a count-payload estimate, not
+/// allocator-exact.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct StatsStats {
     /// Ordered attribute pairs built, on either backend: target
@@ -496,9 +500,9 @@ pub struct StatsStats {
     pub csr_pairs: u64,
     /// Total cells across all dense matrices (zeros included).
     pub dense_cells: u64,
-    /// Approximate bytes of count storage (matrices, CSR offsets and
-    /// postings) + the coded table (registry, per-code counts, coded
-    /// columns).
+    /// Approximate bytes of count storage: matrices, CSR offsets and
+    /// postings, and the per-code and null counts (the dictionaries and
+    /// coded columns belong to the table).
     pub bytes: u64,
 }
 
@@ -593,8 +597,8 @@ impl CooccurStats {
         matches!(self.backend, Backend::Dense { .. })
     }
 
-    /// The value codes. Hot readers use them to look candidate codes up
-    /// once and then probe [`GroupView::count_by_code`].
+    /// The value codes the statistics read: the table's dictionaries and
+    /// the per-code counts.
     pub fn codes(&self) -> &ValueCodes {
         &self.codes
     }

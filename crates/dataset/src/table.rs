@@ -103,17 +103,24 @@ struct Column {
 impl Column {
     /// The code of `sym`, assigning the next one to a value the column
     /// has never held.
+    #[inline]
     fn encode(&mut self, sym: Sym) -> u32 {
+        if sym.is_null() {
+            return NULL_CODE;
+        }
         match self.dictionary.code(sym) {
-            NULL_CODE if !sym.is_null() => {
-                let dictionary = Arc::make_mut(&mut self.dictionary);
-                let code = dictionary.syms.len() as u32;
-                dictionary.syms.push(sym);
-                dictionary.code_of.insert(sym, code);
-                code
-            }
+            NULL_CODE => self.assign(sym),
             code => code,
         }
+    }
+
+    /// Assigns the next code to `sym`, a value the column has never held.
+    fn assign(&mut self, sym: Sym) -> u32 {
+        let dictionary = Arc::make_mut(&mut self.dictionary);
+        let code = dictionary.syms.len() as u32;
+        dictionary.syms.push(sym);
+        dictionary.code_of.insert(sym, code);
+        code
     }
 }
 
@@ -136,7 +143,7 @@ pub struct Dataset {
 impl Dataset {
     /// Creates an empty dataset over `schema`.
     pub fn new(schema: Schema) -> Self {
-        let columns = vec![Column::default(); schema.len()];
+        let columns = (0..schema.len()).map(|_| Column::default()).collect();
         Dataset {
             schema,
             pool: ValuePool::new(),
@@ -247,7 +254,11 @@ impl Dataset {
     pub fn cell(&self, t: TupleId, a: AttrId) -> Sym {
         let col = &self.columns[a.index()];
         let code = col.codes[t.index()];
-        col.dictionary.syms.get(code as usize).copied().unwrap_or(Sym::NULL)
+        col.dictionary
+            .syms
+            .get(code as usize)
+            .copied()
+            .unwrap_or(Sym::NULL)
     }
 
     /// The symbol stored at `cell`.
@@ -350,7 +361,9 @@ impl Dataset {
     pub fn active_domain(&self, a: AttrId) -> Vec<Sym> {
         let (counts, _) = self.code_counts(a);
         let held = self.dictionary(a).iter().zip(counts);
-        held.filter(|&(_, count)| count > 0).map(|(&v, _)| v).collect()
+        held.filter(|&(_, count)| count > 0)
+            .map(|(&v, _)| v)
+            .collect()
     }
 
     /// Looks up an attribute id by name, as a `Result` for fallible callers.
