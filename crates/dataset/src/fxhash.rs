@@ -1,9 +1,9 @@
 //! The Fx hash algorithm (as used by rustc), implemented locally.
 //!
-//! Statistics collection and violation blocking hash billions of interned
-//! `u32` symbols; SipHash 1-3 (the std default) is a measurable bottleneck
-//! there. The Fx multiply-xor construction is the standard fast alternative
-//! for trusted in-process keys. We implement it here (~40 lines) rather than
+//! Coding a table hashes every cell's interned `u32` symbol on insert;
+//! SipHash 1-3 (the std default) is a measurable bottleneck there. The Fx
+//! multiply-xor construction is the standard fast alternative for trusted
+//! in-process keys. We implement it here (~40 lines) rather than
 //! pull a crate from outside the allowed dependency set. HashDoS is not a
 //! concern: keys are interned symbols produced by this workspace, never
 //! attacker-controlled strings.

@@ -21,8 +21,7 @@
 //!   quantitative-statistics features (§4.2) and the Algorithm 2
 //!   domain-pruning rule `Pr[v | v_c'] ≥ τ`.
 //! * [`fxhash`] — the Fx multiply-xor hasher, implemented locally because
-//!   hashing interned symbols is on the hot path of statistics collection
-//!   and violation blocking.
+//!   hashing interned symbols is on the hot path of coding a table.
 //!
 //! # Example
 //!
