@@ -15,8 +15,7 @@
 //! (mean over the final epoch — the stable number to watch),
 //! `non_finite_minibatches` (always 0 in a printed run: a diverging SGD
 //! fails one-shot and streamed runs alike with `HoloError::LearnDiverged`
-//! before diag prints), and the packed-arena counters `packed_examples`, `packed_entries`,
-//! `packed_bytes`, `packed_epochs`.
+//! before diag prints).
 //!
 //! The `compile` object carries the evidence scope (`trainable_attrs`,
 //! the attributes that share a learnable weight with one that has a query
@@ -320,10 +319,6 @@ fn print_json(
             o.field_num("grad_norm", ls.grad_norm);
             o.field_num("grad_norm_mean", ls.grad_norm_mean);
             o.field_u64("non_finite_minibatches", ls.non_finite_minibatches as u64);
-            o.field_u64("packed_examples", ls.packed_examples as u64);
-            o.field_u64("packed_entries", ls.packed_entries as u64);
-            o.field_u64("packed_bytes", ls.packed_bytes as u64);
-            o.field_u64("packed_epochs", ls.packed_epochs as u64);
             o.finish()
         }
         None => "null".to_string(),
@@ -711,10 +706,6 @@ fn main() {
             println!(
                 "  minibatches: {}, {} non-finite (diverged)",
                 ls.minibatches, ls.non_finite_minibatches
-            );
-            println!(
-                "  packed arena: {} example(s), {} entr(ies), {} byte(s), {} epoch(s) served",
-                ls.packed_examples, ls.packed_entries, ls.packed_bytes, ls.packed_epochs
             );
         }
         None => println!("learning: skipped (no evidence)"),

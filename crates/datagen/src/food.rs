@@ -10,7 +10,7 @@
 use crate::inject::{misspell, swap_from_pool};
 use crate::spec::{DatasetKind, GeneratedDataset};
 use crate::vocab;
-use holo_dataset::{CellRef, Dataset, Schema};
+use holo_dataset::{CellRef, Dataset, FxHashSet, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -208,6 +208,8 @@ pub fn food(config: FoodConfig) -> GeneratedDataset {
     let total_cells = dirty.cell_count();
     let n_errors = (total_cells as f64 * config.error_rate) as usize;
     let mut errors = Vec::with_capacity(n_errors);
+    // Membership of `errors`, which keeps the injection order.
+    let mut injected: FxHashSet<CellRef> = FxHashSet::default();
     let mut attempts = 0;
     while errors.len() < n_errors && attempts < n_errors * 30 {
         attempts += 1;
@@ -218,7 +220,7 @@ pub fn food(config: FoodConfig) -> GeneratedDataset {
             tuple: t.into(),
             attr,
         };
-        if errors.contains(&cell) {
+        if injected.contains(&cell) {
             continue;
         }
         let original = dirty.cell_str(cell.tuple, cell.attr).to_string();
@@ -238,6 +240,7 @@ pub fn food(config: FoodConfig) -> GeneratedDataset {
         let sym = dirty.intern(&corrupted);
         dirty.set_cell(cell.tuple, cell.attr, sym);
         errors.push(cell);
+        injected.insert(cell);
         // Correlated errors on establishment-level attributes: the same
         // wrong value reappears across inspections of the establishment
         // (a wrong majority for half the groups).
@@ -262,11 +265,12 @@ pub fn food(config: FoodConfig) -> GeneratedDataset {
                         tuple: r.into(),
                         attr,
                     };
-                    if errors.contains(&rcell) {
+                    if injected.contains(&rcell) {
                         continue;
                     }
                     dirty.set_cell(rcell.tuple, rcell.attr, sym);
                     errors.push(rcell);
+                    injected.insert(rcell);
                 }
             }
         }

@@ -10,7 +10,7 @@
 use crate::inject::typo_x;
 use crate::spec::{DatasetKind, GeneratedDataset};
 use crate::vocab;
-use holo_dataset::{CellRef, Dataset, Schema};
+use holo_dataset::{CellRef, Dataset, FxHashSet, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -227,6 +227,8 @@ pub fn hospital(config: HospitalConfig) -> GeneratedDataset {
     let total_cells = dirty.cell_count();
     let n_errors = (total_cells as f64 * config.error_rate) as usize;
     let mut errors = Vec::with_capacity(n_errors);
+    // Membership of `errors`, which keeps the injection order.
+    let mut injected: FxHashSet<CellRef> = FxHashSet::default();
     let mut attempts = 0;
     while errors.len() < n_errors && attempts < n_errors * 20 {
         attempts += 1;
@@ -236,7 +238,7 @@ pub fn hospital(config: HospitalConfig) -> GeneratedDataset {
             tuple: t.into(),
             attr: a,
         };
-        if errors.contains(&cell) {
+        if injected.contains(&cell) {
             continue;
         }
         let original = dirty.cell_str(cell.tuple, cell.attr).to_string();
@@ -247,6 +249,7 @@ pub fn hospital(config: HospitalConfig) -> GeneratedDataset {
         let sym = dirty.intern(&corrupted);
         dirty.set_cell(cell.tuple, cell.attr, sym);
         errors.push(cell);
+        injected.insert(cell);
         // Correlated errors: replicate the same corrupted value into half
         // of the provider's other rows (provider-level attributes only, so
         // replication creates a consistent wrong majority).
@@ -272,11 +275,12 @@ pub fn hospital(config: HospitalConfig) -> GeneratedDataset {
                         tuple: r.into(),
                         attr: a,
                     };
-                    if errors.contains(&rcell) {
+                    if injected.contains(&rcell) {
                         continue;
                     }
                     dirty.set_cell(rcell.tuple, rcell.attr, sym);
                     errors.push(rcell);
+                    injected.insert(rcell);
                 }
             }
         }

@@ -19,38 +19,71 @@
 //!
 //! ## Minibatches and determinism
 //!
-//! Training is minibatch SGD over the compiled
-//! [`DesignMatrix`](crate::design::DesignMatrix): a seed-fixed permutation
-//! of the evidence set is cut into minibatches of
-//! [`LearnConfig::minibatch`] examples, every example's sparse gradient is
-//! computed against the weights frozen at minibatch start, and the summed
-//! gradient is applied once per minibatch, in weight-id order. Inside a
-//! minibatch the examples are folded in **fixed-size shards** on the
-//! caller's thread: each shard sums its examples' gradients per weight in
-//! example order, and the shard subtotals are added strictly in shard
-//! order. Training is sequential, so it is deterministic given the seed
-//! and the example order, whatever thread budget the rest of the pipeline
-//! runs with. The gradient is summed (not averaged) over the minibatch, so
-//! one epoch applies the same total step mass as classic per-example SGD
-//! at the same learning rate.
+//! A seed-fixed permutation of the eligible examples is cut into
+//! minibatches of [`LearnConfig::minibatch`] examples, every example's
+//! sparse gradient is computed against the weights frozen at minibatch
+//! start, and the summed gradient is applied once per minibatch, in
+//! weight-id order. Inside a minibatch the examples fold in **fixed
+//! shards** of `GRAD_SHARD_EXAMPLES` (8) on the caller's thread. Training
+//! is sequential, so it is deterministic given the seed and the example
+//! order, whatever thread budget the rest of the pipeline runs with. The
+//! gradient is summed (not averaged) over the minibatch, so one epoch
+//! applies the same total step mass as classic per-example SGD at the
+//! same learning rate.
 //!
 //! ## The kernel
 //!
-//! Every training entry point gathers its eligible examples into a
-//! [`crate::packed::PackedArena`] — an example-major copy of the design
-//! rows with per-example local weight dictionaries — and
-//! `packed::run_epochs` streams it: per-shard dense subtotals, one dense
-//! per-call minibatch accumulator with a touched-bitmap, updates applied
-//! off the bitmap in id order. No hashing, no sorting, no per-shard
-//! allocation; see [`crate::packed`] for the layout and the addition-order
-//! invariants. Arena, accumulator and scratch live for exactly one
-//! training call, like the inference-side `ScoreCache`, so no pack
-//! outlives the call that built it.
+//! The trainer reads the compiled
+//! [`DesignMatrix`](crate::design::DesignMatrix) in place: an example's
+//! candidates are the rows of `design.var_range(v)`, wherever `v` sits.
+//! Per example of a shard it
 //!
-//! The pre-arena trainer — CSR rows walked per example, gradients in
-//! hash maps — survives only as the test-only `oracle` module: the
-//! bit-for-bit reference (weights, stats and RNG consumption) that this
-//! module's tests and the crate proptests pin the kernel against.
+//! 1. scores each candidate row with the blocked kernel
+//!    ([`crate::design::score_features`], the one inference and the score
+//!    cache use) and turns the scores into probabilities with the fused
+//!    [`crate::math::softmax_in_place`];
+//! 2. for each row whose residual `1[k = target] − p_k` is non-zero, adds
+//!    `x · residual − l2 · w` into the **shard subtotal** of every
+//!    non-fixed weight of the row, in entry order. A generation stamp per
+//!    weight id (bumped per shard) opens a fresh `+0.0` subtotal on a
+//!    weight's first touch inside the shard, so one minibatch's shard runs
+//!    sit back to back in the scratch's `touched` / `grad` arrays.
+//!
+//! The runs then add in shard order into one dense accumulator (`f64` per
+//! weight plus a `u64` touched-bitmap), which is drained in weight-id
+//! order: the gradient norm is summed and, unless it is non-finite, the
+//! update applied in that order.
+//!
+//! ## Invariants
+//!
+//! * **Shard-order addition** — bit-for-bit the test-only hash-map
+//!   trainer (`oracle`). A shard subtotal adds a weight's increments in
+//!   the order the shard visits them, and the accumulator adds the
+//!   subtotals in shard order starting from `+0.0` — the oracle's
+//!   `*acc.entry(w).or_insert(0.0) += g` merge. The subtotals are part of
+//!   the addition order, not a schedule: summing a minibatch's increments
+//!   straight into the accumulator would round differently.
+//! * **First touch is a copy** — a shard subtotal is never `-0.0` (it
+//!   starts at `+0.0`, and round-to-nearest yields `-0.0` neither from a
+//!   sum with a `+0.0` term nor from an exact cancellation), so the first
+//!   `+0.0 + subtotal` into a clean accumulator slot is bitwise
+//!   `subtotal`.
+//! * **Bitmap order ≡ id order** — bit `i & 63` of word `i >> 6` stands
+//!   for weight `i`, so ascending words × ascending `trailing_zeros` is
+//!   ascending weight id, with no sort.
+//! * **Clean between minibatches** — draining zeroes every slot and word
+//!   it visits, so each minibatch starts from an all-`+0.0`, all-clear
+//!   accumulator without an `O(weight_count)` reset.
+//!
+//! ## One call
+//!
+//! [`train_with_threads`] lists the eligible examples (evidence with more
+//! than one candidate) with their targets, seeds the RNG, and allocates
+//! the stamp arrays and the accumulator at `weight_count`. That list, those
+//! arrays and a few reused buffers are the whole per-call state: each
+//! epoch shuffles the list once, no design row is copied, and nothing
+//! outlives the call. The `O(weight_count)` arrays stay a few KB because
+//! the registry ties its weights per attribute pair.
 //!
 //! ## Divergence
 //!
@@ -65,12 +98,20 @@
 //! count into a typed error (`HoloError::LearnDiverged`) instead of
 //! handing them to inference.
 
+use crate::design::DesignMatrix;
 use crate::graph::{FactorGraph, VarId};
-use crate::packed::{self, EpochOutcome, PackedArena};
-use crate::weights::Weights;
+use crate::math::softmax_in_place;
+use crate::weights::{WeightId, Weights};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+
+/// Examples per gradient shard — the fixed unit of subtotals inside a
+/// minibatch, so the default minibatch spans 16 shards. Part of the
+/// addition order (see "Shard-order addition" in the module docs); the
+/// test-only oracle cuts the same boundaries.
+pub(crate) const GRAD_SHARD_EXAMPLES: usize = 8;
 
 /// SGD hyper-parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -128,46 +169,30 @@ pub struct LearnStats {
     /// means the run failed and the weights are not a usable model (see
     /// the module docs).
     pub non_finite_minibatches: usize,
-    /// Examples gathered into the packed arena.
-    pub packed_examples: usize,
-    /// Feature entries gathered into the packed arena.
-    pub packed_entries: usize,
-    /// Resident bytes of the packed arena.
+    /// Always 0: the trainer reads the design matrix in place and gathers
+    /// nothing. Kept because the frozen benchmark reads it as
+    /// `factor.learn.arena_mb`.
     pub packed_bytes: usize,
-    /// Epochs served from the packed arena.
-    pub packed_epochs: usize,
 }
 
 impl LearnStats {
-    /// A zeroed stats record for `examples` examples and `epochs`
-    /// epochs — the starting point every trainer fills in.
-    fn empty(examples: usize, epochs: usize) -> LearnStats {
+    /// The record of a run over `examples` examples and `epochs` epochs,
+    /// filled from the epoch loop's outcome.
+    fn new(examples: usize, epochs: usize, out: EpochOutcome) -> LearnStats {
         LearnStats {
-            final_log_likelihood: 0.0,
+            final_log_likelihood: if examples == 0 {
+                0.0
+            } else {
+                out.ll_sum / examples as f64
+            },
             examples,
             epochs,
-            minibatches: 0,
-            grad_norm: 0.0,
-            grad_norm_mean: 0.0,
-            non_finite_minibatches: 0,
-            packed_examples: 0,
-            packed_entries: 0,
+            minibatches: out.minibatches,
+            grad_norm: out.grad_norm,
+            grad_norm_mean: out.grad_norm_mean,
+            non_finite_minibatches: out.non_finite_minibatches,
             packed_bytes: 0,
-            packed_epochs: 0,
         }
-    }
-
-    /// Folds an epoch-loop outcome into the record.
-    fn absorb(&mut self, out: EpochOutcome) {
-        self.final_log_likelihood = if self.examples == 0 {
-            0.0
-        } else {
-            out.ll_sum / self.examples as f64
-        };
-        self.minibatches = out.minibatches;
-        self.grad_norm = out.grad_norm;
-        self.grad_norm_mean = out.grad_norm_mean;
-        self.non_finite_minibatches = out.non_finite_minibatches;
     }
 
     /// Everything the kernel and the test-only oracle both compute —
@@ -213,57 +238,240 @@ pub fn train_with_threads(
 
 /// [`train_with_threads`] over a caller-supplied example order.
 ///
-/// Single-candidate entries are skipped (no gradient signal); order is
-/// otherwise preserved. Variables must be evidence. The eligible
-/// examples are packed into a per-call arena and the dense-accumulator
-/// kernel runs over it, consuming one shuffle per epoch.
+/// Ineligible entries (not evidence, or a single candidate) are dropped;
+/// order is otherwise preserved. One shuffle is drawn per epoch.
 pub(crate) fn train_examples(
     graph: &FactorGraph,
     weights: &mut Weights,
     config: &LearnConfig,
     examples: &[VarId],
 ) -> LearnStats {
-    let examples = eligible_examples(graph, examples);
+    let mut examples = eligible_examples(graph, examples);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut stats = LearnStats::empty(examples.len(), config.epochs);
-    let arena = PackedArena::pack(graph, graph.design(), weights, &examples);
-    stats.packed_examples = arena.examples();
-    stats.packed_entries = arena.packed_entries();
-    stats.packed_bytes = arena.bytes();
-    stats.packed_epochs = config.epochs;
-    stats.absorb(packed::run_epochs(&arena, weights, config, &mut rng));
-    stats
+    let out = run_epochs(graph.design(), weights, config, &mut examples, &mut rng);
+    LearnStats::new(examples.len(), config.epochs, out)
 }
 
-/// The entries of `examples` that carry gradient signal, in order: an
-/// example must be evidence (it has an observed target) with more than
-/// one candidate. Non-evidence ids in a caller's window are dropped here
-/// — the gradient loops downstream assert the invariant instead of
-/// panicking on it.
-fn eligible_examples(graph: &FactorGraph, examples: &[VarId]) -> Vec<VarId> {
+/// The entries of `examples` that carry gradient signal, in order, each
+/// with its observed target: an example must be evidence with more than
+/// one candidate. Non-evidence ids in a caller's window are dropped here.
+fn eligible_examples(graph: &FactorGraph, examples: &[VarId]) -> Vec<(VarId, usize)> {
     examples
         .iter()
-        .copied()
-        .filter(|&v| {
+        .filter_map(|&v| {
             let var = graph.var(v);
-            var.evidence.is_some() && var.arity() > 1
+            match var.evidence {
+                Some(target) if var.arity() > 1 => Some((v, target)),
+                _ => None,
+            }
         })
         .collect()
 }
 
-/// The pre-arena trainer, kept as the **test-only reference** the packed
-/// kernel is pinned against bit for bit: it walks the CSR design matrix
-/// per example, accumulates gradients in hash maps, merges shard maps in
-/// shard order and applies the update in sorted id order. Same entry
-/// points, same RNG consumption, same divergence rule as the production
-/// path; it fills no arena counters.
+/// What one epoch loop reports back to the stats record.
+#[derive(Default)]
+struct EpochOutcome {
+    /// `Σ log P(target)` of the final epoch.
+    ll_sum: f64,
+    minibatches: usize,
+    grad_norm: f64,
+    grad_norm_mean: f64,
+    non_finite_minibatches: usize,
+}
+
+/// Reusable scratch of the gradient fold. `touched` / `grad` collect one
+/// minibatch's shard runs back to back (cleared per minibatch); the
+/// generation stamp (`tick`, bumped per shard) opens a fresh subtotal for
+/// the first touch of a weight inside each shard.
+struct GradScratch {
+    /// Candidate scores, then probabilities, of the current example.
+    scores: Vec<f64>,
+    /// Generation stamp per weight id.
+    stamp: Vec<u64>,
+    /// Index into `grad` of the current shard's subtotal per stamped id.
+    slot_of: Vec<u32>,
+    /// Shard subtotals, one per `(shard, touched weight)`, shard runs
+    /// back to back in shard order.
+    grad: Vec<f64>,
+    /// Weight id per `grad` entry, in first-touch order within a shard.
+    touched: Vec<WeightId>,
+    /// Current shard generation.
+    tick: u64,
+}
+
+impl GradScratch {
+    fn new(weight_count: usize) -> Self {
+        GradScratch {
+            scores: Vec::new(),
+            stamp: vec![0u64; weight_count],
+            slot_of: vec![0u32; weight_count],
+            grad: Vec::new(),
+            touched: Vec::new(),
+            tick: 0,
+        }
+    }
+}
+
+/// The dense per-call minibatch gradient accumulator: one `f64` per
+/// weight plus a touched-bitmap (bit `i & 63` of word `i >> 6` = weight
+/// `i`). All-`+0.0` and all-clear between minibatches.
+struct GradAccumulator {
+    sum: Vec<f64>,
+    touched: Vec<u64>,
+}
+
+impl GradAccumulator {
+    fn new(weight_count: usize) -> Self {
+        GradAccumulator {
+            sum: vec![0.0; weight_count],
+            touched: vec![0u64; weight_count.div_ceil(64)],
+        }
+    }
+
+    /// Adds a sequence of `(weight, shard subtotal)` pairs in the order
+    /// given — call with shard runs in shard order.
+    fn add_runs(&mut self, ids: &[WeightId], subtotals: &[f64]) {
+        for (&w, &g) in ids.iter().zip(subtotals) {
+            let i = w.index();
+            self.touched[i >> 6] |= 1u64 << (i & 63);
+            self.sum[i] += g;
+        }
+    }
+
+    /// Moves the accumulated gradient into `out` (cleared first) as
+    /// `(WeightId, sum)` in ascending id order, leaving the accumulator
+    /// clean for the next minibatch.
+    fn drain_sorted(&mut self, out: &mut Vec<(WeightId, f64)>) {
+        out.clear();
+        for (wi, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = (wi << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.push((WeightId(i as u32), std::mem::take(&mut self.sum[i])));
+            }
+        }
+    }
+}
+
+/// Folds one shard against the minibatch-start `weights`: appends its run
+/// of per-weight subtotals to the scratch's `touched` / `grad` arrays and
+/// returns the shard's log-likelihood sum.
+fn shard_gradient(
+    design: &DesignMatrix,
+    weights: &Weights,
+    l2: f64,
+    scratch: &mut GradScratch,
+    shard: &[(VarId, usize)],
+) -> f64 {
+    scratch.tick += 1;
+    let mut ll = 0.0;
+    for &(v, target) in shard {
+        design.score_var_into(v, weights, &mut scratch.scores);
+        softmax_in_place(&mut scratch.scores);
+        ll += scratch.scores[target].max(1e-300).ln();
+        // Gradient of log P(target): x · (1[k = target] − p_k), with L2
+        // shrinkage toward zero per feature occurrence.
+        for (k, r) in design.var_range(v).enumerate() {
+            let residual = f64::from(u8::from(k == target)) - scratch.scores[k];
+            if residual == 0.0 {
+                continue;
+            }
+            for &(w, x) in design.row(r) {
+                if weights.is_fixed(w) {
+                    continue;
+                }
+                let wi = w.index();
+                if scratch.stamp[wi] != scratch.tick {
+                    scratch.stamp[wi] = scratch.tick;
+                    scratch.slot_of[wi] = scratch.grad.len() as u32;
+                    scratch.touched.push(w);
+                    scratch.grad.push(0.0);
+                }
+                scratch.grad[scratch.slot_of[wi] as usize] += x * residual - l2 * weights.get(w);
+            }
+        }
+    }
+    ll
+}
+
+/// The epoch loop: one seeded shuffle of the example positions per epoch,
+/// minibatch chunks folded in fixed shards through one scratch, shard
+/// runs summed in the dense accumulator, and the gradient applied in
+/// weight-id order off its bitmap. A minibatch whose gradient norm is
+/// non-finite is counted and **not** applied, and no later minibatch is
+/// applied either (see "Divergence" in the module docs).
+fn run_epochs(
+    design: &DesignMatrix,
+    weights: &mut Weights,
+    config: &LearnConfig,
+    examples: &mut [(VarId, usize)],
+    rng: &mut StdRng,
+) -> EpochOutcome {
+    let batch = config.minibatch.max(1);
+    let mut scratch = GradScratch::new(weights.len());
+    let mut acc = GradAccumulator::new(weights.len());
+    let mut grad: Vec<(WeightId, f64)> = Vec::new();
+    let mut lr = config.learning_rate;
+    let mut out = EpochOutcome::default();
+    for _epoch in 0..config.epochs {
+        examples.shuffle(rng);
+        let mut ll_sum = 0.0;
+        let mut norm_sum = 0.0;
+        let mut epoch_minibatches = 0usize;
+        for minibatch in examples.chunks(batch) {
+            scratch.grad.clear();
+            scratch.touched.clear();
+            let frozen: &Weights = weights;
+            let Some(ll) = minibatch
+                .chunks(GRAD_SHARD_EXAMPLES)
+                .map(|shard| shard_gradient(design, frozen, config.l2, &mut scratch, shard))
+                .reduce(|a, b| a + b)
+            else {
+                continue;
+            };
+            acc.add_runs(&scratch.touched, &scratch.grad);
+            acc.drain_sorted(&mut grad);
+            ll_sum += ll;
+            out.minibatches += 1;
+            epoch_minibatches += 1;
+            let mut norm_sq = 0.0;
+            for &(_, g) in &grad {
+                norm_sq += g * g;
+            }
+            out.grad_norm = norm_sq.sqrt();
+            norm_sum += out.grad_norm;
+            if !norm_sq.is_finite() {
+                out.non_finite_minibatches += 1;
+            }
+            if out.non_finite_minibatches == 0 {
+                for &(w, g) in &grad {
+                    weights.update(w, lr * g);
+                }
+            }
+        }
+        out.ll_sum = ll_sum;
+        out.grad_norm_mean = if epoch_minibatches == 0 {
+            0.0
+        } else {
+            norm_sum / epoch_minibatches as f64
+        };
+        lr *= config.decay;
+    }
+    out
+}
+
+/// The **test-only reference** trainer the kernel is pinned against bit
+/// for bit: it walks the same CSR rows per example but accumulates
+/// gradients in hash maps, merges shard maps in shard order and applies
+/// the update in sorted id order. Same entry points, same RNG
+/// consumption, same divergence rule as the production path.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::{eligible_examples, LearnConfig, LearnStats};
+    use super::{eligible_examples, EpochOutcome, LearnConfig, LearnStats, GRAD_SHARD_EXAMPLES};
     use crate::design::DesignMatrix;
     use crate::graph::{FactorGraph, VarId};
     use crate::math::softmax_in_place;
-    use crate::packed::{EpochOutcome, GRAD_SHARD_EXAMPLES};
     use crate::weights::{WeightId, Weights};
     use holo_dataset::FxHashMap;
     use rand::rngs::StdRng;
@@ -279,39 +487,28 @@ pub(crate) mod oracle {
     ) -> LearnStats {
         let mut examples = eligible_examples(graph, examples);
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut stats = LearnStats::empty(examples.len(), config.epochs);
-        stats.absorb(run_epochs(
-            graph,
-            weights,
-            config,
-            &mut examples,
-            &mut rng,
-            config.epochs,
-        ));
-        stats
+        let out = run_epochs(graph.design(), weights, config, &mut examples, &mut rng);
+        LearnStats::new(examples.len(), config.epochs, out)
     }
 
     fn run_epochs(
-        graph: &FactorGraph,
+        design: &DesignMatrix,
         weights: &mut Weights,
         config: &LearnConfig,
-        examples: &mut [VarId],
+        examples: &mut [(VarId, usize)],
         rng: &mut StdRng,
-        epochs: usize,
     ) -> EpochOutcome {
-        let design = graph.design();
         let batch = config.minibatch.max(1);
         let mut lr = config.learning_rate;
         let mut keys: Vec<WeightId> = Vec::new();
         let mut out = EpochOutcome::default();
-        for _epoch in 0..epochs {
+        for _epoch in 0..config.epochs {
             examples.shuffle(rng);
             let mut ll_sum = 0.0;
             let mut norm_sum = 0.0;
             let mut epoch_minibatches = 0usize;
             for minibatch in examples.chunks(batch) {
-                let Some((grad, ll)) =
-                    minibatch_gradient(graph, design, weights, config, minibatch)
+                let Some((grad, ll)) = minibatch_gradient(design, weights, config, minibatch)
                 else {
                     continue;
                 };
@@ -350,14 +547,13 @@ pub(crate) mod oracle {
 
     /// Sparse summed gradient of one minibatch (plus its log-likelihood
     /// sum), computed against the frozen `weights`. Examples fold in
-    /// fixed-size shards merged in shard order — the packed kernel's
+    /// fixed-size shards merged in shard order — the kernel's
     /// accumulation order.
     fn minibatch_gradient(
-        graph: &FactorGraph,
         design: &DesignMatrix,
         weights: &Weights,
         config: &LearnConfig,
-        minibatch: &[VarId],
+        minibatch: &[(VarId, usize)],
     ) -> Option<(FxHashMap<WeightId, f64>, f64)> {
         minibatch
             .chunks(GRAD_SHARD_EXAMPLES)
@@ -365,17 +561,10 @@ pub(crate) mod oracle {
                 let mut grad: FxHashMap<WeightId, f64> = FxHashMap::default();
                 let mut ll = 0.0;
                 let mut scores: Vec<f64> = Vec::new();
-                for &v in shard {
-                    let target = graph
-                        .var(v)
-                        .evidence
-                        .expect("eligible examples are evidence");
+                for &(v, target) in shard {
                     design.score_var_into(v, weights, &mut scores);
                     softmax_in_place(&mut scores);
                     ll += scores[target].max(1e-300).ln();
-                    // Gradient of log P(target): x_f · (1[k = target] − p_k),
-                    // with L2 shrinkage toward zero per feature occurrence.
-                    // The variable's candidates are its contiguous CSR rows.
                     let rows = design.var_range(v);
                     for (k, (r, &p_k)) in rows.zip(scores.iter()).enumerate() {
                         let residual = f64::from(u8::from(k == target)) - p_k;
@@ -407,7 +596,7 @@ mod tests {
     use super::*;
     use crate::graph::{GraphBuilder, Variable};
     use crate::marginals::reference::exact_unary;
-    use crate::weights::{FeatureRegistry, WeightId};
+    use crate::weights::FeatureRegistry;
     use holo_dataset::Sym;
 
     fn sym(i: u32) -> Sym {
@@ -518,13 +707,12 @@ mod tests {
         assert_eq!(w1.get(f), w2.get(f));
     }
 
-    /// The headline equivalence of the packed kernel: for every
-    /// minibatch size — ones that do and don't divide the example count
-    /// or the shard size, and ones past the example count — the trainer's
-    /// weights and stats are bit-for-bit the hash-map oracle's, and only
-    /// the kernel reports arena counters.
+    /// The headline equivalence of the kernel: for every minibatch size
+    /// — ones that do and don't divide the example count or the shard
+    /// size, and ones past the example count — the trainer's weights and
+    /// stats are bit-for-bit the hash-map oracle's.
     #[test]
-    fn packed_trainer_is_bitwise_the_naive_oracle() {
+    fn trainer_is_bitwise_the_oracle_at_every_minibatch_size() {
         let mut reg: FeatureRegistry<(u8, usize)> = FeatureRegistry::new();
         let prior = reg.fixed((b'p', 0), 1.25);
         let mut g = GraphBuilder::new();
@@ -543,19 +731,89 @@ mod tests {
                 minibatch,
                 ..LearnConfig::default()
             };
-            let mut w_naive = reg.build_weights();
-            let mut w_packed = reg.build_weights();
-            let s_naive = oracle::train_examples(&g, &mut w_naive, &cfg, &order);
-            let s_packed = train_with_threads(&g, &mut w_packed, &cfg, 2);
-            assert_eq!(w_packed, w_naive, "minibatch = {minibatch}");
-            assert_eq!(s_packed.bits(), s_naive.bits(), "train");
-            assert_eq!(s_packed.packed_examples, 90);
-            assert!(s_packed.packed_entries > 0);
-            assert!(s_packed.packed_bytes > 0);
-            assert_eq!(s_packed.packed_epochs, cfg.epochs);
-            assert_eq!(s_naive.packed_examples, 0);
-            assert_eq!(s_naive.packed_bytes, 0);
-            assert_eq!(s_naive.packed_epochs, 0);
+            let mut w_oracle = reg.build_weights();
+            let mut w = reg.build_weights();
+            let s_oracle = oracle::train_examples(&g, &mut w_oracle, &cfg, &order);
+            let s = train_with_threads(&g, &mut w, &cfg, 2);
+            assert_eq!(w, w_oracle, "minibatch = {minibatch}");
+            assert_eq!(s.bits(), s_oracle.bits(), "train");
+            assert_eq!(s.examples, 90);
+            assert_eq!(s.packed_bytes, 0, "nothing is gathered");
+        }
+    }
+
+    /// A weight touched in shards 0 and 3 only: the first touch lands as
+    /// a bitwise copy, the second adds to it — per weight exactly what
+    /// the oracle's hash merge produces.
+    #[test]
+    fn accumulator_matches_hash_merge_for_a_weight_in_shards_0_and_3() {
+        let shards: [Vec<(WeightId, f64)>; 4] = [
+            vec![(WeightId(7), 2.0), (WeightId(0), 1.5), (WeightId(3), 0.1)],
+            vec![(WeightId(1), 0.5), (WeightId(7), 0.125)],
+            vec![(WeightId(9), -1.0), (WeightId(1), 1e-17)],
+            vec![(WeightId(3), 0.2), (WeightId(64), -0.75)],
+        ];
+        let mut acc = GradAccumulator::new(70);
+        for run in &shards {
+            let (ids, gs): (Vec<WeightId>, Vec<f64>) = run.iter().copied().unzip();
+            acc.add_runs(&ids, &gs);
+        }
+        let mut drained = Vec::new();
+        acc.drain_sorted(&mut drained);
+
+        let mut expected: Vec<(WeightId, f64)> = Vec::new();
+        for &(w, g) in shards.iter().flatten() {
+            match expected.iter_mut().find(|(ew, _)| *ew == w) {
+                Some((_, eg)) => *eg += g,
+                None => expected.push((w, g)),
+            }
+        }
+        expected.sort_unstable_by_key(|&(w, _)| w);
+        let bits = |run: &[(WeightId, f64)]| -> Vec<(WeightId, u64)> {
+            run.iter().map(|&(w, g)| (w, g.to_bits())).collect()
+        };
+        assert_eq!(bits(&drained), bits(&expected));
+        // Shard 0 then shard 3, nothing in between; one-sided entries
+        // are copies.
+        assert_eq!(drained[2], (WeightId(3), 0.1 + 0.2));
+        assert_eq!(drained[0], (WeightId(0), 1.5));
+        assert_eq!(drained[5], (WeightId(64), -0.75));
+    }
+
+    /// Draining walks the bitmap in ascending word/bit order — which is
+    /// ascending weight id, across word edges — visits exactly the
+    /// touched ids, and leaves bitmap and sums clean, so the next
+    /// minibatch starts from `+0.0` everywhere.
+    #[test]
+    fn drain_visits_touched_ids_ascending_and_leaves_the_accumulator_clean() {
+        for weight_count in [1usize, 63, 64, 65, 129, 200] {
+            let mut acc = GradAccumulator::new(weight_count);
+            // Every third id plus both sides of each word edge, fed in
+            // descending order with a repeat.
+            let mut ids: Vec<u32> = (0..weight_count as u32)
+                .filter(|i| i % 3 == 0 || i % 64 == 63 || i % 64 == 0)
+                .collect();
+            ids.reverse();
+            let touched: Vec<WeightId> = ids.iter().map(|&i| WeightId(i)).collect();
+            let gs: Vec<f64> = ids.iter().map(|&i| f64::from(i) + 0.5).collect();
+            acc.add_runs(&touched, &gs);
+            acc.add_runs(&touched[..1], &[1.0]);
+
+            let mut drained = vec![(WeightId(999), f64::NAN)];
+            acc.drain_sorted(&mut drained);
+            let mut expected: Vec<(WeightId, f64)> = touched.iter().copied().zip(gs).collect();
+            expected[0].1 += 1.0;
+            expected.reverse();
+            assert_eq!(drained, expected, "weight_count = {weight_count}");
+            assert!(drained.windows(2).all(|p| p[0].0 < p[1].0), "ascending ids");
+
+            assert!(acc.touched.iter().all(|&word| word == 0), "bitmap clean");
+            assert!(
+                acc.sum.iter().all(|g| g.to_bits() == 0.0f64.to_bits()),
+                "sums back to +0.0"
+            );
+            acc.drain_sorted(&mut drained);
+            assert!(drained.is_empty(), "nothing left to visit");
         }
     }
 

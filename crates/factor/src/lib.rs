@@ -26,13 +26,10 @@
 //!   feature registry for interning structured feature keys.
 //! * [`learn`] — empirical-risk minimisation over evidence variables with
 //!   minibatch SGD (§2.2), i.e. multinomial logistic regression over the
-//!   design-matrix rows; L2 regularised, sequential and deterministic
-//!   under a seed (fixed gradient shards added in shard order).
-//! * [`packed`] — the example-major [`PackedArena`] the trainer gathers
-//!   per training call: contiguous per-example rows with local weight
-//!   dictionaries, scored by a packed clone of the blocked kernel with
-//!   dense-slot (hash-free) gradient accumulation. Bit-for-bit the
-//!   naive trainer; rebuilt per call like [`ScoreCache`].
+//!   design-matrix rows, read in place and scored by the same blocked
+//!   kernel as inference; L2 regularised, sequential and deterministic
+//!   under a seed (fixed gradient shards added in shard order into a dense
+//!   accumulator drained in weight-id order).
 //! * [`gibbs`] — the Gibbs sampler used for approximate inference over
 //!   models with clique factors: sequential single-site sweeps over the
 //!   query variables, or deterministic chromatic color-class sweeps when a
@@ -65,7 +62,6 @@ pub mod graph;
 pub mod learn;
 pub mod marginals;
 pub mod math;
-pub mod packed;
 pub mod weights;
 
 #[cfg(test)]
@@ -82,5 +78,4 @@ pub use graph::{
 };
 pub use learn::{LearnConfig, LearnStats};
 pub use marginals::Marginals;
-pub use packed::PackedArena;
 pub use weights::{FeatureRegistry, WeightId, Weights};

@@ -504,11 +504,13 @@ fn dc_factor_graphs_build_both_row_forms() {
     assert!(fixed > 0 && general > 0, "fixed {fixed}, general {general}");
 }
 
-/// One evidence variable of a random training model: `(arity, target,
-/// per-candidate sparse features)`. Feature keys are reduced modulo the
-/// model's weight count; arity-1 variables exercise the eligibility
-/// filter.
-type EvidenceVar = (usize, usize, Vec<Vec<(usize, f64)>>);
+/// One variable of a random training model: `(kind, arity, target,
+/// per-candidate sparse features)`. Kind 0 (one in four) makes a query
+/// variable — a non-evidence id between the evidence rows, which the
+/// trainer must skip in the design matrix and the eligibility filter must
+/// drop from the example order. Feature keys are reduced modulo the
+/// model's weight count; arity-1 evidence exercises the filter too.
+type TrainingVar = (u8, usize, usize, Vec<Vec<(usize, f64)>>);
 
 /// Weight-store widths on and around the accumulator bitmap's `u64`
 /// word edges.
@@ -518,10 +520,11 @@ const WEIGHT_COUNTS: [usize; 7] = [1, 2, 63, 64, 65, 129, 200];
 /// boundaries, the default, and one larger than any generated model.
 const MINIBATCHES: [usize; 4] = [1, 7, 128, 1000];
 
-fn evidence_model() -> impl Strategy<Value = Vec<EvidenceVar>> {
+fn training_model() -> impl Strategy<Value = Vec<TrainingVar>> {
     proptest::collection::vec(
         (1usize..=3).prop_flat_map(|arity| {
             (
+                0u8..4,
                 Just(arity),
                 0..arity,
                 proptest::collection::vec(
@@ -536,12 +539,14 @@ fn evidence_model() -> impl Strategy<Value = Vec<EvidenceVar>> {
 
 /// Builds the model over exactly `weight_count` weights, all registered
 /// up front (so the store is that wide whatever the features reference);
-/// every fifth weight is fixed, which exercises the arena's fixedness
-/// snapshot next to the tied-slot dictionary.
-fn build_evidence(
-    model: &[EvidenceVar],
+/// every fifth weight is fixed. Returns the graph, the weights and an
+/// example order: every variable id, query ids included, shuffled under
+/// `order_seed`.
+fn build_training(
+    model: &[TrainingVar],
     weight_count: usize,
-) -> (FactorGraph, Weights, Vec<crate::graph::VarId>) {
+    order_seed: u64,
+) -> (FactorGraph, Weights, Vec<VarId>) {
     let mut reg: FeatureRegistry<usize> = FeatureRegistry::new();
     let ids: Vec<WeightId> = (0..weight_count)
         .map(|key| {
@@ -554,9 +559,13 @@ fn build_evidence(
         .collect();
     let mut graph = GraphBuilder::new();
     let mut order = Vec::new();
-    for &(arity, target, ref per_candidate) in model {
+    for &(kind, arity, target, ref per_candidate) in model {
         let domain: Vec<Sym> = (1..=arity as u32).map(Sym).collect();
-        let v = graph.add_variable(Variable::evidence(domain, target));
+        let v = graph.add_variable(if kind == 0 {
+            Variable::query(domain, Some(target))
+        } else {
+            Variable::evidence(domain, target)
+        });
         for (k, features) in per_candidate.iter().enumerate() {
             for &(key, x) in features {
                 graph.add_feature(v, k, ids[key % weight_count], x);
@@ -564,6 +573,7 @@ fn build_evidence(
         }
         order.push(v);
     }
+    order.shuffle(&mut StdRng::seed_from_u64(order_seed));
     (graph.build(), reg.build_weights(), order)
 }
 
@@ -576,27 +586,50 @@ fn weight_bits(w: &Weights) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The dense-accumulator trainer is bit-for-bit the hash-map oracle
-    /// — weights and every `LearnStats` float — across random evidence
-    /// graphs, weight counts on the bitmap's word edges, fixed weights and
-    /// minibatch sizes.
+    /// The trainer is bit-for-bit the hash-map oracle — weights and every
+    /// `LearnStats` float — across random graphs whose evidence rows are
+    /// interleaved with query rows, shuffled example orders that name
+    /// query ids, weight counts on the bitmap's word edges, fixed weights
+    /// and minibatch sizes.
     #[test]
-    fn packed_trainer_bitwise_equals_naive(model in evidence_model(),
-                                           weight_count in 0usize..WEIGHT_COUNTS.len(),
-                                           minibatch in 0usize..MINIBATCHES.len()) {
+    fn trainer_bitwise_equals_oracle(model in training_model(),
+                                     weight_count in 0usize..WEIGHT_COUNTS.len(),
+                                     minibatch in 0usize..MINIBATCHES.len(),
+                                     order_seed in 0u64..u64::MAX) {
         let weight_count = WEIGHT_COUNTS[weight_count];
-        let (graph, weights, order) = build_evidence(&model, weight_count);
+        let (graph, weights, order) = build_training(&model, weight_count, order_seed);
         prop_assert_eq!(weights.len(), weight_count);
         let cfg = LearnConfig {
             epochs: 3,
             minibatch: MINIBATCHES[minibatch],
             ..LearnConfig::default()
         };
-        let mut w_naive = weights.clone();
-        let mut w_packed = weights.clone();
-        let s_naive = oracle::train_examples(&graph, &mut w_naive, &cfg, &order);
-        let s_packed = learn::train_examples(&graph, &mut w_packed, &cfg, &order);
-        prop_assert_eq!(weight_bits(&w_packed), weight_bits(&w_naive));
-        prop_assert_eq!(s_packed.bits(), s_naive.bits());
+        let mut w_oracle = weights.clone();
+        let mut w = weights.clone();
+        let s_oracle = oracle::train_examples(&graph, &mut w_oracle, &cfg, &order);
+        let s = learn::train_examples(&graph, &mut w, &cfg, &order);
+        prop_assert_eq!(weight_bits(&w), weight_bits(&w_oracle));
+        prop_assert_eq!(s.bits(), s_oracle.bits());
     }
+}
+
+/// An example order with no eligible entry — query ids and
+/// single-candidate evidence only — runs no minibatch and leaves every
+/// weight as it was, like the oracle.
+#[test]
+fn no_eligible_example_trains_nothing() {
+    let model: Vec<TrainingVar> = vec![
+        (0, 2, 1, vec![vec![(0, 1.0)], vec![(1, -0.5)]]),
+        (1, 1, 0, vec![vec![(2, 0.25), (0, 1.0)]]),
+        (0, 3, 0, vec![vec![(3, 1.0)], vec![], vec![(2, 2.0)]]),
+    ];
+    let (graph, weights, order) = build_training(&model, 5, 7);
+    let cfg = LearnConfig::default();
+    let mut w = weights.clone();
+    let s = learn::train_examples(&graph, &mut w, &cfg, &order);
+    assert_eq!((s.examples, s.minibatches), (0, 0));
+    assert_eq!(weight_bits(&w), weight_bits(&weights));
+    let mut w_oracle = weights.clone();
+    let s_oracle = oracle::train_examples(&graph, &mut w_oracle, &cfg, &order);
+    assert_eq!(s.bits(), s_oracle.bits());
 }

@@ -9,9 +9,9 @@
 //! produces its chunk's outputs in input order, and chunks are concatenated
 //! in order — so a pure `f` yields bit-for-bit the sequential result.
 //!
-//! Work sizing: spawning threads costs ~10µs each, so [`parallel_map`]
-//! falls back to the inline path for inputs smaller than
-//! [`MIN_PARALLEL_ITEMS`] items.
+//! Work sizing: spawning threads costs ~10µs each, so [`parallel_chunks`]
+//! and [`parallel_flat_map`] fall back to the inline path for inputs
+//! smaller than [`MIN_PARALLEL_ITEMS`] items.
 
 use std::num::NonZeroUsize;
 
@@ -51,26 +51,10 @@ pub fn effective_threads(configured: usize) -> usize {
     }
 }
 
-/// Maps `f` over `items` with up to `threads` worker threads, returning
-/// outputs in input order. `f(index, item)` receives the item's index in
-/// `items`. Deterministic for pure `f` regardless of `threads`.
-pub fn parallel_map<T: Sync, R: Send, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let f = &f;
-    parallel_chunks(threads, items, |offset, chunk| {
-        chunk
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(offset + i, t))
-            .collect()
-    })
-}
-
-/// [`parallel_map`] followed by an in-order flatten: each item may produce
-/// any number of outputs and the concatenation order matches the sequential
-/// `flat_map`.
+/// Maps `f(index, item)` over `items` with up to `threads` worker threads
+/// and flattens in order: each item may produce any number of outputs and
+/// the concatenation order matches the sequential `flat_map`.
+/// Deterministic for pure `f` regardless of `threads`.
 pub fn parallel_flat_map<T: Sync, R: Send, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     F: Fn(usize, &T) -> Vec<R> + Sync,
@@ -85,7 +69,7 @@ where
     })
 }
 
-/// The chunk-level primitive under [`parallel_map`]: `f(offset, chunk)`
+/// The chunk-level primitive under [`parallel_flat_map`]: `f(offset, chunk)`
 /// receives a contiguous sub-slice starting at `items[offset]` and returns
 /// that chunk's outputs in item order; chunk outputs concatenate in chunk
 /// order. Use directly when per-item work wants per-chunk reusable scratch
@@ -108,8 +92,8 @@ where
 }
 
 /// Runs `n` independent jobs (indexed `0..n`) on up to `threads` threads
-/// and returns their results in index order. Unlike [`parallel_map`] there
-/// is no minimum-size cutoff: jobs are assumed coarse (e.g. one inference
+/// and returns their results in index order. Unlike [`parallel_chunks`]
+/// there is no minimum-size cutoff: jobs are assumed coarse (e.g. one inference
 /// component or one full-column statistics scan each).
 pub fn parallel_jobs<R: Send, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
@@ -283,12 +267,16 @@ mod tests {
         assert!(sized_threads(0, MIN_PARALLEL_WORK) >= 1);
     }
 
+    /// One output per item, indexed: the same vector at every thread
+    /// count, more threads than items included.
     #[test]
     fn map_preserves_order_at_any_thread_count() {
         let items: Vec<usize> = (0..1000).collect();
-        let sequential = parallel_map(1, &items, |i, &x| i * 1000 + x * x);
-        for threads in [2, 3, 4, 7, 16, 1000] {
-            let parallel = parallel_map(threads, &items, |i, &x| i * 1000 + x * x);
+        let f = |i: usize, &x: &usize| vec![i * 1000 + x * x];
+        let sequential = parallel_flat_map(1, &items, f);
+        assert_eq!(sequential.len(), items.len());
+        for threads in [2, 3, 4, 7, 16, 1000, 2000] {
+            let parallel = parallel_flat_map(threads, &items, f);
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }
@@ -296,13 +284,19 @@ mod tests {
     #[test]
     fn small_inputs_run_inline() {
         let items = [1, 2, 3];
-        assert_eq!(parallel_map(8, &items, |_, &x| x * 2), vec![2, 4, 6]);
+        let caller = std::thread::current().id();
+        let out = parallel_flat_map(8, &items, |_, &x| {
+            assert_eq!(std::thread::current().id(), caller, "ran on a worker");
+            vec![x * 2]
+        });
+        assert_eq!(out, vec![2, 4, 6]);
     }
 
     #[test]
     fn empty_input() {
         let items: [u8; 0] = [];
-        assert!(parallel_map(4, &items, |_, &x| x).is_empty());
+        assert!(parallel_flat_map(4, &items, |_, &x| vec![x]).is_empty());
+        assert!(parallel_chunks(4, &items, |_, chunk| chunk.to_vec()).is_empty());
         assert!(parallel_jobs(4, 0, |i| i).is_empty());
     }
 
@@ -446,11 +440,11 @@ mod tests {
     #[should_panic(expected = "original worker message")]
     fn worker_panics_keep_their_payload() {
         let items: Vec<usize> = (0..200).collect();
-        parallel_map(4, &items, |i, _| {
+        parallel_flat_map(4, &items, |i, _| {
             if i == 137 {
                 panic!("original worker message");
             }
-            i
+            vec![i]
         });
     }
 }
