@@ -3,10 +3,11 @@
 //! tune the reproduction; kept because it is genuinely useful for anyone
 //! adapting the system to new data.
 //!
-//! `--stream K` feeds the dataset through `StreamSession` in K batches
-//! instead of the one-shot pipeline and additionally reports the ingest
-//! counters (batches, tuples, rows updated/deleted, pipeline runs) and
-//! the live/deleted row split; `--json` emits the
+//! `--stream K` feeds the dataset through a stream `Session` in K batches
+//! (`holo_bench::stream_feed`; with `--crud`, every batch corrupted and
+//! healed) instead of the one-shot pipeline and additionally reports the
+//! session's counters (batches, tuples, rows updated/deleted, pipeline
+//! runs) and the live/deleted row split; `--json` emits the
 //! machine-readable form either way (via the shared `holo_bench::json`
 //! writer). Unknown flags abort with a usage line (exit 2).
 //!
@@ -44,7 +45,10 @@
 //! bucket until it is mixed; a mixed bucket's FD-shaped constraints cost
 //! its size plus its violations, any other constraint its size squared.
 //!
-//! `quality.clean_cells_rewritten` counts repairs of clean cells, and of
+//! `quality.ece` is the expected calibration error of the marginals
+//! (`holoclean::expected_calibration_error`: every query cell's MAP
+//! candidate, ten equal-width bins). `quality.clean_cells_rewritten`
+//! counts repairs of clean cells, and of
 //! those `clean_rewritten_sibling_dirty` (an error elsewhere in the tuple),
 //! `_to_rarer` / `_to_equal` (new value rarer / as frequent in the dirty
 //! column). `occur_weights`: per attribute, its `Occur` weights and the top
@@ -63,7 +67,7 @@
 
 use holo_bench::json::{num, num_exact, JsonObj};
 use holo_bench::runner::{run_holoclean_full, HoloOutcome};
-use holo_bench::{build, Args, Scale};
+use holo_bench::{build, stream_feed, Args, Scale};
 use holo_constraints::ast::TupleVar;
 use holo_constraints::scan::{build_shared, PairScan};
 use holo_constraints::{find_noisy_cells_with_threads, ConstraintSet};
@@ -72,8 +76,8 @@ use holo_dataset::{AttrId, Dataset, FxHashMap, FxHashSet};
 use holo_factor::{FeatureRegistry, VarId, WeightId, Weights};
 use holoclean::compile::CompiledModel;
 use holoclean::features::FeatureKey;
-use holoclean::stream::{IngestStats, StreamSession};
-use holoclean::{evaluate, HoloConfig, ModelVariant, Repair};
+use holoclean::stream::{IngestStats, RetireStats};
+use holoclean::{evaluate, expected_calibration_error, HoloConfig, ModelVariant, Repair};
 
 /// One constraint's line of the `detect:` block.
 struct ConstraintDetect {
@@ -296,15 +300,19 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
+/// A streamed run's session counters.
+type FeedStats = (IngestStats, RetireStats);
+
 /// Emits the run's diagnostics as one JSON object for the bench
 /// trajectory: stage timings, `LearnStats`, `PartitionStats` and (for
-/// streamed runs) the `IngestStats`. Hand-rolled over `holo_bench::json` — the
+/// streamed runs) the session's counters. Hand-rolled over `holo_bench::json` — the
 /// offline `serde` stub derives are no-ops, and the shape here is small
 /// and stable.
 fn print_json(
     gen: &GeneratedDataset,
     out: &HoloOutcome,
     (detect, clean, occur): (&DetectProfile, &CleanRewrites, &Vec<OccurWeights>),
+    (ece, feed): (f64, Option<FeedStats>),
 ) {
     let name = |a: AttrId| gen.dirty.schema().attr_name(a);
     let t = &out.timings;
@@ -323,15 +331,12 @@ fn print_json(
         }
         None => "null".to_string(),
     };
-    let ingest = if t.ingest.batches > 0 {
-        ingest_json(&t.ingest)
-    } else {
-        "null".to_string()
-    };
+    let ingest = feed.map_or("null".to_string(), |(ingest, _)| ingest_json(&ingest));
     let mut quality = JsonObj::new();
     quality.field_num("precision", out.quality.precision);
     quality.field_num("recall", out.quality.recall);
     quality.field_num("f1", out.quality.f1);
+    quality.field_num("ece", ece);
     quality.field_u64("repairs", out.quality.total_repairs as u64);
     quality.field_u64("errors", out.quality.total_errors as u64);
     quality.field_u64("clean_cells_rewritten", clean.total);
@@ -414,7 +419,7 @@ fn print_json(
     stats.field_u64("csr_pairs", s.csr_pairs);
     stats.field_u64("dense_cells", s.dense_cells);
     stats.field_u64("bytes", s.bytes);
-    let r = t.retire;
+    let r = feed.map_or(RetireStats::default(), |(_, retire)| retire);
     let mut retire = JsonObj::new();
     retire.field_u64("compactions", r.compactions);
     retire.field_u64("live_rows", r.live_rows);
@@ -453,50 +458,35 @@ fn ingest_json(i: &IngestStats) -> String {
     o.finish()
 }
 
-/// Runs the dataset through a `StreamSession` in `batches` batches,
+/// Runs the dataset through a stream `Session` ([`stream_feed`]),
 /// shaping the outcome like the one-shot runner's so the reporting is
 /// shared. The session's report speaks the coordinates of the table its
 /// read compacted, not the row store's, so the returned [`Dataset`] is
 /// that table — candidate values must resolve through it.
 fn run_streamed(
     gen: &GeneratedDataset,
-    mut config: HoloConfig,
-    batches: usize,
+    config: HoloConfig,
+    args: &Args,
 ) -> (
     HoloOutcome,
     holo_factor::FeatureRegistry<FeatureKey>,
     holo_factor::Weights,
     Dataset,
     FxHashSet<WeightId>,
+    Option<FeedStats>,
 ) {
-    config.tau = gen.kind.paper_tau();
     let fail = |e: holoclean::HoloError| -> ! {
         eprintln!("diag --stream: {e}");
         std::process::exit(2)
     };
-    let mut session = StreamSession::new(gen.dirty.schema().clone(), &gen.constraints_text, config)
-        .unwrap_or_else(|e| fail(e));
-    let rows: Vec<Vec<String>> = gen
-        .dirty
-        .tuples()
-        .map(|t| {
-            gen.dirty
-                .schema()
-                .attrs()
-                .map(|a| gen.dirty.cell_str(t, a).to_string())
-                .collect()
-        })
-        .collect();
-    for chunk in rows.chunks(rows.len().div_ceil(batches.max(1))) {
-        session.push_batch(chunk).unwrap_or_else(|e| fail(e));
-    }
+    let mut session = stream_feed(gen, config, args.stream, args.crud).unwrap_or_else(|e| fail(e));
     let report = session.try_report().unwrap_or_else(|e| fail(e));
     let run = session.cached_run().expect("the read above made it");
     let table = session.cached_table().expect("the read above made it");
     let quality = evaluate(&report, table, &gen.clean);
     let outcome = HoloOutcome {
         quality,
-        timings: session.timings(),
+        timings: run.timings,
         report,
         model: run.model.stats.clone(),
         learn_stats: run.learn_stats.clone(),
@@ -509,6 +499,7 @@ fn run_streamed(
         run.weights.clone(),
         table.clone(),
         evidence_weights(&run.model),
+        Some((session.ingest_stats(), session.retire_stats())),
     )
 }
 
@@ -545,18 +536,26 @@ fn main() {
     if args.dc_factors {
         config = config.with_variant(ModelVariant::DcFactorsPartitioned);
     }
-    let (out, registry, weights, pool, trained) = if args.stream > 0 {
-        run_streamed(&gen, config, args.stream)
+    let (out, registry, weights, pool, trained, feed) = if args.stream > 0 {
+        run_streamed(&gen, config, &args)
     } else {
         let (out, model, weights) = run_holoclean_full(&gen, config, None, false);
         let trained = evidence_weights(&model);
-        (out, model.registry, weights, gen.dirty.clone(), trained)
+        (
+            out,
+            model.registry,
+            weights,
+            gen.dirty.clone(),
+            trained,
+            None,
+        )
     };
+    let ece = expected_calibration_error(&out.report, &pool, &gen.clean);
     let detect = detect_profile(&gen, args.threads);
     let clean = clean_rewrites(&gen, &out.report.repairs);
     let occur = occur_weights(&registry, &weights);
     if args.json {
-        print_json(&gen, &out, (&detect, &clean, &occur));
+        print_json(&gen, &out, (&detect, &clean, &occur), (ece, feed));
         return;
     }
     println!(
@@ -569,6 +568,10 @@ fn main() {
         out.quality.total_errors,
         out.noisy_cells,
         out.model.query_vars,
+    );
+    println!(
+        "calibration: ECE {ece:.4} over {} query cell(s), ten equal-width bins",
+        out.report.posteriors.len()
     );
     println!(
         "clean cells rewritten: {} ({} with a dirty sibling cell, {} to a column-rarer value, \
@@ -663,8 +666,7 @@ fn main() {
         s.dense_cells,
         s.bytes
     );
-    let ingest = out.timings.ingest;
-    if ingest.batches > 0 {
+    if let Some((ingest, retire)) = feed {
         println!(
             "ingest: {} batch(es), {} tuple(s)",
             ingest.batches, ingest.tuples
@@ -683,9 +685,6 @@ fn main() {
                 ingest.rows_deleted, ingest.rows_updated
             );
         }
-    }
-    let retire = out.timings.retire;
-    if ingest.batches > 0 {
         println!(
             "  rows: {} live / {} deleted; {} model(s) discarded and rebuilt",
             retire.live_rows, retire.dead_rows, retire.compactions

@@ -9,7 +9,8 @@
 //! probability mass without flipping any repair.
 //!
 //! With `--stream K`, the dataset is ingested in K batches through a
-//! `StreamSession` instead of the one-shot pipeline. The session's
+//! stream `Session` (`holo_bench::stream_feed`) instead of the one-shot
+//! pipeline. The session's
 //! equivalence contract says the output is **byte-identical** either way
 //! — CI runs both and diffs them. Adding `--crud` corrupts every batch on
 //! entry (a mangled first row plus a decoy row) and heals it with
@@ -31,18 +32,12 @@
 //! with a usage line and exit code 2 instead of being silently dropped.
 
 use holo_bench::runner::run_holoclean_full;
-use holo_bench::{build, Args, Scale};
+use holo_bench::{build, stream_feed, Args, Scale};
 use holo_datagen::DatasetKind;
-use holo_dataset::TupleId;
-use holoclean::stream::StreamSession;
-use holoclean::{evaluate, HoloConfig, ModelVariant, RepairQuality, RepairReport};
+use holoclean::{evaluate, HoloConfig, ModelVariant};
 
 fn main() {
     let args = Args::parse(std::env::args());
-    if args.crud && args.stream == 0 {
-        eprintln!("error: --crud drives the streaming engine; pass --stream K too");
-        std::process::exit(2);
-    }
     let gen = build(
         DatasetKind::Hospital,
         Scale {
@@ -59,77 +54,20 @@ fn main() {
     if args.dc_factors {
         config = config.with_variant(ModelVariant::DcFactorsPartitioned);
     }
-    let (report, quality, norm, value_of): (
-        RepairReport,
-        RepairQuality,
-        f64,
-        Box<dyn Fn(holo_dataset::Sym) -> String>,
-    ) = if args.stream > 0 {
-        config.tau = gen.kind.paper_tau();
+    // A streamed report speaks the compacted table's coordinates, not the
+    // row store's: it is resolved and scored against that table.
+    let (report, table, norm) = if args.stream > 0 {
         let mut session =
-            StreamSession::new(gen.dirty.schema().clone(), &gen.constraints_text, config)
-                .expect("hospital streams every supported variant");
-        let rows: Vec<Vec<String>> = gen
-            .dirty
-            .tuples()
-            .map(|t| {
-                gen.dirty
-                    .schema()
-                    .attrs()
-                    .map(|a| gen.dirty.cell_str(t, a).to_string())
-                    .collect()
-            })
-            .collect();
-        let arity = gen.dirty.schema().len();
-        for chunk in rows.chunks(rows.len().div_ceil(args.stream)) {
-            if args.crud {
-                // Corrupt the batch on entry — mangle its first row and
-                // append a decoy — then heal with a delete and an update,
-                // leaving the live table byte-identical to a plain ingest.
-                let base = session.dataset().tuple_count() as u32;
-                let mut staged = chunk.to_vec();
-                staged[0][0].push_str("~typo");
-                staged.push((0..arity).map(|a| format!("~decoy{a}")).collect());
-                session.push_batch(&staged).expect("batch ingest");
-                session
-                    .push_deletes(&[TupleId(base + chunk.len() as u32)])
-                    .expect("decoy delete");
-                session
-                    .push_updates(&[(TupleId(base), chunk[0].clone())])
-                    .expect("healing update");
-            } else {
-                session.push_batch(chunk).expect("batch ingest");
-            }
-        }
+            stream_feed(&gen, config, args.stream, args.crud).expect("hospital streams");
         let report = session.report();
-        // The report speaks the compacted table's coordinates, not the
-        // row store's: resolve and score it against that table.
-        let table = session
-            .cached_table()
-            .expect("the read above made it")
-            .clone();
-        let quality = evaluate(&report, &table, &gen.clean);
-        let norm = session
-            .cached_run()
-            .expect("the read above made it")
-            .weights
-            .learnable_norm();
-        (
-            report,
-            quality,
-            norm,
-            Box::new(move |s| table.value_str(s).to_string()),
-        )
+        let run = session.cached_run().expect("the read above made it");
+        let table = session.cached_table().expect("the read above made it");
+        (report, table.clone(), run.weights.learnable_norm())
     } else {
         let (out, _model, weights) = run_holoclean_full(&gen, config, None, false);
-        let ds = gen.dirty.clone();
-        (
-            out.report,
-            out.quality,
-            weights.learnable_norm(),
-            Box::new(move |s| ds.value_str(s).to_string()),
-        )
+        (out.report, gen.dirty.clone(), weights.learnable_norm())
     };
+    let quality = evaluate(&report, &table, &gen.clean);
 
     let mut lines: Vec<String> = report
         .repairs
@@ -153,7 +91,7 @@ fn main() {
                 let cands: Vec<String> = p
                     .candidates
                     .iter()
-                    .map(|(sym, pr)| format!("{:?}={pr}", value_of(*sym)))
+                    .map(|(sym, pr)| format!("{:?}={pr}", table.value_str(*sym)))
                     .collect();
                 format!("MARGINAL {:?} {}", p.cell, cands.join(" "))
             })

@@ -24,7 +24,7 @@ pub mod runner;
 pub mod table;
 
 pub use datasets::{build, default_scale, Scale};
-pub use runner::{run_baseline, run_holoclean, BaselineOutcome, HoloOutcome};
+pub use runner::{run_baseline, run_holoclean, stream_feed, BaselineOutcome, HoloOutcome};
 pub use table::TableWriter;
 
 /// Minimal CLI-flag parsing shared by the experiment binaries (no external
@@ -43,7 +43,7 @@ pub struct Args {
     /// by the binaries that track the bench trajectory, e.g. `diag`).
     pub json: bool,
     /// Streaming mode for `diag`/`dump_repairs`: ingest the dataset in
-    /// this many batches through `StreamSession` instead of the one-shot
+    /// this many batches through a stream `Session` instead of the one-shot
     /// pipeline (`0` = one-shot). Output must be byte-identical either
     /// way — that is the equivalence CI diffs.
     pub stream: usize,
@@ -70,7 +70,7 @@ pub struct Args {
     /// wall-clock knob — domains, repairs and posteriors are byte-identical
     /// on or off — which is the equivalence CI diffs.
     pub naive_stats: bool,
-    /// Full-CRUD streaming drive (`dump_repairs`, needs `--stream K`):
+    /// Full-CRUD streaming drive (`diag`, `dump_repairs`; needs `--stream K`):
     /// every ingest batch is corrupted on entry (a mangled first row plus
     /// a decoy row) and then healed with `push_updates`/`push_deletes`,
     /// so the live table ends byte-identical to a plain ingest. The dump
@@ -149,6 +149,9 @@ impl Args {
                 other => usage(&format!("unknown flag {other:?}")),
             }
         }
+        if args.crud && args.stream == 0 {
+            usage("--crud drives the streaming engine; pass --stream K too");
+        }
         args
     }
 }
@@ -167,7 +170,7 @@ fn usage(msg: &str) -> ! {
          --full             paper-scale rows for Food and Physicians\n\
          --json             machine-readable JSON output (diag)\n\
          --scare-budget S   SCARE wall-clock budget in seconds (default 120)\n\
-         --stream K         ingest in K batches via StreamSession (diag, dump_repairs)\n\
+         --stream K         ingest in K batches via a stream Session (diag, dump_repairs)\n\
          --threads N        worker-thread override, 0 = all cores (diag, dump_repairs)\n\
          --marginals        also dump per-cell posteriors (dump_repairs)\n\
          --chromatic        chromatic Gibbs colour sweeps (diag, dump_repairs)\n\
@@ -176,7 +179,7 @@ fn usage(msg: &str) -> ! {
          --naive-stats      use the naive hash-map co-occurrence oracle instead of\n\
          \x20                  the dense count blocks (diag, dump_repairs)\n\
          --crud             corrupt-and-heal every stream batch with updates and\n\
-         \x20                  deletes; needs --stream (dump_repairs)"
+         \x20                  deletes; needs --stream (diag, dump_repairs)"
     );
     std::process::exit(2)
 }

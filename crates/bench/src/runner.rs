@@ -4,8 +4,9 @@ use holo_baselines::scare::ScareConfig;
 use holo_baselines::{to_report, Holistic, Katara, RepairSystem, Scare};
 use holo_constraints::parse_constraints;
 use holo_datagen::{DatasetKind, GeneratedDataset};
+use holo_dataset::TupleId;
 use holo_external::MatchingDependency;
-use holoclean::{evaluate, HoloClean, HoloConfig, RepairQuality, StageTimings};
+use holoclean::{evaluate, HoloClean, HoloConfig, HoloError, RepairQuality, Session, StageTimings};
 use std::time::{Duration, Instant};
 
 /// Outcome of a HoloClean run.
@@ -54,13 +55,10 @@ pub fn run_holoclean_full(
     holo_factor::Weights,
 ) {
     config.tau = tau_override.unwrap_or_else(|| gen.kind.paper_tau());
-    if gen.kind == DatasetKind::Flights {
-        config = config.with_source("Flight", "Source");
-    }
     let mut session = HoloClean::new(gen.dirty.clone())
         .with_constraint_text(&gen.constraints_text)
         .expect("generated constraints parse")
-        .with_config(config);
+        .with_config(with_sources(gen, config));
     if with_dictionary {
         if let Some(dict) = &gen.dictionary {
             let zip_col = if gen.dirty.schema().attr_id("Zip").is_some() {
@@ -86,6 +84,53 @@ pub fn run_holoclean_full(
         model,
         weights,
     )
+}
+
+/// §6.1: "Source-related features are only available for Flights".
+fn with_sources(gen: &GeneratedDataset, config: HoloConfig) -> HoloConfig {
+    if gen.kind == DatasetKind::Flights {
+        return config.with_source("Flight", "Source");
+    }
+    config
+}
+
+/// Feeds `gen`'s dirty rows through a new [`Session`] in `batches`
+/// batches, configured as [`run_holoclean_full`] configures a run without
+/// a dictionary, and leaves the reading to the caller. With `crud`, every
+/// batch is corrupted on entry — its first row mangled, a decoy row
+/// appended — and healed with a delete and an update, so the live rows end
+/// equal to a plain feed's.
+pub fn stream_feed(
+    gen: &GeneratedDataset,
+    mut config: HoloConfig,
+    batches: usize,
+    crud: bool,
+) -> Result<Session, HoloError> {
+    config.tau = gen.kind.paper_tau();
+    let (ds, text) = (&gen.dirty, &gen.constraints_text);
+    let mut session = Session::new(ds.schema().clone(), text, with_sources(gen, config))?;
+    let row = |t| {
+        ds.row(t)
+            .iter()
+            .map(|&v| ds.value_str(v).to_string())
+            .collect()
+    };
+    let rows: Vec<Vec<String>> = ds.tuples().map(row).collect();
+    for chunk in rows.chunks(rows.len().div_ceil(batches.max(1))) {
+        if !crud {
+            session.push_batch(chunk)?;
+            continue;
+        }
+        let base = session.dataset().tuple_count() as u32;
+        let mut staged = chunk.to_vec();
+        staged[0][0].push_str("~typo");
+        let decoy = (0..ds.schema().len()).map(|a| format!("~decoy{a}"));
+        staged.push(decoy.collect());
+        session.push_batch(&staged)?;
+        session.push_deletes(&[TupleId(base + chunk.len() as u32)])?;
+        session.push_updates(&[(TupleId(base), chunk[0].clone())])?;
+    }
+    Ok(session)
 }
 
 /// The matching dependencies m1/m2 of Figure 1(C) against the national

@@ -6,8 +6,9 @@ use std::process::Command;
 
 #[test]
 fn diag_rejects_malformed_arguments_with_exit_code_2() {
-    let cases: [&[&str]; 5] = [
+    let cases: [&[&str]; 6] = [
         &["--cor-strength", "0.3"],
+        &["--crud"],
         &["--scale", "inf"],
         &["--scale", "nan"],
         &["--scale", "0"],

@@ -12,12 +12,11 @@ pub enum HoloError {
     Constraint(String),
     /// Configuration problem (e.g. source attribute missing).
     Config(String),
-    /// Streaming-session failure: a configuration the session cannot
-    /// serve (source-reliability features) or a malformed mutation batch
-    /// (arity mismatch, a row that is not live or is named twice).
+    /// A rejected edit of a [`crate::stream::Session`]: a row of the
+    /// wrong arity, a row that is not live or is named twice, a label on
+    /// a cell of no live row, or a dictionary dependency naming a missing
+    /// attribute.
     Stream(String),
-    /// A feedback label naming a cell outside the session's table.
-    Feedback(String),
     /// Algorithm 2 pruning dropped a cell's own observed value from its
     /// candidate domain — a pathological pruning configuration (the
     /// compiler's invariant is that the initial value always survives).
@@ -48,7 +47,6 @@ impl fmt::Display for HoloError {
             HoloError::Constraint(msg) => write!(f, "constraint error: {msg}"),
             HoloError::Config(msg) => write!(f, "configuration error: {msg}"),
             HoloError::Stream(msg) => write!(f, "streaming error: {msg}"),
-            HoloError::Feedback(msg) => write!(f, "feedback error: {msg}"),
             HoloError::PrunedInitialValue { cell, attr } => write!(
                 f,
                 "compile error: pruning removed the observed value of cell {cell} \

@@ -55,7 +55,6 @@ pub mod context;
 pub mod domain;
 pub mod error;
 pub mod features;
-pub mod feedback;
 pub mod metrics;
 pub mod pipeline;
 pub mod repair;
@@ -67,10 +66,9 @@ pub mod trainable;
 pub use config::{HoloConfig, ModelVariant};
 pub use domain::{prune_domains_with_threads, CellDomains};
 pub use error::HoloError;
-pub use feedback::{FeedbackRequest, FeedbackSession, Label};
 pub use metrics::{evaluate, RepairQuality};
 pub use pipeline::{Detection, PipelineContext, PipelineRun, StageTimings};
 pub use repair::{Repair, RepairReport};
-pub use report::{confidence_buckets, ConfidenceBucket};
+pub use report::{confidence_buckets, expected_calibration_error, ConfidenceBucket};
 pub use session::{HoloClean, RepairOutcome};
-pub use stream::{BatchReport, IngestStats, RetireStats, StreamSession};
+pub use stream::{FeedbackRequest, IngestStats, Label, RetireStats, Session, StreamSession};

@@ -10,9 +10,9 @@
 //! [`PipelineContext`] — the frozen dataset (all dictionary values already
 //! interned), the bound constraints, the external-match lookup, detection
 //! overrides, the verified cells and the [`HoloConfig`] — which nothing
-//! mutates during a run (a [`crate::feedback::FeedbackSession`] writes its
-//! labels into its context *between* runs, and every run sees a frozen
-//! table).
+//! mutates during a run (a [`crate::stream::Session`] builds a fresh
+//! context for each run, so its edits happen *between* runs and every run
+//! sees a frozen table).
 //!
 //! ```
 //! use holo_dataset::{Dataset, Schema};
@@ -90,17 +90,9 @@ pub struct StageTimings {
     /// How the last inference pass decomposed the graph: component count,
     /// size histogram, and the closed-form / exact / Gibbs routing split.
     pub partition: PartitionStats,
-    /// Batches accepted and runs made by a
-    /// [`crate::stream::StreamSession`] (zero for one-shot runs). A
-    /// session's mutations bill no stage; each read that runs the
-    /// pipeline adds that run's four durations to the slots above.
-    pub ingest: crate::stream::IngestStats,
-    /// Run turnover of a streaming session and the live-vs-deleted row
-    /// split of its row store (zero for one-shot runs).
-    pub retire: crate::stream::RetireStats,
-    /// Size gauges of the statistics this run (a session's last run)
-    /// built: dense vs CSR pair blocks, dense cells, approximate bytes
-    /// (all zero under `--naive-stats`).
+    /// Size gauges of the statistics this run built: dense vs CSR pair
+    /// blocks, dense cells, approximate bytes (all zero under
+    /// `--naive-stats`).
     pub stats: StatsStats,
 }
 
@@ -113,17 +105,6 @@ impl StageTimings {
     /// End-to-end time.
     pub fn total(&self) -> Duration {
         self.detect + self.compile + self.learn + self.infer
-    }
-
-    /// Bills one run to a session's totals: adds its four stage
-    /// durations and takes its partition and statistics blocks.
-    pub(crate) fn bill(&mut self, run: &StageTimings) {
-        self.detect += run.detect;
-        self.compile += run.compile;
-        self.learn += run.learn;
-        self.infer += run.infer;
-        self.partition = run.partition;
-        self.stats = run.stats;
     }
 }
 

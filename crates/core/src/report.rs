@@ -75,10 +75,35 @@ pub fn confidence_buckets(
     buckets
 }
 
+/// Expected calibration error of the marginals: every query cell's MAP
+/// candidate — its probability against whether it is the true value — in
+/// ten equal-width bins, `Σ_b (n_b / n) · |accuracy_b − confidence_b|`.
+/// `ds` resolves the report's symbols (the table the run read); 0 for a
+/// report without posteriors.
+pub fn expected_calibration_error(report: &RepairReport, ds: &Dataset, truth: &Dataset) -> f64 {
+    // Per bin: the summed confidence and the count of right MAP values.
+    let mut bins = [(0.0f64, 0usize); 10];
+    for p in &report.posteriors {
+        // The first of equal maxima, as `Marginals::map_candidate` picks.
+        let best = p
+            .candidates
+            .iter()
+            .reduce(|a, b| if b.1 > a.1 { b } else { a });
+        let Some(&(map, prob)) = best else { continue };
+        let bin = &mut bins[((prob * 10.0) as usize).min(9)];
+        bin.0 += prob;
+        bin.1 += usize::from(ds.value_str(map) == truth.cell_str(p.cell.tuple, p.cell.attr));
+    }
+    let n = report.posteriors.len().max(1) as f64;
+    bins.iter()
+        .map(|&(confidence, right)| (right as f64 - confidence).abs() / n)
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::Repair;
+    use crate::repair::{CellPosterior, Repair};
     use holo_dataset::{CellRef, Schema};
 
     fn make_report(probs_and_correct: &[(f64, bool)]) -> (RepairReport, Dataset) {
@@ -144,5 +169,37 @@ mod tests {
         let (report, truth) = make_report(&[(0.3, true)]);
         let buckets = confidence_buckets(&report, &truth, &FIG6_EDGES);
         assert!(buckets.iter().all(|b| b.repairs == 0));
+    }
+
+    /// Two cells at p = 0.95, both right, and two at p = 0.55, one right:
+    /// bins 9 and 5 are each off by 0.1 over 2 of 4 cells, so ECE = 0.05.
+    #[test]
+    fn calibration_error_weighs_each_bin_by_its_cells() {
+        let mut ds = Dataset::new(Schema::new(vec!["v"]));
+        let mut truth = Dataset::new(Schema::new(vec!["v"]));
+        let (right, wrong) = (ds.intern("right"), ds.intern("wrong"));
+        let cells = [(right, 0.95), (right, 0.95), (right, 0.55), (wrong, 0.55)];
+        let posteriors = cells
+            .iter()
+            .enumerate()
+            .map(|(i, &(map, p))| {
+                truth.push_row(&["right"]);
+                let other = if map == right { wrong } else { right };
+                CellPosterior {
+                    cell: CellRef::new(i, 0usize),
+                    candidates: vec![(other, 1.0 - p), (map, p)],
+                }
+            })
+            .collect();
+        let report = RepairReport {
+            repairs: vec![],
+            posteriors,
+        };
+        let ece = expected_calibration_error(&report, &ds, &truth);
+        assert!((ece - 0.05).abs() < 1e-12, "{ece}");
+        assert_eq!(
+            expected_calibration_error(&RepairReport::default(), &ds, &truth),
+            0.0
+        );
     }
 }

@@ -1,87 +1,82 @@
-//! Streaming ingestion: a session is **a row store and a cached run**.
+//! The repair session of a moving table: **a row store, its labels and
+//! one cached run**.
 //!
 //! The paper compiles its model over a frozen table (§3, Figure 2); a
-//! service sees the table move. [`StreamSession`] therefore keeps the rows
-//! as they were fed, which rows are still live, and the one-shot run over
-//! the live rows of the last read, if no mutation has happened since.
+//! service sees the table move, and §2.2/§7 "ask users to verify repairs
+//! with low marginal probabilities and use those as labeled examples to
+//! retrain". [`Session`] serves both. It keeps every row fed, which rows
+//! are live, the cells a user verified with the value each held before its
+//! first label, the constraint text, the dictionaries, the configuration,
+//! and the one-shot run over the live rows of the last read.
 //!
-//! ## A mutation edits the row store
-//!
-//! [`StreamSession::push_batch`], [`StreamSession::push_updates`] and
-//! [`StreamSession::push_deletes`] validate the whole batch before they
-//! touch anything, so a rejected batch ([`HoloError::Stream`]) leaves the
+//! **An edit changes the inputs.** [`Session::push_batch`],
+//! [`Session::push_updates`], [`Session::push_deletes`],
+//! [`Session::apply_labels`] and [`Session::with_dictionary`] validate the
+//! whole batch first, so a rejected one ([`HoloError::Stream`]) leaves the
 //! session as it was. An accepted one edits the store — appends take the
 //! next `TupleId`s, updates rewrite a row in place, deletes clear its live
-//! flag, and nothing renumbers — and drops the cached run. That is all a
-//! mutation does: it detects nothing and counts nothing but itself. An
-//! empty batch is a no-op and keeps the cached run.
+//! flag, labels write their value and mark the cell verified; nothing
+//! renumbers — and drops the cached run. An update or delete of a row
+//! drops that row's labels. An edit detects nothing and counts nothing
+//! but itself; an empty batch keeps the cached run.
 //!
-//! ## A read compacts the table and makes the one-shot run
+//! **A read compacts the table and makes the one-shot run.**
+//! [`Session::try_report`], [`Session::report`] and [`Session::requests`]
+//! serve the cached run, or make it: the live rows in id order become a
+//! fresh table (each distinct value interned once, in row-major
+//! first-appearance order, as `csv::parse_dataset` would), the context is
+//! built from it as [`crate::HoloClean::into_context`] builds one
+//! (constraint text parsed, dictionary matches made), the labelled cells
+//! become [`verified`](crate::PipelineContext::verified), and
+//! [`pipeline::run`] runs. No layer below the session sees a deleted row,
+//! and nothing is carried from one run to the next: one new row moves the
+//! statistics, domains and features of old rows, and carrying detection
+//! or statistics across edits measured slower than rebuilding them
+//! (ROADMAP, Settled).
 //!
-//! [`StreamSession::try_report`] serves the cached run when there is one.
-//! Otherwise it builds a fresh table of the live rows in id order — each
-//! distinct value interned once, in row-major first-appearance order, then
-//! the constraint text parsed into it: the table `csv::parse_dataset` and
-//! [`crate::HoloClean::with_constraint_text`] build from the same rows —
-//! and runs [`pipeline::run`], the function [`crate::HoloClean::run_full`]
-//! calls, over it: violation detection, statistics, compilation, learning
-//! from the priors and inference. No layer below the session ever sees a
-//! deleted row. [`IngestStats::canonical_retrains`] counts the runs;
-//! repeated reads of an unchanged session cost a report extraction each.
+//! A label is a table edit: detection, statistics and the relaxed-DC
+//! counts read the verified value, so a label that resolves a conflict
+//! unflags its partners too, and a labelled cell is no query variable but
+//! an ordinary clean cell, sampled as evidence like any other (a bottom-k
+//! sample, so a label moves at most one evidence cell). The report adds
+//! one repair at probability 1 for each label that changed its cell.
 //!
-//! **Why nothing is carried across a mutation.** Algorithm 2 prunes a
-//! cell's domain by `Pr[v | v']` over the *whole* table and the relaxed
-//! DC features count partners over the whole table, so one new row moves
-//! the domains and features of old rows (a per-cell compile cache reused
-//! 0 cells on every feed measured, PR 13), and SGD's endpoint depends on
-//! its whole trajectory. Sufficient statistics and a violation index
-//! *can* be carried exactly (PClean, arXiv 2007.11838, carries the
-//! former), but on the traffic this repository has — K batches, then one
-//! read — carrying them measured 3× one statistics build and 2–20× one
-//! detection of the final table, and needs a second implementation of
-//! both kept equal to the first. The trade reopens with a benchmarked
-//! read-per-batch workload on a table large enough that detection and
-//! statistics dominate a read (ROADMAP, Settled).
-//!
-//! ## The equivalence contract
-//!
-//! A read is identical — `TupleId`s, symbols, repairs and posteriors to
-//! the bit — to a one-shot [`crate::HoloClean`] run over the final live
-//! rows, for any batch split, any interleaving of inserts, updates and
-//! deletes, any model variant and any thread count, because it *is* that
-//! run on that table. Its coordinates are therefore the compacted table's:
-//! a reported `TupleId` is a live row's rank, and a symbol resolves
-//! through [`StreamSession::cached_table`], not through the row store. A
+//! **The equivalence contract.** A read is identical — `TupleId`s,
+//! symbols, repairs and posteriors to the bit — to the one-shot
+//! [`crate::HoloClean`] run over the final live rows with the session's
+//! dictionaries and its labelled cells verified, for any interleaving of
+//! edits, model variant and thread count, because it *is* that run. Its
+//! coordinates are the compacted table's: a reported `TupleId` is a live
+//! row's rank, and a symbol resolves through [`Session::cached_table`]. A
 //! failed read ([`HoloError::PrunedInitialValue`],
-//! [`HoloError::LearnDiverged`]) caches nothing. Source-reliability
-//! features (`config.source`) stream like any other configuration; an
-//! external dictionary needs the one-shot path (there is no way to attach
-//! one).
+//! [`HoloError::LearnDiverged`]) caches nothing.
 
 use crate::config::HoloConfig;
 use crate::error::HoloError;
-use crate::pipeline::{self, PipelineRun, StageTimings};
-use crate::repair::RepairReport;
+use crate::pipeline::{self, PipelineRun};
+use crate::repair::{Repair, RepairReport};
 use crate::HoloClean;
 use holo_constraints::parse_constraints;
-use holo_dataset::{Dataset, FxHashSet, Schema, Sym, TupleId};
+use holo_dataset::{CellRef, Dataset, FxHashSet, Schema, Sym, TupleId};
+use holo_external::{DictId, ExtDict, Matcher, MatchingDependency};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
-/// Cumulative streaming counters, riding in [`StageTimings::ingest`].
+/// Cumulative counters of a [`Session`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestStats {
-    /// Non-empty mutation batches accepted (pushes, updates and deletes).
+    /// Non-empty edits accepted: row, label and dictionary batches.
     pub batches: u64,
     /// Tuples appended.
     pub tuples: u64,
     /// Noisy and evidence cells compiled, summed over runs.
     pub cells_recomputed: u64,
-    /// Always 0: no compile state outlives a mutation (see the module
-    /// docs). Kept because the benchmark reads the field.
+    /// Always 0: no compile state outlives an edit (see the module docs).
+    /// Kept because the benchmark reads the field.
     pub cells_reused: u64,
     /// Variables of the models built, summed over runs.
     pub vars_added: u64,
-    /// Variables of the models a mutation discarded.
+    /// Variables of the models an edit discarded.
     pub vars_retired: u64,
     /// Always 0: there is no warm-start replay. Kept because the
     /// benchmark reads the field.
@@ -89,14 +84,14 @@ pub struct IngestStats {
     /// One-shot runs made by reads. Each trains from the priors, so this
     /// is also the number of canonical retrains.
     pub canonical_retrains: u64,
-    /// Rows deleted by [`StreamSession::push_deletes`].
+    /// Rows deleted by [`Session::push_deletes`].
     pub rows_deleted: u64,
-    /// Rows rewritten in place by [`StreamSession::push_updates`].
+    /// Rows rewritten in place by [`Session::push_updates`].
     pub rows_updated: u64,
 }
 
-/// What [`StreamSession::design_stats`] reports. Kept because the
-/// benchmark reads both fields.
+/// What [`Session::design_stats`] reports. Kept because the benchmark
+/// reads both fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DesignStats {
     /// Runs made: each compiles its design matrix once.
@@ -105,11 +100,10 @@ pub struct DesignStats {
     pub vars_patched: u64,
 }
 
-/// Run turnover and row liveness of a session, riding in
-/// [`StageTimings::retire`].
+/// Run turnover and row liveness of a [`Session`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetireStats {
-    /// Runs discarded by a mutation and made again by a later read. The
+    /// Runs discarded by an edit and made again by a later read. The
     /// session's first run is not one, so after any read
     /// `design_stats().full_builds == 1 + compactions`.
     pub compactions: u64,
@@ -119,162 +113,227 @@ pub struct RetireStats {
     pub dead_rows: u64,
 }
 
-/// What one mutation batch did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchReport {
-    /// Rows appended.
-    pub appended: usize,
-    /// Rows deleted.
-    pub deleted: usize,
-    /// Rows rewritten in place.
-    pub updated: usize,
+/// A cell the model wants verified, with its current best guess.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FeedbackRequest {
+    /// The cell to verify, in the session's own `TupleId`s: the cell
+    /// [`Session::apply_labels`] takes.
+    pub cell: CellRef,
+    /// The model's current MAP value.
+    pub proposed: String,
+    /// The marginal probability of the proposal (low = unsure).
+    pub confidence: f64,
 }
 
-/// The streaming repair session: a row store and the cached one-shot run
-/// over its live rows. See the module docs for what a mutation does, what
-/// a read does, and the equivalence contract.
-///
-/// ```
-/// use holo_dataset::Schema;
-/// use holoclean::stream::StreamSession;
-/// use holoclean::HoloConfig;
-///
-/// let mut session = StreamSession::new(
-///     Schema::new(vec!["Zip", "City"]),
-///     "FD: Zip -> City",
-///     HoloConfig::default(),
-/// ).unwrap();
-/// let rows: Vec<Vec<String>> = (0..8)
-///     .map(|_| vec!["60608".into(), "Chicago".into()])
-///     .collect();
-/// session.push_batch(&rows).unwrap();
-/// session.push_batch(&[vec!["60608".to_string(), "Cicago".to_string()]]).unwrap();
-/// let report = session.report();
-/// assert_eq!(report.repairs.len(), 1);
-/// assert_eq!(report.repairs[0].new_value, "Chicago");
-/// ```
-pub struct StreamSession {
-    /// Every row ever fed, at its `TupleId`: appended, rewritten in place,
-    /// never removed.
+/// One verified label: the true value of a cell, from the user.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Label {
+    /// The verified cell, in the session's own `TupleId`s.
+    pub cell: CellRef,
+    /// Its true value.
+    pub value: String,
+}
+
+/// The repair session: a row store, its labels and the cached one-shot
+/// run over its live rows. See the module docs for what an edit does,
+/// what a read does, and the equivalence contract.
+pub struct Session {
+    /// Every row ever fed, at its `TupleId`: appended, rewritten in place
+    /// (labels included), never removed.
     rows: Dataset,
     /// Whether each row of `rows` is live.
     live: Vec<bool>,
+    /// Each labelled cell of a live row, with the value it held before
+    /// its first label.
+    labels: BTreeMap<CellRef, Sym>,
     /// The constraint text, parsed into every compacted table.
     constraints: String,
+    /// Dictionaries and their matching dependencies, matched against
+    /// every compacted table.
+    dicts: Vec<(ExtDict, Vec<MatchingDependency>)>,
     config: HoloConfig,
-    /// The compacted live table and the run over it; `None` until the
-    /// first read and after every mutation.
-    read: Option<(Dataset, PipelineRun)>,
-    /// Stage durations summed over the runs made, the last run's
-    /// partition and statistics blocks, and the ingest counters.
-    timings: StageTimings,
+    /// The last read; `None` until the first read and after every edit.
+    read: Option<Read>,
+    ingest: IngestStats,
 }
 
-impl StreamSession {
+/// What a read made, kept until the next edit.
+struct Read {
+    /// The compacted live table; every symbol of the report resolves here.
+    table: Dataset,
+    /// The one-shot run over `table`.
+    run: PipelineRun,
+    /// The live rows' ids: a `TupleId` of `table` indexes them.
+    ids: Vec<TupleId>,
+    /// One repair at probability 1 per label that changed its cell.
+    labelled: Vec<Repair>,
+}
+
+/// The streaming name of [`Session`], which the benchmark uses.
+///
+/// ```
+/// use holo_dataset::{CellRef, Schema};
+/// use holoclean::stream::{Label, StreamSession};
+/// use holoclean::HoloConfig;
+///
+/// let schema = Schema::new(vec!["Zip", "City"]);
+/// let mut session = StreamSession::new(schema, "FD: Zip -> City", HoloConfig::default()).unwrap();
+/// session.push_batch(&vec![vec!["60608", "Chicago"]; 8]).unwrap();
+/// session.push_batch(&[vec!["60608", "Cicago"], vec!["60608", "Chicgo"]]).unwrap();
+/// let report = session.report();
+/// assert_eq!(report.repairs.len(), 2);
+/// assert!(report.repairs.iter().all(|r| r.new_value == "Chicago"));
+/// // The least confident cells come first. A user verifies one; the next
+/// // read reports the label at p = 1.
+/// let asked = session.requests(2).unwrap();
+/// assert!(asked[0].confidence <= asked[1].confidence);
+/// let (cell, value) = (CellRef::new(8usize, 1usize), "Chicago".to_string());
+/// session.apply_labels(&[Label { cell, value }]).unwrap();
+/// let repair = session.report().repairs.into_iter().find(|r| r.cell == cell).unwrap();
+/// assert_eq!((repair.new_value.as_str(), repair.probability), ("Chicago", 1.0));
+/// ```
+pub type StreamSession = Session;
+
+impl Session {
     /// Opens a session over `schema` with constraints parsed from
     /// `text` (DC lines and/or `FD:` sugar). The session starts empty;
-    /// feed rows with [`StreamSession::push_batch`].
+    /// feed rows with [`Session::push_batch`].
     pub fn new(schema: Schema, text: &str, config: HoloConfig) -> Result<Self, HoloError> {
         let rows = Dataset::new(schema);
         // Whether a text binds depends on the schema alone, so a text that
         // parses here parses into every table a read builds.
         parse_constraints(text, &mut rows.clone())?;
-        Ok(StreamSession {
+        Ok(Session {
             rows,
             live: Vec::new(),
+            labels: BTreeMap::new(),
             constraints: text.to_string(),
+            dicts: Vec::new(),
             config,
             read: None,
-            timings: StageTimings::default(),
+            ingest: IngestStats::default(),
         })
+    }
+
+    /// Adds a dictionary with its matching dependencies; every read
+    /// matches it against the compacted table. A dependency naming an
+    /// attribute that the schema or the dictionary lacks rejects the
+    /// dictionary.
+    pub fn with_dictionary(
+        &mut self,
+        dict: ExtDict,
+        deps: Vec<MatchingDependency>,
+    ) -> Result<(), HoloError> {
+        // Matching an empty table resolves every attribute and reads no row.
+        let empty = Dataset::new(self.rows.schema().clone());
+        let matcher = Matcher::new(&dict, DictId(self.dicts.len() as u32));
+        for md in &deps {
+            let resolved = matcher.find_matches(&empty, md);
+            resolved.map_err(|e| HoloError::Stream(format!("dictionary: {e}")))?;
+        }
+        self.dicts.push((dict, deps));
+        self.accept(1);
+        Ok(())
     }
 
     /// Appends one batch of raw rows. A row of the wrong arity rejects
     /// the whole batch before anything changes.
-    pub fn push_batch<S: AsRef<str>>(&mut self, rows: &[Vec<S>]) -> Result<BatchReport, HoloError> {
-        let arity = self.rows.schema().len();
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != arity {
-                return Err(HoloError::Stream(format!(
-                    "batch row {i} has {} values; the schema has {arity} attributes",
-                    row.len()
-                )));
-            }
-        }
+    pub fn push_batch<S: AsRef<str>>(&mut self, rows: &[Vec<S>]) -> Result<(), HoloError> {
+        self.check_arity(rows.iter().map(Vec::len))?;
         self.rows.append_rows(rows);
         self.live.resize(self.rows.tuple_count(), true);
-        Ok(self.accept(BatchReport {
-            appended: rows.len(),
-            ..BatchReport::default()
-        }))
+        self.ingest.tuples += self.accept(rows.len());
+        Ok(())
     }
 
-    /// Deletes live rows. `TupleId`s are stable — nothing is renumbered,
-    /// and a deleted row's id is never reused. A row that is out of range,
-    /// already deleted, or named twice rejects the whole batch before
-    /// anything changes.
-    pub fn push_deletes(&mut self, rows: &[TupleId]) -> Result<BatchReport, HoloError> {
-        self.validate_live(rows)?;
-        for t in rows {
+    /// Deletes live rows and their labels. `TupleId`s are stable —
+    /// nothing is renumbered, and a deleted row's id is never reused. A
+    /// row that is out of range, already deleted, or named twice rejects
+    /// the whole batch before anything changes.
+    pub fn push_deletes(&mut self, rows: &[TupleId]) -> Result<(), HoloError> {
+        let rows = self.unlabel_live(rows.iter().copied())?;
+        for t in &rows {
             self.live[t.index()] = false;
         }
-        Ok(self.accept(BatchReport {
-            deleted: rows.len(),
-            ..BatchReport::default()
-        }))
+        self.ingest.rows_deleted += self.accept(rows.len());
+        Ok(())
     }
 
-    /// Rewrites live rows in place (same `TupleId`, new values). A row
-    /// that is not live, is named twice, or has the wrong arity rejects
-    /// the whole batch before anything changes.
+    /// Rewrites live rows in place (same `TupleId`, new values) and drops
+    /// their labels. A row that is not live, is named twice, or has the
+    /// wrong arity rejects the whole batch before anything changes.
     pub fn push_updates<S: AsRef<str>>(
         &mut self,
         updates: &[(TupleId, Vec<S>)],
-    ) -> Result<BatchReport, HoloError> {
-        let rows: Vec<TupleId> = updates.iter().map(|(t, _)| *t).collect();
-        self.validate_live(&rows)?;
-        let arity = self.rows.schema().len();
-        for (t, vals) in updates {
-            if vals.len() != arity {
-                return Err(HoloError::Stream(format!(
-                    "update of tuple {} has {} values; the schema has {arity} attributes",
-                    t.index(),
-                    vals.len()
-                )));
-            }
-        }
+    ) -> Result<(), HoloError> {
+        self.check_arity(updates.iter().map(|(_, row)| row.len()))?;
+        self.unlabel_live(updates.iter().map(|(t, _)| *t))?;
         self.rows.update_rows(updates);
-        Ok(self.accept(BatchReport {
-            updated: rows.len(),
-            ..BatchReport::default()
-        }))
+        self.ingest.rows_updated += self.accept(updates.len());
+        Ok(())
     }
 
-    /// The end of every accepted mutation: the run over the previous
-    /// table is dropped whole (see the module docs for why no part of it
-    /// survives) and the batch is counted. An empty batch changed no
-    /// row, so it does neither.
-    fn accept(&mut self, report: BatchReport) -> BatchReport {
-        if report == BatchReport::default() {
-            return report;
+    /// Writes user-verified values into their cells and marks the cells
+    /// verified. Any cell of a live row can be labelled, flagged or not,
+    /// with any value (the user knows values the statistics never
+    /// proposed). A label naming a row that is not live or an attribute
+    /// outside the schema rejects the whole batch before anything changes.
+    pub fn apply_labels(&mut self, labels: &[Label]) -> Result<(), HoloError> {
+        let attrs = self.rows.schema().len();
+        let named = |l: &&Label| self.is_live(l.cell.tuple) && l.cell.attr.index() < attrs;
+        if let Some(label) = labels.iter().find(|l| !named(l)) {
+            return Err(HoloError::Stream(format!(
+                "label for cell {} names no live cell of this session",
+                label.cell
+            )));
         }
-        let ingest = &mut self.timings.ingest;
-        if let Some((_, run)) = self.read.take() {
-            ingest.vars_retired += run.model.graph.var_count() as u64;
+        for Label { cell, value } in labels {
+            let sym = self.rows.intern(value);
+            let before = self.rows.cell_ref(*cell);
+            self.labels.entry(*cell).or_insert(before);
+            self.rows.set_cell(cell.tuple, cell.attr, sym);
         }
-        ingest.batches += 1;
-        ingest.tuples += report.appended as u64;
-        ingest.rows_deleted += report.deleted as u64;
-        ingest.rows_updated += report.updated as u64;
-        report
+        self.accept(labels.len());
+        Ok(())
     }
 
-    /// Rejects mutation batches naming rows that are out of range, dead,
-    /// or repeated within the batch.
-    fn validate_live(&self, rows: &[TupleId]) -> Result<(), HoloError> {
-        let mut seen: FxHashSet<TupleId> = FxHashSet::default();
-        for &t in rows {
-            if !self.live.get(t.index()).copied().unwrap_or(false) {
+    fn is_live(&self, t: TupleId) -> bool {
+        self.live.get(t.index()) == Some(&true)
+    }
+
+    /// Rejects a batch holding a row of the wrong arity.
+    fn check_arity(&self, mut lens: impl Iterator<Item = usize>) -> Result<(), HoloError> {
+        let arity = self.rows.schema().len();
+        match lens.position(|len| len != arity) {
+            Some(i) => Err(HoloError::Stream(format!(
+                "row {i} of the batch does not have the schema's {arity} values"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// The end of every accepted edit of `n` items: a non-empty one drops
+    /// the run over the previous table whole (see the module docs for why
+    /// no part of it survives) and counts as a batch. Returns `n`.
+    fn accept(&mut self, n: usize) -> u64 {
+        if n > 0 {
+            if let Some(read) = self.read.take() {
+                self.ingest.vars_retired += read.run.model.graph.var_count() as u64;
+            }
+            self.ingest.batches += 1;
+        }
+        n as u64
+    }
+
+    /// Checks that `rows` are live and distinct, then drops their labels;
+    /// returns the rows.
+    fn unlabel_live(
+        &mut self,
+        rows: impl Iterator<Item = TupleId>,
+    ) -> Result<FxHashSet<TupleId>, HoloError> {
+        let mut seen = FxHashSet::default();
+        for t in rows {
+            if !self.is_live(t) {
                 return Err(HoloError::Stream(format!(
                     "tuple {} is not a live row of this session",
                     t.index()
@@ -282,25 +341,33 @@ impl StreamSession {
             }
             if !seen.insert(t) {
                 return Err(HoloError::Stream(format!(
-                    "tuple {} appears more than once in one mutation batch",
+                    "tuple {} appears more than once in one batch",
                     t.index()
                 )));
             }
         }
-        Ok(())
+        self.labels.retain(|cell, _| !seen.contains(&cell.tuple));
+        Ok(seen)
+    }
+
+    /// The live rows' ids in order: a compacted `TupleId` is an index
+    /// into it.
+    fn live_ids(&self) -> Vec<TupleId> {
+        let live = self.live.iter().enumerate().filter(|(_, &live)| live);
+        live.map(|(t, _)| TupleId::from(t)).collect()
     }
 
     /// The live rows in id order as a fresh table, each distinct value
     /// interned once in row-major first-appearance order — the pool a
     /// loader builds from the same rows. Symbols are mapped, not strings
     /// re-interned: one pool lookup per distinct value.
-    fn compact(&self) -> Dataset {
+    fn compact(&self, ids: &[TupleId]) -> Dataset {
         let src = &self.rows;
         let mut ds = Dataset::new(src.schema().clone());
         let mut dense: Vec<Option<Sym>> = vec![None; src.pool().len()];
         dense[Sym::NULL.index()] = Some(Sym::NULL);
         let mut row = Vec::with_capacity(src.schema().len());
-        for t in src.tuples().filter(|t| self.live[t.index()]) {
+        for &t in ids {
             row.clear();
             for a in src.schema().attrs() {
                 let s = src.cell(t, a);
@@ -311,29 +378,98 @@ impl StreamSession {
         ds
     }
 
-    /// The one-shot run over the compacted live table, billed to the
-    /// session's cumulative timings and counters.
-    fn run_pipeline(&mut self) -> Result<(Dataset, PipelineRun), HoloError> {
-        let cx = HoloClean::new(self.compact())
+    /// The cached read, or a new one: the one-shot run over the compacted
+    /// live table with the labelled cells verified, counted in the
+    /// session's counters. A label's old value that no live row holds is
+    /// interned into the table after the run. A failed run caches nothing.
+    fn read(&mut self) -> Result<&Read, HoloError> {
+        if let Some(read) = self.read.take() {
+            return Ok(self.read.insert(read));
+        }
+        let ids = self.live_ids();
+        let mut holo = HoloClean::new(self.compact(&ids))
             .with_constraint_text(&self.constraints)?
-            .with_config(self.config.clone())
-            .into_context()?;
+            .with_config(self.config.clone());
+        for (dict, deps) in &self.dicts {
+            holo = holo.with_dictionary(dict.clone(), deps.clone());
+        }
+        let mut cx = holo.into_context()?;
+        cx.verified = self.labels.keys().map(|&c| rank(&ids, c)).collect();
         let run = pipeline::run(&cx)?;
-        let t = &mut self.timings;
-        t.bill(&run.timings);
+        let (rows, table) = (&self.rows, &mut cx.ds);
+        let labelled = self.labels.iter().filter_map(|(&cell, &before)| {
+            let old_value = rows.value_str(before);
+            let new_value = rows.cell_str(cell.tuple, cell.attr);
+            let cell = rank(&ids, cell);
+            (old_value != new_value).then(|| Repair {
+                cell,
+                old: table.intern(old_value),
+                new: table.cell_ref(cell),
+                old_value: old_value.to_string(),
+                new_value: new_value.to_string(),
+                probability: 1.0,
+            })
+        });
+        let labelled = labelled.collect();
         let shape = &run.model.stats;
-        t.ingest.canonical_retrains += 1;
-        t.ingest.cells_recomputed +=
+        let ingest = &mut self.ingest;
+        ingest.canonical_retrains += 1;
+        ingest.cells_recomputed +=
             (shape.query_vars + shape.singleton_noisy_cells + shape.evidence_vars) as u64;
-        t.ingest.vars_added += run.model.graph.var_count() as u64;
-        Ok((cx.ds, run))
+        ingest.vars_added += run.model.graph.var_count() as u64;
+        let table = cx.ds;
+        Ok(self.read.insert(Read {
+            table,
+            run,
+            ids,
+            labelled,
+        }))
+    }
+
+    /// The cells most worth human review: the query cells ordered by
+    /// ascending MAP confidence, truncated to `limit`, named in the
+    /// session's own `TupleId`s. Makes the run if there is none; a failed
+    /// run is returned as its error.
+    pub fn requests(&mut self, limit: usize) -> Result<Vec<FeedbackRequest>, HoloError> {
+        let read = self.read()?;
+        let model = &read.run.model;
+        let mut out: Vec<FeedbackRequest> = model
+            .query_cells
+            .iter()
+            .zip(&model.query_vars)
+            .map(|(&cell, &var)| {
+                let (k, p) = read.run.marginals.map_candidate(var);
+                FeedbackRequest {
+                    cell: CellRef::new(read.ids[cell.tuple.index()], cell.attr),
+                    proposed: read
+                        .table
+                        .value_str(model.graph.var(var).domain[k])
+                        .to_string(),
+                    confidence: p,
+                }
+            })
+            .collect();
+        // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: a NaN
+        // marginal (possible for degenerate empty-count chains) makes the
+        // latter an inconsistent comparator — `sort_by` may panic on one
+        // and the order is unspecified. Under the IEEE total order NaN
+        // confidences sort last, after every real confidence.
+        out.sort_by(|a, b| {
+            a.confidence
+                .total_cmp(&b.confidence)
+                .then(a.cell.cmp(&b.cell))
+        });
+        out.truncate(limit);
+        Ok(out)
     }
 
     /// Repairs and posteriors of the live rows: the one-shot
-    /// [`crate::HoloClean`] run over them, in the coordinates of
-    /// [`StreamSession::cached_table`]. Makes the run if a mutation (or
-    /// nothing yet) left the session without one; an unchanged session
-    /// serves the run it has.
+    /// [`crate::HoloClean`] run over them with the labelled cells
+    /// verified, plus one repair at probability 1 for each label that
+    /// changed its cell, all in cell order and in the coordinates of
+    /// [`Session::cached_table`]. Makes the run if an edit (or nothing
+    /// yet) left the session without one; an unchanged session serves the
+    /// run it has.
     ///
     /// Fails like the one-shot pipeline does:
     /// [`HoloError::PrunedInitialValue`] from the compiler and
@@ -341,71 +477,63 @@ impl StreamSession {
     /// gradients. A failed read caches nothing; the session stays
     /// consistent and the next read tries again.
     pub fn try_report(&mut self) -> Result<RepairReport, HoloError> {
-        let read = match self.read.take() {
-            Some(read) => read,
-            None => self.run_pipeline()?,
-        };
-        let (ds, run) = self.read.insert(read);
-        Ok(RepairReport::from_marginals(
-            ds,
-            &run.model.query_cells,
-            &run.model.query_vars,
-            &run.model.graph,
-            &run.marginals,
-        ))
+        let read = self.read()?;
+        let (model, marginals) = (&read.run.model, &read.run.marginals);
+        let (cells, vars) = (&model.query_cells, &model.query_vars);
+        let mut report =
+            RepairReport::from_marginals(&read.table, cells, vars, &model.graph, marginals);
+        report.repairs.extend(read.labelled.iter().cloned());
+        report.repairs.sort_by_key(|r| r.cell);
+        Ok(report)
     }
 
-    /// [`StreamSession::try_report`] for callers that treat a failed read
-    /// as a bug.
+    /// [`Session::try_report`] for callers that treat a failed read as a
+    /// bug.
     ///
     /// # Panics
     /// Panics if the run fails — with default pruning that takes a
     /// diverging [`holo_factor::LearnConfig::learning_rate`].
     pub fn report(&mut self) -> RepairReport {
         self.try_report()
-            .expect("StreamSession::report: the run failed; try_report returns the error")
+            .expect("Session::report: the run failed; try_report returns the error")
     }
 
-    /// The row store: every row ever fed, deleted ones included, so
-    /// `tuple_count()` is the next `TupleId` a push assigns.
+    /// The row store: every row ever fed, deleted ones included, with
+    /// every label written, so `tuple_count()` is the next `TupleId` a
+    /// push assigns.
     pub fn dataset(&self) -> &Dataset {
         &self.rows
     }
 
     /// The compacted live table the cached run was made over — the table
     /// whose `TupleId`s and symbols the report speaks — if the last read
-    /// made one and no mutation has dropped it since.
+    /// made one and no edit has dropped it since.
     pub fn cached_table(&self) -> Option<&Dataset> {
-        self.read.as_ref().map(|(ds, _)| ds)
+        self.read.as_ref().map(|read| &read.table)
     }
 
     /// The run over the current live table — detection, model, weights,
-    /// marginals, in the coordinates of [`StreamSession::cached_table`] —
-    /// if the last read made one and no mutation has dropped it since.
+    /// marginals, in the coordinates of [`Session::cached_table`] — if the
+    /// last read made one and no edit has dropped it since.
     pub fn cached_run(&self) -> Option<&PipelineRun> {
-        self.read.as_ref().map(|(_, run)| run)
+        self.read.as_ref().map(|read| &read.run)
     }
 
-    /// Violations the cached run detected over the live table; `None`
-    /// when there is no cached run (mutations detect nothing).
-    pub fn violations(&self) -> Option<usize> {
-        Some(self.cached_run()?.detection.violations)
+    /// Number of labelled cells: distinct cells labelled on rows that no
+    /// update or delete has touched since.
+    pub fn labelled_count(&self) -> usize {
+        self.labels.len()
     }
 
-    /// Noisy cells of the cached run; `None` when there is none.
-    pub fn noisy_cells(&self) -> Option<usize> {
-        Some(self.cached_run()?.detection.noisy.len())
-    }
-
-    /// Cumulative ingest counters.
+    /// Cumulative edit and run counters.
     pub fn ingest_stats(&self) -> IngestStats {
-        self.timings.ingest
+        self.ingest
     }
 
     /// Design-matrix work over the session's life.
     pub fn design_stats(&self) -> DesignStats {
         DesignStats {
-            full_builds: self.timings.ingest.canonical_retrains,
+            full_builds: self.ingest.canonical_retrains,
             vars_patched: 0,
         }
     }
@@ -414,28 +542,27 @@ impl StreamSession {
     pub fn retire_stats(&self) -> RetireStats {
         let live_rows = self.live.iter().filter(|&&live| live).count() as u64;
         RetireStats {
-            compactions: self.timings.ingest.canonical_retrains.saturating_sub(1),
+            compactions: self.ingest.canonical_retrains.saturating_sub(1),
             live_rows,
             dead_rows: self.live.len() as u64 - live_rows,
         }
     }
+}
 
-    /// Stage durations summed over the runs made (mutations bill
-    /// nothing), the last run's partition and statistics blocks, and
-    /// every counter block filled in.
-    pub fn timings(&self) -> StageTimings {
-        let mut t = self.timings;
-        t.retire = self.retire_stats();
-        t
-    }
+/// A live cell of the row store in the coordinates of the compacted table
+/// built from the rows `ids`.
+fn rank(ids: &[TupleId], cell: CellRef) -> CellRef {
+    let t = ids.partition_point(|&id| id < cell.tuple);
+    CellRef::new(t, cell.attr)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelVariant;
-    use crate::HoloClean;
-    use holo_dataset::CellRef;
+    use crate::metrics::evaluate;
+    use holo_dataset::AttrId;
+    use holo_factor::Marginals;
 
     const SCHEMA: [&str; 3] = ["Zip", "City", "State"];
 
@@ -468,17 +595,17 @@ mod tests {
             .report
     }
 
-    fn open(config: HoloConfig) -> StreamSession {
-        StreamSession::new(Schema::new(SCHEMA.to_vec()), "FD: Zip -> City", config).unwrap()
+    fn open(config: HoloConfig) -> Session {
+        Session::new(Schema::new(SCHEMA.to_vec()), "FD: Zip -> City", config).unwrap()
     }
 
     /// Asserts a batch was rejected with the typed stream error.
-    fn rejected(result: Result<BatchReport, HoloError>, why: &str) {
+    fn rejected(result: Result<(), HoloError>, why: &str) {
         let err = result.expect_err(why);
         assert!(matches!(err, HoloError::Stream(_)), "{why}: {err}");
     }
 
-    fn streamed(rows: &[Vec<String>], batches: usize, threads: usize) -> StreamSession {
+    fn streamed(rows: &[Vec<String>], batches: usize, threads: usize) -> Session {
         let mut session = open(HoloConfig::default().with_threads(threads));
         for chunk in rows.chunks(rows.len().div_ceil(batches)) {
             session.push_batch(chunk).unwrap();
@@ -519,10 +646,10 @@ mod tests {
         assert_eq!((stats.cells_reused, stats.replay_minibatches), (0, 0));
         // An unchanged session serves the run it has — and an empty
         // batch leaves it unchanged.
-        let none = BatchReport::default();
-        assert_eq!(session.push_batch::<String>(&[]).unwrap(), none);
-        assert_eq!(session.push_deletes(&[]).unwrap(), none);
-        assert_eq!(session.push_updates::<String>(&[]).unwrap(), none);
+        session.push_batch::<String>(&[]).unwrap();
+        session.push_deletes(&[]).unwrap();
+        session.push_updates::<String>(&[]).unwrap();
+        session.apply_labels(&[]).unwrap();
         assert!(session.cached_run().is_some());
         assert_eq!(session.report(), first);
         assert_eq!(session.ingest_stats(), stats);
@@ -537,7 +664,6 @@ mod tests {
         assert_eq!(session.report(), one_shot(&grown, 1));
         assert_eq!(session.design_stats().full_builds, 2);
         assert_eq!(session.retire_stats().compactions, 1);
-        assert_eq!(session.timings().ingest, session.ingest_stats());
     }
 
     #[test]
@@ -560,7 +686,7 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_configs_and_bad_batches_are_typed_errors() {
+    fn every_config_streams_and_a_bad_arity_is_a_typed_error() {
         for variant in [ModelVariant::DcFactors, ModelVariant::DcFeatsDcFactors] {
             open(HoloConfig::default().with_variant(variant)); // DC factors stream
         }
@@ -631,7 +757,7 @@ mod tests {
         let bad_updates = [(TupleId(0), row("60609", "Cicago")), (TupleId(1), short)];
         rejected(session.push_updates(&bad_updates), "second update is short");
 
-        let table = |s: &StreamSession| -> Vec<(CellRef, String)> {
+        let table = |s: &Session| -> Vec<(CellRef, String)> {
             let ds = s.dataset();
             let value = |c| (c, ds.value_str(ds.cell_ref(c)).to_string());
             ds.cells().map(value).collect()
@@ -640,18 +766,21 @@ mod tests {
         assert_eq!(session.retire_stats(), twin.retire_stats());
         assert_eq!(session.ingest_stats(), twin.ingest_stats());
         assert_eq!(session.report(), twin.report());
-        assert_eq!(session.violations(), twin.violations());
-        assert_eq!(session.noisy_cells(), twin.noisy_cells());
+        let detection = |s: &Session| {
+            let run = s.cached_run()?;
+            Some((run.detection.violations, run.detection.noisy.len()))
+        };
+        assert_eq!(detection(&session), detection(&twin));
     }
 
     /// Drives one session through an interleaved insert/update/delete
     /// feed while maintaining the live table in a plain mirror. Returns
     /// the session and the live rows.
-    fn crud_feed(config: HoloConfig) -> (StreamSession, Vec<Vec<String>>) {
+    fn crud_feed(config: HoloConfig) -> (Session, Vec<Vec<String>>) {
         let mut session = open(config);
         let rows = zip_city_rows();
         let mut mirror: Vec<Option<Vec<String>>> = Vec::new();
-        let push = |session: &mut StreamSession,
+        let push = |session: &mut Session,
                     mirror: &mut Vec<Option<Vec<String>>>,
                     batch: &[Vec<String>]| {
             session.push_batch(batch).unwrap();
@@ -774,13 +903,14 @@ mod tests {
         let rows = zip_city_rows();
         let mut session = streamed(&rows, 3, 1);
         // A read serves the one-shot report and the one-shot detection.
-        let reads_like_one_shot = |session: &mut StreamSession, live: &[Vec<String>]| {
+        let reads_like_one_shot = |session: &mut Session, live: &[Vec<String>]| {
             let config = HoloConfig::default().with_threads(1);
             let outcome = one_shot_with(live, config).run().unwrap();
-            assert_eq!(session.violations(), None, "a mutation detects nothing");
+            assert!(session.cached_run().is_none(), "an edit detects nothing");
             assert_eq!(session.report(), outcome.report);
-            assert_eq!(session.violations(), Some(outcome.violations));
-            assert_eq!(session.noisy_cells(), Some(outcome.noisy_cells));
+            let detection = &session.cached_run().unwrap().detection;
+            assert_eq!(detection.violations, outcome.violations);
+            assert_eq!(detection.noisy.len(), outcome.noisy_cells);
             outcome.violations
         };
         let before = reads_like_one_shot(&mut session, &rows);
@@ -803,7 +933,7 @@ mod tests {
     /// table.
     #[test]
     fn degenerate_feeds_read_like_the_one_shot_run() {
-        type Feed = fn(&mut StreamSession) -> Vec<Vec<String>>;
+        type Feed = fn(&mut Session) -> Vec<Vec<String>>;
         let feeds: [(&str, Feed); 6] = [
             ("never fed", |_| Vec::new()),
             ("every row deleted", |s| {
@@ -860,6 +990,465 @@ mod tests {
         }
     }
 
+    /// A dataset where half the conflicts are 1-vs-1 ties the model cannot
+    /// resolve alone — exactly the cells feedback should surface.
+    fn ambiguous_dataset() -> (Dataset, Dataset) {
+        let mut dirty = Dataset::new(Schema::new(vec!["Key", "Value"]));
+        let mut clean = Dataset::new(Schema::new(vec!["Key", "Value"]));
+        // Ten 2-row groups with conflicting values: unknowable ties.
+        for i in 0..10 {
+            let k = format!("k{i}");
+            dirty.push_row(&[k.as_str(), "alpha"]);
+            dirty.push_row(&[k.as_str(), "beta"]);
+            clean.push_row(&[k.as_str(), "alpha"]);
+            clean.push_row(&[k.as_str(), "alpha"]);
+        }
+        // Plus clean mass so evidence exists.
+        for i in 10..40 {
+            let k = format!("k{i}");
+            for _ in 0..2 {
+                dirty.push_row(&[k.as_str(), "gamma"]);
+                clean.push_row(&[k.as_str(), "gamma"]);
+            }
+        }
+        (dirty, clean)
+    }
+
+    fn string_rows(ds: &Dataset) -> Vec<Vec<String>> {
+        let row = |t| {
+            ds.schema()
+                .attrs()
+                .map(move |a| ds.cell_str(t, a).to_string())
+        };
+        ds.tuples().map(|t| row(t).collect()).collect()
+    }
+
+    fn key_value(rows: &[Vec<String>]) -> HoloClean {
+        let mut ds = Dataset::new(Schema::new(vec!["Key", "Value"]));
+        for row in rows {
+            ds.push_row(row);
+        }
+        HoloClean::new(ds)
+            .with_constraint_text("FD: Key -> Value")
+            .unwrap()
+    }
+
+    fn session_for(dirty: &Dataset) -> Session {
+        session_with(dirty, "FD: Key -> Value")
+    }
+
+    fn session_with(dirty: &Dataset, constraints: &str) -> Session {
+        let schema = dirty.schema().clone();
+        let mut session = Session::new(schema, constraints, HoloConfig::default()).unwrap();
+        session.push_batch(&string_rows(dirty)).unwrap();
+        session
+    }
+
+    fn truth_labels(requests: &[FeedbackRequest], clean: &Dataset) -> Vec<Label> {
+        requests
+            .iter()
+            .map(|r| Label {
+                cell: r.cell,
+                value: clean.cell_str(r.cell.tuple, r.cell.attr).to_string(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn requests_surface_low_confidence_cells_first() {
+        let (dirty, _) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        let requests = session.requests(100).unwrap();
+        assert!(!requests.is_empty());
+        for pair in requests.windows(2) {
+            assert!(pair[0].confidence <= pair[1].confidence + 1e-12);
+        }
+        // The tied cells sit near 0.5 confidence.
+        assert!(requests[0].confidence < 0.75, "{:?}", requests[0]);
+    }
+
+    #[test]
+    fn labels_pin_cells_and_retraining_propagates() {
+        let (dirty, clean) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        let before = evaluate(&session.try_report().unwrap(), &dirty, &clean);
+
+        // Label the five least-confident cells with their true values.
+        let labels = truth_labels(&session.requests(5).unwrap(), &clean);
+        session.apply_labels(&labels).unwrap();
+        assert_eq!(session.labelled_count(), 5);
+        assert!(session.read.is_none(), "a label drops the run");
+
+        let report = session.try_report().unwrap();
+        let after = evaluate(&report, &dirty, &clean);
+        assert!(
+            after.correct_repairs >= before.correct_repairs,
+            "feedback must not lose correct repairs: {before:?} -> {after:?}"
+        );
+        // The labelled cells themselves now repair correctly.
+        for label in &labels {
+            let truth = clean.cell_str(label.cell.tuple, label.cell.attr);
+            let observed = dirty.cell_str(label.cell.tuple, label.cell.attr);
+            if truth != observed {
+                assert!(
+                    report
+                        .repairs
+                        .iter()
+                        .any(|r| r.cell == label.cell && r.new_value == truth),
+                    "labelled cell {label:?} must be repaired"
+                );
+            }
+        }
+        assert!(report.repairs.is_sorted_by_key(|r| r.cell));
+    }
+
+    #[test]
+    fn labelling_everything_yields_perfect_labelled_cells() {
+        let (dirty, clean) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        let labels = truth_labels(&session.requests(usize::MAX).unwrap(), &clean);
+        session.apply_labels(&labels).unwrap();
+        let q = evaluate(&session.try_report().unwrap(), &dirty, &clean);
+        assert_eq!(q.precision, 1.0, "{q:?}");
+        assert_eq!(q.recall, 1.0, "{q:?}");
+        // Nothing left to ask.
+        assert!(session.requests(10).unwrap().is_empty());
+    }
+
+    #[test]
+    fn out_of_domain_labels_are_accepted() {
+        let (dirty, _) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        let cell = session.requests(1).unwrap()[0].cell;
+        let value = "omega".to_string(); // never seen anywhere
+        session.apply_labels(&[Label { cell, value }]).unwrap();
+        let report = session.try_report().unwrap();
+        assert!(report
+            .repairs
+            .iter()
+            .any(|r| r.cell == cell && r.new_value == "omega"));
+    }
+
+    /// Regression: a NaN confidence must not panic the ranking (`sort_by`
+    /// rejects inconsistent comparators) and must sort *after* every real
+    /// confidence under the IEEE total order.
+    #[test]
+    fn nan_confidences_sort_last_without_panicking() {
+        let (dirty, _) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        let n = session.requests(usize::MAX).unwrap().len();
+        assert!(n >= 4, "need a few query vars");
+        // Poison every other query marginal with NaN, as a degenerate
+        // empty-count chain would.
+        let run = &mut session.read.as_mut().unwrap().run;
+        let poisoned: Vec<usize> = run
+            .model
+            .query_vars
+            .iter()
+            .step_by(2)
+            .map(|v| v.index())
+            .collect();
+        let raw: Vec<Vec<f64>> = (0..run.marginals.len())
+            .map(|i| {
+                let probs = run.marginals.probs(holo_factor::VarId(i as u32));
+                if poisoned.contains(&i) {
+                    vec![f64::NAN; probs.len()]
+                } else {
+                    probs.to_vec()
+                }
+            })
+            .collect();
+        run.marginals = Marginals::from_raw(raw);
+        let requests = session.requests(usize::MAX).unwrap();
+        assert_eq!(requests.len(), n);
+        let first_nan = requests
+            .iter()
+            .position(|r| r.confidence.is_nan())
+            .expect("poisoned confidences surface");
+        assert!(
+            requests[first_nan..].iter().all(|r| r.confidence.is_nan()),
+            "NaN confidences must form the tail of the ranking"
+        );
+        assert!(requests[..first_nan]
+            .windows(2)
+            .all(|p| p[0].confidence <= p[1].confidence));
+    }
+
+    /// The next read after `apply_labels` reports every label that changed
+    /// its cell, in-domain or not, as a repair at probability 1; a
+    /// labelled cell is no query cell, so it has no posterior.
+    #[test]
+    fn pinned_cells_report_immediately_before_retrain() {
+        let (dirty, _) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        let requests = session.requests(2).unwrap();
+        let labelled = [(requests[0].cell, "omega"), (requests[1].cell, "alpha")];
+        let labels: Vec<Label> = labelled
+            .iter()
+            .map(|&(cell, value)| Label {
+                cell,
+                value: value.to_string(),
+            })
+            .collect();
+        session.apply_labels(&labels).unwrap();
+        let report = session.try_report().unwrap();
+        for (cell, value) in labelled {
+            assert!(report.posteriors.iter().all(|p| p.cell != cell));
+            let observed = dirty.cell_str(cell.tuple, cell.attr);
+            let repair = report.repairs.iter().find(|r| r.cell == cell);
+            if value == observed {
+                assert_eq!(repair, None, "a label that keeps its value repairs nothing");
+            } else {
+                let repair = repair.expect("a changed label is a repair");
+                assert_eq!(
+                    (repair.old_value.as_str(), repair.new_value.as_str()),
+                    (observed, value)
+                );
+                assert_eq!(repair.probability, 1.0);
+                assert_eq!(session.dataset().cell_str(cell.tuple, cell.attr), value);
+            }
+        }
+    }
+
+    /// A read is the one-shot run over the labelled table with the
+    /// labelled cells verified: the same detection, query cells, domains
+    /// (by `Sym`), weights and marginals (by bits), and the same report
+    /// once the labels' repairs are set aside.
+    #[test]
+    fn read_is_the_one_shot_run_over_the_labelled_table() {
+        let (dirty, clean) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        let mut labels = truth_labels(&session.requests(3).unwrap(), &clean);
+        labels.push(Label {
+            cell: CellRef::new(40usize, 1usize),
+            value: "delta".to_string(), // a clean cell, a new value
+        });
+        session.apply_labels(&labels).unwrap();
+        let report = session.try_report().unwrap();
+
+        let mut rows = string_rows(&dirty);
+        for Label { cell, value } in &labels {
+            rows[cell.tuple.index()][cell.attr.index()] = value.clone();
+        }
+        let mut cx = key_value(&rows).into_context().unwrap();
+        cx.verified = labels.iter().map(|l| l.cell).collect();
+        let reference = pipeline::run(&cx).unwrap();
+        let run = session.cached_run().unwrap();
+        assert_eq!(run.detection, reference.detection);
+        assert_eq!(run.model.query_cells, reference.model.query_cells);
+        let bits = |run: &PipelineRun| -> Vec<(Vec<Sym>, Vec<u64>)> {
+            run.model
+                .graph
+                .var_ids()
+                .map(|v| {
+                    let probs = run.marginals.probs(v).iter().map(|p| p.to_bits());
+                    (run.model.graph.var(v).domain.clone(), probs.collect())
+                })
+                .collect()
+        };
+        assert_eq!(bits(run), bits(&reference));
+        assert_eq!(run.weights, reference.weights);
+        let one_shot = RepairReport::from_marginals(
+            &cx.ds,
+            &reference.model.query_cells,
+            &reference.model.query_vars,
+            &reference.model.graph,
+            &reference.marginals,
+        );
+        assert_eq!(report.posteriors, one_shot.posteriors);
+        let run_repairs: Vec<&Repair> = report
+            .repairs
+            .iter()
+            .filter(|r| labels.iter().all(|l| l.cell != r.cell))
+            .collect();
+        assert_eq!(run_repairs, one_shot.repairs.iter().collect::<Vec<_>>());
+    }
+
+    /// Labelling the `beta` row of a tied 2-row group `alpha` resolves the
+    /// conflict: neither row is a query cell any more, and no repair
+    /// touches the sibling.
+    #[test]
+    fn a_label_that_resolves_a_conflict_unflags_its_partner() {
+        let (dirty, _) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        let (sibling, beta) = (CellRef::new(0usize, 1usize), CellRef::new(1usize, 1usize));
+        let query = session.requests(usize::MAX).unwrap();
+        assert!(query.iter().any(|r| r.cell == sibling) && query.iter().any(|r| r.cell == beta));
+        let value = "alpha".to_string();
+        session
+            .apply_labels(&[Label { cell: beta, value }])
+            .unwrap();
+        let query = session.requests(usize::MAX).unwrap();
+        assert!(query.iter().all(|r| r.cell != sibling && r.cell != beta));
+        let report = session.try_report().unwrap();
+        assert!(report.repairs.iter().all(|r| r.cell != sibling));
+        assert!(report
+            .repairs
+            .iter()
+            .any(|r| r.cell == beta && r.new_value == "alpha"));
+    }
+
+    /// A label naming a tuple that is not live or an attribute outside the
+    /// schema rejects the whole batch before anything changes; any cell
+    /// of a live row is accepted, query cell or not.
+    #[test]
+    fn labels_are_validated_against_the_table() {
+        let (dirty, _) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        session.push_deletes(&[TupleId(79)]).unwrap();
+        session.requests(1).unwrap();
+        let label = |tuple: usize, attr: usize| Label {
+            cell: CellRef::new(tuple, attr),
+            value: "alpha".to_string(),
+        };
+        let rows = dirty.tuple_count();
+        for bad in [label(rows, 0), label(0, 2), label(79, 1)] {
+            rejected(session.apply_labels(&[label(2, 1), bad]), "bad label");
+            assert_eq!(
+                session.labelled_count(),
+                0,
+                "a rejected batch changes nothing"
+            );
+            assert!(session.read.is_some(), "and keeps the run");
+        }
+        // Row 40's Key is a clean cell, never a query cell.
+        session.apply_labels(&[label(40, 0)]).unwrap();
+        assert_eq!(session.labelled_count(), 1);
+        assert_eq!(session.dataset().cell_str(TupleId(40), AttrId(0)), "alpha");
+        assert!(session.try_report().is_ok());
+    }
+
+    /// Requests name the session's own rows, so they can be labelled as
+    /// they are even after a delete shifted the compacted table; an update
+    /// or delete of a row drops that row's labels, and the read is then
+    /// the unlabelled one-shot run.
+    #[test]
+    fn requests_name_session_rows_and_row_edits_drop_their_labels() {
+        let (dirty, clean) = ambiguous_dataset();
+        let mut session = session_for(&dirty);
+        session.push_deletes(&[TupleId(0)]).unwrap();
+        let requests = session.requests(usize::MAX).unwrap();
+        assert!(requests.iter().all(|r| r.cell.tuple != TupleId(0)));
+        // Row 1 is k0's `beta`; with row 0 gone it is no conflict.
+        assert!(requests.iter().all(|r| r.cell.tuple != TupleId(1)));
+        let labels = truth_labels(&requests[..2], &clean);
+        session.apply_labels(&labels).unwrap();
+        assert_eq!(session.labelled_count(), 2);
+        let (a, b) = (labels[0].cell.tuple, labels[1].cell.tuple);
+        let healed = vec!["k99".to_string(), "gamma".to_string()];
+        session.push_updates(&[(a, healed.clone())]).unwrap();
+        if a != b {
+            session.push_deletes(&[b]).unwrap();
+        }
+        assert_eq!(session.labelled_count(), 0);
+
+        let mut rows = string_rows(&dirty);
+        rows[a.index()] = healed;
+        let live: Vec<Vec<String>> = (0..rows.len())
+            .filter(|&t| t != 0 && (t != b.index() || a == b))
+            .map(|t| rows[t].clone())
+            .collect();
+        assert_eq!(session.report(), key_value(&live).run().unwrap().report);
+    }
+
+    /// A read that diverges is a typed error, caches nothing and keeps the
+    /// labels: the overflowed weights never reach inference or the session.
+    #[test]
+    fn diverging_retrain_is_an_error_and_leaves_the_session_untouched() {
+        // Flag is two-to-one under every Key, so each clean Flag cell keeps
+        // both candidates and rows with identical features carry different
+        // labels: evidence no weights can fit, which is what a huge rate
+        // overflows on. One single-tuple DC flags k0's "n", so Flag has a
+        // query variable and its evidence is trained on at all.
+        let mut dirty = Dataset::new(Schema::new(vec!["Key", "Value", "Flag"]));
+        for i in 0..40 {
+            for flag in ["y", "y", "n"] {
+                dirty.push_row(&[format!("k{i}").as_str(), "gamma", flag]);
+            }
+        }
+        dirty.push_row(&["k0", "delta", "y"]); // a conflict to label
+        let constraints = "FD: Key -> Value\nt1&EQ(t1.Key,\"k0\")&EQ(t1.Flag,\"n\")";
+        let mut session = session_with(&dirty, constraints);
+        let requests = session.requests(usize::MAX).unwrap();
+        assert!(requests.iter().any(|r| r.cell.attr == AttrId(2)));
+        let cell = requests[0].cell;
+        let value = "gamma".to_string();
+        session.apply_labels(&[Label { cell, value }]).unwrap();
+        let rows = |ds: &Dataset| ds.tuples().map(|t| ds.row(t)).collect::<Vec<_>>();
+        let table = rows(session.dataset());
+
+        session.config.learn.learning_rate = 1e308;
+        let err = session.try_report().expect_err("1e308 overflows");
+        assert!(matches!(err, HoloError::LearnDiverged { .. }), "got {err}");
+        assert!(session.read.is_none(), "a failed read caches nothing");
+        assert_eq!(session.labelled_count(), 1);
+        assert_eq!(rows(session.dataset()), table);
+
+        // The session is still usable once the rate is sane again.
+        session.config.learn.learning_rate = HoloConfig::default().learn.learning_rate;
+        session.try_report().unwrap();
+        let timings = session.cached_run().unwrap().timings;
+        assert!(timings.learn > std::time::Duration::ZERO);
+        assert!(timings.partition.components > 0);
+    }
+
+    /// A report as lines: each repair's cell, values (through `ds` and as
+    /// carried) and probability bits, then each posterior's candidates by
+    /// value and bits.
+    fn lines(report: &RepairReport, ds: &Dataset) -> Vec<String> {
+        let repairs = report.repairs.iter().map(|r| {
+            let (old, new) = (ds.value_str(r.old), ds.value_str(r.new));
+            assert_eq!((old, new), (r.old_value.as_str(), r.new_value.as_str()));
+            format!(
+                "{:?} {old:?} -> {new:?} {:x}",
+                r.cell,
+                r.probability.to_bits()
+            )
+        });
+        let posteriors = report.posteriors.iter().map(|p| {
+            let candidates = p.candidates.iter().map(|&(s, pr)| {
+                let value = ds.value_str(s);
+                format!("{value:?}={:x}", pr.to_bits())
+            });
+            let candidates: Vec<String> = candidates.collect();
+            format!("{:?} {}", p.cell, candidates.join(" "))
+        });
+        repairs.chain(posteriors).collect()
+    }
+
+    /// What a labelled read must say, as [`lines`]: `pipeline::run` over
+    /// `rows` (labels written) with the cells of `before` verified, plus
+    /// one p = 1 repair per label that changed its cell from its `before`
+    /// value.
+    fn labelled_reference(
+        rows: &[Vec<String>],
+        before: &BTreeMap<CellRef, String>,
+        config: HoloConfig,
+    ) -> Vec<String> {
+        let mut cx = one_shot_with(rows, config).into_context().unwrap();
+        cx.verified = before.keys().copied().collect();
+        let run = pipeline::run(&cx).unwrap();
+        let model = &run.model;
+        let (cells, vars) = (&model.query_cells, &model.query_vars);
+        let mut report =
+            RepairReport::from_marginals(&cx.ds, cells, vars, &model.graph, &run.marginals);
+        for (&cell, old_value) in before {
+            let new_value = cx.ds.cell_str(cell.tuple, cell.attr).to_string();
+            if *old_value != new_value {
+                report.repairs.push(Repair {
+                    cell,
+                    old: cx.ds.intern(old_value),
+                    new: cx.ds.cell_ref(cell),
+                    old_value: old_value.clone(),
+                    new_value,
+                    probability: 1.0,
+                });
+            }
+        }
+        report.repairs.sort_by_key(|r| r.cell);
+        lines(&report, &cx.ds)
+    }
+
     use proptest::prelude::*;
 
     fn crud_row(z: u8, c: u8) -> Vec<String> {
@@ -874,22 +1463,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Arbitrary insert/update/delete interleavings, with reads at
-        /// arbitrary points mid-feed, serve every read bit-for-bit equal
-        /// to a from-scratch build over the live table at that moment; a
-        /// repeated read is equal and builds nothing. Each op is
-        /// `((kind, sel, n, z, c), read)`: kind 0 inserts `n` rows derived
-        /// from `(z, c)`, kind 1 updates the live row selected by `sel`,
-        /// kind 2 deletes it; `read == 1` reads after the op (the last
-        /// op is always read).
+        /// Arbitrary insert/update/delete/label interleavings, with reads
+        /// at arbitrary points mid-feed, serve every read equal — value
+        /// strings and probability bits — to `pipeline::run` over the live
+        /// table at that moment with its labelled cells verified, plus one
+        /// p = 1 repair per label that changed its cell; a repeated read is
+        /// equal and builds nothing. Each op is `((kind, sel, n, z, c),
+        /// read)`: kind 0 inserts `n` rows derived from `(z, c)`, kind 1
+        /// updates the live row selected by `sel`, kind 2 deletes it, kind 3
+        /// labels its attribute `n % 3` with value `c`; `read == 1` reads
+        /// after the op (the last op is always read).
         #[test]
         fn prop_interleaved_crud_matches_a_fresh_build(
             ops in proptest::collection::vec(
-                ((0u8..3, 0u8..16, 1u8..4, 0u8..2, 0u8..3), 0u8..2), 1..8),
+                ((0u8..4, 0u8..16, 1u8..4, 0u8..2, 0u8..3), 0u8..2), 1..8),
         ) {
             let mut session = open(HoloConfig::default().with_threads(1));
             let mut live_ids: Vec<TupleId> = Vec::new();
             let mut mirror: Vec<Vec<String>> = Vec::new();
+            // Per live row, each labelled attribute's value before its label.
+            let mut labelled: Vec<BTreeMap<usize, String>> = Vec::new();
             let last = ops.len() - 1;
             for (i, ((kind, sel, n, z, c), read)) in ops.into_iter().enumerate() {
                 match kind {
@@ -902,6 +1495,7 @@ mod tests {
                         for (i, row) in batch.into_iter().enumerate() {
                             live_ids.push(TupleId((before + i) as u32));
                             mirror.push(row);
+                            labelled.push(BTreeMap::new());
                         }
                     }
                     _ if live_ids.is_empty() => {}
@@ -910,19 +1504,45 @@ mod tests {
                         let row = crud_row(z, c);
                         session.push_updates(&[(live_ids[idx], row.clone())]).unwrap();
                         mirror[idx] = row;
+                        labelled[idx].clear();
                     }
-                    _ => {
+                    2 => {
                         let idx = sel as usize % live_ids.len();
                         session.push_deletes(&[live_ids[idx]]).unwrap();
                         live_ids.remove(idx);
                         mirror.remove(idx);
+                        labelled.remove(idx);
+                    }
+                    _ => {
+                        let (idx, attr) = (sel as usize % live_ids.len(), n as usize % 3);
+                        let value = ["Chicago", "Cicago", "omega"][c as usize].to_string();
+                        let cell = CellRef::new(live_ids[idx], attr);
+                        session.apply_labels(&[Label { cell, value: value.clone() }]).unwrap();
+                        let old = std::mem::replace(&mut mirror[idx][attr], value);
+                        labelled[idx].entry(attr).or_insert(old);
                     }
                 }
                 if read == 0 && i != last {
                     continue;
                 }
                 let streamed = session.report();
-                prop_assert_eq!(&streamed, &one_shot(&mirror, 1));
+                let table = session.cached_table().unwrap();
+                let before: BTreeMap<CellRef, String> = labelled
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(t, attrs)| {
+                        attrs.iter().map(move |(&a, old)| (CellRef::new(t, a), old.clone()))
+                    })
+                    .collect();
+                let config = HoloConfig::default().with_threads(1);
+                prop_assert_eq!(
+                    lines(&streamed, table),
+                    labelled_reference(&mirror, &before, config)
+                );
+                if before.is_empty() {
+                    prop_assert_eq!(&streamed, &one_shot(&mirror, 1));
+                }
+                prop_assert_eq!(session.labelled_count(), before.len());
                 let ingest = session.ingest_stats();
                 let design = session.design_stats();
                 prop_assert_eq!(design.full_builds, 1 + session.retire_stats().compactions);

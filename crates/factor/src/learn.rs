@@ -33,9 +33,9 @@
 //!
 //! ## The kernel
 //!
-//! The trainer reads the compiled
-//! [`DesignMatrix`](crate::design::DesignMatrix) in place: an example's
-//! candidates are the rows of `design.var_range(v)`, wherever `v` sits.
+//! The trainer reads the compiled [`DesignMatrix`] in place: an
+//! example's candidates are the rows of `design.var_range(v)`, wherever
+//! `v` sits.
 //! Per example of a shard it
 //!
 //! 1. scores each candidate row with the blocked kernel

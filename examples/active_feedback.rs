@@ -11,8 +11,8 @@
 //! non-zero if any round's precision falls below the unlabelled run's.
 
 use holoclean_repro::holo_datagen::{food, hospital, FoodConfig, GeneratedDataset, HospitalConfig};
-use holoclean_repro::holoclean::feedback::{FeedbackSession, Label};
-use holoclean_repro::holoclean::{evaluate, HoloClean, HoloConfig};
+use holoclean_repro::holoclean::stream::{Label, Session};
+use holoclean_repro::holoclean::{evaluate, HoloConfig};
 use std::process::ExitCode;
 
 const ROUNDS: usize = 10;
@@ -21,11 +21,13 @@ const LABELS_PER_ROUND: usize = 10;
 /// Runs the loop on one table; returns whether precision held in every
 /// round.
 fn curve(name: &str, gen: &GeneratedDataset) -> bool {
-    let holo = HoloClean::new(gen.dirty.clone())
-        .with_constraint_text(&gen.constraints_text)
-        .expect("constraints parse")
-        .with_config(HoloConfig::default().with_tau(gen.kind.paper_tau()));
-    let mut session = FeedbackSession::new(holo).expect("session opens");
+    let ds = &gen.dirty;
+    let config = HoloConfig::default().with_tau(gen.kind.paper_tau());
+    let mut session = Session::new(ds.schema().clone(), &gen.constraints_text, config)
+        .expect("constraints parse");
+    let row = |t| ds.schema().attrs().map(move |a| ds.cell_str(t, a));
+    let rows: Vec<Vec<&str>> = ds.tuples().map(|t| row(t).collect()).collect();
+    session.push_batch(&rows).expect("rows fit the schema");
     println!("{name}:");
     let mut floor = None;
     let mut held = true;

@@ -47,7 +47,7 @@
 //!
 //! `pipeline::run` calls the four in order and bills each to its
 //! `StageTimings` slot; `HoloClean::run` is a thin driver over it, and
-//! `StreamSession` and `FeedbackSession` call the same functions. Every
+//! `stream::Session` (streamed rows and user labels) calls it too. Every
 //! step but weight learning parallelises internally over
 //! `HoloConfig::threads` — violation probing, domain pruning,
 //! featurization, co-occurrence statistics and per-component inference
@@ -59,8 +59,8 @@
 //! its unary features and compile featurizes straight into it, once; the
 //! component index and the coloring are derived from the clique structure
 //! on first use and never patched. Nothing changes a compiled model: user
-//! feedback (§2.2) is a table edit, and `FeedbackSession` reads through
-//! a fresh run over the labelled table.
+//! feedback (§2.2) is a table edit, and a `Session` reads through a
+//! fresh run over its live, labelled table.
 //!
 //! # Quick start
 //!

@@ -1,22 +1,38 @@
-//! The streaming-equivalence contract:
+//! The session contract, for streamed rows and for user labels:
 //!
 //! 1. feeding hospital in K batches yields repairs **byte-identical** to
 //!    the one-shot pipeline — cells, values, and full posteriors — for
 //!    K ∈ {1, 4, 16} at every thread count, under the default model and
-//!    the partitioned DC-factor variant;
+//!    the partitioned DC-factor variant, and random row streams under
+//!    random batch splits do too;
 //! 2. pushes only edit the row store: detection, statistics and the model
 //!    are the read's one-shot run over the compacted live rows, and a
 //!    failing read is a typed error;
 //! 3. a read's coordinates are the one-shot run's — `TupleId`s and `Sym`s
 //!    included — even when deletes leave gaps, updates intern values no
-//!    final row holds, and a constraint carries a quoted constant.
+//!    final row holds, a constraint carries a quoted constant, and the
+//!    session carries a dictionary;
+//! 4. the feedback loop (requests → labels → report) is bit-for-bit
+//!    identical across thread counts, and on hospital its precision never
+//!    falls below the unlabelled run's.
 
 use holoclean_repro::holo_datagen::{hospital, HospitalConfig};
 use holoclean_repro::holo_dataset::{Dataset, Schema, TupleId};
-use holoclean_repro::holoclean::stream::StreamSession;
+use holoclean_repro::holo_external::MatchingDependency;
+use holoclean_repro::holoclean::stream::{Label, Session};
 use holoclean_repro::holoclean::{
-    HoloClean, HoloConfig, HoloError, ModelVariant, RepairOutcome, RepairReport,
+    evaluate, HoloClean, HoloConfig, HoloError, ModelVariant, RepairOutcome, RepairReport,
 };
+use proptest::prelude::*;
+
+fn string_rows(ds: &Dataset) -> Vec<Vec<String>> {
+    let row = |t| {
+        ds.schema()
+            .attrs()
+            .map(move |a| ds.cell_str(t, a).to_string())
+    };
+    ds.tuples().map(|t| row(t).collect()).collect()
+}
 
 fn hospital_rows() -> (Schema, String, Vec<Vec<String>>) {
     let gen = hospital(HospitalConfig {
@@ -25,17 +41,11 @@ fn hospital_rows() -> (Schema, String, Vec<Vec<String>>) {
         ..HospitalConfig::default()
     });
     let schema = gen.dirty.schema().clone();
-    let rows: Vec<Vec<String>> = gen
-        .dirty
-        .tuples()
-        .map(|t| {
-            schema
-                .attrs()
-                .map(|a| gen.dirty.cell_str(t, a).to_string())
-                .collect()
-        })
-        .collect();
-    (schema, gen.constraints_text.clone(), rows)
+    (
+        schema,
+        gen.constraints_text.clone(),
+        string_rows(&gen.dirty),
+    )
 }
 
 fn one_shot_with(
@@ -72,8 +82,8 @@ fn streamed_with(
     rows: &[Vec<String>],
     batches: usize,
     config: HoloConfig,
-) -> StreamSession {
-    let mut session = StreamSession::new(schema.clone(), constraints, config).unwrap();
+) -> Session {
+    let mut session = Session::new(schema.clone(), constraints, config).unwrap();
     for chunk in rows.chunks(rows.len().div_ceil(batches)) {
         session.push_batch(chunk).unwrap();
     }
@@ -86,7 +96,7 @@ fn streamed(
     rows: &[Vec<String>],
     batches: usize,
     threads: usize,
-) -> StreamSession {
+) -> Session {
     let config = HoloConfig::default().with_threads(threads);
     streamed_with(schema, constraints, rows, batches, config)
 }
@@ -191,17 +201,17 @@ fn hospital_streams_bit_identical_under_partitioned_dc_factors() {
 fn hospital_stream_never_rebuilds_after_the_first_batch() {
     let (schema, constraints, rows) = hospital_rows();
     let mut session =
-        StreamSession::new(schema, &constraints, HoloConfig::default().with_threads(1)).unwrap();
+        Session::new(schema, &constraints, HoloConfig::default().with_threads(1)).unwrap();
     let chunks: Vec<_> = rows.chunks(rows.len().div_ceil(16)).collect();
     let n_batches = chunks.len() as u64;
     for chunk in chunks {
-        let batch = session.push_batch(chunk).unwrap();
-        assert_eq!(batch.appended, chunk.len());
+        let before = session.dataset().tuple_count();
+        session.push_batch(chunk).unwrap();
+        assert_eq!(session.dataset().tuple_count(), before + chunk.len());
         // A push runs nothing — no detection, no model — on the first
         // batch or any later one.
         assert_eq!(session.design_stats().full_builds, 0);
         assert!(session.cached_run().is_none());
-        assert_eq!(session.violations(), None);
     }
     // The read runs the pipeline, once; a second read runs nothing.
     let _ = session.report();
@@ -221,8 +231,7 @@ fn hospital_stream_never_rebuilds_after_the_first_batch() {
     assert!(outcome.violations > 0, "the slice must violate its DCs");
     assert_eq!(detection.violations, outcome.violations);
     assert_eq!(detection.noisy.len(), outcome.noisy_cells);
-    let timings = session.timings();
-    assert_eq!(timings.ingest, stats);
+    let timings = session.cached_run().unwrap().timings;
     assert!(timings.detect + timings.compile > std::time::Duration::ZERO);
 }
 
@@ -262,9 +271,10 @@ fn stream_counts_match_one_shot_detection() {
     // The read's detection equals the one-shot detection totals.
     let outcome = one_shot_with(&schema, &constraints, &rows, HoloConfig::default());
     let _ = session.report();
-    assert_eq!(session.violations(), Some(outcome.violations));
-    assert_eq!(session.noisy_cells(), Some(outcome.noisy_cells));
-    let shape = &session.cached_run().expect("the read made it").model.stats;
+    let run = session.cached_run().expect("the read made it");
+    assert_eq!(run.detection.violations, outcome.violations);
+    assert_eq!(run.detection.noisy.len(), outcome.noisy_cells);
+    let shape = &run.model.stats;
     assert_eq!(shape.query_vars, outcome.model.query_vars);
     assert_eq!(shape.evidence_vars, outcome.model.evidence_vars);
 }
@@ -298,11 +308,10 @@ fn crud_feed_with_a_constraint_constant_reads_in_one_shot_coordinates() {
             let config = HoloConfig::default()
                 .with_threads(threads)
                 .with_variant(variant);
-            let mut session =
-                StreamSession::new(schema.clone(), constraints, config.clone()).unwrap();
+            let mut session = Session::new(schema.clone(), constraints, config.clone()).unwrap();
             // `mirror[t]` is row `t` of the session, `None` once deleted.
             let mut mirror: Vec<Option<Vec<String>>> = Vec::new();
-            let mut push = |session: &mut StreamSession, batch: Vec<Vec<String>>| {
+            let mut push = |session: &mut Session, batch: Vec<Vec<String>>| {
                 session.push_batch(&batch).unwrap();
                 mirror.extend(batch.into_iter().map(Some));
             };
@@ -351,5 +360,192 @@ fn crud_feed_with_a_constraint_constant_reads_in_one_shot_coordinates() {
             );
             assert_eq!(table.tuple_count(), live.len(), "{label}");
         }
+    }
+}
+
+/// A session carries the zip dictionary: its read matches the dictionary
+/// against the compacted live table, so after deletes and an update it
+/// equals `HoloClean::with_dictionary` over the final live rows, `Sym`s
+/// and probability bits included. A dependency naming a missing attribute
+/// is a rejected edit.
+#[test]
+fn a_stream_with_a_dictionary_reads_like_the_one_shot_run_with_it() {
+    let gen = hospital(HospitalConfig {
+        rows: 120,
+        seed: 23,
+        ..HospitalConfig::default()
+    });
+    let dict = gen
+        .dictionary
+        .clone()
+        .expect("hospital has a zip dictionary");
+    let dependency = |name, attr, ext| {
+        MatchingDependency::equalities(name, &[("ZipCode", "Ext_Zip")], (attr, ext))
+    };
+    let deps = vec![
+        dependency("m1", "City", "Ext_City"),
+        dependency("m2", "State", "Ext_State"),
+    ];
+    let rows = string_rows(&gen.dirty);
+    let config = HoloConfig::default().with_threads(2);
+    let schema = gen.dirty.schema().clone();
+    let mut session = Session::new(schema, &gen.constraints_text, config.clone()).unwrap();
+    session.push_batch(&rows[..60]).unwrap();
+    let bad = vec![dependency("m3", "Nowhere", "Ext_City")];
+    let err = session.with_dictionary(dict.clone(), bad).unwrap_err();
+    assert!(matches!(err, HoloError::Stream(_)), "{err}");
+    session.with_dictionary(dict.clone(), deps.clone()).unwrap();
+    session.push_batch(&rows[60..]).unwrap();
+    session.push_deletes(&[TupleId(3), TupleId(70)]).unwrap();
+    let mut healed = rows[5].clone();
+    healed[0].push_str(" (renamed)");
+    session
+        .push_updates(&[(TupleId(5), healed.clone())])
+        .unwrap();
+    let report = session.report();
+
+    let mut live = rows.clone();
+    live[5] = healed;
+    let live: Vec<Vec<String>> = (0..live.len())
+        .filter(|&t| t != 3 && t != 70)
+        .map(|t| live[t].clone())
+        .collect();
+    let mut ds = Dataset::new(gen.dirty.schema().clone());
+    for row in &live {
+        ds.push_row(row);
+    }
+    let holo = || {
+        HoloClean::new(ds.clone())
+            .with_constraint_text(&gen.constraints_text)
+            .unwrap()
+            .with_dictionary(dict.clone(), deps.clone())
+            .with_config(config.clone())
+    };
+    let matches = holo().into_context().unwrap().matches;
+    assert!(!matches.is_empty(), "the dictionary must match live cells");
+    let (outcome, _, _) = holo().run_full().unwrap();
+    assert_eq!(report, outcome.report);
+    assert_bitwise_equal(&report, &outcome.report, "dictionary");
+    let table = session.cached_table().expect("the read made it");
+    assert!(table.pool().iter().eq(outcome.dataset.pool().iter()));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random row streams under random batch splits report
+    /// byte-identically to the one-shot pipeline.
+    #[test]
+    fn random_streams_stay_patch_equal_and_batch_equivalent(
+        rows in proptest::collection::vec((0u8..4, 0u8..5, 0u8..2), 4..40),
+        batches in 1usize..5,
+        threads in 1usize..3,
+    ) {
+        let rows: Vec<Vec<String>> = rows
+            .iter()
+            .map(|(z, c, s)| vec![format!("z{z}"), format!("c{c}"), format!("s{s}")])
+            .collect();
+        let schema = Schema::new(vec!["Zip", "City", "State"]);
+        let constraints = "FD: Zip -> City\nFD: City, State -> Zip";
+        let mut session = streamed(&schema, constraints, &rows, batches, threads);
+        prop_assert_eq!(session.report(), one_shot(&schema, constraints, &rows, 1));
+    }
+}
+
+/// A session over the generated hospital table, fed in one batch.
+fn hospital_session(rows: usize, seed: u64, threads: usize) -> (Session, Dataset, Dataset) {
+    let gen = hospital(HospitalConfig {
+        rows,
+        seed,
+        ..HospitalConfig::default()
+    });
+    let config = HoloConfig::default().with_threads(threads);
+    let schema = gen.dirty.schema().clone();
+    let mut session = Session::new(schema, &gen.constraints_text, config).unwrap();
+    session.push_batch(&string_rows(&gen.dirty)).unwrap();
+    (session, gen.dirty, gen.clean)
+}
+
+/// Runs a two-round feedback session over a generated hospital dataset at
+/// the given thread count, labelling low-confidence cells with their clean
+/// values plus one novel (out-of-domain) value per round. Returns the
+/// trace of requests and repairs and the final report.
+fn feedback_loop(threads: usize) -> (Vec<(String, u64)>, RepairReport) {
+    let (mut session, _, clean) = hospital_session(120, 23, threads);
+    let mut trace: Vec<(String, u64)> = Vec::new();
+    for round in 0..2 {
+        let requests = session.requests(4).unwrap();
+        for (i, r) in requests.iter().enumerate() {
+            trace.push((
+                format!("round {round} request {i}: {:?} -> {}", r.cell, r.proposed),
+                r.confidence.to_bits(),
+            ));
+        }
+        let labels: Vec<Label> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| Label {
+                cell: r.cell,
+                value: if i == 0 {
+                    format!("audited-{round}")
+                } else {
+                    clean.cell_str(r.cell.tuple, r.cell.attr).to_string()
+                },
+            })
+            .collect();
+        session.apply_labels(&labels).unwrap();
+        for repair in &session.try_report().unwrap().repairs {
+            trace.push((
+                format!(
+                    "round {round} repair {:?} -> {}",
+                    repair.cell, repair.new_value
+                ),
+                repair.probability.to_bits(),
+            ));
+        }
+    }
+    assert!(session.cached_run().unwrap().timings.partition.components > 1);
+    (trace, session.try_report().unwrap())
+}
+
+/// The full loop — requests, labels, report — is bit-for-bit identical at
+/// every thread count.
+#[test]
+fn feedback_loop_is_thread_count_invariant() {
+    let (reference, ref_report) = feedback_loop(1);
+    assert!(!reference.is_empty(), "the loop produced requests/repairs");
+    for threads in [2, 4] {
+        let (trace, report) = feedback_loop(threads);
+        assert_eq!(trace, reference, "threads = {threads}");
+        assert_eq!(report, ref_report, "threads = {threads}");
+    }
+}
+
+/// Labels reach the table, so they correct the statistics and detection
+/// the rest of the table reads: on the 600-row hospital table, three
+/// rounds of ten oracle labels never bring precision below the unlabelled
+/// run's.
+#[test]
+fn precision_never_falls_as_labels_arrive() {
+    let (mut session, dirty, clean) = hospital_session(600, HospitalConfig::default().seed, 0);
+    let round0 = evaluate(&session.try_report().unwrap(), &dirty, &clean);
+    for round in 1..=3 {
+        let labels: Vec<Label> = session
+            .requests(10)
+            .unwrap()
+            .iter()
+            .map(|r| Label {
+                cell: r.cell,
+                value: clean.cell_str(r.cell.tuple, r.cell.attr).to_string(),
+            })
+            .collect();
+        session.apply_labels(&labels).unwrap();
+        let q = evaluate(&session.try_report().unwrap(), &dirty, &clean);
+        assert!(
+            q.precision >= round0.precision,
+            "round {round}: precision {} fell below round 0's {}",
+            q.precision,
+            round0.precision
+        );
     }
 }
