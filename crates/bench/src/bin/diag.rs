@@ -54,6 +54,10 @@
 //! column). `occur_weights`: per attribute, its `Occur` weights and the top
 //! 3 `[conditioning attribute, w]` by |w|.
 //!
+//! The `shape` object carries the sizes a stage's cost is read against:
+//! the table's `rows`, its `noisy_cells` and the model's `query_vars` and
+//! `evidence_vars` (`scripts/ladder.py` divides the stage times by them).
+//!
 //! The `memory` object carries `peak_rss_mb`, the process's peak resident
 //! set (`VmHWM` in `/proc/self/status`, read after the run; `null` where
 //! the platform has no such file), which the text output prints too. It is
@@ -425,8 +429,15 @@ fn print_json(
     retire.field_u64("live_rows", r.live_rows);
     retire.field_u64("dead_rows", r.dead_rows);
 
+    let mut shape = JsonObj::new();
+    shape.field_u64("rows", gen.dirty.tuple_count() as u64);
+    shape.field_u64("noisy_cells", out.noisy_cells as u64);
+    shape.field_u64("query_vars", out.model.query_vars as u64);
+    shape.field_u64("evidence_vars", out.model.evidence_vars as u64);
+
     let mut root = JsonObj::new();
     root.field_str("dataset", gen.kind.name());
+    root.field_raw("shape", &shape.finish());
     root.field_raw("quality", &quality.finish());
     root.field_raw("timings", &timings.finish());
     root.field_raw("detect", &detect.json());
@@ -513,6 +524,7 @@ fn evidence_weights(model: &CompiledModel) -> FxHashSet<WeightId> {
 }
 
 fn main() {
+    holo_bench::exit_quietly_on_closed_stdout();
     let args = Args::parse(std::env::args());
     let kind = match std::env::var("DIAG_DATASET").as_deref() {
         Ok("flights") => DatasetKind::Flights,

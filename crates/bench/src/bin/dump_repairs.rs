@@ -37,6 +37,7 @@ use holo_datagen::DatasetKind;
 use holoclean::{evaluate, HoloConfig, ModelVariant};
 
 fn main() {
+    holo_bench::exit_quietly_on_closed_stdout();
     let args = Args::parse(std::env::args());
     let gen = build(
         DatasetKind::Hospital,

@@ -10,6 +10,7 @@ use holo_datagen::DatasetKind;
 use holoclean::HoloConfig;
 
 fn main() {
+    holo_bench::exit_quietly_on_closed_stdout();
     let args = Args::parse(std::env::args());
     let scale = Scale {
         factor: args.scale,

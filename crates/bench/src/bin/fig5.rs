@@ -13,6 +13,7 @@ use holo_datagen::DatasetKind;
 use holoclean::{HoloConfig, ModelVariant};
 
 fn main() {
+    holo_bench::exit_quietly_on_closed_stdout();
     let args = Args::parse(std::env::args());
     let scale = Scale {
         factor: args.scale,

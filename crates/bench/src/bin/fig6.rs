@@ -11,6 +11,7 @@ use holoclean::report::{confidence_buckets, FIG6_EDGES};
 use holoclean::HoloConfig;
 
 fn main() {
+    holo_bench::exit_quietly_on_closed_stdout();
     let args = Args::parse(std::env::args());
     let scale = Scale {
         factor: args.scale,

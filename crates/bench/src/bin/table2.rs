@@ -8,6 +8,7 @@ use holo_constraints::{find_violations, noisy_cells, parse_constraints};
 use holo_datagen::DatasetKind;
 
 fn main() {
+    holo_bench::exit_quietly_on_closed_stdout();
     let args = Args::parse(std::env::args());
     let scale = Scale {
         factor: args.scale,

@@ -10,6 +10,7 @@ use holoclean::HoloConfig;
 use std::time::Duration;
 
 fn main() {
+    holo_bench::exit_quietly_on_closed_stdout();
     let args = Args::parse(std::env::args());
     let scale = Scale {
         factor: args.scale,

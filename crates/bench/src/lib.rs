@@ -27,6 +27,28 @@ pub use datasets::{build, default_scale, Scale};
 pub use runner::{run_baseline, run_holoclean, stream_feed, BaselineOutcome, HoloOutcome};
 pub use table::TableWriter;
 
+/// Makes a reader that closes stdout early (`diag | head -1`) end the
+/// binary quietly with status 0. Rust ignores `SIGPIPE`, so the next
+/// `println!` fails with `EPIPE` and panics with "failed printing to
+/// stdout: Broken pipe"; this panic hook turns exactly that panic into
+/// `exit(0)` and hands every other panic to the default hook. Called first
+/// thing in every binary's `main`.
+pub fn exit_quietly_on_closed_stdout() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        default(info);
+    }));
+}
+
 /// Minimal CLI-flag parsing shared by the experiment binaries (no external
 /// argument-parsing crate in the allowed dependency set).
 #[derive(Debug, Clone)]

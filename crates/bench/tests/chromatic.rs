@@ -6,7 +6,7 @@
 
 use holo_constraints::{find_violations, noisy_cells, parse_constraints};
 use holo_datagen::DatasetKind;
-use holo_dataset::CooccurStats;
+use holo_dataset::{CellRef, CooccurStats, FxHashSet};
 use holoclean::compile::{compile, CompileInput};
 use holoclean::context::DatasetContext;
 use holoclean::{HoloConfig, ModelVariant};
@@ -23,7 +23,7 @@ fn chromatic_hospital_dc_factors_is_thread_invariant() {
     );
     let cons = parse_constraints(&gen.constraints_text, &mut gen.dirty).unwrap();
     let violations = find_violations(&gen.dirty, &cons);
-    let noisy = noisy_cells(&violations);
+    let noisy: FxHashSet<CellRef> = noisy_cells(&violations).iter().collect();
     let stats = CooccurStats::build(&gen.dirty);
     let matches = Default::default();
     let config = HoloConfig::default().with_variant(ModelVariant::DcFactorsPartitioned);

@@ -5,7 +5,8 @@
 //! the cross-tuple equality predicates, then `violated_by` on every
 //! same-key pair) — every constraint of these generators is an FD, so this
 //! is the grouped path end to end — and the list-free detector returns
-//! that list's cells and length. Also pins the `Violation` footprint the
+//! that list's cells — as a `CellSet` equal to `noisy_cells` of the list,
+//! iterated in ascending cell order — and its length. Also pins the `Violation` footprint the
 //! change was made for.
 
 use holo_constraints::{
@@ -92,10 +93,17 @@ fn assert_detector_equals_interpreter(mut gen: GeneratedDataset) {
     for threads in [1, 2, 4] {
         let got = find_violations_with_threads(&gen.dirty, &cons, threads);
         assert!(flat(&got) == want, "{name}, threads = {threads}");
-        let list_free = find_noisy_cells_with_threads(&gen.dirty, &cons, threads);
+        let (cells, count) = find_noisy_cells_with_threads(&gen.dirty, &cons, threads);
         assert!(
-            list_free == (noisy_cells(&got), got.len()),
+            cells == noisy_cells(&got) && count == got.len(),
             "{name}, list-free, threads = {threads}"
+        );
+        let mut named: Vec<CellRef> = got.iter().flat_map(|v| v.cells.to_vec()).collect();
+        named.sort_unstable();
+        named.dedup();
+        assert!(
+            cells.iter().eq(named),
+            "{name}, sorted cells, threads = {threads}"
         );
     }
 }

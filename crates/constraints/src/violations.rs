@@ -34,7 +34,11 @@
 //! general scan pays bucket², and the pairs come out in the same order.
 //!
 //! [`find_noisy_cells_with_threads`] is the detector for callers that want
-//! `D_n` and the violation count but not the list. For a proper FD
+//! `D_n` and the violation count but not the list. It marks the cells
+//! straight into a [`CellSet`] — one tuple bitmap per attribute, so a cell
+//! named by hundreds of violations costs a bit test each time and is never
+//! hashed — which is the noisy set the pipeline hands to compile, iterated
+//! in ascending cell order without a sort. For a proper FD
 //! `X → A` (the same key attributes and the same dependent attribute on
 //! both tuples) it reads the groups alone: in a bucket with at least two
 //! groups every member holding a non-null `A` disagrees with somebody, so
@@ -73,7 +77,7 @@
 use crate::ast::{ConstraintId, ConstraintSet, DenialConstraint, TupleVar};
 use crate::hypergraph::GroupTable;
 use crate::scan::{build_shared, BlockIndex, PackedColumn, PairScan, ScanPredicate};
-use holo_dataset::{AttrId, CellRef, Dataset, FxHashSet, Sym, TupleId};
+use holo_dataset::{AttrId, CellRef, CellSet, Dataset, Sym, TupleId};
 use serde::{Deserialize, Serialize};
 
 /// One detected violation: a constraint plus the witnessing tuple binding.
@@ -179,47 +183,13 @@ impl std::fmt::Debug for CellList {
     }
 }
 
-/// A set of cells being collected. A cell of a large bucket is named by
-/// hundreds of violations, so a first-sight filter (one bitmap over tuples
-/// per attribute, grown on demand) stands in front of the hash set: only a
-/// cell's first mention is hashed.
-#[derive(Default)]
-struct CellMarks {
-    seen: Vec<Vec<u64>>,
-    fresh: Vec<CellRef>,
-}
-
-impl CellMarks {
-    #[inline]
-    fn mark(&mut self, cell: CellRef) {
-        let (attr, word) = (cell.attr.index(), cell.tuple.index() / 64);
-        if self.seen.len() <= attr {
-            self.seen.resize(attr + 1, Vec::new());
-        }
-        let bits = &mut self.seen[attr];
-        if bits.len() <= word {
-            bits.resize(word + 1, 0);
-        }
-        let bit = 1u64 << (cell.tuple.index() % 64);
-        if bits[word] & bit == 0 {
-            bits[word] |= bit;
-            self.fresh.push(cell);
-        }
-    }
-
-    fn into_set(self) -> FxHashSet<CellRef> {
-        self.fresh.into_iter().collect()
-    }
-}
-
 /// The set of cells named by `violations` — the noisy cells `D_n` of the
 /// violation detector.
-pub fn noisy_cells(violations: &[Violation]) -> FxHashSet<CellRef> {
-    let mut marks = CellMarks::default();
-    for v in violations {
-        v.cells.iter().for_each(|&cell| marks.mark(cell));
-    }
-    marks.into_set()
+pub fn noisy_cells(violations: &[Violation]) -> CellSet {
+    violations
+        .iter()
+        .flat_map(|v| v.cells.iter().copied())
+        .collect()
 }
 
 /// The violation every witness of one constraint is stamped from: its
@@ -277,10 +247,10 @@ impl CellTemplate {
     /// Marks the cells [`CellTemplate::violation`] names on `t1` and on
     /// `t2`.
     #[inline]
-    fn mark(&self, t1: TupleId, t2: TupleId, marks: &mut CellMarks) {
+    fn mark(&self, t1: TupleId, t2: TupleId, marks: &mut CellSet) {
         for (at, cell) in self.proto.cells.iter().enumerate() {
             let tuple = if at < self.t1_cells { t1 } else { t2 };
-            marks.mark(CellRef { tuple, ..*cell });
+            marks.insert(CellRef { tuple, ..*cell });
         }
     }
 }
@@ -317,15 +287,15 @@ pub fn find_noisy_cells_with_threads(
     ds: &Dataset,
     constraints: &ConstraintSet,
     threads: usize,
-) -> (FxHashSet<CellRef>, usize) {
-    let (mut marks, mut violations) = (CellMarks::default(), 0);
+) -> (CellSet, usize) {
+    let (mut marks, mut violations) = (CellSet::new(), 0);
     detect(
         ds,
         constraints,
         threads,
         &mut Sink::Cells(&mut marks, &mut violations),
     );
-    (marks.into_set(), violations)
+    (marks, violations)
 }
 
 /// Algorithm 3's groups — [`tuple_group_ids`](crate::tuple_group_ids) of
@@ -348,7 +318,7 @@ enum Sink<'a> {
     /// Every witnessing pair stamped into a [`Violation`], in order.
     List(&'a mut Vec<Violation>),
     /// The witnesses' cells marked and the witnesses counted.
-    Cells(&'a mut CellMarks, &'a mut usize),
+    Cells(&'a mut CellSet, &'a mut usize),
     /// The witnesses' Algorithm 3 group table pushed, one per constraint.
     Groups(&'a mut Vec<Vec<u32>>),
 }
@@ -472,7 +442,7 @@ fn mark_mixed_buckets(
     index: &BlockIndex,
     column: &PackedColumn,
     template: &CellTemplate,
-    marks: &mut CellMarks,
+    marks: &mut CellSet,
 ) -> usize {
     let mut pairs = 0u64;
     for bucket in 0..index.bucket_count() {
@@ -748,7 +718,7 @@ mod tests {
     use crate::ast::{Op, Operand, Predicate};
     use crate::hypergraph::tuple_group_ids;
     use crate::parser::parse_constraints;
-    use holo_dataset::Schema;
+    use holo_dataset::{FxHashSet, Schema};
     use proptest::prelude::*;
 
     fn food_like() -> (Dataset, ConstraintSet) {
@@ -903,7 +873,9 @@ mod tests {
             want.extend(v.cells.iter().copied());
         }
         assert!(!want.is_empty());
-        assert_eq!(noisy_cells(&violations), want);
+        let mut sorted: Vec<CellRef> = want.into_iter().collect();
+        sorted.sort_unstable();
+        assert!(noisy_cells(&violations).iter().eq(sorted));
         assert!(noisy_cells(&[]).is_empty());
     }
 

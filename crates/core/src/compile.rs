@@ -31,18 +31,19 @@ use crate::features::{
     collect_external_features, collect_minimality_feature, collect_occur_features, DcFeaturizer,
     FeatureBuffer, FeatureKey, FeatureSink, MatchLookup, SourceFeaturizer,
 };
-use crate::trainable::{attrs_of, trainable_attrs};
+use crate::trainable::{attrs_of, noisy_attrs, trainable_attrs};
 use holo_constraints::ast::{Op, Operand, TupleVar};
 use holo_constraints::scan::PairScan;
 use holo_constraints::{find_tuple_groups_with_threads, ConstraintSet, Violation, NO_GROUP};
 use holo_dataset::{
-    AttrId, CellRef, CooccurStats, Dataset, FxHashMap, FxHashSet, Sym, TupleId, NULL_CODE,
+    AttrId, CellRef, CellSet, CooccurStats, Dataset, FxHashMap, FxHashSet, Sym, TupleId, NULL_CODE,
 };
 use holo_factor::{
     CliqueArena, CmpOp, DesignMatrix, FactorGraph, FactorOperand, FactorPredicate, FeatureRegistry,
     VarId, Variable, Weights,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 /// Size/shape diagnostics of a compiled model (reported by the harness —
@@ -135,7 +136,10 @@ pub struct CompileInput<'a> {
     pub ds: &'a Dataset,
     /// The denial constraints Σ.
     pub constraints: &'a ConstraintSet,
-    /// The noisy-cell set `D_n` from error detection.
+    /// The noisy-cell set `D_n` from error detection, as [`compile`] takes
+    /// it: it becomes a [`CellSet`] once, on entry.
+    /// `pipeline::compile_model` hands the body detection's own
+    /// [`CellSet`] instead and leaves this empty.
     pub noisy: &'a FxHashSet<CellRef>,
     /// Unread: the partitioning variants take Algorithm 3's groups from
     /// the value groups ([`find_tuple_groups_with_threads`]), so no
@@ -153,21 +157,33 @@ pub struct CompileInput<'a> {
 
 /// Compiles the full model.
 pub fn compile(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
-    compile_with(input, |seeds| {
+    let noisy: CellSet = input.noisy.iter().copied().collect();
+    compile_cells(input, &noisy)
+}
+
+/// [`compile`] with the noisy set `noisy` in place of `input.noisy`, which
+/// it does not read: `pipeline::compile_model` passes
+/// [`Detection::noisy`](crate::pipeline::Detection::noisy) here.
+pub(crate) fn compile_cells(
+    input: &CompileInput<'_>,
+    noisy: &CellSet,
+) -> Result<CompiledModel, HoloError> {
+    compile_with(input, noisy, |seeds| {
         trainable_attrs(seeds, input.constraints, input.matches, input.config)
     })
 }
 
-/// [`compile`] over the attribute closure `trainable` (seed flags in, the
-/// trainable attributes out).
+/// [`compile_cells`] over the attribute closure `trainable` (seed flags in,
+/// the trainable attributes out).
 fn compile_with(
     input: &CompileInput<'_>,
+    noisy: &CellSet,
     trainable: impl Fn(Vec<bool>) -> Vec<bool>,
 ) -> Result<CompiledModel, HoloError> {
     let CompileInput {
         ds,
         constraints,
-        noisy,
+        noisy: _,
         violations: _,
         stats,
         matches,
@@ -189,7 +205,7 @@ fn compile_with(
         // the noisy cells and of the evidence their query variables can
         // make trainable — the targets `pipeline::compile_model` builds
         // pair blocks for, recomputed here from the same inputs.
-        let targets = trainable(attrs_of(n_attrs, noisy.iter().copied()));
+        let targets = trainable(noisy_attrs(n_attrs, noisy));
         PruneIndex::build(
             ds,
             stats,
@@ -201,30 +217,33 @@ fn compile_with(
     });
     cstats.prune_index_rows = index.rows();
     cstats.prune_index_entries = index.entries();
-    // Dictionary-asserted values join a cell's domain after pruning: the
-    // `(cell, value)` pairs in `matches.keys()` order, stable-sorted by
-    // cell so each cell keeps that order, merge-joined with the sorted
-    // noisy cells.
-    let (noisy_cells, noisy_domains, mut asserted) = timed(&mut phases, "noisy prune", || {
-        let mut asserted: Vec<(CellRef, Sym)> = matches.keys().copied().collect();
+    // Dictionary-asserted values join a cell's domain as the arena is
+    // written: the `(cell, value)` pairs of the cells being pruned, in
+    // `matches.keys()` order, stable-sorted by cell so each cell keeps that
+    // order, merge-joined with the cells.
+    let asserted_on = |cells: &CellSet| -> Vec<(CellRef, Sym)> {
+        let keys = matches.keys().copied();
+        keys.filter(|&(cell, _)| cells.contains(cell)).collect()
+    };
+    let noisy_domains = timed(&mut phases, "noisy prune", || {
+        let mut asserted = asserted_on(noisy);
         asserted.sort_by_key(|&(cell, _)| cell);
-        let mut noisy_cells: Vec<CellRef> = noisy.iter().copied().collect();
-        noisy_cells.sort_unstable();
-        let mut domains =
-            index.prune_cells(ds, &noisy_cells, config.tau, config.max_domain, threads);
-        assert_into(&asserted, &noisy_cells, &mut domains, |cell| cell);
-        (noisy_cells, domains, asserted)
+        let (tau, max_domain) = (config.tau, config.max_domain);
+        // The set yields its cells ascending.
+        let cells = noisy.iter().collect();
+        index.prune_cells(ds, cells, &asserted, |c| c, tau, max_domain, threads)
     });
 
     // Evidence: sample clean cells per trainable attribute — seeded by the
     // attributes that have a query variable, known now that the noisy
     // domains are final. Selection is sequential; the Algorithm 2 reads of
     // the selected cells shard across threads.
-    let is_query = |dom: &Vec<Sym>| dom.len() >= 2;
-    let (selected, evidence_domains) = timed(&mut phases, "evidence prune", || {
-        let query_cells = std::iter::zip(&noisy_cells, &noisy_domains)
+    let is_query = |dom: &[Sym]| dom.len() >= 2;
+    let evidence_domains = timed(&mut phases, "evidence prune", || {
+        let query_cells = noisy_domains
+            .iter()
             .filter(|(_, dom)| is_query(dom))
-            .map(|(&cell, _)| cell);
+            .map(|(cell, _)| cell);
         let evidence_attrs = trainable(attrs_of(n_attrs, query_cells));
         cstats.trainable_attrs = evidence_attrs.iter().filter(|&&t| t).count();
         cstats.evidence_attrs_skipped = n_attrs - cstats.trainable_attrs;
@@ -235,40 +254,42 @@ fn compile_with(
             config.seed,
             MAX_EVIDENCE_PER_ATTR,
         );
-        let mut domains =
-            index.prune_cells(ds, &selected, evidence_tau, config.max_domain, threads);
         // Dictionary assertions join the evidence domains too: an evidence
         // cell whose observed value beats the asserted one is exactly the
         // negative example that trains the dictionary's reliability weight
         // w(k) down when coverage is poor. `selected` is attribute-major;
-        // a stable re-sort keeps each cell's order.
+        // a stable sort keeps each cell's order.
+        let mut asserted = asserted_on(&selected.iter().copied().collect());
         let attr_major = |cell: CellRef| (cell.attr, cell.tuple);
         asserted.sort_by_key(|&(cell, _)| attr_major(cell));
-        assert_into(&asserted, &selected, &mut domains, attr_major);
-        (selected, domains)
+        let (tau, max_domain) = (evidence_tau, config.max_domain);
+        index.prune_cells(
+            ds, selected, &asserted, attr_major, tau, max_domain, threads,
+        )
     });
     drop(index);
 
     // ---- 2. variables: query first, then evidence ----
-    // Each domain moves straight into its variable; DC-factor grounding
-    // reads a query cell's domain there.
+    // Only a cell with ≥ 2 candidates copies its domain out of the arena,
+    // into its variable; DC-factor grounding reads a query cell's domain
+    // there.
     let mut vars: Vec<Variable> = Vec::new();
     let mut var_cells: Vec<CellRef> = Vec::new();
     timed(&mut phases, "variables", || {
-        for (&cell, dom) in noisy_cells.iter().zip(noisy_domains) {
-            if !is_query(&dom) {
+        for (cell, dom) in noisy_domains.iter() {
+            if !is_query(dom) {
                 cstats.singleton_noisy_cells += 1;
                 continue;
             }
             let init = ds.cell_ref(cell);
             let init_idx = dom.iter().position(|&v| v == init);
-            vars.push(Variable::query(dom, init_idx));
+            vars.push(Variable::query(dom.to_vec(), init_idx));
             var_cells.push(cell);
         }
         cstats.query_vars = vars.len();
         cstats.total_candidates = vars.iter().map(Variable::arity).sum();
-        for (&cell, dom) in selected.iter().zip(evidence_domains) {
-            if dom.len() < 2 {
+        for (cell, dom) in evidence_domains.iter() {
+            if !is_query(dom) {
                 continue;
             }
             // The pruner keeps a cell's observed value by construction; if
@@ -280,11 +301,12 @@ fn compile_with(
                     attr: ds.schema().attr_name(cell.attr).to_string(),
                 });
             };
-            vars.push(Variable::evidence(dom, observed));
+            vars.push(Variable::evidence(dom.to_vec(), observed));
             var_cells.push(cell);
         }
         Ok(())
     })?;
+    drop((noisy_domains, evidence_domains));
     cstats.evidence_vars = vars.len() - cstats.query_vars;
     let query_vars: Vec<VarId> = (0..cstats.query_vars as u32).map(VarId).collect();
 
@@ -340,34 +362,6 @@ fn compile_with(
     })
 }
 
-/// Appends to each of `cells`' domains the values `asserted` for it that
-/// the domain lacks, in `asserted` order: a merge join, so `cells` and
-/// `asserted` must both ascend under `key`.
-fn assert_into<K: Ord>(
-    asserted: &[(CellRef, Sym)],
-    cells: &[CellRef],
-    domains: &mut [Vec<Sym>],
-    key: impl Fn(CellRef) -> K,
-) {
-    debug_assert!(cells.is_sorted_by_key(|&cell| key(cell)));
-    debug_assert!(asserted.is_sorted_by_key(|&(cell, _)| key(cell)));
-    let mut rest = asserted;
-    for (&cell, dom) in cells.iter().zip(domains) {
-        let at = key(cell);
-        let skip = rest.iter().take_while(|&&(c, _)| key(c) < at).count();
-        let run = rest[skip..]
-            .iter()
-            .take_while(|&&(c, _)| key(c) == at)
-            .count();
-        for &(_, v) in &rest[skip..skip + run] {
-            if !dom.contains(&v) {
-                dom.push(v);
-            }
-        }
-        rest = &rest[skip + run..];
-    }
-}
-
 /// Evidence cells sampled per *trainable* attribute for weight learning —
 /// an attribute that shares a learnable weight with one that has a query
 /// variable ([`crate::trainable`]); the other attributes supply no
@@ -384,40 +378,41 @@ const MAX_EVIDENCE_PER_ATTR: usize = 800;
 /// attribute's clean list (a label, or a partner it unflags) changes at
 /// most one other member of that attribute's sample.
 ///
-/// The noisy set is read through one tuple bitmap per attribute, so a
-/// clean-cell test is a bit probe, not a hash of the cell.
+/// The noisy set is read through its tuple bitmap per attribute, so a
+/// clean-cell test is a bit probe, not a hash of the cell, and the sample
+/// is kept in a bounded max-heap of `cap` entries while the column is
+/// scanned, so no attribute's clean cells are ever collected.
 fn select_evidence_cells(
     ds: &Dataset,
-    noisy: &FxHashSet<CellRef>,
+    noisy: &CellSet,
     trainable: &[bool],
     seed: u64,
     cap: usize,
 ) -> Vec<CellRef> {
-    let words = ds.tuple_count().div_ceil(64);
-    let mut flagged: Vec<Vec<u64>> = vec![vec![0; words]; trainable.len()];
-    for cell in noisy {
-        let t = cell.tuple.index();
-        flagged[cell.attr.index()][t / 64] |= 1 << (t % 64);
-    }
     let mut selected: Vec<CellRef> = Vec::new();
     for attr in ds.schema().attrs().filter(|a| trainable[a.index()]) {
-        let (column, flagged) = (ds.codes(attr), &flagged[attr.index()]);
+        let (column, flagged) = (ds.codes(attr), noisy.words(attr));
         let clean = ds.tuples().filter(|t| {
             let t = t.index();
-            flagged[t / 64] >> (t % 64) & 1 == 0 && column[t] != NULL_CODE
+            let noisy = flagged.get(t / 64).is_some_and(|w| w >> (t % 64) & 1 == 1);
+            !noisy && column[t] != NULL_CODE
         });
-        let mut ranked: Vec<(u64, CellRef)> = clean
-            .map(|t| {
-                let cell = CellRef { tuple: t, attr };
-                (sample_rank(seed, cell), cell)
-            })
-            .collect();
-        if ranked.len() > cap {
-            ranked.select_nth_unstable(cap);
-            ranked.truncate(cap);
-            ranked.sort_unstable_by_key(|&(_, cell)| cell);
+        // The `cap` smallest `(rank, cell)` so far, largest on top.
+        let mut kept: BinaryHeap<(u64, CellRef)> = BinaryHeap::with_capacity(cap);
+        for tuple in clean {
+            let cell = CellRef { tuple, attr };
+            let ranked = (sample_rank(seed, cell), cell);
+            if kept.len() < cap {
+                kept.push(ranked);
+            } else if let Some(mut top) = kept.peek_mut() {
+                if ranked < *top {
+                    *top = ranked;
+                }
+            }
         }
-        selected.extend(ranked.into_iter().map(|(_, cell)| cell));
+        let mut kept = kept.into_vec();
+        kept.sort_unstable_by_key(|&(_, cell)| cell);
+        selected.extend(kept.into_iter().map(|(_, cell)| cell));
     }
     selected
 }
@@ -912,8 +907,11 @@ fn build_clique(
 /// τ-index lists for every target — kept as the reference the restricted
 /// one is tested against. Needs statistics that hold every target.
 #[cfg(test)]
-pub(crate) fn compile_unfiltered(input: &CompileInput<'_>) -> Result<CompiledModel, HoloError> {
-    compile_with(input, |seeds| vec![true; seeds.len()])
+pub(crate) fn compile_unfiltered(
+    input: &CompileInput<'_>,
+    noisy: &CellSet,
+) -> Result<CompiledModel, HoloError> {
+    compile_with(input, noisy, |seeds| vec![true; seeds.len()])
 }
 
 #[cfg(test)]
@@ -941,7 +939,7 @@ mod tests {
 
     fn run_compile(ds: &Dataset, cons: &ConstraintSet, config: &HoloConfig) -> CompiledModel {
         let violations = find_violations(ds, cons);
-        let noisy = noisy_cells(&violations);
+        let noisy: FxHashSet<CellRef> = noisy_cells(&violations).iter().collect();
         let stats = CooccurStats::build(ds);
         let matches = MatchLookup::default();
         compile(&CompileInput {
@@ -1193,7 +1191,7 @@ mod tests {
             let cons = parse_constraints(&gen.constraints_text, &mut ds).unwrap();
             assert!(ds.tuple_count() > 2 * GROUND_BLOCK_TUPLES, "{:?}", gen.kind);
             let violations = find_violations(&ds, &cons);
-            let noisy = noisy_cells(&violations);
+            let noisy: FxHashSet<CellRef> = noisy_cells(&violations).iter().collect();
             let stats = CooccurStats::build(&ds);
             for variant in [ModelVariant::DcFactors, ModelVariant::DcFactorsPartitioned] {
                 let config = HoloConfig::default().with_variant(variant).with_tau(tau);
@@ -1382,7 +1380,7 @@ mod tests {
     fn dictionary_assertions_extend_domains() {
         let (ds, cons, config) = setup(ModelVariant::DcFeats);
         let violations = find_violations(&ds, &cons);
-        let noisy = noisy_cells(&violations);
+        let noisy: FxHashSet<CellRef> = noisy_cells(&violations).iter().collect();
         let stats = CooccurStats::build(&ds);
         // Out-of-domain values for a noisy cell and a clean one (60609's
         // Evanston, an evidence cell only once a value is asserted).
@@ -1449,13 +1447,13 @@ mod tests {
 
     /// The 60 × 4 table of the selection tests: nulls in `B`, and one
     /// noisy cell in every fifth row.
-    fn sampling_table() -> (Dataset, FxHashSet<CellRef>) {
+    fn sampling_table() -> (Dataset, CellSet) {
         let mut ds = Dataset::new(holo_dataset::Schema::new(vec!["A", "B", "C", "D"]));
         for i in 0..60 {
             let b = if i % 9 == 0 { "" } else { "b" };
             ds.push_row(&[&format!("a{}", i % 7), b, &format!("c{i}"), "d"]);
         }
-        let noisy: FxHashSet<CellRef> = (0..60usize)
+        let noisy: CellSet = (0..60usize)
             .filter(|t| t % 5 == 1)
             .map(|t| CellRef::new(t, t % 4))
             .collect();
@@ -1474,7 +1472,7 @@ mod tests {
             assert_eq!(all.iter().filter(|c| c.attr == attr).count(), 10);
         }
         for cell in &all {
-            assert!(!noisy.contains(cell));
+            assert!(!noisy.contains(*cell));
             assert!(!ds.cell_ref(*cell).is_null());
         }
         for skip in 0u8..16 {
@@ -1498,9 +1496,9 @@ mod tests {
         let seed = HoloConfig::default().seed;
         let before = select_evidence_cells(&ds, &noisy, &[true; 4], seed, 10);
         let mut swaps = 0;
-        for &cell in &noisy {
+        for cell in noisy.iter() {
             let mut fewer = noisy.clone();
-            fewer.remove(&cell);
+            fewer.remove(cell);
             let after = select_evidence_cells(&ds, &fewer, &[true; 4], seed, 10);
             let left: Vec<_> = before.iter().filter(|c| !after.contains(c)).collect();
             let joined: Vec<_> = after.iter().filter(|c| !before.contains(c)).collect();

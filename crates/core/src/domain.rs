@@ -44,48 +44,112 @@
 //!   total sort, so domains are identical at every thread count and on
 //!   both backends.
 //!
+//! # The domain arena
+//!
+//! A read writes [`CellDomains`], one flat arena — the cells, an offset per
+//! cell and the candidates back to back — not a vector per cell; parallel
+//! chunks append theirs in input order. Three rules keep the read cheap:
+//!
+//! * **Rows once per tuple.** The noisy cells arrive tuple-major (a
+//!   [`holo_dataset::CellSet`] iterates that way), so consecutive cells
+//!   often share a tuple; each conditioning attribute's shard row is
+//!   resolved once for the tuple and reused by its cells.
+//! * **Singleton rule.** Most noisy cells keep only their initial value
+//!   (55 k of `food_18k`'s 62 k). A cell whose τ-passing entries all equal
+//!   its initial value — or that `max_domain = 1` caps — skips both sorts
+//!   and stores `[init]`; `compile` makes no variable of it, and grounding
+//!   reads such a cell as its observed value.
+//! * **Assertions merge on write.** Values a dictionary asserts for a cell
+//!   (`compile`'s `(cell, value)` pairs, in the cells' order) follow its
+//!   pruned candidates when the domain lacks them, so a singleton that
+//!   gains one becomes a query variable. Only cells with ≥ 2 candidates
+//!   copy their domain out, into their variable.
+//!
 //! [`HoloConfig::max_domain`]: crate::config::HoloConfig::max_domain
 
-use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, Sym};
+#[cfg(test)]
+use holo_dataset::FxHashMap;
+use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, Sym, TupleId};
 
-/// Pruned candidate domains per noisy cell. Candidates are deduplicated,
+/// Pruned candidate domains, one flat arena: cell `i` of `cells` owns
+/// `candidates[offsets[i]..offsets[i + 1]]`. Candidates are deduplicated,
 /// always contain the cell's initial value (even if null), and are sorted
-/// by descending score (initial value first when tied).
-#[derive(Debug, Clone, Default)]
+/// by descending score (initial value first), dictionary-asserted values
+/// after them. A cell pruned to its initial value stores exactly that one
+/// candidate.
+#[derive(Debug, Clone)]
 pub struct CellDomains {
-    domains: FxHashMap<CellRef, Vec<Sym>>,
+    /// The cells, in the order they were pruned: ascending for the
+    /// domains [`prune_domains_with_threads`] returns, which
+    /// [`CellDomains::get`] binary-searches.
+    cells: Vec<CellRef>,
+    offsets: Vec<u32>,
+    candidates: Vec<Sym>,
+}
+
+impl Default for CellDomains {
+    fn default() -> Self {
+        CellDomains::from_cells(Vec::new())
+    }
 }
 
 impl CellDomains {
-    /// The candidate list of `cell`; empty slice if the cell is unknown.
-    pub fn get(&self, cell: CellRef) -> &[Sym] {
-        self.domains.get(&cell).map_or(&[], Vec::as_slice)
+    /// An arena for `cells` before any candidate is written.
+    fn from_cells(cells: Vec<CellRef>) -> Self {
+        let mut offsets = Vec::with_capacity(cells.len() + 1);
+        offsets.push(0);
+        CellDomains {
+            cells,
+            offsets,
+            candidates: Vec::new(),
+        }
     }
 
-    /// Whether the cell has a pruned domain.
+    /// The candidate list of `cell`; empty slice if the cell is unknown.
+    /// The cells must ascend (as those of [`prune_domains_with_threads`]
+    /// do).
+    pub fn get(&self, cell: CellRef) -> &[Sym] {
+        self.cells
+            .binary_search(&cell)
+            .map_or(&[], |i| self.domain(i))
+    }
+
+    /// Whether the cell has a pruned domain (cells ascending, as for
+    /// [`CellDomains::get`]).
     pub fn contains(&self, cell: CellRef) -> bool {
-        self.domains.contains_key(&cell)
+        self.cells.binary_search(&cell).is_ok()
     }
 
     /// Number of cells covered.
     pub fn len(&self) -> usize {
-        self.domains.len()
+        self.cells.len()
     }
 
     /// Whether no cells are covered.
     pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
+        self.cells.is_empty()
     }
 
-    /// Iterates `(cell, candidates)`.
+    /// Iterates `(cell, candidates)` in arena order.
     pub fn iter(&self) -> impl Iterator<Item = (CellRef, &[Sym])> {
-        self.domains.iter().map(|(c, d)| (*c, d.as_slice()))
+        (0..self.cells.len()).map(|i| (self.cells[i], self.domain(i)))
     }
 
     /// Total candidate count over all cells (a size proxy for the factor
     /// graph, reported by the harness).
     pub fn total_candidates(&self) -> usize {
-        self.domains.values().map(Vec::len).sum()
+        self.candidates.len()
+    }
+
+    /// The candidates of the `i`-th cell.
+    fn domain(&self, i: usize) -> &[Sym] {
+        &self.candidates[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Closes the domain written since the last call, for the next cell.
+    fn seal(&mut self) {
+        let end = u32::try_from(self.candidates.len()).expect("domain arena outgrew u32 offsets");
+        self.offsets.push(end);
     }
 }
 
@@ -187,55 +251,124 @@ impl PruneIndex {
         self.shards.iter().map(|s| s.entries.len()).sum()
     }
 
-    /// Algorithm 2 at `tau ≥ τ_min` for each of `cells`, in order, sharded
-    /// across up to `threads` workers (a cell reads only the dataset and
-    /// the index, so the result is identical for every thread count).
-    pub(crate) fn prune_cells(
+    /// Algorithm 2 at `tau ≥ τ_min` for each of `cells`, in order, into one
+    /// arena that keeps `cells` as its cells; sharded across up to
+    /// `threads` workers (a cell reads only the dataset and the index, and
+    /// the chunks append in input order, so the result is identical for
+    /// every thread count). The values `asserted` for a cell that its
+    /// pruned domain lacks follow it, in `asserted` order: `cells` and
+    /// `asserted` must both ascend under `key`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn prune_cells<K: Ord>(
         &self,
         ds: &Dataset,
-        cells: &[CellRef],
+        cells: Vec<CellRef>,
+        asserted: &[(CellRef, Sym)],
+        key: impl Fn(CellRef) -> K + Sync,
         tau: f64,
         max_domain: usize,
         threads: usize,
-    ) -> Vec<Vec<Sym>> {
+    ) -> CellDomains {
         // (A NaN τ keeps no candidate on any index.)
         debug_assert!(
             tau >= self.tau_min || tau.is_nan(),
             "index built above the requested τ"
         );
-        holo_parallel::parallel_chunks(threads, cells, |_, chunk| {
-            let mut scored = Vec::new();
-            chunk
-                .iter()
-                .map(|&cell| self.prune_cell(ds, cell, tau, max_domain, &mut scored))
-                .collect()
-        })
+        debug_assert!(cells.is_sorted_by_key(|&cell| key(cell)));
+        debug_assert!(asserted.is_sorted_by_key(|&(cell, _)| key(cell)));
+        let chunks = holo_parallel::parallel_chunks(threads, &cells, |_, chunk| {
+            // This chunk's assertions: those between its first and last cell.
+            let (Some(&first), Some(&last)) = (chunk.first(), chunk.last()) else {
+                return Vec::new();
+            };
+            let from = asserted.partition_point(|&(c, _)| key(c) < key(first));
+            let to = asserted.partition_point(|&(c, _)| key(c) <= key(last));
+            let mut arena = CellDomains::from_cells(Vec::new());
+            let mut read = CellRead::new(self.shards.len());
+            let mut rest = &asserted[from..to];
+            for &cell in chunk {
+                let start = arena.candidates.len();
+                read.prune(self, ds, cell, tau, max_domain, &mut arena.candidates);
+                let at = key(cell);
+                let skip = rest.iter().take_while(|&&(c, _)| key(c) < at).count();
+                let run = rest[skip..]
+                    .iter()
+                    .take_while(|&&(c, _)| key(c) == at)
+                    .count();
+                for &(_, v) in &rest[skip..skip + run] {
+                    if !arena.candidates[start..].contains(&v) {
+                        arena.candidates.push(v);
+                    }
+                }
+                rest = &rest[skip + run..];
+                arena.seal();
+            }
+            vec![arena]
+        });
+        let mut arena = CellDomains::from_cells(cells);
+        for chunk in chunks {
+            let base = arena.offsets[arena.offsets.len() - 1];
+            arena.candidates.extend(chunk.candidates);
+            let ends = chunk.offsets[1..].iter().map(|&end| base + end);
+            arena.offsets.extend(ends);
+        }
+        let fits = u32::try_from(arena.candidates.len()).is_ok();
+        assert!(fits, "domain arena outgrew u32 offsets");
+        debug_assert_eq!(arena.offsets.len(), arena.cells.len() + 1);
+        arena
+    }
+}
+
+/// The scratch of one worker's Algorithm 2 reads: the shard row of each
+/// conditioning value of the tuple in hand — resolved once per tuple, so
+/// consecutive cells of one tuple share them — and the scored candidates.
+struct CellRead {
+    tuple: Option<TupleId>,
+    rows: Vec<u32>,
+    scored: Vec<(Sym, f64)>,
+}
+
+impl CellRead {
+    fn new(attrs: usize) -> Self {
+        CellRead {
+            tuple: None,
+            rows: vec![NO_ROW; attrs],
+            scored: Vec::new(),
+        }
     }
 
-    /// Candidate repairs for one cell (always ≥ 1 entry: the initial
-    /// value). `scored` is caller-owned scratch.
-    fn prune_cell(
-        &self,
+    /// Appends the candidate repairs of one cell to `out` (always ≥ 1: the
+    /// initial value, first).
+    fn prune(
+        &mut self,
+        index: &PruneIndex,
         ds: &Dataset,
         cell: CellRef,
         tau: f64,
         max_domain: usize,
-        scored: &mut Vec<(Sym, f64)>,
-    ) -> Vec<Sym> {
-        let n = self.shards.len();
+        out: &mut Vec<Sym>,
+    ) {
+        let n = index.shards.len();
         let target = cell.attr.index();
-        debug_assert!(self.targets[target], "no lists for {:?}", cell.attr);
-        scored.clear();
+        debug_assert!(index.targets[target], "no lists for {:?}", cell.attr);
         // The initial value always survives pruning with top priority.
-        scored.push((ds.cell_ref(cell), f64::INFINITY));
-        for (cond, shard) in ds.schema().attrs().zip(&self.shards) {
-            if cond == cell.attr {
-                continue;
+        let init = ds.cell_ref(cell);
+        if max_domain <= 1 {
+            out.push(init);
+            return;
+        }
+        if self.tuple != Some(cell.tuple) {
+            self.tuple = Some(cell.tuple);
+            for ((cond, shard), row) in ds.schema().attrs().zip(&index.shards).zip(&mut self.rows) {
+                // A null cell's NULL_CODE is past every code: no row.
+                let code = ds.code(cell.tuple, cond);
+                *row = shard.rows.get(code as usize).map_or(NO_ROW, |&row| row);
             }
-            // A null cell's NULL_CODE is past every code: no row.
-            let code = ds.code(cell.tuple, cond);
-            let row = shard.rows.get(code as usize).map_or(NO_ROW, |&row| row);
-            if row == NO_ROW {
+        }
+        let scored = &mut self.scored;
+        scored.clear();
+        for (cond, (shard, &row)) in index.shards.iter().zip(&self.rows).enumerate() {
+            if cond == target || row == NO_ROW {
                 continue;
             }
             let row = row as usize;
@@ -248,6 +381,12 @@ impl PruneIndex {
                 }
             }
         }
+        // Singleton fast path: nothing but the initial value cleared τ.
+        if scored.iter().all(|&(v, _)| v == init) {
+            out.push(init);
+            return;
+        }
+        scored.push((init, f64::INFINITY));
         // Max-merge: best conditional probability per candidate.
         scored.sort_unstable_by(|(s1, p1), (s2, p2)| s1.cmp(s2).then(p2.total_cmp(p1)));
         scored.dedup_by_key(|&mut (s, _)| s);
@@ -260,8 +399,8 @@ impl PruneIndex {
             p2.total_cmp(p1)
                 .then_with(|| ds.value_str(*s1).cmp(ds.value_str(*s2)))
         });
-        scored.truncate(max_domain.max(1));
-        scored.iter().map(|&(s, _)| s).collect()
+        scored.truncate(max_domain);
+        out.extend(scored.iter().map(|&(s, _)| s));
     }
 }
 
@@ -282,31 +421,38 @@ pub fn prune_domains_with_threads(
 ) -> CellDomains {
     let every_attr = vec![true; ds.schema().len()];
     let index = PruneIndex::build(ds, stats, &every_attr, tau, 1, threads);
-    let pruned = index.prune_cells(ds, noisy, tau, max_domain, threads);
-    CellDomains {
-        domains: noisy.iter().copied().zip(pruned).collect(),
+    let mut cells = noisy.to_vec();
+    if !cells.is_sorted() {
+        cells.sort_unstable();
     }
+    cells.dedup();
+    index.prune_cells(ds, cells, &[], |cell| cell, tau, max_domain, threads)
 }
 
 /// The domains of `cells`, in order, over an index of every attribute that
-/// ignores conditioning values seen fewer than `min_support` times.
+/// ignores conditioning values seen fewer than `min_support` times, with
+/// the values `asserted` for a cell merged in (both in ascending cell
+/// order).
 #[cfg(test)]
 pub(crate) fn prune_with_support(
     ds: &Dataset,
     cells: &[CellRef],
     stats: &CooccurStats,
     (tau, max_domain, min_support): (f64, usize, u32),
+    asserted: &[(CellRef, Sym)],
     threads: usize,
 ) -> Vec<Vec<Sym>> {
     let every_attr = vec![true; ds.schema().len()];
     let index = PruneIndex::build(ds, stats, &every_attr, tau, min_support, threads);
-    index.prune_cells(ds, cells, tau, max_domain, threads)
+    let cells = cells.to_vec();
+    let arena = index.prune_cells(ds, cells, asserted, |c| c, tau, max_domain, threads);
+    arena.iter().map(|(_, domain)| domain.to_vec()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use holo_dataset::{Schema, TupleId};
+    use holo_dataset::Schema;
     use proptest::prelude::*;
 
     /// The row-scanning Algorithm 2 the index replaced, kept as the
@@ -479,12 +625,12 @@ mod tests {
             let own = PruneIndex::build(&ds, &stats, &[true; 3], tau, 2, 1);
             assert!(own.entries() <= shared.entries());
             shrank |= own.entries() < shared.entries();
-            let from_own = own.prune_cells(&ds, &cells, tau, 4, 1);
-            assert_eq!(
-                shared.prune_cells(&ds, &cells, tau, 4, 1),
-                from_own,
-                "τ = {tau}"
-            );
+            let read = |index: &PruneIndex| -> Vec<Vec<Sym>> {
+                let arena = index.prune_cells(&ds, cells.clone(), &[], |c| c, tau, 4, 1);
+                arena.iter().map(|(_, domain)| domain.to_vec()).collect()
+            };
+            let from_own = read(&own);
+            assert_eq!(read(&shared), from_own, "τ = {tau}");
             // Several of these τ equal a group's probability exactly: the
             // `≥` boundary must match the row scan's.
             let reference: Vec<Vec<Sym>> = cells
@@ -512,8 +658,11 @@ mod tests {
         let stats = CooccurStats::build(&ds);
         assert!(stats.group_count() >= holo_parallel::MIN_PARALLEL_WORK);
         let cells: Vec<CellRef> = ds.cells().collect();
-        let one = prune_with_support(&ds, &cells, &stats, (0.2, 6, 2), 1);
-        assert_eq!(prune_with_support(&ds, &cells, &stats, (0.2, 6, 2), 4), one);
+        let one = prune_with_support(&ds, &cells, &stats, (0.2, 6, 2), &[], 1);
+        assert_eq!(
+            prune_with_support(&ds, &cells, &stats, (0.2, 6, 2), &[], 4),
+            one
+        );
         for (&c, got) in cells.iter().zip(&one).step_by(97) {
             assert_eq!(*got, row_scan_prune_cell(&ds, c, &stats, 0.2, 6, 2));
         }
@@ -551,11 +700,16 @@ mod tests {
         /// The index gives Algorithm 2 exactly the row-scan reference's
         /// domains — same cells, same candidates, same order — on the dense
         /// statistics engine and on the retained naive oracle alike (so
-        /// dense ≡ naive too), across random datasets (with nulls) that
-        /// went through an edit before the statistics were built (append →
-        /// update in place: pool values no row holds), τ ∈ [0, 0.6],
-        /// `min_support` ∈ {1, 2, 3}, binding and slack `max_domain` caps,
-        /// and thread counts {1, 4}.
+        /// dense ≡ naive too), across random datasets (with nulls; tuple 0
+        /// is all null after the update, so null initial values are always
+        /// read) that went through an edit before the statistics were built
+        /// (append → update in place: pool values no row holds), τ ∈
+        /// [0, 0.6], `min_support` ∈ {1, 2, 3}, binding and slack
+        /// `max_domain` caps and `max_domain = 1`, and thread counts
+        /// {1, 4}. The arena also merges dictionary assertions as compile's
+        /// used to, after pruning: on a stride of cells a value and the
+        /// cell's own one (never repeated), and a fresh value on a cell the
+        /// reference left a singleton, which gives it a second candidate.
         #[test]
         fn prop_prune_domains_dense_matches_naive(
             rows in proptest::collection::vec((0u8..5, 0u8..4, 0u8..4), 5..30),
@@ -564,6 +718,7 @@ mod tests {
             tau in 0.0f64..0.6,
             min_support in 1u32..4,
             max_domain in 1usize..8,
+            assert_step in 1usize..6,
         ) {
             // 0 encodes a null cell so codes and hash keys diverge early.
             let cs = |k: usize, v: u8| if v == 0 { String::new() } else { format!("a{k}v{v}") };
@@ -584,20 +739,42 @@ mod tests {
                 })
                 .collect();
             ds.update_rows(&new_rows);
+            prop_assert!(ds.cell_ref(CellRef::new(0usize, 0usize)).is_null());
+            let fresh = ds.intern("asserted-only");
+            let picked: Vec<Sym> = (0..3).map(|k| ds.intern(&cs(k, 1))).collect();
             let dense = CooccurStats::build_with_opts(&ds, 4, false);
             let naive = CooccurStats::build_with_opts(&ds, 4, true);
 
             // Every cell is "noisy": prune them all.
             let noisy: Vec<CellRef> = ds.cells().collect();
-            for stats in [&dense, &naive] {
+            for max_domain in [max_domain, 1] {
                 let reference: Vec<Vec<Sym>> = noisy
                     .iter()
-                    .map(|&c| row_scan_prune_cell(&ds, c, stats, tau, max_domain, min_support))
+                    .map(|&c| row_scan_prune_cell(&ds, c, &dense, tau, max_domain, min_support))
                     .collect();
-                for threads in [1usize, 4] {
-                    let params = (tau, max_domain, min_support);
-                    let doms = prune_with_support(&ds, &noisy, stats, params, threads);
-                    prop_assert_eq!(&doms, &reference);
+                let mut asserted: Vec<(CellRef, Sym)> = noisy
+                    .iter()
+                    .step_by(assert_step)
+                    .flat_map(|&c| [(c, picked[c.attr.index()]), (c, ds.cell_ref(c))])
+                    .collect();
+                // Tuple 0's null cells keep only their initial value.
+                let singleton = reference.iter().position(|d| d.len() == 1).unwrap();
+                asserted.push((noisy[singleton], fresh));
+                asserted.sort_by_key(|&(c, _)| c);
+                let mut merged = reference;
+                for &(c, v) in &asserted {
+                    let domain = &mut merged[noisy.binary_search(&c).unwrap()];
+                    if !domain.contains(&v) {
+                        domain.push(v);
+                    }
+                }
+                for stats in [&dense, &naive] {
+                    for threads in [1usize, 4] {
+                        let params = (tau, max_domain, min_support);
+                        let doms =
+                            prune_with_support(&ds, &noisy, stats, params, &asserted, threads);
+                        prop_assert_eq!(&doms, &merged);
+                    }
                 }
             }
         }

@@ -60,14 +60,14 @@
 //! built it. The routing split is observable in
 //! [`StageTimings::partition`].
 
-use crate::compile::{compile, CompileInput, CompiledModel};
+use crate::compile::{compile_cells, CompileInput, CompiledModel};
 use crate::config::HoloConfig;
 use crate::context::DatasetContext;
 use crate::error::HoloError;
 use crate::features::MatchLookup;
-use crate::trainable::{attrs_of, trainable_attrs};
+use crate::trainable::{noisy_attrs, trainable_attrs};
 use holo_constraints::{find_noisy_cells_with_threads, ConstraintSet};
-use holo_dataset::{CellRef, CooccurStats, Dataset, FxHashSet, StatsStats};
+use holo_dataset::{CellRef, CellSet, CooccurStats, Dataset, FxHashSet, StatsStats};
 use holo_detect::Detector;
 use holo_factor::{
     infer_partitioned, learn, LearnStats, Marginals, PartitionStats, PartitionedConfig, Weights,
@@ -154,8 +154,8 @@ pub struct Detection {
     /// How many violations of Σ the table holds (counted, never listed:
     /// Algorithm 3 takes its groups from the value groups too).
     pub violations: usize,
-    /// The noisy-cell set `D_n`.
-    pub noisy: FxHashSet<CellRef>,
+    /// The noisy-cell set `D_n`, one tuple bitmap per attribute.
+    pub noisy: CellSet,
 }
 
 /// Everything [`run`] produced.
@@ -184,7 +184,7 @@ pub fn detect(cx: &PipelineContext) -> Detection {
     let (ds, threads) = (&cx.ds, cx.config.threads);
     let (violating, violations) = find_noisy_cells_with_threads(ds, &cx.constraints, threads);
     let mut noisy = match &cx.noisy_override {
-        Some(cells) => cells.clone(),
+        Some(cells) => cells.iter().copied().collect(),
         None => {
             let mut noisy = violating;
             for d in &cx.extra_detectors {
@@ -193,7 +193,9 @@ pub fn detect(cx: &PipelineContext) -> Detection {
             noisy
         }
     };
-    noisy.retain(|cell| !cx.verified.contains(cell));
+    for &cell in &cx.verified {
+        noisy.remove(cell);
+    }
     Detection { violations, noisy }
 }
 
@@ -214,21 +216,22 @@ pub fn compile_model(
     // the evidence they can make trainable — a superset of the attributes
     // compile ends up drawing evidence from, which are seeded by the noisy
     // cells that keep ≥ 2 candidates.
-    let noisy_attrs = attrs_of(cx.ds.schema().len(), detection.noisy.iter().copied());
-    let targets = trainable_attrs(noisy_attrs, &cx.constraints, &cx.matches, &cx.config);
+    let noisy = noisy_attrs(cx.ds.schema().len(), &detection.noisy);
+    let targets = trainable_attrs(noisy, &cx.constraints, &cx.matches, &cx.config);
     let started = Instant::now();
     let stats =
         CooccurStats::build_for_targets(&cx.ds, cx.config.threads, cx.config.naive_stats, &targets);
     let stats_build = started.elapsed();
-    let mut model = compile(&CompileInput {
+    let input = CompileInput {
         ds: &cx.ds,
         constraints: &cx.constraints,
-        noisy: &detection.noisy,
+        noisy: &FxHashSet::default(),
         violations: &[],
         stats: &stats,
         matches: &cx.matches,
         config: &cx.config,
-    })?;
+    };
+    let mut model = compile_cells(&input, &detection.noisy)?;
     model.stats.phases.insert(0, ("stats build", stats_build));
     Ok((model, stats.stats_stats()))
 }

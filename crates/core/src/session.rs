@@ -85,14 +85,6 @@ impl HoloClean {
         Ok(self)
     }
 
-    /// Appends an already-built constraint set.
-    pub fn with_constraints(mut self, set: ConstraintSet) -> Self {
-        for (_, c) in set.iter() {
-            self.constraints.push(c.clone());
-        }
-        self
-    }
-
     /// Registers an external dictionary with its matching dependencies.
     pub fn with_dictionary(mut self, dict: ExtDict, deps: Vec<MatchingDependency>) -> Self {
         self.dicts.push((dict, deps));

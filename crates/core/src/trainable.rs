@@ -15,7 +15,15 @@
 use crate::config::HoloConfig;
 use crate::features::MatchLookup;
 use holo_constraints::ConstraintSet;
-use holo_dataset::{AttrId, CellRef};
+use holo_dataset::{AttrId, CellRef, CellSet};
+
+/// One flag per attribute: set for the attributes `noisy` holds a cell of,
+/// read off its per-attribute counts.
+pub(crate) fn noisy_attrs(n_attrs: usize, noisy: &CellSet) -> Vec<bool> {
+    (0..n_attrs)
+        .map(|a| noisy.attr_len(AttrId(a as u16)) > 0)
+        .collect()
+}
 
 /// One flag per attribute: set for the attributes of `cells`.
 pub(crate) fn attrs_of(n_attrs: usize, cells: impl IntoIterator<Item = CellRef>) -> Vec<bool> {
@@ -86,7 +94,7 @@ pub fn trainable_attrs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile, compile_unfiltered, CompileInput, CompiledModel};
+    use crate::compile::{compile_cells, compile_unfiltered, CompileInput, CompiledModel};
     use crate::config::ModelVariant;
     use crate::domain::prune_with_support;
     use crate::features::FeatureKey;
@@ -153,30 +161,38 @@ mod tests {
         session.into_context().unwrap()
     }
 
-    fn input<'a>(
-        cx: &'a PipelineContext,
-        detection: &'a Detection,
-        stats: &'a CooccurStats,
-    ) -> CompileInput<'a> {
-        CompileInput {
+    /// `compile` of `detection`'s noisy set over `stats`, or the
+    /// all-attributes reference when `every_attr` is set.
+    fn compile_over(
+        cx: &PipelineContext,
+        detection: &Detection,
+        stats: &CooccurStats,
+        every_attr: bool,
+    ) -> CompiledModel {
+        let input = CompileInput {
             ds: &cx.ds,
             constraints: &cx.constraints,
-            noisy: &detection.noisy,
+            noisy: &FxHashSet::default(),
             violations: &[],
             stats,
             matches: &cx.matches,
             config: &cx.config,
+        };
+        let noisy = &detection.noisy;
+        match every_attr {
+            false => compile_cells(&input, noisy),
+            true => compile_unfiltered(&input, noisy),
         }
+        .unwrap()
     }
 
     /// `compile` and the all-attributes reference, over full statistics.
     fn filtered_and_reference(cx: &PipelineContext) -> (CompiledModel, CompiledModel) {
         let detection = pipeline::detect(cx);
         let stats = CooccurStats::build_with_opts(&cx.ds, 1, false);
-        let input = input(cx, &detection, &stats);
         (
-            compile(&input).unwrap(),
-            compile_unfiltered(&input).unwrap(),
+            compile_over(cx, &detection, &stats, false),
+            compile_over(cx, &detection, &stats, true),
         )
     }
 
@@ -387,7 +403,7 @@ mod tests {
             let detection = pipeline::detect(&cx);
             let n = cx.ds.schema().len();
             let targets = trainable_attrs(
-                attrs_of(n, detection.noisy.iter().copied()),
+                noisy_attrs(n, &detection.noisy),
                 &cx.constraints,
                 &cx.matches,
                 &cx.config,
@@ -410,8 +426,8 @@ mod tests {
                 if i == 4 && !naive {
                     assert!(built.csr_pairs > 0, "{label}: {built:?} of {all:?}");
                 }
-                let over_full = compile(&input(&cx, &detection, &full)).unwrap();
-                let over_masked = compile(&input(&cx, &detection, &masked)).unwrap();
+                let over_full = compile_over(&cx, &detection, &full, false);
+                let over_masked = compile_over(&cx, &detection, &masked, false);
                 assert_same_model(&cx, &over_full, &over_masked, &label);
                 let (piped, gauges) = pipeline::compile_model(&cx, &detection).unwrap();
                 assert_same_model(&cx, &over_full, &piped, &label);
@@ -532,12 +548,12 @@ mod tests {
             .map(|tuple| CellRef { tuple, attr: score })
             .find(|&cell| {
                 let params = (config.tau, config.max_domain, config.min_cond_support);
-                prune_with_support(&cx.ds, &[cell], &stats, params, 1)[0].len() >= 2
+                prune_with_support(&cx.ds, &[cell], &stats, params, &[], 1)[0].len() >= 2
             })
             .expect("some Score cell has two candidates");
         cx.extra_detectors.push(Box::new(Flags(cell)));
         let detection = pipeline::detect(&cx);
-        assert!(detection.noisy.contains(&cell));
+        assert!(detection.noisy.contains(cell));
         let (after, gauges_after) = pipeline::compile_model(&cx, &detection).unwrap();
         assert!(after.query_cells.contains(&cell));
         assert!(after.evidence_cells.iter().any(|c| c.attr == score));

@@ -330,7 +330,7 @@ mod tests {
         let undetectable = g
             .errors
             .iter()
-            .filter(|c| c.attr == results && !noisy.contains(c))
+            .filter(|&&c| c.attr == results && !noisy.contains(c))
             .count();
         assert!(undetectable > 0, "some errors must evade detection");
     }

@@ -14,6 +14,8 @@
 //!   tuple ([`NULL_CODE`] for null). Statistics, violation blocking and
 //!   outlier detection count and group by these codes instead of hashing
 //!   the cells again; [`Sym`] stays the handle values are read through.
+//! * [`CellSet`] — a set of cells as one tuple bitmap per attribute,
+//!   iterated in ascending [`CellRef`] order (the noisy set `D_n`).
 //! * [`csv`] — a small CSV reader/writer (quoted fields, RFC-4180 escapes)
 //!   so realistic inputs can be loaded without external crates.
 //! * [`stats`] — per-attribute value counts and pairwise co-occurrence
@@ -37,6 +39,7 @@
 //! assert_eq!(ds.value_str(ds.cell(0.into(), city)), "Chicago");
 //! ```
 
+pub mod cell_set;
 pub mod csv;
 pub mod error;
 pub mod fxhash;
@@ -45,6 +48,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
+pub use cell_set::CellSet;
 pub use error::DatasetError;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use schema::{AttrId, Schema};

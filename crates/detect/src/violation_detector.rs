@@ -30,7 +30,8 @@ impl Detector for ViolationDetector {
     }
 
     fn detect(&self, ds: &Dataset) -> NoisyCells {
-        find_noisy_cells_with_threads(ds, &self.constraints, 1).0
+        let (cells, _) = find_noisy_cells_with_threads(ds, &self.constraints, 1);
+        cells.iter().collect()
     }
 }
 
