@@ -918,6 +918,7 @@ pub(crate) fn compile_unfiltered(
 mod tests {
     use super::*;
     use crate::config::ModelVariant;
+    use crate::features::DictIds;
     use holo_constraints::{find_violations, noisy_cells, parse_constraints};
     use holo_factor::graph::FeatureVec;
 
@@ -1393,8 +1394,8 @@ mod tests {
         let chicago = ds2.pool().get("Chicago").unwrap();
         let mut matches = MatchLookup::default();
         for &v in exotic.iter().chain([&chicago]) {
-            matches.insert((cell, v), vec![0]);
-            matches.insert((clean, v), vec![0]);
+            matches.insert((cell, v), DictIds::from_iter([0]));
+            matches.insert((clean, v), DictIds::from_iter([0]));
         }
         let model = compile(&CompileInput {
             ds: &ds2,
@@ -1627,7 +1628,7 @@ mod tests {
                     }
                     if i % 3 == 0 || domain.is_empty() {
                         domain.push(asserted);
-                        matches.insert((cell, asserted), vec![(i % 2) as u32, 2]);
+                        matches.insert((cell, asserted), DictIds::from_iter([(i % 2) as u32, 2]));
                     }
                     let var = if i % 2 == 0 || ds.cell_ref(cell).is_null() {
                         Variable::query(domain, None)

@@ -124,7 +124,87 @@ pub enum FeatureKey {
 
 /// Pre-computed external-match lookup: `(cell, candidate) → dictionaries
 /// asserting it` (the `Matched` relation keyed for featurization).
-pub type MatchLookup = FxHashMap<(CellRef, Sym), Vec<u32>>;
+pub type MatchLookup = FxHashMap<(CellRef, Sym), DictIds>;
+
+/// How many dictionary ids a [`DictIds`] holds before it moves to the heap.
+const INLINE_DICTS: usize = 3;
+
+/// The dictionaries asserting one `(cell, value)` of a [`MatchLookup`]: a
+/// set of ids in the order they were pushed. Up to three sit in the entry
+/// itself (a value is rarely asserted by more dictionaries than that), so
+/// building the table allocates nothing per match.
+#[derive(Debug, Clone)]
+pub struct DictIds(Ids);
+
+#[derive(Debug, Clone)]
+enum Ids {
+    Inline(u8, [u32; INLINE_DICTS]),
+    Spilled(Vec<u32>),
+}
+
+impl Default for DictIds {
+    fn default() -> Self {
+        DictIds(Ids::Inline(0, [0; INLINE_DICTS]))
+    }
+}
+
+impl DictIds {
+    /// The ids, in the order they were pushed.
+    pub fn as_slice(&self) -> &[u32] {
+        match &self.0 {
+            Ids::Inline(len, ids) => &ids[..usize::from(*len)],
+            Ids::Spilled(ids) => ids,
+        }
+    }
+
+    /// Whether dictionary `dict` is in the set.
+    pub fn contains(&self, dict: &u32) -> bool {
+        self.as_slice().contains(dict)
+    }
+
+    /// Adds `dict` after the ids already held; a no-op if it is one of them.
+    pub fn push(&mut self, dict: u32) {
+        if self.contains(&dict) {
+            return;
+        }
+        match &mut self.0 {
+            Ids::Inline(len, ids) if usize::from(*len) < INLINE_DICTS => {
+                ids[usize::from(*len)] = dict;
+                *len += 1;
+            }
+            Ids::Inline(_, ids) => {
+                let mut spilled = ids.to_vec();
+                spilled.push(dict);
+                self.0 = Ids::Spilled(spilled);
+            }
+            Ids::Spilled(ids) => ids.push(dict),
+        }
+    }
+
+    /// The ids, in the order they were pushed.
+    pub fn iter(&self) -> std::slice::Iter<'_, u32> {
+        self.as_slice().iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a DictIds {
+    type Item = &'a u32;
+    type IntoIter = std::slice::Iter<'a, u32>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl FromIterator<u32> for DictIds {
+    fn from_iter<I: IntoIterator<Item = u32>>(dicts: I) -> Self {
+        let mut set = DictIds::default();
+        for dict in dicts {
+            set.push(dict);
+        }
+        set
+    }
+}
 
 /// How a queued feature's weight is obtained from the registry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1019,6 +1099,40 @@ mod tests {
         assert!(w.is_fixed(wid));
     }
 
+    /// A `DictIds` is a set in push order: inline up to three ids, on the
+    /// heap past them, a repeated push a no-op either way.
+    #[test]
+    fn dict_ids_keep_push_order_inline_and_spilled() {
+        let mut ids = DictIds::default();
+        assert!(ids.as_slice().is_empty() && !ids.contains(&0));
+        for (dict, held) in [
+            (2, vec![2]),
+            (0, vec![2, 0]),
+            (2, vec![2, 0]),
+            (7, vec![2, 0, 7]),
+        ] {
+            ids.push(dict);
+            assert_eq!(ids.as_slice(), held.as_slice());
+        }
+        assert!(matches!(ids.0, Ids::Inline(3, _)), "three ids fit inline");
+        ids.push(1);
+        ids.push(7);
+        assert!(matches!(ids.0, Ids::Spilled(_)));
+        assert_eq!(ids.iter().copied().collect::<Vec<_>>(), [2, 0, 7, 1]);
+        assert!(ids.contains(&1) && ids.contains(&2) && !ids.contains(&3));
+        let collected: Vec<u32> = (&ids).into_iter().copied().collect();
+        assert_eq!(collected, [2, 0, 7, 1]);
+        assert_eq!(DictIds::from_iter([5, 4, 5]).as_slice(), [5, 4]);
+        // Two dictionaries on one cell of a match table.
+        let cell = CellRef::new(0usize, 0usize);
+        let mut matches = MatchLookup::default();
+        for dict in [1, 0, 1] {
+            matches.entry((cell, Sym(3))).or_default().push(dict);
+        }
+        assert_eq!(matches[&(cell, Sym(3))].as_slice(), [1, 0]);
+        assert!(std::mem::size_of::<DictIds>() <= 24);
+    }
+
     #[test]
     fn external_features_per_dictionary() {
         let mut ds = Dataset::new(Schema::new(vec!["City"]));
@@ -1030,7 +1144,7 @@ mod tests {
             attr: AttrId(0),
         };
         let mut matches: MatchLookup = MatchLookup::default();
-        matches.insert((cell, chicago), vec![0, 1]);
+        matches.insert((cell, chicago), DictIds::from_iter([0, 1]));
         let (g, v, reg) = sink_one(&[init, chicago], |buf| {
             collect_external_features(buf, &matches, cell, &[init, chicago])
         });

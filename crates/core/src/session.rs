@@ -132,10 +132,7 @@ impl HoloClean {
                 // reliability weight w(k).
                 for m in matcher.find_matches(&self.ds, md)? {
                     let sym = self.ds.intern(&m.value);
-                    let dicts = matches.entry((m.cell, sym)).or_default();
-                    if !dicts.contains(&m.dict) {
-                        dicts.push(m.dict);
-                    }
+                    matches.entry((m.cell, sym)).or_default().push(m.dict);
                 }
             }
         }

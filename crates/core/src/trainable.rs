@@ -97,7 +97,7 @@ mod tests {
     use crate::compile::{compile_cells, compile_unfiltered, CompileInput, CompiledModel};
     use crate::config::ModelVariant;
     use crate::domain::prune_with_support;
-    use crate::features::FeatureKey;
+    use crate::features::{DictIds, FeatureKey};
     use crate::pipeline::{self, Detection, PipelineContext};
     use crate::session::HoloClean;
     use holo_constraints::parse_constraints;
@@ -600,9 +600,9 @@ mod tests {
         );
         // Dictionary 0 asserts cells of C and F, dictionary 1 of D only.
         let mut matches = MatchLookup::default();
-        matches.insert((cell(2), Sym(1)), vec![0]);
-        matches.insert((cell(5), Sym(1)), vec![0]);
-        matches.insert((cell(3), Sym(1)), vec![1]);
+        matches.insert((cell(2), Sym(1)), DictIds::from_iter([0]));
+        matches.insert((cell(5), Sym(1)), DictIds::from_iter([0]));
+        matches.insert((cell(3), Sym(1)), DictIds::from_iter([1]));
         assert_eq!(
             close(&["F"], &matches, &config),
             seeds(&["A", "B", "C", "F"])

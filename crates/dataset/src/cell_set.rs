@@ -90,23 +90,39 @@ impl CellSet {
         self.bits.get(attr.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// The cells in ascending [`CellRef`] order: by tuple, then attribute.
+    /// The cells in ascending [`CellRef`] order: by tuple, then attribute,
+    /// in time proportional to the cells plus one word per attribute and
+    /// 64 tuples. Per block of 64 tuples, every attribute's word is
+    /// scattered into per-tuple attribute masks, which are read back tuple
+    /// by tuple and bit by bit (and so cleared for the next block).
     pub fn iter(&self) -> impl Iterator<Item = CellRef> + '_ {
-        let words = self.bits.iter().map(Vec::len).max().unwrap_or(0);
-        (0..words).flat_map(move |w| {
-            let word = move |bits: &Vec<u64>| bits.get(w).copied().unwrap_or(0);
-            let any = self.bits.iter().fold(0, |acc, bits| acc | word(bits));
-            ones(any).flat_map(move |bit| {
+        let attr_words = self.bits.len().div_ceil(64);
+        let blocks = self.bits.iter().map(Vec::len).max().unwrap_or(0);
+        // `masks[bit * attr_words + w]`: attributes `64 w ..` of tuple `bit`.
+        let mut masks = vec![0u64; 64 * attr_words];
+        let mut cells = Vec::with_capacity(self.len());
+        for w in 0..blocks {
+            let mut tuples = 0;
+            for (attr, bits) in self.bits.iter().enumerate() {
+                let word = bits.get(w).copied().unwrap_or(0);
+                tuples |= word;
+                let (slot, flag) = (attr / 64, 1u64 << (attr % 64));
+                for bit in ones(word) {
+                    masks[bit * attr_words + slot] |= flag;
+                }
+            }
+            for bit in ones(tuples) {
                 let tuple = TupleId((w * 64 + bit) as u32);
-                let attrs = self.bits.iter().enumerate();
-                attrs
-                    .filter(move |(_, bits)| word(bits) >> bit & 1 == 1)
-                    .map(move |(attr, _)| CellRef {
-                        tuple,
-                        attr: AttrId(attr as u16),
-                    })
-            })
-        })
+                let tuple_masks = &mut masks[bit * attr_words..(bit + 1) * attr_words];
+                for (slot, mask) in tuple_masks.iter_mut().enumerate() {
+                    for attr in ones(std::mem::take(mask)) {
+                        let attr = AttrId((slot * 64 + attr) as u16);
+                        cells.push(CellRef { tuple, attr });
+                    }
+                }
+            }
+        }
+        cells.into_iter()
     }
 }
 
@@ -186,6 +202,27 @@ mod tests {
         assert_eq!(set.attr_len(AttrId(1)), 1);
         assert_eq!(set.attr_len(AttrId(7)), 0);
         assert!(set.words(AttrId(7)).is_empty());
+    }
+
+    /// More than 64 attributes: each tuple's mask spans several words.
+    /// Tuples 5 and 69 share a mask slot (bit 5 of blocks 0 and 1), which
+    /// the first clears as it is read.
+    #[test]
+    fn iterates_attributes_past_the_first_mask_word() {
+        let mut cells: Vec<CellRef> = [
+            (5usize, 130usize),
+            (5, 0),
+            (70, 64),
+            (5, 63),
+            (69, 2),
+            (70, 1),
+        ]
+        .iter()
+        .map(|&(t, a)| CellRef::new(t, a))
+        .collect();
+        let set: CellSet = cells.iter().copied().collect();
+        cells.sort_unstable();
+        assert_eq!(set.iter().collect::<Vec<_>>(), cells);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! SipHash 1-3 (the std default) is a measurable bottleneck there. The Fx
 //! multiply-xor construction is the standard fast alternative for trusted
 //! in-process keys. We implement it here (~40 lines) rather than
-//! pull a crate from outside the allowed dependency set. HashDoS is not a
-//! concern: keys are interned symbols produced by this workspace, never
-//! attacker-controlled strings.
+//! pull a crate from outside the allowed dependency set. It is unkeyed:
+//! where it hashes strings from a loaded table (the value pool's index, a
+//! dictionary's key index), values crafted to collide would slow loading
+//! down, so those tables are trusted input (see [`crate::value`]).
 
 use std::hash::{BuildHasherDefault, Hasher};
 

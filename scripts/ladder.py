@@ -5,8 +5,9 @@ Runs `diag --json --threads 1` once per rung and prints, per stage, its
 milliseconds, ns per row and ns per unit of the work it scales with (noisy
 cell for both Algorithm 2 prunes, variable for featurization), the growth
 of ns/row from the rung below of the same dataset, and the process's peak
-RSS. The generator is timed as the process wall-clock minus the pipeline's
-`timings.total_s`.
+RSS. `load` is the CSV parse of the rung's dirty table (`timings.load_s`),
+which the pipeline total leaves out. The generator is timed as the process
+wall-clock minus the pipeline's `timings.total_s` and the load.
 
 Rungs (paper scale = 1x): Food 0.1x (`--full --scale 0.1`, 17 k rows) and
 1x (`--full`, 170 k); Physicians 0.1x (`--full`, 207 k) and 1x (`--full
@@ -37,6 +38,7 @@ BIG = [("food", "10x", ["--full", "--scale", "10"])]
 
 # (stage, where diag --json keeps its seconds, the unit it scales with)
 STAGES = [
+    ("load", ("timings", "load_s"), None),
     ("detect", ("timings", "detect_s"), None),
     ("statistics", ("compile", "phases", "stats_build_s"), None),
     ("index build", ("compile", "phases", "index_build_s"), None),
@@ -94,7 +96,8 @@ def measure(doc, wall):
             per_unit = seconds * 1e9 / units[unit]
         stages[name] = (seconds * 1e3, seconds * 1e9 / rows if rows else math.nan, per_unit)
     total = lookup(doc, ("timings", "total_s"))
-    generator = wall - total if total is not None else math.nan
+    load = lookup(doc, ("timings", "load_s")) or 0.0
+    generator = wall - total - load if total is not None else math.nan
     stages["generator + rest"] = (generator * 1e3, generator * 1e9 / rows if rows else math.nan, None)
     rss = lookup(doc, ("memory", "peak_rss_mb"))
     for name, values in stages.items():
