@@ -160,8 +160,9 @@ struct Shard {
     rows: Vec<u32>,
     /// `#v'` per row — the denominator of `Pr[v | v']`.
     denom: Vec<u32>,
-    /// `(start, len)` into `entries` per `(row, target attribute)`,
-    /// row-major; `(0, 0)` where no value clears `τ_min`.
+    /// `(start, len)` into `entries` per `(row, held target)`, row-major,
+    /// a held target found by its position among the held targets
+    /// (`PruneIndex::slots`); `(0, 0)` where no value clears `τ_min`.
     lists: Vec<(u32, u32)>,
     /// `(v, #(v, v'))` with `#(v, v') / #v' ≥ τ_min`, one run per list.
     entries: Vec<(Sym, u32)>,
@@ -173,8 +174,11 @@ const NO_ROW: u32 = u32::MAX;
 /// The τ-threshold index over one [`CooccurStats`] (see the module docs).
 pub(crate) struct PruneIndex {
     shards: Vec<Shard>,
-    /// The target attributes the lists were built for.
-    targets: Vec<bool>,
+    /// Per attribute, its position among the target attributes the lists
+    /// were built for; `None` for any other attribute.
+    slots: Vec<Option<usize>>,
+    /// Number of target attributes the lists were built for.
+    held: usize,
     tau_min: f64,
 }
 
@@ -182,8 +186,8 @@ impl PruneIndex {
     /// Walks every group of `stats` whose target attribute is set in
     /// `targets` once, one shard per conditioning attribute on up to
     /// `threads` workers. `stats` must be the statistics of `ds`; cells of
-    /// other attributes must not be pruned against the index
-    /// (`prune_cell` `debug_assert!`s it).
+    /// other attributes must not be pruned against the index (it holds
+    /// no lists for them, and a read of one panics).
     pub(crate) fn build(
         ds: &Dataset,
         stats: &CooccurStats,
@@ -199,6 +203,12 @@ impl PruneIndex {
             .attrs()
             .all(|a| !targets[a.index()] || stats.holds_target(a)));
         let at = |i: usize| u32::try_from(i).expect("prune index outgrew u32 offsets");
+        let mut slots = vec![None; n];
+        let mut held = 0;
+        for (slot, _) in slots.iter_mut().zip(targets).filter(|&(_, &t)| t) {
+            *slot = Some(held);
+            held += 1;
+        }
         let threads = holo_parallel::sized_threads(threads, stats.group_count());
         let shards = holo_parallel::parallel_jobs(threads, n, |cond| {
             let cond = AttrId(cond as u16);
@@ -211,13 +221,13 @@ impl PruneIndex {
                     denom.push(count);
                 }
             }
-            let mut lists = vec![(0u32, 0u32); denom.len() * n];
+            let mut lists = vec![(0u32, 0u32); denom.len() * held];
             let mut entries: Vec<(Sym, u32)> = Vec::new();
             stats.for_each_group_of(cond, |target, code, group| {
                 let row = rows[code as usize];
-                if !targets[target.index()] || row == NO_ROW {
+                let Some(slot) = slots[target.index()].filter(|_| row != NO_ROW) else {
                     return;
-                }
+                };
                 let d = f64::from(denom[row as usize]);
                 let start = entries.len();
                 group.for_each(|v, count| {
@@ -225,7 +235,7 @@ impl PruneIndex {
                         entries.push((v, count));
                     }
                 });
-                lists[row as usize * n + target.index()] = (at(start), at(entries.len() - start));
+                lists[row as usize * held + slot] = (at(start), at(entries.len() - start));
             });
             Shard {
                 rows,
@@ -236,7 +246,8 @@ impl PruneIndex {
         });
         PruneIndex {
             shards,
-            targets: targets.to_vec(),
+            slots,
+            held,
             tau_min,
         }
     }
@@ -348,9 +359,10 @@ impl CellRead {
         max_domain: usize,
         out: &mut Vec<Sym>,
     ) {
-        let n = index.shards.len();
         let target = cell.attr.index();
-        debug_assert!(index.targets[target], "no lists for {:?}", cell.attr);
+        let Some(slot) = index.slots[target] else {
+            panic!("no lists for {:?}", cell.attr);
+        };
         // The initial value always survives pruning with top priority.
         let init = ds.cell_ref(cell);
         if max_domain <= 1 {
@@ -372,7 +384,7 @@ impl CellRead {
                 continue;
             }
             let row = row as usize;
-            let (start, len) = shard.lists[row * n + target];
+            let (start, len) = shard.lists[row * index.held + slot];
             let d = f64::from(shard.denom[row]);
             for &(v, count) in &shard.entries[start as usize..(start + len) as usize] {
                 let p = f64::from(count) / d;

@@ -448,8 +448,9 @@ struct ScanScratch {
 
 impl<'a> DcFeaturizer<'a> {
     /// Compiles every two-tuple constraint for each role its target can
-    /// play and buckets the partner tuples once per distinct partner key.
-    /// `O(keys · |D|)`.
+    /// play and buckets the partner tuples once per distinct partner key,
+    /// on the thread budget detection gets (`config.threads`, sequential
+    /// for a small table). `O(keys · |D|)`.
     pub fn new(ds: &'a Dataset, constraints: &ConstraintSet, config: &HoloConfig) -> Self {
         let mut compiled: Vec<(ConstraintId, Vec<AttrId>, PairScan)> = Vec::new();
         for (sigma, c) in constraints.iter().filter(|(_, c)| c.two_tuple) {
@@ -460,7 +461,8 @@ impl<'a> DcFeaturizer<'a> {
             }
         }
         let scans: Vec<Option<&PairScan>> = compiled.iter().map(|(.., scan)| Some(scan)).collect();
-        let (indexes, index_of) = build_shared(ds, &scans, false, 1);
+        let threads = holo_parallel::sized_threads(config.threads, ds.tuple_count());
+        let (indexes, index_of) = build_shared(ds, &scans, false, threads);
         let mut roles: Vec<Vec<RoleIndex>> = Vec::new();
         roles.resize_with(constraints.len(), Vec::new);
         for ((sigma, target_attrs, scan), index) in

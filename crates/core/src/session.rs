@@ -131,7 +131,7 @@ impl HoloClean {
                 // candidates; clean (evidence) cells train the dictionary
                 // reliability weight w(k).
                 for m in matcher.find_matches(&self.ds, md)? {
-                    let sym = self.ds.intern(&m.value);
+                    let sym = self.ds.intern(m.value);
                     matches.entry((m.cell, sym)).or_default().push(m.dict);
                 }
             }

@@ -30,17 +30,28 @@
 //! backends:
 //!
 //! * **Dense** (the default): each ordered attribute pair owns a count
-//!   block — a dense `|V_cond| × |V_target|` row-major matrix when the
-//!   block fits under a size threshold, one flat CSR arena above it
-//!   (`offsets` per conditioning code into one `postings` vector of
-//!   `(target code, count)`, sorted by target code within a group).
-//!   Queries index contiguous rows instead of probing two hash levels, and
-//!   the build is hash-free and linear in the rows: one job per
-//!   conditioning attribute reads the coded columns and either scatters a
-//!   pair into its matrix or, for a CSR pair, gathers the target codes of
-//!   the rows grouped by conditioning code (a counting sort on the code,
-//!   done once per conditioning attribute from the per-code counts), sorts
-//!   each group and run-length encodes it.
+//!   block — a dense `|V_cond| × |V_target|` row-major matrix, or one flat
+//!   CSR arena (`offsets` per conditioning code into one `postings` vector
+//!   of `(target code, count)`, sorted by target code within a group).
+//!   **Layout rule:** a block is a matrix when `|V_cond| · |V_target| ≤
+//!   min(64 Ki, 4 · rows)`, CSR postings otherwise — so no block costs
+//!   more than a constant times the rows to zero, to scan for its rows'
+//!   non-zero counts or for the τ-index to walk (a matrix of a small
+//!   table is mostly zeros). From 16 Ki rows up the 64 Ki cap binds
+//!   first. The rule is symmetric, so a pair and its reverse share a
+//!   layout. Queries index contiguous rows instead of probing two hash
+//!   levels, and the build is hash-free and linear in the rows: one job
+//!   per conditioning attribute reads the coded columns and either
+//!   scatters a pair into its matrix or, for a CSR pair, gathers the
+//!   target codes of the rows grouped by conditioning code (a counting
+//!   sort on the code, done once per conditioning attribute from the
+//!   per-code counts), sorts each group and run-length encodes it.
+//!   **Mirrored pairs:** when both attributes of a pair are held targets,
+//!   only the orientation whose conditioning attribute comes first is
+//!   counted from the rows; the other is the transpose of the finished
+//!   block (a matrix transpose, or one counting sort of the postings by
+//!   target code), which has the same counts and the same ascending-code
+//!   order inside every group as a count from the rows.
 //! * **Naive** (the oracle): nested hash maps
 //!   `FxHashMap<u64, FxHashMap<u32, u32>>` keyed by packed
 //!   `(cond, target, code of v_cond)` triples and then by target code,
@@ -53,9 +64,11 @@
 //! code-keyed reads, [`GroupView`] contents, `group_count` — over any
 //! table, values that no row holds any more included, at any thread
 //! count. That
-//! equivalence is proptested below (`dense_matches_naive_oracle` for the
-//! matrix arm, `csr_arm_matches_naive_oracle_randomized` for the CSR arm)
-//! and CI byte-diffs full pipeline dumps between the backends.
+//! equivalence is proptested below (`dense_matches_naive_oracle` for both
+//! arms on small tables, `csr_arm_matches_naive_oracle_randomized` for the
+//! CSR arm past the 64 Ki cap; `mirrored_blocks_equal_direct_counts` pins
+//! every mirrored block to a count of its own pair from the rows) and CI
+//! byte-diffs full pipeline dumps between the backends.
 //!
 //! A [`CooccurStats`] is **built, then read**: one pass over the rows of a
 //! frozen table, and no mutator afterwards. It borrows nothing from the
@@ -63,7 +76,8 @@
 //! that attribute's dictionary on write, so the statistics keep reading the
 //! codes they were built over. The dense backend runs one job
 //! per conditioning attribute, whose CSR pairs share one grouping of the
-//! rows by conditioning code; the naive oracle shards per ordered attribute
+//! rows by conditioning code, then one job per mirrored pair to transpose
+//! its counted reverse; the naive oracle shards per ordered attribute
 //! pair (each pair owns a disjoint slice of the key space, so per-pair
 //! results merge without collisions). A table that
 //! changed gets new statistics — a streaming session builds them at its
@@ -101,6 +115,10 @@ fn key(cond_attr: AttrId, target_attr: AttrId, cond_code: u32) -> u64 {
 /// Above this many cells a pair block stores CSR postings instead of a
 /// dense matrix (64Ki cells = 256KiB of `u32` counts per pair).
 const DENSE_MAX_CELLS: usize = 1 << 16;
+
+/// Above this many cells per table row a pair block stores CSR postings
+/// instead of a dense matrix: a matrix of a small table is mostly zeros.
+const DENSE_CELLS_PER_ROW: usize = 4;
 
 /// The statistics' view of the coded table: the table's per-attribute
 /// dictionaries, shared rather than copied, plus each code's tuple count
@@ -155,7 +173,7 @@ impl ValueCodes {
 }
 
 /// Count storage for one ordered attribute pair in the dense backend.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum PairBlock {
     /// Row-major `rows × stride` matrix with `stride == codes.len(target)`;
     /// `nonzero[c]` (one per conditioning code) counts the non-zero cells
@@ -216,6 +234,58 @@ impl PairBlock {
         match self {
             PairBlock::Dense { nonzero, .. } => nonzero.iter().filter(|&&n| n > 0).count(),
             PairBlock::Csr { offsets, .. } => offsets.windows(2).filter(|w| w[0] < w[1]).count(),
+        }
+    }
+
+    /// The block of the reverse pair, from this `vc × vt` block: the
+    /// transposed matrix, or the postings regrouped by target code with
+    /// one counting sort. Walking the conditioning codes in ascending
+    /// order keeps every new group sorted by code, so the result is the
+    /// block a count of the reverse pair from the rows gives.
+    fn transposed(&self, vc: usize, vt: usize) -> PairBlock {
+        match self {
+            PairBlock::Dense {
+                counts, nonzero, ..
+            } => {
+                let mut flipped = vec![0u32; vc * vt];
+                let mut flipped_nonzero = vec![0u32; vt];
+                for c in (0..vc).filter(|&c| nonzero[c] > 0) {
+                    for (t, &count) in counts[c * vt..(c + 1) * vt].iter().enumerate() {
+                        if count != 0 {
+                            flipped[t * vc + c] = count;
+                            flipped_nonzero[t] += 1;
+                        }
+                    }
+                }
+                PairBlock::Dense {
+                    stride: vc,
+                    counts: flipped,
+                    nonzero: flipped_nonzero,
+                }
+            }
+            PairBlock::Csr { offsets, postings } => {
+                let mut flipped_offsets = vec![0u32; vt + 1];
+                for &(t, _) in postings {
+                    flipped_offsets[t as usize + 1] += 1;
+                }
+                for t in 0..vt {
+                    flipped_offsets[t + 1] += flipped_offsets[t];
+                }
+                let mut next = flipped_offsets[..vt].to_vec();
+                let mut flipped = vec![(0u32, 0u32); postings.len()];
+                for c in 0..vc {
+                    let group = &postings[offsets[c] as usize..offsets[c + 1] as usize];
+                    for &(t, count) in group {
+                        let slot = &mut next[t as usize];
+                        flipped[*slot as usize] = (c as u32, count);
+                        *slot += 1;
+                    }
+                }
+                PairBlock::Csr {
+                    offsets: flipped_offsets,
+                    postings: flipped,
+                }
+            }
         }
     }
 }
@@ -348,10 +418,49 @@ fn sort_group(group: &mut [u32], vt: usize, histogram: &mut Vec<u32>) {
     }
 }
 
+/// Whether a `vc × vt` block over a table of `rows` rows is a dense
+/// matrix: at most [`DENSE_MAX_CELLS`] cells and at most
+/// [`DENSE_CELLS_PER_ROW`] cells per row, so zeroing the matrix, counting
+/// its rows' non-zero cells and walking it cost at most a constant times
+/// the rows. Symmetric in `vc` and `vt`, so a block and its transpose
+/// share a layout.
+fn is_dense(vc: usize, vt: usize, rows: usize) -> bool {
+    vc.saturating_mul(vt) <= DENSE_MAX_CELLS.min(DENSE_CELLS_PER_ROW.saturating_mul(rows))
+}
+
+/// Counts the block of `(cond, target)` from the coded columns: a matrix
+/// when [`is_dense`], else CSR postings through `by_code`, the grouping of
+/// the rows by conditioning code that the caller's CSR pairs with this
+/// conditioning attribute share (built on first use).
+fn count_block(
+    codes: &ValueCodes,
+    ds: &Dataset,
+    (cond, target): (usize, usize),
+    by_code: &mut Option<RowsByCode>,
+) -> PairBlock {
+    let column = |a: usize| (ds.codes(AttrId(a as u16)), codes.len(AttrId(a as u16)));
+    let ((cond_col, vc), (target_col, vt)) = (column(cond), column(target));
+    if is_dense(vc, vt, ds.tuple_count()) {
+        build_dense(cond_col, target_col, vc, vt)
+    } else {
+        let by_code = by_code.get_or_insert_with(|| RowsByCode::new(cond_col, &codes.counts[cond]));
+        build_csr(by_code, target_col, vt)
+    }
+}
+
+/// Whether the block of `(cond, target)` is the transpose of a counted
+/// one: both attributes are held targets and `cond` comes second, so
+/// `(target, cond)` is counted from the rows instead.
+fn is_mirror(targets: &[bool], cond: usize, target: usize) -> bool {
+    targets[cond] && targets[target] && cond > target
+}
+
 /// The dense backend's blocks, one per ordered attribute pair (row-major
-/// `n_attrs × n_attrs`, diagonal and unheld targets empty): a matrix when
-/// `|V_cond| × |V_target|` fits under [`DENSE_MAX_CELLS`], CSR postings
-/// above it. Hash-free: every pair reads the coded columns only.
+/// `n_attrs × n_attrs`, diagonal and unheld targets empty), laid out by
+/// [`is_dense`]. Hash-free: a pair is either counted from the coded
+/// columns, one job per conditioning attribute, or — when both of its
+/// attributes are held targets and its conditioning attribute comes
+/// second — transposed from its counted mirror afterwards.
 fn build_blocks(
     codes: &ValueCodes,
     ds: &Dataset,
@@ -359,32 +468,44 @@ fn build_blocks(
     targets: &[bool],
 ) -> Vec<PairBlock> {
     let n = ds.schema().len();
-    let held = targets.iter().filter(|&&t| t).count();
-    let threads = holo_parallel::sized_threads(threads, n * held * ds.tuple_count());
+    let counted = |cond: usize| {
+        let held = (0..n).filter(|&t| t != cond && targets[t]);
+        held.filter(|&t| !is_mirror(targets, cond, t)).count()
+    };
+    let pairs: usize = (0..n).map(counted).sum();
+    let threads = holo_parallel::sized_threads(threads, pairs * ds.tuple_count());
     // One job per conditioning attribute, whose CSR pairs share one
-    // grouping of the rows. parallel_jobs, not parallel_map: each pair is
-    // a full column scan, so even a 4-attribute schema is worth spreading
+    // grouping of the rows; weighted, because the first held attributes
+    // count the most pairs. A job, not a chunk of a map: each pair is a
+    // full column scan, so even a 4-attribute schema is worth spreading
     // across cores once the row count is large enough (sized_threads
     // supplies the small-input sequential fallback).
-    let per_cond = holo_parallel::parallel_jobs(threads, n, |cond| {
-        let column = |a: usize| (ds.codes(AttrId(a as u16)), codes.len(AttrId(a as u16)));
-        let (cond_col, vc) = column(cond);
+    let weight = |cond: usize| counted(cond) as u64;
+    let per_cond = holo_parallel::parallel_jobs_weighted(threads, n, weight, |cond| {
         let mut by_code = None;
         let pairs = (0..n).map(|target| {
-            let (target_col, vt) = column(target);
-            if target == cond || !targets[target] {
+            if target == cond || !targets[target] || is_mirror(targets, cond, target) {
                 PairBlock::empty()
-            } else if vc * vt <= DENSE_MAX_CELLS {
-                build_dense(cond_col, target_col, vc, vt)
             } else {
-                let by_code =
-                    by_code.get_or_insert_with(|| RowsByCode::new(cond_col, &codes.counts[cond]));
-                build_csr(by_code, target_col, vt)
+                count_block(codes, ds, (cond, target), &mut by_code)
             }
         });
         pairs.collect::<Vec<_>>()
     });
-    per_cond.into_iter().flatten().collect()
+    let mut blocks: Vec<PairBlock> = per_cond.into_iter().flatten().collect();
+    let mirrors: Vec<(usize, usize)> = (0..n)
+        .flat_map(|cond| (0..cond).map(move |target| (cond, target)))
+        .filter(|&(cond, target)| is_mirror(targets, cond, target))
+        .collect();
+    let len = |a: usize| codes.len(AttrId(a as u16));
+    let transposed = holo_parallel::parallel_jobs(threads, mirrors.len(), |i| {
+        let (cond, target) = mirrors[i];
+        blocks[target * n + cond].transposed(len(target), len(cond))
+    });
+    for ((cond, target), block) in mirrors.into_iter().zip(transposed) {
+        blocks[cond * n + target] = block;
+    }
+    blocks
 }
 
 /// One co-occurrence group: every value of `target` co-occurring with a
@@ -488,17 +609,20 @@ impl GroupView<'_> {
 /// into `diag` / `diag --json`. `dense_pairs`, `csr_pairs`, `dense_cells`
 /// and `bytes` describe the dense backend's storage (all zero under the
 /// naive oracle); `bytes` is a count-payload estimate, not
-/// allocator-exact.
+/// allocator-exact. A mirrored pair (both attributes held targets; see
+/// the module docs) counts like a counted one: it is stored in full.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct StatsStats {
     /// Ordered attribute pairs built, on either backend: target
     /// attributes held × `(|A| − 1)`, of `|A| · (|A| − 1)`.
     pub pairs: u64,
-    /// Ordered attribute pairs stored as dense matrices.
+    /// Ordered attribute pairs stored as dense matrices: those with
+    /// `|V_cond| · |V_target| ≤ min(64 Ki, 4 · rows)`.
     pub dense_pairs: u64,
-    /// Ordered attribute pairs stored as CSR postings.
+    /// Ordered attribute pairs stored as CSR postings: the rest.
     pub csr_pairs: u64,
-    /// Total cells across all dense matrices (zeros included).
+    /// Total cells across all dense matrices (zeros included), at most
+    /// `4 · rows` per matrix.
     pub dense_cells: u64,
     /// Approximate bytes of count storage: matrices, CSR offsets and
     /// postings, and the per-code and null counts (the dictionaries and
@@ -946,6 +1070,49 @@ mod tests {
         assert_backends_agree(&ds, &dense, &CooccurStats::build_with_opts(&ds, 2, true));
     }
 
+    /// The blocks of `stats` (dense backend), one per ordered pair.
+    fn blocks(stats: &CooccurStats) -> &[PairBlock] {
+        match &stats.backend {
+            Backend::Dense { blocks, .. } => blocks,
+            Backend::Naive { .. } => unreachable!("the dense backend"),
+        }
+    }
+
+    /// Every held block of `stats` — mirrored or counted — is the block a
+    /// count of its pair from the rows gives (so laid out by
+    /// [`is_dense`]); returns how many were mirrored.
+    fn assert_blocks_are_direct_counts(ds: &Dataset, stats: &CooccurStats) -> usize {
+        let n = ds.schema().len();
+        let mut mirrored = 0;
+        for cond in 0..n {
+            for target in (0..n).filter(|&t| t != cond && stats.targets[t]) {
+                let block = &blocks(stats)[cond * n + target];
+                let direct = count_block(&stats.codes, ds, (cond, target), &mut None);
+                assert_eq!(block, &direct, "{cond} → {target}");
+                mirrored += usize::from(is_mirror(&stats.targets, cond, target));
+            }
+        }
+        mirrored
+    }
+
+    /// The layout rule's edge: a pair of exactly `4 · rows` cells is a
+    /// matrix, a pair past it CSR postings, both orientations alike.
+    #[test]
+    fn matrix_holds_at_most_four_cells_per_row() {
+        let mut ds = Dataset::new(Schema::new(vec!["a", "b"]));
+        for i in 0..40usize {
+            ds.push_row(&[format!("a{}", i % 4), format!("b{i}")]);
+        }
+        let stats = CooccurStats::build(&ds);
+        assert_eq!(stats.stats_stats().dense_pairs, 2, "4 × 40 cells, 40 rows");
+        assert_eq!(assert_blocks_are_direct_counts(&ds, &stats), 1);
+        // A fifth value of `a` beside a null `b`: 5 × 40 cells over 41 rows.
+        ds.push_row(&["a4", ""]);
+        let stats = CooccurStats::build(&ds);
+        assert_eq!(stats.stats_stats().csr_pairs, 2, "5 × 40 cells, 41 rows");
+        assert_eq!(assert_blocks_are_direct_counts(&ds, &stats), 1);
+    }
+
     /// A build restricted to some target attributes holds, for each of
     /// them, the very pairs the full build holds — dense, CSR and naive —
     /// and nothing else: the walks skip the other targets, the gauges
@@ -1180,18 +1347,25 @@ mod tests {
         /// `cooccur_count` / `cond_prob` / group / `group_count` answers when
         /// built over random datasets at every stage of an edit (fresh,
         /// appended to, updated in place — so the pool holds values no row
-        /// does) × threads {1, 4}.
+        /// does) × threads {1, 4}, for every target (each held pair's
+        /// reverse held too, so half the blocks are mirrored) and for a
+        /// random target mask. Small tables put some pairs past the
+        /// `4 · rows` matrix bound, so both arms are mirrored.
         #[test]
         fn dense_matches_naive_oracle(
             rows in proptest::collection::vec((0u8..6, 0u8..4, 0u8..5), 5..40),
             extra in proptest::collection::vec((0u8..6, 0u8..4, 0u8..5), 0..15),
             update_step in 2usize..5,
+            mask in 0u8..8,
         ) {
+            let masked = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
             for threads in [1usize, 4] {
                 let agree = |ds: &Dataset| {
-                    let dense = CooccurStats::build_with_opts(ds, threads, false);
-                    let naive = CooccurStats::build_with_opts(ds, threads, true);
-                    assert_backends_agree(ds, &dense, &naive);
+                    for targets in [[true; 3], masked] {
+                        let dense = CooccurStats::build_for_targets(ds, threads, false, &targets);
+                        let naive = CooccurStats::build_for_targets(ds, threads, true, &targets);
+                        assert_backends_agree(ds, &dense, &naive);
+                    }
                 };
                 let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c"]));
                 for &(a, b, c) in &rows {
@@ -1216,6 +1390,35 @@ mod tests {
                     .collect();
                 ds.update_rows(&new_rows);
                 agree(&ds);
+            }
+        }
+
+        /// A mirrored block is the block a count of its own pair from the
+        /// rows gives — same layout, same counts, groups in the same code
+        /// order — and so is every counted one: random tables with nulls,
+        /// an all-null column (`|V| = 0`), a one-value column, pairs on both
+        /// sides of the `4 · rows` matrix bound (small tables, and the same
+        /// rows 40 times over), a random target mask, threads {1, 4}.
+        #[test]
+        fn mirrored_blocks_equal_direct_counts(
+            rows in proptest::collection::vec((0u8..8, 0u8..40, 0u8..3), 1..60),
+            copies in 0u8..2,
+            mask in 0u8..32,
+        ) {
+            let mut ds = Dataset::new(Schema::new(vec!["a", "b", "none", "one", "c"]));
+            for _ in 0..if copies == 1 { 40 } else { 1 } {
+                for &(a, b, c) in &rows {
+                    let one = if c == 0 { "" } else { "k" };
+                    let row = [cell_str(0, a), cell_str(1, b), String::new(), one.into(), cell_str(2, c)];
+                    ds.push_row(&row);
+                }
+            }
+            let targets: Vec<bool> = (0..5).map(|i| mask & (1 << i) != 0).collect();
+            let held = targets.iter().filter(|&&t| t).count();
+            for threads in [1usize, 4] {
+                let stats = CooccurStats::build_for_targets(&ds, threads, false, &targets);
+                let mirrored = assert_blocks_are_direct_counts(&ds, &stats);
+                prop_assert_eq!(mirrored, held * held.saturating_sub(1) / 2);
             }
         }
 
@@ -1397,7 +1600,8 @@ mod tests {
         /// (600 values of `a` × ~230 of `b`), with null targets, repeated
         /// pairs, conditioning values whose every row has a null target
         /// (empty groups in the arena, both directions), a random
-        /// restricted target set, at threads {1, 4}.
+        /// restricted target set and one holding both `a` and `b` (so
+        /// `b → a` is the transpose of `a → b`), at threads {1, 4}.
         #[test]
         fn csr_arm_matches_naive_oracle_randomized(
             picks in proptest::collection::vec((0u16..290, 0u8..8), 600..700),
@@ -1424,13 +1628,16 @@ mod tests {
             for j in 0..lonely {
                 ds.push_row(&[String::new(), format!("lonely{j}"), "c0".to_string()]);
             }
-            let targets = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
-            for threads in [1usize, 4] {
-                let dense = CooccurStats::build_for_targets(&ds, threads, false, &targets);
-                let naive = CooccurStats::build_for_targets(&ds, threads, true, &targets);
-                let csr = usize::from(targets[0]) + usize::from(targets[1]);
-                prop_assert_eq!(dense.stats_stats().csr_pairs, csr as u64, "a→b, b→a");
-                assert_backends_agree(&ds, &dense, &naive);
+            // The random mask, and one holding a and b (b→a mirrors a→b).
+            let masked = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
+            for targets in [masked, [true, true, mask & 4 != 0]] {
+                for threads in [1usize, 4] {
+                    let dense = CooccurStats::build_for_targets(&ds, threads, false, &targets);
+                    let naive = CooccurStats::build_for_targets(&ds, threads, true, &targets);
+                    let csr = usize::from(targets[0]) + usize::from(targets[1]);
+                    prop_assert_eq!(dense.stats_stats().csr_pairs, csr as u64, "a→b, b→a");
+                    assert_backends_agree(&ds, &dense, &naive);
+                }
             }
             for (cond, target) in [(AttrId(0), AttrId(1)), (AttrId(1), AttrId(0))] {
                 let (cc, tc) = (ds.codes(cond), ds.codes(target));

@@ -7,11 +7,16 @@ cell for both Algorithm 2 prunes, variable for featurization), the growth
 of ns/row from the rung below of the same dataset, and the process's peak
 RSS. `load` is the CSV parse of the rung's dirty table (`timings.load_s`),
 which the pipeline total leaves out. The generator is timed as the process
-wall-clock minus the pipeline's `timings.total_s` and the load.
+wall-clock minus the pipeline's `timings.total_s` and the load. Below the
+stages, `statistics bytes/row` is the co-occurrence statistics' count
+storage (`stats.bytes`) over the rung's rows.
 
-Rungs (paper scale = 1x): Food 0.1x (`--full --scale 0.1`, 17 k rows) and
-1x (`--full`, 170 k); Physicians 0.1x (`--full`, 207 k) and 1x (`--full
---scale 10`, 2.07 M). `--big` adds Food 10x (`--full --scale 10`).
+Rungs (paper scale = 1x): Hospital 1x (the default 1 k-row table, the one
+rung small enough that its statistics keep some pair blocks as CSR
+postings by the rows bound rather than the cell cap); Food 0.1x (`--full
+--scale 0.1`, 17 k rows) and 1x (`--full`, 170 k); Physicians 0.1x
+(`--full`, 207 k) and 1x (`--full --scale 10`, 2.07 M). `--big` adds Food
+10x (`--full --scale 10`).
 
 Exits 1 if a stage is missing from a rung's output or a number is not
 finite; it gates nothing else (no growth ratio is enforced).
@@ -29,6 +34,7 @@ import sys
 import time
 
 RUNGS = [
+    ("hospital", "1x", []),
     ("food", "0.1x", ["--full", "--scale", "0.1"]),
     ("food", "1x", ["--full"]),
     ("physicians", "0.1x", ["--full"]),
@@ -105,7 +111,11 @@ def measure(doc, wall):
             problems.append(f"stage {name}: non-finite {values}")
     if rss is None or not math.isfinite(rss):
         problems.append(f"peak_rss_mb not finite: {rss}")
-    return stages, rss, problems
+    stats_bytes = lookup(doc, ("stats", "bytes"))
+    bytes_per_row = stats_bytes / rows if stats_bytes is not None and rows else math.nan
+    if not math.isfinite(bytes_per_row):
+        problems.append(f"statistics bytes/row not finite: {stats_bytes} over {rows} rows")
+    return stages, rss, bytes_per_row, problems
 
 
 def main():
@@ -119,7 +129,7 @@ def main():
     below = {}  # dataset -> stages of its previous rung
     for dataset, label, flags in rungs:
         doc, wall = run_rung(args.diag, dataset, flags)
-        stages, rss, problems = measure(doc, wall)
+        stages, rss, bytes_per_row, problems = measure(doc, wall)
         failures += [f"{dataset} {label}: {p}" for p in problems]
         shape = doc.get("shape", {})
         print(
@@ -136,6 +146,7 @@ def main():
             if name in prev and prev[name][1] > 0:
                 growth = f"{per_row / prev[name][1]:10.2f}"
             print(f"  {name:<18}{ms:10.1f}{per_row:10.1f}{unit}{growth}")
+        print(f"  statistics bytes/row {bytes_per_row:.1f}")
         below[dataset] = stages
     if failures:
         print("\nladder: " + "; ".join(failures), file=sys.stderr)

@@ -12,11 +12,11 @@ use holoclean_repro::holoclean::compile::CompiledModel;
 use holoclean_repro::holoclean::pipeline::{compile_model, detect, PipelineContext};
 use holoclean_repro::holoclean::HoloConfig;
 
-/// Detect + compile over a generated hospital dataset, returning the
-/// shared context and the model.
-fn compile_hospital(threads: usize) -> (PipelineContext, CompiledModel) {
+/// Detect + compile over a generated hospital dataset of about `rows`
+/// rows, returning the shared context and the model.
+fn compile_hospital_rows(rows: usize, threads: usize) -> (PipelineContext, CompiledModel) {
     let gen = hospital(HospitalConfig {
-        rows: 300,
+        rows,
         seed: 11,
         ..HospitalConfig::default()
     });
@@ -27,6 +27,11 @@ fn compile_hospital(threads: usize) -> (PipelineContext, CompiledModel) {
     let cx = PipelineContext::new(ds, constraints, HoloConfig::default().with_threads(threads));
     let (model, _) = compile_model(&cx, &detect(&cx)).unwrap();
     (cx, model)
+}
+
+/// [`compile_hospital_rows`] of the 300-row table.
+fn compile_hospital(threads: usize) -> (PipelineContext, CompiledModel) {
+    compile_hospital_rows(300, threads)
 }
 
 /// `graph`'s unary features read back out as nested adjacency
@@ -144,4 +149,20 @@ fn compile_thread_counts_produce_identical_design() {
         );
         assert_eq!(model.weights, ref_model.weights, "threads = {threads}");
     }
+}
+
+/// On a table past the parallel cutoff the relaxed-DC featurizer blocks
+/// its partner tuples on the full thread budget: the design matrix, the
+/// weights and the registry (key by key, in id order) are those of
+/// `threads = 1`.
+#[test]
+fn featurizer_blocks_identically_at_any_thread_count() {
+    let (cx, reference) = compile_hospital_rows(4200, 1);
+    // holo_parallel::MIN_PARALLEL_WORK: smaller tables block on one thread.
+    assert!(cx.ds.tuple_count() >= 4096, "{} rows", cx.ds.tuple_count());
+    assert!(cx.config.variant.uses_dc_features());
+    let model = compile_hospital_rows(4200, 4).1;
+    assert_eq!(model.graph.design(), reference.graph.design());
+    assert_eq!(model.weights, reference.weights);
+    assert_eq!(model.registry.keys(), reference.registry.keys());
 }
