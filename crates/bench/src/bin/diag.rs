@@ -72,7 +72,7 @@
 //! The `stats` object carries the co-occurrence engine's `StatsStats`
 //! (`pairs` built — only target attributes a variable can have — of
 //! `pairs_possible` = |A|(|A|−1), dense/CSR pair split, cell and byte
-//! footprint; the storage gauges are zero under `--naive-stats`).
+//! footprint).
 
 use holo_bench::json::{num, num_exact, JsonObj};
 use holo_bench::runner::{run_holoclean_full, HoloOutcome};
@@ -416,8 +416,6 @@ fn print_json(
     partition.field_u64("clique_entries", p.clique_entries);
     partition.field_u64("clique_entries_compact", p.clique_entries_compact);
     partition.field_u64("clique_entries_folded", p.clique_entries_folded);
-    partition.field_u64("colors", p.colors);
-    partition.field_u64("color_sweep_blocks", p.color_sweep_blocks);
     partition.field_u64("score_cache_builds", p.score_cache.builds);
     partition.field_u64("score_cache_rows", p.score_cache.rows);
     let s = t.stats;
@@ -558,11 +556,7 @@ fn main() {
             full: args.full,
         },
     );
-    let mut config = HoloConfig::default()
-        .with_threads(args.threads)
-        .with_chromatic_gibbs(args.chromatic)
-        .with_score_cache(!args.no_score_cache)
-        .with_naive_stats(args.naive_stats);
+    let mut config = HoloConfig::default().with_threads(args.threads);
     if args.dc_factors {
         config = config.with_variant(ModelVariant::DcFactorsPartitioned);
     }
@@ -676,18 +670,10 @@ fn main() {
         p.clique_entries_compact,
         p.clique_entries_folded
     );
-    if p.colors > 0 {
-        println!(
-            "  chromatic: {} color(s), {} sweep block(s)",
-            p.colors, p.color_sweep_blocks
-        );
-    }
-    if p.score_cache.builds > 0 {
-        println!(
-            "  score cache: {} build(s), {} row(s) scored once",
-            p.score_cache.builds, p.score_cache.rows
-        );
-    }
+    println!(
+        "  score cache: {} build(s), {} row(s) scored once",
+        p.score_cache.builds, p.score_cache.rows
+    );
     let s = out.timings.stats;
     let n_attrs = gen.dirty.schema().len() as u64;
     println!(

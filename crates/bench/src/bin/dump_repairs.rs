@@ -21,12 +21,8 @@
 //! With `--dc-factors`, the denial constraints ground as clique factors
 //! (the partitioned DC-factor variant) so the dump exercises the exact
 //! and Gibbs engines; `--dc-factors --stream` is a supported pair. With
-//! `--no-score-cache`, the frozen-weight score cache is disabled.
-//! The cache is a pure wall-clock knob, so CI diffs the dump with it on
-//! vs off — byte-identical output is the contract. `--naive-stats`
-//! routes co-occurrence statistics through the hash-map oracle instead
-//! of the dense count blocks — the same kind of pure wall-clock knob,
-//! diffed the same way.
+//! `--threads N`, the dump must not move a byte against any other thread
+//! count — CI diffs it at 1, 2 and 4.
 //!
 //! Flags are parsed strictly (`holo_bench::Args`): a typo'd flag aborts
 //! with a usage line and exit code 2 instead of being silently dropped.
@@ -47,11 +43,7 @@ fn main() {
             full: false,
         },
     );
-    let mut config = HoloConfig::default()
-        .with_threads(args.threads)
-        .with_chromatic_gibbs(args.chromatic)
-        .with_score_cache(!args.no_score_cache)
-        .with_naive_stats(args.naive_stats);
+    let mut config = HoloConfig::default().with_threads(args.threads);
     if args.dc_factors {
         config = config.with_variant(ModelVariant::DcFactorsPartitioned);
     }

@@ -73,25 +73,11 @@ pub struct Args {
     pub threads: usize,
     /// Dump per-cell posteriors too (`dump_repairs`).
     pub marginals: bool,
-    /// Route Gibbs components through chromatic colour sweeps
-    /// (`diag`, `dump_repairs`). Bit-identical at any thread count; on
-    /// clique-free models it is byte-identical to the sequential sweep —
-    /// that is the equivalence CI diffs.
-    pub chromatic: bool,
-    /// Disable the frozen-weight score cache (`diag`, `dump_repairs`).
-    /// The cache is a pure wall-clock knob — output is byte-identical on
-    /// or off — which is the equivalence CI diffs.
-    pub no_score_cache: bool,
     /// Ground the denial constraints as clique factors instead of
     /// violation features (`diag`, `dump_repairs`): selects the partitioned
     /// DC-factor model variant, exercising the exact/Gibbs engines the
     /// default clique-free model never routes to.
     pub dc_factors: bool,
-    /// Route co-occurrence statistics through the naive hash-map oracle
-    /// (`diag`, `dump_repairs`) instead of the dense count blocks. A pure
-    /// wall-clock knob — domains, repairs and posteriors are byte-identical
-    /// on or off — which is the equivalence CI diffs.
-    pub naive_stats: bool,
     /// Full-CRUD streaming drive (`diag`, `dump_repairs`; needs `--stream K`):
     /// every ingest batch is corrupted on entry (a mangled first row plus
     /// a decoy row) and then healed with `push_updates`/`push_deletes`,
@@ -111,10 +97,7 @@ impl Default for Args {
             stream: 0,
             threads: 0,
             marginals: false,
-            chromatic: false,
-            no_score_cache: false,
             dc_factors: false,
-            naive_stats: false,
             crud: false,
         }
     }
@@ -162,10 +145,7 @@ impl Args {
                 "--full" => args.full = true,
                 "--json" => args.json = true,
                 "--marginals" => args.marginals = true,
-                "--chromatic" => args.chromatic = true,
-                "--no-score-cache" => args.no_score_cache = true,
                 "--dc-factors" => args.dc_factors = true,
-                "--naive-stats" => args.naive_stats = true,
                 "--crud" => args.crud = true,
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown flag {other:?}")),
@@ -184,8 +164,7 @@ fn usage(msg: &str) -> ! {
     }
     eprintln!(
         "usage: <bin> [--scale F] [--seed N] [--full] [--json] [--scare-budget SECS]\n\
-         \x20            [--stream K] [--threads N] [--marginals] [--chromatic]\n\
-         \x20            [--no-score-cache] [--dc-factors] [--naive-stats] [--crud]\n\
+         \x20            [--stream K] [--threads N] [--marginals] [--dc-factors] [--crud]\n\
          \n\
          --scale F          row-count multiplier, > 0 (default 1.0)\n\
          --seed N           generator seed (default 42)\n\
@@ -195,11 +174,7 @@ fn usage(msg: &str) -> ! {
          --stream K         ingest in K batches via a stream Session (diag, dump_repairs)\n\
          --threads N        worker-thread override, 0 = all cores (diag, dump_repairs)\n\
          --marginals        also dump per-cell posteriors (dump_repairs)\n\
-         --chromatic        chromatic Gibbs colour sweeps (diag, dump_repairs)\n\
-         --no-score-cache   disable the frozen-weight score cache (diag, dump_repairs)\n\
          --dc-factors       partitioned DC-factor model variant (diag, dump_repairs)\n\
-         --naive-stats      use the naive hash-map co-occurrence oracle instead of\n\
-         \x20                  the dense count blocks (diag, dump_repairs)\n\
          --crud             corrupt-and-heal every stream batch with updates and\n\
          \x20                  deletes; needs --stream (diag, dump_repairs)"
     );
@@ -243,30 +218,14 @@ mod tests {
         assert_eq!(a.stream, 16);
         assert_eq!(a.threads, 4);
         assert!(a.marginals);
-        assert!(!a.chromatic);
-    }
-
-    #[test]
-    fn parse_chromatic_flag() {
-        let a = Args::parse(argv(&["--chromatic"]));
-        assert!(a.chromatic);
-        assert!(!a.no_score_cache);
         assert!(!a.dc_factors);
     }
 
     #[test]
-    fn parse_score_cache_and_variant_flags() {
-        let a = Args::parse(argv(&["--no-score-cache", "--dc-factors"]));
-        assert!(a.no_score_cache);
+    fn parse_variant_flag() {
+        let a = Args::parse(argv(&["--dc-factors"]));
         assert!(a.dc_factors);
         assert!(!a.crud);
-    }
-
-    #[test]
-    fn parse_stats_flags() {
-        let a = Args::parse(argv(&["--naive-stats"]));
-        assert!(a.naive_stats);
-        assert!(!Args::parse(argv(&[])).naive_stats);
     }
 
     #[test]

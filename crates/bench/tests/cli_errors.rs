@@ -8,13 +8,16 @@ use std::process::{Command, Stdio};
 
 #[test]
 fn diag_rejects_malformed_arguments_with_exit_code_2() {
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 9] = [
         &["--cor-strength", "0.3"],
         &["--crud"],
         &["--scale", "inf"],
         &["--scale", "nan"],
         &["--scale", "0"],
         &["--scale", "-1"],
+        &["--chromatic"],
+        &["--no-score-cache"],
+        &["--naive-stats"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_diag"))

@@ -138,45 +138,24 @@ pub struct HoloConfig {
     /// while at any fixed value every thread count remains bit-for-bit
     /// identical to `threads = 1`.
     pub exact_component_limit: u64,
-    /// Chromatic Gibbs sweeps for sampled components: when set, a
-    /// Gibbs-routed connected component whose query variables span several
-    /// colors of the graph's greedy interaction-graph coloring resamples
-    /// whole color classes in parallel fixed-size blocks instead of
-    /// sweeping variables one at a time — within-component parallelism for
-    /// the densely constrained graphs that collapse into one giant
-    /// component. Like [`HoloConfig::exact_component_limit`] this is a
-    /// *model* knob: it changes the sampling schedule (and therefore the
-    /// stream) of multi-color components, while clique-free components are
-    /// bit-for-bit unaffected and any thread count remains bit-for-bit
-    /// `threads = 1`. Off by default.
+    /// Unread: Gibbs always sweeps sequentially. Kept only because the
+    /// benchmark's staged driver (`benchmark/src/staged.rs`) reads it,
+    /// until ROADMAP item 14 drops that read.
     pub chromatic_gibbs: bool,
-    /// Frozen-weight score cache for partitioned inference: when set (the
-    /// default), [`holo_factor::infer_partitioned`] scores every design
-    /// row once up front through the blocked kernel and all three engines
-    /// — closed-form softmax, exact enumeration, and Gibbs conditionals —
-    /// read the cached rows instead of re-walking the design matrix.
-    /// Because the cache reproduces the kernel's exact addition order,
-    /// this is a pure *wall-clock* knob like [`HoloConfig::threads`]:
-    /// repairs and posteriors are byte-identical on or off, at every
-    /// thread count. The cache is built per inference pass and never
-    /// stored in the graph, so no pass can read another's scores.
+    /// Unread: inference always scores through the frozen-weight score
+    /// cache. Kept only because the benchmark's staged driver reads it,
+    /// until ROADMAP item 14 drops that read.
     pub score_cache: bool,
-    /// Statistics-engine oracle switch: when set, `CooccurStats` stores
-    /// its counts in the original nested hash-map tables instead of the
-    /// dense per-attribute-pair count blocks. Both backends answer every
-    /// query identically (proptested in `holo_dataset::stats`), so like
-    /// [`HoloConfig::score_cache`] this is a pure *wall-clock* knob:
-    /// repairs and posteriors are byte-identical on or off, at every
-    /// thread count. Off by default — the dense engine is the fast path;
-    /// `--naive-stats` on the bench binaries flips this on for the CI
-    /// equivalence diffs.
+    /// Unread: the statistics are always the count blocks of
+    /// `holo_dataset::stats`. Kept only because the benchmark's staged
+    /// driver reads it, until ROADMAP item 14 drops that read.
     pub naive_stats: bool,
     /// Master seed (evidence sampling).
     pub seed: u64,
     /// Worker threads for the data-parallel stages (violation detection
     /// and its blocking index, statistics, domain pruning, featurization,
-    /// DC-factor grounding, per-component inference and chromatic sweep
-    /// blocks; weight learning runs on one thread). `0` = all cores.
+    /// DC-factor grounding, the score cache and per-component inference;
+    /// weight learning runs on one thread). `0` = all cores.
     /// Every thread count produces bit-for-bit the `threads = 1` result —
     /// the knob trades wall-clock only, never output.
     pub threads: usize,
@@ -231,28 +210,6 @@ impl HoloConfig {
     /// samples. See the field docs for the determinism contract.
     pub fn with_exact_component_limit(mut self, limit: u64) -> Self {
         self.exact_component_limit = limit;
-        self
-    }
-
-    /// Enables chromatic Gibbs sweeps for sampled components (builder
-    /// style). See the field docs for the determinism contract.
-    pub fn with_chromatic_gibbs(mut self, chromatic: bool) -> Self {
-        self.chromatic_gibbs = chromatic;
-        self
-    }
-
-    /// Toggles the frozen-weight score cache for partitioned inference
-    /// (builder style). A wall-clock-only knob — see the field docs.
-    pub fn with_score_cache(mut self, score_cache: bool) -> Self {
-        self.score_cache = score_cache;
-        self
-    }
-
-    /// Toggles the naive hash-map statistics oracle (builder style; the
-    /// dense engine is the default). A wall-clock-only knob — see the
-    /// field docs.
-    pub fn with_naive_stats(mut self, naive: bool) -> Self {
-        self.naive_stats = naive;
         self
     }
 
@@ -316,19 +273,5 @@ mod tests {
         assert_eq!(c.tau, 0.3);
         assert_eq!(c.variant, ModelVariant::DcFactors);
         assert_eq!(c.source.as_ref().unwrap().entity_attr, "Flight");
-    }
-
-    #[test]
-    fn score_cache_defaults_on_and_toggles() {
-        let c = HoloConfig::default();
-        assert!(c.score_cache);
-        assert!(!c.with_score_cache(false).score_cache);
-    }
-
-    #[test]
-    fn naive_stats_defaults_off_and_toggles() {
-        let c = HoloConfig::default();
-        assert!(!c.naive_stats);
-        assert!(c.with_naive_stats(true).naive_stats);
     }
 }

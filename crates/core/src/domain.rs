@@ -39,10 +39,9 @@
 //!   `τ_min > 0` (the probabilities of one group sum to ≤ 1); at `τ = 0` the
 //!   index is a copy of the statistics' own non-zero counts.
 //! * **Determinism.** Shards are built per conditioning attribute and
-//!   merged in attribute order; entry order inside a list follows the
-//!   statistics backend but is unobservable behind the max-merge and the
-//!   total sort, so domains are identical at every thread count and on
-//!   both backends.
+//!   merged in attribute order; entry order inside a list is unobservable
+//!   behind the max-merge and the total sort, so domains are identical at
+//!   every thread count.
 //!
 //! # The domain arena
 //!
@@ -709,12 +708,11 @@ mod tests {
             }
         }
 
-        /// The index gives Algorithm 2 exactly the row-scan reference's
-        /// domains — same cells, same candidates, same order — on the dense
-        /// statistics engine and on the retained naive oracle alike (so
-        /// dense ≡ naive too), across random datasets (with nulls; tuple 0
-        /// is all null after the update, so null initial values are always
-        /// read) that went through an edit before the statistics were built
+        /// The index over the dense statistics gives Algorithm 2 exactly the
+        /// naive row-scan reference's domains — same cells, same candidates,
+        /// same order — across random datasets (with nulls; tuple 0 is all
+        /// null after the update, so null initial values are always read)
+        /// that went through an edit before the statistics were built
         /// (append → update in place: pool values no row holds), τ ∈
         /// [0, 0.6], `min_support` ∈ {1, 2, 3}, binding and slack
         /// `max_domain` caps and `max_domain = 1`, and thread counts
@@ -754,15 +752,14 @@ mod tests {
             prop_assert!(ds.cell_ref(CellRef::new(0usize, 0usize)).is_null());
             let fresh = ds.intern("asserted-only");
             let picked: Vec<Sym> = (0..3).map(|k| ds.intern(&cs(k, 1))).collect();
-            let dense = CooccurStats::build_with_opts(&ds, 4, false);
-            let naive = CooccurStats::build_with_opts(&ds, 4, true);
+            let stats = CooccurStats::build_with_opts(&ds, 4, false);
 
             // Every cell is "noisy": prune them all.
             let noisy: Vec<CellRef> = ds.cells().collect();
             for max_domain in [max_domain, 1] {
                 let reference: Vec<Vec<Sym>> = noisy
                     .iter()
-                    .map(|&c| row_scan_prune_cell(&ds, c, &dense, tau, max_domain, min_support))
+                    .map(|&c| row_scan_prune_cell(&ds, c, &stats, tau, max_domain, min_support))
                     .collect();
                 let mut asserted: Vec<(CellRef, Sym)> = noisy
                     .iter()
@@ -780,13 +777,10 @@ mod tests {
                         domain.push(v);
                     }
                 }
-                for stats in [&dense, &naive] {
-                    for threads in [1usize, 4] {
-                        let params = (tau, max_domain, min_support);
-                        let doms =
-                            prune_with_support(&ds, &noisy, stats, params, &asserted, threads);
-                        prop_assert_eq!(&doms, &merged);
-                    }
+                for threads in [1usize, 4] {
+                    let params = (tau, max_domain, min_support);
+                    let doms = prune_with_support(&ds, &noisy, &stats, params, &asserted, threads);
+                    prop_assert_eq!(&doms, &merged);
                 }
             }
         }

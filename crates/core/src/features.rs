@@ -1008,12 +1008,11 @@ mod tests {
         assert!(reg.is_empty());
     }
 
-    /// Both backends read counts by value code: the same entries, bit for
-    /// bit, for every cell of a table with nulls, at two supports — and
-    /// the entries the `Sym`-keyed reads (`count`, `cooccur_count`)
-    /// give.
+    /// The features read counts by value code: for every cell of a table
+    /// with nulls, at two supports, the entries are bit for bit the ones
+    /// the `Sym`-keyed reads (`count`, `cooccur_count`) give.
     #[test]
-    fn occur_rows_are_bit_identical_on_both_backends() {
+    fn occur_rows_are_the_sym_keyed_reads() {
         let mut ds = Dataset::new(Schema::new(vec!["A", "B", "C"]));
         for i in 0..60usize {
             let c = if i % 7 == 0 {
@@ -1024,11 +1023,7 @@ mod tests {
             ds.push_row(&[format!("a{}", i % 3), format!("b{}", i * i % 5), c]);
         }
         let foreign = ds.intern("elsewhere");
-        let dense = CooccurStats::build_with_opts(&ds, 1, false);
-        let naive = CooccurStats::build_with_opts(&ds, 1, true);
-        for a in ds.schema().attrs() {
-            assert_eq!(dense.codes().syms(a), naive.codes().syms(a));
-        }
+        let stats = CooccurStats::build(&ds);
         let mut entries = 0;
         for cell in ds.tuples().flat_map(|t| {
             (0..3).map(move |a| CellRef {
@@ -1039,44 +1034,33 @@ mod tests {
             let mut candidates = ds.active_domain(cell.attr);
             candidates.push(foreign);
             for support in [1, 3] {
-                let rows = |stats: &CooccurStats| {
-                    let mut buf = FeatureBuffer::default();
-                    collect_occur_features(
-                        &mut buf,
-                        (&ds, stats),
-                        (support, 1.0),
-                        cell,
-                        &candidates,
-                    );
-                    let bits: Vec<(usize, usize, u64)> = buf
-                        .entries
-                        .iter()
-                        .map(|&(u, k, x)| (u, k, x.to_bits()))
-                        .collect();
-                    (buf.specs, bits)
-                };
-                let want = rows(&dense);
-                assert_eq!(want, rows(&naive), "{cell:?} support {support}");
+                let mut buf = FeatureBuffer::default();
+                collect_occur_features(&mut buf, (&ds, &stats), (support, 1.0), cell, &candidates);
+                let got: Vec<(usize, usize, u64)> = buf
+                    .entries
+                    .iter()
+                    .map(|&(u, k, x)| (u, k, x.to_bits()))
+                    .collect();
                 // The same rows through the `Sym`-keyed reads.
                 let mut by_sym = Vec::new();
                 let conds = ds.schema().attrs().filter(|&a| a != cell.attr);
                 for cond_attr in conds {
                     let v_cond = ds.cell(cell.tuple, cond_attr);
-                    let denom = naive.count(cond_attr, v_cond);
+                    let denom = stats.count(cond_attr, v_cond);
                     if v_cond.is_null() || denom < support {
                         continue;
                     }
                     let unit = by_sym.last().map_or(0, |&(u, _, _)| u + 1);
                     for (k, &d) in candidates.iter().enumerate() {
-                        let count = naive.cooccur_count(cond_attr, v_cond, cell.attr, d);
+                        let count = stats.cooccur_count(cond_attr, v_cond, cell.attr, d);
                         if count > 0 {
                             let x = f64::from(count) / f64::from(denom);
                             by_sym.push((unit, k, x.to_bits()));
                         }
                     }
                 }
-                assert_eq!(want.1, by_sym, "{cell:?} support {support}");
-                entries += want.1.len();
+                assert_eq!(got, by_sym, "{cell:?} support {support}");
+                entries += got.len();
             }
         }
         assert!(entries > 0);

@@ -55,9 +55,8 @@
 //! share no state and per-component marginals merge back in variable
 //! order, so the parallelism is deterministic *by construction* — no
 //! cross-thread sampling order exists to get wrong. All three engines
-//! read the frozen-weight [`holo_factor::ScoreCache`]
-//! ([`HoloConfig::score_cache`]), which lives only for the one call that
-//! built it. The routing split is observable in
+//! read the frozen-weight [`holo_factor::ScoreCache`], which lives only for
+//! the one call that built it. The routing split is observable in
 //! [`StageTimings::partition`].
 
 use crate::compile::{compile_cells, CompileInput, CompiledModel};
@@ -91,8 +90,7 @@ pub struct StageTimings {
     /// size histogram, and the closed-form / exact / Gibbs routing split.
     pub partition: PartitionStats,
     /// Size gauges of the statistics this run built: dense vs CSR pair
-    /// blocks, dense cells, approximate bytes (all zero under
-    /// `--naive-stats`).
+    /// blocks, dense cells, approximate bytes.
     pub stats: StatsStats,
 }
 
@@ -219,8 +217,7 @@ pub fn compile_model(
     let noisy = noisy_attrs(cx.ds.schema().len(), &detection.noisy);
     let targets = trainable_attrs(noisy, &cx.constraints, &cx.matches, &cx.config);
     let started = Instant::now();
-    let stats =
-        CooccurStats::build_for_targets(&cx.ds, cx.config.threads, cx.config.naive_stats, &targets);
+    let stats = CooccurStats::build_for_targets(&cx.ds, cx.config.threads, &targets);
     let stats_build = started.elapsed();
     let input = CompileInput {
         ds: &cx.ds,
@@ -285,8 +282,8 @@ pub fn infer_marginals(
         &PartitionedConfig {
             gibbs: config.gibbs,
             exact_limit: config.exact_component_limit,
-            chromatic: config.chromatic_gibbs,
-            score_cache: config.score_cache,
+            chromatic: false,
+            score_cache: true,
         },
         config.threads,
     )

@@ -395,11 +395,11 @@ mod tests {
     /// `compile` over `build_with_opts` statistics — registry, design
     /// matrix, variables — and `pipeline::compile_model` is the former, on
     /// the four generators and a Physicians table large enough for CSR
-    /// pair blocks, and on the naive backend too.
+    /// pair blocks.
     #[test]
     fn masked_statistics_compile_the_same_model() {
         let csr_arm = (DatasetKind::Physicians, frozen(physicians(2500)));
-        for (i, (kind, mut cx)) in generated().into_iter().chain([csr_arm]).enumerate() {
+        for (i, (kind, cx)) in generated().into_iter().chain([csr_arm]).enumerate() {
             let detection = pipeline::detect(&cx);
             let n = cx.ds.schema().len();
             let targets = trainable_attrs(
@@ -414,25 +414,22 @@ mod tests {
                 kind == DatasetKind::Flights,
                 "{kind:?}: {held} of {n}"
             );
+            let label = format!("{kind:?}");
+            let full = CooccurStats::build_with_opts(&cx.ds, 2, false);
+            let masked = CooccurStats::build_for_targets(&cx.ds, 2, &targets);
+            let (all, built) = (full.stats_stats(), masked.stats_stats());
+            assert_eq!(all.pairs as usize, n * (n - 1), "{label}");
+            assert_eq!(built.pairs as usize, held * (n - 1), "{label}");
             // (The large table only for the arm the small ones cannot reach.)
-            for naive in [false, true].into_iter().take(if i == 4 { 1 } else { 2 }) {
-                let label = format!("{kind:?} naive {naive}");
-                cx.config.naive_stats = naive;
-                let full = CooccurStats::build_with_opts(&cx.ds, 2, naive);
-                let masked = CooccurStats::build_for_targets(&cx.ds, 2, naive, &targets);
-                let (all, built) = (full.stats_stats(), masked.stats_stats());
-                assert_eq!(all.pairs as usize, n * (n - 1), "{label}");
-                assert_eq!(built.pairs as usize, held * (n - 1), "{label}");
-                if i == 4 && !naive {
-                    assert!(built.csr_pairs > 0, "{label}: {built:?} of {all:?}");
-                }
-                let over_full = compile_over(&cx, &detection, &full, false);
-                let over_masked = compile_over(&cx, &detection, &masked, false);
-                assert_same_model(&cx, &over_full, &over_masked, &label);
-                let (piped, gauges) = pipeline::compile_model(&cx, &detection).unwrap();
-                assert_same_model(&cx, &over_full, &piped, &label);
-                assert_eq!(gauges.pairs, built.pairs, "{label}");
+            if i == 4 {
+                assert!(built.csr_pairs > 0, "{label}: {built:?} of {all:?}");
             }
+            let over_full = compile_over(&cx, &detection, &full, false);
+            let over_masked = compile_over(&cx, &detection, &masked, false);
+            assert_same_model(&cx, &over_full, &over_masked, &label);
+            let (piped, gauges) = pipeline::compile_model(&cx, &detection).unwrap();
+            assert_same_model(&cx, &over_full, &piped, &label);
+            assert_eq!(gauges.pairs, built.pairs, "{label}");
         }
     }
 

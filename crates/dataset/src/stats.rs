@@ -24,64 +24,52 @@
 //! the group `A' = v' → A`, and [`GroupView::count_by_code`] a candidate's
 //! count in it (a candidate's code is looked up once per cell).
 //!
-//! # Dense engine and the retained oracle
+//! # Count blocks
 //!
-//! [`CooccurStats`] stores its counts in one of two interchangeable
-//! backends:
+//! Each ordered attribute pair owns a count block — a dense `|V_cond| ×
+//! |V_target|` row-major matrix, or one flat CSR arena (`offsets` per
+//! conditioning code into one `postings` vector of `(target code, count)`,
+//! sorted by target code within a group).
 //!
-//! * **Dense** (the default): each ordered attribute pair owns a count
-//!   block — a dense `|V_cond| × |V_target|` row-major matrix, or one flat
-//!   CSR arena (`offsets` per conditioning code into one `postings` vector
-//!   of `(target code, count)`, sorted by target code within a group).
-//!   **Layout rule:** a block is a matrix when `|V_cond| · |V_target| ≤
-//!   min(64 Ki, 4 · rows)`, CSR postings otherwise — so no block costs
-//!   more than a constant times the rows to zero, to scan for its rows'
-//!   non-zero counts or for the τ-index to walk (a matrix of a small
-//!   table is mostly zeros). From 16 Ki rows up the 64 Ki cap binds
-//!   first. The rule is symmetric, so a pair and its reverse share a
-//!   layout. Queries index contiguous rows instead of probing two hash
-//!   levels, and the build is hash-free and linear in the rows: one job
-//!   per conditioning attribute reads the coded columns and either
-//!   scatters a pair into its matrix or, for a CSR pair, gathers the
-//!   target codes of the rows grouped by conditioning code (a counting
-//!   sort on the code, done once per conditioning attribute from the
-//!   per-code counts), sorts each group and run-length encodes it.
-//!   **Mirrored pairs:** when both attributes of a pair are held targets,
+//! * **Layout rule:** a block is a matrix when `|V_cond| · |V_target| ≤
+//!   min(64 Ki, 4 · rows)`, CSR postings otherwise — so no block costs more
+//!   than a constant times the rows to zero, to scan for its rows' non-zero
+//!   counts or for the τ-index to walk (a matrix of a small table is mostly
+//!   zeros). From 16 Ki rows up the 64 Ki cap binds first. The rule is
+//!   symmetric, so a pair and its reverse share a layout.
+//! * **Build:** queries index contiguous rows instead of probing two hash
+//!   levels, and the build is hash-free and linear in the rows: one job per
+//!   conditioning attribute reads the coded columns and either scatters a
+//!   pair into its matrix or, for a CSR pair, gathers the target codes of
+//!   the rows grouped by conditioning code (a counting sort on the code,
+//!   done once per conditioning attribute from the per-code counts), sorts
+//!   each group and run-length encodes it.
+//! * **Mirrored pairs:** when both attributes of a pair are held targets,
 //!   only the orientation whose conditioning attribute comes first is
 //!   counted from the rows; the other is the transpose of the finished
 //!   block (a matrix transpose, or one counting sort of the postings by
 //!   target code), which has the same counts and the same ascending-code
 //!   order inside every group as a count from the rows.
-//! * **Naive** (the oracle): nested hash maps
-//!   `FxHashMap<u64, FxHashMap<u32, u32>>` keyed by packed
-//!   `(cond, target, code of v_cond)` triples and then by target code,
-//!   selected by `CooccurStats::build_with_opts(.., naive = true)`
-//!   (surfaced as `--naive-stats` on the bench binaries). It differs only
-//!   in how it stores counts: codes are read the same way.
 //!
-//! Counts are integer accumulators, so the two backends answer **every**
-//! query identically — `count`, `cooccur_count`, `conditional_prob`, the
-//! code-keyed reads, [`GroupView`] contents, `group_count` — over any
-//! table, values that no row holds any more included, at any thread
-//! count. That
-//! equivalence is proptested below (`dense_matches_naive_oracle` for both
+//! The nested hash maps the blocks replaced are the test reference: the
+//! proptests below pin every query — `count`, `cooccur_count`,
+//! `conditional_prob`, the code-keyed reads, [`GroupView`] contents,
+//! `group_count` — to it over random tables, values that no row holds any
+//! more included, at threads {1, 4} (`dense_matches_naive_oracle` for both
 //! arms on small tables, `csr_arm_matches_naive_oracle_randomized` for the
-//! CSR arm past the 64 Ki cap; `mirrored_blocks_equal_direct_counts` pins
-//! every mirrored block to a count of its own pair from the rows) and CI
-//! byte-diffs full pipeline dumps between the backends.
+//! CSR arm past the 64 Ki cap), and `mirrored_blocks_equal_direct_counts`
+//! pins every mirrored block to a count of its own pair from the rows.
 //!
 //! A [`CooccurStats`] is **built, then read**: one pass over the rows of a
 //! frozen table, and no mutator afterwards. It borrows nothing from the
 //! table: a table that gains a value while statistics over it live copies
 //! that attribute's dictionary on write, so the statistics keep reading the
-//! codes they were built over. The dense backend runs one job
-//! per conditioning attribute, whose CSR pairs share one grouping of the
-//! rows by conditioning code, then one job per mirrored pair to transpose
-//! its counted reverse; the naive oracle shards per ordered attribute
-//! pair (each pair owns a disjoint slice of the key space, so per-pair
-//! results merge without collisions). A table that
-//! changed gets new statistics — a streaming session builds them at its
-//! next read, through the same call as the one-shot pipeline.
+//! codes they were built over. The build runs one job per conditioning
+//! attribute, whose CSR pairs share one grouping of the rows by
+//! conditioning code, then one job per mirrored pair to transpose its
+//! counted reverse. A table that changed gets new statistics — a streaming
+//! session builds them at its next read, through the same call as the
+//! one-shot pipeline.
 //!
 //! **Which pairs.** Every reader asks about a *target* attribute — which
 //! values of `A` co-occur with `v'@A'` — and the repair pipeline only ever
@@ -99,18 +87,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::fxhash::FxHashMap;
 use crate::schema::AttrId;
 use crate::table::{Dataset, Dictionary, NULL_CODE};
 use crate::value::Sym;
 use std::sync::Arc;
-
-/// Packs a `(cond_attr, target_attr, cond_code)` triple into a `u64` map
-/// key (naive backend only).
-#[inline]
-fn key(cond_attr: AttrId, target_attr: AttrId, cond_code: u32) -> u64 {
-    ((cond_attr.0 as u64) << 48) | ((target_attr.0 as u64) << 32) | u64::from(cond_code)
-}
 
 /// Above this many cells a pair block stores CSR postings instead of a
 /// dense matrix (64Ki cells = 256KiB of `u32` counts per pair).
@@ -172,7 +152,7 @@ impl ValueCodes {
     }
 }
 
-/// Count storage for one ordered attribute pair in the dense backend.
+/// Count storage for one ordered attribute pair.
 #[derive(Debug, Clone, PartialEq)]
 enum PairBlock {
     /// Row-major `rows × stride` matrix with `stride == codes.len(target)`;
@@ -288,21 +268,6 @@ impl PairBlock {
             }
         }
     }
-}
-
-/// The ordered attribute pairs `(cond, target)`, `cond != target`, whose
-/// target attribute is in `targets`.
-fn ordered_pairs(ds: &Dataset, targets: &[bool]) -> Vec<(AttrId, AttrId)> {
-    let attrs: Vec<AttrId> = ds.schema().attrs().collect();
-    let mut pairs: Vec<(AttrId, AttrId)> = Vec::with_capacity(attrs.len() * attrs.len());
-    for &cond in &attrs {
-        for &target in &attrs {
-            if cond != target && targets[target.index()] {
-                pairs.push((cond, target));
-            }
-        }
-    }
-    pairs
 }
 
 /// The dense arm of the build: scatter one pair's rows into its count
@@ -455,7 +420,7 @@ fn is_mirror(targets: &[bool], cond: usize, target: usize) -> bool {
     targets[cond] && targets[target] && cond > target
 }
 
-/// The dense backend's blocks, one per ordered attribute pair (row-major
+/// The count blocks, one per ordered attribute pair (row-major
 /// `n_attrs × n_attrs`, diagonal and unheld targets empty), laid out by
 /// [`is_dense`]. Hash-free: a pair is either counted from the coded
 /// columns, one job per conditioning attribute, or — when both of its
@@ -509,18 +474,12 @@ fn build_blocks(
 }
 
 /// One co-occurrence group: every value of `target` co-occurring with a
-/// fixed `v_cond@cond`, with counts. Iteration order is
-/// backend-dependent (hash order vs code order) — consumers must not
-/// depend on it; every caller either re-sorts or folds order-insensitively.
+/// fixed `v_cond@cond`, with counts, visited in target code order (not
+/// symbol order: every caller either re-sorts or folds
+/// order-insensitively).
 #[derive(Debug, Clone, Copy)]
 pub enum GroupView<'a> {
-    /// Naive backend: the group's hash table of target codes, with the
-    /// target attribute's symbols by code.
-    Map {
-        syms: &'a [Sym],
-        counts: &'a FxHashMap<u32, u32>,
-    },
-    /// Dense backend, matrix block: one contiguous count row, indexed by
+    /// Matrix block: one contiguous count row, indexed by
     /// target code (`syms[code]` recovers the symbol). `nonzero` is the
     /// row's nonzero-entry count, letting iteration stop as
     /// soon as every live entry has been visited.
@@ -529,7 +488,7 @@ pub enum GroupView<'a> {
         counts: &'a [u32],
         nonzero: u32,
     },
-    /// Dense backend, CSR block: sorted `(target_code, count)` postings.
+    /// CSR block: sorted `(target_code, count)` postings.
     Csr {
         syms: &'a [Sym],
         postings: &'a [(u32, u32)],
@@ -541,11 +500,6 @@ impl GroupView<'_> {
     #[inline]
     pub fn for_each(&self, mut f: impl FnMut(Sym, u32)) {
         match *self {
-            GroupView::Map { syms, counts } => {
-                for (&t, &c) in counts {
-                    f(syms[t as usize], c);
-                }
-            }
             GroupView::Dense {
                 syms,
                 counts,
@@ -588,7 +542,6 @@ impl GroupView<'_> {
     #[inline]
     pub fn count_by_code(&self, t: u32) -> u32 {
         match *self {
-            GroupView::Map { counts, .. } => counts.get(&t).copied().unwrap_or(0),
             GroupView::Dense { counts, .. } => counts.get(t as usize).copied().unwrap_or(0),
             GroupView::Csr { postings, .. } => postings
                 .binary_search_by_key(&t, |&(tc, _)| tc)
@@ -607,13 +560,12 @@ impl GroupView<'_> {
 
 /// Size gauges of the statistics engine, surfaced through `StageTimings`
 /// into `diag` / `diag --json`. `dense_pairs`, `csr_pairs`, `dense_cells`
-/// and `bytes` describe the dense backend's storage (all zero under the
-/// naive oracle); `bytes` is a count-payload estimate, not
-/// allocator-exact. A mirrored pair (both attributes held targets; see
+/// and `bytes` describe the count storage; `bytes` is a count-payload
+/// estimate, not allocator-exact. A mirrored pair (both attributes held targets; see
 /// the module docs) counts like a counted one: it is stored in full.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct StatsStats {
-    /// Ordered attribute pairs built, on either backend: target
+    /// Ordered attribute pairs built: target
     /// attributes held × `(|A| − 1)`, of `|A| · (|A| − 1)`.
     pub pairs: u64,
     /// Ordered attribute pairs stored as dense matrices: those with
@@ -630,55 +582,45 @@ pub struct StatsStats {
     pub bytes: u64,
 }
 
-/// Count storage, either backend.
-#[derive(Debug, Clone)]
-enum Backend {
-    /// The retained oracle: `(A', A, code of v') → {code of v: count}`.
-    Naive {
-        table: FxHashMap<u64, FxHashMap<u32, u32>>,
-    },
-    /// One [`PairBlock`] per ordered attribute pair (row-major `n_attrs ×
-    /// n_attrs`, diagonal unused) and the number of non-empty groups.
-    Dense {
-        blocks: Vec<PairBlock>,
-        groups: usize,
-    },
-}
-
 /// Pairwise co-occurrence statistics.
 ///
 /// For every ordered attribute pair `(A', A)` and every non-null value `v'`
 /// of `A'`, stores the multiset of values of `A` that co-occur with `v'` in
 /// the same tuple. Construction is a single `O(|D| · |A|²)` pass. See the
-/// module docs for the value codes and the dense/naive backend split.
+/// module docs for the value codes and the count blocks.
 #[derive(Debug, Clone)]
 pub struct CooccurStats {
     codes: ValueCodes,
-    backend: Backend,
+    /// One [`PairBlock`] per ordered attribute pair (row-major `n_attrs ×
+    /// n_attrs`, diagonal and unheld targets empty).
+    blocks: Vec<PairBlock>,
+    /// Non-empty groups over all blocks.
+    groups: usize,
     /// `targets[a]`: whether the pairs `(·, a)` were built. Reading a pair
     /// outside them is a `debug_assert!` failure, never a silent zero.
     targets: Vec<bool>,
 }
 
 impl CooccurStats {
-    /// Builds co-occurrence statistics sequentially (dense backend).
+    /// Builds co-occurrence statistics sequentially.
     pub fn build(ds: &Dataset) -> Self {
         Self::build_with_opts(ds, 1, false)
     }
 
     /// Builds co-occurrence statistics with the ordered attribute pairs
-    /// sharded over up to `threads` worker threads (`0` = all cores) and
-    /// an explicit backend choice: `naive = true` selects the retained
-    /// hash-map oracle, `false` the dense engine.
+    /// sharded over up to `threads` worker threads (`0` = all cores).
     ///
-    /// Each `(cond, target)` pair owns a disjoint block (dense) or slice
-    /// of the key space (naive), so per-pair results merge without
-    /// collisions; within a pair, counts accumulate in tuple order exactly
-    /// as the sequential pass does. Lookups are keyed (no consumer
-    /// observes storage iteration order), so results are identical for
-    /// every thread count.
-    pub fn build_with_opts(ds: &Dataset, threads: usize, naive: bool) -> Self {
-        Self::build_for_targets(ds, threads, naive, &vec![true; ds.schema().len()])
+    /// Each `(cond, target)` pair owns a disjoint block, so per-pair
+    /// results merge without collisions; within a pair, counts accumulate
+    /// in tuple order exactly as the sequential pass does. Lookups are
+    /// keyed (no consumer observes storage iteration order), so results
+    /// are identical for every thread count.
+    ///
+    /// `_naive` is unread. It is kept only because the benchmark's staged
+    /// driver (`benchmark/src/staged.rs`) passes it, until ROADMAP item 14
+    /// drops that read.
+    pub fn build_with_opts(ds: &Dataset, threads: usize, _naive: bool) -> Self {
+        Self::build_for_targets(ds, threads, &vec![true; ds.schema().len()])
     }
 
     /// [`CooccurStats::build_with_opts`] restricted to the ordered pairs
@@ -688,21 +630,15 @@ impl CooccurStats {
     /// codes and their counts stay complete, every held pair is the
     /// block the full build holds, and the statistics remember the mask:
     /// see [`CooccurStats::holds_target`].
-    pub fn build_for_targets(ds: &Dataset, threads: usize, naive: bool, targets: &[bool]) -> Self {
+    pub fn build_for_targets(ds: &Dataset, threads: usize, targets: &[bool]) -> Self {
         assert_eq!(targets.len(), ds.schema().len(), "one flag per attribute");
         let codes = ValueCodes::build(ds);
-        let backend = if naive {
-            Backend::Naive {
-                table: build_naive_table(ds, threads, targets),
-            }
-        } else {
-            let blocks = build_blocks(&codes, ds, threads, targets);
-            let groups = blocks.iter().map(PairBlock::group_rows).sum();
-            Backend::Dense { blocks, groups }
-        };
+        let blocks = build_blocks(&codes, ds, threads, targets);
+        let groups = blocks.iter().map(PairBlock::group_rows).sum();
         CooccurStats {
             codes,
-            backend,
+            blocks,
+            groups,
             targets: targets.to_vec(),
         }
     }
@@ -714,11 +650,6 @@ impl CooccurStats {
     /// [`CooccurStats::for_each_group_of`] visits held targets only.
     pub fn holds_target(&self, target: AttrId) -> bool {
         self.targets[target.index()]
-    }
-
-    /// Whether the dense backend is active (false = naive oracle).
-    pub fn is_dense(&self) -> bool {
-        matches!(self.backend, Backend::Dense { .. })
     }
 
     /// The value codes the statistics read: the table's dictionaries and
@@ -789,25 +720,14 @@ impl CooccurStats {
     #[inline]
     pub fn group_by_code(&self, cond: AttrId, code: u32, target: AttrId) -> Option<GroupView<'_>> {
         debug_assert!(self.holds_target(target), "pairs of {target:?} not built");
-        let syms = self.codes.syms(target);
-        match &self.backend {
-            Backend::Naive { table } => {
-                let counts = table.get(&key(cond, target, code))?;
-                Some(GroupView::Map { syms, counts })
-            }
-            Backend::Dense { blocks, .. } => {
-                let n = self.targets.len();
-                blocks[cond.index() * n + target.index()].group(code as usize, syms)
-            }
-        }
+        let n = self.targets.len();
+        let block = &self.blocks[cond.index() * n + target.index()];
+        block.group(code as usize, self.codes.syms(target))
     }
 
     /// Number of distinct `(cond, target, v_cond)` groups stored.
     pub fn group_count(&self) -> usize {
-        match &self.backend {
-            Backend::Naive { table } => table.len(),
-            Backend::Dense { groups, .. } => *groups,
-        }
+        self.groups
     }
 
     /// Calls `f(target, code, group)` once for every non-empty group
@@ -815,8 +735,7 @@ impl CooccurStats {
     /// value's — the block-level walk that whole-statistics consumers (the
     /// Algorithm 2 threshold index) use instead of probing
     /// [`CooccurStats::group`] per value. Groups are visited target-major
-    /// in code order; entry order inside a group follows the backend, so
-    /// callers must fold it order-insensitively.
+    /// in code order, entries inside a group in target code order.
     pub fn for_each_group_of(&self, cond: AttrId, mut f: impl FnMut(AttrId, u32, GroupView<'_>)) {
         let n = self.targets.len();
         for target in (0..n).map(|t| AttrId(t as u16)) {
@@ -836,67 +755,33 @@ impl CooccurStats {
         let mut s = StatsStats::default();
         let held = self.targets.iter().filter(|&&t| t).count();
         s.pairs = (held * self.targets.len().saturating_sub(1)) as u64;
-        if let Backend::Dense { blocks, .. } = &self.backend {
-            let n = self.targets.len();
-            for cond in 0..n {
-                for target in 0..n {
-                    if cond == target || !self.targets[target] {
-                        continue;
+        let n = self.targets.len();
+        for cond in 0..n {
+            for target in (0..n).filter(|&t| t != cond && self.targets[t]) {
+                match &self.blocks[cond * n + target] {
+                    PairBlock::Dense {
+                        counts, nonzero, ..
+                    } => {
+                        s.dense_pairs += 1;
+                        s.dense_cells += counts.len() as u64;
+                        s.bytes += 4 * (counts.len() + nonzero.len()) as u64;
                     }
-                    match &blocks[cond * n + target] {
-                        PairBlock::Dense {
-                            counts, nonzero, ..
-                        } => {
-                            s.dense_pairs += 1;
-                            s.dense_cells += counts.len() as u64;
-                            s.bytes += 4 * (counts.len() + nonzero.len()) as u64;
-                        }
-                        PairBlock::Csr { offsets, postings } => {
-                            s.csr_pairs += 1;
-                            s.bytes += 4 * offsets.len() as u64 + 8 * postings.len() as u64;
-                        }
+                    PairBlock::Csr { offsets, postings } => {
+                        s.csr_pairs += 1;
+                        s.bytes += 4 * offsets.len() as u64 + 8 * postings.len() as u64;
                     }
                 }
             }
-            s.bytes += self.codes.bytes();
         }
+        s.bytes += self.codes.bytes();
         s
     }
-}
-
-/// Full build of the naive oracle table, sharded per ordered pair.
-fn build_naive_table(
-    ds: &Dataset,
-    threads: usize,
-    targets: &[bool],
-) -> FxHashMap<u64, FxHashMap<u32, u32>> {
-    let pairs = ordered_pairs(ds, targets);
-    let threads = holo_parallel::sized_threads(threads, pairs.len() * ds.tuple_count());
-    let per_pair = holo_parallel::parallel_jobs(threads, pairs.len(), |i| {
-        let (cond, target) = pairs[i];
-        let mut local: FxHashMap<u64, FxHashMap<u32, u32>> = FxHashMap::default();
-        for (&c, &t) in ds.codes(cond).iter().zip(ds.codes(target)) {
-            if c == NULL_CODE || t == NULL_CODE {
-                continue;
-            }
-            *local
-                .entry(key(cond, target, c))
-                .or_default()
-                .entry(t)
-                .or_insert(0) += 1;
-        }
-        local
-    });
-    let mut table: FxHashMap<u64, FxHashMap<u32, u32>> = FxHashMap::default();
-    for local in per_pair {
-        table.extend(local);
-    }
-    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fxhash::FxHashMap;
     use crate::schema::Schema;
     use crate::table::TupleId;
     use proptest::prelude::*;
@@ -917,83 +802,73 @@ mod tests {
         let city = ds.schema().attr_id("City").unwrap();
         let chicago = ds.pool().get("Chicago").unwrap();
         let cicago = ds.pool().get("Cicago").unwrap();
-        for naive in [false, true] {
-            let s = CooccurStats::build_with_opts(&ds, 1, naive);
-            assert_eq!(s.count(city, chicago), 3);
-            assert_eq!(s.count(city, cicago), 1);
-            assert_eq!(s.count(city, Sym::NULL), 1);
-            assert_eq!((s.tuple_count(), s.distinct(city)), (5, 3));
-        }
+        let s = CooccurStats::build(&ds);
+        assert_eq!(s.count(city, chicago), 3);
+        assert_eq!(s.count(city, cicago), 1);
+        assert_eq!(s.count(city, Sym::NULL), 1);
+        assert_eq!((s.tuple_count(), s.distinct(city)), (5, 3));
     }
 
     #[test]
     fn cooccurrence_counts() {
         let ds = chicago();
-        for naive in [false, true] {
-            let s = CooccurStats::build_with_opts(&ds, 1, naive);
-            let city = ds.schema().attr_id("City").unwrap();
-            let zip = ds.schema().attr_id("Zip").unwrap();
-            let chicago = ds.pool().get("Chicago").unwrap();
-            let z08 = ds.pool().get("60608").unwrap();
-            let z09 = ds.pool().get("60609").unwrap();
-            // "Chicago" co-occurs with 60608 twice and 60609 once.
-            assert_eq!(s.cooccur_count(city, chicago, zip, z08), 2);
-            assert_eq!(s.cooccur_count(city, chicago, zip, z09), 1);
-            // Conditioning the other way: of 4 tuples with zip 60608, 2 say Chicago.
-            assert_eq!(s.cooccur_count(zip, z08, city, chicago), 2);
-            assert!((s.conditional_prob(zip, z08, city, chicago) - 0.5).abs() < 1e-12);
-        }
+        let s = CooccurStats::build(&ds);
+        let city = ds.schema().attr_id("City").unwrap();
+        let zip = ds.schema().attr_id("Zip").unwrap();
+        let chicago = ds.pool().get("Chicago").unwrap();
+        let z08 = ds.pool().get("60608").unwrap();
+        let z09 = ds.pool().get("60609").unwrap();
+        // "Chicago" co-occurs with 60608 twice and 60609 once.
+        assert_eq!(s.cooccur_count(city, chicago, zip, z08), 2);
+        assert_eq!(s.cooccur_count(city, chicago, zip, z09), 1);
+        // Conditioning the other way: of 4 tuples with zip 60608, 2 say Chicago.
+        assert_eq!(s.cooccur_count(zip, z08, city, chicago), 2);
+        assert!((s.conditional_prob(zip, z08, city, chicago) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn nulls_do_not_cooccur() {
         let ds = chicago();
-        for naive in [false, true] {
-            let s = CooccurStats::build_with_opts(&ds, 1, naive);
-            let city = ds.schema().attr_id("City").unwrap();
-            let zip = ds.schema().attr_id("Zip").unwrap();
-            let z08 = ds.pool().get("60608").unwrap();
-            // The null city of t4 must not appear among zip→city co-occurrences.
-            let g = s.group(zip, z08, city).unwrap();
-            let mut saw_null = false;
-            g.for_each(|v, _| saw_null |= v.is_null());
-            assert!(!saw_null);
-            // Sum over city values for 60608 = 3 non-null cities (2 Chicago + 1 Cicago).
-            assert_eq!(g.total(), 3);
-        }
+        let s = CooccurStats::build(&ds);
+        let city = ds.schema().attr_id("City").unwrap();
+        let zip = ds.schema().attr_id("Zip").unwrap();
+        let z08 = ds.pool().get("60608").unwrap();
+        // The null city of t4 must not appear among zip→city co-occurrences.
+        let g = s.group(zip, z08, city).unwrap();
+        let mut saw_null = false;
+        g.for_each(|v, _| saw_null |= v.is_null());
+        assert!(!saw_null);
+        // Sum over city values for 60608 = 3 non-null cities (2 Chicago + 1 Cicago).
+        assert_eq!(g.total(), 3);
     }
 
     #[test]
     fn conditional_prob_of_unseen_is_zero() {
         let ds = chicago();
-        for naive in [false, true] {
-            let s = CooccurStats::build_with_opts(&ds, 1, naive);
-            let city = ds.schema().attr_id("City").unwrap();
-            let state = ds.schema().attr_id("State").unwrap();
-            let cicago = ds.pool().get("Cicago").unwrap();
-            let z09 = ds.pool().get("60609").unwrap();
-            // Cicago never co-occurs with 60609.
-            let zip = ds.schema().attr_id("Zip").unwrap();
-            assert_eq!(s.conditional_prob(city, cicago, zip, z09), 0.0);
-            // And an unseen conditioning value yields 0, not a panic.
-            let ghost = Sym(9999);
-            assert_eq!(s.conditional_prob(state, ghost, city, cicago), 0.0);
-        }
+        let s = CooccurStats::build(&ds);
+        let city = ds.schema().attr_id("City").unwrap();
+        let state = ds.schema().attr_id("State").unwrap();
+        let cicago = ds.pool().get("Cicago").unwrap();
+        let z09 = ds.pool().get("60609").unwrap();
+        // Cicago never co-occurs with 60609.
+        let zip = ds.schema().attr_id("Zip").unwrap();
+        assert_eq!(s.conditional_prob(city, cicago, zip, z09), 0.0);
+        // And an unseen conditioning value yields 0, not a panic.
+        let ghost = Sym(9999);
+        assert_eq!(s.conditional_prob(state, ghost, city, cicago), 0.0);
     }
 
     #[test]
     fn empty_dataset() {
         let ds = Dataset::new(Schema::new(vec!["a", "b"]));
-        for naive in [false, true] {
-            let s = CooccurStats::build_with_opts(&ds, 1, naive);
-            assert_eq!(s.group_count(), 0);
-            assert_eq!((s.tuple_count(), s.distinct(AttrId(0))), (0, 0));
-            assert_eq!(s.count(AttrId(1), Sym::NULL), 0);
-        }
+        let s = CooccurStats::build(&ds);
+        assert_eq!(s.group_count(), 0);
+        assert_eq!((s.tuple_count(), s.distinct(AttrId(0))), (0, 0));
+        assert_eq!(s.count(AttrId(1), Sym::NULL), 0);
     }
 
     /// The pair-sharded parallel build answers every query identically to
-    /// the sequential pass, at several thread counts, on both backends.
+    /// the sequential pass, at several thread counts.
     #[test]
     fn threaded_build_matches_sequential() {
         let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c", "d"]));
@@ -1009,24 +884,22 @@ mod tests {
                 format!("d{}", i % 3),
             ]);
         }
-        for naive in [false, true] {
-            let sequential = CooccurStats::build_with_opts(&ds, 1, naive);
-            for threads in [2, 4, 8] {
-                let parallel = CooccurStats::build_with_opts(&ds, threads, naive);
-                assert_eq!(parallel.group_count(), sequential.group_count());
-                for cond in ds.schema().attrs() {
-                    for target in ds.schema().attrs() {
-                        if cond == target {
-                            continue;
-                        }
-                        for v_cond in ds.active_domain(cond) {
-                            for v in ds.active_domain(target) {
-                                assert_eq!(
-                                    parallel.cooccur_count(cond, v_cond, target, v),
-                                    sequential.cooccur_count(cond, v_cond, target, v),
-                                    "threads = {threads}, naive = {naive}"
-                                );
-                            }
+        let sequential = CooccurStats::build(&ds);
+        for threads in [2, 4, 8] {
+            let parallel = CooccurStats::build_with_opts(&ds, threads, false);
+            assert_eq!(parallel.group_count(), sequential.group_count());
+            for cond in ds.schema().attrs() {
+                for target in ds.schema().attrs() {
+                    if cond == target {
+                        continue;
+                    }
+                    for v_cond in ds.active_domain(cond) {
+                        for v in ds.active_domain(target) {
+                            assert_eq!(
+                                parallel.cooccur_count(cond, v_cond, target, v),
+                                sequential.cooccur_count(cond, v_cond, target, v),
+                                "threads = {threads}"
+                            );
                         }
                     }
                 }
@@ -1034,20 +907,28 @@ mod tests {
         }
     }
 
-    /// Engine gauges: the dense backend reports its blocks, the oracle
-    /// reports zero storage.
+    /// Engine gauges: every held pair is a block of one arm or the other.
     #[test]
     fn stats_stats_gauges() {
         let ds = chicago();
-        let dense = CooccurStats::build(&ds);
-        let s = dense.stats_stats();
+        let s = CooccurStats::build(&ds).stats_stats();
         assert_eq!(s.dense_pairs + s.csr_pairs, 6); // 3 attrs → 6 ordered pairs
         assert!(s.dense_cells > 0);
         assert!(s.bytes > 0);
-        let naive = CooccurStats::build_with_opts(&ds, 1, true);
-        let s = naive.stats_stats();
-        assert_eq!(s.dense_pairs + s.csr_pairs, 0);
-        assert_eq!(s.bytes, 0);
+    }
+
+    /// `build_with_opts` ignores its `naive` flag: both values build the
+    /// same blocks, at any thread count.
+    #[test]
+    fn naive_flag_is_unread() {
+        let ds = chicago();
+        for threads in [1, 4] {
+            let naive = CooccurStats::build_with_opts(&ds, threads, true);
+            let dense = CooccurStats::build_with_opts(&ds, threads, false);
+            assert_eq!(naive.blocks, dense.blocks);
+            assert_eq!(naive.groups, dense.groups);
+            assert_eq!(naive.targets, dense.targets);
+        }
     }
 
     /// A pair whose `|V_cond| × |V_target|` exceeds the matrix budget is
@@ -1067,15 +948,7 @@ mod tests {
         }
         let dense = CooccurStats::build_with_opts(&ds, 2, false);
         assert_eq!(dense.stats_stats().csr_pairs, 2, "a→b and b→a");
-        assert_backends_agree(&ds, &dense, &CooccurStats::build_with_opts(&ds, 2, true));
-    }
-
-    /// The blocks of `stats` (dense backend), one per ordered pair.
-    fn blocks(stats: &CooccurStats) -> &[PairBlock] {
-        match &stats.backend {
-            Backend::Dense { blocks, .. } => blocks,
-            Backend::Naive { .. } => unreachable!("the dense backend"),
-        }
+        assert_backends_agree(&ds, &dense, &Naive::build(&ds, &[true; 3]));
     }
 
     /// Every held block of `stats` — mirrored or counted — is the block a
@@ -1086,7 +959,7 @@ mod tests {
         let mut mirrored = 0;
         for cond in 0..n {
             for target in (0..n).filter(|&t| t != cond && stats.targets[t]) {
-                let block = &blocks(stats)[cond * n + target];
+                let block = &stats.blocks[cond * n + target];
                 let direct = count_block(&stats.codes, ds, (cond, target), &mut None);
                 assert_eq!(block, &direct, "{cond} → {target}");
                 mirrored += usize::from(is_mirror(&stats.targets, cond, target));
@@ -1114,8 +987,8 @@ mod tests {
     }
 
     /// A build restricted to some target attributes holds, for each of
-    /// them, the very pairs the full build holds — dense, CSR and naive —
-    /// and nothing else: the walks skip the other targets, the gauges
+    /// them, the very pairs the full build holds — matrix and CSR — and
+    /// nothing else: the walks skip the other targets, the gauges
     /// count the held pairs only, codes and value counts stay complete.
     #[test]
     fn restricted_build_holds_the_full_builds_pairs_for_its_targets() {
@@ -1135,51 +1008,47 @@ mod tests {
             ds.push_row(&row);
         }
         let targets = [false, true, true, false];
-        for naive in [false, true] {
-            let full = CooccurStats::build_with_opts(&ds, 2, naive);
-            let held = CooccurStats::build_for_targets(&ds, 2, naive, &targets);
-            assert_eq!(held.stats_stats().pairs, 6);
-            assert_eq!(full.stats_stats().pairs, 12);
-            if !naive {
-                assert_eq!(full.stats_stats().csr_pairs, 2, "a→b and b→a");
-                assert_eq!(held.stats_stats().csr_pairs, 1, "a→b");
-                assert_eq!(held.stats_stats().dense_pairs, 5);
-            }
-            let mut walked = 0;
-            for cond in ds.schema().attrs() {
-                assert_eq!(held.distinct(cond), full.distinct(cond));
-                held.for_each_group_of(cond, |target, code, group| {
-                    assert!(held.holds_target(target));
-                    let entries = |g: GroupView<'_>| {
-                        let mut out = Vec::new();
-                        g.for_each(|v, c| out.push((v, c)));
-                        out.sort_unstable();
-                        out
-                    };
-                    let same = full
-                        .group_by_code(cond, code, target)
-                        .expect("the full build's group");
-                    assert_eq!(entries(group), entries(same));
-                    walked += 1;
-                });
-                for target in ds
-                    .schema()
-                    .attrs()
-                    .filter(|&t| t != cond && targets[t.index()])
-                {
-                    for v_cond in ds.active_domain(cond) {
-                        for v in ds.active_domain(target) {
-                            assert_eq!(
-                                held.cooccur_count(cond, v_cond, target, v),
-                                full.cooccur_count(cond, v_cond, target, v)
-                            );
-                        }
+        let full = CooccurStats::build_with_opts(&ds, 2, false);
+        let held = CooccurStats::build_for_targets(&ds, 2, &targets);
+        assert_eq!(held.stats_stats().pairs, 6);
+        assert_eq!(full.stats_stats().pairs, 12);
+        assert_eq!(full.stats_stats().csr_pairs, 2, "a→b and b→a");
+        assert_eq!(held.stats_stats().csr_pairs, 1, "a→b");
+        assert_eq!(held.stats_stats().dense_pairs, 5);
+        let mut walked = 0;
+        for cond in ds.schema().attrs() {
+            assert_eq!(held.distinct(cond), full.distinct(cond));
+            held.for_each_group_of(cond, |target, code, group| {
+                assert!(held.holds_target(target));
+                let entries = |g: GroupView<'_>| {
+                    let mut out = Vec::new();
+                    g.for_each(|v, c| out.push((v, c)));
+                    out.sort_unstable();
+                    out
+                };
+                let same = full
+                    .group_by_code(cond, code, target)
+                    .expect("the full build's group");
+                assert_eq!(entries(group), entries(same));
+                walked += 1;
+            });
+            for target in ds
+                .schema()
+                .attrs()
+                .filter(|&t| t != cond && targets[t.index()])
+            {
+                for v_cond in ds.active_domain(cond) {
+                    for v in ds.active_domain(target) {
+                        assert_eq!(
+                            held.cooccur_count(cond, v_cond, target, v),
+                            full.cooccur_count(cond, v_cond, target, v)
+                        );
                     }
                 }
             }
-            assert_eq!(walked, held.group_count());
-            assert!(held.group_count() < full.group_count());
         }
+        assert_eq!(walked, held.group_count());
+        assert!(held.group_count() < full.group_count());
     }
 
     /// Reading a pair that was not built is a bug in the caller's target
@@ -1189,7 +1058,7 @@ mod tests {
     #[should_panic(expected = "not built")]
     fn reading_an_unheld_target_is_a_debug_assertion() {
         let ds = chicago();
-        let held = CooccurStats::build_for_targets(&ds, 1, false, &[true, false, true]);
+        let held = CooccurStats::build_for_targets(&ds, 1, &[true, false, true]);
         let chicago = ds.pool().get("Chicago").unwrap();
         held.group(AttrId(0), chicago, AttrId(1));
     }
@@ -1254,44 +1123,82 @@ mod tests {
         }
     }
 
-    /// Asserts the two engines answer every query identically on the
-    /// current dataset, over the target attributes they hold.
-    fn assert_backends_agree(ds: &Dataset, dense: &CooccurStats, naive: &CooccurStats) {
-        assert!(dense.is_dense() && !naive.is_dense());
-        assert_eq!(dense.tuple_count(), naive.tuple_count());
-        assert_eq!(dense.group_count(), naive.group_count());
-        for a in ds.schema().attrs() {
-            assert_eq!(dense.codes().syms(a), naive.codes().syms(a));
+    /// The nested hash-map statistics the count blocks replaced, kept as
+    /// their reference: per held ordered pair and non-null conditioning
+    /// value, the counts of the non-null target values beside it, read
+    /// from the cells.
+    struct Naive {
+        groups: FxHashMap<(AttrId, AttrId, Sym), FxHashMap<Sym, u32>>,
+        targets: Vec<bool>,
+    }
+
+    impl Naive {
+        fn build(ds: &Dataset, targets: &[bool]) -> Self {
+            let mut groups: FxHashMap<_, FxHashMap<Sym, u32>> = FxHashMap::default();
+            let attrs = || ds.schema().attrs();
+            for cond in attrs() {
+                for target in attrs().filter(|&a| a != cond && targets[a.index()]) {
+                    for t in ds.tuples() {
+                        let (c, v) = (ds.cell(t, cond), ds.cell(t, target));
+                        if !c.is_null() && !v.is_null() {
+                            let group = groups.entry((cond, target, c)).or_default();
+                            *group.entry(v).or_insert(0) += 1;
+                        }
+                    }
+                }
+            }
+            Naive {
+                groups,
+                targets: targets.to_vec(),
+            }
         }
+
+        /// The group of `v_cond@cond` → `target`, in symbol order.
+        fn group(&self, cond: AttrId, v_cond: Sym, target: AttrId) -> Option<Vec<(Sym, u32)>> {
+            let group = self.groups.get(&(cond, target, v_cond))?;
+            let mut out: Vec<(Sym, u32)> = group.iter().map(|(&v, &c)| (v, c)).collect();
+            out.sort_unstable();
+            Some(out)
+        }
+
+        fn cooccur_count(&self, cond: AttrId, v_cond: Sym, target: AttrId, v: Sym) -> u32 {
+            let group = self.groups.get(&(cond, target, v_cond));
+            group.and_then(|g| g.get(&v)).copied().unwrap_or(0)
+        }
+    }
+
+    /// Asserts the count blocks answer every query the hash-map reference
+    /// does on the current dataset, over the target attributes they hold.
+    fn assert_backends_agree(ds: &Dataset, dense: &CooccurStats, naive: &Naive) {
+        assert_eq!(dense.tuple_count(), ds.tuple_count());
+        assert_eq!(dense.group_count(), naive.groups.len());
         assert_code_reads_agree(ds, dense);
-        assert_code_reads_agree(ds, naive);
         for cond in ds.schema().attrs() {
             for target in ds.schema().attrs() {
+                assert_eq!(naive.targets[target.index()], dense.holds_target(target));
                 if cond == target || !dense.holds_target(target) {
-                    assert_eq!(naive.holds_target(target), dense.holds_target(target));
                     continue;
                 }
                 let target_domain = ds.active_domain(target);
                 for v_cond in ds.active_domain(cond) {
-                    assert_eq!(dense.count(cond, v_cond), naive.count(cond, v_cond));
+                    let denom = cells_holding(ds, cond, v_cond);
+                    assert_eq!(dense.count(cond, v_cond), denom);
                     let dg = dense.group(cond, v_cond, target);
-                    let ng = naive.group(cond, v_cond, target);
-                    assert_eq!(dg.is_some(), ng.is_some(), "group presence differs");
-                    if let (Some(dg), Some(ng)) = (dg, ng) {
-                        assert_eq!(
-                            sorted_entries(dg),
-                            sorted_entries(ng),
-                            "group contents differ"
-                        );
-                    }
+                    assert_eq!(
+                        dg.map(sorted_entries),
+                        naive.group(cond, v_cond, target),
+                        "group contents differ"
+                    );
                     for &v in &target_domain {
-                        assert_eq!(
-                            dense.cooccur_count(cond, v_cond, target, v),
-                            naive.cooccur_count(cond, v_cond, target, v)
-                        );
+                        let count = naive.cooccur_count(cond, v_cond, target, v);
+                        assert_eq!(dense.cooccur_count(cond, v_cond, target, v), count);
+                        let p = match denom {
+                            0 => 0.0,
+                            _ => f64::from(count) / f64::from(denom),
+                        };
                         assert_eq!(
                             dense.conditional_prob(cond, v_cond, target, v).to_bits(),
-                            naive.conditional_prob(cond, v_cond, target, v).to_bits()
+                            p.to_bits()
                         );
                     }
                 }
@@ -1343,7 +1250,7 @@ mod tests {
     }
 
     proptest! {
-        /// Dense engine ≡ hash-map oracle: identical `count` /
+        /// Count blocks ≡ hash-map reference: identical `count` /
         /// `cooccur_count` / `cond_prob` / group / `group_count` answers when
         /// built over random datasets at every stage of an edit (fresh,
         /// appended to, updated in place — so the pool holds values no row
@@ -1362,9 +1269,8 @@ mod tests {
             for threads in [1usize, 4] {
                 let agree = |ds: &Dataset| {
                     for targets in [[true; 3], masked] {
-                        let dense = CooccurStats::build_for_targets(ds, threads, false, &targets);
-                        let naive = CooccurStats::build_for_targets(ds, threads, true, &targets);
-                        assert_backends_agree(ds, &dense, &naive);
+                        let dense = CooccurStats::build_for_targets(ds, threads, &targets);
+                        assert_backends_agree(ds, &dense, &Naive::build(ds, &targets));
                     }
                 };
                 let mut ds = Dataset::new(Schema::new(vec!["a", "b", "c"]));
@@ -1416,7 +1322,7 @@ mod tests {
             let targets: Vec<bool> = (0..5).map(|i| mask & (1 << i) != 0).collect();
             let held = targets.iter().filter(|&&t| t).count();
             for threads in [1usize, 4] {
-                let stats = CooccurStats::build_for_targets(&ds, threads, false, &targets);
+                let stats = CooccurStats::build_for_targets(&ds, threads, &targets);
                 let mirrored = assert_blocks_are_direct_counts(&ds, &stats);
                 prop_assert_eq!(mirrored, held * held.saturating_sub(1) / 2);
             }
@@ -1440,8 +1346,7 @@ mod tests {
 
         /// The statistics' value counts are the cells' exactly: `count` of
         /// every pool symbol (null, values no row holds any more included),
-        /// `distinct` and `tuple_count`, on both backends under a random
-        /// target mask, over tables with nulls, an all-null column and a
+        /// `distinct` and `tuple_count`, under a random target mask, over tables with nulls, an all-null column and a
         /// constant column, the empty table included.
         #[test]
         fn value_counts_match_frequency_stats(
@@ -1458,16 +1363,14 @@ mod tests {
                 ds.update_rows(&[(TupleId::from(0usize), row)]);
             }
             let targets: Vec<bool> = (0..4).map(|i| mask & (1 << i) != 0).collect();
-            for naive in [false, true] {
-                let stats = CooccurStats::build_for_targets(&ds, 2, naive, &targets);
-                prop_assert_eq!(stats.tuple_count(), ds.tuple_count());
-                for a in ds.schema().attrs() {
-                    let held: std::collections::BTreeSet<Sym> =
-                        ds.tuples().map(|t| ds.cell(t, a)).collect();
-                    prop_assert_eq!(stats.distinct(a), held.len());
-                    for v in ds.pool().iter().map(|(v, _)| v).chain([Sym::NULL]) {
-                        prop_assert_eq!(stats.count(a, v), cells_holding(&ds, a, v));
-                    }
+            let stats = CooccurStats::build_for_targets(&ds, 2, &targets);
+            prop_assert_eq!(stats.tuple_count(), ds.tuple_count());
+            for a in ds.schema().attrs() {
+                let held: std::collections::BTreeSet<Sym> =
+                    ds.tuples().map(|t| ds.cell(t, a)).collect();
+                prop_assert_eq!(stats.distinct(a), held.len());
+                for v in ds.pool().iter().map(|(v, _)| v).chain([Sym::NULL]) {
+                    prop_assert_eq!(stats.count(a, v), cells_holding(&ds, a, v));
                 }
             }
         }
@@ -1479,7 +1382,7 @@ mod tests {
         /// agree, value string by value string, with statistics over the
         /// table re-read from CSV — so codes whose last cell was
         /// overwritten, and codes appended out of first-appearance order,
-        /// leak into no answer. Both backends.
+        /// leak into no answer.
         #[test]
         fn edited_table_reads_like_a_fresh_one(
             ops in proptest::collection::vec((0u8..3, 0usize..64, 0u8..6, 0u8..4, 0u8..6), 0..50),
@@ -1514,31 +1417,29 @@ mod tests {
                 .iter()
                 .map(|(v, text)| (v, fresh.pool().get(text)))
                 .collect();
-            for naive in [false, true] {
-                let edited = CooccurStats::build_with_opts(&ds, 2, naive);
-                let reread = CooccurStats::build_with_opts(&fresh, 2, naive);
-                prop_assert_eq!(edited.tuple_count(), reread.tuple_count());
-                for a in ds.schema().attrs() {
-                    prop_assert_eq!(edited.distinct(a), reread.distinct(a));
-                    for &(v, f) in &values {
-                        prop_assert_eq!(edited.count(a, v), f.map_or(0, |f| reread.count(a, f)));
-                    }
+            let edited = CooccurStats::build_with_opts(&ds, 2, false);
+            let reread = CooccurStats::build_with_opts(&fresh, 2, false);
+            prop_assert_eq!(edited.tuple_count(), reread.tuple_count());
+            for a in ds.schema().attrs() {
+                prop_assert_eq!(edited.distinct(a), reread.distinct(a));
+                for &(v, f) in &values {
+                    prop_assert_eq!(edited.count(a, v), f.map_or(0, |f| reread.count(a, f)));
                 }
-                for cond in ds.schema().attrs() {
-                    for target in ds.schema().attrs().filter(|&t| t != cond) {
-                        for &(vc, fc) in &values {
-                            for &(v, f) in &values {
-                                let (count, p) = match (fc, f) {
-                                    (Some(fc), Some(f)) => (
-                                        reread.cooccur_count(cond, fc, target, f),
-                                        reread.conditional_prob(cond, fc, target, f),
-                                    ),
-                                    _ => (0, 0.0),
-                                };
-                                prop_assert_eq!(edited.cooccur_count(cond, vc, target, v), count);
-                                let got = edited.conditional_prob(cond, vc, target, v);
-                                prop_assert_eq!(got.to_bits(), p.to_bits());
-                            }
+            }
+            for cond in ds.schema().attrs() {
+                for target in ds.schema().attrs().filter(|&t| t != cond) {
+                    for &(vc, fc) in &values {
+                        for &(v, f) in &values {
+                            let (count, p) = match (fc, f) {
+                                (Some(fc), Some(f)) => (
+                                    reread.cooccur_count(cond, fc, target, f),
+                                    reread.conditional_prob(cond, fc, target, f),
+                                ),
+                                _ => (0, 0.0),
+                            };
+                            prop_assert_eq!(edited.cooccur_count(cond, vc, target, v), count);
+                            let got = edited.conditional_prob(cond, vc, target, v);
+                            prop_assert_eq!(got.to_bits(), p.to_bits());
                         }
                     }
                 }
@@ -1595,7 +1496,8 @@ mod tests {
         // every code pair of the 600 × 230 blocks.
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// The CSR arm ≡ the oracle, and ≡ the packed-key sort it replaced:
+        /// The CSR arm ≡ the hash-map reference, and ≡ the packed-key sort it
+        /// replaced:
         /// random tables whose `a ↔ b` pairs exceed the matrix budget
         /// (600 values of `a` × ~230 of `b`), with null targets, repeated
         /// pairs, conditioning values whose every row has a null target
@@ -1632,11 +1534,10 @@ mod tests {
             let masked = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
             for targets in [masked, [true, true, mask & 4 != 0]] {
                 for threads in [1usize, 4] {
-                    let dense = CooccurStats::build_for_targets(&ds, threads, false, &targets);
-                    let naive = CooccurStats::build_for_targets(&ds, threads, true, &targets);
+                    let dense = CooccurStats::build_for_targets(&ds, threads, &targets);
                     let csr = usize::from(targets[0]) + usize::from(targets[1]);
                     prop_assert_eq!(dense.stats_stats().csr_pairs, csr as u64, "a→b, b→a");
-                    assert_backends_agree(&ds, &dense, &naive);
+                    assert_backends_agree(&ds, &dense, &Naive::build(&ds, &targets));
                 }
             }
             for (cond, target) in [(AttrId(0), AttrId(1)), (AttrId(1), AttrId(0))] {

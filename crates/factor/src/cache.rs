@@ -1,27 +1,27 @@
-//! The frozen-weight score cache of one partitioned inference pass.
+//! The frozen-weight score cache of one inference pass.
 //!
-//! During inference the weight vector is frozen, yet the Gibbs conditional
-//! used to re-run the CSR dot-product kernel over a variable's whole row
-//! range on every resample of every sweep of every chain — the same unary
-//! scores, recomputed millions of times on hospital-scale runs.
-//! [`ScoreCache`] amortises that: one parallel pass at the top of
+//! During inference the weight vector is frozen, yet a Gibbs conditional
+//! that re-ran the CSR dot-product kernel over a variable's whole row range
+//! on every resample of every sweep would recompute the same unary scores
+//! millions of times on hospital-scale runs. [`ScoreCache`] amortises that:
+//! one parallel pass at the top of
 //! [`infer_partitioned`](crate::components::infer_partitioned) evaluates
 //! every design row once through the same blocked kernel
 //! ([`score_features`](crate::design::score_features)), and all three
 //! inference engines read the resulting `f64`-per-row table — Gibbs
-//! conditionals start from a memcpy of the cached row range instead of a
-//! matrix walk, exact enumeration drops its private per-component unary
-//! precompute, and the clique-free closed form softmaxes straight off the
-//! cache.
+//! conditionals start from a memcpy of the cached row range, exact
+//! enumeration reads each variable's slice, and the clique-free closed
+//! form softmaxes straight off the cache. A standalone
+//! [`GibbsSampler::new`](crate::gibbs::GibbsSampler::new) builds a cache
+//! of its own.
 //!
 //! ## Bit-identity
 //!
 //! Each row's score depends only on its own entries — the blocked kernel's
 //! lane split is fixed by the entry count — so scoring rows in parallel
-//! chunks produces exactly the bytes the sequential walk would, and every
-//! consumer sees the same addition order it performed before the cache
-//! existed. Repairs and posteriors are byte-identical with the cache on or
-//! off (CI pins this on hospital).
+//! chunks produces exactly the bytes
+//! [`DesignMatrix::score_var_into`] would, at any thread count
+//! (`cache_matches_score_var_into_bit_for_bit`).
 //!
 //! ## Freshness
 //!
@@ -38,11 +38,11 @@ use serde::{Deserialize, Serialize};
 
 /// What one inference pass's score cache did — rides in
 /// [`PartitionStats`](crate::components::PartitionStats) (and from there
-/// `StageTimings` and `diag --json`). All-zero when the knob is off.
+/// `StageTimings` and `diag --json`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScoreCacheStats {
-    /// Cache builds this pass: 1 when the cache was on, 0 when off. Never
-    /// higher — the cache is per-call, not per-component.
+    /// Cache builds this pass: always 1 — the cache is per-call, not
+    /// per-component.
     pub builds: u64,
     /// Design rows scored by the build pass (one `f64` each).
     pub rows: u64,
@@ -51,6 +51,7 @@ pub struct ScoreCacheStats {
 /// Every design row's blocked-kernel score under one frozen weight vector,
 /// borrowing the [`DesignMatrix`] it was built from (so it can never
 /// outlive — or go stale against — the matrix it indexes).
+#[derive(Clone)]
 pub struct ScoreCache<'d> {
     design: &'d DesignMatrix,
     /// `scores[r]` = blocked-kernel score of design row `r`.

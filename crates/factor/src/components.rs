@@ -16,13 +16,11 @@
 //! * **exact** — clique-coupled components whose joint query state space
 //!   is at most [`PartitionedConfig::exact_limit`] are enumerated exactly
 //!   (see [`crate::exact`]): exact marginals, no sampling noise;
-//! * **Gibbs** — larger components run one Gibbs chain restricted to the
-//!   component, seeded from `(seed, component_rank)`. With
-//!   [`PartitionedConfig::chromatic`] set, each Gibbs-routed component
-//!   whose query set spans several colors of the graph's cached
-//!   [`Coloring`] sweeps chromatically — color classes resample in
-//!   parallel blocks — cracking the one-giant-component ceiling where
-//!   component-level parallelism degenerates to a single unit.
+//! * **Gibbs** — larger components run one sequential Gibbs chain
+//!   restricted to the component, seeded from `(seed, component_rank)`.
+//!
+//! All three read their unary scores from one [`ScoreCache`], built at the
+//! top of the pass (see [`crate::cache`]).
 //!
 //! Components share no state, so they run concurrently via
 //! [`holo_parallel::parallel_jobs_weighted`]; per-component seeds depend only on
@@ -34,9 +32,8 @@
 //! never patches it: the clique scopes are fixed once the graph is built.
 
 use crate::cache::{ScoreCache, ScoreCacheStats};
-use crate::coloring::Coloring;
 use crate::exact::{exact_marginals_for, MAX_EXACT_STATES};
-use crate::gibbs::{chromatic_sweep_blocks, GibbsConfig, GibbsSampler, KernelCounts};
+use crate::gibbs::{GibbsConfig, GibbsSampler, KernelCounts};
 use crate::graph::{CliqueArena, FactorGraph, ValueContext, VarId};
 use crate::marginals::Marginals;
 use crate::math::softmax;
@@ -78,15 +75,7 @@ pub struct PartitionStats {
     /// Kernel entries folded away at build: a predicate over constants
     /// only was false, so the clique could never fire.
     pub clique_entries_folded: u64,
-    /// Colors of the cached graph coloring (0 when chromatic sweeps are
-    /// off — the coloring is never even built).
-    pub colors: u64,
-    /// Parallel blocks one chromatic sweep schedules, summed over the
-    /// Gibbs-routed components that armed a plan (0 for every single-color
-    /// component, which keeps the sequential sweep).
-    pub color_sweep_blocks: u64,
-    /// What the frozen-weight score cache did this pass (all-zero when
-    /// [`PartitionedConfig::score_cache`] is off).
+    /// What the frozen-weight score cache did this pass.
     pub score_cache: ScoreCacheStats,
 }
 
@@ -203,18 +192,13 @@ pub struct PartitionedConfig {
     /// always go through the closed form regardless — that path is exact
     /// and cheaper than both.
     pub exact_limit: u64,
-    /// Chromatic Gibbs sweeps for sampled components: multi-color query
-    /// sets resample color classes in parallel fixed blocks (see
-    /// [`crate::gibbs`]). Changes the sampling schedule — and therefore
-    /// the stream — of multi-color components only; single-color
-    /// (clique-free) components are bit-for-bit unaffected, and any thread
-    /// count remains bit-for-bit `threads = 1`.
+    /// Unread: Gibbs always sweeps sequentially. Kept only because the
+    /// benchmark's staged driver (`benchmark/src/staged.rs`) sets it, until
+    /// ROADMAP item 14 drops that write.
     pub chromatic: bool,
-    /// Frozen-weight score cache: one parallel pass scores every design
-    /// row up front and all three engines read the table instead of
-    /// re-running the kernel (see [`crate::cache`]). A pure wall-clock
-    /// knob — the cache reproduces the kernel's exact addition order, so
-    /// repairs and posteriors are byte-identical on or off.
+    /// Unread: inference always scores through the [`ScoreCache`]. Kept
+    /// only because the benchmark's staged driver sets it, until ROADMAP
+    /// item 14 drops that write.
     pub score_cache: bool,
 }
 
@@ -249,26 +233,17 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
     threads: usize,
 ) -> (Marginals, PartitionStats) {
     let index = graph.components();
-    // The coloring is only built (or even looked at) when chromatic sweeps
-    // are requested — the flag off leaves the cache untouched.
-    let coloring = config.chromatic.then(|| graph.coloring());
     // The frozen-weight score cache: one parallel pass over every design
     // row, then every engine below reads the table. Built per call — never
     // stored in the graph — so it can never go stale across retrains.
-    let score_cache = config
-        .score_cache
-        .then(|| ScoreCache::build(graph.design(), weights, threads));
-    let cache = score_cache.as_ref();
+    let cache = ScoreCache::build(graph.design(), weights, threads);
     let mut stats = PartitionStats {
         score_cache: ScoreCacheStats {
-            builds: cache.is_some() as u64,
-            rows: cache.map_or(0, |c| c.rows() as u64),
+            builds: 1,
+            rows: cache.rows() as u64,
         },
         ..PartitionStats::default()
     };
-    if let Some(col) = coloring {
-        stats.colors = col.num_colors() as u64;
-    }
     // Sweeps per sampler, for the per-unit cost estimates below.
     let sweeps = (config.gibbs.burn_in + config.gibbs.samples.max(1)) as u64;
     let mut comps: Vec<Vec<VarId>> = Vec::new();
@@ -320,9 +295,6 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
             } else {
                 stats.gibbs_components += 1;
                 stats.gibbs_vars += size;
-                if let Some(col) = coloring {
-                    stats.color_sweep_blocks += chromatic_sweep_blocks(col, &query);
-                }
                 // A resample visits each candidate once for the unary
                 // term and once per adjacent clique — and on a coupled
                 // component the clique visits are nearly all of it.
@@ -348,17 +320,11 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
             Unit::Closed(rank) => {
                 let marginals = comps[rank]
                     .iter()
-                    .map(|&v| {
-                        let probs = match cache {
-                            Some(c) => softmax(c.var_scores(v)),
-                            None => softmax(&graph.unary_scores(v, weights)),
-                        };
-                        (v, probs)
-                    })
+                    .map(|&v| (v, softmax(cache.var_scores(v))))
                     .collect();
                 (marginals, KernelCounts::default())
             }
-            Unit::Exact(rank) => exact_marginals_for(graph, weights, ctx, cache, &comps[rank]),
+            Unit::Exact(rank) => exact_marginals_for(graph, weights, ctx, &cache, &comps[rank]),
             Unit::Gibbs(rank) => sample_component(
                 graph,
                 weights,
@@ -366,9 +332,7 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
                 &config.gibbs,
                 component_seed(config.gibbs.seed, rank),
                 &comps[rank],
-                coloring,
-                cache,
-                threads,
+                &cache,
             ),
         },
     );
@@ -384,9 +348,7 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
 /// Seed of component `rank`: rank 0 keeps the master seed — so a graph
 /// that is one single component reproduces the whole-graph
 /// [`GibbsSampler::run`] bit-for-bit — and later ranks mix `(seed, rank)`
-/// through a Murmur3-style finalizer. Its constants differ from the
-/// chromatic block tier's ([`crate::gibbs`]), so a component seed and a
-/// block seed hanging off another component never share a mixer.
+/// through a Murmur3-style finalizer.
 fn component_seed(seed: u64, rank: usize) -> u64 {
     if rank == 0 {
         return seed;
@@ -399,27 +361,18 @@ fn component_seed(seed: u64, rank: usize) -> u64 {
 
 /// Gibbs restricted to one component: one sampler seeded with the
 /// component seed, its sample counts normalised, beside what its clique
-/// kernel kept. With a `coloring`, multi-color query sets sweep
-/// chromatically.
-#[allow(clippy::too_many_arguments)]
-fn sample_component<C: ValueContext + Sync>(
+/// kernel kept.
+fn sample_component<C: ValueContext>(
     graph: &FactorGraph,
     weights: &Weights,
     ctx: &C,
     cfg: &GibbsConfig,
     comp_seed: u64,
     query: &[VarId],
-    coloring: Option<&Coloring>,
-    cache: Option<&ScoreCache>,
-    threads: usize,
+    cache: &ScoreCache,
 ) -> (Vec<(VarId, Vec<f64>)>, KernelCounts) {
-    let mut sampler = GibbsSampler::for_query(graph, weights, ctx, comp_seed, query.to_vec());
-    if let Some(col) = coloring {
-        sampler = sampler.with_chromatic(col, threads);
-    }
-    if let Some(c) = cache {
-        sampler = sampler.with_score_cache(c);
-    }
+    let mut sampler =
+        GibbsSampler::for_query(graph, weights, ctx, comp_seed, query.to_vec(), cache);
     let counts = sampler.collect_query_counts(cfg.burn_in, cfg.samples);
     (
         normalize_query_counts(query, counts),
@@ -652,110 +605,17 @@ mod tests {
         }
     }
 
-    /// The two seed tiers never collide structurally: the component
-    /// seeds and the chromatic block seeds hanging off each of them are
-    /// pairwise distinct in a small grid — so no block of one component
-    /// replays another component's sequential stream.
+    /// Rank 0 keeps the master seed, and the seeds of the later ranks are
+    /// pairwise distinct in a small grid — so no component replays another
+    /// component's stream.
     #[test]
-    fn component_and_block_seeds_do_not_collide() {
+    fn component_seeds_do_not_collide() {
         let seed = 0x5eed;
         assert_eq!(component_seed(seed, 0), seed);
-        let mut all = Vec::new();
-        for rank in 0..64 {
-            let cs = component_seed(seed, rank);
-            all.push(cs);
-            for block in 0..8 {
-                all.push(crate::gibbs::color_block_seed(cs, block));
-            }
-        }
-        let mut dedup = all.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), all.len(), "colliding seed streams");
-    }
-
-    /// Chromatic routing on a multi-color component: stats report the
-    /// coloring, the result stays bit-for-bit across thread counts, and
-    /// marginals still converge to the exact answer.
-    #[test]
-    fn chromatic_routing_thread_invariant_and_converges() {
-        let mut g = GraphBuilder::new();
-        let n = 6;
-        let vars: Vec<VarId> = (0..n)
-            .map(|i| g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(i % 2))))
-            .collect();
-        let mut w = Weights::zeros(2);
-        w.set(WeightId(0), 0.8);
-        w.set(WeightId(1), 1.3);
-        g.add_feature(vars[0], 0, WeightId(0), 1.0);
-        for pair in vars.windows(2) {
-            must_differ(&mut g, pair[0], pair[1], WeightId(1));
-        }
-        let g = g.build();
-        let ctx = EqOnlyContext;
-        let cfg = PartitionedConfig {
-            gibbs: GibbsConfig {
-                burn_in: 200,
-                samples: 30_000,
-                seed: 19,
-            },
-            exact_limit: 0, // force sampling
-            chromatic: true,
-            score_cache: true,
-        };
-        let (m, stats) = infer_partitioned(&g, &w, &ctx, &cfg, 1);
-        assert_eq!(stats.gibbs_components, 1);
-        assert_eq!(stats.colors, 2, "a chain two-colors");
-        assert_eq!(stats.color_sweep_blocks, 2, "one block per color class");
-        for threads in [2, 4] {
-            let (mt, st) = infer_partitioned(&g, &w, &ctx, &cfg, threads);
-            assert_eq!(mt, m, "threads = {threads}");
-            assert_eq!(st, stats);
-        }
-        let exact = exact_marginals(&g, &w, &ctx);
-        for v in g.var_ids() {
-            for k in 0..g.var(v).arity() {
-                assert!(
-                    (m.prob(v, k) - exact.prob(v, k)).abs() < 0.03,
-                    "var {v:?} cand {k}: chromatic {} vs exact {}",
-                    m.prob(v, k),
-                    exact.prob(v, k)
-                );
-            }
-        }
-    }
-
-    /// On a clique-free graph the chromatic flag is a no-op: everything
-    /// routes closed-form, no plans arm, and the result is bit-for-bit the
-    /// non-chromatic pass (the CI byte-diff contract for hospital runs).
-    #[test]
-    fn chromatic_flag_is_noop_on_clique_free_graphs() {
-        let mut g = GraphBuilder::new();
-        let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        let b = g.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], None));
-        let mut w = Weights::zeros(2);
-        w.set(WeightId(0), 1.1);
-        w.set(WeightId(1), -0.4);
-        g.add_feature(a, 0, WeightId(0), 1.0);
-        g.add_feature(b, 1, WeightId(1), 2.0);
-        let g = g.build();
-        let ctx = EqOnlyContext;
-        let off = PartitionedConfig {
-            gibbs: GibbsConfig::default(),
-            exact_limit: 0,
-            chromatic: false,
-            score_cache: true,
-        };
-        let on = PartitionedConfig {
-            chromatic: true,
-            score_cache: true,
-            ..off
-        };
-        let (m_off, s_off) = infer_partitioned(&g, &w, &ctx, &off, 1);
-        let (m_on, s_on) = infer_partitioned(&g, &w, &ctx, &on, 2);
-        assert_eq!(m_on, m_off);
-        assert_eq!(s_on.colors, 1, "clique-free = single color");
-        assert_eq!(s_on.color_sweep_blocks, 0, "no plan ever arms");
-        assert_eq!(s_off.colors, 0, "coloring not built when off");
+        let mut all: Vec<u64> = (0..512).map(|rank| component_seed(seed, rank)).collect();
+        let n = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), n, "colliding seed streams");
     }
 }

@@ -31,10 +31,8 @@ pub const MAX_EXACT_STATES: usize = 1 << 22;
 /// before exponentiating, so strongly-weighted constraints cannot
 /// underflow the partition sum to zero.
 ///
-/// With a [`ScoreCache`] the per-component unary precompute disappears:
-/// the enumeration reads each variable's cached row-range slice directly
-/// (the cache holds the exact bytes the private precompute produced, so
-/// the marginals are bit-identical either way).
+/// The unary scores are each variable's row-range slice of the pass's
+/// [`ScoreCache`].
 ///
 /// # Panics
 /// Panics if the component's joint space exceeds [`MAX_EXACT_STATES`];
@@ -43,7 +41,7 @@ pub(crate) fn exact_marginals_for(
     graph: &FactorGraph,
     weights: &Weights,
     ctx: &impl ValueContext,
-    cache: Option<&ScoreCache>,
+    cache: &ScoreCache,
     query: &[VarId],
 ) -> (Vec<(VarId, Vec<f64>)>, KernelCounts) {
     let domains: Vec<&[Sym]> = query
@@ -59,20 +57,7 @@ pub(crate) fn exact_marginals_for(
         "component joint space too large for enumeration"
     );
     let kernel = CliqueKernel::joint(graph, weights, ctx, query);
-    // Unary scores of the component's own rows only: cached row-range
-    // slices when a score cache is supplied, a private precompute (the
-    // pre-cache path, kept for standalone callers) otherwise.
-    let owned: Vec<Vec<f64>>;
-    let unary: Vec<&[f64]> = match cache {
-        Some(c) => query.iter().map(|&v| c.var_scores(v)).collect(),
-        None => {
-            owned = query
-                .iter()
-                .map(|&v| graph.unary_scores(v, weights))
-                .collect();
-            owned.iter().map(Vec::as_slice).collect()
-        }
-    };
+    let unary: Vec<&[f64]> = query.iter().map(|&v| cache.var_scores(v)).collect();
     let mut state = vec![0usize; query.len()];
     let mut syms = kernel.symbols(domains.iter().map(|d| d[0]));
 
@@ -153,7 +138,6 @@ fn for_each_assignment(
 #[cfg(test)]
 pub(crate) mod reference {
     use super::MAX_EXACT_STATES;
-    use crate::cache::ScoreCache;
     use crate::design::DesignMatrix;
     use crate::graph::{FactorGraph, ValueContext, VarId};
     use crate::marginals::Marginals;
@@ -287,7 +271,6 @@ pub(crate) mod reference {
         graph: &FactorGraph,
         weights: &Weights,
         ctx: &impl ValueContext,
-        cache: Option<&ScoreCache>,
         query: &[VarId],
     ) -> Vec<(VarId, Vec<f64>)> {
         let arities: Vec<usize> = query.iter().map(|&v| graph.var(v).arity()).collect();
@@ -334,17 +317,10 @@ pub(crate) mod reference {
                 (ci, slots)
             })
             .collect();
-        let owned: Vec<Vec<f64>>;
-        let unary: Vec<&[f64]> = match cache {
-            Some(c) => query.iter().map(|&v| c.var_scores(v)).collect(),
-            None => {
-                owned = query
-                    .iter()
-                    .map(|&v| graph.unary_scores(v, weights))
-                    .collect();
-                owned.iter().map(Vec::as_slice).collect()
-            }
-        };
+        let unary: Vec<Vec<f64>> = query
+            .iter()
+            .map(|&v| graph.unary_scores(v, weights))
+            .collect();
         let mut state: Vec<usize> = locals
             .iter()
             .map(|&v| graph.var(v).evidence.unwrap_or(0))
@@ -512,9 +488,10 @@ mod tests {
             );
         }
         let g = g.build();
-        let (compiled, counts) = exact_marginals_for(&g, &w, &EqOnlyContext, None, &[q]);
+        let cache = ScoreCache::build(g.design(), &w, 1);
+        let (compiled, counts) = exact_marginals_for(&g, &w, &EqOnlyContext, &cache, &[q]);
         assert_eq!((counts.entries, counts.folded), (1, 1));
-        let interpreted = reference::exact_marginals_for(&g, &w, &EqOnlyContext, None, &[q]);
+        let interpreted = reference::exact_marginals_for(&g, &w, &EqOnlyContext, &[q]);
         assert_eq!(compiled, interpreted);
         assert!(compiled[0].1[0] < compiled[0].1[1], "q avoids the evidence");
     }

@@ -12,41 +12,20 @@
 //! per sampled component, seeded from the component's rank; the
 //! parallelism lives in the component decomposition, not in extra chains.
 //!
-//! ## Chromatic sweeps
-//!
-//! [`GibbsSampler::with_chromatic`] swaps the sequential sweep for a
-//! *chromatic* one driven by a proper [`Coloring`] of the
-//! variable-interaction graph: same-color variables never share a clique,
-//! so each of their conditionals is independent of the others' current
-//! values, and an entire color class can resample **in parallel against
-//! the immutable pre-class state snapshot** — the within-component
-//! parallelism one giant component otherwise forfeits. A chromatic sweep
-//! visits colors in fixed ascending order; within a color, the class is
-//! cut into fixed-size blocks (independent of the thread count), each
-//! block draws from its own RNG seeded by
-//! `color_block_seed(seed, sweep · blocks_per_sweep + block)` — a second
-//! mixer tier below the component seed — and the sampled
-//! values are written back only after the whole class finished. Blocks run
-//! over [`holo_parallel::parallel_chunks_mut`], each writing its own fixed
-//! chunk of the class output, so **any thread count is bit-for-bit
-//! `threads = 1`**. A query
-//! set spanning a single color (every clique-free component) keeps no
-//! plan and runs today's sequential sweep, RNG draw for RNG draw.
-//!
 //! ## The frozen-weight score cache
 //!
-//! Weights never move during sampling, so a sampler can be armed with a
-//! [`ScoreCache`] ([`GibbsSampler::with_score_cache`]): the conditional's
-//! unary term becomes a memcpy of the variable's cached row range instead
-//! of a kernel walk over the design matrix, while clique deltas are still
-//! re-evaluated against the live state. The cache holds exactly the bytes
+//! Weights never move during sampling, so a sampler reads its unary terms
+//! from a [`ScoreCache`]: the conditional's unary term is a memcpy of the
+//! variable's cached row range instead of a kernel walk over the design
+//! matrix, while clique deltas are still re-evaluated against the live
+//! state. The cache holds exactly the bytes
 //! [`DesignMatrix::score_var_into`](crate::design::DesignMatrix::score_var_into)
-//! would produce, so sampling streams — and therefore marginals — are
-//! byte-identical with the cache on or off. **Freshness invariant:** a
-//! cache is built per
-//! [`infer_partitioned`](crate::components::infer_partitioned) call and
-//! borrows the design matrix it scored; it is never stored in
-//! [`FactorGraph`], so no later pass can read its scores.
+//! would produce. A per-component sampler
+//! ([`GibbsSampler::for_query`]) borrows the cache its
+//! [`infer_partitioned`](crate::components::infer_partitioned) call built;
+//! a standalone one ([`GibbsSampler::new`]) builds its own. **Freshness
+//! invariant:** a cache borrows the design matrix it scored and is never
+//! stored in [`FactorGraph`], so no later pass can read its scores.
 //!
 //! ## Compiled clique kernel
 //!
@@ -110,11 +89,10 @@
 //!   fixed-width entries.
 //! * **Lifetime.** Weights are frozen while a unit runs, which is what
 //!   makes resolving `-θ` and the pool at build sound. A Gibbs kernel
-//!   belongs to its sampler ([`GibbsSampler::for_query`]): the sequential
-//!   sweep and the chromatic blocks read it, and it dies with the sampler.
+//!   belongs to its sampler ([`GibbsSampler::for_query`]): its sweeps read
+//!   it, and it dies with the sampler.
 
 use crate::cache::ScoreCache;
-use crate::coloring::Coloring;
 use crate::graph::{CmpOp, FactorGraph, FactorOperand, ValueContext, VarId, Variable};
 use crate::marginals::Marginals;
 use crate::math::{sample_categorical, softmax_in_place};
@@ -123,6 +101,7 @@ use holo_dataset::Sym;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Sampler configuration.
@@ -144,101 +123,6 @@ impl Default for GibbsConfig {
             seed: 0x5eed,
         }
     }
-}
-
-/// Seed of one color-sweep block: the second tier of the seed hierarchy
-/// (component rank → block), mixing the sampler's seed with the block's
-/// global index `sweep · blocks_per_sweep + block_rank`. Uses a finalizer
-/// distinct from the component tier's (degski64 constants) and — unlike
-/// it — **no identity shortcut at index 0**: block 0 must not reuse the
-/// sampler seed verbatim, or its draws would replay the stream the
-/// sequential path would have consumed (chromatic multi-color output is a
-/// deliberately different sampling schedule, not a reordering of the
-/// sequential one).
-pub(crate) fn color_block_seed(seed: u64, block_index: u64) -> u64 {
-    let mut z = seed ^ block_index.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    z = (z ^ (z >> 32)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    z = (z ^ (z >> 32)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    z ^ (z >> 32)
-}
-
-/// Fixed block length a color class is cut into for parallel resampling.
-/// The cut depends only on the class size — never on the thread count —
-/// which is what makes chromatic sweeps thread-count invariant. 64 matches
-/// [`holo_parallel::MIN_PARALLEL_ITEMS`]: one block amortises a thread
-/// hop.
-const COLOR_BLOCK_SIZE: usize = 64;
-
-/// The precomputed schedule of a chromatic sweep over one sampler's query
-/// set: the query variables regrouped into color classes, each class cut
-/// into fixed blocks.
-struct ChromaticPlan {
-    /// Positions into the sampler's query list reordered by `(color, id)`
-    /// — one contiguous run per color class, classes in ascending color
-    /// order.
-    order: Vec<usize>,
-    /// One entry per color class present in the query set.
-    runs: Vec<ColorRun>,
-    /// Total blocks per sweep, for per-sweep seed derivation.
-    blocks_per_sweep: u64,
-}
-
-/// One color class inside a [`ChromaticPlan`].
-struct ColorRun {
-    /// Start of the class in [`ChromaticPlan::order`].
-    start: usize,
-    /// Class length.
-    len: usize,
-    /// Global block index of the class's first block within a sweep.
-    block_base: u64,
-}
-
-/// Builds the chromatic schedule for `query` (sorted variable ids), or
-/// `None` when the set spans at most one color — in which case the
-/// sequential sweep is both correct and exactly reproduces the historical
-/// sampling stream.
-fn build_plan(coloring: &Coloring, query: &[VarId]) -> Option<ChromaticPlan> {
-    if query.len() < 2 {
-        return None;
-    }
-    // `query` is sorted by id, so a stable sort of positions by color is
-    // the `(color, id)` order.
-    let color_at = |i: usize| coloring.color_of(query[i]);
-    let mut order: Vec<usize> = (0..query.len()).collect();
-    order.sort_by_key(|&i| color_at(i));
-    let mut runs: Vec<ColorRun> = Vec::new();
-    let mut blocks = 0u64;
-    let mut start = 0usize;
-    while start < order.len() {
-        let color = color_at(order[start]);
-        let mut end = start + 1;
-        while end < order.len() && color_at(order[end]) == color {
-            end += 1;
-        }
-        runs.push(ColorRun {
-            start,
-            len: end - start,
-            block_base: blocks,
-        });
-        blocks += ((end - start) as u64).div_ceil(COLOR_BLOCK_SIZE as u64);
-        start = end;
-    }
-    if runs.len() <= 1 {
-        return None;
-    }
-    Some(ChromaticPlan {
-        order,
-        runs,
-        blocks_per_sweep: blocks,
-    })
-}
-
-/// Per-sweep parallel block count a chromatic sampler over `query` would
-/// schedule — 0 when the set is single-color (sequential path). The
-/// routing stats of partitioned inference report the sum of this over its
-/// Gibbs components.
-pub(crate) fn chromatic_sweep_blocks(coloring: &Coloring, query: &[VarId]) -> u64 {
-    build_plan(coloring, query).map_or(0, |plan| plan.blocks_per_sweep)
 }
 
 /// The candidate a variable starts at: its evidence, else its
@@ -744,15 +628,11 @@ pub(crate) fn conditional_scores_into<C: ValueContext>(
     graph: &FactorGraph,
     weights: &Weights,
     ctx: &C,
-    cache: Option<&ScoreCache>,
     state: &[usize],
     v: VarId,
     scores: &mut Vec<f64>,
 ) {
-    match cache {
-        Some(c) => c.copy_var_scores_into(v, scores),
-        None => graph.design().score_var_into(v, weights, scores),
-    }
+    graph.design().score_var_into(v, weights, scores);
     let mut clique_syms: Vec<Sym> = Vec::new();
     for &ci in graph.cliques_of(v) {
         let clique = graph.clique(ci);
@@ -775,7 +655,6 @@ pub(crate) fn conditional_scores_into<C: ValueContext>(
 /// The sampler. Owns its state vector; borrowed graph/weights/context.
 pub struct GibbsSampler<'a, C: ValueContext> {
     graph: &'a FactorGraph,
-    weights: &'a Weights,
     ctx: &'a C,
     /// Current candidate index of each query variable, in `query` order.
     state: Vec<usize>,
@@ -786,49 +665,58 @@ pub struct GibbsSampler<'a, C: ValueContext> {
     /// The compiled clique terms of `query`'s conditionals.
     kernel: CliqueKernel,
     rng: StdRng,
-    /// Scratch buffer for conditional scores (sequential sweeps; chromatic
-    /// blocks carry their own per-block scratch).
+    /// Scratch buffer for conditional scores.
     scores: Vec<f64>,
-    /// Sampled candidate indices of the color class being resampled —
-    /// sampler-owned so chromatic sweeps reuse one allocation across
-    /// classes and sweeps instead of collecting fresh per-block `Vec`s.
-    class_vals: Vec<usize>,
-    /// Frozen-weight unary scores; armed per inference pass (see the
-    /// module docs), `None` walks the design matrix per resample.
-    cache: Option<&'a ScoreCache<'a>>,
-    /// Chromatic sweep schedule; `None` runs the sequential sweep.
-    plan: Option<ChromaticPlan>,
-    /// Worker threads chromatic sweeps may spawn (a schedule knob only:
-    /// any value is bit-for-bit `1`).
-    threads: usize,
-    /// The sampler's seed, re-mixed per color block by [`color_block_seed`].
-    base_seed: u64,
-    /// Sweeps performed so far — the per-sweep component of chromatic
-    /// block seeds.
-    sweep_no: u64,
+    /// Frozen-weight unary scores (see the module docs): borrowed from the
+    /// inference pass, or built by a standalone sampler.
+    cache: Cow<'a, ScoreCache<'a>>,
 }
 
-impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
-    /// Initialises state: evidence at its observed candidate, query
-    /// variables at their initial value (or candidate 0).
+impl<'a, C: ValueContext> GibbsSampler<'a, C> {
+    /// A sampler over every query variable of the graph, with a score
+    /// cache of its own. Initialises state: evidence at its observed
+    /// candidate, query variables at their initial value (or candidate 0).
     pub fn new(graph: &'a FactorGraph, weights: &'a Weights, ctx: &'a C, seed: u64) -> Self {
-        Self::for_query(graph, weights, ctx, seed, graph.query_vars())
+        let cache = ScoreCache::build(graph.design(), weights, 1);
+        Self::build(
+            graph,
+            weights,
+            ctx,
+            seed,
+            graph.query_vars(),
+            Cow::Owned(cache),
+        )
     }
 
     /// A sampler whose sweeps touch only `query` (a subset of the graph's
-    /// query variables, in ascending id order) — the per-component sampler
-    /// of [`crate::components::infer_partitioned`]. All other variables
-    /// stay pinned at their initial state; that is sound exactly when no
-    /// clique couples `query` to an outside *query* variable, which the
-    /// component decomposition guarantees. With `query` equal to the full
-    /// query set this is [`GibbsSampler::new`]. The sampler's state covers
-    /// `query` and the constant pool of its kernel, never the whole graph.
+    /// query variables, in ascending id order) and whose unary terms come
+    /// from `cache` (built against this graph's design matrix and
+    /// `weights`) — the per-component sampler of
+    /// [`crate::components::infer_partitioned`]. All other variables stay
+    /// pinned at their initial state; that is sound exactly when no clique
+    /// couples `query` to an outside *query* variable, which the component
+    /// decomposition guarantees. With `query` equal to the full query set
+    /// this samples what [`GibbsSampler::new`] does. The sampler's state
+    /// covers `query` and the constant pool of its kernel, never the whole
+    /// graph.
     pub fn for_query(
         graph: &'a FactorGraph,
         weights: &'a Weights,
         ctx: &'a C,
         seed: u64,
         query: Vec<VarId>,
+        cache: &'a ScoreCache<'a>,
+    ) -> Self {
+        Self::build(graph, weights, ctx, seed, query, Cow::Borrowed(cache))
+    }
+
+    fn build(
+        graph: &'a FactorGraph,
+        weights: &'a Weights,
+        ctx: &'a C,
+        seed: u64,
+        query: Vec<VarId>,
+        cache: Cow<'a, ScoreCache<'a>>,
     ) -> Self {
         debug_assert!(query.iter().all(|&v| graph.var(v).is_query()));
         debug_assert!(query.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
@@ -845,7 +733,6 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
         );
         GibbsSampler {
             graph,
-            weights,
             ctx,
             state,
             syms,
@@ -853,38 +740,8 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
             query,
             rng: StdRng::seed_from_u64(seed),
             scores: Vec::new(),
-            class_vals: Vec::new(),
-            cache: None,
-            plan: None,
-            threads: 1,
-            base_seed: seed,
-            sweep_no: 0,
+            cache,
         }
-    }
-
-    /// Switches the sampler to chromatic sweeps under `coloring` (which
-    /// must be proper for this graph — use
-    /// [`FactorGraph::coloring`](crate::graph::FactorGraph::coloring)),
-    /// parallelising color classes over up to `threads` OS threads. When
-    /// the query set spans at most one color the sampler keeps the
-    /// sequential sweep — bit-for-bit the non-chromatic sampler — so
-    /// clique-free components are entirely unaffected by the switch.
-    pub fn with_chromatic(mut self, coloring: &Coloring, threads: usize) -> Self {
-        self.plan = build_plan(coloring, &self.query);
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Arms the frozen-weight score cache: conditionals start from a
-    /// memcpy of `cache`'s row range instead of re-running the design
-    /// kernel. The cache must have been built against this sampler's
-    /// design matrix and weight vector (which
-    /// [`crate::components::infer_partitioned`] guarantees by building one
-    /// per call); the sampling stream is byte-identical with or without
-    /// it — the knob trades wall-clock only, never output.
-    pub fn with_score_cache(mut self, cache: &'a ScoreCache<'a>) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Moves the `i`-th query variable to candidate `k`, keeping the
@@ -901,34 +758,19 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
     }
 
     /// Conditional log-scores of every candidate of the `i`-th query
-    /// variable given the rest, into `scores`: the unary terms (a memcpy
-    /// of the cached row range when a [`ScoreCache`] is armed, a kernel
-    /// walk over the design matrix otherwise — identical bytes), then the
-    /// compiled clique terms against the current symbols. `&self`, so the
-    /// sequential sweep (sampler-owned scratch) and chromatic blocks
-    /// (per-block scratch against the pre-class symbols) share it.
+    /// variable given the rest, into `scores`: a memcpy of the cached
+    /// unary row range, then the compiled clique terms against the current
+    /// symbols.
     fn conditional_into(&self, i: usize, scores: &mut Vec<f64>) {
         let v = self.query[i];
-        match self.cache {
-            Some(c) => c.copy_var_scores_into(v, scores),
-            None => self.graph.design().score_var_into(v, self.weights, scores),
-        }
+        self.cache.copy_var_scores_into(v, scores);
         let domain = &self.graph.var(v).domain;
         self.kernel
             .add_clique_terms(i, domain, &self.syms, self.ctx, scores);
     }
 
-    /// One full sweep over the query variables: sequential single-site
-    /// updates, or fixed-order color-class updates when a chromatic plan
-    /// is armed (see the module docs).
+    /// One sequential single-site sweep over the query variables.
     fn sweep(&mut self) {
-        // The schedule is taken out of `self` for the sweep so the block
-        // closures can read the sampler while the plan is walked.
-        if let Some(plan) = self.plan.take() {
-            self.sweep_chromatic(&plan);
-            self.plan = Some(plan);
-            return;
-        }
         let mut scores = std::mem::take(&mut self.scores);
         for i in 0..self.query.len() {
             self.conditional_into(i, &mut scores);
@@ -937,53 +779,6 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
             self.assign(i, sample_categorical(&scores, u));
         }
         self.scores = scores;
-    }
-
-    /// One chromatic sweep: colors in ascending order; within a color,
-    /// fixed blocks resample in parallel against the pre-class state and
-    /// write back after the class completes. Deterministic at any thread
-    /// count — block boundaries and block seeds depend only on the plan
-    /// and the sweep number, and [`holo_parallel::parallel_chunks_mut`]
-    /// gives each block its own fixed output chunk.
-    fn sweep_chromatic(&mut self, plan: &ChromaticPlan) {
-        // Sampler-owned class output buffer, reused across classes and
-        // sweeps (taken out of `self` so the fill closure can read the
-        // sampler while writing into it).
-        let mut class_vals = std::mem::take(&mut self.class_vals);
-        let sweep_base = self.sweep_no.wrapping_mul(plan.blocks_per_sweep);
-        for run in &plan.runs {
-            let class = &plan.order[run.start..run.start + run.len];
-            class_vals.clear();
-            class_vals.resize(class.len(), 0);
-            // Fixed COLOR_BLOCK_SIZE output chunks, one seeded job each —
-            // the same block boundaries and seeds as the old collect-based
-            // schedule, now writing in place.
-            holo_parallel::parallel_chunks_mut(
-                self.threads,
-                &mut class_vals,
-                COLOR_BLOCK_SIZE,
-                |b, out| {
-                    let seed =
-                        color_block_seed(self.base_seed, sweep_base + run.block_base + b as u64);
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    // Per-block scratch: allocated once per block, reused
-                    // across the block's variables.
-                    let mut scores: Vec<f64> = Vec::new();
-                    let block = &class[b * COLOR_BLOCK_SIZE..b * COLOR_BLOCK_SIZE + out.len()];
-                    for (&i, slot) in block.iter().zip(out) {
-                        self.conditional_into(i, &mut scores);
-                        softmax_in_place(&mut scores);
-                        let u: f64 = rng.gen();
-                        *slot = sample_categorical(&scores, u);
-                    }
-                },
-            );
-            for (&i, &val) in class.iter().zip(&class_vals) {
-                self.assign(i, val);
-            }
-        }
-        self.class_vals = class_vals;
-        self.sweep_no += 1;
     }
 
     /// Runs burn-in + sampling sweeps and returns raw per-candidate sample
@@ -1036,7 +831,7 @@ impl<'a, C: ValueContext + Sync> GibbsSampler<'a, C> {
 /// Hooks for the tests that pin the compiled conditional against the
 /// interpreted reference at arbitrary states.
 #[cfg(test)]
-impl<C: ValueContext + Sync> GibbsSampler<'_, C> {
+impl<C: ValueContext> GibbsSampler<'_, C> {
     /// Moves every query variable to its candidate in `state` (one
     /// candidate index per graph variable). Every other variable must sit
     /// at the candidate it is pinned to: the kernel's pool holds that one.
@@ -1114,7 +909,7 @@ mod tests {
             for (i, &v) in g.query_vars().iter().enumerate() {
                 let state: Vec<usize> = g.vars().iter().map(initial_candidate).collect();
                 let mut want = Vec::new();
-                conditional_scores_into(&g, &w, &ById, None, &state, v, &mut want);
+                conditional_scores_into(&g, &w, &ById, &state, v, &mut want);
                 assert_eq!(sampler.conditional(i), want, "{v:?}");
             }
             let counts = sampler.kernel_counts();
@@ -1276,132 +1071,10 @@ mod tests {
         g.add_clique(&[a, b, VarId(7)], WeightId(0), &[equal(0, 1), equal(1, 2)]);
         let g = g.build();
         let w = Weights::zeros(1);
-        let sampler = GibbsSampler::for_query(&g, &w, &EqOnlyContext, 1, vec![a, b]);
+        let cache = ScoreCache::build(g.design(), &w, 1);
+        let sampler = GibbsSampler::for_query(&g, &w, &EqOnlyContext, 1, vec![a, b], &cache);
         assert_eq!(sampler.state, [0, 1]);
         assert_eq!(sampler.syms, [sym(1), sym(2), sym(17)]);
         assert_eq!(sampler.kernel_counts().entries, 2);
-    }
-
-    #[test]
-    fn color_block_seeds_distinct_and_never_identity() {
-        // No identity shortcut at block 0 — it must not replay the
-        // sampler's own stream — and no collisions across blocks.
-        assert_ne!(color_block_seed(42, 0), 42);
-        let mut seeds: Vec<u64> = (0..64).map(|b| color_block_seed(42, b)).collect();
-        seeds.push(42);
-        let n = seeds.len();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), n);
-    }
-
-    /// Three-variable chain with two soft must-differ cliques — two colors
-    /// ({a, c} at color 0, {b} at color 1), the smallest graph where
-    /// chromatic sweeps engage.
-    fn chain_graph() -> (FactorGraph, Weights) {
-        let mut g = GraphBuilder::new();
-        let a = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        let b = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        let c = g.add_variable(Variable::query(vec![sym(1), sym(2)], Some(0)));
-        let mut w = Weights::zeros(2);
-        w.set(WeightId(0), 0.9);
-        w.set(WeightId(1), 1.6);
-        g.add_feature(a, 0, WeightId(0), 1.0);
-        for pair in [[a, b], [b, c]] {
-            g.add_clique(
-                &pair,
-                WeightId(1),
-                &[FactorPredicate {
-                    lhs: FactorOperand::Var(0),
-                    op: CmpOp::Eq,
-                    rhs: FactorOperand::Var(1),
-                }],
-            );
-        }
-        (g.build(), w)
-    }
-
-    #[test]
-    fn chromatic_sweep_blocks_counts_plan_blocks() {
-        let (g, _) = chain_graph();
-        let query = g.query_vars();
-        assert_eq!(chromatic_sweep_blocks(g.coloring(), &query), 2);
-        // A single-variable query never gets a plan.
-        assert_eq!(chromatic_sweep_blocks(g.coloring(), &query[..1]), 0);
-    }
-
-    #[test]
-    fn single_color_chromatic_is_bit_for_bit_sequential() {
-        // Clique-free graph: one color, so `with_chromatic` arms no plan
-        // and the sampler runs today's sequential sweep verbatim.
-        let mut g = GraphBuilder::new();
-        let mut w = Weights::zeros(3);
-        for k in 0..3u32 {
-            let v = g.add_variable(Variable::query(vec![sym(1), sym(2), sym(3)], None));
-            w.set(WeightId(k), 0.3 * (k as f64 + 1.0));
-            g.add_feature(v, k as usize, WeightId(k), 1.0);
-        }
-        let g = g.build();
-        let ctx = EqOnlyContext;
-        let cfg = GibbsConfig {
-            burn_in: 20,
-            samples: 400,
-            seed: 11,
-        };
-        assert_eq!(g.coloring().num_colors(), 1);
-        let sequential = GibbsSampler::new(&g, &w, &ctx, cfg.seed).run(&cfg);
-        let chromatic = GibbsSampler::new(&g, &w, &ctx, cfg.seed)
-            .with_chromatic(g.coloring(), 4)
-            .run(&cfg);
-        assert_eq!(sequential, chromatic);
-    }
-
-    #[test]
-    fn chromatic_deterministic_at_any_thread_count() {
-        let (g, w) = chain_graph();
-        let ctx = EqOnlyContext;
-        let cfg = GibbsConfig {
-            burn_in: 30,
-            samples: 1500,
-            seed: 23,
-        };
-        let reference = GibbsSampler::new(&g, &w, &ctx, cfg.seed)
-            .with_chromatic(g.coloring(), 1)
-            .run(&cfg);
-        for threads in [2, 4, 8] {
-            let m = GibbsSampler::new(&g, &w, &ctx, cfg.seed)
-                .with_chromatic(g.coloring(), threads)
-                .run(&cfg);
-            assert_eq!(m, reference, "threads = {threads}");
-        }
-        // And stable across repeated runs.
-        let again = GibbsSampler::new(&g, &w, &ctx, cfg.seed)
-            .with_chromatic(g.coloring(), 4)
-            .run(&cfg);
-        assert_eq!(again, reference);
-    }
-
-    #[test]
-    fn chromatic_matches_exact_enumeration() {
-        let (g, w) = chain_graph();
-        let ctx = EqOnlyContext;
-        let exact = exact_marginals(&g, &w, &ctx);
-        let approx = GibbsSampler::new(&g, &w, &ctx, 31)
-            .with_chromatic(g.coloring(), 4)
-            .run(&GibbsConfig {
-                burn_in: 300,
-                samples: 30_000,
-                seed: 31,
-            });
-        for v in [VarId(0), VarId(1), VarId(2)] {
-            for k in 0..2 {
-                assert!(
-                    (exact.prob(v, k) - approx.prob(v, k)).abs() < 0.02,
-                    "var {v:?} cand {k}: exact {} vs chromatic {}",
-                    exact.prob(v, k),
-                    approx.prob(v, k)
-                );
-            }
-        }
     }
 }

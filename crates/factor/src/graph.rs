@@ -7,7 +7,6 @@
 //! predicates over the candidate values of up to a handful of variables
 //! plus constants frozen from clean cells.
 
-use crate::coloring::Coloring;
 use crate::components::ComponentIndex;
 use crate::design::{DesignBuilder, DesignMatrix};
 use crate::weights::{WeightId, Weights};
@@ -438,9 +437,9 @@ pub type FeatureVec = Vec<(WeightId, f64)>;
 /// calls `new`; hand-built graphs collect the same three parts in a
 /// [`GraphBuilder`].
 ///
-/// **Use.** The component index and the coloring are derived from the
-/// clique structure on first access and cached; no method changes a
-/// variable, a feature or a clique of a built graph.
+/// **Use.** The component index is derived from the clique structure on
+/// first access and cached; no method changes a variable, a feature or a
+/// clique of a built graph.
 #[derive(Debug, Clone)]
 pub struct FactorGraph {
     vars: Vec<Variable>,
@@ -455,9 +454,6 @@ pub struct FactorGraph {
     /// Connected components of the clique structure, built on first use by
     /// partitioned inference (see [`ComponentIndex`]).
     components: OnceLock<ComponentIndex>,
-    /// Greedy coloring of the variable-interaction graph, built on first
-    /// use by chromatic Gibbs (see [`Coloring`]).
-    coloring: OnceLock<Coloring>,
 }
 
 impl FactorGraph {
@@ -526,7 +522,6 @@ impl FactorGraph {
             var_clique_starts,
             var_cliques,
             components: OnceLock::new(),
-            coloring: OnceLock::new(),
         }
     }
 
@@ -584,13 +579,6 @@ impl FactorGraph {
     /// scratch.
     pub fn invalidate_components(&mut self) {
         self.components.take();
-    }
-
-    /// The greedy coloring of the variable-interaction graph — the sweep
-    /// schedule of chromatic Gibbs. Built on first access (one greedy pass
-    /// over the clique scopes) and cached.
-    pub fn coloring(&self) -> &Coloring {
-        self.coloring.get_or_init(|| Coloring::build(self))
     }
 
     /// Sparse features of candidate `k` of variable `v` (a CSR row of the

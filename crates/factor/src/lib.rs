@@ -18,10 +18,11 @@
 //!   assembles it in one pass through [`DesignBuilder`] fragments; every
 //!   unary-scoring consumer (learning, Gibbs conditionals, exact
 //!   enumeration, closed-form marginals) reads this flat substrate.
-//! * [`cache`] — the per-inference-pass frozen-weight [`ScoreCache`]: every
-//!   design row scored once in parallel through the blocked kernel, read by
-//!   all three inference engines so a Gibbs resample starts from a memcpy
-//!   instead of a matrix walk. Built per call, never stored in the graph.
+//! * [`cache`] — the frozen-weight [`ScoreCache`]: every design row scored
+//!   once in parallel through the blocked kernel, and the one source of
+//!   unary scores for all three inference engines, so a Gibbs resample
+//!   starts from a memcpy instead of a matrix walk. Built per inference
+//!   pass (or per standalone sampler), never stored in the graph.
 //! * [`weights`] — tied weights `θ`, learnable or fixed, plus a generic
 //!   feature registry for interning structured feature keys.
 //! * [`learn`] — empirical-risk minimisation over evidence variables with
@@ -32,11 +33,7 @@
 //!   accumulator drained in weight-id order).
 //! * [`gibbs`] — the Gibbs sampler used for approximate inference over
 //!   models with clique factors: sequential single-site sweeps over the
-//!   query variables, or deterministic chromatic color-class sweeps when a
-//!   coloring is supplied.
-//! * [`coloring`] — greedy proper coloring of the variable-interaction
-//!   graph (built lazily, never patched), the schedule substrate chromatic
-//!   Gibbs parallelises over.
+//!   query variables, one chain per sampled component.
 //! * [`components`] — connected-component decomposition of the grounded
 //!   graph (union-find over clique scopes; built lazily, never patched)
 //!   and the partitioned hybrid inference driver that routes
@@ -53,7 +50,6 @@
 //! `P(T) = Z⁻¹ exp(Σ_φ θ_φ · h_φ(φ))`.
 
 pub mod cache;
-pub mod coloring;
 pub mod components;
 pub mod design;
 pub mod exact;
@@ -68,7 +64,6 @@ pub mod weights;
 mod proptests;
 
 pub use cache::{ScoreCache, ScoreCacheStats};
-pub use coloring::Coloring;
 pub use components::{infer_partitioned, ComponentIndex, PartitionStats, PartitionedConfig};
 pub use design::{DesignBuilder, DesignMatrix};
 pub use gibbs::{GibbsConfig, GibbsSampler};

@@ -319,60 +319,13 @@ proptest! {
         }
     }
 
-    /// Chromatic sweeps converge to the same exact marginals the
-    /// sequential sampler does, on random cliquey graphs (loose tolerance
-    /// — finite sampling; a different but equally valid sampling stream).
-    #[test]
-    fn chromatic_gibbs_matches_exact_on_random_graphs(model in random_model()) {
-        let (graph, weights) = build(&model);
-        let ctx = EqOnlyContext;
-        let exact = exact_marginals(&graph, &weights, &ctx);
-        let approx = GibbsSampler::new(&graph, &weights, &ctx, 101)
-            .with_chromatic(graph.coloring(), 4)
-            .run(&GibbsConfig {
-                burn_in: 300,
-                samples: 12_000,
-                seed: 101,
-            });
-        for v in graph.var_ids() {
-            for k in 0..graph.var(v).arity() {
-                let diff = (exact.prob(v, k) - approx.prob(v, k)).abs();
-                prop_assert!(diff < 0.06, "var {v:?} cand {k}: |{} - {}| = {diff}",
-                    exact.prob(v, k), approx.prob(v, k));
-            }
-        }
-    }
-
-    /// Chromatic sweeps are bit-identical across thread counts on random
-    /// graphs, and on single-color (clique-free) graphs bit-identical to
-    /// the sequential sweep.
-    #[test]
-    fn chromatic_gibbs_deterministic_across_threads(model in random_model()) {
-        let (graph, weights) = build(&model);
-        let ctx = EqOnlyContext;
-        let cfg = GibbsConfig { burn_in: 20, samples: 300, seed: 7 };
-        let reference = GibbsSampler::new(&graph, &weights, &ctx, cfg.seed)
-            .with_chromatic(graph.coloring(), 1)
-            .run(&cfg);
-        for threads in [2usize, 4] {
-            let m = GibbsSampler::new(&graph, &weights, &ctx, cfg.seed)
-                .with_chromatic(graph.coloring(), threads)
-                .run(&cfg);
-            prop_assert_eq!(&m, &reference, "threads = {}", threads);
-        }
-        if graph.coloring().num_colors() == 1 {
-            let sequential = GibbsSampler::new(&graph, &weights, &ctx, cfg.seed).run(&cfg);
-            prop_assert_eq!(&sequential, &reference, "single color keeps the sequential sweep");
-        }
-    }
-
-    /// The frozen-weight score cache serves the Gibbs conditional
-    /// bit-for-bit: on random graphs, weights and states (evidence at its
-    /// pinned candidate, the only state a sampler reaches), the sampler's
-    /// cached conditional (memcpy of the cached row range + clique terms)
-    /// produces exactly the bytes of the uncached matrix walk, at every
-    /// cache-build thread count. This is the invariant that lets
-    /// `PartitionedConfig::score_cache` be a pure wall-clock knob.
+    /// The frozen-weight score cache serves the Gibbs conditional: on
+    /// random graphs, weights and states (evidence at its pinned
+    /// candidate, the only state a sampler reaches), the conditional of a
+    /// sampler reading a cache built at any thread count — its own, or one
+    /// borrowed from the caller — is the uncached interpreted conditional
+    /// (a design-matrix walk, then `Clique::score` per clique): equal raw
+    /// scores, and the same bits after the softmax.
     #[test]
     fn cached_conditionals_bit_identical_to_uncached(model in random_model(),
                                                      state_salt in 0usize..64) {
@@ -385,15 +338,22 @@ proptest! {
                 var.evidence.unwrap_or((v.index() + state_salt) % var.arity())
             })
             .collect();
-        let mut uncached = GibbsSampler::new(&graph, &weights, &ctx, 0);
-        uncached.set_state(&state);
-        for threads in [1usize, 4] {
-            let cache = ScoreCache::build(graph.design(), &weights, threads);
-            let mut cached = GibbsSampler::new(&graph, &weights, &ctx, 0).with_score_cache(&cache);
-            cached.set_state(&state);
-            for i in 0..graph.query_vars().len() {
-                prop_assert_eq!(bits(&cached.conditional(i)), bits(&uncached.conditional(i)),
-                    "query var {}, cache built with {} thread(s)", i, threads);
+        let query = graph.query_vars();
+        let caches = [1usize, 4].map(|threads| ScoreCache::build(graph.design(), &weights, threads));
+        let own = GibbsSampler::new(&graph, &weights, &ctx, 0);
+        let borrowed = caches
+            .iter()
+            .map(|cache| GibbsSampler::for_query(&graph, &weights, &ctx, 0, query.clone(), cache));
+        for mut sampler in std::iter::once(own).chain(borrowed) {
+            sampler.set_state(&state);
+            for (i, &v) in query.iter().enumerate() {
+                let mut cached = sampler.conditional(i);
+                let mut uncached = Vec::new();
+                conditional_scores_into(&graph, &weights, &ctx, &state, v, &mut uncached);
+                prop_assert_eq!(&cached, &uncached, "raw scores of {:?}", v);
+                softmax_in_place(&mut cached);
+                softmax_in_place(&mut uncached);
+                prop_assert_eq!(bits(&cached), bits(&uncached), "conditional of {:?}", v);
             }
         }
     }
@@ -424,37 +384,30 @@ proptest! {
     /// and DC-factor-shaped ones (one shared weight, `=` / `≠` only, so
     /// fixed-width rows), and random states, the raw scores are equal as
     /// numbers (a skipped `+0.0` may only flip a zero's sign) and the
-    /// softmaxed conditional is equal bit for bit, with the score cache
-    /// and without.
+    /// softmaxed conditional is equal bit for bit.
     #[test]
     fn compiled_conditional_bit_identical_to_interpreted(seed in 0u64..u64::MAX,
                                                          shape in 0usize..2) {
         let mut rng = StdRng::seed_from_u64(seed);
         let (graph, weights) = CLIQUE_GRAPHS[shape](&mut rng);
         let ctx = NumericContext;
-        let cache = ScoreCache::build(graph.design(), &weights, 1);
         let query = graph.query_vars();
-        let plain = GibbsSampler::new(&graph, &weights, &ctx, 0);
-        let cached = GibbsSampler::new(&graph, &weights, &ctx, 0).with_score_cache(&cache);
-        for mut sampler in [plain, cached] {
-            for _ in 0..4 {
-                let state: Vec<usize> = graph
-                    .vars()
-                    .iter()
-                    .map(|var| var.evidence.unwrap_or_else(|| rng.gen_range(0..var.arity())))
-                    .collect();
-                sampler.set_state(&state);
-                for (i, &v) in query.iter().enumerate() {
-                    let mut compiled = sampler.conditional(i);
-                    let mut interpreted = Vec::new();
-                    conditional_scores_into(
-                        &graph, &weights, &ctx, None, &state, v, &mut interpreted,
-                    );
-                    prop_assert_eq!(&compiled, &interpreted, "raw scores of {:?}", v);
-                    softmax_in_place(&mut compiled);
-                    softmax_in_place(&mut interpreted);
-                    prop_assert_eq!(bits(&compiled), bits(&interpreted), "conditional of {:?}", v);
-                }
+        let mut sampler = GibbsSampler::new(&graph, &weights, &ctx, 0);
+        for _ in 0..4 {
+            let state: Vec<usize> = graph
+                .vars()
+                .iter()
+                .map(|var| var.evidence.unwrap_or_else(|| rng.gen_range(0..var.arity())))
+                .collect();
+            sampler.set_state(&state);
+            for (i, &v) in query.iter().enumerate() {
+                let mut compiled = sampler.conditional(i);
+                let mut interpreted = Vec::new();
+                conditional_scores_into(&graph, &weights, &ctx, &state, v, &mut interpreted);
+                prop_assert_eq!(&compiled, &interpreted, "raw scores of {:?}", v);
+                softmax_in_place(&mut compiled);
+                softmax_in_place(&mut interpreted);
+                prop_assert_eq!(bits(&compiled), bits(&interpreted), "conditional of {:?}", v);
             }
         }
     }
@@ -462,8 +415,9 @@ proptest! {
     /// The compiled exact enumeration is the interpreted one: over the same
     /// random graphs of both shapes, every component's marginals from the
     /// clique kernel (folded constants, pooled evidence, branch-free
-    /// addends, fixed-width rows) equal the `Clique::score`
-    /// enumeration bit for bit, with the score cache and without.
+    /// addends, fixed-width rows, unary scores off the score cache) equal
+    /// the `Clique::score` enumeration over design-matrix walks bit for
+    /// bit.
     #[test]
     fn compiled_exact_bit_identical_to_interpreted(seed in 0u64..u64::MAX,
                                                    shape in 0usize..2) {
@@ -474,16 +428,12 @@ proptest! {
         for members in graph.components().iter() {
             let query: Vec<VarId> =
                 members.iter().copied().filter(|&v| graph.var(v).is_query()).collect();
-            let interpreted = exact_reference::exact_marginals_for(
-                &graph, &weights, &ctx, None, &query,
-            );
-            for c in [None, Some(&cache)] {
-                let (compiled, _) = exact_marginals_for(&graph, &weights, &ctx, c, &query);
-                prop_assert_eq!(compiled.len(), interpreted.len());
-                for ((v, p), (u, q)) in compiled.iter().zip(&interpreted) {
-                    prop_assert_eq!(v, u);
-                    prop_assert_eq!(bits(p), bits(q), "{:?}, cache {}", v, c.is_some());
-                }
+            let interpreted = exact_reference::exact_marginals_for(&graph, &weights, &ctx, &query);
+            let (compiled, _) = exact_marginals_for(&graph, &weights, &ctx, &cache, &query);
+            prop_assert_eq!(compiled.len(), interpreted.len());
+            for ((v, p), (u, q)) in compiled.iter().zip(&interpreted) {
+                prop_assert_eq!(v, u);
+                prop_assert_eq!(bits(p), bits(q), "{:?}", v);
             }
         }
     }

@@ -109,51 +109,6 @@ where
     })
 }
 
-/// Fills `out` in place by cutting it into **fixed-size** chunks of
-/// `chunk_len` (the last may be shorter) and running `f(chunk_index,
-/// chunk)` for each on up to `threads` worker threads — the in-place
-/// counterpart of [`parallel_chunks`] for hot loops that own a reusable
-/// output buffer and must not allocate per call. Chunk boundaries depend
-/// only on `chunk_len` and `out.len()`, never on the thread count, so a
-/// pure `f` writes bit-for-bit the same bytes at every thread count;
-/// `threads = 1` (or a single chunk) runs inline with no pool.
-pub fn parallel_chunks_mut<T: Send, F>(threads: usize, out: &mut [T], chunk_len: usize, f: F)
-where
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunks: Vec<(usize, &mut [T])> = out.chunks_mut(chunk_len.max(1)).enumerate().collect();
-    let n = chunks.len();
-    let threads = effective_threads(threads).min(n).max(1);
-    if threads == 1 || n <= 1 {
-        for (b, chunk) in chunks {
-            f(b, chunk);
-        }
-        return;
-    }
-    // Deal the chunk list into contiguous per-thread runs (first
-    // `n % threads` runs one chunk longer), mirroring `spawn_ranges`.
-    let base = n / threads;
-    let remainder = n % threads;
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut handles = Vec::with_capacity(threads);
-        let mut rest = chunks;
-        for w in 0..threads {
-            let len = base + usize::from(w < remainder);
-            let tail = rest.split_off(len);
-            let mine = std::mem::replace(&mut rest, tail);
-            handles.push(scope.spawn(move || {
-                for (b, chunk) in mine {
-                    f(b, chunk);
-                }
-            }));
-        }
-        for h in handles {
-            join_propagating(h);
-        }
-    });
-}
-
 /// [`parallel_jobs`] with cost-aware dispatch: jobs are handed to workers
 /// **longest-estimated-first** (descending `weight(i)`, ties broken by
 /// ascending index) instead of being pre-split into contiguous index
@@ -352,28 +307,6 @@ mod tests {
             .enumerate()
             .any(|(i, &(s1, e1))| spans.iter().skip(i + 1).any(|&(s2, e2)| s1 < e2 && s2 < e1));
         assert!(overlapping, "no two jobs overlapped: {spans:?}");
-    }
-
-    #[test]
-    fn chunks_mut_fills_like_the_sequential_loop() {
-        let reference: Vec<usize> = (0..257).map(|i| i * 3 + 1).collect();
-        for threads in [1, 2, 3, 8] {
-            for chunk_len in [1, 7, 64, 300] {
-                let mut out = vec![0usize; 257];
-                parallel_chunks_mut(threads, &mut out, chunk_len, |b, chunk| {
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        *slot = (b * chunk_len + i) * 3 + 1;
-                    }
-                });
-                assert_eq!(out, reference, "threads = {threads}, chunk = {chunk_len}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunks_mut_empty_output_is_fine() {
-        let mut out: [u8; 0] = [];
-        parallel_chunks_mut(4, &mut out, 8, |_, _| panic!("no chunks to run"));
     }
 
     #[test]

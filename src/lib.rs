@@ -57,8 +57,8 @@
 //!
 //! A compiled model is a value: the CSR design matrix is the only store of
 //! its unary features and compile featurizes straight into it, once; the
-//! component index and the coloring are derived from the clique structure
-//! on first use and never patched. Nothing changes a compiled model: user
+//! component index is derived from the clique structure on first use and
+//! never patched. Nothing changes a compiled model: user
 //! feedback (§2.2) is a table edit, and a `Session` reads through a
 //! fresh run over its live, labelled table.
 //!

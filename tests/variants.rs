@@ -2,8 +2,9 @@
 //! the confidence calibration of Figure 6.
 
 use holoclean_repro::holo_datagen::{food, hospital, FoodConfig, HospitalConfig};
+use holoclean_repro::holoclean::pipeline;
 use holoclean_repro::holoclean::report::{confidence_buckets, FIG6_EDGES};
-use holoclean_repro::holoclean::{evaluate, HoloClean, HoloConfig, ModelVariant};
+use holoclean_repro::holoclean::{evaluate, HoloClean, HoloConfig, ModelVariant, RepairReport};
 
 fn outcome_for(
     gen: &holoclean_repro::holo_datagen::GeneratedDataset,
@@ -122,4 +123,54 @@ fn deterministic_across_runs() {
     let c = outcome_for(&gen, ModelVariant::DcFeatsDcFactorsPartitioned, 0.5);
     let d = outcome_for(&gen, ModelVariant::DcFeatsDcFactorsPartitioned, 0.5);
     assert_eq!(c.report.repairs, d.report.repairs, "Gibbs path is seeded");
+}
+
+/// `naive_stats`, `score_cache` and `chromatic_gibbs` are read by nothing
+/// but the benchmark's staged driver: a run with all three away from their
+/// defaults gives the default run's report and marginals bit for bit,
+/// under the relaxed model and under the DC-factor model, whose exact and
+/// Gibbs engines the two inference fields used to switch.
+#[test]
+fn benchmark_only_config_fields_change_nothing() {
+    let gen = hospital(HospitalConfig {
+        rows: 250,
+        ..HospitalConfig::default()
+    });
+    for variant in [ModelVariant::DcFeats, ModelVariant::DcFactorsPartitioned] {
+        let run = |config: HoloConfig| {
+            let cx = HoloClean::new(gen.dirty.clone())
+                .with_constraint_text(&gen.constraints_text)
+                .unwrap()
+                .with_config(config.with_variant(variant))
+                .into_context()
+                .unwrap();
+            let run = pipeline::run(&cx).unwrap();
+            let graph = &run.model.graph;
+            let report = RepairReport::from_marginals(
+                &cx.ds,
+                &run.model.query_cells,
+                &run.model.query_vars,
+                graph,
+                &run.marginals,
+            );
+            let marginals: Vec<Vec<u64>> = graph
+                .var_ids()
+                .map(|v| run.marginals.probs(v).iter().map(|p| p.to_bits()).collect())
+                .collect();
+            (format!("{report:?}"), marginals, run.timings.partition)
+        };
+        let flipped = run(HoloConfig {
+            naive_stats: true,
+            score_cache: false,
+            chromatic_gibbs: true,
+            ..HoloConfig::default()
+        });
+        let default = run(HoloConfig::default());
+        assert!(flipped.0 == default.0, "{variant:?}: the report moved");
+        assert!(flipped.1 == default.1, "{variant:?}: a marginal moved");
+        if variant.uses_dc_factors() {
+            assert!(default.2.gibbs_vars > 0, "{variant:?}: {:?}", default.2);
+            assert!(default.2.exact_vars > 0, "{variant:?}: {:?}", default.2);
+        }
+    }
 }
