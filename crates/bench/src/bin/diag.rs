@@ -282,20 +282,28 @@ fn clean_rewrites(gen: &GeneratedDataset, repairs: &[Repair]) -> CleanRewrites {
     out
 }
 
-/// Per attribute with `Occur` weights, in attribute order: how many, and
-/// the three `(conditioning attribute, w)` with the largest |w|.
+/// Per attribute with `Occur` weights some design row names, in attribute
+/// order: how many, and the three `(conditioning attribute, w)` with the
+/// largest |w|, ties by conditioning attribute.
 type OccurWeights = (AttrId, usize, Vec<(AttrId, f64)>);
 
-fn occur_weights(registry: &FeatureRegistry<FeatureKey>, weights: &Weights) -> Vec<OccurWeights> {
+fn occur_weights(
+    registry: &FeatureRegistry<FeatureKey>,
+    weights: &Weights,
+    named: &FxHashSet<WeightId>,
+) -> Vec<OccurWeights> {
     let mut by_attr: std::collections::BTreeMap<AttrId, Vec<(AttrId, f64)>> = Default::default();
     for (id, key) in registry.keys().iter().enumerate() {
-        if let FeatureKey::Occur { attr, cond_attr } = *key {
-            let w = weights.get(WeightId(id as u32));
-            by_attr.entry(attr).or_default().push((cond_attr, w));
+        let id = WeightId(id as u32);
+        if let (FeatureKey::Occur { attr, cond_attr }, true) = (*key, named.contains(&id)) {
+            by_attr
+                .entry(attr)
+                .or_default()
+                .push((cond_attr, weights.get(id)));
         }
     }
     let by_attr = by_attr.into_iter().map(|(attr, mut ws)| {
-        ws.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
+        ws.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
         (attr, ws.len(), ws.into_iter().take(3).collect())
     });
     by_attr.collect()
@@ -416,7 +424,6 @@ fn print_json(
     partition.field_u64("clique_entries", p.clique_entries);
     partition.field_u64("clique_entries_compact", p.clique_entries_compact);
     partition.field_u64("clique_entries_folded", p.clique_entries_folded);
-    partition.field_u64("score_cache_builds", p.score_cache.builds);
     partition.field_u64("score_cache_rows", p.score_cache.rows);
     let s = t.stats;
     // Every attribute is either trainable or skipped.
@@ -499,7 +506,7 @@ fn run_streamed(
     holo_factor::FeatureRegistry<FeatureKey>,
     holo_factor::Weights,
     Dataset,
-    FxHashSet<WeightId>,
+    Named,
     Option<FeedStats>,
 ) {
     let fail = |e: holoclean::HoloError| -> ! {
@@ -525,18 +532,24 @@ fn run_streamed(
         run.model.registry.clone(),
         run.weights.clone(),
         table.clone(),
-        evidence_weights(&run.model),
+        named_weights(&run.model),
         Some((session.ingest_stats(), session.retire_stats())),
     )
 }
 
-/// The weights some evidence row names — the ones training can move.
-fn evidence_weights(model: &CompiledModel) -> FxHashSet<WeightId> {
+/// The weights some design row names (the ones `diag` lists) and those
+/// some evidence row names, the ones training can move.
+type Named = (FxHashSet<WeightId>, FxHashSet<WeightId>);
+
+fn named_weights(model: &CompiledModel) -> Named {
     let design = model.graph.design();
-    (model.query_vars.len()..model.graph.var_count())
+    let evidence = (model.query_vars.len()..model.graph.var_count())
         .flat_map(|v| design.var_range(VarId(v as u32)))
-        .flat_map(|r| design.row(r).iter().map(|&(w, _)| w))
-        .collect()
+        .flat_map(|r| design.row(r).iter().map(|&(w, _)| w));
+    (
+        design.weight_ids().into_iter().collect(),
+        evidence.collect(),
+    )
 }
 
 fn main() {
@@ -563,24 +576,17 @@ fn main() {
     // Before the repair, as a user pays it, so that the text and the
     // parsed table are gone before the repair's peak.
     let load = load_time(&gen.dirty);
-    let (out, registry, weights, pool, trained, feed) = if args.stream > 0 {
+    let (out, registry, weights, pool, (named, trained), feed) = if args.stream > 0 {
         run_streamed(&gen, config, &args)
     } else {
         let (out, model, weights) = run_holoclean_full(&gen, config, None, false);
-        let trained = evidence_weights(&model);
-        (
-            out,
-            model.registry,
-            weights,
-            gen.dirty.clone(),
-            trained,
-            None,
-        )
+        let named = named_weights(&model);
+        (out, model.registry, weights, gen.dirty.clone(), named, None)
     };
     let ece = expected_calibration_error(&out.report, &pool, &gen.clean);
     let detect = detect_profile(&gen, args.threads);
     let clean = clean_rewrites(&gen, &out.report.repairs);
-    let occur = occur_weights(&registry, &weights);
+    let occur = occur_weights(&registry, &weights, &named);
     if args.json {
         print_json(&gen, &out, (&detect, &clean, &occur), (ece, load, feed));
         return;
@@ -670,10 +676,7 @@ fn main() {
         p.clique_entries_compact,
         p.clique_entries_folded
     );
-    println!(
-        "  score cache: {} build(s), {} row(s) scored once",
-        p.score_cache.builds, p.score_cache.rows
-    );
+    println!("  score cache: {} row(s) scored once", p.score_cache.rows);
     let s = out.timings.stats;
     let n_attrs = gen.dirty.schema().len() as u64;
     println!(
@@ -733,7 +736,8 @@ fn main() {
     // profile lists in order.
     println!("\nlearned DC-violation weights:");
     for (constraint, c) in detect.constraints.iter().enumerate() {
-        match registry.get(&FeatureKey::DcViolation { constraint }) {
+        let id = registry.get(&FeatureKey::DcViolation { constraint });
+        match id.filter(|id| named.contains(id)) {
             Some(id) if trained.contains(&id) => {
                 println!("  {:<44} w = {:+.4}", c.name, weights.get(id));
             }
@@ -745,12 +749,12 @@ fn main() {
             None => println!("  {:<44} not trained (no query variable reads it)", c.name),
         }
     }
-    println!("minimality prior = {:+.4}", {
-        match registry.get(&FeatureKey::Minimality) {
-            Some(id) => weights.get(id),
-            None => f64::NAN,
-        }
-    });
+    let minimality = registry.get(&FeatureKey::Minimality);
+    let minimality = minimality.filter(|id| named.contains(id));
+    println!(
+        "minimality prior = {:+.4}",
+        minimality.map_or(f64::NAN, |id| weights.get(id))
+    );
     println!("\nlearned co-occurrence weights (Occur; top 3 conditioning attributes by |w|):");
     let name = |a: AttrId| gen.dirty.schema().attr_name(a);
     for (attr, n, top) in &occur {

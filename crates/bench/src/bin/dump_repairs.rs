@@ -55,10 +55,14 @@ fn main() {
         let report = session.report();
         let run = session.cached_run().expect("the read above made it");
         let table = session.cached_table().expect("the read above made it");
-        (report, table.clone(), run.weights.learnable_norm())
+        let norm = run
+            .weights
+            .learnable_norm(run.model.graph.design().weight_ids());
+        (report, table.clone(), norm)
     } else {
-        let (out, _model, weights) = run_holoclean_full(&gen, config, None, false);
-        (out.report, gen.dirty.clone(), weights.learnable_norm())
+        let (out, model, weights) = run_holoclean_full(&gen, config, None, false);
+        let norm = weights.learnable_norm(model.graph.design().weight_ids());
+        (out.report, gen.dirty.clone(), norm)
     };
     let quality = evaluate(&report, &table, &gen.clean);
 

@@ -28,8 +28,8 @@ use crate::config::HoloConfig;
 use crate::domain::PruneIndex;
 use crate::error::HoloError;
 use crate::features::{
-    collect_external_features, collect_minimality_feature, collect_occur_features, DcFeaturizer,
-    FeatureBuffer, FeatureKey, FeatureSink, MatchLookup, SourceFeaturizer,
+    collect_external_features, collect_minimality_feature, collect_occur_features, number_weights,
+    DcFeaturizer, FeatureBuffer, FeatureKey, MatchLookup, SourceFeaturizer,
 };
 use crate::trainable::{attrs_of, noisy_attrs, trainable_attrs};
 use holo_constraints::ast::{Op, Operand, TupleVar};
@@ -39,8 +39,8 @@ use holo_dataset::{
     AttrId, CellRef, CellSet, CooccurStats, Dataset, FxHashMap, FxHashSet, Sym, TupleId, NULL_CODE,
 };
 use holo_factor::{
-    CliqueArena, CmpOp, DesignMatrix, FactorGraph, FactorOperand, FactorPredicate, FeatureRegistry,
-    VarId, Variable, Weights,
+    CliqueArena, CmpOp, DesignBuilder, DesignMatrix, FactorGraph, FactorOperand, FactorPredicate,
+    FeatureRegistry, VarId, Variable, Weights,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
@@ -89,8 +89,9 @@ pub struct CompileStats {
     /// build` (the τ-index), `noisy prune` (its Algorithm 2 read for the
     /// noisy cells), `evidence prune` (evidence selection and its read),
     /// `variables`, `featurizer setup` (DC/source featurizers, Algorithm 3
-    /// groups), `featurize` (the parallel pass into per-chunk sinks),
-    /// `assemble` (their ordered merge into registry + design matrix),
+    /// groups, the fixed weight numbering), `featurize` (the parallel pass
+    /// into per-chunk design-matrix fragments), `assemble` (their
+    /// concatenation in chunk order),
     /// `ground` (Algorithm 1; DC-factor variants only). Together they
     /// cover the call but for wiring the graph's clique lists and the
     /// final weight-vector copy.
@@ -117,7 +118,8 @@ pub struct CompiledModel {
     pub graph: FactorGraph,
     /// Initial weights: fixed values and the learnable weights' priors.
     pub weights: Weights,
-    /// The feature registry (kept for introspection).
+    /// The weights' numbering by key (kept for introspection; a superset
+    /// of the keys the rows name, see the `features` module docs).
     pub registry: FeatureRegistry<FeatureKey>,
     /// Query cells, parallel to the query variable ids in `query_vars`.
     pub query_cells: Vec<CellRef>,
@@ -316,16 +318,15 @@ fn compile_with(
             .variant
             .uses_partitioning()
             .then(|| find_tuple_groups_with_threads(ds, constraints, threads));
-        Signals::new(input).map(|signals| (groups, signals))
+        Signals::new(input, &var_cells).map(|signals| (groups, signals))
     })?;
-    let sinks = timed(&mut phases, "featurize", || {
+    let fragments = timed(&mut phases, "featurize", || {
         signals.featurize(threads, &var_cells, &vars)
     });
     let evidence_cells = var_cells.split_off(cstats.query_vars);
     let query_cells = var_cells;
     let (mut registry, design) = timed(&mut phases, "assemble", || {
-        drop(signals);
-        assemble(sinks)
+        (signals.into_ids(), assemble(fragments))
     });
 
     // ---- 4. DC factor grounding (Algorithm 1) ----
@@ -432,8 +433,8 @@ fn sample_rank(seed: u64, cell: CellRef) -> u64 {
 }
 
 /// The repair signals of §4.2 in the form per-cell featurization reads
-/// them: the compile inputs plus the DC and source featurizers built over
-/// them.
+/// them: the compile inputs, the DC and source featurizers built over
+/// them and the fixed numbering of the weights they name.
 struct Signals<'a> {
     ds: &'a Dataset,
     stats: &'a CooccurStats,
@@ -441,77 +442,91 @@ struct Signals<'a> {
     config: &'a HoloConfig,
     dc: Option<DcFeaturizer<'a>>,
     source: Option<SourceFeaturizer>,
+    ids: FeatureRegistry<FeatureKey>,
 }
 
 impl<'a> Signals<'a> {
-    fn new(input: &CompileInput<'a>) -> Result<Self, HoloError> {
-        let config = input.config;
+    /// Builds the featurizers and numbers the weights (see the `features`
+    /// module docs) for the variables of `var_cells`.
+    fn new(input: &CompileInput<'a>, var_cells: &[CellRef]) -> Result<Self, HoloError> {
+        let (ds, config, matches) = (input.ds, input.config, input.matches);
+        let uses_dc = config.variant.uses_dc_features();
+        let dc = uses_dc.then(|| DcFeaturizer::new(ds, input.constraints, config));
+        let source = match &config.source {
+            Some(sc) => Some(SourceFeaturizer::new(ds, &sc.entity_attr, &sc.source_attr)?),
+            None => None,
+        };
+        let mut var_attrs = vec![false; ds.schema().len()];
+        for cell in var_cells {
+            var_attrs[cell.attr.index()] = true;
+        }
+        let (dc_ref, source_ref) = (dc.as_ref(), source.as_ref());
+        let ids = number_weights((ds, config), &var_attrs, matches, dc_ref, source_ref);
         Ok(Signals {
-            ds: input.ds,
+            ds,
             stats: input.stats,
-            matches: input.matches,
+            matches,
             config,
-            dc: config
-                .variant
-                .uses_dc_features()
-                .then(|| DcFeaturizer::new(input.ds, input.constraints, config)),
-            source: match &config.source {
-                Some(sc) => Some(SourceFeaturizer::new(
-                    input.ds,
-                    &sc.entity_attr,
-                    &sc.source_attr,
-                )?),
-                None => None,
-            },
+            dc,
+            source,
+            ids,
         })
     }
 
-    /// Queues every signal of one cell in its canonical order: the collect
-    /// order *is* the per-row feature order in the design matrix and the
-    /// weight interning order.
+    /// The numbering, dropping the featurizers.
+    fn into_ids(self) -> FeatureRegistry<FeatureKey> {
+        self.ids
+    }
+
+    /// Emits every signal of one cell in its canonical order, which *is*
+    /// the per-row feature order in the design matrix.
     fn collect(&self, buf: &mut FeatureBuffer, cell: CellRef, candidates: &[Sym]) {
-        let (ds, config) = (self.ds, self.config);
-        let support_prior = (config.min_cond_support, config.occur_prior);
-        collect_occur_features(buf, (ds, self.stats), support_prior, cell, candidates);
-        collect_minimality_feature(buf, config, ds.cell_ref(cell), candidates);
-        collect_external_features(buf, self.matches, cell, candidates);
+        let (ds, config, ids) = (self.ds, self.config, &self.ids);
+        let support = config.min_cond_support;
+        collect_occur_features((buf, ids), (ds, self.stats), support, cell, candidates);
+        collect_minimality_feature((buf, ids), ds.cell_ref(cell), candidates);
+        collect_external_features((buf, ids), self.matches, cell, candidates);
         if let Some(dcf) = &self.dc {
-            dcf.collect_features(buf, cell, candidates);
+            dcf.collect_features((buf, ids), cell, candidates);
         }
         if let Some(sf) = &self.source {
-            sf.collect_features(buf, ds, cell, candidates);
+            sf.collect_features((buf, ids), ds, cell, candidates);
         }
     }
 
     /// Featurizes the variables (`cells[i]` is the cell of `vars[i]`), one
-    /// [`FeatureSink`] per contiguous chunk, in chunk order. This is the
-    /// compile hot path — every signal of every variable scans
+    /// design-matrix fragment per contiguous chunk, in chunk order. This is
+    /// the compile hot path — every signal of every variable scans
     /// conditioning cells, match lookups and DC partner blocks — and a
     /// variable's features depend only on read-only inputs, so the chunks
     /// run data-parallel, each through one reused [`FeatureBuffer`].
-    fn featurize(&self, threads: usize, cells: &[CellRef], vars: &[Variable]) -> Vec<FeatureSink> {
+    fn featurize(
+        &self,
+        threads: usize,
+        cells: &[CellRef],
+        vars: &[Variable],
+    ) -> Vec<DesignBuilder> {
         let items: Vec<(CellRef, &Variable)> = cells.iter().copied().zip(vars).collect();
         holo_parallel::parallel_chunks(threads, &items, |_, chunk| {
-            let mut sink = FeatureSink::default();
+            let mut rows = DesignBuilder::default();
             let mut buf = FeatureBuffer::default();
             for &(cell, var) in chunk {
                 buf.clear();
                 self.collect(&mut buf, cell, &var.domain);
-                sink.push_var(&buf, var.arity());
+                rows.push_var(var.arity(), buf.entries().iter().copied());
             }
-            vec![sink]
+            vec![rows]
         })
     }
 }
 
-/// Merges per-chunk sinks, in chunk order, into the model's registry and
-/// design matrix — those of a single sink fed every variable in turn, at
-/// any chunking (see the `features` module docs).
-fn assemble(sinks: Vec<FeatureSink>) -> (FeatureRegistry<FeatureKey>, DesignMatrix) {
-    let mut sinks = sinks.into_iter();
-    let mut merged = sinks.next().unwrap_or_default();
-    for sink in sinks {
-        merged.absorb(sink);
+/// Concatenates per-chunk fragments, in chunk order, into the model's
+/// design matrix.
+fn assemble(fragments: Vec<DesignBuilder>) -> DesignMatrix {
+    let mut fragments = fragments.into_iter();
+    let mut merged = fragments.next().unwrap_or_default();
+    for fragment in fragments {
+        merged.append(fragment);
     }
     merged.finish()
 }
@@ -920,7 +935,6 @@ mod tests {
     use crate::config::ModelVariant;
     use crate::features::DictIds;
     use holo_constraints::{find_violations, noisy_cells, parse_constraints};
-    use holo_factor::graph::FeatureVec;
 
     fn setup(variant: ModelVariant) -> (Dataset, ConstraintSet, HoloConfig) {
         let mut ds = Dataset::new(holo_dataset::Schema::new(vec!["Zip", "City"]));
@@ -1549,31 +1563,29 @@ mod tests {
 
     /// The pre-CSR pipeline, kept as the reference of the one-pass build:
     /// each variable in turn is featurized into a fresh buffer and
-    /// expanded `to_rows`.
+    /// expanded `to_rows`, each weight named by its key.
     fn reference_build(
         signals: &Signals<'_>,
         cells: &[CellRef],
         vars: &[Variable],
-    ) -> (FeatureRegistry<FeatureKey>, Vec<Vec<FeatureVec>>) {
-        let mut registry = FeatureRegistry::new();
-        let rows = cells
+    ) -> Vec<Vec<Vec<(FeatureKey, f64)>>> {
+        cells
             .iter()
             .zip(vars)
             .map(|(&cell, var)| {
                 let mut buf = FeatureBuffer::default();
                 signals.collect(&mut buf, cell, &var.domain);
-                buf.to_rows(&mut registry, var.arity())
+                buf.to_rows(&signals.ids, var.arity())
             })
-            .collect();
-        (registry, rows)
+            .collect()
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
         /// One-pass featurization ≡ the reference pipeline: identical
-        /// registry (key → id, fixed mask, initial values) and design rows,
-        /// at 1, 2 and 4 threads — over random tables
+        /// design rows, compared as `(key, x)`, at 1, 2 and 4 threads, and
+        /// a numbering that is the canonical key list — over random tables
         /// with nulls, DC sets with and without relaxed features,
         /// dictionary-asserted out-of-domain candidates, the source
         /// featurizer, variable counts that do not divide into the chunks,
@@ -1646,7 +1658,7 @@ mod tests {
 
             let stats = CooccurStats::build(&ds);
             let (noisy, violations) = (FxHashSet::default(), Vec::new());
-            let signals = Signals::new(&CompileInput {
+            let input = CompileInput {
                 ds: &ds,
                 constraints: &cons,
                 noisy: &noisy,
@@ -1654,35 +1666,38 @@ mod tests {
                 stats: &stats,
                 matches: &matches,
                 config: &config,
-            })
-            .unwrap();
-            let (ref_registry, ref_rows) = reference_build(&signals, &cells, &vars);
+            };
+            let signals = Signals::new(&input, &cells).unwrap();
+            // Every attribute holds a variable here, so the numbering is
+            // every ordered pair, the prior, dictionaries 0 to 2, the
+            // constraints under DC features and the sources.
+            let ids = &signals.ids;
+            let n = ds.schema().len();
+            let dcs = if with_dc_features == 1 { cons.len() } else { 0 };
+            let sources = if with_source == 1 { ds.active_domain(AttrId(1)).len() } else { 0 };
+            proptest::prop_assert_eq!(ids.len(), n * (n - 1) + 1 + 3 + dcs + sources);
+            let ref_rows = reference_build(&signals, &cells, &vars);
             let featureless = ref_rows
                 .iter()
                 .filter(|rows| rows.iter().all(Vec::is_empty))
                 .count();
             proptest::prop_assert!(featureless >= 1, "the all-null tuple's variables");
             for threads in [1usize, 2, 4] {
-                let (registry, design) = assemble(signals.featurize(threads, &cells, &vars));
+                let design = assemble(signals.featurize(threads, &cells, &vars));
                 proptest::prop_assert_eq!(design.var_count(), vars.len());
                 for (i, rows) in ref_rows.iter().enumerate() {
                     let v = VarId(i as u32);
                     proptest::prop_assert_eq!(design.var_range(v).len(), rows.len());
                     for (k, row) in rows.iter().enumerate() {
+                        let got: Vec<(FeatureKey, f64)> = design
+                            .row(design.row_of(v, k))
+                            .iter()
+                            .map(|&(w, x)| (ids.keys()[w.index()], x))
+                            .collect();
                         proptest::prop_assert_eq!(
-                            design.row(design.row_of(v, k)), &row[..],
+                            &got, row,
                             "var {} candidate {}, threads = {}", i, k, threads
                         );
-                    }
-                }
-                proptest::prop_assert_eq!(registry.len(), ref_registry.len());
-                proptest::prop_assert_eq!(registry.build_weights(), ref_registry.build_weights());
-                let mut buf = FeatureBuffer::default();
-                for (&cell, var) in cells.iter().zip(&vars) {
-                    buf.clear();
-                    signals.collect(&mut buf, cell, &var.domain);
-                    for key in buf.keys() {
-                        proptest::prop_assert_eq!(registry.get(&key), ref_registry.get(&key));
                     }
                 }
             }

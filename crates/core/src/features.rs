@@ -28,29 +28,31 @@
 //!   (via another tuple about the same entity) carries a feature with
 //!   learned weight `w(s)`.
 //!
-//! ## One pass, ending in the design matrix
+//! ## Fixed numbering, then one pass into the design matrix
 //!
-//! The relaxed model of §5.2 makes repair *featurization plus a softmax*,
-//! so featurization is the system, and it runs as a single pass: the
-//! `collect_*` functions queue one variable's features into a reusable
-//! [`FeatureBuffer`] (a scratch, cleared per variable), and
-//! [`FeatureSink::push_var`] moves them straight into CSR rows. Each
-//! parallel chunk of variables owns one sink — a row-major fragment
-//! ([`holo_factor::DesignBuilder`]) plus a chunk-local
-//! [`FeatureRegistry`] — and [`FeatureSink::absorb`] concatenates the
-//! chunks in order.
+//! The weight vector follows from the schema, so `compile` numbers every
+//! weight once, before it featurizes a variable ([`number_weights`]):
+//! `Occur` for every attribute that holds a variable × every other
+//! attribute (both ascending), `Minimality`, `ExtDict` per dictionary id in
+//! the match table (ascending), `DcViolation` per constraint under the
+//! DC-feature variants and `Source` per source value in column-dictionary
+//! order; grounding interns `DcFactor` last. An id is thus a function of
+//! its key, of which attributes hold variables, of the dictionary ids the
+//! match table holds and of the source column's dictionary order (first
+//! appearance, so a multi-source table with its rows reordered numbers its
+//! sources differently) — never of the order cells are featurized or of
+//! chunk boundaries, so the model is the same at every thread count. The
+//! `collect_*` functions look ids up read-only and write one variable's
+//! `(slot, WeightId, x)` triples into a reused [`FeatureBuffer`], which
+//! [`DesignBuilder::push_var`] sorts into the chunk's CSR rows.
 //!
-//! **The interning invariant.** A weight's id is the rank of its key's
-//! first appearance in *queue order* — variables in model order, and
-//! within a variable the order the collectors queued their specs (a group
-//! counts once, where it was queued; an empty group never). Each sink
-//! interns in exactly that order, so its local ids are first-appearance
-//! ranks within the chunk; absorbing the chunks in order hands every key
-//! new to the merged registry the next id, chunk by chunk, which is its
-//! first-appearance rank in the concatenated queue (see
-//! [`FeatureRegistry::absorb`]). That rank never mentions where a chunk
-//! ends, so weight ids, fixedness and initial values — and through them
-//! every learned weight and marginal — are the same at every thread count.
+//! The numbering is a superset of what the rows name: each collector takes
+//! its keys from the range [`number_weights`] walks, but a numbered key may
+//! go unnamed (an `Occur` pair whose conditioning values never reach
+//! `min_support`, a constraint no cell takes part in; hospital numbers 172
+//! keys, its rows name 154). An unnamed key keeps its initial value and
+//! nothing reads it, so reports of the model's weights list only the named
+//! ones ([`DesignMatrix::weight_ids`](holo_factor::DesignMatrix::weight_ids)).
 //!
 //! ## The compiled partner scan
 //!
@@ -88,7 +90,11 @@ use holo_constraints::ast::TupleVar;
 use holo_constraints::scan::{build_shared, BlockIndex, PairScan, ScanPredicate};
 use holo_constraints::{ConstraintId, ConstraintSet};
 use holo_dataset::{AttrId, CellRef, CooccurStats, Dataset, FxHashMap, Sym, TupleId};
-use holo_factor::{DesignBuilder, DesignMatrix, FeatureRegistry, WeightId};
+use holo_factor::{FeatureRegistry, WeightId};
+use std::collections::BTreeSet;
+
+#[cfg(doc)]
+use holo_factor::DesignBuilder;
 
 /// Structured feature keys; interning them yields the tied weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -206,117 +212,86 @@ impl FromIterator<u32> for DictIds {
     }
 }
 
-/// How a queued feature's weight is obtained from the registry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WeightSpec {
-    /// `registry.learnable_init(key, prior)`.
-    LearnableInit(FeatureKey, f64),
-    /// `registry.fixed(key, value)`.
-    Fixed(FeatureKey, f64),
-}
-
-impl WeightSpec {
-    fn intern(self, registry: &mut FeatureRegistry<FeatureKey>) -> WeightId {
-        match self {
-            WeightSpec::LearnableInit(key, prior) => registry.learnable_init(key, prior),
-            WeightSpec::Fixed(key, value) => registry.fixed(key, value),
-        }
-    }
-}
-
-/// The features of one variable in *queue order* — the reusable scratch
-/// the `collect_*` functions write and [`FeatureSink::push_var`] drains.
-/// Nothing here touches a registry: weights are named by [`WeightSpec`]
-/// and interned by the sink, spec by spec, which is what makes the queue
-/// order the interning order.
+/// One variable's features as `(candidate slot, weight, value)` triples,
+/// in emission order — the reusable scratch the `collect_*` functions
+/// write and [`DesignBuilder::push_var`] reads.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureBuffer {
-    /// One spec per queued unit — a single feature, or a non-empty group
-    /// of features sharing one weight — in queue order.
-    specs: Vec<WeightSpec>,
-    /// `(index into specs, candidate slot, feature value)`, in queue order.
-    entries: Vec<(usize, usize, f64)>,
+    entries: Vec<(usize, WeightId, f64)>,
     /// Scratch of [`collect_occur_features`]: the candidates' value codes.
     codes: Vec<u32>,
 }
 
 impl FeatureBuffer {
-    /// Queues one feature grounding.
-    pub fn push(&mut self, slot: usize, spec: WeightSpec, value: f64) {
-        self.push_group(spec, [(slot, value)]);
+    /// Emits one feature grounding.
+    pub fn push(&mut self, slot: usize, weight: WeightId, value: f64) {
+        self.entries.push((slot, weight, value));
     }
 
-    /// Queues a shared-weight group: `spec` is interned once and every
-    /// `(slot, value)` grounds against the resulting weight. Empty groups
-    /// are dropped — their weight is never interned. (An ungrounded weight
-    /// contributes nothing to learning or inference, so this only shifts
-    /// internal weight ids, never results.)
-    pub fn push_group(&mut self, spec: WeightSpec, slots: impl IntoIterator<Item = (usize, f64)>) {
-        let unit = self.specs.len();
-        let before = self.entries.len();
-        self.entries
-            .extend(slots.into_iter().map(|(slot, value)| (unit, slot, value)));
-        if self.entries.len() > before {
-            self.specs.push(spec);
-        }
+    /// The emitted triples, in emission order.
+    pub fn entries(&self) -> &[(usize, WeightId, f64)] {
+        &self.entries
     }
 
     /// Empties the buffer for the next variable, keeping its allocations.
     pub fn clear(&mut self) {
-        self.specs.clear();
         self.entries.clear();
     }
 }
 
-/// Where featurization ends: a run of consecutive variables as finished
-/// design-matrix rows plus the registry of the weights they name — the
-/// only way a unary feature enters a compiled model. See the module docs
-/// for the interning invariant [`FeatureSink::push_var`] and
-/// [`FeatureSink::absorb`] maintain between them.
-#[derive(Debug, Default)]
-pub struct FeatureSink {
-    registry: FeatureRegistry<FeatureKey>,
-    rows: DesignBuilder,
-    /// Scratch of `push_var`: the weight id of each queued spec.
-    ids: Vec<WeightId>,
+/// The id of `key`; panics if the canonical order left it out.
+fn id_of(ids: &FeatureRegistry<FeatureKey>, key: FeatureKey) -> WeightId {
+    ids.get(&key)
+        .unwrap_or_else(|| panic!("{key:?} is not numbered"))
 }
 
-impl FeatureSink {
-    /// Appends the next variable, of `arity` candidates, with the features
-    /// queued in `buf`: interns the specs in queue order, then sorts the
-    /// entries into the variable's rows.
-    pub fn push_var(&mut self, buf: &FeatureBuffer, arity: usize) {
-        self.ids.clear();
-        for spec in &buf.specs {
-            self.ids.push(spec.intern(&mut self.registry));
+/// Numbers every weight a collector can name, in the canonical order of
+/// the module docs, each at its initial value. `var_attrs[a]`: attribute
+/// `a` holds a variable; `dc` and `source`: the featurizers the model runs.
+pub fn number_weights(
+    (ds, config): (&Dataset, &HoloConfig),
+    var_attrs: &[bool],
+    matches: &MatchLookup,
+    dc: Option<&DcFeaturizer<'_>>,
+    source: Option<&SourceFeaturizer>,
+) -> FeatureRegistry<FeatureKey> {
+    let mut ids = FeatureRegistry::new();
+    let occur_init = config.occur_prior / ds.schema().len().saturating_sub(1).max(1) as f64;
+    for attr in ds.schema().attrs().filter(|a| var_attrs[a.index()]) {
+        for cond_attr in cond_attrs(ds, attr) {
+            ids.learnable_init(FeatureKey::Occur { attr, cond_attr }, occur_init);
         }
-        let ids = &self.ids;
-        self.rows.push_var(
-            arity,
-            buf.entries
-                .iter()
-                .map(|&(unit, slot, value)| (slot, ids[unit], value)),
+    }
+    ids.fixed(FeatureKey::Minimality, config.minimality_weight);
+    let dicts: BTreeSet<u32> = matches.values().flatten().copied().collect();
+    for dict in dicts {
+        ids.learnable_init(FeatureKey::ExtDict { dict }, EXT_DICT_PRIOR);
+    }
+    for constraint in dc.map_or(0..0, DcFeaturizer::constraints) {
+        ids.learnable_init(
+            FeatureKey::DcViolation { constraint },
+            config.dc_violation_prior,
         );
     }
-
-    /// Appends the variables of `later` — the sink of the chunk that
-    /// follows this one — re-interning its weights in its id order.
-    pub fn absorb(&mut self, later: FeatureSink) {
-        let remap = self.registry.absorb(later.registry);
-        self.rows.append_remapped(later.rows, &remap);
+    if let Some(sf) = source {
+        for source in ds.active_domain(sf.source_attr) {
+            let prior = sf.priors.get(&source).copied().unwrap_or(0.0);
+            ids.learnable_init(FeatureKey::Source { source }, prior);
+        }
     }
-
-    /// The merged registry and the assembled design matrix.
-    pub fn finish(self) -> (FeatureRegistry<FeatureKey>, DesignMatrix) {
-        (self.registry, self.rows.finish())
-    }
+    ids
 }
 
-/// Queues the tied co-occurrence features of one variable: per other
+/// The conditioning attributes of `attr`'s `Occur` keys: every other
+/// attribute, ascending.
+fn cond_attrs(ds: &Dataset, attr: AttrId) -> impl Iterator<Item = AttrId> {
+    ds.schema().attrs().filter(move |&a| a != attr)
+}
+
+/// Emits the tied co-occurrence features of one variable: per other
 /// attribute `A'` whose value `v'` in the tuple is non-null and seen at
-/// least `min_support` times, one group under `Occur { attr, A' }` holding
-/// `x = P(d | v') = #(d, v') / #v'` for every candidate `d` it is non-zero
-/// for. The weights start at `prior / (|A| − 1)` (module docs).
+/// least `min_support` times, `x = P(d | v') = #(d, v') / #v'` under
+/// `Occur { attr, A' }` for every candidate `d` it is non-zero for.
 ///
 /// Everything is read by value code, on either statistics backend: `v'`
 /// from the coded column, `#v'` from the per-code counts, the group `A' =
@@ -325,18 +300,17 @@ impl FeatureSink {
 /// [`NULL_CODE`](holo_dataset::NULL_CODE) counts 0). Nothing is allocated
 /// per cell.
 pub fn collect_occur_features(
-    buf: &mut FeatureBuffer,
+    (buf, ids): (&mut FeatureBuffer, &FeatureRegistry<FeatureKey>),
     (ds, stats): (&Dataset, &CooccurStats),
-    (min_support, prior): (u32, f64),
+    min_support: u32,
     cell: CellRef,
     candidates: &[Sym],
 ) {
     let attr = cell.attr;
-    let init = prior / ds.schema().len().saturating_sub(1).max(1) as f64;
     let mut codes = std::mem::take(&mut buf.codes);
     codes.clear();
     codes.extend(candidates.iter().map(|&d| ds.code_of(attr, d)));
-    for cond_attr in ds.schema().attrs().filter(|&a| a != attr) {
+    for cond_attr in cond_attrs(ds, attr) {
         let v_cond = ds.code(cell.tuple, cond_attr);
         let denom = stats.code_count(cond_attr, v_cond);
         if denom < min_support.max(1) {
@@ -345,26 +319,27 @@ pub fn collect_occur_features(
         let Some(group) = stats.group_by_code(cond_attr, v_cond, attr) else {
             continue; // every candidate would count 0
         };
-        let x = |(k, &t): (usize, &u32)| (k, f64::from(group.count_by_code(t)) / f64::from(denom));
-        let spec = WeightSpec::LearnableInit(FeatureKey::Occur { attr, cond_attr }, init);
-        let entries = codes.iter().enumerate().map(x);
-        buf.push_group(spec, entries.filter(|e| e.1 > 0.0));
+        let w = id_of(ids, FeatureKey::Occur { attr, cond_attr });
+        for (k, &t) in codes.iter().enumerate() {
+            let x = f64::from(group.count_by_code(t)) / f64::from(denom);
+            if x > 0.0 {
+                buf.push(k, w, x);
+            }
+        }
     }
     buf.codes = codes;
 }
 
-/// Queues the minimality prior: fires on the candidate equal to the
+/// Emits the minimality prior: fires on the candidate equal to the
 /// initial observed value.
 pub fn collect_minimality_feature(
-    buf: &mut FeatureBuffer,
-    config: &HoloConfig,
+    (buf, ids): (&mut FeatureBuffer, &FeatureRegistry<FeatureKey>),
     init: Sym,
     candidates: &[Sym],
 ) {
     for (k, &d) in candidates.iter().enumerate() {
         if d == init {
-            let spec = WeightSpec::Fixed(FeatureKey::Minimality, config.minimality_weight);
-            buf.push(k, spec, 1.0);
+            buf.push(k, id_of(ids, FeatureKey::Minimality), 1.0);
         }
     }
 }
@@ -374,10 +349,10 @@ pub fn collect_minimality_feature(
 /// by matches adjust the weight during learning.
 const EXT_DICT_PRIOR: f64 = 2.0;
 
-/// Queues external-match features from the `Matched` lookup, one learnable
+/// Emits external-match features from the `Matched` lookup, one learnable
 /// weight per dictionary starting at `EXT_DICT_PRIOR`.
 pub fn collect_external_features(
-    buf: &mut FeatureBuffer,
+    (buf, ids): (&mut FeatureBuffer, &FeatureRegistry<FeatureKey>),
     matches: &MatchLookup,
     cell: CellRef,
     candidates: &[Sym],
@@ -388,8 +363,7 @@ pub fn collect_external_features(
     for (k, &d) in candidates.iter().enumerate() {
         if let Some(dicts) = matches.get(&(cell, d)) {
             for &dict in dicts {
-                let spec = WeightSpec::LearnableInit(FeatureKey::ExtDict { dict }, EXT_DICT_PRIOR);
-                buf.push(k, spec, 1.0);
+                buf.push(k, id_of(ids, FeatureKey::ExtDict { dict }), 1.0);
             }
         }
     }
@@ -415,8 +389,6 @@ pub struct DcFeaturizer<'a> {
     scan_cap: usize,
     /// Count saturation.
     count_cap: u32,
-    /// Initial value of the learnable per-constraint weights.
-    prior: f64,
 }
 
 /// A two-tuple constraint compiled for the target cell playing one
@@ -482,7 +454,6 @@ impl<'a> DcFeaturizer<'a> {
             roles,
             scan_cap: 512,
             count_cap: 512,
-            prior: config.dc_violation_prior,
         }
     }
 
@@ -509,29 +480,32 @@ impl<'a> DcFeaturizer<'a> {
         participates
     }
 
-    /// Queues the relaxed-DC features of one variable across all
+    /// The constraints the `DcViolation` keys range over.
+    fn constraints(&self) -> std::ops::Range<ConstraintId> {
+        0..self.roles.len()
+    }
+
+    /// Emits the relaxed-DC features of one variable across all
     /// constraints. They count against every partner, whatever Algorithm 3
     /// group it is in: partitioning restricts the *factor grounding* of
     /// Algorithm 1 only — dropping out-of-component partners here would
     /// silence the violations a bad repair would create with clean tuples.
-    pub fn collect_features(&self, buf: &mut FeatureBuffer, cell: CellRef, candidates: &[Sym]) {
+    pub fn collect_features(
+        &self,
+        (buf, ids): (&mut FeatureBuffer, &FeatureRegistry<FeatureKey>),
+        cell: CellRef,
+        candidates: &[Sym],
+    ) {
         let mut scratch = ScanScratch::default();
         let mut counts = vec![0u32; candidates.len()];
-        for sigma in 0..self.roles.len() {
+        for sigma in self.constraints() {
             if !self.count_into(sigma, cell, candidates, &mut scratch, &mut counts) {
                 continue;
             }
-            buf.push_group(
-                WeightSpec::LearnableInit(
-                    FeatureKey::DcViolation { constraint: sigma },
-                    self.prior,
-                ),
-                counts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &count)| count > 0)
-                    .map(|(k, &count)| (k, f64::from(count) / f64::from(DC_FEATURE_CAP))),
-            );
+            let w = id_of(ids, FeatureKey::DcViolation { constraint: sigma });
+            for (k, &count) in counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+                buf.push(k, w, f64::from(count) / f64::from(DC_FEATURE_CAP));
+            }
             counts.fill(0);
         }
     }
@@ -753,11 +727,11 @@ impl SourceFeaturizer {
         })
     }
 
-    /// Queues, for each candidate `d` of `cell`, one feature per source that
+    /// Emits, for each candidate `d` of `cell`, one feature per source that
     /// asserts `d` for the same entity and attribute.
     pub fn collect_features(
         &self,
-        buf: &mut FeatureBuffer,
+        (buf, ids): (&mut FeatureBuffer, &FeatureRegistry<FeatureKey>),
         ds: &Dataset,
         cell: CellRef,
         candidates: &[Sym],
@@ -784,9 +758,7 @@ impl SourceFeaturizer {
                     continue;
                 }
                 seen.push(src);
-                let prior = self.priors.get(&src).copied().unwrap_or(0.0);
-                let spec = WeightSpec::LearnableInit(FeatureKey::Source { source: src }, prior);
-                buf.push(k, spec, 1.0);
+                buf.push(k, id_of(ids, FeatureKey::Source { source: src }), 1.0);
             }
         }
     }
@@ -819,25 +791,18 @@ mod reference {
     }
 
     impl FeatureBuffer {
-        /// The queued weight keys, in queue (= interning) order.
-        pub(crate) fn keys(&self) -> impl Iterator<Item = FeatureKey> + '_ {
-            self.specs.iter().map(|spec| match *spec {
-                WeightSpec::LearnableInit(key, _) | WeightSpec::Fixed(key, _) => key,
-            })
-        }
-
-        /// The pre-CSR pipeline: interns the queued weights and materialises
-        /// the buffer as one feature row per candidate, in queue order. Kept
-        /// as the reference the one-pass build is tested against.
+        /// The pre-CSR pipeline: the buffer as one feature row per
+        /// candidate, in emission order, each weight named by its key in
+        /// `ids`. Kept as the reference the one-pass build is tested
+        /// against.
         pub(crate) fn to_rows(
             &self,
-            registry: &mut FeatureRegistry<FeatureKey>,
+            ids: &FeatureRegistry<FeatureKey>,
             arity: usize,
-        ) -> Vec<Vec<(WeightId, f64)>> {
-            let ids: Vec<WeightId> = self.specs.iter().map(|s| s.intern(registry)).collect();
+        ) -> Vec<Vec<(FeatureKey, f64)>> {
             let mut rows = vec![Vec::new(); arity];
-            for &(unit, slot, value) in &self.entries {
-                rows[slot].push((ids[unit], value));
+            for &(slot, w, value) in &self.entries {
+                rows[slot].push((ids.keys()[w.index()], value));
             }
             rows
         }
@@ -885,40 +850,109 @@ mod tests {
     use super::*;
     use holo_constraints::ast::Operand;
     use holo_constraints::{parse_constraints, DenialConstraint};
-    use holo_dataset::Schema;
-    use holo_factor::{CliqueArena, FactorGraph, VarId, Variable};
+    use holo_dataset::{FxHashSet, Schema};
+    use holo_factor::{CliqueArena, DesignBuilder, FactorGraph, VarId, Variable};
 
-    /// Featurizes one variable over `candidates` with `collect` and sends
-    /// it through the sink: the resulting one-variable graph and registry.
+    /// The fixed numbering of `ds` under the default configuration, every
+    /// attribute holding a variable.
+    fn numbered(
+        ds: &Dataset,
+        matches: &MatchLookup,
+        dc: Option<&DcFeaturizer<'_>>,
+        source: Option<&SourceFeaturizer>,
+    ) -> FeatureRegistry<FeatureKey> {
+        let every = vec![true; ds.schema().len()];
+        let config = HoloConfig::default();
+        number_weights((ds, &config), &every, matches, dc, source)
+    }
+
+    /// Featurizes one variable over `candidates` with `collect`: the
+    /// resulting one-variable graph.
     fn sink_one(
         candidates: &[Sym],
         collect: impl FnOnce(&mut FeatureBuffer),
-    ) -> (FactorGraph, VarId, FeatureRegistry<FeatureKey>) {
+    ) -> (FactorGraph, VarId) {
         let mut buf = FeatureBuffer::default();
         collect(&mut buf);
-        let mut sink = FeatureSink::default();
-        sink.push_var(&buf, candidates.len());
-        let (reg, design) = sink.finish();
+        let mut rows = DesignBuilder::default();
+        rows.push_var(candidates.len(), buf.entries().iter().copied());
         let var = Variable::query(candidates.to_vec(), Some(0));
-        (
-            FactorGraph::new(vec![var], design, CliqueArena::new()),
-            VarId(0),
-            reg,
-        )
+        let graph = FactorGraph::new(vec![var], rows.finish(), CliqueArena::new());
+        (graph, VarId(0))
+    }
+
+    /// How many distinct weights the rows of `g` name.
+    fn named(g: &FactorGraph) -> usize {
+        let design = g.design();
+        let ids: FxHashSet<WeightId> = (0..design.rows())
+            .flat_map(|r| design.row(r).iter().map(|&(w, _)| w))
+            .collect();
+        ids.len()
     }
 
     /// The tied co-occurrence features of `cell` over `candidates`, at the
-    /// default support and prior.
+    /// default support.
     fn occur(
-        buf: &mut FeatureBuffer,
-        ds: &Dataset,
-        stats: &CooccurStats,
+        (buf, ids): (&mut FeatureBuffer, &FeatureRegistry<FeatureKey>),
+        (ds, stats): (&Dataset, &CooccurStats),
         cell: CellRef,
         candidates: &[Sym],
     ) {
+        let support = HoloConfig::default().min_cond_support;
+        collect_occur_features((buf, ids), (ds, stats), support, cell, candidates);
+    }
+
+    /// The fixed numbering is the canonical key list — `Occur` for the
+    /// attributes that hold a variable, then the minimality prior, the
+    /// dictionaries ascending, the constraints and the sources — each key
+    /// at its initial value.
+    #[test]
+    fn weights_are_numbered_in_canonical_order() {
+        let mut ds = Dataset::new(Schema::new(vec!["Flight", "Source", "Dep"]));
+        ds.push_row(&["UA100", "s2", "09:00"]);
+        ds.push_row(&["UA100", "s1", "09:30"]);
+        let cons = parse_constraints("FD: Flight -> Dep", &mut ds).unwrap();
         let config = HoloConfig::default();
-        let (support, prior) = (config.min_cond_support, config.occur_prior);
-        collect_occur_features(buf, (ds, stats), (support, prior), cell, candidates);
+        let dc = DcFeaturizer::new(&ds, &cons, &config);
+        let sf = SourceFeaturizer::new(&ds, "Flight", "Source").unwrap();
+        let mut matches = MatchLookup::default();
+        matches.insert((CellRef::new(0, 2), Sym(0)), DictIds::from_iter([5, 1]));
+        matches.insert((CellRef::new(1, 2), Sym(0)), DictIds::from_iter([1]));
+        let (flight, dep) = (AttrId(0), AttrId(2));
+        let ids = number_weights(
+            (&ds, &config),
+            &[true, false, true],
+            &matches,
+            Some(&dc),
+            Some(&sf),
+        );
+        let [s2, s1] = ["s2", "s1"].map(|v| ds.pool().get(v).unwrap());
+        let occur = |attr, cond_attr| FeatureKey::Occur { attr, cond_attr };
+        assert_eq!(
+            ids.keys(),
+            [
+                occur(flight, AttrId(1)),
+                occur(flight, dep),
+                occur(dep, flight),
+                occur(dep, AttrId(1)),
+                FeatureKey::Minimality,
+                FeatureKey::ExtDict { dict: 1 },
+                FeatureKey::ExtDict { dict: 5 },
+                FeatureKey::DcViolation { constraint: 0 },
+                FeatureKey::Source { source: s2 },
+                FeatureKey::Source { source: s1 },
+            ]
+        );
+        let w = ids.build_weights();
+        let at = |i: u32| (w.get(WeightId(i)), w.is_fixed(WeightId(i)));
+        assert_eq!(at(0), (config.occur_prior / 2.0, false));
+        assert_eq!(at(4), (config.minimality_weight, true));
+        assert_eq!(at(5), (EXT_DICT_PRIOR, false));
+        assert_eq!(at(7), (config.dc_violation_prior, false));
+        assert_eq!(at(8), (sf.priors[&s2], false));
+        // Without DC features or sources, those blocks are absent.
+        let bare = number_weights((&ds, &config), &[false; 3], &matches, None, None);
+        assert_eq!(bare.len(), 3);
     }
 
     #[test]
@@ -941,27 +975,27 @@ mod tests {
             f64::from(stats.cooccur_count(cond, v_cond, city, d))
                 / f64::from(stats.count(cond, v_cond))
         };
-        // t3.City and t0.City, then t3.State through one sink.
-        let mut sink = FeatureSink::default();
+        // t3.City and t0.City, then t3.State into one builder.
+        let reg = numbered(&ds, &MatchLookup::default(), None, None);
+        let mut rows = DesignBuilder::default();
         let mut buf = FeatureBuffer::default();
         for cell in [CellRef::new(3, 1), CellRef::new(0, 1)] {
             buf.clear();
-            occur(&mut buf, &ds, &stats, cell, &candidates);
-            sink.push_var(&buf, candidates.len());
+            occur((&mut buf, &reg), (&ds, &stats), cell, &candidates);
+            rows.push_var(candidates.len(), buf.entries().iter().copied());
         }
         let il = [ds.pool().get("IL").unwrap()];
         buf.clear();
-        occur(&mut buf, &ds, &stats, CellRef::new(3, 2), &il);
-        sink.push_var(&buf, 1);
-        let (reg, design) = sink.finish();
+        occur((&mut buf, &reg), (&ds, &stats), CellRef::new(3, 2), &il);
+        rows.push_var(1, buf.entries().iter().copied());
         let vars = [candidates.to_vec(), candidates.to_vec(), il.to_vec()]
             .map(|domain| Variable::query(domain, Some(0)));
-        let g = FactorGraph::new(vars.to_vec(), design, CliqueArena::new());
+        let g = FactorGraph::new(vars.to_vec(), rows.finish(), CliqueArena::new());
 
         // City | Zip, City | State, State | Zip — State | City reads
         // `Cicago`, seen once, below the support of 2.
         let key = |attr, cond_attr| reg.get(&FeatureKey::Occur { attr, cond_attr }).unwrap();
-        assert_eq!(reg.len(), 3);
+        assert_eq!(named(&g), 3);
         let (by_zip, by_state) = (key(city, zip), key(city, state));
         assert_eq!(g.features(VarId(2), 0), &[(key(state, zip), 1.0)][..]);
         let w = reg.build_weights();
@@ -993,19 +1027,20 @@ mod tests {
         let chicago = ds.pool().get("Chicago").unwrap();
         let evanston = ds.pool().get("Evanston").unwrap();
         let candidates = [chicago, evanston, foreign];
+        let reg = numbered(&ds, &MatchLookup::default(), None, None);
         // t0: Zip null, State IL seen 3 times — only Chicago co-occurs.
-        let (g, v, reg) = sink_one(&candidates, |buf| {
-            occur(buf, &ds, &stats, CellRef::new(0, 1), &candidates)
+        let (g, v) = sink_one(&candidates, |buf| {
+            occur((buf, &reg), (&ds, &stats), CellRef::new(0, 1), &candidates)
         });
         assert_eq!(g.features(v, 0).len(), 1);
         assert!(g.features(v, 1).is_empty() && g.features(v, 2).is_empty());
-        assert_eq!(reg.len(), 1);
+        assert_eq!(named(&g), 1);
         // t3: 60609 and WI are each seen once, below the support of 2.
-        let (g, v, reg) = sink_one(&candidates, |buf| {
-            occur(buf, &ds, &stats, CellRef::new(3, 1), &candidates)
+        let (g, v) = sink_one(&candidates, |buf| {
+            occur((buf, &reg), (&ds, &stats), CellRef::new(3, 1), &candidates)
         });
         assert!((0..3).all(|k| g.features(v, k).is_empty()));
-        assert!(reg.is_empty());
+        assert_eq!(named(&g), 0);
     }
 
     /// The features read counts by value code: for every cell of a table
@@ -1024,6 +1059,7 @@ mod tests {
         }
         let foreign = ds.intern("elsewhere");
         let stats = CooccurStats::build(&ds);
+        let reg = numbered(&ds, &MatchLookup::default(), None, None);
         let mut entries = 0;
         for cell in ds.tuples().flat_map(|t| {
             (0..3).map(move |a| CellRef {
@@ -1035,11 +1071,11 @@ mod tests {
             candidates.push(foreign);
             for support in [1, 3] {
                 let mut buf = FeatureBuffer::default();
-                collect_occur_features(&mut buf, (&ds, &stats), (support, 1.0), cell, &candidates);
-                let got: Vec<(usize, usize, u64)> = buf
+                collect_occur_features((&mut buf, &reg), (&ds, &stats), support, cell, &candidates);
+                let got: Vec<(FeatureKey, usize, u64)> = buf
                     .entries
                     .iter()
-                    .map(|&(u, k, x)| (u, k, x.to_bits()))
+                    .map(|&(k, w, x)| (reg.keys()[w.index()], k, x.to_bits()))
                     .collect();
                 // The same rows through the `Sym`-keyed reads.
                 let mut by_sym = Vec::new();
@@ -1050,12 +1086,15 @@ mod tests {
                     if v_cond.is_null() || denom < support {
                         continue;
                     }
-                    let unit = by_sym.last().map_or(0, |&(u, _, _)| u + 1);
+                    let key = FeatureKey::Occur {
+                        attr: cell.attr,
+                        cond_attr,
+                    };
                     for (k, &d) in candidates.iter().enumerate() {
                         let count = stats.cooccur_count(cond_attr, v_cond, cell.attr, d);
                         if count > 0 {
                             let x = f64::from(count) / f64::from(denom);
-                            by_sym.push((unit, k, x.to_bits()));
+                            by_sym.push((key, k, x.to_bits()));
                         }
                     }
                 }
@@ -1073,8 +1112,9 @@ mod tests {
         let init = ds.pool().get("Cicago").unwrap();
         let alt = ds.intern("Chicago");
         let config = HoloConfig::default();
-        let (g, v, reg) = sink_one(&[init, alt], |buf| {
-            collect_minimality_feature(buf, &config, init, &[init, alt])
+        let reg = numbered(&ds, &MatchLookup::default(), None, None);
+        let (g, v) = sink_one(&[init, alt], |buf| {
+            collect_minimality_feature((buf, &reg), init, &[init, alt])
         });
         assert_eq!(g.features(v, 0).len(), 1);
         assert!(g.features(v, 1).is_empty());
@@ -1131,12 +1171,13 @@ mod tests {
         };
         let mut matches: MatchLookup = MatchLookup::default();
         matches.insert((cell, chicago), DictIds::from_iter([0, 1]));
-        let (g, v, reg) = sink_one(&[init, chicago], |buf| {
-            collect_external_features(buf, &matches, cell, &[init, chicago])
+        let reg = numbered(&ds, &matches, None, None);
+        let (g, v) = sink_one(&[init, chicago], |buf| {
+            collect_external_features((buf, &reg), &matches, cell, &[init, chicago])
         });
         assert!(g.features(v, 0).is_empty());
         assert_eq!(g.features(v, 1).len(), 2, "one feature per asserting dict");
-        assert_eq!(reg.len(), 2);
+        assert_eq!(named(&g), 2);
         let w = reg.build_weights();
         let (wid, _) = g.features(v, 1)[0];
         assert_eq!(w.get(wid), EXT_DICT_PRIOR, "dictionary prior");
@@ -1206,8 +1247,9 @@ mod tests {
         };
         let cicago = ds.pool().get("Cicago").unwrap();
         let chicago = ds.pool().get("Chicago").unwrap();
-        let (g, v, reg) = sink_one(&[cicago, chicago], |buf| {
-            feat.collect_features(buf, cell, &[cicago, chicago])
+        let reg = numbered(&ds, &MatchLookup::default(), Some(&feat), None);
+        let (g, v) = sink_one(&[cicago, chicago], |buf| {
+            feat.collect_features((buf, &reg), cell, &[cicago, chicago])
         });
         // Candidate "Cicago" gets the violation feature (count 1, scaled
         // by the cap); "Chicago" violates nothing → no entry.
@@ -1236,15 +1278,16 @@ mod tests {
             attr: dep,
         };
         let sf = SourceFeaturizer::new(&ds, "Flight", "Source").unwrap();
-        let (g, v, reg) = sink_one(&[nine30, nine], |buf| {
-            sf.collect_features(buf, &ds, cell, &[nine30, nine])
+        let reg = numbered(&ds, &MatchLookup::default(), None, Some(&sf));
+        let (g, v) = sink_one(&[nine30, nine], |buf| {
+            sf.collect_features((buf, &reg), &ds, cell, &[nine30, nine])
         });
         // 09:30 asserted only by s3; 09:00 by s1 and s2.
         assert_eq!(g.features(v, 0).len(), 1);
         assert_eq!(g.features(v, 1).len(), 2);
         // Entities do not leak: DL200's s1 assertion is for a different
         // flight and contributes nothing extra (s1 already counted once).
-        assert_eq!(reg.len(), 3);
+        assert_eq!(named(&g), 3);
     }
 
     #[test]

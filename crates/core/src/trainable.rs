@@ -105,6 +105,7 @@ mod tests {
     use holo_dataset::{CooccurStats, Dataset, FxHashMap, FxHashSet, Schema, Sym};
     use holo_external::MatchingDependency;
     use holo_factor::{learn, LearnConfig, VarId, WeightId};
+    use std::collections::BTreeSet;
 
     /// The four generators, small, frozen the way the harness runs them:
     /// the paper's τ, the zip dictionary (m1/m2) where one exists, source
@@ -457,8 +458,12 @@ mod tests {
             };
             let (fw, rw) = (train(&filtered), train(&reference));
             let (mut compared, mut moved) = (0, 0.0f64);
+            // The registry numbers keys no row names too; compare the
+            // weights some design row names.
+            let named: FxHashSet<WeightId> =
+                filtered.graph.design().weight_ids().into_iter().collect();
             for key in keys_of(&cx, &filtered.query_cells) {
-                let Some(f) = filtered.registry.get(&key) else {
+                let Some(f) = filtered.registry.get(&key).filter(|f| named.contains(f)) else {
                     continue;
                 };
                 let r = reference.registry.get(&key).expect("a kept row's key");
@@ -480,6 +485,48 @@ mod tests {
                 "{kind:?}: {compared} weights, moved {moved}"
             );
         }
+    }
+
+    /// A weight's id is a function of its key: hospital and a copy with
+    /// its rows reversed put variables in the same attributes, so they
+    /// number the same keys in the same order, although their cells meet
+    /// the keys in a different order.
+    #[test]
+    fn weight_ids_are_a_function_of_the_key() {
+        let hospital = || {
+            holo_datagen::hospital(holo_datagen::HospitalConfig {
+                rows: 300,
+                ..Default::default()
+            })
+        };
+        let reversed = {
+            let gen = hospital();
+            let mut dirty = Dataset::new(gen.dirty.schema().clone());
+            for t in gen.dirty.tuples().collect::<Vec<_>>().into_iter().rev() {
+                let row: Vec<&str> = gen
+                    .dirty
+                    .schema()
+                    .attrs()
+                    .map(|a| gen.dirty.cell_str(t, a))
+                    .collect();
+                dirty.push_row(&row);
+            }
+            GeneratedDataset { dirty, ..gen }
+        };
+        let compiled = |cx: &PipelineContext| {
+            pipeline::compile_model(cx, &pipeline::detect(cx))
+                .unwrap()
+                .0
+        };
+        let (a, b) = (compiled(&frozen(hospital())), compiled(&frozen(reversed)));
+        let attrs = |model: &CompiledModel| -> BTreeSet<AttrId> {
+            let cells = model.query_cells.iter().chain(&model.evidence_cells);
+            cells.map(|cell| cell.attr).collect()
+        };
+        assert_eq!(attrs(&a), attrs(&b), "the same attributes hold variables");
+        assert_ne!(a.query_cells, b.query_cells, "the cells differ");
+        assert!(a.registry.len() > 1);
+        assert_eq!(a.registry.keys(), b.registry.keys());
     }
 
     /// A compiled model names at most one weight per ordered attribute

@@ -41,9 +41,6 @@ use serde::{Deserialize, Serialize};
 /// `StageTimings` and `diag --json`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScoreCacheStats {
-    /// Cache builds this pass: always 1 — the cache is per-call, not
-    /// per-component.
-    pub builds: u64,
     /// Design rows scored by the build pass (one `f64` each).
     pub rows: u64,
 }

@@ -239,7 +239,6 @@ pub fn infer_partitioned<C: ValueContext + Sync>(
     let cache = ScoreCache::build(graph.design(), weights, threads);
     let mut stats = PartitionStats {
         score_cache: ScoreCacheStats {
-            builds: 1,
             rows: cache.rows() as u64,
         },
         ..PartitionStats::default()

@@ -27,15 +27,13 @@
 //! variable's `(slot, weight, value)` triples in whatever order they
 //! compute them, and [`push_var`](DesignBuilder::push_var) moves them into
 //! the fragment's CSR arrays with a stable counting sort by candidate slot
-//! — row `k` holds the slot-`k` emissions in emission order. Each parallel
-//! chunk of variables
-//! fills its own fragment (weight ids local to the chunk's registry);
-//! [`append_remapped`](DesignBuilder::append_remapped) then concatenates
-//! the fragments in chunk order, translating ids through the remap table
-//! [`FeatureRegistry::absorb`](crate::weights::FeatureRegistry::absorb)
-//! returns. Rows depend only on their own variable, so where the chunk
-//! boundaries fall cannot change a single entry. After assembly the
-//! matrix is only read.
+//! — row `k` holds the slot-`k` emissions in emission order. The weight
+//! ids arrive final: the compiler numbers every weight by its key before
+//! it featurizes a variable. Each parallel chunk of variables fills its
+//! own fragment, and [`append`](DesignBuilder::append) concatenates the
+//! fragments in chunk order. Rows depend only on their own variable, so
+//! where the chunk boundaries fall cannot change a single entry. After
+//! assembly the matrix is only read.
 //!
 //! ## The blocked score kernel
 //!
@@ -138,6 +136,14 @@ impl DesignMatrix {
     /// Total number of stored feature entries (the unary factor count).
     pub fn nnz(&self) -> usize {
         self.entries.len()
+    }
+
+    /// The weights some entry names, ascending.
+    pub fn weight_ids(&self) -> Vec<WeightId> {
+        let mut ids: Vec<WeightId> = self.entries.iter().map(|&(w, _)| w).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
     /// The contiguous row range of variable `v` (one row per candidate).
@@ -261,9 +267,8 @@ impl DesignBuilder {
     }
 
     /// Appends the variables of `other` (a later chunk's fragment) after
-    /// this fragment's, translating each weight id `w` to
-    /// `remap[w.index()]`.
-    pub fn append_remapped(&mut self, other: DesignBuilder, remap: &[WeightId]) {
+    /// this fragment's.
+    pub fn append(&mut self, other: DesignBuilder) {
         let (m, o) = (&mut self.matrix, other.matrix);
         DesignMatrix::assert_dims(m.rows() + o.rows(), m.nnz() + o.nnz());
         let (row_base, entry_base) = (m.rows() as u32, m.nnz() as u32);
@@ -271,8 +276,7 @@ impl DesignBuilder {
             .extend(o.var_rows[1..].iter().map(|r| r + row_base));
         m.row_offsets
             .extend(o.row_offsets[1..].iter().map(|e| e + entry_base));
-        m.entries
-            .extend(o.entries.iter().map(|&(w, x)| (remap[w.index()], x)));
+        m.entries.extend_from_slice(&o.entries);
     }
 
     /// The assembled matrix, its arrays trimmed to size.
@@ -363,6 +367,7 @@ mod tests {
         assert_eq!(m.row(0), &[(wid(3), 1.0), (wid(0), 2.0)]);
         assert!(m.row(1).is_empty());
         assert_eq!(m.row(3), &[(wid(0), -1.0), (wid(2), 4.0)]);
+        assert_eq!(m.weight_ids(), [wid(0), wid(1), wid(2), wid(3)]);
     }
 
     #[test]
@@ -428,29 +433,18 @@ mod tests {
     }
 
     /// Fragments concatenate to the single-fragment matrix wherever the
-    /// variable list is cut, ids translated through the remap table.
+    /// variable list is cut.
     #[test]
     fn fragments_concatenate_at_any_cut() {
         let mut unary = sample_unary();
         unary.push(vec![vec![(wid(3), 0.5)], vec![], vec![(wid(1), -2.0)]]);
         let whole = DesignMatrix::compile(&unary);
-        // The tail fragment numbers its weights differently (reversed).
-        let remap: Vec<WeightId> = (0..4).rev().map(wid).collect();
         for cut in 0..=unary.len() {
             let mut head = DesignBuilder::default();
             emit_interleaved(&mut head, &unary[..cut]);
-            let local: Vec<Vec<FeatureVec>> = unary[cut..]
-                .iter()
-                .map(|per_var| {
-                    per_var
-                        .iter()
-                        .map(|row| row.iter().map(|&(w, x)| (wid(3 - w.0), x)).collect())
-                        .collect()
-                })
-                .collect();
             let mut tail = DesignBuilder::default();
-            emit_interleaved(&mut tail, &local);
-            head.append_remapped(tail, &remap);
+            emit_interleaved(&mut tail, &unary[cut..]);
+            head.append(tail);
             assert_eq!(head.finish(), whole, "cut at {cut}");
         }
     }

@@ -319,7 +319,11 @@ pub(crate) mod reference {
             .collect();
         let unary: Vec<Vec<f64>> = query
             .iter()
-            .map(|&v| graph.unary_scores(v, weights))
+            .map(|&v| {
+                let mut scores = Vec::new();
+                graph.design().score_var_into(v, weights, &mut scores);
+                scores
+            })
             .collect();
         let mut state: Vec<usize> = locals
             .iter()

@@ -592,19 +592,6 @@ impl FactorGraph {
         self.design.score_row(self.design.row_of(v, k), weights)
     }
 
-    /// Unary log-scores of all candidates of `v`.
-    pub fn unary_scores(&self, v: VarId, weights: &Weights) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.var(v).arity());
-        self.design.score_var_into(v, weights, &mut out);
-        out
-    }
-
-    /// [`FactorGraph::unary_scores`] into a caller-owned buffer (cleared
-    /// first) — the allocation-free form hot loops use.
-    pub fn unary_scores_into(&self, v: VarId, weights: &Weights, out: &mut Vec<f64>) {
-        self.design.score_var_into(v, weights, out);
-    }
-
     /// All clique factors.
     pub fn cliques(&self) -> &CliqueArena {
         &self.cliques
@@ -744,7 +731,9 @@ mod tests {
         let g = g.build();
         assert!((g.unary_score(v, 0, &w) - (2.0 - 3.0)).abs() < 1e-12);
         assert!((g.unary_score(v, 1, &w) - 1.0).abs() < 1e-12);
-        assert_eq!(g.unary_scores(v, &w).len(), 2);
+        let mut scores = Vec::new();
+        g.design().score_var_into(v, &w, &mut scores);
+        assert_eq!(scores, [g.unary_score(v, 0, &w), g.unary_score(v, 1, &w)]);
     }
 
     /// An arena holding the one clique `vars` / `predicates` at weight 0.
@@ -914,10 +903,9 @@ mod tests {
         w.set(WeightId(1), -1.3);
         w.set(WeightId(2), 2.2);
         assert_eq!(g.design().nnz(), 4);
-        assert_eq!(g.unary_scores(v, &w), adjacency_scores(&unary, v, &w));
         let mut buf = vec![99.0];
-        g.unary_scores_into(v, &w, &mut buf);
-        assert_eq!(buf, g.unary_scores(v, &w));
+        g.design().score_var_into(v, &w, &mut buf);
+        assert_eq!(buf, adjacency_scores(&unary, v, &w));
         // With one store there is nothing to rebuild from: invalidation
         // re-packs and hands back an equal matrix.
         let before = g.design().clone();
@@ -1006,9 +994,11 @@ mod tests {
         let g = g.build();
         let mut w = Weights::zeros(1);
         w.set(WeightId(0), 3.0);
-        let _ = g.unary_scores(v, &w); // populate the cache
         let clone = g.clone();
-        assert_eq!(clone.unary_scores(v, &w), g.unary_scores(v, &w));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        clone.design().score_var_into(v, &w, &mut a);
+        g.design().score_var_into(v, &w, &mut b);
+        assert_eq!(a, b);
     }
 
     #[test]

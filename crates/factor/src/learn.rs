@@ -21,7 +21,7 @@
 //!
 //! A seed-fixed permutation of the eligible examples is cut into
 //! minibatches of [`LearnConfig::minibatch`] examples, every example's
-//! sparse gradient is computed against the weights frozen at minibatch
+//! gradient is computed against the weights frozen at minibatch
 //! start, and the summed gradient is applied once per minibatch, in
 //! weight-id order. Inside a minibatch the examples fold in **fixed
 //! shards** of `GRAD_SHARD_EXAMPLES` (8) on the caller's thread. Training
@@ -33,57 +33,32 @@
 //!
 //! ## The kernel
 //!
-//! The trainer reads the compiled [`DesignMatrix`] in place: an
-//! example's candidates are the rows of `design.var_range(v)`, wherever
-//! `v` sits.
-//! Per example of a shard it
-//!
-//! 1. scores each candidate row with the blocked kernel
-//!    ([`crate::design::score_features`], the one inference and the score
-//!    cache use) and turns the scores into probabilities with the fused
-//!    [`crate::math::softmax_in_place`];
-//! 2. for each row whose residual `1[k = target] − p_k` is non-zero, adds
-//!    `x · residual − l2 · w` into the **shard subtotal** of every
-//!    non-fixed weight of the row, in entry order. A generation stamp per
-//!    weight id (bumped per shard) opens a fresh `+0.0` subtotal on a
-//!    weight's first touch inside the shard, so one minibatch's shard runs
-//!    sit back to back in the scratch's `touched` / `grad` arrays.
-//!
-//! The runs then add in shard order into one dense accumulator (`f64` per
-//! weight plus a `u64` touched-bitmap), which is drained in weight-id
-//! order: the gradient norm is summed and, unless it is non-finite, the
-//! update applied in that order.
+//! The trainer reads the compiled [`DesignMatrix`] in place (an example's
+//! candidates are the rows of `design.var_range(v)`), and the weight
+//! vector is small and fixed, so the gradient lives in two dense `f64`
+//! arrays of `weights.len()`. Per shard the **subtotal** is zeroed; per
+//! example, each candidate row is scored with the blocked kernel
+//! ([`crate::design::score_features`], the one inference uses) and
+//! softmaxed ([`crate::math::softmax_in_place`]), and each row whose
+//! residual `1[k = target] − p_k` is non-zero adds `x · residual − l2 · w`
+//! into the subtotal of every non-fixed weight it names, in entry order.
+//! The subtotal is added element-wise into the **minibatch gradient**; the
+//! norm then sums every id in order and the update walks every id in
+//! order, skipping a zero gradient. Those arrays, the example list and a
+//! score buffer are the whole per-call state; no design row is copied.
 //!
 //! ## Invariants
 //!
 //! * **Shard-order addition** — bit-for-bit the test-only hash-map
-//!   trainer (`oracle`). A shard subtotal adds a weight's increments in
-//!   the order the shard visits them, and the accumulator adds the
-//!   subtotals in shard order starting from `+0.0` — the oracle's
-//!   `*acc.entry(w).or_insert(0.0) += g` merge. The subtotals are part of
-//!   the addition order, not a schedule: summing a minibatch's increments
-//!   straight into the accumulator would round differently.
-//! * **First touch is a copy** — a shard subtotal is never `-0.0` (it
-//!   starts at `+0.0`, and round-to-nearest yields `-0.0` neither from a
-//!   sum with a `+0.0` term nor from an exact cancellation), so the first
-//!   `+0.0 + subtotal` into a clean accumulator slot is bitwise
-//!   `subtotal`.
-//! * **Bitmap order ≡ id order** — bit `i & 63` of word `i >> 6` stands
-//!   for weight `i`, so ascending words × ascending `trailing_zeros` is
-//!   ascending weight id, with no sort.
-//! * **Clean between minibatches** — draining zeroes every slot and word
-//!   it visits, so each minibatch starts from an all-`+0.0`, all-clear
-//!   accumulator without an `O(weight_count)` reset.
-//!
-//! ## One call
-//!
-//! [`train_with_threads`] lists the eligible examples (evidence with more
-//! than one candidate) with their targets, seeds the RNG, and allocates
-//! the stamp arrays and the accumulator at `weight_count`. That list, those
-//! arrays and a few reused buffers are the whole per-call state: each
-//! epoch shuffles the list once, no design row is copied, and nothing
-//! outlives the call. The `O(weight_count)` arrays stay a few KB because
-//! the registry ties its weights per attribute pair.
+//!   trainer (`oracle`), whose shard maps merge in shard order by
+//!   `*acc.entry(w).or_insert(0.0) += g`. The subtotals are part of the
+//!   addition order, not a schedule: summing a minibatch's increments
+//!   straight into the gradient would round differently.
+//! * **Untouched is `+0.0`** — a sum that starts at `+0.0` is never `-0.0`
+//!   under round-to-nearest, so adding an untouched weight's `+0.0` leaves
+//!   the gradient and the norm bitwise unchanged, and skipping a zero
+//!   gradient leaves the weight what `w + 0.0` would: the dense walk is the
+//!   oracle's walk over the touched ids.
 //!
 //! ## Divergence
 //!
@@ -107,10 +82,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Examples per gradient shard — the fixed unit of subtotals inside a
-/// minibatch, so the default minibatch spans 16 shards. Part of the
-/// addition order (see "Shard-order addition" in the module docs); the
-/// test-only oracle cuts the same boundaries.
+/// Examples per gradient shard, so the default minibatch spans 16 shards.
+/// Part of the addition order ("Shard-order addition" in the module docs).
 pub(crate) const GRAD_SHARD_EXAMPLES: usize = 8;
 
 /// SGD hyper-parameters.
@@ -279,116 +252,33 @@ struct EpochOutcome {
     non_finite_minibatches: usize,
 }
 
-/// Reusable scratch of the gradient fold. `touched` / `grad` collect one
-/// minibatch's shard runs back to back (cleared per minibatch); the
-/// generation stamp (`tick`, bumped per shard) opens a fresh subtotal for
-/// the first touch of a weight inside each shard.
-struct GradScratch {
-    /// Candidate scores, then probabilities, of the current example.
-    scores: Vec<f64>,
-    /// Generation stamp per weight id.
-    stamp: Vec<u64>,
-    /// Index into `grad` of the current shard's subtotal per stamped id.
-    slot_of: Vec<u32>,
-    /// Shard subtotals, one per `(shard, touched weight)`, shard runs
-    /// back to back in shard order.
-    grad: Vec<f64>,
-    /// Weight id per `grad` entry, in first-touch order within a shard.
-    touched: Vec<WeightId>,
-    /// Current shard generation.
-    tick: u64,
-}
-
-impl GradScratch {
-    fn new(weight_count: usize) -> Self {
-        GradScratch {
-            scores: Vec::new(),
-            stamp: vec![0u64; weight_count],
-            slot_of: vec![0u32; weight_count],
-            grad: Vec::new(),
-            touched: Vec::new(),
-            tick: 0,
-        }
-    }
-}
-
-/// The dense per-call minibatch gradient accumulator: one `f64` per
-/// weight plus a touched-bitmap (bit `i & 63` of word `i >> 6` = weight
-/// `i`). All-`+0.0` and all-clear between minibatches.
-struct GradAccumulator {
-    sum: Vec<f64>,
-    touched: Vec<u64>,
-}
-
-impl GradAccumulator {
-    fn new(weight_count: usize) -> Self {
-        GradAccumulator {
-            sum: vec![0.0; weight_count],
-            touched: vec![0u64; weight_count.div_ceil(64)],
-        }
-    }
-
-    /// Adds a sequence of `(weight, shard subtotal)` pairs in the order
-    /// given — call with shard runs in shard order.
-    fn add_runs(&mut self, ids: &[WeightId], subtotals: &[f64]) {
-        for (&w, &g) in ids.iter().zip(subtotals) {
-            let i = w.index();
-            self.touched[i >> 6] |= 1u64 << (i & 63);
-            self.sum[i] += g;
-        }
-    }
-
-    /// Moves the accumulated gradient into `out` (cleared first) as
-    /// `(WeightId, sum)` in ascending id order, leaving the accumulator
-    /// clean for the next minibatch.
-    fn drain_sorted(&mut self, out: &mut Vec<(WeightId, f64)>) {
-        out.clear();
-        for (wi, word) in self.touched.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let i = (wi << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out.push((WeightId(i as u32), std::mem::take(&mut self.sum[i])));
-            }
-        }
-    }
-}
-
-/// Folds one shard against the minibatch-start `weights`: appends its run
-/// of per-weight subtotals to the scratch's `touched` / `grad` arrays and
-/// returns the shard's log-likelihood sum.
+/// Folds one shard against the minibatch-start `weights` into the dense
+/// subtotal `grad` (zeroed first) and returns the shard's log-likelihood
+/// sum. `scores` is the candidate scratch.
 fn shard_gradient(
     design: &DesignMatrix,
     weights: &Weights,
     l2: f64,
-    scratch: &mut GradScratch,
+    (scores, grad): (&mut Vec<f64>, &mut [f64]),
     shard: &[(VarId, usize)],
 ) -> f64 {
-    scratch.tick += 1;
+    grad.fill(0.0);
     let mut ll = 0.0;
     for &(v, target) in shard {
-        design.score_var_into(v, weights, &mut scratch.scores);
-        softmax_in_place(&mut scratch.scores);
-        ll += scratch.scores[target].max(1e-300).ln();
+        design.score_var_into(v, weights, scores);
+        softmax_in_place(scores);
+        ll += scores[target].max(1e-300).ln();
         // Gradient of log P(target): x · (1[k = target] − p_k), with L2
         // shrinkage toward zero per feature occurrence.
         for (k, r) in design.var_range(v).enumerate() {
-            let residual = f64::from(u8::from(k == target)) - scratch.scores[k];
+            let residual = f64::from(u8::from(k == target)) - scores[k];
             if residual == 0.0 {
                 continue;
             }
             for &(w, x) in design.row(r) {
-                if weights.is_fixed(w) {
-                    continue;
+                if !weights.is_fixed(w) {
+                    grad[w.index()] += x * residual - l2 * weights.get(w);
                 }
-                let wi = w.index();
-                if scratch.stamp[wi] != scratch.tick {
-                    scratch.stamp[wi] = scratch.tick;
-                    scratch.slot_of[wi] = scratch.grad.len() as u32;
-                    scratch.touched.push(w);
-                    scratch.grad.push(0.0);
-                }
-                scratch.grad[scratch.slot_of[wi] as usize] += x * residual - l2 * weights.get(w);
             }
         }
     }
@@ -396,11 +286,9 @@ fn shard_gradient(
 }
 
 /// The epoch loop: one seeded shuffle of the example positions per epoch,
-/// minibatch chunks folded in fixed shards through one scratch, shard
-/// runs summed in the dense accumulator, and the gradient applied in
-/// weight-id order off its bitmap. A minibatch whose gradient norm is
-/// non-finite is counted and **not** applied, and no later minibatch is
-/// applied either (see "Divergence" in the module docs).
+/// then per minibatch the kernel of the module docs. A minibatch whose
+/// gradient norm is non-finite is counted and **not** applied, and no
+/// later minibatch is applied either ("Divergence" in the module docs).
 fn run_epochs(
     design: &DesignMatrix,
     weights: &mut Weights,
@@ -409,9 +297,9 @@ fn run_epochs(
     rng: &mut StdRng,
 ) -> EpochOutcome {
     let batch = config.minibatch.max(1);
-    let mut scratch = GradScratch::new(weights.len());
-    let mut acc = GradAccumulator::new(weights.len());
-    let mut grad: Vec<(WeightId, f64)> = Vec::new();
+    let mut scores: Vec<f64> = Vec::new();
+    let mut shard_grad = vec![0.0; weights.len()];
+    let mut grad = vec![0.0; weights.len()];
     let mut lr = config.learning_rate;
     let mut out = EpochOutcome::default();
     for _epoch in 0..config.epochs {
@@ -420,23 +308,20 @@ fn run_epochs(
         let mut norm_sum = 0.0;
         let mut epoch_minibatches = 0usize;
         for minibatch in examples.chunks(batch) {
-            scratch.grad.clear();
-            scratch.touched.clear();
-            let frozen: &Weights = weights;
-            let Some(ll) = minibatch
-                .chunks(GRAD_SHARD_EXAMPLES)
-                .map(|shard| shard_gradient(design, frozen, config.l2, &mut scratch, shard))
-                .reduce(|a, b| a + b)
-            else {
-                continue;
-            };
-            acc.add_runs(&scratch.touched, &scratch.grad);
-            acc.drain_sorted(&mut grad);
+            grad.fill(0.0);
+            let mut ll = 0.0;
+            for shard in minibatch.chunks(GRAD_SHARD_EXAMPLES) {
+                let scratch = (&mut scores, &mut shard_grad[..]);
+                ll += shard_gradient(design, weights, config.l2, scratch, shard);
+                for (g, &s) in grad.iter_mut().zip(&shard_grad) {
+                    *g += s;
+                }
+            }
             ll_sum += ll;
             out.minibatches += 1;
             epoch_minibatches += 1;
             let mut norm_sq = 0.0;
-            for &(_, g) in &grad {
+            for &g in &grad {
                 norm_sq += g * g;
             }
             out.grad_norm = norm_sq.sqrt();
@@ -445,8 +330,10 @@ fn run_epochs(
                 out.non_finite_minibatches += 1;
             }
             if out.non_finite_minibatches == 0 {
-                for &(w, g) in &grad {
-                    weights.update(w, lr * g);
+                for (i, &g) in grad.iter().enumerate() {
+                    if g != 0.0 {
+                        weights.update(WeightId(i as u32), lr * g);
+                    }
                 }
             }
         }
@@ -739,81 +626,6 @@ mod tests {
             assert_eq!(s.bits(), s_oracle.bits(), "train");
             assert_eq!(s.examples, 90);
             assert_eq!(s.packed_bytes, 0, "nothing is gathered");
-        }
-    }
-
-    /// A weight touched in shards 0 and 3 only: the first touch lands as
-    /// a bitwise copy, the second adds to it — per weight exactly what
-    /// the oracle's hash merge produces.
-    #[test]
-    fn accumulator_matches_hash_merge_for_a_weight_in_shards_0_and_3() {
-        let shards: [Vec<(WeightId, f64)>; 4] = [
-            vec![(WeightId(7), 2.0), (WeightId(0), 1.5), (WeightId(3), 0.1)],
-            vec![(WeightId(1), 0.5), (WeightId(7), 0.125)],
-            vec![(WeightId(9), -1.0), (WeightId(1), 1e-17)],
-            vec![(WeightId(3), 0.2), (WeightId(64), -0.75)],
-        ];
-        let mut acc = GradAccumulator::new(70);
-        for run in &shards {
-            let (ids, gs): (Vec<WeightId>, Vec<f64>) = run.iter().copied().unzip();
-            acc.add_runs(&ids, &gs);
-        }
-        let mut drained = Vec::new();
-        acc.drain_sorted(&mut drained);
-
-        let mut expected: Vec<(WeightId, f64)> = Vec::new();
-        for &(w, g) in shards.iter().flatten() {
-            match expected.iter_mut().find(|(ew, _)| *ew == w) {
-                Some((_, eg)) => *eg += g,
-                None => expected.push((w, g)),
-            }
-        }
-        expected.sort_unstable_by_key(|&(w, _)| w);
-        let bits = |run: &[(WeightId, f64)]| -> Vec<(WeightId, u64)> {
-            run.iter().map(|&(w, g)| (w, g.to_bits())).collect()
-        };
-        assert_eq!(bits(&drained), bits(&expected));
-        // Shard 0 then shard 3, nothing in between; one-sided entries
-        // are copies.
-        assert_eq!(drained[2], (WeightId(3), 0.1 + 0.2));
-        assert_eq!(drained[0], (WeightId(0), 1.5));
-        assert_eq!(drained[5], (WeightId(64), -0.75));
-    }
-
-    /// Draining walks the bitmap in ascending word/bit order — which is
-    /// ascending weight id, across word edges — visits exactly the
-    /// touched ids, and leaves bitmap and sums clean, so the next
-    /// minibatch starts from `+0.0` everywhere.
-    #[test]
-    fn drain_visits_touched_ids_ascending_and_leaves_the_accumulator_clean() {
-        for weight_count in [1usize, 63, 64, 65, 129, 200] {
-            let mut acc = GradAccumulator::new(weight_count);
-            // Every third id plus both sides of each word edge, fed in
-            // descending order with a repeat.
-            let mut ids: Vec<u32> = (0..weight_count as u32)
-                .filter(|i| i % 3 == 0 || i % 64 == 63 || i % 64 == 0)
-                .collect();
-            ids.reverse();
-            let touched: Vec<WeightId> = ids.iter().map(|&i| WeightId(i)).collect();
-            let gs: Vec<f64> = ids.iter().map(|&i| f64::from(i) + 0.5).collect();
-            acc.add_runs(&touched, &gs);
-            acc.add_runs(&touched[..1], &[1.0]);
-
-            let mut drained = vec![(WeightId(999), f64::NAN)];
-            acc.drain_sorted(&mut drained);
-            let mut expected: Vec<(WeightId, f64)> = touched.iter().copied().zip(gs).collect();
-            expected[0].1 += 1.0;
-            expected.reverse();
-            assert_eq!(drained, expected, "weight_count = {weight_count}");
-            assert!(drained.windows(2).all(|p| p[0].0 < p[1].0), "ascending ids");
-
-            assert!(acc.touched.iter().all(|&word| word == 0), "bitmap clean");
-            assert!(
-                acc.sum.iter().all(|g| g.to_bits() == 0.0f64.to_bits()),
-                "sums back to +0.0"
-            );
-            acc.drain_sorted(&mut drained);
-            assert!(drained.is_empty(), "nothing left to visit");
         }
     }
 

@@ -24,13 +24,14 @@
 //!   starts from a memcpy instead of a matrix walk. Built per inference
 //!   pass (or per standalone sampler), never stored in the graph.
 //! * [`weights`] — tied weights `θ`, learnable or fixed, plus a generic
-//!   feature registry for interning structured feature keys.
+//!   feature registry that numbers structured feature keys.
 //! * [`learn`] — empirical-risk minimisation over evidence variables with
 //!   minibatch SGD (§2.2), i.e. multinomial logistic regression over the
 //!   design-matrix rows, read in place and scored by the same blocked
 //!   kernel as inference; L2 regularised, sequential and deterministic
-//!   under a seed (fixed gradient shards added in shard order into a dense
-//!   accumulator drained in weight-id order).
+//!   under a seed. The gradient is dense over the small weight vector:
+//!   fixed 8-example shards, each summed into a dense subtotal and added
+//!   element-wise into the minibatch gradient, applied in weight-id order.
 //! * [`gibbs`] — the Gibbs sampler used for approximate inference over
 //!   models with clique factors: sequential single-site sweeps over the
 //!   query variables, one chain per sampled component.

@@ -110,7 +110,11 @@ pub(crate) mod reference {
                         p[k] = 1.0;
                         p
                     }
-                    None => softmax(&graph.unary_scores(v, weights)),
+                    None => {
+                        let mut scores = Vec::new();
+                        graph.design().score_var_into(v, weights, &mut scores);
+                        softmax(&scores)
+                    }
                 }
             })
             .collect();

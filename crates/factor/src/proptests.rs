@@ -462,8 +462,8 @@ fn dc_factor_graphs_build_both_row_forms() {
 /// model's weight count; arity-1 evidence exercises the filter too.
 type TrainingVar = (u8, usize, usize, Vec<Vec<(usize, f64)>>);
 
-/// Weight-store widths on and around the accumulator bitmap's `u64`
-/// word edges.
+/// Weight-store widths, from one weight to more than any generated
+/// model names, so most of a dense gradient stays `+0.0`.
 const WEIGHT_COUNTS: [usize; 7] = [1, 2, 63, 64, 65, 129, 200];
 
 /// Minibatch sizes: per-example SGD, one that straddles shard
@@ -539,8 +539,8 @@ proptest! {
     /// The trainer is bit-for-bit the hash-map oracle — weights and every
     /// `LearnStats` float — across random graphs whose evidence rows are
     /// interleaved with query rows, shuffled example orders that name
-    /// query ids, weight counts on the bitmap's word edges, fixed weights
-    /// and minibatch sizes.
+    /// query ids, weight counts from 1 to 200, fixed weights and
+    /// minibatch sizes.
     #[test]
     fn trainer_bitwise_equals_oracle(model in training_model(),
                                      weight_count in 0usize..WEIGHT_COUNTS.len(),

@@ -1,9 +1,11 @@
-//! Tied weights and feature interning.
+//! Tied weights and their numbering.
 //!
 //! HoloClean's inference rules are *weight-parameterised*: e.g. a
 //! relaxed denial constraint `σ` shares one weight `w(σ)` across every
-//! grounding (§4.2, §5.2). The [`FeatureRegistry`] interns arbitrary
-//! structured keys to dense [`WeightId`]s and names each id by its key;
+//! grounding (§4.2, §5.2). The [`FeatureRegistry`] numbers structured keys
+//! with dense [`WeightId`]s — a key's id is its rank among the distinct
+//! keys interned, so a caller that interns a fixed key list before reading
+//! ids makes each id a function of its key — and names each id by its key;
 //! [`Weights`] stores the values, separating
 //! *learnable* weights (updated by SGD) from *fixed* weights (the
 //! minimality prior and the constant denial-constraint weight `w` of
@@ -76,26 +78,6 @@ impl<K: Hash + Eq + Clone> FeatureRegistry<K> {
                 id
             }
         }
-    }
-
-    /// Interns every key of `other`, in `other`'s id order, with the
-    /// fixedness and initial value `other` recorded for it, and returns the
-    /// translation table `remap[old.index()] = new id`.
-    ///
-    /// This is how per-chunk registries merge into one: if each chunk
-    /// interned its keys in first-appearance order, absorbing the chunks in
-    /// order assigns exactly the ids a single registry fed the concatenated
-    /// key stream would have — a key keeps the id (and the first-seen
-    /// fixedness and value) of its first appearance overall, wherever the
-    /// chunk boundaries fall.
-    pub fn absorb(&mut self, other: FeatureRegistry<K>) -> Vec<WeightId> {
-        self.map.reserve(other.len());
-        other
-            .keys
-            .into_iter()
-            .zip(other.fixed.into_iter().zip(other.initial))
-            .map(|(key, (fixed, value))| self.intern(key, fixed, value))
-            .collect()
     }
 
     /// Looks up a key without interning.
@@ -179,21 +161,19 @@ impl Weights {
         self.values.is_empty()
     }
 
-    /// L2 norm of the learnable weights (for convergence diagnostics).
+    /// L2 norm of the learnable weights among `ids` (for convergence
+    /// diagnostics; a model passes the ids its design rows name).
     ///
     /// The squares are summed in **value-sorted** order, not weight-id
     /// order, so the norm is a function of the multiset of weight values
-    /// alone: registries that intern the same features in different
-    /// sequences report it bit for bit, and equivalence diffs over
-    /// diagnostic dumps don't false-positive on floating-point association
-    /// order.
-    pub fn learnable_norm(&self) -> f64 {
-        let mut squares: Vec<f64> = self
-            .values
-            .iter()
-            .zip(&self.fixed)
-            .filter(|(_, &f)| !f)
-            .map(|(v, _)| v * v)
+    /// alone: registries that number the same features differently report
+    /// it bit for bit, and equivalence diffs over diagnostic dumps don't
+    /// false-positive on floating-point association order.
+    pub fn learnable_norm(&self, ids: impl IntoIterator<Item = WeightId>) -> f64 {
+        let mut squares: Vec<f64> = ids
+            .into_iter()
+            .filter(|&id| !self.is_fixed(id))
+            .map(|id| self.get(id) * self.get(id))
             .collect();
         squares.sort_by(f64::total_cmp);
         squares.iter().sum::<f64>().sqrt()
@@ -261,7 +241,9 @@ mod tests {
         let mut w = reg.build_weights();
         w.update(feat, 3.0);
         let _ = prior;
-        assert!((w.learnable_norm() - 3.0).abs() < 1e-12);
+        let all = [prior, feat];
+        assert!((w.learnable_norm(all) - 3.0).abs() < 1e-12);
+        assert_eq!(w.learnable_norm([prior]), 0.0, "only the ids passed");
     }
 
     /// The norm is a function of the value multiset, not the id order —
@@ -276,39 +258,11 @@ mod tests {
             a.set(WeightId(i as u32), v);
             b.set(WeightId((values.len() - 1 - i) as u32), v);
         }
-        assert_eq!(a.learnable_norm().to_bits(), b.learnable_norm().to_bits());
-    }
-
-    /// Chunked interning merged by `absorb` equals one registry fed the
-    /// whole key stream, wherever the stream is cut.
-    #[test]
-    fn absorb_reproduces_single_registry_ids() {
-        let stream = [
-            (Key::Dict(0), false, 0.5),
-            (Key::Minimality, true, 1.5),
-            (Key::Dict(1), false, 0.0),
-            (Key::Dict(0), false, 9.0), // repeat: first value wins
-            (Key::Cooccur(0, 1, 2, 3), false, 0.0),
-            (Key::Minimality, true, 7.0),
-            (Key::Dict(2), false, -1.0),
-        ];
-        let feed = |reg: &mut FeatureRegistry<Key>, part: &[(Key, bool, f64)]| -> Vec<WeightId> {
-            part.iter()
-                .map(|(k, fixed, v)| reg.intern(k.clone(), *fixed, *v))
-                .collect()
-        };
-        let mut whole = FeatureRegistry::new();
-        let whole_ids = feed(&mut whole, &stream);
-        for cut in 0..=stream.len() {
-            let mut head = FeatureRegistry::new();
-            let mut ids = feed(&mut head, &stream[..cut]);
-            let mut tail = FeatureRegistry::new();
-            let tail_ids = feed(&mut tail, &stream[cut..]);
-            let remap = head.absorb(tail);
-            ids.extend(tail_ids.iter().map(|w| remap[w.index()]));
-            assert_eq!(ids, whole_ids, "cut at {cut}");
-            assert_eq!(head.build_weights(), whole.build_weights(), "cut at {cut}");
-        }
+        let all = || (0..values.len() as u32).map(WeightId);
+        assert_eq!(
+            a.learnable_norm(all()).to_bits(),
+            b.learnable_norm(all()).to_bits()
+        );
     }
 
     #[test]
@@ -319,17 +273,15 @@ mod tests {
         assert_eq!(reg.get(&Key::Minimality), Some(id));
     }
 
-    /// Every id names the key it was interned for, after `absorb` too.
+    /// Every id names the key it was interned for, its rank among the
+    /// distinct keys interned.
     #[test]
     fn ids_name_their_keys() {
         let mut reg: FeatureRegistry<Key> = FeatureRegistry::new();
         let a = reg.learnable(Key::Dict(3));
         let b = reg.fixed(Key::Minimality, 1.0);
-        let mut later = FeatureRegistry::new();
-        later.learnable(Key::Minimality);
-        later.learnable(Key::Dict(4));
-        let remap = reg.absorb(later);
-        assert_eq!(remap, vec![b, WeightId(2)]);
+        assert_eq!(reg.learnable(Key::Minimality), b, "a repeat keeps its id");
+        assert_eq!(reg.learnable(Key::Dict(4)), WeightId(2));
         assert_eq!((a, b), (WeightId(0), WeightId(1)));
         assert_eq!(reg.keys(), [Key::Dict(3), Key::Minimality, Key::Dict(4)]);
         for (id, key) in reg.keys().iter().enumerate() {

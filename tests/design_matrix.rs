@@ -67,7 +67,7 @@ fn grounded_entry_by_entry(
 }
 
 /// The tentpole equivalence: the assembled matrix equals the entry-by-entry
-/// build of its rows, and every variable's CSR-backed `unary_scores` equals
+/// build of its rows, and every variable's CSR-backed scores equal
 /// the nested-adjacency reference bit-for-bit, under both the prior
 /// weights and trained (non-trivial) weights.
 #[test]
@@ -75,8 +75,12 @@ fn csr_unary_scores_match_adjacency_on_hospital() {
     let (cx, model) = compile_hospital(1);
     let mut trained = model.weights.clone();
     train_with_threads(&model.graph, &mut trained, &cx.config.learn, 1);
-    assert!(trained.learnable_norm() > 0.0, "training moved the weights");
     let design = model.graph.design();
+    let named = design.weight_ids();
+    assert!(
+        trained.learnable_norm(named) > 0.0,
+        "training moved the weights"
+    );
     assert!(design.nnz() > 0, "hospital model has unary features");
     assert_eq!(design.var_count(), model.graph.var_count());
     let rows = adjacency_of(&model.graph);
@@ -85,9 +89,10 @@ fn csr_unary_scores_match_adjacency_on_hospital() {
         grounded_entry_by_entry(&model.graph, &rows).design(),
         "assembled == grounded entry by entry"
     );
+    let mut csr = Vec::new();
     for weights in [&model.weights, &trained] {
         for v in model.graph.var_ids() {
-            let csr = model.graph.unary_scores(v, weights);
+            model.graph.design().score_var_into(v, weights, &mut csr);
             let adjacency: Vec<f64> = rows[v.index()]
                 .iter()
                 .map(|features| score_features(features, weights))

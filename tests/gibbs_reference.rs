@@ -32,7 +32,7 @@ fn interpreted_conditional(
     v: VarId,
     probs: &mut Vec<f64>,
 ) {
-    graph.unary_scores_into(v, weights, probs);
+    graph.design().score_var_into(v, weights, probs);
     for &ci in graph.cliques_of(v) {
         let clique = graph.clique(ci);
         let slot = clique.vars().iter().position(|&u| u == v).unwrap();
@@ -144,7 +144,11 @@ fn enumerated_marginals(
     cliques.dedup();
     let unary: Vec<Vec<f64>> = query
         .iter()
-        .map(|&v| graph.unary_scores(v, weights))
+        .map(|&v| {
+            let mut scores = Vec::new();
+            graph.design().score_var_into(v, weights, &mut scores);
+            scores
+        })
         .collect();
     let arities: Vec<usize> = query.iter().map(|&v| graph.var(v).arity()).collect();
     let digits = |index: usize| {
